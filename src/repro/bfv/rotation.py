@@ -15,21 +15,43 @@ each half and ``rotate_columns`` swaps the halves — SEAL's terminology.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import lru_cache
 
-from repro.bfv.keys import SecretKey
+import numpy as np
+
+from repro.bfv.keys import GaloisKey, SecretKey
 from repro.bfv.scheme import Bfv, Ciphertext
 from repro.bfv.sampling import sample_uniform
 from repro.polymath.poly import Polynomial
 
 
-@dataclass(frozen=True)
-class GaloisKey:
-    """Key-switching key for one automorphism exponent ``g``."""
+@lru_cache(maxsize=64)
+def _automorphism_table(n: int, exponent: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(src, flip)`` with ``p(x^g)[j] = (-1)**flip[j] * p[src[j]]``.
 
-    exponent: int
-    rows: tuple[tuple[Polynomial, Polynomial], ...]
-    digit_bits: int
+    Monomial ``x^i`` maps to ``x^(i*g mod 2n)``, negated when the reduced
+    exponent crosses ``n`` (since ``x^n = -1``); ``g`` odd makes
+    ``i -> i*g mod n`` a bijection, so the map inverts into one gather
+    index and one sign mask per ``(n, g)``. The arrays are shared by
+    every caller and therefore read-only.
+    """
+    if exponent % 2 == 0 or not 0 < exponent < 2 * n:
+        raise ValueError(f"automorphism exponent must be odd in (0, 2n), got {exponent}")
+    dest = np.arange(n, dtype=np.int64) * exponent % (2 * n)
+    src = np.empty(n, dtype=np.int64)
+    src[dest % n] = np.arange(n, dtype=np.int64)
+    flip = np.empty(n, dtype=bool)
+    flip[dest % n] = dest >= n
+    src.flags.writeable = flip.flags.writeable = False
+    return src, flip
+
+
+def _automorphism_coeffs(coeffs, n: int, q: int, exponent: int) -> np.ndarray:
+    """Canonical coefficients of ``p(x^g)`` as an object array."""
+    src, flip = _automorphism_table(n, exponent)
+    out = np.asarray(coeffs, dtype=object)[src]
+    out[flip] = -out[flip] % q
+    return out
 
 
 def apply_automorphism(poly: Polynomial, exponent: int) -> Polynomial:
@@ -39,19 +61,8 @@ def apply_automorphism(poly: Polynomial, exponent: int) -> Polynomial:
     reduced exponent crosses ``n`` (since ``x^n = -1``).
     """
     ring = poly.ring
-    n, q = ring.n, ring.q
-    if exponent % 2 == 0 or not 0 < exponent < 2 * n:
-        raise ValueError(f"automorphism exponent must be odd in (0, 2n), got {exponent}")
-    out = [0] * n
-    for i, c in enumerate(poly.coeffs):
-        if not c:
-            continue
-        j = i * exponent % (2 * n)
-        if j < n:
-            out[j] = (out[j] + c) % q
-        else:
-            out[j - n] = (out[j - n] - c) % q
-    return ring(out)
+    out = _automorphism_coeffs(poly.coeffs, ring.n, ring.q, exponent)
+    return Polynomial.from_canonical(ring, out.tolist())
 
 
 class RotationEngine:
@@ -134,21 +145,17 @@ def apply_galois_with_key(bfv: Bfv, ct: Ciphertext, key: GaloisKey) -> Ciphertex
     Unlike :meth:`RotationEngine.apply_galois` this needs no secret key, so
     the serving layer can rotate tenant ciphertexts using only the
     evaluation keys registered with the session: apply ``x -> x^g`` to both
-    components, then key-switch ``c2(x^g)`` back under ``s`` by
-    digit-decomposing against the key rows.
+    components, then key-switch ``c2(x^g)`` from ``s(x^g)`` back under
+    ``s`` — the same :meth:`~repro.bfv.scheme.Bfv.key_switch` a
+    relinearization runs, adding ``(c1(x^g), 0)`` to the folds.
     """
     if ct.size != 2:
         raise ValueError("rotate a 2-component ciphertext (relinearize first)")
-    exponent = key.exponent
-    c1g = apply_automorphism(ct.polys[0], exponent)
-    c2g = apply_automorphism(ct.polys[1], exponent)
-    # Key-switch c2g from s(x^g) to s: digit-decompose and fold.
-    digits = bfv._decompose_digits(c2g, _as_relin(key))
-    new_c1, new_c2 = c1g, bfv.ring.zero()
-    for d, (b_i, a_i) in zip(digits, key.rows):
-        new_c1 = new_c1 + bfv._exact_mul(d, b_i)
-        new_c2 = new_c2 + bfv._exact_mul(d, a_i)
-    return Ciphertext([new_c1, new_c2], bfv.params)
+    n, q = bfv.params.n, bfv.params.q
+    c1g, c2g = (
+        _automorphism_coeffs(p.coeffs, n, q, key.exponent) for p in ct.polys
+    )
+    return bfv.key_switch([(c2g, c1g, None)], key)[0]
 
 
 def slot_permutation(encoder, exponent: int) -> list[int]:
@@ -189,9 +196,3 @@ def rotation_plan(n: int) -> dict[int, tuple[tuple[str, int], ...]]:
         plan.setdefault((m - 1) * g % m, (("cols", 0),) + rows)
     return plan
 
-
-def _as_relin(key: GaloisKey):
-    """Adapter: reuse the scheme's digit decomposition via a RelinKey shim."""
-    from repro.bfv.keys import RelinKey
-
-    return RelinKey(rows=key.rows, digit_bits=key.digit_bits)

@@ -20,7 +20,16 @@ import math
 import random
 from dataclasses import dataclass
 
-from repro.bfv.keys import KeySet, PublicKey, RelinKey, SecretKey
+import numpy as np
+
+from repro.bfv.keys import (
+    GaloisKey,
+    KeySet,
+    KeySwitchKey,
+    PublicKey,
+    RelinKey,
+    SecretKey,
+)
 from repro.bfv.params import BfvParameters
 from repro.bfv.sampling import DiscreteGaussianSampler, TernarySampler, sample_uniform
 from repro.polymath.ntt import NttContext
@@ -91,9 +100,11 @@ class Bfv:
         self._gaussian = DiscreteGaussianSampler(self._rng, params.sigma)
         self._mult_ctx = multiplier or _default_multiplier(params.n, params.q)
         self._tensor_ok: bool | None = None
-        # id(relin) -> (relin ref, forward-NTT b rows, forward-NTT a rows);
-        # the held reference keeps the id stable for the cache's lifetime.
-        self._relin_fwd_cache: dict[int, tuple] = {}
+        # (num_digits, digit_bits) -> tower-prefix engine of the fold.
+        self._fold_engines: dict[tuple[int, int], object] = {}
+        #: Metrics sink (set by the serving layer's session registry;
+        #: ``None`` leaves a standalone scheme un-instrumented).
+        self.metrics = None
 
     @property
     def multiplier_kind(self) -> str:
@@ -241,8 +252,6 @@ class Bfv:
         b1, b2 = (p.centered() for p in cb.polys)
         eng = self._tensor_engine()
         if eng is not None:
-            import numpy as np
-
             y0, y1, y2 = eng.tensor(
                 eng.decompose(a1),
                 eng.decompose(a2),
@@ -272,8 +281,6 @@ class Bfv:
         a1, a2 = (p.centered() for p in ct.polys)
         eng = self._tensor_engine()
         if eng is not None:
-            import numpy as np
-
             y0, y1, y2 = eng.tensor_square(eng.decompose(a1), eng.decompose(a2))
             rows = eng.round_scale(
                 np.stack((y0, y1, y2)), self.params.t, self.params.q
@@ -320,8 +327,6 @@ class Bfv:
                 self.square(ca) if cb is None else self.multiply(ca, cb)
                 for ca, cb in pairs
             ]
-        import numpy as np
-
         ops = []
         for ca, cb in pairs:
             a0, a1 = (eng.decompose(p.centered()) for p in ca.polys)
@@ -360,17 +365,106 @@ class Bfv:
             return ct.copy()
         if ct.size != 3:
             raise ValueError(f"relinearize expects size-3 ciphertext, got {ct.size}")
-        if self.can_batch_relinearize(relin):
-            return self.relinearize_many([ct], relin)[0]
-        c1, c2, c3 = ct.polys
-        digits = self._decompose_digits(c3, relin)
-        new_c1, new_c2 = c1, c2
-        for d, (b_i, a_i) in zip(digits, relin.rows):
-            new_c1 = new_c1 + self._exact_mul(d, b_i)
-            new_c2 = new_c2 + self._exact_mul(d, a_i)
-        return Ciphertext([new_c1, new_c2], self.params)
+        return self.relinearize_many([ct], relin)[0]
 
-    def can_batch_relinearize(self, relin: RelinKey) -> bool:
+    def relinearize_many(
+        self, cts: list[Ciphertext], relin: RelinKey
+    ) -> list[Ciphertext]:
+        """Relinearize a batch of size-3 ciphertexts under one eval key.
+
+        One :meth:`key_switch` call folds every ``cc3`` (a single batched
+        pass when :meth:`can_batch_relinearize` holds, the scalar fold
+        otherwise) and adds the folds to ``(cc1, cc2)``. Bit-identical to
+        calling :meth:`relinearize` per ciphertext. Size-2 inputs pass
+        through untouched (copied).
+        """
+        for ct in cts:
+            if ct.size not in (2, 3):
+                raise ValueError(
+                    f"relinearize expects size-2/3 ciphertexts, got {ct.size}"
+                )
+        switched = iter(self.key_switch(
+            [
+                (c3.coeffs, c1.coeffs, c2.coeffs)
+                for c1, c2, c3 in (ct.polys for ct in cts if ct.size == 3)
+            ],
+            relin,
+        ))
+        return [next(switched) if ct.size == 3 else ct.copy() for ct in cts]
+
+    def key_switch(self, items, key: KeySwitchKey) -> list[Ciphertext]:
+        """The one key-switch: fold polynomials through ``key``'s rows.
+
+        Each item is ``(poly, add_b, add_a)`` — canonical coefficient
+        sequences (tuples, lists or object arrays). ``poly`` is split
+        into the key's base-T digits ``d_i`` and the item's result is
+        the ciphertext ``(add_b + sum_i d_i*b_i, add_a + sum_i d_i*a_i)``;
+        ``add_a`` may be ``None`` for zero. Relinearization passes
+        ``(cc3, cc1, cc2)``, a Galois rotation ``(c2(x^g), c1(x^g),
+        None)`` — the two differ in nothing else.
+
+        All items ride one batched engine pass
+        (:meth:`~repro.polymath.engine.BatchedRnsEngine.keyswitch`)
+        against the key's NTT-form rows when :meth:`can_batch_relinearize`
+        holds; otherwise each folds through the exact scalar multiplier.
+        Both produce the same canonical coefficients, and which one ran
+        is counted in ``repro_keyswitch_total``.
+        """
+        if not items:
+            return []
+        eng = self._fold_engine(key)
+        if self.metrics is not None:
+            self.metrics.counter(
+                "repro_keyswitch_total",
+                "key switches folded, by kind and execution path",
+                kind="galois" if isinstance(key, GaloisKey) else "relin",
+                path="scalar" if eng is None else "engine",
+            ).inc(len(items))
+        q = self.params.q
+        if eng is None:
+            folds = [self._fold_scalar(poly, key) for poly, _, _ in items]
+        else:
+            folds = eng.keyswitch(
+                [poly for poly, _, _ in items],
+                key.digit_bits,
+                self._key_rows(eng, key),
+            ).swapaxes(0, 1)
+        out = []
+        for (_, add_b, add_a), (fold_b, fold_a) in zip(items, folds):
+            new_b = (np.asarray(add_b, dtype=object) + fold_b) % q
+            if add_a is not None:
+                fold_a = np.asarray(add_a, dtype=object) + fold_a
+            new_a = fold_a % q
+            out.append(Ciphertext(
+                [
+                    Polynomial.from_canonical(self.ring, new_b.tolist()),
+                    Polynomial.from_canonical(self.ring, new_a.tolist()),
+                ],
+                self.params,
+            ))
+        return out
+
+    def _fold_scalar(self, coeffs, key: KeySwitchKey):
+        """Scalar key-switch fold ``(sum_i d_i*b_i, sum_i d_i*a_i)``.
+
+        The path that runs without a batched engine (``REPRO_ENGINE=off``,
+        no word-sized auxiliary basis) or when the key's fold bound
+        exceeds the engine's CRT modulus, and the reference the parity
+        suite holds the engine kernel to. Returns two object arrays.
+        """
+        digits = self._decompose_digits(
+            Polynomial.from_canonical(self.ring, coeffs), key
+        )
+        fold_b = fold_a = self.ring.zero()
+        for d, (b_i, a_i) in zip(digits, key.rows):
+            fold_b = fold_b + self._exact_mul(d, b_i)
+            fold_a = fold_a + self._exact_mul(d, a_i)
+        return (
+            np.asarray(fold_b.coeffs, dtype=object),
+            np.asarray(fold_a.coeffs, dtype=object),
+        )
+
+    def can_batch_relinearize(self, key: KeySwitchKey) -> bool:
         """Whether the vectorized key-switch fold is exact for this key.
 
         True when the scheme's multiplier carries a batched RNS engine
@@ -378,114 +472,76 @@ class Bfv:
         ``D * n * (T - 1) * q/2`` (D digits of width ``T = 2**digit_bits``
         times centered key rows, convolved over ``n`` coefficients) — the
         condition for recovering the integer fold from centered residues.
+        Holds for relinearization and Galois keys alike.
+        """
+        return self._fold_engine(key) is not None
+
+    def _fold_engine(self, key: KeySwitchKey):
+        """The engine the key's fold runs on, or ``None`` for scalar.
+
+        The multiplier's auxiliary basis is sized for the Eq. 4 tensor
+        (``2n(q/2)**2``); the fold bound is usually far smaller, so the
+        fold runs on the shortest tower prefix whose modulus still
+        dominates it — fewer towers through every NTT, Hadamard and
+        Garner pass, same exact integers. Memoized per key shape.
         """
         eng = getattr(self._mult_ctx, "_engine", None)
         if eng is None:
-            return False
-        n, q = self.params.n, self.params.q
-        bound = (
-            relin.num_digits
-            * n
-            * ((1 << relin.digit_bits) - 1)
-            * (q // 2 + 1)
-        )
-        return bound < eng.modulus // 2
+            return None
+        shape = (key.num_digits, key.digit_bits)
+        if shape not in self._fold_engines:
+            bound = (
+                key.num_digits
+                * self.params.n
+                * ((1 << key.digit_bits) - 1)
+                * (self.params.q // 2 + 1)
+            )
+            chosen, modulus = None, 1
+            for k, tower in enumerate(eng.basis.moduli, start=1):
+                modulus *= tower
+                if bound < modulus // 2:
+                    chosen = (
+                        eng if k == eng.num_towers else eng.select(range(k))
+                    )
+                    break
+            self._fold_engines[shape] = chosen
+        return self._fold_engines[shape]
 
-    def prewarm_relin(self, relin: RelinKey) -> None:
-        """Build the eval key's NTT-domain row stacks ahead of serving.
+    def prewarm_keyswitch(self, key: KeySwitchKey) -> None:
+        """Build the key's NTT-form rows ahead of serving.
 
         Key upload is the natural place to pay this one-time cost (SEAL
-        likewise stores key-switch keys in NTT form): the batched
-        key-switch then finds :meth:`_relin_fwd_rows` warm on its first
-        job instead of transforming every key row mid-batch. No-op when
-        the batched fold is unavailable for this key.
+        likewise stores key-switch keys in NTT form): the key switch then
+        finds the rows on the key on its first job instead of
+        transforming every row mid-batch. No-op when the batched fold is
+        unavailable for this key.
         """
-        if self.can_batch_relinearize(relin):
-            self._relin_fwd_rows(self._mult_ctx._engine, relin)
+        eng = self._fold_engine(key)
+        if eng is not None:
+            self._key_rows(eng, key)
 
-    def relinearize_many(
-        self, cts: list[Ciphertext], relin: RelinKey
-    ) -> list[Ciphertext]:
-        """Relinearize a batch of size-3 ciphertexts under one eval key.
+    def _key_rows(self, eng, key: KeySwitchKey):
+        """The key's ``(2, D, L, n)`` NTT-form rows on ``eng``'s basis.
 
-        The batched key-switch: every ciphertext's base-T digit
-        decomposition rides one forward-NTT pass, the per-digit key-row
-        folds accumulate in the NTT domain, and a single inverse pass
-        covers both output components of every job. Bit-identical to
-        calling :meth:`relinearize` per ciphertext; requires
-        :meth:`can_batch_relinearize` (raises ``ValueError`` otherwise).
-        Size-2 inputs pass through untouched (copied), matching the
-        scalar path.
+        Held on the key itself (``key.ntt_rows``), tagged with the basis
+        they were transformed on: built at most once per key in normal
+        use, freed with the key, and rebuilt only if a scheme with a
+        different auxiliary basis picks the same key object up.
         """
-        import numpy as np
-
-        if not self.can_batch_relinearize(relin):
-            raise ValueError(
-                "batched relinearization needs an engine-capable multiplier "
-                "and an in-bound digit decomposition; use relinearize()"
-            )
-        for ct in cts:
-            if ct.size not in (2, 3):
-                raise ValueError(
-                    f"relinearize expects size-2/3 ciphertexts, got {ct.size}"
-                )
-        eng = self._mult_ctx._engine
-        work = [(i, ct) for i, ct in enumerate(cts) if ct.size == 3]
-        out: list[Ciphertext | None] = [
-            ct.copy() if ct.size == 2 else None for ct in cts
-        ]
-        if not work:
-            return out  # type: ignore[return-value]
-        fb, fa = self._relin_fwd_rows(eng, relin)
-        D = relin.num_digits
-        db = relin.digit_bits
-        J = len(work)
-        stacks = np.concatenate(
-            [eng.digit_decompose(ct.polys[2].coeffs, db, D) for _, ct in work]
+        held = key.ntt_rows
+        if held is not None and held[0] == eng.basis.moduli:
+            return held[1]
+        rows = eng.keyswitch_rows(
+            [(b.centered(), a.centered()) for b, a in key.rows]
         )
-        fwd = eng.forward(stacks).reshape(J, D, eng.num_towers, self.params.n)
-        acc_b = eng.nttdomain_fold(fwd, fb)
-        acc_a = eng.nttdomain_fold(fwd, fa)
-        vals = eng.centered_values(
-            eng.inverse(np.concatenate((acc_b, acc_a)))
-        )
-        q = self.params.q
-        for j, (i, ct) in enumerate(work):
-            c1 = np.asarray(ct.polys[0].coeffs, dtype=object)
-            c2 = np.asarray(ct.polys[1].coeffs, dtype=object)
-            new_c1 = (c1 + vals[j]) % q
-            new_c2 = (c2 + vals[J + j]) % q
-            out[i] = Ciphertext(
-                [
-                    Polynomial.from_canonical(self.ring, new_c1.tolist()),
-                    Polynomial.from_canonical(self.ring, new_c2.tolist()),
-                ],
-                self.params,
-            )
-        return out  # type: ignore[return-value]
-
-    def _relin_fwd_rows(self, eng, relin: RelinKey):
-        """Forward-NTT stacks of the relin-key rows, memoized per key.
-
-        Returns ``(fb, fa)``: ``(D, L, n)`` forward transforms of the
-        centered ``b_i`` / ``a_i`` rows on ``eng``'s auxiliary basis. The
-        cache holds the key object itself so the ``id()`` key stays valid.
-        """
-        import numpy as np
-
-        cached = self._relin_fwd_cache.get(id(relin))
-        if cached is not None and cached[0] is relin:
-            return cached[1], cached[2]
-        fb = eng.forward(
-            np.stack([eng.decompose(b.centered()) for b, _ in relin.rows])
-        )
-        fa = eng.forward(
-            np.stack([eng.decompose(a.centered()) for _, a in relin.rows])
-        )
-        if len(self._relin_fwd_cache) >= 4:
-            self._relin_fwd_cache.pop(next(iter(self._relin_fwd_cache)))
-        self._relin_fwd_cache[id(relin)] = (relin, fb, fa)
-        return fb, fa
+        # The key is frozen; its derived rows are the one slot set late.
+        object.__setattr__(key, "ntt_rows", (eng.basis.moduli, rows))
+        if self.metrics is not None:
+            self.metrics.counter(
+                "repro_keyswitch_row_builds_total",
+                "key-switch keys transformed into NTT-form rows",
+            ).inc()
+        return rows
 
     def _tensor_engine(self):
         """The multiplier's batched engine when the Eq. 4 bound holds.
@@ -559,7 +615,9 @@ class Bfv:
         coeffs = [c - t if c > half else c for c in plaintext.coeffs]
         return self.ring(coeffs)
 
-    def _decompose_digits(self, poly: Polynomial, relin: RelinKey) -> list[Polynomial]:
+    def _decompose_digits(
+        self, poly: Polynomial, relin: KeySwitchKey
+    ) -> list[Polynomial]:
         """Base-T digit decomposition of every coefficient of ``poly``.
 
         Coefficients must be canonical (``[0, q)``): a negative (centered)

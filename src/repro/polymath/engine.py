@@ -404,8 +404,11 @@ class BatchedRnsEngine:
             return np.broadcast_to(
                 flat[:, None, :], (num_digits, self.num_towers, self.n)
             ).copy()
-        # Digits are < 2**digit_bits; the per-tower reduction keeps the
-        # stack int64-safe even for digit widths near the modulus width.
+        if digit_bits < 63:
+            # Digits fit int64: one vectorized reduction per tower row.
+            return rows.astype(np.int64)[:, None, :] % self._q
+        # Wider digits reduce as Python ints, one C-looped ``%`` pass per
+        # tower, which keeps the stack int64-safe at any digit width.
         return np.asarray(
             [[row % q for q in self.basis.moduli] for row in rows],
             dtype=np.int64,
@@ -616,21 +619,82 @@ class BatchedRnsEngine:
         return out.reshape(J, 3, self.num_towers, self.n)
 
     def nttdomain_fold(self, fwd: np.ndarray, key_fwd: np.ndarray) -> np.ndarray:
-        """Key-switch fold in the NTT domain: ``sum_d fwd[:, d] ∘ key_fwd[d]``.
+        """Key-switch fold in the NTT domain: ``sum_d fwd[:, d] ∘ key_fwd[:, d]``.
 
         ``fwd`` is a ``(J, D, L, n)`` batch of forward-transformed digit
-        polynomials (J jobs, D digits); ``key_fwd`` a ``(D, L, n)`` stack
-        of forward-transformed relin-key rows. Returns the ``(J, L, n)``
-        mod-q accumulation, still in NTT (bit-reversed) order — callers
-        run one batched :meth:`inverse` over every job/component at once.
-        Each product is reduced before accumulating so the int64 domain
-        is never exceeded.
+        polynomials (J jobs, D digits); ``key_fwd`` the ``(2, D, L, n)``
+        NTT-form key rows of :meth:`keyswitch_rows`. Returns the
+        ``(2, J, L, n)`` mod-q accumulations (``b`` fold, then ``a``
+        fold), still in NTT (bit-reversed) order — callers run one
+        batched :meth:`inverse` over every job/component at once. Each
+        product is reduced before accumulating so the int64 domain is
+        never exceeded.
         """
         q = self._q
-        acc = fwd[:, 0] * key_fwd[0] % q
-        for d in range(1, key_fwd.shape[0]):
-            acc = (acc + fwd[:, d] * key_fwd[d]) % q
+        acc = fwd[None, :, 0] * key_fwd[:, None, 0] % q
+        for d in range(1, key_fwd.shape[1]):
+            acc = (acc + fwd[None, :, d] * key_fwd[:, None, d]) % q
         return acc
+
+    def keyswitch_rows(
+        self, rows: Sequence[tuple[Sequence[int], Sequence[int]]]
+    ) -> np.ndarray:
+        """A key-switch key's rows in NTT form, ready for :meth:`keyswitch`.
+
+        ``rows`` are the key's ``D`` coefficient-vector pairs
+        ``(b_i, a_i)``, *centered* (the fold bound the callers check
+        assumes ``|row coefficient| <= q/2``). Returns the
+        ``(2, D, L, n)`` forward transforms — ``[0]`` the ``b`` rows,
+        ``[1]`` the ``a`` rows — as ``uint32``: residues of sub-2^31
+        towers fit, and a key is held for its session's lifetime, so
+        half-width storage is what every uploaded key costs in memory.
+        """
+        stack = np.stack(
+            [self.decompose(b) for b, _ in rows]
+            + [self.decompose(a) for _, a in rows]
+        )
+        return self.forward(stack).astype(np.uint32).reshape(
+            2, len(rows), self.num_towers, self.n
+        )
+
+    def keyswitch(
+        self,
+        polys: Sequence[Sequence[int]],
+        digit_bits: int,
+        key_rows: np.ndarray,
+    ) -> np.ndarray:
+        """The key-switch kernel: fold ``J`` polynomials through one key.
+
+        Every polynomial in ``polys`` (canonical coefficients) is split
+        into base-``2**digit_bits`` digits; all ``J * D`` digit
+        polynomials ride one forward pass, fold against ``key_rows``
+        (from :meth:`keyswitch_rows`) in the NTT domain, and one inverse
+        pass covers both components of every job. Returns a
+        ``(2, J, n)`` object array of centered CRT values:
+        ``[0, j] = sum_d digit_d(polys[j]) * b_d`` and ``[1, j]`` the
+        same against the ``a`` rows — the exact integer folds whenever
+        their magnitude stays below ``modulus / 2`` (the caller's bound
+        check). Relinearization and Galois rotation differ only in what
+        they add to the two folds.
+        """
+        key_rows = np.asarray(key_rows)
+        if key_rows.ndim != 4 or (
+            key_rows.shape[0], *key_rows.shape[2:]
+        ) != (2, self.num_towers, self.n):
+            raise ValueError(
+                f"expected (2, D, {self.num_towers}, {self.n}) key rows, "
+                f"got {key_rows.shape}"
+            )
+        J, D = len(polys), key_rows.shape[1]
+        stacks = np.concatenate(
+            [self.digit_decompose(p, digit_bits, D) for p in polys]
+        )
+        fwd = self.forward(stacks).reshape(J, D, self.num_towers, self.n)
+        acc = self.nttdomain_fold(fwd, key_rows)
+        vals = self.centered_values(
+            self.inverse(acc.reshape(2 * J, self.num_towers, self.n))
+        )
+        return vals.reshape(2, J, self.n)
 
     # ------------------------------------------------------------------
     # Sub-views

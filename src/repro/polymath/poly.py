@@ -77,7 +77,8 @@ class PolynomialRing:
         bad = next((c for c in coeffs if c >= self.q), None)
         if bad is not None:
             raise ValueError(f"packed coefficient {bad} >= modulus {self.q}")
-        return Polynomial(self, coeffs)
+        # Unsigned and range-checked above: already canonical.
+        return Polynomial.from_canonical(self, coeffs)
 
     @property
     def supports_ntt(self) -> bool:

@@ -996,7 +996,7 @@ class ChipPoolBackend(Backend):
                     items.append(KeySwitchWorkItem(
                         job_seq=seq,
                         est_cycles=timing.relinearization_cycles(
-                            session.params.n, len(key.rows), towers_n
+                            session.params.n, key.num_digits, towers_n
                         ),
                     ))
                     # Automorphism = one copy pass per component, on the
@@ -1288,7 +1288,7 @@ class ChipPoolBackend(Backend):
                 ))
                 cycles += 2 * timing.memcpy_cycles(n)
                 cycles += timing.relinearization_cycles(
-                    n, len(key.rows), towers
+                    n, key.num_digits, towers
                 )
             return cycles
         if job.kind in (JobKind.ADD, JobKind.SUB):
@@ -1301,7 +1301,7 @@ class ChipPoolBackend(Backend):
             key = session.require_galois(_galois_exponent(session, job.steps))
             # automorphism = one copy pass per component, then key-switch
             return 2 * timing.memcpy_cycles(n) + timing.relinearization_cycles(
-                n, len(key.rows), towers
+                n, key.num_digits, towers
             )
         # MULTIPLY / SQUARE on the model path: Eq. 4 tensor estimate
         # (+ relin when the session has a key).

@@ -71,8 +71,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
+from repro.bfv.keys import GaloisKey
 from repro.bfv.params import BfvParameters
-from repro.bfv.rotation import GaloisKey, apply_galois_with_key
+from repro.bfv.rotation import apply_galois_with_key
 from repro.bfv.scheme import Bfv, Ciphertext
 from repro.polymath.poly import Polynomial, PolynomialRing
 
@@ -736,11 +737,6 @@ def evaluate_circuit(
             value = engine.square(a)
         elif step.op == OP_RELINEARIZE:
             run = relin_runs.get(i)
-            if run is not None and not (
-                relin_key is not None
-                and engine.can_batch_relinearize(relin_key)
-            ):
-                run = None  # scalar key-switch path: fold one at a time
             if run is not None:
                 folded = engine.relinearize_many(
                     [regs[circuit.steps[j].args[0]] for j in run], relin_key

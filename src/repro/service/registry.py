@@ -26,9 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.bfv.keys import PublicKey, RelinKey
+from repro.bfv.keys import GaloisKey, PublicKey, RelinKey
 from repro.bfv.params import BfvParameters
-from repro.bfv.rotation import GaloisKey
 from repro.bfv.scheme import Bfv, Ciphertext
 from repro.polymath.fastntt import RnsExactMultiplier
 from repro.service.serialization import (
@@ -72,6 +71,7 @@ class ParamsContext:
             else:
                 multiplier = RnsExactMultiplier(self.params.n, self.params.q)
                 self._fast_engine = Bfv(self.params, multiplier=multiplier)
+                self._fast_engine.metrics = self.engine.metrics
         return self._fast_engine
 
 
@@ -114,6 +114,10 @@ class SessionRegistry:
     """The service's shared session/key/context store."""
 
     def __init__(self):
+        #: Metrics sink handed to every evaluation engine built here (set
+        #: by :class:`~repro.service.server.FheServer` before any session
+        #: opens; ``None`` leaves the engines un-instrumented).
+        self.metrics = None
         self._contexts: dict[bytes, ParamsContext] = {}
         self._sessions: dict[str, Session] = {}
         self._by_tenant: dict[tuple[str, bytes], str] = {}
@@ -125,8 +129,10 @@ class SessionRegistry:
         """Return (building once) the cached context for a parameter set."""
         digest = params_digest(params)
         if digest not in self._contexts:
+            engine = Bfv(params)
+            engine.metrics = self.metrics
             self._contexts[digest] = ParamsContext(
-                params=params, digest=digest, engine=Bfv(params)
+                params=params, digest=digest, engine=engine
             )
         return self._contexts[digest]
 
@@ -168,12 +174,14 @@ class SessionRegistry:
             session.public = public
         if relin is not None:
             session.relin = relin
-            # Key upload is untimed setup: transform the eval key's rows
-            # into NTT form now so the first multiply batch finds the
-            # shared engine's key-row cache warm.
-            ctx.engine.prewarm_relin(relin)
         for g in galois:
             session.galois[g.exponent] = g
+        # Key upload is untimed setup: transform every uploaded key's
+        # rows into NTT form now, so no job ever pays for it. The rows
+        # stay on the key object and are freed with it.
+        for key in (relin, *galois):
+            if key is not None:
+                ctx.engine.prewarm_keyswitch(key)
         return session
 
     def get(self, session_id: str) -> Session:

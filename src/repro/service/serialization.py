@@ -43,9 +43,8 @@ import struct
 import zlib
 from dataclasses import dataclass
 
-from repro.bfv.keys import PublicKey, RelinKey
+from repro.bfv.keys import GaloisKey, PublicKey, RelinKey
 from repro.bfv.params import BfvParameters
-from repro.bfv.rotation import GaloisKey
 from repro.bfv.scheme import Ciphertext
 from repro.polymath.poly import Polynomial, PolynomialRing
 from repro.polymath.rns import RnsBasis

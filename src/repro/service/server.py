@@ -166,6 +166,7 @@ class FheServer:
         # (frame/byte counters) all write here, so one STATS reply or
         # ``stats_snapshot()`` covers the whole serving path.
         self.metrics = MetricsRegistry()
+        self.registry.metrics = self.metrics
         self.scheduler.metrics = self.metrics
         for backend in self.backends.values():
             backend.metrics = self.metrics

@@ -35,6 +35,12 @@
 #                                    # each worker is a fresh interpreter)
 #                                    # + the spill-over routing bench
 #                                    # (skewed hot tenant, >= 1.3x gate)
+#   tools/run_checks.sh --layered    # also the layered serving benchmark's
+#                                    # own stage: its contract/estimator
+#                                    # tests (bench/tests) + one dense16
+#                                    # workload at toy degree (--quick; the
+#                                    # exit status gates correctness — every
+#                                    # result decrypt-checked — not timing)
 #   tools/run_checks.sh --slow       # also the paper-scale suites
 #                                    # (n = 2^12 pool scaling, n = 2^13 serving)
 #   tools/run_checks.sh --cov        # also the line-coverage stage: the
@@ -52,6 +58,7 @@ RUN_SLOW=0
 RUN_BENCH=0
 RUN_TRANSPORT=0
 RUN_COV=0
+RUN_LAYERED=0
 DOCS_ONLY=0
 OBS_ONLY=0
 FLEET_ONLY=0
@@ -61,10 +68,11 @@ for arg in "$@"; do
     --bench) RUN_BENCH=1 ;;
     --transport) RUN_TRANSPORT=1 ;;
     --cov) RUN_COV=1 ;;
+    --layered) RUN_LAYERED=1 ;;
     --docs) DOCS_ONLY=1 ;;
     --obs) OBS_ONLY=1 ;;
     --fleet) FLEET_ONLY=1 ;;
-    *) echo "unknown option: $arg (supported: --slow, --bench, --transport, --cov, --docs, --obs, --fleet)" >&2; exit 2 ;;
+    *) echo "unknown option: $arg (supported: --slow, --bench, --transport, --cov, --layered, --docs, --obs, --fleet)" >&2; exit 2 ;;
   esac
 done
 
@@ -124,19 +132,19 @@ run_fleet() {
 # --docs / --obs / --fleet alone are fast paths; combined with other
 # flags every requested stage still runs (the default pipeline includes
 # all three).
-if [ "$DOCS_ONLY" = 1 ] && [ "$OBS_ONLY$FLEET_ONLY$RUN_SLOW$RUN_BENCH$RUN_TRANSPORT$RUN_COV" = "000000" ]; then
+if [ "$DOCS_ONLY" = 1 ] && [ "$OBS_ONLY$FLEET_ONLY$RUN_SLOW$RUN_BENCH$RUN_TRANSPORT$RUN_COV$RUN_LAYERED" = "0000000" ]; then
   run_docs
   echo
   echo "docs stage passed"
   exit 0
 fi
-if [ "$OBS_ONLY" = 1 ] && [ "$DOCS_ONLY$FLEET_ONLY$RUN_SLOW$RUN_BENCH$RUN_TRANSPORT$RUN_COV" = "000000" ]; then
+if [ "$OBS_ONLY" = 1 ] && [ "$DOCS_ONLY$FLEET_ONLY$RUN_SLOW$RUN_BENCH$RUN_TRANSPORT$RUN_COV$RUN_LAYERED" = "0000000" ]; then
   run_obs
   echo
   echo "observability stage passed"
   exit 0
 fi
-if [ "$FLEET_ONLY" = 1 ] && [ "$DOCS_ONLY$OBS_ONLY$RUN_SLOW$RUN_BENCH$RUN_TRANSPORT$RUN_COV" = "000000" ]; then
+if [ "$FLEET_ONLY" = 1 ] && [ "$DOCS_ONLY$OBS_ONLY$RUN_SLOW$RUN_BENCH$RUN_TRANSPORT$RUN_COV$RUN_LAYERED" = "0000000" ]; then
   run_fleet
   echo
   echo "fleet stage passed"
@@ -177,6 +185,13 @@ if [ "$RUN_BENCH" = 1 ]; then
   echo
   echo "== phase profiler (BENCH_serve_phases.json + relin-tail gate) =="
   PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python tools/profile_serve.py
+fi
+
+if [ "$RUN_LAYERED" = 1 ]; then
+  echo
+  echo "== layered serving benchmark (bench/tests + dense16 at toy degree) =="
+  python -m pytest bench/tests -q
+  python3 bench/run.py --quick --workload dense16_inproc_serial --seed 1
 fi
 
 if [ "$RUN_COV" = 1 ]; then
