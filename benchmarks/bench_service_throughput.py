@@ -118,11 +118,17 @@ def test_service_throughput(benchmark):
     )
     by_pool = {r["pool"]: r for r in rows if "pool" in r}
     # Tower sharding: same total work, >= 1.5x shorter makespan on 4
-    # chips — on both wall-time views (utilization and the conservative
-    # sum of per-batch makespans under the gather barrier).
+    # chips on the utilization view (max per-worker busy cycles).
     assert by_pool[4]["total_cycles"] == by_pool[1]["total_cycles"]
     assert by_pool[4]["wall_cycles"] * 3 <= by_pool[1]["wall_cycles"] * 2
-    assert by_pool[4]["batch_makespan"] * 3 <= by_pool[1]["batch_makespan"] * 2
+    # The conservative view sums per-report makespans, and the chip pool
+    # reports one job at a time: each EvalMult's key-switch tail is one
+    # unit on one worker, so a job's makespan never drops below that
+    # tail and this view scales ~1.3x here (56466 -> 42750 cycles), not
+    # the ~3.3x it showed while a report covered a whole batch. It must
+    # still shrink with every step up in pool size.
+    assert (by_pool[4]["batch_makespan"] < by_pool[2]["batch_makespan"]
+            < by_pool[1]["batch_makespan"])
     # Every EvalMult ran all of its towers through worker drivers (chip
     # rows must carry the counter; defaulting would hide a dead branch).
     assert all(r["chip_jobs"] == N_MULTS for r in by_pool.values())

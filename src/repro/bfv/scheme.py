@@ -297,62 +297,6 @@ class Bfv:
         scale = lambda vec: self.ring([_round_div(t * c, q) for c in vec])
         return Ciphertext([scale(m11), scale(cross), scale(m22)], self.params)
 
-    def multiply_many(
-        self, pairs: "list[tuple[Ciphertext, Ciphertext | None]]"
-    ) -> list[Ciphertext]:
-        """Eq. 4 tensors for a batch of EvalMult/Square jobs in one pass.
-
-        Each pair is ``(ca, cb)``; ``cb is None`` squares ``ca`` (the
-        exact integer cross products ``m12`` and ``m21`` coincide, so
-        the result is bit-identical to :meth:`square`). With the batched
-        engine every job's operand transforms ride one forward pass, one
-        inverse covers all tensor components, and one round-scaling pass
-        finishes the batch; otherwise falls back to per-job
-        multiply/square.
-        """
-        for ca, cb in pairs:
-            if cb is None:
-                if ca.size != 2:
-                    raise ValueError("square expects a 2-component ciphertext")
-            else:
-                self._check_pair(ca, cb)
-                if ca.size != 2 or cb.size != 2:
-                    raise ValueError(
-                        "EvalMult expects 2-component ciphertexts; "
-                        "relinearize first"
-                    )
-        eng = self._tensor_engine()
-        if eng is None or len(pairs) < 2:
-            return [
-                self.square(ca) if cb is None else self.multiply(ca, cb)
-                for ca, cb in pairs
-            ]
-        ops = []
-        for ca, cb in pairs:
-            a0, a1 = (eng.decompose(p.centered()) for p in ca.polys)
-            if cb is None:
-                b0, b1 = a0, a1
-            else:
-                b0, b1 = (eng.decompose(p.centered()) for p in cb.polys)
-            ops.append((a0, a1, b0, b1))
-        J = len(pairs)
-        tensors = eng.tensor_many(np.asarray(ops, dtype=np.int64))
-        rows = eng.round_scale(
-            tensors.reshape(3 * J, eng.num_towers, self.params.n),
-            self.params.t,
-            self.params.q,
-        )
-        return [
-            Ciphertext(
-                [
-                    Polynomial.from_canonical(self.ring, rows[3 * j + k])
-                    for k in range(3)
-                ],
-                self.params,
-            )
-            for j in range(J)
-        ]
-
     def relinearize(self, ct: Ciphertext, relin: RelinKey) -> Ciphertext:
         """Map a 3-component ciphertext back to 2 components.
 

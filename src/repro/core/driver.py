@@ -384,10 +384,11 @@ class CofheeDriver:
                 "ciphertext multiplication needs 6 on-chip buffers"
             )
         a0, a1, b0, b1, t0, t1 = names[:6]
-        io += self.load_polynomial(a0, [c % q for c in ct_a[0]])
-        io += self.load_polynomial(a1, [c % q for c in ct_a[1]])
-        io += self.load_polynomial(b0, [c % q for c in ct_b[0]])
-        io += self.load_polynomial(b1, [c % q for c in ct_b[1]])
+        # load_polynomial reduces each coefficient mod the programmed q.
+        io += self.load_polynomial(a0, ct_a[0])
+        io += self.load_polynomial(a1, ct_a[1])
+        io += self.load_polynomial(b0, ct_b[0])
+        io += self.load_polynomial(b1, ct_b[1])
         report, (y0, y1, y2) = self.ciphertext_multiply(
             a0, a1, b0, b1, t0, t1, **kw
         )

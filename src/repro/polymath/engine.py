@@ -583,41 +583,6 @@ class BatchedRnsEngine:
         out = self.inverse(np.stack((y0, y1, y2)))
         return out[0], out[1], out[2]
 
-    def tensor_many(self, ops: np.ndarray) -> np.ndarray:
-        """Eq. 4 tensors for ``J`` operand quadruples in one transform pass.
-
-        ``ops`` is a ``(J, 4, L, n)`` stack of decomposed operands
-        ``(a0, a1, b0, b1)`` per job (pass ``(a0, a1, a0, a1)`` to
-        square — the cross term ``a0*a1 + a1*a0`` reduces to the same
-        residues as :meth:`tensor_square`'s ``2*a0*a1``). Returns the
-        ``(J, 3, L, n)`` tensor components, bit-identical per job to
-        :meth:`tensor`; the fixed per-call transform overhead (stage
-        loop, tower loop) is paid once for the whole batch instead of
-        once per job.
-        """
-        ops = np.asarray(ops, dtype=np.int64)
-        if (
-            ops.ndim != 4
-            or ops.shape[1] != 4
-            or ops.shape[2:] != (self.num_towers, self.n)
-        ):
-            raise ValueError(
-                f"expected a (J, 4, {self.num_towers}, {self.n}) operand "
-                f"stack, got {ops.shape}"
-            )
-        J = ops.shape[0]
-        fwd = self.forward(
-            ops.reshape(4 * J, self.num_towers, self.n)
-        ).reshape(J, 4, self.num_towers, self.n)
-        q = self._q
-        fa0, fa1, fb0, fb1 = fwd[:, 0], fwd[:, 1], fwd[:, 2], fwd[:, 3]
-        y0 = fa0 * fb0 % q
-        y2 = fa1 * fb1 % q
-        y1 = (fa0 * fb1 % q + fa1 * fb0 % q) % q
-        ys = np.stack((y0, y1, y2), axis=1)
-        out = self.inverse(ys.reshape(3 * J, self.num_towers, self.n))
-        return out.reshape(J, 3, self.num_towers, self.n)
-
     def nttdomain_fold(self, fwd: np.ndarray, key_fwd: np.ndarray) -> np.ndarray:
         """Key-switch fold in the NTT domain: ``sum_d fwd[:, d] ∘ key_fwd[:, d]``.
 

@@ -25,7 +25,6 @@ same answer.
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass, field
 
@@ -33,6 +32,7 @@ from repro.apps.costmodel import CofheeAppCost, CpuAppCost, Workload
 from repro.apps.cryptonets import MiniCryptoNets
 from repro.apps.logreg import MiniLogisticRegression
 from repro.baselines.software import CpuCostModel, SoftwareBfv
+from repro.bfv.keys import RelinKey
 from repro.bfv.params import BfvParameters
 from repro.bfv.rotation import apply_galois_with_key
 from repro.bfv.scheme import Bfv, Ciphertext
@@ -51,11 +51,10 @@ from repro.service.circuits import (
     OP_SPECS,
     OP_SUB,
     ROTATION_OPS,
-    TENSOR_OPS,
     evaluate_circuit,
     rotation_exponent,
 )
-from repro.service.jobs import Job, JobKind
+from repro.service.jobs import Job, JobKind, JobStatus
 from repro.service.registry import Session, SessionRegistry
 from repro.service.towers import (
     KeySwitchWorkItem,
@@ -72,7 +71,11 @@ class BackendError(RuntimeError):
 
 @dataclass
 class BatchReport:
-    """What one dispatched batch cost.
+    """What one ``execute_batch`` call (or fleet batch) cost.
+
+    The scheduler hands a synchronous backend one job per call, so under
+    a server each synchronous report covers exactly one job; a caller
+    that passes several jobs gets one report for all of them.
 
     ``worker`` is the lead worker (model-path jobs and relinearization
     tails run there); ``workers`` lists every worker the batch touched —
@@ -145,25 +148,30 @@ def _galois_exponent(session: Session, steps: int) -> int:
     return pow(3, steps, 2 * session.params.n)
 
 
-def execute_functional(engine: Bfv, session: Session, job: Job) -> Ciphertext:
-    """Run a raw-op job's homomorphic arithmetic exactly."""
+def functional_stage(
+    engine: Bfv, session: Session, job: Job
+) -> tuple[Ciphertext, RelinKey | None]:
+    """A raw-op job's exact arithmetic, up to its relinearization.
+
+    Returns ``(value, relin)``. A keyed MULTIPLY, a SQUARE and a
+    RELINEARIZE stop before the key switch and return the key it runs
+    under, so the backend can run and time that switch as its own step;
+    every other op returns its final result and ``None``.
+    """
     ops = job.operands
     if job.kind is JobKind.ADD:
-        return engine.add(ops[0], ops[1])
+        return engine.add(ops[0], ops[1]), None
     if job.kind is JobKind.SUB:
-        return engine.sub(ops[0], ops[1])
+        return engine.sub(ops[0], ops[1]), None
     if job.kind is JobKind.MULTIPLY:
-        tensor = engine.multiply(ops[0], ops[1])
-        if session.relin is not None:
-            return engine.relinearize(tensor, session.relin)
-        return tensor
+        return engine.multiply(ops[0], ops[1]), session.relin
     if job.kind is JobKind.SQUARE:
-        return engine.relinearize(engine.square(ops[0]), session.require_relin())
+        return engine.square(ops[0]), session.require_relin()
     if job.kind is JobKind.RELINEARIZE:
-        return engine.relinearize(ops[0], session.require_relin())
+        return ops[0], session.require_relin()
     if job.kind is JobKind.ROTATE:
         key = session.require_galois(_galois_exponent(session, job.steps))
-        return apply_galois_with_key(engine, ops[0], key)
+        return apply_galois_with_key(engine, ops[0], key), None
     raise BackendError(f"unsupported raw-op kind {job.kind.value}")
 
 
@@ -254,10 +262,15 @@ class Backend:
     Subclasses implement :meth:`execute_batch` (how a formed batch runs
     and is priced) and :meth:`wall_seconds`; the base class provides the
     exact per-job arithmetic every backend shares — raw ops through
-    :func:`execute_functional`, circuits through
+    :func:`functional_stage`, circuits through
     :func:`~repro.service.circuits.evaluate_circuit`, legacy app
     payloads through the plaintext-verified :class:`_AppRunner` — which
     is why all backends return bit-identical ciphertexts.
+
+    Synchronous backends run a batch through :meth:`_each_job`: one job
+    at a time, each settled the moment its own work is done. Nothing is
+    shared across the jobs of a batch, so a job's result, cycles and
+    spans are the same whether it ran alone or with siblings.
     """
 
     name = "abstract"
@@ -311,20 +324,55 @@ class Backend:
     def _engine(self, registry: SessionRegistry, session: Session) -> Bfv:
         return registry.engine(session)
 
-    def _run_job(
-        self, registry: SessionRegistry, job: Job
-    ) -> tuple[Session, object, Workload | None]:
-        """Functional execution; returns (session, result, app workload)."""
+    def _stage(
+        self, registry: SessionRegistry, job: Job, on_tensor=None,
+    ) -> tuple[Session, object, Workload | None, RelinKey | None]:
+        """A job's exact math up to its relinearization.
+
+        Returns ``(session, value, app workload, relin)``. When ``relin``
+        is set, ``value`` still has to be relinearized under it (see
+        :func:`functional_stage`); otherwise ``value`` is the job's
+        result. ``on_tensor`` is passed to :meth:`_run_circuit`.
+        """
         session = registry.get(job.session_id)
         if job.kind.is_app:
             result, workload = self._apps.run(job)
-            return session, result, workload
+            return session, result, workload, None
         if job.kind is JobKind.CIRCUIT:
-            return session, self._run_circuit(registry, session, job), None
+            result = self._run_circuit(registry, session, job, on_tensor)
+            return session, result, None, None
         for ct in job.operands:
             registry.check_compatible(session, ct)
         engine = self._engine(registry, session)
-        return session, execute_functional(engine, session, job), None
+        value, relin = functional_stage(engine, session, job)
+        return session, value, None, relin
+
+    def _key_switch(
+        self, registry: SessionRegistry, session: Session, job: Job,
+        tensor: Ciphertext, relin: RelinKey,
+    ) -> Ciphertext:
+        """Relinearize a staged tensor, spanned as the job's ``keyswitch``."""
+        engine = self._engine(registry, session)
+        with job.trace.span("keyswitch"):
+            result = engine.relinearize(tensor, relin)
+        if job.kind is not JobKind.RELINEARIZE \
+                and engine.can_batch_relinearize(relin):
+            job.metrics.relin_fidelity = "engine"
+        return result
+
+    def _run_job(
+        self, registry: SessionRegistry, job: Job
+    ) -> tuple[Session, object, Workload | None]:
+        """Functional execution; returns (session, result, app workload).
+
+        Spans the math as ``execute`` and a relinearization as a sibling
+        ``keyswitch``, so a trace shows the key switch on every backend.
+        """
+        with job.trace.span("execute"):
+            session, value, workload, relin = self._stage(registry, job)
+        if relin is not None:
+            value = self._key_switch(registry, session, job, value, relin)
+        return session, value, workload
 
     def _run_circuit(
         self, registry: SessionRegistry, session: Session, job: Job,
@@ -346,116 +394,33 @@ class Backend:
             galois=galois,
         )
 
-    @staticmethod
-    def _fail_job(job: Job, batch_id: int, name: str, exc: Exception) -> None:
-        """Fault isolation: one bad job fails alone, the batch continues."""
-        job.fail(str(exc))
-        job.metrics.backend = name
-        job.metrics.batch_id = batch_id
+    def _each_job(self, batch_id: int, jobs: list[Job], run) -> None:
+        """The batch loop every synchronous backend shares.
 
-    def _defer_candidate(
-        self, registry: SessionRegistry, job: Job
-    ) -> tuple[Job, Session, Bfv] | None:
-        """Whether a keyed MULTIPLY/SQUARE can join the batched tensor path.
-
-        Batch-aware relinearization: instead of each job folding its own
-        digit decomposition through the eval key, the backend runs only
-        the Eq. 4 tensor (batched across the candidates, see
-        :meth:`_tensor_deferred`) and joins the job to the batch's shared
-        key-switch pass (one :meth:`~repro.bfv.scheme.Bfv.relinearize_many`
-        call per eval-key digest). Returns ``None`` when the job must take
-        the ordinary per-job path — unkeyed, non-tensor, or an engine that
-        cannot carry the batched fold.
+        Jobs run one after another, and ``run(job)`` settles each at its
+        own end. The k-th job's wait on its k-1 predecessors is marked
+        ``batch_wait``. A job that raises fails alone; the batch goes on.
         """
-        if job.kind not in (JobKind.MULTIPLY, JobKind.SQUARE):
-            return None
-        session = registry.get(job.session_id)
-        if session.relin is None:
-            return None
-        for ct in job.operands:
-            registry.check_compatible(session, ct)
-        engine = self._engine(registry, session)
-        if not engine.can_batch_relinearize(session.relin):
-            return None
-        return job, session, engine
-
-    @staticmethod
-    def _tensor_deferred(
-        candidates, trace_execute: bool = True,
-        wait_from: float | None = None,
-    ):
-        """Run the deferred candidates' Eq. 4 tensors, batched per engine.
-
-        One :meth:`~repro.bfv.scheme.Bfv.multiply_many` call per engine
-        covers every candidate's tensor (the operand transforms ride one
-        forward pass, one inverse covers all components). If the batched
-        call raises, the group re-runs job by job so a bad operand fails
-        alone. Returns ``(entries, failures)``: entries are
-        ``(job, session, engine, tensor, seconds)`` with the measured
-        tensor window split evenly across the group; failures are
-        ``(job, exc)``.
-
-        When ``trace_execute`` is on, ``wait_from`` (the batch start)
-        closes each deferred job's attribution gap: a candidate skips
-        the per-job loop, so its wait on batch siblings runs until its
-        tensor actually starts — marked here as ``batch_wait``.
-        """
-        groups: dict[int, list] = {}
-        for cand in candidates:
-            groups.setdefault(id(cand[2]), []).append(cand)
-        entries: list[tuple] = []
-        failures: list[tuple[Job, Exception]] = []
-        for group in groups.values():
-            engine = group[0][2]
-            pairs = [
-                (
-                    job.operands[0],
-                    job.operands[1] if job.kind is JobKind.MULTIPLY else None,
-                )
-                for job, _session, _engine in group
-            ]
-            t0 = time.perf_counter()
+        start = time.perf_counter()
+        for i, job in enumerate(jobs):
+            if i and job.trace.enabled:
+                job.trace.mark("batch_wait", start, time.perf_counter())
             try:
-                tensors = engine.multiply_many(pairs)
-            except Exception:  # noqa: BLE001 — re-run alone to attribute
-                tensors = None
-            t1 = time.perf_counter()
-            if tensors is not None:
-                share = (t1 - t0) / len(group)
-                for (job, session, eng), tensor in zip(group, tensors):
-                    if trace_execute and job.trace.enabled:
-                        if wait_from is not None:
-                            job.trace.mark("batch_wait", wait_from, t0)
-                        job.trace.mark("execute", t0, t1)
-                    entries.append((job, session, eng, tensor, share))
-                continue
-            for job, session, eng in group:
-                s0 = time.perf_counter()
-                try:
-                    tensor = (
-                        eng.multiply(job.operands[0], job.operands[1])
-                        if job.kind is JobKind.MULTIPLY
-                        else eng.square(job.operands[0])
-                    )
-                except Exception as exc:  # noqa: BLE001 — fail alone
-                    failures.append((job, exc))
-                    continue
-                s1 = time.perf_counter()
-                if trace_execute and job.trace.enabled:
-                    if wait_from is not None:
-                        job.trace.mark("batch_wait", wait_from, s0)
-                    job.trace.mark("execute", s0, s1)
-                entries.append((job, session, eng, tensor, s1 - s0))
-        return entries, failures
+                run(job)
+            except Exception as exc:  # noqa: BLE001 — jobs must fail alone
+                job.fail(str(exc))
+                job.metrics.backend = self.name
+                job.metrics.batch_id = batch_id
 
-    @staticmethod
-    def _keyswitch_groups(deferred):
-        """Group deferred entries by (engine, eval key) for one shared fold."""
-        groups: dict[tuple[int, int], list] = {}
-        for entry in deferred:
-            key = (id(entry[2]), id(entry[1].relin))
-            groups.setdefault(key, []).append(entry)
-        return list(groups.values())
+    def _finish(
+        self, job: Job, batch_id: int, result: object, seconds: float
+    ) -> None:
+        """Settle one job as done."""
+        job.finish(result)
+        job.metrics.backend = self.name
+        job.metrics.batch_id = batch_id
+        job.metrics.seconds = seconds
+        self.jobs_done += 1
 
 
 # ----------------------------------------------------------------------
@@ -502,48 +467,28 @@ class ChipWorker:
         )
 
 
-@dataclass(frozen=True)
-class _TensorUnit:
-    """One Eq. 4 tensor to replay tower-by-tower on the chip pool.
-
-    A raw EvalMult/SQUARE job is a single level-0 unit; a circuit job
-    contributes one unit per tensor step, with ``level`` its dependency
-    depth (see :meth:`~repro.service.circuits.Circuit.tensor_levels`).
-    The dispatcher list-schedules on true producer edges
-    (:meth:`ChipPoolBackend._unit_dependencies`), so a unit is never
-    planned before the units whose outputs it consumes have cleared the
-    gather barrier — ``level`` remains the depth summary the planner's
-    wave ordering reduces to for a pure tensor chain.
-    """
-
-    unit: int  # gather key, unique within the batch
-    job_seq: int  # owning job's position within the batch
-    level: int
-    a: Ciphertext
-    b: Ciphertext
-
-
 class ChipPoolBackend(Backend):
     """Batches dispatched across a pool of N simulated CoFHEE chips.
 
-    Two levels of parallelism:
+    Jobs run one at a time (see :meth:`Backend._each_job`); each is
+    settled as soon as its own work is done. Inside a job:
 
-    * **Job level** — model-priced jobs (add/sub/rotate/relinearize/apps,
-      and tensors whose moduli are not chip-native) run on the batch's
-      least-loaded *lead* worker.
+    * **Model path** — add/sub/rotate/relinearize, app payloads, and
+      tensors whose moduli are not chip-native are priced on the
+      then-least-loaded *lead* worker.
     * **Tower level** — a chip-native EvalMult (or squaring: the same
       Eq. 4 tensor with ``a == b``) is split into one work unit
       per RNS tower and fanned out across *different* workers
       (least-loaded, with per-tower ``program(q_i, n)`` reprogramming
-      amortized across the batch), so a 3-tower multiply on a pool of 4
-      finishes in ~one tower's time. Every tower runs the real Algorithm 3
-      command stream on its worker's driver and is cross-checked mod
-      ``q_i`` against the software reference; the gather barrier releases
-      a job only once its full tower set has arrived.
+      amortized across jobs by the drivers), so a 3-tower multiply on a
+      pool of 4 finishes in ~one tower's time. Every tower runs the real
+      Algorithm 3 command stream on its worker's driver and is
+      cross-checked mod ``q_i`` against the software reference; the
+      gather barrier releases a tensor only once its full tower set has
+      arrived, and the relinearization runs after it.
 
-    App circuits expand at the same tower level: each
-    ``mul_relin``/``square_relin`` step becomes its own
-    :class:`_TensorUnit`, list-scheduled on true producer edges so a
+    App circuits expand at the same tower level: each tensor step
+    becomes its own unit, list-scheduled on true producer edges so a
     tensor that consumes another tensor's output is never planned before
     its producer clears the gather barrier (and an independent tensor is
     never held back by an unrelated chain); linear steps (adds,
@@ -628,450 +573,36 @@ class ChipPoolBackend(Backend):
         freq = lead.chip.clock.frequency_hz
         busy_before = {w.index: w.busy_cycles for w in self.workers}
         io_before = {w.index: w.io_seconds for w in self.workers}
-        fidelity: dict[str, int] = {}
-        # Wall-clock sections of this batch, attributed to *every* job in
-        # it at the end (each job's clock ticks through all of them; a
-        # job's own Phase 1 execution becomes a child span). Multiple
-        # windows per phase are fine — attribution sums them.
-        sections: list[tuple[str, float, float]] = []
-        own_exec: dict[int, tuple[float, float]] = {}
-        p1_start = time.perf_counter()
-
-        # Phase 1 — functional execution (exact host-side arithmetic).
-        # Strict-fidelity rejection comes first: the chip-native check
-        # needs only the session, so a doomed EvalMult (or a circuit with
-        # tensor steps) never pays for the (expensive) host-side math.
-        # Circuit jobs evaluate with a tensor hook that records every
-        # Eq. 4 tensor's operands for the tower-sharded chip replay.
-        live: list[tuple[int, Job, Session, object, Workload | None]] = []
-        traces: dict[int, list[tuple[int, Ciphertext, Ciphertext]]] = {}
-        #: seq -> (engine, size-3 tensor) for jobs whose relinearization is
-        #: deferred to the batched chip-side key-switch in Phase 5.
-        deferred: dict[int, tuple[Bfv, Ciphertext]] = {}
-        # Pre-pass: every chip-bound keyed tensor rides one batched
-        # engine call (the key-switches execute in Phase 5 as chip-side
-        # work units). A job whose candidacy or tensor fails here simply
-        # stays out of ``pre`` and takes the per-job path below, which
-        # re-raises with per-job fault attribution.
-        pre: dict[int, tuple[Session, Bfv, Ciphertext]] = {}
-        if self.data_fidelity:
-            cands: list[tuple[int, tuple[Job, Session, Bfv]]] = []
-            for seq, job in enumerate(jobs):
-                if job.kind not in (JobKind.MULTIPLY, JobKind.SQUARE):
-                    continue
-                try:
-                    if self._chip_native_basis(
-                            registry.get(job.session_id)) is None:
-                        continue
-                    cand = self._defer_candidate(registry, job)
-                except Exception:  # noqa: BLE001 — per-job path attributes
-                    continue
-                if cand is not None:
-                    cands.append((seq, cand))
-            entries, _failures = self._tensor_deferred(
-                [c for _, c in cands], trace_execute=False
-            )
-            by_job = {id(e[0]): e for e in entries}
-            for seq, (job, _session, _engine) in cands:
-                entry = by_job.get(id(job))
-                if entry is not None:
-                    pre[seq] = (entry[1], entry[2], entry[3])
-        for seq, job in enumerate(jobs):
-            own_start = time.perf_counter()
-            try:
-                needs_tensor = (
-                    job.kind in (JobKind.MULTIPLY, JobKind.SQUARE)
-                    or (job.kind is JobKind.CIRCUIT
-                        and job.payload.tensor_steps)
-                )
-                if self.strict_fidelity and needs_tensor:
-                    session = registry.get(job.session_id)
-                    if self._chip_native_basis(session) is None:
-                        raise BackendError(
-                            "strict fidelity: EvalMult tensor cannot execute "
-                            f"on-chip for {session.params.describe()} "
-                            "(moduli not chip-native)"
-                        )
-                if job.kind is JobKind.CIRCUIT:
-                    session = registry.get(job.session_id)
-                    trace: list[tuple[int, Ciphertext, Ciphertext]] = []
-                    result = self._run_circuit(
-                        registry, session, job,
-                        on_tensor=lambda i, a, b: trace.append((i, a, b)),
-                    )
-                    traces[seq] = trace
-                    workload = None
-                else:
-                    entry = pre.get(seq)
-                    if entry is not None:
-                        session, d_engine, tensor = entry
-                        result, workload = tensor, None
-                        deferred[seq] = (d_engine, tensor)
-                    else:
-                        session, result, workload = self._run_job(registry, job)
-            except Exception as exc:  # noqa: BLE001 — jobs must fail alone
-                self._fail_job(job, batch_id, self.name, exc)
-                continue
-            own_exec[seq] = (own_start, time.perf_counter())
-            live.append((seq, job, session, result, workload))
-        sections.append(("execute", p1_start, time.perf_counter()))
-
-        # Phase 2 — split chip-path (tower-sharded) from model-path jobs.
-        # Chip-path work is a list of _TensorUnits: one per raw EvalMult/
-        # SQUARE, one per tensor step of a circuit (leveled by dependency
-        # depth).
-        split_start = time.perf_counter()
-        chip_jobs: dict[int, tuple[Job, Session, object, RnsBasis]] = {}
-        units: list[_TensorUnit] = []
-        job_units: dict[int, list[_TensorUnit]] = {}
-        unit_ids = itertools.count()
-        model_path = []
-        for seq, job, session, result, workload in live:
-            wants_chip = (
-                self.data_fidelity
-                and workload is None
-                and (job.kind in (JobKind.MULTIPLY, JobKind.SQUARE)
-                     or (job.kind is JobKind.CIRCUIT and traces.get(seq)))
-            )
-            basis = self._chip_native_basis(session) if wants_chip else None
-            if basis is not None:
-                if job.kind is JobKind.CIRCUIT:
-                    levels = job.payload.tensor_levels()
-                    new = [
-                        _TensorUnit(next(unit_ids), seq, levels[step], a, b)
-                        for step, a, b in traces[seq]
-                    ]
-                else:
-                    a = job.operands[0]
-                    b = job.operands[1] if job.kind is JobKind.MULTIPLY else a
-                    new = [_TensorUnit(next(unit_ids), seq, 0, a, b)]
-                units.extend(new)
-                job_units[seq] = new
-                chip_jobs[seq] = (job, session, result, basis)
-            else:
-                model_path.append((seq, job, session, result, workload))
-        sections.append(("tower_dispatch", split_start, time.perf_counter()))
-
-        # Phase 3 — model-path jobs run serially on the lead worker.
-        p3_start = time.perf_counter()
-        for seq, job, session, result, workload in model_path:
-            try:
-                cycles = self._job_cycles(lead, session, job, workload)
-            except Exception as exc:  # noqa: BLE001 — jobs must fail alone
-                self._fail_job(job, batch_id, self.name, exc)
-                continue
-            lead.busy_cycles += cycles
-            job.metrics.fidelity = "model"
-            fidelity["model"] = fidelity.get("model", 0) + 1
-            if (workload is None and session.relin is not None
-                    and (job.kind in (JobKind.MULTIPLY, JobKind.SQUARE)
-                         or (job.kind is JobKind.CIRCUIT
-                             and job.payload.uses_relin))):
-                # Engine-capable params ran their key-switch through the
-                # batched fold inside the functional execution; only the
-                # tail *pricing* is modeled. Params the engine cannot
-                # carry keep the model flag.
-                label = (
-                    "engine"
-                    if self._engine(registry, session).can_batch_relinearize(
-                        session.relin
-                    )
-                    else "model"
-                )
-                job.metrics.relin_fidelity = label
-                fidelity[f"relin_{label}"] = fidelity.get(f"relin_{label}", 0) + 1
-            self._finish_job(job, batch_id, lead.index, cycles, freq, result)
-        if model_path:
-            sections.append(("execute", p3_start, time.perf_counter()))
-
-        # Phase 4 — tower fan-out by list scheduling. True producer edges
-        # (register dataflow through the circuit, see _unit_dependencies)
-        # replace the old level-by-level pool barrier: a unit becomes
-        # plannable the moment its own producers have finished, and its
-        # start time is simulated against per-worker clocks — so a
-        # consumer of an early-finishing tensor no longer waits for an
-        # unrelated deep chain to clear a level. Work is still planned in
-        # ready waves through plan_tower_dispatch (same-modulus grouping
-        # and twiddle-reprogramming amortization are unchanged, and the
-        # affinity hint only counts a worker's programmed modulus when
-        # its programmed degree matches this batch), but start/finish
-        # bookkeeping is per unit: busy-cycle totals stay additive while
-        # the simulated clocks expose the true schedule makespan.
-        batch_n = (
-            next(iter(chip_jobs.values()))[1].params.n if chip_jobs else None
-        )
-        gather = TowerGather({
-            u.unit: tuple(range(len(chip_jobs[u.job_seq][3].moduli)))
-            for u in units
-        })
-        failed: set[int] = set()  # job seqs with a failed unit
-        unit_cycles: dict[int, dict[int, int]] = {}
-        unit_workers: dict[int, dict[int, int]] = {}
-        unit_deps = self._unit_dependencies(chip_jobs, job_units, traces)
-        unit_by_id = {u.unit: u for u in units}
-        # Simulated per-worker clocks (absolute cycles, origin shared
-        # with busy_cycles) drive ready-time bookkeeping; ``finish``
-        # records when each unit's last tower completes in the schedule.
-        clock: dict[int, int] = {w.index: w.busy_cycles for w in self.workers}
-        finish: dict[int, int] = {}
-        remaining: dict[int, _TensorUnit] = {u.unit: u for u in units}
-        # Cross-batch pipelining: per-worker cycles this batch's
-        # *dependency-free* units added (the level-0 analog). A worker
-        # below the pool barrier (the previous batch's makespan point)
-        # has idle headroom there, so its share of those units starts
-        # inside the previous batch's gather window.
-        dep_free = {u.unit for u in units if not unit_deps.get(u.unit)}
+        barrier_start = max(busy_before.values())
+        # List-schedule view of the batch: per-worker cycles of the
+        # jobs' dependency-free tower units, and how far the simulated
+        # clocks ran.
         level0_added: dict[int, int] = {}
-        while remaining:
-            t_plan = time.perf_counter()
-            # Units of failed jobs leave the schedule wholesale (their
-            # gather slots were discarded at failure time). Dependencies
-            # never cross jobs, so dropping them cannot starve the rest.
-            for uid in [
-                uid for uid, u in remaining.items() if u.job_seq in failed
-            ]:
-                del remaining[uid]
-            ready = [
-                u for uid, u in sorted(remaining.items())
-                if all(d in finish for d in unit_deps.get(uid, ()))
-            ]
-            if not ready:
-                break
-            ready_at = {
-                u.unit: max(
-                    (finish[d] for d in unit_deps.get(u.unit, ())),
-                    default=0,
-                )
-                for u in ready
-            }
-            items = []
-            for u in ready:
-                _job, session, _result, basis = chip_jobs[u.job_seq]
-                est = self._tensor_estimate_for(session.params.n)
-                items.extend(tower_items_for(u.unit, basis.moduli, est))
-            plan = plan_tower_dispatch(
-                items,
-                [w.busy_cycles for w in self.workers],
-                [
-                    w.programmed[0]
-                    if w.programmed and w.programmed[1] == batch_n else None
-                    for w in self.workers
-                ],
-                metrics=self.metrics,
-            )
-            t_run = time.perf_counter()
-            sections.append(("tower_dispatch", t_plan, t_run))
-            for widx in sorted(plan):
-                worker = self.workers[widx]
-                for item in plan[widx]:
-                    u = unit_by_id[item.job_seq]  # item keys are unit ids
-                    if u.job_seq in failed:
-                        continue
-                    job, session, _result, _basis = chip_jobs[u.job_seq]
-                    try:
-                        outs, cycles = self._run_tower_checked(
-                            worker, session, u.a, u.b, item
-                        )
-                    except Exception as exc:  # noqa: BLE001 — fail alone
-                        self._fail_job(job, batch_id, self.name, exc)
-                        failed.add(u.job_seq)
-                        for ju in job_units[u.job_seq]:
-                            gather.discard(ju.unit)
-                        continue
-                    gather.put(item.job_seq, item.tower, outs)
-                    unit_cycles.setdefault(u.unit, {})[item.tower] = cycles
-                    unit_workers.setdefault(u.unit, {})[item.tower] = widx
-                    # List-schedule clock: the item starts when both its
-                    # worker is free and the unit's producers are done.
-                    start = max(clock[widx], ready_at[u.unit])
-                    clock[widx] = start + cycles
-                    finish[u.unit] = max(
-                        finish.get(u.unit, 0), clock[widx]
-                    )
-                    if u.unit in dep_free:
-                        level0_added[widx] = level0_added.get(widx, 0) + cycles
-            t_gather = time.perf_counter()
-            sections.append(("worker_execute", t_run, t_gather))
-            # Per-unit gather: every surviving ready unit must have its
-            # full tower set before its consumers are planned — the
-            # barrier is per producer edge now, not per pool level.
-            for u in ready:
-                if u.job_seq not in failed:
-                    gather.towers(u.unit)
-                remaining.pop(u.unit, None)
-            sections.append(("gather_barrier", t_gather, time.perf_counter()))
-        schedule_end = max(clock.values(), default=0)
+        schedule_end = barrier_start
 
-        # Phase 5 — barrier settled. Sweep A (CRT recombination view):
-        # aggregate per-tower cycles and worker sets across each job's
-        # units — pure reads of the gather results. Sweep B (same job
-        # order, so the then-least-loaded relin worker selection is
-        # unchanged): price each tensor's relinearization tail (and a
-        # circuit's linear steps on the lead), and finish the job.
-        crt_start = time.perf_counter()
-        batch_tower_cycles: dict[int, int] = {}
-        recombined: dict[int, tuple[list[int], set[int]]] = {}
-        for seq, (job, session, result, basis) in chip_jobs.items():
-            if seq in failed:
+        def run(job: Job) -> None:
+            nonlocal schedule_end
+            added, end = self._execute_job(batch_id, job, registry)
+            for widx, cycles in added.items():
+                level0_added[widx] = level0_added.get(widx, 0) + cycles
+            schedule_end = max(schedule_end, end)
+
+        self._each_job(batch_id, jobs, run)
+
+        fidelity: dict[str, int] = {}
+        tower_cycles: list[int] = []
+        for job in jobs:
+            if job.status is not JobStatus.DONE:
                 continue
-            towers_n = len(basis.moduli)
-            per_tower = [0] * towers_n
-            workers_used: set[int] = set()
-            for u in job_units[seq]:
-                for t in range(towers_n):
-                    per_tower[t] += unit_cycles[u.unit][t]
-                workers_used.update(unit_workers[u.unit].values())
-            recombined[seq] = (per_tower, workers_used)
-            for t, c in enumerate(per_tower):
-                batch_tower_cycles[t] = batch_tower_cycles.get(t, 0) + c
-        if recombined:
-            sections.append(("crt_recombine", crt_start, time.perf_counter()))
-
-        # Chip-side key-switch: every deferred tensor's relinearization
-        # executes here as one batched engine fold per eval-key digest —
-        # the digit decomposition, forward NTT, and key-row accumulation
-        # are shared across the group's jobs instead of re-run per job.
-        ks_results: dict[int, Ciphertext] = {}
-        ks_live = [s for s in chip_jobs if s not in failed and s in deferred]
-        if ks_live:
-            ks_start = time.perf_counter()
-            ks_groups: dict[tuple[int, int], list[int]] = {}
-            for s in ks_live:
-                key = (id(deferred[s][0]), id(chip_jobs[s][1].relin))
-                ks_groups.setdefault(key, []).append(s)
-            for seqs in ks_groups.values():
-                eng = deferred[seqs[0]][0]
-                relin = chip_jobs[seqs[0]][1].relin
-                try:
-                    outs = eng.relinearize_many(
-                        [deferred[s][1] for s in seqs], relin
-                    )
-                except Exception as exc:  # noqa: BLE001 — jobs fail alone
-                    for s in seqs:
-                        self._fail_job(chip_jobs[s][0], batch_id, self.name, exc)
-                        failed.add(s)
-                    continue
-                ks_results.update(zip(seqs, outs))
-            sections.append(("keyswitch", ks_start, time.perf_counter()))
-
-        relin_start = time.perf_counter()
-        for seq, (job, session, result, basis) in chip_jobs.items():
-            if seq in failed:
-                continue
-            towers_n = len(basis.moduli)
-            per_tower, workers_used = recombined[seq]
-            relin_cycles = 0
-            finish_worker = lead
-            timing = self.workers[0].chip.timing
-            # Key-switch tails run after each unit's gather and are not
-            # tower-bound: each becomes a KeySwitchWorkItem charged to
-            # the then-least-loaded worker so it does not serialize on
-            # the lead. Raw jobs carry one relinearization; circuits one
-            # per relin *step* (a lazily optimized circuit relinearizes
-            # fewer times than it tensors) plus one per rotation step
-            # (the Galois key-switch, after the lead's automorphism
-            # copies).
-            n_relins = (
-                job.payload.op_counts()["relins"]
-                if job.kind is JobKind.CIRCUIT else 1
-            )
-            items = []
-            if session.relin is not None and n_relins:
-                est = timing.relinearization_cycles(
-                    session.params.n, session.relin.num_digits, towers_n
-                )
-                items.extend(
-                    KeySwitchWorkItem(job_seq=seq, est_cycles=est)
-                    for _ in range(n_relins)
-                )
-            if job.kind is JobKind.CIRCUIT and job.payload.uses_rotations:
-                for step in job.payload.steps:
-                    if step.op not in ROTATION_OPS:
-                        continue
-                    exponent = rotation_exponent(
-                        session.params, step.op,
-                        step.args[1] if step.op == OP_ROTATE_ROWS else 0,
-                    )
-                    key = session.require_galois(exponent)
-                    items.append(KeySwitchWorkItem(
-                        job_seq=seq,
-                        est_cycles=timing.relinearization_cycles(
-                            session.params.n, key.num_digits, towers_n
-                        ),
-                    ))
-                    # Automorphism = one copy pass per component, on the
-                    # lead before the key-switch fans out.
-                    copies = 2 * timing.memcpy_cycles(session.params.n)
-                    lead.busy_cycles += copies
-                    relin_cycles += copies
-            if items:
-                widxs = plan_keyswitch_dispatch(
-                    items, [w.busy_cycles for w in self.workers]
-                )
-                for item, widx in zip(items, widxs):
-                    self.workers[widx].busy_cycles += item.est_cycles
-                    relin_cycles += item.est_cycles
-                finish_worker = self.workers[widxs[-1]]
-            if session.relin is not None and n_relins:
-                capable = seq in ks_results or self._engine(
-                    registry, session
-                ).can_batch_relinearize(session.relin)
-                label = "engine" if capable else "model"
-                job.metrics.relin_fidelity = label
-                fidelity[f"relin_{label}"] = fidelity.get(f"relin_{label}", 0) + 1
-            linear_cycles = 0
-            if job.kind is JobKind.CIRCUIT:
-                linear_cycles = self._circuit_linear_cycles(
-                    session, job.payload
-                )
-                lead.busy_cycles += linear_cycles
-            job.metrics.fidelity = "chip"
-            job.metrics.tower_cycles = tuple(per_tower)
-            if job.kind is JobKind.CIRCUIT:
-                # Many tensors may touch one tower: report the distinct
-                # workers that executed this job's towers.
-                job.metrics.tower_workers = tuple(sorted(workers_used))
-            else:
-                only = job_units[seq][0]
-                job.metrics.tower_workers = tuple(
-                    unit_workers[only.unit][t] for t in range(towers_n)
-                )
-            job.metrics.relin_cycles = relin_cycles
-            fidelity["chip"] = fidelity.get("chip", 0) + 1
-            self._finish_job(
-                job, batch_id, finish_worker.index,
-                sum(per_tower) + relin_cycles + linear_cycles, freq,
-                ks_results.get(seq, result),
-            )
-        if recombined:
-            sections.append(("relin_tail", relin_start, time.perf_counter()))
-
-        # Attribute every batch section to every job's trace: the job's
-        # clock ticked through all of them. Windows are clipped at the
-        # job's completion (a model-path job finishes in Phase 3; later
-        # sections are not its latency), and the job's own Phase 1
-        # functional execution nests as a child of the execute window.
-        for seq, job in enumerate(jobs):
-            trace = job.trace
-            if not trace.enabled:
-                continue
-            done = trace.done_at
-            first_execute = True
-            for phase, start, end in sections:
-                if done is not None:
-                    if start >= done:
-                        continue
-                    end = min(end, done)
-                index = trace.mark(phase, start, end)
-                if phase == "execute" and first_execute:
-                    first_execute = False
-                    if seq in own_exec:
-                        o_start, o_end = own_exec[seq]
-                        if start <= o_start < end:
-                            trace.mark(
-                                "execute", o_start, min(o_end, end),
-                                parent=index,
-                            )
+            paths = [job.metrics.fidelity]
+            if job.metrics.relin_fidelity:
+                paths.append(f"relin_{job.metrics.relin_fidelity}")
+            for path in paths:
+                fidelity[path] = fidelity.get(path, 0) + 1
+            for t, cycles in enumerate(job.metrics.tower_cycles):
+                if t == len(tower_cycles):
+                    tower_cycles.append(0)
+                tower_cycles[t] += cycles
 
         added = {
             w.index: w.busy_cycles - busy_before[w.index] for w in self.workers
@@ -1084,7 +615,6 @@ class ChipPoolBackend(Backend):
         # window. ``overlap`` counts those early-start cycles; the batch's
         # pipelined extent is how far it pushes the pool frontier beyond
         # the barrier — at most the un-pipelined makespan.
-        barrier_start = max(busy_before.values())
         overlap = sum(
             min(level0_added.get(w.index, 0),
                 max(0, barrier_start - busy_before[w.index]))
@@ -1094,7 +624,7 @@ class ChipPoolBackend(Backend):
         # List-schedule view of the same batch: how far the simulated
         # clocks (which honor producer edges, not pool levels) ran past
         # the barrier. Dependency slack makes this ≤ the additive share.
-        schedule_makespan = max(0, schedule_end - barrier_start)
+        schedule_makespan = schedule_end - barrier_start
         self._overlap_cycles += overlap
         self._schedule_makespan += schedule_makespan
         if self.metrics is not None:
@@ -1132,27 +662,261 @@ class ChipPoolBackend(Backend):
             ),
             workers=used or (lead.index,),
             makespan_cycles=max(added.values(), default=0),
-            tower_cycles=tuple(
-                batch_tower_cycles.get(t, 0)
-                for t in range(len(batch_tower_cycles))
-            ),
+            tower_cycles=tuple(tower_cycles),
             fidelity=fidelity,
             overlap_cycles=overlap,
             pipelined_makespan_cycles=pipelined,
             schedule_makespan_cycles=schedule_makespan,
         )
 
-    def _finish_job(
-        self, job: Job, batch_id: int, worker_index: int, cycles: int,
-        freq: float, result: object,
+    def _execute_job(
+        self, batch_id: int, job: Job, registry: SessionRegistry
+    ) -> tuple[dict[int, int], int]:
+        """Run one job end to end on the pool and settle it.
+
+        Strict-fidelity rejection comes first: the chip-native check
+        needs only the session, so a doomed EvalMult (or a circuit with
+        tensor steps) never pays for the expensive host-side math.
+
+        Returns the job's list-schedule view: the cycles its
+        dependency-free tower units added per worker, and the simulated
+        pool clock when its last unit finished.
+        """
+        session = registry.get(job.session_id)
+        needs_tensor = (
+            job.kind in (JobKind.MULTIPLY, JobKind.SQUARE)
+            or (job.kind is JobKind.CIRCUIT and bool(job.payload.tensor_steps))
+        )
+        basis = self._chip_native_basis(session) if needs_tensor else None
+        if self.strict_fidelity and needs_tensor and basis is None:
+            raise BackendError(
+                "strict fidelity: EvalMult tensor cannot execute "
+                f"on-chip for {session.params.describe()} "
+                "(moduli not chip-native)"
+            )
+        lead = min(self.workers, key=lambda w: (w.busy_cycles, w.index))
+        if basis is None or not self.data_fidelity:
+            self._execute_modeled(batch_id, job, registry, lead)
+            return {}, self.wall_cycles
+        return self._execute_on_chip(batch_id, job, registry, basis, lead)
+
+    def _execute_modeled(
+        self, batch_id: int, job: Job, registry: SessionRegistry,
+        lead: ChipWorker,
     ) -> None:
-        job.finish(result)
-        job.metrics.backend = self.name
-        job.metrics.worker = worker_index
-        job.metrics.batch_id = batch_id
+        """Model path: exact host-side math, cycles priced on the lead.
+
+        Add/sub/rotate/relinearize, app payloads, and tensors whose
+        moduli are not chip-native take this path.
+        """
+        session, result, workload = self._run_job(registry, job)
+        cycles = self._job_cycles(lead, session, job, workload)
+        lead.busy_cycles += cycles
+        job.metrics.fidelity = "model"
+        if (workload is None and session.relin is not None
+                and (job.kind in (JobKind.MULTIPLY, JobKind.SQUARE)
+                     or (job.kind is JobKind.CIRCUIT
+                         and job.payload.uses_relin))):
+            job.metrics.relin_fidelity = self._relin_label(registry, session)
+        self._settle_on(job, batch_id, lead, cycles, result)
+
+    def _execute_on_chip(
+        self, batch_id: int, job: Job, registry: SessionRegistry,
+        basis: RnsBasis, lead: ChipWorker,
+    ) -> tuple[dict[int, int], int]:
+        """Chip path: every Eq. 4 tensor of the job replays tower-by-tower.
+
+        The exact host math runs first (a keyed raw tensor stops before
+        its relinearization); a circuit records each tensor's operands
+        as it evaluates. Each tensor is one unit, fanned out per tower
+        by list scheduling: a unit becomes plannable the moment its own
+        producers have gathered, and its start is simulated against
+        per-worker clocks, so a consumer of an early-finishing tensor
+        never waits on an unrelated chain. Work is planned in ready
+        waves through :func:`plan_tower_dispatch` (same-modulus
+        grouping, twiddle-reprogramming amortization, affinity only for
+        workers programmed at this degree); busy-cycle totals stay
+        additive while the simulated clocks expose the schedule
+        makespan. After the gather, the raw tensor's key switch runs and
+        the key-switch tails are charged.
+        """
+        trace = job.trace
+        tensors: list[tuple[int, Ciphertext, Ciphertext]] = []
+        with trace.span("execute"):
+            session, result, _workload, relin = self._stage(
+                registry, job,
+                on_tensor=lambda step, a, b: tensors.append((step, a, b)),
+            )
+        if job.kind is not JobKind.CIRCUIT:
+            a = job.operands[0]
+            b = job.operands[1] if job.kind is JobKind.MULTIPLY else a
+            tensors = [(0, a, b)]
+        deps = self._unit_dependencies(job, [step for step, _, _ in tensors])
+        n = session.params.n
+        towers_n = len(basis.moduli)
+        est = self._tensor_estimate_for(n)
+        gather = TowerGather({
+            unit: tuple(range(towers_n)) for unit in range(len(tensors))
+        })
+        unit_cycles = [[0] * towers_n for _ in tensors]
+        unit_workers: list[dict[int, int]] = [{} for _ in tensors]
+        # Simulated per-worker clocks (absolute cycles, origin shared
+        # with busy_cycles); ``finish`` is when each unit's last tower
+        # completes in the schedule.
+        clock = {w.index: w.busy_cycles for w in self.workers}
+        finish: dict[int, int] = {}
+        level0_added: dict[int, int] = {}
+        remaining = list(range(len(tensors)))
+        while remaining:
+            t_plan = time.perf_counter()
+            ready = [u for u in remaining if deps[u] <= finish.keys()]
+            ready_at = {
+                u: max((finish[d] for d in deps[u]), default=0) for u in ready
+            }
+            plan = plan_tower_dispatch(
+                [
+                    item for u in ready
+                    for item in tower_items_for(u, basis.moduli, est)
+                ],
+                [w.busy_cycles for w in self.workers],
+                [
+                    w.programmed[0]
+                    if w.programmed and w.programmed[1] == n else None
+                    for w in self.workers
+                ],
+                metrics=self.metrics,
+            )
+            t_run = time.perf_counter()
+            trace.mark("tower_dispatch", t_plan, t_run)
+            for widx in sorted(plan):
+                worker = self.workers[widx]
+                for item in plan[widx]:
+                    unit = item.job_seq  # item keys are unit ids
+                    _step, a, b = tensors[unit]
+                    outs, cycles = self._run_tower_checked(
+                        worker, session, a, b, item
+                    )
+                    gather.put(unit, item.tower, outs)
+                    unit_cycles[unit][item.tower] = cycles
+                    unit_workers[unit][item.tower] = widx
+                    # The item starts when both its worker is free and
+                    # the unit's producers are done.
+                    start = max(clock[widx], ready_at[unit])
+                    clock[widx] = start + cycles
+                    finish[unit] = max(finish.get(unit, 0), clock[widx])
+                    if not deps[unit]:
+                        level0_added[widx] = (
+                            level0_added.get(widx, 0) + cycles
+                        )
+            t_gather = time.perf_counter()
+            trace.mark("worker_execute", t_run, t_gather)
+            # Per-unit gather: a unit's full tower set must arrive before
+            # its consumers are planned.
+            for unit in ready:
+                gather.towers(unit)
+            remaining = [u for u in remaining if u not in finish]
+            trace.mark("gather_barrier", t_gather, time.perf_counter())
+        schedule_end = max(clock.values())
+
+        crt_start = time.perf_counter()
+        per_tower = [sum(c[t] for c in unit_cycles) for t in range(towers_n)]
+        trace.mark("crt_recombine", crt_start, time.perf_counter())
+        if relin is not None:
+            result = self._key_switch(registry, session, job, result, relin)
+
+        relin_start = time.perf_counter()
+        relin_cycles = 0
+        finish_worker = lead
+        timing = lead.chip.timing
+        # Key-switch tails are not tower-bound: each becomes a
+        # KeySwitchWorkItem charged to the then-least-loaded worker so it
+        # does not serialize on the lead. Raw jobs carry one
+        # relinearization; circuits one per relin *step* (a lazily
+        # optimized circuit relinearizes fewer times than it tensors)
+        # plus one per rotation step (the Galois key-switch, after the
+        # lead's automorphism copies).
+        n_relins = (
+            job.payload.op_counts()["relins"]
+            if job.kind is JobKind.CIRCUIT else 1
+        )
+        items = []
+        if session.relin is not None and n_relins:
+            est_relin = timing.relinearization_cycles(
+                n, session.relin.num_digits, towers_n
+            )
+            items.extend(
+                KeySwitchWorkItem(job_seq=0, est_cycles=est_relin)
+                for _ in range(n_relins)
+            )
+            job.metrics.relin_fidelity = self._relin_label(registry, session)
+        if job.kind is JobKind.CIRCUIT and job.payload.uses_rotations:
+            for step in job.payload.steps:
+                if step.op not in ROTATION_OPS:
+                    continue
+                key = session.require_galois(rotation_exponent(
+                    session.params, step.op,
+                    step.args[1] if step.op == OP_ROTATE_ROWS else 0,
+                ))
+                items.append(KeySwitchWorkItem(
+                    job_seq=0,
+                    est_cycles=timing.relinearization_cycles(
+                        n, key.num_digits, towers_n
+                    ),
+                ))
+                # Automorphism = one copy pass per component, on the
+                # lead before the key-switch fans out.
+                copies = 2 * timing.memcpy_cycles(n)
+                lead.busy_cycles += copies
+                relin_cycles += copies
+        if items:
+            widxs = plan_keyswitch_dispatch(
+                items, [w.busy_cycles for w in self.workers]
+            )
+            for item, widx in zip(items, widxs):
+                self.workers[widx].busy_cycles += item.est_cycles
+                relin_cycles += item.est_cycles
+            finish_worker = self.workers[widxs[-1]]
+        linear_cycles = 0
+        if job.kind is JobKind.CIRCUIT:
+            linear_cycles = self._circuit_linear_cycles(session, job.payload)
+            lead.busy_cycles += linear_cycles
+        job.metrics.fidelity = "chip"
+        job.metrics.tower_cycles = tuple(per_tower)
+        if job.kind is JobKind.CIRCUIT:
+            # Many tensors may touch one tower: report the distinct
+            # workers that executed this job's towers.
+            job.metrics.tower_workers = tuple(sorted(
+                {w for placed in unit_workers for w in placed.values()}
+            ))
+        else:
+            job.metrics.tower_workers = tuple(
+                unit_workers[0][t] for t in range(towers_n)
+            )
+        job.metrics.relin_cycles = relin_cycles
+        trace.mark("relin_tail", relin_start, time.perf_counter())
+        self._settle_on(
+            job, batch_id, finish_worker,
+            sum(per_tower) + relin_cycles + linear_cycles, result,
+        )
+        return level0_added, schedule_end
+
+    def _relin_label(self, registry: SessionRegistry, session: Session) -> str:
+        """``"engine"`` when the key switch runs through the batched engine
+        fold; ``"model"`` for params it cannot carry (tail priced only)."""
+        capable = self._engine(registry, session).can_batch_relinearize(
+            session.relin
+        )
+        return "engine" if capable else "model"
+
+    def _settle_on(
+        self, job: Job, batch_id: int, worker: ChipWorker, cycles: int,
+        result: object,
+    ) -> None:
+        job.metrics.worker = worker.index
         job.metrics.cycles = cycles
-        job.metrics.seconds = cycles / freq
-        self.jobs_done += 1
+        self._finish(
+            job, batch_id, result, cycles / worker.chip.clock.frequency_hz
+        )
 
     # -- tower-sharded chip execution ---------------------------------------
 
@@ -1180,48 +944,34 @@ class ChipPoolBackend(Backend):
         return basis
 
     @staticmethod
-    def _unit_dependencies(
-        chip_jobs: dict[int, tuple],
-        job_units: dict[int, list[_TensorUnit]],
-        traces: dict[int, list[tuple[int, Ciphertext, Ciphertext]]],
-    ) -> dict[int, set[int]]:
-        """Per-unit producer edges from circuit register dataflow.
+    def _unit_dependencies(job: Job, steps: list[int]) -> list[set[int]]:
+        """Producer edges between a job's tensor units.
 
-        Walks each circuit's SSA steps tracking, per register, the set of
+        ``steps[u]`` is the circuit step that unit ``u`` replays. Walks
+        the circuit's SSA steps tracking, per register, the set of
         tensor units whose outputs flow into it (non-tensor steps pass
-        their operands' producer sets through). A unit's dependencies are
-        the producers feeding its own tensor step's operands — the true
-        edges the list scheduler honors, replacing the conservative
-        depth-level barrier. Raw EvalMult/SQUARE jobs have one unit and
-        no producers; dependencies never cross jobs.
+        their operands' producer sets through). A unit depends on the
+        producers feeding its own tensor step's operands — the true
+        edges the list scheduler honors. A raw EvalMult/SQUARE is one
+        unit with no producers.
         """
-        deps: dict[int, set[int]] = {}
-        for seq, entry in chip_jobs.items():
-            job = entry[0]
-            units = job_units.get(seq, [])
-            if job.kind is not JobKind.CIRCUIT:
-                for u in units:
-                    deps[u.unit] = set()
-                continue
-            circuit: Circuit = job.payload
-            unit_by_step = {
-                step: u.unit
-                for (step, _a, _b), u in zip(traces[seq], units)
-            }
-            producers: list[set[int]] = [
-                set() for _ in range(len(circuit.inputs))
-            ]
-            for idx, step in enumerate(circuit.steps):
-                feeding: set[int] = set()
-                for arg, role in zip(step.args, OP_SPECS[step.op][1]):
-                    if role == "r":
-                        feeding |= producers[arg]
-                uid = unit_by_step.get(idx)
-                if uid is not None:
-                    deps[uid] = feeding
-                    producers.append({uid})
-                else:
-                    producers.append(feeding)
+        deps: list[set[int]] = [set() for _ in steps]
+        if job.kind is not JobKind.CIRCUIT:
+            return deps
+        circuit: Circuit = job.payload
+        unit_by_step = {step: unit for unit, step in enumerate(steps)}
+        producers: list[set[int]] = [set() for _ in circuit.inputs]
+        for idx, step in enumerate(circuit.steps):
+            feeding: set[int] = set()
+            for arg, role in zip(step.args, OP_SPECS[step.op][1]):
+                if role == "r":
+                    feeding |= producers[arg]
+            unit = unit_by_step.get(idx)
+            if unit is None:
+                producers.append(feeding)
+            else:
+                deps[unit] = feeding
+                producers.append({unit})
         return deps
 
     def _run_tower_checked(
@@ -1398,68 +1148,18 @@ class SoftwareBackend(Backend):
         self, batch_id: int, jobs: list[Job], registry: SessionRegistry
     ) -> BatchReport:
         batch_seconds = 0.0
-        batch_start = time.perf_counter()
-        candidates: list[tuple[Job, Session, Bfv]] = []
-        for job in jobs:
-            try:
-                cand = self._defer_candidate(registry, job)
-                if cand is not None:
-                    # Deferred jobs wait until the batched tensor starts;
-                    # _tensor_deferred marks their batch_wait + execute.
-                    candidates.append(cand)
-                    continue
-                if job.trace.enabled:
-                    # Jobs run serially: everything before this job's own
-                    # start is time spent waiting on batch siblings.
-                    job.trace.mark(
-                        "batch_wait", batch_start, time.perf_counter()
-                    )
-                with job.trace.span("execute"):
-                    session, result, workload = self._run_job(registry, job)
-                seconds = self._job_seconds(session, job, workload)
-            except Exception as exc:  # noqa: BLE001 — jobs must fail alone
-                self._fail_job(job, batch_id, self.name, exc)
-                continue
-            job.finish(result)
-            job.metrics.backend = self.name
-            job.metrics.batch_id = batch_id
-            job.metrics.seconds = seconds
+
+        def run(job: Job) -> None:
+            nonlocal batch_seconds
+            start = time.perf_counter()
+            session, result, workload = self._run_job(registry, job)
+            seconds = self._job_seconds(
+                session, job, workload, time.perf_counter() - start
+            )
+            self._finish(job, batch_id, result, seconds)
             batch_seconds += seconds
-            self.jobs_done += 1
-        # Batch-aware tensors + key-switch: one engine pass covers every
-        # deferred tensor, then one shared digit-decomposition fold per
-        # eval-key digest relinearizes them. Modeled pricing is
-        # unchanged — batching shifts the *measured* wall, not the model.
-        deferred, tensor_failures = self._tensor_deferred(
-            candidates, wait_from=batch_start
-        )
-        for job, exc in tensor_failures:
-            self._fail_job(job, batch_id, self.name, exc)
-        for group in self._keyswitch_groups(deferred):
-            engine, relin = group[0][2], group[0][1].relin
-            ks_start = time.perf_counter()
-            try:
-                results = engine.relinearize_many(
-                    [e[3] for e in group], relin
-                )
-            except Exception as exc:  # noqa: BLE001 — jobs must fail alone
-                for job, *_rest in group:
-                    self._fail_job(job, batch_id, self.name, exc)
-                continue
-            ks_end = time.perf_counter()
-            for (job, session, _eng, _tensor, _secs), result in zip(
-                group, results
-            ):
-                if job.trace.enabled:
-                    job.trace.mark("keyswitch", ks_start, ks_end)
-                seconds = self._job_seconds(session, job, None)
-                job.finish(result)
-                job.metrics.backend = self.name
-                job.metrics.batch_id = batch_id
-                job.metrics.seconds = seconds
-                job.metrics.relin_fidelity = "engine"
-                batch_seconds += seconds
-                self.jobs_done += 1
+
+        self._each_job(batch_id, jobs, run)
         self._elapsed += batch_seconds
         return BatchReport(
             batch_id=batch_id, backend=self.name, worker=0,
@@ -1467,8 +1167,10 @@ class SoftwareBackend(Backend):
         )
 
     def _job_seconds(
-        self, session: Session, job: Job, workload: Workload | None
+        self, session: Session, job: Job, workload: Workload | None,
+        measured: float,
     ) -> float:
+        """The SEAL-anchored latency of one job (``measured`` unused)."""
         params = session.params
         if workload is not None:
             return CpuAppCost().workload_seconds(workload)["total_s"]
@@ -1508,23 +1210,18 @@ class SoftwareBackend(Backend):
 # ----------------------------------------------------------------------
 
 
-class FastNttBackend(Backend):
+class FastNttBackend(SoftwareBackend):
     """The numpy fast path: measured (not modeled) wall time.
 
     The registry's fast engine replaces the exact multiplier with
     :class:`~repro.polymath.fastntt.RnsExactMultiplier`, so every tensor
     runs through vectorized word-sized NTTs. Results stay bit-exact with
     the other backends; the latency recorded is a real measurement.
+    Same batch loop as the software backend; only the engine and the
+    per-job seconds differ.
     """
 
     name = "fastntt"
-
-    def __init__(self):
-        super().__init__()
-        self._elapsed = 0.0
-
-    def wall_seconds(self) -> float:
-        return self._elapsed
 
     def _engine(self, registry: SessionRegistry, session: Session) -> Bfv:
         try:
@@ -1535,70 +1232,9 @@ class FastNttBackend(Backend):
                 f"{session.session_id}: {exc}"
             ) from exc
 
-    def execute_batch(
-        self, batch_id: int, jobs: list[Job], registry: SessionRegistry
-    ) -> BatchReport:
-        batch_seconds = 0.0
-        batch_start = time.perf_counter()
-        candidates: list[tuple[Job, Session, Bfv]] = []
-        for job in jobs:
-            start = time.perf_counter()
-            try:
-                cand = self._defer_candidate(registry, job)
-                if cand is not None:
-                    # Deferred jobs wait until the batched tensor starts;
-                    # _tensor_deferred marks their batch_wait + execute.
-                    candidates.append(cand)
-                    continue
-                if job.trace.enabled:
-                    job.trace.mark("batch_wait", batch_start, start)
-                with job.trace.span("execute"):
-                    session, result, _workload = self._run_job(registry, job)
-            except Exception as exc:  # noqa: BLE001 — jobs must fail alone
-                self._fail_job(job, batch_id, self.name, exc)
-                continue
-            seconds = time.perf_counter() - start
-            job.finish(result)
-            job.metrics.backend = self.name
-            job.metrics.batch_id = batch_id
-            job.metrics.seconds = seconds
-            batch_seconds += seconds
-            self.jobs_done += 1
-        # Batched tensors, then one shared key-switch fold per eval-key
-        # digest; each measured window is split evenly across the jobs
-        # that rode it.
-        deferred, tensor_failures = self._tensor_deferred(
-            candidates, wait_from=batch_start
-        )
-        for job, exc in tensor_failures:
-            self._fail_job(job, batch_id, self.name, exc)
-        for group in self._keyswitch_groups(deferred):
-            engine, relin = group[0][2], group[0][1].relin
-            ks_start = time.perf_counter()
-            try:
-                results = engine.relinearize_many(
-                    [e[3] for e in group], relin
-                )
-            except Exception as exc:  # noqa: BLE001 — jobs must fail alone
-                for job, *_rest in group:
-                    self._fail_job(job, batch_id, self.name, exc)
-                continue
-            ks_end = time.perf_counter()
-            share = (ks_end - ks_start) / len(group)
-            for (job, _session, _eng, _tensor, tensor_secs), result in zip(
-                group, results
-            ):
-                if job.trace.enabled:
-                    job.trace.mark("keyswitch", ks_start, ks_end)
-                job.finish(result)
-                job.metrics.backend = self.name
-                job.metrics.batch_id = batch_id
-                job.metrics.seconds = tensor_secs + share
-                job.metrics.relin_fidelity = "engine"
-                batch_seconds += tensor_secs + share
-                self.jobs_done += 1
-        self._elapsed += batch_seconds
-        return BatchReport(
-            batch_id=batch_id, backend=self.name, worker=0,
-            jobs=len(jobs), cycles=0, seconds=batch_seconds,
-        )
+    def _job_seconds(
+        self, session: Session, job: Job, workload: Workload | None,
+        measured: float,
+    ) -> float:
+        """The job's measured wall seconds, math and key switch together."""
+        return measured

@@ -253,11 +253,10 @@ class Circuit:
         relinearizations pass depth through unchanged — they key-switch
         but never tensor.
 
-        Both :func:`evaluate_circuit` ordering and the chip-pool
-        expansion consume this one memoized computation (it used to be
-        recomputed independently in each path), so the level a tensor is
-        planned at is the level its operands were produced at, by
-        construction.
+        One memoized computation (it used to be recomputed independently
+        per path); the chip pool's list scheduler honors the finer
+        producer edges behind these levels, so a tensor is never planned
+        before the tensors its operands were produced by.
         """
         cached = getattr(self, "_tensor_levels", None)
         if cached is None:

@@ -5,8 +5,15 @@ tenants — one job per tenant per rotation — so a tenant flooding the queue
 cannot starve a light one (the fairness property the service tests prove
 with dispatch sequence numbers). A batch only packs *compatible* jobs:
 same parameter digest and same requested backend, so a chip worker
-programs its modulus and twiddle tables once per batch and the registry's
-cached evaluation engine is shared across every job in it.
+keeps its modulus and twiddle tables programmed across the batch and the
+registry's cached evaluation engine is shared across every job in it.
+
+A formed batch is a fairness and compatibility unit, not a settlement
+unit: a synchronous backend runs it one job per :meth:`step`, and each
+job completes at its own end — the host-side counterpart of CoFHEE's
+per-command completion interrupt — so a caller between steps (the
+transport pump) delivers the first result while the rest of the batch
+waits its turn.
 
 Tower sharding composes with this, one level down: the chip-pool backend
 splits each batched multi-tower EvalMult into per-tower work units (see
@@ -95,12 +102,13 @@ class ServiceStats:
 
     @property
     def makespan_cycles(self) -> int:
-        """Sum of per-batch makespans: modeled wall time on the chip pool.
+        """Sum of per-report makespans: modeled wall time on the chip pool.
 
-        Each batch's makespan is its largest single-worker share; batches
-        execute one after another, so their makespans add. With tower
-        sharding this drops below :attr:`total_cycles` (the work does not
-        shrink — it spreads).
+        Each report's makespan is its largest single-worker share; reports
+        execute one after another, so their makespans add. A synchronous
+        backend reports one job at a time, so this is the sum of per-job
+        makespans. With tower sharding it drops below :attr:`total_cycles`
+        (the work does not shrink — it spreads).
         """
         return sum(b.makespan_cycles for b in self.batches)
 
@@ -171,6 +179,9 @@ class BatchingScheduler:
         #: previous one was still executing (its stragglers gathering),
         #: as ``(formed, rotation_snapshot, plan_start, plan_end)``.
         self._preplanned: tuple | None = None
+        #: The formed synchronous batch whose jobs are still waiting
+        #: their turn: ``(backend, batch_id, plan_end, waiting jobs)``.
+        self._running: tuple | None = None
         self.stats = ServiceStats()
         #: Metrics sink (set by :class:`~repro.service.server.FheServer`;
         #: ``None`` leaves the scheduler un-instrumented for direct use).
@@ -393,21 +404,27 @@ class BatchingScheduler:
         return last
 
     def step(self) -> BatchReport | None:
-        """Advance the service by one settled batch.
+        """Advance the service by one settled job (or async batch).
 
-        Synchronous backends execute their batch inline and return its
-        report. Asynchronous backends (the worker fleet) are *dispatched*
-        without blocking — batch after batch, so work for different
-        params digests overlaps across workers — and their completions
-        are harvested here; a call returns the next settled batch report,
-        blocking only when everything is dispatched and still in flight.
-        ``None`` means truly idle: no queued jobs and nothing in flight.
+        Batches are formed exactly as :meth:`next_batch` packs them, but
+        a synchronous backend runs them one job per call: each job is its
+        own ``execute_batch(batch_id, [job])`` and settles before the
+        next one starts, so a caller between steps (the transport pump)
+        can deliver it mid-batch. The rest of the formed batch waits its
+        turn, marked ``batch_wait`` from the batch's planning to the
+        job's own start. Asynchronous backends (the worker fleet) are
+        *dispatched* whole without blocking — batch after batch, so work
+        for different params digests overlaps across workers — and their
+        completions are harvested here; a call returns the next settled
+        report, blocking only when everything is dispatched and still
+        in flight. ``None`` means truly idle: no queued jobs and nothing
+        in flight.
         """
         self._shed_expired()
         harvested = self._harvest_async()
         if harvested is not None:
             return harvested
-        while self.pending > 0:
+        while self._running is None and self.pending > 0:
             taken = self._take_preplanned()
             if taken is not None:
                 formed, plan_start, plan_end = taken
@@ -430,29 +447,27 @@ class BatchingScheduler:
                     # queue_wait spans submit settling -> batch formation;
                     # batch_plan is the next_batch call that packed the
                     # job, charged to every job in the batch (their wall
-                    # clocks all tick through it). A pre-planned batch
-                    # formed during the previous batch's execution — the
-                    # stretch from plan to dispatch is time waiting on
-                    # that batch, marked batch_wait so the pipeline
-                    # window stays attributed.
+                    # clocks all tick through it).
                     if trace.queued_at is not None:
                         trace.mark("queue_wait", trace.queued_at, plan_start)
                     trace.mark("batch_plan", plan_start, plan_end)
-                    if taken is not None:
+                    if backend.supports_async and taken is not None:
+                        # Pre-planned during the previous batch: the
+                        # stretch from plan to dispatch waited on it.
                         trace.mark("batch_wait", plan_end, dispatched_at)
             if backend.supports_async:
                 backend.dispatch_batch(self._batch_ids, jobs, self.registry)
                 self._record_dispatched(backend_name, jobs)
                 continue
-            # Pipeline: plan batch N+1 before batch N executes, so its
-            # formation overlaps N's execution window and the chip pool
-            # sees back-to-back batches it can overlap at the barrier.
+            self._running = (backend, self._batch_ids, plan_end, deque(jobs))
+            # Pipeline: plan the next batch before this one executes, so
+            # its formation overlaps this batch's execution window and
+            # the chip pool sees back-to-back batches it can overlap at
+            # the barrier.
             self._preplan()
-            report = backend.execute_batch(self._batch_ids, jobs, self.registry)
-            executed = time.perf_counter()
             self._record_dispatched(backend_name, jobs)
-            self._record_settled(report, jobs, executed - plan_end)
-            return report
+        if self._running is not None:
+            return self._execute_next()
         # Every queue is drained; wait on whatever the fleet still owes.
         while True:
             harvested = self._harvest_async(0.05)
@@ -460,6 +475,19 @@ class BatchingScheduler:
                 return harvested
             if not any(b.in_flight for b in self._async_backends()):
                 return None
+
+    def _execute_next(self) -> BatchReport:
+        """Run the next job of the formed synchronous batch and settle it."""
+        backend, batch_id, planned_at, waiting = self._running
+        job = waiting.popleft()
+        if not waiting:
+            self._running = None
+        start = time.perf_counter()
+        if job.trace.enabled:
+            job.trace.mark("batch_wait", planned_at, start)
+        report = backend.execute_batch(batch_id, [job], self.registry)
+        self._record_settled(report, [job], time.perf_counter() - start)
+        return report
 
     def run_all(self) -> ServiceStats:
         """Drain every queue (and every in-flight async batch)."""

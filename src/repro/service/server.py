@@ -9,9 +9,11 @@ descriptions, and results all travel in the
 across a process boundary even when a test drives it in-process.
 
 The execution model is cooperative: ``poll`` advances the scheduler by at
-most one batch per call (an event-loop tick), and ``result`` drives it to
-completion for the requested job. ``run`` drains everything; the
-transport's pump task drives ``tick`` instead.
+most one job per call (an event-loop tick) — on a synchronous backend a
+formed batch runs one job per tick, each settled at its own end — and
+``result`` drives it until the requested job is done, not its batch.
+``run`` drains everything; the transport's pump task drives ``tick``
+instead, delivering each completion between ticks.
 """
 
 from __future__ import annotations
@@ -705,7 +707,7 @@ class FheServer:
             raise KeyError(f"unknown job {job_id!r}") from None
 
     def poll(self, job_id: str) -> JobStatus:
-        """Report a job's status, advancing the scheduler one batch tick."""
+        """Report a job's status, advancing the scheduler one tick."""
         job = self._job(job_id)
         if not job.done:
             self.tick()
@@ -724,9 +726,12 @@ class FheServer:
         return self._job(job_id).error
 
     def tick(self) -> bool:
-        """Advance the scheduler by one batch; ``True`` if work was done.
+        """Advance the scheduler by one tick; ``True`` if work was done.
 
-        Completion bookkeeping (result-cache harvest, dedupe fan-out)
+        A tick settles one job of a synchronous backend's batch (or
+        harvests/dispatches fleet batches), so the jobs of a batch
+        complete one tick apart rather than all at its end. Completion
+        bookkeeping (result-cache harvest, dedupe fan-out)
         runs even on an idle tick, so a caller looping ``tick()`` until
         it returns ``False`` observes every job settled.
         """
@@ -736,6 +741,9 @@ class FheServer:
 
     def result(self, job_id: str, wire: bool = True) -> object:
         """Block (drive the scheduler) until the job finishes.
+
+        Returns as soon as this job is settled; the jobs behind it in
+        its batch may not have run yet.
 
         Raw-op and circuit results return as wire bytes by default — the
         server hands back exactly what would cross a transport: a framed

@@ -24,12 +24,11 @@ serving path improved only ~2–2.6x, and nothing said *where* the rest of
   into the per-phase wall-time table ``tools/profile_serve.py`` prints
   and writes to ``BENCH_serve_phases.json``.
 
-Batch-section phases (``batch_plan``, ``tower_dispatch``,
-``worker_execute``, ``gather_barrier``) are attributed to **every job of
-the batch**: the job's wall clock is ticking during them even when
-another job's towers occupy the workers. A job's *own* work inside a
-shared section (its tower runs, say) appears as child spans of the
-section span, so the ``TRACE`` tree still shows who computed what.
+``batch_plan`` is attributed to every job of the batch it formed.
+Synchronous backends then run the batch one job at a time, so a job's
+execution phases (``execute``, the tower phases, ``keyswitch``) are its
+own work only, and the time it spends behind the batch's earlier jobs
+is its ``batch_wait``.
 """
 
 from __future__ import annotations
@@ -50,13 +49,13 @@ PHASES = (
     "cache_check",     # content address + cache/dedupe lookup (child)
     "queue_wait",      # submit settled -> batch formation began
     "batch_plan",      # scheduler.next_batch for the job's batch
-    "batch_wait",      # inside the batch, waiting on sibling jobs
+    "batch_wait",      # waiting for the earlier jobs of its batch
     "execute",         # host-side functional execution (the exact math)
     "tower_dispatch",  # planning the per-tower fan-out for a level
     "worker_execute",  # chip workers running a level's tower units
     "gather_barrier",  # settling the level's tower gather
     "crt_recombine",   # CRT recombination of gathered tower outputs
-    "keyswitch",       # batched chip-side key-switch fold (engine-capable)
+    "keyswitch",       # a raw job's relinearization (key-switch kernel)
     "relin_tail",      # pricing/charging the relinearization tail
     "serialize",       # result -> wire bytes
     "reply",           # transport writing the completion frame

@@ -11,7 +11,8 @@ job's full tower set has arrived and can be CRT-recombined.
 
 The scheduler's batch formation is unchanged — batches still pack
 compatible jobs fairly across tenants — but inside the chip-pool backend
-one batch now fans out into ``jobs x towers`` units and gathers back.
+each job fans out into one unit per tower of each of its tensors and
+gathers back.
 """
 
 from __future__ import annotations
@@ -113,9 +114,8 @@ class KeySwitchWorkItem:
     """One tensor's relinearization tail, ready to charge to a worker.
 
     Key-switching is not tower-bound: after a tensor's gather completes,
-    its base-T digit fold runs over the whole tower stack at once (the
-    batched engine shares one digit-decomposition pass across every job
-    under the same eval-key digest). Each item prices one tensor's tail
+    its base-T digit fold runs over the whole tower stack at once through
+    the engine's key-switch kernel. Each item prices one tensor's tail
     with the same Algorithm-3-derived relinearization estimate the model
     path uses, so chip-side execution changes *where* the cycles land,
     never how many there are.

@@ -623,6 +623,11 @@ class TestRetryingClient:
                 fleet_options=dict(FAST_BEATS, spill_threshold=2),
                 quotas={"chaos": TenantQuota(max_inflight=2)},
             )
+            rejected = fhe.metrics.counter(
+                "repro_quota_rejections_total",
+                "submits refused by per-tenant quota admission",
+                tenant="chaos", reason="inflight",
+            )
             async with FheTransportServer(fhe) as server:
                 host, port = server.address
                 client = await AsyncFheClient.connect(
@@ -634,6 +639,18 @@ class TestRetryingClient:
                     "chaos", serialize_params(PARAMS),
                     relin_key=serialize_relin_key(keys.relin, PARAMS),
                 )
+
+                # Hold execution until the quota has refused a submit:
+                # the first two jobs stay in flight, so the third is
+                # rejected whatever the host's speed, and the flood then
+                # drains through the client's retries.
+                async def release_after_rejection():
+                    while rejected.value < 1:
+                        await asyncio.sleep(0.005)
+                    server.resume_execution()
+
+                server.pause_execution()
+                release = asyncio.ensure_future(release_after_rejection())
                 pairs = []
                 for _ in range(TOTAL):
                     a = bfv.encrypt(encoder.encode(
@@ -658,12 +675,8 @@ class TestRetryingClient:
                         exp, keys.secret)
                     assert client.events_received(jid) == 1
                 await client.aclose()
-                rejections = fhe.metrics.counter(
-                    "repro_quota_rejections_total",
-                    "submits refused by per-tenant quota admission",
-                    tenant="chaos", reason="inflight",
-                ).value
-                assert rejections >= 1, "quota never engaged"
+                await release
+                assert rejected.value >= 1, "quota never engaged"
                 stats = fhe.scheduler.stats
                 assert stats.jobs_failed == 0
                 assert stats.jobs_completed == stats.jobs_submitted
@@ -745,6 +758,9 @@ class TestRetryingClient:
                         [rng.randrange(16) for _ in range(PARAMS.n)]),
                         keys.public)
                     pairs.append((a, b))
+                # Nothing executes until the link is severed, so no
+                # result can reach the client over the first connection.
+                server.pause_execution()
                 job_ids = [
                     await client.submit(sid, JobKind.MULTIPLY, (
                         serialize_ciphertext(a), serialize_ciphertext(b),
@@ -756,6 +772,7 @@ class TestRetryingClient:
                 # transport forgets the subscriber, so only a redial and
                 # resubmission can recover the results.
                 client._writer.close()
+                server.resume_execution()
                 for jid, (a, b) in zip(job_ids, pairs):
                     wire = await client.result(jid)
                     got = deserialize_ciphertext(wire, PARAMS)

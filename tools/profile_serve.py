@@ -22,12 +22,15 @@ backend: an instrumentation gap (a phase nobody spans anymore) should
 break the build, not silently shrink the table.
 
 It also gates the chip-pool **relinearization share**: the combined
-``relin_tail`` + ``keyswitch`` percent of job latency must stay at or
+``relin_tail`` + ``keyswitch`` seconds as a percent of job *busy* time
+(every phase except ``queue_wait`` and ``batch_wait``) must stay at or
 below the share recorded in the previous ``BENCH_serve_phases.json``
-(read *before* this run overwrites it), plus a small noise slack. The
-batched key-switch fold collapsed that share to well under a percent;
-this gate keeps a future change from quietly re-growing the tail the
-vectorization work paid down.
+(read *before* this run overwrites it), plus a small noise slack.
+Dividing by busy time rather than latency keeps the gate about the key
+switch: a change that only removes waiting shrinks latency and would
+otherwise raise the share with no key switch getting slower. Each
+table also prints the waiting share, ``queue_wait`` + ``batch_wait`` as
+a percent of latency.
 
 Run via ``tools/run_checks.sh --obs`` (smoke scale) or directly with
 ``PYTHONPATH=src python tools/profile_serve.py``.
@@ -61,10 +64,13 @@ GATE_COVERAGE_PERCENT = 90.0
 
 #: Relin-share regression slack, in absolute percentage points: the new
 #: chip-pool ``relin_tail + keyswitch`` share may exceed the baseline
-#: file's share by at most this much (the share itself is tiny, so a
-#: fixed absolute slack absorbs timer noise without hiding a real
-#: regression back toward per-digit Python folds).
+#: file's share by at most this much (a fixed absolute slack absorbs
+#: timer noise without hiding a real regression back toward per-digit
+#: Python folds).
 GATE_RELIN_SHARE_SLACK_POINTS = 1.0
+
+#: Phases that are waiting rather than work on the job.
+WAIT_PHASES = ("queue_wait", "batch_wait")
 
 BACKENDS = ("software", "chip_pool")
 
@@ -130,18 +136,34 @@ def profile_backend(backend, params, keys, jobs, *, pool_size, max_batch):
     return server.phase_report(backend=backend), wall
 
 
-def _relin_share(rows, backend="chip_pool") -> float:
-    """Combined relin_tail + keyswitch percent of job latency.
+def _phase_seconds(rows, backend: str) -> dict[str, float]:
+    """Seconds per phase for one backend (``(total)`` excluded).
 
     ``rows`` may be per-backend rows (no ``backend`` key) or the flat
-    JSON rows the previous run wrote; phases that never ran count as 0.
+    JSON rows a previous run wrote.
     """
-    return sum(
-        r["percent"]
+    return {
+        r["phase"]: r["seconds"]
         for r in rows
-        if r.get("backend", backend) == backend
-        and r.get("phase") in ("relin_tail", "keyswitch")
-    )
+        if r.get("backend", backend) == backend and r["phase"] != "(total)"
+    }
+
+
+def _relin_share(rows, backend="chip_pool") -> float:
+    """Combined relin_tail + keyswitch percent of job busy time.
+
+    Busy time is every phase except :data:`WAIT_PHASES`; phases that
+    never ran count as 0.
+    """
+    seconds = _phase_seconds(rows, backend)
+    busy = sum(s for p, s in seconds.items() if p not in WAIT_PHASES)
+    relin = seconds.get("relin_tail", 0.0) + seconds.get("keyswitch", 0.0)
+    return 100.0 * relin / busy if busy > 0 else 0.0
+
+
+def _wait_share(rows) -> float:
+    """queue_wait + batch_wait as a percent of job latency."""
+    return sum(r["percent"] for r in rows if r["phase"] in WAIT_PHASES)
 
 
 def print_table(backend, rows, wall):
@@ -157,6 +179,8 @@ def print_table(backend, rows, wall):
             f"  {r['phase']:<16} {r['seconds'] * 1e3:>10.3f} "
             f"{r['percent']:>13.1f}% {r['spans']:>7}  {marker}"
         )
+    print(f"  waiting (queue_wait + batch_wait): {_wait_share(rows):.1f}% "
+          "of job latency")
 
 
 def main(argv=None) -> int:
@@ -215,7 +239,7 @@ def main(argv=None) -> int:
             if share > ceiling:
                 print(
                     f"RELIN SHARE GATE FAILED: chip_pool relin_tail + "
-                    f"keyswitch now {share:.2f}% of job latency > baseline "
+                    f"keyswitch now {share:.2f}% of job busy time > baseline "
                     f"{baseline_share:.2f}% + {GATE_RELIN_SHARE_SLACK_POINTS}"
                     " points slack",
                     file=sys.stderr,
@@ -224,7 +248,8 @@ def main(argv=None) -> int:
             else:
                 print(
                     f"relin share gate ok: chip_pool relin_tail + keyswitch "
-                    f"{share:.2f}% <= baseline {baseline_share:.2f}% "
+                    f"{share:.2f}% of busy time <= baseline "
+                    f"{baseline_share:.2f}% "
                     f"+ {GATE_RELIN_SHARE_SLACK_POINTS} points"
                 )
     for backend, coverage in failures:
