@@ -81,7 +81,7 @@ def _traffic():
 
 
 def _serve(pool_size: int, backend: str, keys, ops) -> list[dict]:
-    server = FheServer(pool_size=pool_size, max_batch=4)
+    server = FheServer(pool_size=pool_size)
     sid = server.open_session(
         "bench",
         serialize_params(PARAMS),
@@ -149,7 +149,7 @@ def test_transport_throughput(benchmark):
     keys, ops = _traffic()
 
     def over_the_wire():
-        with ThreadedTransportServer(pool_size=4, max_batch=4) as ts:
+        with ThreadedTransportServer(pool_size=4) as ts:
             start = time.perf_counter()
             with FheClient(ts.host, ts.port) as client:
                 sid = client.open_session(
@@ -236,7 +236,7 @@ def test_circuit_transport_throughput(benchmark):
     # In-process ground truth per app (same server class, no socket).
     expected = {}
     for label, model, circuit, inputs in apps:
-        server = FheServer(pool_size=4, max_batch=4)
+        server = FheServer(pool_size=4)
         sid = server.open_session(
             "truth", serialize_params(model.params),
             relin_key=serialize_relin_key(model.keys.relin, model.params),
@@ -247,7 +247,7 @@ def test_circuit_transport_throughput(benchmark):
 
     def over_the_wire():
         results = {}
-        with ThreadedTransportServer(pool_size=4, max_batch=4) as ts:
+        with ThreadedTransportServer(pool_size=4) as ts:
             with FheClient(ts.host, ts.port) as client:
                 for label, model, circuit, inputs in apps:
                     sid = client.open_session(
@@ -308,7 +308,7 @@ def _serve_cryptonets(level: str, cnn, circuit, inputs) -> tuple[dict, dict]:
     """One CryptoNets inference at ``optimizer_level=level``; row + outputs."""
     from repro.service.serialization import deserialize_circuit_outputs
 
-    server = FheServer(pool_size=4, max_batch=4, optimizer_level=level)
+    server = FheServer(pool_size=4, optimizer_level=level)
     sid = server.open_session(
         f"cnn-{level}", serialize_params(cnn.params),
         relin_key=serialize_relin_key(cnn.keys.relin, cnn.params),
@@ -432,7 +432,7 @@ def test_service_throughput_paper_scale():
         ops.append((JobKind.MULTIPLY, (serialize_ciphertext(a), serialize_ciphertext(b))))
 
     start = time.perf_counter()
-    server = FheServer(pool_size=4, max_batch=4)
+    server = FheServer(pool_size=4)
     sid = server.open_session(
         "paper",
         serialize_params(params),
@@ -536,7 +536,7 @@ def _spawn_fleet_server(fleet: int) -> tuple[subprocess.Popen, str, int]:
     )
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro.service.demo",
-         "--listen", "127.0.0.1:0", "--fleet", str(fleet), "--max-batch", "4"],
+         "--listen", "127.0.0.1:0", "--fleet", str(fleet)],
         env=env, cwd=REPO_ROOT,
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
     )
@@ -724,7 +724,7 @@ def _serve_spillover(spill_threshold: int, tenants) -> dict:
     """Serve the skewed traffic through a thread-mode fleet of 4."""
     server = FheServer(
         fleet_size=SPILL_FLEET, fleet_mode="thread",
-        default_backend="fleet", max_batch=4,
+        default_backend="fleet",
         fleet_options={"spill_threshold": spill_threshold},
     )
     with server:

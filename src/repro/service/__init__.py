@@ -14,8 +14,8 @@ from a single-shot library into a servable system:
   list) that carry the paper's Section VI-C applications over the wire;
 * :mod:`repro.service.jobs` — the encrypted-job model (raw homomorphic
   ops, app circuits, and legacy in-process application workloads);
-* :mod:`repro.service.scheduler` — fair round-robin batching across
-  tenants onto compatible batches;
+* :mod:`repro.service.scheduler` — fair round-robin picks across
+  tenants, one job per dispatch;
 * :mod:`repro.service.backends` — pluggable execution: a pool of N
   simulated CoFHEE chips (cycle-accurate), the SEAL-style software
   baseline, and the vectorized numpy path;
@@ -58,7 +58,7 @@ from repro.service.client import (
 )
 from repro.service.jobs import Job, JobKind, JobMetrics, JobStatus
 from repro.service.registry import Session, SessionError, SessionRegistry
-from repro.service.scheduler import BatchingScheduler, ServiceStats
+from repro.service.scheduler import JobScheduler, ServiceStats
 from repro.service.serialization import (
     ParamsMismatchError,
     WireFormatError,
@@ -88,7 +88,6 @@ __all__ = [
     "Backend",
     "BackendError",
     "BatchReport",
-    "BatchingScheduler",
     "ChipPoolBackend",
     "Circuit",
     "CircuitBuilder",
@@ -102,6 +101,7 @@ __all__ = [
     "JobFailedError",
     "JobKind",
     "JobMetrics",
+    "JobScheduler",
     "JobStatus",
     "JobTrace",
     "MetricsRegistry",

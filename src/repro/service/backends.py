@@ -71,15 +71,16 @@ class BackendError(RuntimeError):
 
 @dataclass
 class BatchReport:
-    """What one ``execute_batch`` call (or fleet batch) cost.
+    """What one ``execute_batch`` call (or one fleet job) cost.
 
-    The scheduler hands a synchronous backend one job per call, so under
-    a server each synchronous report covers exactly one job; a caller
-    that passes several jobs gets one report for all of them.
+    Under a server every report covers exactly one job, the one the
+    scheduler dispatched (``batch_id`` is its ``dispatched_seq``); a
+    direct caller that passes several jobs to ``execute_batch`` gets one
+    report for all of them.
 
     ``worker`` is the lead worker (model-path jobs and relinearization
     tails run there); ``workers`` lists every worker the batch touched —
-    under tower sharding one batch fans out across the pool. ``cycles``
+    under tower sharding one job fans out across the pool. ``cycles``
     is the total work added across all workers, ``makespan_cycles`` the
     largest single-worker share (what pool scaling shrinks), and
     ``tower_cycles`` the per-tower totals (index-aligned with the batch's
@@ -93,13 +94,6 @@ class BatchReport:
     engine fold; ``"relin_model"`` remains for params the engine cannot
     carry (wide digits or an engine-incapable basis), where the tail is
     still model-priced only.
-
-    Cross-batch pipelining accounting: ``overlap_cycles`` is how many of
-    this batch's level-0 tower cycles started inside the previous batch's
-    gather window (per-worker idle headroom below the pool barrier), and
-    ``pipelined_makespan_cycles`` the batch's wall-clock extent beyond
-    that barrier — at most ``makespan_cycles``, which stays the
-    un-pipelined per-batch share.
     """
 
     batch_id: int
@@ -113,8 +107,6 @@ class BatchReport:
     makespan_cycles: int = 0
     tower_cycles: tuple[int, ...] = ()
     fidelity: dict[str, int] = field(default_factory=dict)
-    overlap_cycles: int = 0
-    pipelined_makespan_cycles: int = 0
     #: List-scheduling simulation: how far the simulated per-worker
     #: clocks advanced beyond the pool barrier under true producer-edge
     #: ready times. ≤ ``makespan_cycles`` when dependency slack lets
@@ -259,30 +251,30 @@ def _op_delta_workload(
 class Backend:
     """Shared functional execution and accounting for every backend.
 
-    Subclasses implement :meth:`execute_batch` (how a formed batch runs
-    and is priced) and :meth:`wall_seconds`; the base class provides the
-    exact per-job arithmetic every backend shares — raw ops through
+    The scheduler drives every backend through one call pair:
+    :meth:`dispatch` starts a job and :meth:`poll` returns the reports of
+    jobs that have settled. Here the pair is synchronous — ``dispatch``
+    runs the job to completion through :meth:`execute_batch` and queues
+    its report for the next ``poll`` — and the worker fleet overrides
+    both to ship jobs to other processes.
+
+    Subclasses implement :meth:`execute_batch` (how jobs run and are
+    priced) and :meth:`wall_seconds`; the base class provides the exact
+    per-job arithmetic every backend shares — raw ops through
     :func:`functional_stage`, circuits through
     :func:`~repro.service.circuits.evaluate_circuit`, legacy app
     payloads through the plaintext-verified :class:`_AppRunner` — which
-    is why all backends return bit-identical ciphertexts.
-
-    Synchronous backends run a batch through :meth:`_each_job`: one job
-    at a time, each settled the moment its own work is done. Nothing is
-    shared across the jobs of a batch, so a job's result, cycles and
-    spans are the same whether it ran alone or with siblings.
+    is why all backends return bit-identical ciphertexts. Several jobs
+    passed to one ``execute_batch`` run one after another through
+    :meth:`_each_job` with nothing shared between them, so a job's
+    result, cycles and spans are the same whether it ran alone or not.
     """
 
     name = "abstract"
 
-    #: Asynchronous backends (the worker fleet) dispatch batches to
-    #: external workers and report completions later through
-    #: :meth:`poll`; the scheduler keeps forming batches while they are
-    #: in flight instead of blocking in :meth:`execute_batch`.
-    supports_async = False
-
     def __init__(self):
         self._apps = _AppRunner()
+        self._reports: list[tuple[BatchReport, Job]] = []
         self.jobs_done = 0
         #: Metrics sink (set by :class:`~repro.service.server.FheServer`;
         #: ``None`` leaves a standalone backend un-instrumented).
@@ -299,22 +291,23 @@ class Backend:
     ) -> BatchReport:
         raise NotImplementedError
 
-    # async dispatch interface (supports_async backends only) -------------
+    # the scheduler's call pair -------------------------------------------
 
-    def dispatch_batch(
-        self, batch_id: int, jobs: list[Job], registry: SessionRegistry
-    ) -> None:
-        """Hand a formed batch to external workers without blocking."""
-        raise NotImplementedError(f"{self.name} does not dispatch asynchronously")
+    def dispatch(self, job: Job, registry: SessionRegistry) -> None:
+        """Run one job to completion; its report waits for :meth:`poll`."""
+        report = self.execute_batch(
+            job.metrics.dispatched_seq, [job], registry
+        )
+        self._reports.append((report, job))
 
-    def poll(self, timeout: float = 0.0):
-        """Collect completed batches: a list of ``(report, jobs)`` pairs."""
-        raise NotImplementedError(f"{self.name} does not dispatch asynchronously")
+    def poll(self, timeout: float = 0.0) -> list[tuple[BatchReport, Job]]:
+        """``(report, job)`` for every job settled since the last call.
 
-    @property
-    def in_flight(self) -> int:
-        """Jobs dispatched to workers but not yet settled."""
-        return 0
+        Never waits here: a synchronous job settled inside
+        :meth:`dispatch`.
+        """
+        done, self._reports = self._reports, []
+        return done
 
     def close(self) -> None:
         """Release external resources (worker processes); idempotent."""
@@ -394,31 +387,23 @@ class Backend:
             galois=galois,
         )
 
-    def _each_job(self, batch_id: int, jobs: list[Job], run) -> None:
-        """The batch loop every synchronous backend shares.
+    def _each_job(self, jobs: list[Job], run) -> None:
+        """The job loop every synchronous backend shares.
 
         Jobs run one after another, and ``run(job)`` settles each at its
-        own end. The k-th job's wait on its k-1 predecessors is marked
-        ``batch_wait``. A job that raises fails alone; the batch goes on.
+        own end. A job that raises fails alone; the rest go on.
         """
-        start = time.perf_counter()
-        for i, job in enumerate(jobs):
-            if i and job.trace.enabled:
-                job.trace.mark("batch_wait", start, time.perf_counter())
+        for job in jobs:
             try:
                 run(job)
             except Exception as exc:  # noqa: BLE001 — jobs must fail alone
                 job.fail(str(exc))
                 job.metrics.backend = self.name
-                job.metrics.batch_id = batch_id
 
-    def _finish(
-        self, job: Job, batch_id: int, result: object, seconds: float
-    ) -> None:
+    def _finish(self, job: Job, result: object, seconds: float) -> None:
         """Settle one job as done."""
         job.finish(result)
         job.metrics.backend = self.name
-        job.metrics.batch_id = batch_id
         job.metrics.seconds = seconds
         self.jobs_done += 1
 
@@ -468,7 +453,7 @@ class ChipWorker:
 
 
 class ChipPoolBackend(Backend):
-    """Batches dispatched across a pool of N simulated CoFHEE chips.
+    """Jobs run across a pool of N simulated CoFHEE chips.
 
     Jobs run one at a time (see :meth:`Backend._each_job`); each is
     settled as soon as its own work is done. Inside a job:
@@ -529,7 +514,6 @@ class ChipPoolBackend(Backend):
         self._mod_q_reference: dict[bytes, SoftwareBfv] = {}
         self._tensor_estimate: dict[int, int] = {}  # n -> per-tower cycles
         self._no_fast_engine: set[bytes] = set()  # digests that can't go fast
-        self._overlap_cycles = 0  # cumulative cross-batch pipeline overlap
         self._schedule_makespan = 0  # cumulative list-schedule makespans
 
     # -- accounting --------------------------------------------------------
@@ -573,21 +557,16 @@ class ChipPoolBackend(Backend):
         freq = lead.chip.clock.frequency_hz
         busy_before = {w.index: w.busy_cycles for w in self.workers}
         io_before = {w.index: w.io_seconds for w in self.workers}
-        barrier_start = max(busy_before.values())
-        # List-schedule view of the batch: per-worker cycles of the
-        # jobs' dependency-free tower units, and how far the simulated
-        # clocks ran.
-        level0_added: dict[int, int] = {}
-        schedule_end = barrier_start
+        frontier = max(busy_before.values())
+        # List-schedule view: how far the simulated clocks ran.
+        schedule_end = frontier
 
         def run(job: Job) -> None:
             nonlocal schedule_end
-            added, end = self._execute_job(batch_id, job, registry)
-            for widx, cycles in added.items():
-                level0_added[widx] = level0_added.get(widx, 0) + cycles
+            end = self._execute_job(job, registry)
             schedule_end = max(schedule_end, end)
 
-        self._each_job(batch_id, jobs, run)
+        self._each_job(jobs, run)
 
         fidelity: dict[str, int] = {}
         tower_cycles: list[int] = []
@@ -609,30 +588,12 @@ class ChipPoolBackend(Backend):
         }
         batch_cycles = sum(added.values())
         used = tuple(sorted(i for i, c in added.items() if c > 0))
-        # Cross-batch pipelining: a worker whose busy clock sat below the
-        # pool barrier (the previous batch's makespan point) starts its
-        # first-level tower units inside the previous batch's gather
-        # window. ``overlap`` counts those early-start cycles; the batch's
-        # pipelined extent is how far it pushes the pool frontier beyond
-        # the barrier — at most the un-pipelined makespan.
-        overlap = sum(
-            min(level0_added.get(w.index, 0),
-                max(0, barrier_start - busy_before[w.index]))
-            for w in self.workers
-        )
-        pipelined = max(w.busy_cycles for w in self.workers) - barrier_start
-        # List-schedule view of the same batch: how far the simulated
-        # clocks (which honor producer edges, not pool levels) ran past
-        # the barrier. Dependency slack makes this ≤ the additive share.
-        schedule_makespan = schedule_end - barrier_start
-        self._overlap_cycles += overlap
+        # How far the simulated clocks (which honor producer edges, not
+        # pool levels) ran past the pool's starting frontier. Dependency
+        # slack makes this ≤ the additive share.
+        schedule_makespan = schedule_end - frontier
         self._schedule_makespan += schedule_makespan
         if self.metrics is not None:
-            self.metrics.gauge(
-                "repro_pipeline_overlap_cycles",
-                "cumulative tower cycles started inside a previous "
-                "batch's gather window",
-            ).set(self._overlap_cycles)
             self.metrics.gauge(
                 "repro_schedule_makespan_cycles",
                 "cumulative list-scheduling makespan (per-unit ready "
@@ -664,23 +625,18 @@ class ChipPoolBackend(Backend):
             makespan_cycles=max(added.values(), default=0),
             tower_cycles=tuple(tower_cycles),
             fidelity=fidelity,
-            overlap_cycles=overlap,
-            pipelined_makespan_cycles=pipelined,
             schedule_makespan_cycles=schedule_makespan,
         )
 
-    def _execute_job(
-        self, batch_id: int, job: Job, registry: SessionRegistry
-    ) -> tuple[dict[int, int], int]:
+    def _execute_job(self, job: Job, registry: SessionRegistry) -> int:
         """Run one job end to end on the pool and settle it.
 
         Strict-fidelity rejection comes first: the chip-native check
         needs only the session, so a doomed EvalMult (or a circuit with
         tensor steps) never pays for the expensive host-side math.
 
-        Returns the job's list-schedule view: the cycles its
-        dependency-free tower units added per worker, and the simulated
-        pool clock when its last unit finished.
+        Returns the simulated pool clock when the job's last unit
+        finished (its list-schedule view).
         """
         session = registry.get(job.session_id)
         needs_tensor = (
@@ -696,13 +652,12 @@ class ChipPoolBackend(Backend):
             )
         lead = min(self.workers, key=lambda w: (w.busy_cycles, w.index))
         if basis is None or not self.data_fidelity:
-            self._execute_modeled(batch_id, job, registry, lead)
-            return {}, self.wall_cycles
-        return self._execute_on_chip(batch_id, job, registry, basis, lead)
+            self._execute_modeled(job, registry, lead)
+            return self.wall_cycles
+        return self._execute_on_chip(job, registry, basis, lead)
 
     def _execute_modeled(
-        self, batch_id: int, job: Job, registry: SessionRegistry,
-        lead: ChipWorker,
+        self, job: Job, registry: SessionRegistry, lead: ChipWorker,
     ) -> None:
         """Model path: exact host-side math, cycles priced on the lead.
 
@@ -718,12 +673,12 @@ class ChipPoolBackend(Backend):
                      or (job.kind is JobKind.CIRCUIT
                          and job.payload.uses_relin))):
             job.metrics.relin_fidelity = self._relin_label(registry, session)
-        self._settle_on(job, batch_id, lead, cycles, result)
+        self._settle_on(job, lead, cycles, result)
 
     def _execute_on_chip(
-        self, batch_id: int, job: Job, registry: SessionRegistry,
-        basis: RnsBasis, lead: ChipWorker,
-    ) -> tuple[dict[int, int], int]:
+        self, job: Job, registry: SessionRegistry, basis: RnsBasis,
+        lead: ChipWorker,
+    ) -> int:
         """Chip path: every Eq. 4 tensor of the job replays tower-by-tower.
 
         The exact host math runs first (a keyed raw tensor stops before
@@ -765,7 +720,6 @@ class ChipPoolBackend(Backend):
         # completes in the schedule.
         clock = {w.index: w.busy_cycles for w in self.workers}
         finish: dict[int, int] = {}
-        level0_added: dict[int, int] = {}
         remaining = list(range(len(tensors)))
         while remaining:
             t_plan = time.perf_counter()
@@ -804,10 +758,6 @@ class ChipPoolBackend(Backend):
                     start = max(clock[widx], ready_at[unit])
                     clock[widx] = start + cycles
                     finish[unit] = max(finish.get(unit, 0), clock[widx])
-                    if not deps[unit]:
-                        level0_added[widx] = (
-                            level0_added.get(widx, 0) + cycles
-                        )
             t_gather = time.perf_counter()
             trace.mark("worker_execute", t_run, t_gather)
             # Per-unit gather: a unit's full tower set must arrive before
@@ -895,10 +845,10 @@ class ChipPoolBackend(Backend):
         job.metrics.relin_cycles = relin_cycles
         trace.mark("relin_tail", relin_start, time.perf_counter())
         self._settle_on(
-            job, batch_id, finish_worker,
+            job, finish_worker,
             sum(per_tower) + relin_cycles + linear_cycles, result,
         )
-        return level0_added, schedule_end
+        return schedule_end
 
     def _relin_label(self, registry: SessionRegistry, session: Session) -> str:
         """``"engine"`` when the key switch runs through the batched engine
@@ -909,14 +859,11 @@ class ChipPoolBackend(Backend):
         return "engine" if capable else "model"
 
     def _settle_on(
-        self, job: Job, batch_id: int, worker: ChipWorker, cycles: int,
-        result: object,
+        self, job: Job, worker: ChipWorker, cycles: int, result: object,
     ) -> None:
         job.metrics.worker = worker.index
         job.metrics.cycles = cycles
-        self._finish(
-            job, batch_id, result, cycles / worker.chip.clock.frequency_hz
-        )
+        self._finish(job, result, cycles / worker.chip.clock.frequency_hz)
 
     # -- tower-sharded chip execution ---------------------------------------
 
@@ -928,7 +875,7 @@ class ChipPoolBackend(Backend):
         (``q_i === 1 mod 2n``), fits the chip's Q register, and one
         polynomial fits an on-chip bank. Non-native sessions take the
         model path (or fail under ``strict_fidelity``) instead of
-        faulting a driver mid-batch.
+        faulting a driver mid-job.
         """
         params = session.params
         basis = params.cofhee_basis
@@ -1156,10 +1103,10 @@ class SoftwareBackend(Backend):
             seconds = self._job_seconds(
                 session, job, workload, time.perf_counter() - start
             )
-            self._finish(job, batch_id, result, seconds)
+            self._finish(job, result, seconds)
             batch_seconds += seconds
 
-        self._each_job(batch_id, jobs, run)
+        self._each_job(jobs, run)
         self._elapsed += batch_seconds
         return BatchReport(
             batch_id=batch_id, backend=self.name, worker=0,
@@ -1217,7 +1164,7 @@ class FastNttBackend(SoftwareBackend):
     :class:`~repro.polymath.fastntt.RnsExactMultiplier`, so every tensor
     runs through vectorized word-sized NTTs. Results stay bit-exact with
     the other backends; the latency recorded is a real measurement.
-    Same batch loop as the software backend; only the engine and the
+    Same job loop as the software backend; only the engine and the
     per-job seconds differ.
     """
 

@@ -68,6 +68,7 @@ for the tensor ops, Galois keys for the rotation steps).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -598,16 +599,10 @@ class CircuitBuilder:
 # ----------------------------------------------------------------------
 
 #: Plaintext-ring cache: constants decode once per (n, t), not per job.
-_PLAIN_RINGS: dict[tuple[int, int], PolynomialRing] = {}
-
-
-def _plain_ring(params: BfvParameters) -> PolynomialRing:
-    key = (params.n, params.t)
-    if key not in _PLAIN_RINGS:
-        _PLAIN_RINGS[key] = PolynomialRing(
-            params.n, params.t, allow_non_ntt=True
-        )
-    return _PLAIN_RINGS[key]
+@functools.lru_cache(maxsize=64)
+def _plain_ring(n: int, t: int) -> PolynomialRing:
+    """A plaintext ring per client-chosen ``(n, t)``, LRU-bounded."""
+    return PolynomialRing(n, t, allow_non_ntt=True)
 
 
 def _decode_const(const: CircuitConst, params: BfvParameters) -> Polynomial | int:
@@ -620,7 +615,7 @@ def _decode_const(const: CircuitConst, params: BfvParameters) -> Polynomial | in
         )
     if any(c >= params.t for c in const.coeffs):
         raise CircuitError("plaintext constant coefficient exceeds t")
-    return _plain_ring(params)([int(c) for c in const.coeffs])
+    return _plain_ring(params.n, params.t)([int(c) for c in const.coeffs])
 
 #: Chip-backend hook: called as ``on_tensor(step_index, a, b)`` with the
 #: two 2-component operand ciphertexts just before each tensor step.

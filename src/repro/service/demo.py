@@ -176,7 +176,7 @@ def pool_scaling(client: RawClient, sizes=(1, 4), jobs: int = 12) -> list[dict]:
     rng = random.Random(99)
     rows = []
     for size in sizes:
-        server = FheServer(pool_size=size, max_batch=2)
+        server = FheServer(pool_size=size)
         sid = server.open_session(
             "initech",
             serialize_params(client.params),
@@ -247,7 +247,7 @@ def load_tenants(path: str) -> tuple[dict[str, str], dict]:
     return tenants, quotas
 
 
-def serve(listen: str, pool_size: int, max_batch: int,
+def serve(listen: str, pool_size: int,
           stats_interval: float = 0.0, fleet: int = 0,
           fleet_mode: str = "process", max_inflight: int = 0,
           tenants_file: str | None = None) -> int:
@@ -278,7 +278,7 @@ def serve(listen: str, pool_size: int, max_batch: int,
 
     async def _serve():
         fhe = FheServer(
-            pool_size=pool_size, max_batch=max_batch,
+            pool_size=pool_size,
             fleet_size=fleet, fleet_mode=fleet_mode,
             default_backend="fleet" if fleet > 0 else "chip_pool",
             quotas=quotas,
@@ -493,8 +493,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--pool", type=int, default=4, metavar="N",
                         help="chips in the pool backend (default 4)")
-    parser.add_argument("--max-batch", type=int, default=6, metavar="N",
-                        help="scheduler batch size (default 6)")
     parser.add_argument(
         "--fleet", type=int, default=0, metavar="N",
         help="with --listen: serve from a fleet of N worker processes "
@@ -540,7 +538,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.fleet_smoke:
         return fleet_smoke(workers=args.fleet or 2, mode=args.fleet_mode)
     if args.listen:
-        return serve(args.listen, args.pool, args.max_batch,
+        return serve(args.listen, args.pool,
                      stats_interval=args.stats_interval, fleet=args.fleet,
                      fleet_mode=args.fleet_mode,
                      max_inflight=args.max_inflight,
@@ -551,7 +549,7 @@ def main(argv: list[str] | None = None) -> int:
 def run_demo() -> int:
     print("CoFHEE serving layer demo: 3 tenants x 3 backends over one chip pool")
     client = RawClient.build()
-    server = FheServer(pool_size=4, max_batch=6)
+    server = FheServer(pool_size=4)
     traffic = build_traffic(client)
 
     per_backend_bytes = {}
@@ -560,8 +558,8 @@ def run_demo() -> int:
         per_backend_bytes[backend] = (raw_checks, app_jobs)
 
     stats = server.run()
-    print(f"\nprocessed {stats.jobs_completed} jobs in {len(stats.batches)} "
-          f"batches ({stats.jobs_failed} failed)")
+    print(f"\nprocessed {stats.jobs_completed} jobs "
+          f"({stats.jobs_failed} failed)")
 
     print("\nVerification:")
     raw_results = {}

@@ -13,11 +13,10 @@ routes work to them):
   WORKER_RESULT / WORKER_HEARTBEAT up (tags 0x20+). ``mode="thread"``
   runs the *identical* worker loop in a thread — same protocol, same
   fault hooks — for fast deterministic tests.
-* **Routing** — the front door routes a batch by its session's params
+* **Routing** — the front door routes each job by its session's params
   digest: :func:`route_index` picks ``digest % fleet_size``, scanning
-  forward to the first live worker. All jobs of one scheduler batch
-  share a digest (batches are keyed on it), so a batch lands whole on
-  one worker and that worker's engine/twiddle caches stay hot for the
+  forward to the first live worker. Every job of one digest lands on the
+  same worker, so that worker's engine/twiddle caches stay hot for the
   parameter sets hashed to it.
 * **Key replication** — evaluation keys replicate to a worker on first
   use via the existing key-registry wire encoding (a framed params
@@ -48,10 +47,11 @@ deadline are reaped from assignments and backlogs past it — their late
 results discarded by the same ownership map that drops stale requeue
 duplicates.
 
-The scheduler drives all of this through the async backend interface
-(:meth:`FleetBackend.dispatch_batch` / :meth:`FleetBackend.poll`):
-dispatch never blocks, so batches for different digests overlap across
-workers, which is where the multi-process speedup comes from.
+The scheduler drives all of this through the call pair every backend
+shares (:meth:`FleetBackend.dispatch` / :meth:`FleetBackend.poll`):
+dispatch never blocks, so jobs for different digests overlap across
+workers, which is where the multi-process speedup comes from, and each
+job's report comes back on its own.
 """
 
 from __future__ import annotations
@@ -307,7 +307,7 @@ class _FleetWorker:
             engine=config.get("pool_engine", "exact"),
         )
         self._sessions: dict[str, object] = {}  # token -> local Session
-        self._batch_seq = 0
+        self._job_seq = 0
         self._beat_seq = 0
         self._jobs_done = 0
         self._last_beat = 0.0
@@ -418,8 +418,8 @@ class _FleetWorker:
             return WorkerResultMsg(
                 job_id=msg.job_id, status="failed", error=str(exc)
             )
-        self._batch_seq += 1
-        self.backend.execute_batch(self._batch_seq, [job], self.registry)
+        self._job_seq += 1
+        self.backend.execute_batch(self._job_seq, [job], self.registry)
         if job.status is not JobStatus.DONE:
             return WorkerResultMsg(
                 job_id=msg.job_id, status="failed",
@@ -464,27 +464,12 @@ class _Assignment:
     """One job's routed placement (survives requeues intact)."""
 
     job: Job
-    batch_id: int
     digest: bytes
     message: bytes  # pre-encoded WORKER_JOB frame, reused on requeue
     attempts: int = 0
+    dispatched_at: float = field(default_factory=time.perf_counter)
     sent_at: float = 0.0
     last_worker: int = -1  # requeues avoid the worker that just failed
-
-
-@dataclass
-class _FleetBatch:
-    """Accounting for one dispatched batch until every job settles."""
-
-    batch_id: int
-    jobs: list[Job]
-    digest: bytes
-    start: float
-    remaining: set[str] = field(default_factory=set)
-    cycles: int = 0
-    workers: set[int] = field(default_factory=set)
-    worker_cycles: dict[int, int] = field(default_factory=dict)
-    fidelity: dict[str, int] = field(default_factory=dict)
 
 
 @dataclass
@@ -520,7 +505,7 @@ def _ensure_child_import_path() -> None:
 
 
 class FleetBackend(Backend):
-    """A fleet of worker processes behind the async backend interface.
+    """A fleet of worker processes behind the scheduler's dispatch/poll pair.
 
     ``size`` workers, each owning ``chips`` simulated CoFHEE chips.
     ``mode="process"`` spawns real interpreters (the deployment shape;
@@ -531,9 +516,9 @@ class FleetBackend(Backend):
     :class:`FaultPlan` inside every worker.
 
     Per-worker sends are windowed (``worker_window`` unacknowledged jobs
-    per worker, default 1) so a paper-scale batch never wedges both pipe
-    directions; overflow queues in the orchestrator and drains as
-    results return.
+    per worker, default 1) so a burst of paper-scale jobs never wedges
+    both pipe directions; overflow queues in the orchestrator and drains
+    as results return.
 
     ``spill_threshold`` (``0``, the default, keeps pure digest pinning)
     enables spill-over routing: a job routes to its digest's home worker
@@ -542,8 +527,6 @@ class FleetBackend(Backend):
     that already holds the session's replicated keys — so one hot tenant
     stops pinning the whole fleet's work to a single worker.
     """
-
-    supports_async = True
 
     def __init__(self, size: int = 2, *, mode: str = "process",
                  chips: int = 1, pool_engine: str = "exact",
@@ -579,9 +562,9 @@ class FleetBackend(Backend):
         self.fault_plan = FaultPlan.parse(fault_spec)
         self._fault_spec = self.fault_plan.render()
         self._registry: SessionRegistry | None = None
-        self._batches: dict[int, _FleetBatch] = {}
-        self._owner: dict[str, int] = {}  # job_id -> worker index
-        self._completed: list[tuple[BatchReport, list[Job]]] = []
+        #: job_id -> index of the worker it is placed on (assigned or
+        #: backlogged); a job is in flight exactly while it is here.
+        self._owner: dict[str, int] = {}
         self._key_wire: dict[str, tuple[tuple, bytes]] = {}
         self._elapsed = 0.0
         self._busy_since: float | None = None
@@ -598,7 +581,7 @@ class FleetBackend(Backend):
         self.deadline_reaps = 0
         self.resize_grows = 0
         self.resize_shrinks = 0
-        #: Cumulative modeled cycles per worker index, across batches.
+        #: Cumulative modeled cycles per worker index, across jobs.
         #: The fleet's makespan view: with routing spreading digests,
         #: ``makespan_cycles`` (the busiest worker) drops while
         #: ``total_cycles`` (the work) stays put.
@@ -671,41 +654,39 @@ class FleetBackend(Backend):
                 proc.join(timeout=1.0)
         self._set_gauges()
 
-    # -- async backend interface ---------------------------------------
+    # -- the scheduler's call pair --------------------------------------
 
-    def dispatch_batch(
-        self, batch_id: int, jobs: list[Job], registry: SessionRegistry
-    ) -> None:
-        """Route a formed batch to the fleet without blocking."""
+    def dispatch(self, job: Job, registry: SessionRegistry) -> None:
+        """Route one job to the fleet without blocking.
+
+        Liveness is as fresh as the last :meth:`poll`, which the
+        scheduler runs after every dispatch.
+        """
         self._registry = registry
-        now = time.perf_counter()
         if self._busy_since is None:
-            self._busy_since = now
-        session = registry.get(jobs[0].session_id)
-        batch = _FleetBatch(
-            batch_id=batch_id, jobs=list(jobs), digest=session.digest,
-            start=now, remaining={job.job_id for job in jobs},
-        )
-        self._batches[batch_id] = batch
-        self._pump(0.0)  # freshen liveness before routing
-        self._check_health()
-        for job in jobs:
-            assignment = self._encode_assignment(job, batch)
-            if assignment is not None:
-                self._place(assignment)
+            self._busy_since = time.perf_counter()
+        digest = registry.get(job.session_id).digest
+        if job.kind.is_app:
+            self._fail_assignment(
+                _Assignment(job=job, digest=digest, message=b""),
+                f"{job.kind.value} jobs are in-process only; "
+                "submit them to chip_pool or software",
+            )
+        else:
+            self._place(self._encode_assignment(job, digest))
         self._set_gauges()
 
-    def poll(self, timeout: float = 0.0) -> list[tuple[BatchReport, list[Job]]]:
-        """Collect finished batches; processes heartbeats and faults."""
+    def poll(self, timeout: float = 0.0) -> list[tuple[BatchReport, Job]]:
+        """Collect settled jobs; processes heartbeats and faults."""
         self._pump(timeout)
         self._check_health()
-        done, self._completed = self._completed, []
         self._set_gauges()
-        return done
+        return super().poll()
 
     @property
     def in_flight(self) -> int:
-        return sum(len(batch.remaining) for batch in self._batches.values())
+        """Jobs placed on a worker (sent or backlogged) and not settled."""
+        return len(self._owner)
 
     def wall_seconds(self) -> float:
         busy = self._elapsed
@@ -713,27 +694,9 @@ class FleetBackend(Backend):
             busy += time.perf_counter() - self._busy_since
         return busy
 
-    def execute_batch(self, batch_id, jobs, registry) -> BatchReport:
-        raise NotImplementedError(
-            "the fleet dispatches asynchronously; use dispatch_batch/poll"
-        )
-
     # -- routing and placement -----------------------------------------
 
-    def _encode_assignment(
-        self, job: Job, batch: _FleetBatch
-    ) -> _Assignment | None:
-        if job.kind.is_app:
-            failed = _Assignment(
-                job=job, batch_id=batch.batch_id, digest=batch.digest,
-                message=b"",
-            )
-            self._fail_assignment(
-                failed,
-                f"{job.kind.value} jobs are in-process only; "
-                "submit them to chip_pool or software",
-            )
-            return None
+    def _encode_assignment(self, job: Job, digest: bytes) -> _Assignment:
         if len(job.wire_operands) == len(job.operands):
             operands = tuple(job.wire_operands)
         else:
@@ -748,10 +711,7 @@ class FleetBackend(Backend):
             job_id=job.job_id, token=job.session_id, kind=job.kind.value,
             steps=job.steps, operands=operands, circuit=circuit,
         ))
-        return _Assignment(
-            job=job, batch_id=batch.batch_id, digest=batch.digest,
-            message=message,
-        )
+        return _Assignment(job=job, digest=digest, message=message)
 
     def _pick_worker(self, digest: bytes, exclude: int = -1,
                      session_id: str = "") -> WorkerHandle | None:
@@ -767,49 +727,49 @@ class FleetBackend(Backend):
         spills forward to a live worker with spare depth, preferring one
         that already replicated the session's keys (lazy replication
         makes a cold spill a one-time key shipment, not a per-job cost).
-        A fleet that is saturated everywhere falls back to plain digest
-        order, so spill mode never strands a job.
+        A fleet that is saturated everywhere routes to the live worker
+        with the least in-flight depth (digest order on ties), so a
+        burst keeps spreading and spill mode never strands a job.
         """
         start = route_index(digest, self.size)
+        order = [
+            self._workers[(start + k) % self.size] for k in range(self.size)
+        ]
         if self.spill_threshold > 0:
-            home = self._workers[start]
-            if (home.live and home.attached and home.index != exclude
-                    and len(home.assigned) + len(home.backlog)
-                    < self.spill_threshold):
+            live = [
+                h for h in order
+                if h.live and h.attached and h.index != exclude
+            ]
+
+            def depth(handle: WorkerHandle) -> int:
+                return len(handle.assigned) + len(handle.backlog)
+
+            open_ = [h for h in live if depth(h) < self.spill_threshold]
+            if open_ and open_[0] is order[0]:
                 self.route_home += 1
-                return home
-            spill = None
-            for offset in range(1, self.size):
-                handle = self._workers[(start + offset) % self.size]
-                if not (handle.live and handle.attached):
-                    continue
-                if handle.index == exclude:
-                    continue
-                if (len(handle.assigned) + len(handle.backlog)
-                        >= self.spill_threshold):
-                    continue
-                if session_id and session_id in handle.replicated:
-                    spill = handle
-                    break
-                if spill is None:
-                    spill = handle
-            if spill is not None:
+                return open_[0]
+            if live:
+                target = next(
+                    (h for h in open_
+                     if session_id and session_id in h.replicated),
+                    open_[0] if open_ else min(live, key=depth),
+                )
+                if target is order[0]:
+                    self.route_home += 1
+                    return target
                 self.route_spill += 1
                 if self.metrics is not None:
                     self.metrics.counter(
                         "repro_fleet_spillovers_total",
                         "Jobs routed off their digest's home worker",
                     ).inc()
-                return spill
-            # Saturated (or one-worker) fleet: plain digest order below.
+                return target
+            # Only the excluded worker (or none) is live: digest order.
         fallback = None
-        for offset in range(self.size):
-            handle = self._workers[(start + offset) % self.size]
+        for handle in order:
             if not (handle.live and handle.attached):
                 continue
             if handle.index != exclude:
-                if self.spill_threshold > 0:
-                    self.route_home += 1
                 return handle
             fallback = handle
         return fallback
@@ -830,6 +790,7 @@ class FleetBackend(Backend):
             self._fail_assignment(assignment, "no live fleet workers")
             return
         handle.backlog.append(assignment)
+        self._owner[assignment.job.job_id] = handle.index
         self._kick(handle)
 
     def _kick(self, handle: WorkerHandle) -> None:
@@ -849,7 +810,6 @@ class FleetBackend(Backend):
             assignment.sent_at = time.perf_counter()
             assignment.last_worker = handle.index
             handle.assigned[assignment.job.job_id] = assignment
-            self._owner[assignment.job.job_id] = handle.index
 
     def _replicate(self, handle: WorkerHandle, job: Job) -> None:
         """Ship a session's params + evaluation keys on first use."""
@@ -1147,8 +1107,8 @@ class FleetBackend(Backend):
             return
         del self._owner[msg.job_id]
         job = assignment.job
-        batch = self._batches[assignment.batch_id]
         now = time.perf_counter()
+        fidelity: dict[str, int] = {}
         if msg.status == "done":
             try:
                 verify_frame(msg.payload)
@@ -1169,21 +1129,13 @@ class FleetBackend(Backend):
             job.metrics.seconds = msg.seconds
             job.metrics.fidelity = msg.fidelity
             if msg.fidelity:
-                batch.fidelity[msg.fidelity] = (
-                    batch.fidelity.get(msg.fidelity, 0) + 1
-                )
+                fidelity[msg.fidelity] = 1
             self.jobs_done += 1
             handle.jobs_done += 1
         else:
             job.fail(msg.error or "fleet worker failed the job")
         job.metrics.backend = self.name
         job.metrics.worker = handle.index
-        job.metrics.batch_id = assignment.batch_id
-        batch.cycles += msg.cycles
-        batch.workers.add(handle.index)
-        batch.worker_cycles[handle.index] = (
-            batch.worker_cycles.get(handle.index, 0) + msg.cycles
-        )
         self.worker_cycles[handle.index] = (
             self.worker_cycles.get(handle.index, 0) + msg.cycles
         )
@@ -1193,7 +1145,13 @@ class FleetBackend(Backend):
                 "Modeled cycles executed per fleet worker",
                 worker=str(handle.index),
             ).inc(msg.cycles)
-        self._settle(batch, job.job_id)
+        self._settle(job, BatchReport(
+            batch_id=job.metrics.dispatched_seq, backend=self.name,
+            worker=handle.index, jobs=1, cycles=msg.cycles,
+            seconds=now - assignment.dispatched_at,
+            workers=(handle.index,), makespan_cycles=msg.cycles,
+            fidelity=fidelity,
+        ))
         self._kick(handle)
 
     def _fail_assignment(self, assignment: _Assignment, message: str) -> None:
@@ -1201,29 +1159,17 @@ class FleetBackend(Backend):
         self._owner.pop(job.job_id, None)
         job.fail(message)
         job.metrics.backend = self.name
-        job.metrics.batch_id = assignment.batch_id
-        batch = self._batches.get(assignment.batch_id)
-        if batch is not None:
-            self._settle(batch, job.job_id)
+        self._settle(job, BatchReport(
+            batch_id=job.metrics.dispatched_seq, backend=self.name,
+            worker=-1, jobs=1, cycles=0,
+            seconds=time.perf_counter() - assignment.dispatched_at,
+        ))
 
-    def _settle(self, batch: _FleetBatch, job_id: str) -> None:
-        batch.remaining.discard(job_id)
-        if batch.remaining:
-            return
-        now = time.perf_counter()
-        report = BatchReport(
-            batch_id=batch.batch_id, backend=self.name,
-            worker=min(batch.workers, default=-1),
-            jobs=len(batch.jobs), cycles=batch.cycles,
-            seconds=now - batch.start,
-            workers=tuple(sorted(batch.workers)),
-            makespan_cycles=max(batch.worker_cycles.values(), default=0),
-            fidelity=dict(batch.fidelity),
-        )
-        del self._batches[batch.batch_id]
-        self._completed.append((report, batch.jobs))
-        if not self._batches and self._busy_since is not None:
-            self._elapsed += now - self._busy_since
+    def _settle(self, job: Job, report: BatchReport) -> None:
+        """Queue one settled job's report for :meth:`poll`."""
+        self._reports.append((report, job))
+        if not self._owner and self._busy_since is not None:
+            self._elapsed += time.perf_counter() - self._busy_since
             self._busy_since = None
 
     # -- reporting ------------------------------------------------------

@@ -66,7 +66,9 @@ class JobMetrics:
     ``cycles`` is chip-pool cycle accounting (0 for CPU-side backends);
     ``seconds`` is the backend's latency estimate or measurement for this
     job alone. ``submitted_seq``/``dispatched_seq`` are global sequence
-    numbers the fairness tests use to prove no tenant starves.
+    numbers: the fairness tests use them to prove no tenant starves, and
+    ``dispatched_seq`` identifies the job's dispatch (its report's
+    ``batch_id``).
 
     Tower-sharded chip execution additionally reports, per job:
     ``tower_cycles`` (Algorithm 3 cycles per RNS tower, index-aligned with
@@ -94,7 +96,6 @@ class JobMetrics:
 
     backend: str = ""
     worker: int = -1
-    batch_id: int = -1
     cycles: int = 0
     seconds: float = 0.0
     submitted_seq: int = -1

@@ -38,6 +38,7 @@ of every message lives in ``docs/wire-protocol.md``.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import struct
 import zlib
@@ -340,14 +341,14 @@ def deserialize_params(data: bytes) -> BfvParameters:
 # ----------------------------------------------------------------------
 
 #: Ring cache so repeated deserialization never rebuilds NTT contexts.
-_RING_CACHE: dict[tuple[int, int], PolynomialRing] = {}
-
-
+@functools.lru_cache(maxsize=64)
 def _ring(n: int, q: int) -> PolynomialRing:
-    key = (n, q)
-    if key not in _RING_CACHE:
-        _RING_CACHE[key] = PolynomialRing(n, q, allow_non_ntt=True)
-    return _RING_CACHE[key]
+    """A decode ring per client-chosen ``(n, q)``, LRU-bounded.
+
+    Rings compare by ``(n, q)``, so a ring rebuilt after eviction equals
+    the one it replaces.
+    """
+    return PolynomialRing(n, q, allow_non_ntt=True)
 
 
 def serialize_polynomial(poly: Polynomial) -> bytes:

@@ -9,11 +9,11 @@ descriptions, and results all travel in the
 across a process boundary even when a test drives it in-process.
 
 The execution model is cooperative: ``poll`` advances the scheduler by at
-most one job per call (an event-loop tick) — on a synchronous backend a
-formed batch runs one job per tick, each settled at its own end — and
-``result`` drives it until the requested job is done, not its batch.
-``run`` drains everything; the transport's pump task drives ``tick``
-instead, delivering each completion between ticks.
+most one job per call (an event-loop tick) — on a synchronous backend
+each tick picks one job and settles it at its own end — and ``result``
+drives it until the requested job is done. ``run`` drains everything;
+the transport's pump task drives ``tick`` instead, delivering each
+completion between ticks.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from repro.service.optimizer import DEFAULT_LEVEL, LEVELS, optimize_circuit
 from repro.service.fleet import FleetBackend
 from repro.service.jobs import Job, JobKind, JobStatus
 from repro.service.registry import Session, SessionRegistry
-from repro.service.scheduler import BatchingScheduler, ServiceStats
+from repro.service.scheduler import JobScheduler, ServiceStats
 from repro.service.serialization import (
     deserialize_circuit,
     deserialize_galois_key,
@@ -82,7 +82,6 @@ class FheServer:
 
     Args:
         pool_size: chips in the cycle-accurate pool backend.
-        max_batch: scheduler batch size.
         default_backend: backend used when a request names none
             (``chip_pool``, ``software``, or ``fastntt``).
         strict_fidelity: fail EvalMult jobs whose tensor cannot execute
@@ -123,7 +122,7 @@ class FheServer:
             program). A per-submit ``optimizer=`` argument overrides it.
     """
 
-    def __init__(self, pool_size: int = 4, max_batch: int = 8,
+    def __init__(self, pool_size: int = 4,
                  default_backend: str = "chip_pool",
                  strict_fidelity: bool = False, pool_engine: str = "exact",
                  result_cache_size: int = 256, fleet_size: int = 0,
@@ -158,12 +157,11 @@ class FheServer:
         elif fleet_options:
             raise ValueError("fleet_options given but fleet_size is 0")
         self._closed = False
-        self.scheduler = BatchingScheduler(
+        self.scheduler = JobScheduler(
             self.registry, self.backends, default=default_backend,
-            max_batch=max_batch,
         )
         # One metrics registry per server, shared down the stack: the
-        # scheduler (queue depth, batch occupancy), every backend
+        # scheduler (queue depth, per-job execute time), every backend
         # (worker busy fractions, tower planning), and the transport
         # (frame/byte counters) all write here, so one STATS reply or
         # ``stats_snapshot()`` covers the whole serving path.
@@ -287,7 +285,7 @@ class FheServer:
         ``poll``/``result`` against.
 
         ``deadline`` (seconds from now, ``0`` = none) bounds the job's
-        life: expired before dispatch it is shed at batch-plan time,
+        life: expired before dispatch it is shed before the next pick,
         expired in flight the fleet reaps it — either way it fails with
         the typed ``deadline expired`` message.
 
@@ -457,7 +455,6 @@ class FheServer:
             self._result_cache.move_to_end(key)
             job.finish(self._result_cache[key])
             job.metrics.backend = "cache"
-            job.metrics.batch_id = 0
             stats.jobs_submitted += 1
             stats.cache_hits += 1
             stats.settle(job)
@@ -641,7 +638,7 @@ class FheServer:
                 primary = self._jobs[jid]
                 for fid in self._followers.pop(jid):
                     follower = self._jobs[fid]
-                    # The primary's batch window is the follower's
+                    # The primary's execution window is the follower's
                     # latency too: adopt those spans (clipped at the
                     # follower's own queue time) so the profiler stops
                     # attributing follower wall time to queue_wait.
@@ -650,7 +647,6 @@ class FheServer:
                         follower.finish(primary.result)
                     else:
                         follower.fail(primary.error or "primary job failed")
-                    follower.metrics.batch_id = primary.metrics.batch_id
                     stats.settle(follower)
         if self._dedupe:
             for key in [
@@ -662,7 +658,7 @@ class FheServer:
         """Fail dedupe followers whose deadline passed mid-flight.
 
         A follower attached to an in-flight primary sits in no scheduler
-        queue, so the scheduler's batch-plan shed never visits it;
+        queue, so the scheduler's deadline shed never visits it;
         without this sweep an expired follower would settle late with the
         primary's eventual result instead of failing with the typed
         ``deadline expired`` error. Followers of a primary that has
@@ -728,12 +724,12 @@ class FheServer:
     def tick(self) -> bool:
         """Advance the scheduler by one tick; ``True`` if work was done.
 
-        A tick settles one job of a synchronous backend's batch (or
-        harvests/dispatches fleet batches), so the jobs of a batch
-        complete one tick apart rather than all at its end. Completion
-        bookkeeping (result-cache harvest, dedupe fan-out)
-        runs even on an idle tick, so a caller looping ``tick()`` until
-        it returns ``False`` observes every job settled.
+        A tick picks and settles one job on a synchronous backend (or
+        dispatches queued fleet jobs and harvests the first reply), so
+        queued jobs complete one tick apart. Completion bookkeeping
+        (result-cache harvest, dedupe fan-out) runs even on an idle
+        tick, so a caller looping ``tick()`` until it returns ``False``
+        observes every job settled.
         """
         report = self.scheduler.step()
         self._harvest_cache()
@@ -742,8 +738,8 @@ class FheServer:
     def result(self, job_id: str, wire: bool = True) -> object:
         """Block (drive the scheduler) until the job finishes.
 
-        Returns as soon as this job is settled; the jobs behind it in
-        its batch may not have run yet.
+        Returns as soon as this job is settled; jobs queued behind it
+        may not have run yet.
 
         Raw-op and circuit results return as wire bytes by default — the
         server hands back exactly what would cross a transport: a framed
@@ -813,12 +809,12 @@ class FheServer:
 
         Two wall-time views against ``total_cycles`` of work:
         ``wall_cycles`` (max cumulative per-worker busy cycles — the
-        utilization view, assuming work from different batches overlaps
-        freely) and ``batch_makespan_cycles`` (sum of per-batch makespans
-        — the conservative view under the per-batch gather barrier;
+        utilization view, assuming work from different jobs overlaps
+        freely) and ``batch_makespan_cycles`` (sum of per-job makespans
+        — the conservative view under each job's gather barrier;
         always >= ``wall_cycles``). ``per_worker_cycles`` shows the
         spread, ``tower_cycles`` the per-tower totals over every
-        chip-executed batch, ``fidelity`` counts jobs per execution
+        chip-executed job, ``fidelity`` counts jobs per execution
         path (``chip`` / ``model`` / ``relin_model``), and
         ``result_cache`` reports the content-addressed machinery: cache
         hits complete at submit time and cost the pool nothing, and

@@ -24,11 +24,11 @@ serving path improved only ~2–2.6x, and nothing said *where* the rest of
   into the per-phase wall-time table ``tools/profile_serve.py`` prints
   and writes to ``BENCH_serve_phases.json``.
 
-``batch_plan`` is attributed to every job of the batch it formed.
-Synchronous backends then run the batch one job at a time, so a job's
+The scheduler picks and dispatches one job at a time, so a job's
 execution phases (``execute``, the tower phases, ``keyswitch``) are its
-own work only, and the time it spends behind the batch's earlier jobs
-is its ``batch_wait``.
+own work only, and everything from its submit settling to its own
+dispatch — including the time it spends behind earlier jobs — is its
+``queue_wait``.
 """
 
 from __future__ import annotations
@@ -47,9 +47,7 @@ PHASES = (
     "submit",          # FheServer.submit, end to end (decode/cache children)
     "decode",          # operand + circuit wire-bytes ingest (child of submit)
     "cache_check",     # content address + cache/dedupe lookup (child)
-    "queue_wait",      # submit settled -> batch formation began
-    "batch_plan",      # scheduler.next_batch for the job's batch
-    "batch_wait",      # waiting for the earlier jobs of its batch
+    "queue_wait",      # submit settled -> the job's own dispatch
     "execute",         # host-side functional execution (the exact math)
     "tower_dispatch",  # planning the per-tower fan-out for a level
     "worker_execute",  # chip workers running a level's tower units
@@ -263,21 +261,20 @@ def new_trace() -> JobTrace | _NullTrace:
     return JobTrace() if tracing_enabled() else NULL_TRACE
 
 
-#: Top-level phases that constitute a batch's execution window — what a
+#: Top-level phases that constitute a job's execution window — what a
 #: dedupe follower inherits from the primary whose single execution
 #: produced its result (see :func:`adopt_batch_spans`).
 BATCH_WINDOW_PHASES = frozenset((
-    "queue_wait", "batch_plan", "batch_wait", "execute", "tower_dispatch",
-    "worker_execute", "gather_barrier", "crt_recombine", "keyswitch",
-    "relin_tail",
+    "queue_wait", "execute", "tower_dispatch", "worker_execute",
+    "gather_barrier", "crt_recombine", "keyswitch", "relin_tail",
 ))
 
 
 def adopt_batch_spans(follower, primary) -> int:
-    """Copy a primary's batch-window spans onto a dedupe follower.
+    """Copy a primary's execution-window spans onto a dedupe follower.
 
     A follower attached to a deduped execution used to get only
-    ``stamp_done``: its wall clock covered the primary's whole batch but
+    ``stamp_done``: its wall clock covered the primary's execution but
     its trace explained none of it, so the profiler under-attributed the
     follower's latency to ``queue_wait``. This clips the primary's
     top-level :data:`BATCH_WINDOW_PHASES` spans at the follower's own

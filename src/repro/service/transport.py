@@ -18,9 +18,9 @@ a listener in front of it:
   single-thread executor; the event loop never blocks on FHE math.
 * **Completion callbacks** — a SUBMIT with ``subscribe`` set (the
   default) registers the connection for an EVENT push: the server's pump
-  task drives :meth:`FheServer.tick` batch by batch and delivers each
-  job's result frame the moment the gather barrier releases it. No
-  client ever polls.
+  task drives :meth:`FheServer.tick` and delivers each job's result
+  frame between ticks, as soon as that job settles. No client ever
+  polls.
 
 In-queue dedupe and the result cache live inside :class:`FheServer`
 itself, so remote traffic gets cache-aware scheduling for free — two
@@ -262,7 +262,7 @@ class FheTransportServer:
             ``None`` (the default) disables auth — open serving, as
             before this field existed.
         fhe_kwargs: forwarded to :class:`FheServer` when ``fhe`` is None
-            (``pool_size``, ``max_batch``, ``result_cache_size``, …).
+            (``pool_size``, ``result_cache_size``, …).
 
     Lifecycle: ``await start()`` → serve → ``await aclose()``. Closing
     drains by default: the listener stops accepting, in-flight jobs run

@@ -30,7 +30,7 @@ from repro.polymath.rns import (
 from repro.service.backends import ChipPoolBackend
 from repro.service.jobs import Job, JobKind, JobStatus
 from repro.service.registry import SessionRegistry
-from repro.service.scheduler import BatchingScheduler
+from repro.service.scheduler import JobScheduler
 
 N = 16
 #: Primes == 1 (mod 2N): every one supports the degree-16 negacyclic NTT.
@@ -163,9 +163,8 @@ class TestPoolInvariance:
         for size in (1, pool_size):
             registry = SessionRegistry()
             backend = ChipPoolBackend(pool_size=size)
-            scheduler = BatchingScheduler(
+            scheduler = JobScheduler(
                 registry, {"chip_pool": backend}, default="chip_pool",
-                max_batch=4,
             )
             session = registry.open_session("prop", params, relin=keys.relin)
             jobs = [

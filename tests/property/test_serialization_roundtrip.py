@@ -167,3 +167,25 @@ class TestRejection:
         params, wire = wire_ct
         with pytest.raises(WireFormatError):
             deserialize_ciphertext(wire + b"\x00", params)
+
+
+class TestBoundedRingCaches:
+    """Rings keyed by client-chosen wire values stay LRU-bounded."""
+
+    def test_decode_ring_cache_stays_bounded(self):
+        from repro.service.serialization import _ring
+
+        rng = random.Random(11)
+        for i in range(100):
+            q = 1000 + 7 * i
+            ring = PolynomialRing(4, q, allow_non_ntt=True)
+            poly = ring([rng.randrange(q) for _ in range(4)])
+            assert deserialize_polynomial(serialize_polynomial(poly)) == poly
+            assert _ring.cache_info().currsize <= 64
+
+    def test_plain_ring_cache_stays_bounded(self):
+        from repro.service.circuits import _plain_ring
+
+        for t in range(17, 117):
+            assert _plain_ring(4, t) == PolynomialRing(4, t, allow_non_ntt=True)
+            assert _plain_ring.cache_info().currsize <= 64

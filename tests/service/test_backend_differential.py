@@ -1,6 +1,6 @@
 """Differential test harness: every backend, pinned to ``Bfv`` ground truth.
 
-For a grid of (parameter set x op x batch shape), the ChipPool backend at
+For a grid of (parameter set x op x job count), the ChipPool backend at
 pool sizes 1/2/4, the Software backend, and the FastNtt backend must all
 return **bit-identical wire bytes**, and those bytes must decode to the
 exact ciphertext the ground-truth :class:`~repro.bfv.scheme.Bfv` engine
@@ -32,8 +32,8 @@ PARAM_SETS = {
     "rns2": BfvParameters.toy_rns(n=32, towers=2, tower_bits=21),
 }
 POOL_SIZES = (1, 2, 4)
-#: (max_batch, jobs per case): one-at-a-time and packed batches.
-BATCH_SHAPES = ((1, 2), (4, 3))
+#: Jobs queued per case before the first result is read.
+JOB_COUNTS = (2, 3)
 
 
 @pytest.fixture(scope="module", params=sorted(PARAM_SETS))
@@ -64,8 +64,8 @@ def _ground_truth(bfv, keys, kind, operands):
     raise AssertionError(kind)
 
 
-def _serve(params, keys, backend, pool_size, max_batch, cases):
-    server = FheServer(pool_size=pool_size, max_batch=max_batch)
+def _serve(params, keys, backend, pool_size, cases):
+    server = FheServer(pool_size=pool_size)
     sid = server.open_session(
         "diff", serialize_params(params),
         relin_key=serialize_relin_key(keys.relin, params),
@@ -84,8 +84,8 @@ def _serve(params, keys, backend, pool_size, max_batch, cases):
 
 class TestDifferentialGrid:
     @pytest.mark.parametrize("kind", [JobKind.ADD, JobKind.MULTIPLY, JobKind.SQUARE])
-    @pytest.mark.parametrize("max_batch,n_jobs", BATCH_SHAPES)
-    def test_all_backends_match_ground_truth(self, world, kind, max_batch, n_jobs):
+    @pytest.mark.parametrize("n_jobs", JOB_COUNTS)
+    def test_all_backends_match_ground_truth(self, world, kind, n_jobs):
         params, bfv, keys, encoder, fresh = world
         arity = 2 if kind is not JobKind.SQUARE else 1
         cases = [
@@ -93,10 +93,10 @@ class TestDifferentialGrid:
         ]
         runs = {}
         for pool in POOL_SIZES:
-            _, _, wires = _serve(params, keys, "chip_pool", pool, max_batch, cases)
+            _, _, wires = _serve(params, keys, "chip_pool", pool, cases)
             runs[f"chip_pool_x{pool}"] = wires
         for backend in ("software", "fastntt"):
-            _, _, wires = _serve(params, keys, backend, 1, max_batch, cases)
+            _, _, wires = _serve(params, keys, backend, 1, cases)
             runs[backend] = wires
         # Bit-identical wire bytes across every backend and pool size.
         reference = runs["chip_pool_x1"]
@@ -140,7 +140,7 @@ class TestFidelityFlags:
         """EvalMult executes tower-by-tower on worker drivers, flagged."""
         params, bfv, keys, encoder, fresh = world
         server, jids, _ = _serve(
-            params, keys, "chip_pool", 4, 4,
+            params, keys, "chip_pool", 4,
             [(JobKind.MULTIPLY, (fresh(), fresh()))],
         )
         metrics = server.job_metrics(jids[0])
@@ -160,7 +160,7 @@ class TestFidelityFlags:
         """SQUARE shards like MULTIPLY: same tensor with a == b."""
         params, bfv, keys, encoder, fresh = world
         server, jids, _ = _serve(
-            params, keys, "chip_pool", 4, 4,
+            params, keys, "chip_pool", 4,
             [(JobKind.SQUARE, (fresh(),))],
         )
         metrics = server.job_metrics(jids[0])
@@ -171,7 +171,7 @@ class TestFidelityFlags:
     def test_add_is_model_priced(self, world):
         params, bfv, keys, encoder, fresh = world
         server, jids, _ = _serve(
-            params, keys, "chip_pool", 2, 4,
+            params, keys, "chip_pool", 2,
             [(JobKind.ADD, (fresh(), fresh()))],
         )
         assert server.job_metrics(jids[0]).fidelity == "model"

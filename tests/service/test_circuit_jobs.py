@@ -290,7 +290,7 @@ class TestCacheAndDedupe:
         stats = server.run()
         assert stats.dedupe_hits == 1
         assert server.result(primary) == server.result(follower)
-        # Only the primary formed a batch.
+        # Only the primary executed.
         assert sum(b.jobs for b in stats.batches) == 1
 
     def test_failure_fans_out_to_dedupe_followers(self, logreg):

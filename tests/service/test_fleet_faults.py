@@ -121,7 +121,7 @@ class TestFaultSpec:
 
 class TestWorkerKilledMidBatch:
     def test_requeue_completes_bit_identical(self, stack):
-        """A worker killed mid-batch loses nothing: its jobs requeue to
+        """A worker killed mid-job loses nothing: its jobs requeue to
         the survivor and the respawned slot, and every result matches
         ground truth bit for bit (real separate interpreters)."""
         target = route_index(params_digest(PARAMS), 2)
@@ -369,8 +369,8 @@ class TestQuotaAdmission:
 
 class TestDeadlines:
     def test_queued_expiry_sheds_cleanly(self, stack):
-        """A job whose deadline lapses while queued is shed at batch-plan
-        time with the typed ``deadline expired`` failure — it never
+        """A job whose deadline lapses while queued is shed before the
+        next pick with the typed ``deadline expired`` failure — it never
         reaches a backend and never requeues."""
         server = FheServer(pool_size=2)
         sid = _open(server, stack)
@@ -392,16 +392,16 @@ class TestDeadlines:
         assert stats.jobs_completed + stats.jobs_failed == stats.jobs_submitted
 
     def test_follower_expiry_sheds_while_primary_in_flight(self, stack):
-        """A dedupe follower sits in no scheduler queue, so the batch-plan
+        """A dedupe follower sits in no scheduler queue, so the queued
         shed never visits it: when its deadline lapses while the primary
         is still working, the harvest sweep must fail it with the typed
         ``deadline expired`` error — mapping to client kind ``deadline``
         — instead of settling it late with the primary's result."""
-        server = FheServer(pool_size=2, max_batch=2)
+        server = FheServer(pool_size=2)
         sid = _open(server, stack)
         bfv, keys, encoder = stack
-        # Fillers occupy the first batch so the primary is still queued
-        # (in flight, not done) at the first harvest sweep.
+        # Fillers are picked first, so the primary is still queued (in
+        # flight, not done) at the first harvest sweep.
         live_checks = _mult_jobs(server, sid, stack, 2, seed=11)
         a = bfv.encrypt(encoder.encode([3] * PARAMS.n), keys.public)
         operands = (serialize_ciphertext(a), serialize_ciphertext(a))
@@ -411,7 +411,7 @@ class TestDeadlines:
         )
         assert server.job_metrics(doomed).dedupe_of == primary
         time.sleep(0.01)
-        server.tick()  # executes the filler batch, then sweeps followers
+        server.tick()  # executes one filler, then sweeps followers
         assert server.status(doomed) is JobStatus.FAILED
         message = server.job_error(doomed)
         assert message == "deadline expired awaiting deduped execution"

@@ -42,7 +42,7 @@ def _rotation_count(circuit) -> int:
 
 def _serve_packed(model, rotor, circuit, inputs) -> bytes:
     """One packed-circuit round trip through the serving stack."""
-    server = FheServer(pool_size=2, max_batch=4)
+    server = FheServer(pool_size=2)
     sid = server.open_session(
         "packed", serialize_params(model.params),
         relin_key=serialize_relin_key(model.keys.relin, model.params),

@@ -1,11 +1,11 @@
-"""Per-job settlement: a formed batch settles one job per scheduler tick.
+"""Per-job settlement: the scheduler settles one job per tick.
 
-The scheduler still packs compatible jobs into batches, but a
-synchronous backend runs them one at a time and each job completes at
-its own end — the host-side analogue of CoFHEE's per-command completion
+Each tick picks one queued job and a synchronous backend runs it to its
+own end — the host-side analogue of CoFHEE's per-command completion
 interrupt. These tests pin that down in-process (one ``tick()`` settles
-exactly one job, results and modelled cycles unchanged) and over a real
-socket (completion EVENTs stream out mid-batch, in dispatch order).
+exactly one job, results and modelled cycles unchanged, the jobs behind
+it still queued) and over a real socket (completion EVENTs stream out
+mid-wave, in dispatch order).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ WAVE = 4
 
 #: Modelled per-job cycles of one keyed EvalMult at these params on the
 #: chip pool: three Algorithm 3 towers plus the key-switch tail. They
-#: depend on the job alone, never on how the scheduler batched it.
+#: depend on the job alone, never on what else was queued with it.
 CHIP_TOWER_CYCLES = (1143, 1143, 1143)
 CHIP_RELIN_CYCLES = 5760
 EXPECTED_CYCLES = {
@@ -67,7 +67,7 @@ class TestInProcess:
     @pytest.mark.parametrize("backend", sorted(EXPECTED_CYCLES))
     def test_each_tick_settles_exactly_one_job(self, stack, backend):
         bfv, keys, pairs = stack
-        server = FheServer(pool_size=4, max_batch=WAVE, result_cache_size=0)
+        server = FheServer(pool_size=4, result_cache_size=0)
         sid = server.open_session(
             "t", serialize_params(PARAMS),
             relin_key=serialize_relin_key(keys.relin, PARAMS),
@@ -83,10 +83,8 @@ class TestInProcess:
             assert len(done) == tick, f"tick {tick} settled {done}"
             settled.append(next(j for j in done if j not in settled))
         assert not server.tick()
-        # One formed batch, settled in its dispatch order.
-        metrics = [server.job_metrics(j) for j in jids]
-        assert len({m.batch_id for m in metrics}) == 1
-        assert settled == sorted(
+        # Settled in dispatch order, which is submit order here.
+        assert settled == jids == sorted(
             jids, key=lambda j: server.job_metrics(j).dispatched_seq
         )
         cycles, towers, relin = EXPECTED_CYCLES[backend]
@@ -100,9 +98,9 @@ class TestInProcess:
             )
             assert m.relin_fidelity == "engine"
 
-    def test_result_returns_before_later_batch_siblings_run(self, stack):
+    def test_result_returns_before_later_queued_jobs_run(self, stack):
         bfv, keys, pairs = stack
-        server = FheServer(pool_size=4, max_batch=WAVE, result_cache_size=0)
+        server = FheServer(pool_size=4, result_cache_size=0)
         sid = server.open_session(
             "t", serialize_params(PARAMS),
             relin_key=serialize_relin_key(keys.relin, PARAMS),
@@ -113,12 +111,14 @@ class TestInProcess:
         ]
         server.result(jids[0])
         assert [server.status(j) for j in jids] == (
-            [JobStatus.DONE] + [JobStatus.RUNNING] * (WAVE - 1)
+            [JobStatus.DONE] + [JobStatus.QUEUED] * (WAVE - 1)
         )
+        depth = server.metrics.gauge("repro_queue_depth").value
+        assert depth == WAVE - 1
 
     def test_kth_job_waits_across_its_predecessors(self, stack):
         _, keys, pairs = stack
-        server = FheServer(pool_size=4, max_batch=WAVE, result_cache_size=0)
+        server = FheServer(pool_size=4, result_cache_size=0)
         sid = server.open_session(
             "t", serialize_params(PARAMS),
             relin_key=serialize_relin_key(keys.relin, PARAMS),
@@ -131,13 +131,15 @@ class TestInProcess:
         server.run()
         traces = [server.job_trace(j) for j in jids]
         for k in range(1, WAVE):
-            waits = [s for s in traces[k].spans if s.phase == "batch_wait"]
+            (wait,) = [s for s in traces[k].spans if s.phase == "queue_wait"]
             earlier = traces[k - 1]
-            # The wait covers the predecessor's whole execution window.
-            assert min(s.start for s in waits) <= earlier.spans[
+            # The wait runs from the job's own queueing to its own
+            # dispatch, so it covers the predecessor's whole execution.
+            assert wait.start == traces[k].queued_at
+            assert wait.start <= earlier.spans[
                 [s.phase for s in earlier.spans].index("execute")
             ].start
-            assert max(s.end for s in waits) >= earlier.done_at
+            assert wait.end >= earlier.done_at
         for trace in traces:
             top = [s.phase for s in trace.spans if s.parent == -1]
             assert "keyswitch" in top and top.index("keyswitch") > top.index(
@@ -146,13 +148,13 @@ class TestInProcess:
 
 
 class TestOverSocket:
-    def test_events_stream_mid_batch_in_dispatch_order(self, stack):
-        """Four SUBMITs land while the scheduler is held, so they form
-        one batch; released, each completion EVENT goes out before the
-        next job runs. The verdict reads trace timestamps, not wall-clock
-        thresholds, so host speed cannot change it."""
+    def test_events_stream_mid_wave_in_dispatch_order(self, stack):
+        """Four SUBMITs land while the scheduler is held; released, each
+        completion EVENT goes out before the next job runs. The verdict
+        reads trace timestamps, not wall-clock thresholds, so host speed
+        cannot change it."""
         bfv, keys, pairs = stack
-        fhe = FheServer(pool_size=4, max_batch=WAVE, result_cache_size=0)
+        fhe = FheServer(pool_size=4, result_cache_size=0)
         arrivals: list[str] = []
 
         async def scenario():
@@ -182,7 +184,6 @@ class TestOverSocket:
                 bfv.multiply_relin(a, b, keys.relin)
             )
         order = sorted(jids, key=lambda j: fhe.job_metrics(j).dispatched_seq)
-        assert len({fhe.job_metrics(j).batch_id for j in jids}) == 1
         assert arrivals == order
 
         def span(job_id, phase):

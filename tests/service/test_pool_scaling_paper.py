@@ -20,7 +20,7 @@ from repro.polymath.fastntt import RnsExactMultiplier
 from repro.service.backends import ChipPoolBackend
 from repro.service.jobs import Job, JobKind, JobStatus
 from repro.service.registry import SessionRegistry
-from repro.service.scheduler import BatchingScheduler
+from repro.service.scheduler import JobScheduler
 
 pytestmark = [pytest.mark.slow, pytest.mark.paper_scale]
 
@@ -57,8 +57,8 @@ def _run_pool(pool_size, params, keys, operands):
     # chip traffic and cycle accounting are unaffected.
     backend = ChipPoolBackend(pool_size=pool_size, engine="fast",
                               strict_fidelity=True)
-    scheduler = BatchingScheduler(
-        registry, {"chip_pool": backend}, default="chip_pool", max_batch=4,
+    scheduler = JobScheduler(
+        registry, {"chip_pool": backend}, default="chip_pool",
     )
     session = registry.open_session("paper", params, relin=keys.relin)
     jobs = [
@@ -86,7 +86,7 @@ def test_pool_of_four_halves_paper_scale_makespan(paper_world):
             assert len(m.tower_cycles) == TOWERS
             assert all(c > 0 for c in m.tower_cycles)
             assert m.cycles == sum(m.tower_cycles) + m.relin_cycles
-        # Conservative wall time: per-batch makespans add (gather barrier).
+        # Conservative wall time: per-job makespans add (gather barrier).
         makespan[size] = stats.makespan_cycles
         assert backend.wall_cycles <= stats.makespan_cycles
         results[size] = [

@@ -53,7 +53,7 @@ class TestCacheHits:
         first = server.submit(sid, JobKind.MULTIPLY, ops)
         wire_first = server.result(first)
         second = server.submit(sid, JobKind.MULTIPLY, ops)
-        # A hit completes at submit time: no poll needed, no batch formed.
+        # A hit completes at submit time: no poll needed, nothing executed.
         assert server.poll(second) is JobStatus.DONE
         assert server.result(second) == wire_first
         assert server.job_metrics(second).backend == "cache"

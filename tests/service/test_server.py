@@ -29,7 +29,7 @@ def client():
 
 @pytest.fixture
 def server():
-    return FheServer(pool_size=2, max_batch=4)
+    return FheServer(pool_size=2)
 
 
 def _open(server, client):

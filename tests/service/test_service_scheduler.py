@@ -1,4 +1,4 @@
-"""Batching scheduler: tenant fairness and chip-pool scaling."""
+"""Job scheduler: per-job tenant fairness and chip-pool scaling."""
 
 import random
 
@@ -8,7 +8,7 @@ from repro.bfv import BatchEncoder, Bfv, BfvParameters
 from repro.service.backends import ChipPoolBackend
 from repro.service.jobs import Job, JobKind, JobStatus
 from repro.service.registry import SessionRegistry
-from repro.service.scheduler import BatchingScheduler
+from repro.service.scheduler import JobScheduler
 
 PARAMS = BfvParameters.toy(n=16, log_q=80)
 
@@ -29,12 +29,11 @@ def client():
     return bfv, keys, fresh_ct
 
 
-def _service(pool_size=1, max_batch=4):
+def _service(pool_size=1):
     registry = SessionRegistry()
     backend = ChipPoolBackend(pool_size=pool_size)
-    scheduler = BatchingScheduler(
+    scheduler = JobScheduler(
         registry, {"chip_pool": backend}, default="chip_pool",
-        max_batch=max_batch,
     )
     return registry, backend, scheduler
 
@@ -57,46 +56,39 @@ class TestFairness:
         """A flooding tenant cannot push a light tenant to the back.
 
         heavy submits 20 jobs before light's 4; with fair round-robin
-        batching, light's last job must dispatch well before heavy's last.
+        picks, light's last job must dispatch well before heavy's last.
         """
-        registry, _, scheduler = _service(max_batch=4)
+        registry, _, scheduler = _service()
         heavy = _submit_jobs(registry, scheduler, client, "heavy", 20)
         light = _submit_jobs(registry, scheduler, client, "light", 4)
         scheduler.run_all()
         assert all(j.status is JobStatus.DONE for j in heavy + light)
         light_last = max(j.metrics.dispatched_seq for j in light)
         heavy_last = max(j.metrics.dispatched_seq for j in heavy)
-        # light's 4 jobs ride along in the first rotations: all of them
-        # must dispatch within the first half of the schedule.
+        # light's 4 jobs take every other pick from the start: all of
+        # them must dispatch within the first half of the schedule.
         assert light_last < heavy_last
         assert light_last <= len(heavy + light) // 2
 
-    def test_batches_interleave_tenants(self, client):
-        """Every early batch carries jobs from both tenants."""
-        registry, _, scheduler = _service(max_batch=4)
-        _submit_jobs(registry, scheduler, client, "a", 8)
-        _submit_jobs(registry, scheduler, client, "b", 8)
-        batches = []
-        while True:
-            formed = scheduler.next_batch()
-            if formed is None:
-                break
-            batches.append(formed[1])
-        for batch in batches:
-            assert {j.tenant for j in batch} == {"a", "b"}
+    def test_picks_interleave_tenants(self, client):
+        """Two equally loaded tenants alternate, one job per pick."""
+        registry, _, scheduler = _service()
+        jobs = _submit_jobs(registry, scheduler, client, "a", 8)
+        jobs += _submit_jobs(registry, scheduler, client, "b", 8)
+        scheduler.run_all()
+        order = sorted(jobs, key=lambda j: j.metrics.dispatched_seq)
+        assert [j.tenant for j in order] == ["a", "b"] * 8
 
     def test_rotation_lets_each_tenant_lead(self, client):
-        """Consecutive batches are led by different tenants."""
-        registry, _, scheduler = _service(max_batch=2)
-        _submit_jobs(registry, scheduler, client, "a", 4)
-        _submit_jobs(registry, scheduler, client, "b", 4)
-        leads = []
-        while True:
-            formed = scheduler.next_batch()
-            if formed is None:
-                break
-            leads.append(formed[1][0].tenant)
-        assert set(leads[:2]) == {"a", "b"}
+        """A tenant that queued last still gets the third pick of three."""
+        registry, _, scheduler = _service()
+        jobs = _submit_jobs(registry, scheduler, client, "a", 4)
+        jobs += _submit_jobs(registry, scheduler, client, "b", 4)
+        jobs += _submit_jobs(registry, scheduler, client, "c", 1)
+        scheduler.run_all()
+        order = sorted(jobs, key=lambda j: j.metrics.dispatched_seq)
+        assert [j.tenant for j in order[:3]] == ["a", "b", "c"]
+        assert [j.tenant for j in order[3:]] == ["a", "b"] * 3
 
 
 class TestPoolScaling:
@@ -106,7 +98,7 @@ class TestPoolScaling:
         wall = {}
         total = {}
         for size in (1, 4):
-            registry, backend, scheduler = _service(pool_size=size, max_batch=2)
+            registry, backend, scheduler = _service(pool_size=size)
             session = registry.open_session("acme", PARAMS, relin=keys.relin)
             for _ in range(8):
                 scheduler.submit(Job(
@@ -121,16 +113,16 @@ class TestPoolScaling:
         assert wall[4] < wall[1]
         assert wall[4] <= total[4] // 2  # at least 2x parallelism realized
 
-    def test_batches_spread_across_workers(self, client):
-        registry, backend, scheduler = _service(pool_size=4, max_batch=1)
+    def test_jobs_spread_across_workers(self, client):
+        registry, backend, scheduler = _service(pool_size=4)
         _submit_jobs(registry, scheduler, client, "acme", 8)
         scheduler.run_all()
         used = {w.index for w in backend.workers if w.busy_cycles > 0}
         assert len(used) == 4
 
     def test_twiddle_programming_amortized(self, client):
-        """Batched jobs on one digest program the modulus once per worker."""
-        registry, backend, scheduler = _service(pool_size=1, max_batch=8)
+        """Jobs on one digest program the modulus once per worker."""
+        registry, backend, scheduler = _service(pool_size=1)
         _submit_jobs(registry, scheduler, client, "acme", 6, kind=JobKind.MULTIPLY)
         scheduler.run_all()
         worker = backend.workers[0]
@@ -162,7 +154,7 @@ class TestFairnessUnderTowerSharding:
         return bfv, keys, fresh_ct
 
     def test_light_tenant_not_starved(self, client):
-        registry, backend, scheduler = _service(pool_size=4, max_batch=4)
+        registry, backend, scheduler = _service(pool_size=4)
         hbfv, hkeys, hfresh = self._heavy_client()
         heavy_session = registry.open_session(
             "heavy", self.RNS3, relin=hkeys.relin
@@ -196,7 +188,7 @@ class TestFairnessUnderTowerSharding:
 class TestFaultIsolation:
     def test_bad_job_fails_alone(self, client):
         bfv, keys, fresh_ct = client
-        registry, _, scheduler = _service(max_batch=4)
+        registry, _, scheduler = _service()
         session = registry.open_session("acme", PARAMS)  # no relin key!
         good = scheduler.submit(Job(
             session_id=session.session_id, tenant="acme",
@@ -217,7 +209,7 @@ class TestFaultIsolation:
         from repro.service.backends import default_app_params
 
         bfv, keys, fresh_ct = client
-        registry, _, scheduler = _service(max_batch=4)
+        registry, _, scheduler = _service()
         app = registry.open_session("acme", default_app_params(JobKind.LOGREG))
         bad = scheduler.submit(Job(
             session_id=app.session_id, tenant="acme",

@@ -48,8 +48,7 @@ def _server_with_jobs(backend="", n_jobs=3, pool_size=2, cache=0):
             keys.public,
         ))
 
-    server = FheServer(pool_size=pool_size, max_batch=4,
-                       result_cache_size=cache)
+    server = FheServer(pool_size=pool_size, result_cache_size=cache)
     sid = server.open_session(
         "t", serialize_params(PARAMS),
         relin_key=serialize_relin_key(keys.relin, PARAMS),
@@ -201,25 +200,24 @@ class TestServingTraces:
 
 
 class TestDedupeFanoutTraces:
-    """Regression: dedupe followers used to get an empty batch window.
+    """Regression: dedupe followers used to get an empty execution window.
 
     A follower attached to a primary's execution spent its whole wall
-    clock inside the primary's batch, but its own trace recorded none of
-    it — the profiler attributed everything to untraced time. Fan-out
-    now adopts the primary's batch-window spans, clipped at the moment
+    clock inside the primary's execution, but its own trace recorded none
+    of it — the profiler attributed everything to untraced time. Fan-out
+    now adopts the primary's execution-window spans, clipped at the moment
     the follower actually queued.
     """
 
     def test_adopt_clips_at_follower_queue_time(self):
         primary = JobTrace()
         primary.queued_at = 0.0
-        primary.mark("queue_wait", 0.0, 1.0)
-        primary.mark("batch_plan", 1.0, 2.0)
+        primary.mark("queue_wait", 0.0, 2.0)
         primary.mark("execute", 2.0, 10.0)
         follower = JobTrace()
         follower.queued_at = 4.0  # joined mid-execute
         copied = adopt_batch_spans(follower, primary)
-        # queue_wait and batch_plan ended before the follower existed.
+        # queue_wait ended before the follower existed.
         assert copied == 1
         (execute,) = follower.spans
         assert execute.phase == "execute"
@@ -229,7 +227,7 @@ class TestDedupeFanoutTraces:
         primary = JobTrace()
         primary.mark("execute", 5.0, 9.0)
         follower = JobTrace()
-        follower.queued_at = 3.0  # queued before the batch executed
+        follower.queued_at = 3.0  # queued before the primary executed
         assert adopt_batch_spans(follower, primary) == 1
         phases = [(s.phase, s.start, s.end) for s in follower.spans]
         assert ("execute", 5.0, 9.0) in phases
@@ -248,7 +246,7 @@ class TestDedupeFanoutTraces:
         wire = serialize_ciphertext(bfv.encrypt(
             encoder.encode(list(range(PARAMS.n))), keys.public
         ))
-        server = FheServer(pool_size=2, max_batch=4)
+        server = FheServer(pool_size=2)
         sid = server.open_session(
             "t", serialize_params(PARAMS),
             relin_key=serialize_relin_key(keys.relin, PARAMS),
@@ -264,7 +262,7 @@ class TestDedupeFanoutTraces:
         # The adopted window is the follower's own timeline: nothing
         # adopted starts before it queued.
         for span in follower.spans:
-            if span.phase in ("execute", "batch_wait", "gather_barrier"):
+            if span.phase in ("execute", "gather_barrier"):
                 assert span.start >= follower.queued_at
         # And the trace now explains most of the follower's latency.
         rows = aggregate_phases([follower])
@@ -311,7 +309,7 @@ class TestOverheadGate:
         bfv = Bfv(params, seed=7)
         keys = bfv.keygen(relin_digit_bits=20)
         encoder = BatchEncoder(params)
-        server = FheServer(pool_size=2, max_batch=4, result_cache_size=0)
+        server = FheServer(pool_size=2, result_cache_size=0)
         sid = server.open_session(
             "t", serialize_params(params),
             relin_key=serialize_relin_key(keys.relin, params),

@@ -127,7 +127,7 @@ class TestConcurrentClients:
                 )
 
         async def scenario():
-            async with FheTransportServer(pool_size=4, max_batch=4) as server:
+            async with FheTransportServer(pool_size=4) as server:
                 host, port = server.address
                 await asyncio.gather(*(
                     one_client(host, port, i) for i in range(N_CLIENTS)
@@ -204,7 +204,7 @@ class TestConcurrentClients:
 
         async def scenario():
             results: list[bool] = []
-            async with FheTransportServer(pool_size=2, max_batch=3) as server:
+            async with FheTransportServer(pool_size=2) as server:
                 host, port = server.address
                 await asyncio.gather(*(
                     hammer(host, port, i, results) for i in range(4)
@@ -221,7 +221,7 @@ class TestShutdown:
         bfv, keys, encoder, rotor = stack
 
         async def scenario():
-            server = FheTransportServer(pool_size=2, max_batch=2)
+            server = FheTransportServer(pool_size=2)
             host, port = await server.start()
             client = await AsyncFheClient.connect(host, port)
             sid = await client.open_session(

@@ -174,7 +174,7 @@ def _make_traffic(params, keys, n_mults, n_adds, seed=23):
 
 def _serve_once(params, keys, jobs, backend) -> float:
     """Wall seconds to drain a mixed workload through one backend."""
-    server = FheServer(pool_size=2, max_batch=4, result_cache_size=0)
+    server = FheServer(pool_size=2, result_cache_size=0)
     sid = server.open_session(
         "bench", serialize_params(params),
         relin_key=serialize_relin_key(keys.relin, params),

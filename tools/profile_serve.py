@@ -12,7 +12,7 @@ row saying how much of the measured latency the spans explain.
 This is the tool the tracing subsystem exists for: BENCH_kernels.json
 says the kernels got 16-27x faster while ``serve_job`` improved ~2-2.6x,
 and this table shows where the remaining serving time actually goes
-(queue wait? batch planning? the gather barrier? serialization?) per
+(queue wait? the gather barrier? the key switch? serialization?) per
 backend, so the next perf PR can aim at the biggest bar instead of
 guessing.
 
@@ -23,14 +23,14 @@ break the build, not silently shrink the table.
 
 It also gates the chip-pool **relinearization share**: the combined
 ``relin_tail`` + ``keyswitch`` seconds as a percent of job *busy* time
-(every phase except ``queue_wait`` and ``batch_wait``) must stay at or
+(every phase except ``queue_wait``) must stay at or
 below the share recorded in the previous ``BENCH_serve_phases.json``
 (read *before* this run overwrites it), plus a small noise slack.
 Dividing by busy time rather than latency keeps the gate about the key
 switch: a change that only removes waiting shrinks latency and would
 otherwise raise the share with no key switch getting slower. Each
-table also prints the waiting share, ``queue_wait`` + ``batch_wait`` as
-a percent of latency.
+table also prints the waiting share, ``queue_wait`` as a percent of
+latency.
 
 Run via ``tools/run_checks.sh --obs`` (smoke scale) or directly with
 ``PYTHONPATH=src python tools/profile_serve.py``.
@@ -70,7 +70,7 @@ GATE_COVERAGE_PERCENT = 90.0
 GATE_RELIN_SHARE_SLACK_POINTS = 1.0
 
 #: Phases that are waiting rather than work on the job.
-WAIT_PHASES = ("queue_wait", "batch_wait")
+WAIT_PHASES = ("queue_wait",)
 
 BACKENDS = ("software", "chip_pool")
 
@@ -110,11 +110,9 @@ def _make_workload(params, keys, *, mults, adds, circuits, seed=29):
     return jobs
 
 
-def profile_backend(backend, params, keys, jobs, *, pool_size, max_batch):
+def profile_backend(backend, params, keys, jobs, *, pool_size):
     """Run the workload on one backend; return (rows, wall_seconds)."""
-    server = FheServer(
-        pool_size=pool_size, max_batch=max_batch, result_cache_size=0
-    )
+    server = FheServer(pool_size=pool_size, result_cache_size=0)
     sid = server.open_session(
         "profiler", serialize_params(params),
         relin_key=serialize_relin_key(keys.relin, params),
@@ -162,7 +160,7 @@ def _relin_share(rows, backend="chip_pool") -> float:
 
 
 def _wait_share(rows) -> float:
-    """queue_wait + batch_wait as a percent of job latency."""
+    """The :data:`WAIT_PHASES` as a percent of job latency."""
     return sum(r["percent"] for r in rows if r["phase"] in WAIT_PHASES)
 
 
@@ -179,7 +177,7 @@ def print_table(backend, rows, wall):
             f"  {r['phase']:<16} {r['seconds'] * 1e3:>10.3f} "
             f"{r['percent']:>13.1f}% {r['spans']:>7}  {marker}"
         )
-    print(f"  waiting (queue_wait + batch_wait): {_wait_share(rows):.1f}% "
+    print(f"  waiting (queue_wait): {_wait_share(rows):.1f}% "
           "of job latency")
 
 
@@ -194,8 +192,6 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--pool", type=int, default=4, metavar="W",
                         help="chip pool size (default 4)")
-    parser.add_argument("--max-batch", type=int, default=4, metavar="N",
-                        help="scheduler batch size (default 4)")
     args = parser.parse_args(argv)
 
     if args.smoke:
@@ -220,8 +216,7 @@ def main(argv=None) -> int:
     failures = []
     for backend in BACKENDS:
         rows, wall = profile_backend(
-            backend, params, keys, jobs,
-            pool_size=args.pool, max_batch=args.max_batch,
+            backend, params, keys, jobs, pool_size=args.pool,
         )
         print_table(backend, rows, wall)
         coverage = rows[-1]["percent"]

@@ -37,12 +37,14 @@
 #                                    # (skewed hot tenant, >= 1.3x gate)
 #   tools/run_checks.sh --layered    # also the layered serving benchmark's
 #                                    # own stage: its contract/estimator
-#                                    # tests (bench/tests) + the dense16 and
-#                                    # tcp_wave4 workloads at toy degree
-#                                    # (--quick; the exit status gates
-#                                    # correctness — every result
-#                                    # decrypt-checked, including the EVENTs
-#                                    # streamed mid-batch — not timing)
+#                                    # tests (bench/tests) + the dense16,
+#                                    # tcp_wave4 and fleet_wave2 workloads
+#                                    # at toy degree (--quick; the exit
+#                                    # status gates correctness — every
+#                                    # result decrypt-checked, including
+#                                    # the EVENTs streamed mid-wave and the
+#                                    # jobs the fleet dispatches one by one
+#                                    # to worker processes — not timing)
 #   tools/run_checks.sh --slow       # also the paper-scale suites
 #                                    # (n = 2^12 pool scaling, n = 2^13 serving)
 #   tools/run_checks.sh --cov        # also the line-coverage stage: the
@@ -191,10 +193,11 @@ fi
 
 if [ "$RUN_LAYERED" = 1 ]; then
   echo
-  echo "== layered serving benchmark (bench/tests + dense16 + tcp_wave4 at toy degree) =="
+  echo "== layered serving benchmark (bench/tests + dense16 + tcp_wave4 + fleet_wave2 at toy degree) =="
   python -m pytest bench/tests -q
   python3 bench/run.py --quick --workload dense16_inproc_serial --seed 1
   python3 bench/run.py --quick --workload evalmult_tcp_wave4 --seed 1
+  python3 bench/run.py --quick --workload evalmult_fleet_wave2 --seed 1
 fi
 
 if [ "$RUN_COV" = 1 ]; then
