@@ -20,10 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from repro.bfv.params import BfvParameters
 from repro.polymath.engine import BatchedRnsEngine, get_engine, require_engine
 from repro.polymath.ntt import NttContext
-from repro.polymath.rns import RnsBasis
+from repro.polymath.rns import RnsBasis, residue_words
 
 #: The evaluation CPU (Section VI-B).
 CPU_NAME = "AMD Ryzen 7 5800h"
@@ -75,10 +77,6 @@ class SoftwareBfv:
             self._ctx = {q: NttContext(n, q) for q in basis.moduli}
         else:
             self._ctx = {}
-        # Full-stack tensor memo for the per-tower cross-check: keyed by
-        # the identity of the four operand coefficient tuples, holding the
-        # operands so the ids stay valid for the entry's lifetime.
-        self._tensor_memo: dict[tuple[int, int, int, int], tuple] = {}
         self.tower_ops = {"ntt": 0, "intt": 0, "hadamard": 0, "add": 0}
 
     @property
@@ -94,10 +92,8 @@ class SoftwareBfv:
     ) -> list[list[int]]:
         """The Eq. 4 tensor on one tower: ``[y0, y1, y2]`` mod ``q``.
 
-        This is the per-tower ground truth the chip pool cross-checks each
-        worker's Algorithm 3 output against. On the batched path the tower
-        runs as a degenerate single-row stack through a view that shares
-        the full engine's precomputation.
+        On the batched path this computes the whole tower stack and keeps
+        row ``q``; callers wanting every tower use :meth:`tensor_towers`.
         """
         if q not in self._tower_index:
             raise ValueError(f"modulus {q} is not a tower of {self.basis!r}")
@@ -123,32 +119,38 @@ class SoftwareBfv:
         ]
 
     def _full_tensor(self, ct_a, ct_b):
-        """Memoized full-stack tensor backing the per-tower cross-check.
-
-        The chip pool calls :meth:`tower_multiply` once per tower with the
-        *same* ciphertext pair (one work unit per tower). Computing the
-        tensor over the whole tower stack once and slicing per call turns
-        L single-tower engine passes into one batched pass. Entries are
-        keyed by operand identity (the coefficient tuples of a ciphertext
-        are stable) and hold the operands so the ids cannot be recycled.
-        """
-        key = (id(ct_a[0]), id(ct_a[1]), id(ct_b[0]), id(ct_b[1]))
-        hit = self._tensor_memo.get(key)
-        if hit is not None and all(
-            x is y for x, y in zip(hit[0], (ct_a[0], ct_a[1], ct_b[0], ct_b[1]))
-        ):
-            return hit[1]
+        """The engine's full-stack tensor of two big-modulus ciphertexts."""
         eng = self._engine
-        y = eng.tensor(
-            eng.decompose(ct_a[0]),
-            eng.decompose(ct_a[1]),
-            eng.decompose(ct_b[0]),
-            eng.decompose(ct_b[1]),
-        )
-        if len(self._tensor_memo) >= 8:
-            self._tensor_memo.pop(next(iter(self._tensor_memo)))
-        self._tensor_memo[key] = ((ct_a[0], ct_a[1], ct_b[0], ct_b[1]), y)
-        return y
+        return eng.tensor(*(eng.decompose(p) for p in (*ct_a, *ct_b)))
+
+    def tensor_towers(
+        self,
+        ct_a: tuple[Sequence[int], Sequence[int]],
+        ct_b: tuple[Sequence[int], Sequence[int]],
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Operand residues and the Eq. 4 tensor on every tower at once.
+
+        Returns ``(operands, outputs)``: the ``(4, L, n)`` tower residues
+        of ``a0, a1, b0, b1`` and the ``(3, L, n)`` outputs ``y0, y1, y2``,
+        row ``i`` of each belonging to tower ``i``. This is what the chip
+        pool loads into its workers and cross-checks them against: each
+        operand is reduced once per job, not once per tower.
+        """
+        if self._engine is None:
+            operands = np.stack([
+                np.stack([residue_words(poly, q) for q in self.basis.moduli])
+                for poly in (*ct_a, *ct_b)
+            ])
+            outputs = [
+                self.tower_multiply(q, ct_a, ct_b) for q in self.basis.moduli
+            ]
+            return operands, np.asarray(outputs, dtype=operands.dtype).swapaxes(0, 1)
+        eng = self._engine
+        self._count_tensor_ops(towers=eng.num_towers)
+        a = [eng.decompose(p) for p in ct_a]
+        b = a if ct_b is ct_a else [eng.decompose(p) for p in ct_b]
+        outputs = np.stack(eng.tensor(*a, *b))
+        return np.stack(a + b).astype(np.uint64), outputs.astype(np.uint64)
 
     def ciphertext_multiply(
         self,

@@ -15,6 +15,9 @@ per-cycle arbitration check used by the MDMC/DMA overlap logic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
+
+import numpy as np
 
 from repro.core.errors import BusError
 from repro.core.memory import MemoryMap
@@ -119,21 +122,29 @@ class AhbLiteBus:
         return 1
 
     def burst_read(self, address: int, beats: int) -> tuple[list[int], int]:
-        """Incrementing burst read. Returns ``(values, cycles)``.
+        """Incrementing burst read. Returns ``(values, cycles)``."""
+        words, cycles = self.burst_read_words(address, beats)
+        return words.tolist(), cycles
+
+    def burst_read_words(self, address: int, beats: int) -> tuple[np.ndarray, int]:
+        """:meth:`burst_read` returning the bank's word array (a copy).
 
         Bursts are split into 8-beat AHB INCR8 segments, each paying one
         re-arbitration cycle (the ``n/8`` overhead visible in Table V's
         pointwise timings).
         """
         bank, _, word = self.memory_map.decode(address)
-        values = bank.read_block(word, beats)
+        words = bank.read_words(word, beats)
         segments = -(-beats // BURST_BEATS)
         self.stats.burst_transfers += segments
         self.stats.beats += beats
-        return values, beats + segments * BURST_OVERHEAD + bank.read_latency
+        return words, beats + segments * BURST_OVERHEAD + bank.read_latency
 
-    def burst_write(self, address: int, values: list[int]) -> int:
-        """Incrementing burst write. Returns cycle cost."""
+    def burst_write(self, address: int, values: "Sequence[int] | np.ndarray") -> int:
+        """Incrementing burst write (a list of ints or a word array).
+
+        Returns the cycle cost.
+        """
         bank, _, word = self.memory_map.decode(address)
         bank.write_block(word, values)
         segments = -(-len(values) // BURST_BEATS)

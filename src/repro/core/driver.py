@@ -24,6 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
+import numpy as np
+
 from repro.core.chip import CoFHEE
 from repro.core.cm0 import Cm0Program
 from repro.core.errors import CapacityError, ConfigError
@@ -33,7 +35,7 @@ from repro.core.power import PowerReport
 from repro.polymath.bitrev import bit_reverse_indices
 from repro.polymath.modmath import modinv
 from repro.polymath.ntt import NttContext
-from repro.polymath.rns import RnsBasis
+from repro.polymath.rns import RnsBasis, residue_words
 
 EXECUTION_MODES = ("direct", "fifo", "cm0")
 
@@ -151,10 +153,10 @@ class CofheeDriver:
     def ensure_programmed(self, q: int, n: int) -> float:
         """Program ``(q, n)`` only when it differs from the current state.
 
-        The batched per-tower entry point: a worker sweeping a batch of
-        same-modulus tower work units pays the twiddle download once, and a
-        worker that kept a modulus programmed from the previous batch pays
-        nothing. Returns the host-link seconds spent (0.0 on a hit).
+        The per-tower entry point: a worker whose previous tower unit
+        (of this job or an earlier one) ran on the same modulus keeps it
+        programmed and pays no twiddle download. Returns the host-link
+        seconds spent (0.0 on a hit).
         """
         if self._programmed == (q, n):
             return 0.0
@@ -198,17 +200,29 @@ class CofheeDriver:
     # Data movement (host link accounting)
     # ------------------------------------------------------------------
 
-    def load_polynomial(self, name: str, coeffs: Sequence[int]) -> float:
-        """Download a polynomial into an on-chip buffer; returns seconds."""
+    def load_polynomial(
+        self, name: str, coeffs: "Sequence[int] | np.ndarray"
+    ) -> float:
+        """Download a polynomial into an on-chip buffer; returns seconds.
+
+        Coefficients are reduced mod the programmed ``q``. An unsigned
+        word array that already holds residues (the chip pool hands each
+        tower its row of a once-per-job reduction) is written as it is.
+        """
         if len(coeffs) != self._n:
             raise ConfigError(f"expected {self._n} coefficients, got {len(coeffs)}")
-        q = self.chip.programmed_q
-        self.chip.bus.burst_write(self.buffer_address(name), [c % q for c in coeffs])
+        words = residue_words(coeffs, self.chip.programmed_q)
+        self.chip.bus.burst_write(self.buffer_address(name), words)
         return self.link.send_polynomial(self._n)
 
     def read_polynomial(self, name: str) -> tuple[list[int], float]:
         """Read a buffer back to the host; returns ``(coeffs, seconds)``."""
-        data, _ = self.chip.bus.burst_read(self.buffer_address(name), self._n)
+        words, seconds = self.read_words(name)
+        return words.tolist(), seconds
+
+    def read_words(self, name: str) -> tuple[np.ndarray, float]:
+        """:meth:`read_polynomial` as a copy of the bank's word array."""
+        data, _ = self.chip.bus.burst_read_words(self.buffer_address(name), self._n)
         return data, self.link.receive_polynomial(self._n)
 
     # ------------------------------------------------------------------
@@ -369,7 +383,7 @@ class CofheeDriver:
         it (see :meth:`ensure_programmed`), reduces both input ciphertexts
         mod ``q``, runs the Eq. 4 tensor command stream, and reads the
         three outputs back. This is the work unit a tower-sharded pool
-        dispatches: a worker sweeping many same-modulus units in a batch
+        dispatches: a worker that runs consecutive units on one modulus
         pays the twiddle download once.
 
         Returns:
@@ -377,6 +391,17 @@ class CofheeDriver:
             report's ``io_seconds`` includes any reprogramming plus the
             polynomial loads/readbacks.
         """
+        outs, report = self.ciphertext_multiply_tower_words(ct_a, ct_b, q, **kw)
+        return [y.tolist() for y in outs], report
+
+    def ciphertext_multiply_tower_words(
+        self,
+        ct_a: "tuple[Sequence[int], Sequence[int]] | np.ndarray",
+        ct_b: "tuple[Sequence[int], Sequence[int]] | np.ndarray",
+        q: int,
+        **kw,
+    ) -> tuple[list[np.ndarray], OperationReport]:
+        """:meth:`ciphertext_multiply_tower` with the outputs as word arrays."""
         io = self.ensure_programmed(q, len(ct_a[0]))
         names = self.buffer_names
         if len(names) < 6:
@@ -394,7 +419,7 @@ class CofheeDriver:
         )
         outs = []
         for name in (y0, y1, y2):
-            data, dt = self.read_polynomial(name)
+            data, dt = self.read_words(name)
             io += dt
             outs.append(data)
         report.io_seconds += io

@@ -17,11 +17,15 @@ actually checkable, and tracks access counts for the power model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
+
+import numpy as np
 
 from repro.core.errors import MemoryFault
 
 WORD_BITS = 128
 WORD_MASK = (1 << WORD_BITS) - 1
+_U64_MAX = (1 << 64) - 1
 
 
 @dataclass
@@ -38,6 +42,12 @@ class SramStats:
 
 class SramBank:
     """One logical SRAM bank of 128-bit words.
+
+    The words live in one numpy array. Its dtype is ``uint64`` while
+    every stored word fits 64 bits, which is the whole life of a bank
+    under a word-sized modulus. The first write of a wider word (a
+    ``PMUL`` 128-bit product, or residues of a modulus >= 2^64) promotes
+    the bank, once, to ``object`` dtype holding exact Python integers.
 
     Args:
         name: bank identifier (e.g. ``"DP0"``).
@@ -56,7 +66,7 @@ class SramBank:
         self.words = words
         self.ports = ports
         self.read_latency = read_latency
-        self.data: list[int] = [0] * words
+        self.data = np.zeros(words, dtype=np.uint64)
         self.stats = SramStats()
 
     @property
@@ -74,7 +84,7 @@ class SramBank:
     def read(self, addr: int) -> int:
         self._check(addr)
         self.stats.reads += 1
-        return self.data[addr]
+        return int(self.data[addr])
 
     def write(self, addr: int, value: int) -> None:
         self._check(addr)
@@ -82,32 +92,60 @@ class SramBank:
             raise MemoryFault(
                 f"{self.name}: value does not fit in a {WORD_BITS}-bit word"
             )
+        if value > _U64_MAX:
+            self._promote()
         self.stats.writes += 1
         self.data[addr] = value
 
     def read_block(self, addr: int, count: int) -> list[int]:
         """Burst read ``count`` consecutive words."""
+        return self.read_words(addr, count).tolist()
+
+    def read_words(self, addr: int, count: int) -> np.ndarray:
+        """Burst read as a word array: a copy in the bank's dtype."""
         self._check(addr)
         self._check(addr + count - 1)
         self.stats.reads += count
-        return self.data[addr : addr + count]
+        return self.data[addr : addr + count].copy()
 
-    def write_block(self, addr: int, values: list[int]) -> None:
-        """Burst write consecutive words."""
-        if not values:
+    def write_block(self, addr: int, values: "Sequence[int] | np.ndarray") -> None:
+        """Burst write consecutive words (a list of ints or a word array)."""
+        if not len(values):
             return
         self._check(addr)
         self._check(addr + len(values) - 1)
-        if min(values) < 0 or max(values) > WORD_MASK:
-            raise MemoryFault(
-                f"{self.name}: value does not fit in a {WORD_BITS}-bit word"
-            )
-        self.stats.writes += len(values)
-        self.data[addr : addr + len(values)] = values
+        words = self._as_words(values)
+        if words.dtype == object:
+            self._promote()
+        self.stats.writes += len(words)
+        self.data[addr : addr + len(words)] = words
 
     def accesses_per_cycle(self) -> int:
         """Operand fetch/store slots available each cycle."""
         return self.ports
+
+    def _as_words(self, values: "Sequence[int] | np.ndarray") -> np.ndarray:
+        """Range-check ``values`` as 128-bit words; ``uint64`` where they fit.
+
+        An unsigned-integer array needs no check at all; a signed one only
+        a sign check. Anything else is checked exactly as Python integers.
+        """
+        if isinstance(values, np.ndarray) and values.dtype.kind in "ui":
+            if values.dtype.kind == "i" and values.min() < 0:
+                raise MemoryFault(f"{self.name}: negative word")
+            return values.astype(np.uint64, copy=False)
+        words = np.array(values, dtype=object)
+        lo, hi = words.min(), words.max()
+        if lo < 0 or hi > WORD_MASK:
+            raise MemoryFault(
+                f"{self.name}: value does not fit in a {WORD_BITS}-bit word"
+            )
+        return words if hi > _U64_MAX else words.astype(np.uint64)
+
+    def _promote(self) -> None:
+        """Widen the bank to exact Python-integer words (idempotent)."""
+        if self.data.dtype != object:
+            self.data = self.data.astype(object)
 
     def _check(self, addr: int) -> None:
         if addr < 0 or addr >= self.words:

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 from repro.polymath.modmath import modinv
 from repro.polymath.primes import next_smaller_ntt_prime, ntt_friendly_prime
 
@@ -113,6 +115,22 @@ class RnsBasis:
     def __repr__(self) -> str:
         bits = [m.bit_length() for m in self.moduli]
         return f"RnsBasis({len(self.moduli)} towers, bits={bits})"
+
+
+def residue_words(coeffs: "Sequence[int] | np.ndarray", q: int) -> np.ndarray:
+    """``coeffs`` mod ``q`` as a word array: ``uint64`` while ``q`` fits 64
+    bits, exact Python integers otherwise.
+
+    An unsigned array already below ``q`` comes back as is, and one with a
+    word ``>= q`` takes one ``uint64`` ``%`` pass. Anything else (Python
+    ints of any size, signed or object arrays) takes one exact ``%`` pass
+    over Python integers.
+    """
+    narrow = q.bit_length() <= 64
+    if narrow and isinstance(coeffs, np.ndarray) and coeffs.dtype.kind == "u":
+        return coeffs if int(coeffs.max()) < q else coeffs % np.uint64(q)
+    words = np.asarray(coeffs, dtype=object) % q
+    return words.astype(np.uint64) if narrow else words
 
 
 def shard_towers(num_towers: int, num_shards: int) -> list[list[int]]:

@@ -28,6 +28,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.apps.costmodel import CofheeAppCost, CpuAppCost, Workload
 from repro.apps.cryptonets import MiniCryptoNets
 from repro.apps.logreg import MiniLogisticRegression
@@ -425,22 +427,22 @@ class ChipWorker:
 
     @property
     def programmed(self) -> tuple[int, int] | None:
-        """The driver's currently programmed ``(q, n)`` (batch amortization)."""
+        """The driver's currently programmed ``(q, n)`` (the affinity the
+        tower planner uses to skip a twiddle download)."""
         return self.driver.programmed
 
     def run_tower(
-        self,
-        ct_a: tuple[list[int], list[int]],
-        ct_b: tuple[list[int], list[int]],
-        q: int,
-    ) -> tuple[list[list[int]], int]:
+        self, ct_a: np.ndarray, ct_b: np.ndarray, q: int,
+    ) -> tuple[list[np.ndarray], int]:
         """Execute one tower's Algorithm 3 on this chip; returns (outs, cycles).
 
-        Reprogramming is amortized by the driver (a worker sweeping many
-        same-modulus work units pays the twiddle download once); compute
-        cycles land on ``busy_cycles`` and host-link time on ``io_seconds``.
+        ``ct_a``/``ct_b`` are the operands' ``(2, n)`` residues mod ``q``.
+        Reprogramming is amortized by the driver (a worker running
+        consecutive units on one modulus pays the twiddle download once);
+        compute cycles land on ``busy_cycles`` and host-link time on
+        ``io_seconds``.
         """
-        outs, report = self.driver.ciphertext_multiply_tower(ct_a, ct_b, q)
+        outs, report = self.driver.ciphertext_multiply_tower_words(ct_a, ct_b, q)
         self.io_seconds += report.io_seconds
         self.busy_cycles += report.cycles
         return outs, report.cycles
@@ -720,6 +722,8 @@ class ChipPoolBackend(Backend):
         # completes in the schedule.
         clock = {w.index: w.busy_cycles for w in self.workers}
         finish: dict[int, int] = {}
+        # Per unit: operand residues and reference outputs on every tower.
+        towers_of: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         remaining = list(range(len(tensors)))
         while remaining:
             t_plan = time.perf_counter()
@@ -746,9 +750,11 @@ class ChipPoolBackend(Backend):
                 worker = self.workers[widx]
                 for item in plan[widx]:
                     unit = item.job_seq  # item keys are unit ids
-                    _step, a, b = tensors[unit]
+                    if unit not in towers_of:
+                        _step, a, b = tensors[unit]
+                        towers_of[unit] = self._tower_operands(session, a, b)
                     outs, cycles = self._run_tower_checked(
-                        worker, session, a, b, item
+                        worker, *towers_of[unit], item
                     )
                     gather.put(unit, item.tower, outs)
                     unit_cycles[unit][item.tower] = cycles
@@ -921,24 +927,35 @@ class ChipPoolBackend(Backend):
                 producers.append({unit})
         return deps
 
-    def _run_tower_checked(
-        self, worker: ChipWorker, session: Session, a: Ciphertext,
-        b: Ciphertext, item
-    ) -> tuple[list[list[int]], int]:
-        """One tower's Algorithm 3 on ``worker``, cross-checked mod q_i.
+    def _tower_operands(
+        self, session: Session, a: Ciphertext, b: Ciphertext
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """A tensor unit's ``(4, L, n)`` operand residues and ``(3, L, n)``
+        mod-q reference outputs, reduced once for every tower.
 
         ``a``/``b`` are the tensor's 2-component operands — a raw job's
         uploaded ciphertexts, or a circuit step's (possibly intermediate)
-        values. SQUARE runs the same command stream with both inputs
-        bound to the one operand (the Eq. 4 tensor with ``a == b``).
+        values. SQUARE binds both inputs to the one operand (the Eq. 4
+        tensor with ``a == b``).
         """
         ct_a = (a.polys[0].coeffs, a.polys[1].coeffs)
-        ct_b = (b.polys[0].coeffs, b.polys[1].coeffs)
-        outs, cycles = worker.run_tower(ct_a, ct_b, item.modulus)
-        expected = self._reference_for(session).tower_multiply(
-            item.modulus, ct_a, ct_b
-        )
-        if outs != expected:
+        ct_b = ct_a if b is a else (b.polys[0].coeffs, b.polys[1].coeffs)
+        return self._reference_for(session).tensor_towers(ct_a, ct_b)
+
+    def _run_tower_checked(
+        self, worker: ChipWorker, operands: np.ndarray, expected: np.ndarray,
+        item,
+    ) -> tuple[list[np.ndarray], int]:
+        """One tower's Algorithm 3 on ``worker``, cross-checked mod q_i.
+
+        Row ``item.tower`` of :meth:`_tower_operands`' arrays is this
+        tower's input and ground truth.
+        """
+        rows = operands[:, item.tower]
+        outs, cycles = worker.run_tower(rows[:2], rows[2:], item.modulus)
+        if not all(
+            np.array_equal(y, e) for y, e in zip(outs, expected[:, item.tower])
+        ):
             raise BackendError(
                 f"chip {worker.index} mod-q tensor diverged from the "
                 f"software reference on tower {item.tower} "

@@ -1,5 +1,6 @@
 """Unit tests for the software baseline (SEAL-style execution + CPU model)."""
 
+import numpy as np
 import pytest
 
 from repro.baselines.software import CpuCostModel, SoftwareBfv
@@ -41,6 +42,29 @@ class TestSoftwareBfv:
             "ntt": 4 * towers, "hadamard": 4 * towers,
             "add": towers, "intt": 3 * towers,
         }
+
+    @pytest.mark.parametrize("engine,bits", [
+        ("batched", 20), ("pure", 20), ("pure", 36), ("pure", 70),
+    ])
+    def test_tensor_towers_rows_are_per_tower(self, rng, engine, bits):
+        """Row ``i`` of both arrays is tower ``i``: the operands reduced mod
+        ``q_i`` and ``tower_multiply(q_i)``; ``uint64`` unless a modulus
+        is wider than 64 bits."""
+        n = 16
+        basis = RnsBasis(plan_towers(2 * bits, bits, n))
+        sw = SoftwareBfv(basis, n, engine=engine)
+        big_q = basis.modulus
+        ca = tuple([rng.randrange(big_q) for _ in range(n)] for _ in range(2))
+        cb = tuple([rng.randrange(big_q) for _ in range(n)] for _ in range(2))
+        operands, outputs = sw.tensor_towers(ca, cb)
+        assert operands.shape == (4, len(basis), n)
+        assert outputs.shape == (3, len(basis), n)
+        assert outputs.dtype == (object if bits > 64 else np.uint64)
+        for i, q in enumerate(basis.moduli):
+            assert operands[:, i].tolist() == [
+                [c % q for c in poly] for poly in (*ca, *cb)
+            ]
+            assert outputs[:, i].tolist() == sw.tower_multiply(q, ca, cb)
 
 
 class TestCpuCostModel:

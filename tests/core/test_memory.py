@@ -1,7 +1,9 @@
 """Unit tests for the SRAM bank model and memory map."""
 
+import numpy as np
 import pytest
 
+from repro.core.bus import AhbLiteBus
 from repro.core.errors import MemoryFault
 from repro.core.memory import MemoryMap, SramBank, WORD_BITS
 
@@ -51,6 +53,67 @@ class TestSramBank:
         bank = SramBank("T", 8192, ports=2)
         assert bank.bytes == 8192 * 16
         assert bank.accesses_per_cycle() == 2
+
+
+@pytest.fixture(params=["uint64", "object"])
+def bank(request):
+    """A 16-word bank in each storage dtype: untouched (``uint64``), or
+    promoted by a word wider than 64 bits parked in its last slot."""
+    bank = SramBank("T", 16, ports=1)
+    if request.param == "object":
+        bank.write(15, 1 << 100)
+    assert bank.data.dtype == request.param
+    return bank
+
+
+class TestBankBoundaries:
+    """Every dtype keeps the 128-bit word contract."""
+
+    def test_out_of_range_address(self, bank):
+        for op in (
+            lambda: bank.read(16),
+            lambda: bank.write(16, 1),
+            lambda: bank.read_block(14, 3),
+            lambda: bank.write_block(14, [1, 2, 3]),
+            lambda: bank.write_block(-1, [1]),
+        ):
+            with pytest.raises(MemoryFault, match="out of range"):
+                op()
+
+    @pytest.mark.parametrize("bad", [-1, 1 << WORD_BITS])
+    def test_unrepresentable_word_faults(self, bank, bad):
+        before = bank.read_block(0, 16)
+        with pytest.raises(MemoryFault):
+            bank.write(0, bad)
+        with pytest.raises(MemoryFault):
+            bank.write_block(0, [1, bad, 2])
+        assert bank.read_block(0, 16) == before
+
+    def test_negative_array_faults(self, bank):
+        with pytest.raises(MemoryFault):
+            bank.write_block(0, np.array([1, -1], dtype=np.int64))
+
+    def test_wide_word_promotes_and_reads_back_exactly(self, bank):
+        wide = (1 << 64) + 1
+        bank.write(0, wide)
+        bank.write_block(1, [wide + 1, 7])
+        assert bank.data.dtype == object
+        assert bank.read(0) == wide
+        assert bank.read_block(0, 3) == [wide, wide + 1, 7]
+
+    def test_block_reads_return_python_ints(self, bank):
+        bank.write_block(0, np.arange(4, dtype=np.uint64))
+        for words in (
+            bank.read_block(0, 16),
+            AhbLiteBus(_map_with(bank)).burst_read(MemoryMap.SRAM_BASE, 16)[0],
+        ):
+            assert [type(w) for w in words] == [int] * 16
+            assert words[:4] == [0, 1, 2, 3]
+
+
+def _map_with(bank: SramBank) -> MemoryMap:
+    """A memory map whose only (hence first-decoded) bank is ``bank``."""
+    return MemoryMap(single_port=[bank])
 
 
 class TestMemoryMap:

@@ -222,3 +222,22 @@ class TestFaultIsolation:
         scheduler.run_all()
         assert bad.status is JobStatus.FAILED
         assert good.status is JobStatus.DONE and good.result["verified"]
+
+    @pytest.mark.parametrize("kind", [JobKind.MULTIPLY, JobKind.SQUARE])
+    def test_datapath_fault_fails_the_job(self, client, monkeypatch, kind):
+        """One flipped readback word on the chip trips the mod-q
+        cross-check: the job fails, it does not return a wrong result."""
+        registry, backend, scheduler = _service()
+        driver = backend.workers[0].driver
+        read_words = driver.read_words
+
+        def corrupted(name):
+            words, seconds = read_words(name)
+            words[0] ^= 1
+            return words, seconds
+
+        monkeypatch.setattr(driver, "read_words", corrupted)
+        job, = _submit_jobs(registry, scheduler, client, "acme", 1, kind=kind)
+        scheduler.run_all()
+        assert job.status is JobStatus.FAILED
+        assert "datapath fault" in job.error

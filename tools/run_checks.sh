@@ -159,7 +159,9 @@ echo "== tier-1 test suite =="
 # Includes the transport concurrency battery (tests/service/test_transport.py),
 # the frame-fuzz suite (tests/property/test_property_transport.py), the
 # circuit wire-format fuzz suite (tests/property/test_property_circuit_wire.py),
-# and the app-circuit serving suites (tests/service/test_circuit_*.py).
+# the app-circuit serving suites (tests/service/test_circuit_*.py), and the
+# golden chip-statistics snapshot of the Algorithm 3 replay
+# (tests/core/test_chip_golden.py, n up to 2^12 in about two seconds).
 python -m pytest -x -q
 
 echo
