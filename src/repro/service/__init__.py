@@ -12,8 +12,8 @@ from a single-shot library into a servable system:
 * :mod:`repro.service.circuits` — app circuits: compiled multi-step
   encrypted programs (named inputs, plaintext constants, an SSA step
   list) that carry the paper's Section VI-C applications over the wire;
-* :mod:`repro.service.jobs` — the encrypted-job model (raw homomorphic
-  ops, app circuits, and legacy in-process application workloads);
+* :mod:`repro.service.jobs` — the encrypted-job model: one job shape,
+  a circuit (raw homomorphic ops are lowered to one-step circuits);
 * :mod:`repro.service.scheduler` — fair round-robin picks across
   tenants, one job per dispatch;
 * :mod:`repro.service.backends` — pluggable execution: a pool of N

@@ -1,15 +1,19 @@
 """Pluggable compute backends behind the serving layer.
 
-One workload, three ways to run it (the TF-Encrypted "pluggable protocol"
-idea mapped onto CoFHEE's evaluation platforms):
+Every job a backend runs is one :class:`~repro.service.circuits.Circuit`
+(a raw op is its one-step circuit), evaluated exactly by
+:func:`~repro.service.circuits.evaluate_circuit`; the three in-process
+backends differ only in how they price and replay it (the TF-Encrypted
+"pluggable protocol" idea mapped onto CoFHEE's evaluation platforms):
 
 * :class:`ChipPoolBackend` — a pool of N simulated CoFHEE chips. Results
   are computed exactly (host-side scheme arithmetic, as the paper's host
   does the ``t/q`` rounding); cycle/IO accounting comes from the
-  cycle-calibrated model, and — where the session's modulus fits a single
-  native tower — the Algorithm 3 command stream is actually executed on
-  the worker's :class:`~repro.core.driver.CofheeDriver`, with the chip's
-  mod-q tensor cross-checked against the software reference.
+  cycle-calibrated model, and — where the session's moduli are
+  chip-native — every Eq. 4 tensor's Algorithm 3 command stream is
+  actually executed on a worker's :class:`~repro.core.driver.CofheeDriver`,
+  tower by tower, with the chip's mod-q tensor cross-checked against
+  the software reference.
 * :class:`SoftwareBackend` — the SEAL-style CPU baseline: same exact
   results, priced by :class:`~repro.baselines.software.CpuCostModel`.
 * :class:`FastNttBackend` — the vectorized numpy path: the evaluation
@@ -30,18 +34,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.apps.costmodel import CofheeAppCost, CpuAppCost, Workload
-from repro.apps.cryptonets import MiniCryptoNets
-from repro.apps.logreg import MiniLogisticRegression
+from repro.apps.costmodel import CpuAppCost
 from repro.baselines.software import CpuCostModel, SoftwareBfv
-from repro.bfv.keys import RelinKey
-from repro.bfv.params import BfvParameters
-from repro.bfv.rotation import apply_galois_with_key
 from repro.bfv.scheme import Bfv, Ciphertext
 from repro.core.chip import ChipConfig, CoFHEE
 from repro.core.driver import CofheeDriver
 from repro.core.scheduler import Scheduler, ciphertext_multiply_program
-from repro.polymath.primes import ntt_friendly_prime
 from repro.polymath.rns import RnsBasis
 from repro.service.circuits import (
     Circuit,
@@ -56,7 +54,7 @@ from repro.service.circuits import (
     evaluate_circuit,
     rotation_exponent,
 )
-from repro.service.jobs import Job, JobKind, JobStatus
+from repro.service.jobs import Job, JobStatus
 from repro.service.registry import Session, SessionRegistry
 from repro.service.towers import (
     KeySwitchWorkItem,
@@ -89,13 +87,14 @@ class BatchReport:
     CoFHEE basis) summed over the batch's chip-executed jobs.
 
     ``fidelity`` counts jobs per execution path: ``"chip"`` jobs ran every
-    tower of their Eq. 4 tensor through a worker driver with a mod-q
-    cross-check; ``"model"`` jobs were priced from the compiled DAG or the
-    app cost model; ``"relin_engine"`` counts jobs whose relinearization
-    tail executed as chip-side key-switch work units through the batched
-    engine fold; ``"relin_model"`` remains for params the engine cannot
-    carry (wide digits or an engine-incapable basis), where the tail is
-    still model-priced only.
+    tower of every Eq. 4 tensor through a worker driver with a mod-q
+    cross-check; ``"model"`` jobs (no tensor, or moduli that are not
+    chip-native) were priced from the compiled DAG; ``"relin_engine"``
+    counts jobs whose relinearization tail executed as chip-side
+    key-switch work units through the batched engine fold;
+    ``"relin_model"`` remains for params the engine cannot carry (wide
+    digits or an engine-incapable basis), where the tail is still
+    model-priced only.
     """
 
     batch_id: int
@@ -116,135 +115,6 @@ class BatchReport:
     schedule_makespan_cycles: int = 0
 
 
-def default_app_params(kind: JobKind) -> BfvParameters:
-    """The canonical toy parameter set each mini application defaults to.
-
-    Kept in sync with the app constructors so an app session's digest
-    matches the model the worker instantiates.
-    """
-    if kind is JobKind.LOGREG:
-        return BfvParameters.toy(n=16, log_q=140, t=ntt_friendly_prime(16, 21))
-    if kind is JobKind.CRYPTONETS:
-        return BfvParameters.toy(n=16, log_q=120, t=ntt_friendly_prime(16, 20))
-    raise ValueError(f"{kind.value} is not an application job kind")
-
-
-# ----------------------------------------------------------------------
-# Shared functional execution (all backends produce identical results)
-# ----------------------------------------------------------------------
-
-
-def _galois_exponent(session: Session, steps: int) -> int:
-    half = session.params.n // 2
-    steps %= half
-    if steps == 0:
-        raise BackendError("rotation by 0 steps is a no-op; do not submit it")
-    return pow(3, steps, 2 * session.params.n)
-
-
-def functional_stage(
-    engine: Bfv, session: Session, job: Job
-) -> tuple[Ciphertext, RelinKey | None]:
-    """A raw-op job's exact arithmetic, up to its relinearization.
-
-    Returns ``(value, relin)``. A keyed MULTIPLY, a SQUARE and a
-    RELINEARIZE stop before the key switch and return the key it runs
-    under, so the backend can run and time that switch as its own step;
-    every other op returns its final result and ``None``.
-    """
-    ops = job.operands
-    if job.kind is JobKind.ADD:
-        return engine.add(ops[0], ops[1]), None
-    if job.kind is JobKind.SUB:
-        return engine.sub(ops[0], ops[1]), None
-    if job.kind is JobKind.MULTIPLY:
-        return engine.multiply(ops[0], ops[1]), session.relin
-    if job.kind is JobKind.SQUARE:
-        return engine.square(ops[0]), session.require_relin()
-    if job.kind is JobKind.RELINEARIZE:
-        return ops[0], session.require_relin()
-    if job.kind is JobKind.ROTATE:
-        key = session.require_galois(_galois_exponent(session, job.steps))
-        return apply_galois_with_key(engine, ops[0], key), None
-    raise BackendError(f"unsupported raw-op kind {job.kind.value}")
-
-
-class _AppRunner:
-    """Caches mini-application models per (tenant, config) and runs jobs.
-
-    Every run is verified against the app's own plaintext reference before
-    the result is returned — the serving layer never hands back an
-    unchecked app answer.
-    """
-
-    def __init__(self):
-        self._models: dict[tuple, object] = {}
-
-    def run(self, job: Job) -> tuple[object, Workload]:
-        payload = job.payload
-        if not isinstance(payload, dict):
-            raise BackendError(f"{job.kind.value} payload must be a dict")
-        if job.kind is JobKind.LOGREG:
-            return self._run_logreg(job, payload)
-        return self._run_cryptonets(job, payload)
-
-    def _model(self, key: tuple, build) -> object:
-        if key not in self._models:
-            self._models[key] = build()
-        return self._models[key]
-
-    def _run_logreg(self, job: Job, payload: dict) -> tuple[object, Workload]:
-        samples = payload["samples"]
-        seed = payload.get("seed", 11)
-        model: MiniLogisticRegression = self._model(
-            (job.tenant, job.kind, len(samples[0]), seed),
-            lambda: MiniLogisticRegression(num_features=len(samples[0]), seed=seed),
-        )
-        before = dict(model.op_log)
-        predictions = model.predict(samples)
-        if predictions != model.predict_plain(samples):
-            raise BackendError("logreg encrypted path diverged from plaintext")
-        workload = _op_delta_workload(
-            "LogisticRegression", before, model.op_log, relin_digit_bits=16
-        )
-        return {"predictions": predictions, "verified": True}, workload
-
-    def _run_cryptonets(self, job: Job, payload: dict) -> tuple[object, Workload]:
-        images = payload["images"]
-        seed = payload.get("seed", 7)
-        model: MiniCryptoNets = self._model(
-            (job.tenant, job.kind, seed), lambda: MiniCryptoNets(seed=seed)
-        )
-        before = dict(model.op_log)
-        scores = model.infer(images)
-        if scores != model.infer_plain(images):
-            raise BackendError("cryptonets encrypted path diverged from plaintext")
-        workload = _op_delta_workload(
-            "CryptoNets", before, model.op_log, relin_digit_bits=8
-        )
-        result = {
-            "scores": scores,
-            "classes": model.classify(scores),
-            "verified": True,
-        }
-        return result, workload
-
-
-def _op_delta_workload(
-    name: str, before: dict, after: dict, relin_digit_bits: int
-) -> Workload:
-    """Turn an op-log delta into a priceable Workload."""
-    return Workload(
-        name=name,
-        ct_ct_adds=after["ct_ct_adds"] - before["ct_ct_adds"],
-        ct_pt_mults=after["ct_pt_mults"] - before["ct_pt_mults"],
-        ct_ct_mults=after["ct_ct_mults"] - before["ct_ct_mults"],
-        relin_digit_bits=relin_digit_bits,
-        paper_cpu_seconds=0.0,
-        paper_cofhee_seconds=0.0,
-    )
-
-
 # ----------------------------------------------------------------------
 # Backend base
 # ----------------------------------------------------------------------
@@ -262,20 +132,18 @@ class Backend:
 
     Subclasses implement :meth:`execute_batch` (how jobs run and are
     priced) and :meth:`wall_seconds`; the base class provides the exact
-    per-job arithmetic every backend shares — raw ops through
-    :func:`functional_stage`, circuits through
-    :func:`~repro.service.circuits.evaluate_circuit`, legacy app
-    payloads through the plaintext-verified :class:`_AppRunner` — which
-    is why all backends return bit-identical ciphertexts. Several jobs
-    passed to one ``execute_batch`` run one after another through
-    :meth:`_each_job` with nothing shared between them, so a job's
-    result, cycles and spans are the same whether it ran alone or not.
+    per-job arithmetic every backend shares — :meth:`_run_job`, one
+    :func:`~repro.service.circuits.evaluate_circuit` call on the job's
+    circuit — which is why all backends return bit-identical
+    ciphertexts. Several jobs passed to one ``execute_batch`` run one
+    after another through :meth:`_each_job` with nothing shared between
+    them, so a job's result, cycles and spans are the same whether it
+    ran alone or not.
     """
 
     name = "abstract"
 
     def __init__(self):
-        self._apps = _AppRunner()
         self._reports: list[tuple[BatchReport, Job]] = []
         self.jobs_done = 0
         #: Metrics sink (set by :class:`~repro.service.server.FheServer`;
@@ -319,75 +187,31 @@ class Backend:
     def _engine(self, registry: SessionRegistry, session: Session) -> Bfv:
         return registry.engine(session)
 
-    def _stage(
-        self, registry: SessionRegistry, job: Job, on_tensor=None,
-    ) -> tuple[Session, object, Workload | None, RelinKey | None]:
-        """A job's exact math up to its relinearization.
-
-        Returns ``(session, value, app workload, relin)``. When ``relin``
-        is set, ``value`` still has to be relinearized under it (see
-        :func:`functional_stage`); otherwise ``value`` is the job's
-        result. ``on_tensor`` is passed to :meth:`_run_circuit`.
-        """
-        session = registry.get(job.session_id)
-        if job.kind.is_app:
-            result, workload = self._apps.run(job)
-            return session, result, workload, None
-        if job.kind is JobKind.CIRCUIT:
-            result = self._run_circuit(registry, session, job, on_tensor)
-            return session, result, None, None
-        for ct in job.operands:
-            registry.check_compatible(session, ct)
-        engine = self._engine(registry, session)
-        value, relin = functional_stage(engine, session, job)
-        return session, value, None, relin
-
-    def _key_switch(
-        self, registry: SessionRegistry, session: Session, job: Job,
-        tensor: Ciphertext, relin: RelinKey,
-    ) -> Ciphertext:
-        """Relinearize a staged tensor, spanned as the job's ``keyswitch``."""
-        engine = self._engine(registry, session)
-        with job.trace.span("keyswitch"):
-            result = engine.relinearize(tensor, relin)
-        if job.kind is not JobKind.RELINEARIZE \
-                and engine.can_batch_relinearize(relin):
-            job.metrics.relin_fidelity = "engine"
-        return result
-
     def _run_job(
-        self, registry: SessionRegistry, job: Job
-    ) -> tuple[Session, object, Workload | None]:
-        """Functional execution; returns (session, result, app workload).
+        self, registry: SessionRegistry, job: Job, on_tensor=None,
+    ) -> tuple[Session, object]:
+        """Evaluate the job's circuit exactly; returns (session, result).
 
-        Spans the math as ``execute`` and a relinearization as a sibling
-        ``keyswitch``, so a trace shows the key switch on every backend.
-        """
-        with job.trace.span("execute"):
-            session, value, workload, relin = self._stage(registry, job)
-        if relin is not None:
-            value = self._key_switch(registry, session, job, value, relin)
-        return session, value, workload
-
-    def _run_circuit(
-        self, registry: SessionRegistry, session: Session, job: Job,
-        on_tensor=None,
-    ) -> dict[str, Ciphertext]:
-        """Evaluate a circuit job exactly; returns its named outputs.
-
+        The trace gets the circuit's ``execute`` and ``keyswitch`` spans.
         ``on_tensor`` (chip pool only) observes each Eq. 4 tensor's
         operands so the tensor can be replayed tower-by-tower on chip.
         """
+        session = registry.get(job.session_id)
         circuit: Circuit = job.payload
         for ct in job.operands:
             registry.check_compatible(session, ct)
         engine = self._engine(registry, session)
         relin = session.require_relin() if circuit.uses_relin else None
         galois = session.require_galois if circuit.uses_rotations else None
-        return evaluate_circuit(
+        outputs = evaluate_circuit(
             engine, relin, circuit, job.operands, on_tensor=on_tensor,
-            galois=galois,
+            galois=galois, trace=job.trace,
         )
+        if relin is not None:
+            job.metrics.relin_fidelity = (
+                "engine" if engine.can_batch_relinearize(relin) else "model"
+            )
+        return session, job.output(outputs)
 
     def _each_job(self, jobs: list[Job], run) -> None:
         """The job loop every synchronous backend shares.
@@ -458,46 +282,40 @@ class ChipPoolBackend(Backend):
     """Jobs run across a pool of N simulated CoFHEE chips.
 
     Jobs run one at a time (see :meth:`Backend._each_job`); each is
-    settled as soon as its own work is done. Inside a job:
+    settled as soon as its own work is done. Inside a job's circuit:
 
-    * **Model path** — add/sub/rotate/relinearize, app payloads, and
-      tensors whose moduli are not chip-native are priced on the
-      then-least-loaded *lead* worker.
-    * **Tower level** — a chip-native EvalMult (or squaring: the same
-      Eq. 4 tensor with ``a == b``) is split into one work unit
-      per RNS tower and fanned out across *different* workers
-      (least-loaded, with per-tower ``program(q_i, n)`` reprogramming
-      amortized across jobs by the drivers), so a 3-tower multiply on a
-      pool of 4 finishes in ~one tower's time. Every tower runs the real
-      Algorithm 3 command stream on its worker's driver and is
-      cross-checked mod ``q_i`` against the software reference; the
-      gather barrier releases a tensor only once its full tower set has
-      arrived, and the relinearization runs after it.
-
-    App circuits expand at the same tower level: each tensor step
-    becomes its own unit, list-scheduled on true producer edges so a
-    tensor that consumes another tensor's output is never planned before
-    its producer clears the gather barrier (and an independent tensor is
-    never held back by an unrelated chain); linear steps (adds,
-    plaintext multiply-accumulates) are pointwise-priced on the lead
-    worker.
+    * **Tower level** — on chip-native moduli, every Eq. 4 tensor step
+      (an EvalMult, or a squaring: the same tensor with ``a == b``)
+      becomes one unit split per RNS tower and fanned out across
+      *different* workers (least-loaded, with per-tower
+      ``program(q_i, n)`` reprogramming amortized across jobs by the
+      drivers), so a 3-tower multiply on a pool of 4 finishes in ~one
+      tower's time. Every tower runs the real Algorithm 3 command stream
+      on its worker's driver and is cross-checked mod ``q_i`` against
+      the software reference. Units are list-scheduled on true producer
+      edges: a tensor that consumes another tensor's output is never
+      planned before its producer clears the gather barrier, and an
+      independent tensor is never held back by an unrelated chain.
+      Linear steps (adds, plaintext multiply-accumulates) are
+      pointwise-priced on the lead worker, and each key switch becomes a
+      model-priced tail unit on the then-least-loaded worker.
+    * **Model path** — a circuit with no tensor step (add/sub/rotate,
+      linear circuits) or whose moduli are not chip-native is priced
+      whole on the then-least-loaded *lead* worker.
 
     The pool's aggregate wall time is the makespan (max per-worker busy
     time), which is what shrinks as the pool grows. Cycles for non-native
     work come from compiling the Algorithm 3 DAG with
     :class:`~repro.core.scheduler.Scheduler`. With ``strict_fidelity`` a
-    MULTIPLY that cannot run its tensor on-chip fails instead of silently
+    job with a tensor that cannot run on-chip fails instead of silently
     degrading to the model path.
     """
 
     def __init__(self, pool_size: int = 1, chip_config: ChipConfig | None = None,
-                 data_fidelity: bool = True, strict_fidelity: bool = False,
-                 engine: str = "exact"):
+                 data_fidelity: bool = True, strict_fidelity: bool = False):
         super().__init__()
         if pool_size < 1:
             raise ValueError("pool needs at least one chip")
-        if engine not in ("exact", "fast"):
-            raise ValueError(f"engine must be 'exact' or 'fast', got {engine!r}")
         if strict_fidelity and not data_fidelity:
             raise ValueError(
                 "strict_fidelity requires data_fidelity: with the chip path "
@@ -506,7 +324,6 @@ class ChipPoolBackend(Backend):
         self.name = f"chip_pool_x{pool_size}"
         self.data_fidelity = data_fidelity
         self.strict_fidelity = strict_fidelity
-        self.engine_mode = engine
         self.workers = []
         for i in range(pool_size):
             chip = CoFHEE(chip_config)
@@ -515,7 +332,6 @@ class ChipPoolBackend(Backend):
             )
         self._mod_q_reference: dict[bytes, SoftwareBfv] = {}
         self._tensor_estimate: dict[int, int] = {}  # n -> per-tower cycles
-        self._no_fast_engine: set[bytes] = set()  # digests that can't go fast
         self._schedule_makespan = 0  # cumulative list-schedule makespans
 
     # -- accounting --------------------------------------------------------
@@ -531,24 +347,6 @@ class ChipPoolBackend(Backend):
 
     def wall_seconds(self) -> float:
         return max(w.wall_seconds for w in self.workers)
-
-    # -- engines ------------------------------------------------------------
-
-    def _engine(self, registry: SessionRegistry, session: Session) -> Bfv:
-        """Functional engine for host-side exact arithmetic.
-
-        ``engine="fast"`` opts into the registry's vectorized numpy engine
-        where the moduli permit (bit-identical results — the differential
-        suite proves it); the cycle accounting is unaffected either way.
-        """
-        if self.engine_mode == "fast" and session.digest not in self._no_fast_engine:
-            try:
-                return registry.fast_engine(session)
-            except ValueError:
-                # Moduli unsuitable: remember it (construction is the
-                # expensive part) and fall back to the exact engine.
-                self._no_fast_engine.add(session.digest)
-        return registry.engine(session)
 
     # -- execution ----------------------------------------------------------
 
@@ -634,17 +432,14 @@ class ChipPoolBackend(Backend):
         """Run one job end to end on the pool and settle it.
 
         Strict-fidelity rejection comes first: the chip-native check
-        needs only the session, so a doomed EvalMult (or a circuit with
-        tensor steps) never pays for the expensive host-side math.
+        needs only the session, so a doomed tensor job never pays for the
+        expensive host-side math.
 
         Returns the simulated pool clock when the job's last unit
         finished (its list-schedule view).
         """
         session = registry.get(job.session_id)
-        needs_tensor = (
-            job.kind in (JobKind.MULTIPLY, JobKind.SQUARE)
-            or (job.kind is JobKind.CIRCUIT and bool(job.payload.tensor_steps))
-        )
+        needs_tensor = bool(job.payload.tensor_steps)
         basis = self._chip_native_basis(session) if needs_tensor else None
         if self.strict_fidelity and needs_tensor and basis is None:
             raise BackendError(
@@ -663,18 +458,13 @@ class ChipPoolBackend(Backend):
     ) -> None:
         """Model path: exact host-side math, cycles priced on the lead.
 
-        Add/sub/rotate/relinearize, app payloads, and tensors whose
-        moduli are not chip-native take this path.
+        Circuits without a tensor step, and tensors whose moduli are not
+        chip-native, take this path.
         """
-        session, result, workload = self._run_job(registry, job)
-        cycles = self._job_cycles(lead, session, job, workload)
+        session, result = self._run_job(registry, job)
+        cycles = self._job_cycles(session, job.payload)
         lead.busy_cycles += cycles
         job.metrics.fidelity = "model"
-        if (workload is None and session.relin is not None
-                and (job.kind in (JobKind.MULTIPLY, JobKind.SQUARE)
-                     or (job.kind is JobKind.CIRCUIT
-                         and job.payload.uses_relin))):
-            job.metrics.relin_fidelity = self._relin_label(registry, session)
         self._settle_on(job, lead, cycles, result)
 
     def _execute_on_chip(
@@ -683,32 +473,28 @@ class ChipPoolBackend(Backend):
     ) -> int:
         """Chip path: every Eq. 4 tensor of the job replays tower-by-tower.
 
-        The exact host math runs first (a keyed raw tensor stops before
-        its relinearization); a circuit records each tensor's operands
-        as it evaluates. Each tensor is one unit, fanned out per tower
-        by list scheduling: a unit becomes plannable the moment its own
-        producers have gathered, and its start is simulated against
+        The exact host math runs first, recording each tensor's operands
+        as the circuit evaluates. Each tensor is one unit, fanned out per
+        tower by list scheduling: a unit becomes plannable the moment its
+        own producers have gathered, and its start is simulated against
         per-worker clocks, so a consumer of an early-finishing tensor
         never waits on an unrelated chain. Work is planned in ready
         waves through :func:`plan_tower_dispatch` (same-modulus
         grouping, twiddle-reprogramming amortization, affinity only for
         workers programmed at this degree); busy-cycle totals stay
         additive while the simulated clocks expose the schedule
-        makespan. After the gather, the raw tensor's key switch runs and
-        the key-switch tails are charged.
+        makespan. After the gather, the key-switch tails are charged.
         """
         trace = job.trace
+        circuit: Circuit = job.payload
         tensors: list[tuple[int, Ciphertext, Ciphertext]] = []
-        with trace.span("execute"):
-            session, result, _workload, relin = self._stage(
-                registry, job,
-                on_tensor=lambda step, a, b: tensors.append((step, a, b)),
-            )
-        if job.kind is not JobKind.CIRCUIT:
-            a = job.operands[0]
-            b = job.operands[1] if job.kind is JobKind.MULTIPLY else a
-            tensors = [(0, a, b)]
-        deps = self._unit_dependencies(job, [step for step, _, _ in tensors])
+        session, result = self._run_job(
+            registry, job,
+            on_tensor=lambda step, a, b: tensors.append((step, a, b)),
+        )
+        deps = self._unit_dependencies(
+            circuit, [step for step, _, _ in tensors]
+        )
         n = session.params.n
         towers_n = len(basis.moduli)
         est = self._tensor_estimate_for(n)
@@ -716,7 +502,7 @@ class ChipPoolBackend(Backend):
             unit: tuple(range(towers_n)) for unit in range(len(tensors))
         })
         unit_cycles = [[0] * towers_n for _ in tensors]
-        unit_workers: list[dict[int, int]] = [{} for _ in tensors]
+        workers_used: set[int] = set()
         # Simulated per-worker clocks (absolute cycles, origin shared
         # with busy_cycles); ``finish`` is when each unit's last tower
         # completes in the schedule.
@@ -758,7 +544,7 @@ class ChipPoolBackend(Backend):
                     )
                     gather.put(unit, item.tower, outs)
                     unit_cycles[unit][item.tower] = cycles
-                    unit_workers[unit][item.tower] = widx
+                    workers_used.add(widx)
                     # The item starts when both its worker is free and
                     # the unit's producers are done.
                     start = max(clock[widx], ready_at[unit])
@@ -777,54 +563,18 @@ class ChipPoolBackend(Backend):
         crt_start = time.perf_counter()
         per_tower = [sum(c[t] for c in unit_cycles) for t in range(towers_n)]
         trace.mark("crt_recombine", crt_start, time.perf_counter())
-        if relin is not None:
-            result = self._key_switch(registry, session, job, result, relin)
 
         relin_start = time.perf_counter()
-        relin_cycles = 0
         finish_worker = lead
-        timing = lead.chip.timing
         # Key-switch tails are not tower-bound: each becomes a
         # KeySwitchWorkItem charged to the then-least-loaded worker so it
-        # does not serialize on the lead. Raw jobs carry one
-        # relinearization; circuits one per relin *step* (a lazily
-        # optimized circuit relinearizes fewer times than it tensors)
-        # plus one per rotation step (the Galois key-switch, after the
-        # lead's automorphism copies).
-        n_relins = (
-            job.payload.op_counts()["relins"]
-            if job.kind is JobKind.CIRCUIT else 1
-        )
-        items = []
-        if session.relin is not None and n_relins:
-            est_relin = timing.relinearization_cycles(
-                n, session.relin.num_digits, towers_n
-            )
-            items.extend(
-                KeySwitchWorkItem(job_seq=0, est_cycles=est_relin)
-                for _ in range(n_relins)
-            )
-            job.metrics.relin_fidelity = self._relin_label(registry, session)
-        if job.kind is JobKind.CIRCUIT and job.payload.uses_rotations:
-            for step in job.payload.steps:
-                if step.op not in ROTATION_OPS:
-                    continue
-                key = session.require_galois(rotation_exponent(
-                    session.params, step.op,
-                    step.args[1] if step.op == OP_ROTATE_ROWS else 0,
-                ))
-                items.append(KeySwitchWorkItem(
-                    job_seq=0,
-                    est_cycles=timing.relinearization_cycles(
-                        n, key.num_digits, towers_n
-                    ),
-                ))
-                # Automorphism = one copy pass per component, on the
-                # lead before the key-switch fans out.
-                copies = 2 * timing.memcpy_cycles(n)
-                lead.busy_cycles += copies
-                relin_cycles += copies
-        if items:
+        # does not serialize on the lead, which first runs the
+        # rotations' automorphism copies.
+        tails, copies = self._key_switch_tails(session, circuit)
+        lead.busy_cycles += copies
+        relin_cycles = copies
+        if tails:
+            items = [KeySwitchWorkItem(job_seq=0, est_cycles=c) for c in tails]
             widxs = plan_keyswitch_dispatch(
                 items, [w.busy_cycles for w in self.workers]
             )
@@ -832,22 +582,11 @@ class ChipPoolBackend(Backend):
                 self.workers[widx].busy_cycles += item.est_cycles
                 relin_cycles += item.est_cycles
             finish_worker = self.workers[widxs[-1]]
-        linear_cycles = 0
-        if job.kind is JobKind.CIRCUIT:
-            linear_cycles = self._circuit_linear_cycles(session, job.payload)
-            lead.busy_cycles += linear_cycles
+        linear_cycles = self._circuit_linear_cycles(session, circuit)
+        lead.busy_cycles += linear_cycles
         job.metrics.fidelity = "chip"
         job.metrics.tower_cycles = tuple(per_tower)
-        if job.kind is JobKind.CIRCUIT:
-            # Many tensors may touch one tower: report the distinct
-            # workers that executed this job's towers.
-            job.metrics.tower_workers = tuple(sorted(
-                {w for placed in unit_workers for w in placed.values()}
-            ))
-        else:
-            job.metrics.tower_workers = tuple(
-                unit_workers[0][t] for t in range(towers_n)
-            )
+        job.metrics.tower_workers = tuple(sorted(workers_used))
         job.metrics.relin_cycles = relin_cycles
         trace.mark("relin_tail", relin_start, time.perf_counter())
         self._settle_on(
@@ -855,14 +594,6 @@ class ChipPoolBackend(Backend):
             sum(per_tower) + relin_cycles + linear_cycles, result,
         )
         return schedule_end
-
-    def _relin_label(self, registry: SessionRegistry, session: Session) -> str:
-        """``"engine"`` when the key switch runs through the batched engine
-        fold; ``"model"`` for params it cannot carry (tail priced only)."""
-        capable = self._engine(registry, session).can_batch_relinearize(
-            session.relin
-        )
-        return "engine" if capable else "model"
 
     def _settle_on(
         self, job: Job, worker: ChipWorker, cycles: int, result: object,
@@ -897,21 +628,19 @@ class ChipPoolBackend(Backend):
         return basis
 
     @staticmethod
-    def _unit_dependencies(job: Job, steps: list[int]) -> list[set[int]]:
-        """Producer edges between a job's tensor units.
+    def _unit_dependencies(
+        circuit: Circuit, steps: list[int]
+    ) -> list[set[int]]:
+        """Producer edges between a circuit's tensor units.
 
         ``steps[u]`` is the circuit step that unit ``u`` replays. Walks
         the circuit's SSA steps tracking, per register, the set of
         tensor units whose outputs flow into it (non-tensor steps pass
         their operands' producer sets through). A unit depends on the
         producers feeding its own tensor step's operands — the true
-        edges the list scheduler honors. A raw EvalMult/SQUARE is one
-        unit with no producers.
+        edges the list scheduler honors.
         """
         deps: list[set[int]] = [set() for _ in steps]
-        if job.kind is not JobKind.CIRCUIT:
-            return deps
-        circuit: Circuit = job.payload
         unit_by_step = {step: unit for unit, step in enumerate(steps)}
         producers: list[set[int]] = [set() for _ in circuit.inputs]
         for idx, step in enumerate(circuit.steps):
@@ -933,10 +662,9 @@ class ChipPoolBackend(Backend):
         """A tensor unit's ``(4, L, n)`` operand residues and ``(3, L, n)``
         mod-q reference outputs, reduced once for every tower.
 
-        ``a``/``b`` are the tensor's 2-component operands — a raw job's
-        uploaded ciphertexts, or a circuit step's (possibly intermediate)
-        values. SQUARE binds both inputs to the one operand (the Eq. 4
-        tensor with ``a == b``).
+        ``a``/``b`` are the tensor step's 2-component operands (uploaded
+        inputs or intermediate values). A square binds both to the one
+        operand (the Eq. 4 tensor with ``a == b``).
         """
         ct_a = (a.polys[0].coeffs, a.polys[1].coeffs)
         ct_b = ct_a if b is a else (b.polys[0].coeffs, b.polys[1].coeffs)
@@ -965,66 +693,53 @@ class ChipPoolBackend(Backend):
 
     # -- cycle accounting ---------------------------------------------------
 
-    def _job_cycles(
-        self, worker: ChipWorker, session: Session, job: Job,
-        workload: Workload | None,
-    ) -> int:
+    def _job_cycles(self, session: Session, circuit: Circuit) -> int:
+        """Model-path cycles of a whole circuit.
+
+        Linear steps are pointwise passes, each tensor step one Eq. 4
+        estimate per tower, and each key switch its model-priced tail
+        (see :meth:`_key_switch_tails`).
+        """
+        n, towers = session.params.n, session.params.cofhee_tower_count
+        tensors = circuit.op_counts()["ct_ct_mults"]
+        tails, copies = self._key_switch_tails(session, circuit)
+        return (
+            self._circuit_linear_cycles(session, circuit)
+            + tensors * towers * self._tensor_estimate_for(n)
+            + sum(tails) + copies
+        )
+
+    def _key_switch_tails(
+        self, session: Session, circuit: Circuit
+    ) -> tuple[list[int], int]:
+        """The circuit's key-switch tails and automorphism copy cycles.
+
+        One tail per relinearization step (fewer than the tensors after
+        lazy optimization) and one Galois key switch per rotation step;
+        each rotation also copies both components through the
+        automorphism first (one pass each).
+        """
         params = session.params
-        timing = worker.chip.timing
-        if workload is not None:  # app-level job: price the op mix
-            cost = CofheeAppCost(params, timing)
-            seconds = cost.workload_seconds(workload)["total_s"]
-            return round(seconds * worker.chip.clock.frequency_hz)
         n, towers = params.n, params.cofhee_tower_count
-        if job.kind is JobKind.CIRCUIT:
-            # Model path for a whole circuit: linear steps pointwise,
-            # each tensor step one Eq. 4 estimate, each relin step one
-            # key-switch tail (fewer than the tensors after lazy
-            # optimization), each rotation an automorphism copy pass
-            # plus a Galois key-switch.
-            circuit: Circuit = job.payload
-            counts = circuit.op_counts()
-            cycles = self._circuit_linear_cycles(session, circuit)
-            if counts["ct_ct_mults"]:
-                cycles += (
-                    counts["ct_ct_mults"] * towers * self._tensor_estimate_for(n)
-                )
-            if counts["relins"]:
-                cycles += counts["relins"] * timing.relinearization_cycles(
-                    n, session.require_relin().num_digits, towers
-                )
-            for step in circuit.steps:
-                if step.op not in ROTATION_OPS:
-                    continue
-                key = session.require_galois(rotation_exponent(
-                    params, step.op,
-                    step.args[1] if step.op == OP_ROTATE_ROWS else 0,
-                ))
-                cycles += 2 * timing.memcpy_cycles(n)
-                cycles += timing.relinearization_cycles(
-                    n, key.num_digits, towers
-                )
-            return cycles
-        if job.kind in (JobKind.ADD, JobKind.SUB):
-            return 2 * towers * timing.pointwise_cycles(n)
-        if job.kind is JobKind.RELINEARIZE:
-            return timing.relinearization_cycles(
-                n, session.require_relin().num_digits, towers
+        timing = self.workers[0].chip.timing
+        relins = circuit.op_counts()["relins"]
+        tails = []
+        if relins:
+            digits = session.require_relin().num_digits
+            tails = [timing.relinearization_cycles(n, digits, towers)] * relins
+        copies = 0
+        for step in circuit.steps:
+            if step.op not in ROTATION_OPS:
+                continue
+            key = session.require_galois(rotation_exponent(
+                params, step.op,
+                step.args[1] if step.op == OP_ROTATE_ROWS else 0,
+            ))
+            tails.append(
+                timing.relinearization_cycles(n, key.num_digits, towers)
             )
-        if job.kind is JobKind.ROTATE:
-            key = session.require_galois(_galois_exponent(session, job.steps))
-            # automorphism = one copy pass per component, then key-switch
-            return 2 * timing.memcpy_cycles(n) + timing.relinearization_cycles(
-                n, key.num_digits, towers
-            )
-        # MULTIPLY / SQUARE on the model path: Eq. 4 tensor estimate
-        # (+ relin when the session has a key).
-        cycles = params.cofhee_tower_count * self._tensor_estimate_for(n)
-        if session.relin is not None:
-            cycles += timing.relinearization_cycles(
-                n, session.relin.num_digits, towers
-            )
-        return cycles
+            copies += 2 * timing.memcpy_cycles(n)
+        return tails, copies
 
     def _circuit_linear_cycles(self, session: Session, circuit: Circuit) -> int:
         """Pointwise-op cycles for a circuit's non-tensor steps.
@@ -1116,9 +831,9 @@ class SoftwareBackend(Backend):
         def run(job: Job) -> None:
             nonlocal batch_seconds
             start = time.perf_counter()
-            session, result, workload = self._run_job(registry, job)
+            session, result = self._run_job(registry, job)
             seconds = self._job_seconds(
-                session, job, workload, time.perf_counter() - start
+                session, job.payload, time.perf_counter() - start
             )
             self._finish(job, result, seconds)
             batch_seconds += seconds
@@ -1131,42 +846,26 @@ class SoftwareBackend(Backend):
         )
 
     def _job_seconds(
-        self, session: Session, job: Job, workload: Workload | None,
-        measured: float,
+        self, session: Session, circuit: Circuit, measured: float,
     ) -> float:
-        """The SEAL-anchored latency of one job (``measured`` unused)."""
+        """The SEAL-anchored latency of one job (``measured`` unused).
+
+        Prices the circuit's op mix: adds and ct*pt from the SEAL
+        microbenchmarks (scaled from n = 2^12, 2 towers to the session's
+        degree and tower count), each tensor step one ciphertext
+        multiply, each relinearization or rotation one key switch.
+        """
         params = session.params
-        if workload is not None:
-            return CpuAppCost().workload_seconds(workload)["total_s"]
-        # Scale the SEAL anchors (measured at n = 2^12, 2 towers) to the
-        # session's degree and tower count.
         anchor_scale = (params.n / 2**12) * (params.cpu_tower_count / 2)
-        if job.kind is JobKind.CIRCUIT:
-            # Price the op mix from the same anchors the raw ops use:
-            # adds and ct*pt from the SEAL microbenchmarks, each tensor
-            # step one ciphertext multiply, each relin/rotation one
-            # key-switch (identical to the fused pricing when every
-            # tensor carries its relin, cheaper after lazy optimization).
-            counts = job.payload.op_counts()
-            tensor = self.cost.ciphertext_mult_ms(params, self.threads) * 1e-3
-            return (
-                counts["ct_ct_adds"] * CpuAppCost.ADD_US * 1e-6 * anchor_scale
-                + counts["ct_pt_mults"] * CpuAppCost.CT_PT_US * 1e-6 * anchor_scale
-                + counts["ct_ct_mults"] * tensor
-                + (counts["relins"] + counts["rotations"])
-                * tensor * self.RELIN_TENSOR_EQUIV
-            )
-        if job.kind in (JobKind.ADD, JobKind.SUB):
-            return CpuAppCost.ADD_US * 1e-6 * anchor_scale
+        counts = circuit.op_counts()
         tensor = self.cost.ciphertext_mult_ms(params, self.threads) * 1e-3
-        if job.kind is JobKind.RELINEARIZE:
-            return tensor * self.RELIN_TENSOR_EQUIV
-        if job.kind is JobKind.ROTATE:
-            return tensor * self.RELIN_TENSOR_EQUIV
-        # MULTIPLY / SQUARE (+ relin when the session holds a key)
-        if session.relin is not None:
-            return tensor * (1.0 + self.RELIN_TENSOR_EQUIV)
-        return tensor
+        return (
+            counts["ct_ct_adds"] * CpuAppCost.ADD_US * 1e-6 * anchor_scale
+            + counts["ct_pt_mults"] * CpuAppCost.CT_PT_US * 1e-6 * anchor_scale
+            + counts["ct_ct_mults"] * tensor
+            + (counts["relins"] + counts["rotations"])
+            * tensor * self.RELIN_TENSOR_EQUIV
+        )
 
 
 # ----------------------------------------------------------------------
@@ -1197,8 +896,7 @@ class FastNttBackend(SoftwareBackend):
             ) from exc
 
     def _job_seconds(
-        self, session: Session, job: Job, workload: Workload | None,
-        measured: float,
+        self, session: Session, circuit: Circuit, measured: float,
     ) -> float:
         """The job's measured wall seconds, math and key switch together."""
         return measured

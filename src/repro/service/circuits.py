@@ -1,13 +1,12 @@
 """App circuits: multi-step encrypted programs the service can execute.
 
-Until this module, the wire could only carry *single* homomorphic ops —
-the paper's Section VI-C applications (logistic regression, CryptoNets)
-ran in-process only, because their hundreds of chained operations had no
-encoding. A :class:`Circuit` is that encoding's in-memory form: a small
-SSA register program over ciphertexts whose description travels to the
+A :class:`Circuit` is the one thing a backend executes: a small SSA
+register program over ciphertexts whose description travels to the
 server (the tf-encrypted "computation travels, runtime schedules" model)
-and is expanded by the backends into the existing per-op / per-tower
-work units.
+and is expanded by the backends into per-op / per-tower work units. The
+paper's Section VI-C applications (logistic regression, CryptoNets)
+compile themselves to circuits, and a raw homomorphic op is served as
+its one-step circuit (:func:`repro.service.jobs.raw_op_circuit`).
 
 **Register model.** A circuit has named ciphertext inputs, a table of
 plaintext constants, a step list, and named outputs. Registers are
@@ -69,6 +68,7 @@ for the tensor ops, Galois keys for the rotation steps).
 from __future__ import annotations
 
 import functools
+import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -77,6 +77,7 @@ from repro.bfv.params import BfvParameters
 from repro.bfv.rotation import apply_galois_with_key
 from repro.bfv.scheme import Bfv, Ciphertext
 from repro.polymath.poly import Polynomial, PolynomialRing
+from repro.service.telemetry import NULL_TRACE
 
 #: Version byte of the circuit *body* encoding (independent of the outer
 #: wire envelope version): decoders reject unknown values, so the format
@@ -664,6 +665,7 @@ def evaluate_circuit(
     inputs: Sequence[Ciphertext],
     on_tensor: TensorHook | None = None,
     galois: GaloisResolver | None = None,
+    trace=NULL_TRACE,
 ) -> dict[str, Ciphertext]:
     """Execute a circuit exactly; returns its named outputs.
 
@@ -683,12 +685,33 @@ def evaluate_circuit(
         galois: resolver from Galois exponent to the session's uploaded
             :class:`~repro.bfv.rotation.GaloisKey` (required only when
             the circuit contains rotation steps).
+        trace: the job's :class:`~repro.service.telemetry.JobTrace`.
+            Every relinearization and Galois key switch is recorded as a
+            top-level ``keyswitch`` span, the work around them as
+            ``execute`` spans.
     """
     if len(inputs) != len(circuit.inputs):
         raise CircuitError(
             f"circuit {circuit.name!r} takes {len(circuit.inputs)} inputs "
             f"({', '.join(circuit.inputs)}), got {len(inputs)}"
         )
+    # Start of the open ``execute`` interval, and whether any work ran
+    # in it since the last key switch (the first interval always counts:
+    # it covers constant decoding).
+    opened = time.perf_counter()
+    working = True
+
+    def key_switch(switch, *args) -> Ciphertext:
+        nonlocal opened, working
+        start = time.perf_counter()
+        if working:
+            trace.mark("execute", opened, start)
+        value = switch(*args)
+        opened = time.perf_counter()
+        working = False
+        trace.mark("keyswitch", start, opened)
+        return value
+
     params = engine.params
     consts = [_decode_const(c, params) for c in circuit.consts]
     relin_runs = _relin_runs(circuit)
@@ -698,6 +721,7 @@ def evaluate_circuit(
         if i in batched:
             regs.append(batched.pop(i))
             continue
+        working = True
         if step.op == OP_ADD:
             value = engine.add(regs[step.args[0]], regs[step.args[1]])
         elif step.op == OP_SUB:
@@ -709,37 +733,29 @@ def evaluate_circuit(
         elif step.op == OP_MAC_CONST:
             term = _mul_const(engine, regs[step.args[1]], consts[step.args[2]])
             value = engine.add(regs[step.args[0]], term)
-        elif step.op == OP_MUL_RELIN:
-            a, b = regs[step.args[0]], regs[step.args[1]]
+        elif step.op in TENSOR_OPS:
+            a = regs[step.args[0]]
+            square = step.op in (OP_SQUARE_RELIN, OP_SQUARE)
+            b = a if square else regs[step.args[1]]
             if on_tensor is not None:
                 on_tensor(i, a, b)
-            value = engine.relinearize(engine.multiply(a, b), relin_key)
-        elif step.op == OP_SQUARE_RELIN:
-            a = regs[step.args[0]]
-            if on_tensor is not None:
-                on_tensor(i, a, a)
-            value = engine.relinearize(engine.square(a), relin_key)
-        elif step.op == OP_MUL:
-            a, b = regs[step.args[0]], regs[step.args[1]]
-            if on_tensor is not None:
-                on_tensor(i, a, b)
-            value = engine.multiply(a, b)
-        elif step.op == OP_SQUARE:
-            a = regs[step.args[0]]
-            if on_tensor is not None:
-                on_tensor(i, a, a)
-            value = engine.square(a)
+            value = engine.square(a) if square else engine.multiply(a, b)
+            if step.op in RELIN_OPS:
+                value = key_switch(engine.relinearize, value, relin_key)
         elif step.op == OP_RELINEARIZE:
             run = relin_runs.get(i)
             if run is not None:
-                folded = engine.relinearize_many(
-                    [regs[circuit.steps[j].args[0]] for j in run], relin_key
+                folded = key_switch(
+                    engine.relinearize_many,
+                    [regs[circuit.steps[j].args[0]] for j in run], relin_key,
                 )
                 for j, ct in zip(run, folded):
                     batched[j] = ct
                 value = batched.pop(i)
             else:
-                value = engine.relinearize(regs[step.args[0]], relin_key)
+                value = key_switch(
+                    engine.relinearize, regs[step.args[0]], relin_key
+                )
         elif step.op in ROTATION_OPS:
             a = regs[step.args[0]]
             steps_imm = step.args[1] if step.op == OP_ROTATE_ROWS else 0
@@ -749,10 +765,14 @@ def evaluate_circuit(
                     f"circuit {circuit.name!r} contains rotation steps but "
                     "no Galois key resolver was provided"
                 )
-            value = apply_galois_with_key(engine, a, galois(exponent))
+            value = key_switch(
+                apply_galois_with_key, engine, a, galois(exponent)
+            )
         else:  # pragma: no cover — validate_circuit rejects unknown ops
             raise CircuitError(f"unknown op code 0x{step.op:02x}")
         regs.append(value)
+    if working:
+        trace.mark("execute", opened, time.perf_counter())
     return {name: regs[reg] for name, reg in circuit.outputs}
 
 

@@ -4,15 +4,16 @@ Drives the full serving stack the way a deployment would:
 
 * **initech** sends raw encrypted traffic — EvalMult, additions, and slot
   rotations — as wire bytes, with its evaluation keys registered once;
-* **acme** runs encrypted logistic-regression batches;
-* **globex** runs CryptoNets-style encrypted inference;
+* **acme** submits compiled logistic-regression circuits;
+* **globex** submits compiled CryptoNets-style inference circuits;
 
 and the same 21-job workload is served by all three backends. Every raw
 result is decrypted client-side and checked against locally computed
-:class:`~repro.bfv.Bfv` ground truth, every app job self-verifies against
-its plaintext reference, and the three backends must return bit-identical
-ciphertext bytes. A second pass compares a chip pool of 1 against a pool
-of 4 on identical traffic to show the makespan shrink.
+:class:`~repro.bfv.Bfv` ground truth, every app circuit's decrypted
+output against its model's plaintext reference, and the three backends
+must return bit-identical ciphertext bytes. A second pass compares a
+chip pool of 1 against a pool of 4 on identical traffic to show the
+makespan shrink.
 
 Run:  ``python examples/encrypted_service_demo.py``  (or ``repro-serve``
 after ``pip install -e .``).
@@ -37,11 +38,15 @@ import argparse
 import random
 from dataclasses import dataclass
 
+from repro.apps.cryptonets import MiniCryptoNets
+from repro.apps.logreg import MiniLogisticRegression
 from repro.bfv import BatchEncoder, Bfv, BfvParameters, RotationEngine
 from repro.eval.tables import print_table as _print_table
+from repro.polymath.primes import ntt_friendly_prime
 from repro.service.jobs import JobKind
 from repro.service.serialization import (
     deserialize_ciphertext,
+    deserialize_circuit_outputs,
     serialize_ciphertext,
     serialize_galois_key,
     serialize_params,
@@ -50,6 +55,15 @@ from repro.service.serialization import (
 from repro.service.server import FheServer
 
 BACKENDS = ("chip_pool", "software", "fastntt")
+
+#: Chip-native parameter sets with noise headroom for each app's
+#: two-multiplication depth.
+LOGREG_PARAMS = BfvParameters.toy_rns(
+    n=16, towers=5, tower_bits=28, t=ntt_friendly_prime(16, 21)
+)
+CRYPTONETS_PARAMS = BfvParameters.toy_rns(
+    n=16, towers=4, tower_bits=30, t=ntt_friendly_prime(16, 20)
+)
 
 
 @dataclass
@@ -104,20 +118,38 @@ def build_traffic(client: RawClient, seed: int = 7):
         a = client.encrypt_slots(slots())
         raw_ops.append((JobKind.ROTATE, (serialize_ciphertext(a),),
                         1, client.rotor.rotate_rows(a, 1)))
-    logreg_batches = [
-        [[rng.randint(-3, 3) for _ in range(6)] for _ in range(4)]
-        for _ in range(5)
-    ]
-    cnn_batches = [
-        [[rng.randint(-2, 2) for _ in range(36)] for _ in range(3)]
-        for _ in range(5)
-    ]
-    return raw_ops, logreg_batches, cnn_batches
+    # App circuits: (tenant, model, circuit, operand wire bytes, check
+    # of the decrypted outputs against the model's plaintext reference).
+    logreg = MiniLogisticRegression(params=LOGREG_PARAMS, num_features=6,
+                                    seed=11)
+    cnn = MiniCryptoNets(params=CRYPTONETS_PARAMS, seed=7)
+    cnn_circuit = cnn.to_circuit()
+    app_jobs = []
+    for _ in range(5):
+        samples = [[rng.randint(-3, 3) for _ in range(6)] for _ in range(4)]
+        app_jobs.append((
+            "acme", logreg, logreg.to_circuit(batch=len(samples)),
+            _wire(logreg.encrypt_features(samples)),
+            lambda outs, s=samples: logreg.predictions_from_score(
+                outs["score"], len(s)) == logreg.predict_plain(s),
+        ))
+    for _ in range(5):
+        images = [[rng.randint(-2, 2) for _ in range(36)] for _ in range(3)]
+        app_jobs.append((
+            "globex", cnn, cnn_circuit, _wire(cnn.encrypt_images(images)),
+            lambda outs, im=images: cnn.scores_from_outputs(
+                outs, len(im)) == cnn.infer_plain(im),
+        ))
+    return raw_ops, app_jobs
+
+
+def _wire(cts) -> tuple[bytes, ...]:
+    return tuple(serialize_ciphertext(ct) for ct in cts)
 
 
 def submit_workload(server: FheServer, client: RawClient, backend: str, traffic):
     """Queue the shared workload on one backend; returns ids to verify."""
-    raw_ops, logreg_batches, cnn_batches = traffic
+    raw_ops, app_jobs = traffic
     sid = server.open_session(
         "initech",
         serialize_params(client.params),
@@ -134,41 +166,44 @@ def submit_workload(server: FheServer, client: RawClient, backend: str, traffic)
         jid = server.submit(sid, kind, operands, steps=steps, backend=backend)
         raw_checks.append((jid, expected))
 
-    app_jobs = []
-    logreg_sid = server.open_app_session("acme", JobKind.LOGREG)
-    for samples in logreg_batches:
-        app_jobs.append(server.submit(
-            logreg_sid, JobKind.LOGREG,
-            payload={"samples": samples, "seed": 11}, backend=backend,
-        ))
-    cnn_sid = server.open_app_session("globex", JobKind.CRYPTONETS)
-    for images in cnn_batches:
-        app_jobs.append(server.submit(
-            cnn_sid, JobKind.CRYPTONETS,
-            payload={"images": images, "seed": 7}, backend=backend,
-        ))
-    return raw_checks, app_jobs
+    app_checks = []  # (job_id, model, plaintext-reference check)
+    sessions: dict[str, str] = {}
+    for tenant, model, circuit, operands, check in app_jobs:
+        if tenant not in sessions:
+            sessions[tenant] = server.open_session(
+                tenant, serialize_params(model.params),
+                relin_key=serialize_relin_key(model.keys.relin, model.params),
+            )
+        jid = server.submit(sessions[tenant], JobKind.CIRCUIT, operands,
+                            payload=circuit, backend=backend)
+        app_checks.append((jid, model, check))
+    return raw_checks, app_checks
 
 
 def verify_backend(server: FheServer, client: RawClient, backend: str,
-                   raw_checks, app_jobs) -> list[bytes]:
-    """Check every result against ground truth; returns raw result bytes."""
-    raw_bytes = []
+                   raw_checks, app_checks) -> list[bytes]:
+    """Check every result against ground truth; returns result bytes."""
+    result_bytes = []
     for jid, expected in raw_checks:
         wire = server.result(jid)  # drives the scheduler as needed
-        raw_bytes.append(wire)
+        result_bytes.append(wire)
         got = deserialize_ciphertext(wire, client.params)
         got_pt = client.bfv.decrypt(got, client.keys.secret)
         want_pt = client.bfv.decrypt(expected, client.keys.secret)
         assert got_pt == want_pt, (
             f"{backend}: job {jid} decryption diverged from Bfv ground truth"
         )
-    for jid in app_jobs:
-        result = server.result(jid)
-        assert result["verified"], f"{backend}: app job {jid} failed verification"
-    print(f"  {backend}: {len(raw_checks)} raw + {len(app_jobs)} app jobs "
-          "verified against Bfv ground truth ✓")
-    return raw_bytes
+    for jid, model, check in app_checks:
+        wire = server.result(jid)
+        result_bytes.append(wire)
+        assert check(deserialize_circuit_outputs(wire, model.params)), (
+            f"{backend}: app circuit {jid} diverged from its plaintext "
+            "reference"
+        )
+    print(f"  {backend}: {len(raw_checks)} raw jobs verified against Bfv "
+          f"ground truth, {len(app_checks)} app circuits against their "
+          "plaintext references ✓")
+    return result_bytes
 
 
 def pool_scaling(client: RawClient, sizes=(1, 4), jobs: int = 12) -> list[dict]:
@@ -330,11 +365,8 @@ def transport_smoke(pool_size: int = 2) -> int:
     in-process execution; the logistic-regression circuit additionally
     checks its decrypted predictions against the plaintext reference.
     """
-    from repro.apps.logreg import MiniLogisticRegression
-    from repro.polymath.primes import ntt_friendly_prime
     from repro.service.circuits import evaluate_circuit
     from repro.service.client import FheClient
-    from repro.service.serialization import deserialize_circuit_outputs
     from repro.service.transport import ThreadedTransportServer
 
     params = BfvParameters.toy_rns(n=16, towers=2, tower_bits=20)
@@ -349,9 +381,7 @@ def transport_smoke(pool_size: int = 2) -> int:
 
     # The app-circuit leg: a compiled logistic-regression batch on its
     # own chip-native parameter set (wide enough for two multiplications).
-    lr_params = BfvParameters.toy_rns(
-        n=16, towers=5, tower_bits=28, t=ntt_friendly_prime(16, 21)
-    )
+    lr_params = LOGREG_PARAMS
     model = MiniLogisticRegression(params=lr_params, num_features=4, seed=11)
     rng = random.Random(3)
     samples = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(3)]
@@ -552,26 +582,26 @@ def run_demo() -> int:
     server = FheServer(pool_size=4)
     traffic = build_traffic(client)
 
-    per_backend_bytes = {}
+    per_backend_checks = {}
     for backend in BACKENDS:
-        raw_checks, app_jobs = submit_workload(server, client, backend, traffic)
-        per_backend_bytes[backend] = (raw_checks, app_jobs)
+        per_backend_checks[backend] = submit_workload(
+            server, client, backend, traffic
+        )
 
     stats = server.run()
     print(f"\nprocessed {stats.jobs_completed} jobs "
           f"({stats.jobs_failed} failed)")
 
     print("\nVerification:")
-    raw_results = {}
-    for backend, (raw_checks, app_jobs) in per_backend_bytes.items():
-        raw_results[backend] = verify_backend(
-            server, client, backend, raw_checks, app_jobs
-        )
+    results = {
+        backend: verify_backend(server, client, backend, *checks)
+        for backend, checks in per_backend_checks.items()
+    }
 
     # The three backends are bit-exact: same ops, same wire bytes.
-    reference = raw_results[BACKENDS[0]]
+    reference = results[BACKENDS[0]]
     for backend in BACKENDS[1:]:
-        assert raw_results[backend] == reference, (
+        assert results[backend] == reference, (
             f"{backend} wire bytes diverged from {BACKENDS[0]}"
         )
     print("  all backends returned bit-identical ciphertext bytes ✓")

@@ -281,10 +281,10 @@ def fleet_worker_main(conn, config: dict) -> None:
     """Entry point of one fleet worker (top-level: spawn-picklable).
 
     ``config`` is a plain picklable dict: ``index``, ``mode``, ``chips``,
-    ``pool_engine``, ``strict_fidelity``, ``heartbeat_interval``, and
-    ``fault_spec``. The worker builds its own session registry and chip
-    pool, then loops: drain control messages, execute routed jobs,
-    heartbeat on the interval.
+    ``strict_fidelity``, ``heartbeat_interval``, and ``fault_spec``. The
+    worker builds its own session registry and chip pool, then loops:
+    drain control messages, execute routed jobs, heartbeat on the
+    interval.
     """
     _FleetWorker(conn, config).run()
 
@@ -304,7 +304,6 @@ class _FleetWorker:
         self.backend = ChipPoolBackend(
             pool_size=config.get("chips", 1),
             strict_fidelity=config.get("strict_fidelity", False),
-            engine=config.get("pool_engine", "exact"),
         )
         self._sessions: dict[str, object] = {}  # token -> local Session
         self._job_seq = 0
@@ -529,8 +528,7 @@ class FleetBackend(Backend):
     """
 
     def __init__(self, size: int = 2, *, mode: str = "process",
-                 chips: int = 1, pool_engine: str = "exact",
-                 strict_fidelity: bool = False,
+                 chips: int = 1, strict_fidelity: bool = False,
                  heartbeat_interval: float = 0.5,
                  heartbeat_timeout: float = 10.0,
                  max_attempts: int = 4, worker_window: int = 1,
@@ -549,7 +547,6 @@ class FleetBackend(Backend):
         self.size = size
         self.mode = mode
         self.chips = chips
-        self.pool_engine = pool_engine
         self.strict_fidelity = strict_fidelity
         self.heartbeat_interval = heartbeat_interval
         self.heartbeat_timeout = heartbeat_timeout
@@ -597,7 +594,6 @@ class FleetBackend(Backend):
             "index": index,
             "mode": self.mode,
             "chips": self.chips,
-            "pool_engine": self.pool_engine,
             "strict_fidelity": self.strict_fidelity,
             "heartbeat_interval": self.heartbeat_interval,
             "fault_spec": (
@@ -666,14 +662,7 @@ class FleetBackend(Backend):
         if self._busy_since is None:
             self._busy_since = time.perf_counter()
         digest = registry.get(job.session_id).digest
-        if job.kind.is_app:
-            self._fail_assignment(
-                _Assignment(job=job, digest=digest, message=b""),
-                f"{job.kind.value} jobs are in-process only; "
-                "submit them to chip_pool or software",
-            )
-        else:
-            self._place(self._encode_assignment(job, digest))
+        self._place(self._encode_assignment(job, digest))
         self._set_gauges()
 
     def poll(self, timeout: float = 0.0) -> list[tuple[BatchReport, Job]]:

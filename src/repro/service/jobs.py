@@ -1,55 +1,90 @@
 """Encrypted-job model: what tenants submit and what comes back.
 
-A :class:`Job` is one unit of queued work: a raw homomorphic operation
-on uploaded ciphertexts (add/sub/multiply/square/relinearize/rotate), an
-**app circuit** (a compiled multi-step encrypted program — see
-:mod:`repro.service.circuits` — expanded by the backends into the same
-per-op/per-tower work units), or a legacy in-process application payload
-(a CryptoNets inference or a logistic-regression batch verified against
-its plaintext reference). Jobs carry their own metrics so the serving
-layer can report per-job latency alongside the aggregate throughput
-tables.
+A :class:`Job` is one unit of queued work, and every job has one shape:
+a :class:`~repro.service.circuits.Circuit` over uploaded ciphertexts.
+An app circuit (a compiled multi-step encrypted program) arrives as one;
+a raw homomorphic op (add/sub/multiply/square/rotate) is lowered to its
+one-step circuit when the job is built, so every backend executes
+circuits only. Jobs carry their own metrics so the serving layer can
+report per-job latency alongside the aggregate throughput tables.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 
 from repro.bfv.scheme import Ciphertext
-from repro.service.circuits import Circuit
+from repro.service.circuits import (
+    OP_ADD,
+    OP_MUL_RELIN,
+    OP_ROTATE_ROWS,
+    OP_SQUARE_RELIN,
+    OP_SUB,
+    Circuit,
+    CircuitStep,
+)
 from repro.service.telemetry import new_trace
 
 
 class JobKind(Enum):
-    """The operation a job requests."""
+    """The operation a job requests.
+
+    Every kind but ``CIRCUIT`` is a raw op: request vocabulary (the API,
+    the wire ``kind`` string, the cache key) for a one-step circuit.
+    """
 
     ADD = "add"
     SUB = "sub"
-    MULTIPLY = "multiply"  # Eq. 4 tensor + relinearization (if key present)
+    MULTIPLY = "multiply"  # Eq. 4 tensor + relinearization
     SQUARE = "square"
-    RELINEARIZE = "relinearize"
     ROTATE = "rotate"
     CIRCUIT = "circuit"  # app circuit: multi-step program over the wire
-    LOGREG = "logreg"  # app-level: MiniLogisticRegression batch
-    CRYPTONETS = "cryptonets"  # app-level: MiniCryptoNets inference
-
-    @property
-    def is_app(self) -> bool:
-        """In-process application kinds (payload never crosses the wire)."""
-        return self in (JobKind.LOGREG, JobKind.CRYPTONETS)
 
 
-#: Operand count per raw-op kind (app jobs take a payload instead).
-OPERAND_ARITY = {
-    JobKind.ADD: 2,
-    JobKind.SUB: 2,
-    JobKind.MULTIPLY: 2,
-    JobKind.SQUARE: 1,
-    JobKind.RELINEARIZE: 1,
-    JobKind.ROTATE: 1,
+#: Raw-op kind -> (the circuit op it lowers to, operand count).
+_RAW_OPS = {
+    JobKind.ADD: (OP_ADD, 2),
+    JobKind.SUB: (OP_SUB, 2),
+    JobKind.MULTIPLY: (OP_MUL_RELIN, 2),
+    JobKind.SQUARE: (OP_SQUARE_RELIN, 1),
+    JobKind.ROTATE: (OP_ROTATE_ROWS, 1),
 }
+
+#: The one named output of a lowered raw op.
+RAW_OUTPUT = "out"
+
+#: A circuit rotation immediate is signed 16-bit. Row rotations act mod
+#: ``n/2``, which divides 2**15 for every supported degree (n <= 2**16),
+#: so a raw op's 64-bit step count reduces mod 2**15 to the same
+#: rotation; a count that is 0 mod 2**15 keeps a nonzero immediate
+#: (-2**15) that is a no-op at every degree and fails at execution, as
+#: any no-op rotation does.
+_STEP_MOD = 2**15
+
+
+@functools.lru_cache(maxsize=256)
+def raw_op_circuit(kind: JobKind, steps: int = 0) -> Circuit:
+    """The one-step circuit a raw op lowers to (memoised per kind/steps).
+
+    Inputs are ``a`` (and ``b``), the output is :data:`RAW_OUTPUT`;
+    ``steps`` matters for ``ROTATE`` only.
+    """
+    op, arity = _RAW_OPS[kind]
+    args = tuple(range(arity))
+    if kind is JobKind.ROTATE:
+        if steps == 0 or not -_STEP_MOD <= steps < _STEP_MOD:
+            steps = steps % _STEP_MOD or -_STEP_MOD
+        args += (steps,)
+    return Circuit(
+        name=kind.value,
+        inputs=("a", "b")[:arity],
+        consts=(),
+        steps=(CircuitStep(op=op, args=args),),
+        outputs=((RAW_OUTPUT, arity),),
+    )
 
 
 class JobStatus(Enum):
@@ -72,21 +107,19 @@ class JobMetrics:
 
     Tower-sharded chip execution additionally reports, per job:
     ``tower_cycles`` (Algorithm 3 cycles per RNS tower, index-aligned with
-    the session's CoFHEE basis), ``tower_workers`` (which pool worker ran
-    each tower), ``relin_cycles`` (the model-priced relinearization tail,
-    so ``cycles == sum(tower_cycles) + relin_cycles`` on the chip path),
-    and ``fidelity`` — ``"chip"`` when every tower of the Eq. 4 tensor ran
-    through a worker's driver with a mod-q cross-check, ``"model"`` when
-    cycles came from the compiled DAG estimate. ``relin_fidelity`` is
-    ``"model"`` when a relinearization was priced (never chip-executed)
-    rather than silently folded in.
-
-    Circuit jobs aggregate across their tensor steps: ``tower_cycles``
-    sums each tower's cycles over every chip-executed tensor,
-    ``tower_workers`` lists the *distinct* workers that executed them
-    (a 12-tensor circuit typically touches the whole pool), and
-    ``relin_cycles`` totals one model-priced key-switch tail per tensor
-    step.
+    the session's CoFHEE basis, summed over every chip-executed tensor),
+    ``tower_workers`` (the distinct pool workers that executed those
+    towers), and ``relin_cycles`` (the model-priced key-switch tails —
+    one per relinearization, one per rotation plus its automorphism
+    copies), so ``cycles == sum(tower_cycles) + relin_cycles`` plus any
+    linear-step passes on the chip path. ``fidelity`` is ``"chip"`` when
+    every tower of every Eq. 4 tensor ran through a worker's driver with
+    a mod-q cross-check, ``"model"`` when the job has no tensor or its
+    moduli are not chip-native, so its cycles came from the compiled DAG
+    estimate. ``relin_fidelity`` (jobs that relinearize) is ``"engine"``
+    when the key switch ran through the batched engine fold and
+    ``"model"`` when the parameters force the scalar path (the chip pool
+    then prices the tail only).
 
     Jobs completed without executing record how: ``backend == "cache"``
     for content-addressed result-cache hits, ``backend == "dedupe"`` for
@@ -124,7 +157,9 @@ class Job:
     kind: JobKind
     operands: list[Ciphertext] = field(default_factory=list)
     steps: int = 0  # rotation amount (ROTATE only)
-    payload: object = None  # Circuit (CIRCUIT) or app inputs (samples/images)
+    #: The circuit the job executes: an app circuit (``CIRCUIT``), or
+    #: the raw op's one-step circuit, filled in at construction.
+    payload: Circuit | None = None
     backend: str = ""  # requested backend name ("" = service default)
     #: The operands' original framed wire bytes when the job arrived over
     #: the transport (index-aligned with ``operands``, empty otherwise).
@@ -136,8 +171,9 @@ class Job:
     deadline: float | None = None
     job_id: str = field(default_factory=lambda: f"j{next(_job_ids):05d}")
     status: JobStatus = JobStatus.QUEUED
-    result: object = None  # Ciphertext (raw op), {name: Ciphertext}
-    # (circuit), or the app output dict
+    #: Ciphertext (raw op) or ``{name: Ciphertext}`` (circuit); framed
+    #: wire bytes when a fleet worker produced it.
+    result: object = None
     error: str | None = None
     metrics: JobMetrics = field(default_factory=JobMetrics)
     #: Monotonic-clock phase spans (the shared NULL_TRACE when
@@ -145,31 +181,29 @@ class Job:
     trace: object = field(default_factory=new_trace, repr=False)
 
     def __post_init__(self):
+        if self.kind is not JobKind.CIRCUIT:
+            self.payload = raw_op_circuit(
+                self.kind, self.steps if self.kind is JobKind.ROTATE else 0
+            )
+        elif not isinstance(self.payload, Circuit):
+            raise ValueError(
+                "circuit jobs carry a Circuit payload, got "
+                f"{type(self.payload).__name__}"
+            )
+        if len(self.operands) != len(self.payload.inputs):
+            raise ValueError(
+                f"{self.kind.value} {self.payload.name!r} takes "
+                f"{len(self.payload.inputs)} input ciphertext(s) "
+                f"({', '.join(self.payload.inputs)}), "
+                f"got {len(self.operands)}"
+            )
+
+    def output(self, outputs: dict[str, Ciphertext]) -> object:
+        """The job's result from its circuit's named outputs: the map
+        itself for a circuit job, the one ciphertext for a raw op."""
         if self.kind is JobKind.CIRCUIT:
-            if not isinstance(self.payload, Circuit):
-                raise ValueError(
-                    "circuit jobs carry a Circuit payload, got "
-                    f"{type(self.payload).__name__}"
-                )
-            if len(self.operands) != len(self.payload.inputs):
-                raise ValueError(
-                    f"circuit {self.payload.name!r} takes "
-                    f"{len(self.payload.inputs)} input ciphertext(s) "
-                    f"({', '.join(self.payload.inputs)}), "
-                    f"got {len(self.operands)}"
-                )
-        elif self.kind.is_app:
-            if self.operands:
-                raise ValueError(f"{self.kind.value} jobs take a payload, not operands")
-            if self.payload is None:
-                raise ValueError(f"{self.kind.value} jobs need a payload")
-        else:
-            arity = OPERAND_ARITY[self.kind]
-            if len(self.operands) != arity:
-                raise ValueError(
-                    f"{self.kind.value} takes {arity} operand(s), "
-                    f"got {len(self.operands)}"
-                )
+            return outputs
+        return outputs[RAW_OUTPUT]
 
     @property
     def done(self) -> bool:

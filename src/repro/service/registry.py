@@ -80,8 +80,8 @@ class Session:
     """One tenant's binding to a parameter set plus evaluation keys.
 
     The public key is optional (the server never encrypts on a tenant's
-    behalf); the relin key gates multiply/square/relinearize jobs and the
-    Galois keys gate rotations.
+    behalf); the relin key gates relinearizing (multiply/square) steps
+    and the Galois keys gate rotations.
     """
 
     session_id: str

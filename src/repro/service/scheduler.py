@@ -111,8 +111,9 @@ class ServiceStats:
         """Aggregate execution-path counts across every report.
 
         Keys are the :class:`~repro.service.backends.BatchReport` fidelity
-        labels: ``"chip"`` (tensor ran tower-by-tower on worker drivers),
-        ``"model"`` (DAG/cost-model pricing), ``"relin_engine"``
+        labels: ``"chip"`` (tensors ran tower-by-tower on worker drivers),
+        ``"model"`` (DAG pricing: no tensor step, or moduli not
+        chip-native), ``"relin_engine"``
         (relinearization executed as batched chip-side key-switch work
         units), ``"relin_model"`` (tail model-priced only — params the
         engine cannot carry).

@@ -27,12 +27,9 @@ from repro.bfv.params import BfvParameters
 from repro.bfv.scheme import Ciphertext
 from repro.service.backends import (
     Backend,
-    BackendError,
     ChipPoolBackend,
     FastNttBackend,
     SoftwareBackend,
-    _galois_exponent,
-    default_app_params,
 )
 from repro.service.circuits import Circuit, CircuitError, rotation_exponents
 from repro.service.errors import QuotaExceededError
@@ -86,8 +83,6 @@ class FheServer:
             (``chip_pool``, ``software``, or ``fastntt``).
         strict_fidelity: fail EvalMult jobs whose tensor cannot execute
             on-chip instead of silently pricing them from the model.
-        pool_engine: host-side functional engine for the chip pool
-            (``"exact"`` or ``"fast"``; results are bit-identical).
         result_cache_size: capacity (entries) of the content-addressed
             result cache; ``0`` disables caching. Raw-op and circuit
             results are keyed by (params digest, op, rotation steps,
@@ -124,7 +119,7 @@ class FheServer:
 
     def __init__(self, pool_size: int = 4,
                  default_backend: str = "chip_pool",
-                 strict_fidelity: bool = False, pool_engine: str = "exact",
+                 strict_fidelity: bool = False,
                  result_cache_size: int = 256, fleet_size: int = 0,
                  fleet_mode: str = "process", fault_spec: str | None = None,
                  fleet_options: dict | None = None,
@@ -139,7 +134,6 @@ class FheServer:
         self.registry = SessionRegistry()
         self.chip_pool = ChipPoolBackend(
             pool_size=pool_size, strict_fidelity=strict_fidelity,
-            engine=pool_engine,
         )
         self.backends: dict[str, Backend] = {
             "chip_pool": self.chip_pool,
@@ -149,7 +143,7 @@ class FheServer:
         self.fleet: FleetBackend | None = None
         if fleet_size > 0:
             self.fleet = FleetBackend(
-                fleet_size, mode=fleet_mode, pool_engine=pool_engine,
+                fleet_size, mode=fleet_mode,
                 strict_fidelity=strict_fidelity, fault_spec=fault_spec,
                 **(fleet_options or {}),
             )
@@ -245,11 +239,6 @@ class FheServer:
         )
         return session.session_id
 
-    def open_app_session(self, tenant: str, kind: JobKind) -> str:
-        """Open a session on the canonical parameter set of a mini app."""
-        session = self.registry.open_session(tenant, default_app_params(kind))
-        return session.session_id
-
     def session(self, session_id: str) -> Session:
         return self.registry.get(session_id)
 
@@ -276,13 +265,13 @@ class FheServer:
         transport passes the blob straight through); its operands bind
         positionally to the circuit's named inputs.
 
-        A cacheable job (raw op or circuit) whose content address is
-        already cached completes immediately (a cache hit never enters
-        the scheduler). One whose address matches a job still queued or
-        running attaches to that execution as a dedupe follower — the
-        cache hit wins when both apply, since a cached result needs no
-        waiting at all. Everything else is queued. Returns the job id to
-        ``poll``/``result`` against.
+        A job whose content address is already cached completes
+        immediately (a cache hit never enters the scheduler). One whose
+        address matches a job still queued or running attaches to that
+        execution as a dedupe follower — the cache hit wins when both
+        apply, since a cached result needs no waiting at all. Everything
+        else is queued. Returns the job id to ``poll``/``result``
+        against.
 
         ``deadline`` (seconds from now, ``0`` = none) bounds the job's
         life: expired before dispatch it is shed before the next pick,
@@ -449,8 +438,8 @@ class FheServer:
             key = self._cache_key(
                 session, job, operands, circuit_digest, opt_level
             )
-            cached = key is not None and key in self._result_cache
-            primary_id = self._dedupe.get(key) if key is not None else None
+            cached = key in self._result_cache
+            primary_id = self._dedupe.get(key)
         if cached:
             self._result_cache.move_to_end(key)
             job.finish(self._result_cache[key])
@@ -479,15 +468,14 @@ class FheServer:
         # Queue first: a rejected submission must leave no server state.
         self.scheduler.submit(job)
         self._jobs[job.job_id] = job
-        if key is not None:
-            self._dedupe[key] = job.job_id
-            if self._cache_capacity > 0:
-                stats.cache_misses += 1
-                self.metrics.counter(
-                    "repro_cache_misses_total",
-                    "cacheable jobs that had to execute",
-                ).inc()
-                self._pending_cache[job.job_id] = key
+        self._dedupe[key] = job.job_id
+        if self._cache_capacity > 0:
+            stats.cache_misses += 1
+            self.metrics.counter(
+                "repro_cache_misses_total",
+                "cacheable jobs that had to execute",
+            ).inc()
+            self._pending_cache[job.job_id] = key
         return job.job_id
 
     # ------------------------------------------------------------------
@@ -496,16 +484,17 @@ class FheServer:
 
     def _cache_key(self, session: Session, job: Job, raw_operands: tuple,
                    circuit_digest: bytes = b"",
-                   opt_level: str = "") -> tuple | None:
-        """Content address of a raw-op or circuit job (``None`` otherwise).
+                   opt_level: str = "") -> tuple:
+        """Content address of a job.
 
-        Legacy in-process app jobs are excluded (their payloads are
-        verified against a plaintext reference on every run). The
-        evaluation-key digest keeps tenants with identical parameters but
-        different relin/Galois keys from ever sharing an entry, and the
-        backend name keeps a request for a specific execution path honest
-        (all backends return the same bytes, but a tenant asking for chip
-        fidelity gets it). Circuit jobs additionally fold in
+        The request kind stays in the address, so a raw op and a
+        hand-written circuit with identical bytes never share an entry
+        (one settles to a ciphertext, the other to a named-output map).
+        The evaluation-key digest keeps tenants with identical parameters
+        but different relin/Galois keys from ever sharing an entry, and
+        the backend name keeps a request for a specific execution path
+        honest (all backends return the same bytes, but a tenant asking
+        for chip fidelity gets it). Circuit jobs additionally fold in
         ``circuit_digest`` — the SHA-256 of the circuit's wire encoding,
         computed by :meth:`submit` straight from the received frame — so
         two tenants submitting the same program on the same inputs share
@@ -514,8 +503,6 @@ class FheServer:
         The same address drives both the result cache and in-queue
         dedupe, so dedupe stays on when caching is disabled.
         """
-        if job.kind.is_app:
-            return None
         operands = hashlib.sha256()
         for raw, ct in zip(raw_operands, job.operands):
             data = (
@@ -534,57 +521,38 @@ class FheServer:
             # entry. Raw ops are untouched by the optimizer.
             opt_level if job.kind is JobKind.CIRCUIT else "",
             job.backend or self.scheduler.default,
-            self._eval_key_digest(session, job),
+            self._eval_key_digest(session, job.payload),
             operands.digest(),
         )
 
-    def _eval_key_digest(self, session: Session, job: Job) -> bytes:
-        """Digest of the evaluation key material the job would use."""
-        if job.kind is JobKind.CIRCUIT:
-            parts = []
-            if job.payload.uses_relin:
-                key = session.relin
-                if key is None:
-                    return b"no-relin"  # the job will fail; never cached
-                parts.append(self._key_digest(
-                    key, lambda: serialize_relin_key(key, session.params)
-                ))
-            if job.payload.uses_rotations:
-                try:
-                    exponents = rotation_exponents(
-                        job.payload, session.params
-                    )
-                except CircuitError:
-                    return b"invalid-rotation"
-                for exponent in exponents:
-                    gkey = session.galois.get(exponent)
-                    if gkey is None:
-                        return b"no-galois"
-                    parts.append(self._key_digest(
-                        gkey,
-                        lambda k=gkey: serialize_galois_key(k, session.params),
-                    ))
-            return b"".join(parts)  # b"" for linear circuits: no key material
-        if job.kind in (JobKind.MULTIPLY, JobKind.SQUARE,
-                        JobKind.RELINEARIZE):
+    def _eval_key_digest(self, session: Session, circuit: Circuit) -> bytes:
+        """Digest of the evaluation key material the circuit would use.
+
+        A job that will fail for want of a key (or for a no-op rotation)
+        gets a sentinel instead; failures are never cached.
+        """
+        parts = []
+        if circuit.uses_relin:
             key = session.relin
             if key is None:
-                return b"no-relin"  # a relin circuit will fail; never cached
-            return self._key_digest(
+                return b"no-relin"
+            parts.append(self._key_digest(
                 key, lambda: serialize_relin_key(key, session.params)
-            )
-        if job.kind is JobKind.ROTATE:
+            ))
+        if circuit.uses_rotations:
             try:
-                exponent = _galois_exponent(session, job.steps)
-            except BackendError:
-                return b"invalid-rotation"  # the job will fail; never cached
-            key = session.galois.get(exponent)
-            if key is None:
-                return b"no-galois"
-            return self._key_digest(
-                key, lambda: serialize_galois_key(key, session.params)
-            )
-        return b""  # add/sub use no key material
+                exponents = rotation_exponents(circuit, session.params)
+            except CircuitError:
+                return b"invalid-rotation"
+            for exponent in exponents:
+                gkey = session.galois.get(exponent)
+                if gkey is None:
+                    return b"no-galois"
+                parts.append(self._key_digest(
+                    gkey,
+                    lambda k=gkey: serialize_galois_key(k, session.params),
+                ))
+        return b"".join(parts)  # b"" for linear circuits: no key material
 
     def _key_digest(self, key: object, make_bytes) -> bytes:
         """Memoized SHA-256 of a serialized evaluation key (LRU-bounded).
@@ -741,11 +709,10 @@ class FheServer:
         Returns as soon as this job is settled; jobs queued behind it
         may not have run yet.
 
-        Raw-op and circuit results return as wire bytes by default — the
-        server hands back exactly what would cross a transport: a framed
-        ciphertext for raw ops, a framed named-output map for circuits.
-        ``wire=False`` returns the in-memory object; legacy app-level
-        results are always objects.
+        Results return as wire bytes by default — the server hands back
+        exactly what would cross a transport: a framed ciphertext for raw
+        ops, a framed named-output map for circuits. ``wire=False``
+        returns the in-memory object.
 
         Raises:
             RuntimeError: if the job failed (message carries the cause).
@@ -815,7 +782,8 @@ class FheServer:
         always >= ``wall_cycles``). ``per_worker_cycles`` shows the
         spread, ``tower_cycles`` the per-tower totals over every
         chip-executed job, ``fidelity`` counts jobs per execution
-        path (``chip`` / ``model`` / ``relin_model``), and
+        path (``chip`` / ``model``, plus ``relin_engine`` /
+        ``relin_model`` for jobs that relinearize), and
         ``result_cache`` reports the content-addressed machinery: cache
         hits complete at submit time and cost the pool nothing, and
         ``dedupe_hits`` counts in-queue dedupe followers — identical

@@ -41,20 +41,22 @@ from dataclasses import dataclass, field
 
 #: Span-phase glossary, in canonical pipeline order. Not every job has
 #: every phase: only chip-native tensors see ``tower_dispatch`` /
-#: ``worker_execute`` / ``gather_barrier``, only keyed tensors a
-#: ``relin_tail``, and only transport-served jobs a ``reply``.
+#: ``worker_execute`` / ``gather_barrier``, only jobs that relinearize or
+#: rotate a ``keyswitch``, and only transport-served jobs a ``reply``. A
+#: multi-step circuit alternates ``execute`` and ``keyswitch`` spans, one
+#: per stretch of its host-side evaluation.
 PHASES = (
     "submit",          # FheServer.submit, end to end (decode/cache children)
     "decode",          # operand + circuit wire-bytes ingest (child of submit)
     "cache_check",     # content address + cache/dedupe lookup (child)
     "queue_wait",      # submit settled -> the job's own dispatch
     "execute",         # host-side functional execution (the exact math)
+    "keyswitch",       # a relinearization or Galois key switch (the kernel)
     "tower_dispatch",  # planning the per-tower fan-out for a level
     "worker_execute",  # chip workers running a level's tower units
     "gather_barrier",  # settling the level's tower gather
     "crt_recombine",   # CRT recombination of gathered tower outputs
-    "keyswitch",       # a raw job's relinearization (key-switch kernel)
-    "relin_tail",      # pricing/charging the relinearization tail
+    "relin_tail",      # pricing/charging the chip pool's key-switch tails
     "serialize",       # result -> wire bytes
     "reply",           # transport writing the completion frame
 )

@@ -662,13 +662,6 @@ class FheTransportServer:
         except ValueError as exc:
             await self._fail(conn, msg.request_id, exc)
             return
-        if kind.is_app:
-            await self._fail(conn, msg.request_id, ValueError(
-                f"{kind.value} jobs are in-process only: app payloads do "
-                "not cross the wire (compile to a circuit and use "
-                "SUBMIT_CIRCUIT instead)"
-            ))
-            return
         if kind is JobKind.CIRCUIT:
             await self._fail(conn, msg.request_id, ValueError(
                 "circuit jobs travel as SUBMIT_CIRCUIT frames, not SUBMIT"

@@ -53,10 +53,7 @@ def paper_world():
 
 def _run_pool(pool_size, params, keys, operands):
     registry = SessionRegistry()
-    # engine="fast" keeps host-side functional arithmetic vectorized; the
-    # chip traffic and cycle accounting are unaffected.
-    backend = ChipPoolBackend(pool_size=pool_size, engine="fast",
-                              strict_fidelity=True)
+    backend = ChipPoolBackend(pool_size=pool_size, strict_fidelity=True)
     scheduler = JobScheduler(
         registry, {"chip_pool": backend}, default="chip_pool",
     )

@@ -9,9 +9,11 @@ import random
 
 import pytest
 
+from repro.apps.logreg import MiniLogisticRegression
 from repro.bfv import BatchEncoder, Bfv, BfvParameters
-from repro.service.jobs import JobKind, JobStatus
+from repro.service.jobs import RAW_OUTPUT, JobKind, JobStatus, raw_op_circuit
 from repro.service.serialization import (
+    deserialize_circuit_outputs,
     serialize_ciphertext,
     serialize_params,
     serialize_relin_key,
@@ -138,15 +140,46 @@ class TestCacheMisses:
         assert server.pool_report()["result_cache"]["hits"] == 0
         assert wire_a != wire_b  # different relin keys -> different tails
 
-    def test_app_jobs_bypass_the_cache(self):
+    def test_app_circuits_share_the_cache(self):
+        """The apps are served as circuits, so a repeated inference batch
+        is a cache hit like any other job."""
+        model = MiniLogisticRegression(num_features=3, seed=11)
+        circuit = model.to_circuit(batch=1)
+        inputs = tuple(
+            serialize_ciphertext(ct)
+            for ct in model.encrypt_features([[1, 0, -1]])
+        )
         server = FheServer(pool_size=1)
-        sid = server.open_app_session("acme", JobKind.LOGREG)
-        payload = {"samples": [[1, 0, -1]], "seed": 11}
-        for _ in range(2):
-            server.result(server.submit(sid, JobKind.LOGREG, payload=payload))
+        sid = server.open_session(
+            "acme", serialize_params(model.params),
+            relin_key=serialize_relin_key(model.keys.relin, model.params),
+        )
+        wires = [
+            server.result(server.submit(
+                sid, JobKind.CIRCUIT, inputs, payload=circuit
+            ))
+            for _ in range(2)
+        ]
+        assert wires[0] == wires[1]
         report = server.pool_report()["result_cache"]
-        assert report["hits"] == 0
-        assert report["misses"] == 0
+        assert report["hits"] == 1
+        assert report["misses"] == 1
+
+    def test_raw_op_and_its_circuit_never_share(self, client):
+        """A raw ADD runs as its one-step circuit, but the two settle to
+        different shapes (a ciphertext vs a named-output map), so the
+        request kind keeps them apart in the cache."""
+        bfv, keys, fresh = client
+        server = FheServer(pool_size=1)
+        sid = _open(server, keys)
+        ops = (serialize_ciphertext(fresh()), serialize_ciphertext(fresh()))
+        raw = server.result(server.submit(sid, JobKind.ADD, ops))
+        circuit = raw_op_circuit(JobKind.ADD)
+        jid = server.submit(sid, JobKind.CIRCUIT, ops, payload=circuit)
+        assert server.status(jid) is JobStatus.QUEUED  # a miss, not a hit
+        outs = deserialize_circuit_outputs(server.result(jid), PARAMS)
+        assert serialize_ciphertext(outs[RAW_OUTPUT]) == raw
+        assert server.pool_report()["result_cache"]["hits"] == 0
 
 
 class TestInQueueDedupe:
@@ -237,8 +270,7 @@ class TestInQueueDedupe:
         retired so a later identical submit re-executes."""
         bfv, keys, fresh = client
         server = FheServer(pool_size=1)
-        # No relin key: MULTIPLY still works (unrelinearized tensor), so
-        # use ROTATE with no Galois key to force a failure.
+        # No Galois key: the ROTATE fails.
         sid = server.open_session("acme", serialize_params(PARAMS))
         ct = serialize_ciphertext(fresh())
         first = server.submit(sid, JobKind.ROTATE, (ct,), steps=1)

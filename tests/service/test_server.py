@@ -4,10 +4,13 @@ import random
 
 import pytest
 
+from repro.apps.cryptonets import MiniCryptoNets
+from repro.apps.logreg import MiniLogisticRegression
 from repro.bfv import BatchEncoder, Bfv, BfvParameters, RotationEngine
 from repro.service.jobs import JobKind, JobStatus
 from repro.service.serialization import (
     deserialize_ciphertext,
+    deserialize_circuit_outputs,
     serialize_ciphertext,
     serialize_galois_key,
     serialize_params,
@@ -116,31 +119,47 @@ class TestBackendAgreement:
         assert bfv.decrypt(got, keys.secret) == bfv.decrypt(expected, keys.secret)
 
 
+def _serve_app(server, model, circuit, inputs):
+    """Open the app tenant's session and submit its compiled circuit."""
+    sid = server.open_session(
+        "apps", serialize_params(model.params),
+        relin_key=serialize_relin_key(model.keys.relin, model.params),
+    )
+    return server.submit(
+        sid, JobKind.CIRCUIT,
+        tuple(serialize_ciphertext(ct) for ct in inputs), payload=circuit,
+    )
+
+
 class TestAppJobs:
+    """The Section VI-C apps are served as their compiled circuits."""
+
     def test_logreg_job(self, server):
-        sid = server.open_app_session("acme", JobKind.LOGREG)
+        model = MiniLogisticRegression(num_features=6, seed=11)
         samples = [[1, -2, 3, 0, 1, 2], [0, 1, -1, 2, -2, 1]]
-        jid = server.submit(sid, JobKind.LOGREG,
-                            payload={"samples": samples, "seed": 11})
-        result = server.result(jid)
-        assert result["verified"]
-        assert len(result["predictions"]) == len(samples)
+        jid = _serve_app(server, model, model.to_circuit(batch=len(samples)),
+                         model.encrypt_features(samples))
+        outs = deserialize_circuit_outputs(server.result(jid), model.params)
+        predictions = model.predictions_from_score(outs["score"], len(samples))
+        assert predictions == model.predict_plain(samples)
 
     def test_cryptonets_job(self, server):
-        sid = server.open_app_session("globex", JobKind.CRYPTONETS)
+        model = MiniCryptoNets(seed=7)
         rng = random.Random(2)
         images = [[rng.randint(-2, 2) for _ in range(36)] for _ in range(2)]
-        jid = server.submit(sid, JobKind.CRYPTONETS,
-                            payload={"images": images, "seed": 7})
-        result = server.result(jid)
-        assert result["verified"]
-        assert len(result["classes"]) == len(images)
+        jid = _serve_app(server, model, model.to_circuit(),
+                         model.encrypt_images(images))
+        outs = deserialize_circuit_outputs(server.result(jid), model.params)
+        scores = model.scores_from_outputs(outs, len(images))
+        assert scores == model.infer_plain(images)
+        assert len(model.classify(scores)) == len(images)
 
     def test_app_job_metrics_priced(self, server):
-        """App jobs report modeled chip cycles from their op mix."""
-        sid = server.open_app_session("acme", JobKind.LOGREG)
-        jid = server.submit(sid, JobKind.LOGREG,
-                            payload={"samples": [[1, 0, -1]], "seed": 11})
+        """App circuits report modeled chip cycles from their op mix."""
+        model = MiniLogisticRegression(num_features=3, seed=11)
+        samples = [[1, 0, -1]]
+        jid = _serve_app(server, model, model.to_circuit(batch=1),
+                         model.encrypt_features(samples))
         server.result(jid)
         metrics = server.job_metrics(jid)
         assert metrics.cycles > 0

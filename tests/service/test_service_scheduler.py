@@ -6,6 +6,7 @@ import pytest
 
 from repro.bfv import BatchEncoder, Bfv, BfvParameters
 from repro.service.backends import ChipPoolBackend
+from repro.service.circuits import CircuitBuilder
 from repro.service.jobs import Job, JobKind, JobStatus
 from repro.service.registry import SessionRegistry
 from repro.service.scheduler import JobScheduler
@@ -204,24 +205,32 @@ class TestFaultIsolation:
         assert "relinearization key" in bad.error
 
     def test_malformed_app_payload_fails_alone(self, client):
-        """Arbitrary exceptions inside a job (here: IndexError from an
-        empty sample list) must not crash the drain or strand neighbors."""
-        from repro.service.backends import default_app_params
-
+        """Arbitrary exceptions inside a job (here: a packed constant of
+        the wrong length, caught only when the circuit evaluates) must
+        not crash the drain or strand neighbors."""
         bfv, keys, fresh_ct = client
         registry, _, scheduler = _service()
-        app = registry.open_session("acme", default_app_params(JobKind.LOGREG))
-        bad = scheduler.submit(Job(
-            session_id=app.session_id, tenant="acme",
-            kind=JobKind.LOGREG, payload={"samples": []},
-        ))
-        good = scheduler.submit(Job(
-            session_id=app.session_id, tenant="acme",
-            kind=JobKind.LOGREG, payload={"samples": [[1, -1, 2]], "seed": 11},
-        ))
+        session = registry.open_session("acme", PARAMS)
+
+        def shift(bias_len):
+            builder = CircuitBuilder("shift")
+            x = builder.input("x")
+            bias = builder.plain([1] * bias_len)
+            builder.output("y", builder.add_const(x, bias))
+            return builder.build()
+
+        bad, good = (
+            scheduler.submit(Job(
+                session_id=session.session_id, tenant="acme",
+                kind=JobKind.CIRCUIT, operands=[fresh_ct()],
+                payload=shift(bias_len),
+            ))
+            for bias_len in (PARAMS.n - 1, PARAMS.n)
+        )
         scheduler.run_all()
         assert bad.status is JobStatus.FAILED
-        assert good.status is JobStatus.DONE and good.result["verified"]
+        assert "coefficients" in bad.error
+        assert good.status is JobStatus.DONE and "y" in good.result
 
     @pytest.mark.parametrize("kind", [JobKind.MULTIPLY, JobKind.SQUARE])
     def test_datapath_fault_fails_the_job(self, client, monkeypatch, kind):

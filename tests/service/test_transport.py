@@ -376,10 +376,37 @@ class TestProtocolRobustness:
                 sid = await client.open_session(
                     "apps", serialize_params(PARAMS)
                 )
-                with pytest.raises(TransportError, match="in-process only"):
-                    await client.submit(sid, JobKind.LOGREG)
+                # The retired app kinds are no longer request vocabulary.
+                with pytest.raises(TransportError, match="not a valid"):
+                    await client.submit(sid, "logreg")
                 with pytest.raises(TransportError, match="not a valid"):
                     await client.submit(sid, "frobnicate", (ct, ct))
+                await client.aclose()
+
+        asyncio.run(scenario())
+
+    def test_raw_relinearize_is_rejected_and_the_link_survives(self, stack):
+        """No circuit step relinearizes a lone uploaded ciphertext, so
+        ``relinearize`` is not a raw kind: its SUBMIT gets an ERROR frame
+        and the same connection goes on serving."""
+        bfv, keys, encoder, rotor = stack
+
+        async def scenario():
+            async with FheTransportServer(pool_size=1) as server:
+                host, port = server.address
+                client = await AsyncFheClient.connect(host, port)
+                sid = await client.open_session(
+                    "relin", serialize_params(PARAMS),
+                    relin_key=serialize_relin_key(keys.relin, PARAMS),
+                )
+                a = bfv.encrypt(encoder.encode([2] * PARAMS.n), keys.public)
+                ct = serialize_ciphertext(a)
+                with pytest.raises(TransportError, match="relinearize"):
+                    await client.submit(sid, "relinearize", (ct,))
+                jid = await client.submit(sid, JobKind.ADD, (ct, ct))
+                assert await client.result(jid) == serialize_ciphertext(
+                    bfv.add(a, a)
+                )
                 await client.aclose()
 
         asyncio.run(scenario())

@@ -37,7 +37,9 @@
 #                                    # (skewed hot tenant, >= 1.3x gate)
 #   tools/run_checks.sh --layered    # also the layered serving benchmark's
 #                                    # own stage: its contract/estimator
-#                                    # tests (bench/tests) + the dense16,
+#                                    # tests (bench/tests) + the
+#                                    # inproc_serial (raw EvalMult, lowered
+#                                    # to a one-step circuit), dense16,
 #                                    # tcp_wave4 and fleet_wave2 workloads
 #                                    # at toy degree (--quick; the exit
 #                                    # status gates correctness — every
@@ -195,8 +197,9 @@ fi
 
 if [ "$RUN_LAYERED" = 1 ]; then
   echo
-  echo "== layered serving benchmark (bench/tests + dense16 + tcp_wave4 + fleet_wave2 at toy degree) =="
+  echo "== layered serving benchmark (bench/tests + inproc_serial + dense16 + tcp_wave4 + fleet_wave2 at toy degree) =="
   python -m pytest bench/tests -q
+  python3 bench/run.py --quick --workload evalmult_inproc_serial --seed 1
   python3 bench/run.py --quick --workload dense16_inproc_serial --seed 1
   python3 bench/run.py --quick --workload evalmult_tcp_wave4 --seed 1
   python3 bench/run.py --quick --workload evalmult_fleet_wave2 --seed 1
