@@ -49,36 +49,15 @@ from repro.service.serialization import (
     EventMsg,
     OpenSessionMsg,
     ResultMsg,
+    SessionMsg,
     StatsMsg,
     StatusMsg,
     SubmitCircuitMsg,
     SubmitMsg,
-    TAG_ADMIN,
-    TAG_ERROR,
-    TAG_EVENT,
-    TAG_RESULT,
-    TAG_SESSION,
-    TAG_STATS,
-    TAG_STATUS,
-    TAG_TRACE,
     TraceMsg,
     WireFormatError,
-    decode_admin,
-    decode_error,
-    decode_event,
-    decode_result,
-    decode_session,
-    decode_stats,
-    decode_status,
-    decode_trace,
-    encode_admin,
-    encode_open_session,
-    encode_stats,
-    encode_submit,
-    encode_submit_circuit,
-    encode_status,
-    encode_result,
-    encode_trace,
+    decode_message,
+    encode_message,
     peek_tag,
     serialize_ciphertext,
     serialize_circuit,
@@ -196,6 +175,12 @@ def _wire_operands(operands) -> tuple[bytes, ...]:
     return tuple(out)
 
 
+#: Server messages that answer a request (matched by ``request_id``).
+_REPLY_TYPES = frozenset(
+    {SessionMsg, StatusMsg, ResultMsg, StatsMsg, TraceMsg, AdminMsg, ErrorMsg}
+)
+
+
 class AsyncFheClient:
     """One multiplexed connection to a :class:`FheTransportServer`."""
 
@@ -246,45 +231,32 @@ class AsyncFheClient:
             self._fail_outstanding(exc)
 
     def _route(self, frame: bytes) -> None:
-        tag = peek_tag(frame)
-        if tag == TAG_EVENT:
-            event = decode_event(frame)
+        msg = decode_message(frame)
+        if type(msg) is EventMsg:
             # The server may push the EVENT right behind the SUBMIT reply
             # (cache hits do), so both can land in one read chunk —
             # before the submit() coroutine has resumed to register the
             # job. Create the record here; submit()'s setdefault adopts
             # it and sees the already-resolved future.
             self._jobs.setdefault(
-                event.job_id, _ClientJob(self._loop)
-            ).deliver(event)
+                msg.job_id, _ClientJob(self._loop)
+            ).deliver(msg)
             return
-        if tag == TAG_SESSION:
-            msg = decode_session(frame)
-        elif tag == TAG_STATUS:
-            msg = decode_status(frame)
-        elif tag == TAG_RESULT:
-            msg = decode_result(frame)
-        elif tag == TAG_STATS:
-            msg = decode_stats(frame)
-        elif tag == TAG_TRACE:
-            msg = decode_trace(frame)
-        elif tag == TAG_ADMIN:
-            msg = decode_admin(frame)
-        elif tag == TAG_ERROR:
-            err = decode_error(frame)
-            if err.request_id == 0:
-                # Connection-level protocol error: everything in flight
-                # is dead; the server is closing the link.
-                self._fail_outstanding(TransportError(err.message, err.code))
-                return
-            future = self._replies.pop(err.request_id, None)
-            if future is not None and not future.done():
-                future.set_exception(TransportError(err.message, err.code))
+        if type(msg) not in _REPLY_TYPES:
+            raise WireFormatError(
+                f"unexpected server frame tag 0x{peek_tag(frame):02x}"
+            )
+        if type(msg) is ErrorMsg and msg.request_id == 0:
+            # Connection-level protocol error: everything in flight is
+            # dead; the server is closing the link.
+            self._fail_outstanding(TransportError(msg.message, msg.code))
             return
-        else:
-            raise WireFormatError(f"unexpected server frame tag 0x{tag:02x}")
         future = self._replies.pop(msg.request_id, None)
-        if future is not None and not future.done():
+        if future is None or future.done():
+            return
+        if type(msg) is ErrorMsg:
+            future.set_exception(TransportError(msg.message, msg.code))
+        else:
             future.set_result(msg)
 
     def _fail_outstanding(self, exc: Exception) -> None:
@@ -296,9 +268,12 @@ class AsyncFheClient:
             if not job.future.done():
                 job.future.set_exception(exc)
 
-    async def _request(self, message: bytes, request_id: int):
+    async def _request(self, msg_type: type, **fields):
+        """Send ``msg_type(request_id=<fresh>, **fields)``; await its reply."""
         if self._closed:
             raise TransportError("client is closed")
+        request_id = next(self._request_ids)
+        message = encode_message(msg_type(request_id=request_id, **fields))
         future = self._loop.create_future()
         self._replies[request_id] = future
         try:
@@ -332,13 +307,12 @@ class AsyncFheClient:
         """
         if isinstance(params, BfvParameters):
             params = serialize_params(params)
-        rid = next(self._request_ids)
-        reply = await self._request(encode_open_session(OpenSessionMsg(
-            request_id=rid, tenant=tenant, params=bytes(params),
+        reply = await self._request(
+            OpenSessionMsg, tenant=tenant, params=bytes(params),
             public_key=public_key, relin_key=relin_key,
             galois_keys=tuple(bytes(g) for g in galois_keys),
             token=token,
-        )), rid)
+        )
         return reply.session_id
 
     async def submit(
@@ -362,7 +336,7 @@ class AsyncFheClient:
         has not executed within it.
         """
         kind_value = kind.value if isinstance(kind, JobKind) else str(kind)
-        record = ("submit", dict(
+        record = (SubmitMsg, dict(
             session_id=session_id, kind=kind_value,
             operands=_wire_operands(operands),
             steps=steps, backend=backend, deadline=deadline, subscribe=True,
@@ -396,7 +370,7 @@ class AsyncFheClient:
             bytes(circuit) if isinstance(circuit, (bytes, bytearray))
             else serialize_circuit(circuit)
         )
-        record = ("submit_circuit", dict(
+        record = (SubmitCircuitMsg, dict(
             session_id=session_id, circuit=wire_circuit,
             operands=_wire_operands(inputs), backend=backend,
             deadline=deadline, subscribe=True,
@@ -410,16 +384,10 @@ class AsyncFheClient:
     # -- retry machinery -----------------------------------------------
 
     async def _send_submission(self, record: tuple) -> str:
-        """Send one recorded submission and register its job future."""
-        op, kwargs = record
-        rid = next(self._request_ids)
-        if op == "submit":
-            frame = encode_submit(SubmitMsg(request_id=rid, **kwargs))
-        else:
-            frame = encode_submit_circuit(
-                SubmitCircuitMsg(request_id=rid, **kwargs)
-            )
-        reply: StatusMsg = await self._request(frame, rid)
+        """Send one recorded ``(message type, fields)`` submission and
+        register its job future."""
+        msg_type, fields = record
+        reply: StatusMsg = await self._request(msg_type, **fields)
         self._jobs.setdefault(reply.job_id, _ClientJob(self._loop))
         return reply.job_id
 
@@ -511,10 +479,7 @@ class AsyncFheClient:
 
     async def status(self, job_id: str) -> str:
         """Ask the server for a job's current status (read-only)."""
-        rid = next(self._request_ids)
-        reply: StatusMsg = await self._request(encode_status(StatusMsg(
-            request_id=rid, job_id=job_id
-        )), rid)
+        reply: StatusMsg = await self._request(StatusMsg, job_id=job_id)
         return reply.status
 
     async def fetch_result(self, job_id: str) -> bytes:
@@ -523,20 +488,14 @@ class AsyncFheClient:
         Useful for jobs another connection submitted, or after a missed
         event; the server answers when the job completes.
         """
-        rid = next(self._request_ids)
-        reply: ResultMsg = await self._request(encode_result(ResultMsg(
-            request_id=rid, job_id=job_id
-        )), rid)
+        reply: ResultMsg = await self._request(ResultMsg, job_id=job_id)
         if reply.status != "done":
             raise JobFailedError(job_id, reply.error or "unknown failure")
         return reply.payload
 
     async def stats(self) -> str:
         """Fetch the server's metrics as Prometheus exposition text."""
-        rid = next(self._request_ids)
-        reply: StatsMsg = await self._request(
-            encode_stats(StatsMsg(request_id=rid)), rid
-        )
+        reply: StatsMsg = await self._request(StatsMsg)
         return reply.text
 
     async def trace(self, job_id: str) -> TraceMsg:
@@ -546,10 +505,7 @@ class AsyncFheClient:
         a tracing-off server answers with zero spans. Unknown job ids
         raise :class:`TransportError` (the server's ERROR frame).
         """
-        rid = next(self._request_ids)
-        return await self._request(
-            encode_trace(TraceMsg(request_id=rid, job_id=job_id)), rid
-        )
+        return await self._request(TraceMsg, job_id=job_id)
 
     async def admin(self, command: str, value: int = 1) -> int:
         """Fleet admin over the wire (``grow``/``shrink``/``resize``).
@@ -557,10 +513,9 @@ class AsyncFheClient:
         Returns the fleet size after the operation; raises
         :class:`TransportError` on a fleetless server or bad command.
         """
-        rid = next(self._request_ids)
-        reply: AdminMsg = await self._request(encode_admin(AdminMsg(
-            request_id=rid, command=command, value=value
-        )), rid)
+        reply: AdminMsg = await self._request(
+            AdminMsg, command=command, value=value
+        )
         return reply.value
 
     def events_received(self, job_id: str) -> int:

@@ -70,29 +70,18 @@ from repro.service.backends import Backend, BatchReport, ChipPoolBackend
 from repro.service.jobs import Job, JobKind, JobStatus
 from repro.service.registry import SessionRegistry
 from repro.service.serialization import (
-    TAG_WORKER_FAULTS,
-    TAG_WORKER_HEARTBEAT,
-    TAG_WORKER_JOB,
-    TAG_WORKER_KEYS,
-    TAG_WORKER_RESULT,
     WireFormatError,
+    WorkerFaultsMsg,
     WorkerHeartbeatMsg,
     WorkerJobMsg,
     WorkerKeysMsg,
     WorkerResultMsg,
-    decode_worker_faults,
-    decode_worker_heartbeat,
-    decode_worker_job,
-    decode_worker_keys,
-    decode_worker_result,
+    decode_message,
     deserialize_circuit,
     deserialize_galois_key,
     deserialize_params,
     deserialize_relin_key,
-    encode_worker_heartbeat,
-    encode_worker_job,
-    encode_worker_keys,
-    encode_worker_result,
+    encode_message,
     peek_tag,
     serialize_ciphertext,
     serialize_circuit,
@@ -330,19 +319,20 @@ class _FleetWorker:
     # -- control messages ----------------------------------------------
 
     def _handle(self, data: bytes) -> bool:
-        tag = peek_tag(data)
-        if tag == TAG_WORKER_KEYS:
-            self._install_keys(decode_worker_keys(data))
-        elif tag == TAG_WORKER_FAULTS:
-            spec = decode_worker_faults(data).spec
-            self.faults = FaultPlan.parse(spec).for_worker(self.index)
-        elif tag == TAG_WORKER_JOB:
-            return self._serve_job(decode_worker_job(data))
-        else:
-            raise WireFormatError(f"unexpected worker-control tag {tag:#x}")
+        """Run one control message; returns whether to keep serving."""
+        msg = decode_message(data)
+        handler = self._HANDLERS.get(type(msg))
+        if handler is None:
+            raise WireFormatError(
+                f"unexpected worker-control tag {peek_tag(data):#x}"
+            )
+        return handler(self, msg)
+
+    def _arm_faults(self, msg: WorkerFaultsMsg) -> bool:
+        self.faults = FaultPlan.parse(msg.spec).for_worker(self.index)
         return True
 
-    def _install_keys(self, msg: WorkerKeysMsg) -> None:
+    def _install_keys(self, msg: WorkerKeysMsg) -> bool:
         params = deserialize_params(msg.params)
         relin = (
             deserialize_relin_key(msg.relin_key, params)
@@ -354,6 +344,7 @@ class _FleetWorker:
         self._sessions[msg.token] = self.registry.open_session(
             msg.tenant, params, relin=relin, galois=galois
         )
+        return True
 
     # -- job execution -------------------------------------------------
 
@@ -383,7 +374,7 @@ class _FleetWorker:
                 fidelity=reply.fidelity,
             )
         try:
-            self.conn.send_bytes(encode_worker_result(reply))
+            self.conn.send_bytes(encode_message(reply))
         except (EOFError, OSError, ValueError):
             return False
         self._jobs_done += 1
@@ -448,9 +439,17 @@ class _FleetWorker:
             worker=self.index, seq=self._beat_seq, jobs_done=self._jobs_done
         )
         try:
-            self.conn.send_bytes(encode_worker_heartbeat(beat))
+            self.conn.send_bytes(encode_message(beat))
         except (EOFError, OSError, ValueError):
             pass
+
+    #: Orchestrator message type -> handler (returns whether to keep
+    #: serving); any other type is a protocol error.
+    _HANDLERS = {
+        WorkerKeysMsg: _install_keys,
+        WorkerFaultsMsg: _arm_faults,
+        WorkerJobMsg: _serve_job,
+    }
 
 
 # ----------------------------------------------------------------------
@@ -696,7 +695,7 @@ class FleetBackend(Backend):
             serialize_circuit(job.payload)
             if job.kind is JobKind.CIRCUIT else None
         )
-        message = encode_worker_job(WorkerJobMsg(
+        message = encode_message(WorkerJobMsg(
             job_id=job.job_id, token=job.session_id, kind=job.kind.value,
             steps=job.steps, operands=operands, circuit=circuit,
         ))
@@ -819,7 +818,7 @@ class FleetBackend(Backend):
                 serialize_galois_key(key, session.params)
                 for _, key in sorted(session.galois.items())
             )
-            message = encode_worker_keys(WorkerKeysMsg(
+            message = encode_message(WorkerKeysMsg(
                 token=session.session_id, tenant=session.tenant,
                 params=serialize_params(session.params),
                 relin_key=relin, galois_keys=galois,
@@ -869,15 +868,18 @@ class FleetBackend(Backend):
             handle.live = True
             self.readmissions += 1
             self._kick(handle)
-        tag = peek_tag(data)
-        if tag == TAG_WORKER_HEARTBEAT:
-            beat = decode_worker_heartbeat(data)
-            handle.heartbeats += 1
-            handle.jobs_done = max(handle.jobs_done, beat.jobs_done)
-        elif tag == TAG_WORKER_RESULT:
-            self._on_result(handle, decode_worker_result(data))
-        else:
-            raise WireFormatError(f"unexpected worker reply tag {tag:#x}")
+        msg = decode_message(data)
+        handler = self._HANDLERS.get(type(msg))
+        if handler is None:
+            raise WireFormatError(
+                f"unexpected worker reply tag {peek_tag(data):#x}"
+            )
+        handler(self, handle, msg)
+
+    def _on_heartbeat(self, handle: WorkerHandle,
+                      beat: WorkerHeartbeatMsg) -> None:
+        handle.heartbeats += 1
+        handle.jobs_done = max(handle.jobs_done, beat.jobs_done)
 
     def _check_health(self) -> None:
         now = time.monotonic()
@@ -1142,6 +1144,12 @@ class FleetBackend(Backend):
             fidelity=fidelity,
         ))
         self._kick(handle)
+
+    #: Worker message type -> handler; any other type is a protocol error.
+    _HANDLERS = {
+        WorkerHeartbeatMsg: _on_heartbeat,
+        WorkerResultMsg: _on_result,
+    }
 
     def _fail_assignment(self, assignment: _Assignment, message: str) -> None:
         job = assignment.job

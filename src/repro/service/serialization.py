@@ -22,12 +22,15 @@ Secret keys are deliberately **not** serializable: the serving layer's
 contract is that secrets never cross the wire — clients encrypt, upload
 evaluation keys, and decrypt locally.
 
-The **control plane** of the async transport speaks the same envelope:
-OPEN-SESSION/SESSION, SUBMIT/SUBMIT-CIRCUIT/STATUS, RESULT, EVENT, and
-ERROR messages (tags 0x10-0x1A) carry job routing fields plus nested
-data-plane blobs (each itself a framed message), all under the one
-MAGIC/VERSION/CRC32 scheme — a bit flipped anywhere in a control frame
-is caught by the same checksum that protects a ciphertext.
+The **control plane** speaks the same envelope: the transport's messages
+(tags 0x10-0x1A) and the fleet's worker messages (0x20-0x24) carry
+routing fields plus nested data-plane blobs (each itself a framed
+message) — a bit flipped anywhere in a control frame is caught by the
+same checksum that protects a ciphertext. Each control message is a
+frozen dataclass whose wire layout is declared once, in
+:data:`CONTROL_MESSAGES` (tag -> dataclass + ``(field, kind)`` pairs in
+wire order); :func:`encode_message` and :func:`decode_message` are the
+whole codec, and receivers dispatch on the decoded message's type.
 
 **App circuits** (tag 0x07) encode a whole multi-step encrypted program —
 named ciphertext inputs, a plaintext constant table, an SSA step list,
@@ -43,6 +46,7 @@ import hashlib
 import struct
 import zlib
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.bfv.keys import GaloisKey, PublicKey, RelinKey
 from repro.bfv.params import BfvParameters
@@ -101,7 +105,9 @@ TAG_WORKER_RESULT = 0x22
 TAG_WORKER_HEARTBEAT = 0x23
 TAG_WORKER_FAULTS = 0x24
 
-_TAG_NAMES = {
+#: Tag -> short name for error messages (control names join from
+#: :data:`CONTROL_MESSAGES`).
+TAG_NAMES = {
     TAG_PARAMS: "params",
     TAG_POLYNOMIAL: "polynomial",
     TAG_CIPHERTEXT: "ciphertext",
@@ -110,22 +116,6 @@ _TAG_NAMES = {
     TAG_GALOIS_KEY: "galois-key",
     TAG_CIRCUIT: "circuit",
     TAG_CIRCUIT_OUTPUTS: "circuit-outputs",
-    TAG_OPEN_SESSION: "open-session",
-    TAG_SESSION: "session",
-    TAG_SUBMIT: "submit",
-    TAG_STATUS: "status",
-    TAG_RESULT: "result",
-    TAG_EVENT: "event",
-    TAG_ERROR: "error",
-    TAG_SUBMIT_CIRCUIT: "submit-circuit",
-    TAG_STATS: "stats",
-    TAG_TRACE: "trace",
-    TAG_ADMIN: "admin",
-    TAG_WORKER_KEYS: "worker-keys",
-    TAG_WORKER_JOB: "worker-job",
-    TAG_WORKER_RESULT: "worker-result",
-    TAG_WORKER_HEARTBEAT: "worker-heartbeat",
-    TAG_WORKER_FAULTS: "worker-faults",
 }
 
 DIGEST_BYTES = 32
@@ -144,12 +134,20 @@ class ParamsMismatchError(WireFormatError):
 # ----------------------------------------------------------------------
 
 
-def _u16(value: int) -> bytes:
-    return value.to_bytes(2, "big")
+_I64 = struct.Struct(">q")
+_F64 = struct.Struct(">d")
 
 
-def _u32(value: int) -> bytes:
-    return value.to_bytes(4, "big")
+def _uint(value: int, width: int) -> bytes:
+    if not 0 <= value < 1 << 8 * width:
+        raise ValueError(
+            f"{value} does not fit an unsigned {8 * width}-bit field"
+        )
+    return value.to_bytes(width, "big")
+
+
+_u16 = functools.partial(_uint, width=2)
+_u32 = functools.partial(_uint, width=4)
 
 
 def _bigint(value: int) -> bytes:
@@ -160,7 +158,9 @@ def _bigint(value: int) -> bytes:
 
 
 def _i64(value: int) -> bytes:
-    return struct.pack(">q", value)
+    if not -(1 << 63) <= value < 1 << 63:
+        raise ValueError(f"{value} does not fit a signed 64-bit field")
+    return _I64.pack(value)
 
 
 def _str(text: str) -> bytes:
@@ -201,16 +201,16 @@ class _Reader:
         return int.from_bytes(self.take(self.u32()), "big")
 
     def double(self) -> float:
-        return struct.unpack(">d", self.take(8))[0]
+        return _F64.unpack(self.take(8))[0]
 
     def u8(self) -> int:
         return self.take(1)[0]
 
     def i64(self) -> int:
-        return struct.unpack(">q", self.take(8))[0]
+        return _I64.unpack(self.take(8))[0]
 
-    def string(self) -> str:
-        raw = self.take(self.u16())
+    def string(self, length_bytes: int = 2) -> str:
+        raw = self.take(int.from_bytes(self.take(length_bytes), "big"))
         try:
             return raw.decode("utf-8")
         except UnicodeDecodeError as exc:
@@ -233,25 +233,12 @@ def _frame(tag: int, body: bytes) -> bytes:
 
 
 def _unframe(data: bytes, expected_tag: int) -> _Reader:
-    """Validate header/checksum and return a reader over the body."""
-    if len(data) < len(MAGIC) + 2 + 4:
-        raise WireFormatError(f"message too short ({len(data)} bytes)")
-    if data[: len(MAGIC)] != MAGIC:
-        raise WireFormatError("bad magic: not a CFHE wire message")
-    version = data[len(MAGIC)]
-    if version != WIRE_VERSION:
-        raise WireFormatError(
-            f"unsupported wire version {version} (this build speaks "
-            f"{WIRE_VERSION})"
-        )
-    crc = int.from_bytes(data[-4:], "big")
-    if zlib.crc32(data[:-4]) != crc:
-        raise WireFormatError("checksum mismatch: message corrupted in transit")
-    tag = data[len(MAGIC) + 1]
+    """Validate the frame and its tag; return a reader over the body."""
+    tag = verify_frame(data)
     if tag != expected_tag:
         raise WireFormatError(
-            f"expected a {_TAG_NAMES.get(expected_tag, expected_tag)} message, "
-            f"got {_TAG_NAMES.get(tag, f'tag {tag}')}"
+            f"expected a {TAG_NAMES.get(expected_tag, expected_tag)} message, "
+            f"got {TAG_NAMES.get(tag, f'tag {tag}')}"
         )
     return _Reader(data[len(MAGIC) + 2 : -4])
 
@@ -296,7 +283,7 @@ def _params_body(params: BfvParameters) -> bytes:
         _u32(params.n),
         _bigint(params.q),
         _bigint(params.t),
-        struct.pack(">d", params.sigma),
+        _F64.pack(params.sigma),
     ]
     for basis in (params.cpu_basis, params.cofhee_basis):
         moduli = () if basis is None else tuple(basis.moduli)
@@ -445,21 +432,18 @@ def deserialize_public_key(data: bytes, params: BfvParameters) -> PublicKey:
 
 
 def _key_rows_body(rows, params: BfvParameters) -> bytes:
-    parts = [_u16(len(rows))]
-    for b_i, a_i in rows:
-        parts.append(_pack_ring_polys((b_i, a_i), params))
-    return b"".join(parts)
+    return _u16(len(rows)) + b"".join(
+        _pack_ring_polys(row, params) for row in rows
+    )
 
 
 def _read_key_rows(reader: _Reader, params: BfvParameters):
     count = reader.u16()
     if count < 1:
         raise WireFormatError("key-switching key needs at least one row")
-    rows = []
-    for _ in range(count):
-        b_i, a_i = _unpack_ring_polys(reader, 2, params)
-        rows.append((b_i, a_i))
-    return tuple(rows)
+    return tuple(
+        tuple(_unpack_ring_polys(reader, 2, params)) for _ in range(count)
+    )
 
 
 def serialize_relin_key(key: RelinKey, params: BfvParameters) -> bytes:
@@ -610,8 +594,6 @@ def deserialize_circuit(data: bytes) -> Circuit:
 
 def serialize_circuit_outputs(outputs: dict[str, Ciphertext]) -> bytes:
     """Encode a circuit's named result map (each value a framed ciphertext)."""
-    if len(outputs) > 0xFFFF:
-        raise ValueError(f"too many circuit outputs ({len(outputs)})")
     parts = [_u16(len(outputs))]
     for name, ct in outputs.items():
         parts.append(_str(name) + _blob(serialize_ciphertext(ct)))
@@ -779,213 +761,6 @@ class AdminMsg:
     result: str = ""
 
 
-def _optional_blob(data: bytes | None) -> bytes:
-    if data is None:
-        return bytes((0,))
-    return bytes((1,)) + _blob(data)
-
-
-def _read_optional_blob(reader: _Reader) -> bytes | None:
-    return reader.blob() if reader.u8() else None
-
-
-def encode_open_session(msg: OpenSessionMsg) -> bytes:
-    body = [
-        _u32(msg.request_id),
-        _str(msg.tenant),
-        _str(msg.token),
-        _blob(msg.params),
-        _optional_blob(msg.public_key),
-        _optional_blob(msg.relin_key),
-        _u16(len(msg.galois_keys)),
-    ]
-    body.extend(_blob(g) for g in msg.galois_keys)
-    return _frame(TAG_OPEN_SESSION, b"".join(body))
-
-
-def decode_open_session(data: bytes) -> OpenSessionMsg:
-    reader = _unframe(data, TAG_OPEN_SESSION)
-    request_id = reader.u32()
-    tenant = reader.string()
-    token = reader.string()
-    params = reader.blob()
-    public_key = _read_optional_blob(reader)
-    relin_key = _read_optional_blob(reader)
-    galois = tuple(reader.blob() for _ in range(reader.u16()))
-    reader.done()
-    return OpenSessionMsg(
-        request_id=request_id, tenant=tenant, params=params,
-        public_key=public_key, relin_key=relin_key, galois_keys=galois,
-        token=token,
-    )
-
-
-def encode_session(msg: SessionMsg) -> bytes:
-    return _frame(TAG_SESSION, _u32(msg.request_id) + _str(msg.session_id))
-
-
-def decode_session(data: bytes) -> SessionMsg:
-    reader = _unframe(data, TAG_SESSION)
-    msg = SessionMsg(request_id=reader.u32(), session_id=reader.string())
-    reader.done()
-    return msg
-
-
-def encode_submit(msg: SubmitMsg) -> bytes:
-    if len(msg.operands) > 0xFFFF:
-        raise ValueError(f"too many operands ({len(msg.operands)})")
-    body = [
-        _u32(msg.request_id),
-        _str(msg.session_id),
-        _str(msg.kind),
-        _i64(msg.steps),
-        _str(msg.backend),
-        bytes((1 if msg.subscribe else 0,)),
-        struct.pack(">d", msg.deadline),
-        _u16(len(msg.operands)),
-    ]
-    body.extend(_blob(op) for op in msg.operands)
-    return _frame(TAG_SUBMIT, b"".join(body))
-
-
-def decode_submit(data: bytes) -> SubmitMsg:
-    reader = _unframe(data, TAG_SUBMIT)
-    request_id = reader.u32()
-    session_id = reader.string()
-    kind = reader.string()
-    steps = reader.i64()
-    backend = reader.string()
-    subscribe = bool(reader.u8())
-    deadline = reader.double()
-    operands = tuple(reader.blob() for _ in range(reader.u16()))
-    reader.done()
-    return SubmitMsg(
-        request_id=request_id, session_id=session_id, kind=kind,
-        operands=operands, steps=steps, backend=backend, subscribe=subscribe,
-        deadline=deadline,
-    )
-
-
-def encode_submit_circuit(msg: SubmitCircuitMsg) -> bytes:
-    if len(msg.operands) > 0xFFFF:
-        raise ValueError(f"too many operands ({len(msg.operands)})")
-    body = [
-        _u32(msg.request_id),
-        _str(msg.session_id),
-        _blob(msg.circuit),
-        _str(msg.backend),
-        bytes((1 if msg.subscribe else 0,)),
-        struct.pack(">d", msg.deadline),
-        _u16(len(msg.operands)),
-    ]
-    body.extend(_blob(op) for op in msg.operands)
-    return _frame(TAG_SUBMIT_CIRCUIT, b"".join(body))
-
-
-def decode_submit_circuit(data: bytes) -> SubmitCircuitMsg:
-    reader = _unframe(data, TAG_SUBMIT_CIRCUIT)
-    request_id = reader.u32()
-    session_id = reader.string()
-    circuit = reader.blob()
-    backend = reader.string()
-    subscribe = bool(reader.u8())
-    deadline = reader.double()
-    operands = tuple(reader.blob() for _ in range(reader.u16()))
-    reader.done()
-    return SubmitCircuitMsg(
-        request_id=request_id, session_id=session_id, circuit=circuit,
-        operands=operands, backend=backend, subscribe=subscribe,
-        deadline=deadline,
-    )
-
-
-def encode_status(msg: StatusMsg) -> bytes:
-    body = (
-        _u32(msg.request_id) + _str(msg.job_id) + _str(msg.status)
-        + _str(msg.error)
-    )
-    return _frame(TAG_STATUS, body)
-
-
-def decode_status(data: bytes) -> StatusMsg:
-    reader = _unframe(data, TAG_STATUS)
-    msg = StatusMsg(
-        request_id=reader.u32(), job_id=reader.string(),
-        status=reader.string(), error=reader.string(),
-    )
-    reader.done()
-    return msg
-
-
-def encode_result(msg: ResultMsg) -> bytes:
-    body = (
-        _u32(msg.request_id) + _str(msg.job_id) + _str(msg.status)
-        + _blob(msg.payload) + _str(msg.error)
-    )
-    return _frame(TAG_RESULT, body)
-
-
-def decode_result(data: bytes) -> ResultMsg:
-    reader = _unframe(data, TAG_RESULT)
-    msg = ResultMsg(
-        request_id=reader.u32(), job_id=reader.string(),
-        status=reader.string(), payload=reader.blob(), error=reader.string(),
-    )
-    reader.done()
-    return msg
-
-
-def encode_event(msg: EventMsg) -> bytes:
-    body = (
-        _str(msg.job_id) + _str(msg.status) + _blob(msg.payload)
-        + _str(msg.error)
-    )
-    return _frame(TAG_EVENT, body)
-
-
-def decode_event(data: bytes) -> EventMsg:
-    reader = _unframe(data, TAG_EVENT)
-    msg = EventMsg(
-        job_id=reader.string(), status=reader.string(),
-        payload=reader.blob(), error=reader.string(),
-    )
-    reader.done()
-    return msg
-
-
-def encode_error(msg: ErrorMsg) -> bytes:
-    body = _u32(msg.request_id) + _str(msg.message) + _str(msg.code)
-    return _frame(TAG_ERROR, body)
-
-
-def decode_error(data: bytes) -> ErrorMsg:
-    reader = _unframe(data, TAG_ERROR)
-    msg = ErrorMsg(
-        request_id=reader.u32(), message=reader.string(),
-        code=reader.string(),
-    )
-    reader.done()
-    return msg
-
-
-def encode_admin(msg: AdminMsg) -> bytes:
-    body = (
-        _u32(msg.request_id) + _str(msg.command) + _i64(msg.value)
-        + _str(msg.result)
-    )
-    return _frame(TAG_ADMIN, body)
-
-
-def decode_admin(data: bytes) -> AdminMsg:
-    reader = _unframe(data, TAG_ADMIN)
-    msg = AdminMsg(
-        request_id=reader.u32(), command=reader.string(),
-        value=reader.i64(), result=reader.string(),
-    )
-    reader.done()
-    return msg
-
-
 # ----------------------------------------------------------------------
 # Telemetry exposition (STATS / TRACE)
 # ----------------------------------------------------------------------
@@ -1019,54 +794,6 @@ class TraceMsg:
     job_id: str
     wall_seconds: float = 0.0
     spans: tuple[tuple[str, int, float, float], ...] = ()
-
-
-def encode_stats(msg: StatsMsg) -> bytes:
-    return _frame(
-        TAG_STATS, _u32(msg.request_id) + _blob(msg.text.encode("utf-8"))
-    )
-
-
-def decode_stats(data: bytes) -> StatsMsg:
-    reader = _unframe(data, TAG_STATS)
-    request_id = reader.u32()
-    raw = reader.blob()
-    reader.done()
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise WireFormatError(f"invalid UTF-8 in stats text: {exc}") from exc
-    return StatsMsg(request_id=request_id, text=text)
-
-
-def encode_trace(msg: TraceMsg) -> bytes:
-    if len(msg.spans) > 0xFFFFFFFF:
-        raise ValueError(f"too many spans ({len(msg.spans)})")
-    body = [
-        _u32(msg.request_id),
-        _str(msg.job_id),
-        struct.pack(">d", msg.wall_seconds),
-        _u32(len(msg.spans)),
-    ]
-    for phase, parent, start, end in msg.spans:
-        body.append(_str(phase) + _i64(parent) + struct.pack(">dd", start, end))
-    return _frame(TAG_TRACE, b"".join(body))
-
-
-def decode_trace(data: bytes) -> TraceMsg:
-    reader = _unframe(data, TAG_TRACE)
-    request_id = reader.u32()
-    job_id = reader.string()
-    wall_seconds = reader.double()
-    spans = tuple(
-        (reader.string(), reader.i64(), reader.double(), reader.double())
-        for _ in range(reader.u32())
-    )
-    reader.done()
-    return TraceMsg(
-        request_id=request_id, job_id=job_id, wall_seconds=wall_seconds,
-        spans=spans,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -1142,102 +869,130 @@ class WorkerFaultsMsg:
     spec: str = ""
 
 
-def encode_worker_keys(msg: WorkerKeysMsg) -> bytes:
-    body = [
-        _str(msg.token),
-        _str(msg.tenant),
-        _blob(msg.params),
-        _optional_blob(msg.relin_key),
-        _u16(len(msg.galois_keys)),
-    ]
-    body.extend(_blob(g) for g in msg.galois_keys)
-    return _frame(TAG_WORKER_KEYS, b"".join(body))
+# ----------------------------------------------------------------------
+# The control-plane codec: one layout table, one encoder, one decoder
+# ----------------------------------------------------------------------
+#
+# Each control message is its dataclass plus its fields in *wire* order,
+# which is not always the dataclass order (OPEN_SESSION sends ``token``
+# third; the submits and WORKER_JOB send ``operands`` last). A field's
+# kind names its encoding — the primitive table in docs/wire-protocol.md.
 
 
-def decode_worker_keys(data: bytes) -> WorkerKeysMsg:
-    reader = _unframe(data, TAG_WORKER_KEYS)
-    token = reader.string()
-    tenant = reader.string()
-    params = reader.blob()
-    relin_key = _read_optional_blob(reader)
-    galois = tuple(reader.blob() for _ in range(reader.u16()))
-    reader.done()
-    return WorkerKeysMsg(
-        token=token, tenant=tenant, params=params, relin_key=relin_key,
-        galois_keys=galois,
+#: Field kind -> (encode the value, decode it from a :class:`_Reader`).
+_FIELD_KINDS = {
+    "u32": (_u32, _Reader.u32),
+    "i64": (_i64, _Reader.i64),
+    "f64": (_F64.pack, _Reader.double),
+    "bool": (lambda flag: b"\x01" if flag else b"\x00",
+             lambda reader: bool(reader.u8())),
+    "str": (_str, _Reader.string),
+    "text": (lambda text: _blob(text.encode("utf-8")),
+             lambda reader: reader.string(length_bytes=4)),
+    "blob": (_blob, _Reader.blob),
+    "opt_blob": (lambda blob: b"\x00" if blob is None else b"\x01" + _blob(blob),
+                 lambda reader: reader.blob() if reader.u8() else None),
+    "blobs": (lambda blobs: _u16(len(blobs)) + b"".join(map(_blob, blobs)),
+              lambda reader: tuple(reader.blob() for _ in range(reader.u16()))),
+    "spans": (lambda spans: _u32(len(spans)) + b"".join(
+        _str(phase) + _i64(parent) + _F64.pack(start) + _F64.pack(end)
+        for phase, parent, start, end in spans
+    ), lambda reader: tuple(
+        (reader.string(), reader.i64(), reader.double(), reader.double())
+        for _ in range(reader.u32())
+    )),
+}
+
+
+class MessageLayout(NamedTuple):
+    """One control tag: its name, message dataclass, and ``(field,
+    kind)`` pairs in wire order."""
+
+    tag: int
+    name: str
+    type: type
+    fields: tuple[tuple[str, str], ...]
+
+
+#: Every control-plane message, keyed by tag.
+CONTROL_MESSAGES = {
+    tag: MessageLayout(tag, name, cls, tuple(
+        tuple(field.split(":")) for field in spec.split()
+    ))
+    for tag, name, cls, spec in (
+        (TAG_OPEN_SESSION, "open-session", OpenSessionMsg,
+         "request_id:u32 tenant:str token:str params:blob "
+         "public_key:opt_blob relin_key:opt_blob galois_keys:blobs"),
+        (TAG_SESSION, "session", SessionMsg, "request_id:u32 session_id:str"),
+        (TAG_SUBMIT, "submit", SubmitMsg,
+         "request_id:u32 session_id:str kind:str steps:i64 backend:str "
+         "subscribe:bool deadline:f64 operands:blobs"),
+        (TAG_STATUS, "status", StatusMsg,
+         "request_id:u32 job_id:str status:str error:str"),
+        (TAG_RESULT, "result", ResultMsg,
+         "request_id:u32 job_id:str status:str payload:blob error:str"),
+        (TAG_EVENT, "event", EventMsg,
+         "job_id:str status:str payload:blob error:str"),
+        (TAG_ERROR, "error", ErrorMsg, "request_id:u32 message:str code:str"),
+        (TAG_SUBMIT_CIRCUIT, "submit-circuit", SubmitCircuitMsg,
+         "request_id:u32 session_id:str circuit:blob backend:str "
+         "subscribe:bool deadline:f64 operands:blobs"),
+        (TAG_STATS, "stats", StatsMsg, "request_id:u32 text:text"),
+        (TAG_TRACE, "trace", TraceMsg,
+         "request_id:u32 job_id:str wall_seconds:f64 spans:spans"),
+        (TAG_ADMIN, "admin", AdminMsg,
+         "request_id:u32 command:str value:i64 result:str"),
+        (TAG_WORKER_KEYS, "worker-keys", WorkerKeysMsg,
+         "token:str tenant:str params:blob relin_key:opt_blob "
+         "galois_keys:blobs"),
+        (TAG_WORKER_JOB, "worker-job", WorkerJobMsg,
+         "job_id:str token:str kind:str steps:i64 circuit:opt_blob "
+         "operands:blobs"),
+        (TAG_WORKER_RESULT, "worker-result", WorkerResultMsg,
+         "job_id:str status:str payload:blob error:str cycles:i64 "
+         "seconds:f64 fidelity:str"),
+        (TAG_WORKER_HEARTBEAT, "worker-heartbeat", WorkerHeartbeatMsg,
+         "worker:u32 seq:i64 jobs_done:i64"),
+        (TAG_WORKER_FAULTS, "worker-faults", WorkerFaultsMsg, "spec:str"),
     )
+}
+TAG_NAMES.update((tag, layout.name) for tag, layout in CONTROL_MESSAGES.items())
+_LAYOUT_BY_TYPE = {layout.type: layout for layout in CONTROL_MESSAGES.values()}
 
 
-def encode_worker_job(msg: WorkerJobMsg) -> bytes:
-    if len(msg.operands) > 0xFFFF:
-        raise ValueError(f"too many operands ({len(msg.operands)})")
-    body = [
-        _str(msg.job_id),
-        _str(msg.token),
-        _str(msg.kind),
-        _i64(msg.steps),
-        _optional_blob(msg.circuit),
-        _u16(len(msg.operands)),
-    ]
-    body.extend(_blob(op) for op in msg.operands)
-    return _frame(TAG_WORKER_JOB, b"".join(body))
+def encode_message(msg) -> bytes:
+    """Frame any control-plane message by its layout.
+
+    A field that does not fit its kind (an integer out of range, an
+    over-long string, too many blobs) raises :class:`ValueError` naming
+    the message and the field.
+    """
+    layout = _LAYOUT_BY_TYPE[type(msg)]
+    parts = []
+    for name, kind in layout.fields:
+        try:
+            parts.append(_FIELD_KINDS[kind][0](getattr(msg, name)))
+        except ValueError as exc:
+            raise ValueError(f"{layout.type.__name__}.{name}: {exc}") from None
+    return _frame(layout.tag, b"".join(parts))
 
 
-def decode_worker_job(data: bytes) -> WorkerJobMsg:
-    reader = _unframe(data, TAG_WORKER_JOB)
-    job_id = reader.string()
-    token = reader.string()
-    kind = reader.string()
-    steps = reader.i64()
-    circuit = _read_optional_blob(reader)
-    operands = tuple(reader.blob() for _ in range(reader.u16()))
+def decode_message(data: bytes):
+    """Decode any control-plane frame into its message dataclass.
+
+    Bad framing, a data-plane or unknown tag, truncation, trailing bytes
+    and invalid UTF-8 all raise :class:`WireFormatError`.
+    """
+    tag = verify_frame(data)
+    layout = CONTROL_MESSAGES.get(tag)
+    if layout is None:
+        raise WireFormatError(
+            f"{TAG_NAMES.get(tag, f'tag 0x{tag:02x}')} is not a control "
+            "message"
+        )
+    reader = _Reader(data[len(MAGIC) + 2 : -4])
+    values = {
+        name: _FIELD_KINDS[kind][1](reader) for name, kind in layout.fields
+    }
     reader.done()
-    return WorkerJobMsg(
-        job_id=job_id, token=token, kind=kind, steps=steps,
-        operands=operands, circuit=circuit,
-    )
-
-
-def encode_worker_result(msg: WorkerResultMsg) -> bytes:
-    body = (
-        _str(msg.job_id) + _str(msg.status) + _blob(msg.payload)
-        + _str(msg.error) + _i64(msg.cycles)
-        + struct.pack(">d", msg.seconds) + _str(msg.fidelity)
-    )
-    return _frame(TAG_WORKER_RESULT, body)
-
-
-def decode_worker_result(data: bytes) -> WorkerResultMsg:
-    reader = _unframe(data, TAG_WORKER_RESULT)
-    msg = WorkerResultMsg(
-        job_id=reader.string(), status=reader.string(),
-        payload=reader.blob(), error=reader.string(), cycles=reader.i64(),
-        seconds=reader.double(), fidelity=reader.string(),
-    )
-    reader.done()
-    return msg
-
-
-def encode_worker_heartbeat(msg: WorkerHeartbeatMsg) -> bytes:
-    body = _u32(msg.worker) + _i64(msg.seq) + _i64(msg.jobs_done)
-    return _frame(TAG_WORKER_HEARTBEAT, body)
-
-
-def decode_worker_heartbeat(data: bytes) -> WorkerHeartbeatMsg:
-    reader = _unframe(data, TAG_WORKER_HEARTBEAT)
-    msg = WorkerHeartbeatMsg(
-        worker=reader.u32(), seq=reader.i64(), jobs_done=reader.i64()
-    )
-    reader.done()
-    return msg
-
-
-def encode_worker_faults(msg: WorkerFaultsMsg) -> bytes:
-    return _frame(TAG_WORKER_FAULTS, _str(msg.spec))
-
-
-def decode_worker_faults(data: bytes) -> WorkerFaultsMsg:
-    reader = _unframe(data, TAG_WORKER_FAULTS)
-    msg = WorkerFaultsMsg(spec=reader.string())
-    reader.done()
-    return msg
+    return layout.type(**values)

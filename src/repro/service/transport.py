@@ -57,32 +57,10 @@ from repro.service.serialization import (
     StatusMsg,
     SubmitCircuitMsg,
     SubmitMsg,
-    TAG_ADMIN,
-    TAG_OPEN_SESSION,
-    TAG_RESULT,
-    TAG_STATS,
-    TAG_STATUS,
-    TAG_SUBMIT,
-    TAG_SUBMIT_CIRCUIT,
-    TAG_TRACE,
     TraceMsg,
     WireFormatError,
-    decode_admin,
-    decode_open_session,
-    decode_result,
-    decode_stats,
-    decode_status,
-    decode_submit,
-    decode_submit_circuit,
-    decode_trace,
-    encode_admin,
-    encode_error,
-    encode_event,
-    encode_result,
-    encode_session,
-    encode_stats,
-    encode_status,
-    encode_trace,
+    decode_message,
+    encode_message,
     peek_tag,
 )
 from repro.service.server import FheServer
@@ -488,10 +466,10 @@ class FheTransportServer:
         start = time.perf_counter()
         delivered = False
         if entry.subscriber is not None:
-            await entry.subscriber.send_safe(encode_event(event))
+            await entry.subscriber.send_safe(encode_message(event))
             delivered = True
         for conn, request_id in entry.waiters:
-            await conn.send_safe(encode_result(ResultMsg(
+            await conn.send_safe(encode_message(ResultMsg(
                 request_id=request_id, job_id=event.job_id,
                 status=event.status, payload=event.payload, error=event.error,
             )))
@@ -546,7 +524,7 @@ class FheTransportServer:
             # Framing or codec failure: the stream can no longer be
             # trusted. Tell the peer (request id 0 = connection-level)
             # and drop the link; the server itself keeps serving.
-            await conn.send_safe(encode_error(ErrorMsg(
+            await conn.send_safe(encode_message(ErrorMsg(
                 request_id=0, message=_short(f"protocol error: {exc}")
             )))
         except (ConnectionError, asyncio.IncompleteReadError, OSError):
@@ -573,31 +551,17 @@ class FheTransportServer:
             entry.waiters = [(c, r) for c, r in entry.waiters if c is not conn]
 
     async def _dispatch(self, conn: _Connection, frame: bytes) -> None:
-        tag = peek_tag(frame)
-        if tag == TAG_OPEN_SESSION:
-            await self._on_open_session(conn, decode_open_session(frame))
-        elif tag == TAG_SUBMIT:
-            await self._on_submit(conn, decode_submit(frame))
-        elif tag == TAG_SUBMIT_CIRCUIT:
-            await self._on_submit_circuit(conn, decode_submit_circuit(frame))
-        elif tag == TAG_STATUS:
-            await self._on_status(conn, decode_status(frame))
-        elif tag == TAG_RESULT:
-            await self._on_result(conn, decode_result(frame))
-        elif tag == TAG_STATS:
-            await self._on_stats(conn, decode_stats(frame))
-        elif tag == TAG_TRACE:
-            await self._on_trace(conn, decode_trace(frame))
-        elif tag == TAG_ADMIN:
-            await self._on_admin(conn, decode_admin(frame))
-        else:
+        msg = decode_message(frame)
+        handler = self._HANDLERS.get(type(msg))
+        if handler is None:
             raise WireFormatError(
-                f"unexpected client frame tag 0x{tag:02x}"
+                f"unexpected client frame tag 0x{peek_tag(frame):02x}"
             )
+        await handler(self, conn, msg)
 
     async def _fail(self, conn: _Connection, request_id: int,
                     exc: Exception) -> None:
-        await conn.send_safe(encode_error(ErrorMsg(
+        await conn.send_safe(encode_message(ErrorMsg(
             request_id=request_id, message=_short(str(exc) or repr(exc)),
             code=getattr(exc, "code", ""),
         )))
@@ -647,53 +611,29 @@ class FheTransportServer:
         except Exception as exc:
             await self._fail(conn, msg.request_id, exc)
             return
-        await conn.send_safe(encode_session(SessionMsg(
+        await conn.send_safe(encode_message(SessionMsg(
             request_id=msg.request_id, session_id=session_id
         )))
 
-    async def _on_submit(self, conn: _Connection, msg: SubmitMsg) -> None:
+    async def _on_submit(self, conn: _Connection,
+                         msg: SubmitMsg | SubmitCircuitMsg) -> None:
         await self._admit(conn)
-        if self._closing:
-            await self._fail(conn, msg.request_id,
-                             ShuttingDownError("server is shutting down"))
-            return
         try:
-            kind = JobKind(msg.kind)
-        except ValueError as exc:
-            await self._fail(conn, msg.request_id, exc)
-            return
-        if kind is JobKind.CIRCUIT:
-            await self._fail(conn, msg.request_id, ValueError(
-                "circuit jobs travel as SUBMIT_CIRCUIT frames, not SUBMIT"
-            ))
-            return
-        try:
+            if self._closing:
+                raise ShuttingDownError("server is shutting down")
+            if isinstance(msg, SubmitCircuitMsg):
+                kind, steps, payload = JobKind.CIRCUIT, 0, msg.circuit
+            else:
+                kind, steps, payload = JobKind(msg.kind), msg.steps, None
+                if kind is JobKind.CIRCUIT:
+                    raise ValueError(
+                        "circuit jobs travel as SUBMIT_CIRCUIT frames, "
+                        "not SUBMIT"
+                    )
             job_id = await self._call(
                 lambda: self.fhe.submit(
-                    msg.session_id, kind, msg.operands,
-                    steps=msg.steps, backend=msg.backend,
-                    deadline=msg.deadline,
-                )
-            )
-        except Exception as exc:
-            await self._fail(conn, msg.request_id, exc)
-            return
-        await self._register_submission(
-            conn, msg.request_id, job_id, msg.subscribe
-        )
-
-    async def _on_submit_circuit(self, conn: _Connection,
-                                 msg: SubmitCircuitMsg) -> None:
-        await self._admit(conn)
-        if self._closing:
-            await self._fail(conn, msg.request_id,
-                             ShuttingDownError("server is shutting down"))
-            return
-        try:
-            job_id = await self._call(
-                lambda: self.fhe.submit(
-                    msg.session_id, JobKind.CIRCUIT, msg.operands,
-                    payload=msg.circuit, backend=msg.backend,
+                    msg.session_id, kind, msg.operands, steps=steps,
+                    payload=payload, backend=msg.backend,
                     deadline=msg.deadline,
                 )
             )
@@ -708,7 +648,7 @@ class FheTransportServer:
                                    job_id: str, subscribe: bool) -> None:
         """Answer a submit with STATUS and wire up completion delivery."""
         status = self.fhe.status(job_id)
-        await conn.send_safe(encode_status(StatusMsg(
+        await conn.send_safe(encode_message(StatusMsg(
             request_id=request_id, job_id=job_id, status=status.value
         )))
         if status in (JobStatus.DONE, JobStatus.FAILED):
@@ -752,7 +692,7 @@ class FheTransportServer:
         error = None
         if status is JobStatus.FAILED:
             error = await self._call(self.fhe.job_error, msg.job_id)
-        await conn.send_safe(encode_status(StatusMsg(
+        await conn.send_safe(encode_message(StatusMsg(
             request_id=msg.request_id, job_id=msg.job_id,
             status=status.value, error=_short(error or ""),
         )))
@@ -765,7 +705,7 @@ class FheTransportServer:
             return
         if status in (JobStatus.DONE, JobStatus.FAILED):
             event = await self._call(lambda: self._completion_for(msg.job_id))
-            await conn.send_safe(encode_result(ResultMsg(
+            await conn.send_safe(encode_message(ResultMsg(
                 request_id=msg.request_id, job_id=msg.job_id,
                 status=event.status, payload=event.payload, error=event.error,
             )))
@@ -778,7 +718,7 @@ class FheTransportServer:
 
     async def _on_stats(self, conn: _Connection, msg: StatsMsg) -> None:
         text = await self._call(self.fhe.stats_text)
-        await conn.send_safe(encode_stats(StatsMsg(
+        await conn.send_safe(encode_message(StatsMsg(
             request_id=msg.request_id, text=text
         )))
 
@@ -788,7 +728,7 @@ class FheTransportServer:
         except KeyError as exc:
             await self._fail(conn, msg.request_id, exc)
             return
-        await conn.send_safe(encode_trace(TraceMsg(
+        await conn.send_safe(encode_message(TraceMsg(
             request_id=msg.request_id, job_id=msg.job_id,
             wall_seconds=trace.wall_seconds,
             spans=tuple(
@@ -823,10 +763,22 @@ class FheTransportServer:
         except Exception as exc:
             await self._fail(conn, msg.request_id, exc)
             return
-        await conn.send_safe(encode_admin(AdminMsg(
+        await conn.send_safe(encode_message(AdminMsg(
             request_id=msg.request_id, command=msg.command,
             value=size, result="ok",
         )))
+
+    #: Client message type -> handler; any other type is a protocol error.
+    _HANDLERS = {
+        OpenSessionMsg: _on_open_session,
+        SubmitMsg: _on_submit,
+        SubmitCircuitMsg: _on_submit,
+        StatusMsg: _on_status,
+        ResultMsg: _on_result,
+        StatsMsg: _on_stats,
+        TraceMsg: _on_trace,
+        AdminMsg: _on_admin,
+    }
 
     async def stats_snapshot(self) -> dict:
         """Structured metrics snapshot off the engine thread (the

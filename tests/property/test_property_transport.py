@@ -10,38 +10,30 @@ hierarchy, and no input crashes the loop with anything else.
 
 from __future__ import annotations
 
+import asyncio
+import dataclasses
+import zlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bfv import BfvParameters
+from repro.service.fleet import FleetBackend, _FleetWorker
 from repro.service.serialization import (
-    AdminMsg,
-    ErrorMsg,
-    EventMsg,
-    OpenSessionMsg,
-    ResultMsg,
-    SessionMsg,
+    CONTROL_MESSAGES,
     StatusMsg,
-    SubmitMsg,
     WireFormatError,
-    decode_admin,
-    decode_error,
-    decode_event,
-    decode_open_session,
-    decode_result,
-    decode_session,
-    decode_status,
-    decode_submit,
-    encode_admin,
-    encode_error,
-    encode_event,
-    encode_open_session,
-    encode_result,
-    encode_session,
-    encode_status,
-    encode_submit,
+    decode_message,
+    encode_message,
+    serialize_params,
 )
-from repro.service.transport import FrameAssembler, FrameError, encode_frame
+from repro.service.transport import (
+    FheTransportServer,
+    FrameAssembler,
+    FrameError,
+    encode_frame,
+)
 
 # ----------------------------------------------------------------------
 # Framing
@@ -114,104 +106,138 @@ class TestFraming:
 # ----------------------------------------------------------------------
 # Control-plane codec
 # ----------------------------------------------------------------------
+#
+# Strategies come from the codec's own layout table, so every control
+# tag — transport, telemetry, admin and fleet worker messages alike — is
+# fuzzed the moment it has a row there.
 
-request_ids = st.integers(min_value=0, max_value=0xFFFFFFFF)
-short_text = st.text(max_size=40)
-blob = st.binary(max_size=256)
 #: Wire doubles: any finite float round-trips ">d" exactly (NaN would
 #: break dataclass equality, so it is excluded, not supported).
 wire_doubles = st.floats(allow_nan=False, width=64)
+i64s = st.integers(min_value=-(1 << 63), max_value=(1 << 63) - 1)
+short_text = st.text(max_size=40)
+blob = st.binary(max_size=256)
+
+FIELD_STRATEGIES = {
+    "u32": st.integers(min_value=0, max_value=0xFFFFFFFF),
+    "i64": i64s,
+    "f64": wire_doubles,
+    "bool": st.booleans(),
+    "str": short_text,
+    "text": st.text(max_size=200),
+    "blob": blob,
+    "opt_blob": st.none() | blob,
+    "blobs": st.lists(blob, max_size=3).map(tuple),
+    "spans": st.lists(
+        st.tuples(short_text, i64s, wire_doubles, wire_doubles), max_size=3
+    ).map(tuple),
+}
+
+control_messages = st.one_of([
+    st.builds(layout.type, **{
+        name: FIELD_STRATEGIES[kind] for name, kind in layout.fields
+    })
+    for layout in CONTROL_MESSAGES.values()
+])
+
+#: One in-range value per kind, for building any tag's message.
+_ZERO = {
+    "u32": 0, "i64": 0, "f64": 0.0, "bool": False, "str": "", "text": "",
+    "blob": b"", "opt_blob": None, "blobs": (), "spans": (),
+}
 
 
-control_messages = st.one_of(
-    st.builds(
-        OpenSessionMsg,
-        request_id=request_ids,
-        tenant=short_text,
-        params=blob,
-        public_key=st.none() | blob,
-        relin_key=st.none() | blob,
-        galois_keys=st.tuples() | st.tuples(blob) | st.tuples(blob, blob),
-        token=short_text,
-    ).map(lambda m: (m, encode_open_session, decode_open_session)),
-    st.builds(
-        SessionMsg, request_id=request_ids, session_id=short_text,
-    ).map(lambda m: (m, encode_session, decode_session)),
-    st.builds(
-        SubmitMsg,
-        request_id=request_ids,
-        session_id=short_text,
-        kind=short_text,
-        operands=st.tuples() | st.tuples(blob) | st.tuples(blob, blob),
-        steps=st.integers(min_value=-(1 << 63), max_value=(1 << 63) - 1),
-        backend=short_text,
-        subscribe=st.booleans(),
-        deadline=wire_doubles,
-    ).map(lambda m: (m, encode_submit, decode_submit)),
-    st.builds(
-        AdminMsg,
-        request_id=request_ids,
-        command=short_text,
-        value=st.integers(min_value=-(1 << 63), max_value=(1 << 63) - 1),
-        result=short_text,
-    ).map(lambda m: (m, encode_admin, decode_admin)),
-    st.builds(
-        StatusMsg, request_id=request_ids, job_id=short_text,
-        status=short_text, error=short_text,
-    ).map(lambda m: (m, encode_status, decode_status)),
-    st.builds(
-        ResultMsg, request_id=request_ids, job_id=short_text,
-        status=short_text, payload=blob, error=short_text,
-    ).map(lambda m: (m, encode_result, decode_result)),
-    st.builds(
-        EventMsg, job_id=short_text, status=short_text,
-        payload=blob, error=short_text,
-    ).map(lambda m: (m, encode_event, decode_event)),
-    st.builds(
-        ErrorMsg, request_id=request_ids, message=short_text,
-        code=short_text,
-    ).map(lambda m: (m, encode_error, decode_error)),
-)
+def _zero_frames_outside(handlers) -> list[bytes]:
+    """A frame for every control tag whose message type ``handlers``
+    does not serve."""
+    return [
+        encode_message(layout.type(**{
+            name: _ZERO[kind] for name, kind in layout.fields
+        }))
+        for layout in CONTROL_MESSAGES.values()
+        if layout.type not in handlers
+    ]
 
 
 class TestControlCodec:
-    @given(case=control_messages)
-    @settings(max_examples=120, deadline=None)
-    def test_round_trip(self, case):
-        msg, encode, decode = case
-        wire = encode(msg)
-        assert decode(wire) == msg
-        assert encode(decode(wire)) == wire  # deterministic re-encode
+    def test_layouts_name_every_dataclass_field_once(self):
+        for layout in CONTROL_MESSAGES.values():
+            names = [name for name, _ in layout.fields]
+            assert sorted(names) == sorted(
+                f.name for f in dataclasses.fields(layout.type)
+            ), layout.type.__name__
+            assert all(kind in FIELD_STRATEGIES for _, kind in layout.fields)
 
-    @given(case=control_messages,
+    @given(msg=control_messages)
+    @settings(max_examples=200, deadline=None)
+    def test_round_trip(self, msg):
+        wire = encode_message(msg)
+        assert decode_message(wire) == msg
+        assert encode_message(decode_message(wire)) == wire  # deterministic
+
+    @given(msg=control_messages,
            position=st.integers(min_value=0, max_value=1 << 30),
            flip=st.integers(min_value=1, max_value=255))
-    @settings(max_examples=120, deadline=None)
-    def test_any_bit_flip_is_rejected(self, case, position, flip):
+    @settings(max_examples=200, deadline=None)
+    def test_any_bit_flip_is_rejected(self, msg, position, flip):
         """CRC32 catches a flipped byte anywhere in a control frame."""
-        msg, encode, decode = case
-        wire = bytearray(encode(msg))
+        wire = bytearray(encode_message(msg))
         wire[position % len(wire)] ^= flip
         with pytest.raises(WireFormatError):
-            decode(bytes(wire))
+            decode_message(bytes(wire))
 
-    @given(case=control_messages, cut=st.integers(min_value=0))
-    @settings(max_examples=80, deadline=None)
-    def test_truncation_is_rejected(self, case, cut):
-        msg, encode, decode = case
-        wire = encode(msg)
+    @given(msg=control_messages, cut=st.integers(min_value=0))
+    @settings(max_examples=120, deadline=None)
+    def test_truncation_is_rejected(self, msg, cut):
+        wire = encode_message(msg)
         with pytest.raises(WireFormatError):
-            decode(wire[: cut % len(wire)])
+            decode_message(wire[: cut % len(wire)])
 
-    @given(garbage=st.binary(max_size=128), case=control_messages)
+    @given(garbage=st.binary(max_size=128))
     @settings(max_examples=80, deadline=None)
-    def test_garbage_never_crashes_a_decoder(self, garbage, case):
+    def test_garbage_never_crashes_a_decoder(self, garbage):
         """Arbitrary bytes fail with WireFormatError, nothing else."""
-        _, _, decode = case
         with pytest.raises(WireFormatError):
-            decode(garbage)
+            decode_message(garbage)
+
+    @given(msg=control_messages, extra=st.binary(min_size=1, max_size=8))
+    @settings(max_examples=80, deadline=None)
+    def test_trailing_bytes_are_rejected(self, msg, extra):
+        """An honestly re-framed body with bytes appended still fails."""
+        wire = encode_message(msg)
+        head = wire[:-4] + extra
+        reframed = head + zlib.crc32(head).to_bytes(4, "big")
+        with pytest.raises(WireFormatError, match="trailing"):
+            decode_message(reframed)
+
+    def test_data_plane_frame_is_not_a_control_message(self):
+        params = serialize_params(BfvParameters.toy(n=16, log_q=80))
+        with pytest.raises(WireFormatError, match="not a control message"):
+            decode_message(params)
 
     def test_cross_tag_decode_is_rejected(self):
-        wire = encode_status(StatusMsg(request_id=1, job_id="j1"))
-        with pytest.raises(WireFormatError, match="expected a"):
-            decode_submit(wire)
+        """The transport serves STATUS queries, but every tag outside its
+        handler table — the server-to-client SESSION/EVENT/ERROR replies,
+        the fleet worker messages — handed to its dispatch is a protocol
+        error."""
+        assert StatusMsg in FheTransportServer._HANDLERS
+        server = FheTransportServer(pool_size=1)
+        frames = _zero_frames_outside(FheTransportServer._HANDLERS)
+        assert len(frames) == len(CONTROL_MESSAGES) - 8
+        for frame in frames:
+            with pytest.raises(WireFormatError, match="unexpected client"):
+                asyncio.run(server._dispatch(None, frame))
+
+    def test_fleet_peers_reject_foreign_tags(self):
+        worker = _FleetWorker(conn=None, config={"index": 0})
+        for frame in _zero_frames_outside(_FleetWorker._HANDLERS):
+            with pytest.raises(WireFormatError, match="unexpected worker-"):
+                worker._handle(frame)
+        fleet = FleetBackend(size=1, mode="thread")
+        try:
+            for frame in _zero_frames_outside(FleetBackend._HANDLERS):
+                with pytest.raises(WireFormatError,
+                                   match="unexpected worker reply"):
+                    fleet._on_message(fleet._workers[0], frame)
+        finally:
+            fleet.close()

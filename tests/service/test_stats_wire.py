@@ -16,10 +16,8 @@ from repro.service.serialization import (
     StatsMsg,
     TraceMsg,
     WireFormatError,
-    decode_stats,
-    decode_trace,
-    encode_stats,
-    encode_trace,
+    decode_message,
+    encode_message,
     peek_tag,
     TAG_STATS,
     TAG_TRACE,
@@ -50,11 +48,11 @@ def _session(client, keys):
 class TestCodecs:
     def test_stats_round_trip(self):
         msg = StatsMsg(request_id=7, text="repro_jobs_total 3\n")
-        frame = encode_stats(msg)
+        frame = encode_message(msg)
         assert peek_tag(frame) == TAG_STATS
-        assert decode_stats(frame) == msg
+        assert decode_message(frame) == msg
         # An empty text body is the request form.
-        assert decode_stats(encode_stats(StatsMsg(request_id=9))).text == ""
+        assert decode_message(encode_message(StatsMsg(request_id=9))).text == ""
 
     def test_trace_round_trip(self):
         msg = TraceMsg(
@@ -65,9 +63,9 @@ class TestCodecs:
                 ("execute", -1, 2.0, 2.25),
             ),
         )
-        frame = encode_trace(msg)
+        frame = encode_message(msg)
         assert peek_tag(frame) == TAG_TRACE
-        assert decode_trace(frame) == msg
+        assert decode_message(frame) == msg
 
     def test_stats_text_must_be_utf8(self):
         # Corrupting a valid frame's payload trips the CRC before UTF-8
@@ -82,7 +80,7 @@ class TestCodecs:
         inner = MAGIC + bytes([WIRE_VERSION, TAG_STATS]) + body
         bad = inner + struct.pack(">I", zlib.crc32(inner) & 0xFFFFFFFF)
         with pytest.raises(WireFormatError):
-            decode_stats(bad)
+            decode_message(bad)
 
 
 class TestSocketRoundTrip:

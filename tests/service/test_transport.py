@@ -24,7 +24,7 @@ from repro.service.client import (
 from repro.service.jobs import JobKind
 from repro.service.serialization import (
     TAG_ERROR,
-    decode_error,
+    decode_message,
     peek_tag,
     serialize_ciphertext,
     serialize_galois_key,
@@ -297,7 +297,7 @@ class TestProtocolRobustness:
                 frame_len = int.from_bytes(await reader.readexactly(4), "big")
                 reply = await reader.readexactly(frame_len)
                 assert peek_tag(reply) == TAG_ERROR
-                assert "protocol error" in decode_error(reply).message
+                assert "protocol error" in decode_message(reply).message
                 assert await reader.read() == b""  # server closed the link
                 writer.close()
                 await writer.wait_closed()
@@ -450,9 +450,8 @@ class TestEventOrdering:
             EventMsg,
             StatusMsg,
             TAG_SUBMIT,
-            decode_submit,
-            encode_event,
-            encode_status,
+            decode_message,
+            encode_message,
         )
 
         async def fake_server(reader, writer):
@@ -462,11 +461,11 @@ class TestEventOrdering:
                 length = int.from_bytes(await reader.readexactly(4), "big")
                 frame = await reader.readexactly(length)
                 if peek_tag(frame) == TAG_SUBMIT:
-                    msg = decode_submit(frame)
-                    status = encode_status(StatusMsg(
+                    msg = decode_message(frame)
+                    status = encode_message(StatusMsg(
                         request_id=msg.request_id, job_id="j1", status="done"
                     ))
-                    event = encode_event(EventMsg(
+                    event = encode_message(EventMsg(
                         job_id="j1", status="done", payload=b"payload"
                     ))
                     writer.write(encode_frame(status) + encode_frame(event))

@@ -159,7 +159,11 @@ fi
 
 echo "== tier-1 test suite =="
 # Includes the transport concurrency battery (tests/service/test_transport.py),
-# the frame-fuzz suite (tests/property/test_property_transport.py), the
+# the frame and control-codec fuzz suite, driven by the codec's layout table
+# so every control tag is fuzzed (tests/property/test_property_transport.py),
+# the golden control-frame bytes and field range checks
+# (tests/service/test_wire_golden.py + wire_golden.json), the spec/codec
+# tag-table drift check (tests/service/test_wire_doc_tables.py), the
 # circuit wire-format fuzz suite (tests/property/test_property_circuit_wire.py),
 # the app-circuit serving suites (tests/service/test_circuit_*.py), and the
 # golden chip-statistics snapshot of the Algorithm 3 replay
