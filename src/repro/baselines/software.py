@@ -44,10 +44,9 @@ class SoftwareBfv:
 
     Where every tower modulus is a word-sized NTT-friendly prime, the
     whole tower stack executes in one pass on the batched engine
-    (:mod:`repro.polymath.engine`) — this is what keeps the chip pool's
-    per-tower mod-q cross-check from dominating chip-job wall time. Wide
-    or non-NTT-friendly towers fall back, per basis, to the exact
-    pure-Python :class:`NttContext` path; results are bit-identical.
+    (:mod:`repro.polymath.engine`). Wide or non-NTT-friendly towers fall
+    back, per basis, to the exact pure-Python :class:`NttContext` path;
+    results are bit-identical.
 
     Args:
         basis: the RNS tower basis.
@@ -73,10 +72,6 @@ class SoftwareBfv:
         elif engine == "auto":
             self._engine = get_engine(basis, n)
         self._tower_index = {q: i for i, q in enumerate(basis.moduli)}
-        if self._engine is None:
-            self._ctx = {q: NttContext(n, q) for q in basis.moduli}
-        else:
-            self._ctx = {}
         self.tower_ops = {"ntt": 0, "intt": 0, "hadamard": 0, "add": 0}
 
     @property
@@ -102,7 +97,11 @@ class SoftwareBfv:
             idx = self._tower_index[q]
             full = self._full_tensor(ct_a, ct_b)
             return [y[idx].tolist() for y in full]
-        ctx = self._ctx[q]
+        return self._pure_tower(q, ct_a, ct_b)
+
+    def _pure_tower(self, q, ct_a, ct_b) -> list[list[int]]:
+        """One tower's tensor through the exact per-butterfly NTT."""
+        ctx = NttContext.shared(self.n, q)
         a0 = ctx.forward([c % q for c in ct_a[0]])
         a1 = ctx.forward([c % q for c in ct_a[1]])
         b0 = ctx.forward([c % q for c in ct_b[0]])
@@ -128,29 +127,24 @@ class SoftwareBfv:
         ct_a: tuple[Sequence[int], Sequence[int]],
         ct_b: tuple[Sequence[int], Sequence[int]],
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Operand residues and the Eq. 4 tensor on every tower at once.
+        """Operand residues and the Eq. 4 tensor on every tower, tower by
+        tower through the exact per-butterfly NTT.
 
         Returns ``(operands, outputs)``: the ``(4, L, n)`` tower residues
         of ``a0, a1, b0, b1`` and the ``(3, L, n)`` outputs ``y0, y1, y2``,
-        row ``i`` of each belonging to tower ``i``. This is what the chip
-        pool loads into its workers and cross-checks them against: each
-        operand is reduced once per job, not once per tower.
+        row ``i`` of each belonging to tower ``i``, as ``uint64`` words
+        (exact Python ints for a tower wider than 64 bits). The chip pool
+        loads and cross-checks against these only where the scheme has no
+        tensor rows of its own to share: towers wider than the engine's
+        31 bits, or ``REPRO_ENGINE=off``.
         """
-        if self._engine is None:
-            operands = np.stack([
-                np.stack([residue_words(poly, q) for q in self.basis.moduli])
-                for poly in (*ct_a, *ct_b)
-            ])
-            outputs = [
-                self.tower_multiply(q, ct_a, ct_b) for q in self.basis.moduli
-            ]
-            return operands, np.asarray(outputs, dtype=operands.dtype).swapaxes(0, 1)
-        eng = self._engine
-        self._count_tensor_ops(towers=eng.num_towers)
-        a = [eng.decompose(p) for p in ct_a]
-        b = a if ct_b is ct_a else [eng.decompose(p) for p in ct_b]
-        outputs = np.stack(eng.tensor(*a, *b))
-        return np.stack(a + b).astype(np.uint64), outputs.astype(np.uint64)
+        self._count_tensor_ops(towers=len(self.basis))
+        operands = np.stack([
+            np.stack([residue_words(poly, q) for q in self.basis.moduli])
+            for poly in (*ct_a, *ct_b)
+        ])
+        outputs = [self._pure_tower(q, ct_a, ct_b) for q in self.basis.moduli]
+        return operands, np.asarray(outputs, dtype=operands.dtype).swapaxes(0, 1)
 
     def ciphertext_multiply(
         self,

@@ -73,6 +73,13 @@ class BfvParameters:
         return -(-self.log_q // CPU_WORD_BITS)
 
     @property
+    def q_basis(self) -> RnsBasis | None:
+        """q's own RNS towers: the CoFHEE basis when its product is
+        exactly ``q``, else ``None``."""
+        basis = self.cofhee_basis
+        return basis if basis is not None and basis.modulus == self.q else None
+
+    @property
     def cofhee_tower_count(self) -> int:
         """Towers CoFHEE needs (1 for log q = 109, 2 for 218)."""
         if self.cofhee_basis is not None:

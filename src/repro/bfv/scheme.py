@@ -98,7 +98,7 @@ class Bfv:
         self._rng = random.Random(seed)
         self._ternary = TernarySampler(self._rng)
         self._gaussian = DiscreteGaussianSampler(self._rng, params.sigma)
-        self._mult_ctx = multiplier or _default_multiplier(params.n, params.q)
+        self._mult_ctx = multiplier or _default_multiplier(params)
         self._tensor_ok: bool | None = None
         # (num_digits, digit_bits) -> tower-prefix engine of the fold.
         self._fold_engines: dict[tuple[int, int], object] = {}
@@ -238,33 +238,36 @@ class Bfv:
             polys.append(pa - pb)
         return Ciphertext(polys, self.params)
 
-    def multiply(self, ca: Ciphertext, cb: Ciphertext) -> Ciphertext:
+    def multiply(
+        self, ca: Ciphertext, cb: Ciphertext, on_rows=None
+    ) -> Ciphertext:
         """Homomorphic multiplication: the Eq. 4 tensor.
 
         ``(cc1, cc2, cc3) = round(t/q * (ca1*cb1, ca1*cb2 + ca2*cb1,
         ca2*cb2))`` with the polynomial products taken over the integers
         (centered representatives) before scaling.
+
+        ``on_rows``, if given, is called as ``on_rows(operands, outputs)``
+        with the tensor's *head rows*: the ``(4, L_q, n)`` residues of
+        ``ca1, ca2, cb1, cb2`` and the ``(3, L_q, n)`` mod-``q_i`` outputs
+        on q's own ``L_q`` towers (int64). These are exactly what a chip
+        replaying the tensor tower by tower loads and must read back. It
+        is called only when the auxiliary basis leads with q's towers
+        (see :class:`~repro.polymath.fastntt.RnsExactMultiplier`).
         """
         self._check_pair(ca, cb)
         if ca.size != 2 or cb.size != 2:
             raise ValueError("EvalMult expects 2-component ciphertexts; relinearize first")
-        a1, a2 = (p.centered() for p in ca.polys)
-        b1, b2 = (p.centered() for p in cb.polys)
         eng = self._tensor_engine()
         if eng is not None:
-            y0, y1, y2 = eng.tensor(
-                eng.decompose(a1),
-                eng.decompose(a2),
-                eng.decompose(b1),
-                eng.decompose(b2),
+            operands = np.stack(
+                [eng.decompose_centered(p) for p in (*ca.polys, *cb.polys)]
             )
-            rows = eng.round_scale(
-                np.stack((y0, y1, y2)), self.params.t, self.params.q
+            return self._scale_tensor(
+                eng, operands, eng.tensor(*operands), on_rows
             )
-            return Ciphertext(
-                [Polynomial.from_canonical(self.ring, r) for r in rows],
-                self.params,
-            )
+        a1, a2 = (p.centered() for p in ca.polys)
+        b1, b2 = (p.centered() for p in cb.polys)
         m11 = self._mult_ctx.multiply(a1, b1)
         m12 = self._mult_ctx.multiply(a1, b2)
         m21 = self._mult_ctx.multiply(a2, b1)
@@ -274,21 +277,20 @@ class Bfv:
         scale = lambda vec: self.ring([_round_div(t * c, q) for c in vec])
         return Ciphertext([scale(m11), scale(cross), scale(m22)], self.params)
 
-    def square(self, ct: Ciphertext) -> Ciphertext:
-        """Homomorphic squaring (saves one integer product vs multiply)."""
+    def square(self, ct: Ciphertext, on_rows=None) -> Ciphertext:
+        """Homomorphic squaring (saves one integer product vs multiply).
+
+        ``on_rows`` is :meth:`multiply`'s, with ``cb = ca``.
+        """
         if ct.size != 2:
             raise ValueError("square expects a 2-component ciphertext")
-        a1, a2 = (p.centered() for p in ct.polys)
         eng = self._tensor_engine()
         if eng is not None:
-            y0, y1, y2 = eng.tensor_square(eng.decompose(a1), eng.decompose(a2))
-            rows = eng.round_scale(
-                np.stack((y0, y1, y2)), self.params.t, self.params.q
+            operands = np.stack([eng.decompose_centered(p) for p in ct.polys])
+            return self._scale_tensor(
+                eng, operands, eng.tensor_square(*operands), on_rows
             )
-            return Ciphertext(
-                [Polynomial.from_canonical(self.ring, r) for r in rows],
-                self.params,
-            )
+        a1, a2 = (p.centered() for p in ct.polys)
         m11 = self._mult_ctx.multiply(a1, a1)
         m12 = self._mult_ctx.multiply(a1, a2)
         m22 = self._mult_ctx.multiply(a2, a2)
@@ -296,6 +298,24 @@ class Bfv:
         t, q = self.params.t, self.params.q
         scale = lambda vec: self.ring([_round_div(t * c, q) for c in vec])
         return Ciphertext([scale(m11), scale(cross), scale(m22)], self.params)
+
+    def _scale_tensor(self, eng, operands, tensor, on_rows) -> Ciphertext:
+        """Share the engine tensor's head rows, then scale it by ``t/q``.
+
+        ``operands`` are the tensor's ``(4, L, n)`` input residues, or a
+        square's ``(2, L, n)``, which stand for ``(a, a)``.
+        """
+        outputs = np.stack(tensor)
+        head = getattr(self._mult_ctx, "q_towers", 0)
+        if on_rows is not None and head:
+            loads = operands[:, :head]
+            on_rows(loads if len(loads) == 4 else loads[[0, 1, 0, 1]],
+                    outputs[:, :head])
+        scaled = eng.round_scale(outputs, self.params.t, self.params.q)
+        return Ciphertext(
+            [Polynomial.from_canonical(self.ring, r) for r in scaled],
+            self.params,
+        )
 
     def relinearize(self, ct: Ciphertext, relin: RelinKey) -> Ciphertext:
         """Map a 3-component ciphertext back to 2 components.
@@ -423,11 +443,13 @@ class Bfv:
     def _fold_engine(self, key: KeySwitchKey):
         """The engine the key's fold runs on, or ``None`` for scalar.
 
-        The multiplier's auxiliary basis is sized for the Eq. 4 tensor
-        (``2n(q/2)**2``); the fold bound is usually far smaller, so the
-        fold runs on the shortest tower prefix whose modulus still
-        dominates it — fewer towers through every NTT, Hadamard and
-        Garner pass, same exact integers. Memoized per key shape.
+        The multiplier's lead-free auxiliary basis (its ``_engine``, not
+        the tensor's basis that leads with q's towers) is sized for the
+        Eq. 4 tensor (``2n(q/2)**2``); the fold bound is usually far
+        smaller, so the fold runs on the shortest tower prefix whose
+        modulus still dominates it — fewer towers through every NTT,
+        Hadamard and Garner pass, same exact integers. Memoized per key
+        shape.
         """
         eng = getattr(self._mult_ctx, "_engine", None)
         if eng is None:
@@ -496,7 +518,7 @@ class Bfv:
         with 4x margin, making this the common case. Returns ``None`` for
         scalar fallback (custom multipliers, wide params).
         """
-        eng = getattr(self._mult_ctx, "_engine", None)
+        eng = getattr(self._mult_ctx, "tensor_engine", None)
         if eng is None:
             return None
         if self._tensor_ok is None:
@@ -598,12 +620,13 @@ class Bfv:
             )
 
 
-def _default_multiplier(n: int, q: int):
-    """Auto-select the exact negacyclic multiplier for ``(n, q)``.
+def _default_multiplier(params: BfvParameters):
+    """Auto-select the exact negacyclic multiplier for a parameter set.
 
     Prefers the batched-engine CRT multiplier
     (:class:`~repro.polymath.fastntt.RnsExactMultiplier`) — every tower of
-    its word-sized auxiliary basis runs through one vectorized pass — and
+    its word-sized auxiliary basis runs through one vectorized pass, and
+    the basis leads with q's own towers where they are word-sized — and
     falls back to the pure-Python wide-auxiliary-prime multiplier when no
     qualifying basis exists (or the engine is disabled via
     ``REPRO_ENGINE=off``). Both are exact over the integers, so the choice
@@ -611,11 +634,12 @@ def _default_multiplier(n: int, q: int):
     """
     from repro.polymath.engine import engine_enabled
 
+    n, q = params.n, params.q
     if engine_enabled():
         from repro.polymath.fastntt import RnsExactMultiplier
 
         try:
-            return RnsExactMultiplier(n, q)
+            return RnsExactMultiplier(n, params.q_basis or q)
         except ValueError:
             pass  # no word-sized auxiliary basis for this degree
     return _ExactMultiplier(n, q)

@@ -46,6 +46,7 @@ import numpy as np
 
 from repro.polymath.modmath import modinv
 from repro.polymath.ntt import NttContext
+from repro.polymath.poly import Polynomial
 from repro.polymath.primes import is_prime
 from repro.polymath.rns import RnsBasis
 
@@ -179,6 +180,10 @@ class BatchedRnsEngine:
         self.num_towers = len(basis)
         self.modulus = basis.modulus
         self._q = np.asarray(basis.moduli, dtype=np.int64)[:, None]  # (L, 1)
+        # 2^32 mod q_i: the radix of the wire words decompose_centered reads.
+        self._word_radix = np.asarray(
+            [(1 << 32) % q for q in basis.moduli], dtype=np.int64
+        )[:, None]
         self._psi = np.asarray(
             [ctx._psi_brv for ctx in self._ctxs], dtype=np.int64
         )
@@ -241,6 +246,32 @@ class BatchedRnsEngine:
             [obj % q for q in self.basis.moduli], dtype=np.int64
         )
 
+    def decompose_centered(self, poly: Polynomial) -> np.ndarray:
+        """``decompose(poly.centered())``, from the wire words if it can.
+
+        A word-backed polynomial (see
+        :class:`~repro.polymath.poly.Polynomial`) never becomes Python
+        ints. Its big-endian 32-bit words reduce mod every tower in one
+        int64 Horner pass, ``r = (r * 2^32 + w) mod q_i``, which stays
+        below 2^63 because ``r, 2^32 mod q_i < 2^31``. The centred lift
+        then subtracts ``q mod q_i`` where the coefficient exceeds
+        ``floor(q/2)``, which is one word compare.
+        """
+        words = poly.words
+        if words is None:
+            return self.decompose(poly.centered())
+        if len(words) != self.n:
+            raise ValueError(f"expected {self.n} coefficients, got {len(words)}")
+        q = self._q
+        words = words.astype(np.int64)
+        out = words[:, 0] % q
+        for j in range(1, words.shape[1]):
+            out = (out * self._word_radix + words[:, j]) % q
+        lift = np.asarray(
+            [poly.ring.q % m for m in self.basis.moduli], dtype=np.int64
+        )[:, None]
+        return (out - poly.negative_mask() * lift) % q
+
     def stack(self, towers: Sequence[Sequence[int]]) -> np.ndarray:
         """Per-tower residue vectors -> validated ``(num_towers, n)`` stack."""
         a = np.asarray(towers, dtype=np.int64)
@@ -280,12 +311,12 @@ class BatchedRnsEngine:
         out = digits[-1].astype(object)
         for k in range(self.num_towers - 2, -1, -1):
             out = out * moduli[k] + digits[k]
-        return [int(v) for v in out]
+        # Object arrays hold Python ints already: tolist() hands them out.
+        return out.tolist()
 
     def centered_reconstruct(self, stack: np.ndarray) -> list[int]:
         """CRT-recombine into the symmetric interval ``(-q/2, q/2]``."""
-        out = self.centered_values(stack)
-        return [int(v) for v in out]
+        return self.centered_values(stack).tolist()
 
     def _garner_values(self, a: np.ndarray) -> np.ndarray:
         """Garner recombination of reduced ``(B, L, n)`` stacks.
@@ -361,9 +392,7 @@ class BatchedRnsEngine:
         adj = np.full(c.shape, q, dtype=object)
         adj[c < 0] = q - 1
         scaled = (2 * t * c + adj) // (2 * q) % q
-        if squeeze:
-            return [int(v) for v in scaled[0]]
-        return [[int(v) for v in row] for row in scaled]
+        return scaled[0].tolist() if squeeze else scaled.tolist()
 
     def digit_decompose(
         self, coeffs: Sequence[int], digit_bits: int, num_digits: int

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.polymath.engine import MAX_MODULUS_BITS, require_engine
+from repro.polymath.engine import MAX_MODULUS_BITS, require_engine, supports
 from repro.polymath.primes import next_smaller_ntt_prime, ntt_friendly_prime
 from repro.polymath.rns import RnsBasis
 
@@ -90,34 +90,64 @@ class RnsExactMultiplier:
     is the trade SEAL makes (word-sized towers unlock vectorized
     arithmetic) applied to the whole evaluation path.
 
+    When ``q`` is given as its own RNS basis and every tower of it can
+    run on the engine (NTT-friendly primes of at most
+    :data:`MAX_MODULUS_BITS` bits), the Eq. 4 tensor's auxiliary basis
+    (:attr:`basis`, run by :attr:`tensor_engine`) *leads* with those
+    towers, followed by the next ``prime_bits`` primes not already in it.
+    The leading rows of every tensor are then the operands and the
+    mod-``q_i`` products of q's own towers — what a chip replaying the
+    tensor per tower loads and must read back
+    (:meth:`~repro.bfv.scheme.Bfv.multiply`'s ``on_rows``). Which coprime
+    primes carry the exact integer product does not change it.
+
     Args:
         n: polynomial degree (power of two).
-        q: the scheme's ciphertext modulus (any width).
+        q: the scheme's ciphertext modulus (any width), or q's own
+            :class:`~repro.polymath.rns.RnsBasis`.
         prime_bits: target width of each auxiliary tower prime.
     """
 
-    def __init__(self, n: int, q: int, prime_bits: int = 30):
+    def __init__(self, n: int, q: "int | RnsBasis", prime_bits: int = 30):
         if prime_bits > MAX_MODULUS_BITS:
             raise ValueError(
                 f"tower primes must stay below {MAX_MODULUS_BITS} bits "
                 f"for int64-safe numpy products, got {prime_bits}"
             )
         self.n = n
+        lead: tuple[int, ...] = ()
+        if isinstance(q, RnsBasis):
+            if supports(q, n):
+                lead = q.moduli
+            q = q.modulus
+        #: How many leading towers of :attr:`basis` are q's own (0: none).
+        self.q_towers = len(lead)
         # |product coefficient| <= n * (q/2)^2; the CRT modulus must exceed
         # twice that bound to recover signed values from centered residues.
         bound_bits = 2 * (q.bit_length() - 1) + n.bit_length() + 2
-        primes: list[int] = []
-        total = 1
-        candidate = ntt_friendly_prime(n, prime_bits)
-        while total.bit_length() <= bound_bits + 2:
-            primes.append(candidate)
-            total *= candidate
-            candidate = next_smaller_ntt_prime(candidate, n)
-        self.basis = RnsBasis(primes)
-        # The auxiliary basis is NTT-friendly sub-31-bit by construction,
-        # so the shared engine cache always qualifies — every Bfv instance
-        # over the same (n, q) reuses one precomputation.
-        self._engine = require_engine(self.basis, n)
+
+        def cover(lead: tuple[int, ...]) -> RnsBasis:
+            """``lead``, then the next ``prime_bits`` primes not in it,
+            until the product covers the bound."""
+            primes, total = list(lead), q if lead else 1
+            candidate = ntt_friendly_prime(n, prime_bits)
+            while total.bit_length() <= bound_bits + 2:
+                if candidate not in lead:
+                    primes.append(candidate)
+                    total *= candidate
+                candidate = next_smaller_ntt_prime(candidate, n)
+            return RnsBasis(primes)
+
+        # Both bases are NTT-friendly sub-31-bit by construction, so the
+        # shared engine cache always qualifies — every Bfv instance over
+        # the same (n, q) reuses one precomputation. The lead-free engine
+        # runs ``multiply`` and the key-switch folds, which take its
+        # shortest sufficient prefix: how wide q's towers are never moves
+        # a fold on or off the engine.
+        self._engine = require_engine(cover(()), n)
+        self.basis = cover(lead) if lead else self._engine.basis
+        #: The engine over :attr:`basis` that runs the Eq. 4 tensor.
+        self.tensor_engine = require_engine(self.basis, n)
 
     def multiply(self, a_centered, b_centered) -> list[int]:
         """Return the exact integer negacyclic product of centered inputs."""

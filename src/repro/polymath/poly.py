@@ -12,8 +12,58 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from repro.polymath.modmath import modinv
 from repro.polymath.ntt import NttContext, reference_negacyclic_multiply
+
+
+def _word_count(width: int) -> int:
+    """32-bit words per coefficient of a ``width``-byte packed form."""
+    return -(-width // 4)
+
+
+def _int_words(value: int, count: int) -> np.ndarray:
+    """``value`` as ``count`` big-endian 32-bit words (``uint32``)."""
+    return np.frombuffer(value.to_bytes(4 * count, "big"), dtype=">u4").astype(
+        np.uint32
+    )
+
+
+def _packed_words(data: bytes, n: int, width: int) -> np.ndarray:
+    """``n`` fixed-width big-endian integers -> ``(n, W)`` ``uint32`` words.
+
+    Each coefficient is left-padded to ``W = ceil(width / 4)`` words, so
+    row ``i``, most significant word first, is coefficient ``i``. The
+    array is column-major: every word position is one contiguous column,
+    which is what the compares and reductions below walk.
+    """
+    count = _word_count(width)
+    raw = np.frombuffer(data, dtype=np.uint8).reshape(n, width)
+    if width != 4 * count:
+        padded = np.zeros((n, 4 * count), dtype=np.uint8)
+        padded[:, 4 * count - width :] = raw
+        raw = padded
+    return np.asarray(raw.view(">u4"), dtype=np.uint32, order="F")
+
+
+def _above(words: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    """Row-wise ``words > bound``, compared lexicographically word by word.
+
+    The most significant word decides unless it ties; later words are
+    read only while some row still ties, which random residues almost
+    never do past the first word.
+    """
+    column = words[:, 0]
+    above = column > bound[0]
+    tied = column == bound[0]
+    for j in range(1, words.shape[1]):
+        if not tied.any():
+            break
+        column = words[:, j]
+        above |= tied & (column > bound[j])
+        tied &= column == bound[j]
+    return above
 
 
 class PolynomialRing:
@@ -44,6 +94,11 @@ class PolynomialRing:
                 f"q = {q} is not NTT-friendly for n = {n}; "
                 "pass allow_non_ntt=True for schoolbook multiplication"
             )
+        # Word forms of q - 1 and floor(q/2): the bounds of the unpack
+        # range check and of the centred lift.
+        words = _word_count(self.coeff_byte_width)
+        self._max_words = _int_words(q - 1, words)
+        self._half_words = _int_words(q // 2, words)
 
     @property
     def ntt(self) -> NttContext:
@@ -63,6 +118,11 @@ class PolynomialRing:
         The serving layer's wire format (:mod:`repro.service.serialization`)
         uses this as the innermost decoding step; out-of-range coefficients
         indicate corruption and raise rather than silently reducing mod q.
+
+        One numpy pass reads the bytes as big-endian 32-bit words and
+        range-checks every coefficient against ``q - 1`` lexicographically;
+        no Python int is built. The result is word-backed (see
+        :class:`Polynomial`).
         """
         width = self.coeff_byte_width
         if len(data) != self.n * width:
@@ -70,15 +130,14 @@ class PolynomialRing:
                 f"packed polynomial needs {self.n * width} bytes "
                 f"(n={self.n}, {width} B/coeff), got {len(data)}"
             )
-        coeffs = [
-            int.from_bytes(data[i * width : (i + 1) * width], "big")
-            for i in range(self.n)
-        ]
-        bad = next((c for c in coeffs if c >= self.q), None)
-        if bad is not None:
+        data = bytes(data)
+        words = _packed_words(data, self.n, width)
+        over = _above(words, self._max_words)
+        if over.any():
+            i = int(over.argmax())
+            bad = int.from_bytes(data[i * width : (i + 1) * width], "big")
             raise ValueError(f"packed coefficient {bad} >= modulus {self.q}")
-        # Unsigned and range-checked above: already canonical.
-        return Polynomial.from_canonical(self, coeffs)
+        return Polynomial._from_words(self, words, data)
 
     @property
     def supports_ntt(self) -> bool:
@@ -122,9 +181,22 @@ class PolynomialRing:
 
 
 class Polynomial:
-    """An element of ``Z_q[x]/(x^n + 1)``: an immutable coefficient tuple."""
+    """An element of ``Z_q[x]/(x^n + 1)``: an immutable coefficient vector.
 
-    __slots__ = ("ring", "coeffs")
+    It has one of two forms, and the two are interchangeable: ``coeffs``,
+    ``pack()``, ``==`` and ``hash`` agree between them.
+
+    * **Int-backed**: a tuple of canonical Python ints. Arithmetic
+      produces this form.
+    * **Word-backed**: what :meth:`PolynomialRing.unpack` returns. It
+      holds the wire bytes and their big-endian 32-bit words
+      (:attr:`words`). ``coeffs`` is built on first access, ``pack()`` is
+      a byte copy, and the batched engine reduces the words straight to
+      tower residues
+      (:meth:`~repro.polymath.engine.BatchedRnsEngine.decompose_centered`).
+    """
+
+    __slots__ = ("ring", "_coeffs", "_words", "_packed")
 
     def __init__(self, ring: PolynomialRing, coeffs: Iterable[int]):
         self.ring = ring
@@ -135,7 +207,8 @@ class Polynomial:
             )
         if len(reduced) < ring.n:
             reduced = reduced + (0,) * (ring.n - len(reduced))
-        self.coeffs = reduced
+        self._coeffs = reduced
+        self._words = self._packed = None
 
     @classmethod
     def from_canonical(
@@ -150,13 +223,57 @@ class Polynomial:
         """
         p = object.__new__(cls)
         p.ring = ring
-        p.coeffs = tuple(coeffs)
-        if len(p.coeffs) != ring.n:
+        p._coeffs = tuple(coeffs)
+        p._words = p._packed = None
+        if len(p._coeffs) != ring.n:
             raise ValueError(
                 f"expected exactly {ring.n} canonical coefficients, "
-                f"got {len(p.coeffs)}"
+                f"got {len(p._coeffs)}"
             )
         return p
+
+    @classmethod
+    def _from_words(
+        cls, ring: PolynomialRing, words: np.ndarray, packed: bytes
+    ) -> "Polynomial":
+        """Wrap range-checked wire bytes and their words (see ``unpack``)."""
+        p = object.__new__(cls)
+        p.ring = ring
+        p._coeffs = None
+        p._words = words
+        p._packed = packed
+        return p
+
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        """The canonical coefficients in ``[0, q)``, as Python ints.
+
+        A word-backed polynomial builds them here, once.
+        """
+        if self._coeffs is None:
+            words = self._words
+            values = words[:, 0].astype(object)
+            for j in range(1, words.shape[1]):
+                values = (values << 32) | words[:, j].astype(object)
+            self._coeffs = tuple(values.tolist())
+        return self._coeffs
+
+    @property
+    def words(self) -> np.ndarray | None:
+        """The ``(n, W)`` ``uint32`` big-endian words of a word-backed
+        polynomial (``W = ceil(coeff_byte_width / 4)``), else ``None``."""
+        return self._words
+
+    def negative_mask(self) -> np.ndarray:
+        """Which coefficients the centred lift makes negative (``c > q/2``).
+
+        One lexicographic word compare against ``floor(q/2)`` for a
+        word-backed polynomial.
+        """
+        if self._words is not None:
+            return _above(self._words, self.ring._half_words)
+        half = self.ring.q // 2
+        return np.array([c > half for c in self.coeffs], dtype=bool)
 
     # -- ring operations -------------------------------------------------
 
@@ -236,8 +353,11 @@ class Polynomial:
 
         The width is ``ring.coeff_byte_width`` so two equal polynomials in
         the same ring always produce identical bytes (the property the wire
-        format's digests and checksums rely on).
+        format's digests and checksums rely on). A word-backed polynomial
+        returns the bytes it was unpacked from.
         """
+        if self._packed is not None:
+            return self._packed
         width = self.ring.coeff_byte_width
         return b"".join(c.to_bytes(width, "big") for c in self.coeffs)
 
@@ -266,11 +386,11 @@ class Polynomial:
             raise ValueError(f"ring mismatch: {self.ring} vs {other.ring}")
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Polynomial)
-            and self.ring == other.ring
-            and self.coeffs == other.coeffs
-        )
+        if not isinstance(other, Polynomial) or self.ring != other.ring:
+            return False
+        if self._packed is not None and other._packed is not None:
+            return self._packed == other._packed
+        return self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
         return hash((self.ring, self.coeffs))

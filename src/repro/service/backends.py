@@ -13,7 +13,7 @@ backends differ only in how they price and replay it (the TF-Encrypted
   chip-native — every Eq. 4 tensor's Algorithm 3 command stream is
   actually executed on a worker's :class:`~repro.core.driver.CofheeDriver`,
   tower by tower, with the chip's mod-q tensor cross-checked against
-  the software reference.
+  the scheme's own tensor rows on those towers.
 * :class:`SoftwareBackend` — the SEAL-style CPU baseline: same exact
   results, priced by :class:`~repro.baselines.software.CpuCostModel`.
 * :class:`FastNttBackend` — the vectorized numpy path: the evaluation
@@ -292,7 +292,7 @@ class ChipPoolBackend(Backend):
       drivers), so a 3-tower multiply on a pool of 4 finishes in ~one
       tower's time. Every tower runs the real Algorithm 3 command stream
       on its worker's driver and is cross-checked mod ``q_i`` against
-      the software reference. Units are list-scheduled on true producer
+      the scheme's own tensor row. Units are list-scheduled on true producer
       edges: a tensor that consumes another tensor's output is never
       planned before its producer clears the gather barrier, and an
       independent tensor is never held back by an unrelated chain.
@@ -330,7 +330,6 @@ class ChipPoolBackend(Backend):
             self.workers.append(
                 ChipWorker(index=i, chip=chip, driver=CofheeDriver(chip))
             )
-        self._mod_q_reference: dict[bytes, SoftwareBfv] = {}
         self._tensor_estimate: dict[int, int] = {}  # n -> per-tower cycles
         self._schedule_makespan = 0  # cumulative list-schedule makespans
 
@@ -487,13 +486,13 @@ class ChipPoolBackend(Backend):
         """
         trace = job.trace
         circuit: Circuit = job.payload
-        tensors: list[tuple[int, Ciphertext, Ciphertext]] = []
+        tensors: list[tuple[int, Ciphertext, Ciphertext, tuple | None]] = []
         session, result = self._run_job(
             registry, job,
-            on_tensor=lambda step, a, b: tensors.append((step, a, b)),
+            on_tensor=lambda *tensor: tensors.append(tensor),
         )
         deps = self._unit_dependencies(
-            circuit, [step for step, _, _ in tensors]
+            circuit, [tensor[0] for tensor in tensors]
         )
         n = session.params.n
         towers_n = len(basis.moduli)
@@ -537,8 +536,9 @@ class ChipPoolBackend(Backend):
                 for item in plan[widx]:
                     unit = item.job_seq  # item keys are unit ids
                     if unit not in towers_of:
-                        _step, a, b = tensors[unit]
-                        towers_of[unit] = self._tower_operands(session, a, b)
+                        towers_of[unit] = self._tower_operands(
+                            basis, n, *tensors[unit][1:]
+                        )
                     outs, cycles = self._run_tower_checked(
                         worker, *towers_of[unit], item
                     )
@@ -615,8 +615,8 @@ class ChipPoolBackend(Backend):
         faulting a driver mid-job.
         """
         params = session.params
-        basis = params.cofhee_basis
-        if basis is None or basis.modulus != params.q:
+        basis = params.q_basis
+        if basis is None:
             return None
         if params.n > self.workers[0].chip.config.poly_words:
             return None
@@ -656,19 +656,29 @@ class ChipPoolBackend(Backend):
                 producers.append({unit})
         return deps
 
+    @staticmethod
     def _tower_operands(
-        self, session: Session, a: Ciphertext, b: Ciphertext
+        basis: RnsBasis, n: int, a: Ciphertext, b: Ciphertext,
+        rows: tuple[np.ndarray, np.ndarray] | None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """A tensor unit's ``(4, L, n)`` operand residues and ``(3, L, n)``
-        mod-q reference outputs, reduced once for every tower.
+        mod-q reference outputs on every tower, as ``uint64`` words.
 
-        ``a``/``b`` are the tensor step's 2-component operands (uploaded
-        inputs or intermediate values). A square binds both to the one
-        operand (the Eq. 4 tensor with ``a == b``).
+        ``rows`` are the scheme's own head rows of the tensor, shared by
+        :meth:`~repro.bfv.scheme.Bfv.multiply`: the auxiliary basis leads
+        with the session's q towers, which are this chip basis, so row
+        ``i`` is tower ``i`` and nothing is recomputed. Without them
+        (towers wider than the engine's 31 bits, or ``REPRO_ENGINE=off``)
+        the pure-Python per-tower reference computes both from ``a`` and
+        ``b``, the tensor step's 2-component operands; a square binds
+        both to the one operand.
         """
+        if rows is not None:
+            operands, outputs = rows
+            return operands.astype(np.uint64), outputs.astype(np.uint64)
         ct_a = (a.polys[0].coeffs, a.polys[1].coeffs)
         ct_b = ct_a if b is a else (b.polys[0].coeffs, b.polys[1].coeffs)
-        return self._reference_for(session).tensor_towers(ct_a, ct_b)
+        return SoftwareBfv(basis, n, engine="pure").tensor_towers(ct_a, ct_b)
 
     def _run_tower_checked(
         self, worker: ChipWorker, operands: np.ndarray, expected: np.ndarray,
@@ -686,7 +696,7 @@ class ChipPoolBackend(Backend):
         ):
             raise BackendError(
                 f"chip {worker.index} mod-q tensor diverged from the "
-                f"software reference on tower {item.tower} "
+                f"reference on tower {item.tower} "
                 f"(q_i = {item.modulus}) — datapath fault"
             )
         return outs, cycles
@@ -774,23 +784,6 @@ class ChipPoolBackend(Backend):
             )
             self._tensor_estimate[n] = schedule.compute_cycles
         return self._tensor_estimate[n]
-
-    def _reference_for(self, session: Session) -> SoftwareBfv:
-        """Per-tower mod-q ground truth for cross-checks (cached per digest).
-
-        Auto-selects the batched tower engine where tower moduli fit
-        (single-tower views share one precomputation) — the cross-check
-        stays affordable at paper-scale degrees instead of dominating
-        chip-job wall time.
-        """
-        if session.digest not in self._mod_q_reference:
-            basis = self._chip_native_basis(session)
-            if basis is None:
-                basis = RnsBasis([session.params.q])
-            self._mod_q_reference[session.digest] = SoftwareBfv(
-                basis, session.params.n
-            )
-        return self._mod_q_reference[session.digest]
 
 
 # ----------------------------------------------------------------------

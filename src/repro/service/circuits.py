@@ -618,9 +618,12 @@ def _decode_const(const: CircuitConst, params: BfvParameters) -> Polynomial | in
         raise CircuitError("plaintext constant coefficient exceeds t")
     return _plain_ring(params.n, params.t)([int(c) for c in const.coeffs])
 
-#: Chip-backend hook: called as ``on_tensor(step_index, a, b)`` with the
-#: two 2-component operand ciphertexts just before each tensor step.
-TensorHook = Callable[[int, Ciphertext, Ciphertext], None]
+#: Chip-backend hook: called as ``on_tensor(step_index, a, b, rows)`` after
+#: each tensor step, with its two 2-component operand ciphertexts and
+#: ``rows``, the scheme's head rows ``(operands, outputs)`` of the tensor
+#: (see :meth:`~repro.bfv.scheme.Bfv.multiply`'s ``on_rows``), or ``None``
+#: when the scheme had none to share.
+TensorHook = Callable[[int, Ciphertext, Ciphertext, "tuple | None"], None]
 
 #: Galois-key resolver: maps a rotation step's Galois exponent to the
 #: session's uploaded key (``Session.require_galois`` has this shape).
@@ -673,7 +676,8 @@ def evaluate_circuit(
     :class:`~repro.bfv.scheme.Bfv` calls the apps make in-process, in the
     same order, so a compiled app returns bit-identical ciphertexts to
     its direct execution. The chip-pool backend passes ``on_tensor`` to
-    collect each Eq. 4 tensor's operands for tower-sharded chip replay.
+    collect each Eq. 4 tensor's operands and the scheme's head rows for
+    tower-sharded chip replay.
 
     Args:
         engine: the session's evaluation engine.
@@ -681,7 +685,8 @@ def evaluate_circuit(
             the circuit contains relinearizing steps).
         circuit: the validated program.
         inputs: ciphertexts bound to ``circuit.inputs``, positionally.
-        on_tensor: optional per-tensor operand hook (chip replay).
+        on_tensor: optional per-tensor hook (chip replay), see
+            :data:`TensorHook`.
         galois: resolver from Galois exponent to the session's uploaded
             :class:`~repro.bfv.rotation.GaloisKey` (required only when
             the circuit contains rotation steps).
@@ -737,9 +742,16 @@ def evaluate_circuit(
             a = regs[step.args[0]]
             square = step.op in (OP_SQUARE_RELIN, OP_SQUARE)
             b = a if square else regs[step.args[1]]
+            shared: list[tuple] = []
+            on_rows = None if on_tensor is None else (
+                lambda *rows: shared.append(rows)
+            )
+            value = (
+                engine.square(a, on_rows) if square
+                else engine.multiply(a, b, on_rows)
+            )
             if on_tensor is not None:
-                on_tensor(i, a, b)
-            value = engine.square(a) if square else engine.multiply(a, b)
+                on_tensor(i, a, b, shared[0] if shared else None)
             if step.op in RELIN_OPS:
                 value = key_switch(engine.relinearize, value, relin_key)
         elif step.op == OP_RELINEARIZE:

@@ -69,7 +69,9 @@ class ParamsContext:
             if self.engine.multiplier_kind == "RnsExactMultiplier":
                 self._fast_engine = self.engine  # share the cached engine
             else:
-                multiplier = RnsExactMultiplier(self.params.n, self.params.q)
+                multiplier = RnsExactMultiplier(
+                    self.params.n, self.params.q_basis or self.params.q
+                )
                 self._fast_engine = Bfv(self.params, multiplier=multiplier)
                 self._fast_engine.metrics = self.engine.metrics
         return self._fast_engine

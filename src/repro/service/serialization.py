@@ -136,6 +136,7 @@ class ParamsMismatchError(WireFormatError):
 
 _I64 = struct.Struct(">q")
 _F64 = struct.Struct(">d")
+_U32 = struct.Struct(">I")
 
 
 def _uint(value: int, width: int) -> bytes:
@@ -199,6 +200,31 @@ class _Reader:
 
     def bigint(self) -> int:
         return int.from_bytes(self.take(self.u32()), "big")
+
+    def bigints(self, count: int) -> tuple[int, ...]:
+        """``count`` consecutive bigints in one tight pass.
+
+        The same bytes, values and truncation error as ``count`` calls to
+        :meth:`bigint`, without two method calls per value (a
+        ``CONST_PLAIN`` run is ``n`` of them).
+        """
+        data, pos, end = self._data, self._pos, len(self._data)
+        length_at, from_bytes = _U32.unpack_from, int.from_bytes
+        values = []
+        append = values.append
+        for _ in range(count):
+            start = pos + 4
+            if start > end:
+                break
+            stop = start + length_at(data, pos)[0]
+            if stop > end:
+                break
+            append(from_bytes(data[start:stop], "big"))
+            pos = stop
+        self._pos = pos
+        if len(values) < count:
+            self.bigint()  # re-reads the short bigint at ``pos``: raises
+        return tuple(values)
 
     def double(self) -> float:
         return _F64.unpack(self.take(8))[0]
@@ -557,7 +583,7 @@ def deserialize_circuit(data: bytes) -> Circuit:
         if kind == CONST_SCALAR:
             consts.append(CircuitConst(kind=kind, scalar=reader.i64()))
         elif kind == CONST_PLAIN:
-            coeffs = tuple(reader.bigint() for _ in range(reader.u32()))
+            coeffs = reader.bigints(reader.u32())
             consts.append(CircuitConst(kind=kind, coeffs=coeffs))
         else:
             raise WireFormatError(f"unknown circuit constant kind {kind}")

@@ -71,6 +71,37 @@ class TestBatchDimensions:
             assert [y0[i].tolist(), y1[i].tolist(), y2[i].tolist()] == expect
 
 
+class TestPythonIntOutputs:
+    """The big-modulus outputs are exactly ``int``: ``Polynomial.pack``
+    calls ``int.to_bytes`` on them, which numpy integers do not have."""
+
+    @staticmethod
+    def _all_int(values) -> bool:
+        return all(type(v) is int for v in values)
+
+    def test_reconstructions_and_round_scale(self, rns3, rng):
+        engine, basis, n = rns3
+        stacks = np.stack([
+            engine.stack([[rng.randrange(q) for _ in range(n)]
+                          for q in basis.moduli])
+            for _ in range(3)
+        ])
+        assert self._all_int(engine.reconstruct(stacks[0]))
+        assert self._all_int(engine.centered_reconstruct(stacks[0]))
+        t, q = 257, basis.moduli[0]
+        assert self._all_int(engine.round_scale(stacks[0], t, q))
+        rows = engine.round_scale(stacks, t, q)
+        assert len(rows) == 3 and all(self._all_int(r) for r in rows)
+
+    def test_single_tower(self, rng):
+        q = ntt_friendly_prime(16, 20)
+        engine = BatchedRnsEngine(RnsBasis([q]), 16)
+        stack = engine.stack([[rng.randrange(q) for _ in range(16)]])
+        assert self._all_int(engine.reconstruct(stack))
+        assert self._all_int(engine.centered_reconstruct(stack))
+        assert self._all_int(engine.round_scale(stack, 17, q))
+
+
 class TestAutoSelection:
     def test_get_engine_caches_per_basis(self):
         basis = RnsBasis(plan_towers(40, 20, 16))

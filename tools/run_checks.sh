@@ -165,6 +165,11 @@ echo "== tier-1 test suite =="
 # (tests/service/test_wire_golden.py + wire_golden.json), the spec/codec
 # tag-table drift check (tests/service/test_wire_doc_tables.py), the
 # circuit wire-format fuzz suite (tests/property/test_property_circuit_wire.py),
+# the word-backed polynomial codec suite (word decode and range check vs
+# the per-coefficient decode, word vs int forms, decompose of words;
+# tests/property/test_property_word_codec.py), the shared-tensor suite
+# (the chip pool cross-checks against the scheme's own tensor rows;
+# tests/service/test_shared_tensor_rows.py),
 # the app-circuit serving suites (tests/service/test_circuit_*.py), and the
 # golden chip-statistics snapshot of the Algorithm 3 replay
 # (tests/core/test_chip_golden.py, n up to 2^12 in about two seconds).
