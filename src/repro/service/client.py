@@ -267,11 +267,17 @@ class AsyncFheClient:
         for job in self._jobs.values():
             if not job.future.done():
                 job.future.set_exception(exc)
+                # result() still raises it; a job nobody awaits (its
+                # owner only had callbacks) must not warn at teardown.
+                job.future.exception()
 
     async def _request(self, msg_type: type, **fields):
         """Send ``msg_type(request_id=<fresh>, **fields)``; await its reply."""
         if self._closed:
             raise TransportError("client is closed")
+        if self._reader_task.done():
+            # Nothing would ever answer: fail now instead of hanging.
+            raise ConnectionError("connection closed by server")
         request_id = next(self._request_ids)
         message = encode_message(msg_type(request_id=request_id, **fields))
         future = self._loop.create_future()
@@ -285,7 +291,12 @@ class AsyncFheClient:
             self._replies.pop(request_id, None)
             future.cancel()
             raise
-        return await future
+        try:
+            return await future
+        finally:
+            # A caller that stopped waiting (a timed-out ping) leaves no
+            # reply slot behind.
+            self._replies.pop(request_id, None)
 
     # -- API -----------------------------------------------------------
 
@@ -522,6 +533,17 @@ class AsyncFheClient:
         """How many completion events arrived for a job (expected: 1)."""
         job = self._jobs.get(job_id)
         return 0 if job is None else job.events
+
+    def forget(self, job_id: str) -> None:
+        """Drop everything the client holds for a job: its recorded
+        submission and its completion event. Call it once the event is
+        consumed; ``result(job_id)`` then raises ``KeyError``."""
+        self._jobs.pop(job_id, None)
+        self._submissions.pop(job_id, None)
+
+    async def disconnected(self) -> None:
+        """Wait until the link is gone: closed by the server or broken."""
+        await asyncio.shield(self._reader_task)
 
     async def aclose(self, drain: bool = True,
                      drain_timeout: float = 30.0) -> None:

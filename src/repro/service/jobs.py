@@ -163,7 +163,8 @@ class Job:
     backend: str = ""  # requested backend name ("" = service default)
     #: The operands' original framed wire bytes when the job arrived over
     #: the transport (index-aligned with ``operands``, empty otherwise).
-    #: The fleet forwards these verbatim instead of re-serializing.
+    #: The fleet forwards these verbatim instead of re-serializing. Both
+    #: are dropped when the job settles.
     wire_operands: tuple[bytes, ...] = ()
     #: Absolute monotonic-clock instant past which the job must not be
     #: dispatched (and is reaped if already in flight). ``None`` = no
@@ -172,7 +173,7 @@ class Job:
     job_id: str = field(default_factory=lambda: f"j{next(_job_ids):05d}")
     status: JobStatus = JobStatus.QUEUED
     #: Ciphertext (raw op) or ``{name: Ciphertext}`` (circuit); framed
-    #: wire bytes when a fleet worker produced it.
+    #: wire bytes once serialized, or when a fleet worker produced it.
     result: object = None
     error: str | None = None
     metrics: JobMetrics = field(default_factory=JobMetrics)
@@ -212,9 +213,16 @@ class Job:
     def fail(self, message: str) -> None:
         self.status = JobStatus.FAILED
         self.error = message
-        self.trace.stamp_done()
+        self._settle()
 
     def finish(self, result: object) -> None:
         self.result = result
         self.status = JobStatus.DONE
+        self._settle()
+
+    def _settle(self) -> None:
+        # Nothing reads the inputs of a settled job: its content address
+        # was taken at submit, and the fleet requeues from its own record.
+        self.operands = []
+        self.wire_operands = ()
         self.trace.stamp_done()

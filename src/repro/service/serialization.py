@@ -23,10 +23,10 @@ contract is that secrets never cross the wire — clients encrypt, upload
 evaluation keys, and decrypt locally.
 
 The **control plane** speaks the same envelope: the transport's messages
-(tags 0x10-0x1A) and the fleet's worker messages (0x20-0x24) carry
-routing fields plus nested data-plane blobs (each itself a framed
-message) — a bit flipped anywhere in a control frame is caught by the
-same checksum that protects a ciphertext. Each control message is a
+(tags 0x10-0x1A, which fleet workers speak too) carry routing fields
+plus nested data-plane blobs (each itself a framed message) — a bit
+flipped anywhere in a control frame is caught by the same checksum that
+protects a ciphertext. Each control message is a
 frozen dataclass whose wire layout is declared once, in
 :data:`CONTROL_MESSAGES` (tag -> dataclass + ``(field, kind)`` pairs in
 wire order); :func:`encode_message` and :func:`decode_message` are the
@@ -93,17 +93,6 @@ TAG_SUBMIT_CIRCUIT = 0x17
 TAG_STATS = 0x18
 TAG_TRACE = 0x19
 TAG_ADMIN = 0x1A
-
-# Fleet worker-control plane (repro.service.fleet). Orchestrator ->
-# worker: WORKER_KEYS (replicate a session's params + evaluation keys on
-# first use), WORKER_JOB (one routed job), WORKER_FAULTS (re-arm the
-# deterministic fault plan); worker -> orchestrator: WORKER_RESULT and
-# WORKER_HEARTBEAT (liveness beacon; seq 1 doubles as the hello).
-TAG_WORKER_KEYS = 0x20
-TAG_WORKER_JOB = 0x21
-TAG_WORKER_RESULT = 0x22
-TAG_WORKER_HEARTBEAT = 0x23
-TAG_WORKER_FAULTS = 0x24
 
 #: Tag -> short name for error messages (control names join from
 #: :data:`CONTROL_MESSAGES`).
@@ -280,9 +269,9 @@ def verify_frame(data: bytes) -> int:
     """Integrity-check a framed message without decoding its body.
 
     Validates the magic, wire version, and CRC32 trailer, and returns
-    the type tag. The fleet orchestrator runs this over every worker
-    reply payload so a corrupted result is requeued instead of being
-    handed to a client that would only discover the damage on decode.
+    the type tag. The fleet router runs this over every worker EVENT
+    payload so a corrupted result is requeued instead of being handed to
+    a client that would only discover the damage on decode.
     """
     if len(data) < len(MAGIC) + 2 + 4:
         raise WireFormatError(f"message too short ({len(data)} bytes)")
@@ -748,12 +737,20 @@ class ResultMsg:
 
 @dataclass(frozen=True)
 class EventMsg:
-    """Unsolicited completion push for a subscribed job."""
+    """Unsolicited completion push for a subscribed job.
+
+    A done job's event also carries what the serving backend measured:
+    modelled ``cycles``, its ``seconds`` and the ``fidelity`` it ran at
+    (the fleet router copies them into the front door's job metrics).
+    """
 
     job_id: str
     status: str
     payload: bytes = b""  # framed ciphertext message when status == done
     error: str = ""
+    cycles: int = 0
+    seconds: float = 0.0
+    fidelity: str = ""
 
 
 @dataclass(frozen=True)
@@ -823,85 +820,12 @@ class TraceMsg:
 
 
 # ----------------------------------------------------------------------
-# Fleet worker-control plane (WORKER_KEYS / WORKER_JOB / WORKER_RESULT /
-# WORKER_HEARTBEAT / WORKER_FAULTS)
-# ----------------------------------------------------------------------
-#
-# The orchestrator <-> worker pipe speaks the same envelope as the public
-# transport; nested blobs (params, keys, ciphertexts, circuits) are the
-# *existing* key-registry wire encoding, each re-validated by its own
-# CRC on the worker. A worker never sees a secret key.
-
-
-@dataclass(frozen=True)
-class WorkerKeysMsg:
-    """Replicate one session's parameter set + evaluation keys.
-
-    ``token`` is the front-door session id; the worker opens (or
-    refreshes) a local session under it, so later :class:`WorkerJobMsg`
-    routing is a single dict lookup. Sent once per (session, worker) and
-    again whenever the front door observes new key material.
-    """
-
-    token: str
-    tenant: str
-    params: bytes  # framed params message
-    relin_key: bytes | None = None
-    galois_keys: tuple[bytes, ...] = ()
-
-
-@dataclass(frozen=True)
-class WorkerJobMsg:
-    """One routed job: raw-op operands or a framed app circuit."""
-
-    job_id: str
-    token: str
-    kind: str
-    steps: int = 0
-    operands: tuple[bytes, ...] = ()  # framed ciphertext messages
-    circuit: bytes | None = None  # framed circuit message (CIRCUIT kind)
-
-
-@dataclass(frozen=True)
-class WorkerResultMsg:
-    """Worker reply for one job: the framed result or a clean failure."""
-
-    job_id: str
-    status: str  # "done" | "failed"
-    payload: bytes = b""  # framed ciphertext/circuit-outputs when done
-    error: str = ""
-    cycles: int = 0
-    seconds: float = 0.0
-    fidelity: str = ""
-
-
-@dataclass(frozen=True)
-class WorkerHeartbeatMsg:
-    """Periodic liveness beacon; ``seq == 1`` doubles as the hello."""
-
-    worker: int
-    seq: int
-    jobs_done: int = 0
-
-
-@dataclass(frozen=True)
-class WorkerFaultsMsg:
-    """Re-arm a worker's deterministic fault plan at runtime.
-
-    ``spec`` uses the :meth:`repro.service.fleet.FaultPlan.parse`
-    grammar; an empty spec clears all pending faults.
-    """
-
-    spec: str = ""
-
-
-# ----------------------------------------------------------------------
 # The control-plane codec: one layout table, one encoder, one decoder
 # ----------------------------------------------------------------------
 #
 # Each control message is its dataclass plus its fields in *wire* order,
 # which is not always the dataclass order (OPEN_SESSION sends ``token``
-# third; the submits and WORKER_JOB send ``operands`` last). A field's
+# third; the submits send ``operands`` last). A field's
 # kind names its encoding — the primitive table in docs/wire-protocol.md.
 
 
@@ -958,7 +882,8 @@ CONTROL_MESSAGES = {
         (TAG_RESULT, "result", ResultMsg,
          "request_id:u32 job_id:str status:str payload:blob error:str"),
         (TAG_EVENT, "event", EventMsg,
-         "job_id:str status:str payload:blob error:str"),
+         "job_id:str status:str payload:blob error:str cycles:i64 "
+         "seconds:f64 fidelity:str"),
         (TAG_ERROR, "error", ErrorMsg, "request_id:u32 message:str code:str"),
         (TAG_SUBMIT_CIRCUIT, "submit-circuit", SubmitCircuitMsg,
          "request_id:u32 session_id:str circuit:blob backend:str "
@@ -968,18 +893,6 @@ CONTROL_MESSAGES = {
          "request_id:u32 job_id:str wall_seconds:f64 spans:spans"),
         (TAG_ADMIN, "admin", AdminMsg,
          "request_id:u32 command:str value:i64 result:str"),
-        (TAG_WORKER_KEYS, "worker-keys", WorkerKeysMsg,
-         "token:str tenant:str params:blob relin_key:opt_blob "
-         "galois_keys:blobs"),
-        (TAG_WORKER_JOB, "worker-job", WorkerJobMsg,
-         "job_id:str token:str kind:str steps:i64 circuit:opt_blob "
-         "operands:blobs"),
-        (TAG_WORKER_RESULT, "worker-result", WorkerResultMsg,
-         "job_id:str status:str payload:blob error:str cycles:i64 "
-         "seconds:f64 fidelity:str"),
-        (TAG_WORKER_HEARTBEAT, "worker-heartbeat", WorkerHeartbeatMsg,
-         "worker:u32 seq:i64 jobs_done:i64"),
-        (TAG_WORKER_FAULTS, "worker-faults", WorkerFaultsMsg, "spec:str"),
     )
 }
 TAG_NAMES.update((tag, layout.name) for tag, layout in CONTROL_MESSAGES.items())

@@ -34,12 +34,13 @@ from repro.service.backends import (
 from repro.service.circuits import Circuit, CircuitError, rotation_exponents
 from repro.service.errors import QuotaExceededError
 from repro.service.optimizer import DEFAULT_LEVEL, LEVELS, optimize_circuit
-from repro.service.fleet import FleetBackend
 from repro.service.jobs import Job, JobKind, JobStatus
 from repro.service.registry import Session, SessionRegistry
 from repro.service.scheduler import JobScheduler, ServiceStats
 from repro.service.serialization import (
+    deserialize_ciphertext,
     deserialize_circuit,
+    deserialize_circuit_outputs,
     deserialize_galois_key,
     deserialize_params,
     deserialize_public_key,
@@ -97,14 +98,13 @@ class FheServer:
             server **must** be closed (:meth:`close`, or use it as a
             context manager) to reap the worker processes.
         fleet_mode: ``"process"`` (spawned interpreters) or ``"thread"``
-            (the identical worker loop in threads, for fast tests).
+            (the identical worker in threads, for fast tests).
         fault_spec: deterministic fault-injection spec for the fleet
             (see :class:`~repro.service.fleet.FaultPlan`); defaults to
             the ``REPRO_FAULT`` environment variable.
         fleet_options: extra :class:`~repro.service.fleet.FleetBackend`
-            keyword arguments (``chips``, ``heartbeat_interval``,
-            ``heartbeat_timeout``, ``worker_window``, ``max_attempts``,
-            ``restart``, ``spill_threshold``).
+            keyword arguments (``heartbeat_interval``,
+            ``heartbeat_timeout``, ``restart``, ``spill_threshold``).
         quotas: per-tenant :class:`TenantQuota` admission limits keyed
             by tenant name (``None``/missing tenant = unlimited). An
             over-quota submit raises the retryable
@@ -140,8 +140,12 @@ class FheServer:
             "software": SoftwareBackend(),
             "fastntt": FastNttBackend(),
         }
-        self.fleet: FleetBackend | None = None
+        self.fleet = None
         if fleet_size > 0:
+            # Imported here: a fleet worker is this module's FheServer,
+            # so the fleet module imports (through the transport) this one.
+            from repro.service.fleet import FleetBackend
+
             self.fleet = FleetBackend(
                 fleet_size, mode=fleet_mode,
                 strict_fidelity=strict_fidelity, fault_spec=fault_spec,
@@ -714,6 +718,11 @@ class FheServer:
         ops, a framed named-output map for circuits. ``wire=False``
         returns the in-memory object.
 
+        A settled job keeps its result in wire form from the first time
+        it is serialized (a fleet job's result arrives that way): about a
+        third of the object's memory, and later calls return the bytes
+        without encoding again. ``wire=False`` then decodes them.
+
         Raises:
             RuntimeError: if the job failed (message carries the cause).
         """
@@ -726,17 +735,17 @@ class FheServer:
             raise RuntimeError(f"job {job_id} failed: {job.error}")
         if not job.done:
             raise RuntimeError(f"job {job_id} is still {job.status.value}")
-        if isinstance(job.result, (bytes, bytearray)):
-            # Fleet results already travel as framed wire bytes; hand
-            # them back verbatim (wire=False has no object to return).
-            return bytes(job.result)
-        if wire and isinstance(job.result, Ciphertext):
+        circuit = job.kind is JobKind.CIRCUIT
+        if wire and not isinstance(job.result, bytes):
             with job.trace.span("serialize"):
-                return serialize_ciphertext(job.result)
-        if wire and job.kind is JobKind.CIRCUIT:
-            with job.trace.span("serialize"):
-                return serialize_circuit_outputs(job.result)
-        return job.result
+                job.result = (serialize_circuit_outputs if circuit
+                              else serialize_ciphertext)(job.result)
+        if wire or not isinstance(job.result, bytes):
+            return job.result
+        params = self.registry.get(job.session_id).params
+        if circuit:
+            return deserialize_circuit_outputs(job.result, params)
+        return deserialize_ciphertext(job.result, params)
 
     def job_metrics(self, job_id: str):
         return self._job(job_id).metrics

@@ -20,7 +20,12 @@ a listener in front of it:
   default) registers the connection for an EVENT push: the server's pump
   task drives :meth:`FheServer.tick` and delivers each job's result
   frame between ticks, as soon as that job settles. No client ever
-  polls.
+  polls. The EVENT also carries the job's modelled cycles, seconds and
+  fidelity.
+
+:meth:`FheTransportServer.serve_socket` serves one already-connected
+socket instead of a listener: a fleet worker is served that way, with
+the fleet's fault shim as its outbound filter.
 
 In-queue dedupe and the result cache live inside :class:`FheServer`
 itself, so remote traffic gets cache-aware scheduling for free — two
@@ -39,10 +44,12 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import hmac
+import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.service.errors import AuthError, ShuttingDownError
 from repro.service.jobs import JobKind, JobStatus
@@ -174,17 +181,23 @@ class _PendingJob:
     origin: "_Connection | None" = None
 
 
+#: A filter over one link's outbound frames: the bytes to write, or
+#: ``None`` to drop the frame (see :meth:`FheTransportServer.serve_socket`).
+Outbound = Callable[[bytes], "bytes | None"]
+
+
 class _Connection:
     """One accepted client link; writes are serialized by a lock so the
     pump task and the dispatch path never interleave frames."""
 
     def __init__(self, reader: asyncio.StreamReader,
                  writer: asyncio.StreamWriter, max_frame: int,
-                 metrics=None):
+                 metrics=None, outbound: Outbound | None = None):
         self.reader = reader
         self.writer = writer
         self.max_frame = max_frame
         self.metrics = metrics
+        self.outbound = outbound
         self._write_lock = asyncio.Lock()
         #: Accepted-but-unsettled submissions from this link (the
         #: backpressure window counts these, never queued frames).
@@ -193,6 +206,10 @@ class _Connection:
         self.drained = asyncio.Event()
 
     async def send(self, message: bytes) -> None:
+        if self.outbound is not None:
+            message = self.outbound(message)
+            if message is None:
+                return
         async with self._write_lock:
             await write_frame(self.writer, message, self.max_frame)
         if self.metrics is not None:
@@ -279,15 +296,32 @@ class FheTransportServer:
         """Bind the listener; returns the (host, port) actually bound."""
         if self._server is not None:
             raise RuntimeError("transport server already started")
-        self._loop = asyncio.get_running_loop()
-        self._executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="fhe-engine"
-        )
+        self._start_engine()
         self._server = await asyncio.start_server(
             self._handle_connection, self._host, self._port
         )
         self._host, self._port = self._server.sockets[0].getsockname()[:2]
         return self._host, self._port
+
+    async def serve_socket(self, sock: socket.socket,
+                           outbound: Outbound | None = None) -> None:
+        """Serve one already-connected stream socket until it closes.
+
+        No listener is bound: this is how a fleet worker serves the
+        router holding the other end of its socketpair. ``outbound``, if
+        given, sees every frame this link sends and returns the bytes to
+        write, or ``None`` to drop the frame (the fleet's fault shim).
+        """
+        self._start_engine()
+        reader, writer = await asyncio.open_connection(sock=sock)
+        await self._handle_connection(reader, writer, outbound)
+
+    def _start_engine(self) -> None:
+        if self._executor is None:
+            self._loop = asyncio.get_running_loop()
+            self._executor = ThreadPoolExecutor(
+                max_workers=1, thread_name_prefix="fhe-engine"
+            )
 
     @property
     def address(self) -> tuple[str, int]:
@@ -498,9 +532,10 @@ class FheTransportServer:
     # -- connection handling -------------------------------------------
 
     async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
+                                 writer: asyncio.StreamWriter,
+                                 outbound: Outbound | None = None) -> None:
         metrics = self.fhe.metrics
-        conn = _Connection(reader, writer, self._max_frame, metrics)
+        conn = _Connection(reader, writer, self._max_frame, metrics, outbound)
         self._connections.add(conn)
         metrics.gauge(
             "repro_connections", "currently accepted client links"
@@ -675,8 +710,11 @@ class FheTransportServer:
         if status is JobStatus.DONE:
             wire = self.fhe.result(job_id)
             payload = wire if isinstance(wire, (bytes, bytearray)) else b""
+            metrics = self.fhe.job_metrics(job_id)
             return EventMsg(
-                job_id=job_id, status=status.value, payload=bytes(payload)
+                job_id=job_id, status=status.value, payload=bytes(payload),
+                cycles=metrics.cycles, seconds=metrics.seconds,
+                fidelity=metrics.fidelity,
             )
         return EventMsg(
             job_id=job_id, status=JobStatus.FAILED.value,

@@ -19,7 +19,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bfv import BfvParameters
-from repro.service.fleet import FleetBackend, _FleetWorker
 from repro.service.serialization import (
     CONTROL_MESSAGES,
     StatusMsg,
@@ -108,8 +107,8 @@ class TestFraming:
 # ----------------------------------------------------------------------
 #
 # Strategies come from the codec's own layout table, so every control
-# tag — transport, telemetry, admin and fleet worker messages alike — is
-# fuzzed the moment it has a row there.
+# tag — transport, telemetry and admin messages alike — is fuzzed the
+# moment it has a row there.
 
 #: Wire doubles: any finite float round-trips ">d" exactly (NaN would
 #: break dataclass equality, so it is excluded, not supported).
@@ -217,9 +216,8 @@ class TestControlCodec:
 
     def test_cross_tag_decode_is_rejected(self):
         """The transport serves STATUS queries, but every tag outside its
-        handler table — the server-to-client SESSION/EVENT/ERROR replies,
-        the fleet worker messages — handed to its dispatch is a protocol
-        error."""
+        handler table — the server-to-client SESSION/EVENT/ERROR replies —
+        handed to its dispatch is a protocol error."""
         assert StatusMsg in FheTransportServer._HANDLERS
         server = FheTransportServer(pool_size=1)
         frames = _zero_frames_outside(FheTransportServer._HANDLERS)
@@ -227,17 +225,3 @@ class TestControlCodec:
         for frame in frames:
             with pytest.raises(WireFormatError, match="unexpected client"):
                 asyncio.run(server._dispatch(None, frame))
-
-    def test_fleet_peers_reject_foreign_tags(self):
-        worker = _FleetWorker(conn=None, config={"index": 0})
-        for frame in _zero_frames_outside(_FleetWorker._HANDLERS):
-            with pytest.raises(WireFormatError, match="unexpected worker-"):
-                worker._handle(frame)
-        fleet = FleetBackend(size=1, mode="thread")
-        try:
-            for frame in _zero_frames_outside(FleetBackend._HANDLERS):
-                with pytest.raises(WireFormatError,
-                                   match="unexpected worker reply"):
-                    fleet._on_message(fleet._workers[0], frame)
-        finally:
-            fleet.close()

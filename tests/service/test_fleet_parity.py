@@ -1,0 +1,143 @@
+"""A fleet job is a chip-pool job that crossed a socket.
+
+A fleet worker is a plain ``FheServer`` behind ``FheTransportServer``,
+and its router settles each job from the pushed EVENT. These tests pin
+what that hop must preserve and what it must not keep:
+
+* the result bytes, modelled cycles and fidelity of a thread-fleet job
+  equal the in-process chip pool's (the keyed n = 16, 3-tower EvalMult
+  that ``test_per_job_settlement.py`` pins at 3 x 1,143 + 5,760 cycles);
+* EVENT carries ``cycles``/``seconds``/``fidelity`` on the wire;
+* a settled job holds no operands, in-process or through the fleet, and
+  the router's client keeps no record of a settled job.
+"""
+
+from __future__ import annotations
+
+import asyncio
+import random
+
+import pytest
+
+from repro.bfv import BatchEncoder, Bfv, BfvParameters
+from repro.service.client import AsyncFheClient
+from repro.service.jobs import JobKind
+from repro.service.serialization import (
+    EventMsg,
+    decode_message,
+    encode_message,
+    serialize_ciphertext,
+    serialize_params,
+    serialize_relin_key,
+)
+from repro.service.server import FheServer
+from repro.service.transport import FheTransportServer
+
+PARAMS = BfvParameters.toy_rns(n=16, towers=3, tower_bits=20)
+EVALMULT_CYCLES = 3 * 1143 + 5760
+
+
+@pytest.fixture(scope="module")
+def tenant():
+    bfv = Bfv(PARAMS, seed=0x5E77)
+    keys = bfv.keygen(relin_digit_bits=14)
+    encoder = BatchEncoder(PARAMS)
+    rng = random.Random(20)
+    operands = [
+        tuple(serialize_ciphertext(bfv.encrypt(encoder.encode(
+            [rng.randrange(16) for _ in range(PARAMS.n)]), keys.public))
+            for _ in range(2))
+        for _ in range(3)
+    ]
+    return keys, operands
+
+
+def _serve(server, keys, operands, backend=""):
+    """Open a session, submit every operand pair, return the job ids
+    with their result bytes."""
+    sid = server.open_session(
+        "t", serialize_params(PARAMS),
+        relin_key=serialize_relin_key(keys.relin, PARAMS),
+    )
+    jids = [
+        server.submit(sid, JobKind.MULTIPLY, pair, backend=backend)
+        for pair in operands
+    ]
+    return [(jid, server.result(jid)) for jid in jids]
+
+
+def test_thread_fleet_job_matches_the_chip_pool(tenant):
+    keys, operands = tenant
+    with FheServer(pool_size=1, result_cache_size=0) as local:
+        expected = _serve(local, keys, operands)
+        local_metrics = [local.job_metrics(jid) for jid, _ in expected]
+    with FheServer(fleet_size=1, fleet_mode="thread", result_cache_size=0,
+                   default_backend="fleet", fault_spec="") as fleet:
+        served = _serve(fleet, keys, operands)
+        for (jid, wire), (_, want), local_m in zip(
+                served, expected, local_metrics):
+            m = fleet.job_metrics(jid)
+            assert wire == want
+            assert m.backend == fleet.fleet.name
+            assert (m.cycles, m.seconds, m.fidelity) == (
+                local_m.cycles, local_m.seconds, local_m.fidelity
+            )
+            assert (m.cycles, m.fidelity) == (EVALMULT_CYCLES, "chip")
+
+
+def test_event_carries_cycles_seconds_and_fidelity():
+    done = EventMsg("j-1", "done", b"payload", cycles=EVALMULT_CYCLES,
+                    seconds=4.5e-5, fidelity="chip")
+    assert decode_message(encode_message(done)) == done
+    failed = decode_message(encode_message(EventMsg("j-2", "failed",
+                                                    error="boom")))
+    assert (failed.cycles, failed.seconds, failed.fidelity) == (0, 0.0, "")
+
+
+def test_pushed_event_reports_the_jobs_metrics(tenant):
+    """Over a real socket, the subscribed EVENT carries the cycles and
+    fidelity the server recorded for the job."""
+    keys, operands = tenant
+
+    async def scenario():
+        fhe = FheServer(pool_size=1, result_cache_size=0)
+        async with FheTransportServer(fhe) as server:
+            client = await AsyncFheClient.connect(*server.address)
+            sid = await client.open_session(
+                "t", serialize_params(PARAMS),
+                relin_key=serialize_relin_key(keys.relin, PARAMS),
+            )
+            events = []
+            jid = await client.submit(sid, JobKind.MULTIPLY, operands[0],
+                                      on_done=events.append)
+            await client.result(jid)
+            await client.aclose()
+        (event,) = events
+        m = fhe.job_metrics(jid)
+        assert (event.cycles, event.seconds, event.fidelity) == (
+            m.cycles, m.seconds, m.fidelity
+        )
+        assert event.cycles == EVALMULT_CYCLES
+
+    asyncio.run(scenario())
+
+
+class TestSettledJobsReleaseState:
+    def test_in_process_jobs_drop_their_operands(self, tenant):
+        keys, operands = tenant
+        with FheServer(pool_size=1, result_cache_size=0) as server:
+            for jid, _ in _serve(server, keys, operands):
+                job = server._jobs[jid]
+                assert job.operands == [] and job.wire_operands == ()
+
+    def test_fleet_jobs_and_router_client_keep_no_records(self, tenant):
+        keys, operands = tenant
+        with FheServer(fleet_size=2, fleet_mode="thread", fault_spec="",
+                       result_cache_size=0,
+                       default_backend="fleet") as server:
+            for jid, _ in _serve(server, keys, operands):
+                job = server._jobs[jid]
+                assert job.operands == [] and job.wire_operands == ()
+            for handle in server.fleet._workers:
+                assert handle.client._jobs == {}
+                assert handle.client._submissions == {}

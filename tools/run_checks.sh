@@ -30,9 +30,11 @@
 #                                    # alone; it is already part of the
 #                                    # default pipeline): the chaos test
 #                                    # battery + the fleet property suite
-#                                    # + a 2-process worker-fleet smoke
-#                                    # over a real socket (spawn-safe:
-#                                    # each worker is a fresh interpreter)
+#                                    # + `repro.service.demo --fleet-smoke`
+#                                    # (a listener over 2 process workers,
+#                                    # each a fresh interpreter running a
+#                                    # plain FheServer behind
+#                                    # FheTransportServer on a socketpair)
 #                                    # + the spill-over routing bench
 #                                    # (skewed hot tenant, >= 1.3x gate)
 #   tools/run_checks.sh --layered    # also the layered serving benchmark's
@@ -125,7 +127,7 @@ run_obs() {
 
 run_fleet() {
   echo
-  echo "== fleet (chaos battery + property suite + 2-process smoke) =="
+  echo "== fleet (chaos battery + property suite + 2-process worker smoke) =="
   python -m pytest tests/service/test_fleet_faults.py \
     tests/property/test_property_fleet.py -q
   PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m repro.service.demo --fleet-smoke
@@ -163,7 +165,11 @@ echo "== tier-1 test suite =="
 # so every control tag is fuzzed (tests/property/test_property_transport.py),
 # the golden control-frame bytes and field range checks
 # (tests/service/test_wire_golden.py + wire_golden.json), the spec/codec
-# tag-table drift check (tests/service/test_wire_doc_tables.py), the
+# tag-table drift check (tests/service/test_wire_doc_tables.py), the fleet
+# link suites (a fleet job matches the chip pool's bytes, cycles and
+# fidelity; settled jobs keep no operands; the fault shim frame by frame;
+# tests/service/test_fleet_parity.py, test_fault_shim.py,
+# test_client_link.py), the
 # circuit wire-format fuzz suite (tests/property/test_property_circuit_wire.py),
 # the word-backed polynomial codec suite (word decode and range check vs
 # the per-coefficient decode, word vs int forms, decompose of words;
