@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.bfv.params import BfvParameters
-from repro.polymath.engine import BatchedRnsEngine, get_engine, require_engine
+from repro.polymath.engine import BatchedRnsEngine, get_engine
 from repro.polymath.ntt import NttContext
 from repro.polymath.rns import RnsBasis, residue_words
 
@@ -46,31 +46,19 @@ class SoftwareBfv:
     whole tower stack executes in one pass on the batched engine
     (:mod:`repro.polymath.engine`). Wide or non-NTT-friendly towers fall
     back, per basis, to the exact pure-Python :class:`NttContext` path;
-    results are bit-identical.
+    results are bit-identical. :meth:`tensor_towers` (and
+    :meth:`_pure_tower` per tower) always run that per-butterfly path:
+    the reference the engine and the chip model are checked against.
 
     Args:
         basis: the RNS tower basis.
         n: polynomial degree.
-        engine: ``"auto"`` (batched where the basis qualifies),
-            ``"batched"`` (require the vectorized engine), or ``"pure"``
-            (force the per-butterfly reference path).
     """
 
-    def __init__(self, basis: RnsBasis, n: int, engine: str = "auto"):
-        if engine not in ("auto", "batched", "pure"):
-            raise ValueError(
-                f"engine must be 'auto', 'batched', or 'pure', got {engine!r}"
-            )
+    def __init__(self, basis: RnsBasis, n: int):
         self.basis = basis
         self.n = n
-        self._engine: BatchedRnsEngine | None = None
-        if engine == "batched":
-            # An explicit request bypasses the REPRO_ENGINE kill switch
-            # (which only governs auto-selection) and fails loudly when
-            # the basis cannot run on the engine.
-            self._engine = require_engine(basis, n)
-        elif engine == "auto":
-            self._engine = get_engine(basis, n)
+        self._engine: BatchedRnsEngine | None = get_engine(basis, n)
         self._tower_index = {q: i for i, q in enumerate(basis.moduli)}
         self.tower_ops = {"ntt": 0, "intt": 0, "hadamard": 0, "add": 0}
 
@@ -136,7 +124,7 @@ class SoftwareBfv:
         (exact Python ints for a tower wider than 64 bits). The chip pool
         loads and cross-checks against these only where the scheme has no
         tensor rows of its own to share: towers wider than the engine's
-        31 bits, or ``REPRO_ENGINE=off``.
+        30 bits.
         """
         self._count_tensor_ops(towers=len(self.basis))
         operands = np.stack([

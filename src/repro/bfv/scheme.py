@@ -411,10 +411,11 @@ class Bfv:
     def _fold_scalar(self, coeffs, key: KeySwitchKey):
         """Scalar key-switch fold ``(sum_i d_i*b_i, sum_i d_i*a_i)``.
 
-        The path that runs without a batched engine (``REPRO_ENGINE=off``,
-        no word-sized auxiliary basis) or when the key's fold bound
-        exceeds the engine's CRT modulus, and the reference the parity
-        suite holds the engine kernel to. Returns two object arrays.
+        The path that runs without a batched engine (no word-sized
+        auxiliary basis, or an explicit ``_ExactMultiplier``) or when the
+        key's fold bound exceeds the engine's CRT modulus, and the
+        reference the parity suite holds the engine kernel to. Returns
+        two object arrays.
         """
         digits = self._decompose_digits(
             Polynomial.from_canonical(self.ring, coeffs), key
@@ -628,21 +629,16 @@ def _default_multiplier(params: BfvParameters):
     its word-sized auxiliary basis runs through one vectorized pass, and
     the basis leads with q's own towers where they are word-sized — and
     falls back to the pure-Python wide-auxiliary-prime multiplier when no
-    qualifying basis exists (or the engine is disabled via
-    ``REPRO_ENGINE=off``). Both are exact over the integers, so the choice
-    never changes a ciphertext bit.
+    qualifying basis exists. Both are exact over the integers, so the
+    choice never changes a ciphertext bit.
     """
-    from repro.polymath.engine import engine_enabled
+    from repro.polymath.fastntt import RnsExactMultiplier
 
     n, q = params.n, params.q
-    if engine_enabled():
-        from repro.polymath.fastntt import RnsExactMultiplier
-
-        try:
-            return RnsExactMultiplier(n, params.q_basis or q)
-        except ValueError:
-            pass  # no word-sized auxiliary basis for this degree
-    return _ExactMultiplier(n, q)
+    try:
+        return RnsExactMultiplier(n, params.q_basis or q)
+    except ValueError:  # no word-sized auxiliary basis for this degree
+        return _ExactMultiplier(n, q)
 
 
 class _ExactMultiplier:

@@ -16,11 +16,12 @@ Three fidelity levels let callers trade speed for detail:
   :class:`repro.core.pe.ProcessingElement` (bit-exact Barrett datapath,
   per-access SRAM statistics). Used by the verification tests.
 * ``"vector"`` (default) — same stage walk and the same bank-resident
-  twiddles, computed with batched modular arithmetic (in-place numpy
-  uint64 Shoup kernels for moduli of at most 30 bits, scalar otherwise);
-  identical results and cycle counts. One n = 2^12 Algorithm 3 tower
-  (12 commands, 30-bit q) replays in 3.2 ms against 218 ms at ``"pe"``
-  (68x) on a 2-core Xeon host; 80 ms with ``REPRO_ENGINE=off``.
+  twiddles, computed with batched modular arithmetic: the shared in-place
+  Shoup stage kernels of :mod:`repro.polymath.kernels` (the ones the
+  batched tower engine runs) for moduli of at most 30 bits, a scalar walk
+  otherwise; identical results and cycle counts. One n = 2^12
+  Algorithm 3 tower (12 commands, 30-bit q) replays in 3.2 ms against
+  218 ms at ``"pe"`` (68x) on a 2-core Xeon host.
 * ``"timing"`` — cycle/power accounting only, data untouched. Used by the
   paper-scale latency benches, where cycle counts are data-independent.
 """
@@ -39,7 +40,15 @@ from repro.core.memory import MemoryMap, SramBank
 from repro.core.pe import ProcessingElement
 from repro.core.timing import TimingModel
 from repro.polymath.bitrev import bit_reverse_indices
-from repro.polymath.engine import engine_enabled
+from repro.polymath.kernels import (
+    MAX_MODULUS_BITS,
+    Stage,
+    dif,
+    dit,
+    half_shape,
+    mul_const,
+    stage_twiddles,
+)
 from repro.polymath.rns import residue_words
 
 FIDELITY_LEVELS = ("pe", "vector", "timing")
@@ -146,7 +155,6 @@ class Mdmc:
         n = cmd.n
         stages = n.bit_length() - 1
         cycles = self.timing.ntt_cycles(n)
-        per_stage = cycles // stages if stages else cycles
         if level == "timing":
             trace.add("dit_butterfly", cycles, n)
             self._bulk_stats(n, stages)
@@ -158,7 +166,7 @@ class Mdmc:
         out_bank, _, _ = self.memory_map.decode(cmd.out_addr)
         if level == "vector" and self._numpy_ok(q):
             rows = self._stage_rows(twiddles, q).dit
-            out = _dit(residue_words(words, q), rows, q)
+            out = dit(residue_words(words, q), np.uint64(q), rows)
             self._store_vector(cmd.out_addr, out)
             self._stage_stats(in_bank, out_bank, n, count_pe=True, stages=stages)
             trace.add("dit_butterfly", cycles, n)
@@ -211,9 +219,11 @@ class Mdmc:
         if level == "vector" and self._numpy_ok(q):
             if cmd.constant == 0:
                 raise ConfigError("iNTT requires n^-1 in the command constant field")
-            a = _dif(residue_words(words, q), self._stage_rows(forward, q).dif, q)
+            rows = self._stage_rows(forward, q).dif
+            a = dif(residue_words(words, q), np.uint64(q), rows)
             self._stage_stats(in_bank, out_bank, n, count_pe=True, stages=stages)
-            self._store_vector(cmd.out_addr, _shoup_const(a, cmd.constant % q, q))
+            n_inv = np.uint64(cmd.constant % q)
+            self._store_vector(cmd.out_addr, mul_const(a, n_inv, np.uint64(q)))
             self.pe.stats.multiplies += n
             trace.add("dif_butterfly", butterfly_cycles, n)
             trace.add("const_mult", const_cycles, n)
@@ -361,16 +371,14 @@ class Mdmc:
 
     @staticmethod
     def _numpy_ok(q: int) -> bool:
-        """Whether vector fidelity may use the uint64 numpy kernels.
+        """Whether vector fidelity may use the shared uint64 kernels.
 
-        The kernels keep butterfly values below ``4q`` and multiply them
-        by 32-bit Shoup companions, so ``4q`` must fit 32 bits: moduli of
-        at most 30 bits. The ``REPRO_ENGINE=off`` kill switch forces the
-        scalar walk, which benchmarks use to time the pure-Python
-        baseline. Either way the results are bit-identical: the kernels
-        run the same stage walk with the same bank-resident twiddles.
+        They take moduli of at most
+        :data:`~repro.polymath.kernels.MAX_MODULUS_BITS` bits; wider ones
+        take the scalar walk. Both walk the same stages with the same
+        bank-resident twiddles, so the results are bit-identical.
         """
-        return engine_enabled() and 1 < q and q.bit_length() <= _KERNEL_BITS
+        return 1 < q and q.bit_length() <= MAX_MODULUS_BITS
 
     def _load_vector(self, address: int, count: int) -> np.ndarray:
         values, _ = self.bus.burst_read_words(address, count)
@@ -436,13 +444,8 @@ class Mdmc:
 
 
 # ----------------------------------------------------------------------
-# Vector kernels (uint64, moduli of at most _KERNEL_BITS bits)
+# Vector-fidelity helpers (uint64, moduli of at most MAX_MODULUS_BITS)
 # ----------------------------------------------------------------------
-
-#: Widest modulus the vector kernels take: butterfly values stay below
-#: ``4q < 2^32``, the operand bound of a 32-bit Shoup product.
-_KERNEL_BITS = 30
-_SHOUP_SHIFT = np.uint64(32)
 
 
 @lru_cache(maxsize=16)
@@ -452,32 +455,14 @@ def _bit_reverse_array(n: int) -> np.ndarray:
     return table
 
 
-def _shoup_into(x, w, w_shoup, q, out, tmp) -> None:
-    """``out = w * x mod q`` into ``[0, 2q)`` (Shoup; ``x < 2^32``)."""
-    np.multiply(x, w_shoup, out=tmp)
-    tmp >>= _SHOUP_SHIFT
-    tmp *= q
-    np.multiply(x, w, out=out)
-    out -= tmp
-
-
-def _shoup_const(a: np.ndarray, c: int, q: int) -> np.ndarray:
-    """``a * c mod q`` for a constant ``c < q`` and ``a < 2q``."""
-    q64 = np.uint64(q)
-    out, tmp = np.empty_like(a), np.empty_like(a)
-    _shoup_into(a, np.uint64(c), np.uint64((c << 32) // q), q64, out, tmp)
-    np.subtract(out, q64, out=tmp)
-    return np.minimum(out, tmp, out=out)
-
-
 class _StageRows:
     """Per-stage twiddle rows for one bank-resident twiddle table.
 
-    Row ``k`` serves the stage with ``m = 2^k`` twiddle blocks: each
-    block's twiddle repeated across its ``n / 2m`` butterflies, with its
-    Shoup companion ``floor(w * 2^32 / q)`` alongside. ``dit`` rows come
-    from the forward table as stored; ``dif`` rows from the inverse
-    table the address generator derives from it (see ``_run_intt``).
+    The kernels' :func:`~repro.polymath.kernels.stage_twiddles`, expanded
+    to each stage's contiguous half shape: one row has no tower axis to
+    amortise a broadcast over. ``dit`` rows come from the forward table
+    as stored; ``dif`` rows from the inverse table the address generator
+    derives from it (see ``_run_intt``).
     """
 
     def __init__(self, twiddles: np.ndarray, q: int):
@@ -496,94 +481,13 @@ class _StageRows:
         return q == self.q and np.array_equal(twiddles, self.twiddles)
 
     @staticmethod
-    def _expand(table: np.ndarray, q: int) -> np.ndarray:
-        n = table.size
-        shoup = (table << _SHOUP_SHIFT) // np.uint64(q)
-        rows = np.empty((n.bit_length() - 1, 2, n // 2), dtype=np.uint64)
-        for k in range(rows.shape[0]):
-            m = 1 << k
-            rows[k, 0] = np.repeat(table[m : 2 * m], n // (2 * m))
-            rows[k, 1] = np.repeat(shoup[m : 2 * m], n // (2 * m))
-        return rows
-
-
-def _dit(a: np.ndarray, rows: np.ndarray, q: int) -> np.ndarray:
-    """Cooley-Tukey DIT over residues ``a < q``: the ``_run_ntt`` walk.
-
-    Stage ``k`` holds its butterfly inputs as two contiguous halves, top
-    operands ``u`` then bottom operands ``w`` in butterfly order, and
-    writes its outputs straight into the next stage's halves in a second
-    buffer; the two buffers ping-pong like the chip's banks. Values stay
-    below ``4q`` (Harvey's lazy butterfly) until one final reduction.
-    ``a`` is consumed.
-    """
-    n = a.size
-    h = n // 2
-    q1, q2 = np.uint64(q), np.uint64(2 * q)
-    x, y = a, np.empty_like(a)
-    v, tmp = np.empty(h, np.uint64), np.empty(h, np.uint64)
-    for k in range(rows.shape[0]):
-        u, w = x[:h], x[h:]
-        _shoup_into(w, rows[k, 0], rows[k, 1], q1, v, tmp)  # < 2q
-        np.subtract(u, q2, out=tmp)
-        np.minimum(u, tmp, out=u)  # < 2q
-        top, bottom, shape = _next_halves(y, k, n)
-        np.add(u.reshape(shape), v.reshape(shape), out=top)  # < 4q
-        u += q2
-        np.subtract(u.reshape(shape), v.reshape(shape), out=bottom)  # < 4q
-        x, y = y, x
-    np.subtract(x, q2, out=y)
-    np.minimum(x, y, out=x)
-    np.subtract(x, q1, out=y)
-    return np.minimum(x, y, out=x)
-
-
-def _dif(a: np.ndarray, rows: np.ndarray, q: int) -> np.ndarray:
-    """Gentleman-Sande DIF over residues ``a < q``, before the ``n^-1``
-    pass: the ``_run_intt`` walk, laid out like :func:`_dit` but with the
-    stages in reverse (blocks halve, butterfly spans double). Values stay
-    below ``2q``."""
-    n = a.size
-    h = n // 2
-    q1, q2 = np.uint64(q), np.uint64(2 * q)
-    x = a.reshape(h, 2).T.copy().reshape(n)
-    y = np.empty_like(x)
-    d, tmp = np.empty(h, np.uint64), np.empty(h, np.uint64)
-    for k in range(rows.shape[0] - 1, -1, -1):
-        u, w = x[:h], x[h:]
-        np.add(u, q2, out=d)
-        d -= w  # u - w + 2q < 4q
-        u += w
-        np.subtract(u, q2, out=tmp)
-        np.minimum(u, tmp, out=u)  # < 2q
-        _shoup_into(d, rows[k, 0], rows[k, 1], q1, w, tmp)  # < 2q
-        if k == 0:
-            return x  # one block: the halves are the natural order
-        top, bottom, shape = _next_halves(y, k - 1, n)
-        np.copyto(top, u.reshape(shape))
-        np.copyto(bottom, w.reshape(shape))
-        x, y = y, x
-    return x  # n == 1: no stages
-
-
-def _next_halves(buf: np.ndarray, k: int, n: int):
-    """Where the outputs of a stage with ``2^k`` blocks land in ``buf``.
-
-    Returns ``(top, bottom, shape)``: views receiving the stage's top and
-    bottom outputs once reshaped to ``shape``, arranged as the input
-    halves of the stage with ``2^(k+1)`` blocks.
-    """
-    m = 1 << k
-    t = n // (2 * m)
-    if t == 1:  # last DIT stage: outputs interleave in natural order
-        pairs = buf.reshape(n // 2, 2)
-        return pairs[:, 0], pairs[:, 1], (n // 2,)
-    quads = buf.reshape(2, m, 2, t // 2)
-    return (
-        quads[:, :, 0].transpose(1, 0, 2),
-        quads[:, :, 1].transpose(1, 0, 2),
-        (m, 2, t // 2),
-    )
+    def _expand(table: np.ndarray, q: int) -> list[Stage]:
+        stages = stage_twiddles(table, np.uint64(q))
+        return [
+            tuple(np.broadcast_to(w, half_shape(k, table.size)).copy()
+                  for w in pair)
+            for k, pair in enumerate(stages)
+        ]
 
 
 def _pointwise(op: Opcode, x: np.ndarray, y: np.ndarray | None,
@@ -601,5 +505,5 @@ def _pointwise(op: Opcode, x: np.ndarray, y: np.ndarray | None,
         out = x - y  # wraps when x < y; adding q unwraps it
         return np.minimum(out, out + q1)
     if op is Opcode.CMODMUL:
-        return _shoup_const(x, constant % q, q)
+        return mul_const(x, np.uint64(constant % q), q1)
     raise IsaError(f"unhandled pointwise op {op}")  # pragma: no cover

@@ -3,75 +3,41 @@
 Section II-D of the paper observes that SEAL keeps its RNS towers
 word-sized precisely to unlock vectorized arithmetic. The pure-Python
 :class:`~repro.polymath.ntt.NttContext` is exact for any modulus width
-(CoFHEE's native 128 bits) but loops per butterfly; the previous numpy
-fast path (:mod:`repro.polymath.fastntt`) vectorized one tower at a time.
-This module finishes the trade: a ciphertext's *full tower stack* lives in
-one ``(num_towers, n)`` int64 ndarray, and every operation — forward and
-inverse negacyclic NTT, Hadamard and tensor products, additions, CRT
-recombination — runs across all towers at once with a per-tower modulus
-column.
+(CoFHEE's native 128 bits) but loops per butterfly. This module makes the
+trade: a ciphertext's *full tower stack* lives in one ``(num_towers, n)``
+int64 ndarray, and every operation — forward and inverse negacyclic NTT,
+Hadamard and tensor products, additions, CRT recombination — runs across
+all towers at once with a per-tower modulus column.
 
-Two butterfly kernels, selected per basis:
-
-* **Shoup lazy** (all moduli below 2^30): every twiddle ``w`` carries a
-  precomputed Shoup constant ``w' = floor(w * 2^32 / q)`` so the modular
-  product ``w*x mod q`` costs one high-half estimate and one fused
-  multiply-subtract — no division — and lands in ``[0, 2q)``. Values stay
-  *lazily reduced* in ``[0, 4q)`` (forward) / ``[0, 2q)`` (inverse)
-  between butterfly stages, with one full reduction at the end. This is
-  the Harvey/SEAL lazy-butterfly formulation, vectorized.
-* **Plain** (any modulus up to 2^31): per-stage ``% q`` with int64-safe
-  products, the same kernel the single-tower fast path used.
-
-Both are **bit-identical** to :class:`NttContext` — the twiddle tables are
-built by the same per-tower contexts, and laziness only defers (never
+The transforms are the shared stage kernels of
+:mod:`repro.polymath.kernels` — the same in-place Shoup butterflies the
+chip model's MDMC runs over one bank row — fed one compact ``(L, n)``
+twiddle table plus its Shoup companions per direction. They are
+**bit-identical** to :class:`NttContext`: the twiddle tables are built by
+the same per-tower contexts, and lazy reduction only defers (never
 changes) the mod-q result. The property suite proves it across random
 (n, basis, tower-count) grids.
 
 Engine selection is capability-based: :func:`get_engine` returns a cached
 engine when every tower modulus is an NTT-friendly prime of at most
 :data:`MAX_MODULUS_BITS` bits, and ``None`` otherwise — callers fall back
-to the exact pure-Python path for wide moduli. Setting the environment
-variable ``REPRO_ENGINE=off`` disables auto-selection globally (the
-benchmark harness uses this to measure the pure-Python baseline).
+to the exact pure-Python path for wide moduli.
 """
 
 from __future__ import annotations
 
-import os
 from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
+from repro.polymath import kernels
+from repro.polymath.kernels import MAX_MODULUS_BITS
 from repro.polymath.modmath import modinv
 from repro.polymath.ntt import NttContext
 from repro.polymath.poly import Polynomial
 from repro.polymath.primes import is_prime
 from repro.polymath.rns import RnsBasis
-
-#: Products a*b must fit int64: a, b < 2^31 keeps a*b < 2^62.
-MAX_MODULUS_BITS = 31
-
-#: Lazy (Shoup) kernels keep values in [0, 4q); 4q must fit the 2^32
-#: input domain of the 32-bit Shoup estimate, so q stays below 2^30.
-SHOUP_LAZY_MAX_BITS = 30
-
-#: Shift width of the precomputed Shoup constants.
-_SHOUP_SHIFT = 32
-_SHOUP_SHIFT_U64 = np.uint64(_SHOUP_SHIFT)
-
-
-def engine_enabled() -> bool:
-    """Whether auto-selection of the batched engine is globally enabled.
-
-    ``REPRO_ENGINE=off`` (or ``0`` / ``disabled``) forces every auto
-    caller back onto the exact pure-Python path; explicit constructions
-    of :class:`BatchedRnsEngine` are unaffected.
-    """
-    return os.environ.get("REPRO_ENGINE", "auto").lower() not in (
-        "off", "0", "disabled",
-    )
 
 
 def supports(moduli: "RnsBasis | Sequence[int]", n: int) -> bool:
@@ -93,54 +59,27 @@ def supports(moduli: "RnsBasis | Sequence[int]", n: int) -> bool:
     )
 
 
-def _shoup_mul_u64(
-    x: np.ndarray, w: np.ndarray, w_shoup: np.ndarray, q: np.ndarray
-) -> np.ndarray:
-    """``w * x mod q`` into ``[0, 2q)`` via the Shoup estimate (uint64).
-
-    Requires ``x < 2^32`` (the lazy domain guarantees ``x < 4q``) and
-    ``w < q``; ``w_shoup = floor(w << 32 / q)``. The uint64 products wrap
-    mod 2^64 but the true result fits, so the subtraction is exact.
-    """
-    t = (x * w_shoup) >> _SHOUP_SHIFT_U64
-    return x * w - t * q
-
-
-@lru_cache(maxsize=128)
-def _build_engine(moduli: tuple[int, ...], n: int) -> "BatchedRnsEngine":
-    return BatchedRnsEngine(RnsBasis(moduli), n)
-
-
 def get_engine(basis: RnsBasis, n: int) -> "BatchedRnsEngine | None":
     """The shared cached engine for ``(basis, n)``, or ``None``.
 
     ``None`` means the caller must use the exact pure-Python path: the
-    basis has a wide or non-NTT-friendly tower, or the engine was disabled
-    via ``REPRO_ENGINE=off``. Engines are cached per (moduli, n) so every
-    consumer — scheme multiplier, software baseline, chip-pool
-    cross-check — shares one set of twiddle/Shoup tables.
+    basis has a wide or non-NTT-friendly tower.
     """
-    if not engine_enabled() or not supports(basis, n):
-        return None
-    return _build_engine(basis.moduli, n)
+    return require_engine(basis, n) if supports(basis, n) else None
 
 
+@lru_cache(maxsize=128)
 def require_engine(basis: RnsBasis, n: int) -> "BatchedRnsEngine":
     """The shared cached engine for an *explicitly requested* basis.
 
-    Unlike :func:`get_engine`, this ignores the ``REPRO_ENGINE`` kill
-    switch (which only governs auto-selection) and raises instead of
-    returning ``None`` when the basis cannot run on the engine.
+    Engines are cached per (moduli, n) so every consumer — scheme
+    multiplier, software baseline, chip-pool cross-check — shares one set
+    of twiddle/Shoup tables.
 
     Raises:
         ValueError: if any tower is wide or non-NTT-friendly at ``n``.
     """
-    if not supports(basis, n):
-        raise ValueError(
-            f"{basis!r} does not qualify for the batched engine at "
-            f"n = {n} (wide or non-NTT-friendly towers)"
-        )
-    return _build_engine(basis.moduli, n)
+    return BatchedRnsEngine(basis, n)
 
 
 class BatchedRnsEngine:
@@ -158,15 +97,14 @@ class BatchedRnsEngine:
 
     Raises:
         ValueError: if any tower cannot run the negacyclic NTT at ``n``
-            or exceeds the int64-safe width.
+            or exceeds :data:`MAX_MODULUS_BITS` bits (see :func:`supports`).
     """
 
     def __init__(self, basis: RnsBasis, n: int):
-        wide = [q for q in basis.moduli if q.bit_length() > MAX_MODULUS_BITS]
-        if wide:
+        if not supports(basis, n):
             raise ValueError(
-                f"moduli of {[q.bit_length() for q in wide]} bits exceed the "
-                f"int64-safe {MAX_MODULUS_BITS}; use NttContext for wide towers"
+                f"{basis!r} does not qualify for the batched engine at "
+                f"n = {n} (wide or non-NTT-friendly towers); use NttContext"
             )
         # Per-tower contexts build (and validate) the twiddle tables; the
         # engine sharing them with NttContext is what makes bit-identity
@@ -184,15 +122,6 @@ class BatchedRnsEngine:
         self._word_radix = np.asarray(
             [(1 << 32) % q for q in basis.moduli], dtype=np.int64
         )[:, None]
-        self._psi = np.asarray(
-            [ctx._psi_brv for ctx in self._ctxs], dtype=np.int64
-        )
-        self._ipsi = np.asarray(
-            [ctx._ipsi_brv for ctx in self._ctxs], dtype=np.int64
-        )
-        self._n_inv = np.asarray(
-            [ctx.n_inv for ctx in self._ctxs], dtype=np.int64
-        )[:, None]
         # Garner mixed-radix constants for CRT recombination: for tower
         # ``k``, ``prefix[i] = (q_0 * ... * q_{i-1}) mod q_k`` and ``inv``
         # is the inverse of the full prefix product mod q_k — the digit
@@ -206,27 +135,16 @@ class BatchedRnsEngine:
                 prefix.append(prod % qk)
                 prod *= basis.moduli[i]
             self._garner.append((prefix, modinv(prod % qk, qk)))
-        self.lazy = all(
-            q.bit_length() <= SHOUP_LAZY_MAX_BITS for q in basis.moduli
-        )
-        if self.lazy:
-            # Shoup constants: floor(w << 32 / q), one per twiddle. The
-            # shifted products stay below 2^62, so int64 arithmetic is
-            # exact; everything is stored unsigned so the lazy kernels run
-            # natively in uint64 (values never go negative).
-            self._psi_shoup = (
-                (self._psi << np.int64(_SHOUP_SHIFT)) // self._q
-            ).astype(np.uint64)
-            self._ipsi_shoup = (
-                (self._ipsi << np.int64(_SHOUP_SHIFT)) // self._q
-            ).astype(np.uint64)
-            self._n_inv_shoup = (
-                (self._n_inv << np.int64(_SHOUP_SHIFT)) // self._q
-            ).astype(np.uint64)
-            self._psi_u64 = self._psi.astype(np.uint64)
-            self._ipsi_u64 = self._ipsi.astype(np.uint64)
-            self._n_inv_u64 = self._n_inv.astype(np.uint64)
-            self._q_u64 = self._q.astype(np.uint64)
+        # The kernels' operands: per-stage views of one compact (L, n)
+        # twiddle table per direction and of its Shoup companions.
+        q = self._q_u64 = self._q.astype(np.uint64)
+        psi = np.asarray([c._psi_brv for c in self._ctxs], dtype=np.uint64)
+        ipsi = np.asarray([c._ipsi_brv for c in self._ctxs], dtype=np.uint64)
+        self._psi = kernels.stage_twiddles(psi, q)
+        self._ipsi = kernels.stage_twiddles(ipsi, q)
+        self._n_inv = np.asarray(
+            [c.n_inv for c in self._ctxs], dtype=np.uint64
+        )[:, None]
 
     # ------------------------------------------------------------------
     # Stack construction / deconstruction
@@ -282,37 +200,16 @@ class BatchedRnsEngine:
             )
         return a % self._q
 
-    def tower_rows(self, stack: np.ndarray) -> list[list[int]]:
-        """Stack -> per-tower Python-int vectors (driver/wire form)."""
-        return stack.tolist()
-
     def reconstruct(self, stack: np.ndarray) -> list[int]:
         """CRT-recombine a stack into big-modulus coefficients.
 
-        Garner's mixed-radix algorithm, vectorized across coefficients:
-        the digit extraction runs entirely in int64 (every intermediate is
-        reduced mod one word-sized tower) and only the final Horner
-        accumulation touches Python big ints — no per-coefficient wide
-        modular reduction at all. The result is the unique representative
-        in ``[0, q)``, bit-identical to
+        Garner's mixed-radix algorithm (:meth:`_garner_values`): no
+        per-coefficient wide modular reduction at all. The result is the
+        unique representative in ``[0, q)``, bit-identical to
         :meth:`~repro.polymath.rns.RnsBasis.reconstruct_poly`.
         """
-        stack = self._prepare(stack)
-        moduli = self.basis.moduli
-        digits = np.empty_like(stack)
-        digits[0] = stack[0]
-        for k in range(1, self.num_towers):
-            qk = moduli[k]
-            prefix, inv = self._garner[k]
-            acc = digits[0] % qk
-            for i in range(1, k):
-                acc = (acc + digits[i] * prefix[i]) % qk
-            digits[k] = (stack[k] - acc) * inv % qk
-        out = digits[-1].astype(object)
-        for k in range(self.num_towers - 2, -1, -1):
-            out = out * moduli[k] + digits[k]
         # Object arrays hold Python ints already: tolist() hands them out.
-        return out.tolist()
+        return self._garner_values(self.stack(stack)[None])[0].tolist()
 
     def centered_reconstruct(self, stack: np.ndarray) -> list[int]:
         """CRT-recombine into the symmetric interval ``(-q/2, q/2]``."""
@@ -456,45 +353,8 @@ class BatchedRnsEngine:
         Eq. 4 tensor transforms all four operand polynomials in one pass.
         """
         a, squeeze = self._prepare_nd(stack)
-        B, L, n = a.shape
-        m, t = 1, n
-        if self.lazy:
-            a = a.astype(np.uint64)
-            q2 = (2 * self._q_u64).reshape(1, L, 1, 1)
-            qq = self._q_u64.reshape(1, L, 1, 1)
-            while m < n:
-                t >>= 1
-                a = a.reshape(B, L, m, 2 * t)
-                u = a[..., :t]
-                v = a[..., t:]
-                s = self._psi_u64[None, :, m : 2 * m, None]
-                ss = self._psi_shoup[None, :, m : 2 * m, None]
-                # Conditional subtract in two passes: u - 2q wraps above
-                # 2^63 in uint64 exactly when u < 2q, so min() selects it.
-                u = np.minimum(u, u - q2)  # u < 2q
-                vs = _shoup_mul_u64(v, s, ss, qq)  # < 2q
-                out = np.empty_like(a)
-                np.add(u, vs, out=out[..., :t])  # < 4q
-                np.subtract(u + q2, vs, out=out[..., t:])  # < 4q
-                a = out
-                m <<= 1
-            a = (a.reshape(B, L, n) % self._q_u64).astype(np.int64)
-            return a[0] if squeeze else a
-        q4 = self._q[None, :, :, None]
-        while m < n:
-            t >>= 1
-            a = a.reshape(B, L, m, 2 * t)
-            u = a[..., :t]
-            v = a[..., t:]
-            s = self._psi[None, :, m : 2 * m, None]
-            vs = v * s % q4
-            out = np.empty_like(a)
-            out[..., :t] = (u + vs) % q4
-            out[..., t:] = (u - vs) % q4
-            a = out
-            m <<= 1
-        a = a.reshape(B, L, n)
-        return a[0] if squeeze else a
+        out = kernels.dit(a.view(np.uint64), self._q_u64, self._psi)
+        return out.view(np.int64)[0] if squeeze else out.view(np.int64)
 
     def inverse(self, stack: np.ndarray) -> np.ndarray:
         """Negacyclic inverse NTT (Gentleman-Sande DIF) with n^-1 scaling.
@@ -504,69 +364,18 @@ class BatchedRnsEngine:
         like :meth:`forward`.
         """
         a, squeeze = self._prepare_nd(stack)
-        B, L, n = a.shape
-        t, m = 1, n
-        if self.lazy:
-            a = a.astype(np.uint64)
-            q2 = (2 * self._q_u64).reshape(1, L, 1, 1)
-            qq = self._q_u64.reshape(1, L, 1, 1)
-            while m > 1:
-                h = m >> 1
-                a = a.reshape(B, L, h, 2 * t)
-                u = a[..., :t]
-                v = a[..., t:]
-                s = self._ipsi_u64[None, :, h : 2 * h, None]
-                ss = self._ipsi_shoup[None, :, h : 2 * h, None]
-                summed = u + v  # < 4q
-                summed = np.minimum(summed, summed - q2)  # < 2q
-                diff = u + (q2 - v)  # u - v + 2q, < 4q
-                out = np.empty_like(a)
-                out[..., :t] = summed
-                np.subtract(
-                    diff * s, ((diff * ss) >> _SHOUP_SHIFT_U64) * qq,
-                    out=out[..., t:],
-                )  # Shoup product, < 2q
-                a = out
-                t <<= 1
-                m = h
-            a = a.reshape(B, L, n)
-            ninv = self._n_inv_u64[None, :, :]
-            r = _shoup_mul_u64(a, ninv, self._n_inv_shoup[None, :, :],
-                               self._q_u64[None, :, :])  # < 2q
-            qr = self._q_u64[None, :, :]
-            r = np.where(r >= qr, r - qr, r).astype(np.int64)
-            return r[0] if squeeze else r
-        q4 = self._q[None, :, :, None]
-        while m > 1:
-            h = m >> 1
-            a = a.reshape(B, L, h, 2 * t)
-            u = a[..., :t]
-            v = a[..., t:]
-            s = self._ipsi[None, :, h : 2 * h, None]
-            out = np.empty_like(a)
-            out[..., :t] = (u + v) % q4
-            out[..., t:] = (u - v) * s % q4
-            a = out
-            t <<= 1
-            m = h
-        a = a.reshape(B, L, n) * self._n_inv[None, :, :] % self._q[None, :, :]
-        return a[0] if squeeze else a
+        q = self._q_u64
+        out = kernels.dif(a.view(np.uint64), q, self._ipsi)
+        out = kernels.mul_const(out, self._n_inv, q).view(np.int64)
+        return out[0] if squeeze else out
 
     # ------------------------------------------------------------------
     # Pointwise arithmetic (NTT or coefficient domain alike)
     # ------------------------------------------------------------------
 
     def pointwise_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Hadamard product per tower (int64-safe: operands below 2^31)."""
+        """Hadamard product per tower (int64-safe: operands below 2^30)."""
         return a * b % self._q
-
-    def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Per-tower modular addition."""
-        return (a + b) % self._q
-
-    def sub(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Per-tower modular subtraction."""
-        return (a - b) % self._q
 
     def negacyclic_multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Per-tower polynomial product modulo ``x^n + 1``."""
@@ -711,15 +520,6 @@ class BatchedRnsEngine:
     # Internals
     # ------------------------------------------------------------------
 
-    def _prepare(self, stack: np.ndarray) -> np.ndarray:
-        a = np.asarray(stack, dtype=np.int64)
-        if a.shape != (self.num_towers, self.n):
-            raise ValueError(
-                f"expected a ({self.num_towers}, {self.n}) tower stack, "
-                f"got {a.shape}"
-            )
-        return a % self._q
-
     def _prepare_nd(self, stack: np.ndarray) -> tuple[np.ndarray, bool]:
         """Normalize to a reduced ``(batch, num_towers, n)`` array."""
         a = np.asarray(stack, dtype=np.int64)
@@ -735,8 +535,7 @@ class BatchedRnsEngine:
 
     def __repr__(self) -> str:
         bits = [q.bit_length() for q in self.basis.moduli]
-        kernel = "shoup-lazy" if self.lazy else "plain"
         return (
             f"BatchedRnsEngine(n={self.n}, towers={self.num_towers}, "
-            f"bits={bits}, kernel={kernel})"
+            f"bits={bits})"
         )

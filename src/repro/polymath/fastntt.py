@@ -1,79 +1,16 @@
-"""Vectorized (numpy) negacyclic NTT for word-sized moduli.
+"""The exact integer negacyclic product over word-sized CRT towers.
 
-The pure-Python :class:`~repro.polymath.ntt.NttContext` is exact for any
-modulus width (CoFHEE's native 128 bits) but loops per butterfly. For
-moduli below 31 bits — where every product fits ``int64`` — this module
-provides numpy-vectorized drop-ins with identical semantics. It mirrors
-how SEAL keeps its towers word-sized precisely to unlock vectorized
-arithmetic: the same engineering trade the paper's Section II-D describes.
-
-Both classes here are thin fronts over the batched tower engine
-(:mod:`repro.polymath.engine`), which holds the shared precomputation —
-twiddle tables, Shoup constants, CRT pieces — and runs every tower of a
-stack in one vectorized pass. :class:`FastNttContext` is the single-tower
-view (kept for API compatibility and per-tower call sites);
-:class:`RnsExactMultiplier` batches its whole auxiliary CRT basis.
+:class:`RnsExactMultiplier` runs the Eq. 4 tensor's auxiliary basis on
+the batched tower engine (:mod:`repro.polymath.engine`).
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.polymath.engine import MAX_MODULUS_BITS, require_engine, supports
 from repro.polymath.primes import next_smaller_ntt_prime, ntt_friendly_prime
 from repro.polymath.rns import RnsBasis
 
-__all__ = ["MAX_MODULUS_BITS", "FastNttContext", "RnsExactMultiplier"]
-
-
-class FastNttContext:
-    """Numpy-vectorized negacyclic NTT, bit-identical to ``NttContext``.
-
-    A single-tower view of :class:`~repro.polymath.engine.BatchedRnsEngine`
-    (degenerate ``(1, n)`` stacks) — the engine owns the twiddle/Shoup
-    precomputation.
-
-    Args:
-        n: polynomial degree (power of two).
-        q: NTT-friendly prime below 2^31.
-    """
-
-    def __init__(self, n: int, q: int):
-        if q.bit_length() > MAX_MODULUS_BITS:
-            raise ValueError(
-                f"modulus of {q.bit_length()} bits exceeds the int64-safe "
-                f"{MAX_MODULUS_BITS}; use NttContext for wide moduli"
-            )
-        self.n = n
-        self.q = q
-        # Shared per-(basis, n) cache: every FastNttContext over the same
-        # modulus reuses one set of twiddle/Shoup tables.
-        self._engine = require_engine(RnsBasis([q]), n)
-
-    @property
-    def psi(self) -> int:
-        return self._engine._ctxs[0].psi
-
-    def forward(self, coeffs) -> np.ndarray:
-        """Cooley-Tukey DIT, natural -> bit-reversed order (vectorized)."""
-        return self._engine.forward(self._as_stack(coeffs))[0]
-
-    def inverse(self, values) -> np.ndarray:
-        """Gentleman-Sande DIF + n^-1 scaling (vectorized)."""
-        return self._engine.inverse(self._as_stack(values))[0]
-
-    def negacyclic_multiply(self, a, b) -> list[int]:
-        """Polynomial product modulo ``x^n + 1`` via the fast transforms."""
-        prod = self._engine.negacyclic_multiply(
-            self._as_stack(a), self._as_stack(b)
-        )
-        return prod[0].tolist()
-
-    def _as_stack(self, coeffs) -> np.ndarray:
-        a = np.asarray(coeffs, dtype=np.int64) % self.q
-        if a.shape != (self.n,):
-            raise ValueError(f"expected {self.n} coefficients, got {a.shape}")
-        return a[None, :]
+__all__ = ["MAX_MODULUS_BITS", "RnsExactMultiplier"]
 
 
 class RnsExactMultiplier:
@@ -84,7 +21,7 @@ class RnsExactMultiplier:
     needs the *integer* product of centered polynomials, whose coefficients
     are bounded by ``n * (q/2)**2`` — far beyond int64 for the paper's
     moduli. Instead of one wide auxiliary prime, the bound is covered by a
-    basis of distinct sub-31-bit NTT-friendly primes, the full tower stack
+    basis of distinct word-sized NTT-friendly primes, the full tower stack
     runs through one :class:`~repro.polymath.engine.BatchedRnsEngine`
     pass, and the exact result is CRT-reconstructed per coefficient. This
     is the trade SEAL makes (word-sized towers unlock vectorized
@@ -94,7 +31,8 @@ class RnsExactMultiplier:
     run on the engine (NTT-friendly primes of at most
     :data:`MAX_MODULUS_BITS` bits), the Eq. 4 tensor's auxiliary basis
     (:attr:`basis`, run by :attr:`tensor_engine`) *leads* with those
-    towers, followed by the next ``prime_bits`` primes not already in it.
+    towers, followed by the next :data:`MAX_MODULUS_BITS`-bit primes not
+    already in it.
     The leading rows of every tensor are then the operands and the
     mod-``q_i`` products of q's own towers — what a chip replaying the
     tensor per tower loads and must read back
@@ -105,15 +43,9 @@ class RnsExactMultiplier:
         n: polynomial degree (power of two).
         q: the scheme's ciphertext modulus (any width), or q's own
             :class:`~repro.polymath.rns.RnsBasis`.
-        prime_bits: target width of each auxiliary tower prime.
     """
 
-    def __init__(self, n: int, q: "int | RnsBasis", prime_bits: int = 30):
-        if prime_bits > MAX_MODULUS_BITS:
-            raise ValueError(
-                f"tower primes must stay below {MAX_MODULUS_BITS} bits "
-                f"for int64-safe numpy products, got {prime_bits}"
-            )
+    def __init__(self, n: int, q: "int | RnsBasis"):
         self.n = n
         lead: tuple[int, ...] = ()
         if isinstance(q, RnsBasis):
@@ -127,10 +59,10 @@ class RnsExactMultiplier:
         bound_bits = 2 * (q.bit_length() - 1) + n.bit_length() + 2
 
         def cover(lead: tuple[int, ...]) -> RnsBasis:
-            """``lead``, then the next ``prime_bits`` primes not in it,
+            """``lead``, then the next widest engine primes not in it,
             until the product covers the bound."""
             primes, total = list(lead), q if lead else 1
-            candidate = ntt_friendly_prime(n, prime_bits)
+            candidate = ntt_friendly_prime(n, MAX_MODULUS_BITS)
             while total.bit_length() <= bound_bits + 2:
                 if candidate not in lead:
                     primes.append(candidate)
@@ -138,7 +70,7 @@ class RnsExactMultiplier:
                 candidate = next_smaller_ntt_prime(candidate, n)
             return RnsBasis(primes)
 
-        # Both bases are NTT-friendly sub-31-bit by construction, so the
+        # Both bases are NTT-friendly and word-sized by construction, so the
         # shared engine cache always qualifies — every Bfv instance over
         # the same (n, q) reuses one precomputation. The lead-free engine
         # runs ``multiply`` and the key-switch folds, which take its

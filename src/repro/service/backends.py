@@ -16,10 +16,10 @@ backends differ only in how they price and replay it (the TF-Encrypted
   the scheme's own tensor rows on those towers.
 * :class:`SoftwareBackend` — the SEAL-style CPU baseline: same exact
   results, priced by :class:`~repro.baselines.software.CpuCostModel`.
-* :class:`FastNttBackend` — the vectorized numpy path: the evaluation
-  engine's exact multiplier is swapped for
-  :class:`~repro.polymath.fastntt.RnsExactMultiplier` and the reported
-  latency is *measured* wall time, where moduli permit (enough sub-31-bit
+* :class:`FastNttBackend` — the vectorized numpy path: the same engine,
+  required to run on
+  :class:`~repro.polymath.fastntt.RnsExactMultiplier`, and the reported
+  latency is *measured* wall time, where moduli permit (enough word-sized
   NTT-friendly primes for the degree — true for every supported set).
 
 All three produce bit-identical ciphertexts, so a tenant can ask for
@@ -668,8 +668,8 @@ class ChipPoolBackend(Backend):
         :meth:`~repro.bfv.scheme.Bfv.multiply`: the auxiliary basis leads
         with the session's q towers, which are this chip basis, so row
         ``i`` is tower ``i`` and nothing is recomputed. Without them
-        (towers wider than the engine's 31 bits, or ``REPRO_ENGINE=off``)
-        the pure-Python per-tower reference computes both from ``a`` and
+        (towers wider than the engine's 30 bits) the pure-Python
+        per-tower reference computes both from ``a`` and
         ``b``, the tensor step's 2-component operands; a square binds
         both to the one operand.
         """
@@ -678,7 +678,7 @@ class ChipPoolBackend(Backend):
             return operands.astype(np.uint64), outputs.astype(np.uint64)
         ct_a = (a.polys[0].coeffs, a.polys[1].coeffs)
         ct_b = ct_a if b is a else (b.polys[0].coeffs, b.polys[1].coeffs)
-        return SoftwareBfv(basis, n, engine="pure").tensor_towers(ct_a, ct_b)
+        return SoftwareBfv(basis, n).tensor_towers(ct_a, ct_b)
 
     def _run_tower_checked(
         self, worker: ChipWorker, operands: np.ndarray, expected: np.ndarray,
@@ -792,7 +792,9 @@ class ChipPoolBackend(Backend):
 
 
 class SoftwareBackend(Backend):
-    """Exact results through the pure-Python engine, priced like SEAL.
+    """Exact results on the session's engine, priced like SEAL.
+
+    It runs the same auto-selected engine as the ``fastntt`` backend.
 
     Per-op latency comes from the Fig. 6-calibrated
     :class:`~repro.baselines.software.CpuCostModel` (the ciphertext tensor)
@@ -869,24 +871,25 @@ class SoftwareBackend(Backend):
 class FastNttBackend(SoftwareBackend):
     """The numpy fast path: measured (not modeled) wall time.
 
-    The registry's fast engine replaces the exact multiplier with
+    The registry's engine must run on
     :class:`~repro.polymath.fastntt.RnsExactMultiplier`, so every tensor
     runs through vectorized word-sized NTTs. Results stay bit-exact with
     the other backends; the latency recorded is a real measurement.
-    Same job loop as the software backend; only the engine and the
-    per-job seconds differ.
+    Same job loop and engine as the software backend; only the engine
+    check and the per-job seconds differ.
     """
 
     name = "fastntt"
 
     def _engine(self, registry: SessionRegistry, session: Session) -> Bfv:
-        try:
-            return registry.fast_engine(session)
-        except ValueError as exc:
+        engine = registry.engine(session)
+        if engine.multiplier_kind != "RnsExactMultiplier":
             raise BackendError(
                 f"moduli do not permit the fastntt backend for session "
-                f"{session.session_id}: {exc}"
-            ) from exc
+                f"{session.session_id}: no word-sized auxiliary basis at "
+                f"n = {session.params.n}"
+            )
+        return engine
 
     def _job_seconds(
         self, session: Session, circuit: Circuit, measured: float,

@@ -15,11 +15,9 @@ The serving layer's state store. Three invariants:
   tables); the registry builds one per digest and shares it across every
   tenant and request using those parameters — the twiddle cache the chip
   driver gets by keeping a modulus programmed, applied server-side.
-  Execution-engine selection happens here too, once per digest at
-  context-cache time: the scheme auto-selects the batched RNS tower
-  engine where a word-sized auxiliary basis qualifies and falls back to
-  the exact pure-Python multiplier for wide moduli;
-  :attr:`ParamsContext.engine_kind` records the choice.
+  The scheme picks its multiplier once per digest: the batched RNS tower
+  engine where a word-sized auxiliary basis qualifies, else the exact
+  pure-Python one (``Bfv.multiplier_kind`` records which).
 """
 
 from __future__ import annotations
@@ -29,7 +27,6 @@ from dataclasses import dataclass, field
 from repro.bfv.keys import GaloisKey, PublicKey, RelinKey
 from repro.bfv.params import BfvParameters
 from repro.bfv.scheme import Bfv, Ciphertext
-from repro.polymath.fastntt import RnsExactMultiplier
 from repro.service.serialization import (
     deserialize_ciphertext,
     params_digest,
@@ -47,34 +44,6 @@ class ParamsContext:
     params: BfvParameters
     digest: bytes
     engine: Bfv
-    _fast_engine: Bfv | None = field(default=None, repr=False)
-
-    @property
-    def engine_kind(self) -> str:
-        """The exact-multiplier implementation the default engine selected
-        for this parameter set (``RnsExactMultiplier`` = batched tower
-        engine, ``_ExactMultiplier`` = pure-Python auxiliary prime)."""
-        return self.engine.multiplier_kind
-
-    @property
-    def fast_engine(self) -> Bfv:
-        """Evaluation engine that *requires* the numpy RNS multiplier.
-
-        The default :attr:`engine` already auto-selects the batched tower
-        engine where the basis qualifies; this accessor is for callers
-        that must not silently fall back (the ``fastntt`` backend), so it
-        raises ``ValueError`` when no word-sized basis exists.
-        """
-        if self._fast_engine is None:
-            if self.engine.multiplier_kind == "RnsExactMultiplier":
-                self._fast_engine = self.engine  # share the cached engine
-            else:
-                multiplier = RnsExactMultiplier(
-                    self.params.n, self.params.q_basis or self.params.q
-                )
-                self._fast_engine = Bfv(self.params, multiplier=multiplier)
-                self._fast_engine.metrics = self.engine.metrics
-        return self._fast_engine
 
 
 @dataclass
@@ -198,12 +167,8 @@ class SessionRegistry:
     # -- engines ----------------------------------------------------------
 
     def engine(self, session: Session) -> Bfv:
-        """The shared pure-Python evaluation engine for this session."""
+        """The shared evaluation engine for this session."""
         return self._contexts[session.digest].engine
-
-    def fast_engine(self, session: Session) -> Bfv:
-        """The shared numpy-backed evaluation engine for this session."""
-        return self._contexts[session.digest].fast_engine
 
     # -- compatibility enforcement ----------------------------------------
 

@@ -43,16 +43,14 @@ class TestSoftwareBfv:
             "add": towers, "intt": 3 * towers,
         }
 
-    @pytest.mark.parametrize("engine,bits", [
-        ("batched", 20), ("pure", 20), ("pure", 36), ("pure", 70),
-    ])
-    def test_tensor_towers_rows_are_per_tower(self, rng, engine, bits):
+    @pytest.mark.parametrize("bits", [20, 36, 70])
+    def test_tensor_towers_rows_are_per_tower(self, rng, bits):
         """Row ``i`` of both arrays is tower ``i``: the operands reduced mod
         ``q_i`` and ``tower_multiply(q_i)``; ``uint64`` unless a modulus
         is wider than 64 bits."""
         n = 16
         basis = RnsBasis(plan_towers(2 * bits, bits, n))
-        sw = SoftwareBfv(basis, n, engine=engine)
+        sw = SoftwareBfv(basis, n)
         big_q = basis.modulus
         ca = tuple([rng.randrange(big_q) for _ in range(n)] for _ in range(2))
         cb = tuple([rng.randrange(big_q) for _ in range(n)] for _ in range(2))

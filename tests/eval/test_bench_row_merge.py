@@ -123,6 +123,24 @@ class TestKernelBenchForeignRows:
         assert other_engine in foreign
         assert stale not in foreign
 
+    def test_retired_rows_are_dropped_not_carried(
+        self, kernels_bench, tmp_path
+    ):
+        """Rows of ops the script no longer writes (the engine-vs-off
+        serving rows) are nobody's: regenerating drops them, while the
+        fleet bench's rows survive."""
+        out = tmp_path / "BENCH_kernels.json"
+        fleet = _row("serve_fleet_paper", 4096, 3, "fleet-x4")
+        retired = [
+            _row(op, n, 3, engine)
+            for op, n in (("serve_job_software", 512),
+                          ("serve_job_chip_pool", 256))
+            for engine in ("pure-python", "batched-rns")
+        ]
+        out.write_text(json.dumps([fleet, *retired]))
+        fresh = _row("evalmult_tensor", 4096, 3, "batched-rns")
+        assert kernels_bench._foreign_rows([fresh], out) == [fleet]
+
     def test_missing_or_corrupt_file_yields_no_foreign_rows(
         self, kernels_bench, tmp_path
     ):

@@ -7,11 +7,11 @@ from repro.baselines.software import SoftwareBfv
 from repro.polymath.engine import (
     MAX_MODULUS_BITS,
     BatchedRnsEngine,
-    engine_enabled,
     get_engine,
+    require_engine,
     supports,
 )
-from repro.polymath.ntt import NttContext
+from repro.polymath.ntt import NttContext, reference_negacyclic_multiply
 from repro.polymath.primes import ntt_friendly_prime
 from repro.polymath.rns import RnsBasis, plan_towers
 
@@ -24,9 +24,10 @@ def rns3():
 
 
 class TestConstruction:
-    def test_rejects_wide_tower(self):
-        q = ntt_friendly_prime(16, MAX_MODULUS_BITS + 9)
-        with pytest.raises(ValueError, match="int64-safe"):
+    @pytest.mark.parametrize("extra_bits", [1, 9])
+    def test_rejects_wide_tower(self, extra_bits):
+        q = ntt_friendly_prime(16, MAX_MODULUS_BITS + extra_bits)
+        with pytest.raises(ValueError, match="use NttContext"):
             BatchedRnsEngine(RnsBasis([q]), 16)
 
     def test_rejects_wrong_stack_shape(self, rns3):
@@ -35,10 +36,6 @@ class TestConstruction:
             engine.forward(np.zeros((len(basis) + 1, n), dtype=np.int64))
         with pytest.raises(ValueError, match="coefficients"):
             engine.decompose([1, 2, 3])
-
-    def test_repr_names_kernel(self, rns3):
-        engine, _, _ = rns3
-        assert "shoup-lazy" in repr(engine)
 
 
 class TestBatchDimensions:
@@ -63,9 +60,9 @@ class TestBatchDimensions:
         ]
         a0, a1, b0, b1 = (engine.decompose(p) for p in polys)
         y0, y1, y2 = engine.tensor(a0, a1, b0, b1)
-        pure = SoftwareBfv(basis, n, engine="pure")
+        reference = SoftwareBfv(basis, n)
         for i, q in enumerate(basis.moduli):
-            expect = pure.tower_multiply(
+            expect = reference._pure_tower(
                 q, (polys[0], polys[1]), (polys[2], polys[3])
             )
             assert [y0[i].tolist(), y1[i].tolist(), y2[i].tolist()] == expect
@@ -111,31 +108,69 @@ class TestAutoSelection:
         basis = RnsBasis([ntt_friendly_prime(16, 45)])
         assert get_engine(basis, 16) is None
 
-    def test_env_toggle_disables_auto_selection(self, monkeypatch):
-        basis = RnsBasis(plan_towers(40, 20, 16))
-        monkeypatch.setenv("REPRO_ENGINE", "off")
-        assert not engine_enabled()
-        assert get_engine(basis, 16) is None
-        monkeypatch.setenv("REPRO_ENGINE", "auto")
-        assert get_engine(basis, 16) is not None
-
-    def test_explicit_request_bypasses_kill_switch(self, monkeypatch):
-        """REPRO_ENGINE=off governs auto-selection only; an explicit
-        engine="batched" (or FastNttContext) still gets the engine."""
-        basis = RnsBasis(plan_towers(40, 20, 16))
-        monkeypatch.setenv("REPRO_ENGINE", "off")
-        assert SoftwareBfv(basis, 16, engine="batched").engine_kind == "batched"
-        assert SoftwareBfv(basis, 16).engine_kind == "pure"
-
     def test_explicit_consumers_share_the_engine_cache(self):
         """Two multipliers over the same (n, q) share one precomputation."""
-        from repro.polymath.fastntt import FastNttContext, RnsExactMultiplier
+        from repro.polymath.fastntt import RnsExactMultiplier
 
         q = ntt_friendly_prime(16, 60)
         m1, m2 = RnsExactMultiplier(16, q), RnsExactMultiplier(16, q)
         assert m1._engine is m2._engine
-        p = ntt_friendly_prime(16, 20)
-        assert FastNttContext(16, p)._engine is FastNttContext(16, p)._engine
+        p = RnsBasis([ntt_friendly_prime(16, 20)])
+        assert require_engine(p, 16) is get_engine(RnsBasis(p.moduli), 16)
+
+
+class TestSingleTowerStack:
+    """A one-tower engine is the vectorized drop-in for ``NttContext``."""
+
+    @pytest.fixture(scope="class")
+    def pair(self):
+        n = 128
+        q = ntt_friendly_prime(n, 28)
+        return BatchedRnsEngine(RnsBasis([q]), n), NttContext(n, q)
+
+    @staticmethod
+    def _poly(rng, q, n):
+        return [rng.randrange(q) for _ in range(n)]
+
+    def test_forward_and_inverse_match_reference(self, pair, rng):
+        engine, ref = pair
+        a = self._poly(rng, ref.q, ref.n)
+        assert engine.forward([a])[0].tolist() == ref.forward(a)
+        assert engine.inverse([a])[0].tolist() == ref.inverse(a)
+
+    def test_roundtrip(self, pair, rng):
+        engine, ref = pair
+        a = self._poly(rng, ref.q, ref.n)
+        assert engine.inverse(engine.forward([a]))[0].tolist() == a
+
+    def test_multiply_matches_schoolbook(self, pair, rng):
+        engine, ref = pair
+        a, b = (self._poly(rng, ref.q, ref.n) for _ in range(2))
+        got = engine.negacyclic_multiply([a], [b])[0].tolist()
+        assert got == reference_negacyclic_multiply(a, b, ref.q)
+
+    @pytest.mark.parametrize("n", [2, 4, 64, 1024])
+    def test_multiple_sizes(self, n, rng):
+        q = ntt_friendly_prime(n, 25)
+        engine, ref = BatchedRnsEngine(RnsBasis([q]), n), NttContext(n, q)
+        a = self._poly(rng, q, n)
+        assert engine.forward([a])[0].tolist() == ref.forward(a)
+        assert engine.inverse([a])[0].tolist() == ref.inverse(a)
+
+    def test_rejects_wrong_length(self, pair):
+        engine, _ = pair
+        with pytest.raises(ValueError, match="tower stack"):
+            engine.forward([[1, 2, 3]])
+
+    def test_worst_case_operands_at_the_widest_modulus(self):
+        q = ntt_friendly_prime(16, MAX_MODULUS_BITS)
+        assert q.bit_length() == MAX_MODULUS_BITS
+        engine, ref = BatchedRnsEngine(RnsBasis([q]), 16), NttContext(16, q)
+        a = [q - 1] * 16  # the lazy bound 4q is closest to 2^32 here
+        fwd = engine.forward([a])
+        assert fwd[0].tolist() == ref.forward(a)
+        assert engine.inverse(fwd)[0].tolist() == a
+        assert engine.inverse([a])[0].tolist() == ref.inverse(a)
 
 
 class TestSoftwareBfvFallback:
@@ -147,7 +182,7 @@ class TestSoftwareBfvFallback:
         sw = SoftwareBfv(wide, n)
         assert sw.engine_kind == "pure"
         with pytest.raises(ValueError, match="does not qualify"):
-            SoftwareBfv(wide, n, engine="batched")
+            require_engine(wide, n)
 
     def test_word_sized_towers_select_batched(self):
         n = 32
@@ -157,29 +192,19 @@ class TestSoftwareBfvFallback:
     def test_batched_and_pure_are_bit_identical(self, rng):
         n = 32
         basis = RnsBasis(plan_towers(60, 20, n))
-        fast = SoftwareBfv(basis, n, engine="batched")
-        pure = SoftwareBfv(basis, n, engine="pure")
+        sw = SoftwareBfv(basis, n)
+        assert sw.engine_kind == "batched"
         Q = basis.modulus
         ca = tuple([rng.randrange(Q) for _ in range(n)] for _ in range(2))
         cb = tuple([rng.randrange(Q) for _ in range(n)] for _ in range(2))
-        assert fast.ciphertext_multiply(ca, cb) == pure.ciphertext_multiply(
-            ca, cb
-        )
+        _, outputs = sw.tensor_towers(ca, cb)
+        assert sw.ciphertext_multiply(ca, cb) == [
+            basis.reconstruct_poly(y.tolist()) for y in outputs
+        ]
         for q in basis.moduli:
-            assert fast.tower_multiply(q, ca, cb) == pure.tower_multiply(
-                q, ca, cb
-            )
-        # both paths tally the same logical tower work
-        assert fast.tower_ops == pure.tower_ops
-
-    def test_scheme_auto_multiplier_falls_back_when_disabled(self, monkeypatch):
-        from repro.bfv.params import BfvParameters
-        from repro.bfv.scheme import Bfv
-
-        params = BfvParameters.toy(n=16, log_q=40)
-        assert Bfv(params).multiplier_kind == "RnsExactMultiplier"
-        monkeypatch.setenv("REPRO_ENGINE", "off")
-        assert Bfv(params).multiplier_kind == "_ExactMultiplier"
+            assert sw.tower_multiply(q, ca, cb) == sw._pure_tower(q, ca, cb)
+        # three whole-basis passes, each tallying 4 NTTs per tower
+        assert sw.tower_ops["ntt"] == 3 * 4 * len(basis)
 
 
 def test_supports_checks_every_tower():

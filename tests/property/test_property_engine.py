@@ -4,34 +4,40 @@
 The engine's lazy (Shoup) kernels keep values in ``[0, 4q)`` between
 butterfly stages, so the strategies deliberately bias coefficients toward
 the reduction boundaries (0, 1, q-2, q-1) where an off-by-one in the
-conditional subtraction would surface. Single-tower degenerate stacks and
-the 31-bit plain-kernel path are part of the grid.
+conditional subtraction would surface. Single-tower degenerate stacks are
+part of the grid. 31-bit towers, one bit past the kernels' bound, are
+the fallback grid: no engine, and the pure path stays bit-identical.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.software import SoftwareBfv
+from repro.bfv import BatchEncoder, Bfv, BfvParameters
+from repro.bfv.scheme import _ExactMultiplier
 from repro.polymath.engine import (
     MAX_MODULUS_BITS,
-    SHOUP_LAZY_MAX_BITS,
     BatchedRnsEngine,
+    get_engine,
     supports,
 )
 from repro.polymath.ntt import NttContext
 from repro.polymath.rns import RnsBasis, plan_towers
 
-#: (n, tower_bits, tower_count) grid; bits = 31 exercises the plain
-#: kernel, everything else the Shoup-lazy kernel; towers = 1 is the
-#: degenerate single-tower stack.
+#: (n, tower_bits, tower_count) grid; towers = 1 is the degenerate
+#: single-tower stack, bits = 30 the widest the kernels take.
 _GRID = [
     (8, 14, 1),
     (8, 20, 3),
     (16, 30, 2),
-    (16, 31, 2),
     (32, 24, 4),
-    (64, 31, 1),
+    (64, 30, 1),
     (64, 30, 3),
 ]
+
+#: (n, tower_count) of 31-bit bases: the former plain-kernel rows.
+_FALLBACK_GRID = [(16, 2), (64, 1)]
 
 _ENGINES: dict[tuple[int, int, int], BatchedRnsEngine] = {}
 _REFS: dict[tuple[int, int, int], list[NttContext]] = {}
@@ -128,15 +134,64 @@ def test_all_max_coefficients_through_both_kernels():
             assert row.tolist() == ref.inverse(f)
 
 
-def test_kernel_selection_is_width_driven():
-    lazy = [c for c in _GRID if c[1] <= SHOUP_LAZY_MAX_BITS]
-    plain = [c for c in _GRID if c[1] > SHOUP_LAZY_MAX_BITS]
-    assert lazy and plain, "grid must cover both kernels"
-    for case in lazy:
-        assert _ENGINES[case].lazy
-    for case in plain:
-        assert not _ENGINES[case].lazy
-        assert case[1] <= MAX_MODULUS_BITS
+def test_every_grid_tower_fits_the_kernels():
+    for n, bits, towers in _GRID:
+        assert bits <= MAX_MODULUS_BITS
+        assert supports(_ENGINES[(n, bits, towers)].basis, n)
+
+
+@pytest.mark.parametrize("n,towers", _FALLBACK_GRID)
+def test_31_bit_towers_fall_back_to_the_pure_path(n, towers):
+    basis = RnsBasis(plan_towers(31 * towers, 31, n))
+    assert all(q.bit_length() == 31 for q in basis.moduli)
+    assert not supports(basis, n)
+    assert get_engine(basis, n) is None
+    assert SoftwareBfv(basis, n).engine_kind == "pure"
+
+
+@given(data=st.data())
+@settings(max_examples=10, deadline=None)
+def test_31_bit_software_tensor_matches_nttcontext(data):
+    n, towers = data.draw(st.sampled_from(_FALLBACK_GRID))
+    basis = RnsBasis(plan_towers(31 * towers, 31, n))
+    Q = basis.modulus
+    polys = [
+        data.draw(st.lists(st.integers(0, Q - 1), min_size=n, max_size=n))
+        for _ in range(4)
+    ]
+    sw = SoftwareBfv(basis, n)
+    got = sw.ciphertext_multiply(polys[:2], polys[2:])
+    for q in basis.moduli:
+        ref = NttContext(n, q)
+        a0, a1, b0, b1 = (ref.forward([c % q for c in p]) for p in polys)
+        y1 = [(x * v + y * u) % q for x, y, u, v in zip(a0, a1, b0, b1)]
+        want = [
+            ref.inverse([x * y % q for x, y in zip(a0, b0)]),
+            ref.inverse(y1),
+            ref.inverse([x * y % q for x, y in zip(a1, b1)]),
+        ]
+        assert [[c % q for c in y] for y in got] == want
+
+
+@pytest.mark.parametrize("n,towers", _FALLBACK_GRID)
+def test_31_bit_scheme_matches_the_exact_oracle(n, towers):
+    """``Bfv`` over 31-bit q towers: no lead rows, same bits as the
+    explicit pure-Python multiplier."""
+    params = BfvParameters.toy_rns(n, towers, 31)
+    bfv = Bfv(params, seed=31)
+    assert bfv._mult_ctx.q_towers == 0
+    exact = Bfv(params, multiplier=_ExactMultiplier(params.n, params.q))
+    keys = bfv.keygen(relin_digit_bits=16)
+    encoder = BatchEncoder(params)
+    a, b = (
+        bfv.encrypt(encoder.encode([i] * n), keys.public) for i in (3, 5)
+    )
+    assert bfv.multiply(a, b).polys == exact.multiply(a, b).polys
+    assert bfv.square(a).polys == exact.square(a).polys
+    assert (
+        bfv.multiply_relin(a, b, keys.relin).polys
+        == exact.multiply_relin(a, b, keys.relin).polys
+    )
 
 
 def test_supports_rejects_wide_and_non_friendly():

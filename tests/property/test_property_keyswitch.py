@@ -321,10 +321,12 @@ class TestScalarFallbacks:
             assert _same_bytes(relined, fast.relinearize(three, keys.relin))
         return rotated, relined
 
-    def test_engine_switched_off(self, monkeypatch):
+    def test_exact_multiplier_oracle(self):
         stack = _STACKS[3]
-        monkeypatch.setenv("REPRO_ENGINE", "off")
-        off = Bfv(stack.params, seed=1)
+        params = stack.params
+        off = Bfv(
+            params, seed=1, multiplier=_ExactMultiplier(params.n, params.q)
+        )
         assert off.multiplier_kind == "_ExactMultiplier"
         self._check(
             off, stack.engine, stack.keys[22],

@@ -15,6 +15,7 @@ import random
 import pytest
 
 from repro.bfv import BatchEncoder, Bfv, BfvParameters
+from repro.bfv.scheme import _ExactMultiplier
 from repro.polymath.rns import RnsBasis
 from repro.service.backends import ChipPoolBackend
 from repro.service.jobs import JobKind, JobStatus
@@ -116,18 +117,20 @@ class TestDifferentialGrid:
 
 class TestGroundTruthEngineParity:
     """The ground-truth ``Bfv`` engine itself auto-selects the batched RNS
-    multiplier; a forced pure-Python scheme must produce the same bits."""
+    multiplier; the explicit pure-Python oracle must produce the same bits."""
 
     @pytest.mark.parametrize("kind", [JobKind.MULTIPLY, JobKind.SQUARE])
-    def test_auto_and_pure_scheme_agree(self, world, kind, monkeypatch):
+    def test_auto_and_pure_scheme_agree(self, world, kind):
         params, bfv, keys, encoder, fresh = world
         assert bfv.multiplier_kind == "RnsExactMultiplier"
         operands = tuple(
             fresh() for _ in range(2 if kind is JobKind.MULTIPLY else 1)
         )
         expected = _ground_truth(bfv, keys, kind, operands)
-        monkeypatch.setenv("REPRO_ENGINE", "off")
-        pure = Bfv(params, seed=1234)
+        pure = Bfv(
+            params, seed=1234,
+            multiplier=_ExactMultiplier(params.n, params.q),
+        )
         assert pure.multiplier_kind == "_ExactMultiplier"
         got = _ground_truth(pure, keys, kind, operands)
         assert [p.coeffs for p in got.polys] == [

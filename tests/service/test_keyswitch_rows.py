@@ -15,8 +15,9 @@ reads (``repro_keyswitch_row_builds_total``,
 import numpy as np
 import pytest
 
-from repro.bfv import BatchEncoder, Bfv, BfvParameters
+from repro.bfv import BatchEncoder, Bfv, BfvParameters, scheme
 from repro.bfv.keys import GaloisKey, RelinKey
+from repro.bfv.scheme import _ExactMultiplier
 from repro.bfv.rotation import RotationEngine, apply_galois_with_key
 from repro.polymath.primes import ntt_friendly_prime
 from repro.service.circuits import CircuitBuilder
@@ -118,8 +119,13 @@ def test_six_tenants_build_rows_once_and_serve_on_the_engine(tenants, backend):
         assert "# TYPE repro_keyswitch_row_builds_total counter" in text
 
 
-def test_switched_off_engine_is_visible_as_the_scalar_path(tenants, monkeypatch):
-    monkeypatch.setenv("REPRO_ENGINE", "off")
+def test_exact_oracle_is_visible_as_the_scalar_path(tenants, monkeypatch):
+    """A server whose scheme runs on the pure-Python ``_ExactMultiplier``
+    oracle (no batched engine) counts every key switch as scalar."""
+    monkeypatch.setattr(
+        scheme, "_default_multiplier",
+        lambda params: _ExactMultiplier(params.n, params.q),
+    )
     name, keys, rotor, cts = tenants[0]
     with FheServer(default_backend="software") as server:
         sid = server.open_session(

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.bfv import Bfv, BfvParameters
-from repro.bfv.scheme import Ciphertext
+from repro.bfv.scheme import Ciphertext, _ExactMultiplier
 from repro.polymath.poly import PolynomialRing
 from repro.service.registry import SessionError, SessionRegistry
 from repro.service.serialization import params_digest, serialize_ciphertext
@@ -80,18 +80,21 @@ class TestContextCache:
         assert s1.digest == s2.digest == params_digest(clone)
         assert registry.engine(s1) is registry.engine(s2)
 
-    def test_fast_engine_cached_and_exact(self, registry):
+    def test_engine_is_the_batched_multiplier_and_exact(self, registry):
         session = registry.open_session("acme", PARAMS_A)
-        fast = registry.fast_engine(session)
-        assert registry.fast_engine(session) is fast
-        # The numpy multiplier produces the same exact integer products.
+        engine = registry.engine(session)
+        assert engine.multiplier_kind == "RnsExactMultiplier"
+        # The numpy multiplier produces the same exact integer products
+        # as the pure-Python oracle.
         ring = PolynomialRing(PARAMS_A.n, PARAMS_A.q, allow_non_ntt=True)
         import random
 
         rng = random.Random(0)
         a, b = ring.random(rng), ring.random(rng)
-        slow = registry.engine(session)._exact_mul(a, b)
-        assert fast._exact_mul(a, b) == slow
+        oracle = _ExactMultiplier(PARAMS_A.n, PARAMS_A.q)
+        assert engine._exact_mul(a, b) == Bfv(
+            PARAMS_A, multiplier=oracle
+        )._exact_mul(a, b)
 
 
 class TestCompatibility:

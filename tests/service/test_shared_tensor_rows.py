@@ -100,7 +100,7 @@ class TestBitIdentity:
             on_rows=lambda *rows: shared.append(rows),
         )
         bfv.square(a, on_rows=lambda *rows: shared.append(rows))
-        reference = SoftwareBfv(basis, params.n, engine="pure")
+        reference = SoftwareBfv(basis, params.n)
         coeffs = lambda ct: tuple(p.coeffs for p in ct.polys)
         for (operands, outputs), (ca, cb) in zip(
             shared, ((coeffs(a), coeffs(b)), (coeffs(a), coeffs(a)))
@@ -171,7 +171,7 @@ class TestChipPool:
         assert serialize_ciphertext(job.result) == serialize_ciphertext(want)
 
     def test_wide_towers_still_use_the_pure_reference(self, tensor_tower_calls):
-        """Towers wider than 31 bits have no engine rows to share: the
+        """Towers wider than 30 bits have no engine rows to share: the
         pure-Python per-tower reference is what the chip is checked
         against there."""
         params = BfvParameters.toy(n=16, log_q=80)

@@ -11,13 +11,12 @@
 #                                    # alone; with other flags the full
 #                                    # pipeline runs and already
 #                                    # includes the docs gate)
-#   tools/run_checks.sh --bench      # also the kernel + serving micro-bench
+#   tools/run_checks.sh --bench      # also the kernel micro-bench
 #                                    # (writes BENCH_kernels.json and enforces
-#                                    # the >= 10x EvalMult perf gate and the
-#                                    # serving-row gates: >= 8x software,
-#                                    # >= 4x chip-pool), then the phase
-#                                    # profiler with the relin-tail share
-#                                    # regression gate
+#                                    # the >= 10x EvalMult perf gate, engine
+#                                    # vs per-tower pure Python), then the
+#                                    # phase profiler with the relin-tail
+#                                    # share regression gate
 #   tools/run_checks.sh --obs        # only the observability stage (when
 #                                    # given alone; it is already part of
 #                                    # the default pipeline): the telemetry
@@ -203,7 +202,7 @@ fi
 
 if [ "$RUN_BENCH" = 1 ]; then
   echo
-  echo "== kernel + serving micro-benchmarks (BENCH_kernels.json) =="
+  echo "== kernel micro-benchmarks (BENCH_kernels.json) =="
   PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python tools/bench_kernels.py
   echo
   echo "== phase profiler (BENCH_serve_phases.json + relin-tail gate) =="
