@@ -21,7 +21,6 @@ import numpy as np
 
 from repro.bfv.keys import GaloisKey, SecretKey
 from repro.bfv.scheme import Bfv, Ciphertext
-from repro.bfv.sampling import sample_uniform
 from repro.polymath.poly import Polynomial
 
 
@@ -46,23 +45,15 @@ def _automorphism_table(n: int, exponent: int) -> tuple[np.ndarray, np.ndarray]:
     return src, flip
 
 
-def _automorphism_coeffs(coeffs, n: int, q: int, exponent: int) -> np.ndarray:
-    """Canonical coefficients of ``p(x^g)`` as an object array."""
-    src, flip = _automorphism_table(n, exponent)
-    out = np.asarray(coeffs, dtype=object)[src]
-    out[flip] = -out[flip] % q
-    return out
-
-
 def apply_automorphism(poly: Polynomial, exponent: int) -> Polynomial:
     """Map ``p(x) -> p(x^g)`` in ``Z_q[x]/(x^n + 1)``.
 
     Monomial ``x^i`` maps to ``x^(i*g mod 2n)`` with a sign flip when the
-    reduced exponent crosses ``n`` (since ``x^n = -1``).
+    reduced exponent crosses ``n`` (since ``x^n = -1``): one signed index
+    permutation (:meth:`~repro.polymath.poly.Polynomial.permuted`), of
+    each tower row when ``poly`` is tower-backed.
     """
-    ring = poly.ring
-    out = _automorphism_coeffs(poly.coeffs, ring.n, ring.q, exponent)
-    return Polynomial.from_canonical(ring, out.tolist())
+    return poly.permuted(*_automorphism_table(poly.ring.n, exponent))
 
 
 class RotationEngine:
@@ -86,24 +77,14 @@ class RotationEngine:
         Rows satisfy ``b_i = -(a_i s + e_i) + T^i s(x^g)`` so switching a
         ciphertext that decrypts under ``s(x^g)`` back to ``s``.
         """
-        if exponent in self._keys:
-            return self._keys[exponent]
-        bfv = self.bfv
-        n, q = self.params.n, self.params.q
-        s_g = apply_automorphism(self._secret.s, exponent)
-        num_digits = -(-q.bit_length() // self.digit_bits)
-        rows = []
-        power = 1
-        for _ in range(num_digits):
-            a_i = bfv.ring(sample_uniform(bfv._rng, n, q))
-            e_i = bfv.ring(bfv._gaussian.sample(n))
-            b_i = -(bfv._exact_mul(a_i, self._secret.s) + e_i) + s_g.scalar_mul(power)
-            rows.append((b_i, a_i))
-            power = (power << self.digit_bits) % q
-        key = GaloisKey(exponent=exponent, rows=tuple(rows),
-                        digit_bits=self.digit_bits)
-        self._keys[exponent] = key
-        return key
+        if exponent not in self._keys:
+            s = self._secret.s
+            s_g = apply_automorphism(self.bfv._towered(s), exponent)
+            self._keys[exponent] = GaloisKey(
+                exponent=exponent, digit_bits=self.digit_bits,
+                rows=self.bfv._switch_rows(s, s_g, self.digit_bits),
+            )
+        return self._keys[exponent]
 
     # -- rotation -------------------------------------------------------------
 
@@ -142,18 +123,16 @@ class RotationEngine:
 def apply_galois_with_key(bfv: Bfv, ct: Ciphertext, key: GaloisKey) -> Ciphertext:
     """Rotate with an explicit (e.g. client-uploaded) Galois key.
 
-    Unlike :meth:`RotationEngine.apply_galois` this needs no secret key, so
-    the serving layer can rotate tenant ciphertexts using only the
-    evaluation keys registered with the session: apply ``x -> x^g`` to both
-    components, then key-switch ``c2(x^g)`` from ``s(x^g)`` back under
-    ``s`` — the same :meth:`~repro.bfv.scheme.Bfv.key_switch` a
-    relinearization runs, adding ``(c1(x^g), 0)`` to the folds.
+    Needs no secret key, so the serving layer rotates with the session's
+    evaluation keys: ``x -> x^g`` on both components (per tower when the
+    scheme has q's towers), then the relinearization's
+    :meth:`~repro.bfv.scheme.Bfv.key_switch` takes ``c2(x^g)`` from
+    ``s(x^g)`` back under ``s``, adding ``(c1(x^g), 0)`` to the folds.
     """
     if ct.size != 2:
         raise ValueError("rotate a 2-component ciphertext (relinearize first)")
-    n, q = bfv.params.n, bfv.params.q
     c1g, c2g = (
-        _automorphism_coeffs(p.coeffs, n, q, key.exponent) for p in ct.polys
+        apply_automorphism(bfv._towered(p), key.exponent) for p in ct.polys
     )
     return bfv.key_switch([(c2g, c1g, None)], key)[0]
 
@@ -161,14 +140,11 @@ def apply_galois_with_key(bfv: Bfv, ct: Ciphertext, key: GaloisKey) -> Ciphertex
 def slot_permutation(encoder, exponent: int) -> list[int]:
     """Where the automorphism ``x -> x^g`` moves each batching slot.
 
-    Returns ``perm`` with ``new_slots[i] == old_slots[perm[i]]``. Computed
-    purely from the encoder's evaluation points (no keys, no ciphertexts):
-    slot ``i`` evaluates the plaintext at point ``v_i`` (the decode of the
-    monomial ``x``), and ``p(x^g)`` evaluated at ``v_i`` is ``p(v_i^g)`` —
-    so the new slot ``i`` holds whichever old slot evaluated at
-    ``v_i^g mod t``. This is the plaintext ground truth the rotation tests
-    check the keyed ciphertext path against, and what the packed app
-    compilers use to aim a value at a specific slot.
+    Returns ``perm`` with ``new_slots[i] == old_slots[perm[i]]``, from the
+    encoder's evaluation points alone: slot ``i`` evaluates at ``v_i``
+    (the decode of the monomial ``x``) and ``p(x^g)(v_i) = p(v_i^g)``.
+    The plaintext ground truth of the rotation tests, and how the packed
+    app compilers aim a value at a slot.
     """
     t = encoder.params.t
     points = encoder.decode(encoder.ring([0, 1]))  # v_i = slot i's point

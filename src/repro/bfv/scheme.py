@@ -12,11 +12,18 @@ Implements exactly the operations the paper builds on:
 
 The scheme is *functional* ground truth: the cycle-level chip model and the
 software-baseline cost model both defer to it for correctness checks.
+
+When q's own towers are engine-sized (every ``toy_rns`` set), every
+ciphertext the scheme computes is a tower-backed
+:class:`~repro.polymath.poly.Polynomial` and no step builds a wide
+integer: Eq. 4 scales by ``BatchedRnsEngine.scale_round``, and the
+key-switch fold, ``multiply_plain``, the linear ops and the automorphism
+run mod each ``q_i``. Other sets (the paper presets' 55- and 109-bit
+towers) compute on Python ints around the engine's exact products.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 
@@ -32,6 +39,7 @@ from repro.bfv.keys import (
 )
 from repro.bfv.params import BfvParameters
 from repro.bfv.sampling import DiscreteGaussianSampler, TernarySampler, sample_uniform
+from repro.polymath.engine import require_engine
 from repro.polymath.ntt import NttContext
 from repro.polymath.poly import Polynomial, PolynomialRing
 from repro.polymath.primes import ntt_friendly_prime
@@ -82,14 +90,11 @@ class Bfv:
         seed: RNG seed (every experiment in the reproduction is seeded).
         multiplier: optional drop-in exact negacyclic multiplier (an object
             with ``multiply(a_centered, b_centered) -> list[int]``), e.g.
-            :class:`repro.polymath.fastntt.RnsExactMultiplier` for the
-            serving layer's vectorized backend. When omitted the scheme
-            auto-selects: the batched-engine CRT multiplier where a
-            word-sized auxiliary basis exists for ``n`` (the common case),
-            with a transparent fallback to the exact pure-Python
-            auxiliary-prime multiplier. Every multiplier computes the same
-            exact integer product, so results are bit-identical regardless
-            of the choice.
+            :class:`repro.polymath.fastntt.RnsExactMultiplier` (the
+            default wherever a word-sized auxiliary basis exists for
+            ``n``) or the pure-Python ``_ExactMultiplier`` oracle. Every
+            multiplier computes the same exact integer product, so
+            results are bit-identical regardless of the choice.
     """
 
     def __init__(self, params: BfvParameters, seed: int = 0, multiplier=None):
@@ -99,9 +104,21 @@ class Bfv:
         self._ternary = TernarySampler(self._rng)
         self._gaussian = DiscreteGaussianSampler(self._rng, params.sigma)
         self._mult_ctx = multiplier or _default_multiplier(params)
-        self._tensor_ok: bool | None = None
-        # (num_digits, digit_bits) -> tower-prefix engine of the fold.
-        self._fold_engines: dict[tuple[int, int], object] = {}
+        # The multiplier's batched tensor engine, when its CRT modulus
+        # holds the Eq. 4 cross term's bound 2n(q/2)^2 (twice a single
+        # product's); None leaves the exact scalar products (custom
+        # multipliers, wide params).
+        eng = getattr(self._mult_ctx, "tensor_engine", None)
+        bound = 2 * params.n * (params.q // 2 + 1) ** 2
+        self._tensor_eng = (
+            eng if eng is not None and bound < eng.modulus // 2 else None
+        )
+        #: The engine over q's own towers, when the multiplier's tensor
+        #: basis leads with them: every ciphertext is computed on it.
+        self._rns = (
+            require_engine(params.q_basis, params.n)
+            if getattr(self._mult_ctx, "q_towers", 0) else None
+        )
         #: Metrics sink (set by the serving layer's session registry;
         #: ``None`` leaves a standalone scheme un-instrumented).
         self.metrics = None
@@ -135,20 +152,23 @@ class Bfv:
         return KeySet(secret=secret, public=public, relin=relin)
 
     def _make_relin_key(self, s: Polynomial, digit_bits: int) -> RelinKey:
+        rows = self._switch_rows(s, self._exact_mul(s, s), digit_bits)
+        return RelinKey(rows=rows, digit_bits=digit_bits)
+
+    def _switch_rows(self, s: Polynomial, target: Polynomial, digit_bits: int):
+        """Key-switch rows ``b_i = -(a_i*s + e_i) + T**i * target``: they
+        switch a polynomial that decrypts under ``target`` back to ``s``."""
         if digit_bits < 1:
             raise ValueError(f"digit_bits must be >= 1, got {digit_bits}")
         n, q = self.params.n, self.params.q
-        s2 = self._exact_mul(s, s)
-        num_digits = -(-q.bit_length() // digit_bits)
-        rows = []
-        power = 1
-        for _ in range(num_digits):
+        rows, power = [], 1
+        for _ in range(-(-q.bit_length() // digit_bits)):
             a_i = self.ring(sample_uniform(self._rng, n, q))
             e_i = self.ring(self._gaussian.sample(n))
-            b_i = -(self._exact_mul(a_i, s) + e_i) + s2.scalar_mul(power)
+            b_i = -(self._exact_mul(a_i, s) + e_i) + target.scalar_mul(power)
             rows.append((b_i, a_i))
             power = (power << digit_bits) % q
-        return RelinKey(rows=tuple(rows), digit_bits=digit_bits)
+        return tuple(rows)
 
     # ------------------------------------------------------------------
     # Encrypt / decrypt (paper Eqs. 2-3)
@@ -161,7 +181,7 @@ class Bfv:
         u = self.ring(self._ternary.sample(n))
         e1 = self.ring(self._gaussian.sample(n))
         e2 = self.ring(self._gaussian.sample(n))
-        delta_m = self._lift_plaintext(plaintext).scalar_mul(self.params.delta)
+        delta_m = self._lift_plaintext(plaintext, self.params.delta)
         c1 = self._exact_mul(public.kp1, u) + e1 + delta_m
         c2 = self._exact_mul(public.kp2, u) + e2
         return Ciphertext([c1, c2], self.params)
@@ -216,27 +236,21 @@ class Bfv:
 
     def add(self, ca: Ciphertext, cb: Ciphertext) -> Ciphertext:
         """Homomorphic addition (componentwise, pads to the longer size)."""
-        self._check_pair(ca, cb)
-        size = max(ca.size, cb.size)
-        zero = self.ring.zero()
-        polys = []
-        for i in range(size):
-            pa = ca.polys[i] if i < ca.size else zero
-            pb = cb.polys[i] if i < cb.size else zero
-            polys.append(pa + pb)
-        return Ciphertext(polys, self.params)
+        return self._zip(ca, cb, lambda a, b: a + b)
 
     def sub(self, ca: Ciphertext, cb: Ciphertext) -> Ciphertext:
         """Homomorphic subtraction."""
+        return self._zip(ca, cb, lambda a, b: a - b)
+
+    def _zip(self, ca: Ciphertext, cb: Ciphertext, op) -> Ciphertext:
         self._check_pair(ca, cb)
-        size = max(ca.size, cb.size)
-        zero = self.ring.zero()
-        polys = []
-        for i in range(size):
-            pa = ca.polys[i] if i < ca.size else zero
-            pb = cb.polys[i] if i < cb.size else zero
-            polys.append(pa - pb)
-        return Ciphertext(polys, self.params)
+        part = lambda ct, i: (
+            self._towered(ct.polys[i]) if i < ct.size else self.ring.zero()
+        )
+        return Ciphertext(
+            [op(part(ca, i), part(cb, i)) for i in range(max(ca.size, cb.size))],
+            self.params,
+        )
 
     def multiply(
         self, ca: Ciphertext, cb: Ciphertext, on_rows=None
@@ -247,111 +261,78 @@ class Bfv:
         ca2*cb2))`` with the polynomial products taken over the integers
         (centered representatives) before scaling.
 
-        ``on_rows``, if given, is called as ``on_rows(operands, outputs)``
-        with the tensor's *head rows*: the ``(4, L_q, n)`` residues of
-        ``ca1, ca2, cb1, cb2`` and the ``(3, L_q, n)`` mod-``q_i`` outputs
-        on q's own ``L_q`` towers (int64). These are exactly what a chip
-        replaying the tensor tower by tower loads and must read back. It
-        is called only when the auxiliary basis leads with q's towers
-        (see :class:`~repro.polymath.fastntt.RnsExactMultiplier`).
+        ``on_rows(operands, outputs)``, if given, gets the tensor's head
+        rows when the auxiliary basis leads with q's ``L_q`` towers: the
+        ``(4, L_q, n)`` residues of ``ca1, ca2, cb1, cb2`` and the ``(3,
+        L_q, n)`` mod-``q_i`` outputs — what a chip replaying the tensor
+        tower by tower loads and must read back.
         """
         self._check_pair(ca, cb)
         if ca.size != 2 or cb.size != 2:
             raise ValueError("EvalMult expects 2-component ciphertexts; relinearize first")
-        eng = self._tensor_engine()
-        if eng is not None:
-            operands = np.stack(
-                [eng.decompose_centered(p) for p in (*ca.polys, *cb.polys)]
-            )
-            return self._scale_tensor(
-                eng, operands, eng.tensor(*operands), on_rows
-            )
-        a1, a2 = (p.centered() for p in ca.polys)
-        b1, b2 = (p.centered() for p in cb.polys)
-        m11 = self._mult_ctx.multiply(a1, b1)
-        m12 = self._mult_ctx.multiply(a1, b2)
-        m21 = self._mult_ctx.multiply(a2, b1)
-        m22 = self._mult_ctx.multiply(a2, b2)
-        cross = [x + y for x, y in zip(m12, m21)]
-        t, q = self.params.t, self.params.q
-        scale = lambda vec: self.ring([_round_div(t * c, q) for c in vec])
-        return Ciphertext([scale(m11), scale(cross), scale(m22)], self.params)
+        return self._tensor(ca, cb, on_rows)
 
     def square(self, ct: Ciphertext, on_rows=None) -> Ciphertext:
-        """Homomorphic squaring (saves one integer product vs multiply).
+        """Homomorphic squaring: two forward NTTs fewer than multiply.
 
         ``on_rows`` is :meth:`multiply`'s, with ``cb = ca``.
         """
         if ct.size != 2:
             raise ValueError("square expects a 2-component ciphertext")
-        eng = self._tensor_engine()
-        if eng is not None:
-            operands = np.stack([eng.decompose_centered(p) for p in ct.polys])
-            return self._scale_tensor(
-                eng, operands, eng.tensor_square(*operands), on_rows
-            )
-        a1, a2 = (p.centered() for p in ct.polys)
-        m11 = self._mult_ctx.multiply(a1, a1)
-        m12 = self._mult_ctx.multiply(a1, a2)
-        m22 = self._mult_ctx.multiply(a2, a2)
-        cross = [2 * x for x in m12]
+        return self._tensor(ct, ct, on_rows)
+
+    def _tensor(self, ca: Ciphertext, cb: Ciphertext, on_rows) -> Ciphertext:
+        """The Eq. 4 tensor scaled by ``t/q``; ``ca is cb`` squares."""
         t, q = self.params.t, self.params.q
-        scale = lambda vec: self.ring([_round_div(t * c, q) for c in vec])
-        return Ciphertext([scale(m11), scale(cross), scale(m22)], self.params)
-
-    def _scale_tensor(self, eng, operands, tensor, on_rows) -> Ciphertext:
-        """Share the engine tensor's head rows, then scale it by ``t/q``.
-
-        ``operands`` are the tensor's ``(4, L, n)`` input residues, or a
-        square's ``(2, L, n)``, which stand for ``(a, a)``.
-        """
-        outputs = np.stack(tensor)
+        eng = self._tensor_eng
+        if eng is None:
+            a1, a2 = (p.centered() for p in ca.polys)
+            b1, b2 = (p.centered() for p in cb.polys)
+            mul = self._mult_ctx.multiply
+            cross = [x + y for x, y in zip(mul(a1, b2), mul(a2, b1))]
+            return Ciphertext(
+                [self.ring([_round_div(t * c, q) for c in vec])
+                 for vec in (mul(a1, b1), cross, mul(a2, b2))],
+                self.params,
+            )
+        polys = ca.polys if ca is cb else (*ca.polys, *cb.polys)
+        operands = np.stack([eng.decompose_centered(p) for p in polys])
+        outputs = np.stack(
+            eng.tensor_square(*operands) if ca is cb else eng.tensor(*operands)
+        )
         head = getattr(self._mult_ctx, "q_towers", 0)
         if on_rows is not None and head:
             loads = operands[:, :head]
             on_rows(loads if len(loads) == 4 else loads[[0, 1, 0, 1]],
                     outputs[:, :head])
-        scaled = eng.round_scale(outputs, self.params.t, self.params.q)
+        if self._rns is not None:
+            scaled = eng.scale_round(outputs, t, head)
+            return Ciphertext([self._on_rns(r) for r in scaled], self.params)
         return Ciphertext(
-            [Polynomial.from_canonical(self.ring, r) for r in scaled],
+            [Polynomial.from_canonical(self.ring, r)
+             for r in eng.round_scale(outputs, t, q)],
             self.params,
         )
 
     def relinearize(self, ct: Ciphertext, relin: RelinKey) -> Ciphertext:
-        """Map a 3-component ciphertext back to 2 components.
-
-        Decomposes ``cc3`` into base-T digits and folds each digit through
-        the corresponding relin-key row — per digit this is one polynomial
-        multiplication pair, i.e. the NTT/Hadamard work the chip-side cost
-        model charges for relinearization.
-        """
-        if ct.size == 2:
-            return ct.copy()
-        if ct.size != 3:
-            raise ValueError(f"relinearize expects size-3 ciphertext, got {ct.size}")
+        """Map a 3-component ciphertext back to 2 (a size-2 one is copied):
+        ``cc3``'s base-T digits fold through the relin-key rows, one
+        polynomial product pair per digit (:meth:`relinearize_many`)."""
         return self.relinearize_many([ct], relin)[0]
 
     def relinearize_many(
         self, cts: list[Ciphertext], relin: RelinKey
     ) -> list[Ciphertext]:
-        """Relinearize a batch of size-3 ciphertexts under one eval key.
-
-        One :meth:`key_switch` call folds every ``cc3`` (a single batched
-        pass when :meth:`can_batch_relinearize` holds, the scalar fold
-        otherwise) and adds the folds to ``(cc1, cc2)``. Bit-identical to
-        calling :meth:`relinearize` per ciphertext. Size-2 inputs pass
-        through untouched (copied).
-        """
+        """Relinearize a batch under one eval key: one :meth:`key_switch`
+        folds every ``cc3`` and adds the folds to ``(cc1, cc2)``. Size-2
+        inputs pass through (copied)."""
         for ct in cts:
             if ct.size not in (2, 3):
                 raise ValueError(
                     f"relinearize expects size-2/3 ciphertexts, got {ct.size}"
                 )
         switched = iter(self.key_switch(
-            [
-                (c3.coeffs, c1.coeffs, c2.coeffs)
-                for c1, c2, c3 in (ct.polys for ct in cts if ct.size == 3)
-            ],
+            [(c3, c1, c2) for c1, c2, c3 in (ct.polys for ct in cts if ct.size == 3)],
             relin,
         ))
         return [next(switched) if ct.size == 3 else ct.copy() for ct in cts]
@@ -359,24 +340,23 @@ class Bfv:
     def key_switch(self, items, key: KeySwitchKey) -> list[Ciphertext]:
         """The one key-switch: fold polynomials through ``key``'s rows.
 
-        Each item is ``(poly, add_b, add_a)`` — canonical coefficient
-        sequences (tuples, lists or object arrays). ``poly`` is split
-        into the key's base-T digits ``d_i`` and the item's result is
-        the ciphertext ``(add_b + sum_i d_i*b_i, add_a + sum_i d_i*a_i)``;
-        ``add_a`` may be ``None`` for zero. Relinearization passes
-        ``(cc3, cc1, cc2)``, a Galois rotation ``(c2(x^g), c1(x^g),
-        None)`` — the two differ in nothing else.
+        Each item is ``(poly, add_b, add_a)``, three polynomials (``add_a``
+        may be ``None`` for zero). ``poly`` is split into the key's
+        base-T digits ``d_i`` and the item's result is the ciphertext
+        ``(add_b + sum_i d_i*b_i, add_a + sum_i d_i*a_i)``. Relinearization
+        passes ``(cc3, cc1, cc2)``, a Galois rotation ``(c2(x^g),
+        c1(x^g), None)`` — the two differ in nothing else.
 
         All items ride one batched engine pass
-        (:meth:`~repro.polymath.engine.BatchedRnsEngine.keyswitch`)
-        against the key's NTT-form rows when :meth:`can_batch_relinearize`
-        holds; otherwise each folds through the exact scalar multiplier.
-        Both produce the same canonical coefficients, and which one ran
-        is counted in ``repro_keyswitch_total``.
+        (:meth:`~repro.polymath.engine.BatchedRnsEngine.keyswitch`, digits
+        read off the coefficient words) against the key's NTT-form rows
+        when :meth:`can_batch_relinearize` holds, else each folds through
+        the exact scalar multiplier. Both give the same coefficients;
+        ``repro_keyswitch_total`` counts which ran.
         """
         if not items:
             return []
-        eng = self._fold_engine(key)
+        eng = self._switch_engine(key)
         if self.metrics is not None:
             self.metrics.counter(
                 "repro_keyswitch_total",
@@ -384,123 +364,81 @@ class Bfv:
                 kind="galois" if isinstance(key, GaloisKey) else "relin",
                 path="scalar" if eng is None else "engine",
             ).inc(len(items))
-        q = self.params.q
         if eng is None:
             folds = [self._fold_scalar(poly, key) for poly, _, _ in items]
         else:
-            folds = eng.keyswitch(
-                [poly for poly, _, _ in items],
-                key.digit_bits,
+            out = eng.keyswitch(
+                np.stack([
+                    eng.digit_rows(p.words, key.digit_bits, key.num_digits)
+                    for p, _, _ in items
+                ]),
                 self._key_rows(eng, key),
-            ).swapaxes(0, 1)
-        out = []
-        for (_, add_b, add_a), (fold_b, fold_a) in zip(items, folds):
-            new_b = (np.asarray(add_b, dtype=object) + fold_b) % q
-            if add_a is not None:
-                fold_a = np.asarray(add_a, dtype=object) + fold_a
-            new_a = fold_a % q
-            out.append(Ciphertext(
-                [
-                    Polynomial.from_canonical(self.ring, new_b.tolist()),
-                    Polynomial.from_canonical(self.ring, new_a.tolist()),
-                ],
+            )
+            if eng is self._rns:
+                folds = [(self._on_rns(b), self._on_rns(a)) for b, a in zip(*out)]
+            else:  # exact integer folds, reduced mod q
+                vals = eng.centered_values(out.reshape(-1, *out.shape[2:]))
+                vals = vals.reshape(2, len(items), -1).tolist()
+                folds = [(self.ring(b), self.ring(a)) for b, a in zip(*vals)]
+        return [
+            Ciphertext(
+                [fold_b + add_b, fold_a if add_a is None else fold_a + add_a],
                 self.params,
-            ))
-        return out
+            )
+            for (_, add_b, add_a), (fold_b, fold_a) in zip(items, folds)
+        ]
 
-    def _fold_scalar(self, coeffs, key: KeySwitchKey):
-        """Scalar key-switch fold ``(sum_i d_i*b_i, sum_i d_i*a_i)``.
-
-        The path that runs without a batched engine (no word-sized
-        auxiliary basis, or an explicit ``_ExactMultiplier``) or when the
-        key's fold bound exceeds the engine's CRT modulus, and the
-        reference the parity suite holds the engine kernel to. Returns
-        two object arrays.
-        """
-        digits = self._decompose_digits(
-            Polynomial.from_canonical(self.ring, coeffs), key
-        )
+    def _fold_scalar(self, poly: Polynomial, key: KeySwitchKey):
+        """Scalar key-switch fold ``(sum_i d_i*b_i, sum_i d_i*a_i)``: the
+        path without an engine for the key, and the parity reference."""
         fold_b = fold_a = self.ring.zero()
-        for d, (b_i, a_i) in zip(digits, key.rows):
+        for d, (b_i, a_i) in zip(self._decompose_digits(poly, key), key.rows):
             fold_b = fold_b + self._exact_mul(d, b_i)
             fold_a = fold_a + self._exact_mul(d, a_i)
-        return (
-            np.asarray(fold_b.coeffs, dtype=object),
-            np.asarray(fold_a.coeffs, dtype=object),
-        )
+        return fold_b, fold_a
 
     def can_batch_relinearize(self, key: KeySwitchKey) -> bool:
-        """Whether the vectorized key-switch fold is exact for this key.
+        """Whether the key's fold runs on a batched engine (see
+        :meth:`_switch_engine`); relinearization and Galois keys alike."""
+        return self._switch_engine(key) is not None
 
-        True when the scheme's multiplier carries a batched RNS engine
-        whose CRT modulus ``P`` dominates the fold bound
-        ``D * n * (T - 1) * q/2`` (D digits of width ``T = 2**digit_bits``
-        times centered key rows, convolved over ``n`` coefficients) — the
-        condition for recovering the integer fold from centered residues.
-        Holds for relinearization and Galois keys alike.
-        """
-        return self._fold_engine(key) is not None
-
-    def _fold_engine(self, key: KeySwitchKey):
+    def _switch_engine(self, key: KeySwitchKey):
         """The engine the key's fold runs on, or ``None`` for scalar.
 
-        The multiplier's lead-free auxiliary basis (its ``_engine``, not
-        the tensor's basis that leads with q's towers) is sized for the
-        Eq. 4 tensor (``2n(q/2)**2``); the fold bound is usually far
-        smaller, so the fold runs on the shortest tower prefix whose
-        modulus still dominates it — fewer towers through every NTT,
-        Hadamard and Garner pass, same exact integers. Memoized per key
-        shape.
+        q's own towers whenever the scheme has them: the fold ends in
+        ``% q``, exact per tower at any digit width. Otherwise the
+        multiplier's auxiliary engine, when its CRT modulus ``P`` holds
+        the fold bound ``D * n * (T - 1) * q/2`` (D digits of width ``T``
+        times centered key rows over ``n`` coefficients), and the exact
+        integer fold is reduced mod q.
         """
+        if self._rns is not None:
+            return self._rns
         eng = getattr(self._mult_ctx, "_engine", None)
         if eng is None:
             return None
-        shape = (key.num_digits, key.digit_bits)
-        if shape not in self._fold_engines:
-            bound = (
-                key.num_digits
-                * self.params.n
-                * ((1 << key.digit_bits) - 1)
-                * (self.params.q // 2 + 1)
-            )
-            chosen, modulus = None, 1
-            for k, tower in enumerate(eng.basis.moduli, start=1):
-                modulus *= tower
-                if bound < modulus // 2:
-                    chosen = (
-                        eng if k == eng.num_towers else eng.select(range(k))
-                    )
-                    break
-            self._fold_engines[shape] = chosen
-        return self._fold_engines[shape]
+        bound = (
+            key.num_digits * self.params.n * ((1 << key.digit_bits) - 1)
+            * (self.params.q // 2 + 1)
+        )
+        return eng if bound < eng.modulus // 2 else None
 
     def prewarm_keyswitch(self, key: KeySwitchKey) -> None:
-        """Build the key's NTT-form rows ahead of serving.
-
-        Key upload is the natural place to pay this one-time cost (SEAL
-        likewise stores key-switch keys in NTT form): the key switch then
-        finds the rows on the key on its first job instead of
-        transforming every row mid-batch. No-op when the batched fold is
-        unavailable for this key.
-        """
-        eng = self._fold_engine(key)
+        """Build the key's NTT-form rows at key upload (SEAL likewise
+        stores key-switch keys in NTT form), not mid-batch on first use.
+        No-op when the batched fold is unavailable for this key."""
+        eng = self._switch_engine(key)
         if eng is not None:
             self._key_rows(eng, key)
 
     def _key_rows(self, eng, key: KeySwitchKey):
-        """The key's ``(2, D, L, n)`` NTT-form rows on ``eng``'s basis.
-
-        Held on the key itself (``key.ntt_rows``), tagged with the basis
-        they were transformed on: built at most once per key in normal
-        use, freed with the key, and rebuilt only if a scheme with a
-        different auxiliary basis picks the same key object up.
-        """
+        """The key's ``(2, D, L, n)`` NTT-form rows on ``eng``'s basis,
+        held on the key (``key.ntt_rows``) tagged with that basis: built
+        once per key, freed with it, rebuilt only on another basis."""
         held = key.ntt_rows
         if held is not None and held[0] == eng.basis.moduli:
             return held[1]
-        rows = eng.keyswitch_rows(
-            [(b.centered(), a.centered()) for b, a in key.rows]
-        )
+        rows = eng.keyswitch_rows(key.rows)
         # The key is frozen; its derived rows are the one slot set late.
         object.__setattr__(key, "ntt_rows", (eng.basis.moduli, rows))
         if self.metrics is not None:
@@ -510,25 +448,6 @@ class Bfv:
             ).inc()
         return rows
 
-    def _tensor_engine(self):
-        """The multiplier's batched engine when the Eq. 4 bound holds.
-
-        The tensor's cross term ``m12 + m21`` doubles the single-product
-        bound, so the engine path additionally requires
-        ``2 * n * (q/2)**2 < P/2``; the default auxiliary basis is built
-        with 4x margin, making this the common case. Returns ``None`` for
-        scalar fallback (custom multipliers, wide params).
-        """
-        eng = getattr(self._mult_ctx, "tensor_engine", None)
-        if eng is None:
-            return None
-        if self._tensor_ok is None:
-            n, q = self.params.n, self.params.q
-            self._tensor_ok = (
-                2 * n * (q // 2 + 1) ** 2 < eng.modulus // 2
-            )
-        return eng if self._tensor_ok else None
-
     def multiply_relin(self, ca: Ciphertext, cb: Ciphertext, relin: RelinKey) -> Ciphertext:
         """Convenience: Eq. 4 tensor followed by relinearization."""
         return self.relinearize(self.multiply(ca, cb), relin)
@@ -536,9 +455,10 @@ class Bfv:
     def add_plain(self, ct: Ciphertext, plaintext: Polynomial) -> Ciphertext:
         """Add a plaintext polynomial: ``c1 += Delta * m``."""
         self._check_plaintext(plaintext)
-        delta_m = self._lift_plaintext(plaintext).scalar_mul(self.params.delta)
         polys = list(ct.polys)
-        polys[0] = polys[0] + delta_m
+        polys[0] = self._towered(polys[0]) + self._lift_plaintext(
+            plaintext, self.params.delta
+        )
         return Ciphertext(polys, self.params)
 
     def multiply_plain(self, ct: Ciphertext, plaintext: Polynomial) -> Ciphertext:
@@ -549,49 +469,64 @@ class Bfv:
         ``ct*pt`` operation of the Table X application mixes.
         """
         self._check_plaintext(plaintext)
-        if all(c == 0 for c in plaintext.coeffs):
-            return Ciphertext([self.ring.zero() for _ in ct.polys], self.params)
         lifted = self._lift_plaintext(plaintext)
-        polys = [self._exact_mul(p, lifted) for p in ct.polys]
-        return Ciphertext(polys, self.params)
+        return Ciphertext(
+            [self._exact_mul(p, lifted) for p in ct.polys], self.params
+        )
 
     def multiply_scalar(self, ct: Ciphertext, scalar: int) -> Ciphertext:
         """Multiply by an integer scalar mod t (chip op ``CMODMUL``)."""
         s = scalar % self.params.t
         if s > self.params.t // 2:
             s -= self.params.t  # centered lift keeps noise small
-        polys = [p.scalar_mul(s) for p in ct.polys]
+        polys = [self._towered(p).scalar_mul(s) for p in ct.polys]
         return Ciphertext(polys, self.params)
 
     def negate(self, ct: Ciphertext) -> Ciphertext:
-        return Ciphertext([-p for p in ct.polys], self.params)
+        return Ciphertext([-self._towered(p) for p in ct.polys], self.params)
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
 
     def _exact_mul(self, a: Polynomial, b: Polynomial) -> Polynomial:
-        """Negacyclic product in ``R_q`` via the exact integer multiplier."""
+        """Negacyclic product in ``R_q``: per tower of q when the scheme
+        has them, else via the exact integer multiplier."""
+        rns = self._rns
+        if rns is not None:
+            return self._on_rns(rns.negacyclic_multiply(
+                rns.decompose_centered(a), rns.decompose_centered(b)
+            ))
         prod = self._mult_ctx.multiply(a.centered(), b.centered())
         return self.ring(prod)
 
-    def _lift_plaintext(self, plaintext: Polynomial) -> Polynomial:
-        """Centered lift of a mod-t plaintext into ``R_q``."""
+    def _lift_plaintext(self, plaintext: Polynomial, scale: int = 1) -> Polynomial:
+        """``scale`` times the centered lift of a mod-t plaintext into
+        ``R_q``; one numpy pass per tower of q when the scheme has them."""
         t = self.params.t
+        if self._rns is not None:
+            m = np.asarray(plaintext.coeffs, dtype=np.int64)
+            return self._on_rns(self._rns.lift(m - t * (m > t // 2), scale))
         half = t // 2
         coeffs = [c - t if c > half else c for c in plaintext.coeffs]
-        return self.ring(coeffs)
+        return self.ring(coeffs).scalar_mul(scale)
+
+    def _on_rns(self, towers: np.ndarray) -> Polynomial:
+        """Canonical residues on q's towers as a tower-backed polynomial."""
+        return Polynomial.from_towers(self.ring, self._rns, towers)
+
+    def _towered(self, poly: Polynomial) -> Polynomial:
+        """``poly`` tower-backed on q's towers, when the scheme has them."""
+        return poly if self._rns is None else poly.on_towers(self._rns)
 
     def _decompose_digits(
         self, poly: Polynomial, relin: KeySwitchKey
     ) -> list[Polynomial]:
         """Base-T digit decomposition of every coefficient of ``poly``.
 
-        Coefficients must be canonical (``[0, q)``): a negative (centered)
-        coefficient would sign-extend under ``c & mask``, yielding digits
-        that silently corrupt the relin fold — so it raises instead, the
-        same contract :meth:`BatchedRnsEngine.digit_decompose` enforces on
-        the vectorized path.
+        Raises on a negative (centered) coefficient, which would
+        sign-extend under ``c & mask`` and corrupt the fold — the contract
+        of :meth:`BatchedRnsEngine.digit_decompose` too.
         """
         mask = (1 << relin.digit_bits) - 1
         digit_coeffs: list[list[int]] = [[] for _ in range(relin.num_digits)]
@@ -622,16 +557,10 @@ class Bfv:
 
 
 def _default_multiplier(params: BfvParameters):
-    """Auto-select the exact negacyclic multiplier for a parameter set.
-
-    Prefers the batched-engine CRT multiplier
-    (:class:`~repro.polymath.fastntt.RnsExactMultiplier`) — every tower of
-    its word-sized auxiliary basis runs through one vectorized pass, and
-    the basis leads with q's own towers where they are word-sized — and
-    falls back to the pure-Python wide-auxiliary-prime multiplier when no
-    qualifying basis exists. Both are exact over the integers, so the
-    choice never changes a ciphertext bit.
-    """
+    """The exact multiplier for a parameter set: the batched-engine CRT
+    :class:`~repro.polymath.fastntt.RnsExactMultiplier` (its basis led by
+    q's towers where they are word-sized), else the pure-Python one. Both
+    are exact over the integers; the choice never changes a bit."""
     from repro.polymath.fastntt import RnsExactMultiplier
 
     n, q = params.n, params.q
@@ -642,13 +571,9 @@ def _default_multiplier(params: BfvParameters):
 
 
 class _ExactMultiplier:
-    """Exact negacyclic product of centered integer polynomials.
-
-    Products in ``EvalMult`` must be taken over the integers before the
-    ``t/q`` scaling. Coefficients are bounded by ``n * (q/2)**2``, so an
-    NTT over one auxiliary prime wide enough to hold that bound recovers the
-    exact integer result from its centered residue.
-    """
+    """Exact negacyclic product of centered integer polynomials: one NTT
+    over an auxiliary prime wide enough for the ``n * (q/2)**2`` bound
+    (the pure-Python oracle)."""
 
     def __init__(self, n: int, q: int):
         self.n = n

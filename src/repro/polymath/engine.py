@@ -22,6 +22,15 @@ Engine selection is capability-based: :func:`get_engine` returns a cached
 engine when every tower modulus is an NTT-friendly prime of at most
 :data:`MAX_MODULUS_BITS` bits, and ``None`` otherwise — callers fall back
 to the exact pure-Python path for wide moduli.
+
+When q's own towers are engine-sized, nothing between wire and wire needs
+a wide integer, as on the chip: a ciphertext is a tower-backed
+:class:`~repro.polymath.poly.Polynomial` on the engine over q's basis,
+mod-q work runs per tower, :meth:`BatchedRnsEngine.scale_round` does the
+Eq. 4 ``t/q`` rounding, and :meth:`BatchedRnsEngine.to_words` makes wire
+words by int64 mixed radix. Python ints remain on the paths for other
+bases (:meth:`~BatchedRnsEngine.round_scale`,
+:meth:`~BatchedRnsEngine.centered_values`).
 """
 
 from __future__ import annotations
@@ -35,7 +44,7 @@ from repro.polymath import kernels
 from repro.polymath.kernels import MAX_MODULUS_BITS
 from repro.polymath.modmath import modinv
 from repro.polymath.ntt import NttContext
-from repro.polymath.poly import Polynomial
+from repro.polymath.poly import Polynomial, _packed_words
 from repro.polymath.primes import is_prime
 from repro.polymath.rns import RnsBasis
 
@@ -118,7 +127,7 @@ class BatchedRnsEngine:
         self.num_towers = len(basis)
         self.modulus = basis.modulus
         self._q = np.asarray(basis.moduli, dtype=np.int64)[:, None]  # (L, 1)
-        # 2^32 mod q_i: the radix of the wire words decompose_centered reads.
+        # 2^32 mod q_i: the radix of the 32-bit words the Horner passes read.
         self._word_radix = np.asarray(
             [(1 << 32) % q for q in basis.moduli], dtype=np.int64
         )[:, None]
@@ -145,6 +154,8 @@ class BatchedRnsEngine:
         self._n_inv = np.asarray(
             [c.n_inv for c in self._ctxs], dtype=np.uint64
         )[:, None]
+        # Lazily built base-conversion tables and scaling sub-engines.
+        self._tables: dict = {}
 
     # ------------------------------------------------------------------
     # Stack construction / deconstruction
@@ -165,19 +176,19 @@ class BatchedRnsEngine:
         )
 
     def decompose_centered(self, poly: Polynomial) -> np.ndarray:
-        """``decompose(poly.centered())``, from the wire words if it can.
+        """``decompose(poly.centered())`` without Python ints.
 
-        A word-backed polynomial (see
-        :class:`~repro.polymath.poly.Polynomial`) never becomes Python
-        ints. Its big-endian 32-bit words reduce mod every tower in one
-        int64 Horner pass, ``r = (r * 2^32 + w) mod q_i``, which stays
-        below 2^63 because ``r, 2^32 mod q_i < 2^31``. The centred lift
-        then subtracts ``q mod q_i`` where the coefficient exceeds
-        ``floor(q/2)``, which is one word compare.
+        A polynomial tower-backed on this basis hands over its residues
+        (centring changes nothing mod a tower of q). Any other reduces its
+        big-endian 32-bit :attr:`~repro.polymath.poly.Polynomial.words` in
+        one int64 Horner pass, ``r = (r * 2^32 + w) mod q_i`` (below 2^63:
+        ``r, 2^32 mod q_i < 2^31``), then subtracts ``q mod q_i`` where the
+        coefficient exceeds ``floor(q/2)``, one word compare.
         """
+        rns = poly._rns
+        if rns is not None and rns.basis.moduli == self.basis.moduli:
+            return poly._towers
         words = poly.words
-        if words is None:
-            return self.decompose(poly.centered())
         if len(words) != self.n:
             raise ValueError(f"expected {self.n} coefficients, got {len(words)}")
         q = self._q
@@ -200,14 +211,37 @@ class BatchedRnsEngine:
             )
         return a % self._q
 
-    def reconstruct(self, stack: np.ndarray) -> list[int]:
-        """CRT-recombine a stack into big-modulus coefficients.
+    def lift(self, values: np.ndarray, scale: int = 1) -> np.ndarray:
+        """``values * scale`` as canonical residues: signed int64
+        coefficients ``(n,)`` or rows ``(..., L, n)``, any int ``scale``."""
+        col = np.asarray(
+            [scale % m for m in self.basis.moduli], dtype=np.int64
+        )[:, None]
+        return np.asarray(values, dtype=np.int64) % self._q * col % self._q
 
-        Garner's mixed-radix algorithm (:meth:`_garner_values`): no
-        per-coefficient wide modular reduction at all. The result is the
-        unique representative in ``[0, q)``, bit-identical to
-        :meth:`~repro.polymath.rns.RnsBasis.reconstruct_poly`.
+    def to_words(self, stack: np.ndarray, count: int) -> np.ndarray:
+        """Canonical residues ``(L, n)`` -> ``(n, count)`` wire words.
+
+        The Garner digits (:meth:`_mixed_radix`) fold into ``count``
+        little-endian 32-bit limbs as ``v = d_0 + q_0 (d_1 + q_1 (...))``,
+        one multiply-with-carry per limb and digit (``limb * q_k + carry
+        < 2^63``). Laid out like :func:`~repro.polymath.poly._packed_words`.
         """
+        digits = self._mixed_radix(stack[None])[0].astype(np.uint64)
+        limbs = np.zeros((count, self.n), dtype=np.uint64)
+        limbs[0] = digits[-1]
+        low = np.uint64(0xFFFFFFFF)
+        for k in range(self.num_towers - 2, -1, -1):
+            carry, qk = digits[k], np.uint64(self.basis.moduli[k])
+            for j in range(count):
+                x = limbs[j] * qk + carry
+                limbs[j] = x & low
+                carry = x >> kernels.SHOUP_SHIFT
+        return limbs[::-1].T.astype(np.uint32)
+
+    def reconstruct(self, stack: np.ndarray) -> list[int]:
+        """CRT-recombine a stack into coefficients in ``[0, q)`` (Garner),
+        bit-identical to :meth:`~repro.polymath.rns.RnsBasis.reconstruct_poly`."""
         # Object arrays hold Python ints already: tolist() hands them out.
         return self._garner_values(self.stack(stack)[None])[0].tolist()
 
@@ -215,14 +249,9 @@ class BatchedRnsEngine:
         """CRT-recombine into the symmetric interval ``(-q/2, q/2]``."""
         return self.centered_values(stack).tolist()
 
-    def _garner_values(self, a: np.ndarray) -> np.ndarray:
-        """Garner recombination of reduced ``(B, L, n)`` stacks.
-
-        Returns a ``(B, n)`` object array of values in ``[0, P)``. The
-        digit extraction stays in int64 (every intermediate is reduced
-        mod one word-sized tower); only the final Horner accumulation
-        touches Python big ints, as one C-looped object pass per tower.
-        """
+    def _mixed_radix(self, a: np.ndarray) -> np.ndarray:
+        """Garner digits ``v = d_0 + d_1 q_0 + d_2 q_0 q_1 + ...`` of
+        reduced ``(B, L, ...)`` stacks, every step reduced mod one tower."""
         moduli = self.basis.moduli
         digits = np.empty_like(a)
         digits[:, 0] = a[:, 0]
@@ -233,6 +262,30 @@ class BatchedRnsEngine:
             for i in range(1, k):
                 acc = (acc + digits[:, i] * prefix[i]) % qk
             digits[:, k] = (a[:, k] - acc) * inv % qk
+        return digits
+
+    def _convert(self, digits: np.ndarray, to: "BatchedRnsEngine") -> np.ndarray:
+        """Exact base conversion: the value of ``(B, L, n)`` mixed-radix
+        digits, reduced mod each of ``to``'s towers."""
+        table = self._tables.get(to.basis.moduli)
+        if table is None:
+            rows, prefix = [], 1
+            for m in self.basis.moduli:
+                rows.append([prefix % p for p in to.basis.moduli])
+                prefix *= m
+            table = np.asarray(rows, dtype=np.int64)[:, :, None]
+            self._tables[to.basis.moduli] = table
+        out = digits[:, 0, None] * table[0] % to._q
+        for k in range(1, self.num_towers):
+            out = (out + digits[:, k, None] * table[k]) % to._q
+        return out
+
+    def _garner_values(self, a: np.ndarray) -> np.ndarray:
+        """Garner recombination of reduced ``(B, L, n)`` stacks into a
+        ``(B, n)`` object array in ``[0, P)``: int64 digits, then one
+        C-looped object Horner pass."""
+        moduli = self.basis.moduli
+        digits = self._mixed_radix(a)
         # Combine adjacent digits in int64 first (``d_k + q_k * d_{k+1}``
         # stays below 2^62 for sub-31-bit towers), so the object-dtype
         # Horner pass runs over half as many limbs — same exact value,
@@ -253,14 +306,8 @@ class BatchedRnsEngine:
         return out
 
     def centered_values(self, stack: np.ndarray) -> np.ndarray:
-        """CRT values in ``(-P/2, P/2]`` as an object array.
-
-        Accepts one ``(L, n)`` stack (returns shape ``(n,)``) or a batch
-        ``(k, L, n)`` (returns ``(k, n)``). Bit-identical per coefficient
-        to :meth:`centered_reconstruct`, without the Python list pass —
-        callers that keep computing on the exact values (the scheme's
-        ``t/q`` rounding, the relinearization fold) stay vectorized.
-        """
+        """CRT values in ``(-P/2, P/2]`` as an object array: ``(n,)`` for
+        one ``(L, n)`` stack, ``(k, n)`` for a batch."""
         a, squeeze = self._prepare_nd(stack)
         out = self._garner_values(a)
         modulus = self.modulus
@@ -268,39 +315,92 @@ class BatchedRnsEngine:
         return out[0] if squeeze else out
 
     def round_scale(self, stack: np.ndarray, t: int, q: int) -> list:
-        """The Eq. 4 scaling: ``round(t * c / q) mod q`` per coefficient.
+        """The Eq. 4 scaling for any ``q``: ``round(t * c / q) mod q``.
 
-        ``c`` is the centered CRT value of each coefficient of ``stack``
-        (the exact integer tensor product, carried in this engine's
-        auxiliary basis). Rounding is half-away-from-zero, bit-identical
-        to the scheme's scalar ``_round_div(t * c, q) % q``, via the
-        floor-division identity ``(2*t*c + q - [c < 0]) // (2*q)`` — one
-        vectorized object pass instead of a per-coefficient Python loop.
+        ``c`` is each coefficient's centered CRT value (the exact integer
+        tensor product). Rounding is half-away-from-zero, bit-identical to
+        the scheme's ``_round_div(t * c, q) % q``, via ``(2*t*c + q -
+        [c < 0]) // (2*q)`` on object arrays. :meth:`scale_round` is the
+        int64 path for a basis that leads with q's towers.
 
         Accepts one ``(L, n)`` stack (returns ``list[int]``) or a batch
-        ``(k, L, n)`` (returns ``k`` coefficient lists — e.g. the three
-        tensor components scale in one call).
+        ``(k, L, n)`` (returns ``k`` coefficient lists).
         """
         if t < 1 or q < 1:
             raise ValueError("round_scale needs positive t and q")
         a, squeeze = self._prepare_nd(stack)
-        c = self.centered_values(a)
-        # adj must stay an object array: q may exceed int64.
-        adj = np.full(c.shape, q, dtype=object)
-        adj[c < 0] = q - 1
-        scaled = (2 * t * c + adj) // (2 * q) % q
+        scaled = _round_half_away(self.centered_values(a), t, q) % q
         return scaled[0].tolist() if squeeze else scaled.tolist()
+
+    def scale_round(self, stack: np.ndarray, t: int, head: int) -> np.ndarray:
+        """Eq. 4 scale-and-round in RNS: ``round(t * c / q)`` on q's towers.
+
+        For an engine whose first ``head`` towers multiply to ``q`` and a
+        ``(B, L, n)`` batch of exact centered values ``c``, the ``(B, head,
+        n)`` residues of :meth:`round_scale`'s result, bit for bit — the
+        RNS rounding of Halevi, Polyakov and Shoup (CT-RSA 2019), exact:
+
+        * ``c = q*u + v``: ``v = c mod q`` is the head rows, and ``u = (c -
+          v) / q`` is exact on the extension towers, whose product holds
+          ``|u| <= 2n(q/2+1)^2 / q + 1`` (checked in :meth:`_split`); its
+          Garner digits carry it to q's towers, its top digit its sign.
+        * ``round(t*c/q) = t*u + round(t*v/q)``, since odd ``q`` never
+          makes ``t*c/q`` a half. ``v/q = (d_{L-1} + (... + d_0/q_0)
+          ...)/q_{L-1}`` in float64 errs by under ``t * 2^-45``; a
+          coefficient within ``t * 2^-40`` of a half takes the exact
+          :meth:`_round_exact` instead.
+        """
+        a, _ = self._prepare_nd(stack)
+        qe, xe, q_inv, e_mod_q = self._split(head)
+        dv = qe._mixed_radix(a[:, :head])
+        u = (a[:, head:] - qe._convert(dv, xe)) * q_inv % xe._q
+        du = xe._mixed_radix(u)
+        negative = du[:, -1:] > xe.basis.moduli[-1] // 2
+        u = (xe._convert(du, qe) - negative * e_mod_q) % qe._q
+        frac = np.zeros(dv[:, 0].shape)
+        for k, m in enumerate(qe.basis.moduli):
+            frac = (dv[:, k] + frac) / m
+        frac *= t
+        near = np.abs(frac - np.floor(frac) - 0.5) < t * 2.0**-40
+        rounded = np.floor(frac + 0.5).astype(np.int64)
+        out = (qe.lift(u, t) + rounded[:, None] % qe._q) % qe._q
+        if near.any():
+            b, j = np.nonzero(near)
+            out[b, :, j] = self._round_exact(a[b, :, j], t, qe)
+        return out
+
+    def _split(self, head: int) -> tuple:
+        """:meth:`scale_round`'s q and extension sub-engines, ``q^-1`` mod
+        each extension tower, and the extension modulus mod each q_i."""
+        key = ("split", head)
+        if key not in self._tables:
+            qe = self.select(range(head))
+            xe = self.select(range(head, self.num_towers))
+            q, ext = qe.modulus, xe.basis.moduli
+            if (2 * self.n * (q // 2 + 1) ** 2) // q + 1 >= (
+                ext[-1] // 2 * (xe.modulus // ext[-1])
+            ):
+                raise ValueError("extension towers too narrow to carry c / q")
+            self._tables[key] = (
+                qe, xe,
+                np.asarray([modinv(q % p, p) for p in ext])[:, None],
+                qe.lift(np.ones(1, dtype=np.int64), xe.modulus),
+            )
+        return self._tables[key]
+
+    def _round_exact(self, cols: np.ndarray, t: int, qe) -> np.ndarray:
+        """:meth:`round_scale` of ``(K, L)`` residue columns, as ``(K,
+        head)`` residues on ``qe``'s towers: the exact, sign-aware
+        fallback of :meth:`scale_round`."""
+        c = self._garner_values(cols.T[None])[0]
+        c = np.where(c > self.modulus >> 1, c - self.modulus, c)
+        r = _round_half_away(c, t, qe.modulus)
+        return np.asarray([r % m for m in qe.basis.moduli], dtype=np.int64).T
 
     def digit_decompose(
         self, coeffs: Sequence[int], digit_bits: int, num_digits: int
     ) -> np.ndarray:
-        """Base-T digit decomposition onto the full tower stack.
-
-        Splits each *canonical* (``[0, q)``) coefficient into
-        ``num_digits`` base-``2**digit_bits`` digits and broadcasts every
-        digit polynomial across the engine's towers: the result is a
-        ``(num_digits, num_towers, n)`` int64 batch, ready for one
-        batched :meth:`forward` pass (the relinearization fold).
+        """:meth:`digit_rows` of *canonical* Python-int coefficients.
 
         Raises:
             ValueError: if any coefficient is negative — a centered
@@ -310,35 +410,48 @@ class BatchedRnsEngine:
         """
         if digit_bits < 1 or num_digits < 1:
             raise ValueError("digit_bits and num_digits must be >= 1")
-        obj = np.asarray(coeffs, dtype=object)
-        if obj.shape != (self.n,):
-            raise ValueError(f"expected {self.n} coefficients, got {obj.shape}")
-        if bool((obj < 0).any()):
+        if len(coeffs) != self.n:
+            raise ValueError(f"expected {self.n} coefficients, got {len(coeffs)}")
+        if min(coeffs) < 0:
             raise ValueError(
                 "digit decomposition requires canonical coefficients in "
                 "[0, q); got a negative (centered?) coefficient"
             )
-        mask = (1 << digit_bits) - 1
-        rows = np.empty((num_digits, self.n), dtype=object)
+        width = max(1, -(-int(max(coeffs)).bit_length() // 8))
+        data = b"".join(int(c).to_bytes(width, "big") for c in coeffs)
+        return self.digit_rows(
+            _packed_words(data, self.n, width), digit_bits, num_digits
+        )
+
+    def digit_rows(
+        self, words: np.ndarray, digit_bits: int, num_digits: int
+    ) -> np.ndarray:
+        """Base-T digits of canonical coefficients, straight from words.
+
+        Digit ``i`` is bits ``[i*T, (i+1)*T)`` of each coefficient of the
+        ``(n, W)`` big-endian ``words``, read as 32-bit chunks, top chunk
+        first, into :meth:`decompose_centered`'s Horner step per tower.
+        Returns the ``(num_digits, num_towers, n)`` int64 batch.
+        """
+        limbs = words[:, ::-1].T.astype(np.uint64)  # little-endian
+        out = np.empty((num_digits, self.num_towers, self.n), dtype=np.int64)
         for i in range(num_digits):
-            rows[i] = obj & mask
-            obj = obj >> digit_bits
-        if mask < min(self.basis.moduli):
-            # Digits already lie below every tower modulus: one int64
-            # conversion, broadcast across towers, zero reduction passes.
-            flat = rows.astype(np.int64)
-            return np.broadcast_to(
-                flat[:, None, :], (num_digits, self.num_towers, self.n)
-            ).copy()
-        if digit_bits < 63:
-            # Digits fit int64: one vectorized reduction per tower row.
-            return rows.astype(np.int64)[:, None, :] % self._q
-        # Wider digits reduce as Python ints, one C-looped ``%`` pass per
-        # tower, which keeps the stack int64-safe at any digit width.
-        return np.asarray(
-            [[row % q for q in self.basis.moduli] for row in rows],
-            dtype=np.int64,
-        ).reshape(num_digits, self.num_towers, self.n)
+            lo, hi = i * digit_bits, (i + 1) * digit_bits
+            acc = None
+            for start in range(lo + (digit_bits - 1) // 32 * 32, lo - 1, -32):
+                j, shift = divmod(start, 32)
+                chunk = np.zeros(self.n, dtype=np.uint64)
+                if j < len(limbs):
+                    chunk = limbs[j] >> np.uint64(shift)
+                if shift and j + 1 < len(limbs):
+                    chunk |= limbs[j + 1] << np.uint64(32 - shift)
+                width = min(32, hi - start)
+                chunk = (chunk & np.uint64((1 << width) - 1)).astype(np.int64)
+                acc = chunk % self._q if acc is None else (
+                    (acc * self._word_radix + chunk) % self._q
+                )
+            out[i] = acc
+        return out
 
     # ------------------------------------------------------------------
     # Transforms
@@ -349,8 +462,7 @@ class BatchedRnsEngine:
 
         Natural order in, bit-reversed order out per tower — identical
         values to ``NttContext.forward`` row by row. Accepts one stack
-        ``(num_towers, n)`` or a batch ``(k, num_towers, n)`` — e.g. the
-        Eq. 4 tensor transforms all four operand polynomials in one pass.
+        ``(num_towers, n)`` or a batch ``(k, num_towers, n)``.
         """
         a, squeeze = self._prepare_nd(stack)
         out = kernels.dit(a.view(np.uint64), self._q_u64, self._psi)
@@ -360,8 +472,7 @@ class BatchedRnsEngine:
         """Negacyclic inverse NTT (Gentleman-Sande DIF) with n^-1 scaling.
 
         Bit-reversed order in, natural order out — identical values to
-        ``NttContext.inverse`` row by row. Accepts one stack or a batch,
-        like :meth:`forward`.
+        ``NttContext.inverse`` row by row. Accepts one stack or a batch.
         """
         a, squeeze = self._prepare_nd(stack)
         q = self._q_u64
@@ -379,23 +490,17 @@ class BatchedRnsEngine:
 
     def negacyclic_multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Per-tower polynomial product modulo ``x^n + 1``."""
-        fa = self.forward(a)
-        fb = self.forward(b)
+        fa, fb = self.forward(np.stack((a, b)))
         return self.inverse(self.pointwise_mul(fa, fb))
 
     def tensor(
-        self,
-        a0: np.ndarray,
-        a1: np.ndarray,
-        b0: np.ndarray,
-        b1: np.ndarray,
+        self, a0: np.ndarray, a1: np.ndarray, b0: np.ndarray, b1: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The Eq. 4 mod-q tensor across every tower at once.
 
         Four batched forward NTTs, four Hadamard products, one addition,
         three batched inverse NTTs — exactly the per-tower op mix of
-        ``SoftwareBfv.tower_multiply`` and the chip's Algorithm 3, with
-        all towers riding one vectorized pass.
+        ``SoftwareBfv.tower_multiply`` and the chip's Algorithm 3.
         """
         fa0, fa1, fb0, fb1 = self.forward(np.stack((a0, a1, b0, b1)))
         q = self._q
@@ -408,11 +513,8 @@ class BatchedRnsEngine:
     def tensor_square(
         self, a0: np.ndarray, a1: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The Eq. 4 tensor of a ciphertext with itself.
-
-        Two batched forward NTTs instead of four — the cross term is
-        ``2 * a0 * a1`` — matching the scheme's ``square`` op mix.
-        """
+        """The Eq. 4 tensor of a ciphertext with itself: two forward NTTs,
+        the cross term ``2 * a0 * a1``."""
         f0, f1 = self.forward(np.stack((a0, a1)))
         q = self._q
         y0 = f0 * f0 % q
@@ -421,64 +523,31 @@ class BatchedRnsEngine:
         out = self.inverse(np.stack((y0, y1, y2)))
         return out[0], out[1], out[2]
 
-    def nttdomain_fold(self, fwd: np.ndarray, key_fwd: np.ndarray) -> np.ndarray:
-        """Key-switch fold in the NTT domain: ``sum_d fwd[:, d] ∘ key_fwd[:, d]``.
-
-        ``fwd`` is a ``(J, D, L, n)`` batch of forward-transformed digit
-        polynomials (J jobs, D digits); ``key_fwd`` the ``(2, D, L, n)``
-        NTT-form key rows of :meth:`keyswitch_rows`. Returns the
-        ``(2, J, L, n)`` mod-q accumulations (``b`` fold, then ``a``
-        fold), still in NTT (bit-reversed) order — callers run one
-        batched :meth:`inverse` over every job/component at once. Each
-        product is reduced before accumulating so the int64 domain is
-        never exceeded.
-        """
-        q = self._q
-        acc = fwd[None, :, 0] * key_fwd[:, None, 0] % q
-        for d in range(1, key_fwd.shape[1]):
-            acc = (acc + fwd[None, :, d] * key_fwd[:, None, d]) % q
-        return acc
-
-    def keyswitch_rows(
-        self, rows: Sequence[tuple[Sequence[int], Sequence[int]]]
-    ) -> np.ndarray:
+    def keyswitch_rows(self, rows) -> np.ndarray:
         """A key-switch key's rows in NTT form, ready for :meth:`keyswitch`.
 
-        ``rows`` are the key's ``D`` coefficient-vector pairs
-        ``(b_i, a_i)``, *centered* (the fold bound the callers check
-        assumes ``|row coefficient| <= q/2``). Returns the
-        ``(2, D, L, n)`` forward transforms — ``[0]`` the ``b`` rows,
-        ``[1]`` the ``a`` rows — as ``uint32``: residues of sub-2^31
-        towers fit, and a key is held for its session's lifetime, so
-        half-width storage is what every uploaded key costs in memory.
+        ``rows`` are the key's ``D`` polynomial pairs ``(b_i, a_i)``,
+        lifted centred. Returns the ``(2, D, L, n)`` forward transforms —
+        ``[0]`` the ``b`` rows, ``[1]`` the ``a`` rows — as ``uint32``: a
+        key is held for its session's lifetime, so half-width storage is
+        what every uploaded key costs in memory.
         """
         stack = np.stack(
-            [self.decompose(b) for b, _ in rows]
-            + [self.decompose(a) for _, a in rows]
+            [self.decompose_centered(b) for b, _ in rows]
+            + [self.decompose_centered(a) for _, a in rows]
         )
         return self.forward(stack).astype(np.uint32).reshape(
             2, len(rows), self.num_towers, self.n
         )
 
-    def keyswitch(
-        self,
-        polys: Sequence[Sequence[int]],
-        digit_bits: int,
-        key_rows: np.ndarray,
-    ) -> np.ndarray:
-        """The key-switch kernel: fold ``J`` polynomials through one key.
+    def keyswitch(self, digits: np.ndarray, key_rows: np.ndarray) -> np.ndarray:
+        """The key-switch kernel: fold ``J`` digit sets through one key.
 
-        Every polynomial in ``polys`` (canonical coefficients) is split
-        into base-``2**digit_bits`` digits; all ``J * D`` digit
-        polynomials ride one forward pass, fold against ``key_rows``
-        (from :meth:`keyswitch_rows`) in the NTT domain, and one inverse
-        pass covers both components of every job. Returns a
-        ``(2, J, n)`` object array of centered CRT values:
-        ``[0, j] = sum_d digit_d(polys[j]) * b_d`` and ``[1, j]`` the
-        same against the ``a`` rows — the exact integer folds whenever
-        their magnitude stays below ``modulus / 2`` (the caller's bound
-        check). Relinearization and Galois rotation differ only in what
-        they add to the two folds.
+        The ``(J, D, L, n)`` reduced digit polynomials ride one forward
+        pass, fold against ``key_rows`` (:meth:`keyswitch_rows`) in the NTT
+        domain, each product reduced before accumulating, and one inverse
+        pass covers both components of every job: the ``(2, J, L, n)``
+        residues of ``sum_d digit_d * b_d`` and of the ``a`` fold.
         """
         key_rows = np.asarray(key_rows)
         if key_rows.ndim != 4 or (
@@ -488,29 +557,21 @@ class BatchedRnsEngine:
                 f"expected (2, D, {self.num_towers}, {self.n}) key rows, "
                 f"got {key_rows.shape}"
             )
-        J, D = len(polys), key_rows.shape[1]
-        stacks = np.concatenate(
-            [self.digit_decompose(p, digit_bits, D) for p in polys]
-        )
-        fwd = self.forward(stacks).reshape(J, D, self.num_towers, self.n)
-        acc = self.nttdomain_fold(fwd, key_rows)
-        vals = self.centered_values(
-            self.inverse(acc.reshape(2 * J, self.num_towers, self.n))
-        )
-        return vals.reshape(2, J, self.n)
+        J, D, L, n = digits.shape
+        fwd = self.forward(digits.reshape(J * D, L, n)).reshape(J, D, L, n)
+        q = self._q
+        acc = fwd[None, :, 0] * key_rows[:, None, 0] % q
+        for d in range(1, D):
+            acc = (acc + fwd[None, :, d] * key_rows[:, None, d]) % q
+        return self.inverse(acc.reshape(2 * J, L, n)).reshape(2, J, L, n)
 
     # ------------------------------------------------------------------
     # Sub-views
     # ------------------------------------------------------------------
 
     def select(self, indices: Sequence[int]) -> "BatchedRnsEngine":
-        """An engine over a subset of towers, sharing all precomputation.
-
-        The returned engine's twiddle/Shoup tables are row slices of this
-        one's — no prime search, no twiddle rebuild. This is what makes
-        per-tower use (the chip pool's mod-q cross-check) as cheap as the
-        batched case.
-        """
+        """An engine over a subset of towers, sharing all precomputation:
+        its twiddle/Shoup tables are row slices of this one's."""
         sub = object.__new__(BatchedRnsEngine)
         sub._ctxs = tuple(self._ctxs[i] for i in indices)
         sub._init_tables(self.basis.sub_basis(indices), self.n)
@@ -539,3 +600,11 @@ class BatchedRnsEngine:
             f"BatchedRnsEngine(n={self.n}, towers={self.num_towers}, "
             f"bits={bits})"
         )
+
+
+def _round_half_away(c: np.ndarray, t: int, q: int) -> np.ndarray:
+    """``round(t * c / q)``, half away from zero, on an object array."""
+    # adj must stay an object array: q may exceed int64.
+    adj = np.full(c.shape, q, dtype=object)
+    adj[c < 0] = q - 1
+    return (2 * t * c + adj) // (2 * q)

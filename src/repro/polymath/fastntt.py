@@ -27,17 +27,14 @@ class RnsExactMultiplier:
     is the trade SEAL makes (word-sized towers unlock vectorized
     arithmetic) applied to the whole evaluation path.
 
-    When ``q`` is given as its own RNS basis and every tower of it can
-    run on the engine (NTT-friendly primes of at most
-    :data:`MAX_MODULUS_BITS` bits), the Eq. 4 tensor's auxiliary basis
-    (:attr:`basis`, run by :attr:`tensor_engine`) *leads* with those
-    towers, followed by the next :data:`MAX_MODULUS_BITS`-bit primes not
-    already in it.
-    The leading rows of every tensor are then the operands and the
-    mod-``q_i`` products of q's own towers — what a chip replaying the
-    tensor per tower loads and must read back
-    (:meth:`~repro.bfv.scheme.Bfv.multiply`'s ``on_rows``). Which coprime
-    primes carry the exact integer product does not change it.
+    When ``q`` is given as its own RNS basis of engine-sized towers, the
+    auxiliary basis (:attr:`basis`, run by :attr:`tensor_engine`) *leads*
+    with them, followed by the next :data:`MAX_MODULUS_BITS`-bit primes
+    not in it. The leading rows of every tensor are then what a chip
+    replaying it per tower loads and reads back
+    (:meth:`~repro.bfv.scheme.Bfv.multiply`'s ``on_rows``), and the
+    scheme scales on them
+    (:meth:`~repro.polymath.engine.BatchedRnsEngine.scale_round`).
 
     Args:
         n: polynomial degree (power of two).
@@ -58,28 +55,22 @@ class RnsExactMultiplier:
         # twice that bound to recover signed values from centered residues.
         bound_bits = 2 * (q.bit_length() - 1) + n.bit_length() + 2
 
-        def cover(lead: tuple[int, ...]) -> RnsBasis:
-            """``lead``, then the next widest engine primes not in it,
-            until the product covers the bound."""
-            primes, total = list(lead), q if lead else 1
-            candidate = ntt_friendly_prime(n, MAX_MODULUS_BITS)
-            while total.bit_length() <= bound_bits + 2:
-                if candidate not in lead:
-                    primes.append(candidate)
-                    total *= candidate
-                candidate = next_smaller_ntt_prime(candidate, n)
-            return RnsBasis(primes)
-
-        # Both bases are NTT-friendly and word-sized by construction, so the
-        # shared engine cache always qualifies — every Bfv instance over
-        # the same (n, q) reuses one precomputation. The lead-free engine
-        # runs ``multiply`` and the key-switch folds, which take its
-        # shortest sufficient prefix: how wide q's towers are never moves
-        # a fold on or off the engine.
-        self._engine = require_engine(cover(()), n)
-        self.basis = cover(lead) if lead else self._engine.basis
-        #: The engine over :attr:`basis` that runs the Eq. 4 tensor.
-        self.tensor_engine = require_engine(self.basis, n)
+        # ``lead``, then the next widest engine primes not in it, until the
+        # product covers the bound. The basis is NTT-friendly and
+        # word-sized by construction, so the shared engine cache always
+        # qualifies: every Bfv instance over (n, q) reuses one engine.
+        primes, total = list(lead), q if lead else 1
+        candidate = ntt_friendly_prime(n, MAX_MODULUS_BITS)
+        while total.bit_length() <= bound_bits + 2:
+            if candidate not in lead:
+                primes.append(candidate)
+                total *= candidate
+            candidate = next_smaller_ntt_prime(candidate, n)
+        self.basis = RnsBasis(primes)
+        #: The engine over :attr:`basis`: it runs the Eq. 4 tensor,
+        #: :meth:`multiply`, and the key-switch folds of a q whose towers
+        #: are not word-sized.
+        self.tensor_engine = self._engine = require_engine(self.basis, n)
 
     def multiply(self, a_centered, b_centered) -> list[int]:
         """Return the exact integer negacyclic product of centered inputs."""

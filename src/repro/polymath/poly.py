@@ -183,23 +183,26 @@ class PolynomialRing:
 class Polynomial:
     """An element of ``Z_q[x]/(x^n + 1)``: an immutable coefficient vector.
 
-    It has one of two forms, and the two are interchangeable: ``coeffs``,
-    ``pack()``, ``==`` and ``hash`` agree between them.
+    It has one of three interchangeable forms: ``coeffs``, ``pack()``,
+    ``==``, ``hash``, ``centered()``, ``negative_mask()`` and
+    ``+``/``-``/``neg`` agree between them, and each form builds the
+    others' data lazily, once.
 
-    * **Int-backed**: a tuple of canonical Python ints. Arithmetic
-      produces this form.
-    * **Word-backed**: what :meth:`PolynomialRing.unpack` returns. It
-      holds the wire bytes and their big-endian 32-bit words
-      (:attr:`words`). ``coeffs`` is built on first access, ``pack()`` is
-      a byte copy, and the batched engine reduces the words straight to
-      tower residues
-      (:meth:`~repro.polymath.engine.BatchedRnsEngine.decompose_centered`).
+    * **Int-backed**: a tuple of canonical Python ints (the constructor,
+      :meth:`from_canonical`).
+    * **Word-backed**: :meth:`PolynomialRing.unpack`'s wire bytes and
+      their big-endian 32-bit :attr:`words`.
+    * **Tower-backed**: :meth:`from_towers`, ``(L, n)`` int64 residues on
+      q's own towers with the batched engine over them — every ciphertext
+      the scheme computes when those towers are engine-sized. Its
+      ``words`` come from int64 mixed radix
+      (:meth:`~repro.polymath.engine.BatchedRnsEngine.to_words`), and
+      ``+``/``-``/``neg``/:meth:`scalar_mul` with it run per tower.
     """
 
-    __slots__ = ("ring", "_coeffs", "_words", "_packed")
+    __slots__ = ("ring", "_coeffs", "_words", "_packed", "_towers", "_rns")
 
     def __init__(self, ring: PolynomialRing, coeffs: Iterable[int]):
-        self.ring = ring
         reduced = tuple(c % ring.q for c in coeffs)
         if len(reduced) > ring.n:
             raise ValueError(
@@ -207,51 +210,57 @@ class Polynomial:
             )
         if len(reduced) < ring.n:
             reduced = reduced + (0,) * (ring.n - len(reduced))
-        self._coeffs = reduced
-        self._words = self._packed = None
+        self._set(ring, coeffs=reduced)
+
+    def _set(self, ring, coeffs=None, words=None, packed=None, towers=None,
+             rns=None) -> "Polynomial":
+        self.ring = ring
+        self._coeffs, self._words, self._packed = coeffs, words, packed
+        self._towers, self._rns = towers, rns
+        return self
 
     @classmethod
     def from_canonical(
         cls, ring: PolynomialRing, coeffs: Iterable[int]
     ) -> "Polynomial":
-        """Wrap length-``n`` coefficients already reduced into ``[0, q)``.
-
-        Skips the constructor's per-coefficient ``% q`` pass — for hot
-        paths whose outputs are canonical by construction (the batched
-        engine's round-scaling and key-switch fold both end in an exact
-        ``% q``). Callers own the invariant; nothing is re-checked.
-        """
-        p = object.__new__(cls)
-        p.ring = ring
-        p._coeffs = tuple(coeffs)
-        p._words = p._packed = None
-        if len(p._coeffs) != ring.n:
+        """Wrap length-``n`` coefficients already reduced into ``[0, q)``,
+        skipping the constructor's ``% q`` pass (a range-checked plaintext
+        constant, an automorphism). Nothing is re-checked."""
+        coeffs = tuple(coeffs)
+        if len(coeffs) != ring.n:
             raise ValueError(
                 f"expected exactly {ring.n} canonical coefficients, "
-                f"got {len(p._coeffs)}"
+                f"got {len(coeffs)}"
             )
-        return p
+        return object.__new__(cls)._set(ring, coeffs=coeffs)
+
+    @classmethod
+    def from_towers(cls, ring: PolynomialRing, rns, towers: np.ndarray):
+        """Wrap ``(L, n)`` int64 residues in ``[0, q_i)`` on ``rns``, the
+        :class:`~repro.polymath.engine.BatchedRnsEngine` over q's own
+        towers. Nothing is copied or re-checked."""
+        return object.__new__(cls)._set(ring, towers=towers, rns=rns)
 
     @classmethod
     def _from_words(
         cls, ring: PolynomialRing, words: np.ndarray, packed: bytes
     ) -> "Polynomial":
         """Wrap range-checked wire bytes and their words (see ``unpack``)."""
-        p = object.__new__(cls)
-        p.ring = ring
-        p._coeffs = None
-        p._words = words
-        p._packed = packed
-        return p
+        return object.__new__(cls)._set(ring, words=words, packed=packed)
+
+    def on_towers(self, rns) -> "Polynomial":
+        """This polynomial, tower-backed on ``rns`` (q's engine)."""
+        if self._rns is not None and self._rns.basis == rns.basis:
+            return self
+        return Polynomial.from_towers(
+            self.ring, rns, rns.decompose_centered(self)
+        )
 
     @property
     def coeffs(self) -> tuple[int, ...]:
-        """The canonical coefficients in ``[0, q)``, as Python ints.
-
-        A word-backed polynomial builds them here, once.
-        """
+        """The canonical coefficients in ``[0, q)``, as Python ints."""
         if self._coeffs is None:
-            words = self._words
+            words = self.words
             values = words[:, 0].astype(object)
             for j in range(1, words.shape[1]):
                 values = (values << 32) | words[:, j].astype(object)
@@ -259,41 +268,47 @@ class Polynomial:
         return self._coeffs
 
     @property
-    def words(self) -> np.ndarray | None:
-        """The ``(n, W)`` ``uint32`` big-endian words of a word-backed
-        polynomial (``W = ceil(coeff_byte_width / 4)``), else ``None``."""
+    def words(self) -> np.ndarray:
+        """The ``(n, W)`` ``uint32`` big-endian words of the canonical
+        coefficients (``W = ceil(coeff_byte_width / 4)``, column-major)."""
+        if self._words is None:
+            width = self.ring.coeff_byte_width
+            if self._towers is not None:
+                self._words = self._rns.to_words(
+                    self._towers, _word_count(width)
+                )
+            else:
+                self._words = _packed_words(self.pack(), self.ring.n, width)
         return self._words
 
     def negative_mask(self) -> np.ndarray:
-        """Which coefficients the centred lift makes negative (``c > q/2``).
-
-        One lexicographic word compare against ``floor(q/2)`` for a
-        word-backed polynomial.
-        """
-        if self._words is not None:
-            return _above(self._words, self.ring._half_words)
-        half = self.ring.q // 2
-        return np.array([c > half for c in self.coeffs], dtype=bool)
+        """Which coefficients the centred lift makes negative (``c > q/2``):
+        one lexicographic word compare against ``floor(q/2)``."""
+        return _above(self.words, self.ring._half_words)
 
     # -- ring operations -------------------------------------------------
 
+    def _combine(self, other: "Polynomial | None", op) -> "Polynomial":
+        """``op`` coefficient-wise mod q: per tower if either operand is
+        tower-backed, else on Python ints (``other=None`` is unary)."""
+        if other is not None:
+            self._check_ring(other)
+        rns = self._rns or (other._rns if other is not None else None)
+        if rns is not None:
+            a = rns.decompose_centered(self)
+            b = None if other is None else rns.decompose_centered(other)
+            return Polynomial.from_towers(self.ring, rns, op(a, b) % rns._q)
+        b = other.coeffs if other is not None else (0,) * self.ring.n
+        return Polynomial(self.ring, [op(x, y) for x, y in zip(self.coeffs, b)])
+
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        self._check_ring(other)
-        q = self.ring.q
-        return Polynomial(
-            self.ring, [(a + b) % q for a, b in zip(self.coeffs, other.coeffs)]
-        )
+        return self._combine(other, lambda a, b: a + b)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        self._check_ring(other)
-        q = self.ring.q
-        return Polynomial(
-            self.ring, [(a - b) % q for a, b in zip(self.coeffs, other.coeffs)]
-        )
+        return self._combine(other, lambda a, b: a - b)
 
     def __neg__(self) -> "Polynomial":
-        q = self.ring.q
-        return Polynomial(self.ring, [(-a) % q for a in self.coeffs])
+        return self._combine(None, lambda a, _: -a)
 
     def __mul__(self, other: "Polynomial | int") -> "Polynomial":
         if isinstance(other, int):
@@ -312,6 +327,10 @@ class Polynomial:
 
     def scalar_mul(self, scalar: int) -> "Polynomial":
         """Multiply every coefficient by a scalar (chip op ``CMODMUL``)."""
+        if self._rns is not None:
+            return Polynomial.from_towers(
+                self.ring, self._rns, self._rns.lift(self._towers, scalar)
+            )
         q = self.ring.q
         s = scalar % q
         return Polynomial(self.ring, [a * s % q for a in self.coeffs])
@@ -348,18 +367,37 @@ class Polynomial:
 
     # -- utilities ---------------------------------------------------------
 
+    def permuted(self, src: np.ndarray, flip: np.ndarray) -> "Polynomial":
+        """The signed index permutation ``p'[j] = (-1)**flip[j] * p[src[j]]``
+        (an automorphism's table), per tower on a tower-backed one."""
+        if self._rns is not None:
+            rows = self._towers[:, src]
+            rows[:, flip] = -rows[:, flip] % self._rns._q
+            return Polynomial.from_towers(self.ring, self._rns, rows)
+        out = np.asarray(self.coeffs, dtype=object)[src]
+        out[flip] = -out[flip] % self.ring.q
+        return Polynomial.from_canonical(self.ring, out.tolist())
+
     def pack(self) -> bytes:
         """Deterministic byte packing: fixed-width big-endian coefficients.
 
         The width is ``ring.coeff_byte_width`` so two equal polynomials in
         the same ring always produce identical bytes (the property the wire
         format's digests and checksums rely on). A word-backed polynomial
-        returns the bytes it was unpacked from.
+        returns the bytes it was unpacked from; a tower-backed one packs
+        its :attr:`words`. Built once, then held.
         """
-        if self._packed is not None:
-            return self._packed
-        width = self.ring.coeff_byte_width
-        return b"".join(c.to_bytes(width, "big") for c in self.coeffs)
+        if self._packed is None:
+            width = self.ring.coeff_byte_width
+            if self._words is None and self._towers is None:
+                self._packed = b"".join(
+                    c.to_bytes(width, "big") for c in self._coeffs
+                )
+            else:
+                raw = np.ascontiguousarray(self.words, dtype=">u4")
+                raw = raw.view(np.uint8).reshape(self.ring.n, -1)
+                self._packed = raw[:, raw.shape[1] - width:].tobytes()
+        return self._packed
 
     def centered(self) -> list[int]:
         """Coefficients lifted to the symmetric interval (-q/2, q/2]."""
@@ -388,12 +426,12 @@ class Polynomial:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Polynomial) or self.ring != other.ring:
             return False
-        if self._packed is not None and other._packed is not None:
-            return self._packed == other._packed
-        return self.coeffs == other.coeffs
+        if self._coeffs is not None and other._coeffs is not None:
+            return self._coeffs == other._coeffs
+        return self.pack() == other.pack()
 
     def __hash__(self) -> int:
-        return hash((self.ring, self.coeffs))
+        return hash((self.ring, self.pack()))
 
     def __repr__(self) -> str:
         head = ", ".join(str(c) for c in self.coeffs[:4])

@@ -396,7 +396,7 @@ def validate_circuit(circuit: Circuit) -> None:
         elif const.kind == CONST_PLAIN:
             if not const.coeffs:
                 raise CircuitError("packed plaintext constant is empty")
-            if any(c < 0 for c in const.coeffs):
+            if min(const.coeffs) < 0:
                 raise CircuitError("packed plaintext coefficients are mod t")
         else:
             raise CircuitError(f"unknown constant kind {const.kind}")
@@ -614,9 +614,11 @@ def _decode_const(const: CircuitConst, params: BfvParameters) -> Polynomial | in
             f"packed plaintext constant has {len(const.coeffs)} coefficients "
             f"for n = {params.n}"
         )
-    if any(c >= params.t for c in const.coeffs):
+    # One C-level pass; validate_circuit has already rejected negatives.
+    # The scheme lifts the canonical tuple with numpy (Bfv._lift_plaintext).
+    if max(const.coeffs) >= params.t:
         raise CircuitError("plaintext constant coefficient exceeds t")
-    return _plain_ring(params.n, params.t)([int(c) for c in const.coeffs])
+    return Polynomial.from_canonical(_plain_ring(params.n, params.t), const.coeffs)
 
 #: Chip-backend hook: called as ``on_tensor(step_index, a, b, rows)`` after
 #: each tensor step, with its two 2-component operand ciphertexts and

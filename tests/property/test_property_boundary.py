@@ -19,12 +19,17 @@ Every engine tower count (1-4, including the degenerate single tower)
 runs the same draws.
 """
 
-from hypothesis import given, settings
+import random
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.bfv import Bfv, BfvParameters
 from repro.bfv.scheme import _round_div
 from repro.polymath.engine import BatchedRnsEngine
+from repro.polymath.fastntt import RnsExactMultiplier
 from repro.polymath.poly import Polynomial
 from repro.polymath.rns import RnsBasis, plan_towers
 
@@ -113,6 +118,114 @@ class TestRoundScaleParity:
         assert got[1] == (-1) % q
         assert _round_div(half, q) == 1
         assert _round_div(-half, q) == -1
+
+
+#: Eq. 4 tensor engines whose bases lead with q's own 1-4 towers (30-bit,
+#: like the served sets), as the scheme's multiplier builds them.
+_SCALING = {
+    towers: RnsExactMultiplier(
+        N, RnsBasis(plan_towers(30 * towers, 30, N))
+    ).tensor_engine
+    for towers in (1, 2, 3, 4)
+}
+
+
+@st.composite
+def _near_half_case(draw, towers):
+    """(t, q, values): ``t * c / q`` within ``1/(2q)`` of a half.
+
+    ``q`` is odd, so ``t*c ≡ (q ± 1)/2 (mod q)`` is as close to an exact
+    half as ``t*c/q`` gets, and in float64 it *is* the half once ``q``
+    passes 2^53. Values take both signs (shifted by multiples of q up to
+    the tensor bound ``2n(q/2)^2``), mixed with uniform draws and zero.
+    """
+    q = _SCALING[towers].select(range(towers)).modulus
+    t = draw(st.integers(min_value=2**12, max_value=2**20)) | 1
+    bound = 2 * N * (q // 2) ** 2
+    roots = [(q + s) // 2 * pow(t, -1, q) % q for s in (-1, 1)]
+    k_max = bound // q - 1
+    ks = st.integers(min_value=-k_max, max_value=k_max)
+    halves = st.tuples(st.sampled_from(roots), ks).map(lambda r: r[0] + r[1] * q)
+    uniform = st.integers(min_value=-bound, max_value=bound)
+    values = draw(
+        st.lists(
+            st.one_of(halves, halves, uniform, st.just(0)),
+            min_size=N, max_size=N,
+        )
+    )
+    return t, q, values
+
+
+class TestScaleRoundParity:
+    """The RNS scale-and-round the scheme serves with, against the
+    scalar rounding, at the float64 boundary: the exact fallback runs."""
+
+    @given(data=st.data(), towers=st.sampled_from((1, 2, 3, 4)))
+    @settings(
+        max_examples=60, deadline=None,
+        # The spy only accumulates; each example compares counts.
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_bit_identical_to_round_div_near_halves(
+        self, data, towers, monkeypatch_exact
+    ):
+        engine = _SCALING[towers]
+        t, q, values = data.draw(_near_half_case(towers))
+        calls = monkeypatch_exact
+        before = len(calls)
+        got = engine.scale_round(_encode(engine, values)[None], t, towers)[0]
+        want = [_round_div(t * c, q) % q for c in values]
+        moduli = engine.basis.moduli[:towers]
+        assert got.tolist() == [[w % m for w in want] for m in moduli]
+        if any(c % q in _near_roots(t, q) for c in values):
+            assert len(calls) > before
+
+    @pytest.mark.parametrize("towers", (1, 2, 3, 4))
+    def test_both_signs_take_the_fallback(self, towers, monkeypatch_exact):
+        engine = _SCALING[towers]
+        q = engine.select(range(towers)).modulus
+        t = 65537
+        roots = sorted(_near_roots(t, q))
+        values = [r + k * q for r in roots for k in (-3, -1, 0, 2)]
+        values += [0] * (N - len(values))
+        got = engine.scale_round(_encode(engine, values)[None], t, towers)[0]
+        assert len(monkeypatch_exact) == 1
+        assert monkeypatch_exact[0] == 8
+        want = [_round_div(t * c, q) % q for c in values]
+        for row, m in zip(got.tolist(), engine.basis.moduli):
+            assert row == [w % m for w in want]
+
+    def test_batch_of_tensor_components(self):
+        """A ``(3, L, n)`` batch scales like three single stacks."""
+        engine = _SCALING[3]
+        rng = random.Random(3)
+        bound = 2 * N * (engine.select(range(3)).modulus // 2) ** 2
+        stacks = [
+            _encode(engine, [rng.randint(-bound, bound) for _ in range(N)])
+            for _ in range(3)
+        ]
+        batch = engine.scale_round(np.stack(stacks), 257, 3)
+        for i, stack in enumerate(stacks):
+            assert np.array_equal(batch[i], engine.scale_round(stack[None], 257, 3)[0])
+
+
+def _near_roots(t: int, q: int) -> set[int]:
+    """The residues ``c mod q`` with ``t*c ≡ (q ± 1)/2 (mod q)``."""
+    return {(q + s) // 2 * pow(t, -1, q) % q for s in (-1, 1)}
+
+
+@pytest.fixture
+def monkeypatch_exact(monkeypatch):
+    """Spy on the exact fallback: records how many columns each call got."""
+    calls: list[int] = []
+    real = BatchedRnsEngine._round_exact
+
+    def spy(self, cols, t, qe):
+        calls.append(len(cols))
+        return real(self, cols, t, qe)
+
+    monkeypatch.setattr(BatchedRnsEngine, "_round_exact", spy)
+    return calls
 
 
 class TestDigitDecomposeParity:

@@ -2,9 +2,11 @@
 
 Relinearization and Galois rotation share one key switch
 (:meth:`Bfv.key_switch`): on an engine-capable scheme every digit
-polynomial rides one batched NTT pass against the key's NTT-form rows,
-on the shortest tower prefix that holds the fold bound; everywhere else
-the scalar fold multiplies digit by digit through the exact multiplier.
+polynomial rides one batched NTT pass against the key's NTT-form rows —
+on q's own towers when they are engine-sized (any digit width: the fold
+ends in ``% q``), else on the auxiliary basis when it holds the fold
+bound; everywhere else the scalar fold multiplies digit by digit
+through the exact multiplier.
 A key switch that is off by one bit still decrypts to *something*, so
 the two must agree byte for byte — across tower counts 1-4, digit
 widths 8/16/22/30 (below, at and above the tower width), the rotation
@@ -149,12 +151,14 @@ class TestRotationParity:
             assert _switches(bfv, "relin", other) == 0
 
     def test_fold_runs_on_a_tower_prefix(self):
-        """The fold bound needs fewer towers than the Eq. 4 tensor."""
+        """The fold needs fewer towers than the Eq. 4 tensor: q's own,
+        the head of the tensor basis."""
         stack = _STACKS[4]
-        full = stack.engine._mult_ctx._engine
-        fold = stack.engine._fold_engine(stack.keys[16].relin)
+        full = stack.engine._mult_ctx.tensor_engine
+        fold = stack.engine._switch_engine(stack.keys[16].relin)
         assert fold.num_towers < full.num_towers
         assert fold.basis.moduli == full.basis.moduli[:fold.num_towers]
+        assert fold.basis.moduli == stack.params.q_basis.moduli
 
     @pytest.mark.parametrize("towers", (2, 3, 4))
     def test_digits_wider_than_a_machine_word(self, towers):
@@ -346,18 +350,47 @@ class TestScalarFallbacks:
     @pytest.mark.parametrize("bits", (40, 64))
     def test_digit_width_beyond_the_fold_bound(self, bits):
         """One 24-bit tower: a 40- or 64-bit digit base pushes
-        ``D*n*(T-1)*q/2`` past the engine's CRT modulus, so an
-        engine-capable scheme must decline — and still be right."""
+        ``D*n*(T-1)*q/2`` past the auxiliary CRT modulus, but the fold on
+        q's own tower ends in ``% q`` and has no such bound — the engine
+        takes it, and is still right."""
         stack = _STACKS[1]
         keys = stack.keys[bits]
         gkey = stack.rotors[bits].galois_key(3)
-        assert stack.engine.multiplier_kind == "RnsExactMultiplier"
-        assert not stack.engine.can_batch_relinearize(gkey)
-        capable = Bfv(stack.params, seed=3)
-        rotated, relined = self._check(capable, None, keys, gkey)
-        assert gkey.ntt_rows is None and keys.relin.ntt_rows is None
+        assert stack.engine.can_batch_relinearize(gkey)
         two, three = self._operands(stack.params, 11)
         assert _same_bytes(
-            rotated, apply_galois_with_key(stack.scalar, two, gkey)
+            apply_galois_with_key(stack.engine, two, gkey),
+            apply_galois_with_key(stack.scalar, two, gkey),
         )
-        assert _same_bytes(relined, stack.scalar.relinearize(three, keys.relin))
+        assert _same_bytes(
+            stack.engine.relinearize(three, keys.relin),
+            stack.scalar.relinearize(three, keys.relin),
+        )
+
+    @pytest.mark.parametrize("bits", (64, 100))
+    def test_wide_q_declines_beyond_the_auxiliary_fold_bound(self, bits):
+        """A 40-bit q tower is not engine-sized, so the fold runs on the
+        auxiliary basis — the whole of it, exact integer folds reduced mod
+        q — while ``D*n*(T-1)*q/2`` fits its CRT modulus; a 64- or
+        100-bit digit base does not, and the scheme must decline."""
+        params = BfvParameters.toy(n=16, log_q=40)
+        capable = Bfv(params, seed=3)
+        keys = capable.keygen(relin_digit_bits=22)
+        fits = RotationEngine(capable, keys.secret, digit_bits=22)
+        aux = capable._mult_ctx._engine
+        assert capable._switch_engine(fits.galois_key(3)) is aux
+        wide = capable.keygen(relin_digit_bits=bits)
+        gkey = RotationEngine(capable, wide.secret, digit_bits=bits).galois_key(3)
+        assert capable.multiplier_kind == "RnsExactMultiplier"
+        assert not capable.can_batch_relinearize(gkey)
+        oracle = Bfv(params, multiplier=_ExactMultiplier(params.n, params.q))
+        for keyset, key in ((keys, fits.galois_key(3)), (wide, gkey)):
+            fast = Bfv(params, seed=4)
+            rotated, relined = self._check(
+                oracle, fast if fast.can_batch_relinearize(key) else None,
+                keyset, key,
+            )
+        assert gkey.ntt_rows is None and wide.relin.ntt_rows is None
+        two, three = self._operands(params, 11)
+        assert _same_bytes(rotated, apply_galois_with_key(capable, two, gkey))
+        assert _same_bytes(relined, capable.relinearize(three, wide.relin))

@@ -8,6 +8,10 @@ those shortcuts must agree with the per-coefficient reference it
 replaced: ``int.from_bytes`` per coefficient, ``coeffs``/``pack``/``==``/
 ``hash`` of an int-backed polynomial, and ``decompose(centered())``.
 
+The tower-backed form (residues on q's own engine-sized towers, what
+the scheme computes in) must agree with both, in every operand pairing
+of ``+``/``-``, and must pack and hash without building Python ints.
+
 Moduli range over 20-130 bits, so coefficient widths that are not a
 multiple of 32 bits (3, 5, 6, 7, 9 ... bytes) and the 4-, 8-, 12- and
 16-byte word boundaries all occur; degrees are 16 and the paper's 4096.
@@ -143,6 +147,70 @@ class TestFormsAgree:
         )
         assert words != other and other != words
         assert words != ring.unpack(other.pack())
+
+
+def _three_forms(n: int, towers: int, seed: int):
+    """The same coefficients as an int-, a word- and a tower-backed
+    polynomial over ``q`` = the product of ``towers`` 30-bit NTT primes."""
+    primes = [ntt_friendly_prime(n, 30)]
+    while len(primes) < towers:
+        primes.append(next_smaller_ntt_prime(primes[-1], n))
+    basis = RnsBasis(primes)
+    ring, rns = _ring(n, basis.modulus), require_engine(basis, n)
+    coeffs = _coeffs(seed, n, basis.modulus)
+    ints = Polynomial.from_canonical(ring, coeffs)
+    words = ring.unpack(_packed(coeffs, ring.coeff_byte_width))
+    tower = Polynomial.from_towers(ring, rns, rns.decompose(coeffs))
+    return ints, words, tower
+
+
+class TestThreeFormsAgree:
+    """Int-, word- and tower-backed operands, mixed in every pairing."""
+
+    @given(
+        n=st.sampled_from(DEGREES), towers=st.integers(1, 4),
+        seed=st.integers(0, 2**32), other=st.integers(0, 2**32),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_every_view_and_op_agrees(self, n, towers, seed, other):
+        forms = _three_forms(n, towers, seed)
+        seconds = _three_forms(n, towers, other)
+        ints = forms[0]
+        for p in forms:
+            assert p.coeffs == ints.coeffs
+            assert p.pack() == ints.pack()
+            assert p.centered() == ints.centered()
+            assert p.negative_mask().tolist() == ints.negative_mask().tolist()
+            assert (-p).coeffs == (-ints).coeffs
+            assert p.scalar_mul(-7).coeffs == ints.scalar_mul(-7).coeffs
+            for r in forms:
+                assert p == r and hash(p) == hash(r)
+            for b in seconds:
+                assert (p + b).coeffs == (ints + seconds[0]).coeffs
+                assert (p - b).coeffs == (ints - seconds[0]).coeffs
+                if seconds[0].coeffs != ints.coeffs:
+                    assert p != b
+
+    @pytest.mark.parametrize("towers", (1, 2, 3, 4))
+    def test_hash_and_pack_build_no_python_ints(self, towers):
+        """A tower-backed polynomial packs, hashes and compares through
+        its words; only ``coeffs`` builds Python ints."""
+        ints, words, tower = _three_forms(4096, towers, towers)
+        assert hash(tower) == hash(words) and tower == words
+        assert tower.pack() == words.pack()
+        assert tower._coeffs is None and words._coeffs is None
+        assert tower.words.shape == words.words.shape
+        assert np.array_equal(tower.words, words.words)
+
+    @pytest.mark.parametrize("towers", (1, 3))
+    def test_tower_ops_stay_tower_backed(self, towers):
+        ints, words, tower = _three_forms(16, towers, 5)
+        rns = tower._rns
+        for out in (tower + words, ints - tower, -tower, tower.scalar_mul(3),
+                    words.on_towers(rns), ints.on_towers(rns)):
+            assert out._towers is not None and out._coeffs is None
+        assert tower.on_towers(rns) is tower
+        assert np.array_equal(words.on_towers(rns)._towers, tower._towers)
 
 
 class TestDecomposeWords:

@@ -158,10 +158,10 @@ class TestRowsLiveOnTheKey:
         assert gkey.ntt_rows is None
         first = apply_galois_with_key(bfv, ct, gkey)
         moduli, rows = gkey.ntt_rows
-        fold = bfv._fold_engine(gkey)
-        assert moduli == fold.basis.moduli
+        # Engine-sized q: the rows sit on q's own towers.
+        assert moduli == PARAMS.q_basis.moduli
         assert rows.dtype == np.uint32
-        assert rows.shape == (2, gkey.num_digits, fold.num_towers, PARAMS.n)
+        assert rows.shape == (2, gkey.num_digits, len(moduli), PARAMS.n)
         again = apply_galois_with_key(bfv, ct, gkey)
         assert gkey.ntt_rows[1] is rows
         assert [p.coeffs for p in first.polys] == [p.coeffs for p in again.polys]
@@ -177,6 +177,20 @@ class TestRowsLiveOnTheKey:
         # basis, so it finds the rows instead of rebuilding them.
         Bfv(PARAMS, seed=1).prewarm_keyswitch(keys.relin)
         assert keys.relin.ntt_rows[1] is rows
+
+    def test_bench_rows_are_three_q_towers_wide(self):
+        """At the served bench parameters (n = 4096, three 30-bit q
+        towers, 30-bit digits) a key holds (2, 3, 3, n) uint32 rows:
+        294,912 bytes, against 491,520 on a five-tower auxiliary fold."""
+        params = BfvParameters.toy_rns(4096, 3, 30)
+        bfv = Bfv(params, seed=5)
+        keys = bfv.keygen(relin_digit_bits=30)
+        assert keys.relin.ntt_rows is None
+        bfv.prewarm_keyswitch(keys.relin)
+        moduli, rows = keys.relin.ntt_rows
+        assert moduli == params.q_basis.moduli
+        assert rows.shape == (2, 3, 3, 4096) and rows.dtype == np.uint32
+        assert rows.nbytes == 294_912
 
     def test_rows_are_derived_data(self, keyed):
         """Held rows change neither equality nor hash nor repr, and a
