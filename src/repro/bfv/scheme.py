@@ -297,16 +297,14 @@ class Bfv:
             )
         polys = ca.polys if ca is cb else (*ca.polys, *cb.polys)
         operands = np.stack([eng.decompose_centered(p) for p in polys])
-        outputs = np.stack(
-            eng.tensor_square(*operands) if ca is cb else eng.tensor(*operands)
-        )
+        outputs = np.stack(eng._tensor(operands.copy()))
         head = getattr(self._mult_ctx, "q_towers", 0)
         if on_rows is not None and head:
             loads = operands[:, :head]
             on_rows(loads if len(loads) == 4 else loads[[0, 1, 0, 1]],
                     outputs[:, :head])
         if self._rns is not None:
-            scaled = eng.scale_round(outputs, t, head)
+            scaled = eng._scale_round(outputs, t, head)
             return Ciphertext([self._on_rns(r) for r in scaled], self.params)
         return Ciphertext(
             [Polynomial.from_canonical(self.ring, r)
@@ -367,7 +365,7 @@ class Bfv:
         if eng is None:
             folds = [self._fold_scalar(poly, key) for poly, _, _ in items]
         else:
-            out = eng.keyswitch(
+            out = eng._keyswitch(
                 np.stack([
                     eng.digit_rows(p.words, key.digit_bits, key.num_digits)
                     for p, _, _ in items

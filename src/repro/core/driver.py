@@ -121,8 +121,9 @@ class CofheeDriver:
         self.mode = mode
         self._buffers: dict[str, int] = {}
         self._n = 0
-        self._ntt_ctx: NttContext | None = None
         self._programmed: tuple[int, int] | None = None
+        #: :meth:`ensure_programmed` calls that paid a twiddle download.
+        self.reprograms = 0
 
     # ------------------------------------------------------------------
     # Bring-up: parameters, twiddles, buffers
@@ -141,12 +142,16 @@ class CofheeDriver:
         Python script computes them host-side).
         """
         self.chip.configure_modulus(q, n)
-        self._n = n
-        self._ntt_ctx = NttContext.shared(n, q)
-        self._allocate_buffers(n)
-        # Download psi-power twiddles (bit-reversed order) into TWD.
-        twd_addr = self.chip.memory_map.base_address("TWD")
-        self.chip.bus.burst_write(twd_addr, list(self._ntt_ctx._psi_brv))
+        if n != self._n:
+            self._allocate_buffers(n)
+            self._n = n
+        # Download psi-power twiddles (bit-reversed order) into TWD, as
+        # words the bank stores without a per-word range check when q
+        # fits 64 bits.
+        table = NttContext.shared(n, q)._psi_brv
+        if q.bit_length() <= 64:
+            table = np.fromiter(table, np.uint64, n)
+        self.chip.bus.burst_write(self._twiddle_addr(), table)
         self._programmed = (q, n)
         return self.link.send_polynomial(n)
 
@@ -160,6 +165,7 @@ class CofheeDriver:
         """
         if self._programmed == (q, n):
             return 0.0
+        self.reprograms += 1
         return self.program(q, n)
 
     def _allocate_buffers(self, n: int) -> None:
@@ -245,16 +251,16 @@ class CofheeDriver:
         elif mode == "fifo":
             # Preload in chunks of the FIFO depth; each command frame is 8
             # register writes; the FIFO drains autonomously.
-            depth = self.chip.fifo.depth
-            for start in range(0, len(commands), depth):
-                chunk = commands[start : start + depth]
-                for cmd in chunk:
+            fifo, write = self.chip.fifo, self.link.register_write
+            run = self.chip.mdmc.execute
+            for start in range(0, len(commands), fifo.depth):
+                for cmd in commands[start : start + fifo.depth]:
                     for _ in range(8):
-                        io_seconds += self.link.register_write()
-                    self.chip.fifo.push(cmd)
-                while not self.chip.fifo.empty:
-                    trace.extend(self.chip.mdmc.execute(self.chip.fifo.pop()))
-                self.chip.fifo.take_interrupt()
+                        io_seconds += write()
+                    fifo.push(cmd)
+                while not fifo.empty:
+                    trace.extend(run(fifo.pop()))
+                fifo.take_interrupt()
         else:  # cm0
             program = Cm0Program()
             for cmd in commands:

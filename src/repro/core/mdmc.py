@@ -117,7 +117,18 @@ class Mdmc:
         self.fidelity = fidelity
         self.total_cycles = 0
         self.commands_executed = 0
-        self._rows: _StageRows | None = None
+        self._handlers = {
+            Opcode.NTT: self._run_ntt,
+            Opcode.INTT: self._run_intt,
+            Opcode.PMODADD: self._run_pointwise,
+            Opcode.PMODMUL: self._run_pointwise,
+            Opcode.PMODSQR: self._run_pointwise,
+            Opcode.PMODSUB: self._run_pointwise,
+            Opcode.CMODMUL: self._run_pointwise,
+            Opcode.PMUL: self._run_pointwise,
+            Opcode.MEMCPY: self._run_memcpy,
+            Opcode.MEMCPYR: self._run_memcpy,
+        }
 
     # ------------------------------------------------------------------
     # Command dispatch
@@ -129,19 +140,7 @@ class Mdmc:
         if level not in FIDELITY_LEVELS:
             raise ValueError(f"fidelity must be one of {FIDELITY_LEVELS}")
         trace = ExecutionTrace()
-        handler = {
-            Opcode.NTT: self._run_ntt,
-            Opcode.INTT: self._run_intt,
-            Opcode.PMODADD: self._run_pointwise,
-            Opcode.PMODMUL: self._run_pointwise,
-            Opcode.PMODSQR: self._run_pointwise,
-            Opcode.PMODSUB: self._run_pointwise,
-            Opcode.CMODMUL: self._run_pointwise,
-            Opcode.PMUL: self._run_pointwise,
-            Opcode.MEMCPY: self._run_memcpy,
-            Opcode.MEMCPYR: self._run_memcpy,
-        }[cmd.opcode]
-        handler(cmd, trace, level)
+        self._handlers[cmd.opcode](cmd, trace, level)
         trace.interrupts += 1  # completion interrupt to the FIFO (Fig. 2)
         self.total_cycles += trace.cycles
         self.commands_executed += 1
@@ -387,17 +386,18 @@ class Mdmc:
     def _store_vector(self, address: int, values: "np.ndarray | list[int]") -> None:
         self.bus.burst_write(address, values)
 
-    def _stage_rows(self, twiddles: np.ndarray, q: int) -> "_StageRows":
+    @staticmethod
+    def _stage_rows(twiddles: np.ndarray, q: int) -> "_StageRows":
         """The vector kernels' per-stage twiddle rows for this table.
 
-        Derived from the words just read out of the twiddle bank and
-        rebuilt whenever those words or ``q`` change, so a kernel always
-        uses exactly what the bank holds.
+        Shared across every MDMC in the process and keyed on ``q`` and
+        the words just read out of the twiddle bank, as the ``uint64``
+        residues the kernels would see (never the bytes of an
+        ``object``-dtype bank, whose elements are pointers): a kernel
+        always uses exactly what the bank holds, and a corrupted table
+        derives rows of its own.
         """
-        rows = self._rows
-        if rows is None or not rows.derived_from(twiddles, q):
-            rows = self._rows = _StageRows(twiddles, q)
-        return rows
+        return _shared_stage_rows(q, residue_words(twiddles, q).tobytes())
 
     def _stage_stats(
         self, in_bank: SramBank, out_bank: SramBank, n: int, count_pe: bool,
@@ -462,13 +462,12 @@ class _StageRows:
     to each stage's contiguous half shape: one row has no tower axis to
     amortise a broadcast over. ``dit`` rows come from the forward table
     as stored; ``dif`` rows from the inverse table the address generator
-    derives from it (see ``_run_intt``).
+    derives from it (see ``_run_intt``). A table's rows never change, so
+    one derivation serves every chip that holds it
+    (:func:`_shared_stage_rows`).
     """
 
-    def __init__(self, twiddles: np.ndarray, q: int):
-        self.twiddles = twiddles
-        self.q = q
-        forward = residue_words(twiddles, q)
+    def __init__(self, forward: np.ndarray, q: int):
         n = forward.size
         brv = _bit_reverse_array(n)
         inverse = np.empty_like(forward)
@@ -477,17 +476,24 @@ class _StageRows:
         self.dit = self._expand(forward, q)
         self.dif = self._expand(inverse, q)
 
-    def derived_from(self, twiddles: np.ndarray, q: int) -> bool:
-        return q == self.q and np.array_equal(twiddles, self.twiddles)
-
     @staticmethod
     def _expand(table: np.ndarray, q: int) -> list[Stage]:
         stages = stage_twiddles(table, np.uint64(q))
-        return [
+        rows = [
             tuple(np.broadcast_to(w, half_shape(k, table.size)).copy()
                   for w in pair)
             for k, pair in enumerate(stages)
         ]
+        for pair in rows:
+            for w in pair:
+                w.flags.writeable = False  # shared by every chip
+        return rows
+
+
+@lru_cache(maxsize=16)
+def _shared_stage_rows(q: int, table: bytes) -> _StageRows:
+    """:class:`_StageRows` of a ``uint64`` residue table, once per content."""
+    return _StageRows(np.frombuffer(table, dtype=np.uint64), q)
 
 
 def _pointwise(op: Opcode, x: np.ndarray, y: np.ndarray | None,

@@ -350,7 +350,11 @@ class BatchedRnsEngine:
           coefficient within ``t * 2^-40`` of a half takes the exact
           :meth:`_round_exact` instead.
         """
-        a, _ = self._prepare_nd(stack)
+        return self._scale_round(self._prepare_nd(stack)[0], t, head)
+
+    def _scale_round(self, a: np.ndarray, t: int, head: int) -> np.ndarray:
+        """:meth:`scale_round` of a reduced ``(B, L, n)`` batch (as
+        :meth:`inverse` returns it), with no ``% q`` pass."""
         qe, xe, q_inv, e_mod_q = self._split(head)
         dv = qe._mixed_radix(a[:, :head])
         u = (a[:, head:] - qe._convert(dv, xe)) * q_inv % xe._q
@@ -465,8 +469,8 @@ class BatchedRnsEngine:
         ``(num_towers, n)`` or a batch ``(k, num_towers, n)``.
         """
         a, squeeze = self._prepare_nd(stack)
-        out = kernels.dit(a.view(np.uint64), self._q_u64, self._psi)
-        return out.view(np.int64)[0] if squeeze else out.view(np.int64)
+        out = self._forward(a)
+        return out[0] if squeeze else out
 
     def inverse(self, stack: np.ndarray) -> np.ndarray:
         """Negacyclic inverse NTT (Gentleman-Sande DIF) with n^-1 scaling.
@@ -475,10 +479,20 @@ class BatchedRnsEngine:
         ``NttContext.inverse`` row by row. Accepts one stack or a batch.
         """
         a, squeeze = self._prepare_nd(stack)
+        out = self._inverse(a)
+        return out[0] if squeeze else out
+
+    def _forward(self, a: np.ndarray) -> np.ndarray:
+        """:meth:`forward` of a reduced ``(B, L, n)`` int64 batch the
+        caller hands over: the kernel consumes it, no ``% q`` pass."""
+        out = kernels.dit(a.view(np.uint64), self._q_u64, self._psi)
+        return out.view(np.int64)
+
+    def _inverse(self, a: np.ndarray) -> np.ndarray:
+        """:meth:`inverse` of a reduced batch the caller hands over."""
         q = self._q_u64
         out = kernels.dif(a.view(np.uint64), q, self._ipsi)
-        out = kernels.mul_const(out, self._n_inv, q).view(np.int64)
-        return out[0] if squeeze else out
+        return kernels.mul_const(out, self._n_inv, q).view(np.int64)
 
     # ------------------------------------------------------------------
     # Pointwise arithmetic (NTT or coefficient domain alike)
@@ -491,7 +505,7 @@ class BatchedRnsEngine:
     def negacyclic_multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Per-tower polynomial product modulo ``x^n + 1``."""
         fa, fb = self.forward(np.stack((a, b)))
-        return self.inverse(self.pointwise_mul(fa, fb))
+        return self._inverse(self.pointwise_mul(fa, fb))
 
     def tensor(
         self, a0: np.ndarray, a1: np.ndarray, b0: np.ndarray, b1: np.ndarray
@@ -502,25 +516,30 @@ class BatchedRnsEngine:
         three batched inverse NTTs — exactly the per-tower op mix of
         ``SoftwareBfv.tower_multiply`` and the chip's Algorithm 3.
         """
-        fa0, fa1, fb0, fb1 = self.forward(np.stack((a0, a1, b0, b1)))
-        q = self._q
-        y0 = fa0 * fb0 % q
-        y2 = fa1 * fb1 % q
-        y1 = (fa0 * fb1 % q + fa1 * fb0 % q) % q
-        out = self.inverse(np.stack((y0, y1, y2)))
-        return out[0], out[1], out[2]
+        return self._tensor(self._prepare_nd(np.stack((a0, a1, b0, b1)))[0])
 
     def tensor_square(
         self, a0: np.ndarray, a1: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The Eq. 4 tensor of a ciphertext with itself: two forward NTTs,
         the cross term ``2 * a0 * a1``."""
-        f0, f1 = self.forward(np.stack((a0, a1)))
+        return self._tensor(self._prepare_nd(np.stack((a0, a1)))[0])
+
+    def _tensor(
+        self, operands: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`tensor` of a reduced ``(4, L, n)`` batch ``(a0, a1, b0,
+        b1)``, or :meth:`tensor_square` of a ``(2, L, n)`` one, with no
+        ``% q`` pass; the batch is consumed."""
+        f = self._forward(operands)
         q = self._q
-        y0 = f0 * f0 % q
-        y2 = f1 * f1 % q
-        y1 = 2 * (f0 * f1 % q) % q
-        out = self.inverse(np.stack((y0, y1, y2)))
+        if len(f) == 2:
+            y = (f[0] * f[0] % q, 2 * (f[0] * f[1] % q) % q, f[1] * f[1] % q)
+        else:
+            fa0, fa1, fb0, fb1 = f
+            y = (fa0 * fb0 % q, (fa0 * fb1 % q + fa1 * fb0 % q) % q,
+                 fa1 * fb1 % q)
+        out = self._inverse(np.stack(y))
         return out[0], out[1], out[2]
 
     def keyswitch_rows(self, rows) -> np.ndarray:
@@ -543,12 +562,19 @@ class BatchedRnsEngine:
     def keyswitch(self, digits: np.ndarray, key_rows: np.ndarray) -> np.ndarray:
         """The key-switch kernel: fold ``J`` digit sets through one key.
 
-        The ``(J, D, L, n)`` reduced digit polynomials ride one forward
+        The ``(J, D, L, n)`` digit polynomials ride one forward
         pass, fold against ``key_rows`` (:meth:`keyswitch_rows`) in the NTT
         domain, each product reduced before accumulating, and one inverse
         pass covers both components of every job: the ``(2, J, L, n)``
         residues of ``sum_d digit_d * b_d`` and of the ``a`` fold.
         """
+        J, D, L, n = np.shape(digits)
+        a, _ = self._prepare_nd(np.reshape(digits, (J * D, L, n)))
+        return self._keyswitch(a.reshape(J, D, L, n), key_rows)
+
+    def _keyswitch(self, digits: np.ndarray, key_rows: np.ndarray) -> np.ndarray:
+        """:meth:`keyswitch` of reduced int64 digits (as :meth:`digit_rows`
+        returns them), with no ``% q`` pass; the digits are consumed."""
         key_rows = np.asarray(key_rows)
         if key_rows.ndim != 4 or (
             key_rows.shape[0], *key_rows.shape[2:]
@@ -558,12 +584,12 @@ class BatchedRnsEngine:
                 f"got {key_rows.shape}"
             )
         J, D, L, n = digits.shape
-        fwd = self.forward(digits.reshape(J * D, L, n)).reshape(J, D, L, n)
+        fwd = self._forward(digits.reshape(J * D, L, n)).reshape(J, D, L, n)
         q = self._q
         acc = fwd[None, :, 0] * key_rows[:, None, 0] % q
         for d in range(1, D):
             acc = (acc + fwd[None, :, d] * key_rows[:, None, d]) % q
-        return self.inverse(acc.reshape(2 * J, L, n)).reshape(2, J, L, n)
+        return self._inverse(acc.reshape(2 * J, L, n)).reshape(2, J, L, n)
 
     # ------------------------------------------------------------------
     # Sub-views

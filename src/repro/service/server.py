@@ -789,9 +789,11 @@ class FheServer:
         freely) and ``batch_makespan_cycles`` (sum of per-job makespans
         — the conservative view under each job's gather barrier;
         always >= ``wall_cycles``). ``per_worker_cycles`` shows the
-        spread, ``tower_cycles`` the per-tower totals over every
-        chip-executed job, ``fidelity`` counts jobs per execution
-        path (``chip`` / ``model``, plus ``relin_engine`` /
+        spread, ``reprograms`` the tower units for which each worker's
+        driver found its chip on another ``(q, n)`` (or none yet) and
+        paid a twiddle download, ``tower_cycles`` the per-tower totals
+        over every chip-executed job, ``fidelity`` counts jobs per
+        execution path (``chip`` / ``model``, plus ``relin_engine`` /
         ``relin_model`` for jobs that relinearize), and
         ``result_cache`` reports the content-addressed machinery: cache
         hits complete at submit time and cost the pool nothing, and
@@ -811,6 +813,7 @@ class FheServer:
             "batch_makespan_cycles": stats.makespan_cycles,
             "total_cycles": pool.total_cycles,
             "per_worker_cycles": [w.busy_cycles for w in pool.workers],
+            "reprograms": [w.driver.reprograms for w in pool.workers],
             "tower_cycles": [
                 tower_totals[t] for t in sorted(tower_totals)
             ],

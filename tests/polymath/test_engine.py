@@ -67,6 +67,44 @@ class TestBatchDimensions:
             )
             assert [y0[i].tolist(), y1[i].tolist(), y2[i].tolist()] == expect
 
+    def test_public_kernels_take_unreduced_stacks(self, rns3, rng):
+        """``tensor``, ``tensor_square``, ``keyswitch`` and ``scale_round``
+        take any int64 stack, as ``forward`` and ``inverse`` do: residues
+        shifted by multiples of their tower, negative ones included, give
+        the reduced stacks' results."""
+        engine, basis, n = rns3
+        towers = np.array(basis.moduli, dtype=np.int64)[:, None]
+        shifts = np.random.default_rng(7)
+
+        def stack(values=None):
+            return engine.stack([
+                [rng.randrange(q) if values is None else values[j] % q
+                 for j in range(n)]
+                for q in basis.moduli
+            ])
+
+        def shifted(a):
+            return a + towers * shifts.integers(-4, 5, np.shape(a))
+
+        def same(got, want):
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+        ops = [stack() for _ in range(4)]
+        same(engine.tensor(*map(shifted, ops)), engine.tensor(*ops))
+        same(engine.tensor_square(*map(shifted, ops[:2])),
+             engine.tensor_square(*ops[:2]))
+        digits = np.stack([np.stack(ops[:2]), np.stack(ops[2:])])
+        key_rows = np.stack([
+            np.stack([engine.forward(stack()) for _ in range(2)])
+            for _ in range(2)
+        ]).astype(np.uint32)
+        same(engine.keyswitch(shifted(digits), key_rows),
+             engine.keyswitch(digits, key_rows))
+        bound = 2 * n * (basis.moduli[0] // 2) ** 2
+        exact = stack([rng.randint(-bound, bound) for _ in range(n)])[None]
+        same(engine.scale_round(shifted(exact), 257, 1),
+             engine.scale_round(exact, 257, 1))
+
 
 class TestPythonIntOutputs:
     """The big-modulus outputs are exactly ``int``: ``Polynomial.pack``
