@@ -388,9 +388,9 @@ class CofheeDriver:
         Programs ``(q, n)`` only if the chip is not already configured for
         it (see :meth:`ensure_programmed`), reduces both input ciphertexts
         mod ``q``, runs the Eq. 4 tensor command stream, and reads the
-        three outputs back. This is the work unit a tower-sharded pool
-        dispatches: a worker that runs consecutive units on one modulus
-        pays the twiddle download once.
+        three outputs back. This is the unit a tower-sharded pool runs
+        on a modulus's home chip: a worker that runs consecutive units
+        on one modulus pays the twiddle download once.
 
         Returns:
             ``([y0, y1, y2] mod-q coefficient vectors, report)`` — the

@@ -143,9 +143,11 @@ def shard_towers(num_towers: int, num_shards: int) -> list[list[int]]:
     property tests assert that recombining shard outputs (via
     :meth:`RnsBasis.sub_basis` and CRT) reproduces the sequential result.
 
-    These helpers are the pure-math reference model for the serving
-    layer's tower planner (:mod:`repro.service.towers`), which implements
-    the same split/merge contract against live chip workers.
+    These helpers are the pure-math reference model for the chip pool's
+    tower sharding (:class:`repro.service.backends.ChipPoolBackend`),
+    which runs each tower on its modulus's home chip and keeps the same
+    split/merge contract: every tower runs exactly once, and per-tower
+    outputs in tower order are the sequential result.
     """
     if num_towers < 1:
         raise ValueError(f"need at least one tower, got {num_towers}")

@@ -48,7 +48,6 @@ from repro.service.circuits import (
     OP_MAC_CONST,
     OP_MUL_CONST,
     OP_ROTATE_ROWS,
-    OP_SPECS,
     OP_SUB,
     ROTATION_OPS,
     evaluate_circuit,
@@ -56,13 +55,6 @@ from repro.service.circuits import (
 )
 from repro.service.jobs import Job, JobStatus
 from repro.service.registry import Session, SessionRegistry
-from repro.service.towers import (
-    KeySwitchWorkItem,
-    TowerGather,
-    plan_keyswitch_dispatch,
-    plan_tower_dispatch,
-    tower_items_for,
-)
 
 
 class BackendError(RuntimeError):
@@ -78,20 +70,21 @@ class BatchReport:
     direct caller that passes several jobs to ``execute_batch`` gets one
     report for all of them.
 
-    ``worker`` is the lead worker (model-path jobs and relinearization
-    tails run there); ``workers`` lists every worker the batch touched —
-    under tower sharding one job fans out across the pool. ``cycles``
-    is the total work added across all workers, ``makespan_cycles`` the
-    largest single-worker share (what pool scaling shrinks), and
-    ``tower_cycles`` the per-tower totals (index-aligned with the batch's
-    CoFHEE basis) summed over the batch's chip-executed jobs.
+    ``worker`` is the lead worker (model-path jobs and linear steps run
+    there); ``workers`` lists every worker the batch touched — under
+    tower sharding one job's towers run on their home chips across the
+    pool. ``cycles`` is the total work added across all workers,
+    ``makespan_cycles`` the largest single-worker share (what pool
+    scaling shrinks), and ``tower_cycles`` the per-tower totals
+    (index-aligned with the batch's CoFHEE basis) summed over the
+    batch's chip-executed jobs.
 
     ``fidelity`` counts jobs per execution path: ``"chip"`` jobs ran every
     tower of every Eq. 4 tensor through a worker driver with a mod-q
     cross-check; ``"model"`` jobs (no tensor, or moduli that are not
     chip-native) were priced from the compiled DAG; ``"relin_engine"``
-    counts jobs whose relinearization tail executed as chip-side
-    key-switch work units through the batched engine fold;
+    counts jobs whose relinearization tail ran through the batched
+    engine fold, each tail priced on the then-least-loaded worker;
     ``"relin_model"`` remains for params the engine cannot carry (wide
     digits or an engine-incapable basis), where the tail is still
     model-priced only.
@@ -108,11 +101,6 @@ class BatchReport:
     makespan_cycles: int = 0
     tower_cycles: tuple[int, ...] = ()
     fidelity: dict[str, int] = field(default_factory=dict)
-    #: List-scheduling simulation: how far the simulated per-worker
-    #: clocks advanced beyond the pool barrier under true producer-edge
-    #: ready times. ≤ ``makespan_cycles`` when dependency slack lets
-    #: consumers start before unrelated chains finish.
-    schedule_makespan_cycles: int = 0
 
 
 # ----------------------------------------------------------------------
@@ -251,8 +239,8 @@ class ChipWorker:
 
     @property
     def programmed(self) -> tuple[int, int] | None:
-        """The driver's currently programmed ``(q, n)`` (the affinity the
-        tower planner uses to skip a twiddle download)."""
+        """The driver's currently programmed ``(q, n)``: the twiddle table
+        a unit on another modulus must download first."""
         return self.driver.programmed
 
     def run_tower(
@@ -286,19 +274,17 @@ class ChipPoolBackend(Backend):
 
     * **Tower level** — on chip-native moduli, every Eq. 4 tensor step
       (an EvalMult, or a squaring: the same tensor with ``a == b``)
-      becomes one unit split per RNS tower and fanned out across
-      *different* workers (least-loaded, with per-tower
-      ``program(q_i, n)`` reprogramming amortized across jobs by the
-      drivers), so a 3-tower multiply on a pool of 4 finishes in ~one
-      tower's time. Every tower runs the real Algorithm 3 command stream
-      on its worker's driver and is cross-checked mod ``q_i`` against
-      the scheme's own tensor row. Units are list-scheduled on true producer
-      edges: a tensor that consumes another tensor's output is never
-      planned before its producer clears the gather barrier, and an
-      independent tensor is never held back by an unrelated chain.
-      Linear steps (adds, plaintext multiply-accumulates) are
+      runs once per RNS tower, each tower on its modulus's *home chip*
+      (:meth:`_home`). CoFHEE downloads one twiddle table per modulus
+      and runs both NTT and iNTT from it (Sections III-J and VIII-B), so
+      a ``(q_i, n)`` is homed the first time the pool sees it and stays
+      there: a chip homing one table downloads it once, and a 3-tower
+      multiply on a pool of 4 finishes in ~one tower's time. Every tower
+      runs the real Algorithm 3 command stream on its home chip's driver
+      and is cross-checked mod ``q_i`` against the scheme's own tensor
+      row. Linear steps (adds, plaintext multiply-accumulates) are
       pointwise-priced on the lead worker, and each key switch becomes a
-      model-priced tail unit on the then-least-loaded worker.
+      model-priced tail on the then-least-loaded worker.
     * **Model path** — a circuit with no tensor step (add/sub/rotate,
       linear circuits) or whose moduli are not chip-native is priced
       whole on the then-least-loaded *lead* worker.
@@ -331,7 +317,7 @@ class ChipPoolBackend(Backend):
                 ChipWorker(index=i, chip=chip, driver=CofheeDriver(chip))
             )
         self._tensor_estimate: dict[int, int] = {}  # n -> per-tower cycles
-        self._schedule_makespan = 0  # cumulative list-schedule makespans
+        self._homes: dict[tuple[int, int], int] = {}  # (q, n) -> worker
 
     # -- accounting --------------------------------------------------------
 
@@ -352,20 +338,11 @@ class ChipPoolBackend(Backend):
     def execute_batch(
         self, batch_id: int, jobs: list[Job], registry: SessionRegistry
     ) -> BatchReport:
-        lead = min(self.workers, key=lambda w: (w.busy_cycles, w.index))
+        lead = self._least_loaded()
         freq = lead.chip.clock.frequency_hz
         busy_before = {w.index: w.busy_cycles for w in self.workers}
         io_before = {w.index: w.io_seconds for w in self.workers}
-        frontier = max(busy_before.values())
-        # List-schedule view: how far the simulated clocks ran.
-        schedule_end = frontier
-
-        def run(job: Job) -> None:
-            nonlocal schedule_end
-            end = self._execute_job(job, registry)
-            schedule_end = max(schedule_end, end)
-
-        self._each_job(jobs, run)
+        self._each_job(jobs, lambda job: self._execute_job(job, registry))
 
         fidelity: dict[str, int] = {}
         tower_cycles: list[int] = []
@@ -387,17 +364,7 @@ class ChipPoolBackend(Backend):
         }
         batch_cycles = sum(added.values())
         used = tuple(sorted(i for i, c in added.items() if c > 0))
-        # How far the simulated clocks (which honor producer edges, not
-        # pool levels) ran past the pool's starting frontier. Dependency
-        # slack makes this ≤ the additive share.
-        schedule_makespan = schedule_end - frontier
-        self._schedule_makespan += schedule_makespan
         if self.metrics is not None:
-            self.metrics.gauge(
-                "repro_schedule_makespan_cycles",
-                "cumulative list-scheduling makespan (per-unit ready "
-                "times against simulated per-worker clocks)",
-            ).set(self._schedule_makespan)
             total = self.total_cycles
             for w in self.workers:
                 self.metrics.gauge(
@@ -424,18 +391,14 @@ class ChipPoolBackend(Backend):
             makespan_cycles=max(added.values(), default=0),
             tower_cycles=tuple(tower_cycles),
             fidelity=fidelity,
-            schedule_makespan_cycles=schedule_makespan,
         )
 
-    def _execute_job(self, job: Job, registry: SessionRegistry) -> int:
+    def _execute_job(self, job: Job, registry: SessionRegistry) -> None:
         """Run one job end to end on the pool and settle it.
 
         Strict-fidelity rejection comes first: the chip-native check
         needs only the session, so a doomed tensor job never pays for the
         expensive host-side math.
-
-        Returns the simulated pool clock when the job's last unit
-        finished (its list-schedule view).
         """
         session = registry.get(job.session_id)
         needs_tensor = bool(job.payload.tensor_steps)
@@ -446,11 +409,11 @@ class ChipPoolBackend(Backend):
                 f"on-chip for {session.params.describe()} "
                 "(moduli not chip-native)"
             )
-        lead = min(self.workers, key=lambda w: (w.busy_cycles, w.index))
+        lead = self._least_loaded()
         if basis is None or not self.data_fidelity:
             self._execute_modeled(job, registry, lead)
-            return self.wall_cycles
-        return self._execute_on_chip(job, registry, basis, lead)
+        else:
+            self._execute_on_chip(job, registry, basis, lead)
 
     def _execute_modeled(
         self, job: Job, registry: SessionRegistry, lead: ChipWorker,
@@ -469,131 +432,51 @@ class ChipPoolBackend(Backend):
     def _execute_on_chip(
         self, job: Job, registry: SessionRegistry, basis: RnsBasis,
         lead: ChipWorker,
-    ) -> int:
+    ) -> None:
         """Chip path: every Eq. 4 tensor of the job replays tower-by-tower.
 
         The exact host math runs first, recording each tensor's operands
-        as the circuit evaluates. Each tensor is one unit, fanned out per
-        tower by list scheduling: a unit becomes plannable the moment its
-        own producers have gathered, and its start is simulated against
-        per-worker clocks, so a consumer of an early-finishing tensor
-        never waits on an unrelated chain. Work is planned in ready
-        waves through :func:`plan_tower_dispatch` (same-modulus
-        grouping, twiddle-reprogramming amortization, affinity only for
-        workers programmed at this degree); busy-cycle totals stay
-        additive while the simulated clocks expose the schedule
-        makespan. After the gather, the key-switch tails are charged.
+        as the circuit evaluates; the tensors then replay in that order,
+        each tower on its modulus's home chip. Each key-switch tail is
+        charged to the then-least-loaded worker, so the tails do not
+        serialize on the lead, which runs the rotations' automorphism
+        copies and the linear steps.
         """
-        trace = job.trace
         circuit: Circuit = job.payload
         tensors: list[tuple[int, Ciphertext, Ciphertext, tuple | None]] = []
         session, result = self._run_job(
             registry, job,
             on_tensor=lambda *tensor: tensors.append(tensor),
         )
-        deps = self._unit_dependencies(
-            circuit, [tensor[0] for tensor in tensors]
-        )
         n = session.params.n
-        towers_n = len(basis.moduli)
-        est = self._tensor_estimate_for(n)
-        gather = TowerGather({
-            unit: tuple(range(towers_n)) for unit in range(len(tensors))
-        })
-        unit_cycles = [[0] * towers_n for _ in tensors]
-        workers_used: set[int] = set()
-        # Simulated per-worker clocks (absolute cycles, origin shared
-        # with busy_cycles); ``finish`` is when each unit's last tower
-        # completes in the schedule.
-        clock = {w.index: w.busy_cycles for w in self.workers}
-        finish: dict[int, int] = {}
-        # Per unit: operand residues and reference outputs on every tower.
-        towers_of: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        remaining = list(range(len(tensors)))
-        while remaining:
-            t_plan = time.perf_counter()
-            ready = [u for u in remaining if deps[u] <= finish.keys()]
-            ready_at = {
-                u: max((finish[d] for d in deps[u]), default=0) for u in ready
-            }
-            plan = plan_tower_dispatch(
-                [
-                    item for u in ready
-                    for item in tower_items_for(u, basis.moduli, est)
-                ],
-                [w.busy_cycles for w in self.workers],
-                [
-                    w.programmed[0]
-                    if w.programmed and w.programmed[1] == n else None
-                    for w in self.workers
-                ],
-                metrics=self.metrics,
-            )
-            t_run = time.perf_counter()
-            trace.mark("tower_dispatch", t_plan, t_run)
-            for widx in sorted(plan):
-                worker = self.workers[widx]
-                for item in plan[widx]:
-                    unit = item.job_seq  # item keys are unit ids
-                    if unit not in towers_of:
-                        towers_of[unit] = self._tower_operands(
-                            basis, n, *tensors[unit][1:]
-                        )
-                    outs, cycles = self._run_tower_checked(
-                        worker, *towers_of[unit], item
-                    )
-                    gather.put(unit, item.tower, outs)
-                    unit_cycles[unit][item.tower] = cycles
-                    workers_used.add(widx)
-                    # The item starts when both its worker is free and
-                    # the unit's producers are done.
-                    start = max(clock[widx], ready_at[unit])
-                    clock[widx] = start + cycles
-                    finish[unit] = max(finish.get(unit, 0), clock[widx])
-            t_gather = time.perf_counter()
-            trace.mark("worker_execute", t_run, t_gather)
-            # Per-unit gather: a unit's full tower set must arrive before
-            # its consumers are planned.
-            for unit in ready:
-                gather.towers(unit)
-            remaining = [u for u in remaining if u not in finish]
-            trace.mark("gather_barrier", t_gather, time.perf_counter())
-        schedule_end = max(clock.values())
-
-        crt_start = time.perf_counter()
-        per_tower = [sum(c[t] for c in unit_cycles) for t in range(towers_n)]
-        trace.mark("crt_recombine", crt_start, time.perf_counter())
-
+        homes = [self._home(q, n) for q in basis.moduli]
+        per_tower = [0] * len(homes)
+        run_start = time.perf_counter()
+        for _, a, b, rows in tensors:
+            operands, expected = self._tower_operands(basis, n, a, b, rows)
+            for tower, worker in enumerate(homes):
+                per_tower[tower] += self._run_tower_checked(
+                    worker, operands, expected, tower, basis.moduli[tower]
+                )
         relin_start = time.perf_counter()
-        finish_worker = lead
-        # Key-switch tails are not tower-bound: each becomes a
-        # KeySwitchWorkItem charged to the then-least-loaded worker so it
-        # does not serialize on the lead, which first runs the
-        # rotations' automorphism copies.
+        job.trace.mark("worker_execute", run_start, relin_start)
         tails, copies = self._key_switch_tails(session, circuit)
         lead.busy_cycles += copies
-        relin_cycles = copies
-        if tails:
-            items = [KeySwitchWorkItem(job_seq=0, est_cycles=c) for c in tails]
-            widxs = plan_keyswitch_dispatch(
-                items, [w.busy_cycles for w in self.workers]
-            )
-            for item, widx in zip(items, widxs):
-                self.workers[widx].busy_cycles += item.est_cycles
-                relin_cycles += item.est_cycles
-            finish_worker = self.workers[widxs[-1]]
+        finish_worker = lead
+        for cycles in tails:
+            finish_worker = self._least_loaded()
+            finish_worker.busy_cycles += cycles
         linear_cycles = self._circuit_linear_cycles(session, circuit)
         lead.busy_cycles += linear_cycles
         job.metrics.fidelity = "chip"
         job.metrics.tower_cycles = tuple(per_tower)
-        job.metrics.tower_workers = tuple(sorted(workers_used))
-        job.metrics.relin_cycles = relin_cycles
-        trace.mark("relin_tail", relin_start, time.perf_counter())
+        job.metrics.tower_workers = tuple(sorted({w.index for w in homes}))
+        job.metrics.relin_cycles = copies + sum(tails)
+        job.trace.mark("relin_tail", relin_start, time.perf_counter())
         self._settle_on(
             job, finish_worker,
-            sum(per_tower) + relin_cycles + linear_cycles, result,
+            sum(per_tower) + job.metrics.relin_cycles + linear_cycles, result,
         )
-        return schedule_end
 
     def _settle_on(
         self, job: Job, worker: ChipWorker, cycles: int, result: object,
@@ -602,7 +485,26 @@ class ChipPoolBackend(Backend):
         job.metrics.cycles = cycles
         self._finish(job, result, cycles / worker.chip.clock.frequency_hz)
 
+    def _least_loaded(self) -> ChipWorker:
+        return min(self.workers, key=lambda w: (w.busy_cycles, w.index))
+
     # -- tower-sharded chip execution ---------------------------------------
+
+    def _home(self, q: int, n: int) -> ChipWorker:
+        """The chip that holds ``(q, n)``'s twiddle table, homed on first use.
+
+        A new table goes to the worker homing the fewest tables, then the
+        one with the fewest busy cycles, then the lowest index (busy
+        cycles alone would home every tower of a fresh pool's first job
+        on chip 0).
+        """
+        if (q, n) not in self._homes:
+            homed = list(self._homes.values())
+            self._homes[q, n] = min(
+                self.workers,
+                key=lambda w: (homed.count(w.index), w.busy_cycles, w.index),
+            ).index
+        return self.workers[self._homes[q, n]]
 
     def _chip_native_basis(self, session: Session) -> RnsBasis | None:
         """The session's CoFHEE basis, iff every tower can run on a chip.
@@ -626,35 +528,6 @@ class ChipPoolBackend(Backend):
         if any((q - 1) % (2 * params.n) != 0 for q in basis.moduli):
             return None
         return basis
-
-    @staticmethod
-    def _unit_dependencies(
-        circuit: Circuit, steps: list[int]
-    ) -> list[set[int]]:
-        """Producer edges between a circuit's tensor units.
-
-        ``steps[u]`` is the circuit step that unit ``u`` replays. Walks
-        the circuit's SSA steps tracking, per register, the set of
-        tensor units whose outputs flow into it (non-tensor steps pass
-        their operands' producer sets through). A unit depends on the
-        producers feeding its own tensor step's operands — the true
-        edges the list scheduler honors.
-        """
-        deps: list[set[int]] = [set() for _ in steps]
-        unit_by_step = {step: unit for unit, step in enumerate(steps)}
-        producers: list[set[int]] = [set() for _ in circuit.inputs]
-        for idx, step in enumerate(circuit.steps):
-            feeding: set[int] = set()
-            for arg, role in zip(step.args, OP_SPECS[step.op][1]):
-                if role == "r":
-                    feeding |= producers[arg]
-            unit = unit_by_step.get(idx)
-            if unit is None:
-                producers.append(feeding)
-            else:
-                deps[unit] = feeding
-                producers.append({unit})
-        return deps
 
     @staticmethod
     def _tower_operands(
@@ -682,24 +555,23 @@ class ChipPoolBackend(Backend):
 
     def _run_tower_checked(
         self, worker: ChipWorker, operands: np.ndarray, expected: np.ndarray,
-        item,
-    ) -> tuple[list[np.ndarray], int]:
-        """One tower's Algorithm 3 on ``worker``, cross-checked mod q_i.
+        tower: int, q: int,
+    ) -> int:
+        """One tower's Algorithm 3 on ``worker``, cross-checked mod ``q``.
 
-        Row ``item.tower`` of :meth:`_tower_operands`' arrays is this
-        tower's input and ground truth.
+        Row ``tower`` of :meth:`_tower_operands`' arrays is this tower's
+        input and ground truth. Returns the tower's chip cycles.
         """
-        rows = operands[:, item.tower]
-        outs, cycles = worker.run_tower(rows[:2], rows[2:], item.modulus)
+        rows = operands[:, tower]
+        outs, cycles = worker.run_tower(rows[:2], rows[2:], q)
         if not all(
-            np.array_equal(y, e) for y, e in zip(outs, expected[:, item.tower])
+            np.array_equal(y, e) for y, e in zip(outs, expected[:, tower])
         ):
             raise BackendError(
                 f"chip {worker.index} mod-q tensor diverged from the "
-                f"reference on tower {item.tower} "
-                f"(q_i = {item.modulus}) — datapath fault"
+                f"reference on tower {tower} (q_i = {q}) — datapath fault"
             )
-        return outs, cycles
+        return cycles
 
     # -- cycle accounting ---------------------------------------------------
 

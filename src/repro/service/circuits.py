@@ -255,10 +255,9 @@ class Circuit:
         relinearizations pass depth through unchanged — they key-switch
         but never tensor.
 
-        One memoized computation (it used to be recomputed independently
-        per path); the chip pool's list scheduler honors the finer
-        producer edges behind these levels, so a tensor is never planned
-        before the tensors its operands were produced by.
+        One memoized computation, read by reports and the examples; the
+        chip pool needs no levels, since it replays a job's tensors in
+        evaluation order, each after the tensors its operands came from.
         """
         cached = getattr(self, "_tensor_levels", None)
         if cached is None:

@@ -16,8 +16,9 @@ caller between steps (the transport pump) delivers each result as soon
 as its own job is done.
 
 Tower sharding happens one level down, inside the chip pool (see
-:mod:`repro.service.towers`): a 3-tower tenant's job occupies more
-workers, but picks stay round-robin. :class:`ServiceStats` aggregates
+:class:`~repro.service.backends.ChipPoolBackend`: each tower runs on its
+modulus's home chip): a 3-tower tenant's job occupies more workers, but
+picks stay round-robin. :class:`ServiceStats` aggregates
 total cycles (work), makespan cycles (wall time on the pool), and the
 fidelity counts that say which jobs really executed on worker drivers.
 """

@@ -787,19 +787,20 @@ class FheServer:
         ``wall_cycles`` (max cumulative per-worker busy cycles — the
         utilization view, assuming work from different jobs overlaps
         freely) and ``batch_makespan_cycles`` (sum of per-job makespans
-        — the conservative view under each job's gather barrier;
-        always >= ``wall_cycles``). ``per_worker_cycles`` shows the
-        spread, ``reprograms`` the tower units for which each worker's
-        driver found its chip on another ``(q, n)`` (or none yet) and
-        paid a twiddle download, ``tower_cycles`` the per-tower totals
-        over every chip-executed job, ``fidelity`` counts jobs per
-        execution path (``chip`` / ``model``, plus ``relin_engine`` /
-        ``relin_model`` for jobs that relinearize), and
-        ``result_cache`` reports the content-addressed machinery: cache
-        hits complete at submit time and cost the pool nothing, and
-        ``dedupe_hits`` counts in-queue dedupe followers — identical
-        jobs submitted before the first completed, attached to its one
-        execution with the result fanned out.
+        — the conservative view with no overlap between jobs; always
+        >= ``wall_cycles``). ``per_worker_cycles`` shows the spread,
+        ``reprograms`` the tower units for which each worker's driver
+        found its chip on another ``(q, n)`` (or none yet) and paid a
+        twiddle download — one per modulus homed on a chip, unless a
+        chip homes several tables and alternates between them —
+        ``tower_cycles`` the per-tower totals over every chip-executed
+        job, ``fidelity`` counts jobs per execution path (``chip`` /
+        ``model``, plus ``relin_engine`` / ``relin_model`` for jobs that
+        relinearize), and ``result_cache`` reports the content-addressed
+        machinery: cache hits complete at submit time and cost the pool
+        nothing, and ``dedupe_hits`` counts in-queue dedupe followers —
+        identical jobs submitted before the first completed, attached to
+        its one execution with the result fanned out.
         """
         pool = self.chip_pool
         stats = self.scheduler.stats

@@ -25,7 +25,7 @@ serving path improved only ~2–2.6x, and nothing said *where* the rest of
   and writes to ``BENCH_serve_phases.json``.
 
 The scheduler picks and dispatches one job at a time, so a job's
-execution phases (``execute``, the tower phases, ``keyswitch``) are its
+execution phases (``execute``, ``worker_execute``, ``keyswitch``) are its
 own work only, and everything from its submit settling to its own
 dispatch — including the time it spends behind earlier jobs — is its
 ``queue_wait``.
@@ -40,9 +40,9 @@ import time
 from dataclasses import dataclass, field
 
 #: Span-phase glossary, in canonical pipeline order. Not every job has
-#: every phase: only chip-native tensors see ``tower_dispatch`` /
-#: ``worker_execute`` / ``gather_barrier``, only jobs that relinearize or
-#: rotate a ``keyswitch``, and only transport-served jobs a ``reply``. A
+#: every phase: only chip-native tensors see ``worker_execute`` and
+#: ``relin_tail``, only jobs that relinearize or rotate a
+#: ``keyswitch``, and only transport-served jobs a ``reply``. A
 #: multi-step circuit alternates ``execute`` and ``keyswitch`` spans, one
 #: per stretch of its host-side evaluation.
 PHASES = (
@@ -52,10 +52,7 @@ PHASES = (
     "queue_wait",      # submit settled -> the job's own dispatch
     "execute",         # host-side functional execution (the exact math)
     "keyswitch",       # a relinearization or Galois key switch (the kernel)
-    "tower_dispatch",  # planning the per-tower fan-out for a level
-    "worker_execute",  # chip workers running a level's tower units
-    "gather_barrier",  # settling the level's tower gather
-    "crt_recombine",   # CRT recombination of gathered tower outputs
+    "worker_execute",  # home chips replaying the job's tensor towers
     "relin_tail",      # pricing/charging the chip pool's key-switch tails
     "serialize",       # result -> wire bytes
     "reply",           # transport writing the completion frame
@@ -267,8 +264,7 @@ def new_trace() -> JobTrace | _NullTrace:
 #: dedupe follower inherits from the primary whose single execution
 #: produced its result (see :func:`adopt_batch_spans`).
 BATCH_WINDOW_PHASES = frozenset((
-    "queue_wait", "execute", "tower_dispatch", "worker_execute",
-    "gather_barrier", "crt_recombine", "keyswitch", "relin_tail",
+    "queue_wait", "execute", "worker_execute", "keyswitch", "relin_tail",
 ))
 
 

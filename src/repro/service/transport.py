@@ -34,7 +34,7 @@ receives its own completion event.
 
 App circuits ride the same machinery: a SUBMIT_CIRCUIT frame carries a
 compiled multi-step program (see :mod:`repro.service.circuits`) plus its
-input ciphertexts, the chip pool expands it into per-tower work units,
+input ciphertexts, the chip pool replays each tensor step per tower,
 and the completion EVENT's payload is the framed named-output map — the
 full Section VI-C applications served over one socket.
 """

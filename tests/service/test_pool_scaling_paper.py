@@ -6,9 +6,9 @@ yield at least a 1.5x shorter EvalMult makespan than a pool of 1, with
 every tower executed through ``CofheeDriver.ciphertext_multiply_rns``'s
 per-tower path and the results bit-identical across pool sizes.
 
-Skipped unless ``--slow`` is passed (see ``tools/run_checks.sh --slow``):
-each pool run pushes real Algorithm 3 command streams through the chip
-model at n = 2^12, which takes tens of seconds.
+Part of tier-1: each pool run pushes real Algorithm 3 command streams
+through the chip model at n = 2^12, and the whole test takes a few
+seconds.
 """
 
 import random
@@ -21,8 +21,6 @@ from repro.service.backends import ChipPoolBackend
 from repro.service.jobs import Job, JobKind, JobStatus
 from repro.service.registry import SessionRegistry
 from repro.service.scheduler import JobScheduler
-
-pytestmark = [pytest.mark.slow, pytest.mark.paper_scale]
 
 N = 2**12
 TOWERS = 3
@@ -83,7 +81,7 @@ def test_pool_of_four_halves_paper_scale_makespan(paper_world):
             assert len(m.tower_cycles) == TOWERS
             assert all(c > 0 for c in m.tower_cycles)
             assert m.cycles == sum(m.tower_cycles) + m.relin_cycles
-        # Conservative wall time: per-job makespans add (gather barrier).
+        # Conservative wall time: per-job makespans add (no overlap).
         makespan[size] = stats.makespan_cycles
         assert backend.wall_cycles <= stats.makespan_cycles
         results[size] = [

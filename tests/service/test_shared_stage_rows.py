@@ -87,12 +87,12 @@ def stage_row_builds(monkeypatch):
 
 
 def test_one_derivation_per_table_across_the_pool(stage_row_builds):
-    """Served EvalMults rotate 3 towers over 4 chips, so nearly every
-    tower unit reprograms its chip; the rows are still derived once per
-    distinct ``(q, n)``."""
+    """Served EvalMults home 3 towers on 2 chips, so one chip alternates
+    two twiddle tables and reprograms on every tower unit; the rows are
+    still derived once per distinct ``(q, n)``."""
     params = BfvParameters.toy_rns(N, 3, 30)
     bfv, keys, cts = _tenant(params, 30, 30)
-    pool = _Pool(pool_size=4)
+    pool = _Pool(pool_size=2)
     session = pool.open(params, keys)
     jobs = 6
     for i in range(jobs):

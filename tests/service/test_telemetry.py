@@ -262,7 +262,7 @@ class TestDedupeFanoutTraces:
         # The adopted window is the follower's own timeline: nothing
         # adopted starts before it queued.
         for span in follower.spans:
-            if span.phase in ("execute", "gather_barrier"):
+            if span.phase in ("execute", "worker_execute"):
                 assert span.start >= follower.queued_at
         # And the trace now explains most of the follower's latency.
         rows = aggregate_phases([follower])

@@ -12,7 +12,7 @@ row saying how much of the measured latency the spans explain.
 This is the tool the tracing subsystem exists for: BENCH_kernels.json
 says the kernels got 16-27x faster while ``serve_job`` improved ~2-2.6x,
 and this table shows where the remaining serving time actually goes
-(queue wait? the gather barrier? the key switch? serialization?) per
+(queue wait? the chip replay? the key switch? serialization?) per
 backend, so the next perf PR can aim at the biggest bar instead of
 guessing.
 
