@@ -15,13 +15,13 @@ Three fidelity levels let callers trade speed for detail:
 * ``"pe"`` — every butterfly goes through
   :class:`repro.core.pe.ProcessingElement` (bit-exact Barrett datapath,
   per-access SRAM statistics). Used by the verification tests.
-* ``"vector"`` (default) — same stage walk and the same bank-resident
-  twiddles, computed with batched modular arithmetic: the shared in-place
-  Shoup stage kernels of :mod:`repro.polymath.kernels` (the ones the
-  batched tower engine runs) for moduli of at most 30 bits, a scalar walk
-  otherwise; identical results and cycle counts. One n = 2^12
-  Algorithm 3 tower (12 commands, 30-bit q) replays in 3.2 ms against
-  218 ms at ``"pe"`` (68x) on a 2-core Xeon host.
+* ``"vector"`` (default) — the same commands on the same bank-resident
+  twiddles, computed with batched modular arithmetic: the four-step GEMM
+  NTT of :mod:`repro.polymath.kernels` (the one the batched tower engine
+  runs), with matrices derived from the words the twiddle bank holds, for
+  moduli of at most 30 bits, a scalar stage walk otherwise; identical
+  results, and the same cycles, PE operations and per-stage bank traffic
+  (:meth:`Mdmc._stage_stats`).
 * ``"timing"`` — cycle/power accounting only, data untouched. Used by the
   paper-scale latency benches, where cycle counts are data-independent.
 """
@@ -42,12 +42,10 @@ from repro.core.timing import TimingModel
 from repro.polymath.bitrev import bit_reverse_indices
 from repro.polymath.kernels import (
     MAX_MODULUS_BITS,
-    Stage,
-    dif,
-    dit,
-    half_shape,
+    FourStep,
+    fits,
     mul_const,
-    stage_twiddles,
+    transform,
 )
 from repro.polymath.rns import residue_words
 
@@ -163,10 +161,10 @@ class Mdmc:
         twiddles = self._load_vector(cmd.twiddle_addr, n)
         in_bank, _, _ = self.memory_map.decode(cmd.x_addr)
         out_bank, _, _ = self.memory_map.decode(cmd.out_addr)
-        if level == "vector" and self._numpy_ok(q):
-            rows = self._stage_rows(twiddles, q).dit
-            out = dit(residue_words(words, q), np.uint64(q), rows)
-            self._store_vector(cmd.out_addr, out)
+        if level == "vector" and fits(q, n):
+            forward, _ = self._tables(twiddles, q)
+            out = transform(residue_words(words, q)[None, None], forward)
+            self._store_vector(cmd.out_addr, out[0, 0])
             self._stage_stats(in_bank, out_bank, n, count_pe=True, stages=stages)
             trace.add("dit_butterfly", cycles, n)
             return
@@ -215,11 +213,11 @@ class Mdmc:
         forward = self._load_vector(cmd.twiddle_addr, n)
         in_bank, _, _ = self.memory_map.decode(cmd.x_addr)
         out_bank, _, _ = self.memory_map.decode(cmd.out_addr)
-        if level == "vector" and self._numpy_ok(q):
+        if level == "vector" and fits(q, n):
             if cmd.constant == 0:
                 raise ConfigError("iNTT requires n^-1 in the command constant field")
-            rows = self._stage_rows(forward, q).dif
-            a = dif(residue_words(words, q), np.uint64(q), rows)
+            _, inverse = self._tables(forward, q)
+            a = transform(residue_words(words, q)[None, None], inverse)[0, 0]
             self._stage_stats(in_bank, out_bank, n, count_pe=True, stages=stages)
             n_inv = np.uint64(cmd.constant % q)
             self._store_vector(cmd.out_addr, mul_const(a, n_inv, np.uint64(q)))
@@ -293,7 +291,8 @@ class Mdmc:
         op = cmd.opcode
         x = self._load_vector(cmd.x_addr, n)
         y = self._load_vector(cmd.y_addr, n) if op.needs_y_operand else None
-        if level == "vector" and op is not Opcode.PMUL and self._numpy_ok(q):
+        if (level == "vector" and op is not Opcode.PMUL
+                and 1 < q and q.bit_length() <= MAX_MODULUS_BITS):
             # PMUL stays scalar: it multiplies raw (unreduced) words.
             out = _pointwise(op, residue_words(x, q),
                              None if y is None else residue_words(y, q),
@@ -368,17 +367,6 @@ class Mdmc:
             raise ConfigError("modulus not programmed (Q register)")
         return self.pe.q
 
-    @staticmethod
-    def _numpy_ok(q: int) -> bool:
-        """Whether vector fidelity may use the shared uint64 kernels.
-
-        They take moduli of at most
-        :data:`~repro.polymath.kernels.MAX_MODULUS_BITS` bits; wider ones
-        take the scalar walk. Both walk the same stages with the same
-        bank-resident twiddles, so the results are bit-identical.
-        """
-        return 1 < q and q.bit_length() <= MAX_MODULUS_BITS
-
     def _load_vector(self, address: int, count: int) -> np.ndarray:
         values, _ = self.bus.burst_read_words(address, count)
         return values
@@ -387,17 +375,16 @@ class Mdmc:
         self.bus.burst_write(address, values)
 
     @staticmethod
-    def _stage_rows(twiddles: np.ndarray, q: int) -> "_StageRows":
-        """The vector kernels' per-stage twiddle rows for this table.
+    def _tables(twiddles: np.ndarray, q: int) -> tuple[FourStep, FourStep]:
+        """The kernel's forward and inverse matrices for this table.
 
         Shared across every MDMC in the process and keyed on ``q`` and
-        the words just read out of the twiddle bank, as the ``uint64``
-        residues the kernels would see (never the bytes of an
-        ``object``-dtype bank, whose elements are pointers): a kernel
-        always uses exactly what the bank holds, and a corrupted table
-        derives rows of its own.
+        the words just read out of the twiddle bank, as ``uint64``
+        residues (never the bytes of an ``object``-dtype bank, whose
+        elements are pointers): the kernel always uses exactly what the
+        bank holds, and a corrupted table derives matrices of its own.
         """
-        return _shared_stage_rows(q, residue_words(twiddles, q).tobytes())
+        return _shared_tables(q, residue_words(twiddles, q).tobytes())
 
     def _stage_stats(
         self, in_bank: SramBank, out_bank: SramBank, n: int, count_pe: bool,
@@ -455,45 +442,17 @@ def _bit_reverse_array(n: int) -> np.ndarray:
     return table
 
 
-class _StageRows:
-    """Per-stage twiddle rows for one bank-resident twiddle table.
-
-    The kernels' :func:`~repro.polymath.kernels.stage_twiddles`, expanded
-    to each stage's contiguous half shape: one row has no tower axis to
-    amortise a broadcast over. ``dit`` rows come from the forward table
-    as stored; ``dif`` rows from the inverse table the address generator
-    derives from it (see ``_run_intt``). A table's rows never change, so
-    one derivation serves every chip that holds it
-    (:func:`_shared_stage_rows`).
-    """
-
-    def __init__(self, forward: np.ndarray, q: int):
-        n = forward.size
-        brv = _bit_reverse_array(n)
-        inverse = np.empty_like(forward)
-        inverse[0] = 1
-        inverse[1:] = (np.uint64(q) - forward[brv[n - brv[1:]]]) % np.uint64(q)
-        self.dit = self._expand(forward, q)
-        self.dif = self._expand(inverse, q)
-
-    @staticmethod
-    def _expand(table: np.ndarray, q: int) -> list[Stage]:
-        stages = stage_twiddles(table, np.uint64(q))
-        rows = [
-            tuple(np.broadcast_to(w, half_shape(k, table.size)).copy()
-                  for w in pair)
-            for k, pair in enumerate(stages)
-        ]
-        for pair in rows:
-            for w in pair:
-                w.flags.writeable = False  # shared by every chip
-        return rows
-
-
 @lru_cache(maxsize=16)
-def _shared_stage_rows(q: int, table: bytes) -> _StageRows:
-    """:class:`_StageRows` of a ``uint64`` residue table, once per content."""
-    return _StageRows(np.frombuffer(table, dtype=np.uint64), q)
+def _shared_tables(q: int, table: bytes) -> tuple[FourStep, FourStep]:
+    """The kernel's forward and inverse matrices of a ``uint64`` residue
+    twiddle table, derived once per content and shared by every chip.
+
+    Both come from the forward table as stored: the inverse's ``psi^-e``
+    is its ``psi^(2n - e)``, the same zero-storage derivation the address
+    generator makes for the scalar iNTT (see ``_run_intt``).
+    """
+    psi = np.frombuffer(table, dtype=np.uint64)[None]
+    return FourStep.derive(psi, [q]), FourStep.derive(psi, [q], inverse=True)
 
 
 def _pointwise(op: Opcode, x: np.ndarray, y: np.ndarray | None,

@@ -9,19 +9,20 @@ int64 ndarray, and every operation — forward and inverse negacyclic NTT,
 Hadamard and tensor products, additions, CRT recombination — runs across
 all towers at once with a per-tower modulus column.
 
-The transforms are the shared stage kernels of
-:mod:`repro.polymath.kernels` — the same in-place Shoup butterflies the
-chip model's MDMC runs over one bank row — fed one compact ``(L, n)``
-twiddle table plus its Shoup companions per direction. They are
-**bit-identical** to :class:`NttContext`: the twiddle tables are built by
-the same per-tower contexts, and lazy reduction only defers (never
-changes) the mod-q result. The property suite proves it across random
-(n, basis, tower-count) grids.
+The transforms are the four-step kernel of :mod:`repro.polymath.kernels`
+— two float64 GEMMs per row around one twiddle pass, the kernel the
+chip model's MDMC runs over one bank row — with ``(L, ...)`` matrices per
+direction gathered from the per-tower contexts' ``psi`` tables, ``n^-1``
+folded into the inverse's last one. They are **bit-identical** to
+:class:`NttContext`: every GEMM partial sum is an exact float64 integer,
+and every reduction is exact mod q. The property suite proves it across
+random (n, basis, tower-count) grids.
 
 Engine selection is capability-based: :func:`get_engine` returns a cached
 engine when every tower modulus is an NTT-friendly prime of at most
-:data:`MAX_MODULUS_BITS` bits, and ``None`` otherwise — callers fall back
-to the exact pure-Python path for wide moduli.
+:data:`MAX_MODULUS_BITS` bits that keeps the kernel's GEMMs exact at
+``n`` (:func:`~repro.polymath.kernels.fits`), and ``None`` otherwise —
+callers fall back to the exact pure-Python path for wide moduli.
 
 When q's own towers are engine-sized, nothing between wire and wire needs
 a wide integer, as on the chip: a ciphertext is a tower-backed
@@ -53,15 +54,17 @@ def supports(moduli: "RnsBasis | Sequence[int]", n: int) -> bool:
     """Can the batched engine run this basis at degree ``n``?
 
     Requires a power-of-two degree and, per tower, an NTT-friendly prime
-    (``q === 1 mod 2n``) of at most :data:`MAX_MODULUS_BITS` bits. Wide
-    moduli (e.g. SEAL's 54/55-bit CPU towers or CoFHEE's native 109-bit
-    towers) fail the check and stay on the exact pure-Python path.
+    (``q === 1 mod 2n``) of at most :data:`MAX_MODULUS_BITS` bits whose
+    GEMM partial sums stay exact at ``n``
+    (:func:`~repro.polymath.kernels.fits`). Wide moduli (e.g. SEAL's
+    54/55-bit CPU towers or CoFHEE's native 109-bit towers) fail the
+    check and stay on the exact pure-Python path.
     """
     mods = moduli.moduli if isinstance(moduli, RnsBasis) else tuple(moduli)
     if n < 2 or n & (n - 1) or not mods:
         return False
     return all(
-        q.bit_length() <= MAX_MODULUS_BITS
+        kernels.fits(q, n)
         and (q - 1) % (2 * n) == 0
         and is_prime(q)
         for q in mods
@@ -83,7 +86,7 @@ def require_engine(basis: RnsBasis, n: int) -> "BatchedRnsEngine":
 
     Engines are cached per (moduli, n) so every consumer — scheme
     multiplier, software baseline, chip-pool cross-check — shares one set
-    of twiddle/Shoup tables.
+    of NTT tables.
 
     Raises:
         ValueError: if any tower is wide or non-NTT-friendly at ``n``.
@@ -115,13 +118,18 @@ class BatchedRnsEngine:
                 f"{basis!r} does not qualify for the batched engine at "
                 f"n = {n} (wide or non-NTT-friendly towers); use NttContext"
             )
-        # Per-tower contexts build (and validate) the twiddle tables; the
-        # engine sharing them with NttContext is what makes bit-identity
-        # a construction property rather than a numerical accident.
-        self._ctxs = tuple(NttContext(n, q) for q in basis.moduli)
-        self._init_tables(basis, n)
+        # Per-tower contexts build (and validate) the psi tables the
+        # kernel's matrices are gathered from, as on the chip.
+        ctxs = [NttContext(n, q) for q in basis.moduli]
+        psi = np.asarray([c._psi_brv for c in ctxs], dtype=np.uint64)
+        self._init_tables(basis, n, (
+            kernels.FourStep.derive(psi, basis.moduli),
+            kernels.FourStep.derive(psi, basis.moduli, inverse=True,
+                                    scale=[c.n_inv for c in ctxs]),
+        ))
 
-    def _init_tables(self, basis: RnsBasis, n: int) -> None:
+    def _init_tables(self, basis: RnsBasis, n: int, ntt: tuple) -> None:
+        self._fwd, self._inv = ntt
         self.basis = basis
         self.n = n
         self.num_towers = len(basis)
@@ -144,16 +152,6 @@ class BatchedRnsEngine:
                 prefix.append(prod % qk)
                 prod *= basis.moduli[i]
             self._garner.append((prefix, modinv(prod % qk, qk)))
-        # The kernels' operands: per-stage views of one compact (L, n)
-        # twiddle table per direction and of its Shoup companions.
-        q = self._q_u64 = self._q.astype(np.uint64)
-        psi = np.asarray([c._psi_brv for c in self._ctxs], dtype=np.uint64)
-        ipsi = np.asarray([c._ipsi_brv for c in self._ctxs], dtype=np.uint64)
-        self._psi = kernels.stage_twiddles(psi, q)
-        self._ipsi = kernels.stage_twiddles(ipsi, q)
-        self._n_inv = np.asarray(
-            [c.n_inv for c in self._ctxs], dtype=np.uint64
-        )[:, None]
         # Lazily built base-conversion tables and scaling sub-engines.
         self._tables: dict = {}
 
@@ -462,7 +460,7 @@ class BatchedRnsEngine:
     # ------------------------------------------------------------------
 
     def forward(self, stack: np.ndarray) -> np.ndarray:
-        """Negacyclic forward NTT (Cooley-Tukey DIT), all towers at once.
+        """Negacyclic forward NTT, all towers at once.
 
         Natural order in, bit-reversed order out per tower — identical
         values to ``NttContext.forward`` row by row. Accepts one stack
@@ -473,7 +471,7 @@ class BatchedRnsEngine:
         return out[0] if squeeze else out
 
     def inverse(self, stack: np.ndarray) -> np.ndarray:
-        """Negacyclic inverse NTT (Gentleman-Sande DIF) with n^-1 scaling.
+        """Negacyclic inverse NTT with n^-1 scaling.
 
         Bit-reversed order in, natural order out — identical values to
         ``NttContext.inverse`` row by row. Accepts one stack or a batch.
@@ -485,14 +483,11 @@ class BatchedRnsEngine:
     def _forward(self, a: np.ndarray) -> np.ndarray:
         """:meth:`forward` of a reduced ``(B, L, n)`` int64 batch the
         caller hands over: the kernel consumes it, no ``% q`` pass."""
-        out = kernels.dit(a.view(np.uint64), self._q_u64, self._psi)
-        return out.view(np.int64)
+        return kernels.transform(a, self._fwd)
 
     def _inverse(self, a: np.ndarray) -> np.ndarray:
         """:meth:`inverse` of a reduced batch the caller hands over."""
-        q = self._q_u64
-        out = kernels.dif(a.view(np.uint64), q, self._ipsi)
-        return kernels.mul_const(out, self._n_inv, q).view(np.int64)
+        return kernels.transform(a, self._inv)
 
     # ------------------------------------------------------------------
     # Pointwise arithmetic (NTT or coefficient domain alike)
@@ -597,10 +592,15 @@ class BatchedRnsEngine:
 
     def select(self, indices: Sequence[int]) -> "BatchedRnsEngine":
         """An engine over a subset of towers, sharing all precomputation:
-        its twiddle/Shoup tables are row slices of this one's."""
+        for a run of consecutive towers its NTT tables are row slices
+        (views) of this one's, otherwise gathered copies."""
+        indices = list(indices)
+        rows = slice(indices[0], indices[-1] + 1)
+        if indices != list(range(rows.start, rows.stop)):
+            rows = indices
         sub = object.__new__(BatchedRnsEngine)
-        sub._ctxs = tuple(self._ctxs[i] for i in indices)
-        sub._init_tables(self.basis.sub_basis(indices), self.n)
+        sub._init_tables(self.basis.sub_basis(indices), self.n,
+                         (self._fwd.rows(rows), self._inv.rows(rows)))
         return sub
 
     # ------------------------------------------------------------------

@@ -1,52 +1,58 @@
-"""The NTT stage kernels: one butterfly datapath for every vector caller.
+"""The NTT kernel: Bailey's four-step transform as two float64 GEMMs.
 
 CoFHEE runs NTT and iNTT through one butterfly unit from one bank-resident
-twiddle table (Section VIII-B, Algorithm 3). This module is that datapath
-in numpy, run by the batched tower engine over a whole tower stack and by
-the chip model's MDMC over one bank row: :func:`dit` (Cooley-Tukey,
-natural order in, bit-reversed out), :func:`dif` (Gentleman-Sande before
-the ``n^-1`` pass, bit-reversed in, natural out) and the 32-bit Shoup
-product :func:`shoup_into` both use.
+twiddle table (Section VIII-B, Algorithm 3). This module computes the same
+transforms for every vector caller — the batched tower engine over a whole
+``(..., L, n)`` stack, the chip model's MDMC over one bank row — with
+Bailey's four-step mapping ("FFTs in external or hierarchical memory",
+J. Supercomputing 1990), as TensorFHE (Fan et al., HPCA 2023) applies it
+to FHE.
 
-Arrays are ``uint64`` shaped ``(..., L, n)``: row ``i`` holds residues
-mod ``q[i]`` for an ``(L, 1)`` modulus column ``q`` (a scalar for one
-row). The kernels work in place and consume their input. A stage holds
-its butterfly inputs as two contiguous halves, top operands then bottom
-operands in butterfly order, and writes its outputs straight into the
-next stage's halves in a second buffer; the two buffers ping-pong like
-the chip's banks (:func:`_next_halves`). Stage ``k`` has ``m = 2^k``
-twiddle blocks of ``t = n / 2m`` butterflies; each half is viewed
-block-major, ``(m, t)``, while ``m <= t`` and block-minor, ``(t, m)``,
-after (:func:`half_shape`), so every numpy loop runs at least
-``sqrt(n / 2)`` long.
+For ``n = n1 * n2`` with ``n1 = 2^ceil(log2(n) / 2)``, a row viewed as an
+``n1 x n2`` matrix ``X`` transforms as ``((W1 X) o T) W2``, with
+``W1[k1, j1] = psi^((2k1+1) n2 j1)`` and ``T[k1, j2] = psi^((2k1+1) j2)``
+taken in bit-reversed ``k1`` row order and ``W2[j2, k2] = psi^(2 n1 k2
+j2)`` in bit-reversed ``k2`` column order: the result is then already in
+:class:`~repro.polymath.ntt.NttContext`'s bit-reversed order. The inverse
+is the same three steps on the transposed row, with ``psi^-1`` powers
+(:class:`FourStep`). Every matrix is a gather from one forward
+``psi``-power table in bit-reversed order, ``psi^e = tab[brv(e mod n)]``,
+negated for ``e mod 2n >= n``, so a caller passes the table it holds.
 
-``stages[k]`` is stage ``k``'s ``(w, w_shoup)`` twiddle pair: any arrays
-that broadcast against its half, so each caller keeps its own table
-layout. The engine passes :func:`stage_twiddles` views of one compact
-``(L, n)`` table; the MDMC expands them per stage for its single row.
-
-Values stay lazily reduced below ``4q`` between stages (Harvey's
-butterfly) and are multiplied by Shoup companions
-``floor(w * 2^32 / q)``, so ``4q`` must fit 32 bits: moduli of at most
-:data:`MAX_MODULUS_BITS` bits. Every ``uint64`` product is then exact,
-and the results equal :class:`~repro.polymath.ntt.NttContext`'s bit for
-bit.
+Exactness. Each constant matrix is centred and split into two 15-bit
+limbs of magnitude at most ``2^14``, the high one pre-scaled by ``2^15``,
+so each matrix step is one ``matmul`` over both limbs whose partial sums
+are integers (multiples of ``2^15`` for the high limb) below ``n1 * 2^15
+* (q - 1) < 2^53``: exact in float64 whatever the BLAS summation order
+(:func:`fits`). The high product is reduced as ``P - rint(P / (q 2^15))
+(q 2^15)``, the low one added, and one centred ``rint`` reduction leaves
+a residue in ``(-q, q)``; each subtraction is exact (Sterbenz). The
+middle twiddle step is the same limb split, elementwise: in float64 it
+needs no conversion to or from ``uint64``. Results equal
+:class:`~repro.polymath.ntt.NttContext`'s bit for bit.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-#: Widest tower modulus the kernels take: ``4q < 2^32``.
+from repro.polymath.bitrev import bit_reverse_indices
+
+#: Widest tower modulus the kernels take: its centred residues, below
+#: ``2^29``, split into two limbs of at most ``2^14``.
 MAX_MODULUS_BITS = 30
 
 #: Shift width of the Shoup companions.
 SHOUP_SHIFT = np.uint64(32)
 
-#: One stage's ``(w, w_shoup)`` twiddle pair.
-Stage = tuple[np.ndarray, np.ndarray]
+#: Rows of a stack the kernel transforms per pass, in words: bounds its
+#: float64 workspace however large the batch is.
+CHUNK_WORDS = 1 << 15
+
+_LIMB = 1 << 15
 
 
 def shoup_into(x, w, w_shoup, q, out, tmp) -> None:
@@ -55,7 +61,7 @@ def shoup_into(x, w, w_shoup, q, out, tmp) -> None:
     The estimate ``floor(x * w_shoup / 2^32)`` undershoots the quotient
     by at most one, so ``x * w - estimate * q`` lands in ``[0, 2q)``; the
     ``uint64`` products wrap mod 2^64 but the difference fits, so it is
-    exact. ``tmp`` is scratch of ``out``'s shape.
+    exact. ``out`` may be ``x``; ``tmp`` is scratch of ``out``'s shape.
     """
     np.multiply(x, w_shoup, out=tmp)
     tmp >>= SHOUP_SHIFT
@@ -68,7 +74,7 @@ def mul_const(a: np.ndarray, c, q) -> np.ndarray:
     """``a * c mod q`` in place, fully reduced (``a < 2^32``, ``c < q``).
 
     ``c`` is ``uint64`` and broadcasts like ``q`` (one constant per row):
-    the iNTT's ``n^-1`` pass and the chip's CMODMUL.
+    the chip's CMODMUL, and its iNTT's ``n^-1`` pass.
     """
     tmp = np.empty_like(a)
     shoup_into(a, c, (c << SHOUP_SHIFT) // q, q, a, tmp)  # < 2q
@@ -76,136 +82,154 @@ def mul_const(a: np.ndarray, c, q) -> np.ndarray:
     return np.minimum(a, tmp, out=a)
 
 
-def stage_twiddles(w: np.ndarray, q) -> list[Stage]:
-    """Per-stage ``(w, w_shoup)`` views of one compact bit-reversed table.
-
-    ``w`` is ``(..., n)``: ``NttContext``'s ``_psi_brv`` (forward) or
-    ``_ipsi_brv`` (inverse) per row; stage ``k`` reads entries
-    ``[m, 2m)`` and broadcasts them across each block's butterflies.
-    """
-    n = w.shape[-1]
-    w_shoup = (w << SHOUP_SHIFT) // q
-    stages = []
-    for k in range(n.bit_length() - 1):
-        m = 1 << k
-        axis = -2 if _column(k, n) else -1
-        stages.append((
-            np.expand_dims(w[..., m : 2 * m], axis),
-            np.expand_dims(w_shoup[..., m : 2 * m], axis),
-        ))
-    return stages
+def split(n: int) -> tuple[int, int]:
+    """``(n1, n2)``: the row-matrix shape of a length-``n`` row."""
+    n1 = 1 << (n.bit_length() // 2)
+    return n1, n // n1
 
 
-def half_shape(k: int, n: int) -> tuple[int, int]:
-    """The shape stage ``k`` views each ``n / 2``-word half in."""
-    m = 1 << k
-    t = n // (2 * m)
-    return (t, m) if _column(k, n) else (m, t)
-
-
-def dit(a: np.ndarray, q, stages: Sequence[Stage]) -> np.ndarray:
-    """Cooley-Tukey DIT over residues ``a < q``, fully reduced out.
-
-    Natural order in, bit-reversed order out, with the ``psi``-power
-    twiddles of :func:`stage_twiddles`; ``a`` is consumed.
-    """
-    lead, n = a.shape[:-1], a.shape[-1]
-    h = n // 2
-    q2 = 2 * q
-    qb = np.expand_dims(q, -1)  # broadcasts against a (..., L, r, c) half
-    x, y = a, np.empty_like(a)
-    v, tmp = np.empty(lead + (h,), np.uint64), np.empty(lead + (h,), np.uint64)
-    for k, (wk, wk_shoup) in enumerate(stages):
-        shape = lead + half_shape(k, n)
-        u = x[..., :h]
-        shoup_into(x[..., h:].reshape(shape), wk, wk_shoup, qb,
-                   v.reshape(shape), tmp.reshape(shape))  # < 2q
-        np.subtract(u, q2, out=tmp)
-        np.minimum(u, tmp, out=u)  # < 2q
-        top_out, bottom_out, src = _next_halves(y, k)
-        us, vs = u.reshape(src), v.reshape(src)
-        np.add(us, vs, out=top_out)  # < 4q
-        u += q2
-        np.subtract(us, vs, out=bottom_out)  # < 4q
-        x, y = y, x
-    np.subtract(x, q2, out=y)
-    np.minimum(x, y, out=x)
-    np.subtract(x, q, out=y)
-    return np.minimum(x, y, out=x)
-
-
-def dif(a: np.ndarray, q, stages: Sequence[Stage]) -> np.ndarray:
-    """Gentleman-Sande DIF over residues ``a < q``, before ``n^-1``.
-
-    Bit-reversed order in, natural order out, values below ``2q``, with
-    the ``psi^-1``-power twiddles of :func:`stage_twiddles`; ``a`` is
-    consumed. The stages run in reverse (blocks halve, butterfly spans
-    double), each gathering its input halves back out of the layout
-    :func:`dit` would have written.
-    """
-    lead, n = a.shape[:-1], a.shape[-1]
-    h = n // 2
-    q2 = 2 * q
-    qb = np.expand_dims(q, -1)
-    # The last stage pairs neighbours: de-interleave them into halves.
-    x = np.ascontiguousarray(
-        a.reshape(lead + (h, 2)).swapaxes(-1, -2)
-    ).reshape(a.shape)
-    y = np.empty_like(x)
-    d, tmp = np.empty(lead + (h,), np.uint64), np.empty(lead + (h,), np.uint64)
-    for k in range(len(stages) - 1, -1, -1):
-        wk, wk_shoup = stages[k]
-        half = half_shape(k, n)
-        shape = lead + half
-        u, b = x[..., :h], x[..., h:]
-        np.add(u, q2, out=d)
-        d -= b  # u - b + 2q < 4q
-        u += b
-        np.subtract(u, q2, out=tmp)
-        np.minimum(u, tmp, out=u)  # < 2q
-        bottom = x.reshape(lead + (2,) + half)[..., 1, :, :]  # b, as a view
-        shoup_into(d.reshape(shape), wk, wk_shoup, qb, bottom,
-                   tmp.reshape(shape))  # < 2q
-        if k == 0:
-            return x  # one block: the halves are the natural order
-        top_in, bottom_in, src = _next_halves(x, k - 1)
-        np.copyto(y[..., :h].reshape(src), top_in)
-        np.copyto(y[..., h:].reshape(src), bottom_in)
-        x, y = y, x
-    return x
-
-
-def _column(k: int, n: int) -> bool:
-    """Whether stage ``k`` lays its halves out block-minor, ``(t, m)``."""
-    return 1 << (2 * k + 1) > n
-
-
-def _next_halves(buf: np.ndarray, k: int):
-    """Where the outputs of stage ``k`` land in ``buf``.
-
-    Returns ``(top, bottom, shape)``: views of ``buf`` receiving the
-    stage's top and bottom outputs once its flat halves are reshaped to
-    ``shape``, arranged as the input halves of stage ``k + 1``.
-    ``buf`` is a contiguous ``(..., n)`` array; leading axes ride along.
-    """
-    lead, n = buf.shape[:-1], buf.shape[-1]
-    m = 1 << k
-    t = n // (2 * m)
-    if t == 1:  # last stage: outputs interleave in natural order
-        pairs = buf.reshape(lead + (n // 2, 2))
-        return pairs[..., 0], pairs[..., 1], lead + (n // 2,)
-    if _column(k + 1, n):
-        # Next inputs are (t/2, 2m) halves whose block 2i + c is block i
-        # of this stage's top (c = 0) or bottom (c = 1) output.
-        cols = buf.reshape(lead + (2, t // 2, m, 2))
-        top, bottom = cols[..., 0], cols[..., 1]
-        if _column(k, n):
-            return top, bottom, lead + (2, t // 2, m)
-        return (np.moveaxis(top, -1, -3), np.moveaxis(bottom, -1, -3),
-                lead + (m, 2, t // 2))
-    quads = buf.reshape(lead + (2, m, 2, t // 2))
-    return (
-        quads[..., 0, :].swapaxes(-3, -2),
-        quads[..., 1, :].swapaxes(-3, -2),
-        lead + (m, 2, t // 2),
+def fits(q: int, n: int) -> bool:
+    """Whether the kernel is exact for modulus ``q`` at degree ``n``:
+    ``q`` of at most :data:`MAX_MODULUS_BITS` bits and every GEMM partial
+    sum, at most ``n1 * 2^15 * (q - 1)``, below ``2^53``."""
+    return 1 < q and q.bit_length() <= MAX_MODULUS_BITS and (
+        split(n)[0] * _LIMB * (q - 1) < 1 << 53
     )
+
+
+@dataclass(frozen=True, eq=False)
+class FourStep:
+    """One direction's constant operands for an ``(L, n)`` tower stack.
+
+    A row is viewed as an ``r x s`` data matrix ``D`` (``X`` forward,
+    ``X^T`` inverse) and transformed as ``((left D) o mid) right``. Each
+    matrix is held as its two limbs, ``2^15``-scaled high then low, on a
+    leading axis: ``left`` is ``(2, L, r, r)``, ``mid`` ``(2, L, r, 1,
+    s)`` and ``right`` ``(2, L, s, s)``, all float64; ``q`` is the ``(L,
+    1, 1, 1)`` moduli.
+    """
+
+    left: np.ndarray
+    mid: np.ndarray
+    right: np.ndarray
+    q: np.ndarray
+    inverse: bool
+
+    @classmethod
+    def derive(cls, psi_brv: np.ndarray, q, inverse: bool = False,
+               scale=None) -> "FourStep":
+        """The tables of ``(L, n)`` forward ``psi``-power tables in
+        bit-reversed order mod the ``(L,)`` moduli ``q``; an inverse folds
+        the ``(L,)`` constants ``scale`` (``n^-1``) into its last matrix."""
+        n = psi_brv.shape[-1]
+        qc = np.asarray(q, dtype=np.uint64).reshape(-1, 1, 1)
+        e_left, e_mid, e_right = _exponents(n)
+        if inverse:  # psi^-e, on the transposed row
+            e_left, e_mid, e_right = -e_right, -e_mid.T, -e_left
+        brv = np.asarray(bit_reverse_indices(n), dtype=np.intp)
+
+        def powers(e):
+            e = e % (2 * n)
+            w = psi_brv[:, brv[e % n]]
+            return np.where(e >= n, qc - w, w) % qc
+
+        right = powers(e_right)
+        if scale is not None:
+            right = right * np.asarray(scale, np.uint64)[:, None, None] % qc
+        tables = cls(
+            left=_limbs(powers(e_left), qc),
+            mid=_limbs(powers(e_mid), qc)[:, :, :, None, :],
+            right=_limbs(right, qc),
+            q=qc[..., None].astype(np.float64),
+            inverse=inverse,
+        )
+        for table in (tables.left, tables.mid, tables.right, tables.q):
+            table.flags.writeable = False  # shared by every caller
+        return tables
+
+    def rows(self, towers: "slice | list[int]") -> "FourStep":
+        """The tables of a subset of towers: views of these for a slice."""
+        return FourStep(self.left[:, towers], self.mid[:, towers],
+                        self.right[:, towers], self.q[towers], self.inverse)
+
+
+def transform(a: np.ndarray, tables: FourStep) -> np.ndarray:
+    """The NTT (``tables.inverse`` false) or the iNTT before any ``n^-1``
+    not folded into ``tables``, of residues ``a < q``, fully reduced out.
+
+    ``a`` is an ``(..., L, n)`` ``int64`` or ``uint64`` array, natural
+    order in and bit-reversed out forward, the reverse for the inverse.
+    The result is written over ``a`` (a copy if ``a`` is not contiguous)
+    and returned. Rows go through in chunks of about :data:`CHUNK_WORDS`
+    words, with one workspace per call.
+    """
+    out = np.ascontiguousarray(a)
+    a = out.reshape(-1, *out.shape[-2:])
+    batch, towers, n = a.shape
+    r, s = tables.left.shape[-1], tables.right.shape[-1]
+    step = min(batch, max(1, CHUNK_WORDS // (towers * n)))
+    words = towers * step * n
+    x, tmp, p = np.empty(words), np.empty(words), np.empty(2 * words)
+    q = tables.q
+    inv_q = 1.0 / q
+    moduli = (q, q * _LIMB, inv_q, 1.0 / (q * _LIMB))
+    for b in range(0, batch, step):
+        chunk = a[b : b + step]
+        c = len(chunk)
+        m = towers * c * n
+        if tables.inverse:
+            rows = chunk.reshape(c, towers, s, r).swapaxes(-1, -2)
+        else:
+            rows = chunk.reshape(c, towers, r, s)
+        rows = rows.transpose(1, 2, 0, 3)  # (L, r, c, s)
+        xs, t = (w[:m].reshape(towers, r, c, s) for w in (x, tmp))
+        np.copyto(xs, rows)
+        hi, lo = p[: 2 * m].reshape(2, towers, r, c, s)
+        np.matmul(tables.left, xs.reshape(towers, r, c * s),
+                  out=p[: 2 * m].reshape(2, towers, r, c * s))
+        _reduce(hi, lo, t, xs, moduli)
+        np.multiply(xs, tables.mid[0], out=hi)
+        xs *= tables.mid[1]
+        _reduce(hi, xs, t, xs, moduli)
+        np.matmul(xs.reshape(towers, r * c, s), tables.right,
+                  out=p[: 2 * m].reshape(2, towers, r * c, s))
+        _reduce(hi, lo, t, xs, moduli)
+        np.multiply(xs, inv_q, out=t)  # xs - floor(xs / q) q: [0, q)
+        np.floor(t, out=t)
+        t *= q
+        np.subtract(xs, t, out=rows, casting="unsafe")
+    return out
+
+
+def _reduce(hi, lo, t, out, moduli):
+    """``hi + lo``, ``hi`` scaled by ``2^15``, to a residue in ``(-q, q)``,
+    into ``out``; ``t`` is scratch."""
+    q, qh, inv_q, inv_qh = moduli
+    np.multiply(hi, inv_qh, out=t)
+    np.rint(t, out=t)
+    t *= qh
+    hi -= t  # exact: 2^15 times a residue of magnitude <= q/2 + 1
+    hi += lo
+    np.multiply(hi, inv_q, out=t)
+    np.rint(t, out=t)
+    t *= q
+    return np.subtract(hi, t, out=out)
+
+
+@lru_cache(maxsize=16)
+def _exponents(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The forward ``psi`` exponents of ``W1``, ``T`` and ``W2``."""
+    n1, n2 = split(n)
+    k1 = 2 * np.asarray(bit_reverse_indices(n1), dtype=np.int64) + 1
+    k2 = np.asarray(bit_reverse_indices(n2), dtype=np.int64)
+    j1, j2 = np.arange(n1), np.arange(n2)
+    return (np.outer(k1, n2 * j1), np.outer(k1, j2),
+            np.outer(2 * n1 * j2, k2))
+
+
+def _limbs(w: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Residues ``w`` centred and split into 15-bit limbs: the high limbs
+    times ``2^15``, then the low ones, on a new leading axis."""
+    c = w.astype(np.int64) - (w > q // np.uint64(2)) * q.astype(np.int64)
+    lo = ((c + _LIMB // 2) & (_LIMB - 1)) - _LIMB // 2
+    return np.stack(((c - lo).astype(np.float64), lo.astype(np.float64)))

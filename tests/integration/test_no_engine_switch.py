@@ -31,16 +31,17 @@ def tenant():
 
 
 @pytest.fixture
-def dit_calls(monkeypatch):
+def ntt_calls(monkeypatch):
     """Count the MDMC's vector-fidelity forward NTT kernel calls."""
     calls = []
-    original = mdmc.dit
+    original = mdmc.transform
 
-    def spy(*args):
-        calls.append(args[0].shape)
-        return original(*args)
+    def spy(a, tables):
+        if not tables.inverse:
+            calls.append(a.shape)
+        return original(a, tables)
 
-    monkeypatch.setattr(mdmc, "dit", spy)
+    monkeypatch.setattr(mdmc, "transform", spy)
     return calls
 
 
@@ -65,10 +66,10 @@ def _chip_multiply(keys, cts):
 
 
 @pytest.mark.parametrize("value", ["off", "0", "disabled"])
-def test_environment_changes_nothing(tenant, dit_calls, monkeypatch, value):
+def test_environment_changes_nothing(tenant, ntt_calls, monkeypatch, value):
     keys, cts = tenant
     want_bytes, want = _chip_multiply(keys, cts)
-    engine_calls = len(dit_calls)
+    engine_calls = len(ntt_calls)
     assert engine_calls > 0
 
     monkeypatch.setenv("REPRO_ENGINE", value)
@@ -79,4 +80,4 @@ def test_environment_changes_nothing(tenant, dit_calls, monkeypatch, value):
     assert got.cycles == want.cycles
     assert got.tower_cycles == want.tower_cycles
     # The MDMC still took its vector kernels, once per forward NTT.
-    assert len(dit_calls) == 2 * engine_calls
+    assert len(ntt_calls) == 2 * engine_calls

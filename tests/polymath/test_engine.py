@@ -156,6 +156,27 @@ class TestAutoSelection:
         p = RnsBasis([ntt_friendly_prime(16, 20)])
         assert require_engine(p, 16) is get_engine(RnsBasis(p.moduli), 16)
 
+    def test_select_shares_the_ntt_tables(self, rns3, rng):
+        """A run of towers gets views of the parent's matrices, not copies;
+        any other subset gets its own, and both transform alike."""
+        engine, basis, n = rns3
+        stack = engine.stack([[rng.randrange(q) for _ in range(n)]
+                              for q in basis.moduli])
+        for indices, shared in (([1, 2], True), ([2, 0], False)):
+            sub = engine.select(indices)
+            for mine, parent in ((sub._fwd, engine._fwd),
+                                 (sub._inv, engine._inv)):
+                for name in ("left", "mid", "right", "q"):
+                    assert np.shares_memory(
+                        getattr(mine, name), getattr(parent, name)
+                    ) is shared
+            assert sub.forward(stack[indices]).tolist() == (
+                engine.forward(stack)[indices].tolist()
+            )
+            assert sub.inverse(stack[indices]).tolist() == (
+                engine.inverse(stack)[indices].tolist()
+            )
+
 
 class TestSingleTowerStack:
     """A one-tower engine is the vectorized drop-in for ``NttContext``."""

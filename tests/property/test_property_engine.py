@@ -1,14 +1,19 @@
 """Property suite: the batched RNS tower engine is bit-identical to
 :class:`NttContext` across random (n, basis, tower-count) grids.
 
-The engine's lazy (Shoup) kernels keep values in ``[0, 4q)`` between
-butterfly stages, so the strategies deliberately bias coefficients toward
-the reduction boundaries (0, 1, q-2, q-1) where an off-by-one in the
-conditional subtraction would surface. Single-tower degenerate stacks are
-part of the grid. 31-bit towers, one bit past the kernels' bound, are
-the fallback grid: no engine, and the pure path stays bit-identical.
+The engine's four-step kernel is exact because every float64 GEMM partial
+sum is an integer below ``n1 * 2^15 * (q - 1) < 2^53``: the limbs of its
+centred matrices are at most ``2^14`` and its data smaller than ``q``. The
+strategies bias coefficients toward 0, 1, q-2 and q-1, where an
+off-by-one in a reduction would surface; the all-(q-1) stack drives every
+partial sum toward the bound at every size, up to the largest ``n1`` a
+30-bit tower admits; and a hand-built table puts every centred limb at
+its maximum magnitude. Single-tower degenerate stacks are part of the
+grid. 31-bit towers, one bit past the kernel's bound, are the fallback
+grid: no engine, and the pure path stays bit-identical.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +21,7 @@ from hypothesis import strategies as st
 from repro.baselines.software import SoftwareBfv
 from repro.bfv import BatchEncoder, Bfv, BfvParameters
 from repro.bfv.scheme import _ExactMultiplier
+from repro.polymath import kernels
 from repro.polymath.engine import (
     MAX_MODULUS_BITS,
     BatchedRnsEngine,
@@ -23,11 +29,15 @@ from repro.polymath.engine import (
     supports,
 )
 from repro.polymath.ntt import NttContext
+from repro.polymath.primes import is_prime, ntt_friendly_prime
 from repro.polymath.rns import RnsBasis, plan_towers
 
 #: (n, tower_bits, tower_count) grid; towers = 1 is the degenerate
-#: single-tower stack, bits = 30 the widest the kernels take.
+#: single-tower stack, bits = 30 the widest the kernel takes.
 _GRID = [
+    (2, 30, 2),
+    (4, 20, 3),
+    (4, 30, 1),
     (8, 14, 1),
     (8, 20, 3),
     (16, 30, 2),
@@ -35,6 +45,11 @@ _GRID = [
     (64, 30, 1),
     (64, 30, 3),
 ]
+
+#: 30-bit sizes too long for drawn coefficients, run as all-(q-1)
+#: stacks: n1 != n2, the paper's n = 2^12, and n1 = 256, the largest
+#: n1 a 30-bit tower admits.
+_LONG = [(2048, 30, 2), (4096, 30, 3), (1 << 15, 30, 1)]
 
 #: (n, tower_count) of 31-bit bases: the former plain-kernel rows.
 _FALLBACK_GRID = [(16, 2), (64, 1)]
@@ -121,23 +136,69 @@ def test_select_view_matches_full_engine(case, data):
     assert out[0].tolist() == refs[i].forward(tower)
 
 
-def test_all_max_coefficients_through_both_kernels():
-    """The all-(q-1) stack is the worst case for lazy accumulation."""
-    for case in _GRID:
-        engine, refs = _ENGINES[case], _REFS[case]
-        towers = [[q - 1] * engine.n for q in engine.basis.moduli]
-        fwd = engine.forward(engine.stack(towers))
-        for row, ref, tower in zip(fwd, refs, towers):
-            assert row.tolist() == ref.forward(tower)
-        inv = engine.inverse(fwd)
-        for row, ref, f in zip(inv, refs, fwd.tolist()):
-            assert row.tolist() == ref.inverse(f)
+@pytest.mark.parametrize("case", _GRID + _LONG)
+def test_all_max_coefficients_through_both_kernels(case):
+    """The all-(q-1) stack drives the GEMM partial sums to the bound."""
+    n, bits, towers = case
+    engine = _ENGINES.get(case) or BatchedRnsEngine(
+        RnsBasis(plan_towers(bits * towers, bits, n)), n
+    )
+    refs = _REFS.get(case) or [NttContext(n, q) for q in engine.basis.moduli]
+    stack = [[q - 1] * n for q in engine.basis.moduli]
+    fwd = engine.forward(engine.stack(stack))
+    inv = engine.inverse(engine.stack(stack))
+    for f, i, ref, tower in zip(fwd, inv, refs, stack):
+        assert f.tolist() == ref.forward(tower)
+        assert i.tolist() == ref.inverse(tower)
+    assert engine.inverse(fwd).tolist() == engine.stack(stack).tolist()
+
+
+def test_limbs_at_their_maximum_magnitude_stay_exact():
+    """A hand-built table whose every centred limb is at its maximum
+    magnitude (high ``2^14``, low ``-2^14``), all-(q-1) data, and the
+    largest ``n1`` a 30-bit tower admits, in both orientations."""
+    q = next(p for p in range((1 << 30) - 1, 0, -2) if is_prime(p))
+    c = (1 << 29) - (1 << 14)  # centred: c <= (q - 1) / 2
+    assert 2 * c < q
+    limbs = kernels._limbs(np.asarray([[[c]]], dtype=np.uint64),
+                           np.asarray([[[q]]], dtype=np.uint64))
+    assert limbs.ravel().tolist() == [2.0**29, -(2.0**14)]
+    n1, n2 = kernels.split(1 << 15)
+    assert n1 == 256 and kernels.fits(q, 1 << 15)
+    assert not kernels.fits(q, 1 << 17)
+
+    def table(*shape):
+        return np.stack([np.full((1, *shape), v) for v in limbs.ravel()])
+
+    for r, s, inverse in ((n1, n2, False), (n2, n1, True)):
+        tables = kernels.FourStep(
+            left=table(r, r), mid=table(r, 1, s), right=table(s, s),
+            q=np.full((1, 1, 1, 1), float(q)), inverse=inverse,
+        )
+        a = np.full((1, 1, r * s), q - 1, dtype=np.int64)
+        # Every entry is sum_s (sum_r c (q-1)) c c: r s c^3 (q-1) mod q.
+        want = r * s * c**3 * (q - 1) % q
+        assert kernels.transform(a, tables).ravel().tolist() == [want] * (r * s)
 
 
 def test_every_grid_tower_fits_the_kernels():
     for n, bits, towers in _GRID:
         assert bits <= MAX_MODULUS_BITS
         assert supports(_ENGINES[(n, bits, towers)].basis, n)
+
+
+def test_supports_rejects_n1_past_the_exactness_bound():
+    """``n1 * 2^15 * (q - 1)`` must stay below ``2^53``: a 30-bit tower
+    runs up to ``n1 = 256``, a 29-bit one to ``n1 = 512``, whatever the
+    NTT-friendliness."""
+    n = 1 << 17  # n1 = 512
+    wide, narrow = ntt_friendly_prime(n, 30), ntt_friendly_prime(n, 29)
+    assert kernels.split(n)[0] * 2**15 * (wide - 1) >= 2**53
+    assert supports(RnsBasis([wide]), n // 2)  # n1 = 256
+    assert not supports(RnsBasis([wide]), n)
+    assert get_engine(RnsBasis([wide]), n) is None
+    assert supports(RnsBasis([narrow]), n)
+    assert not supports(RnsBasis([narrow, wide]), n)
 
 
 @pytest.mark.parametrize("n,towers", _FALLBACK_GRID)

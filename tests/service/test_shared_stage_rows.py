@@ -1,11 +1,13 @@
-"""One stage-row derivation per twiddle table, shared across the pool.
+"""One derivation of the NTT kernel's matrices per twiddle table, shared
+across the pool.
 
 Every chip of a pool that holds the same ``(q, n)`` twiddle table runs
-its vector NTT/iNTT from one set of stage rows, derived once per process
-and keyed on ``q`` and the words the MDMC reads out of the twiddle bank.
-The key is the bank's content, so a corrupted table derives rows of its
-own and the per-tower cross-check catches it, and a bank promoted to
-``object`` dtype by a wide-modulus session still keys on its values.
+its vector NTT/iNTT from one pair of four-step tables (forward and
+inverse), derived once per process from the words the MDMC reads out of
+the twiddle bank and keyed on ``q`` and those words. The key is the
+bank's content, so a corrupted table derives matrices of its own and the
+per-tower cross-check catches it, and a bank promoted to ``object``
+dtype by a wide-modulus session still keys on its values.
 """
 
 import random
@@ -71,25 +73,28 @@ class _Pool:
 
 
 @pytest.fixture
-def stage_row_builds(monkeypatch):
-    """``(q, n)`` of every stage-row derivation, from an empty cache."""
-    mdmc._shared_stage_rows.cache_clear()
+def table_builds(monkeypatch):
+    """``(q, n)`` of every MDMC table derivation, from an empty cache."""
+    mdmc._shared_tables.cache_clear()
     builds = []
-    original = mdmc._StageRows.__init__
+    original = mdmc.FourStep
 
-    def spy(self, forward, q):
-        builds.append((q, forward.size))
-        original(self, forward, q)
+    class Spy:
+        @staticmethod
+        def derive(psi_brv, q, inverse=False):
+            if not inverse:
+                builds.append((q[0], psi_brv.shape[-1]))
+            return original.derive(psi_brv, q, inverse)
 
-    monkeypatch.setattr(mdmc._StageRows, "__init__", spy)
+    monkeypatch.setattr(mdmc, "FourStep", Spy)
     yield builds
-    mdmc._shared_stage_rows.cache_clear()
+    mdmc._shared_tables.cache_clear()
 
 
-def test_one_derivation_per_table_across_the_pool(stage_row_builds):
+def test_one_derivation_per_table_across_the_pool(table_builds):
     """Served EvalMults home 3 towers on 2 chips, so one chip alternates
-    two twiddle tables and reprograms on every tower unit; the rows are
-    still derived once per distinct ``(q, n)``."""
+    two twiddle tables and reprograms on every tower unit; the tables
+    are still derived once per distinct ``(q, n)``."""
     params = BfvParameters.toy_rns(N, 3, 30)
     bfv, keys, cts = _tenant(params, 30, 30)
     pool = _Pool(pool_size=2)
@@ -103,16 +108,17 @@ def test_one_derivation_per_table_across_the_pool(stage_row_builds):
             bfv.multiply_relin(a, b, keys.relin)
         )
     tables = {(q, N) for q in params.q_basis.moduli}
-    assert sorted(stage_row_builds) == sorted(tables)
+    assert sorted(table_builds) == sorted(tables)
     reprograms = [w.driver.reprograms for w in pool.backend.workers]
-    assert sum(reprograms) > len(tables)  # the churn the rows survive
+    assert sum(reprograms) > len(tables)  # the churn the cache survives
 
 
-def test_corrupted_twiddle_word_trips_the_cross_check(stage_row_builds):
+def test_corrupted_twiddle_word_trips_the_cross_check(table_builds):
     """One twiddle word overwritten through the bus on a programmed chip:
-    the next tower unit runs on rows derived from the corrupted table,
-    fails with a datapath fault and returns no result. Reprogramming
-    restores the table, and the good rows are still shared."""
+    the next tower unit runs on matrices derived from the corrupted
+    table, fails with a datapath fault and returns no result.
+    Reprogramming restores the table, and the good matrices are still
+    shared."""
     params = BfvParameters.toy_rns(N, 1, 30)
     bfv, keys, cts = _tenant(params, 31, 30)
     pool = _Pool(pool_size=1)
@@ -129,7 +135,7 @@ def test_corrupted_twiddle_word_trips_the_cross_check(stage_row_builds):
     assert job.status is JobStatus.FAILED
     assert "datapath fault" in job.error
     assert job.result is None
-    assert stage_row_builds == [(q, N), (q, N)]  # the corrupted table's own
+    assert table_builds == [(q, N), (q, N)]  # the corrupted table's own
 
     pool.backend.workers[0].driver.program(q, N)
     job = pool.multiply(session, cts[2], cts[3])
@@ -137,13 +143,13 @@ def test_corrupted_twiddle_word_trips_the_cross_check(stage_row_builds):
     assert serialize_ciphertext(job.result) == serialize_ciphertext(
         bfv.multiply_relin(cts[2], cts[3], keys.relin)
     )
-    assert len(stage_row_builds) == 2
+    assert len(table_builds) == 2
 
 
 def test_object_dtype_twiddle_bank_then_word_sized_session():
     """A wide-modulus session promotes the chip's banks to ``object``
     dtype for good; a 30-bit session on the same pool afterwards keys
-    its stage rows on the values, not on the object array's pointers."""
+    its kernel tables on the values, not on the object array's pointers."""
     server = FheServer(pool_size=1, result_cache_size=0)
     chip = server.chip_pool.workers[0].chip
     for params, digit_bits in (
