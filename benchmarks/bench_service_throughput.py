@@ -1,9 +1,8 @@
 """Serving-layer throughput: jobs/sec, makespan, and tower-sharding scaling.
 
 Pushes a fixed mixed workload (EvalMult + additions) through the serving
-stack on a **3-tower** parameter set and reports modeled/measured
-jobs-per-second for the software baseline, the vectorized numpy backend,
-and chip pools of 1/2/4 — the serving-layer analogue of the paper's Fig. 6
+stack on a **3-tower** parameter set and reports modeled
+jobs-per-second for the software baseline and chip pools of 1/2/4 — the serving-layer analogue of the paper's Fig. 6
 platform comparison. With tower sharding, every EvalMult fans its RNS
 towers out across the pool, so the pool-of-4 makespan must come in at
 least 1.5x under the pool-of-1 makespan (PR 1's job-level pool showed no
@@ -106,8 +105,7 @@ def test_service_throughput(benchmark):
         rows = []
         for pool_size in (1, 2, 4):
             rows.extend(_serve(pool_size, "chip_pool", keys, ops))
-        for backend in ("software", "fastntt"):
-            rows.extend(_serve(1, backend, keys, ops))
+        rows.extend(_serve(1, "software", keys, ops))
         return rows
 
     rows = benchmark(sweep)

@@ -17,8 +17,8 @@ from a single-shot library into a servable system:
 * :mod:`repro.service.scheduler` — fair round-robin picks across
   tenants, one job per dispatch;
 * :mod:`repro.service.backends` — pluggable execution: a pool of N
-  simulated CoFHEE chips (cycle-accurate), the SEAL-style software
-  baseline, and the vectorized numpy path;
+  simulated CoFHEE chips (cycle-accurate) and the SEAL-style software
+  baseline;
 * :mod:`repro.service.server` — the synchronous in-process front door
   (``submit`` / ``poll`` / ``result``) with the content-addressed result
   cache and in-queue dedupe (cache-aware scheduling);
@@ -41,7 +41,6 @@ from repro.service.backends import (
     BackendError,
     BatchReport,
     ChipPoolBackend,
-    FastNttBackend,
     SoftwareBackend,
 )
 from repro.service.circuits import (
@@ -92,7 +91,6 @@ __all__ = [
     "Circuit",
     "CircuitBuilder",
     "CircuitError",
-    "FastNttBackend",
     "FheClient",
     "FheServer",
     "FheTransportServer",

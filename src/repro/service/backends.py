@@ -2,7 +2,7 @@
 
 Every job a backend runs is one :class:`~repro.service.circuits.Circuit`
 (a raw op is its one-step circuit), evaluated exactly by
-:func:`~repro.service.circuits.evaluate_circuit`; the three in-process
+:func:`~repro.service.circuits.evaluate_circuit`; the two in-process
 backends differ only in how they price and replay it (the TF-Encrypted
 "pluggable protocol" idea mapped onto CoFHEE's evaluation platforms):
 
@@ -16,15 +16,11 @@ backends differ only in how they price and replay it (the TF-Encrypted
   the scheme's own tensor rows on those towers.
 * :class:`SoftwareBackend` — the SEAL-style CPU baseline: same exact
   results, priced by :class:`~repro.baselines.software.CpuCostModel`.
-* :class:`FastNttBackend` — the vectorized numpy path: the same engine,
-  required to run on
-  :class:`~repro.polymath.fastntt.RnsExactMultiplier`, and the reported
-  latency is *measured* wall time, where moduli permit (enough word-sized
-  NTT-friendly primes for the degree — true for every supported set).
 
-All three produce bit-identical ciphertexts, so a tenant can ask for
-correctness (chip fidelity) or speed (numpy) per request and decrypt the
-same answer.
+Both produce bit-identical ciphertexts. Each prices a job with its own
+paper model (``JobMetrics.model_seconds``); the measured host time
+(``JobMetrics.host_seconds``) is the scheduler's, the same clock for
+every backend.
 """
 
 from __future__ import annotations
@@ -36,7 +32,7 @@ import numpy as np
 
 from repro.apps.costmodel import CpuAppCost
 from repro.baselines.software import CpuCostModel, SoftwareBfv
-from repro.bfv.scheme import Bfv, Ciphertext
+from repro.bfv.scheme import Ciphertext
 from repro.core.chip import ChipConfig, CoFHEE
 from repro.core.driver import CofheeDriver
 from repro.core.scheduler import Scheduler, ciphertext_multiply_program
@@ -95,8 +91,6 @@ class BatchReport:
     worker: int
     jobs: int
     cycles: int
-    seconds: float
-    io_seconds: float = 0.0
     workers: tuple[int, ...] = ()
     makespan_cycles: int = 0
     tower_cycles: tuple[int, ...] = ()
@@ -172,9 +166,6 @@ class Backend:
 
     # shared helpers ------------------------------------------------------
 
-    def _engine(self, registry: SessionRegistry, session: Session) -> Bfv:
-        return registry.engine(session)
-
     def _run_job(
         self, registry: SessionRegistry, job: Job, on_tensor=None,
     ) -> tuple[Session, object]:
@@ -188,7 +179,7 @@ class Backend:
         circuit: Circuit = job.payload
         for ct in job.operands:
             registry.check_compatible(session, ct)
-        engine = self._engine(registry, session)
+        engine = registry.engine(session)
         relin = session.require_relin() if circuit.uses_relin else None
         galois = session.require_galois if circuit.uses_rotations else None
         outputs = evaluate_circuit(
@@ -214,11 +205,11 @@ class Backend:
                 job.fail(str(exc))
                 job.metrics.backend = self.name
 
-    def _finish(self, job: Job, result: object, seconds: float) -> None:
-        """Settle one job as done."""
+    def _finish(self, job: Job, result: object, model_seconds: float) -> None:
+        """Settle one job as done, priced at ``model_seconds``."""
         job.finish(result)
         job.metrics.backend = self.name
-        job.metrics.seconds = seconds
+        job.metrics.model_seconds = model_seconds
         self.jobs_done += 1
 
 
@@ -298,17 +289,11 @@ class ChipPoolBackend(Backend):
     """
 
     def __init__(self, pool_size: int = 1, chip_config: ChipConfig | None = None,
-                 data_fidelity: bool = True, strict_fidelity: bool = False):
+                 strict_fidelity: bool = False):
         super().__init__()
         if pool_size < 1:
             raise ValueError("pool needs at least one chip")
-        if strict_fidelity and not data_fidelity:
-            raise ValueError(
-                "strict_fidelity requires data_fidelity: with the chip path "
-                "disabled, every EvalMult would fail"
-            )
         self.name = f"chip_pool_x{pool_size}"
-        self.data_fidelity = data_fidelity
         self.strict_fidelity = strict_fidelity
         self.workers = []
         for i in range(pool_size):
@@ -339,9 +324,7 @@ class ChipPoolBackend(Backend):
         self, batch_id: int, jobs: list[Job], registry: SessionRegistry
     ) -> BatchReport:
         lead = self._least_loaded()
-        freq = lead.chip.clock.frequency_hz
         busy_before = {w.index: w.busy_cycles for w in self.workers}
-        io_before = {w.index: w.io_seconds for w in self.workers}
         self._each_job(jobs, lambda job: self._execute_job(job, registry))
 
         fidelity: dict[str, int] = {}
@@ -383,10 +366,6 @@ class ChipPoolBackend(Backend):
             worker=lead.index,
             jobs=len(jobs),
             cycles=batch_cycles,
-            seconds=batch_cycles / freq,
-            io_seconds=sum(
-                w.io_seconds - io_before[w.index] for w in self.workers
-            ),
             workers=used or (lead.index,),
             makespan_cycles=max(added.values(), default=0),
             tower_cycles=tuple(tower_cycles),
@@ -410,7 +389,7 @@ class ChipPoolBackend(Backend):
                 "(moduli not chip-native)"
             )
         lead = self._least_loaded()
-        if basis is None or not self.data_fidelity:
+        if basis is None:
             self._execute_modeled(job, registry, lead)
         else:
             self._execute_on_chip(job, registry, basis, lead)
@@ -666,8 +645,6 @@ class ChipPoolBackend(Backend):
 class SoftwareBackend(Backend):
     """Exact results on the session's engine, priced like SEAL.
 
-    It runs the same auto-selected engine as the ``fastntt`` backend.
-
     Per-op latency comes from the Fig. 6-calibrated
     :class:`~repro.baselines.software.CpuCostModel` (the ciphertext tensor)
     plus the SEAL microbenchmark anchors in
@@ -681,9 +658,8 @@ class SoftwareBackend(Backend):
     #: work at these digit counts; priced as one extra tensor.
     RELIN_TENSOR_EQUIV = 1.0
 
-    def __init__(self, threads: int = 1):
+    def __init__(self):
         super().__init__()
-        self.threads = threads
         self.cost = CpuCostModel()
         self._elapsed = 0.0
 
@@ -693,29 +669,20 @@ class SoftwareBackend(Backend):
     def execute_batch(
         self, batch_id: int, jobs: list[Job], registry: SessionRegistry
     ) -> BatchReport:
-        batch_seconds = 0.0
-
         def run(job: Job) -> None:
-            nonlocal batch_seconds
-            start = time.perf_counter()
             session, result = self._run_job(registry, job)
-            seconds = self._job_seconds(
-                session, job.payload, time.perf_counter() - start
-            )
+            seconds = self._job_seconds(session, job.payload)
             self._finish(job, result, seconds)
-            batch_seconds += seconds
+            self._elapsed += seconds
 
         self._each_job(jobs, run)
-        self._elapsed += batch_seconds
         return BatchReport(
             batch_id=batch_id, backend=self.name, worker=0,
-            jobs=len(jobs), cycles=0, seconds=batch_seconds,
+            jobs=len(jobs), cycles=0,
         )
 
-    def _job_seconds(
-        self, session: Session, circuit: Circuit, measured: float,
-    ) -> float:
-        """The SEAL-anchored latency of one job (``measured`` unused).
+    def _job_seconds(self, session: Session, circuit: Circuit) -> float:
+        """The SEAL-anchored latency of one job, on one CPU thread.
 
         Prices the circuit's op mix: adds and ct*pt from the SEAL
         microbenchmarks (scaled from n = 2^12, 2 towers to the session's
@@ -725,7 +692,7 @@ class SoftwareBackend(Backend):
         params = session.params
         anchor_scale = (params.n / 2**12) * (params.cpu_tower_count / 2)
         counts = circuit.op_counts()
-        tensor = self.cost.ciphertext_mult_ms(params, self.threads) * 1e-3
+        tensor = self.cost.ciphertext_mult_ms(params, 1) * 1e-3
         return (
             counts["ct_ct_adds"] * CpuAppCost.ADD_US * 1e-6 * anchor_scale
             + counts["ct_pt_mults"] * CpuAppCost.CT_PT_US * 1e-6 * anchor_scale
@@ -733,38 +700,3 @@ class SoftwareBackend(Backend):
             + (counts["relins"] + counts["rotations"])
             * tensor * self.RELIN_TENSOR_EQUIV
         )
-
-
-# ----------------------------------------------------------------------
-# Vectorized numpy backend
-# ----------------------------------------------------------------------
-
-
-class FastNttBackend(SoftwareBackend):
-    """The numpy fast path: measured (not modeled) wall time.
-
-    The registry's engine must run on
-    :class:`~repro.polymath.fastntt.RnsExactMultiplier`, so every tensor
-    runs through vectorized word-sized NTTs. Results stay bit-exact with
-    the other backends; the latency recorded is a real measurement.
-    Same job loop and engine as the software backend; only the engine
-    check and the per-job seconds differ.
-    """
-
-    name = "fastntt"
-
-    def _engine(self, registry: SessionRegistry, session: Session) -> Bfv:
-        engine = registry.engine(session)
-        if engine.multiplier_kind != "RnsExactMultiplier":
-            raise BackendError(
-                f"moduli do not permit the fastntt backend for session "
-                f"{session.session_id}: no word-sized auxiliary basis at "
-                f"n = {session.params.n}"
-            )
-        return engine
-
-    def _job_seconds(
-        self, session: Session, circuit: Circuit, measured: float,
-    ) -> float:
-        """The job's measured wall seconds, math and key switch together."""
-        return measured

@@ -1,4 +1,4 @@
-"""End-to-end serving demo: three tenants, three backends, one chip pool.
+"""End-to-end serving demo: three tenants, two backends, one chip pool.
 
 Drives the full serving stack the way a deployment would:
 
@@ -7,10 +7,10 @@ Drives the full serving stack the way a deployment would:
 * **acme** submits compiled logistic-regression circuits;
 * **globex** submits compiled CryptoNets-style inference circuits;
 
-and the same 21-job workload is served by all three backends. Every raw
+and the same 21-job workload is served by both backends. Every raw
 result is decrypted client-side and checked against locally computed
 :class:`~repro.bfv.Bfv` ground truth, every app circuit's decrypted
-output against its model's plaintext reference, and the three backends
+output against its model's plaintext reference, and the two backends
 must return bit-identical ciphertext bytes. A second pass compares a
 chip pool of 1 against a pool of 4 on identical traffic to show the
 makespan shrink.
@@ -54,7 +54,7 @@ from repro.service.serialization import (
 )
 from repro.service.server import FheServer
 
-BACKENDS = ("chip_pool", "software", "fastntt")
+BACKENDS = ("chip_pool", "software")
 
 #: Chip-native parameter sets with noise headroom for each app's
 #: two-multiplication depth.
@@ -577,7 +577,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run_demo() -> int:
-    print("CoFHEE serving layer demo: 3 tenants x 3 backends over one chip pool")
+    print("CoFHEE serving layer demo: 3 tenants x 2 backends over one chip pool")
     client = RawClient.build()
     server = FheServer(pool_size=4)
     traffic = build_traffic(client)
@@ -598,7 +598,7 @@ def run_demo() -> int:
         for backend, checks in per_backend_checks.items()
     }
 
-    # The three backends are bit-exact: same ops, same wire bytes.
+    # The two backends are bit-exact: same ops, same wire bytes.
     reference = results[BACKENDS[0]]
     for backend in BACKENDS[1:]:
         assert results[backend] == reference, (

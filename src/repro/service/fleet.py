@@ -90,7 +90,6 @@ class _Assignment:
     operands: tuple[bytes, ...]  # framed ciphertexts
     circuit: bytes | None  # the framed circuit of a circuit job
     attempts: int = 0
-    dispatched_at: float = field(default_factory=time.perf_counter)
     sent_at: float = 0.0  # 0.0 while it waits in the worker's backlog
     last_worker: int = -1  # requeues avoid the worker that just failed
 
@@ -531,7 +530,7 @@ class FleetBackend(Backend):
                 job.trace.mark("execute", assignment.sent_at, now)
             job.finish(event.payload)  # framed wire bytes
             job.metrics.cycles = event.cycles
-            job.metrics.seconds = event.seconds
+            job.metrics.model_seconds = event.model_seconds
             job.metrics.fidelity = event.fidelity
             self.jobs_done += 1
             handle.jobs_done += 1
@@ -547,7 +546,6 @@ class FleetBackend(Backend):
         self._reports.append((BatchReport(
             batch_id=job.metrics.dispatched_seq, backend=self.name,
             worker=worker, jobs=1, cycles=event.cycles,
-            seconds=now - assignment.dispatched_at,
             workers=() if handle is None else (worker,),
             makespan_cycles=event.cycles,
             fidelity={event.fidelity: 1} if event.fidelity else {},

@@ -98,12 +98,17 @@ class JobStatus(Enum):
 class JobMetrics:
     """Per-job accounting filled in by the backend that executed it.
 
-    ``cycles`` is chip-pool cycle accounting (0 for CPU-side backends);
-    ``seconds`` is the backend's latency estimate or measurement for this
-    job alone. ``submitted_seq``/``dispatched_seq`` are global sequence
-    numbers: the fairness tests use them to prove no tenant starves, and
-    ``dispatched_seq`` identifies the job's dispatch (its report's
-    ``batch_id``).
+    ``cycles`` is chip-pool cycle accounting (0 for CPU-side backends).
+    Two seconds fields, one meaning each on every backend:
+    ``model_seconds`` is the backend's paper model of this job alone
+    (chip pool: ``cycles`` ÷ clock; software: the SEAL-anchored CPU
+    model; fleet: copied from the worker's EVENT), and ``host_seconds``
+    is measured — the scheduler's dispatch-to-settlement wall time, the
+    value its ``repro_job_execute_seconds`` histogram observes (0 for
+    jobs that never dispatch). ``submitted_seq``/``dispatched_seq`` are
+    global sequence numbers: the fairness tests use them to prove no
+    tenant starves, and ``dispatched_seq`` identifies the job's dispatch
+    (its report's ``batch_id``).
 
     Tower-sharded chip execution additionally reports, per job:
     ``tower_cycles`` (Algorithm 3 cycles per RNS tower, index-aligned with
@@ -130,7 +135,8 @@ class JobMetrics:
     backend: str = ""
     worker: int = -1
     cycles: int = 0
-    seconds: float = 0.0
+    model_seconds: float = 0.0
+    host_seconds: float = 0.0
     submitted_seq: int = -1
     dispatched_seq: int = -1
     tower_cycles: tuple[int, ...] = ()

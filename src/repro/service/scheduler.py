@@ -258,6 +258,7 @@ class JobScheduler:
 
     def _settle(self, report: BatchReport, job: Job) -> None:
         started = self._in_flight.pop(job.job_id)
+        job.metrics.host_seconds = time.perf_counter() - started
         self.stats.record(report, job)
         if self.metrics is None:
             return
@@ -265,7 +266,7 @@ class JobScheduler:
             "repro_job_execute_seconds",
             "measured wall seconds from dispatch to settlement per job",
             backend=report.backend,
-        ).observe(time.perf_counter() - started)
+        ).observe(job.metrics.host_seconds)
         outcome = "failed" if job.status is JobStatus.FAILED else "completed"
         self.metrics.counter(
             "repro_jobs_settled_total", "jobs settled by outcome",

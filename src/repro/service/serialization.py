@@ -739,9 +739,10 @@ class ResultMsg:
 class EventMsg:
     """Unsolicited completion push for a subscribed job.
 
-    A done job's event also carries what the serving backend measured:
-    modelled ``cycles``, its ``seconds`` and the ``fidelity`` it ran at
-    (the fleet router copies them into the front door's job metrics).
+    A done job's event also carries what the serving backend modelled:
+    ``cycles``, ``model_seconds`` and the ``fidelity`` it ran at (the
+    fleet router copies them into the front door's job metrics; the
+    front door measures ``host_seconds`` itself).
     """
 
     job_id: str
@@ -749,7 +750,7 @@ class EventMsg:
     payload: bytes = b""  # framed ciphertext message when status == done
     error: str = ""
     cycles: int = 0
-    seconds: float = 0.0
+    model_seconds: float = 0.0
     fidelity: str = ""
 
 
@@ -883,7 +884,7 @@ CONTROL_MESSAGES = {
          "request_id:u32 job_id:str status:str payload:blob error:str"),
         (TAG_EVENT, "event", EventMsg,
          "job_id:str status:str payload:blob error:str cycles:i64 "
-         "seconds:f64 fidelity:str"),
+         "model_seconds:f64 fidelity:str"),
         (TAG_ERROR, "error", ErrorMsg, "request_id:u32 message:str code:str"),
         (TAG_SUBMIT_CIRCUIT, "submit-circuit", SubmitCircuitMsg,
          "request_id:u32 session_id:str circuit:blob backend:str "

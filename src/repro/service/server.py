@@ -28,7 +28,6 @@ from repro.bfv.scheme import Ciphertext
 from repro.service.backends import (
     Backend,
     ChipPoolBackend,
-    FastNttBackend,
     SoftwareBackend,
 )
 from repro.service.circuits import Circuit, CircuitError, rotation_exponents
@@ -81,7 +80,7 @@ class FheServer:
     Args:
         pool_size: chips in the cycle-accurate pool backend.
         default_backend: backend used when a request names none
-            (``chip_pool``, ``software``, or ``fastntt``).
+            (``chip_pool`` or ``software``).
         strict_fidelity: fail EvalMult jobs whose tensor cannot execute
             on-chip instead of silently pricing them from the model.
         result_cache_size: capacity (entries) of the content-addressed
@@ -138,7 +137,6 @@ class FheServer:
         self.backends: dict[str, Backend] = {
             "chip_pool": self.chip_pool,
             "software": SoftwareBackend(),
-            "fastntt": FastNttBackend(),
         }
         self.fleet = None
         if fleet_size > 0:

@@ -1,8 +1,10 @@
 """End-to-end serving telemetry: span tracing and a metrics registry.
 
 The ROADMAP's top perf item — "close the end-to-end Amdahl gap" — was
-unactionable while ``JobMetrics.seconds`` stayed one opaque number per
-job: BENCH_kernels.json shows kernels 16–27x faster batched while the
+unactionable while one opaque seconds number per job was all there was
+(now ``JobMetrics.model_seconds``, the backend's paper model, beside the
+measured ``JobMetrics.host_seconds`` that the scheduler's
+``repro_job_execute_seconds`` histogram observes): BENCH_kernels.json shows kernels 16–27x faster batched while the
 serving path improved only ~2–2.6x, and nothing said *where* the rest of
 ``serve_job`` time goes. This module is the measurement substrate:
 

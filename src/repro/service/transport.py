@@ -20,8 +20,8 @@ a listener in front of it:
   default) registers the connection for an EVENT push: the server's pump
   task drives :meth:`FheServer.tick` and delivers each job's result
   frame between ticks, as soon as that job settles. No client ever
-  polls. The EVENT also carries the job's modelled cycles, seconds and
-  fidelity.
+  polls. The EVENT also carries the job's modelled cycles,
+  ``model_seconds`` and fidelity.
 
 :meth:`FheTransportServer.serve_socket` serves one already-connected
 socket instead of a listener: a fleet worker is served that way, with
@@ -713,7 +713,7 @@ class FheTransportServer:
             metrics = self.fhe.job_metrics(job_id)
             return EventMsg(
                 job_id=job_id, status=status.value, payload=bytes(payload),
-                cycles=metrics.cycles, seconds=metrics.seconds,
+                cycles=metrics.cycles, model_seconds=metrics.model_seconds,
                 fidelity=metrics.fidelity,
             )
         return EventMsg(

@@ -45,7 +45,7 @@ from repro.service.serialization import (
 )
 from repro.service.server import FheServer
 
-BACKENDS = ("chip_pool", "software", "fastntt")
+BACKENDS = ("chip_pool", "software")
 
 #: Roomy modulus (168 bits): the depth-capped random circuits decrypt
 #: exactly even after lazy relinearization reorders the noise growth.
@@ -232,7 +232,7 @@ class TestDifferentialServing:
         self, ctx, circuit
     ):
         """Unoptimized vs exact-optimized serve to the same bytes, and
-        the three backends agree — one equivalence class of six wires."""
+        the two backends agree — one equivalence class of four wires."""
         wires = set()
         reports = {}
         for backend in BACKENDS:

@@ -1,8 +1,7 @@
 """Differential test harness: every backend, pinned to ``Bfv`` ground truth.
 
 For a grid of (parameter set x op x job count), the ChipPool backend at
-pool sizes 1/2/4, the Software backend, and the FastNtt backend must all
-return **bit-identical wire bytes**, and those bytes must decode to the
+pool sizes 1/2/4 and the Software backend must all return **bit-identical wire bytes**, and those bytes must decode to the
 exact ciphertext the ground-truth :class:`~repro.bfv.scheme.Bfv` engine
 produces locally (homomorphic evaluation is deterministic, so equality is
 bit-for-bit, not just equal plaintexts — though plaintexts are checked
@@ -17,7 +16,6 @@ import pytest
 from repro.bfv import BatchEncoder, Bfv, BfvParameters
 from repro.bfv.scheme import _ExactMultiplier
 from repro.polymath.rns import RnsBasis
-from repro.service.backends import ChipPoolBackend
 from repro.service.jobs import JobKind, JobStatus
 from repro.service.serialization import (
     deserialize_ciphertext,
@@ -96,9 +94,7 @@ class TestDifferentialGrid:
         for pool in POOL_SIZES:
             _, _, wires = _serve(params, keys, "chip_pool", pool, cases)
             runs[f"chip_pool_x{pool}"] = wires
-        for backend in ("software", "fastntt"):
-            _, _, wires = _serve(params, keys, backend, 1, cases)
-            runs[backend] = wires
+        _, _, runs["software"] = _serve(params, keys, "software", 1, cases)
         # Bit-identical wire bytes across every backend and pool size.
         reference = runs["chip_pool_x1"]
         for name, wires in runs.items():
@@ -191,12 +187,6 @@ def _non_native_params():
 
 
 class TestStrictFidelity:
-    def test_strict_requires_data_fidelity(self):
-        """Strict with the chip path disabled is a contradiction, not a no-op."""
-        with pytest.raises(ValueError, match="strict_fidelity requires"):
-            ChipPoolBackend(pool_size=1, data_fidelity=False,
-                            strict_fidelity=True)
-
     def test_non_native_multiply_fails_under_strict(self):
         params = _non_native_params()
         bfv = Bfv(params, seed=3)

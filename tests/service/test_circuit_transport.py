@@ -27,7 +27,7 @@ from repro.service.serialization import (
 from repro.service.server import FheServer
 from repro.service.transport import FheTransportServer, ThreadedTransportServer
 
-BACKENDS = ("chip_pool", "software", "fastntt")
+BACKENDS = ("chip_pool", "software")
 
 LOGREG_PARAMS = BfvParameters.toy_rns(
     n=16, towers=5, tower_bits=28, t=ntt_friendly_prime(16, 21)

@@ -28,7 +28,7 @@ from repro.service.serialization import (
 
 PAYLOAD = serialize_params(BfvParameters.toy(n=16, log_q=80))
 EVENT = encode_message(EventMsg(
-    "j1", "done", PAYLOAD, cycles=7, seconds=0.5, fidelity="chip",
+    "j1", "done", PAYLOAD, cycles=7, model_seconds=0.5, fidelity="chip",
 ))
 STATS = encode_message(StatsMsg(request_id=1, text="repro_up 1\n"))
 STATUS = encode_message(StatusMsg(request_id=2, job_id="j1", status="queued"))

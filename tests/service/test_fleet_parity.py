@@ -79,19 +79,21 @@ def test_thread_fleet_job_matches_the_chip_pool(tenant):
             m = fleet.job_metrics(jid)
             assert wire == want
             assert m.backend == fleet.fleet.name
-            assert (m.cycles, m.seconds, m.fidelity) == (
-                local_m.cycles, local_m.seconds, local_m.fidelity
+            assert (m.cycles, m.model_seconds, m.fidelity) == (
+                local_m.cycles, local_m.model_seconds, local_m.fidelity
             )
             assert (m.cycles, m.fidelity) == (EVALMULT_CYCLES, "chip")
 
 
 def test_event_carries_cycles_seconds_and_fidelity():
     done = EventMsg("j-1", "done", b"payload", cycles=EVALMULT_CYCLES,
-                    seconds=4.5e-5, fidelity="chip")
+                    model_seconds=4.5e-5, fidelity="chip")
     assert decode_message(encode_message(done)) == done
     failed = decode_message(encode_message(EventMsg("j-2", "failed",
                                                     error="boom")))
-    assert (failed.cycles, failed.seconds, failed.fidelity) == (0, 0.0, "")
+    assert (failed.cycles, failed.model_seconds, failed.fidelity) == (
+        0, 0.0, ""
+    )
 
 
 def test_pushed_event_reports_the_jobs_metrics(tenant):
@@ -114,8 +116,8 @@ def test_pushed_event_reports_the_jobs_metrics(tenant):
             await client.aclose()
         (event,) = events
         m = fhe.job_metrics(jid)
-        assert (event.cycles, event.seconds, event.fidelity) == (
-            m.cycles, m.seconds, m.fidelity
+        assert (event.cycles, event.model_seconds, event.fidelity) == (
+            m.cycles, m.model_seconds, m.fidelity
         )
         assert event.cycles == EVALMULT_CYCLES
 

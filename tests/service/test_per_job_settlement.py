@@ -38,7 +38,6 @@ EXPECTED_CYCLES = {
     "chip_pool": (sum(CHIP_TOWER_CYCLES) + CHIP_RELIN_CYCLES,
                   CHIP_TOWER_CYCLES, CHIP_RELIN_CYCLES),
     "software": (0, (), 0),
-    "fastntt": (0, (), 0),
 }
 
 

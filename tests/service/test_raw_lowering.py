@@ -5,7 +5,7 @@ to its one-step circuit when the job is built, so it must be
 indistinguishable from submitting the hand-built circuit yourself: the
 same result ciphertext, the same modelled cycles and seconds, the same
 fidelity flags and the same top-level trace phases — on the chip pool at
-two sizes, the software and fastntt backends, and a worker fleet.
+two sizes, the software backend, and a worker fleet.
 """
 
 import random
@@ -32,7 +32,6 @@ PATHS = {
     "chip_pool_x1": ({"pool_size": 1}, "chip_pool"),
     "chip_pool_x4": ({"pool_size": 4}, "chip_pool"),
     "software": ({}, "software"),
-    "fastntt": ({}, "fastntt"),
     "fleet": ({"fleet_size": 1, "fleet_mode": "thread", "fault_spec": "",
                "fleet_options": {"heartbeat_interval": 0.05}}, "fleet"),
 }
@@ -124,8 +123,7 @@ def test_raw_submit_equals_its_hand_built_circuit(tenant, path):
             assert m_raw.relin_fidelity == m_circ.relin_fidelity, case
             assert m_raw.tower_cycles == m_circ.tower_cycles, case
             assert m_raw.relin_cycles == m_circ.relin_cycles, case
-            if path != "fastntt":  # fastntt seconds are measured
-                assert m_raw.seconds == m_circ.seconds, case
+            assert m_raw.model_seconds == m_circ.model_seconds, case
             assert _top_phases(server, raw) == _top_phases(
                 server, circuit
             ), case

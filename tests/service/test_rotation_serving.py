@@ -41,7 +41,7 @@ from repro.service.serialization import (
 )
 from repro.service.server import FheServer
 
-BACKENDS = ("chip_pool", "software", "fastntt")
+BACKENDS = ("chip_pool", "software")
 
 #: Roomy enough that a chain of key switches still decodes exactly.
 PARAMS = BfvParameters.toy_rns(

@@ -81,7 +81,7 @@ CASES = {
     ),
     "event": EventMsg(
         job_id="j-2", status="failed", payload=b"ev", error="ошибка",
-        cycles=-1, seconds=0.001, fidelity="mödel",
+        cycles=-1, model_seconds=0.001, fidelity="mödel",
     ),
     "error": ErrorMsg(
         request_id=0, message="protocol error: ñ", code="quota",

@@ -6,7 +6,8 @@
 #
 #   tools/run_checks.sh              # tier-1 + benchmark smoke + docs
 #                                    # + observability + fleet + examples
-#                                    # smoke
+#                                    # smoke, then the line counts of
+#                                    # src/repro/service and src/
 #   tools/run_checks.sh --docs       # only the docs stage (when given
 #                                    # alone; with other flags the full
 #                                    # pipeline runs and already
@@ -232,6 +233,11 @@ if [ "$RUN_SLOW" = 1 ]; then
   python -m pytest benchmarks/bench_service_throughput.py --slow -q -s \
     --benchmark-disable
 fi
+
+echo
+echo "== line counts (tracked in ROADMAP.md; printed, not gated) =="
+echo "src/repro/service: $(cat src/repro/service/*.py | wc -l)"
+echo "src/: $(cat src/repro/*.py src/repro/*/*.py | wc -l)"
 
 echo
 echo "all checks passed"
