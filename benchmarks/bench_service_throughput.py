@@ -533,7 +533,7 @@ def _spawn_fleet_server(fleet: int) -> tuple[subprocess.Popen, str, int]:
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
     proc = subprocess.Popen(
-        [sys.executable, "-m", "repro.service.demo",
+        [sys.executable, "-m", "repro.service.cli",
          "--listen", "127.0.0.1:0", "--fleet", str(fleet)],
         env=env, cwd=REPO_ROOT,
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
@@ -722,7 +722,6 @@ def _serve_spillover(spill_threshold: int, tenants) -> dict:
     """Serve the skewed traffic through a thread-mode fleet of 4."""
     server = FheServer(
         fleet_size=SPILL_FLEET, fleet_mode="thread",
-        default_backend="fleet",
         fleet_options={"spill_threshold": spill_threshold},
     )
     with server:

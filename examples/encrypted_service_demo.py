@@ -24,9 +24,8 @@ the chip pool's span-tracing phase-attribution table with its >= 90%
 coverage gate (see docs/observability.md).
 
 Run:  python examples/encrypted_service_demo.py
-      (the in-process three-backend comparison demo remains available as
-      ``repro-serve``; ``repro-serve --listen PORT`` starts this same
-      transport stack as a standalone server — see docs/serving-guide.md)
+      (``repro-serve --listen PORT`` starts this same transport stack as
+      a standalone server — see docs/serving-guide.md)
 """
 
 import random

@@ -35,7 +35,7 @@ setup(
     },
     entry_points={
         "console_scripts": [
-            "repro-serve = repro.service.demo:main",
+            "repro-serve = repro.service.cli:main",
         ],
     },
     classifiers=[

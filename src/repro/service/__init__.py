@@ -28,12 +28,12 @@ from a single-shot library into a servable system:
 * :mod:`repro.service.client` — :class:`AsyncFheClient` (asyncio core)
   and :class:`FheClient` (sync facade) for driving a remote pool;
 * :mod:`repro.service.telemetry` — per-job span tracing
-  (:class:`JobTrace`), the :class:`MetricsRegistry` behind the wire
-  ``STATS``/``TRACE`` exposition, and the phase-attribution fold
-  (:func:`aggregate_phases`) that ``tools/profile_serve.py`` prints;
-* :mod:`repro.service.demo` — the multi-tenant end-to-end demo behind
-  the ``repro-serve`` console script (``--listen`` starts the transport,
-  ``--smoke`` runs a localhost round-trip self-test).
+  (:class:`JobTrace`, recorded for every job), the
+  :class:`MetricsRegistry` behind the wire ``STATS``/``TRACE``
+  exposition, and the phase-attribution fold (:func:`aggregate_phases`)
+  that ``tools/profile_serve.py`` prints;
+* :mod:`repro.service.cli` — the ``repro-serve`` console script: one
+  TCP listener (``--listen``) over the chip pool or a worker fleet.
 """
 
 from repro.service.backends import (
@@ -73,8 +73,6 @@ from repro.service.telemetry import (
     JobTrace,
     MetricsRegistry,
     aggregate_phases,
-    new_trace,
-    tracing_enabled,
 )
 from repro.service.transport import (
     FheTransportServer,
@@ -117,9 +115,7 @@ __all__ = [
     "deserialize_circuit",
     "deserialize_circuit_outputs",
     "evaluate_circuit",
-    "new_trace",
     "params_digest",
     "serialize_circuit",
     "serialize_circuit_outputs",
-    "tracing_enabled",
 ]

@@ -77,7 +77,7 @@ from repro.bfv.params import BfvParameters
 from repro.bfv.rotation import apply_galois_with_key
 from repro.bfv.scheme import Bfv, Ciphertext
 from repro.polymath.poly import Polynomial, PolynomialRing
-from repro.service.telemetry import NULL_TRACE
+from repro.service.telemetry import JobTrace
 
 #: Version byte of the circuit *body* encoding (independent of the outer
 #: wire envelope version): decoders reject unknown values, so the format
@@ -669,7 +669,7 @@ def evaluate_circuit(
     inputs: Sequence[Ciphertext],
     on_tensor: TensorHook | None = None,
     galois: GaloisResolver | None = None,
-    trace=NULL_TRACE,
+    trace: JobTrace | None = None,
 ) -> dict[str, Ciphertext]:
     """Execute a circuit exactly; returns its named outputs.
 
@@ -691,16 +691,18 @@ def evaluate_circuit(
         galois: resolver from Galois exponent to the session's uploaded
             :class:`~repro.bfv.rotation.GaloisKey` (required only when
             the circuit contains rotation steps).
-        trace: the job's :class:`~repro.service.telemetry.JobTrace`.
-            Every relinearization and Galois key switch is recorded as a
-            top-level ``keyswitch`` span, the work around them as
-            ``execute`` spans.
+        trace: the job's :class:`~repro.service.telemetry.JobTrace`
+            (a fresh one when ``None``). Every relinearization and Galois
+            key switch is recorded as a top-level ``keyswitch`` span, the
+            work around them as ``execute`` spans.
     """
     if len(inputs) != len(circuit.inputs):
         raise CircuitError(
             f"circuit {circuit.name!r} takes {len(circuit.inputs)} inputs "
             f"({', '.join(circuit.inputs)}), got {len(inputs)}"
         )
+    if trace is None:
+        trace = JobTrace()
     # Start of the open ``execute`` interval, and whether any work ran
     # in it since the last key switch (the first interval always counts:
     # it covers constant decoding).

@@ -8,7 +8,7 @@ polls: ``await client.result(job_id)`` parks on the job's future until
 the server pushes its completion event.
 
 :class:`FheClient` wraps the async core for synchronous callers (apps,
-benchmarks, the ``repro-serve --smoke`` self-test): it hosts a private
+benchmarks, tests): it hosts a private
 event loop on a daemon thread and bridges every call with
 ``run_coroutine_threadsafe``. Completion callbacks run on that loop
 thread — keep them short and thread-safe.

@@ -1,7 +1,7 @@
 """Deterministic fault injection for the worker fleet.
 
-``REPRO_FAULT`` (or ``FheServer(fault_spec=...)``) holds a spec in the
-grammar below; :class:`FaultPlan` parses it, and inside each worker
+``FheServer(fault_spec=...)`` holds a spec in the grammar below;
+:class:`FaultPlan` parses it, and inside each worker
 :meth:`WorkerFaults.shim` carries its share out as a filter on the
 worker transport's outbound frames. Faults fire at counted points — the
 Nth EVENT, the first N pings — never on timers, so the chaos battery
@@ -36,7 +36,7 @@ _FAULT_ACTIONS = ("kill", "corrupt", "delay_heartbeat", "stall")
 
 
 class FaultSpecError(ValueError):
-    """Malformed ``REPRO_FAULT`` / :meth:`FaultPlan.parse` spec."""
+    """Malformed ``fault_spec`` / :meth:`FaultPlan.parse` spec."""
 
 
 @dataclass(frozen=True)

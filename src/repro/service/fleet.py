@@ -17,7 +17,6 @@ from __future__ import annotations
 import asyncio
 import concurrent.futures
 import multiprocessing
-import os
 import queue
 import socket
 import threading
@@ -123,7 +122,7 @@ class FleetBackend(Backend):
 
     ``mode="process"`` spawns interpreters (always the ``spawn`` start
     method); ``mode="thread"`` runs the same worker in threads.
-    ``fault_spec`` (default: ``REPRO_FAULT``) arms a
+    ``fault_spec`` (default: none) arms a
     :class:`~repro.service.faults.FaultPlan` in every worker.
     ``spill_threshold > 0`` routes a job off its digest's home worker
     once the home owns that many jobs (``0``, the default: pinned).
@@ -139,7 +138,7 @@ class FleetBackend(Backend):
                  strict_fidelity: bool = False,
                  heartbeat_interval: float = 0.5,
                  heartbeat_timeout: float = 10.0,
-                 restart: bool = True, fault_spec: str | None = None,
+                 restart: bool = True, fault_spec: str = "",
                  spill_threshold: int = 0):
         super().__init__()
         if size < 1:
@@ -156,9 +155,7 @@ class FleetBackend(Backend):
         self.heartbeat_timeout = heartbeat_timeout
         self.restart = restart
         self.spill_threshold = spill_threshold
-        self.fault_plan = FaultPlan.parse(
-            os.environ.get("REPRO_FAULT") if fault_spec is None else fault_spec
-        )
+        self.fault_plan = FaultPlan.parse(fault_spec)
         self._registry: SessionRegistry | None = None
         self._inbox: queue.SimpleQueue = queue.SimpleQueue()
         self._elapsed = 0.0
@@ -526,8 +523,7 @@ class FleetBackend(Backend):
         job, now, worker = assignment.job, time.perf_counter(), -1
         job.metrics.backend = self.name
         if event.status == "done":
-            if job.trace.enabled:
-                job.trace.mark("execute", assignment.sent_at, now)
+            job.trace.mark("execute", assignment.sent_at, now)
             job.finish(event.payload)  # framed wire bytes
             job.metrics.cycles = event.cycles
             job.metrics.model_seconds = event.model_seconds

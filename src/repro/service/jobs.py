@@ -5,8 +5,9 @@ a :class:`~repro.service.circuits.Circuit` over uploaded ciphertexts.
 An app circuit (a compiled multi-step encrypted program) arrives as one;
 a raw homomorphic op (add/sub/multiply/square/rotate) is lowered to its
 one-step circuit when the job is built, so every backend executes
-circuits only. Jobs carry their own metrics so the serving layer can
-report per-job latency alongside the aggregate throughput tables.
+circuits only. Every job carries its own metrics and its own
+:class:`~repro.service.telemetry.JobTrace`, so the serving layer can
+report per-job latency, and where it went, for any job id.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from repro.service.circuits import (
     Circuit,
     CircuitStep,
 )
-from repro.service.telemetry import new_trace
+from repro.service.telemetry import JobTrace
 
 
 class JobKind(Enum):
@@ -183,9 +184,9 @@ class Job:
     result: object = None
     error: str | None = None
     metrics: JobMetrics = field(default_factory=JobMetrics)
-    #: Monotonic-clock phase spans (the shared NULL_TRACE when
-    #: ``REPRO_TRACE=off``); see :mod:`repro.service.telemetry`.
-    trace: object = field(default_factory=new_trace, repr=False)
+    #: Monotonic-clock phase spans, recorded for every job; see
+    #: :mod:`repro.service.telemetry`.
+    trace: JobTrace = field(default_factory=JobTrace, repr=False)
 
     def __post_init__(self):
         if self.kind is not JobKind.CIRCUIT:

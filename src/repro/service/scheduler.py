@@ -242,7 +242,7 @@ class JobScheduler:
         self._dispatch_seq += 1
         self._set_queue_depth()
         start = time.perf_counter()
-        if job.trace.enabled and job.trace.queued_at is not None:
+        if job.trace.queued_at is not None:
             job.trace.mark("queue_wait", job.trace.queued_at, start)
         self.backends[job.backend].dispatch(job, self.registry)
         self._in_flight[job.job_id] = start

@@ -19,6 +19,7 @@ completion between ticks.
 from __future__ import annotations
 
 import hashlib
+import math
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -51,10 +52,10 @@ from repro.service.serialization import (
     serialize_relin_key,
 )
 from repro.service.telemetry import (
+    JobTrace,
     MetricsRegistry,
     adopt_batch_spans,
     aggregate_phases,
-    new_trace,
 )
 
 
@@ -67,11 +68,26 @@ class TenantQuota:
     one token, the bucket holds at most ``burst`` and refills at
     ``rate`` tokens per second. A ``burst`` with ``rate == 0`` never
     refills — the deterministic configuration the quota tests use.
+    Negative counts and a negative or non-finite rate raise
+    :class:`ValueError`: each would silently disable a limit or reject
+    forever.
     """
 
     max_inflight: int = 0
     rate: float = 0.0
     burst: int = 0
+
+    def __post_init__(self):
+        if self.max_inflight < 0 or self.burst < 0:
+            raise ValueError(
+                f"quota counts must be >= 0 (0 disables), got "
+                f"max_inflight={self.max_inflight} burst={self.burst}"
+            )
+        if not (math.isfinite(self.rate) and self.rate >= 0):
+            raise ValueError(
+                f"quota rate must be finite and >= 0 (0 disables), got "
+                f"{self.rate}"
+            )
 
 
 class FheServer:
@@ -79,8 +95,6 @@ class FheServer:
 
     Args:
         pool_size: chips in the cycle-accurate pool backend.
-        default_backend: backend used when a request names none
-            (``chip_pool`` or ``software``).
         strict_fidelity: fail EvalMult jobs whose tensor cannot execute
             on-chip instead of silently pricing them from the model.
         result_cache_size: capacity (entries) of the content-addressed
@@ -93,14 +107,15 @@ class FheServer:
             all backends are bit-identical, so a cached result is
             exactly what a fresh execution would return.
         fleet_size: worker count for the multi-process fleet backend
-            (``0``, the default, registers no fleet). With a fleet the
-            server **must** be closed (:meth:`close`, or use it as a
+            (``0``, the default, registers no fleet). A request that
+            names no backend runs on the fleet when there is one, else
+            on the chip pool. With a fleet the server **must** be closed (:meth:`close`, or use it as a
             context manager) to reap the worker processes.
         fleet_mode: ``"process"`` (spawned interpreters) or ``"thread"``
             (the identical worker in threads, for fast tests).
         fault_spec: deterministic fault-injection spec for the fleet
-            (see :class:`~repro.service.fleet.FaultPlan`); defaults to
-            the ``REPRO_FAULT`` environment variable.
+            (see :class:`~repro.service.fleet.FaultPlan`); empty, the
+            default, injects none.
         fleet_options: extra :class:`~repro.service.fleet.FleetBackend`
             keyword arguments (``heartbeat_interval``,
             ``heartbeat_timeout``, ``restart``, ``spill_threshold``).
@@ -117,10 +132,9 @@ class FheServer:
     """
 
     def __init__(self, pool_size: int = 4,
-                 default_backend: str = "chip_pool",
                  strict_fidelity: bool = False,
                  result_cache_size: int = 256, fleet_size: int = 0,
-                 fleet_mode: str = "process", fault_spec: str | None = None,
+                 fleet_mode: str = "process", fault_spec: str = "",
                  fleet_options: dict | None = None,
                  quotas: dict[str, TenantQuota] | None = None,
                  optimizer_level: str = DEFAULT_LEVEL):
@@ -154,7 +168,8 @@ class FheServer:
             raise ValueError("fleet_options given but fleet_size is 0")
         self._closed = False
         self.scheduler = JobScheduler(
-            self.registry, self.backends, default=default_backend,
+            self.registry, self.backends,
+            default="fleet" if self.fleet is not None else "chip_pool",
         )
         # One metrics registry per server, shared down the stack: the
         # scheduler (queue depth, per-job execute time), every backend
@@ -294,7 +309,7 @@ class FheServer:
         if self._quotas:
             tenant = self.registry.get(session_id).tenant
             self._admit_tenant(tenant)
-        trace = new_trace()
+        trace = JobTrace()
         started = time.perf_counter()
         with trace.span("submit"):
             job_id = self._submit_traced(
@@ -875,7 +890,6 @@ class FheServer:
             backend = self.backends[backend].name
         traces = [
             job.trace for job in self._jobs.values()
-            if job.done and job.trace.enabled
-            and (not backend or job.metrics.backend == backend)
+            if job.done and (not backend or job.metrics.backend == backend)
         ]
         return aggregate_phases(traces, until_done=until_done)

@@ -11,11 +11,8 @@ serving path improved only ~2–2.6x, and nothing said *where* the rest of
 * **Span tracing** — every job carries a :class:`JobTrace` of
   monotonic-clock phase spans (:data:`PHASES` is the glossary), recorded
   through a context-manager/mark API by the server, scheduler, backends,
-  and transport. Tracing defaults **on**; ``REPRO_TRACE=off`` swaps every
-  job's trace for the shared :data:`NULL_TRACE` singleton whose ``span``
-  returns one preallocated no-op context manager — the submit path then
-  pays a single attribute lookup per span site (the overhead-guard test
-  holds it under 2% of submit latency).
+  and transport. Tracing is always on: every job records, so an
+  operator can trace any job id.
 * **Metrics registry** — named counters, gauges, and fixed-bucket
   latency histograms (p50/p95/p99 derivable from bucket counts without
   storing samples), with optional labels. :meth:`MetricsRegistry.render`
@@ -36,7 +33,6 @@ dispatch — including the time it spends behind earlier jobs — is its
 from __future__ import annotations
 
 import bisect
-import os
 import threading
 import time
 from dataclasses import dataclass, field
@@ -63,13 +59,6 @@ PHASES = (
 _PHASE_ORDER = {name: i for i, name in enumerate(PHASES)}
 
 
-def tracing_enabled() -> bool:
-    """Whether new jobs get a recording trace (``REPRO_TRACE``, default on)."""
-    return os.environ.get("REPRO_TRACE", "on").lower() not in (
-        "off", "0", "false", "no"
-    )
-
-
 @dataclass
 class Span:
     """One recorded phase: ``[start, end]`` on the monotonic clock.
@@ -90,7 +79,7 @@ class Span:
 
 
 class _SpanCtx:
-    """Context manager recording one span (allocated only when tracing)."""
+    """Context manager recording one span."""
 
     __slots__ = ("_trace", "_phase", "_index")
 
@@ -112,26 +101,10 @@ class _SpanCtx:
         trace._stack.pop()
 
 
-class _NullSpanCtx:
-    """The one preallocated no-op context manager tracing-off jobs share."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSpanCtx":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        pass
-
-
-_NULL_CTX = _NullSpanCtx()
-
-
 class JobTrace:
     """Phase spans of one job, on one shared monotonic clock.
 
-    Recording API (all near-zero-cost when the job carries
-    :data:`NULL_TRACE` instead):
+    Recording API:
 
     * ``with trace.span("execute"): ...`` — a live phase; nesting makes
       the inner span a child of the outer.
@@ -145,8 +118,6 @@ class JobTrace:
     """
 
     __slots__ = ("spans", "_stack", "queued_at", "done_at")
-
-    enabled = True
 
     def __init__(self):
         self.spans: list[Span] = []
@@ -218,50 +189,6 @@ class JobTrace:
         ]
 
 
-class _NullTrace:
-    """Tracing-off stand-in: every operation is a no-op, nothing allocates."""
-
-    __slots__ = ()
-
-    enabled = False
-    spans: tuple = ()
-    queued_at = None
-    done_at = None
-
-    def span(self, phase: str) -> _NullSpanCtx:
-        return _NULL_CTX
-
-    def mark(self, phase: str, start: float, end: float,
-             parent: int = -1) -> int:
-        return -1
-
-    def stamp_queued(self) -> None:
-        pass
-
-    def stamp_done(self) -> None:
-        pass
-
-    @property
-    def started_at(self) -> None:
-        return None
-
-    wall_seconds = 0.0
-
-    def phase_seconds(self, until_done: bool = False) -> dict[str, float]:
-        return {}
-
-    def tree_lines(self) -> list[str]:
-        return []
-
-
-NULL_TRACE = _NullTrace()
-
-
-def new_trace() -> JobTrace | _NullTrace:
-    """A recording trace, or the shared null trace when ``REPRO_TRACE=off``."""
-    return JobTrace() if tracing_enabled() else NULL_TRACE
-
-
 #: Top-level phases that constitute a job's execution window — what a
 #: dedupe follower inherits from the primary whose single execution
 #: produced its result (see :func:`adopt_batch_spans`).
@@ -281,11 +208,8 @@ def adopt_batch_spans(follower, primary) -> int:
     ``queued_at`` (spans that ended before the follower existed are not
     its latency) and records them as the follower's top-level spans;
     any remaining gap between queueing and the first adopted span is
-    marked ``queue_wait``. Returns the number of spans copied; no-op
-    (returning 0) unless both traces are recording.
+    marked ``queue_wait``. Returns the number of spans copied.
     """
-    if not (follower.enabled and primary.enabled):
-        return 0
     origin = follower.queued_at
     copied = 0
     earliest = None

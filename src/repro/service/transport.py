@@ -518,8 +518,7 @@ class FheTransportServer:
             trace = self.fhe.job_trace(job_id)
         except KeyError:
             return
-        if trace.enabled:
-            trace.mark("reply", start, end)
+        trace.mark("reply", start, end)
 
     async def _abandon_pending(self, reason: str) -> None:
         for job_id in list(self._pending):
@@ -825,15 +824,15 @@ class FheTransportServer:
 
 
 # ----------------------------------------------------------------------
-# Thread-hosted server (sync callers: demos, benchmarks, smoke tests)
+# Thread-hosted server (sync callers: examples, benchmarks, tests)
 # ----------------------------------------------------------------------
 
 
 class ThreadedTransportServer:
     """Run a :class:`FheTransportServer` on a background event loop.
 
-    Context manager for synchronous callers — the demo's ``--smoke``
-    self-test, benchmarks, and tests driving the sync
+    Context manager for synchronous callers — examples, benchmarks, and
+    tests driving the sync
     :class:`~repro.service.client.FheClient`::
 
         with ThreadedTransportServer(pool_size=4) as ts:

@@ -110,7 +110,7 @@ class TestFleetUnderRandomFaults:
         spec = ";".join(rule.render() for rule in plan)
         server = FheServer(
             fleet_size=FLEET_SIZE, fleet_mode="thread",
-            default_backend="fleet", fault_spec=spec,
+            fault_spec=spec,
             fleet_options={"heartbeat_interval": 0.05,
                            "heartbeat_timeout": 2.0},
         )
@@ -178,7 +178,7 @@ class TestOverloadUnderRandomFaults:
         )
         server = FheServer(
             fleet_size=FLEET_SIZE, fleet_mode="thread",
-            default_backend="fleet", fault_spec=spec, quotas=quotas,
+            fault_spec=spec, quotas=quotas,
             fleet_options={"heartbeat_interval": 0.05,
                            "heartbeat_timeout": 5.0,
                            "spill_threshold": spill},

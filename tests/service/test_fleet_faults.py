@@ -1,7 +1,7 @@
 """Chaos battery for the multi-process worker fleet.
 
 Every scenario injects a deterministic fault through the
-``REPRO_FAULT``-style spec (:class:`~repro.service.fleet.FaultPlan`) and
+``fault_spec`` grammar (:class:`~repro.service.fleet.FaultPlan`) and
 asserts the serving invariants the fleet guarantees:
 
 * no accepted job is ever lost — a killed worker's in-flight jobs
@@ -126,7 +126,7 @@ class TestWorkerKilledMidBatch:
         ground truth bit for bit (real separate interpreters)."""
         target = route_index(params_digest(PARAMS), 2)
         server = FheServer(
-            fleet_size=2, fleet_mode="process", default_backend="fleet",
+            fleet_size=2, fleet_mode="process",
             fault_spec=f"kill:worker={target}:job=1",
             fleet_options=dict(FAST_BEATS, heartbeat_timeout=10.0),
         )
@@ -148,7 +148,7 @@ class TestWorkerKilledMidBatch:
         slots respawn with clean fault plans, and the traffic still
         lands bit-identical (thread mode for speed)."""
         server = FheServer(
-            fleet_size=2, fleet_mode="thread", default_backend="fleet",
+            fleet_size=2, fleet_mode="thread",
             fault_spec="kill:worker=0:job=1;kill:worker=1:job=1",
             fleet_options=dict(FAST_BEATS),
         )
@@ -168,7 +168,7 @@ class TestHeartbeatLoss:
         """A worker that stops heartbeating is evicted; the moment it
         speaks again it is re-admitted and serves traffic."""
         server = FheServer(
-            fleet_size=2, fleet_mode="thread", default_backend="fleet",
+            fleet_size=2, fleet_mode="thread",
             # ~12 skipped beats at 0.05s ≈ 0.6s of silence, past the
             # 0.2s timeout — then beats resume and the worker returns.
             fault_spec="delay_heartbeat:worker=0:beats=12",
@@ -200,7 +200,7 @@ class TestCorruptReply:
         on a different worker and the delivered result is clean."""
         target = route_index(params_digest(PARAMS), 2)
         server = FheServer(
-            fleet_size=2, fleet_mode="thread", default_backend="fleet",
+            fleet_size=2, fleet_mode="thread",
             fault_spec=f"corrupt:worker={target}:job=1",
             fleet_options=dict(FAST_BEATS),
         )
@@ -219,7 +219,7 @@ class TestUnrecoverableFailureIsClean:
         """Every worker dead and restarts disabled: the job fails with
         a diagnosable message instead of hanging or vanishing."""
         server = FheServer(
-            fleet_size=2, fleet_mode="thread", default_backend="fleet",
+            fleet_size=2, fleet_mode="thread",
             fault_spec="kill:worker=0:job=1;kill:worker=1:job=1",
             fleet_options=dict(FAST_BEATS, restart=False),
         )
@@ -247,7 +247,7 @@ class TestSubmitFloodBackpressure:
 
         async def scenario():
             fhe = FheServer(
-                fleet_size=2, fleet_mode="thread", default_backend="fleet",
+                fleet_size=2, fleet_mode="thread",
                 fleet_options=dict(FAST_BEATS),
             )
             async with FheTransportServer(
@@ -438,7 +438,7 @@ class TestDeadlines:
         the reply if it ever surfaces, and the worker — still live —
         keeps serving."""
         server = FheServer(
-            fleet_size=1, fleet_mode="thread", default_backend="fleet",
+            fleet_size=1, fleet_mode="thread",
             fault_spec="stall:worker=0:job=1",
             fleet_options=dict(FAST_BEATS, heartbeat_timeout=30.0),
         )
@@ -473,7 +473,7 @@ class TestSpillover:
         to the other worker once the depth threshold is crossed — and
         every result still matches ground truth bit for bit."""
         server = FheServer(
-            fleet_size=2, fleet_mode="thread", default_backend="fleet",
+            fleet_size=2, fleet_mode="thread",
             fleet_options=dict(FAST_BEATS, spill_threshold=1),
         )
         with server:
@@ -490,7 +490,7 @@ class TestSpillover:
         """The default (spill_threshold=0) keeps the original pinned
         digest routing: one session's traffic lands on one worker."""
         server = FheServer(
-            fleet_size=2, fleet_mode="thread", default_backend="fleet",
+            fleet_size=2, fleet_mode="thread",
             fleet_options=dict(FAST_BEATS),
         )
         with server:
@@ -509,7 +509,7 @@ class TestElasticResize:
         newest workers and re-homes their backlog — across both, zero
         jobs lost or double-delivered and all results bit-identical."""
         server = FheServer(
-            fleet_size=2, fleet_mode="thread", default_backend="fleet",
+            fleet_size=2, fleet_mode="thread",
             fleet_options=dict(FAST_BEATS, spill_threshold=1),
         )
         with server:
@@ -534,7 +534,7 @@ class TestElasticResize:
 
         async def scenario():
             fhe = FheServer(
-                fleet_size=2, fleet_mode="thread", default_backend="fleet",
+                fleet_size=2, fleet_mode="thread",
                 fleet_options=dict(FAST_BEATS),
             )
             async with FheTransportServer(fhe) as server:
@@ -619,7 +619,7 @@ class TestRetryingClient:
 
         async def scenario():
             fhe = FheServer(
-                fleet_size=2, fleet_mode="thread", default_backend="fleet",
+                fleet_size=2, fleet_mode="thread",
                 fleet_options=dict(FAST_BEATS, spill_threshold=2),
                 quotas={"chaos": TenantQuota(max_inflight=2)},
             )
@@ -735,7 +735,7 @@ class TestRetryingClient:
             # there, so the armed kill always fires. Worker 0 only sees
             # spill-over traffic, which is timing-dependent.
             fhe = FheServer(
-                fleet_size=2, fleet_mode="thread", default_backend="fleet",
+                fleet_size=2, fleet_mode="thread",
                 fault_spec="kill:worker=1:job=1",
                 fleet_options=dict(FAST_BEATS, spill_threshold=2),
             )

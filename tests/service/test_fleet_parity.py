@@ -71,8 +71,8 @@ def test_thread_fleet_job_matches_the_chip_pool(tenant):
     with FheServer(pool_size=1, result_cache_size=0) as local:
         expected = _serve(local, keys, operands)
         local_metrics = [local.job_metrics(jid) for jid, _ in expected]
-    with FheServer(fleet_size=1, fleet_mode="thread", result_cache_size=0,
-                   default_backend="fleet", fault_spec="") as fleet:
+    with FheServer(fleet_size=1, fleet_mode="thread",
+                   result_cache_size=0) as fleet:
         served = _serve(fleet, keys, operands)
         for (jid, wire), (_, want), local_m in zip(
                 served, expected, local_metrics):
@@ -134,9 +134,8 @@ class TestSettledJobsReleaseState:
 
     def test_fleet_jobs_and_router_client_keep_no_records(self, tenant):
         keys, operands = tenant
-        with FheServer(fleet_size=2, fleet_mode="thread", fault_spec="",
-                       result_cache_size=0,
-                       default_backend="fleet") as server:
+        with FheServer(fleet_size=2, fleet_mode="thread",
+                       result_cache_size=0) as server:
             for jid, _ in _serve(server, keys, operands):
                 job = server._jobs[jid]
                 assert job.operands == [] and job.wire_operands == ()

@@ -31,7 +31,7 @@ PARAMS = BfvParameters.toy_rns(n=16, towers=3, tower_bits=20)
 PATHS = {
     "chip_pool": ({"pool_size": 2}, "chip_pool"),
     "software": ({}, "software"),
-    "fleet": ({"fleet_size": 1, "fleet_mode": "thread", "fault_spec": "",
+    "fleet": ({"fleet_size": 1, "fleet_mode": "thread",
                "fleet_options": {"heartbeat_interval": 0.05}}, "fleet"),
 }
 

@@ -74,7 +74,7 @@ def _dense_circuit() -> bytes:
 
 @pytest.mark.parametrize("backend", ("chip_pool", "software"))
 def test_six_tenants_build_rows_once_and_serve_on_the_engine(tenants, backend):
-    with FheServer(default_backend=backend) as server:
+    with FheServer() as server:
         sids = []
         for name, keys, rotor, _cts in tenants:
             sids.append(server.open_session(
@@ -97,12 +97,16 @@ def test_six_tenants_build_rows_once_and_serve_on_the_engine(tenants, backend):
         for round_ in range(2):  # round-robin: every tenant, then again
             for sid, (_name, _keys, _rotor, cts) in zip(sids, tenants):
                 a, b = cts[round_], cts[round_ + 2]
-                jobs.append(server.submit(sid, JobKind.MULTIPLY, (a, b)))
                 jobs.append(server.submit(
-                    sid, JobKind.ROTATE, (a,), steps=1 + round_
+                    sid, JobKind.MULTIPLY, (a, b), backend=backend
                 ))
                 jobs.append(server.submit(
-                    sid, JobKind.CIRCUIT, (a, b), payload=circuit
+                    sid, JobKind.ROTATE, (a,), steps=1 + round_,
+                    backend=backend,
+                ))
+                jobs.append(server.submit(
+                    sid, JobKind.CIRCUIT, (a, b), payload=circuit,
+                    backend=backend,
                 ))
         for jid in jobs:
             server.result(jid)
@@ -127,14 +131,18 @@ def test_exact_oracle_is_visible_as_the_scalar_path(tenants, monkeypatch):
         lambda params: _ExactMultiplier(params.n, params.q),
     )
     name, keys, rotor, cts = tenants[0]
-    with FheServer(default_backend="software") as server:
+    with FheServer() as server:
         sid = server.open_session(
             name, serialize_params(PARAMS),
             relin_key=serialize_relin_key(keys.relin, PARAMS),
             galois_keys=(serialize_galois_key(rotor.galois_key(3), PARAMS),),
         )
-        server.result(server.submit(sid, JobKind.MULTIPLY, (cts[0], cts[1])))
-        server.result(server.submit(sid, JobKind.ROTATE, (cts[0],), steps=1))
+        server.result(server.submit(
+            sid, JobKind.MULTIPLY, (cts[0], cts[1]), backend="software"
+        ))
+        server.result(server.submit(
+            sid, JobKind.ROTATE, (cts[0],), steps=1, backend="software"
+        ))
         total = "repro_keyswitch_total"
         assert _counter(server, total, kind="relin", path="scalar") == 1
         assert _counter(server, total, kind="galois", path="scalar") == 1

@@ -32,7 +32,7 @@ PATHS = {
     "chip_pool_x1": ({"pool_size": 1}, "chip_pool"),
     "chip_pool_x4": ({"pool_size": 4}, "chip_pool"),
     "software": ({}, "software"),
-    "fleet": ({"fleet_size": 1, "fleet_mode": "thread", "fault_spec": "",
+    "fleet": ({"fleet_size": 1, "fleet_mode": "thread",
                "fleet_options": {"heartbeat_interval": 0.05}}, "fleet"),
 }
 

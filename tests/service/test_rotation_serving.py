@@ -206,7 +206,7 @@ class TestFleetChaosMidRotation:
 
         target = route_index(params_digest(PARAMS), 2)
         server = FheServer(
-            fleet_size=2, fleet_mode="thread", default_backend="fleet",
+            fleet_size=2, fleet_mode="thread",
             fault_spec=f"kill:worker={target}:job=1",
             fleet_options={"heartbeat_interval": 0.05,
                            "heartbeat_timeout": 10.0},

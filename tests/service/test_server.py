@@ -16,7 +16,7 @@ from repro.service.serialization import (
     serialize_params,
     serialize_relin_key,
 )
-from repro.service.server import FheServer
+from repro.service.server import FheServer, TenantQuota
 
 PARAMS = BfvParameters.toy(n=16, log_q=80)
 
@@ -179,3 +179,17 @@ class TestThroughputReporting:
         assert "software" in names
         for row in rows:
             assert row["jobs"] >= 1 and row["jobs_per_s"] > 0
+
+
+class TestTenantQuota:
+    @pytest.mark.parametrize("kwargs", [
+        {"rate": -50.0, "burst": 2},  # admits once, then rejects forever
+        {"rate": float("nan"), "burst": 2},  # silently no limit
+        {"rate": float("inf"), "burst": 2},
+        {"max_inflight": -3},  # silently no cap
+        {"burst": -1},
+    ])
+    def test_out_of_range_quotas_are_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="quota"):
+            TenantQuota(**kwargs)
+

@@ -125,22 +125,3 @@ class TestSocketRoundTrip:
                 # The connection survived the refusal.
                 sid = _session(client, keys)
                 assert sid
-
-    def test_tracing_off_server_answers_empty(self, stack, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE", "off")
-        bfv, keys, encoder = stack
-        a = bfv.encrypt(encoder.encode([1] * PARAMS.n), keys.public)
-        b = bfv.encrypt(encoder.encode([2] * PARAMS.n), keys.public)
-        with ThreadedTransportServer(pool_size=2) as ts:
-            with FheClient(ts.host, ts.port) as client:
-                sid = _session(client, keys)
-                jid = client.submit(
-                    sid, "add",
-                    (serialize_ciphertext(a), serialize_ciphertext(b)),
-                )
-                client.result(jid)
-                trace = client.trace(jid)
-                assert trace.spans == ()
-                assert trace.wall_seconds == 0.0
-                # Metrics still flow with tracing off.
-                assert "repro_jobs_submitted_total" in client.stats()

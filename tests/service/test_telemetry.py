@@ -1,11 +1,9 @@
-"""Span-tracing telemetry: lifecycle, attribution, and the overhead gate.
+"""Span-tracing telemetry: lifecycle and attribution.
 
-The trace a job carries must tell a coherent story — spans nest where
-the code nested, phases land in pipeline order, completion stamps win
-exactly once — and the whole subsystem must cost nearly nothing when
-``REPRO_TRACE=off`` swaps every trace for the shared null singleton:
-the acceptance gate holds the tracing machinery under 2% of measured
-submit latency.
+The trace every job carries must tell a coherent story — spans nest
+where the code nested, phases land in pipeline order, completion stamps
+win exactly once, and dedupe followers adopt the execution window they
+waited through.
 """
 
 from __future__ import annotations
@@ -24,13 +22,10 @@ from repro.service.serialization import (
 )
 from repro.service.server import FheServer
 from repro.service.telemetry import (
-    NULL_TRACE,
     PHASES,
     JobTrace,
     adopt_batch_spans,
     aggregate_phases,
-    new_trace,
-    tracing_enabled,
 )
 
 PARAMS = BfvParameters.toy_rns(n=16, towers=2, tower_bits=20)
@@ -123,29 +118,6 @@ class TestSpanLifecycle:
         assert "serialize" not in trace.phase_seconds(until_done=True)
 
 
-class TestNullTrace:
-    def test_null_trace_is_inert(self):
-        assert not NULL_TRACE.enabled
-        ctx = NULL_TRACE.span("submit")
-        assert NULL_TRACE.span("execute") is ctx  # one shared no-op ctx
-        with ctx:
-            pass
-        assert NULL_TRACE.mark("execute", 0.0, 1.0) == -1
-        NULL_TRACE.stamp_queued()
-        NULL_TRACE.stamp_done()
-        assert NULL_TRACE.done_at is None
-        assert NULL_TRACE.wall_seconds == 0.0
-        assert NULL_TRACE.phase_seconds() == {}
-
-    def test_new_trace_respects_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE", "off")
-        assert not tracing_enabled()
-        assert new_trace() is NULL_TRACE
-        monkeypatch.setenv("REPRO_TRACE", "on")
-        assert tracing_enabled()
-        assert isinstance(new_trace(), JobTrace)
-
-
 class TestServingTraces:
     @pytest.mark.parametrize("backend", ("software", "chip_pool"))
     def test_phases_arrive_in_pipeline_order(self, backend):
@@ -189,15 +161,6 @@ class TestServingTraces:
             {"phase": "(total)", "seconds": 0.0, "percent": 0.0, "spans": 0}
         ]
 
-    def test_tracing_off_serving_still_works(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE", "off")
-        server, _, job_ids = _server_with_jobs(n_jobs=2)
-        server.run()
-        for job_id in job_ids:
-            assert server.poll(job_id) is JobStatus.DONE
-            assert server.job_trace(job_id) is NULL_TRACE
-        assert server.phase_report() == aggregate_phases([])
-
 
 class TestDedupeFanoutTraces:
     """Regression: dedupe followers used to get an empty execution window.
@@ -233,10 +196,6 @@ class TestDedupeFanoutTraces:
         assert ("execute", 5.0, 9.0) in phases
         assert ("queue_wait", 3.0, 5.0) in phases
 
-    def test_adopt_is_inert_on_null_traces(self):
-        assert adopt_batch_spans(NULL_TRACE, JobTrace()) == 0
-        assert adopt_batch_spans(JobTrace(), NULL_TRACE) == 0
-
     def test_follower_trace_explains_its_latency_end_to_end(self):
         """Two identical submits: the dedupe follower's trace now shows
         the execute window it actually waited through."""
@@ -268,64 +227,3 @@ class TestDedupeFanoutTraces:
         rows = aggregate_phases([follower])
         assert rows[-1]["phase"] == "(total)"
         assert rows[-1]["percent"] >= 90.0
-
-
-class TestOverheadGate:
-    def test_null_machinery_under_two_percent_of_submit(self, monkeypatch):
-        """Acceptance gate: ``REPRO_TRACE=off`` tracing costs < 2%.
-
-        The tracing-off submit path pays one ``new_trace()`` env check,
-        a handful of null-span enter/exits, and the lifecycle stamps.
-        Micro-time that machinery per job (best of several batches, so
-        a scheduler hiccup cannot inflate it) and compare it against
-        the measured tracing-off submit latency at a representative
-        operand size — the ratio must stay under the 2% budget with a
-        wide margin (the null path is ~1us, submit is hundreds).
-        """
-        monkeypatch.setenv("REPRO_TRACE", "off")
-
-        def machinery_batch(reps=500):
-            t0 = time.perf_counter()
-            for _ in range(reps):
-                trace = new_trace()
-                with trace.span("submit"):
-                    with trace.span("decode"):
-                        pass
-                    with trace.span("cache_check"):
-                        pass
-                trace.stamp_queued()
-                trace.stamp_done()
-                with trace.span("serialize"):
-                    pass
-            return (time.perf_counter() - t0) / reps
-
-        machinery_batch(50)  # warm the env-var lookup path
-        per_job_machinery = min(machinery_batch() for _ in range(5))
-
-        # Median tracing-off submit latency over a real server, at a
-        # chip-native scale rather than the n=16 degenerate toy (the
-        # budget is a fraction of what submit really costs to do).
-        params = BfvParameters.toy_rns(n=64, towers=3, tower_bits=24)
-        bfv = Bfv(params, seed=7)
-        keys = bfv.keygen(relin_digit_bits=20)
-        encoder = BatchEncoder(params)
-        server = FheServer(pool_size=2, result_cache_size=0)
-        sid = server.open_session(
-            "t", serialize_params(params),
-            relin_key=serialize_relin_key(keys.relin, params),
-        )
-        ct = serialize_ciphertext(bfv.encrypt(
-            encoder.encode([1] * params.n), keys.public
-        ))
-        samples = []
-        for _ in range(15):
-            t0 = time.perf_counter()
-            server.submit(sid, JobKind.ADD, (ct, ct))
-            samples.append(time.perf_counter() - t0)
-        submit_median = sorted(samples)[len(samples) // 2]
-
-        assert per_job_machinery < 0.02 * submit_median, (
-            f"null-trace machinery {per_job_machinery * 1e9:.0f}ns/job "
-            f"exceeds 2% of submit latency "
-            f"({submit_median * 1e9:.0f}ns)"
-        )

@@ -23,18 +23,10 @@
 #                                    # the default pipeline): the telemetry
 #                                    # test battery + the phase profiler in
 #                                    # smoke mode (>= 90% coverage gate)
-#   tools/run_checks.sh --transport  # also the wire-transport smoke stage
-#                                    # (localhost listener, EvalMult + logreg
-#                                    # circuit round-trips, assert bit-identical)
 #   tools/run_checks.sh --fleet      # only the fleet stage (when given
 #                                    # alone; it is already part of the
 #                                    # default pipeline): the chaos test
 #                                    # battery + the fleet property suite
-#                                    # + `repro.service.demo --fleet-smoke`
-#                                    # (a listener over 2 process workers,
-#                                    # each a fresh interpreter running a
-#                                    # plain FheServer behind
-#                                    # FheTransportServer on a socketpair)
 #                                    # + the spill-over routing bench
 #                                    # (skewed hot tenant, >= 1.3x gate)
 #   tools/run_checks.sh --layered    # also the layered serving benchmark's
@@ -65,7 +57,6 @@ cd "$(dirname "$0")/.."
 
 RUN_SLOW=0
 RUN_BENCH=0
-RUN_TRANSPORT=0
 RUN_COV=0
 RUN_LAYERED=0
 DOCS_ONLY=0
@@ -75,13 +66,12 @@ for arg in "$@"; do
   case "$arg" in
     --slow) RUN_SLOW=1 ;;
     --bench) RUN_BENCH=1 ;;
-    --transport) RUN_TRANSPORT=1 ;;
     --cov) RUN_COV=1 ;;
     --layered) RUN_LAYERED=1 ;;
     --docs) DOCS_ONLY=1 ;;
     --obs) OBS_ONLY=1 ;;
     --fleet) FLEET_ONLY=1 ;;
-    *) echo "unknown option: $arg (supported: --slow, --bench, --transport, --cov, --layered, --docs, --obs, --fleet)" >&2; exit 2 ;;
+    *) echo "unknown option: $arg (supported: --slow, --bench, --cov, --layered, --docs, --obs, --fleet)" >&2; exit 2 ;;
   esac
 done
 
@@ -128,10 +118,9 @@ run_obs() {
 
 run_fleet() {
   echo
-  echo "== fleet (chaos battery + property suite + 2-process worker smoke) =="
+  echo "== fleet (chaos battery + property suite) =="
   python -m pytest tests/service/test_fleet_faults.py \
     tests/property/test_property_fleet.py -q
-  PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m repro.service.demo --fleet-smoke
   echo
   echo "== spill-over routing bench (skewed hot tenant, >= 1.3x gate) =="
   python -m pytest benchmarks/bench_service_throughput.py -k spillover \
@@ -141,19 +130,19 @@ run_fleet() {
 # --docs / --obs / --fleet alone are fast paths; combined with other
 # flags every requested stage still runs (the default pipeline includes
 # all three).
-if [ "$DOCS_ONLY" = 1 ] && [ "$OBS_ONLY$FLEET_ONLY$RUN_SLOW$RUN_BENCH$RUN_TRANSPORT$RUN_COV$RUN_LAYERED" = "0000000" ]; then
+if [ "$DOCS_ONLY" = 1 ] && [ "$OBS_ONLY$FLEET_ONLY$RUN_SLOW$RUN_BENCH$RUN_COV$RUN_LAYERED" = "000000" ]; then
   run_docs
   echo
   echo "docs stage passed"
   exit 0
 fi
-if [ "$OBS_ONLY" = 1 ] && [ "$DOCS_ONLY$FLEET_ONLY$RUN_SLOW$RUN_BENCH$RUN_TRANSPORT$RUN_COV$RUN_LAYERED" = "0000000" ]; then
+if [ "$OBS_ONLY" = 1 ] && [ "$DOCS_ONLY$FLEET_ONLY$RUN_SLOW$RUN_BENCH$RUN_COV$RUN_LAYERED" = "000000" ]; then
   run_obs
   echo
   echo "observability stage passed"
   exit 0
 fi
-if [ "$FLEET_ONLY" = 1 ] && [ "$DOCS_ONLY$OBS_ONLY$RUN_SLOW$RUN_BENCH$RUN_TRANSPORT$RUN_COV$RUN_LAYERED" = "0000000" ]; then
+if [ "$FLEET_ONLY" = 1 ] && [ "$DOCS_ONLY$OBS_ONLY$RUN_SLOW$RUN_BENCH$RUN_COV$RUN_LAYERED" = "000000" ]; then
   run_fleet
   echo
   echo "fleet stage passed"
@@ -181,7 +170,10 @@ echo "== tier-1 test suite =="
 # golden chip-statistics snapshot of the Algorithm 3 replay
 # (tests/core/test_chip_golden.py, n up to 2^12 in about two seconds),
 # and the n = 2^12 pool-scaling claim, a pool of 4 at least 1.5x shorter
-# in makespan than a pool of 1 (tests/service/test_pool_scaling_paper.py).
+# in makespan than a pool of 1 (tests/service/test_pool_scaling_paper.py),
+# and the `repro-serve` entry point itself: a spawned listener over a
+# 2-process fleet driven over TCP, then drained by SIGINT
+# (tests/service/test_cli.py).
 python -m pytest -x -q
 
 echo
@@ -197,12 +189,6 @@ run_fleet
 echo
 echo "== examples smoke (3 tenants over the wire transport) =="
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python examples/encrypted_service_demo.py
-
-if [ "$RUN_TRANSPORT" = 1 ]; then
-  echo
-  echo "== wire-transport smoke (localhost EvalMult + circuit round-trips) =="
-  PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m repro.service.demo --smoke
-fi
 
 if [ "$RUN_BENCH" = 1 ]; then
   echo
