@@ -297,12 +297,13 @@ class Bfv:
             )
         polys = ca.polys if ca is cb else (*ca.polys, *cb.polys)
         operands = np.stack([eng.decompose_centered(p) for p in polys])
-        outputs = np.stack(eng._tensor(operands.copy()))
         head = getattr(self._mult_ctx, "q_towers", 0)
-        if on_rows is not None and head:
-            loads = operands[:, :head]
-            on_rows(loads if len(loads) == 4 else loads[[0, 1, 0, 1]],
-                    outputs[:, :head])
+        loads = None
+        if on_rows is not None and head:  # a copy: the kernel consumes operands
+            loads = operands[[0, 1, 0, 1] if ca is cb else [0, 1, 2, 3], :head]
+        outputs = eng._tensor(operands)
+        if loads is not None:
+            on_rows(loads, outputs[:, :head])
         if self._rns is not None:
             scaled = eng._scale_round(outputs, t, head)
             return Ciphertext([self._on_rns(r) for r in scaled], self.params)

@@ -37,6 +37,8 @@ bases (:meth:`~BatchedRnsEngine.round_scale`,
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain
+from math import prod
 from typing import Sequence
 
 import numpy as np
@@ -48,6 +50,13 @@ from repro.polymath.ntt import NttContext
 from repro.polymath.poly import Polynomial, _packed_words
 from repro.polymath.primes import is_prime
 from repro.polymath.rns import RnsBasis
+
+#: Residue products an int64 sum holds, plus one carried residue, before
+#: its one ``%``: ``8 (2^30 - 1)^2 + 2^30 < 2^63``. Words times ``2^(32 j)
+#: mod q_i`` (each below ``2^62``) fit 3 to a uint64 sum.
+_BOUND = 1 << MAX_MODULUS_BITS
+LAZY_TERMS = ((1 << 63) - _BOUND) // (_BOUND - 1) ** 2
+WORD_TERMS = ((1 << 64) - _BOUND) // (_BOUND << 32)
 
 
 def supports(moduli: "RnsBasis | Sequence[int]", n: int) -> bool:
@@ -135,23 +144,15 @@ class BatchedRnsEngine:
         self.num_towers = len(basis)
         self.modulus = basis.modulus
         self._q = np.asarray(basis.moduli, dtype=np.int64)[:, None]  # (L, 1)
-        # 2^32 mod q_i: the radix of the 32-bit words the Horner passes read.
-        self._word_radix = np.asarray(
-            [(1 << 32) % q for q in basis.moduli], dtype=np.int64
-        )[:, None]
         # Garner mixed-radix constants for CRT recombination: for tower
-        # ``k``, ``prefix[i] = (q_0 * ... * q_{i-1}) mod q_k`` and ``inv``
-        # is the inverse of the full prefix product mod q_k — the digit
-        # computation then stays entirely in vectorized int64.
+        # ``k``, ``inv`` is the inverse of ``p_k = q_0 * ... * q_{k-1}`` mod
+        # q_k and ``coef[i] = -(p_i * inv mod q_k)`` (:meth:`_mixed_radix`).
         self._garner: list[tuple[list[int], int]] = [([], 1)]
-        for k in range(1, self.num_towers):
-            qk = basis.moduli[k]
-            prefix = []
-            prod = 1
-            for i in range(k):
-                prefix.append(prod % qk)
-                prod *= basis.moduli[i]
-            self._garner.append((prefix, modinv(prod % qk, qk)))
+        for k, qk in enumerate(basis.moduli[1:], 1):
+            inv = modinv(prod(basis.moduli[:k]) % qk, qk)
+            self._garner.append(([
+                -(prod(basis.moduli[:i]) * inv % qk) for i in range(k)
+            ], inv))
         # Lazily built base-conversion tables and scaling sub-engines.
         self._tables: dict = {}
 
@@ -177,11 +178,11 @@ class BatchedRnsEngine:
         """``decompose(poly.centered())`` without Python ints.
 
         A polynomial tower-backed on this basis hands over its residues
-        (centring changes nothing mod a tower of q). Any other reduces its
-        big-endian 32-bit :attr:`~repro.polymath.poly.Polynomial.words` in
-        one int64 Horner pass, ``r = (r * 2^32 + w) mod q_i`` (below 2^63:
-        ``r, 2^32 mod q_i < 2^31``), then subtracts ``q mod q_i`` where the
-        coefficient exceeds ``floor(q/2)``, one word compare.
+        (centring changes nothing mod a tower of q). Any other sums its
+        big-endian 32-bit :attr:`~repro.polymath.poly.Polynomial.words`
+        against ``2^(32 j) mod q_i`` (:meth:`_word_sum`), with ``-q mod
+        q_i`` added where the coefficient exceeds ``floor(q/2)``, one word
+        compare: one ``%`` per tower.
         """
         rns = poly._rns
         if rns is not None and rns.basis.moduli == self.basis.moduli:
@@ -189,15 +190,10 @@ class BatchedRnsEngine:
         words = poly.words
         if len(words) != self.n:
             raise ValueError(f"expected {self.n} coefficients, got {len(words)}")
-        q = self._q
-        words = words.astype(np.int64)
-        out = words[:, 0] % q
-        for j in range(1, words.shape[1]):
-            out = (out * self._word_radix + words[:, j]) % q
         lift = np.asarray(
-            [poly.ring.q % m for m in self.basis.moduli], dtype=np.int64
+            [-poly.ring.q % m for m in self.basis.moduli], dtype=np.uint64
         )[:, None]
-        return (out - poly.negative_mask() * lift) % q
+        return self._word_sum(words.T, poly.negative_mask() * lift)
 
     def stack(self, towers: Sequence[Sequence[int]]) -> np.ndarray:
         """Per-tower residue vectors -> validated ``(num_towers, n)`` stack."""
@@ -249,22 +245,24 @@ class BatchedRnsEngine:
 
     def _mixed_radix(self, a: np.ndarray) -> np.ndarray:
         """Garner digits ``v = d_0 + d_1 q_0 + d_2 q_0 q_1 + ...`` of
-        reduced ``(B, L, ...)`` stacks, every step reduced mod one tower."""
-        moduli = self.basis.moduli
+        reduced ``(B, L, ...)`` stacks: ``d_k = (a_k inv - sum_i d_i
+        (prefix_i inv mod q_k)) mod q_k``, one lazy sum per digit."""
         digits = np.empty_like(a)
         digits[:, 0] = a[:, 0]
         for k in range(1, self.num_towers):
-            qk = moduli[k]
-            prefix, inv = self._garner[k]
-            acc = digits[:, 0] % qk
-            for i in range(1, k):
-                acc = (acc + digits[:, i] * prefix[i]) % qk
-            digits[:, k] = (a[:, k] - acc) * inv % qk
+            coef, inv = self._garner[k]
+            terms = (digits[:, i] * c for i, c in enumerate(coef))
+            digits[:, k] = _lazy_sum(
+                self.basis.moduli[k], chain([a[:, k] * inv], terms)
+            )
         return digits
 
-    def _convert(self, digits: np.ndarray, to: "BatchedRnsEngine") -> np.ndarray:
-        """Exact base conversion: the value of ``(B, L, n)`` mixed-radix
-        digits, reduced mod each of ``to``'s towers."""
+    def _convert(
+        self, digits: np.ndarray, to: "BatchedRnsEngine", acc=None
+    ) -> np.ndarray:
+        """Exact base conversion: ``acc`` (residue-sized, or ``None``)
+        plus the value of ``(B, L, n)`` mixed-radix digits, reduced mod
+        each of ``to``'s towers — one lazy sum per output tower."""
         table = self._tables.get(to.basis.moduli)
         if table is None:
             rows, prefix = [], 1
@@ -273,10 +271,9 @@ class BatchedRnsEngine:
                 prefix *= m
             table = np.asarray(rows, dtype=np.int64)[:, :, None]
             self._tables[to.basis.moduli] = table
-        out = digits[:, 0, None] * table[0] % to._q
-        for k in range(1, self.num_towers):
-            out = (out + digits[:, k, None] * table[k]) % to._q
-        return out
+        return _lazy_sum(to._q, (
+            digits[:, k, None] * table[k] for k in range(self.num_towers)
+        ), acc)
 
     def _garner_values(self, a: np.ndarray) -> np.ndarray:
         """Garner recombination of reduced ``(B, L, n)`` stacks into a
@@ -353,19 +350,20 @@ class BatchedRnsEngine:
     def _scale_round(self, a: np.ndarray, t: int, head: int) -> np.ndarray:
         """:meth:`scale_round` of a reduced ``(B, L, n)`` batch (as
         :meth:`inverse` returns it), with no ``% q`` pass."""
-        qe, xe, q_inv, e_mod_q = self._split(head)
+        qe, xe, q_inv, minus_e = self._split(head)
         dv = qe._mixed_radix(a[:, :head])
         u = (a[:, head:] - qe._convert(dv, xe)) * q_inv % xe._q
         du = xe._mixed_radix(u)
         negative = du[:, -1:] > xe.basis.moduli[-1] // 2
-        u = (xe._convert(du, qe) - negative * e_mod_q) % qe._q
+        u = xe._convert(du, qe, negative * minus_e)
         frac = np.zeros(dv[:, 0].shape)
         for k, m in enumerate(qe.basis.moduli):
             frac = (dv[:, k] + frac) / m
         frac *= t
         near = np.abs(frac - np.floor(frac) - 0.5) < t * 2.0**-40
-        rounded = np.floor(frac + 0.5).astype(np.int64)
-        out = (qe.lift(u, t) + rounded[:, None] % qe._q) % qe._q
+        u *= qe.lift(np.ones(1, dtype=np.int64), t)
+        u += np.floor(frac + 0.5).astype(np.int64)[:, None]  # in [0, t]
+        out = np.remainder(u, qe._q, out=u)
         if near.any():
             b, j = np.nonzero(near)
             out[b, :, j] = self._round_exact(a[b, :, j], t, qe)
@@ -373,7 +371,8 @@ class BatchedRnsEngine:
 
     def _split(self, head: int) -> tuple:
         """:meth:`scale_round`'s q and extension sub-engines, ``q^-1`` mod
-        each extension tower, and the extension modulus mod each q_i."""
+        each extension tower, and minus the extension modulus mod each
+        q_i."""
         key = ("split", head)
         if key not in self._tables:
             qe = self.select(range(head))
@@ -386,7 +385,7 @@ class BatchedRnsEngine:
             self._tables[key] = (
                 qe, xe,
                 np.asarray([modinv(q % p, p) for p in ext])[:, None],
-                qe.lift(np.ones(1, dtype=np.int64), xe.modulus),
+                -qe.lift(np.ones(1, dtype=np.int64), xe.modulus),
             )
         return self._tables[key]
 
@@ -432,14 +431,14 @@ class BatchedRnsEngine:
 
         Digit ``i`` is bits ``[i*T, (i+1)*T)`` of each coefficient of the
         ``(n, W)`` big-endian ``words``, read as 32-bit chunks, top chunk
-        first, into :meth:`decompose_centered`'s Horner step per tower.
-        Returns the ``(num_digits, num_towers, n)`` int64 batch.
+        first, and reduced per tower by :meth:`_word_sum`. Returns the
+        ``(num_digits, num_towers, n)`` int64 batch.
         """
         limbs = words[:, ::-1].T.astype(np.uint64)  # little-endian
         out = np.empty((num_digits, self.num_towers, self.n), dtype=np.int64)
         for i in range(num_digits):
             lo, hi = i * digit_bits, (i + 1) * digit_bits
-            acc = None
+            chunks = []
             for start in range(lo + (digit_bits - 1) // 32 * 32, lo - 1, -32):
                 j, shift = divmod(start, 32)
                 chunk = np.zeros(self.n, dtype=np.uint64)
@@ -447,13 +446,19 @@ class BatchedRnsEngine:
                     chunk = limbs[j] >> np.uint64(shift)
                 if shift and j + 1 < len(limbs):
                     chunk |= limbs[j + 1] << np.uint64(32 - shift)
-                width = min(32, hi - start)
-                chunk = (chunk & np.uint64((1 << width) - 1)).astype(np.int64)
-                acc = chunk % self._q if acc is None else (
-                    (acc * self._word_radix + chunk) % self._q
-                )
-            out[i] = acc
+                chunks.append(chunk & np.uint64((1 << min(32, hi - start)) - 1))
+            out[i] = self._word_sum(chunks)
         return out
+
+    def _word_sum(self, chunks, acc=None) -> np.ndarray:
+        """``(acc + sum_j chunks[j] 2^(32 (J-1-j))) mod q_i``, ``(L, n)``
+        int64, of ``J`` rows of 32-bit chunks, top first, in uint64."""
+        q = self._q.astype(np.uint64)
+        radix = [np.ones_like(q)]  # 2^(32 j) mod q_i, below 2^30
+        for _ in chunks[1:]:
+            radix.append((radix[-1] << np.uint64(32)) % q)
+        terms = (c * r for c, r in zip(chunks, radix[::-1]))
+        return _lazy_sum(q, terms, acc, WORD_TERMS).view(np.int64)
 
     # ------------------------------------------------------------------
     # Transforms
@@ -511,31 +516,28 @@ class BatchedRnsEngine:
         three batched inverse NTTs — exactly the per-tower op mix of
         ``SoftwareBfv.tower_multiply`` and the chip's Algorithm 3.
         """
-        return self._tensor(self._prepare_nd(np.stack((a0, a1, b0, b1)))[0])
+        operands = self._prepare_nd(np.stack((a0, a1, b0, b1)))[0]
+        return tuple(self._tensor(operands))
 
     def tensor_square(
         self, a0: np.ndarray, a1: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The Eq. 4 tensor of a ciphertext with itself: two forward NTTs,
         the cross term ``2 * a0 * a1``."""
-        return self._tensor(self._prepare_nd(np.stack((a0, a1)))[0])
+        return tuple(self._tensor(self._prepare_nd(np.stack((a0, a1)))[0]))
 
-    def _tensor(
-        self, operands: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _tensor(self, operands: np.ndarray) -> np.ndarray:
         """:meth:`tensor` of a reduced ``(4, L, n)`` batch ``(a0, a1, b0,
-        b1)``, or :meth:`tensor_square` of a ``(2, L, n)`` one, with no
-        ``% q`` pass; the batch is consumed."""
+        b1)``, or :meth:`tensor_square` of a ``(2, L, n)`` one, as one ``(3,
+        L, n)`` array, with no ``% q`` pass; the batch is consumed."""
         f = self._forward(operands)
-        q = self._q
-        if len(f) == 2:
-            y = (f[0] * f[0] % q, 2 * (f[0] * f[1] % q) % q, f[1] * f[1] % q)
-        else:
-            fa0, fa1, fb0, fb1 = f
-            y = (fa0 * fb0 % q, (fa0 * fb1 % q + fa1 * fb0 % q) % q,
-                 fa1 * fb1 % q)
-        out = self._inverse(np.stack(y))
-        return out[0], out[1], out[2]
+        fa0, fa1, fb0, fb1 = f if len(f) == 4 else (f[0], f[1], f[0], f[1])
+        y = np.empty((3, *f.shape[1:]), dtype=np.int64)
+        np.multiply(fa0, fb0, out=y[0])
+        np.multiply(fa0, fb1, out=y[1])
+        y[1] += fa1 * fb0
+        np.multiply(fa1, fb1, out=y[2])
+        return self._inverse(np.remainder(y, self._q, out=y))
 
     def keyswitch_rows(self, rows) -> np.ndarray:
         """A key-switch key's rows in NTT form, ready for :meth:`keyswitch`.
@@ -559,7 +561,7 @@ class BatchedRnsEngine:
 
         The ``(J, D, L, n)`` digit polynomials ride one forward
         pass, fold against ``key_rows`` (:meth:`keyswitch_rows`) in the NTT
-        domain, each product reduced before accumulating, and one inverse
+        domain, one ``%`` per :data:`LAZY_TERMS` digits, and one inverse
         pass covers both components of every job: the ``(2, J, L, n)``
         residues of ``sum_d digit_d * b_d`` and of the ``a`` fold.
         """
@@ -581,9 +583,9 @@ class BatchedRnsEngine:
         J, D, L, n = digits.shape
         fwd = self._forward(digits.reshape(J * D, L, n)).reshape(J, D, L, n)
         q = self._q
-        acc = fwd[None, :, 0] * key_rows[:, None, 0] % q
-        for d in range(1, D):
-            acc = (acc + fwd[None, :, d] * key_rows[:, None, d]) % q
+        acc = _lazy_sum(q, (
+            fwd[None, :, d] * key_rows[:, None, d] for d in range(D)
+        ))
         return self._inverse(acc.reshape(2 * J, L, n)).reshape(2, J, L, n)
 
     # ------------------------------------------------------------------
@@ -626,6 +628,19 @@ class BatchedRnsEngine:
             f"BatchedRnsEngine(n={self.n}, towers={self.num_towers}, "
             f"bits={bits})"
         )
+
+
+def _lazy_sum(q, terms, acc=None, budget: int = LAZY_TERMS) -> np.ndarray:
+    """``(acc + sum(terms)) mod q`` with one ``%`` per ``budget`` terms,
+    in place in ``acc`` (a fresh residue-sized array) or the first term."""
+    for i, term in enumerate(terms):
+        if acc is None:
+            acc = term
+            continue
+        if i and i % budget == 0:
+            acc %= q
+        acc += term
+    return np.remainder(acc, q, out=acc)
 
 
 def _round_half_away(c: np.ndarray, t: int, q: int) -> np.ndarray:

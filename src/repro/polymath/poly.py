@@ -290,14 +290,18 @@ class Polynomial:
 
     def _combine(self, other: "Polynomial | None", op) -> "Polynomial":
         """``op`` coefficient-wise mod q: per tower if either operand is
-        tower-backed, else on Python ints (``other=None`` is unary)."""
+        tower-backed (a value in ``(-q, 2q)`` takes a conditional ``+q``
+        then ``-q``), else on Python ints (``other=None`` is unary)."""
         if other is not None:
             self._check_ring(other)
         rns = self._rns or (other._rns if other is not None else None)
         if rns is not None:
             a = rns.decompose_centered(self)
             b = None if other is None else rns.decompose_centered(other)
-            return Polynomial.from_towers(self.ring, rns, op(a, b) % rns._q)
+            r, q = op(a, b).view(np.uint64), rns._q.astype(np.uint64)
+            np.minimum(r, r + q, out=r)
+            np.minimum(r, r - q, out=r)
+            return Polynomial.from_towers(self.ring, rns, r.view(np.int64))
         b = other.coeffs if other is not None else (0,) * self.ring.n
         return Polynomial(self.ring, [op(x, y) for x, y in zip(self.coeffs, b)])
 

@@ -165,7 +165,10 @@ echo "== tier-1 test suite =="
 # the per-coefficient decode, word vs int forms, decompose of words;
 # tests/property/test_property_word_codec.py), the shared-tensor suite
 # (the chip pool cross-checks against the scheme's own tensor rows;
-# tests/service/test_shared_tensor_rows.py),
+# tests/service/test_shared_tensor_rows.py), the lazy-reduction suite
+# (each once-per-sum `%` of the RNS engine at its budget's edge, all-(q-1)
+# operands vs exact Python ints, past the budget on a 19-tower basis;
+# tests/property/test_property_lazy_reduction.py),
 # the app-circuit serving suites (tests/service/test_circuit_*.py), and the
 # golden chip-statistics snapshot of the Algorithm 3 replay
 # (tests/core/test_chip_golden.py, n up to 2^12 in about two seconds),
