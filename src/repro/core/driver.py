@@ -192,7 +192,8 @@ class CofheeDriver:
 
     @property
     def buffer_names(self) -> list[str]:
-        return sorted(self._buffers, key=lambda k: int(k[1:]))
+        """``P0…Pk`` in numeric order (the order they were allocated)."""
+        return list(self._buffers)
 
     def buffer_address(self, name: str) -> int:
         if name not in self._buffers:

@@ -31,7 +31,7 @@ from a single-shot library into a servable system:
   (:class:`JobTrace`, recorded for every job), the
   :class:`MetricsRegistry` behind the wire ``STATS``/``TRACE``
   exposition, and the phase-attribution fold (:func:`aggregate_phases`)
-  that ``tools/profile_serve.py`` prints;
+  behind ``FheServer.phase_report``;
 * :mod:`repro.service.cli` — the ``repro-serve`` console script: one
   TCP listener (``--listen``) over the chip pool or a worker fleet.
 """

@@ -113,8 +113,8 @@ class Backend:
     both to ship jobs to other processes.
 
     Subclasses implement :meth:`execute_batch` (how jobs run and are
-    priced) and :meth:`wall_seconds`; the base class provides the exact
-    per-job arithmetic every backend shares — :meth:`_run_job`, one
+    priced); the base class provides the exact per-job arithmetic every
+    backend shares — :meth:`_run_job`, one
     :func:`~repro.service.circuits.evaluate_circuit` call on the job's
     circuit — which is why all backends return bit-identical
     ciphertexts. Several jobs passed to one ``execute_batch`` run one
@@ -133,10 +133,6 @@ class Backend:
         self.metrics = None
 
     # subclasses override -------------------------------------------------
-
-    def wall_seconds(self) -> float:
-        """Aggregate wall-clock attributed to this backend so far."""
-        raise NotImplementedError
 
     def execute_batch(
         self, batch_id: int, jobs: list[Job], registry: SessionRegistry
@@ -226,7 +222,6 @@ class ChipWorker:
     chip: CoFHEE
     driver: CofheeDriver
     busy_cycles: int = 0
-    io_seconds: float = 0.0
 
     @property
     def programmed(self) -> tuple[int, int] | None:
@@ -242,19 +237,11 @@ class ChipWorker:
         ``ct_a``/``ct_b`` are the operands' ``(2, n)`` residues mod ``q``.
         Reprogramming is amortized by the driver (a worker running
         consecutive units on one modulus pays the twiddle download once);
-        compute cycles land on ``busy_cycles`` and host-link time on
-        ``io_seconds``.
+        compute cycles land on ``busy_cycles``.
         """
         outs, report = self.driver.ciphertext_multiply_tower_words(ct_a, ct_b, q)
-        self.io_seconds += report.io_seconds
         self.busy_cycles += report.cycles
         return outs, report.cycles
-
-    @property
-    def wall_seconds(self) -> float:
-        return (
-            self.busy_cycles / self.chip.clock.frequency_hz + self.io_seconds
-        )
 
 
 class ChipPoolBackend(Backend):
@@ -280,21 +267,16 @@ class ChipPoolBackend(Backend):
       linear circuits) or whose moduli are not chip-native is priced
       whole on the then-least-loaded *lead* worker.
 
-    The pool's aggregate wall time is the makespan (max per-worker busy
-    time), which is what shrinks as the pool grows. Cycles for non-native
-    work come from compiling the Algorithm 3 DAG with
-    :class:`~repro.core.scheduler.Scheduler`. With ``strict_fidelity`` a
-    job with a tensor that cannot run on-chip fails instead of silently
-    degrading to the model path.
+    The pool's makespan (max per-worker busy cycles) is what shrinks as
+    the pool grows. Cycles for non-native work come from compiling the
+    Algorithm 3 DAG with :class:`~repro.core.scheduler.Scheduler`.
     """
 
-    def __init__(self, pool_size: int = 1, chip_config: ChipConfig | None = None,
-                 strict_fidelity: bool = False):
+    def __init__(self, pool_size: int = 1, chip_config: ChipConfig | None = None):
         super().__init__()
         if pool_size < 1:
             raise ValueError("pool needs at least one chip")
         self.name = f"chip_pool_x{pool_size}"
-        self.strict_fidelity = strict_fidelity
         self.workers = []
         for i in range(pool_size):
             chip = CoFHEE(chip_config)
@@ -314,9 +296,6 @@ class ChipPoolBackend(Backend):
     @property
     def total_cycles(self) -> int:
         return sum(w.busy_cycles for w in self.workers)
-
-    def wall_seconds(self) -> float:
-        return max(w.wall_seconds for w in self.workers)
 
     # -- execution ----------------------------------------------------------
 
@@ -373,21 +352,12 @@ class ChipPoolBackend(Backend):
         )
 
     def _execute_job(self, job: Job, registry: SessionRegistry) -> None:
-        """Run one job end to end on the pool and settle it.
-
-        Strict-fidelity rejection comes first: the chip-native check
-        needs only the session, so a doomed tensor job never pays for the
-        expensive host-side math.
-        """
+        """Run one job end to end on the pool and settle it."""
         session = registry.get(job.session_id)
-        needs_tensor = bool(job.payload.tensor_steps)
-        basis = self._chip_native_basis(session) if needs_tensor else None
-        if self.strict_fidelity and needs_tensor and basis is None:
-            raise BackendError(
-                "strict fidelity: EvalMult tensor cannot execute "
-                f"on-chip for {session.params.describe()} "
-                "(moduli not chip-native)"
-            )
+        basis = (
+            self._chip_native_basis(session)
+            if job.payload.tensor_steps else None
+        )
         lead = self._least_loaded()
         if basis is None:
             self._execute_modeled(job, registry, lead)
@@ -492,8 +462,7 @@ class ChipPoolBackend(Backend):
         modulus supports the negacyclic NTT at the session's degree
         (``q_i === 1 mod 2n``), fits the chip's Q register, and one
         polynomial fits an on-chip bank. Non-native sessions take the
-        model path (or fail under ``strict_fidelity``) instead of
-        faulting a driver mid-job.
+        model path instead of faulting a driver mid-job.
         """
         params = session.params
         basis = params.q_basis
@@ -648,8 +617,7 @@ class SoftwareBackend(Backend):
     Per-op latency comes from the Fig. 6-calibrated
     :class:`~repro.baselines.software.CpuCostModel` (the ciphertext tensor)
     plus the SEAL microbenchmark anchors in
-    :class:`~repro.apps.costmodel.CpuAppCost` for add/ct*pt. Jobs run
-    serially: the aggregate wall time is the plain sum.
+    :class:`~repro.apps.costmodel.CpuAppCost` for add/ct*pt.
     """
 
     name = "software"
@@ -661,10 +629,6 @@ class SoftwareBackend(Backend):
     def __init__(self):
         super().__init__()
         self.cost = CpuCostModel()
-        self._elapsed = 0.0
-
-    def wall_seconds(self) -> float:
-        return self._elapsed
 
     def execute_batch(
         self, batch_id: int, jobs: list[Job], registry: SessionRegistry
@@ -673,7 +637,6 @@ class SoftwareBackend(Backend):
             session, result = self._run_job(registry, job)
             seconds = self._job_seconds(session, job.payload)
             self._finish(job, result, seconds)
-            self._elapsed += seconds
 
         self._each_job(jobs, run)
         return BatchReport(

@@ -60,18 +60,17 @@ def route_index(digest: bytes, size: int) -> int:
 
 
 def serve_worker(sock: socket.socket, index: int, mode: str,
-                 strict_fidelity: bool, fault_spec: str) -> None:
+                 fault_spec: str) -> None:
     """Run one fleet worker over ``sock`` until its router closes it: a
     one-chip ``FheServer`` with no result cache and no optimizer (the
     front door optimized the circuit). Top-level, so ``spawn`` can
     pickle it."""
-    asyncio.run(_serve_worker(sock, index, mode, strict_fidelity, fault_spec))
+    asyncio.run(_serve_worker(sock, index, mode, fault_spec))
 
 
-async def _serve_worker(sock, index, mode, strict_fidelity, fault_spec):
+async def _serve_worker(sock, index, mode, fault_spec):
     server = FheTransportServer(
         pool_size=1, result_cache_size=0, optimizer_level="none",
-        strict_fidelity=strict_fidelity,
     )
     faults = FaultPlan.parse(fault_spec).for_worker(index)
     try:
@@ -135,7 +134,6 @@ class FleetBackend(Backend):
     """
 
     def __init__(self, size: int = 2, *, mode: str = "process",
-                 strict_fidelity: bool = False,
                  heartbeat_interval: float = 0.5,
                  heartbeat_timeout: float = 10.0,
                  restart: bool = True, fault_spec: str = "",
@@ -150,7 +148,6 @@ class FleetBackend(Backend):
         self.name = f"fleet_x{size}"
         self.size = size
         self.mode = mode
-        self.strict_fidelity = strict_fidelity
         self.heartbeat_interval = heartbeat_interval
         self.heartbeat_timeout = heartbeat_timeout
         self.restart = restart
@@ -158,8 +155,6 @@ class FleetBackend(Backend):
         self.fault_plan = FaultPlan.parse(fault_spec)
         self._registry: SessionRegistry | None = None
         self._inbox: queue.SimpleQueue = queue.SimpleQueue()
-        self._elapsed = 0.0
-        self._busy_since: float | None = None
         self._closing = False
         self.requeues = self.evictions = self.readmissions = 0
         self.deaths = self.respawns = self.stale_results = 0
@@ -192,7 +187,7 @@ class FleetBackend(Backend):
                  if process else threading.Thread)
         proc = start(
             target=serve_worker, name=f"repro-fleet-{index}", daemon=True,
-            args=(theirs, index, self.mode, self.strict_fidelity, spec),
+            args=(theirs, index, self.mode, spec),
         )
         proc.start()
         if process:
@@ -235,8 +230,6 @@ class FleetBackend(Backend):
     def dispatch(self, job: Job, registry: SessionRegistry) -> None:
         """Route one job to the fleet without blocking."""
         self._registry = registry
-        if self._busy_since is None:
-            self._busy_since = time.perf_counter()
         operands = job.wire_operands
         if len(operands) != len(job.operands):
             operands = tuple(serialize_ciphertext(ct) for ct in job.operands)
@@ -276,12 +269,6 @@ class FleetBackend(Backend):
     @property
     def in_flight(self) -> int:
         return sum(len(handle.jobs) for handle in self._workers)
-
-    def wall_seconds(self) -> float:
-        busy = self._elapsed
-        if self._busy_since is not None:
-            busy += time.perf_counter() - self._busy_since
-        return busy
 
     def _pick_worker(self, assignment: _Assignment) -> WorkerHandle | None:
         """Route by digest, preferring any live worker over the one the
@@ -546,9 +533,6 @@ class FleetBackend(Backend):
             makespan_cycles=event.cycles,
             fidelity={event.fidelity: 1} if event.fidelity else {},
         ), job))
-        if not self.in_flight and self._busy_since is not None:
-            self._elapsed += now - self._busy_since
-            self._busy_since = None
 
     def _set_gauges(self) -> None:
         if self.metrics is None:

@@ -95,8 +95,6 @@ class FheServer:
 
     Args:
         pool_size: chips in the cycle-accurate pool backend.
-        strict_fidelity: fail EvalMult jobs whose tensor cannot execute
-            on-chip instead of silently pricing them from the model.
         result_cache_size: capacity (entries) of the content-addressed
             result cache; ``0`` disables caching. Raw-op and circuit
             results are keyed by (params digest, op, rotation steps,
@@ -132,7 +130,6 @@ class FheServer:
     """
 
     def __init__(self, pool_size: int = 4,
-                 strict_fidelity: bool = False,
                  result_cache_size: int = 256, fleet_size: int = 0,
                  fleet_mode: str = "process", fault_spec: str = "",
                  fleet_options: dict | None = None,
@@ -145,9 +142,7 @@ class FheServer:
             )
         self.optimizer_level = optimizer_level
         self.registry = SessionRegistry()
-        self.chip_pool = ChipPoolBackend(
-            pool_size=pool_size, strict_fidelity=strict_fidelity,
-        )
+        self.chip_pool = ChipPoolBackend(pool_size=pool_size)
         self.backends: dict[str, Backend] = {
             "chip_pool": self.chip_pool,
             "software": SoftwareBackend(),
@@ -159,8 +154,7 @@ class FheServer:
             from repro.service.fleet import FleetBackend
 
             self.fleet = FleetBackend(
-                fleet_size, mode=fleet_mode,
-                strict_fidelity=strict_fidelity, fault_spec=fault_spec,
+                fleet_size, mode=fleet_mode, fault_spec=fault_spec,
                 **(fleet_options or {}),
             )
             self.backends["fleet"] = self.fleet
@@ -773,35 +767,12 @@ class FheServer:
     # Reporting
     # ------------------------------------------------------------------
 
-    def throughput_rows(self) -> list[dict]:
-        """Per-backend throughput summary (jobs/sec over attributed time)."""
-        rows = []
-        for name, backend in sorted(self.backends.items()):
-            if backend.jobs_done == 0:
-                continue
-            wall = backend.wall_seconds()
-            row = {
-                "backend": backend.name,
-                "jobs": backend.jobs_done,
-                "wall_s": wall,
-                "jobs_per_s": backend.jobs_done / wall if wall > 0 else float("inf"),
-            }
-            if isinstance(backend, ChipPoolBackend):
-                row["pool"] = len(backend.workers)
-                row["wall_cycles"] = backend.wall_cycles
-                row["total_cycles"] = backend.total_cycles
-            rows.append(row)
-        return rows
-
     def pool_report(self) -> dict:
         """Tower-sharding view of the chip pool: makespan and fidelity.
 
-        Two wall-time views against ``total_cycles`` of work:
-        ``wall_cycles`` (max cumulative per-worker busy cycles — the
-        utilization view, assuming work from different jobs overlaps
-        freely) and ``batch_makespan_cycles`` (sum of per-job makespans
-        — the conservative view with no overlap between jobs; always
-        >= ``wall_cycles``). ``per_worker_cycles`` shows the spread,
+        ``wall_cycles`` (max cumulative per-worker busy cycles, the
+        makespan) against ``total_cycles`` of work;
+        ``per_worker_cycles`` shows the spread,
         ``reprograms`` the tower units for which each worker's driver
         found its chip on another ``(q, n)`` (or none yet) and paid a
         twiddle download — one per modulus homed on a chip, unless a
@@ -824,7 +795,6 @@ class FheServer:
         return {
             "pool": len(pool.workers),
             "wall_cycles": pool.wall_cycles,
-            "batch_makespan_cycles": stats.makespan_cycles,
             "total_cycles": pool.total_cycles,
             "per_worker_cycles": [w.busy_cycles for w in pool.workers],
             "reprograms": [w.driver.reprograms for w in pool.workers],

@@ -1,12 +1,9 @@
 """End-to-end serving telemetry: span tracing and a metrics registry.
 
-The ROADMAP's top perf item — "close the end-to-end Amdahl gap" — was
-unactionable while one opaque seconds number per job was all there was
-(now ``JobMetrics.model_seconds``, the backend's paper model, beside the
-measured ``JobMetrics.host_seconds`` that the scheduler's
-``repro_job_execute_seconds`` histogram observes): BENCH_kernels.json shows kernels 16–27x faster batched while the
-serving path improved only ~2–2.6x, and nothing said *where* the rest of
-``serve_job`` time goes. This module is the measurement substrate:
+A job's two seconds (``JobMetrics.model_seconds``, the backend's paper
+model, and the measured ``JobMetrics.host_seconds`` that the scheduler's
+``repro_job_execute_seconds`` histogram observes) say how long it took,
+not *where* the time went. This module is the measurement substrate:
 
 * **Span tracing** — every job carries a :class:`JobTrace` of
   monotonic-clock phase spans (:data:`PHASES` is the glossary), recorded
@@ -20,8 +17,8 @@ serving path improved only ~2–2.6x, and nothing said *where* the rest of
   ``STATS`` reply; :meth:`MetricsRegistry.snapshot` feeds the
   ``repro-serve --stats-interval`` structured-log line.
 * **Phase attribution** — :func:`aggregate_phases` folds many traces
-  into the per-phase wall-time table ``tools/profile_serve.py`` prints
-  and writes to ``BENCH_serve_phases.json``.
+  into a per-phase wall-time table
+  (:meth:`~repro.service.server.FheServer.phase_report`).
 
 The scheduler picks and dispatches one job at a time, so a job's
 execution phases (``execute``, ``worker_execute``, ``keyswitch``) are its

@@ -23,7 +23,16 @@ def drv():
 class TestBringUp:
     def test_program_loads_twiddles_and_allocates(self, drv):
         assert len(drv.buffer_names) >= 6
+        # Numeric order, not string order: P10 comes after P9.
+        assert drv.buffer_names[:12] == [f"P{i}" for i in range(12)]
         assert drv.chip.programmed_q == Q
+
+    def test_reprogram_at_new_degree_reallocates_in_numeric_order(self, drv):
+        """A new degree re-carves the banks; the names stay P0…Pk."""
+        drv.program(ntt_friendly_prime(2048, 40), 2048)
+        assert drv.buffer_names == [f"P{i}" for i in range(6 * 8192 // 2048)]
+        drv.program(Q, N)
+        assert drv.buffer_names == [f"P{i}" for i in range(6 * 8192 // N)]
 
     def test_unknown_buffer(self, drv):
         with pytest.raises(ConfigError, match="unknown buffer"):

@@ -187,23 +187,8 @@ def _non_native_params():
 
 
 class TestStrictFidelity:
-    def test_non_native_multiply_fails_under_strict(self):
-        params = _non_native_params()
-        bfv = Bfv(params, seed=3)
-        keys = bfv.keygen(relin_digit_bits=10)
-        encoder = BatchEncoder(params)
-        ct = bfv.encrypt(encoder.encode([1, 2, 3]), keys.public)
-        server = FheServer(pool_size=2, strict_fidelity=True)
-        sid = server.open_session(
-            "strict", serialize_params(params),
-            relin_key=serialize_relin_key(keys.relin, params),
-        )
-        jid = server.submit(
-            sid, JobKind.MULTIPLY,
-            (serialize_ciphertext(ct), serialize_ciphertext(ct)),
-        )
-        with pytest.raises(RuntimeError, match="strict fidelity"):
-            server.result(jid)
+    """Fidelity is reported, not enforced: a chip-native EvalMult says
+    ``"chip"``, a non-native one is still served and says ``"model"``."""
 
     def test_non_native_multiply_flagged_without_strict(self):
         """The old silent fallback is now a recorded model-path flag."""
@@ -232,13 +217,36 @@ class TestStrictFidelity:
             "model": 1, "relin_engine": 1,
         }
 
+    def test_non_native_multiply_flagged_on_the_fleet(self):
+        """A fleet worker serves the non-native EvalMult too: ground-truth
+        bytes back, ``"model"`` in the metrics the router copies."""
+        params = _non_native_params()
+        bfv = Bfv(params, seed=3)
+        keys = bfv.keygen(relin_digit_bits=10)
+        encoder = BatchEncoder(params)
+        ct = bfv.encrypt(encoder.encode([1, 2, 3]), keys.public)
+        expected = serialize_ciphertext(bfv.multiply_relin(ct, ct, keys.relin))
+        with FheServer(fleet_size=1, fleet_mode="thread") as server:
+            sid = server.open_session(
+                "lenient", serialize_params(params),
+                relin_key=serialize_relin_key(keys.relin, params),
+            )
+            jid = server.submit(
+                sid, JobKind.MULTIPLY,
+                (serialize_ciphertext(ct), serialize_ciphertext(ct)),
+            )
+            assert server.result(jid) == expected
+            metrics = server.job_metrics(jid)
+        assert metrics.backend.startswith("fleet")
+        assert metrics.fidelity == "model"
+
     def test_strict_passes_on_native_towers(self):
         params = PARAM_SETS["rns3"]
         bfv = Bfv(params, seed=5)
         keys = bfv.keygen(relin_digit_bits=14)
         encoder = BatchEncoder(params)
         ct = bfv.encrypt(encoder.encode([4, 5]), keys.public)
-        server = FheServer(pool_size=4, strict_fidelity=True)
+        server = FheServer(pool_size=4)
         sid = server.open_session(
             "strict-ok", serialize_params(params),
             relin_key=serialize_relin_key(keys.relin, params),

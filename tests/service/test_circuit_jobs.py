@@ -147,19 +147,6 @@ class TestChipExpansion:
         assert levels[square_step] == 0
         assert levels[mul_step] == 1
 
-    def test_strict_fidelity_rejects_non_native_circuit(self, logreg):
-        """A circuit whose modulus exceeds the chip's Q register fails
-        under strict fidelity instead of silently taking the model path."""
-        model_wide = MiniLogisticRegression(num_features=3, seed=5)  # 140-bit q
-        samples = [[1, -1, 2]]
-        circuit = model_wide.to_circuit(batch=1)
-        inputs = model_wide.encrypt_features(samples)
-        server = FheServer(pool_size=2, strict_fidelity=True)
-        sid = _open(server, model_wide)
-        jid = _submit(server, sid, circuit, inputs)
-        with pytest.raises(RuntimeError, match="strict fidelity"):
-            server.result(jid)
-
     def test_non_native_circuit_takes_model_path(self):
         model_wide = MiniLogisticRegression(num_features=3, seed=5)
         samples = [[1, -1, 2]]
@@ -178,6 +165,42 @@ class TestChipExpansion:
         assert serialize_ciphertext(outs["score"]) == serialize_ciphertext(
             reference["score"]
         )
+
+
+class TestOptimizerUnits:
+    """The same CryptoNets program served with the optimizer off and at
+    level ``lazy`` (deferred relinearization) on identical pools of 4."""
+
+    #: Lazy relinearization must shed >= 15% of tensor + key-switch units.
+    UNIT_GATE = 0.85
+
+    @staticmethod
+    def _serve(level, model, circuit, inputs):
+        server = FheServer(pool_size=4, optimizer_level=level)
+        sid = _open(server, model)
+        jid = _submit(server, sid, circuit, inputs)
+        outs = deserialize_circuit_outputs(server.result(jid), model.params)
+        rewrite = server.job_metrics(jid).rewrite
+        units = rewrite["tensor_units"] + rewrite["relin_units"]
+        return rewrite, units, server.scheduler.stats.makespan_cycles, outs
+
+    def test_lazy_sheds_units_without_makespan_regression(self, cryptonets):
+        model, _images, circuit, _inputs = cryptonets
+        rng = random.Random(19)
+        images = [[rng.randint(-2, 2) for _ in range(36)] for _ in range(3)]
+        inputs = model.encrypt_images(images)
+        expected = model.infer_plain(images)
+        eager, eager_units, eager_span, eager_outs = self._serve(
+            "none", model, circuit, inputs)
+        lazy, lazy_units, lazy_span, lazy_outs = self._serve(
+            "lazy", model, circuit, inputs)
+        for outs in (eager_outs, lazy_outs):
+            assert model.scores_from_outputs(outs, len(images)) == expected
+        # Optimizer off serves the submitted program verbatim.
+        assert eager["steps_after"] == len(circuit.steps)
+        assert lazy_units <= eager_units * self.UNIT_GATE, (
+            lazy_units, eager_units)
+        assert lazy_span <= eager_span, (lazy_span, eager_span)
 
 
 class TestTensorLevelsDiamond:

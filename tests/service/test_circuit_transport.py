@@ -121,8 +121,8 @@ class TestSyncFacade:
         scores = model.scores_from_outputs(outs, len(images))
         assert scores == model.infer_plain(images)
 
-    def test_chip_fidelity_over_the_wire(self, cryptonets):
-        model, _images, circuit, inputs = cryptonets
+    @staticmethod
+    def _assert_chip_fidelity_over_the_wire(model, circuit, inputs):
         with ThreadedTransportServer(pool_size=4) as ts:
             with FheClient(ts.host, ts.port) as client:
                 sid = client.open_session(
@@ -136,6 +136,14 @@ class TestSyncFacade:
         assert report["fidelity"].get("chip") == 1
         assert len(report["tower_cycles"]) == model.params.cofhee_tower_count
         assert all(c > 0 for c in report["tower_cycles"])
+
+    def test_chip_fidelity_over_the_wire(self, cryptonets):
+        model, _images, circuit, inputs = cryptonets
+        self._assert_chip_fidelity_over_the_wire(model, circuit, inputs)
+
+    def test_logreg_chip_fidelity_over_the_wire(self, logreg):
+        model, _samples, circuit, inputs = logreg
+        self._assert_chip_fidelity_over_the_wire(model, circuit, inputs)
 
 
 class TestAsyncClient:

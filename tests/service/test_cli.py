@@ -11,10 +11,15 @@ the ``auth`` code, and SIGINT drains the server to exit status 0.
 
 ``load_tenants`` is covered here too: a malformed or out-of-range line
 exits with ``path:line:`` instead of arming a quota that misbehaves.
+
+At paper scale (``--slow``), ``--fleet 4`` serves four n = 2^12
+EvalMults, one per worker, with at least 2x less busiest-worker cycles
+than ``--fleet 1``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import random
 import re
@@ -28,11 +33,14 @@ import pytest
 
 from repro.apps.logreg import MiniLogisticRegression
 from repro.bfv import BatchEncoder, Bfv, BfvParameters
+from repro.polymath.fastntt import RnsExactMultiplier
 from repro.polymath.primes import ntt_friendly_prime
 from repro.service.cli import load_tenants
 from repro.service.client import FheClient, TransportError
+from repro.service.fleet import route_index
 from repro.service.jobs import JobKind
 from repro.service.serialization import (
+    params_digest,
     serialize_ciphertext,
     serialize_params,
     serialize_relin_key,
@@ -93,19 +101,17 @@ def _in_process(traffic) -> dict:
     return {name: server.result(jid) for name, jid in ids.items()}
 
 
-@pytest.fixture(scope="module")
-def served(tmp_path_factory):
-    """A spawned ``repro-serve`` over a 2-process fleet: (proc, host, port)."""
-    tenants = tmp_path_factory.mktemp("cli") / "tenants.txt"
-    tenants.write_text(f"# tenant token\n{TENANT} {TOKEN}\n")
+@contextlib.contextmanager
+def _repro_serve(*flags):
+    """``repro-serve --listen 127.0.0.1:0 FLAGS`` in its own interpreter,
+    killed on exit if still running: yields (proc, host, port)."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, (str(REPO_ROOT / "src"), env.get("PYTHONPATH")))
     )
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro.service.cli",
-         "--listen", "127.0.0.1:0", "--fleet", "2",
-         "--tenants", str(tenants)],
+         "--listen", "127.0.0.1:0", *flags],
         env=env, cwd=REPO_ROOT, text=True,
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
         # A shell that starts the suite in the background hands its
@@ -127,6 +133,15 @@ def served(tmp_path_factory):
             proc.kill()
             proc.wait(timeout=30)
         proc.stdout.close()
+
+
+@pytest.fixture(scope="module")
+def served(tmp_path_factory):
+    """A spawned ``repro-serve`` over a 2-process fleet: (proc, host, port)."""
+    tenants = tmp_path_factory.mktemp("cli") / "tenants.txt"
+    tenants.write_text(f"# tenant token\n{TENANT} {TOKEN}\n")
+    with _repro_serve("--fleet", "2", "--tenants", str(tenants)) as spawned:
+        yield spawned
 
 
 class TestServedFleet:
@@ -198,3 +213,71 @@ class TestLoadTenants:
         path.write_text(f"ok tok\n{line}\n")
         with pytest.raises(SystemExit, match=rf"^{re.escape(str(path))}:2: "):
             load_tenants(str(path))
+
+
+#: One EvalMult per parameter set at n = 2^12; the sets' digests route
+#: to four distinct workers of a fleet of 4.
+FLEET_N = 2**12
+FLEET_SETS = 4
+_CYCLES_LINE = re.compile(
+    r'repro_fleet_worker_cycles_total\{[^}]*worker="(\d+)"[^}]*\}\s+'
+    r"([0-9.eE+]+)"
+)
+
+
+def _fleet_traffic():
+    """(params, keys, operands, expected) per set, one set per worker."""
+    chosen = {}
+    for towers in (3, 4):
+        for bits in range(24, 31):
+            params = BfvParameters.toy_rns(n=FLEET_N, towers=towers,
+                                           tower_bits=bits)
+            chosen.setdefault(route_index(params_digest(params), FLEET_SETS),
+                              params)
+    assert len(chosen) == FLEET_SETS, "digests did not cover every worker"
+    rng = random.Random(23)
+    traffic = []
+    for i in range(FLEET_SETS):
+        params = chosen[i]
+        bfv = Bfv(params, seed=500 + i,
+                  multiplier=RnsExactMultiplier(params.n, params.q))
+        keys = bfv.keygen(relin_digit_bits=30)
+        encoder = BatchEncoder(params)
+        a, b = (bfv.encrypt(encoder.encode(
+            [rng.randrange(64) for _ in range(256)]), keys.public)
+            for _ in range(2))
+        traffic.append((params, keys,
+                        (serialize_ciphertext(a), serialize_ciphertext(b)),
+                        serialize_ciphertext(
+                            bfv.multiply_relin(a, b, keys.relin))))
+    return traffic
+
+
+@pytest.mark.paper_scale
+def test_fleet_of_four_halves_paper_scale_makespan():
+    """The same four EvalMults served by ``--fleet 1`` and ``--fleet 4``:
+    equal work, and the busiest worker's modeled cycles (the fleet's
+    makespan, since workers are concurrent interpreters) >= 2x lower."""
+    traffic = _fleet_traffic()
+    cycles = {}
+    for fleet in (1, 4):
+        with _repro_serve("--fleet", str(fleet)) as (_, host, port):
+            with FheClient(host, port, timeout=600.0) as client:
+                jids = [
+                    client.submit(client.open_session(
+                        f"bench{i}", serialize_params(params),
+                        relin_key=serialize_relin_key(keys.relin, params),
+                    ), JobKind.MULTIPLY, operands)
+                    for i, (params, keys, operands, _) in enumerate(traffic)
+                ]
+                assert [client.result(j) for j in jids] == [
+                    expected for *_, expected in traffic
+                ]
+                cycles[fleet] = {
+                    int(w): int(float(c))
+                    for w, c in _CYCLES_LINE.findall(client.stats())
+                }
+    x1, x4 = cycles[1], cycles[4]
+    assert len(x1) == 1 and len(x4) == FLEET_SETS, (x1, x4)
+    assert sum(x4.values()) == sum(x1.values())
+    assert max(x4.values()) * 2 <= max(x1.values()), (x1, x4)

@@ -503,6 +503,64 @@ class TestSpillover:
         assert used == {route_index(params_digest(PARAMS), 2)}
 
 
+    def test_skewed_tenant_mix_spill_cuts_makespan(self):
+        """A hot tenant sends 80% of the jobs: pinned routing strands its
+        load on one home worker of 4, spill-over spreads it. The work
+        (total cycles) is the same either way; the busiest worker's
+        cycles (the fleet's modeled makespan) drop >= 1.3x."""
+        rng = random.Random(41)
+        tenants = []
+        for label, bits, jobs in (("hot", 20, 8), ("cold", 21, 2)):
+            params = BfvParameters.toy_rns(n=16, towers=3, tower_bits=bits)
+            bfv = Bfv(params, seed=900 + bits)
+            keys = bfv.keygen(relin_digit_bits=12)
+            encoder = BatchEncoder(params)
+            ops = []
+            for _ in range(jobs):
+                a, b = (bfv.encrypt(encoder.encode(
+                    [rng.randrange(32) for _ in range(params.n)]),
+                    keys.public) for _ in range(2))
+                ops.append((
+                    (serialize_ciphertext(a), serialize_ciphertext(b)),
+                    serialize_ciphertext(bfv.multiply_relin(a, b, keys.relin)),
+                ))
+            tenants.append((label, params, keys, ops))
+
+        def serve(spill_threshold):
+            server = FheServer(
+                fleet_size=4, fleet_mode="thread",
+                fleet_options={"spill_threshold": spill_threshold},
+            )
+            with server:
+                checks = []
+                for label, params, keys, ops in tenants:
+                    sid = server.open_session(
+                        label, serialize_params(params),
+                        relin_key=serialize_relin_key(keys.relin, params),
+                    )
+                    checks += [
+                        (server.submit(sid, JobKind.MULTIPLY, operands),
+                         expected)
+                        for operands, expected in ops
+                    ]
+                server.run()
+                for jid, expected in checks:
+                    assert server.result(jid) == expected
+                rep = server.fleet_report()
+                used = sum(1 for c in server.fleet.worker_cycles.values() if c)
+            assert rep["in_flight"] == 0, rep
+            return rep, used
+
+        pinned, pinned_used = serve(0)
+        spill, spill_used = serve(1)
+        assert pinned["routing"]["spill"] == 0, pinned["routing"]
+        assert spill["routing"]["spill"] >= 1, spill["routing"]
+        assert spill_used > pinned_used
+        assert spill["total_cycles"] == pinned["total_cycles"]
+        assert spill["makespan_cycles"] * 1.3 <= pinned["makespan_cycles"], (
+            spill["makespan_cycles"], pinned["makespan_cycles"])
+
+
 class TestElasticResize:
     def test_grow_and_shrink_under_load_loses_nothing(self, stack):
         """grow() mid-traffic adds a serving slot; shrink() retires the

@@ -168,17 +168,28 @@ class TestAppJobs:
 
 class TestThroughputReporting:
     def test_rows_cover_used_backends(self, server, client):
+        """The execute-seconds histogram has one row per backend that
+        ran jobs, counting that backend's jobs and their measured time."""
         sid = _open(server, client)
         ct = _encrypt(client, [5])
-        for backend in ("chip_pool", "software"):
-            server.submit(sid, JobKind.ADD, (ct, ct), backend=backend)
+        jids = {
+            backend: [
+                server.submit(sid, JobKind.ADD, (ct, _encrypt(client, [v])),
+                              backend=backend)
+                for v in range(count)
+            ]
+            for backend, count in (("chip_pool", 2), ("software", 1))
+        }
         server.run()
-        rows = server.throughput_rows()
-        names = {r["backend"] for r in rows}
-        assert any(n.startswith("chip_pool") for n in names)
-        assert "software" in names
-        for row in rows:
-            assert row["jobs"] >= 1 and row["jobs_per_s"] > 0
+        rows = server.stats_snapshot()["repro_job_execute_seconds"]
+        for backend, ids in jids.items():
+            label = server.job_metrics(ids[0]).backend
+            assert label.startswith(backend)
+            row = next(v for k, v in rows.items() if f'"{label}"' in k)
+            assert row["count"] == len(ids)
+            assert row["sum"] == pytest.approx(
+                sum(server.job_metrics(j).host_seconds for j in ids))
+            assert row["sum"] > 0
 
 
 class TestTenantQuota:

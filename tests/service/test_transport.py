@@ -515,3 +515,33 @@ class TestSyncFacade:
             report = ts.fhe.pool_report()
         assert fired == ["done"]
         assert report["fidelity"].get("chip") == 1
+
+
+    def test_mixed_traffic_matches_ground_truth_at_chip_fidelity(self, stack):
+        """6 EvalMult + 6 Add jobs over TCP on a pool of 4: every result
+        is Bfv ground truth and exactly the EvalMults ran on the chips."""
+        bfv, keys, encoder, _ = stack
+        rng = random.Random(3)
+        ops = []
+        for kind, count in ((JobKind.MULTIPLY, 6), (JobKind.ADD, 6)):
+            for _ in range(count):
+                a, b = (bfv.encrypt(encoder.encode(
+                    [rng.randrange(32) for _ in range(PARAMS.n)]),
+                    keys.public) for _ in range(2))
+                expected = (bfv.multiply_relin(a, b, keys.relin)
+                            if kind is JobKind.MULTIPLY else bfv.add(a, b))
+                ops.append((kind, (serialize_ciphertext(a),
+                                   serialize_ciphertext(b)),
+                            serialize_ciphertext(expected)))
+        with ThreadedTransportServer(pool_size=4) as ts:
+            with FheClient(ts.host, ts.port) as client:
+                sid = client.open_session(
+                    "mixed", serialize_params(PARAMS),
+                    relin_key=serialize_relin_key(keys.relin, PARAMS),
+                )
+                jids = [client.submit(sid, kind, operands)
+                        for kind, operands, _ in ops]
+                wires = [client.result(j) for j in jids]
+            report = ts.fhe.pool_report()
+        assert wires == [expected for _, _, expected in ops]
+        assert report["fidelity"].get("chip") == 6

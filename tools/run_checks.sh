@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
-# Repo health check: tier-1 tests, the serving-layer benchmark in smoke
-# mode (one pass, no timing statistics), the docs gate (doctest every
-# docs/ code block + intra-repo link resolution), and the transport-based
-# examples smoke. Run from anywhere.
+# Repo health check: tier-1 tests, the layered serving benchmark's own
+# tests and its four workloads at toy degree, the docs gate (doctest
+# every docs/ code block + intra-repo link resolution), the
+# observability and fleet batteries, and the transport-based examples
+# smoke. Run from anywhere.
 #
-#   tools/run_checks.sh              # tier-1 + benchmark smoke + docs
+#   tools/run_checks.sh              # tier-1 + benchmark + docs
 #                                    # + observability + fleet + examples
 #                                    # smoke, then the line counts of
 #                                    # src/repro/service and src/
@@ -12,38 +13,19 @@
 #                                    # alone; with other flags the full
 #                                    # pipeline runs and already
 #                                    # includes the docs gate)
-#   tools/run_checks.sh --bench      # also the kernel micro-bench
-#                                    # (writes BENCH_kernels.json and enforces
-#                                    # the >= 10x EvalMult perf gate, engine
-#                                    # vs per-tower pure Python), then the
-#                                    # phase profiler with the relin-tail
-#                                    # share regression gate
 #   tools/run_checks.sh --obs        # only the observability stage (when
 #                                    # given alone; it is already part of
 #                                    # the default pipeline): the telemetry
-#                                    # test battery + the phase profiler in
-#                                    # smoke mode (>= 90% coverage gate)
+#                                    # test battery, whose phase-report
+#                                    # test gates span coverage at >= 90%
 #   tools/run_checks.sh --fleet      # only the fleet stage (when given
 #                                    # alone; it is already part of the
 #                                    # default pipeline): the chaos test
 #                                    # battery + the fleet property suite
-#                                    # + the spill-over routing bench
-#                                    # (skewed hot tenant, >= 1.3x gate)
-#   tools/run_checks.sh --layered    # also the layered serving benchmark's
-#                                    # own stage: its contract/estimator
-#                                    # tests (bench/tests) + the
-#                                    # inproc_serial (raw EvalMult, lowered
-#                                    # to a one-step circuit), dense16,
-#                                    # tcp_wave4 and fleet_wave2 workloads
-#                                    # at toy degree (--quick; the exit
-#                                    # status gates correctness — every
-#                                    # result decrypt-checked, including
-#                                    # the EVENTs streamed mid-wave and the
-#                                    # jobs the fleet dispatches one by one
-#                                    # to worker processes — not timing)
-#   tools/run_checks.sh --slow       # also the paper-scale serving
-#                                    # benchmark (n = 2^13); the n = 2^12
-#                                    # pool-scaling test is part of tier-1
+#   tools/run_checks.sh --slow       # also the paper_scale tests: n = 2^13
+#                                    # pool serving, the process fleet of 4
+#                                    # vs 1 (>= 2x makespan) and the engine
+#                                    # vs pure-Python EvalMult (>= 10x)
 #   tools/run_checks.sh --cov        # also the line-coverage stage: the
 #                                    # service + property suites under
 #                                    # coverage.py with an 80% line floor
@@ -51,27 +33,28 @@
 #                                    # a notice when coverage/pytest-cov
 #                                    # is not installed — nothing is
 #                                    # downloaded)
+#
+# The benchmark stage runs `bench/run.py --quick`: every workload at toy
+# degree, whose exit status gates correctness (every result
+# decrypt-checked, including the EVENTs streamed mid-wave and the jobs
+# the fleet dispatches to worker processes), not timing.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
 RUN_SLOW=0
-RUN_BENCH=0
 RUN_COV=0
-RUN_LAYERED=0
 DOCS_ONLY=0
 OBS_ONLY=0
 FLEET_ONLY=0
 for arg in "$@"; do
   case "$arg" in
     --slow) RUN_SLOW=1 ;;
-    --bench) RUN_BENCH=1 ;;
     --cov) RUN_COV=1 ;;
-    --layered) RUN_LAYERED=1 ;;
     --docs) DOCS_ONLY=1 ;;
     --obs) OBS_ONLY=1 ;;
     --fleet) FLEET_ONLY=1 ;;
-    *) echo "unknown option: $arg (supported: --slow, --bench, --cov, --layered, --docs, --obs, --fleet)" >&2; exit 2 ;;
+    *) echo "unknown option: $arg (supported: --slow, --cov, --docs, --obs, --fleet)" >&2; exit 2 ;;
   esac
 done
 
@@ -109,11 +92,10 @@ run_docs() {
 
 run_obs() {
   echo
-  echo "== observability (telemetry suite + phase profiler smoke) =="
+  echo "== observability (telemetry suite) =="
   python -m pytest tests/service/test_telemetry.py \
     tests/service/test_stats_wire.py \
     tests/property/test_property_telemetry.py -q
-  PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python tools/profile_serve.py --smoke
 }
 
 run_fleet() {
@@ -121,28 +103,24 @@ run_fleet() {
   echo "== fleet (chaos battery + property suite) =="
   python -m pytest tests/service/test_fleet_faults.py \
     tests/property/test_property_fleet.py -q
-  echo
-  echo "== spill-over routing bench (skewed hot tenant, >= 1.3x gate) =="
-  python -m pytest benchmarks/bench_service_throughput.py -k spillover \
-    -q -s --benchmark-disable
 }
 
 # --docs / --obs / --fleet alone are fast paths; combined with other
 # flags every requested stage still runs (the default pipeline includes
 # all three).
-if [ "$DOCS_ONLY" = 1 ] && [ "$OBS_ONLY$FLEET_ONLY$RUN_SLOW$RUN_BENCH$RUN_COV$RUN_LAYERED" = "000000" ]; then
+if [ "$DOCS_ONLY" = 1 ] && [ "$OBS_ONLY$FLEET_ONLY$RUN_SLOW$RUN_COV" = "0000" ]; then
   run_docs
   echo
   echo "docs stage passed"
   exit 0
 fi
-if [ "$OBS_ONLY" = 1 ] && [ "$DOCS_ONLY$FLEET_ONLY$RUN_SLOW$RUN_BENCH$RUN_COV$RUN_LAYERED" = "000000" ]; then
+if [ "$OBS_ONLY" = 1 ] && [ "$DOCS_ONLY$FLEET_ONLY$RUN_SLOW$RUN_COV" = "0000" ]; then
   run_obs
   echo
   echo "observability stage passed"
   exit 0
 fi
-if [ "$FLEET_ONLY" = 1 ] && [ "$DOCS_ONLY$OBS_ONLY$RUN_SLOW$RUN_BENCH$RUN_COV$RUN_LAYERED" = "000000" ]; then
+if [ "$FLEET_ONLY" = 1 ] && [ "$DOCS_ONLY$OBS_ONLY$RUN_SLOW$RUN_COV" = "0000" ]; then
   run_fleet
   echo
   echo "fleet stage passed"
@@ -172,16 +150,25 @@ echo "== tier-1 test suite =="
 # the app-circuit serving suites (tests/service/test_circuit_*.py), and the
 # golden chip-statistics snapshot of the Algorithm 3 replay
 # (tests/core/test_chip_golden.py, n up to 2^12 in about two seconds),
-# and the n = 2^12 pool-scaling claim, a pool of 4 at least 1.5x shorter
-# in makespan than a pool of 1 (tests/service/test_pool_scaling_paper.py),
+# the pool-scaling claims, toy pools of 1/2/4 and a pool of 4 at n = 2^12
+# at least 1.5x shorter in makespan than a pool of 1
+# (tests/service/test_pool_scaling_paper.py), the CryptoNets optimizer
+# gate (lazy sheds >= 15% of tensor + key-switch units, no makespan
+# regression; tests/service/test_circuit_jobs.py), the skewed-tenant
+# spill-over gate (>= 1.3x makespan on a thread fleet of 4;
+# tests/service/test_fleet_faults.py),
 # and the `repro-serve` entry point itself: a spawned listener over a
 # 2-process fleet driven over TCP, then drained by SIGINT
 # (tests/service/test_cli.py).
 python -m pytest -x -q
 
 echo
-echo "== serving-layer benchmark (smoke) =="
-python -m pytest benchmarks/bench_service_throughput.py -q -s --benchmark-disable
+echo "== layered serving benchmark (bench/tests + four workloads at toy degree) =="
+python -m pytest bench/tests -q
+for workload in evalmult_inproc_serial dense16_inproc_serial \
+                evalmult_tcp_wave4 evalmult_fleet_wave2; do
+  python3 bench/run.py --quick --workload "$workload" --seed 1
+done
 
 run_docs
 
@@ -193,34 +180,14 @@ echo
 echo "== examples smoke (3 tenants over the wire transport) =="
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python examples/encrypted_service_demo.py
 
-if [ "$RUN_BENCH" = 1 ]; then
-  echo
-  echo "== kernel micro-benchmarks (BENCH_kernels.json) =="
-  PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python tools/bench_kernels.py
-  echo
-  echo "== phase profiler (BENCH_serve_phases.json + relin-tail gate) =="
-  PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python tools/profile_serve.py
-fi
-
-if [ "$RUN_LAYERED" = 1 ]; then
-  echo
-  echo "== layered serving benchmark (bench/tests + inproc_serial + dense16 + tcp_wave4 + fleet_wave2 at toy degree) =="
-  python -m pytest bench/tests -q
-  python3 bench/run.py --quick --workload evalmult_inproc_serial --seed 1
-  python3 bench/run.py --quick --workload dense16_inproc_serial --seed 1
-  python3 bench/run.py --quick --workload evalmult_tcp_wave4 --seed 1
-  python3 bench/run.py --quick --workload evalmult_fleet_wave2 --seed 1
-fi
-
 if [ "$RUN_COV" = 1 ]; then
   run_cov
 fi
 
 if [ "$RUN_SLOW" = 1 ]; then
   echo
-  echo "== paper-scale serving benchmark (n = 2^13, --slow) =="
-  python -m pytest benchmarks/bench_service_throughput.py --slow -q -s \
-    --benchmark-disable
+  echo "== paper-scale tests (--slow) =="
+  python -m pytest --slow -m paper_scale tests -q
 fi
 
 echo
