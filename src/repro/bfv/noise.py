@@ -120,6 +120,16 @@ class NoiseModel:
                  + self._log_b_err)
         return NoiseBound(max(a.bits, added) + 1)
 
+    def rotate(self, a: NoiseBound, digit_bits: int) -> NoiseBound:
+        """Galois rotation with a key of ``digit_bits``-bit digits.
+
+        The automorphism ``x -> x^g`` only permutes the noise's
+        coefficients (up to sign), so it keeps the norm; the key switch
+        back to ``s`` then adds what :meth:`relinearize`'s does at the
+        Galois key's digit width.
+        """
+        return self.relinearize(a, digit_bits)
+
     # -- circuit-level queries ------------------------------------------
 
     def multiplicative_depth(self, digit_bits: int = 22) -> int:

@@ -21,7 +21,8 @@ for moduli beyond 128 bits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -30,9 +31,10 @@ from repro.core.chip import CoFHEE
 from repro.core.cm0 import Cm0Program
 from repro.core.errors import CapacityError, ConfigError
 from repro.core.isa import Command, Opcode
-from repro.core.mdmc import ExecutionTrace
+from repro.core.mdmc import GROUPED_OPCODES, ExecutionTrace, IssueGroup
 from repro.core.power import PowerReport
 from repro.polymath.bitrev import bit_reverse_indices
+from repro.polymath.kernels import fits
 from repro.polymath.modmath import modinv
 from repro.polymath.ntt import NttContext
 from repro.polymath.rns import RnsBasis, residue_words
@@ -78,6 +80,15 @@ class OperationReport:
     def latency_ms(self) -> float:
         return self.compute_seconds * 1e3
 
+    def copy(self, label: str) -> "OperationReport":
+        """A fresh report with these figures under ``label``."""
+        return OperationReport(
+            label=label, cycles=self.cycles,
+            compute_seconds=self.compute_seconds, io_seconds=self.io_seconds,
+            power=self.power, commands=self.commands,
+            trace=self.trace.copy(),
+        )
+
     @staticmethod
     def merge(label: str, reports: "list[OperationReport]", power_model) -> "OperationReport":
         """Concatenate sequential operation reports."""
@@ -99,6 +110,30 @@ class OperationReport:
             commands=commands,
             trace=trace,
         )
+
+
+@dataclass(frozen=True)
+class _Stream:
+    """What the first run of a command stream leaves for later runs:
+    its report, its change to every :meth:`CofheeDriver._counters` entry
+    (in that order), and its :meth:`~repro.core.mdmc.Mdmc.issue_plan`."""
+
+    report: OperationReport
+    deltas: tuple[int, ...]
+    plan: tuple[tuple[IssueGroup, ...], ...]
+
+
+@lru_cache(maxsize=16)
+def _twiddle_table(q: int, n: int) -> "np.ndarray | list[int]":
+    """``(q, n)``'s psi-power twiddles in bit-reversed order, as the TWD
+    download writes them: a read-only ``uint64`` array when ``q`` fits
+    64 bits (the bank stores a copy), ``NttContext``'s list otherwise."""
+    table = NttContext.shared(n, q)._psi_brv
+    if q.bit_length() > 64:
+        return table
+    words = np.fromiter(table, np.uint64, n)
+    words.flags.writeable = False
+    return words
 
 
 class CofheeDriver:
@@ -124,6 +159,8 @@ class CofheeDriver:
         self._programmed: tuple[int, int] | None = None
         #: :meth:`ensure_programmed` calls that paid a twiddle download.
         self.reprograms = 0
+        #: :meth:`execute`'s memo: stream key -> its first run.
+        self._streams: dict[tuple, _Stream] = {}
 
     # ------------------------------------------------------------------
     # Bring-up: parameters, twiddles, buffers
@@ -148,10 +185,7 @@ class CofheeDriver:
         # Download psi-power twiddles (bit-reversed order) into TWD, as
         # words the bank stores without a per-word range check when q
         # fits 64 bits.
-        table = NttContext.shared(n, q)._psi_brv
-        if q.bit_length() <= 64:
-            table = np.fromiter(table, np.uint64, n)
-        self.chip.bus.burst_write(self._twiddle_addr(), table)
+        self.chip.bus.burst_write(self._twiddle_addr(), _twiddle_table(q, n))
         self._programmed = (q, n)
         return self.link.send_polynomial(n)
 
@@ -238,10 +272,94 @@ class CofheeDriver:
 
     def execute(self, commands: list[Command], label: str = "sequence",
                 mode: str | None = None) -> OperationReport:
-        """Run a command sequence in the chosen execution mode."""
+        """Run a command sequence in the chosen execution mode.
+
+        The cost of a stream (its cycles, power phases, host-link time and
+        every chip counter) depends on its commands, not on the data. So
+        at ``"vector"`` fidelity in ``"fifo"`` mode, on a modulus the NTT
+        kernel fits and ``uint64`` banks, the first run of each
+        :meth:`_stream_key` is the full per-command path, and it records
+        its report, its change to every counter (:meth:`_counters`) and
+        the MDMC's issue plan for the stream. A later run of the key
+        computes its data through that plan (one kernel call per
+        hazard-ordered group of commands, on the words the banks hold
+        now), adds the recorded changes to the counters and returns a
+        fresh copy of the report. Other streams (``"pe"`` or
+        ``"timing"`` fidelity, ``"direct"`` or ``"cm0"`` mode, wider
+        moduli, ``object`` banks, a PMUL or MEMCPY) run per command
+        every time.
+        """
         mode = mode or self.mode
         if mode not in EXECUTION_MODES:
             raise ValueError(f"mode must be one of {EXECUTION_MODES}")
+        key = self._stream_key(commands, mode)
+        if key is None:
+            return self._execute(commands, label, mode)
+        stream = self._streams.get(key)
+        if stream is None:
+            before = [getattr(h, name) for h, name in self._counters()]
+            report = self._execute(commands, label, mode)
+            self._streams[key] = _Stream(
+                report=report.copy(label),
+                deltas=tuple(
+                    getattr(h, name) - b
+                    for (h, name), b in zip(self._counters(), before)
+                ),
+                plan=self.chip.mdmc.issue_plan(commands),
+            )
+            return report
+        self.chip.mdmc.run_plan(stream.plan, commands)
+        for (holder, name), delta in zip(self._counters(), stream.deltas):
+            setattr(holder, name, getattr(holder, name) + delta)
+        fifo = self.chip.fifo
+        fifo.stats.high_watermark = max(
+            fifo.stats.high_watermark, min(len(commands), fifo.depth)
+        )
+        fifo.take_interrupt()
+        return stream.report.copy(label)
+
+    def _stream_key(self, commands: list[Command], mode: str) -> tuple | None:
+        """The memo key of a stream :meth:`execute` may run warm: the link,
+        ``n`` and each command's opcode and buffer addresses.
+
+        Only a ``"fifo"``-mode stream at ``"vector"`` fidelity, on a
+        modulus the kernel fits at ``n``, with every bank ``uint64``,
+        every command in :data:`~repro.core.mdmc.GROUPED_OPCODES` at
+        ``n`` and every iNTT carrying its ``n^-1``, has a key (``None``
+        otherwise), so those parts of its identity are the same in every
+        key.
+        """
+        chip, n = self.chip, self._n
+        if (mode != "fifo" or chip.mdmc.fidelity != "vector"
+                or self._programmed is None or not chip.fifo.empty
+                or not fits(chip.pe.q, n)
+                or any(b.data.dtype == object for b in chip.memory_map.banks)
+                or any(c.opcode not in GROUPED_OPCODES or c.n != n
+                       or (c.opcode is Opcode.INTT and c.constant == 0)
+                       for c in commands)):
+            return None
+        return self.link, n, tuple(
+            (c.opcode, c.x_addr, c.y_addr, c.twiddle_addr, c.out_addr)
+            for c in commands
+        )
+
+    def _counters(self) -> list[tuple[object, str]]:
+        """Every counter a stream moves, as ``(holder, attribute)``: each
+        bank's SRAM traffic, the PE, the bus, this driver's host link,
+        the FIFO (bar its high watermark, a maximum) and the MDMC's
+        totals."""
+        chip = self.chip
+        holders = [b.stats for b in chip.memory_map.banks] + [
+            chip.pe.stats, chip.bus.stats, self.link.stats, chip.fifo.stats,
+        ]
+        return [
+            (h, f.name) for h in holders for f in fields(h)
+            if f.name != "high_watermark"
+        ] + [(chip.mdmc, "total_cycles"), (chip.mdmc, "commands_executed")]
+
+    def _execute(self, commands: list[Command], label: str,
+                 mode: str) -> OperationReport:
+        """The per-command path: every command through the MDMC."""
         trace = ExecutionTrace()
         io_seconds = 0.0
         if mode == "direct":

@@ -24,6 +24,13 @@ Three fidelity levels let callers trade speed for detail:
   (:meth:`Mdmc._stage_stats`).
 * ``"timing"`` — cycle/power accounting only, data untouched. Used by the
   paper-scale latency benches, where cycle counts are data-independent.
+
+Every command above runs on its own and counts what it does. A stream the
+driver has already run once at ``"vector"`` fidelity can instead go
+through :meth:`Mdmc.issue_plan` / :meth:`Mdmc.run_plan`: its commands
+levelled by their buffer hazards and issued one kernel call per
+same-opcode group over the stacked bank rows, counting nothing (the
+driver charges the counters that stream's first run recorded).
 """
 
 from __future__ import annotations
@@ -85,6 +92,41 @@ class ExecutionTrace:
         self.cycles += other.cycles
         self.phases.extend(other.phases)
         self.interrupts += other.interrupts
+
+    def copy(self) -> "ExecutionTrace":
+        return ExecutionTrace(
+            self.cycles,
+            [PhaseRecord(p.kind, p.cycles, p.n) for p in self.phases],
+            self.interrupts,
+        )
+
+
+#: The opcodes an issue plan runs: the vector kernels over residues.
+GROUPED_OPCODES = frozenset({
+    Opcode.NTT, Opcode.INTT, Opcode.PMODADD, Opcode.PMODMUL,
+    Opcode.PMODSQR, Opcode.PMODSUB, Opcode.CMODMUL,
+})
+
+#: One polynomial in a bank: ``(bank, first word)``.
+Row = tuple[SramBank, int]
+
+
+@dataclass(frozen=True)
+class IssueGroup:
+    """Commands of one opcode in one hazard level: one kernel call.
+
+    ``members`` are the commands' positions in the stream (their
+    constants are read from the stream each run); ``x``, ``y`` and
+    ``out`` their operand and result rows, and ``twiddle`` the table an
+    NTT/iNTT group reads (``None`` for pointwise groups).
+    """
+
+    opcode: Opcode
+    members: tuple[int, ...]
+    x: tuple[Row, ...]
+    y: tuple[Row, ...]
+    out: tuple[Row, ...]
+    twiddle: Row | None
 
 
 class Mdmc:
@@ -296,7 +338,7 @@ class Mdmc:
             # PMUL stays scalar: it multiplies raw (unreduced) words.
             out = _pointwise(op, residue_words(x, q),
                              None if y is None else residue_words(y, q),
-                             cmd.constant, q)
+                             np.uint64(cmd.constant % q), q)
             self._bulk_pointwise_stats(op, n)
         elif level == "pe":
             out = self._pointwise_pe(
@@ -357,6 +399,114 @@ class Mdmc:
                 data = data[_bit_reverse_array(length)]
             self._store_vector(cmd.out_addr, data)
         trace.add("memcpy", cycles, length)
+
+    # ------------------------------------------------------------------
+    # Grouped issue (a stream's data path after its first run)
+    # ------------------------------------------------------------------
+
+    def issue_plan(self, commands: list[Command]) -> tuple[tuple[IssueGroup, ...], ...]:
+        """The stream as hazard-ordered levels of same-opcode groups.
+
+        A command's level is one past the latest earlier command whose
+        result it reads (read after write) or overwrites (write after
+        write), and no lower than any earlier command that reads what it
+        overwrites (write after read: a level reads every operand before
+        it stores any result). Inside a level, the commands of one opcode
+        (and, for NTT/iNTT, one twiddle table) form one group. Every
+        command must be in :data:`GROUPED_OPCODES`.
+        """
+        levels: list[dict[tuple, list[int]]] = []
+        writes: list[tuple[tuple, int]] = []
+        reads: list[tuple[tuple, int]] = []
+        for i, cmd in enumerate(commands):
+            op = cmd.opcode
+            srcs = [self._region(cmd.x_addr, cmd.n)]
+            if op.needs_y_operand:
+                srcs.append(self._region(cmd.y_addr, cmd.n))
+            if op.needs_twiddles:
+                srcs.append(self._region(cmd.twiddle_addr, cmd.n))
+            dst = self._region(cmd.out_addr, cmd.n)
+            level = max(
+                [lv + 1 for r, lv in writes
+                 if any(_overlap(r, s) for s in (dst, *srcs))]
+                + [lv for r, lv in reads if _overlap(r, dst)],
+                default=0,
+            )
+            writes.append((dst, level))
+            reads.extend((s, level) for s in srcs)
+            if level == len(levels):
+                levels.append({})
+            key = (op, srcs[-1] if op.needs_twiddles else None)
+            levels[level].setdefault(key, []).append(i)
+
+        def row(address: int) -> Row:
+            bank, _, word = self.memory_map.decode(address)
+            return bank, word
+
+        return tuple(
+            tuple(
+                IssueGroup(
+                    opcode=op,
+                    members=tuple(members),
+                    x=tuple(row(commands[i].x_addr) for i in members),
+                    y=tuple(row(commands[i].y_addr) for i in members
+                            if op.needs_y_operand),
+                    out=tuple(row(commands[i].out_addr) for i in members),
+                    twiddle=row(commands[members[0]].twiddle_addr)
+                    if op.needs_twiddles else None,
+                )
+                for (op, _), members in level.items()
+            )
+            for level in levels
+        )
+
+    def run_plan(
+        self, plan: tuple[tuple[IssueGroup, ...], ...], commands: list[Command],
+    ) -> None:
+        """Run ``commands``' data through their :meth:`issue_plan`.
+
+        Each group is one kernel call over its stacked bank rows, on the
+        words the banks hold now: an NTT/iNTT group's four-step tables
+        come from the twiddle words it reads (:meth:`_tables`), so a
+        corrupted table fails its own chip's results. Each level's
+        results are stored after all its groups ran. Nothing is counted:
+        cycles, PE operations and bank, bus and link traffic are the
+        caller's to charge. Needs ``uint64`` banks and a modulus the
+        kernel :func:`~repro.polymath.kernels.fits` at the stream's
+        degree.
+        """
+        q = self._modulus()
+        for level in plan:
+            results = [self._run_group(group, commands, q) for group in level]
+            for group, out in zip(level, results):
+                n = out.shape[-1]
+                for (bank, word), words in zip(group.out, out):
+                    bank.data[word : word + n] = words
+
+    def _run_group(
+        self, group: IssueGroup, commands: list[Command], q: int,
+    ) -> np.ndarray:
+        """One group's ``(k, n)`` results (see :meth:`run_plan`)."""
+        op = group.opcode
+        n = commands[group.members[0]].n
+        x = residue_words(_stack(group.x, n), q)
+        constants = np.array(
+            [[commands[i].constant % q] for i in group.members], np.uint64
+        )
+        if op.needs_twiddles:
+            bank, word = group.twiddle
+            forward, inverse = self._tables(bank.data[word : word + n], q)
+            if op is Opcode.NTT:
+                return transform(x[:, None], forward)[:, 0]
+            out = transform(x[:, None], inverse)[:, 0]
+            return mul_const(out, constants, np.uint64(q))
+        y = residue_words(_stack(group.y, n), q) if group.y else None
+        return _pointwise(op, x, y, constants, q)
+
+    def _region(self, address: int, n: int) -> tuple[str, int, int]:
+        """The words an ``n``-word operand at ``address`` covers."""
+        bank, _, word = self.memory_map.decode(address)
+        return bank.name, word, word + n
 
     # ------------------------------------------------------------------
     # Helpers
@@ -455,9 +605,20 @@ def _shared_tables(q: int, table: bytes) -> tuple[FourStep, FourStep]:
     return FourStep.derive(psi, [q]), FourStep.derive(psi, [q], inverse=True)
 
 
+def _overlap(a: tuple[str, int, int], b: tuple[str, int, int]) -> bool:
+    return a[0] == b[0] and a[1] < b[2] and b[1] < a[2]
+
+
+def _stack(rows: tuple[Row, ...], n: int) -> np.ndarray:
+    """The ``(k, n)`` words of ``rows``, read as they are (uncounted)."""
+    return np.stack([bank.data[word : word + n] for bank, word in rows])
+
+
 def _pointwise(op: Opcode, x: np.ndarray, y: np.ndarray | None,
-               constant: int, q: int) -> np.ndarray:
-    """One modular pointwise stream over residues ``< q``."""
+               constant: np.ndarray, q: int) -> np.ndarray:
+    """One modular pointwise stream over residues ``< q`` (``x``, ``y``
+    of one or more rows; ``constant`` a ``uint64`` below ``q``, or one
+    per row as a column)."""
     q1 = np.uint64(q)
     if op is Opcode.PMODMUL:
         return x * y % q1  # < 2^60: exact in uint64
@@ -470,5 +631,5 @@ def _pointwise(op: Opcode, x: np.ndarray, y: np.ndarray | None,
         out = x - y  # wraps when x < y; adding q unwraps it
         return np.minimum(out, out + q1)
     if op is Opcode.CMODMUL:
-        return mul_const(x, np.uint64(constant % q), q1)
+        return mul_const(x, constant, q1)
     raise IsaError(f"unhandled pointwise op {op}")  # pragma: no cover

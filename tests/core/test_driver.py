@@ -5,6 +5,8 @@ import pytest
 from repro.core.chip import ChipConfig, CoFHEE
 from repro.core.driver import CofheeDriver, OperationReport
 from repro.core.errors import CapacityError, ConfigError
+from repro.core.fifo import FifoStats
+from repro.core.isa import Opcode
 from repro.polymath.ntt import reference_negacyclic_multiply
 from repro.polymath.primes import ntt_friendly_prime
 from repro.polymath.rns import RnsBasis, plan_towers
@@ -132,6 +134,103 @@ class TestComposedOps:
         assert kinds.count("pointwise_add") == 1
         assert kinds.count("dif_butterfly") == 3
         assert kinds.count("const_mult") == 3
+
+
+Q30 = ntt_friendly_prime(N, 30)
+
+
+def _hazard_streams(d: CofheeDriver) -> dict[str, list]:
+    """Command streams with every kind of buffer hazard."""
+    mul, add = Opcode.PMODMUL, Opcode.PMODADD
+    return {
+        "polymul": [d.ntt_command("P0", "P0"), d.ntt_command("P1", "P1"),
+                    d.pointwise_command(mul, "P0", "P2", y="P1"),
+                    d.intt_command("P2", "P2")],
+        # P1 is read a level in and then overwritten by a command that
+        # depends on nothing: the writer joins the reader's level.
+        "write_after_read": [
+            d.ntt_command("P0", "P0"),
+            d.pointwise_command(mul, "P0", "P2", y="P1"),
+            d.ntt_command("P3", "P1"),
+        ],
+        # The PMODMUL group writes P1, which the PMODADD after it in the
+        # same level reads: every read of a level precedes its stores.
+        "same_level_write_after_read": [
+            d.ntt_command("P0", "P0"),
+            d.pointwise_command(mul, "P0", "P2", y="P0"),
+            d.pointwise_command(add, "P0", "P4", y="P1"),
+            d.pointwise_command(mul, "P0", "P1", y="P3"),
+        ],
+        "aliased": [d.ntt_command("P0", "P0"), d.ntt_command("P0", "P0"),
+                    d.pointwise_command(mul, "P0", "P1", y="P0"),
+                    d.pointwise_command(add, "P1", "P1", y="P1"),
+                    d.intt_command("P1", "P0")],
+        "pointwise": [
+            d.pointwise_command(Opcode.CMODMUL, "P0", "P4", constant=Q30 - 5),
+            d.pointwise_command(Opcode.PMODSUB, "P1", "P5", y="P4"),
+            d.pointwise_command(Opcode.PMODSQR, "P2", "P2"),
+            d.pointwise_command(Opcode.CMODMUL, "P3", "P0", constant=7),
+        ],
+    }
+
+
+class TestWarmStreams:
+    """A word-sized stream's later runs go through the MDMC's issue plan
+    and charge its first run's counters; the data and every figure stay
+    those of the per-command path."""
+
+    @staticmethod
+    def _driver(warm: bool) -> CofheeDriver:
+        driver = CofheeDriver(CoFHEE())
+        driver.program(Q30, N)
+        if not warm:
+            driver._stream_key = lambda commands, mode: None
+        return driver
+
+    def test_algorithm3_plan(self):
+        driver = self._driver(True)
+        driver.ciphertext_multiply(*driver.buffer_names[:6])
+        (stream,) = driver._streams.values()
+        assert [
+            [(group.opcode.value, len(group.members)) for group in level]
+            for level in stream.plan
+        ] == [[("NTT", 4)], [("PMODMUL", 4)],
+              [("iNTT", 2), ("PMODADD", 1)], [("iNTT", 1)]]
+
+    @pytest.mark.parametrize("name", [
+        "polymul", "write_after_read", "same_level_write_after_read",
+        "aliased", "pointwise",
+    ])
+    def test_warm_runs_equal_per_command_runs(self, name, rng):
+        warm, cold = self._driver(True), self._driver(False)
+        for _ in range(3):
+            data = [[rng.randrange(Q30) for _ in range(N)] for _ in range(6)]
+            got = []
+            for driver in (warm, cold):
+                driver.chip.fifo.stats = FifoStats()
+                for i, coeffs in enumerate(data):
+                    driver.load_polynomial(f"P{i}", coeffs)
+                report = driver.execute(_hazard_streams(driver)[name], label=name)
+                words = [driver.read_polynomial(f"P{i}")[0] for i in range(6)]
+                banks = [(b.stats.reads, b.stats.writes)
+                         for b in driver.chip.memory_map.banks]
+                got.append((report, words, banks, vars(driver.chip.pe.stats),
+                            vars(driver.chip.bus.stats),
+                            vars(driver.link.stats),
+                            vars(driver.chip.fifo.stats)))
+            assert got[0] == got[1]
+        assert len(warm._streams) == 1
+
+    def test_per_command_paths_are_not_memoized(self, drv):
+        """A 40-bit modulus, another mode or another fidelity."""
+        drv.polynomial_multiply("P0", "P1", "P2")
+        drv.polynomial_multiply("P0", "P1", "P2", mode="direct")
+        timing = CofheeDriver(CoFHEE(ChipConfig(fidelity="timing")))
+        timing.program(Q30, N)
+        timing.polynomial_multiply("P0", "P1", "P2")
+        pmul = self._driver(True)
+        pmul.pointwise(Opcode.PMUL, "P0", "P1", y="P2")
+        assert not (drv._streams or timing._streams or pmul._streams)
 
 
 class TestRnsPath:

@@ -8,7 +8,8 @@
 #   tools/run_checks.sh              # tier-1 + benchmark + docs
 #                                    # + observability + fleet + examples
 #                                    # smoke, then the line counts of
-#                                    # src/repro/service and src/
+#                                    # src/repro/service, src/repro/core
+#                                    # and src/
 #   tools/run_checks.sh --docs       # only the docs stage (when given
 #                                    # alone; with other flags the full
 #                                    # pipeline runs and already
@@ -149,7 +150,13 @@ echo "== tier-1 test suite =="
 # tests/property/test_property_lazy_reduction.py),
 # the app-circuit serving suites (tests/service/test_circuit_*.py), and the
 # golden chip-statistics snapshot of the Algorithm 3 replay
-# (tests/core/test_chip_golden.py, n up to 2^12 in about two seconds),
+# (tests/core/test_chip_golden.py, n up to 2^12 in about two seconds;
+# every vector case runs a second, warm time on one driver), the warm
+# replay equivalence suite (a stream computed through the MDMC's issue
+# plan equals its per-command run in outputs, report and every counter,
+# pools of 1 and 4; tests/property/test_property_warm_replay.py), the
+# warm-fault suite (a broken Algorithm 3 stream on a warmed pool still
+# fails "datapath fault"; tests/service/test_warm_fault.py),
 # the pool-scaling claims, toy pools of 1/2/4 and a pool of 4 at n = 2^12
 # at least 1.5x shorter in makespan than a pool of 1
 # (tests/service/test_pool_scaling_paper.py), the CryptoNets optimizer
@@ -193,6 +200,7 @@ fi
 echo
 echo "== line counts (tracked in ROADMAP.md; printed, not gated) =="
 echo "src/repro/service: $(cat src/repro/service/*.py | wc -l)"
+echo "src/repro/core: $(cat src/repro/core/*.py | wc -l)"
 echo "src/: $(cat src/repro/*.py src/repro/*/*.py | wc -l)"
 
 echo
