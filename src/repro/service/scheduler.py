@@ -56,8 +56,8 @@ class ServiceStats:
 
     Per-tenant settlement is split by outcome —
     ``per_tenant_completed`` / ``per_tenant_failed`` — so a tenant whose
-    jobs keep failing no longer looks identical to one being served;
-    :attr:`per_tenant` remains as the merged read-only view.
+    jobs keep failing no longer looks identical to one being served.
+    :meth:`JobScheduler.settle` is the one place that counts them.
     """
 
     jobs_submitted: int = 0
@@ -70,14 +70,6 @@ class ServiceStats:
     per_tenant_completed: dict[str, int] = field(default_factory=dict)
     per_tenant_failed: dict[str, int] = field(default_factory=dict)
 
-    @property
-    def per_tenant(self) -> dict[str, int]:
-        """Settled jobs per tenant, completed and failed together."""
-        merged = dict(self.per_tenant_completed)
-        for tenant, count in self.per_tenant_failed.items():
-            merged[tenant] = merged.get(tenant, 0) + count
-        return merged
-
     def settle(self, job: Job) -> None:
         """Count one finished job (completed or failed) for its tenant."""
         if job.status is JobStatus.FAILED:
@@ -87,10 +79,6 @@ class ServiceStats:
             self.jobs_completed += 1
             bucket = self.per_tenant_completed
         bucket[job.tenant] = bucket.get(job.tenant, 0) + 1
-
-    def record(self, report: BatchReport, job: Job) -> None:
-        self.batches.append(report)
-        self.settle(job)
 
     @property
     def total_cycles(self) -> int:
@@ -193,32 +181,40 @@ class JobScheduler:
         :class:`JobFailedError` kind.
         """
         now = time.monotonic()
-        shed = 0
         for tenant, queue in self._queues.items():
-            if not any(j.deadline is not None and j.deadline <= now
-                       for j in queue):
+            expired = [job for job in queue
+                       if job.deadline is not None and job.deadline <= now]
+            if not expired:
                 continue
-            keep: deque[Job] = deque()
-            for job in queue:
-                if job.deadline is None or job.deadline > now:
-                    keep.append(job)
-                    continue
-                job.fail("deadline expired before dispatch")
-                self.stats.settle(job)
-                shed += 1
-                if self.metrics is not None:
-                    self.metrics.counter(
-                        "repro_deadline_shed_total",
-                        "jobs failed past their deadline",
-                        stage="queued", tenant=job.tenant,
-                    ).inc()
-                    self.metrics.counter(
-                        "repro_jobs_settled_total", "jobs settled by outcome",
-                        tenant=job.tenant, outcome="failed",
-                    ).inc()
-            self._queues[tenant] = keep
-        if shed:
+            for job in expired:
+                self.shed(job, "queued", "deadline expired before dispatch")
+            self._queues[tenant] = deque(job for job in queue if not job.done)
             self._set_queue_depth()
+
+    def shed(self, job: Job, stage: str, message: str) -> None:
+        """Fail a job past its deadline at ``stage`` and settle it."""
+        job.fail(message)
+        if self.metrics is not None:
+            self.metrics.counter(
+                "repro_deadline_shed_total", "jobs failed past their deadline",
+                stage=stage, tenant=job.tenant,
+            ).inc()
+        self.settle(job)
+
+    def settle(self, job: Job) -> None:
+        """Count one settled job: the only place that does.
+
+        Every settlement comes through here — executed, shed, a cache
+        hit, a dedupe follower — so ``stats`` and
+        ``repro_jobs_settled_total`` always agree.
+        """
+        self.stats.settle(job)
+        if self.metrics is not None:
+            failed = job.status is JobStatus.FAILED
+            self.metrics.counter(
+                "repro_jobs_settled_total", "jobs settled by outcome",
+                tenant=job.tenant, outcome="failed" if failed else "completed",
+            ).inc()
 
     # -- pick, dispatch, harvest ---------------------------------------------
 
@@ -259,19 +255,14 @@ class JobScheduler:
     def _settle(self, report: BatchReport, job: Job) -> None:
         started = self._in_flight.pop(job.job_id)
         job.metrics.host_seconds = time.perf_counter() - started
-        self.stats.record(report, job)
-        if self.metrics is None:
-            return
-        self.metrics.histogram(
-            "repro_job_execute_seconds",
-            "measured wall seconds from dispatch to settlement per job",
-            backend=report.backend,
-        ).observe(job.metrics.host_seconds)
-        outcome = "failed" if job.status is JobStatus.FAILED else "completed"
-        self.metrics.counter(
-            "repro_jobs_settled_total", "jobs settled by outcome",
-            tenant=job.tenant, outcome=outcome,
-        ).inc()
+        self.stats.batches.append(report)
+        self.settle(job)
+        if self.metrics is not None:
+            self.metrics.histogram(
+                "repro_job_execute_seconds",
+                "measured wall seconds from dispatch to settlement per job",
+                backend=report.backend,
+            ).observe(job.metrics.host_seconds)
 
     def step(self) -> BatchReport | None:
         """Pick, dispatch and harvest until one job settles.

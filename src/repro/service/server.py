@@ -182,13 +182,12 @@ class FheServer:
         if result_cache_size < 0:
             raise ValueError("result_cache_size must be >= 0")
         self._cache_capacity = result_cache_size
-        self._result_cache: OrderedDict[tuple, Ciphertext] = OrderedDict()
-        self._pending_cache: dict[str, tuple] = {}
-        # In-queue dedupe (cache-aware scheduling): content address ->
-        # the queued/running "primary" job id, and primary -> followers
-        # awaiting its result. Works even with the result cache disabled.
-        self._dedupe: dict[tuple, str] = {}
-        self._followers: dict[str, list[str]] = {}
+        # Both keyed by content address (:meth:`_cache_key`): settled
+        # results (an LRU of the result objects alone), and the jobs
+        # waiting on each address's one execution, ``[primary,
+        # *followers]`` — kept even with the result cache disabled.
+        self._results: OrderedDict[tuple, object] = OrderedDict()
+        self._inflight: dict[tuple, list[Job]] = {}
         # Evaluation-key digests, memoized by key-object identity (the
         # held reference keeps ids stable while the entry lives);
         # re-uploading a key yields a new object and therefore a new
@@ -449,27 +448,27 @@ class FheServer:
             key = self._cache_key(
                 session, job, operands, circuit_digest, opt_level
             )
-            cached = key in self._result_cache
-            primary_id = self._dedupe.get(key)
-        if cached:
-            self._result_cache.move_to_end(key)
-            job.finish(self._result_cache[key])
+            cached = self._results.get(key)
+            waiting = self._inflight.get(key)
+        if cached is not None:
+            self._results.move_to_end(key)
+            self._jobs[job.job_id] = job
+            job.finish(cached)
             job.metrics.backend = "cache"
             stats.jobs_submitted += 1
             stats.cache_hits += 1
-            stats.settle(job)
             self.metrics.counter(
                 "repro_cache_hits_total", "result-cache hits at submit"
             ).inc()
-            self._jobs[job.job_id] = job
+            self.scheduler.settle(job)
             return job.job_id
-        if primary_id is not None and not self._jobs[primary_id].done:
+        if waiting is not None:
             # Submit-before-complete miss: attach to the in-flight
             # execution; the result fans out at harvest time.
-            job.metrics.backend = "dedupe"
-            job.metrics.dedupe_of = primary_id
             self._jobs[job.job_id] = job
-            self._followers.setdefault(primary_id, []).append(job.job_id)
+            waiting.append(job)
+            job.metrics.backend = "dedupe"
+            job.metrics.dedupe_of = waiting[0].job_id
             stats.jobs_submitted += 1
             stats.dedupe_hits += 1
             self.metrics.counter(
@@ -479,14 +478,13 @@ class FheServer:
         # Queue first: a rejected submission must leave no server state.
         self.scheduler.submit(job)
         self._jobs[job.job_id] = job
-        self._dedupe[key] = job.job_id
+        self._inflight[key] = [job]
         if self._cache_capacity > 0:
             stats.cache_misses += 1
             self.metrics.counter(
                 "repro_cache_misses_total",
                 "cacheable jobs that had to execute",
             ).inc()
-            self._pending_cache[job.job_id] = key
         return job.job_id
 
     # ------------------------------------------------------------------
@@ -582,94 +580,65 @@ class FheServer:
             self._key_digests.popitem(last=False)
         return entry[1]
 
-    def _harvest_cache(self) -> None:
-        """Settle completion bookkeeping after scheduler progress.
+    def _harvest(self) -> None:
+        """Settle the jobs waiting on each content address, in one pass.
 
-        Moves freshly completed cacheable results into the cache (LRU),
-        sheds dedupe followers whose deadline expired while their primary
-        is still in flight, fans a completed primary's result (or
-        failure) out to its surviving followers, and retires content
-        addresses whose primary finished — the next identical submit then
-        hits the result cache, or re-executes if the primary failed or
-        caching is off.
-        """
-        if self._followers:
-            self._shed_expired_followers()
-        if self._pending_cache:
-            finished = [
-                jid for jid in self._pending_cache if self._jobs[jid].done
-            ]
-            for jid in finished:
-                key = self._pending_cache.pop(jid)
-                job = self._jobs[jid]
-                # Raw ops cache a Ciphertext; circuits their output map.
-                if job.status is JobStatus.DONE and job.result is not None:
-                    self._result_cache[key] = job.result
-                    self._result_cache.move_to_end(key)
-                    while len(self._result_cache) > self._cache_capacity:
-                        self._result_cache.popitem(last=False)
-        if self._followers:
-            stats = self.scheduler.stats
-            done_primaries = [
-                jid for jid in self._followers if self._jobs[jid].done
-            ]
-            for jid in done_primaries:
-                primary = self._jobs[jid]
-                for fid in self._followers.pop(jid):
-                    follower = self._jobs[fid]
-                    # The primary's execution window is the follower's
-                    # latency too: adopt those spans (clipped at the
-                    # follower's own queue time) so the profiler stops
-                    # attributing follower wall time to queue_wait.
-                    adopt_batch_spans(follower.trace, primary.trace)
-                    if primary.status is JobStatus.DONE:
-                        follower.finish(primary.result)
-                    else:
-                        follower.fail(primary.error or "primary job failed")
-                    stats.settle(follower)
-        if self._dedupe:
-            for key in [
-                k for k, jid in self._dedupe.items() if self._jobs[jid].done
-            ]:
-                del self._dedupe[key]
-
-    def _shed_expired_followers(self) -> None:
-        """Fail dedupe followers whose deadline passed mid-flight.
-
-        A follower attached to an in-flight primary sits in no scheduler
-        queue, so the scheduler's deadline shed never visits it;
-        without this sweep an expired follower would settle late with the
-        primary's eventual result instead of failing with the typed
-        ``deadline expired`` error. Followers of a primary that has
-        already completed are left to the fan-out in the same harvest —
-        their result is ready, not late.
+        While an address's primary is still queued or running, its
+        followers whose deadline passed fail with the typed ``deadline
+        expired`` error: a follower sits in no scheduler queue, so the
+        scheduler's shed never visits it. A primary shed for its *own*
+        deadline hands the execution to its first follower, which is
+        queued in its place under its own deadline. Any other settled
+        primary fans its result (or failure) out to its followers,
+        retires the address and, when it succeeded, caches the result —
+        the next identical submit then hits the cache, or re-executes
+        if the primary failed or caching is off.
         """
         now = time.monotonic()
-        stats = self.scheduler.stats
-        for pid in list(self._followers):
-            if self._jobs[pid].done:
+        for key, waiting in list(self._inflight.items()):
+            primary, followers = waiting[0], waiting[1:]
+            if not primary.done:
+                expired = [job for job in followers
+                           if job.deadline is not None and job.deadline <= now]
+                for follower in expired:
+                    self.scheduler.shed(
+                        follower, "follower",
+                        "deadline expired awaiting deduped execution",
+                    )
+                if expired:
+                    self._inflight[key] = [j for j in waiting if not j.done]
                 continue
-            keep: list[str] = []
-            for fid in self._followers[pid]:
-                follower = self._jobs[fid]
-                if follower.deadline is None or follower.deadline > now:
-                    keep.append(fid)
-                    continue
-                follower.fail("deadline expired awaiting deduped execution")
-                stats.settle(follower)
-                self.metrics.counter(
-                    "repro_deadline_shed_total",
-                    "jobs failed past their deadline",
-                    stage="follower", tenant=follower.tenant,
-                ).inc()
-                self.metrics.counter(
-                    "repro_jobs_settled_total", "jobs settled by outcome",
-                    tenant=follower.tenant, outcome="failed",
-                ).inc()
-            if keep:
-                self._followers[pid] = keep
-            else:
-                del self._followers[pid]
+            if followers and (primary.error or "").startswith(
+                "deadline expired"
+            ):
+                successor = followers[0]
+                successor.metrics.backend = ""
+                for follower in followers:
+                    follower.metrics.dedupe_of = successor.job_id
+                successor.metrics.dedupe_of = ""
+                self.scheduler.submit(successor)
+                # Already counted once, as a dedupe follower.
+                self.scheduler.stats.jobs_submitted -= 1
+                self._inflight[key] = followers
+                continue
+            del self._inflight[key]
+            for follower in followers:
+                # The primary's execution window is the follower's
+                # latency too: adopt those spans (clipped at the
+                # follower's own queue time) so the profiler stops
+                # attributing follower wall time to queue_wait.
+                adopt_batch_spans(follower.trace, primary.trace)
+                if primary.status is JobStatus.DONE:
+                    follower.finish(primary.result)
+                else:
+                    follower.fail(primary.error or "primary job failed")
+                self.scheduler.settle(follower)
+            # Raw ops cache a Ciphertext; circuits their output map.
+            if (self._cache_capacity > 0 and primary.result is not None
+                    and primary.status is JobStatus.DONE):
+                self._results[key] = primary.result
+                while len(self._results) > self._cache_capacity:
+                    self._results.popitem(last=False)
 
     # ------------------------------------------------------------------
     # Progress and results
@@ -701,18 +670,19 @@ class FheServer:
         return self._job(job_id).error
 
     def tick(self) -> bool:
-        """Advance the scheduler by one tick; ``True`` if work was done.
+        """Advance the scheduler by one tick; ``True`` while work remains.
 
         A tick picks and settles one job on a synchronous backend (or
         dispatches queued fleet jobs and harvests the first reply), so
         queued jobs complete one tick apart. Completion bookkeeping
         (result-cache harvest, dedupe fan-out) runs even on an idle
-        tick, so a caller looping ``tick()`` until it returns ``False``
-        observes every job settled.
+        tick, and may queue a follower in its shed primary's place, so
+        a caller looping ``tick()`` until it returns ``False`` observes
+        every job settled.
         """
         report = self.scheduler.step()
-        self._harvest_cache()
-        return report is not None
+        self._harvest()
+        return report is not None or self.scheduler.pending > 0
 
     def result(self, job_id: str, wire: bool = True) -> object:
         """Block (drive the scheduler) until the job finishes.
@@ -734,10 +704,8 @@ class FheServer:
             RuntimeError: if the job failed (message carries the cause).
         """
         job = self._job(job_id)
-        while not job.done:
-            if self.scheduler.step() is None:
-                break
-        self._harvest_cache()
+        while not job.done and self.tick():
+            pass
         if job.status is JobStatus.FAILED:
             raise RuntimeError(f"job {job_id} failed: {job.error}")
         if not job.done:
@@ -759,9 +727,9 @@ class FheServer:
 
     def run(self) -> ServiceStats:
         """Drain every queued job."""
-        stats = self.scheduler.run_all()
-        self._harvest_cache()
-        return stats
+        while self.tick():
+            pass
+        return self.scheduler.stats
 
     # ------------------------------------------------------------------
     # Reporting
@@ -808,7 +776,7 @@ class FheServer:
                 "hits": stats.cache_hits,
                 "misses": stats.cache_misses,
                 "dedupe_hits": stats.dedupe_hits,
-                "entries": len(self._result_cache),
+                "entries": len(self._results),
                 "capacity": self._cache_capacity,
             },
         }

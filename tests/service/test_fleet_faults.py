@@ -432,6 +432,35 @@ class TestDeadlines:
         assert stats.jobs_failed == 1
         assert stats.jobs_completed + stats.jobs_failed == stats.jobs_submitted
 
+    def test_follower_outlives_its_primarys_deadline(self, stack):
+        """A dedupe follower keeps its own deadline, not its primary's:
+        when the primary is shed for its deadline, the first follower is
+        queued in its place (no deadline, so it runs), the next follower
+        stays attached to it, and both get the one execution's bytes."""
+        server = FheServer(pool_size=2)
+        sid = _open(server, stack)
+        bfv, keys, encoder = stack
+        a = bfv.encrypt(encoder.encode([5] * PARAMS.n), keys.public)
+        operands = (serialize_ciphertext(a), serialize_ciphertext(a))
+        doomed = server.submit(
+            sid, JobKind.MULTIPLY, operands, deadline=1e-6,
+        )
+        survivor = server.submit(sid, JobKind.MULTIPLY, operands)
+        rider = server.submit(sid, JobKind.MULTIPLY, operands)
+        time.sleep(0.01)
+        server.run()
+        assert server.status(doomed) is JobStatus.FAILED
+        assert server.status(survivor) is JobStatus.DONE
+        expected = serialize_ciphertext(bfv.multiply_relin(a, a, keys.relin))
+        assert server.result(survivor) == expected
+        assert server.result(rider) == expected
+        assert server.job_metrics(survivor).dedupe_of == ""
+        assert server.job_metrics(rider).dedupe_of == survivor
+        stats = server.scheduler.stats
+        assert len(stats.batches) == 1
+        assert stats.jobs_submitted == 3 and stats.dedupe_hits == 2
+        assert stats.jobs_completed == 2 and stats.jobs_failed == 1
+
     def test_inflight_expiry_reaped_no_requeue_loop(self, stack):
         """A stalled worker hangs a job past its deadline: the fleet
         reaps it into a clean typed failure (no requeue loop), discards

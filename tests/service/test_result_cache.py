@@ -6,6 +6,7 @@ whose parameters match but whose evaluation keys differ.
 """
 
 import random
+import time
 
 import pytest
 
@@ -290,6 +291,56 @@ class TestInQueueDedupe:
         assert server.scheduler.stats.dedupe_hits == 1
 
 
+class TestSettleCount:
+    def test_settled_metric_counts_every_settlement(self, client):
+        """``repro_jobs_settled_total`` and :class:`ServiceStats` count
+        the same settlements: executed, dedupe follower, cache hit, shed
+        from the queue, follower shed, and a failure fanned out."""
+        bfv, keys, fresh = client
+        server = FheServer(pool_size=1)
+        acme, beta = _open(server, keys), _open(server, keys, "beta")
+        # No Galois key: the ROTATE fails, and so does its follower.
+        gamma = server.open_session("gamma", serialize_params(PARAMS))
+        served = (serialize_ciphertext(fresh()), serialize_ciphertext(fresh()))
+        watched = (serialize_ciphertext(fresh()), serialize_ciphertext(fresh()))
+        rotated = (serialize_ciphertext(fresh()),)
+        server.submit(acme, JobKind.ADD, served)  # executed
+        server.submit(acme, JobKind.ADD, served)  # follower
+        server.submit(  # shed from the queue
+            beta, JobKind.ADD,
+            (serialize_ciphertext(fresh()), serialize_ciphertext(fresh())),
+            deadline=1e-6,
+        )
+        # acme's job is picked first, so this primary is still queued
+        # when the first harvest sheds its follower.
+        server.submit(beta, JobKind.ADD, watched)
+        server.submit(beta, JobKind.ADD, watched, deadline=1e-6)
+        for _ in range(2):
+            server.submit(gamma, JobKind.ROTATE, rotated, steps=1)
+        time.sleep(0.01)
+        server.run()
+        hit = server.submit(acme, JobKind.ADD, served)
+        assert server.job_metrics(hit).backend == "cache"
+        stats = server.scheduler.stats
+        assert stats.dedupe_hits == 3 and stats.cache_hits == 1
+        settled = server.stats_snapshot()["repro_jobs_settled_total"]
+        expected = {}
+        for outcome, per_tenant in (
+            ("completed", stats.per_tenant_completed),
+            ("failed", stats.per_tenant_failed),
+        ):
+            for tenant, count in per_tenant.items():
+                expected[f'{{outcome="{outcome}",tenant="{tenant}"}}'] = count
+        assert settled == expected
+        assert expected == {
+            '{outcome="completed",tenant="acme"}': 3,
+            '{outcome="completed",tenant="beta"}': 1,
+            '{outcome="failed",tenant="beta"}': 2,
+            '{outcome="failed",tenant="gamma"}': 2,
+        }
+        assert sum(settled.values()) == stats.jobs_completed + stats.jobs_failed
+
+
 class TestRejectedSubmissions:
     def test_unknown_backend_leaves_no_server_state(self, client):
         bfv, keys, fresh = client
@@ -299,9 +350,14 @@ class TestRejectedSubmissions:
         with pytest.raises(ValueError, match="unknown backend"):
             server.submit(sid, JobKind.ADD, (ct, ct), backend="nope")
         assert server._jobs == {}
-        assert server._pending_cache == {}
+        assert server._inflight == {}
         report = server.pool_report()["result_cache"]
         assert report["misses"] == 0 and report["hits"] == 0
+        # Nothing of the rejected submit is left to attach to: the next
+        # identical, valid submit executes on its own.
+        server.submit(sid, JobKind.ADD, (ct, ct))
+        report = server.pool_report()["result_cache"]
+        assert report["misses"] == 1 and report["dedupe_hits"] == 0
 
 
 class TestCapacityAndDisable:
