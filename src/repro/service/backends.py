@@ -544,8 +544,8 @@ class ChipPoolBackend(Backend):
     ) -> tuple[list[int], int]:
         """The circuit's key-switch tails and automorphism copy cycles.
 
-        One tail per relinearization step (fewer than the tensors after
-        lazy optimization) and one Galois key switch per rotation step;
+        One tail per relinearization step (fewer than the tensors when
+        a circuit defers key switches with the split ops) and one Galois key switch per rotation step;
         each rotation also copies both components through the
         automorphism first (one pass each).
         """

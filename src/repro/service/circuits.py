@@ -34,20 +34,17 @@ dependency edges the chip-pool scheduler needs fall out of the indices.
 ``OP_MUL``              ``dst = a * b`` (Eq. 4 tensor only — the result
                         stays degree 3 until an ``OP_RELINEARIZE``)
 ``OP_SQUARE``           ``dst = a^2`` (tensor only, degree-3 result)
-``OP_RELINEARIZE``      ``dst = relinearize(a)`` (the deferred key-switch;
-                        consecutive runs batch through
-                        :meth:`~repro.bfv.scheme.Bfv.relinearize_many`)
+``OP_RELINEARIZE``      ``dst = relinearize(a)`` (the key switch a split
+                        tensor defers)
 ======================  =====================================================
 
-The split tensor ops (``OP_MUL``/``OP_SQUARE``/``OP_RELINEARIZE``) are
-what the server-side optimizer (:mod:`repro.service.optimizer`) lowers
-``OP_MUL_RELIN`` into when lazy relinearization is enabled: linear
-combinations of degree-2 products run on the degree-3 tensors directly
-and a single deferred relinearization closes the tree. Degree bookkeeping
-is static (sizes are fully determined by the step list), so
-:func:`validate_circuit` proves at admission time that every tensor or
-rotation operand and every output is degree 2 where the scheme requires
-it.
+The split tensor ops (``OP_MUL``/``OP_SQUARE``/``OP_RELINEARIZE``) let
+a client write the key switch as its own step: linear combinations of
+degree-2 products run on the degree-3 tensors directly and one
+relinearization closes the tree. Degree bookkeeping is static (sizes
+are fully determined by the step list), so :func:`validate_circuit`
+proves at admission time that every tensor or rotation operand and
+every output is degree 2 where the scheme requires it.
 
 Constants come in two kinds: ``CONST_SCALAR`` (a signed integer applied
 with :meth:`~repro.bfv.scheme.Bfv.multiply_scalar` — layer weights) and
@@ -221,7 +218,7 @@ class Circuit:
 
         ``ct_ct_mults`` counts Eq. 4 tensor executions; ``relins`` and
         ``rotations`` count the key-switch tails separately, because the
-        optimizer's lazy relinearization decouples them from the tensors.
+        split ops decouple them from the tensors.
         """
         counts = {
             "ct_ct_adds": 0, "ct_pt_mults": 0, "ct_ct_mults": 0,
@@ -278,30 +275,6 @@ class Circuit:
         return dict(cached)
 
 
-def register_degrees(circuit: Circuit) -> list[int]:
-    """Static ciphertext size (component count) of every register.
-
-    Inputs are fresh encryptions (size 2); tensor steps produce size 3;
-    relinearization returns to size 2; linear ops take the componentwise
-    maximum of their operands (``Bfv.add``/``sub`` pad); plaintext ops
-    and rotations preserve size. Sizes are fully determined by the step
-    list, so the scheme's operand requirements are checkable statically.
-    """
-    degrees = [2] * len(circuit.inputs)
-    for step in circuit.steps:
-        if step.op in (OP_MUL, OP_SQUARE):
-            degrees.append(3)
-        elif step.op in RELIN_OPS:  # fused or deferred key switch
-            degrees.append(2)
-        elif step.op in (OP_ADD, OP_SUB):
-            degrees.append(max(degrees[step.args[0]], degrees[step.args[1]]))
-        elif step.op == OP_MAC_CONST:
-            degrees.append(degrees[step.args[0]])
-        else:  # add_const / mul_const / rotations preserve size
-            degrees.append(degrees[step.args[0]])
-    return degrees
-
-
 def rotation_exponent(params: BfvParameters, op: int, steps: int = 0) -> int:
     """The Galois element a rotation step key-switches under.
 
@@ -354,8 +327,8 @@ def validate_circuit(circuit: Circuit) -> None:
     already-defined register, every constant reference inside the table,
     add-of-scalar rejected (scalars multiply only), rotation step
     immediates signed-16-bit and nonzero, static ciphertext degrees
-    (tensor and rotation operands and outputs must be size 2 — a lazy
-    circuit must relinearize before those), and at least one step and
+    (tensor and rotation operands and outputs must be size 2 — a split
+    tensor must relinearize before those), and at least one step and
     one output.
     """
     if not circuit.name:
@@ -631,37 +604,6 @@ TensorHook = Callable[[int, Ciphertext, Ciphertext, "tuple | None"], None]
 GaloisResolver = Callable[[int], GaloisKey]
 
 
-def _relin_runs(circuit: Circuit) -> dict[int, tuple[int, ...]]:
-    """Maximal batchable runs of consecutive ``OP_RELINEARIZE`` steps.
-
-    Maps a run's first step index to every step index in the run. A run
-    breaks if a member consumes a register produced *inside* the run
-    (relin-of-relin chains must stay sequential). Runs fold through one
-    :meth:`~repro.bfv.scheme.Bfv.relinearize_many` call — bit-identical
-    to per-step relinearization, but one shared digit-decomposition pass.
-    """
-    runs: dict[int, tuple[int, ...]] = {}
-    base = len(circuit.inputs)
-    i = 0
-    while i < len(circuit.steps):
-        if circuit.steps[i].op != OP_RELINEARIZE:
-            i += 1
-            continue
-        start = i
-        members = [i]
-        i += 1
-        while (
-            i < len(circuit.steps)
-            and circuit.steps[i].op == OP_RELINEARIZE
-            and circuit.steps[i].args[0] < base + start
-        ):
-            members.append(i)
-            i += 1
-        if len(members) > 1:
-            runs[start] = tuple(members)
-    return runs
-
-
 def evaluate_circuit(
     engine: Bfv,
     relin_key,
@@ -722,13 +664,8 @@ def evaluate_circuit(
 
     params = engine.params
     consts = [_decode_const(c, params) for c in circuit.consts]
-    relin_runs = _relin_runs(circuit)
-    batched: dict[int, Ciphertext] = {}
     regs: list[Ciphertext] = list(inputs)
     for i, step in enumerate(circuit.steps):
-        if i in batched:
-            regs.append(batched.pop(i))
-            continue
         working = True
         if step.op == OP_ADD:
             value = engine.add(regs[step.args[0]], regs[step.args[1]])
@@ -758,19 +695,9 @@ def evaluate_circuit(
             if step.op in RELIN_OPS:
                 value = key_switch(engine.relinearize, value, relin_key)
         elif step.op == OP_RELINEARIZE:
-            run = relin_runs.get(i)
-            if run is not None:
-                folded = key_switch(
-                    engine.relinearize_many,
-                    [regs[circuit.steps[j].args[0]] for j in run], relin_key,
-                )
-                for j, ct in zip(run, folded):
-                    batched[j] = ct
-                value = batched.pop(i)
-            else:
-                value = key_switch(
-                    engine.relinearize, regs[step.args[0]], relin_key
-                )
+            value = key_switch(
+                engine.relinearize, regs[step.args[0]], relin_key
+            )
         elif step.op in ROTATION_OPS:
             a = regs[step.args[0]]
             steps_imm = step.args[1] if step.op == OP_ROTATE_ROWS else 0

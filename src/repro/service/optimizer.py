@@ -1,8 +1,8 @@
 """Server-side circuit optimizer: semantics-preserving SSA rewrites.
 
 Circuits used to execute exactly as written — every submitted step
-became work units, including duplicated subtrees, multiplies by one,
-and a full relinearization after every single tensor. This module is
+became work units, including duplicated subtrees and multiplies by
+one. This module is
 the pass pipeline the server runs at submit time (the tf-encrypted
 compiler RFC's "HE programs are a compiled dialect" shape, scaled to
 our op set):
@@ -28,27 +28,14 @@ our op set):
     outputs drops every step whose result is never consumed (including
     steps orphaned by the passes above).
 
-``relin_lazy`` (opt-in; see *levels* below)
-    Lazy/fused relinearization: eager ``mul_relin``/``square_relin``
-    steps split into a bare Eq. 4 tensor plus a *deferred*
-    ``relinearize``, sunk past linear combinations of degree-2
-    products so an add-of-products tree key-switches once instead of
-    once per multiply. Deferred relins are materialized just-in-time
-    before consumers that require degree 2 (tensor operands, rotations)
-    and as one trailing run before the outputs — consecutive runs batch
-    through :meth:`~repro.bfv.scheme.Bfv.relinearize_many`. The pass is
-    accepted only when it strictly reduces the circuit's key-switch
-    count, so "optimized" never means "more work".
-
 **Levels.** ``none`` passes the circuit through untouched. ``exact``
-(the server default) runs only the byte-exact passes: the optimized
-circuit's outputs are *bit-identical* to the submitted circuit's on
-every backend, so content-addressed caching, dedupe, and the served ==
-in-process invariant are all preserved. ``lazy`` adds the
-relinearization restructuring: outputs decrypt to the same plaintexts
-(noise actually improves — fewer key-switch noise injections) and are
-bit-identical *across backends*, but not to the unoptimized execution,
-so the server keys its result cache by level.
+(the server default) runs the passes above, every one byte-exact: the
+optimized circuit's outputs are *bit-identical* to the submitted
+circuit's on every backend, so content-addressed caching, dedupe, and
+the served == in-process invariant all hold at either level. Two levels
+remain because two servers use them: the front door optimizes
+(``exact``), and a fleet worker serves what the front door already
+optimized (``none``).
 """
 
 from __future__ import annotations
@@ -62,29 +49,22 @@ from repro.service.circuits import (
     CircuitConst,
     CircuitStep,
     OP_ADD,
-    OP_ADD_CONST,
     OP_MAC_CONST,
     OP_MUL,
     OP_MUL_CONST,
     OP_MUL_RELIN,
     OP_RELINEARIZE,
-    OP_ROTATE_COLUMNS,
-    OP_ROTATE_ROWS,
     OP_SPECS,
     OP_SQUARE,
-    OP_SQUARE_RELIN,
     OP_SUB,
     RELIN_OPS,
-    ROTATION_OPS,
-    TENSOR_OPS,
     _SCALAR_LIMIT,
 )
 
-#: Optimization levels, weakest to strongest guarantees traded for work.
+#: Optimization levels: pass the circuit through, or run every pass.
 LEVEL_NONE = "none"
 LEVEL_EXACT = "exact"
-LEVEL_LAZY = "lazy"
-LEVELS = (LEVEL_NONE, LEVEL_EXACT, LEVEL_LAZY)
+LEVELS = (LEVEL_NONE, LEVEL_EXACT)
 
 #: What the server applies unless configured otherwise: every rewrite
 #: here is byte-exact, so default-path serving stays bit-identical to
@@ -146,12 +126,6 @@ class _Builder:
         else:
             self.degrees.append(max(reg_degs))
         return self.num_inputs + len(self.steps) - 1
-
-
-def _scalar_of(consts, idx):
-    """The scalar value of constant ``idx``, or None if packed."""
-    const = consts[idx]
-    return const.scalar if const.kind == CONST_SCALAR else None
 
 
 def _is_zero_const(const: CircuitConst) -> bool:
@@ -330,77 +304,13 @@ def _dce(circuit: Circuit) -> tuple[Circuit, int]:
     return rebuilt, removed
 
 
-def _lazify(circuit: Circuit) -> tuple[Circuit, int]:
-    """Split eager tensor+relin steps and defer the key switches.
-
-    Every ``mul_relin``/``square_relin`` becomes a bare tensor; every
-    explicit ``relinearize`` is deferred too. Degree-3 values flow
-    through linear combinations untouched and are key-switched
-    just-in-time (once per value, cached) before degree-2-requiring
-    consumers, with one trailing batchable run for the outputs. The
-    rewrite is accepted only when it strictly reduces the circuit's
-    relinearization count — otherwise the input is returned unchanged.
-    """
-    relins_before = sum(
-        1 for step in circuit.steps if step.op in RELIN_OPS
-    )
-    if relins_before == 0:
-        return circuit, 0
-    out = _Builder(num_inputs=len(circuit.inputs))
-    new_of: list[int] = list(range(len(circuit.inputs)))
-    relined: dict[int, int] = {}
-
-    def force(reg: int) -> int:
-        """The degree-2 version of a register, key-switching if needed."""
-        if out.degrees[reg] == 2:
-            return reg
-        if reg not in relined:
-            relined[reg] = out.emit(OP_RELINEARIZE, (reg,))
-        return relined[reg]
-
-    for step in circuit.steps:
-        layout = OP_SPECS[step.op][1]
-        args = [
-            new_of[a] if role == "r" else a
-            for a, role in zip(step.args, layout)
-        ]
-        if step.op in (OP_MUL_RELIN, OP_MUL):
-            a, b = force(args[0]), force(args[1])
-            new_of.append(out.emit(OP_MUL, (a, b)))
-        elif step.op in (OP_SQUARE_RELIN, OP_SQUARE):
-            new_of.append(out.emit(OP_SQUARE, (force(args[0]),)))
-        elif step.op == OP_RELINEARIZE:
-            new_of.append(args[0])  # defer; force() materializes later
-        elif step.op in ROTATION_OPS:
-            new_of.append(out.emit(step.op, (force(args[0]), *args[1:])))
-        else:
-            new_of.append(out.emit(step.op, tuple(args)))
-
-    outputs = tuple(
-        (name, force(new_of[reg])) for name, reg in circuit.outputs
-    )
-    relins_after = sum(
-        1 for step in out.steps if step.op in RELIN_OPS
-    )
-    if relins_after >= relins_before:
-        return circuit, 0
-    rebuilt = Circuit(
-        name=circuit.name,
-        inputs=circuit.inputs,
-        consts=circuit.consts,
-        steps=tuple(out.steps),
-        outputs=outputs,
-    )
-    return rebuilt, relins_before - relins_after
-
-
 def optimize_circuit(
     circuit: Circuit, level: str = DEFAULT_LEVEL
 ) -> tuple[Circuit, dict]:
     """Run the pass pipeline to a fixed point; returns the rewrite report.
 
-    The report maps each pass name to the number of steps (or, for
-    ``relin_lazy``, key switches) it eliminated, plus summary totals the
+    The report maps each pass name to the number of steps it
+    eliminated, plus summary totals the
     benchmarks and :class:`~repro.service.jobs.JobMetrics` surface:
     ``steps_before``/``steps_after`` and the optimized circuit's
     ``tensor_units``/``relin_units``/``rotation_units``. Optimizing an
@@ -413,7 +323,7 @@ def optimize_circuit(
         )
     report = {
         "level": level,
-        "constant_fold": 0, "cse": 0, "dce": 0, "relin_lazy": 0,
+        "constant_fold": 0, "cse": 0, "dce": 0,
         "steps_before": len(circuit.steps),
     }
     current = circuit
@@ -425,9 +335,6 @@ def optimize_circuit(
             report["cse"] += deduped
             current, removed = _dce(current)
             report["dce"] += removed
-            if level == LEVEL_LAZY:
-                current, lazied = _lazify(current)
-                report["relin_lazy"] += lazied
             if current == previous:
                 break
     counts = current.op_counts()

@@ -161,9 +161,6 @@ class SessionRegistry:
         except KeyError:
             raise SessionError(f"unknown session {session_id!r}") from None
 
-    def sessions_for(self, tenant: str) -> list[Session]:
-        return [s for s in self._sessions.values() if s.tenant == tenant]
-
     # -- engines ----------------------------------------------------------
 
     def engine(self, session: Session) -> Bfv:

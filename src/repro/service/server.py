@@ -122,11 +122,10 @@ class FheServer:
             over-quota submit raises the retryable
             :class:`~repro.service.errors.QuotaExceededError` before
             any decode or math.
-        optimizer_level: default circuit optimization level applied at
-            submit — ``"none"``, ``"exact"`` (byte-exact passes only;
-            the default), or ``"lazy"`` (adds deferred relinearization,
-            plaintext-equal but not byte-identical to the unoptimized
-            program). A per-submit ``optimizer=`` argument overrides it.
+        optimizer_level: the circuit optimization level applied at
+            submit — ``"exact"`` (the default: byte-exact passes) or
+            ``"none"`` (serve the circuit as received, as a fleet
+            worker does). Both serve the submitted program's bytes.
     """
 
     def __init__(self, pool_size: int = 4,
@@ -266,7 +265,6 @@ class FheServer:
         payload: object = None,
         backend: str = "",
         deadline: float = 0.0,
-        optimizer: str | None = None,
     ) -> str:
         """Queue one job; operands may be wire bytes or Ciphertext objects.
 
@@ -288,11 +286,9 @@ class FheServer:
         expired in flight the fleet reaps it — either way it fails with
         the typed ``deadline expired`` message.
 
-        ``optimizer`` overrides the server's configured circuit
-        optimization level for this submit (``"none"``, ``"exact"``, or
-        ``"lazy"`` — see :mod:`repro.service.optimizer`); circuits are
-        rewritten server-side before queueing, and the per-pass rewrite
-        report lands in the job's metrics.
+        Circuits are rewritten at the server's ``optimizer_level`` (see
+        :mod:`repro.service.optimizer`) before queueing, and the per-pass
+        rewrite report lands in the job's metrics.
 
         Raises :class:`~repro.service.errors.QuotaExceededError`
         (retryable) when the tenant is over its admission quota — before
@@ -308,7 +304,7 @@ class FheServer:
             job_id = self._submit_traced(
                 trace, session_id, kind, operands,
                 steps=steps, payload=payload, backend=backend,
-                deadline=deadline, optimizer=optimizer,
+                deadline=deadline,
             )
         trace.stamp_queued()  # queue_wait origin for the scheduler's mark
         self._submit_hist.observe(time.perf_counter() - started)
@@ -359,14 +355,8 @@ class FheServer:
 
     def _submit_traced(
         self, trace, session_id, kind, operands, *, steps, payload, backend,
-        deadline=0.0, optimizer=None,
+        deadline=0.0,
     ) -> str:
-        opt_level = optimizer if optimizer is not None else self.optimizer_level
-        if opt_level not in LEVELS:
-            raise ValueError(
-                f"optimizer must be one of {sorted(LEVELS)}, "
-                f"got {opt_level!r}"
-            )
         rewrite = None
         with trace.span("decode"):
             if isinstance(kind, str):
@@ -393,11 +383,9 @@ class FheServer:
                     # while the queued job carries the rewritten circuit.
                     with trace.span("optimize"):
                         payload, rewrite = optimize_circuit(
-                            payload, level=opt_level
+                            payload, level=self.optimizer_level
                         )
-                    for pass_name in (
-                        "constant_fold", "cse", "dce", "relin_lazy"
-                    ):
+                    for pass_name in ("constant_fold", "cse", "dce"):
                         eliminated = rewrite.get(pass_name, 0)
                         if eliminated:
                             self.metrics.counter(
@@ -445,9 +433,7 @@ class FheServer:
         ).inc()
         stats = self.scheduler.stats
         with trace.span("cache_check"):
-            key = self._cache_key(
-                session, job, operands, circuit_digest, opt_level
-            )
+            key = self._cache_key(session, job, operands, circuit_digest)
             cached = self._results.get(key)
             waiting = self._inflight.get(key)
         if cached is not None:
@@ -492,8 +478,7 @@ class FheServer:
     # ------------------------------------------------------------------
 
     def _cache_key(self, session: Session, job: Job, raw_operands: tuple,
-                   circuit_digest: bytes = b"",
-                   opt_level: str = "") -> tuple:
+                   circuit_digest: bytes = b"") -> tuple:
         """Content address of a job.
 
         The request kind stays in the address, so a raw op and a
@@ -507,7 +492,9 @@ class FheServer:
         ``circuit_digest`` — the SHA-256 of the circuit's wire encoding,
         computed by :meth:`submit` straight from the received frame — so
         two tenants submitting the same program on the same inputs share
-        one execution, and two different programs never can.
+        one execution, and two different programs never can. The
+        optimization level stays out: both levels serve the submitted
+        program's bytes.
 
         The same address drives both the result cache and in-queue
         dedupe, so dedupe stays on when caching is disabled.
@@ -524,11 +511,6 @@ class FheServer:
             job.kind.value,
             job.steps,
             circuit_digest,
-            # The effective optimization level is part of a circuit's
-            # address: "lazy" serves different (plaintext-equal) bytes
-            # than "exact"/"none", so the levels must never share an
-            # entry. Raw ops are untouched by the optimizer.
-            opt_level if job.kind is JobKind.CIRCUIT else "",
             job.backend or self.scheduler.default,
             self._eval_key_digest(session, job.payload),
             operands.digest(),

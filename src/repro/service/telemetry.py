@@ -172,19 +172,6 @@ class JobTrace:
             totals[span.phase] = totals.get(span.phase, 0.0) + span.seconds
         return totals
 
-    def tree_lines(self) -> list[str]:
-        """Render the span tree, one indented line per span."""
-        depths: list[int] = []
-        for span in self.spans:
-            depths.append(0 if span.parent < 0 else depths[span.parent] + 1)
-        origin = self.started_at or 0.0
-        return [
-            f"{'  ' * depth}{span.phase:<16} "
-            f"+{(span.start - origin) * 1e6:9.1f}us "
-            f"{span.seconds * 1e6:9.1f}us"
-            for span, depth in zip(self.spans, depths)
-        ]
-
 
 #: Top-level phases that constitute a job's execution window — what a
 #: dedupe follower inherits from the primary whose single execution

@@ -664,24 +664,31 @@ class FheTransportServer:
                         "circuit jobs travel as SUBMIT_CIRCUIT frames, "
                         "not SUBMIT"
                     )
-            job_id = await self._call(
-                lambda: self.fhe.submit(
+
+            def submit() -> tuple[str, JobStatus]:
+                job_id = self.fhe.submit(
                     msg.session_id, kind, msg.operands, steps=steps,
                     payload=payload, backend=msg.backend,
                     deadline=msg.deadline,
                 )
-            )
+                return job_id, self.fhe.status(job_id)
+
+            job_id, status = await self._call(submit)
         except Exception as exc:
             await self._fail(conn, msg.request_id, exc)
             return
         await self._register_submission(
-            conn, msg.request_id, job_id, msg.subscribe
+            conn, msg.request_id, job_id, status, msg.subscribe
         )
 
     async def _register_submission(self, conn: _Connection, request_id: int,
-                                   job_id: str, subscribe: bool) -> None:
-        """Answer a submit with STATUS and wire up completion delivery."""
-        status = self.fhe.status(job_id)
+                                   job_id: str, status: JobStatus,
+                                   subscribe: bool) -> None:
+        """Answer a submit with STATUS and wire up completion delivery.
+
+        ``status`` is the job's status read on the engine thread right
+        after the submit, so the loop thread never touches the server.
+        """
         await conn.send_safe(encode_message(StatusMsg(
             request_id=request_id, job_id=job_id, status=status.value
         )))

@@ -4,18 +4,15 @@ Random circuits over the full op set (adds, constants, eager and bare
 tensors, explicit relinearization, both rotations) are generated with
 the same static discipline :func:`validate_circuit` enforces — tensor
 and rotation operands degree 2, outputs degree 2, rotation immediates
-nonzero — plus a multiplicative-depth cap so the lazy-level plaintext
-comparison stays inside the noise budget.
+nonzero — plus a multiplicative-depth cap so every circuit stays inside
+the noise budget.
 
-Three guarantees are pinned differentially:
+Two guarantees are pinned differentially:
 
-* ``exact`` (the server default) is **byte-exact**: the optimized
-  circuit's served result is bit-identical to the unoptimized one on
-  every backend, so caching/dedupe/bit-identity invariants survive
-  optimization.
-* ``lazy`` restructures key switches: served results are bit-identical
-  *across* backends and decrypt to the same plaintexts as the
-  unoptimized execution (but may differ from it byte-wise).
+* ``exact`` (the server default) is **byte-exact**: a server at either
+  level serves, on every backend, the bytes in-process evaluation of
+  the *submitted* circuit returns. That is why the level stays out of
+  the result cache's content address.
 * The pass pipeline is a **fixed point**: optimizing an optimized
   circuit changes nothing and reports zero eliminations, and the
   rewrite report's eliminated counts reconcile with the step deltas.
@@ -28,17 +25,18 @@ from hypothesis import strategies as st
 from repro.bfv import BatchEncoder, Bfv, BfvParameters
 from repro.bfv.rotation import RotationEngine
 from repro.polymath.primes import ntt_friendly_prime
-from repro.service.circuits import CircuitBuilder
+from repro.service.circuits import CircuitBuilder, evaluate_circuit
 from repro.service.jobs import JobKind
 from repro.service.optimizer import (
     LEVEL_EXACT,
-    LEVEL_LAZY,
+    LEVEL_NONE,
     LEVELS,
     optimize_circuit,
 )
 from repro.service.serialization import (
     deserialize_circuit_outputs,
     serialize_ciphertext,
+    serialize_circuit_outputs,
     serialize_galois_key,
     serialize_params,
     serialize_relin_key,
@@ -47,8 +45,8 @@ from repro.service.server import FheServer
 
 BACKENDS = ("chip_pool", "software")
 
-#: Roomy modulus (168 bits): the depth-capped random circuits decrypt
-#: exactly even after lazy relinearization reorders the noise growth.
+#: Roomy modulus (168 bits): the depth-capped random circuits stay well
+#: inside the noise budget.
 PARAMS = BfvParameters.toy_rns(
     n=16, towers=6, tower_bits=28, t=ntt_friendly_prime(16, 20)
 )
@@ -174,7 +172,8 @@ def circuits(draw):
 
 @pytest.fixture(scope="module")
 def ctx():
-    """One server + session with every Galois key the strategy can use."""
+    """One server per optimization level, each with a session holding
+    every Galois key the strategy can use."""
     bfv = Bfv(PARAMS, seed=97)
     keys = bfv.keygen(relin_digit_bits=16)
     rotor = RotationEngine(bfv, keys.secret)
@@ -182,16 +181,21 @@ def ctx():
         {pow(3, k, 2 * PARAMS.n) for k in range(1, PARAMS.n // 2)}
         | {2 * PARAMS.n - 1}
     )
-    server = FheServer(pool_size=2, result_cache_size=0)
-    sid = server.open_session(
-        "prop",
-        serialize_params(PARAMS),
-        relin_key=serialize_relin_key(keys.relin, PARAMS),
-        galois_keys=tuple(
-            serialize_galois_key(rotor.galois_key(e), PARAMS)
-            for e in exponents
-        ),
-    )
+    galois = {e: rotor.galois_key(e) for e in exponents}
+    servers = {}
+    for level in LEVELS:
+        server = FheServer(
+            pool_size=2, result_cache_size=0, optimizer_level=level
+        )
+        sid = server.open_session(
+            "prop",
+            serialize_params(PARAMS),
+            relin_key=serialize_relin_key(keys.relin, PARAMS),
+            galois_keys=tuple(
+                serialize_galois_key(key, PARAMS) for key in galois.values()
+            ),
+        )
+        servers[level] = (server, sid)
     inputs = tuple(
         bfv.encrypt(_ENCODER.encode([v + s for s in range(PARAMS.n)]),
                     keys.public)
@@ -199,27 +203,20 @@ def ctx():
     )
     wires = tuple(serialize_ciphertext(ct) for ct in inputs)
     yield {
-        "server": server, "sid": sid, "bfv": bfv, "keys": keys,
-        "wires": wires,
+        "servers": servers, "bfv": bfv, "keys": keys, "galois": galois,
+        "inputs": inputs, "wires": wires,
     }
-    server.close()
+    for server, _sid in servers.values():
+        server.close()
 
 
 def _serve(ctx, circuit, backend, level):
-    server = ctx["server"]
+    server, sid = ctx["servers"][level]
     jid = server.submit(
-        ctx["sid"], JobKind.CIRCUIT, ctx["wires"][: len(circuit.inputs)],
-        payload=circuit, backend=backend, optimizer=level,
+        sid, JobKind.CIRCUIT, ctx["wires"][: len(circuit.inputs)],
+        payload=circuit, backend=backend,
     )
     return server.result(jid), server.job_metrics(jid)
-
-
-def _decoded_outputs(ctx, wire):
-    outs = deserialize_circuit_outputs(wire, PARAMS)
-    return {
-        name: _ENCODER.decode(ctx["bfv"].decrypt(ct, ctx["keys"].secret))
-        for name, ct in outs.items()
-    }
 
 
 class TestDifferentialServing:
@@ -231,40 +228,24 @@ class TestDifferentialServing:
     def test_exact_level_is_byte_identical_on_every_backend(
         self, ctx, circuit
     ):
-        """Unoptimized vs exact-optimized serve to the same bytes, and
-        the two backends agree — one equivalence class of four wires."""
+        """Unoptimized and exact-optimized servers serve the same bytes
+        on both backends, and those bytes are in-process evaluation of
+        the submitted circuit — one equivalence class of five wires."""
         wires = set()
-        reports = {}
-        for backend in BACKENDS:
-            for level in ("none", LEVEL_EXACT):
+        for level in LEVELS:
+            for backend in BACKENDS:
                 wire, metrics = _serve(ctx, circuit, backend, level)
                 wires.add(wire)
-                reports[(backend, level)] = metrics.rewrite
-        assert len(wires) == 1
-        for (backend, level), rewrite in reports.items():
-            assert rewrite is not None and rewrite["level"] == level
-            if level == "none":
-                assert rewrite["steps_after"] == rewrite["steps_before"]
-
-    @settings(
-        max_examples=10, deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
-    @given(circuit=circuits())
-    def test_lazy_level_is_plaintext_equal_and_cross_backend_identical(
-        self, ctx, circuit
-    ):
-        """Lazy relinearization may legally change the bytes, but every
-        backend produces the *same* bytes and the same plaintexts as the
-        unoptimized program."""
-        baseline, _ = _serve(ctx, circuit, "software", "none")
-        lazy_wires = {
-            backend: _serve(ctx, circuit, backend, LEVEL_LAZY)[0]
-            for backend in BACKENDS
-        }
-        assert len(set(lazy_wires.values())) == 1
-        assert _decoded_outputs(ctx, lazy_wires["software"]) == \
-            _decoded_outputs(ctx, baseline)
+                rewrite = metrics.rewrite
+                assert rewrite is not None and rewrite["level"] == level
+                if level == LEVEL_NONE:
+                    assert rewrite["steps_after"] == rewrite["steps_before"]
+        reference = evaluate_circuit(
+            ctx["bfv"], ctx["keys"].relin, circuit,
+            ctx["inputs"][: len(circuit.inputs)],
+            galois=ctx["galois"].__getitem__,
+        )
+        assert wires == {serialize_circuit_outputs(reference)}
 
 
 class TestRewriteReport:
@@ -276,7 +257,6 @@ class TestRewriteReport:
         optimized, report = optimize_circuit(circuit, level=LEVEL_EXACT)
         assert report["steps_before"] == len(circuit.steps)
         assert report["steps_after"] == len(optimized.steps)
-        assert report["relin_lazy"] == 0
         eliminated = (
             report["constant_fold"] + report["cse"] + report["dce"]
         )
@@ -287,19 +267,6 @@ class TestRewriteReport:
         assert report["rotation_units"] == counts["rotations"]
 
     @settings(max_examples=120, deadline=None)
-    @given(circuit=circuits())
-    def test_lazy_never_adds_work_and_reports_its_savings(self, circuit):
-        optimized, report = optimize_circuit(circuit, level=LEVEL_LAZY)
-        before = circuit.op_counts()
-        after = optimized.op_counts()
-        assert after["relins"] <= before["relins"]
-        assert after["ct_ct_mults"] <= before["ct_ct_mults"]
-        assert after["rotations"] <= before["rotations"]
-        # The lazify pass only claims key switches that really vanished.
-        assert before["relins"] - after["relins"] >= report["relin_lazy"]
-        assert report["relin_units"] == after["relins"]
-
-    @settings(max_examples=120, deadline=None)
     @given(
         circuit=circuits(),
         level=st.sampled_from(LEVELS),
@@ -308,7 +275,7 @@ class TestRewriteReport:
         once, _ = optimize_circuit(circuit, level=level)
         twice, report = optimize_circuit(once, level=level)
         assert twice == once
-        for pass_name in ("constant_fold", "cse", "dce", "relin_lazy"):
+        for pass_name in ("constant_fold", "cse", "dce"):
             assert report[pass_name] == 0
 
 
@@ -349,3 +316,23 @@ class TestServerPlumbing:
             outs = deserialize_circuit_outputs(wire, PARAMS)
             decoded = _ENCODER.decode(bfv.decrypt(outs["y"], keys.secret))
             assert decoded == [6] * PARAMS.n
+
+
+class TestLevels:
+    def test_unsupported_level_is_rejected_naming_the_supported_ones(self):
+        """Only ``none`` and ``exact`` exist; anything else — the removed
+        ``lazy`` included — is a typed error at construction, never a
+        silent fallback."""
+        builder = CircuitBuilder("one-add")
+        x = builder.input("x")
+        builder.output("y", builder.add(x, x))
+        circuit = builder.build()
+        with pytest.raises(ValueError) as at_server:
+            FheServer(optimizer_level="lazy")
+        with pytest.raises(ValueError) as at_optimizer:
+            optimize_circuit(circuit, level="lazy")
+        assert LEVELS == (LEVEL_NONE, LEVEL_EXACT)
+        for error in (at_server.value, at_optimizer.value):
+            message = str(error)
+            assert "'lazy'" in message
+            assert all(repr(level) in message for level in LEVELS), message

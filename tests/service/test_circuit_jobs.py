@@ -167,42 +167,6 @@ class TestChipExpansion:
         )
 
 
-class TestOptimizerUnits:
-    """The same CryptoNets program served with the optimizer off and at
-    level ``lazy`` (deferred relinearization) on identical pools of 4."""
-
-    #: Lazy relinearization must shed >= 15% of tensor + key-switch units.
-    UNIT_GATE = 0.85
-
-    @staticmethod
-    def _serve(level, model, circuit, inputs):
-        server = FheServer(pool_size=4, optimizer_level=level)
-        sid = _open(server, model)
-        jid = _submit(server, sid, circuit, inputs)
-        outs = deserialize_circuit_outputs(server.result(jid), model.params)
-        rewrite = server.job_metrics(jid).rewrite
-        units = rewrite["tensor_units"] + rewrite["relin_units"]
-        return rewrite, units, server.scheduler.stats.makespan_cycles, outs
-
-    def test_lazy_sheds_units_without_makespan_regression(self, cryptonets):
-        model, _images, circuit, _inputs = cryptonets
-        rng = random.Random(19)
-        images = [[rng.randint(-2, 2) for _ in range(36)] for _ in range(3)]
-        inputs = model.encrypt_images(images)
-        expected = model.infer_plain(images)
-        eager, eager_units, eager_span, eager_outs = self._serve(
-            "none", model, circuit, inputs)
-        lazy, lazy_units, lazy_span, lazy_outs = self._serve(
-            "lazy", model, circuit, inputs)
-        for outs in (eager_outs, lazy_outs):
-            assert model.scores_from_outputs(outs, len(images)) == expected
-        # Optimizer off serves the submitted program verbatim.
-        assert eager["steps_after"] == len(circuit.steps)
-        assert lazy_units <= eager_units * self.UNIT_GATE, (
-            lazy_units, eager_units)
-        assert lazy_span <= eager_span, (lazy_span, eager_span)
-
-
 class TestTensorLevelsDiamond:
     """Regression: level assignment lives in ONE place.
 

@@ -111,7 +111,6 @@ def test_raw_submit_equals_its_hand_built_circuit(tenant, path):
             circuit = server.submit(
                 sid, JobKind.CIRCUIT, operands,
                 payload=_by_hand(kind, hand_steps), backend=backend,
-                optimizer="none",
             )
             outs = deserialize_circuit_outputs(server.result(circuit), PARAMS)
             case = f"{path} {kind.value} steps={steps}"

@@ -10,7 +10,9 @@ broken peer must never take the server down.
 from __future__ import annotations
 
 import asyncio
+import inspect
 import random
+import threading
 
 import pytest
 
@@ -515,6 +517,47 @@ class TestSyncFacade:
             report = ts.fhe.pool_report()
         assert fired == ["done"]
         assert report["fidelity"].get("chip") == 1
+
+    def test_every_server_call_runs_on_the_engine_thread(self, stack):
+        """FheServer is not thread-safe: every call the transport makes
+        on it — submits, their status, a cache hit's completion, the
+        scheduler ticks — runs on the single ``fhe-engine`` executor,
+        never on the event-loop thread."""
+        bfv, keys, encoder, _ = stack
+        a = bfv.encrypt(encoder.encode(list(range(PARAMS.n))), keys.public)
+        operands = (serialize_ciphertext(a), serialize_ciphertext(a))
+        calls: list[tuple[str, str]] = []
+
+        def recorded(name, method):
+            def call(*args, **kwargs):
+                calls.append((name, threading.current_thread().name))
+                return method(*args, **kwargs)
+            return call
+
+        with ThreadedTransportServer(pool_size=2) as ts:
+            fhe = ts.fhe
+            for name in dir(type(fhe)):
+                if not name.startswith("_") and inspect.isfunction(
+                    getattr(type(fhe), name)
+                ):
+                    setattr(fhe, name, recorded(name, getattr(fhe, name)))
+            with FheClient(ts.host, ts.port) as client:
+                sid = client.open_session(
+                    "threads", serialize_params(PARAMS),
+                    relin_key=serialize_relin_key(keys.relin, PARAMS),
+                )
+                first = client.submit(sid, "multiply", operands)
+                wire = client.result(first)
+                hit = client.submit(sid, "multiply", operands)
+                assert client.result(hit) == wire
+            assert fhe.scheduler.stats.cache_hits == 1
+        names = {name for name, _thread in calls}
+        assert {"open_session", "submit", "status", "tick"} <= names
+        off_engine = [
+            (name, thread) for name, thread in calls
+            if not thread.startswith("fhe-engine")
+        ]
+        assert not off_engine, off_engine
 
 
     def test_mixed_traffic_matches_ground_truth_at_chip_fidelity(self, stack):

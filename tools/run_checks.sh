@@ -159,9 +159,7 @@ echo "== tier-1 test suite =="
 # fails "datapath fault"; tests/service/test_warm_fault.py),
 # the pool-scaling claims, toy pools of 1/2/4 and a pool of 4 at n = 2^12
 # at least 1.5x shorter in makespan than a pool of 1
-# (tests/service/test_pool_scaling_paper.py), the CryptoNets optimizer
-# gate (lazy sheds >= 15% of tensor + key-switch units, no makespan
-# regression; tests/service/test_circuit_jobs.py), the skewed-tenant
+# (tests/service/test_pool_scaling_paper.py), the skewed-tenant
 # spill-over gate (>= 1.3x makespan on a thread fleet of 4;
 # tests/service/test_fleet_faults.py),
 # and the `repro-serve` entry point itself: a spawned listener over a
