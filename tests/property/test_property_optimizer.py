@@ -267,6 +267,19 @@ class TestRewriteReport:
         assert report["rotation_units"] == counts["rotations"]
 
     @settings(max_examples=120, deadline=None)
+    @given(circuit=circuits())
+    def test_exact_never_adds_work(self, circuit):
+        """Fold, CSE and DCE only remove steps: no tensor, key switch or
+        rotation the submitted circuit did not already pay for."""
+        optimized, _report = optimize_circuit(circuit, level=LEVEL_EXACT)
+        before = circuit.op_counts()
+        after = optimized.op_counts()
+        assert after["ct_ct_mults"] <= before["ct_ct_mults"]
+        assert after["relins"] <= before["relins"]
+        assert after["rotations"] <= before["rotations"]
+        assert len(optimized.steps) <= len(circuit.steps)
+
+    @settings(max_examples=120, deadline=None)
     @given(
         circuit=circuits(),
         level=st.sampled_from(LEVELS),
