@@ -51,6 +51,7 @@ from repro.polymath.kernels import (
     MAX_MODULUS_BITS,
     FourStep,
     fits,
+    mod,
     mul_const,
     transform,
 )
@@ -621,9 +622,11 @@ def _pointwise(op: Opcode, x: np.ndarray, y: np.ndarray | None,
     per row as a column)."""
     q1 = np.uint64(q)
     if op is Opcode.PMODMUL:
-        return x * y % q1  # < 2^60: exact in uint64
+        out = x * y  # < 2^60: exact in uint64
+        return mod(out, q1, out=out)
     if op is Opcode.PMODSQR:
-        return x * x % q1
+        out = x * x
+        return mod(out, q1, out=out)
     if op is Opcode.PMODADD:
         out = x + y
         return np.minimum(out, out - q1)

@@ -7,7 +7,8 @@ word-sized precisely to unlock vectorized arithmetic. The pure-Python
 trade: a ciphertext's *full tower stack* lives in one ``(num_towers, n)``
 int64 ndarray, and every operation — forward and inverse negacyclic NTT,
 Hadamard and tensor products, additions, CRT recombination — runs across
-all towers at once with a per-tower modulus column.
+all towers at once, each ``% q`` one scalar divisor per tower
+(:func:`~repro.polymath.kernels.mod`).
 
 The transforms are the four-step kernel of :mod:`repro.polymath.kernels`
 — two float64 GEMMs per row around one twiddle pass, the kernel the
@@ -44,7 +45,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.polymath import kernels
-from repro.polymath.kernels import MAX_MODULUS_BITS
+from repro.polymath.kernels import MAX_MODULUS_BITS, mod
 from repro.polymath.modmath import modinv
 from repro.polymath.ntt import NttContext
 from repro.polymath.poly import Polynomial, _packed_words
@@ -203,7 +204,7 @@ class BatchedRnsEngine:
                 f"expected a ({self.num_towers}, {self.n}) tower stack, "
                 f"got {a.shape}"
             )
-        return a % self._q
+        return mod(a, self._q)
 
     def lift(self, values: np.ndarray, scale: int = 1) -> np.ndarray:
         """``values * scale`` as canonical residues: signed int64
@@ -211,7 +212,9 @@ class BatchedRnsEngine:
         col = np.asarray(
             [scale % m for m in self.basis.moduli], dtype=np.int64
         )[:, None]
-        return np.asarray(values, dtype=np.int64) % self._q * col % self._q
+        out = mod(np.asarray(values, dtype=np.int64), self._q)
+        out *= col
+        return mod(out, self._q, out=out)
 
     def to_words(self, stack: np.ndarray, count: int) -> np.ndarray:
         """Canonical residues ``(L, n)`` -> ``(n, count)`` wire words.
@@ -224,13 +227,13 @@ class BatchedRnsEngine:
         digits = self._mixed_radix(stack[None])[0].astype(np.uint64)
         limbs = np.zeros((count, self.n), dtype=np.uint64)
         limbs[0] = digits[-1]
-        low = np.uint64(0xFFFFFFFF)
+        low, shift = np.uint64(0xFFFFFFFF), np.uint64(32)
         for k in range(self.num_towers - 2, -1, -1):
             carry, qk = digits[k], np.uint64(self.basis.moduli[k])
             for j in range(count):
                 x = limbs[j] * qk + carry
                 limbs[j] = x & low
-                carry = x >> kernels.SHOUP_SHIFT
+                carry = x >> shift
         return limbs[::-1].T.astype(np.uint32)
 
     def reconstruct(self, stack: np.ndarray) -> list[int]:
@@ -352,7 +355,8 @@ class BatchedRnsEngine:
         :meth:`inverse` returns it), with no ``% q`` pass."""
         qe, xe, q_inv, minus_e = self._split(head)
         dv = qe._mixed_radix(a[:, :head])
-        u = (a[:, head:] - qe._convert(dv, xe)) * q_inv % xe._q
+        u = (a[:, head:] - qe._convert(dv, xe)) * q_inv
+        mod(u, xe._q, out=u)
         du = xe._mixed_radix(u)
         negative = du[:, -1:] > xe.basis.moduli[-1] // 2
         u = xe._convert(du, qe, negative * minus_e)
@@ -363,7 +367,7 @@ class BatchedRnsEngine:
         near = np.abs(frac - np.floor(frac) - 0.5) < t * 2.0**-40
         u *= qe.lift(np.ones(1, dtype=np.int64), t)
         u += np.floor(frac + 0.5).astype(np.int64)[:, None]  # in [0, t]
-        out = np.remainder(u, qe._q, out=u)
+        out = mod(u, qe._q, out=u)
         if near.any():
             b, j = np.nonzero(near)
             out[b, :, j] = self._round_exact(a[b, :, j], t, qe)
@@ -500,7 +504,8 @@ class BatchedRnsEngine:
 
     def pointwise_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Hadamard product per tower (int64-safe: operands below 2^30)."""
-        return a * b % self._q
+        out = a * b
+        return mod(out, self._q, out=out)
 
     def negacyclic_multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Per-tower polynomial product modulo ``x^n + 1``."""
@@ -537,7 +542,7 @@ class BatchedRnsEngine:
         np.multiply(fa0, fb1, out=y[1])
         y[1] += fa1 * fb0
         np.multiply(fa1, fb1, out=y[2])
-        return self._inverse(np.remainder(y, self._q, out=y))
+        return self._inverse(mod(y, self._q, out=y))
 
     def keyswitch_rows(self, rows) -> np.ndarray:
         """A key-switch key's rows in NTT form, ready for :meth:`keyswitch`.
@@ -620,7 +625,7 @@ class BatchedRnsEngine:
                 f"expected a (..., {self.num_towers}, {self.n}) tower "
                 f"stack, got {np.shape(stack)}"
             )
-        return a % self._q, squeeze
+        return mod(a, self._q), squeeze
 
     def __repr__(self) -> str:
         bits = [q.bit_length() for q in self.basis.moduli]
@@ -631,16 +636,17 @@ class BatchedRnsEngine:
 
 
 def _lazy_sum(q, terms, acc=None, budget: int = LAZY_TERMS) -> np.ndarray:
-    """``(acc + sum(terms)) mod q`` with one ``%`` per ``budget`` terms,
-    in place in ``acc`` (a fresh residue-sized array) or the first term."""
+    """``(acc + sum(terms)) mod q`` with one :func:`~repro.polymath.kernels.mod`
+    per ``budget`` terms, in place in ``acc`` (a fresh residue-sized
+    array) or the first term."""
     for i, term in enumerate(terms):
         if acc is None:
             acc = term
             continue
         if i and i % budget == 0:
-            acc %= q
+            mod(acc, q, out=acc)
         acc += term
-    return np.remainder(acc, q, out=acc)
+    return mod(acc, q, out=acc)
 
 
 def _round_half_away(c: np.ndarray, t: int, q: int) -> np.ndarray:

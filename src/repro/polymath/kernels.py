@@ -1,4 +1,5 @@
-"""The NTT kernel: Bailey's four-step transform as two float64 GEMMs.
+"""The vector kernels: Bailey's four-step NTT as two float64 GEMMs, and
+``a mod q`` by one scalar divisor per tower.
 
 CoFHEE runs NTT and iNTT through one butterfly unit from one bank-resident
 twiddle table (Section VIII-B, Algorithm 3). This module computes the same
@@ -30,6 +31,17 @@ a residue in ``(-q, q)``; each subtraction is exact (Sterbenz). The
 middle twiddle step is the same limb split, elementwise: in float64 it
 needs no conversion to or from ``uint64``. Results equal
 :class:`~repro.polymath.ntt.NttContext`'s bit for bit.
+
+Layout. :func:`transform` walks a ``(B, L, n)`` stack tower-major: a
+chunk is a run of consecutive towers by every batch row that fits in
+about :data:`CHUNK_WORDS` words, so GEMM 1 is ``(r x r) (r x c s)`` over
+the whole batch rather than one row's ``(r x r) (r x s)``, and a run of
+one tower reduces against Python-float moduli, numpy's scalar fast path.
+
+Integer reduction. :func:`mod` is the ``a mod q`` every vector caller
+uses (the engine's lazy sums, products and lifts, the MDMC's modular
+multiplies): one scalar ``floor_divide`` per tower, about half the cost
+of a ``%`` by a broadcast modulus column, and bit-identical to it.
 """
 
 from __future__ import annotations
@@ -45,9 +57,6 @@ from repro.polymath.bitrev import bit_reverse_indices
 #: ``2^29``, split into two limbs of at most ``2^14``.
 MAX_MODULUS_BITS = 30
 
-#: Shift width of the Shoup companions.
-SHOUP_SHIFT = np.uint64(32)
-
 #: Rows of a stack the kernel transforms per pass, in words: bounds its
 #: float64 workspace however large the batch is.
 CHUNK_WORDS = 1 << 15
@@ -55,31 +64,47 @@ CHUNK_WORDS = 1 << 15
 _LIMB = 1 << 15
 
 
-def shoup_into(x, w, w_shoup, q, out, tmp) -> None:
-    """``out = w * x mod q`` into ``[0, 2q)`` (Shoup; ``x < 2^32``).
+def mod(a: np.ndarray, q, out: np.ndarray | None = None) -> np.ndarray:
+    """``a mod q``, bit for bit ``np.remainder(a, q)`` (floor semantics).
 
-    The estimate ``floor(x * w_shoup / 2^32)`` undershoots the quotient
-    by at most one, so ``x * w - estimate * q`` lands in ``[0, 2q)``; the
-    ``uint64`` products wrap mod 2^64 but the difference fits, so it is
-    exact. ``out`` may be ``x``; ``tmp`` is scratch of ``out``'s shape.
+    ``a`` is ``int64`` or ``uint64``; ``q`` is one positive modulus or an
+    ``(L, 1)`` column of them, one per tower on ``a``'s second-to-last
+    axis (``a`` broadcasts against it). Each tower is reduced by its own
+    scalar divisor, as ``a - floor(a / q) q``: numpy's ``floor_divide``
+    by a scalar takes its precomputed-divisor fast path, which a ``%``
+    by a broadcast column never does. Products wrap mod ``2^64`` like the
+    true values, so the result is exact for every input. ``out`` may be
+    ``a``.
     """
-    np.multiply(x, w_shoup, out=tmp)
-    tmp >>= SHOUP_SHIFT
-    tmp *= q
-    np.multiply(x, w, out=out)
-    out -= tmp
+    if np.ndim(q) == 0:
+        towers = [(Ellipsis, q)]
+    else:
+        a = np.broadcast_to(a, np.broadcast_shapes(a.shape, np.shape(q)))
+        towers = [((Ellipsis, i, slice(None)), m)
+                  for i, m in enumerate(np.ravel(q).tolist())]
+    if out is None:
+        out = np.empty(a.shape, a.dtype)
+    # The quotient goes to ``out`` itself unless that overwrites ``a``.
+    scratch = (np.empty(a[towers[0][0]].shape, a.dtype)
+               if np.may_share_memory(a, out) else None)
+    for i, m in towers:
+        quot = out[i] if scratch is None else scratch
+        np.floor_divide(a[i], m, out=quot)
+        quot *= m
+        np.subtract(a[i], quot, out=out[i])
+    return out
 
 
 def mul_const(a: np.ndarray, c, q) -> np.ndarray:
-    """``a * c mod q`` in place, fully reduced (``a < 2^32``, ``c < q``).
+    """``a * c mod q`` in place, fully reduced, for ``uint64`` residues
+    ``a`` and constants ``c`` below a scalar ``q`` of at most
+    :data:`MAX_MODULUS_BITS` bits, so the product stays below ``2^60``.
 
-    ``c`` is ``uint64`` and broadcasts like ``q`` (one constant per row):
-    the chip's CMODMUL, and its iNTT's ``n^-1`` pass.
+    ``c`` broadcasts against ``a`` (one constant per row): the chip's
+    CMODMUL, and its iNTT's ``n^-1`` pass.
     """
-    tmp = np.empty_like(a)
-    shoup_into(a, c, (c << SHOUP_SHIFT) // q, q, a, tmp)  # < 2q
-    np.subtract(a, q, out=tmp)
-    return np.minimum(a, tmp, out=a)
+    a *= c
+    return mod(a, q, out=a)
 
 
 def split(n: int) -> tuple[int, int]:
@@ -160,44 +185,57 @@ def transform(a: np.ndarray, tables: FourStep) -> np.ndarray:
     ``a`` is an ``(..., L, n)`` ``int64`` or ``uint64`` array, natural
     order in and bit-reversed out forward, the reverse for the inverse.
     The result is written over ``a`` (a copy if ``a`` is not contiguous)
-    and returned. Rows go through in chunks of about :data:`CHUNK_WORDS`
-    words, with one workspace per call.
+    and returned.
+
+    The stack is walked tower-major with one workspace per call, in
+    chunks of about :data:`CHUNK_WORDS` words laid out ``(k, r, c, s)``,
+    so each GEMM spans every batch row of its chunk: a run of ``k =
+    CHUNK_WORDS // (B n)`` consecutive towers by all ``B`` batch rows,
+    with ``(k, 1, 1, 1)`` modulus columns (a stack of short rows goes
+    through in one chunk), or, when that is at most one, one tower at a
+    time against Python-float moduli, in batch chunks of up to
+    ``CHUNK_WORDS // n`` rows.
     """
     out = np.ascontiguousarray(a)
     a = out.reshape(-1, *out.shape[-2:])
     batch, towers, n = a.shape
     r, s = tables.left.shape[-1], tables.right.shape[-1]
-    step = min(batch, max(1, CHUNK_WORDS // (towers * n)))
-    words = towers * step * n
+    run = min(towers, max(1, CHUNK_WORDS // (batch * n)))
+    step = batch if run > 1 else min(batch, max(1, CHUNK_WORDS // n))
+    words = run * step * n
     x, tmp, p = np.empty(words), np.empty(words), np.empty(2 * words)
-    q = tables.q
-    inv_q = 1.0 / q
-    moduli = (q, q * _LIMB, inv_q, 1.0 / (q * _LIMB))
-    for b in range(0, batch, step):
-        chunk = a[b : b + step]
-        c = len(chunk)
-        m = towers * c * n
-        if tables.inverse:
-            rows = chunk.reshape(c, towers, s, r).swapaxes(-1, -2)
-        else:
-            rows = chunk.reshape(c, towers, r, s)
-        rows = rows.transpose(1, 2, 0, 3)  # (L, r, c, s)
-        xs, t = (w[:m].reshape(towers, r, c, s) for w in (x, tmp))
-        np.copyto(xs, rows)
-        hi, lo = p[: 2 * m].reshape(2, towers, r, c, s)
-        np.matmul(tables.left, xs.reshape(towers, r, c * s),
-                  out=p[: 2 * m].reshape(2, towers, r, c * s))
-        _reduce(hi, lo, t, xs, moduli)
-        np.multiply(xs, tables.mid[0], out=hi)
-        xs *= tables.mid[1]
-        _reduce(hi, xs, t, xs, moduli)
-        np.matmul(xs.reshape(towers, r * c, s), tables.right,
-                  out=p[: 2 * m].reshape(2, towers, r * c, s))
-        _reduce(hi, lo, t, xs, moduli)
-        np.multiply(xs, inv_q, out=t)  # xs - floor(xs / q) q: [0, q)
-        np.floor(t, out=t)
-        t *= q
-        np.subtract(xs, t, out=rows, casting="unsafe")
+    for first in range(0, towers, run):
+        k = min(run, towers - first)
+        part = tables.rows(slice(first, first + k))
+        q = float(part.q[0, 0, 0, 0]) if k == 1 else part.q
+        inv_q = 1.0 / q
+        moduli = (q, q * _LIMB, inv_q, 1.0 / (q * _LIMB))
+        for b in range(0, batch, step):
+            chunk = a[b : b + step, first : first + k]
+            c = len(chunk)
+            m = k * c * n
+            if tables.inverse:
+                rows = chunk.reshape(c, k, s, r).swapaxes(-1, -2)
+            else:
+                rows = chunk.reshape(c, k, r, s)
+            rows = rows.transpose(1, 2, 0, 3)  # (k, r, c, s)
+            xs, t = (w[:m].reshape(k, r, c, s) for w in (x, tmp))
+            np.copyto(xs, rows)
+            hi, lo = p[: 2 * m].reshape(2, k, r, c, s)
+            np.matmul(part.left, xs.reshape(k, r, c * s),
+                      out=p[: 2 * m].reshape(2, k, r, c * s))
+            _reduce(hi, lo, t, xs, moduli)
+            np.multiply(xs, part.mid[0], out=hi)
+            xs *= part.mid[1]
+            _reduce(hi, xs, t, xs, moduli)
+            np.matmul(xs.reshape(k, r * c, s), part.right,
+                      out=p[: 2 * m].reshape(2, k, r * c, s))
+            _reduce(hi, lo, t, xs, moduli)
+            np.multiply(xs, inv_q, out=t)  # xs - floor(xs / q) q: [0, q)
+            np.floor(t, out=t)
+            t *= q
+            xs -= t
+            np.copyto(rows, xs, casting="unsafe")
     return out
 
 

@@ -14,6 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from repro.polymath.kernels import mod
 from repro.polymath.modmath import modinv
 from repro.polymath.ntt import NttContext, reference_negacyclic_multiply
 
@@ -376,7 +377,7 @@ class Polynomial:
         (an automorphism's table), per tower on a tower-backed one."""
         if self._rns is not None:
             rows = self._towers[:, src]
-            rows[:, flip] = -rows[:, flip] % self._rns._q
+            rows[:, flip] = mod(-rows[:, flip], self._rns._q)
             return Polynomial.from_towers(self.ring, self._rns, rows)
         out = np.asarray(self.coeffs, dtype=object)[src]
         out[flip] = -out[flip] % self.ring.q

@@ -181,6 +181,87 @@ def test_limbs_at_their_maximum_magnitude_stay_exact():
         assert kernels.transform(a, tables).ravel().tolist() == [want] * (r * s)
 
 
+def _check_against_nttcontext(engine, stack, fwd, inv, rows):
+    """Batch rows ``rows`` of ``fwd``/``inv`` equal :class:`NttContext`'s
+    transforms of ``stack``, tower by tower."""
+    refs = [NttContext(engine.n, q) for q in engine.basis.moduli]
+    for b in rows:
+        for i, ref in enumerate(refs):
+            tower = stack[b, i].tolist()
+            assert fwd[b, i].tolist() == ref.forward(tower), (b, i)
+            assert inv[b, i].tolist() == ref.inverse(tower), (b, i)
+
+
+def _random_stack(engine, batch, seed, dtype=np.int64):
+    q = np.asarray(engine.basis.moduli)[:, None]
+    rng = np.random.default_rng(seed)
+    stack = rng.integers(0, q, (batch, engine.num_towers, engine.n))
+    stack[0] = q - 1  # the all-(q-1) row: partial sums at the bound
+    return stack.astype(dtype)
+
+
+def test_trailing_partial_batch_chunk():
+    """``B n`` past a chunk: one tower at a time, in batch chunks of
+    ``CHUNK_WORDS // n`` rows and a trailing partial one."""
+    n, batch = 4096, 9
+    step = kernels.CHUNK_WORDS // n
+    assert batch * n > kernels.CHUNK_WORDS and batch % step
+    engine = BatchedRnsEngine(RnsBasis(plan_towers(60, 30, n)), n)
+    stack = _random_stack(engine, batch, 9)
+    fwd, inv = engine.forward(stack), engine.inverse(stack)
+    _check_against_nttcontext(engine, stack, fwd, inv,
+                              [0, step - 1, step, batch - 1])
+
+
+def test_tower_runs_the_run_size_does_not_divide():
+    """Runs of two towers, whose last is one tower: the ``(k, 1, 1, 1)``
+    column branch and the scalar one in the same call."""
+    n, batch, towers = 4096, 3, 3
+    run = kernels.CHUNK_WORDS // (batch * n)
+    assert run == 2 and towers % run == 1
+    engine = BatchedRnsEngine(RnsBasis(plan_towers(30 * towers, 30, n)), n)
+    stack = _random_stack(engine, batch, 3)
+    fwd, inv = engine.forward(stack), engine.inverse(stack)
+    _check_against_nttcontext(engine, stack, fwd, inv, range(batch))
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+def test_non_contiguous_input(dtype):
+    """A strided stack transforms into a copy and stays as it was."""
+    engine = _ENGINES[(32, 24, 4)]
+    stack = _random_stack(engine, 6, 32, dtype)
+    view = stack[::2, ::-1]
+    before = view.copy()
+    tables = engine._fwd.rows([3, 2, 1, 0])
+    fwd = kernels.transform(view, tables)
+    inv = kernels.transform(view, engine._inv.rows([3, 2, 1, 0]))
+    assert fwd.dtype == inv.dtype == dtype
+    assert (view == before).all()
+    flipped = engine.select([3, 2, 1, 0])
+    _check_against_nttcontext(flipped, before, fwd, inv, range(3))
+
+
+@pytest.mark.parametrize("shape", [(21, 7, 16), (4, 7, 16), (21, 7, 64),
+                                   (4, 7, 64)])
+def test_short_rows_go_through_in_one_chunk(shape, monkeypatch):
+    """A stack of short rows makes one GEMM pair per transform."""
+    batch, towers, n = shape
+    engine = BatchedRnsEngine(RnsBasis(plan_towers(30 * towers, 30, n)), n)
+    stack = _random_stack(engine, batch, n)
+    calls = []
+    matmul = np.matmul
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return matmul(*args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", counting)
+    engine.forward(stack)
+    assert len(calls) == 2
+    engine.inverse(stack)
+    assert len(calls) == 4
+
+
 def test_every_grid_tower_fits_the_kernels():
     for n, bits, towers in _GRID:
         assert bits <= MAX_MODULUS_BITS

@@ -7,7 +7,9 @@ uint64). Each site runs here at its largest term count on 30-bit towers,
 the widest the engine takes, with all-(q-1) operands, so every partial sum
 sits at the budget's edge; results are compared bit for bit with exact
 Python-int arithmetic kept in this file. The wide basis has more than
-``LAZY_TERMS`` towers, so the once-per-budget reduction runs.
+``LAZY_TERMS`` towers, so the once-per-budget reduction runs. Every one
+of those ``%`` passes is :func:`~repro.polymath.kernels.mod`, checked
+first against ``np.remainder`` at both budgets' edges.
 """
 
 from math import prod
@@ -23,6 +25,7 @@ from repro.polymath.engine import (
     WORD_TERMS,
     BatchedRnsEngine,
 )
+from repro.polymath.kernels import mod
 from repro.polymath.ntt import NttContext
 from repro.polymath.poly import Polynomial, PolynomialRing
 from repro.polymath.primes import next_smaller_ntt_prime, ntt_friendly_prime
@@ -31,9 +34,9 @@ from repro.polymath.rns import RnsBasis
 N = 16
 
 
-def _primes(count: int) -> list[int]:
-    """The ``count`` largest 30-bit NTT-friendly primes at ``N``."""
-    out = [ntt_friendly_prime(N, MAX_MODULUS_BITS)]
+def _primes(count: int, bits: int = MAX_MODULUS_BITS) -> list[int]:
+    """The ``count`` largest ``bits``-bit NTT-friendly primes at ``N``."""
+    out = [ntt_friendly_prime(N, bits)]
     while len(out) < count:
         out.append(next_smaller_ntt_prime(out[-1], N))
     return out
@@ -81,6 +84,54 @@ def test_budgets_fit_their_words():
     assert WORD_TERMS * ((1 << 32) - 1) * top + top < 1 << 64
     assert (LAZY_TERMS, WORD_TERMS) == (8, 3)
     assert WIDE.num_towers > HEAD > LAZY_TERMS
+
+
+def _mod_values(dtype, q_max: int) -> list[int]:
+    """Edge values for :func:`mod` in ``dtype``: zero and units, the
+    moduli's neighbours, the largest lazy sum the dtype's budget allows
+    (``LAZY_TERMS`` products signed, ``WORD_TERMS`` word terms unsigned),
+    and the dtype's extremes."""
+    if dtype is np.int64:
+        top = LAZY_TERMS * (q_max - 1) ** 2 + q_max - 1
+        ends = [(1 << 63) - 1, (1 << 63) - q_max, -(1 << 63), -(1 << 63) + 1]
+        base = [0, 1, q_max - 1, q_max, top, top - 1]
+        return base + [-v for v in base] + ends
+    top = WORD_TERMS * ((1 << 32) - 1) * (q_max - 1) + q_max - 1
+    return [0, 1, q_max - 1, q_max, top, top - 1, (1 << 64) - 1, 1 << 63]
+
+
+@given(
+    bits=st.sampled_from([17, MAX_MODULUS_BITS]),
+    dtype=st.sampled_from([np.int64, np.uint64]),
+    column=st.booleans(),
+    batch=st.sampled_from([(), (2,)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_mod_is_numpy_remainder(bits, dtype, column, batch, seed):
+    """``mod`` equals ``np.remainder`` bit for bit, for a scalar modulus
+    or an ``(L, 1)`` column, on 2-D and 3-D stacks, in place or not."""
+    moduli = _primes(3, bits)
+    q = np.asarray(moduli, dtype)[:, None] if column else dtype(moduli[0])
+    info = np.iinfo(dtype)
+    rng = np.random.default_rng(seed)
+    edges = np.asarray(_mod_values(dtype, max(moduli)), dtype=object)
+    a = np.concatenate([
+        edges.astype(dtype),
+        rng.integers(info.min, info.max, N, dtype=dtype, endpoint=True),
+    ])
+    a = np.resize(rng.permutation(a), (*batch, 3, 2 * N)).astype(dtype)
+    want = np.remainder(a, q)
+    got = mod(a, q)
+    assert got.dtype == a.dtype and got.tolist() == want.tolist()
+    assert mod(a, q, out=a) is a and a.tolist() == want.tolist()
+
+
+def test_mod_broadcasts_a_row_against_the_column():
+    """One coefficient row against ``(L, 1)`` moduli: ``(L, n)`` out."""
+    q = np.asarray(PRIMES[:3], np.int64)[:, None]
+    row = np.arange(-N, N, dtype=np.int64) * (1 << 58)
+    assert mod(row, q).tolist() == np.remainder(row, q).tolist()
 
 
 @pytest.mark.parametrize("towers", [2, 3, HEAD, len(PRIMES)])

@@ -8,8 +8,8 @@
 #   tools/run_checks.sh              # tier-1 + benchmark + docs
 #                                    # + observability + fleet + examples
 #                                    # smoke, then the line counts of
-#                                    # src/repro/service, src/repro/core
-#                                    # and src/
+#                                    # src/repro/service, src/repro/core,
+#                                    # src/repro/polymath and src/
 #   tools/run_checks.sh --docs       # only the docs stage (when given
 #                                    # alone; with other flags the full
 #                                    # pipeline runs and already
@@ -146,8 +146,13 @@ echo "== tier-1 test suite =="
 # (the chip pool cross-checks against the scheme's own tensor rows;
 # tests/service/test_shared_tensor_rows.py), the lazy-reduction suite
 # (each once-per-sum `%` of the RNS engine at its budget's edge, all-(q-1)
-# operands vs exact Python ints, past the budget on a 19-tower basis;
-# tests/property/test_property_lazy_reduction.py),
+# operands vs exact Python ints, past the budget on a 19-tower basis, and
+# `kernels.mod`, the one helper they all reduce with, against
+# np.remainder at both budgets' edges; tests/property/test_property_lazy_reduction.py),
+# the NTT kernel's chunk-boundary tests (a trailing partial batch chunk,
+# tower runs the run size does not divide, strided int64/uint64 input,
+# one GEMM pair per transform for short rows;
+# tests/property/test_property_engine.py),
 # the app-circuit serving suites (tests/service/test_circuit_*.py), and the
 # golden chip-statistics snapshot of the Algorithm 3 replay
 # (tests/core/test_chip_golden.py, n up to 2^12 in about two seconds;
@@ -199,6 +204,7 @@ echo
 echo "== line counts (tracked in ROADMAP.md; printed, not gated) =="
 echo "src/repro/service: $(cat src/repro/service/*.py | wc -l)"
 echo "src/repro/core: $(cat src/repro/core/*.py | wc -l)"
+echo "src/repro/polymath: $(cat src/repro/polymath/*.py | wc -l)"
 echo "src/: $(cat src/repro/*.py src/repro/*/*.py | wc -l)"
 
 echo
