@@ -201,7 +201,7 @@ def transform(a: np.ndarray, tables: FourStep) -> np.ndarray:
     batch, towers, n = a.shape
     r, s = tables.left.shape[-1], tables.right.shape[-1]
     run = min(towers, max(1, CHUNK_WORDS // (batch * n)))
-    step = batch if run > 1 else min(batch, max(1, CHUNK_WORDS // n))
+    step = min(batch, max(1, CHUNK_WORDS // n))  # all of it if run > 1
     words = run * step * n
     x, tmp, p = np.empty(words), np.empty(words), np.empty(2 * words)
     for first in range(0, towers, run):
