@@ -1,8 +1,9 @@
 """CryptoNets-style encrypted CNN inference (the paper's first application).
 
-Runs a miniature CryptoNets on the reproduction's BFV: the SIMD batching
-trick packs one pixel position of every image into each ciphertext, so a
-whole batch classifies for the price of one inference. Square activations
+Runs a miniature CryptoNets on the reproduction's BFV (its circuit,
+evaluated in-process): the SIMD batching trick packs one pixel position
+of every image into each ciphertext, so a whole batch classifies for the
+price of one inference. Square activations
 exercise the ct*ct + relinearization path CoFHEE accelerates. The Table X
 model then prices the full-size network.
 
@@ -36,7 +37,7 @@ def main() -> None:
     labels = net.classify(scores)
     print(f"predicted classes     : {labels}")
     print(f"scores (image 0)      : {scores[0]} (plaintext-exact ✓)")
-    print(f"homomorphic ops used  : {net.op_log}")
+    print(f"homomorphic ops used  : {net.to_circuit().op_counts()}")
 
     print("\nTable X workload model — CryptoNets at full scale:")
     params = BfvParameters.from_paper(n=2**12, log_q=109)

@@ -31,7 +31,8 @@ def main() -> None:
     print(f"encrypted predictions : {encrypted}")
     print(f"plaintext predictions : {plaintext}")
     print(f"agreement             : {agreement}/{len(samples)} ✓")
-    print(f"homomorphic ops used  : {model.op_log}")
+    print(f"homomorphic ops used  : "
+          f"{model.to_circuit(len(samples)).op_counts()}")
     assert encrypted == plaintext
 
     print("\nTable X workload model — logistic regression at full scale:")

@@ -14,19 +14,21 @@ Two artifacts:
   dense layers finish the classification. Outputs are verified against the
   identical plaintext network.
 
-The network also **compiles itself** for the serving layer:
-:meth:`MiniCryptoNets.to_circuit` emits the identical operation sequence
-as a wire-encodable :class:`~repro.service.circuits.Circuit` (138 steps,
-12 tensors across 2 dependency levels for the default topology), so an
-inference batch can be served over TCP bit-identically to in-process
-execution (``docs/serving-guide.md``).
+The network is written once, as its circuit:
+:meth:`MiniCryptoNets.to_circuit` emits a wire-encodable
+:class:`~repro.service.circuits.Circuit` (138 steps, 12 tensors across 2
+dependency levels for the default topology). :meth:`MiniCryptoNets.infer`
+runs it in-process through the same ``evaluate_circuit`` every serving
+backend runs, so a batch served over TCP decrypts to the same scores
+(``docs/serving-guide.md``).
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from repro.apps.blocks import dot, sum_all_slots
 from repro.apps.costmodel import Workload
 from repro.bfv import BatchEncoder, Bfv, BfvParameters
 from repro.bfv.scheme import Ciphertext
@@ -116,7 +118,6 @@ class MiniCryptoNets:
         self.fc2_w = [[rng.randint(-1, 1) for _ in range(s.hidden)]
                       for _ in range(s.classes)]
         self.fc2_b = [rng.randint(-1, 1) for _ in range(s.classes)]
-        self.op_log = {"ct_pt_mults": 0, "ct_ct_adds": 0, "ct_ct_mults": 0}
 
     @property
     def batch_size(self) -> int:
@@ -139,96 +140,41 @@ class MiniCryptoNets:
                                         self.keys.public))
         return cts
 
-    def _scale(self, ct: Ciphertext, w: int) -> Ciphertext:
-        self.op_log["ct_pt_mults"] += 1
-        return self.bfv.multiply_scalar(ct, w)
-
-    def _acc(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
-        self.op_log["ct_ct_adds"] += 1
-        return self.bfv.add(a, b)
-
-    def _add_bias(self, ct: Ciphertext, b: int) -> Ciphertext:
-        self.op_log["ct_ct_adds"] += 1
-        return self.bfv.add_plain(
-            ct, self.encoder.encode([b] * self.batch_size)
-        )
-
-    def _square(self, ct: Ciphertext) -> Ciphertext:
-        self.op_log["ct_ct_mults"] += 1
-        return self.bfv.relinearize(self.bfv.square(ct), self.keys.relin)
-
     def infer(self, images: list[list[int]]) -> list[list[int]]:
-        """Encrypted inference; returns per-image class scores (signed)."""
-        s = self.spec
-        cts = self.encrypt_images(images)
-        # Convolution (stride s.conv_stride) + bias.
-        conv_out: list[Ciphertext] = []
-        for m in range(s.conv_maps):
-            for oy in range(s.conv_out):
-                for ox in range(s.conv_out):
-                    acc = None
-                    for ky in range(s.conv_kernel):
-                        for kx in range(s.conv_kernel):
-                            p = ((oy * s.conv_stride + ky) * s.image_size
-                                 + ox * s.conv_stride + kx)
-                            term = self._scale(
-                                cts[p], self.conv_w[m][ky * s.conv_kernel + kx]
-                            )
-                            acc = term if acc is None else self._acc(acc, term)
-                    conv_out.append(self._add_bias(acc, self.conv_b[m]))
-        # Square activation.
-        act1 = [self._square(c) for c in conv_out]
-        # Dense 1 + square.
-        hidden = []
-        for h in range(s.hidden):
-            acc = None
-            for i, c in enumerate(act1):
-                term = self._scale(c, self.fc1_w[h][i])
-                acc = term if acc is None else self._acc(acc, term)
-            hidden.append(self._add_bias(acc, self.fc1_b[h]))
-        act2 = [self._square(c) for c in hidden]
-        # Dense 2 (output scores).
-        scores = []
-        for k in range(s.classes):
-            acc = None
-            for h, c in enumerate(act2):
-                term = self._scale(c, self.fc2_w[k][h])
-                acc = term if acc is None else self._acc(acc, term)
-            scores.append(self._add_bias(acc, self.fc2_b[k]))
-        # Decrypt and unpack per image (same tail a served circuit uses).
-        return self.scores_from_outputs(
-            {f"score{k}": sc for k, sc in enumerate(scores)}, len(images)
-        )
+        """Encrypted inference; returns per-image class scores (signed).
+
+        Runs :meth:`to_circuit` through
+        :func:`~repro.service.circuits.evaluate_circuit`, the evaluator
+        every serving backend runs, then decrypts like a served client.
+        """
+        from repro.service.circuits import evaluate_circuit
+
+        inputs = self.encrypt_images(images)
+        outputs = evaluate_circuit(self.bfv, self.keys.relin,
+                                   self.to_circuit(), inputs)
+        return self.scores_from_outputs(outputs, len(images))
 
     # -- wire circuit compilation --------------------------------------------
 
-    def packed_galois_exponents(self) -> list[int]:
-        """Galois-key exponents the ``packed_dense=True`` circuit needs.
+    def packed_galois_exponents(self) -> tuple[int, ...]:
+        """Galois-key exponents the ``packed_dense=True`` circuit rotates
+        with; register each one's key with the serving session."""
+        from repro.service.circuits import rotation_exponents
 
-        The masked transpose aims values at arbitrary slots, so every
-        row-rotation exponent plus the column swap may appear; register
-        each returned exponent's key with the serving session.
-        """
-        from repro.bfv.rotation import RotationEngine
-
-        n = self.params.n
-        return [
-            pow(RotationEngine.GENERATOR, k, 2 * n)
-            for k in range(1, n // 2)
-        ] + [2 * n - 1]
+        return rotation_exponents(self.to_circuit(packed_dense=True),
+                                  self.params)
 
     def to_circuit(self, packed_dense: bool = False):
-        """Compile the whole network into a servable wire circuit.
+        """The network as a servable wire circuit.
 
-        The returned :class:`~repro.service.circuits.Circuit` performs
-        exactly the operations :meth:`infer` performs, in the same order
-        — conv multiply-accumulates, packed bias adds, square
-        activations (``OP_SQUARE_RELIN``), and the two dense layers — so
-        evaluating it on the ciphertexts from :meth:`encrypt_images`
-        returns score ciphertexts bit-identical to in-process execution.
-        Outputs are named ``"score0"`` … ``"score{classes-1}"``. The
-        packed bias constants use the full SIMD batch width, as
-        :meth:`infer` does, so one circuit serves any image batch.
+        The returned :class:`~repro.service.circuits.Circuit` is the only
+        definition of the network: conv multiply-accumulates, packed bias
+        adds, square activations (``OP_SQUARE_RELIN``) and the two dense
+        layers, run on the ciphertexts from :meth:`encrypt_images`.
+        :meth:`infer` evaluates it in-process. Outputs are named
+        ``"score0"`` … ``"score{classes-1}"``. The packed bias constants
+        use the full SIMD batch width, so one circuit serves any image
+        batch.
 
         With ``packed_dense=True`` the dense layers compile as packed
         rotate-and-sum dot-products over a *single* image (batch of 1,
@@ -244,89 +190,74 @@ class MiniCryptoNets:
         """
         from repro.service.circuits import CircuitBuilder
 
-        if packed_dense:
-            return self._to_circuit_packed_dense()
         s = self.spec
-        builder = CircuitBuilder("cryptonets")
+        units = max(s.conv_maps * s.conv_out * s.conv_out, s.hidden)
+        if packed_dense and units > self.params.n:
+            raise ValueError(
+                f"packed dense layers need at most {self.params.n} units, "
+                f"have {units}"
+            )
+        builder = CircuitBuilder(
+            "cryptonets-packed" if packed_dense else "cryptonets"
+        )
         pixels = [
             builder.input(f"px{p}")
             for p in range(s.image_size * s.image_size)
         ]
+        encoded: dict[int, tuple] = {}
 
-        encoded_bias: dict[int, int] = {}  # value -> constant index
-
-        def bias(value: int) -> int:
+        def bias(reg: int, value: int) -> int:
             # Encode each distinct bias once; the conv loop would
             # otherwise pay the O(n) encode per output position.
-            if value not in encoded_bias:
-                encoded_bias[value] = builder.plain(
-                    self.encoder.encode([value] * self.batch_size).coeffs
-                )
-            return encoded_bias[value]
+            if value not in encoded:
+                encoded[value] = self.encoder.encode(
+                    [value] * self.batch_size
+                ).coeffs
+            return builder.add_const(reg, builder.plain(encoded[value]))
 
-        def dot(regs: list[int], weights: list[int]) -> int:
-            acc = None
-            for reg, w in zip(regs, weights):
-                if acc is None:
-                    acc = builder.mul_const(reg, builder.scalar(w))
-                else:
-                    acc = builder.mac_const(acc, reg, builder.scalar(w))
-            return acc
+        def taps(oy: int, ox: int) -> list[int]:
+            return [pixels[(oy * s.conv_stride + ky) * s.image_size
+                           + ox * s.conv_stride + kx]
+                    for ky in range(s.conv_kernel)
+                    for kx in range(s.conv_kernel)]
 
-        conv_out = []
-        for m in range(s.conv_maps):
-            for oy in range(s.conv_out):
-                for ox in range(s.conv_out):
-                    taps = [
-                        pixels[(oy * s.conv_stride + ky) * s.image_size
-                               + ox * s.conv_stride + kx]
-                        for ky in range(s.conv_kernel)
-                        for kx in range(s.conv_kernel)
-                    ]
-                    acc = dot(taps, self.conv_w[m])
-                    conv_out.append(builder.add_const(acc, bias(self.conv_b[m])))
-        act1 = [builder.square_relin(c) for c in conv_out]
-        hidden = [
-            builder.add_const(dot(act1, self.fc1_w[h]), bias(self.fc1_b[h]))
-            for h in range(s.hidden)
+        # Convolution (stride s.conv_stride) + bias, then square.
+        conv_out = [
+            bias(dot(builder, taps(oy, ox), self.conv_w[m]), self.conv_b[m])
+            for m in range(s.conv_maps)
+            for oy in range(s.conv_out)
+            for ox in range(s.conv_out)
         ]
-        act2 = [builder.square_relin(c) for c in hidden]
-        for k in range(s.classes):
-            score = builder.add_const(
-                dot(act2, self.fc2_w[k]), bias(self.fc2_b[k])
-            )
+        act1 = [builder.square_relin(c) for c in conv_out]
+        if packed_dense:
+            scores = self._packed_dense(builder, act1, bias)
+        else:
+            hidden = [bias(dot(builder, act1, self.fc1_w[h]), self.fc1_b[h])
+                      for h in range(s.hidden)]
+            act2 = [builder.square_relin(c) for c in hidden]
+            scores = [bias(dot(builder, act2, self.fc2_w[k]), self.fc2_b[k])
+                      for k in range(s.classes)]
+        for k, score in enumerate(scores):
             builder.output(f"score{k}", score)
         return builder.build()
 
-    def _to_circuit_packed_dense(self):
-        """The rotate-and-sum lowering behind ``to_circuit(packed_dense=True)``.
+    def _packed_dense(self, builder, act1: list[int], bias) -> list[int]:
+        """The rotate-and-sum dense layers behind ``packed_dense=True``.
 
-        Single-image layout: every conv input/output lives in slot 0 (the
-        other slots carry bias garbage the masks discard). ``_pack``
-        gathers a list of such registers into one slot-packed vector —
-        mask slot 0 (or the uniform value, post-reduction), rotate it to
-        its dense index via the group recipe, accumulate — after which a
-        dense layer is one ct*pt by the slot-packed weight row plus the
-        log-depth rotate-and-sum reduction.
+        Single-image layout: every conv output lives in slot 0 (the other
+        slots carry bias garbage the masks discard). ``pack`` gathers a
+        list of such registers into one slot-packed vector — mask slot 0
+        (or the uniform value, post-reduction), rotate it to its dense
+        index via the group recipe, accumulate — after which a dense row
+        is one ct*pt by the slot-packed weight row plus the all-slots
+        reduction.
         """
         from repro.bfv.rotation import rotation_plan, slot_permutation
-        from repro.service.circuits import CircuitBuilder
 
         s = self.spec
         n = self.params.n
-        flat = s.conv_maps * s.conv_out * s.conv_out
-        if flat > n or s.hidden > n:
-            raise ValueError(
-                f"packed dense layers need at most {n} units, have "
-                f"{max(flat, s.hidden)}"
-            )
-        builder = CircuitBuilder("cryptonets-packed")
-        pixels = [
-            builder.input(f"px{p}")
-            for p in range(s.image_size * s.image_size)
-        ]
-        # Step recipe moving slot ``src`` to slot ``dst``: the unique
-        # group element g with perm_g[dst] == src, then its row/column
+        # Step recipe moving slot 0 to slot ``dst``: the unique group
+        # element g with perm_g[dst] == 0, then its row/column
         # decomposition. Computed once from the encoder's points.
         plan = rotation_plan(n)
         perms = {g: slot_permutation(self.encoder, g) for g in plan}
@@ -356,46 +287,12 @@ class MiniCryptoNets:
                 acc = moved if acc is None else builder.add(acc, moved)
             return acc
 
-        def sum_all_slots(reg: int) -> int:
-            step = 1
-            while step < n // 2:
-                reg = builder.add(reg, builder.rotate_rows(reg, step))
-                step <<= 1
-            return builder.add(reg, builder.rotate_columns(reg))
-
-        def bias(value: int) -> int:
-            return builder.plain(
-                self.encoder.encode([value] * self.encoder.slot_count).coeffs
-            )
-
         def packed_row(vec: int, weights: list[int], b: int) -> int:
             row = builder.mul_const(
                 vec, builder.plain(self.encoder.encode(weights).coeffs)
             )
-            return builder.add_const(sum_all_slots(row), bias(b))
+            return bias(sum_all_slots(builder, row, n), b)
 
-        conv_out = []
-        for m in range(s.conv_maps):
-            for oy in range(s.conv_out):
-                for ox in range(s.conv_out):
-                    acc = None
-                    for ky in range(s.conv_kernel):
-                        for kx in range(s.conv_kernel):
-                            p = ((oy * s.conv_stride + ky) * s.image_size
-                                 + ox * s.conv_stride + kx)
-                            w = self.conv_w[m][ky * s.conv_kernel + kx]
-                            if acc is None:
-                                acc = builder.mul_const(
-                                    pixels[p], builder.scalar(w)
-                                )
-                            else:
-                                acc = builder.mac_const(
-                                    acc, pixels[p], builder.scalar(w)
-                                )
-                    conv_out.append(
-                        builder.add_const(acc, bias(self.conv_b[m]))
-                    )
-        act1 = [builder.square_relin(c) for c in conv_out]
         # Conv activations live in slot 0; gather them into slots 0..flat-1.
         vec1 = pack(act1, lambda _i: 0)
         hidden = [
@@ -405,18 +302,15 @@ class MiniCryptoNets:
         # Hidden activations are uniform across slots (post-reduction), so
         # the mask picks each value at its own dense index — no rotation.
         vec2 = pack(hidden, lambda i: i)
-        for k in range(s.classes):
-            builder.output(
-                f"score{k}", packed_row(vec2, self.fc2_w[k], self.fc2_b[k])
-            )
-        return builder.build()
+        return [packed_row(vec2, self.fc2_w[k], self.fc2_b[k])
+                for k in range(s.classes)]
 
     def scores_from_outputs(self, outputs: dict,
                             batch: int) -> list[list[int]]:
         """Decrypt a served circuit's named outputs into per-image scores.
 
-        The client-side tail of a :meth:`to_circuit` round trip, matching
-        :meth:`infer`'s return shape.
+        The client-side tail of a :meth:`to_circuit` round trip, and of
+        :meth:`infer`.
         """
         s = self.spec
         decoded = [

@@ -13,17 +13,19 @@ Two artifacts, mirroring :mod:`repro.apps.cryptonets`:
   (odd polynomial, fixed-point scaled) exercises the ct*ct + relin path
   like the paper's cancer-type predictor does.
 
-The model also **compiles itself** for the serving layer:
-:meth:`MiniLogisticRegression.to_circuit` emits the identical operation
-sequence as a wire-encodable :class:`~repro.service.circuits.Circuit`,
-so an inference batch can be served over TCP bit-identically to
-in-process execution (``docs/serving-guide.md``).
+The model is written once, as its circuit:
+:meth:`MiniLogisticRegression.to_circuit` emits a wire-encodable
+:class:`~repro.service.circuits.Circuit`, and
+:meth:`MiniLogisticRegression.predict` runs it in-process through the
+same ``evaluate_circuit`` every serving backend runs, so a batch served
+over TCP decrypts to the same predictions (``docs/serving-guide.md``).
 """
 
 from __future__ import annotations
 
 import random
 
+from repro.apps.blocks import dot, sum_all_slots
 from repro.apps.costmodel import Workload
 from repro.bfv import BatchEncoder, Bfv, BfvParameters
 from repro.bfv.scheme import Ciphertext
@@ -41,6 +43,12 @@ LOGREG_WORKLOAD = Workload(
     paper_cpu_seconds=550.25,
     paper_cofhee_seconds=377.6,
 )
+
+
+def _cubic(builder, score: int) -> int:
+    """The sigmoid surrogate ``3s + s^3``: two ct*ct multiplies + relins."""
+    cubed = builder.mul_relin(builder.square_relin(score), score)
+    return builder.add(builder.mul_const(score, builder.scalar(3)), cubed)
 
 
 class MiniLogisticRegression:
@@ -77,7 +85,6 @@ class MiniLogisticRegression:
         self.weights = [rng.randint(-3, 3) for _ in range(num_features)]
         self.bias = rng.randint(-3, 3)
         self.num_features = num_features
-        self.op_log = {"ct_pt_mults": 0, "ct_ct_adds": 0, "ct_ct_mults": 0}
 
     @property
     def batch_size(self) -> int:
@@ -96,41 +103,22 @@ class MiniLogisticRegression:
                                         self.keys.public))
         return cts
 
-    def score(self, samples: list[list[int]]) -> tuple[Ciphertext, int]:
-        """Encrypted linear score ``w.x + b``; returns ``(ct, batch)``."""
-        cts = self.encrypt_features(samples)
-        acc = None
-        for w, ct in zip(self.weights, cts):
-            term = self.bfv.multiply_scalar(ct, w)
-            self.op_log["ct_pt_mults"] += 1
-            acc = term if acc is None else self.bfv.add(acc, term)
-            if acc is not term:
-                self.op_log["ct_ct_adds"] += 1
-        bias_pt = self.encoder.encode([self.bias] * len(samples))
-        self.op_log["ct_ct_adds"] += 1
-        return self.bfv.add_plain(acc, bias_pt), len(samples)
-
-    def sigmoid_surrogate(self, score_ct: Ciphertext) -> Ciphertext:
-        """Odd cubic ``3*s + s^3`` — two ct*ct multiplications + relins."""
-        squared = self.bfv.relinearize(self.bfv.square(score_ct),
-                                       self.keys.relin)
-        self.op_log["ct_ct_mults"] += 1
-        cubed = self.bfv.relinearize(
-            self.bfv.multiply(squared, score_ct), self.keys.relin
-        )
-        self.op_log["ct_ct_mults"] += 1
-        tripled = self.bfv.multiply_scalar(score_ct, 3)
-        self.op_log["ct_pt_mults"] += 1
-        self.op_log["ct_ct_adds"] += 1
-        return self.bfv.add(tripled, cubed)
-
     def predict(self, samples: list[list[int]],
                 use_sigmoid: bool = True) -> list[int]:
-        """Encrypted inference; returns 0/1 class per sample."""
-        score_ct, batch = self.score(samples)
-        if use_sigmoid:
-            score_ct = self.sigmoid_surrogate(score_ct)
-        return self.predictions_from_score(score_ct, batch)
+        """Encrypted inference; returns 0/1 class per sample.
+
+        Runs :meth:`to_circuit` through
+        :func:`~repro.service.circuits.evaluate_circuit`, the evaluator
+        every serving backend runs, then decrypts like a served client.
+        """
+        from repro.service.circuits import evaluate_circuit
+
+        inputs = self.encrypt_features(samples)
+        outputs = evaluate_circuit(
+            self.bfv, self.keys.relin,
+            self.to_circuit(len(samples), use_sigmoid), inputs,
+        )
+        return self.predictions_from_score(outputs["score"], len(samples))
 
     def predict_plain(self, samples: list[list[int]]) -> list[int]:
         """Plaintext reference decision (sign of the linear score — the
@@ -162,35 +150,25 @@ class MiniLogisticRegression:
             for s in samples
         ]
 
-    def packed_galois_exponents(self) -> list[int]:
-        """Galois-key exponents the ``packed=True`` circuit rotates with.
+    def packed_galois_exponents(self) -> tuple[int, ...]:
+        """Galois-key exponents the ``packed=True`` circuit rotates with;
+        register each one's key with the serving session."""
+        from repro.service.circuits import rotation_exponents
 
-        The rotate-and-sum reduction uses the power-of-two row rotations
-        plus the column swap; register each returned exponent's key with
-        the serving session before submitting.
-        """
-        from repro.bfv.rotation import RotationEngine
-
-        n = self.params.n
-        exponents, step = [], 1
-        while step < n // 2:
-            exponents.append(pow(RotationEngine.GENERATOR, step, 2 * n))
-            step <<= 1
-        exponents.append(2 * n - 1)
-        return exponents
+        return rotation_exponents(self.to_circuit(1, packed=True),
+                                  self.params)
 
     # -- wire circuit compilation ------------------------------------------
 
     def to_circuit(self, batch: int, use_sigmoid: bool = True,
                    packed: bool = False):
-        """Compile one inference batch into a servable wire circuit.
+        """One inference batch as a servable wire circuit.
 
-        The returned :class:`~repro.service.circuits.Circuit` performs
-        exactly the operations :meth:`predict` performs, in the same
-        order — multiply-accumulate per feature, the packed bias add,
-        then the cubic sigmoid surrogate — so evaluating it on the
-        ciphertexts from :meth:`encrypt_features` returns a score
-        ciphertext bit-identical to in-process execution. Submit it with
+        The returned :class:`~repro.service.circuits.Circuit` is the only
+        definition of the model: a multiply-accumulate per feature, the
+        packed bias add, then the cubic sigmoid surrogate, run on the
+        ciphertexts from :meth:`encrypt_features`. :meth:`predict`
+        evaluates it in-process. Submit it with
         :meth:`~repro.service.client.FheClient.submit_circuit`; the one
         named output is ``"score"``.
 
@@ -204,64 +182,36 @@ class MiniLogisticRegression:
         outputs are ``"score0"`` … ``"score{batch-1}"`` (decode any slot).
 
         Args:
-            batch: number of samples in the batch (fixes the packed bias
-                constant, exactly as :meth:`score` encodes it; with
-                ``packed=True``, the number of inputs/outputs).
+            batch: number of samples in the batch (fixes the width of the
+                packed bias constant; with ``packed=True``, the number of
+                inputs/outputs).
         """
         from repro.service.circuits import CircuitBuilder
 
-        if packed:
-            return self._to_circuit_packed(batch, use_sigmoid)
-        builder = CircuitBuilder("logreg")
-        features = [builder.input(f"x{f}") for f in range(self.num_features)]
-        acc = None
-        for reg, w in zip(features, self.weights):
-            if acc is None:
-                acc = builder.mul_const(reg, builder.scalar(w))
-            else:
-                acc = builder.mac_const(acc, reg, builder.scalar(w))
-        bias_pt = self.encoder.encode([self.bias] * batch)
-        score = builder.add_const(acc, builder.plain(bias_pt.coeffs))
-        if use_sigmoid:
-            squared = builder.square_relin(score)
-            cubed = builder.mul_relin(squared, score)
-            tripled = builder.mul_const(score, builder.scalar(3))
-            score = builder.add(tripled, cubed)
-        builder.output("score", score)
-        return builder.build()
-
-    def _to_circuit_packed(self, batch: int, use_sigmoid: bool):
-        """The rotate-and-sum lowering behind ``to_circuit(packed=True)``."""
-        from repro.service.circuits import CircuitBuilder
-
+        if not packed:
+            builder = CircuitBuilder("logreg")
+            features = [builder.input(f"x{f}")
+                        for f in range(self.num_features)]
+            bias = self.encoder.encode([self.bias] * batch)
+            score = builder.add_const(dot(builder, features, self.weights),
+                                      builder.plain(bias.coeffs))
+            builder.output("score", _cubic(builder, score)
+                           if use_sigmoid else score)
+            return builder.build()
         if batch < 1:
             raise ValueError("packed circuits need at least one sample")
         builder = CircuitBuilder("logreg-packed")
         weights = builder.plain(self.encoder.encode(self.weights).coeffs)
         bias = builder.plain(
-            self.encoder.encode(
-                [self.bias] * self.encoder.slot_count
-            ).coeffs
+            self.encoder.encode([self.bias] * self.encoder.slot_count).coeffs
         )
-        half = self.params.n // 2
         inputs = [builder.input(f"s{i}") for i in range(batch)]
-        for i in range(batch):
-            acc = builder.mul_const(inputs[i], weights)
-            # Rotate-and-sum: after the power-of-two row rotations every
-            # slot holds its half-ring's sum; the column swap finishes
-            # the all-slots reduction, so w.x lands in every slot.
-            step = 1
-            while step < half:
-                acc = builder.add(acc, builder.rotate_rows(acc, step))
-                step <<= 1
-            score = builder.add(acc, builder.rotate_columns(acc))
-            score = builder.add_const(score, bias)
-            if use_sigmoid:
-                squared = builder.square_relin(score)
-                cubed = builder.mul_relin(squared, score)
-                tripled = builder.mul_const(score, builder.scalar(3))
-                score = builder.add(tripled, cubed)
-            builder.output(f"score{i}", score)
+        for i, reg in enumerate(inputs):
+            score = builder.add_const(
+                sum_all_slots(builder, builder.mul_const(reg, weights),
+                              self.params.n), bias)
+            builder.output(f"score{i}", _cubic(builder, score)
+                           if use_sigmoid else score)
         return builder.build()
 
     def predictions_from_packed(self, outputs: dict, batch: int) -> list[int]:
@@ -283,7 +233,7 @@ class MiniLogisticRegression:
         """Decrypt a served score ciphertext into 0/1 classes.
 
         The client-side tail of a :meth:`to_circuit` round trip: decode
-        the signed slots and threshold, exactly as :meth:`predict` does.
+        the signed slots and threshold; :meth:`predict` ends with it too.
         """
         decoded = self.encoder.decode_signed(
             self.bfv.decrypt(score_ct, self.keys.secret)

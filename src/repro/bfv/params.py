@@ -165,13 +165,6 @@ class BfvParameters:
         )
 
 
-def _build_presets() -> dict[str, BfvParameters]:
-    return {
-        "paper_small": BfvParameters.from_paper(n=2**12, log_q=109),
-        "paper_large": BfvParameters.from_paper(n=2**13, log_q=218),
-    }
-
-
 class _LazyPresets:
     """Dict-like lazy preset table (prime search only on first access)."""
 

@@ -15,8 +15,9 @@ three execution modes of Section III-I are all implemented:
 
 Composed operations implement paper Algorithm 2 (polynomial
 multiplication) and Algorithm 3 (ciphertext multiplication: 4 NTT +
-4 Hadamard + 1 pointwise addition + 3 iNTT), including the RNS tower loop
-for moduli beyond 128 bits.
+4 Hadamard + 1 pointwise addition + 3 iNTT), one RNS tower per call: a
+modulus beyond 128 bits runs tower by tower, as the chip pool runs it,
+and :meth:`~repro.polymath.rns.RnsBasis.reconstruct_poly` recombines.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from repro.polymath.bitrev import bit_reverse_indices
 from repro.polymath.kernels import fits
 from repro.polymath.modmath import modinv
 from repro.polymath.ntt import NttContext
-from repro.polymath.rns import RnsBasis, residue_words
+from repro.polymath.rns import residue_words
 
 EXECUTION_MODES = ("direct", "fifo", "cm0")
 
@@ -549,42 +550,6 @@ class CofheeDriver:
             outs.append(data)
         report.io_seconds += io
         return outs, report
-
-    def ciphertext_multiply_rns(
-        self,
-        ct_a: tuple[Sequence[int], Sequence[int]],
-        ct_b: tuple[Sequence[int], Sequence[int]],
-        basis: RnsBasis,
-        **kw,
-    ) -> tuple[list[list[int]], OperationReport]:
-        """Full big-modulus ciphertext multiplication across RNS towers.
-
-        Decomposes both input ciphertexts into towers, runs Algorithm 3 per
-        tower via :meth:`ciphertext_multiply_tower` (reprogramming the
-        modulus between towers, as the host would), and CRT-reconstructs
-        the three output polynomials.
-
-        Returns:
-            ``([y0, y1, y2] big-modulus coefficient vectors, merged report)``.
-        """
-        reports = []
-        tower_outputs: list[list[list[int]]] = []
-        io = 0.0
-        for q_i in basis.moduli:
-            outs, report = self.ciphertext_multiply_tower(ct_a, ct_b, q_i, **kw)
-            io += report.io_seconds
-            report.io_seconds = 0.0  # folded into the merged report below
-            reports.append(report)
-            tower_outputs.append(outs)
-        merged = OperationReport.merge(
-            "CiphertextMul_RNS", reports, self.chip.power_model
-        )
-        merged.io_seconds += io
-        results = [
-            basis.reconstruct_poly([tw[j] for tw in tower_outputs])
-            for j in range(3)
-        ]
-        return results, merged
 
     # ------------------------------------------------------------------
     # Large-degree (host-assisted) operation (Section III-C)

@@ -40,8 +40,10 @@ one tower reduces against Python-float moduli, numpy's scalar fast path.
 
 Integer reduction. :func:`mod` is the ``a mod q`` every vector caller
 uses (the engine's lazy sums, products and lifts, the MDMC's modular
-multiplies): one scalar ``floor_divide`` per tower, about half the cost
-of a ``%`` by a broadcast modulus column, and bit-identical to it.
+multiplies). From :data:`MOD_SPLIT_WORDS` words a tower up it is one
+scalar ``floor_divide`` per tower, about half the cost of a ``%`` by a
+broadcast modulus column; below that, where each numpy call's fixed cost
+dominates, it is that one ``%``. Both are bit-identical.
 """
 
 from __future__ import annotations
@@ -63,25 +65,38 @@ CHUNK_WORDS = 1 << 15
 
 _LIMB = 1 << 15
 
+#: Words per tower from which :func:`mod` divides tower by tower. Below
+#: it one ``np.remainder`` over the whole stack is faster: measured on a
+#: 2-core Xeon host, the per-tower divides take 2-20x as long on
+#: ``n = 16`` stacks, and win up to 1.3x at 2,048 contiguous words a
+#: tower and 1.5-2x at 4,096.
+MOD_SPLIT_WORDS = 2048
+
 
 def mod(a: np.ndarray, q, out: np.ndarray | None = None) -> np.ndarray:
     """``a mod q``, bit for bit ``np.remainder(a, q)`` (floor semantics).
 
     ``a`` is ``int64`` or ``uint64``; ``q`` is one positive modulus or an
     ``(L, 1)`` column of them, one per tower on ``a``'s second-to-last
-    axis (``a`` broadcasts against it). Each tower is reduced by its own
-    scalar divisor, as ``a - floor(a / q) q``: numpy's ``floor_divide``
-    by a scalar takes its precomputed-divisor fast path, which a ``%``
-    by a broadcast column never does. Products wrap mod ``2^64`` like the
-    true values, so the result is exact for every input. ``out`` may be
-    ``a``.
+    axis (``a`` broadcasts against it). A tower of at least
+    :data:`MOD_SPLIT_WORDS` words is reduced by its own scalar divisor,
+    as ``a - floor(a / q) q``: numpy's ``floor_divide`` by a scalar takes
+    its precomputed-divisor fast path, which a ``%`` by a broadcast
+    column never does. Products wrap mod ``2^64`` like the true values,
+    so the result is exact for every input. ``out`` may be ``a``.
     """
-    if np.ndim(q) == 0:
-        towers = [(Ellipsis, q)]
-    else:
+    # Words per tower: a column of moduli splits the second-to-last axis.
+    # A stack under the threshold as a whole skips that test.
+    column = a.size >= MOD_SPLIT_WORDS and np.ndim(q) > 0
+    words = a.size // a.shape[-2] if column and a.ndim > 1 else a.size
+    if words < MOD_SPLIT_WORDS:
+        return np.remainder(a, q, out=out)
+    if column:
         a = np.broadcast_to(a, np.broadcast_shapes(a.shape, np.shape(q)))
         towers = [((Ellipsis, i, slice(None)), m)
                   for i, m in enumerate(np.ravel(q).tolist())]
+    else:
+        towers = [(Ellipsis, q)]
     if out is None:
         out = np.empty(a.shape, a.dtype)
     # The quotient goes to ``out`` itself unless that overwrites ``a``.
@@ -206,7 +221,8 @@ def transform(a: np.ndarray, tables: FourStep) -> np.ndarray:
     x, tmp, p = np.empty(words), np.empty(words), np.empty(2 * words)
     for first in range(0, towers, run):
         k = min(run, towers - first)
-        part = tables.rows(slice(first, first + k))
+        # A stack of short rows runs every tower at once, on ``tables``.
+        part = tables if k == towers else tables.rows(slice(first, first + k))
         q = float(part.q[0, 0, 0, 0]) if k == 1 else part.q
         inv_q = 1.0 / q
         moduli = (q, q * _LIMB, inv_q, 1.0 / (q * _LIMB))

@@ -133,59 +133,6 @@ def residue_words(coeffs: "Sequence[int] | np.ndarray", q: int) -> np.ndarray:
     return words.astype(np.uint64) if narrow else words
 
 
-def shard_towers(num_towers: int, num_shards: int) -> list[list[int]]:
-    """Partition tower indices ``0..num_towers-1`` into balanced shards.
-
-    Round-robin assignment: shard ``s`` receives towers ``s, s+k, s+2k, ...``
-    for ``k = num_shards``. Every tower lands in exactly one shard, the
-    ``min(num_towers, num_shards)`` shards are all non-empty with sizes
-    differing by at most one, and the split is deterministic — the
-    property tests assert that recombining shard outputs (via
-    :meth:`RnsBasis.sub_basis` and CRT) reproduces the sequential result.
-
-    These helpers are the pure-math reference model for the chip pool's
-    tower sharding (:class:`repro.service.backends.ChipPoolBackend`),
-    which runs each tower on its modulus's home chip and keeps the same
-    split/merge contract: every tower runs exactly once, and per-tower
-    outputs in tower order are the sequential result.
-    """
-    if num_towers < 1:
-        raise ValueError(f"need at least one tower, got {num_towers}")
-    if num_shards < 1:
-        raise ValueError(f"need at least one shard, got {num_shards}")
-    return [
-        list(range(s, num_towers, num_shards))
-        for s in range(min(num_towers, num_shards))
-    ]
-
-
-def merge_tower_outputs(
-    shard_indices: Sequence[Sequence[int]],
-    shard_outputs: Sequence[Sequence[object]],
-) -> list[object]:
-    """Restore tower order from per-shard outputs.
-
-    ``shard_outputs[s][j]`` is whatever shard ``s`` produced for its
-    ``j``-th tower (index ``shard_indices[s][j]``); the result lists the
-    outputs in global tower order, ready for
-    :meth:`RnsBasis.reconstruct_poly`.
-    """
-    total = sum(len(s) for s in shard_indices)
-    merged: list[object] = [None] * total
-    seen: set[int] = set()
-    for indices, outputs in zip(shard_indices, shard_outputs):
-        if len(indices) != len(outputs):
-            raise ValueError(
-                f"shard has {len(indices)} towers but {len(outputs)} outputs"
-            )
-        for i, out in zip(indices, outputs):
-            if i in seen or not 0 <= i < total:
-                raise ValueError(f"tower index {i} repeated or out of range")
-            seen.add(i)
-            merged[i] = out
-    return merged
-
-
 def plan_towers(total_bits: int, word_bits: int, n: int) -> list[int]:
     """Choose NTT-friendly prime towers covering ``total_bits`` of modulus.
 

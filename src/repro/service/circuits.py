@@ -615,12 +615,11 @@ def evaluate_circuit(
 ) -> dict[str, Ciphertext]:
     """Execute a circuit exactly; returns its named outputs.
 
-    This is the *functional* semantics every backend shares — the same
-    :class:`~repro.bfv.scheme.Bfv` calls the apps make in-process, in the
-    same order, so a compiled app returns bit-identical ciphertexts to
-    its direct execution. The chip-pool backend passes ``on_tensor`` to
-    collect each Eq. 4 tensor's operands and the scheme's head rows for
-    tower-sharded chip replay.
+    This is the *functional* semantics every backend shares, and what the
+    apps' in-process ``infer`` / ``predict`` run, so a served app returns
+    bit-identical ciphertexts to local execution. The chip-pool backend
+    passes ``on_tensor`` to collect each Eq. 4 tensor's operands and the
+    scheme's head rows for tower-sharded chip replay.
 
     Args:
         engine: the session's evaluation engine.

@@ -29,19 +29,16 @@ class TestEncryptedInference:
         labels = net.classify(scores)
         assert all(label in range(net.spec.classes) for label in labels)
 
-    def test_op_log_populated(self, net, images):
-        net.op_log = {k: 0 for k in net.op_log}
-        net.infer(images[:1])
-        counts = net.op_log
-        expected = net.spec.op_counts()
-        assert counts["ct_ct_mults"] == expected["ct_ct_mults"]
-        assert counts["ct_pt_mults"] == expected["ct_pt_mults"]
-
-
 class TestSpecAndValidation:
     def test_conv_output_size(self):
         spec = NetworkSpec(image_size=6, conv_kernel=3, conv_stride=2)
         assert spec.conv_out == 2
+
+    def test_circuit_op_mix_matches_spec(self, net):
+        counts = net.to_circuit().op_counts()
+        expected = net.spec.op_counts()
+        for key in ("ct_pt_mults", "ct_ct_adds", "ct_ct_mults"):
+            assert counts[key] == expected[key]
 
     def test_op_counts_structure(self):
         spec = NetworkSpec()

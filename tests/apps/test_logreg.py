@@ -30,10 +30,11 @@ class TestEncryptedInference:
         """Without the cubic surrogate the sign decision is identical."""
         assert model.predict(samples, use_sigmoid=False) == model.predict_plain(samples)
 
-    def test_sigmoid_surrogate_uses_ct_ct(self, model, samples):
-        model.op_log = {k: 0 for k in model.op_log}
-        model.predict(samples[:4])
-        assert model.op_log["ct_ct_mults"] == 2  # square + cube
+    def test_sigmoid_surrogate_uses_ct_ct(self, model):
+        """Square + cube with the surrogate, no tensor without it."""
+        assert model.to_circuit(4).op_counts()["ct_ct_mults"] == 2
+        assert model.to_circuit(
+            4, use_sigmoid=False).op_counts()["ct_ct_mults"] == 0
 
 
 class TestValidation:

@@ -262,6 +262,30 @@ def test_short_rows_go_through_in_one_chunk(shape, monkeypatch):
     assert len(calls) == 4
 
 
+@pytest.mark.parametrize("k", [1, 4, 21])
+def test_short_towers_reduce_in_one_call(k, monkeypatch):
+    """``mod`` on a ``(k, 7, 16)`` stack makes one ``np.remainder`` call;
+    a stack of :data:`~repro.polymath.kernels.MOD_SPLIT_WORDS`-word
+    towers makes one scalar divide per tower instead."""
+    q = np.asarray(plan_towers(30 * 7, 30, 16), dtype=np.int64)[:, None]
+    rng = np.random.default_rng(k)
+    short = rng.integers(0, 1 << 60, (k, 7, 16))
+    wide = rng.integers(0, 1 << 60, (1, 7, kernels.MOD_SPLIT_WORDS))
+    want = [(short % q).tolist(), (wide % q).tolist()]
+    calls = []
+    for name in ("remainder", "floor_divide", "subtract"):
+        def counting(*args, _name=name, _ufunc=getattr(np, name), **kwargs):
+            calls.append(_name)
+            return _ufunc(*args, **kwargs)
+
+        monkeypatch.setattr(np, name, counting)
+    assert kernels.mod(short, q).tolist() == want[0]
+    assert calls == ["remainder"]
+    calls.clear()
+    assert kernels.mod(wide, q).tolist() == want[1]
+    assert calls == ["floor_divide", "subtract"] * 7
+
+
 def test_every_grid_tower_fits_the_kernels():
     for n, bits, towers in _GRID:
         assert bits <= MAX_MODULUS_BITS

@@ -25,7 +25,7 @@ from repro.polymath.engine import (
     WORD_TERMS,
     BatchedRnsEngine,
 )
-from repro.polymath.kernels import mod
+from repro.polymath.kernels import MOD_SPLIT_WORDS, mod
 from repro.polymath.ntt import NttContext
 from repro.polymath.poly import Polynomial, PolynomialRing
 from repro.polymath.primes import next_smaller_ntt_prime, ntt_friendly_prime
@@ -124,6 +124,30 @@ def test_mod_is_numpy_remainder(bits, dtype, column, batch, seed):
     want = np.remainder(a, q)
     got = mod(a, q)
     assert got.dtype == a.dtype and got.tolist() == want.tolist()
+    assert mod(a, q, out=a) is a and a.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+@pytest.mark.parametrize("column", [False, True])
+@pytest.mark.parametrize("words", [MOD_SPLIT_WORDS - 1, MOD_SPLIT_WORDS])
+def test_mod_is_numpy_remainder_either_side_of_the_split(dtype, column, words):
+    """Towers just under :data:`MOD_SPLIT_WORDS` words take one
+    ``np.remainder``, towers of that many the per-tower divides: both
+    equal ``np.remainder`` on the edge values, in place or not."""
+    moduli = _primes(3)
+    q = np.asarray(moduli, dtype)[:, None] if column else dtype(moduli[0])
+    info = np.iinfo(dtype)
+    rng = np.random.default_rng(words)
+    edges = np.asarray(_mod_values(dtype, max(moduli)), dtype=object)
+    a = np.concatenate([
+        edges.astype(dtype),
+        rng.integers(info.min, info.max, 3 * words, dtype=dtype,
+                     endpoint=True),
+    ])[: 3 * words].reshape(3, words)
+    if not column:
+        a = a[0]
+    want = np.remainder(a, q)
+    assert mod(a, q).tolist() == want.tolist()
     assert mod(a, q, out=a) is a and a.tolist() == want.tolist()
 
 

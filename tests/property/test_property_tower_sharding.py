@@ -2,12 +2,12 @@
 
 Three layers, from pure math up to the serving stack:
 
-* **CRT sharding** — splitting a basis into random shards, computing each
-  shard's towers independently, and merging recombines to exactly the
-  sequential full-basis result (the ring isomorphism survives sharding).
-* **Driver** — per-tower ``ciphertext_multiply_tower`` calls compose to
-  ``ciphertext_multiply_rns``: same outputs, and per-tower cycles sum to
-  the merged report's total.
+* **CRT sub-bases** — a sub-basis's residues are its parent's residues at
+  the chosen towers.
+* **Driver** — per-tower ``ciphertext_multiply_tower`` calls on one
+  driver, recombined with ``RnsBasis.reconstruct_poly``, equal the
+  software baseline's full-basis tensor, and each tower costs the
+  one-tower Algorithm 3 cycles.
 * **Chip pool** — any pool size produces the bit-identical ciphertext the
   sequential pool-of-1 produces, and every chip-path job's reported total
   equals the sum of its per-tower cycles plus the relinearization tail.
@@ -22,11 +22,7 @@ from hypothesis import strategies as st
 from repro.baselines.software import SoftwareBfv
 from repro.bfv import BatchEncoder, Bfv, BfvParameters
 from repro.core.driver import CofheeDriver
-from repro.polymath.rns import (
-    RnsBasis,
-    merge_tower_outputs,
-    shard_towers,
-)
+from repro.polymath.rns import RnsBasis
 from repro.service.backends import ChipPoolBackend
 from repro.service.jobs import Job, JobKind, JobStatus
 from repro.service.registry import SessionRegistry
@@ -56,33 +52,6 @@ def _random_ct(data, basis):
 
 
 class TestCrtSharding:
-    @given(basis=bases(), num_shards=st.integers(1, 6), data=st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_shards_recombine_to_sequential_result(self, basis, num_shards, data):
-        """Random tower splits CRT-recombine to the full-basis tensor."""
-        ct_a = _random_ct(data, basis)
-        ct_b = _random_ct(data, basis)
-        reference = SoftwareBfv(basis, N)
-        sequential = reference.ciphertext_multiply(ct_a, ct_b)
-        shards = shard_towers(len(basis), num_shards)
-        # Every tower appears in exactly one shard.
-        flat = sorted(i for s in shards for i in s)
-        assert flat == list(range(len(basis)))
-        assert max(len(s) for s in shards) - min(len(s) for s in shards) <= 1
-        # Compute each shard independently, as a worker would.
-        shard_outputs = []
-        for indices in shards:
-            sub = basis.sub_basis(indices)
-            worker = SoftwareBfv(sub, N)
-            shard_outputs.append([
-                worker.tower_multiply(q, ct_a, ct_b) for q in sub.moduli
-            ])
-        towers = merge_tower_outputs(shards, shard_outputs)
-        recombined = [
-            basis.reconstruct_poly([tw[j] for tw in towers]) for j in range(3)
-        ]
-        assert recombined == sequential
-
     @given(basis=bases(), data=st.data())
     @settings(max_examples=40, deadline=None)
     def test_sub_basis_residues_match_parent(self, basis, data):
@@ -102,24 +71,23 @@ class TestDriverTowerComposition:
     @given(basis=bases(max_towers=3), data=st.data())
     @settings(max_examples=8, deadline=None)
     def test_per_tower_calls_compose_to_rns(self, basis, data):
-        """Tower-by-tower execution equals the one-shot RNS loop, and the
-        per-tower cycle counts sum to the merged report's total."""
+        """Tower-by-tower execution on one driver (reprogrammed between
+        towers) CRT-recombines to the full-basis tensor, and every tower
+        costs one tower's Algorithm 3 cycles."""
         ct_a = _random_ct(data, basis)
         ct_b = _random_ct(data, basis)
-        one_shot_drv = CofheeDriver()
-        full, merged = one_shot_drv.ciphertext_multiply_rns(ct_a, ct_b, basis)
-        per_tower_drv = CofheeDriver()
-        towers, cycle_counts = [], []
+        driver = CofheeDriver()
+        towers = []
         for q in basis.moduli:
-            outs, report = per_tower_drv.ciphertext_multiply_tower(ct_a, ct_b, q)
+            outs, report = driver.ciphertext_multiply_tower(ct_a, ct_b, q)
             towers.append(outs)
-            cycle_counts.append(report.cycles)
-        assert sum(cycle_counts) == merged.cycles
+            assert report.cycles == \
+                driver.chip.timing.ciphertext_mult_cycles(N, 1)
         recombined = [
             basis.reconstruct_poly([tw[j] for tw in towers]) for j in range(3)
         ]
-        assert recombined == full
-        assert full == SoftwareBfv(basis, N).ciphertext_multiply(ct_a, ct_b)
+        assert recombined == SoftwareBfv(basis, N).ciphertext_multiply(
+            ct_a, ct_b)
 
 
 #: Module-level cache: (towers,) -> (params, bfv, keys, encoder). Keygen is

@@ -9,7 +9,8 @@
 #                                    # + observability + fleet + examples
 #                                    # smoke, then the line counts of
 #                                    # src/repro/service, src/repro/core,
-#                                    # src/repro/polymath and src/
+#                                    # src/repro/polymath, src/repro/apps
+#                                    # and src/
 #   tools/run_checks.sh --docs       # only the docs stage (when given
 #                                    # alone; with other flags the full
 #                                    # pipeline runs and already
@@ -153,7 +154,10 @@ echo "== tier-1 test suite =="
 # tower runs the run size does not divide, strided int64/uint64 input,
 # one GEMM pair per transform for short rows;
 # tests/property/test_property_engine.py),
-# the app-circuit serving suites (tests/service/test_circuit_*.py), and the
+# the app-circuit serving suites (tests/service/test_circuit_*.py), the
+# app circuits' pinned wire-byte digests (tests/apps/test_circuit_bytes.py),
+# `kernels.mod`'s one-call small-tower path
+# (tests/property/test_property_engine.py), and the
 # golden chip-statistics snapshot of the Algorithm 3 replay
 # (tests/core/test_chip_golden.py, n up to 2^12 in about two seconds;
 # every vector case runs a second, warm time on one driver), the warm
@@ -205,6 +209,7 @@ echo "== line counts (tracked in ROADMAP.md; printed, not gated) =="
 echo "src/repro/service: $(cat src/repro/service/*.py | wc -l)"
 echo "src/repro/core: $(cat src/repro/core/*.py | wc -l)"
 echo "src/repro/polymath: $(cat src/repro/polymath/*.py | wc -l)"
+echo "src/repro/apps: $(cat src/repro/apps/*.py | wc -l)"
 echo "src/: $(cat src/repro/*.py src/repro/*/*.py | wc -l)"
 
 echo
