@@ -104,11 +104,12 @@ class Bfv:
         self._ternary = TernarySampler(self._rng)
         self._gaussian = DiscreteGaussianSampler(self._rng, params.sigma)
         self._mult_ctx = multiplier or _default_multiplier(params)
-        # The multiplier's batched tensor engine, when its CRT modulus
-        # holds the Eq. 4 cross term's bound 2n(q/2)^2 (twice a single
-        # product's); None leaves the exact scalar products (custom
-        # multipliers, wide params).
-        eng = getattr(self._mult_ctx, "tensor_engine", None)
+        #: The multiplier's auxiliary engine (``None`` for custom
+        #: multipliers): it folds key switches when q's towers are wide,
+        #: and runs the Eq. 4 tensor when its CRT modulus holds the cross
+        #: term's bound 2n(q/2)^2 (twice a single product's); otherwise
+        #: the exact scalar products run.
+        eng = self._aux_eng = getattr(self._mult_ctx, "tensor_engine", None)
         bound = 2 * params.n * (params.q // 2 + 1) ** 2
         self._tensor_eng = (
             eng if eng is not None and bound < eng.modulus // 2 else None
@@ -413,7 +414,7 @@ class Bfv:
         """
         if self._rns is not None:
             return self._rns
-        eng = getattr(self._mult_ctx, "_engine", None)
+        eng = self._aux_eng
         if eng is None:
             return None
         bound = (

@@ -70,11 +70,11 @@ class RnsExactMultiplier:
         #: The engine over :attr:`basis`: it runs the Eq. 4 tensor,
         #: :meth:`multiply`, and the key-switch folds of a q whose towers
         #: are not word-sized.
-        self.tensor_engine = self._engine = require_engine(self.basis, n)
+        self.tensor_engine = require_engine(self.basis, n)
 
     def multiply(self, a_centered, b_centered) -> list[int]:
         """Return the exact integer negacyclic product of centered inputs."""
-        eng = self._engine
+        eng = self.tensor_engine
         fa = eng.forward(eng.decompose(a_centered))
         fb = eng.forward(eng.decompose(b_centered))
         return eng.centered_reconstruct(eng.inverse(eng.pointwise_mul(fa, fb)))

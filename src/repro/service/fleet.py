@@ -108,7 +108,8 @@ class WorkerHandle:
     jobs_done: int = 0
     #: The jobs this worker owns, sent ones first, then its backlog.
     jobs: dict[str, _Assignment] = field(default_factory=dict)
-    #: Session id -> (keys fingerprint, OPEN_SESSION future -> its id).
+    #: Session id -> (its keys' upload digests, OPEN_SESSION future ->
+    #: the worker's session id).
     sessions: dict[str, tuple] = field(default_factory=dict)
 
     @property
@@ -325,8 +326,13 @@ class FleetBackend(Backend):
     def _open(self, handle: WorkerHandle,
               session: Session) -> concurrent.futures.Future:
         """The worker's OPEN_SESSION for the session's current keys (sent
-        first if it lacks them), resolving to its own session id."""
-        keys = (id(session.relin), tuple(sorted(session.galois)))
+        first if it lacks them), resolving to its own session id.
+
+        Keyed by the keys' upload digests, so the keys are sent again
+        exactly when one of them changed content.
+        """
+        keys = (session.relin_digest,
+                tuple(sorted(session.galois_digests.items())))
         held = handle.sessions.get(session.session_id)
         if held is None or held[0] != keys:
             self._count("repro_fleet_key_replications_total",

@@ -22,14 +22,17 @@ The serving layer's state store. Three invariants:
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 
-from repro.bfv.keys import GaloisKey, PublicKey, RelinKey
+from repro.bfv.keys import GaloisKey, RelinKey
 from repro.bfv.params import BfvParameters
 from repro.bfv.scheme import Bfv, Ciphertext
 from repro.service.serialization import (
     deserialize_ciphertext,
     params_digest,
+    serialize_galois_key,
+    serialize_relin_key,
 )
 
 
@@ -50,18 +53,21 @@ class ParamsContext:
 class Session:
     """One tenant's binding to a parameter set plus evaluation keys.
 
-    The public key is optional (the server never encrypts on a tenant's
-    behalf); the relin key gates relinearizing (multiply/square) steps
-    and the Galois keys gate rotations.
+    The relin key gates relinearizing (multiply/square) steps and the
+    Galois keys gate rotations. Each key's content digest (the SHA-256
+    of its wire encoding, taken at upload) sits beside it: the one
+    identity the result cache's address and the fleet's key
+    replication both read.
     """
 
     session_id: str
     tenant: str
     digest: bytes
     params: BfvParameters
-    public: PublicKey | None = None
     relin: RelinKey | None = None
     galois: dict[int, GaloisKey] = field(default_factory=dict)
+    relin_digest: bytes = b""
+    galois_digests: dict[int, bytes] = field(default_factory=dict)
 
     def require_relin(self) -> RelinKey:
         if self.relin is None:
@@ -118,14 +124,16 @@ class SessionRegistry:
         tenant: str,
         params: BfvParameters,
         *,
-        public: PublicKey | None = None,
         relin: RelinKey | None = None,
         galois: tuple[GaloisKey, ...] = (),
     ) -> Session:
         """Open (or return) the tenant's session for this parameter set.
 
         Idempotent per ``(tenant, digest)``: a second call returns the
-        existing session, adding any newly supplied key material.
+        existing session, adding any newly supplied key material (a key
+        for a slot already held replaces it). Each accepted key's digest
+        is the SHA-256 of its wire encoding; the encoding is canonical,
+        so it equals the hash of the frame the client uploaded.
         """
         ctx = self.context(params)
         key = (tenant, ctx.digest)
@@ -141,12 +149,16 @@ class SessionRegistry:
             )
             self._sessions[session.session_id] = session
             self._by_tenant[key] = session.session_id
-        if public is not None:
-            session.public = public
         if relin is not None:
             session.relin = relin
+            session.relin_digest = hashlib.sha256(
+                serialize_relin_key(relin, ctx.params)
+            ).digest()
         for g in galois:
             session.galois[g.exponent] = g
+            session.galois_digests[g.exponent] = hashlib.sha256(
+                serialize_galois_key(g, ctx.params)
+            ).digest()
         # Key upload is untimed setup: transform every uploaded key's
         # rows into NTT form now, so no job ever pays for it. The rows
         # stay on the key object and are freed with it.

@@ -48,8 +48,6 @@ from repro.service.serialization import (
     serialize_ciphertext,
     serialize_circuit,
     serialize_circuit_outputs,
-    serialize_galois_key,
-    serialize_relin_key,
 )
 from repro.service.telemetry import (
     JobTrace,
@@ -187,12 +185,6 @@ class FheServer:
         # *followers]`` — kept even with the result cache disabled.
         self._results: OrderedDict[tuple, object] = OrderedDict()
         self._inflight: dict[tuple, list[Job]] = {}
-        # Evaluation-key digests, memoized by key-object identity (the
-        # held reference keeps ids stable while the entry lives);
-        # re-uploading a key yields a new object and therefore a new
-        # digest. LRU-bounded so session churn cannot grow it forever.
-        self._key_digests: OrderedDict[int, tuple[object, bytes]] = OrderedDict()
-        self._key_digest_capacity = 128
         # Per-tenant admission control: outstanding job ids (pruned of
         # settled jobs at admission time, so each set stays bounded by
         # its quota) and token-bucket state (tokens, last refill).
@@ -231,25 +223,24 @@ class FheServer:
         relin_key: bytes | None = None,
         galois_keys: tuple[bytes, ...] = (),
     ) -> str:
-        """Open a tenant session from serialized parameters and keys."""
+        """Open a tenant session from serialized parameters and keys.
+
+        A public key is decoded only to check it belongs to ``params``
+        (the server never encrypts on a tenant's behalf), then dropped.
+        """
         if isinstance(params, (bytes, bytearray)):
             params = deserialize_params(bytes(params))
-        public = (
+        if public_key is not None:
             deserialize_public_key(public_key, params)
-            if public_key is not None else None
-        )
         relin = (
             deserialize_relin_key(relin_key, params)
             if relin_key is not None else None
         )
         galois = tuple(deserialize_galois_key(g, params) for g in galois_keys)
         session = self.registry.open_session(
-            tenant, params, public=public, relin=relin, galois=galois
+            tenant, params, relin=relin, galois=galois
         )
         return session.session_id
-
-    def session(self, session_id: str) -> Session:
-        return self.registry.get(session_id)
 
     # ------------------------------------------------------------------
     # Job intake
@@ -517,50 +508,28 @@ class FheServer:
         )
 
     def _eval_key_digest(self, session: Session, circuit: Circuit) -> bytes:
-        """Digest of the evaluation key material the circuit would use.
+        """Digest of the evaluation key material the circuit would use:
+        the content digests the registry took when each key was uploaded.
 
         A job that will fail for want of a key (or for a no-op rotation)
         gets a sentinel instead; failures are never cached.
         """
         parts = []
         if circuit.uses_relin:
-            key = session.relin
-            if key is None:
+            if session.relin is None:
                 return b"no-relin"
-            parts.append(self._key_digest(
-                key, lambda: serialize_relin_key(key, session.params)
-            ))
+            parts.append(session.relin_digest)
         if circuit.uses_rotations:
             try:
                 exponents = rotation_exponents(circuit, session.params)
             except CircuitError:
                 return b"invalid-rotation"
             for exponent in exponents:
-                gkey = session.galois.get(exponent)
-                if gkey is None:
+                digest = session.galois_digests.get(exponent)
+                if digest is None:
                     return b"no-galois"
-                parts.append(self._key_digest(
-                    gkey,
-                    lambda k=gkey: serialize_galois_key(k, session.params),
-                ))
+                parts.append(digest)
         return b"".join(parts)  # b"" for linear circuits: no key material
-
-    def _key_digest(self, key: object, make_bytes) -> bytes:
-        """Memoized SHA-256 of a serialized evaluation key (LRU-bounded).
-
-        Memoization is by object identity; each live entry holds a
-        reference to its key so a recycled ``id`` can never alias a
-        replaced upload, and eviction only drops the memo — a re-digest
-        of an evicted key is merely recomputed.
-        """
-        entry = self._key_digests.get(id(key))
-        if entry is None or entry[0] is not key:
-            entry = (key, hashlib.sha256(make_bytes()).digest())
-            self._key_digests[id(key)] = entry
-        self._key_digests.move_to_end(id(key))
-        while len(self._key_digests) > self._key_digest_capacity:
-            self._key_digests.popitem(last=False)
-        return entry[1]
 
     def _harvest(self) -> None:
         """Settle the jobs waiting on each content address, in one pass.

@@ -152,7 +152,7 @@ class TestAutoSelection:
 
         q = ntt_friendly_prime(16, 60)
         m1, m2 = RnsExactMultiplier(16, q), RnsExactMultiplier(16, q)
-        assert m1._engine is m2._engine
+        assert m1.tensor_engine is m2.tensor_engine
         p = RnsBasis([ntt_friendly_prime(16, 20)])
         assert require_engine(p, 16) is get_engine(RnsBasis(p.moduli), 16)
 

@@ -377,7 +377,7 @@ class TestScalarFallbacks:
         capable = Bfv(params, seed=3)
         keys = capable.keygen(relin_digit_bits=22)
         fits = RotationEngine(capable, keys.secret, digit_bits=22)
-        aux = capable._mult_ctx._engine
+        aux = capable._mult_ctx.tensor_engine
         assert capable._switch_engine(fits.galois_key(3)) is aux
         wide = capable.keygen(relin_digit_bits=bits)
         gkey = RotationEngine(capable, wide.secret, digit_bits=bits).galois_key(3)

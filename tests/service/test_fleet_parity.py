@@ -9,7 +9,10 @@ what that hop must preserve and what it must not keep:
   that ``test_per_job_settlement.py`` pins at 3 x 1,143 + 5,760 cycles);
 * EVENT carries ``cycles``/``seconds``/``fidelity`` on the wire;
 * a settled job holds no operands, in-process or through the fleet, and
-  the router's client keeps no record of a settled job.
+  the router's client keeps no record of a settled job;
+* the router sends a session's keys to a worker again exactly when their
+  upload digests change, so a replaced key serves the bytes in-process
+  ``Bfv`` computes under it and an identical reopen sends nothing.
 """
 
 from __future__ import annotations
@@ -19,14 +22,18 @@ import random
 
 import pytest
 
-from repro.bfv import BatchEncoder, Bfv, BfvParameters
+from repro.bfv import BatchEncoder, Bfv, BfvParameters, RotationEngine
+from repro.bfv.rotation import apply_galois_with_key
+from repro.service.circuits import OP_ROTATE_ROWS, rotation_exponent
 from repro.service.client import AsyncFheClient
 from repro.service.jobs import JobKind
 from repro.service.serialization import (
     EventMsg,
     decode_message,
+    deserialize_ciphertext,
     encode_message,
     serialize_ciphertext,
+    serialize_galois_key,
     serialize_params,
     serialize_relin_key,
 )
@@ -50,6 +57,19 @@ def tenant():
         for _ in range(3)
     ]
     return keys, operands
+
+
+@pytest.fixture(scope="module")
+def galois_pair(tenant):
+    """Two Galois keys for one exponent and the tenant's secret: the
+    same key material, different randomness, so different bytes."""
+    keys, _ = tenant
+    exponent = rotation_exponent(PARAMS, OP_ROTATE_ROWS, 1)
+    return tuple(
+        RotationEngine(Bfv(PARAMS, seed=seed), keys.secret,
+                       digit_bits=14).galois_key(exponent)
+        for seed in (1, 2)
+    )
 
 
 def _serve(server, keys, operands, backend=""):
@@ -142,3 +162,62 @@ class TestSettledJobsReleaseState:
             for handle in server.fleet._workers:
                 assert handle.client._jobs == {}
                 assert handle.client._submissions == {}
+
+
+def test_keys_replicate_exactly_when_their_content_changes(tenant,
+                                                           galois_pair):
+    keys, operands = tenant
+    old_galois, new_galois = galois_pair
+    new_relin = Bfv(PARAMS, seed=3).keygen(relin_digit_bits=14).relin
+    reference = Bfv(PARAMS)
+    ct = operands[0][0]
+
+    def rotated(key):
+        return serialize_ciphertext(apply_galois_with_key(
+            reference, deserialize_ciphertext(ct, PARAMS), key
+        ))
+
+    with FheServer(fleet_size=1, fleet_mode="thread",
+                   result_cache_size=0) as server:
+        replications = server.metrics.counter(
+            "repro_fleet_key_replications_total",
+            "Evaluation-key replications to fleet workers",
+        )
+
+        def reopen(relin=None, galois=()):
+            return server.open_session(
+                "t", serialize_params(PARAMS),
+                relin_key=relin and serialize_relin_key(relin, PARAMS),
+                galois_keys=tuple(serialize_galois_key(g, PARAMS)
+                                  for g in galois),
+            )
+
+        def rotate(sid):
+            return server.result(
+                server.submit(sid, JobKind.ROTATE, (ct,), steps=1)
+            )
+
+        sid = reopen(keys.relin, (old_galois,))
+        assert rotate(sid) == rotated(old_galois)
+        assert replications.value == 1
+        # (1) A different key for an exponent the session already holds
+        # reaches the worker: the next rotation runs under it.
+        reopen(galois=(new_galois,))
+        assert rotated(new_galois) != rotated(old_galois)
+        assert rotate(sid) == rotated(new_galois)
+        assert replications.value == 2
+        # (2) A byte-identical reopen sends nothing.
+        reopen(keys.relin, (new_galois,))
+        assert rotate(sid) == rotated(new_galois)
+        assert replications.value == 2
+        # (3) A replaced relin key is sent once, and EvalMult runs under it.
+        reopen(relin=new_relin)
+        for a, b in operands[:2]:
+            want = serialize_ciphertext(reference.multiply_relin(
+                deserialize_ciphertext(a, PARAMS),
+                deserialize_ciphertext(b, PARAMS), new_relin,
+            ))
+            assert server.result(
+                server.submit(sid, JobKind.MULTIPLY, (a, b))
+            ) == want
+        assert replications.value == 3

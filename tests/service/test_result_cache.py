@@ -5,17 +5,19 @@ at submit time from the cache, and the cache must never confuse tenants
 whose parameters match but whose evaluation keys differ.
 """
 
+import hashlib
 import random
 import time
 
 import pytest
 
 from repro.apps.logreg import MiniLogisticRegression
-from repro.bfv import BatchEncoder, Bfv, BfvParameters
+from repro.bfv import BatchEncoder, Bfv, BfvParameters, RotationEngine
 from repro.service.jobs import RAW_OUTPUT, JobKind, JobStatus, raw_op_circuit
 from repro.service.serialization import (
     deserialize_circuit_outputs,
     serialize_ciphertext,
+    serialize_galois_key,
     serialize_params,
     serialize_relin_key,
 )
@@ -181,6 +183,57 @@ class TestCacheMisses:
         outs = deserialize_circuit_outputs(server.result(jid), PARAMS)
         assert serialize_ciphertext(outs[RAW_OUTPUT]) == raw
         assert server.pool_report()["result_cache"]["hits"] == 0
+
+
+class TestKeyDigestsAtUpload:
+    """The address's key part is the digest the registry took at upload,
+    so it follows each key's content, not the object that holds it."""
+
+    def test_reopen_keeps_hits_and_a_replaced_key_misses(self, client):
+        bfv, keys, fresh = client
+        new_relin = Bfv(PARAMS, seed=4243).keygen(relin_digit_bits=14).relin
+        galois = tuple(
+            RotationEngine(bfv, keys.secret, digit_bits=14).galois_key(e)
+            for e in (3, 2 * PARAMS.n - 1)
+        )
+        frames = [serialize_galois_key(g, PARAMS) for g in galois]
+        server = FheServer(pool_size=1)
+
+        def reopen(relin):
+            return server.open_session(
+                "acme", serialize_params(PARAMS),
+                relin_key=serialize_relin_key(relin, PARAMS),
+                galois_keys=tuple(frames),
+            )
+
+        sid = reopen(keys.relin)
+        a, b = fresh(), fresh()
+        ops = (serialize_ciphertext(a), serialize_ciphertext(b))
+        wire_old = server.result(server.submit(sid, JobKind.MULTIPLY, ops))
+        # A byte-identical reopen stores new key objects, same digests.
+        assert reopen(keys.relin) == sid
+        again = server.submit(sid, JobKind.MULTIPLY, ops)
+        assert server.job_metrics(again).backend == "cache"
+        assert server.result(again) == wire_old
+        # A replaced relin key is a new address, served under the new key.
+        reopen(new_relin)
+        replaced = server.submit(sid, JobKind.MULTIPLY, ops)
+        assert server.job_metrics(replaced).backend != "cache"
+        assert server.result(replaced) == serialize_ciphertext(
+            bfv.multiply_relin(a, b, new_relin)
+        )
+        assert server.result(replaced) != wire_old
+        report = server.pool_report()["result_cache"]
+        assert (report["hits"], report["misses"]) == (1, 2)
+        # Every stored digest is the SHA-256 of the uploaded frame.
+        session = server.registry.get(sid)
+        assert session.relin_digest == hashlib.sha256(
+            serialize_relin_key(new_relin, PARAMS)
+        ).digest()
+        assert session.galois_digests == {
+            g.exponent: hashlib.sha256(frame).digest()
+            for g, frame in zip(galois, frames)
+        }
 
 
 class TestInQueueDedupe:

@@ -9,11 +9,13 @@ from repro.apps.logreg import MiniLogisticRegression
 from repro.bfv import BatchEncoder, Bfv, BfvParameters, RotationEngine
 from repro.service.jobs import JobKind, JobStatus
 from repro.service.serialization import (
+    ParamsMismatchError,
     deserialize_ciphertext,
     deserialize_circuit_outputs,
     serialize_ciphertext,
     serialize_galois_key,
     serialize_params,
+    serialize_public_key,
     serialize_relin_key,
 )
 from repro.service.server import FheServer, TenantQuota
@@ -97,6 +99,28 @@ class TestSubmitPollResult:
     def test_unknown_job(self, server):
         with pytest.raises(KeyError):
             server.poll("j99999")
+
+
+class TestOpenSession:
+    def test_public_key_under_other_params_is_refused(self, server, client):
+        """A public key under another parameter digest is refused before
+        any session state is built; one under the session's own digest
+        is accepted."""
+        _bfv, keys, _, _ = client
+        other = BfvParameters.toy(n=32, log_q=80)
+        foreign = Bfv(other, seed=1).keygen(relin_digit_bits=None).public
+        with pytest.raises(ParamsMismatchError):
+            server.open_session(
+                "acme", serialize_params(PARAMS),
+                public_key=serialize_public_key(foreign, other),
+            )
+        assert server.registry.cached_digests == []
+        sid = server.open_session(
+            "acme", serialize_params(PARAMS),
+            public_key=serialize_public_key(keys.public, PARAMS),
+        )
+        session = server.registry.get(sid)
+        assert session.relin is None and session.galois == {}
 
 
 class TestBackendAgreement:

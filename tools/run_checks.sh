@@ -19,11 +19,14 @@
 #                                    # given alone; it is already part of
 #                                    # the default pipeline): the telemetry
 #                                    # test battery, whose phase-report
-#                                    # test gates span coverage at >= 90%
+#                                    # test gates span coverage at >= 90%,
+#                                    # and the metrics-table docs check
 #   tools/run_checks.sh --fleet      # only the fleet stage (when given
 #                                    # alone; it is already part of the
 #                                    # default pipeline): the chaos test
-#                                    # battery + the fleet property suite
+#                                    # battery, the fleet property suite
+#                                    # and the fleet link suites (bit
+#                                    # identity, fault shim, client link)
 #   tools/run_checks.sh --slow       # also the paper_scale tests: n = 2^13
 #                                    # pool serving, the process fleet of 4
 #                                    # vs 1 (>= 2x makespan) and the engine
@@ -97,14 +100,17 @@ run_obs() {
   echo "== observability (telemetry suite) =="
   python -m pytest tests/service/test_telemetry.py \
     tests/service/test_stats_wire.py \
+    tests/service/test_metric_docs.py \
     tests/property/test_property_telemetry.py -q
 }
 
 run_fleet() {
   echo
-  echo "== fleet (chaos battery + property suite) =="
+  echo "== fleet (chaos battery + property suite + link suites) =="
   python -m pytest tests/service/test_fleet_faults.py \
-    tests/property/test_property_fleet.py -q
+    tests/property/test_property_fleet.py \
+    tests/service/test_fleet_parity.py tests/service/test_fault_shim.py \
+    tests/service/test_client_link.py -q
 }
 
 # --docs / --obs / --fleet alone are fast paths; combined with other
@@ -137,9 +143,14 @@ echo "== tier-1 test suite =="
 # (tests/service/test_wire_golden.py + wire_golden.json), the spec/codec
 # tag-table drift check (tests/service/test_wire_doc_tables.py), the fleet
 # link suites (a fleet job matches the chip pool's bytes, cycles and
-# fidelity; settled jobs keep no operands; the fault shim frame by frame;
+# fidelity; settled jobs keep no operands; keys re-sent to a worker
+# exactly when their upload digests change; the fault shim frame by frame;
 # tests/service/test_fleet_parity.py, test_fault_shim.py,
-# test_client_link.py), the
+# test_client_link.py), the result cache's key part taken from the
+# digests stored at upload (tests/service/test_result_cache.py), the
+# public-key parameter check at OPEN_SESSION (tests/service/test_server.py),
+# every emitted `repro_*` metric in a docs metrics table
+# (tests/service/test_metric_docs.py), the
 # circuit wire-format fuzz suite (tests/property/test_property_circuit_wire.py),
 # the word-backed polynomial codec suite (word decode and range check vs
 # the per-coefficient decode, word vs int forms, decompose of words;
