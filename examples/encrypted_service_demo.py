@@ -45,6 +45,7 @@ from repro.service.serialization import (
     serialize_params,
     serialize_relin_key,
 )
+from repro.service.server import FheServer
 from repro.service.transport import ThreadedTransportServer
 
 
@@ -199,7 +200,7 @@ def print_observability(ts, client: FheClient) -> None:
 
 def main() -> int:
     print("CoFHEE serving demo: 3 tenants over one TCP chip-pool server")
-    with ThreadedTransportServer(pool_size=4) as ts:
+    with ThreadedTransportServer(FheServer(pool_size=4)) as ts:
         print(f"listener on {ts.host}:{ts.port} (chip pool x4)\n")
         with FheClient(ts.host, ts.port) as client:
             raw_tenant(client)

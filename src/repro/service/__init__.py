@@ -39,7 +39,6 @@ from a single-shot library into a servable system:
 from repro.service.backends import (
     Backend,
     BackendError,
-    BatchReport,
     ChipPoolBackend,
     SoftwareBackend,
 )
@@ -57,7 +56,7 @@ from repro.service.client import (
 )
 from repro.service.jobs import Job, JobKind, JobMetrics, JobStatus
 from repro.service.registry import Session, SessionError, SessionRegistry
-from repro.service.scheduler import JobScheduler, ServiceStats
+from repro.service.scheduler import BatchReport, JobScheduler, ServiceStats
 from repro.service.serialization import (
     ParamsMismatchError,
     WireFormatError,

@@ -26,7 +26,7 @@ every backend.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,52 +49,12 @@ from repro.service.circuits import (
     evaluate_circuit,
     rotation_exponent,
 )
-from repro.service.jobs import Job, JobStatus
+from repro.service.jobs import Job
 from repro.service.registry import Session, SessionRegistry
 
 
 class BackendError(RuntimeError):
     """A backend could not execute a job."""
-
-
-@dataclass
-class BatchReport:
-    """What one ``execute_batch`` call (or one fleet job) cost.
-
-    Under a server every report covers exactly one job, the one the
-    scheduler dispatched (``batch_id`` is its ``dispatched_seq``); a
-    direct caller that passes several jobs to ``execute_batch`` gets one
-    report for all of them.
-
-    ``worker`` is the lead worker (model-path jobs and linear steps run
-    there); ``workers`` lists every worker the batch touched — under
-    tower sharding one job's towers run on their home chips across the
-    pool. ``cycles`` is the total work added across all workers,
-    ``makespan_cycles`` the largest single-worker share (what pool
-    scaling shrinks), and ``tower_cycles`` the per-tower totals
-    (index-aligned with the batch's CoFHEE basis) summed over the
-    batch's chip-executed jobs.
-
-    ``fidelity`` counts jobs per execution path: ``"chip"`` jobs ran every
-    tower of every Eq. 4 tensor through a worker driver with a mod-q
-    cross-check; ``"model"`` jobs (no tensor, or moduli that are not
-    chip-native) were priced from the compiled DAG; ``"relin_engine"``
-    counts jobs whose relinearization tail ran through the batched
-    engine fold, each tail priced on the then-least-loaded worker;
-    ``"relin_model"`` remains for params the engine cannot carry (wide
-    digits or an engine-incapable basis), where the tail is still
-    model-priced only.
-    """
-
-    batch_id: int
-    backend: str
-    worker: int
-    jobs: int
-    cycles: int
-    workers: tuple[int, ...] = ()
-    makespan_cycles: int = 0
-    tower_cycles: tuple[int, ...] = ()
-    fidelity: dict[str, int] = field(default_factory=dict)
 
 
 # ----------------------------------------------------------------------
@@ -103,30 +63,30 @@ class BatchReport:
 
 
 class Backend:
-    """Shared functional execution and accounting for every backend.
+    """Shared functional execution for every backend.
 
     The scheduler drives every backend through one call pair:
-    :meth:`dispatch` starts a job and :meth:`poll` returns the reports of
-    jobs that have settled. Here the pair is synchronous — ``dispatch``
-    runs the job to completion through :meth:`execute_batch` and queues
-    its report for the next ``poll`` — and the worker fleet overrides
-    both to ship jobs to other processes.
+    :meth:`dispatch` starts a job and :meth:`poll` returns the jobs that
+    have settled. Here the pair is synchronous — ``dispatch`` runs the
+    job to completion through :meth:`execute_batch` and hands it to the
+    next ``poll`` — and the worker fleet overrides both to ship jobs to
+    other processes.
 
-    Subclasses implement :meth:`execute_batch` (how jobs run and are
-    priced); the base class provides the exact per-job arithmetic every
-    backend shares — :meth:`_run_job`, one
-    :func:`~repro.service.circuits.evaluate_circuit` call on the job's
-    circuit — which is why all backends return bit-identical
-    ciphertexts. Several jobs passed to one ``execute_batch`` run one
-    after another through :meth:`_each_job` with nothing shared between
-    them, so a job's result, cycles and spans are the same whether it
-    ran alone or not.
+    Subclasses implement :meth:`_execute_job`: how one job runs and is
+    priced, recorded on its :class:`~repro.service.jobs.JobMetrics`.
+    The base class owns the one job loop, :meth:`execute_batch`, and the
+    exact per-job arithmetic every backend shares — :meth:`_run_job`,
+    one :func:`~repro.service.circuits.evaluate_circuit` call on the
+    job's circuit — which is why all backends return bit-identical
+    ciphertexts. A backend builds no report: the scheduler folds each
+    settled job's metrics into
+    :class:`~repro.service.scheduler.ServiceStats`.
     """
 
     name = "abstract"
 
     def __init__(self):
-        self._reports: list[tuple[BatchReport, Job]] = []
+        self._settled: list[Job] = []
         self.jobs_done = 0
         #: Metrics sink (set by :class:`~repro.service.server.FheServer`;
         #: ``None`` leaves a standalone backend un-instrumented).
@@ -134,27 +94,40 @@ class Backend:
 
     # subclasses override -------------------------------------------------
 
-    def execute_batch(
-        self, batch_id: int, jobs: list[Job], registry: SessionRegistry
-    ) -> BatchReport:
+    def _execute_job(self, job: Job, registry: SessionRegistry) -> None:
+        """Run one job end to end and settle it."""
         raise NotImplementedError
 
-    # the scheduler's call pair -------------------------------------------
+    # the job loop and the scheduler's call pair ----------------------------
+
+    def execute_batch(
+        self, batch_id: int, jobs: list[Job], registry: SessionRegistry
+    ) -> None:
+        """Run ``jobs`` one after another, each settled at its own end.
+
+        A job that raises fails alone; the rest go on. Nothing is shared
+        between them, so a job's result, cycles and spans are the same
+        whether it ran alone or not. ``batch_id`` is unused.
+        """
+        for job in jobs:
+            try:
+                self._execute_job(job, registry)
+            except Exception as exc:  # noqa: BLE001 — jobs must fail alone
+                job.fail(str(exc))
+                job.metrics.backend = self.name
 
     def dispatch(self, job: Job, registry: SessionRegistry) -> None:
-        """Run one job to completion; its report waits for :meth:`poll`."""
-        report = self.execute_batch(
-            job.metrics.dispatched_seq, [job], registry
-        )
-        self._reports.append((report, job))
+        """Run one job to completion; it waits for :meth:`poll`."""
+        self.execute_batch(job.metrics.dispatched_seq, [job], registry)
+        self._settled.append(job)
 
-    def poll(self, timeout: float = 0.0) -> list[tuple[BatchReport, Job]]:
-        """``(report, job)`` for every job settled since the last call.
+    def poll(self, timeout: float = 0.0) -> list[Job]:
+        """Every job settled since the last call.
 
         Never waits here: a synchronous job settled inside
         :meth:`dispatch`.
         """
-        done, self._reports = self._reports, []
+        done, self._settled = self._settled, []
         return done
 
     def close(self) -> None:
@@ -187,19 +160,6 @@ class Backend:
                 "engine" if engine.can_batch_relinearize(relin) else "model"
             )
         return session, job.output(outputs)
-
-    def _each_job(self, jobs: list[Job], run) -> None:
-        """The job loop every synchronous backend shares.
-
-        Jobs run one after another, and ``run(job)`` settles each at its
-        own end. A job that raises fails alone; the rest go on.
-        """
-        for job in jobs:
-            try:
-                run(job)
-            except Exception as exc:  # noqa: BLE001 — jobs must fail alone
-                job.fail(str(exc))
-                job.metrics.backend = self.name
 
     def _finish(self, job: Job, result: object, model_seconds: float) -> None:
         """Settle one job as done, priced at ``model_seconds``."""
@@ -247,7 +207,7 @@ class ChipWorker:
 class ChipPoolBackend(Backend):
     """Jobs run across a pool of N simulated CoFHEE chips.
 
-    Jobs run one at a time (see :meth:`Backend._each_job`); each is
+    Jobs run one at a time (see :meth:`Backend.execute_batch`); each is
     settled as soon as its own work is done. Inside a job's circuit:
 
     * **Tower level** — on chip-native moduli, every Eq. 4 tensor step
@@ -299,70 +259,47 @@ class ChipPoolBackend(Backend):
 
     # -- execution ----------------------------------------------------------
 
-    def execute_batch(
-        self, batch_id: int, jobs: list[Job], registry: SessionRegistry
-    ) -> BatchReport:
-        lead = self._least_loaded()
-        busy_before = {w.index: w.busy_cycles for w in self.workers}
-        self._each_job(jobs, lambda job: self._execute_job(job, registry))
-
-        fidelity: dict[str, int] = {}
-        tower_cycles: list[int] = []
-        for job in jobs:
-            if job.status is not JobStatus.DONE:
-                continue
-            paths = [job.metrics.fidelity]
-            if job.metrics.relin_fidelity:
-                paths.append(f"relin_{job.metrics.relin_fidelity}")
-            for path in paths:
-                fidelity[path] = fidelity.get(path, 0) + 1
-            for t, cycles in enumerate(job.metrics.tower_cycles):
-                if t == len(tower_cycles):
-                    tower_cycles.append(0)
-                tower_cycles[t] += cycles
-
-        added = {
-            w.index: w.busy_cycles - busy_before[w.index] for w in self.workers
-        }
-        batch_cycles = sum(added.values())
-        used = tuple(sorted(i for i, c in added.items() if c > 0))
-        if self.metrics is not None:
-            total = self.total_cycles
-            for w in self.workers:
-                self.metrics.gauge(
-                    "repro_worker_busy_cycles",
-                    "cumulative busy cycles per pool worker",
-                    worker=w.index,
-                ).set(w.busy_cycles)
-                self.metrics.gauge(
-                    "repro_worker_busy_fraction",
-                    "worker share of the pool's total busy cycles",
-                    worker=w.index,
-                ).set(w.busy_cycles / total if total else 0.0)
-        return BatchReport(
-            batch_id=batch_id,
-            backend=self.name,
-            worker=lead.index,
-            jobs=len(jobs),
-            cycles=batch_cycles,
-            workers=used or (lead.index,),
-            makespan_cycles=max(added.values(), default=0),
-            tower_cycles=tuple(tower_cycles),
-            fidelity=fidelity,
-        )
-
     def _execute_job(self, job: Job, registry: SessionRegistry) -> None:
-        """Run one job end to end on the pool and settle it."""
-        session = registry.get(job.session_id)
-        basis = (
-            self._chip_native_basis(session)
-            if job.payload.tensor_steps else None
-        )
-        lead = self._least_loaded()
-        if basis is None:
-            self._execute_modeled(job, registry, lead)
-        else:
-            self._execute_on_chip(job, registry, basis, lead)
+        """Run one job end to end on the pool and settle it.
+
+        The job's ``cycles`` are every busy cycle it added across the
+        pool, even when it fails mid-replay, so the jobs' cycles add up
+        to the pool's own; ``makespan_cycles`` is its largest
+        single-worker share.
+        """
+        before = [w.busy_cycles for w in self.workers]
+        try:
+            session = registry.get(job.session_id)
+            basis = (
+                self._chip_native_basis(session)
+                if job.payload.tensor_steps else None
+            )
+            lead = self._least_loaded()
+            if basis is None:
+                self._execute_modeled(job, registry, lead)
+            else:
+                self._execute_on_chip(job, registry, basis, lead)
+        finally:
+            added = [w.busy_cycles - b for w, b in zip(self.workers, before)]
+            job.metrics.cycles = sum(added)
+            job.metrics.makespan_cycles = max(added)
+            self._set_gauges()
+
+    def _set_gauges(self) -> None:
+        if self.metrics is None:
+            return
+        total = self.total_cycles
+        for w in self.workers:
+            self.metrics.gauge(
+                "repro_worker_busy_cycles",
+                "cumulative busy cycles per pool worker",
+                worker=w.index,
+            ).set(w.busy_cycles)
+            self.metrics.gauge(
+                "repro_worker_busy_fraction",
+                "worker share of the pool's total busy cycles",
+                worker=w.index,
+            ).set(w.busy_cycles / total if total else 0.0)
 
     def _execute_modeled(
         self, job: Job, registry: SessionRegistry, lead: ChipWorker,
@@ -431,7 +368,6 @@ class ChipPoolBackend(Backend):
         self, job: Job, worker: ChipWorker, cycles: int, result: object,
     ) -> None:
         job.metrics.worker = worker.index
-        job.metrics.cycles = cycles
         self._finish(job, result, cycles / worker.chip.clock.frequency_hz)
 
     def _least_loaded(self) -> ChipWorker:
@@ -630,19 +566,9 @@ class SoftwareBackend(Backend):
         super().__init__()
         self.cost = CpuCostModel()
 
-    def execute_batch(
-        self, batch_id: int, jobs: list[Job], registry: SessionRegistry
-    ) -> BatchReport:
-        def run(job: Job) -> None:
-            session, result = self._run_job(registry, job)
-            seconds = self._job_seconds(session, job.payload)
-            self._finish(job, result, seconds)
-
-        self._each_job(jobs, run)
-        return BatchReport(
-            batch_id=batch_id, backend=self.name, worker=0,
-            jobs=len(jobs), cycles=0,
-        )
+    def _execute_job(self, job: Job, registry: SessionRegistry) -> None:
+        session, result = self._run_job(registry, job)
+        self._finish(job, result, self._job_seconds(session, job.payload))
 
     def _job_seconds(self, session: Session, circuit: Circuit) -> float:
         """The SEAL-anchored latency of one job, on one CPU thread.

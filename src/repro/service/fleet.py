@@ -23,7 +23,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from repro.service.backends import Backend, BatchReport
+from repro.service.backends import Backend
 from repro.service.client import AsyncFheClient, TransportError
 # The fleet's fault-injection API, defined with its grammar:
 from repro.service.faults import FaultPlan, FaultRule, FaultSpecError  # noqa: F401
@@ -39,6 +39,7 @@ from repro.service.serialization import (
     serialize_relin_key,
     verify_frame,
 )
+from repro.service.server import FheServer
 from repro.service.transport import FheTransportServer
 
 #: Jobs in flight per worker; the rest wait in its backlog.
@@ -69,9 +70,9 @@ def serve_worker(sock: socket.socket, index: int, mode: str,
 
 
 async def _serve_worker(sock, index, mode, fault_spec):
-    server = FheTransportServer(
+    server = FheTransportServer(FheServer(
         pool_size=1, result_cache_size=0, optimizer_level="none",
-    )
+    ))
     faults = FaultPlan.parse(fault_spec).for_worker(index)
     try:
         await server.serve_socket(sock, faults.shim(sock, mode))
@@ -239,7 +240,7 @@ class FleetBackend(Backend):
         self._place(_Assignment(job, operands, circuit))
         self._set_gauges()
 
-    def poll(self, timeout: float = 0.0) -> list[tuple[BatchReport, Job]]:
+    def poll(self, timeout: float = 0.0) -> list[Job]:
         """Settle the jobs whose events are back (waiting up to ``timeout``
         for the first), reap deadlines, and evict a worker silent past
         ``heartbeat_timeout`` until it answers again."""
@@ -512,13 +513,13 @@ class FleetBackend(Backend):
     def _settle(self, assignment: _Assignment, handle: WorkerHandle | None,
                 event: EventMsg) -> None:
         """Settle a job from its worker's EVENT (no ``handle``: the router
-        failed it) and queue its report for :meth:`poll`."""
-        job, now, worker = assignment.job, time.perf_counter(), -1
+        failed it) and queue it for :meth:`poll`."""
+        job, now = assignment.job, time.perf_counter()
         job.metrics.backend = self.name
+        job.metrics.cycles = job.metrics.makespan_cycles = event.cycles
         if event.status == "done":
             job.trace.mark("execute", assignment.sent_at, now)
             job.finish(event.payload)  # framed wire bytes
-            job.metrics.cycles = event.cycles
             job.metrics.model_seconds = event.model_seconds
             job.metrics.fidelity = event.fidelity
             self.jobs_done += 1
@@ -532,13 +533,7 @@ class FleetBackend(Backend):
             self._count("repro_fleet_worker_cycles_total",
                         "Modeled cycles executed per fleet worker",
                         event.cycles, worker=str(worker))
-        self._reports.append((BatchReport(
-            batch_id=job.metrics.dispatched_seq, backend=self.name,
-            worker=worker, jobs=1, cycles=event.cycles,
-            workers=() if handle is None else (worker,),
-            makespan_cycles=event.cycles,
-            fidelity={event.fidelity: 1} if event.fidelity else {},
-        ), job))
+        self._settled.append(job)
 
     def _set_gauges(self) -> None:
         if self.metrics is None:

@@ -99,7 +99,10 @@ class JobStatus(Enum):
 class JobMetrics:
     """Per-job accounting filled in by the backend that executed it.
 
-    ``cycles`` is chip-pool cycle accounting (0 for CPU-side backends).
+    ``cycles`` is chip-pool cycle accounting (0 for CPU-side backends):
+    every busy cycle the job added across the pool, a failed job's
+    included. ``makespan_cycles`` is its largest single-worker share; a
+    fleet job ran on one worker, so there the two are equal.
     Two seconds fields, one meaning each on every backend:
     ``model_seconds`` is the backend's paper model of this job alone
     (chip pool: ``cycles`` ÷ clock; software: the SEAL-anchored CPU
@@ -109,7 +112,7 @@ class JobMetrics:
     jobs that never dispatch). ``submitted_seq``/``dispatched_seq`` are
     global sequence numbers: the fairness tests use them to prove no
     tenant starves, and ``dispatched_seq`` identifies the job's dispatch
-    (its report's ``batch_id``).
+    (its :class:`~repro.service.scheduler.BatchReport`'s ``batch_id``).
 
     Tower-sharded chip execution additionally reports, per job:
     ``tower_cycles`` (Algorithm 3 cycles per RNS tower, index-aligned with
@@ -136,6 +139,7 @@ class JobMetrics:
     backend: str = ""
     worker: int = -1
     cycles: int = 0
+    makespan_cycles: int = 0
     model_seconds: float = 0.0
     host_seconds: float = 0.0
     submitted_seq: int = -1

@@ -8,19 +8,22 @@ tests prove with dispatch sequence numbers).
 
 Every backend sees the same two calls: ``dispatch(job, registry)`` and
 ``poll(timeout)``. A synchronous backend runs the job inside
-``dispatch`` and hands its report to the next ``poll`` — the host-side
-counterpart of CoFHEE's per-command completion interrupt — while the
-worker fleet ships it to a worker process and reports it when the reply
-comes back. The scheduler does not know which kind it is driving, so a
-caller between steps (the transport pump) delivers each result as soon
-as its own job is done.
+``dispatch`` and hands the settled job to the next ``poll`` — the
+host-side counterpart of CoFHEE's per-command completion interrupt —
+while the worker fleet ships it to a worker process and hands it back
+once the reply arrives. The scheduler does not know which kind it is
+driving, so a caller between steps (the transport pump) delivers each
+result as soon as its own job is done.
 
 Tower sharding happens one level down, inside the chip pool (see
 :class:`~repro.service.backends.ChipPoolBackend`: each tower runs on its
 modulus's home chip): a 3-tower tenant's job occupies more workers, but
-picks stay round-robin. :class:`ServiceStats` aggregates
-total cycles (work), makespan cycles (wall time on the pool), and the
-fidelity counts that say which jobs really executed on worker drivers.
+picks stay round-robin. Backends record each job's cost on its
+:class:`~repro.service.jobs.JobMetrics` and build no report; the
+scheduler folds every settled job into :class:`ServiceStats`' running
+totals: total cycles (work), makespan cycles (wall time on the pool),
+and the fidelity counts that say which jobs really executed on worker
+drivers.
 """
 
 from __future__ import annotations
@@ -29,16 +32,46 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 
-from repro.service.backends import Backend, BatchReport
+from repro.service.backends import Backend
 from repro.service.jobs import Job, JobStatus
 from repro.service.registry import SessionRegistry
 from repro.service.telemetry import MetricsRegistry
 
 
 @dataclass
+class BatchReport:
+    """What one executed job cost, as :meth:`ServiceStats.record` saw it.
+
+    ``batch_id`` is the job's ``dispatched_seq``; ``cycles`` and
+    ``makespan_cycles`` are copied from its
+    :class:`~repro.service.jobs.JobMetrics`.
+    """
+
+    batch_id: int
+    backend: str
+    jobs: int
+    cycles: int
+    makespan_cycles: int = 0
+
+
+@dataclass
 class ServiceStats:
     """Aggregate accounting across every executed job.
 
+    ``total_cycles``, ``makespan_cycles``, ``fidelity`` and
+    ``tower_cycles`` are running totals that :meth:`record` folds from
+    each executed job's :class:`~repro.service.jobs.JobMetrics`.
+    ``makespan_cycles`` sums per-job makespans, the modeled wall time on
+    the chip pool: jobs execute one after another, so their makespans
+    add, and with tower sharding it drops below ``total_cycles`` (the
+    work does not shrink — it spreads). ``fidelity`` counts jobs per
+    execution path: ``"chip"`` (tensors ran tower-by-tower on worker
+    drivers), ``"model"`` (DAG pricing: no tensor step, or moduli not
+    chip-native), ``"relin_engine"`` (relinearization ran through the
+    batched engine fold, its tail priced on the then-least-loaded
+    worker), ``"relin_model"`` (tail model-priced only — params the
+    engine cannot carry). ``tower_cycles`` sums the chip-executed jobs'
+    per-tower cycles, index-aligned with their CoFHEE basis.
     ``batches`` holds one :class:`BatchReport` per executed job, in
     settlement order.
 
@@ -66,6 +99,10 @@ class ServiceStats:
     cache_hits: int = 0
     cache_misses: int = 0
     dedupe_hits: int = 0
+    total_cycles: int = 0
+    makespan_cycles: int = 0
+    fidelity: dict[str, int] = field(default_factory=dict)
+    tower_cycles: list[int] = field(default_factory=list)
     batches: list[BatchReport] = field(default_factory=list)
     per_tenant_completed: dict[str, int] = field(default_factory=dict)
     per_tenant_failed: dict[str, int] = field(default_factory=dict)
@@ -80,38 +117,33 @@ class ServiceStats:
             bucket = self.per_tenant_completed
         bucket[job.tenant] = bucket.get(job.tenant, 0) + 1
 
-    @property
-    def total_cycles(self) -> int:
-        return sum(b.cycles for b in self.batches)
+    def record(self, job: Job, backend: str) -> None:
+        """Fold one executed job's cost into the running totals.
 
-    @property
-    def makespan_cycles(self) -> int:
-        """Sum of per-job makespans: modeled wall time on the chip pool.
-
-        Each report's makespan is its job's largest single-worker share;
-        jobs execute one after another, so their makespans add. With
-        tower sharding it drops below :attr:`total_cycles` (the work does
-        not shrink — it spreads).
+        Every job's cycles count, a failed one's too. A job counts
+        toward ``fidelity`` and ``tower_cycles`` only when it is DONE and
+        its backend named a path: the chip pool names its path and the
+        relinearization's, a fleet job its worker's path only, and the
+        software backend none.
         """
-        return sum(b.makespan_cycles for b in self.batches)
-
-    @property
-    def fidelity(self) -> dict[str, int]:
-        """Aggregate execution-path counts across every report.
-
-        Keys are the :class:`~repro.service.backends.BatchReport` fidelity
-        labels: ``"chip"`` (tensors ran tower-by-tower on worker drivers),
-        ``"model"`` (DAG pricing: no tensor step, or moduli not
-        chip-native), ``"relin_engine"``
-        (relinearization executed as batched chip-side key-switch work
-        units), ``"relin_model"`` (tail model-priced only — params the
-        engine cannot carry).
-        """
-        totals: dict[str, int] = {}
-        for b in self.batches:
-            for path, count in b.fidelity.items():
-                totals[path] = totals.get(path, 0) + count
-        return totals
+        m = job.metrics
+        self.total_cycles += m.cycles
+        self.makespan_cycles += m.makespan_cycles
+        self.batches.append(BatchReport(
+            batch_id=m.dispatched_seq, backend=backend, jobs=1,
+            cycles=m.cycles, makespan_cycles=m.makespan_cycles,
+        ))
+        if job.status is not JobStatus.DONE or not m.fidelity:
+            return
+        paths = [m.fidelity]
+        if m.relin_fidelity:
+            paths.append(f"relin_{m.relin_fidelity}")
+        for path in paths:
+            self.fidelity[path] = self.fidelity.get(path, 0) + 1
+        for t, cycles in enumerate(m.tower_cycles):
+            if t == len(self.tower_cycles):
+                self.tower_cycles.append(0)
+            self.tower_cycles[t] += cycles
 
 
 class JobScheduler:
@@ -134,7 +166,7 @@ class JobScheduler:
         self._rotation: deque[str] = deque()
         self._submit_seq = 0
         self._dispatch_seq = 0
-        #: Dispatched jobs whose report has not come back: job id ->
+        #: Dispatched jobs that have not come back: job id ->
         #: the ``perf_counter`` instant of their dispatch.
         self._in_flight: dict[str, float] = {}
         self.stats = ServiceStats()
@@ -243,34 +275,34 @@ class JobScheduler:
         self.backends[job.backend].dispatch(job, self.registry)
         self._in_flight[job.job_id] = start
 
-    def _harvest(self, timeout: float) -> BatchReport | None:
-        """Settle every job whose report is back; returns the last report."""
+    def _harvest(self, timeout: float) -> Job | None:
+        """Settle every job that is back; returns the last one."""
         last = None
         for backend in self.backends.values():
-            for report, job in backend.poll(timeout):
-                self._settle(report, job)
-                last = report
+            for job in backend.poll(timeout):
+                self._settle(backend, job)
+                last = job
         return last
 
-    def _settle(self, report: BatchReport, job: Job) -> None:
+    def _settle(self, backend: Backend, job: Job) -> None:
         started = self._in_flight.pop(job.job_id)
         job.metrics.host_seconds = time.perf_counter() - started
-        self.stats.batches.append(report)
+        self.stats.record(job, backend.name)
         self.settle(job)
         if self.metrics is not None:
             self.metrics.histogram(
                 "repro_job_execute_seconds",
                 "measured wall seconds from dispatch to settlement per job",
-                backend=report.backend,
+                backend=backend.name,
             ).observe(job.metrics.host_seconds)
 
-    def step(self) -> BatchReport | None:
+    def step(self) -> Job | None:
         """Pick, dispatch and harvest until one job settles.
 
         Each pass sheds expired queued jobs, picks one job and dispatches
-        it, then collects the reports that are back. A synchronous
-        backend finishes its job inside ``dispatch``, so the pass that
-        picked it returns its report: one job per call. A fleet job only
+        it, then settles the jobs that are back. A synchronous backend
+        finishes its job inside ``dispatch``, so the pass that picked it
+        returns that job: one job per call. A fleet job only
         leaves for a worker, so the loop picks again — every queued fleet
         job reaches a worker before the call waits — and returns once a
         reply settles one. ``None`` means idle: nothing queued and
@@ -283,9 +315,9 @@ class JobScheduler:
                 self._dispatch(job)
             elif not self._in_flight:
                 return None
-            report = self._harvest(0.0 if job is not None else 0.05)
-            if report is not None:
-                return report
+            settled = self._harvest(0.0 if job is not None else 0.05)
+            if settled is not None:
+                return settled
 
     def run_all(self) -> ServiceStats:
         """Drain every queue and every in-flight job."""

@@ -631,9 +631,9 @@ class FheServer:
         a caller looping ``tick()`` until it returns ``False`` observes
         every job settled.
         """
-        report = self.scheduler.step()
+        settled = self.scheduler.step()
         self._harvest()
-        return report is not None or self.scheduler.pending > 0
+        return settled is not None or self.scheduler.pending > 0
 
     def result(self, job_id: str, wire: bool = True) -> object:
         """Block (drive the scheduler) until the job finishes.
@@ -707,20 +707,14 @@ class FheServer:
         """
         pool = self.chip_pool
         stats = self.scheduler.stats
-        tower_totals: dict[int, int] = {}
-        for report in stats.batches:
-            for t, c in enumerate(report.tower_cycles):
-                tower_totals[t] = tower_totals.get(t, 0) + c
         return {
             "pool": len(pool.workers),
             "wall_cycles": pool.wall_cycles,
             "total_cycles": pool.total_cycles,
             "per_worker_cycles": [w.busy_cycles for w in pool.workers],
             "reprograms": [w.driver.reprograms for w in pool.workers],
-            "tower_cycles": [
-                tower_totals[t] for t in sorted(tower_totals)
-            ],
-            "fidelity": stats.fidelity,
+            "tower_cycles": list(stats.tower_cycles),
+            "fidelity": dict(stats.fidelity),
             "per_tenant_completed": dict(stats.per_tenant_completed),
             "per_tenant_failed": dict(stats.per_tenant_failed),
             "result_cache": {

@@ -144,10 +144,6 @@ class JobTrace:
     # -- reading -------------------------------------------------------
 
     @property
-    def started_at(self) -> float | None:
-        return self.spans[0].start if self.spans else None
-
-    @property
     def wall_seconds(self) -> float:
         """Submit start -> job completion (0.0 before either exists)."""
         if not self.spans or self.done_at is None:

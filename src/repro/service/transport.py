@@ -240,7 +240,8 @@ class FheTransportServer:
     """Asyncio TCP front door for an :class:`FheServer`.
 
     Args:
-        fhe: the server to expose; built from ``fhe_kwargs`` when omitted.
+        fhe: the server to expose; a default :class:`FheServer` when
+            omitted.
         host/port: listen address (``port=0`` picks an ephemeral port;
             :meth:`start` returns the bound address).
         max_frame: per-frame byte ceiling on every connection.
@@ -256,8 +257,6 @@ class FheTransportServer:
             ``auth`` error code before any server state is touched.
             ``None`` (the default) disables auth — open serving, as
             before this field existed.
-        fhe_kwargs: forwarded to :class:`FheServer` when ``fhe`` is None
-            (``pool_size``, ``result_cache_size``, …).
 
     Lifecycle: ``await start()`` → serve → ``await aclose()``. Closing
     drains by default: the listener stops accepting, in-flight jobs run
@@ -269,12 +268,10 @@ class FheTransportServer:
                  host: str = "127.0.0.1", port: int = 0,
                  max_frame: int = DEFAULT_MAX_FRAME,
                  max_inflight: int = 0,
-                 tenants: dict[str, str] | None = None, **fhe_kwargs):
-        if fhe is not None and fhe_kwargs:
-            raise ValueError("pass either a built FheServer or its kwargs")
+                 tenants: dict[str, str] | None = None):
         if max_inflight < 0:
             raise ValueError("max_inflight must be >= 0 (0 disables it)")
-        self.fhe = fhe if fhe is not None else FheServer(**fhe_kwargs)
+        self.fhe = fhe if fhe is not None else FheServer()
         self._host = host
         self._port = port
         self._max_frame = max_frame
@@ -842,16 +839,18 @@ class ThreadedTransportServer:
     tests driving the sync
     :class:`~repro.service.client.FheClient`::
 
-        with ThreadedTransportServer(pool_size=4) as ts:
+        with ThreadedTransportServer(FheServer(pool_size=4)) as ts:
             client = FheClient(ts.host, ts.port)
             ...
 
+    ``fhe`` and the keyword arguments go to :class:`FheTransportServer`.
     The wrapped :class:`FheServer` is reachable as ``.fhe`` for
     in-process inspection (``pool_report()`` and friends) after the
     traffic has drained.
     """
 
-    def __init__(self, **kwargs):
+    def __init__(self, fhe: FheServer | None = None, **kwargs):
+        self._fhe = fhe
         self._kwargs = kwargs
         self._loop: asyncio.AbstractEventLoop | None = None
         self._thread: threading.Thread | None = None
@@ -870,7 +869,7 @@ class ThreadedTransportServer:
 
         async def _main():
             try:
-                self.server = FheTransportServer(**self._kwargs)
+                self.server = FheTransportServer(self._fhe, **self._kwargs)
                 self.host, self.port = await self.server.start()
             except BaseException as exc:  # surface to the caller
                 failure.append(exc)

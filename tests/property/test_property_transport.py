@@ -27,6 +27,7 @@ from repro.service.serialization import (
     encode_message,
     serialize_params,
 )
+from repro.service.server import FheServer
 from repro.service.transport import (
     FheTransportServer,
     FrameAssembler,
@@ -219,7 +220,7 @@ class TestControlCodec:
         handler table — the server-to-client SESSION/EVENT/ERROR replies —
         handed to its dispatch is a protocol error."""
         assert StatusMsg in FheTransportServer._HANDLERS
-        server = FheTransportServer(pool_size=1)
+        server = FheTransportServer(FheServer(pool_size=1))
         frames = _zero_frames_outside(FheTransportServer._HANDLERS)
         assert len(frames) == len(CONTROL_MESSAGES) - 8
         for frame in frames:

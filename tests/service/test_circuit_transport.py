@@ -80,7 +80,7 @@ class TestSyncFacade:
         model, samples, circuit, inputs = logreg
         expected = _in_process_wire(model, circuit, inputs, backend)
         events = []
-        with ThreadedTransportServer(pool_size=3) as ts:
+        with ThreadedTransportServer(FheServer(pool_size=3)) as ts:
             with FheClient(ts.host, ts.port) as client:
                 sid = client.open_session(
                     "acme", serialize_params(model.params),
@@ -105,7 +105,7 @@ class TestSyncFacade:
     def test_cryptonets_bit_identical_per_backend(self, cryptonets, backend):
         model, images, circuit, inputs = cryptonets
         expected = _in_process_wire(model, circuit, inputs, backend)
-        with ThreadedTransportServer(pool_size=4) as ts:
+        with ThreadedTransportServer(FheServer(pool_size=4)) as ts:
             with FheClient(ts.host, ts.port) as client:
                 sid = client.open_session(
                     "globex", serialize_params(model.params),
@@ -123,7 +123,7 @@ class TestSyncFacade:
 
     @staticmethod
     def _assert_chip_fidelity_over_the_wire(model, circuit, inputs):
-        with ThreadedTransportServer(pool_size=4) as ts:
+        with ThreadedTransportServer(FheServer(pool_size=4)) as ts:
             with FheClient(ts.host, ts.port) as client:
                 sid = client.open_session(
                     "globex", serialize_params(model.params),
@@ -152,7 +152,7 @@ class TestAsyncClient:
         model, _samples, circuit, inputs = logreg
 
         async def scenario():
-            server = FheTransportServer(pool_size=2)
+            server = FheTransportServer(FheServer(pool_size=2))
             await server.start()
             try:
                 server.pause_execution()  # land both in the dedupe window
@@ -191,7 +191,7 @@ class TestAsyncClient:
         model, _samples, circuit, inputs = logreg
 
         async def scenario():
-            async with FheTransportServer(pool_size=2) as server:
+            async with FheTransportServer(FheServer(pool_size=2)) as server:
                 async with await AsyncFheClient.connect(
                     *server.address
                 ) as client:
@@ -212,7 +212,7 @@ class TestAsyncClient:
         from repro.service.serialization import serialize_circuit
 
         async def scenario():
-            async with FheTransportServer(pool_size=1) as server:
+            async with FheTransportServer(FheServer(pool_size=1)) as server:
                 async with await AsyncFheClient.connect(
                     *server.address
                 ) as client:

@@ -24,6 +24,7 @@ from repro.service.serialization import (
     serialize_ciphertext,
     serialize_params,
 )
+from repro.service.server import FheServer
 from repro.service.transport import FheTransportServer
 
 PARAMS = BfvParameters.toy(n=16, log_q=80)
@@ -39,7 +40,7 @@ def operands():
 
 async def _linked(outbound=None):
     """A transport serving one end of a socketpair, a client on the other."""
-    server = FheTransportServer(pool_size=1)
+    server = FheTransportServer(FheServer(pool_size=1))
     ours, theirs = socket.socketpair()
     serving = asyncio.ensure_future(server.serve_socket(theirs, outbound))
     client = AsyncFheClient(*await asyncio.open_connection(sock=ours))

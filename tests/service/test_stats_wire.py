@@ -25,6 +25,7 @@ from repro.service.serialization import (
     serialize_params,
     serialize_relin_key,
 )
+from repro.service.server import FheServer
 from repro.service.transport import ThreadedTransportServer
 
 PARAMS = BfvParameters.toy_rns(n=16, towers=2, tower_bits=20)
@@ -88,7 +89,7 @@ class TestSocketRoundTrip:
         bfv, keys, encoder = stack
         a = bfv.encrypt(encoder.encode(list(range(PARAMS.n))), keys.public)
         b = bfv.encrypt(encoder.encode([2] * PARAMS.n), keys.public)
-        with ThreadedTransportServer(pool_size=2) as ts:
+        with ThreadedTransportServer(FheServer(pool_size=2)) as ts:
             with FheClient(ts.host, ts.port) as client:
                 sid = _session(client, keys)
                 jid = client.submit(
@@ -118,7 +119,7 @@ class TestSocketRoundTrip:
 
     def test_unknown_job_trace_is_a_clean_error(self, stack):
         _, keys, _ = stack
-        with ThreadedTransportServer(pool_size=2) as ts:
+        with ThreadedTransportServer(FheServer(pool_size=2)) as ts:
             with FheClient(ts.host, ts.port) as client:
                 with pytest.raises(TransportError, match="no-such-job"):
                     client.trace("no-such-job")

@@ -33,6 +33,7 @@ from repro.service.serialization import (
     serialize_params,
     serialize_relin_key,
 )
+from repro.service.server import FheServer
 from repro.service.transport import (
     FheTransportServer,
     FrameAssembler,
@@ -129,7 +130,7 @@ class TestConcurrentClients:
                 )
 
         async def scenario():
-            async with FheTransportServer(pool_size=4) as server:
+            async with FheTransportServer(FheServer(pool_size=4)) as server:
                 host, port = server.address
                 await asyncio.gather(*(
                     one_client(host, port, i) for i in range(N_CLIENTS)
@@ -206,7 +207,7 @@ class TestConcurrentClients:
 
         async def scenario():
             results: list[bool] = []
-            async with FheTransportServer(pool_size=2) as server:
+            async with FheTransportServer(FheServer(pool_size=2)) as server:
                 host, port = server.address
                 await asyncio.gather(*(
                     hammer(host, port, i, results) for i in range(4)
@@ -223,7 +224,7 @@ class TestShutdown:
         bfv, keys, encoder, rotor = stack
 
         async def scenario():
-            server = FheTransportServer(pool_size=2)
+            server = FheTransportServer(FheServer(pool_size=2))
             host, port = await server.start()
             client = await AsyncFheClient.connect(host, port)
             sid = await client.open_session(
@@ -265,7 +266,7 @@ class TestShutdown:
         bfv, keys, encoder, rotor = stack
 
         async def scenario():
-            server = FheTransportServer(pool_size=1)
+            server = FheTransportServer(FheServer(pool_size=1))
             host, port = await server.start()
             client = await AsyncFheClient.connect(host, port)
             sid = await client.open_session(
@@ -291,7 +292,7 @@ class TestProtocolRobustness:
         bfv, keys, encoder, rotor = stack
 
         async def scenario():
-            async with FheTransportServer(pool_size=1) as server:
+            async with FheTransportServer(FheServer(pool_size=1)) as server:
                 host, port = server.address
                 reader, writer = await asyncio.open_connection(host, port)
                 writer.write(encode_frame(b"\x00garbage, not a CFHE message"))
@@ -326,7 +327,9 @@ class TestProtocolRobustness:
 
     def test_oversized_frame_is_rejected(self):
         async def scenario():
-            async with FheTransportServer(pool_size=1, max_frame=1024) as server:
+            async with FheTransportServer(
+                FheServer(pool_size=1), max_frame=1024,
+            ) as server:
                 host, port = server.address
                 reader, writer = await asyncio.open_connection(host, port)
                 writer.write((1 << 30).to_bytes(4, "big"))  # announce 1 GiB
@@ -346,7 +349,7 @@ class TestProtocolRobustness:
         bfv, keys, encoder, rotor = stack
 
         async def scenario():
-            async with FheTransportServer(pool_size=1) as server:
+            async with FheTransportServer(FheServer(pool_size=1)) as server:
                 host, port = server.address
                 client = await AsyncFheClient.connect(host, port)
                 sid = await client.open_session(
@@ -367,7 +370,7 @@ class TestProtocolRobustness:
         bfv, keys, encoder, rotor = stack
 
         async def scenario():
-            async with FheTransportServer(pool_size=1) as server:
+            async with FheTransportServer(FheServer(pool_size=1)) as server:
                 host, port = server.address
                 client = await AsyncFheClient.connect(host, port)
                 ct = serialize_ciphertext(bfv.encrypt(
@@ -394,7 +397,7 @@ class TestProtocolRobustness:
         bfv, keys, encoder, rotor = stack
 
         async def scenario():
-            async with FheTransportServer(pool_size=1) as server:
+            async with FheTransportServer(FheServer(pool_size=1)) as server:
                 host, port = server.address
                 client = await AsyncFheClient.connect(host, port)
                 sid = await client.open_session(
@@ -422,7 +425,7 @@ class TestEventOrdering:
         bfv, keys, encoder, rotor = stack
 
         async def scenario():
-            async with FheTransportServer(pool_size=2) as server:
+            async with FheTransportServer(FheServer(pool_size=2)) as server:
                 host, port = server.address
                 client = await AsyncFheClient.connect(host, port)
                 sid = await client.open_session(
@@ -500,7 +503,7 @@ class TestSyncFacade:
         )
         expected = serialize_ciphertext(bfv.multiply_relin(a, b, keys.relin))
         fired = []
-        with ThreadedTransportServer(pool_size=2) as ts:
+        with ThreadedTransportServer(FheServer(pool_size=2)) as ts:
             with FheClient(ts.host, ts.port) as client:
                 sid = client.open_session(
                     "sync", serialize_params(PARAMS),
@@ -534,7 +537,7 @@ class TestSyncFacade:
                 return method(*args, **kwargs)
             return call
 
-        with ThreadedTransportServer(pool_size=2) as ts:
+        with ThreadedTransportServer(FheServer(pool_size=2)) as ts:
             fhe = ts.fhe
             for name in dir(type(fhe)):
                 if not name.startswith("_") and inspect.isfunction(
@@ -576,7 +579,7 @@ class TestSyncFacade:
                 ops.append((kind, (serialize_ciphertext(a),
                                    serialize_ciphertext(b)),
                             serialize_ciphertext(expected)))
-        with ThreadedTransportServer(pool_size=4) as ts:
+        with ThreadedTransportServer(FheServer(pool_size=4)) as ts:
             with FheClient(ts.host, ts.port) as client:
                 sid = client.open_session(
                     "mixed", serialize_params(PARAMS),

@@ -91,7 +91,7 @@ run_cov() {
 
 run_docs() {
   echo
-  echo "== docs check (doctest code blocks + intra-repo links) =="
+  echo "== docs check (doctest code blocks + intra-repo links + Class.member names) =="
   PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python tools/check_docs.py
 }
 
