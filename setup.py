@@ -27,8 +27,10 @@ setup(
     python_requires=">=3.10",
     packages=find_packages(where="src"),
     package_dir={"": "src"},
+    package_data={"repro.polymath": ["*.c"]},
     install_requires=[
         "numpy>=1.22",
+        "cffi>=1.15",
     ],
     extras_require={
         "dev": ["pytest>=7", "pytest-benchmark", "hypothesis"],

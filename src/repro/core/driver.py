@@ -324,7 +324,7 @@ class CofheeDriver:
         ``n`` and each command's opcode and buffer addresses.
 
         Only a ``"fifo"``-mode stream at ``"vector"`` fidelity, on a
-        modulus the kernel fits at ``n``, with every bank ``uint64``,
+        modulus the kernel fits, with every bank ``uint64``,
         every command in :data:`~repro.core.mdmc.GROUPED_OPCODES` at
         ``n`` and every iNTT carrying its ``n^-1``, has a key (``None``
         otherwise), so those parts of its identity are the same in every
@@ -333,7 +333,7 @@ class CofheeDriver:
         chip, n = self.chip, self._n
         if (mode != "fifo" or chip.mdmc.fidelity != "vector"
                 or self._programmed is None or not chip.fifo.empty
-                or not fits(chip.pe.q, n)
+                or not fits(chip.pe.q)
                 or any(b.data.dtype == object for b in chip.memory_map.banks)
                 or any(c.opcode not in GROUPED_OPCODES or c.n != n
                        or (c.opcode is Opcode.INTT and c.constant == 0)

@@ -16,9 +16,9 @@ Three fidelity levels let callers trade speed for detail:
   :class:`repro.core.pe.ProcessingElement` (bit-exact Barrett datapath,
   per-access SRAM statistics). Used by the verification tests.
 * ``"vector"`` (default) — the same commands on the same bank-resident
-  twiddles, computed with batched modular arithmetic: the four-step GEMM
+  twiddles, computed with batched modular arithmetic: the C butterfly
   NTT of :mod:`repro.polymath.kernels` (the one the batched tower engine
-  runs), with matrices derived from the words the twiddle bank holds, for
+  runs), with tables derived from the words the twiddle bank holds, for
   moduli of at most 30 bits, a scalar stage walk otherwise; identical
   results, and the same cycles, PE operations and per-stage bank traffic
   (:meth:`Mdmc._stage_stats`).
@@ -47,14 +47,7 @@ from repro.core.memory import MemoryMap, SramBank
 from repro.core.pe import ProcessingElement
 from repro.core.timing import TimingModel
 from repro.polymath.bitrev import bit_reverse_indices
-from repro.polymath.kernels import (
-    MAX_MODULUS_BITS,
-    FourStep,
-    fits,
-    mod,
-    mul_const,
-    transform,
-)
+from repro.polymath.kernels import NttTables, fits, mod, mul_const, transform
 from repro.polymath.rns import residue_words
 
 FIDELITY_LEVELS = ("pe", "vector", "timing")
@@ -204,7 +197,7 @@ class Mdmc:
         twiddles = self._load_vector(cmd.twiddle_addr, n)
         in_bank, _, _ = self.memory_map.decode(cmd.x_addr)
         out_bank, _, _ = self.memory_map.decode(cmd.out_addr)
-        if level == "vector" and fits(q, n):
+        if level == "vector" and fits(q):
             forward, _ = self._tables(twiddles, q)
             out = transform(residue_words(words, q)[None, None], forward)
             self._store_vector(cmd.out_addr, out[0, 0])
@@ -256,7 +249,7 @@ class Mdmc:
         forward = self._load_vector(cmd.twiddle_addr, n)
         in_bank, _, _ = self.memory_map.decode(cmd.x_addr)
         out_bank, _, _ = self.memory_map.decode(cmd.out_addr)
-        if level == "vector" and fits(q, n):
+        if level == "vector" and fits(q):
             if cmd.constant == 0:
                 raise ConfigError("iNTT requires n^-1 in the command constant field")
             _, inverse = self._tables(forward, q)
@@ -334,8 +327,7 @@ class Mdmc:
         op = cmd.opcode
         x = self._load_vector(cmd.x_addr, n)
         y = self._load_vector(cmd.y_addr, n) if op.needs_y_operand else None
-        if (level == "vector" and op is not Opcode.PMUL
-                and 1 < q and q.bit_length() <= MAX_MODULUS_BITS):
+        if level == "vector" and op is not Opcode.PMUL and fits(q):
             # PMUL stays scalar: it multiplies raw (unreduced) words.
             out = _pointwise(op, residue_words(x, q),
                              None if y is None else residue_words(y, q),
@@ -467,14 +459,13 @@ class Mdmc:
         """Run ``commands``' data through their :meth:`issue_plan`.
 
         Each group is one kernel call over its stacked bank rows, on the
-        words the banks hold now: an NTT/iNTT group's four-step tables
+        words the banks hold now: an NTT/iNTT group's kernel tables
         come from the twiddle words it reads (:meth:`_tables`), so a
         corrupted table fails its own chip's results. Each level's
         results are stored after all its groups ran. Nothing is counted:
         cycles, PE operations and bank, bus and link traffic are the
         caller's to charge. Needs ``uint64`` banks and a modulus the
-        kernel :func:`~repro.polymath.kernels.fits` at the stream's
-        degree.
+        kernel :func:`~repro.polymath.kernels.fits`.
         """
         q = self._modulus()
         for level in plan:
@@ -526,14 +517,14 @@ class Mdmc:
         self.bus.burst_write(address, values)
 
     @staticmethod
-    def _tables(twiddles: np.ndarray, q: int) -> tuple[FourStep, FourStep]:
-        """The kernel's forward and inverse matrices for this table.
+    def _tables(twiddles: np.ndarray, q: int) -> tuple[NttTables, NttTables]:
+        """The kernel's forward and inverse tables for this table.
 
         Shared across every MDMC in the process and keyed on ``q`` and
         the words just read out of the twiddle bank, as ``uint64``
         residues (never the bytes of an ``object``-dtype bank, whose
         elements are pointers): the kernel always uses exactly what the
-        bank holds, and a corrupted table derives matrices of its own.
+        bank holds, and a corrupted table derives tables of its own.
         """
         return _shared_tables(q, residue_words(twiddles, q).tobytes())
 
@@ -582,7 +573,7 @@ class Mdmc:
 
 
 # ----------------------------------------------------------------------
-# Vector-fidelity helpers (uint64, moduli of at most MAX_MODULUS_BITS)
+# Vector-fidelity helpers (uint64, moduli the kernels fit)
 # ----------------------------------------------------------------------
 
 
@@ -594,16 +585,16 @@ def _bit_reverse_array(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _shared_tables(q: int, table: bytes) -> tuple[FourStep, FourStep]:
-    """The kernel's forward and inverse matrices of a ``uint64`` residue
+def _shared_tables(q: int, table: bytes) -> tuple[NttTables, NttTables]:
+    """The kernel's forward and inverse tables of a ``uint64`` residue
     twiddle table, derived once per content and shared by every chip.
 
-    Both come from the forward table as stored: the inverse's ``psi^-e``
-    is its ``psi^(2n - e)``, the same zero-storage derivation the address
-    generator makes for the scalar iNTT (see ``_run_intt``).
+    Both come from the forward table as stored: the inverse's twiddles
+    are ``q - F[brv(n - brv(k))]``, the same zero-storage derivation the
+    address generator makes for the scalar iNTT (see ``_run_intt``).
     """
     psi = np.frombuffer(table, dtype=np.uint64)[None]
-    return FourStep.derive(psi, [q]), FourStep.derive(psi, [q], inverse=True)
+    return NttTables.derive(psi, [q]), NttTables.derive(psi, [q], inverse=True)
 
 
 def _overlap(a: tuple[str, int, int], b: tuple[str, int, int]) -> bool:

@@ -10,20 +10,19 @@ Hadamard and tensor products, additions, CRT recombination — runs across
 all towers at once, each ``% q`` one scalar divisor per tower
 (:func:`~repro.polymath.kernels.mod`).
 
-The transforms are the four-step kernel of :mod:`repro.polymath.kernels`
-— two float64 GEMMs per row around one twiddle pass, the kernel the
-chip model's MDMC runs over one bank row — with ``(L, ...)`` matrices per
-direction gathered from the per-tower contexts' ``psi`` tables, ``n^-1``
-folded into the inverse's last one. They are **bit-identical** to
-:class:`NttContext`: every GEMM partial sum is an exact float64 integer,
-and every reduction is exact mod q. The property suite proves it across
-random (n, basis, tower-count) grids.
+The transforms are the C butterfly kernel of :mod:`repro.polymath.kernels`
+— the one the chip model's MDMC runs over one bank row — with ``(L, n)``
+twiddle tables per direction taken from the per-tower contexts' ``psi``
+tables, and the inverse ending with each tower's ``n^-1``. They are
+**bit-identical** to :class:`NttContext`: every butterfly leaves its
+words fully reduced. The property suite proves it across random (n,
+basis, tower-count) grids.
 
 Engine selection is capability-based: :func:`get_engine` returns a cached
 engine when every tower modulus is an NTT-friendly prime of at most
-:data:`MAX_MODULUS_BITS` bits that keeps the kernel's GEMMs exact at
-``n`` (:func:`~repro.polymath.kernels.fits`), and ``None`` otherwise —
-callers fall back to the exact pure-Python path for wide moduli.
+:data:`MAX_MODULUS_BITS` bits (:func:`~repro.polymath.kernels.fits`), and
+``None`` otherwise — callers fall back to the exact pure-Python path for
+wide moduli.
 
 When q's own towers are engine-sized, nothing between wire and wire needs
 a wide integer, as on the chip: a ciphertext is a tower-backed
@@ -64,8 +63,7 @@ def supports(moduli: "RnsBasis | Sequence[int]", n: int) -> bool:
     """Can the batched engine run this basis at degree ``n``?
 
     Requires a power-of-two degree and, per tower, an NTT-friendly prime
-    (``q === 1 mod 2n``) of at most :data:`MAX_MODULUS_BITS` bits whose
-    GEMM partial sums stay exact at ``n``
+    (``q === 1 mod 2n``) of at most :data:`MAX_MODULUS_BITS` bits
     (:func:`~repro.polymath.kernels.fits`). Wide moduli (e.g. SEAL's
     54/55-bit CPU towers or CoFHEE's native 109-bit towers) fail the
     check and stay on the exact pure-Python path.
@@ -74,7 +72,7 @@ def supports(moduli: "RnsBasis | Sequence[int]", n: int) -> bool:
     if n < 2 or n & (n - 1) or not mods:
         return False
     return all(
-        kernels.fits(q, n)
+        kernels.fits(q)
         and (q - 1) % (2 * n) == 0
         and is_prime(q)
         for q in mods
@@ -129,13 +127,13 @@ class BatchedRnsEngine:
                 f"n = {n} (wide or non-NTT-friendly towers); use NttContext"
             )
         # Per-tower contexts build (and validate) the psi tables the
-        # kernel's matrices are gathered from, as on the chip.
+        # kernel's twiddles come from, as on the chip.
         ctxs = [NttContext(n, q) for q in basis.moduli]
         psi = np.asarray([c._psi_brv for c in ctxs], dtype=np.uint64)
         self._init_tables(basis, n, (
-            kernels.FourStep.derive(psi, basis.moduli),
-            kernels.FourStep.derive(psi, basis.moduli, inverse=True,
-                                    scale=[c.n_inv for c in ctxs]),
+            kernels.NttTables.derive(psi, basis.moduli),
+            kernels.NttTables.derive(psi, basis.moduli, inverse=True,
+                                     scale=[c.n_inv for c in ctxs]),
         ))
 
     def _init_tables(self, basis: RnsBasis, n: int, ntt: tuple) -> None:

@@ -742,7 +742,8 @@ class EventMsg:
     A done job's event also carries what the serving backend modelled:
     ``cycles``, ``model_seconds`` and the ``fidelity`` it ran at (the
     fleet router copies them into the front door's job metrics; the
-    front door measures ``host_seconds`` itself).
+    front door measures ``host_seconds`` itself). A failed job's carries
+    the ``cycles`` it executed before failing.
     """
 
     job_id: str

@@ -708,12 +708,15 @@ class FheTransportServer:
         self._ensure_pump()
 
     def _completion_for(self, job_id: str) -> EventMsg:
-        """(Engine thread) completion event for one already-done job."""
+        """(Engine thread) completion event for one already-done job.
+
+        A failed job's event still carries the cycles it executed, so a
+        fleet router counts them as the worker's chip pool did."""
         status = self.fhe.status(job_id)
+        metrics = self.fhe.job_metrics(job_id)
         if status is JobStatus.DONE:
             wire = self.fhe.result(job_id)
             payload = wire if isinstance(wire, (bytes, bytearray)) else b""
-            metrics = self.fhe.job_metrics(job_id)
             return EventMsg(
                 job_id=job_id, status=status.value, payload=bytes(payload),
                 cycles=metrics.cycles, model_seconds=metrics.model_seconds,
@@ -722,6 +725,7 @@ class FheTransportServer:
         return EventMsg(
             job_id=job_id, status=JobStatus.FAILED.value,
             error=_short(self.fhe.job_error(job_id) or "job failed"),
+            cycles=metrics.cycles,
         )
 
     async def _on_status(self, conn: _Connection, msg: StatusMsg) -> None:

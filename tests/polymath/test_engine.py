@@ -157,7 +157,7 @@ class TestAutoSelection:
         assert require_engine(p, 16) is get_engine(RnsBasis(p.moduli), 16)
 
     def test_select_shares_the_ntt_tables(self, rns3, rng):
-        """A run of towers gets views of the parent's matrices, not copies;
+        """A run of towers gets views of the parent's tables, not copies;
         any other subset gets its own, and both transform alike."""
         engine, basis, n = rns3
         stack = engine.stack([[rng.randrange(q) for _ in range(n)]
@@ -166,7 +166,7 @@ class TestAutoSelection:
             sub = engine.select(indices)
             for mine, parent in ((sub._fwd, engine._fwd),
                                  (sub._inv, engine._inv)):
-                for name in ("left", "mid", "right", "q"):
+                for name in ("w", "w_shoup", "q", "scale", "scale_shoup"):
                     assert np.shares_memory(
                         getattr(mine, name), getattr(parent, name)
                     ) is shared

@@ -1,16 +1,15 @@
 """Property suite: the batched RNS tower engine is bit-identical to
 :class:`NttContext` across random (n, basis, tower-count) grids.
 
-The engine's four-step kernel is exact because every float64 GEMM partial
-sum is an integer below ``n1 * 2^15 * (q - 1) < 2^53``: the limbs of its
-centred matrices are at most ``2^14`` and its data smaller than ``q``. The
+The engine's C butterfly kernel keeps every word in ``[0, q)`` after each
+butterfly, so its output is :class:`NttContext`'s bit for bit. The
 strategies bias coefficients toward 0, 1, q-2 and q-1, where an
-off-by-one in a reduction would surface; the all-(q-1) stack drives every
-partial sum toward the bound at every size, up to the largest ``n1`` a
-30-bit tower admits; and a hand-built table puts every centred limb at
-its maximum magnitude. Single-tower degenerate stacks are part of the
-grid. 31-bit towers, one bit past the kernel's bound, are the fallback
-grid: no engine, and the pure path stays bit-identical.
+off-by-one in a reduction would surface; the all-(q-1) stack drives
+every butterfly sum and Shoup remainder toward its bound at every size,
+up to ``n = 2^15``; and the degree range runs from ``n = 2`` to CoFHEE's
+native maximum, ``n = 2^14``. Single-tower degenerate stacks are part of
+the grid. 31-bit towers, one bit past the kernel's bound, are the
+fallback grid: no engine, and the pure path stays bit-identical.
 """
 
 import numpy as np
@@ -29,7 +28,7 @@ from repro.polymath.engine import (
     supports,
 )
 from repro.polymath.ntt import NttContext
-from repro.polymath.primes import is_prime, ntt_friendly_prime
+from repro.polymath.primes import ntt_friendly_prime
 from repro.polymath.rns import RnsBasis, plan_towers
 
 #: (n, tower_bits, tower_count) grid; towers = 1 is the degenerate
@@ -47,8 +46,7 @@ _GRID = [
 ]
 
 #: 30-bit sizes too long for drawn coefficients, run as all-(q-1)
-#: stacks: n1 != n2, the paper's n = 2^12, and n1 = 256, the largest
-#: n1 a 30-bit tower admits.
+#: stacks: an odd number of stages, the paper's n = 2^12, and n = 2^15.
 _LONG = [(2048, 30, 2), (4096, 30, 3), (1 << 15, 30, 1)]
 
 #: (n, tower_count) of 31-bit bases: the former plain-kernel rows.
@@ -138,7 +136,7 @@ def test_select_view_matches_full_engine(case, data):
 
 @pytest.mark.parametrize("case", _GRID + _LONG)
 def test_all_max_coefficients_through_both_kernels(case):
-    """The all-(q-1) stack drives the GEMM partial sums to the bound."""
+    """The all-(q-1) stack drives every butterfly toward its bound."""
     n, bits, towers = case
     engine = _ENGINES.get(case) or BatchedRnsEngine(
         RnsBasis(plan_towers(bits * towers, bits, n)), n
@@ -151,34 +149,6 @@ def test_all_max_coefficients_through_both_kernels(case):
         assert f.tolist() == ref.forward(tower)
         assert i.tolist() == ref.inverse(tower)
     assert engine.inverse(fwd).tolist() == engine.stack(stack).tolist()
-
-
-def test_limbs_at_their_maximum_magnitude_stay_exact():
-    """A hand-built table whose every centred limb is at its maximum
-    magnitude (high ``2^14``, low ``-2^14``), all-(q-1) data, and the
-    largest ``n1`` a 30-bit tower admits, in both orientations."""
-    q = next(p for p in range((1 << 30) - 1, 0, -2) if is_prime(p))
-    c = (1 << 29) - (1 << 14)  # centred: c <= (q - 1) / 2
-    assert 2 * c < q
-    limbs = kernels._limbs(np.asarray([[[c]]], dtype=np.uint64),
-                           np.asarray([[[q]]], dtype=np.uint64))
-    assert limbs.ravel().tolist() == [2.0**29, -(2.0**14)]
-    n1, n2 = kernels.split(1 << 15)
-    assert n1 == 256 and kernels.fits(q, 1 << 15)
-    assert not kernels.fits(q, 1 << 17)
-
-    def table(*shape):
-        return np.stack([np.full((1, *shape), v) for v in limbs.ravel()])
-
-    for r, s, inverse in ((n1, n2, False), (n2, n1, True)):
-        tables = kernels.FourStep(
-            left=table(r, r), mid=table(r, 1, s), right=table(s, s),
-            q=np.full((1, 1, 1, 1), float(q)), inverse=inverse,
-        )
-        a = np.full((1, 1, r * s), q - 1, dtype=np.int64)
-        # Every entry is sum_s (sum_r c (q-1)) c c: r s c^3 (q-1) mod q.
-        want = r * s * c**3 * (q - 1) % q
-        assert kernels.transform(a, tables).ravel().tolist() == [want] * (r * s)
 
 
 def _check_against_nttcontext(engine, stack, fwd, inv, rows):
@@ -200,27 +170,16 @@ def _random_stack(engine, batch, seed, dtype=np.int64):
     return stack.astype(dtype)
 
 
-def test_trailing_partial_batch_chunk():
-    """``B n`` past a chunk: one tower at a time, in batch chunks of
-    ``CHUNK_WORDS // n`` rows and a trailing partial one."""
-    n, batch = 4096, 9
-    step = kernels.CHUNK_WORDS // n
-    assert batch * n > kernels.CHUNK_WORDS and batch % step
-    engine = BatchedRnsEngine(RnsBasis(plan_towers(60, 30, n)), n)
-    stack = _random_stack(engine, batch, 9)
-    fwd, inv = engine.forward(stack), engine.inverse(stack)
-    _check_against_nttcontext(engine, stack, fwd, inv,
-                              [0, step - 1, step, batch - 1])
-
-
-def test_tower_runs_the_run_size_does_not_divide():
-    """Runs of two towers, whose last is one tower: the ``(k, 1, 1, 1)``
-    column branch and the scalar one in the same call."""
-    n, batch, towers = 4096, 3, 3
-    run = kernels.CHUNK_WORDS // (batch * n)
-    assert run == 2 and towers % run == 1
+@pytest.mark.parametrize("batch,towers,n", [
+    (9, 2, 4096), (3, 3, 4096), (2, 3, 2), (2, 3, 1 << 14),
+])
+def test_stacks_match_nttcontext(batch, towers, n):
+    """Every row of a multi-row, multi-tower stack of 30-bit towers uses
+    its own tower's tables, at both ends of the degree range: ``n = 2``
+    and CoFHEE's native maximum, ``n = 2^14``."""
     engine = BatchedRnsEngine(RnsBasis(plan_towers(30 * towers, 30, n)), n)
-    stack = _random_stack(engine, batch, 3)
+    assert all(q.bit_length() == 30 for q in engine.basis.moduli)
+    stack = _random_stack(engine, batch, batch + n)
     fwd, inv = engine.forward(stack), engine.inverse(stack)
     _check_against_nttcontext(engine, stack, fwd, inv, range(batch))
 
@@ -241,25 +200,17 @@ def test_non_contiguous_input(dtype):
     _check_against_nttcontext(flipped, before, fwd, inv, range(3))
 
 
-@pytest.mark.parametrize("shape", [(21, 7, 16), (4, 7, 16), (21, 7, 64),
-                                   (4, 7, 64)])
-def test_short_rows_go_through_in_one_chunk(shape, monkeypatch):
-    """A stack of short rows makes one GEMM pair per transform."""
-    batch, towers, n = shape
-    engine = BatchedRnsEngine(RnsBasis(plan_towers(30 * towers, 30, n)), n)
-    stack = _random_stack(engine, batch, n)
-    calls = []
-    matmul = np.matmul
-
-    def counting(*args, **kwargs):
-        calls.append(args[0].shape)
-        return matmul(*args, **kwargs)
-
-    monkeypatch.setattr(np, "matmul", counting)
-    engine.forward(stack)
-    assert len(calls) == 2
-    engine.inverse(stack)
-    assert len(calls) == 4
+def test_transform_rejects_tables_of_another_shape():
+    """The C kernel reads its tables by the stack's shape, so a stack of
+    another tower count or degree, or tables of a degree that is not a
+    power of two, are refused before the call."""
+    engine = _ENGINES[(16, 30, 2)]
+    for shape in ((3, 2, 8), (3, 1, 16), (3, 3, 16)):
+        with pytest.raises(ValueError, match="tables"):
+            kernels.transform(np.zeros(shape, np.int64), engine._fwd)
+    odd = kernels.NttTables.derive(np.ones((1, 12), np.uint64), [97])
+    with pytest.raises(ValueError, match="tables"):
+        kernels.transform(np.zeros((1, 1, 12), np.int64), odd)
 
 
 @pytest.mark.parametrize("k", [1, 4, 21])
@@ -292,18 +243,17 @@ def test_every_grid_tower_fits_the_kernels():
         assert supports(_ENGINES[(n, bits, towers)].basis, n)
 
 
-def test_supports_rejects_n1_past_the_exactness_bound():
-    """``n1 * 2^15 * (q - 1)`` must stay below ``2^53``: a 30-bit tower
-    runs up to ``n1 = 256``, a 29-bit one to ``n1 = 512``, whatever the
-    NTT-friendliness."""
-    n = 1 << 17  # n1 = 512
-    wide, narrow = ntt_friendly_prime(n, 30), ntt_friendly_prime(n, 29)
-    assert kernels.split(n)[0] * 2**15 * (wide - 1) >= 2**53
-    assert supports(RnsBasis([wide]), n // 2)  # n1 = 256
-    assert not supports(RnsBasis([wide]), n)
+def test_supports_takes_any_power_of_two_degree():
+    """Only a tower's width bounds the kernel: a 30-bit tower runs at
+    ``n = 2^17``, a 31-bit one beside it does not, and the degree must
+    be a power of two of at least 2."""
+    n = 1 << 17
+    tower, wide = ntt_friendly_prime(n, 30), ntt_friendly_prime(n, 31)
+    assert supports(RnsBasis([tower]), n)
+    assert not supports(RnsBasis([tower, wide]), n)
     assert get_engine(RnsBasis([wide]), n) is None
-    assert supports(RnsBasis([narrow]), n)
-    assert not supports(RnsBasis([narrow, wide]), n)
+    assert not supports(RnsBasis([tower]), 3 * 2**10)
+    assert not supports(RnsBasis([tower]), 1)
 
 
 @pytest.mark.parametrize("n,towers", _FALLBACK_GRID)

@@ -164,3 +164,27 @@ def test_a_failed_job_carries_the_cycles_it_added(tenant, monkeypatch):
     assert "datapath fault" in job.error
     assert job.metrics.cycles == backend.total_cycles > 0
     assert job.metrics.makespan_cycles == backend.wall_cycles
+
+
+def test_a_fleet_job_failing_on_its_worker_reports_its_cycles(
+        tenant, monkeypatch):
+    """A job that fails on a fleet worker's chip pool reports the busy
+    cycles it added there, as the same job on an in-process pool does:
+    the worker's failure EVENT carries them."""
+    _, keys, cts = tenant
+    wires = [serialize_ciphertext(ct) for ct in cts[:2]]
+    _break_the_tensor_stream(monkeypatch)
+    cycles = {}
+    for backend, options in (("chip_pool", {"pool_size": 1}),
+                             ("fleet", {"fleet_size": 1,
+                                        "fleet_mode": "thread"})):
+        with FheServer(result_cache_size=0, **options) as server:
+            sid = _server_session(server, keys)
+            jid = server.submit(sid, JobKind.MULTIPLY, wires, backend=backend)
+            with pytest.raises(RuntimeError, match="datapath fault"):
+                server.result(jid)
+            cycles[backend] = server.job_metrics(jid).cycles
+            assert server.scheduler.stats.total_cycles == cycles[backend]
+            if backend == "fleet":
+                assert server.fleet_report()["total_cycles"] == cycles[backend]
+    assert cycles["fleet"] == cycles["chip_pool"] > 0

@@ -1,11 +1,11 @@
-"""One derivation of the NTT kernel's matrices per twiddle table, shared
+"""One derivation of the NTT kernel's tables per twiddle table, shared
 across the pool.
 
 Every chip of a pool that holds the same ``(q, n)`` twiddle table runs
-its vector NTT/iNTT from one pair of four-step tables (forward and
+its vector NTT/iNTT from one pair of kernel tables (forward and
 inverse), derived once per process from the words the MDMC reads out of
 the twiddle bank and keyed on ``q`` and those words. The key is the
-bank's content, so a corrupted table derives matrices of its own and the
+bank's content, so a corrupted table derives tables of its own and the
 per-tower cross-check catches it, and a bank promoted to ``object``
 dtype by a wide-modulus session still keys on its values.
 """
@@ -77,7 +77,7 @@ def table_builds(monkeypatch):
     """``(q, n)`` of every MDMC table derivation, from an empty cache."""
     mdmc._shared_tables.cache_clear()
     builds = []
-    original = mdmc.FourStep
+    original = mdmc.NttTables
 
     class Spy:
         @staticmethod
@@ -86,7 +86,7 @@ def table_builds(monkeypatch):
                 builds.append((q[0], psi_brv.shape[-1]))
             return original.derive(psi_brv, q, inverse)
 
-    monkeypatch.setattr(mdmc, "FourStep", Spy)
+    monkeypatch.setattr(mdmc, "NttTables", Spy)
     yield builds
     mdmc._shared_tables.cache_clear()
 
@@ -115,9 +115,9 @@ def test_one_derivation_per_table_across_the_pool(table_builds):
 
 def test_corrupted_twiddle_word_trips_the_cross_check(table_builds):
     """One twiddle word overwritten through the bus on a programmed chip:
-    the next tower unit runs on matrices derived from the corrupted
+    the next tower unit runs on tables derived from the corrupted
     table, fails with a datapath fault and returns no result.
-    Reprogramming restores the table, and the good matrices are still
+    Reprogramming restores the table, and the good tables are still
     shared."""
     params = BfvParameters.toy_rns(N, 1, 30)
     bfv, keys, cts = _tenant(params, 31, 30)

@@ -161,10 +161,12 @@ echo "== tier-1 test suite =="
 # operands vs exact Python ints, past the budget on a 19-tower basis, and
 # `kernels.mod`, the one helper they all reduce with, against
 # np.remainder at both budgets' edges; tests/property/test_property_lazy_reduction.py),
-# the NTT kernel's chunk-boundary tests (a trailing partial batch chunk,
-# tower runs the run size does not divide, strided int64/uint64 input,
-# one GEMM pair per transform for short rows;
-# tests/property/test_property_engine.py),
+# the NTT kernel's shape and degree-range tests (multi-row multi-tower
+# stacks, strided int64/uint64 input, n = 2 and n = 2^14 against
+# NttContext; tests/property/test_property_engine.py), its build-cache
+# tests (two concurrent first imports, no gcc on PATH;
+# tests/polymath/test_kernel_build.py), the failed fleet job's cycles
+# (tests/service/test_job_accounting.py),
 # the app-circuit serving suites (tests/service/test_circuit_*.py), the
 # app circuits' pinned wire-byte digests (tests/apps/test_circuit_bytes.py),
 # `kernels.mod`'s one-call small-tower path
@@ -219,7 +221,7 @@ echo
 echo "== line counts (tracked in ROADMAP.md; printed, not gated) =="
 echo "src/repro/service: $(cat src/repro/service/*.py | wc -l)"
 echo "src/repro/core: $(cat src/repro/core/*.py | wc -l)"
-echo "src/repro/polymath: $(cat src/repro/polymath/*.py | wc -l)"
+echo "src/repro/polymath: $(cat src/repro/polymath/*.py src/repro/polymath/*.c | wc -l)"
 echo "src/repro/apps: $(cat src/repro/apps/*.py | wc -l)"
 echo "src/: $(cat src/repro/*.py src/repro/*/*.py | wc -l)"
 
