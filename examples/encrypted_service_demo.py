@@ -166,9 +166,8 @@ def cryptonets_tenant(client: FheClient) -> None:
     assert scores == model.infer_plain(images)
     classes = model.classify(scores)
     print(f"  globex: cryptonets circuit ({len(circuit.steps)} steps, "
-          f"{len(circuit.tensor_steps)} tensors across "
-          f"{1 + max(circuit.tensor_levels().values())} dependency levels) "
-          f"served over TCP; classes {classes} match plaintext ✓")
+          f"{len(circuit.tensor_steps)} tensors) served over TCP; "
+          f"classes {classes} match plaintext ✓")
 
 
 def print_observability(ts, client: FheClient) -> None:

@@ -23,7 +23,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.bfv.params import BfvParameters
-from repro.polymath.engine import BatchedRnsEngine, get_engine
 from repro.polymath.ntt import NttContext
 from repro.polymath.rns import RnsBasis, residue_words
 
@@ -42,13 +41,9 @@ class SoftwareBfv:
     per tower, 4 forward NTTs, 4 Hadamard products, 1 addition, 3 inverse
     NTTs — the outputs CRT-recombine to the big-modulus tensor mod q.
 
-    Where every tower modulus is a word-sized NTT-friendly prime, the
-    whole tower stack executes in one pass on the batched engine
-    (:mod:`repro.polymath.engine`). Wide or non-NTT-friendly towers fall
-    back, per basis, to the exact pure-Python :class:`NttContext` path;
-    results are bit-identical. :meth:`tensor_towers` (and
-    :meth:`_pure_tower` per tower) always run that per-butterfly path:
-    the reference the engine and the chip model are checked against.
+    Every tower runs through the exact per-butterfly :class:`NttContext`
+    (:meth:`_pure_tower`), whatever its width: this is the reference the
+    batched engine and the chip model are checked against.
 
     Args:
         basis: the RNS tower basis.
@@ -58,14 +53,7 @@ class SoftwareBfv:
     def __init__(self, basis: RnsBasis, n: int):
         self.basis = basis
         self.n = n
-        self._engine: BatchedRnsEngine | None = get_engine(basis, n)
-        self._tower_index = {q: i for i, q in enumerate(basis.moduli)}
         self.tower_ops = {"ntt": 0, "intt": 0, "hadamard": 0, "add": 0}
-
-    @property
-    def engine_kind(self) -> str:
-        """Which execution engine this instance selected."""
-        return "batched" if self._engine is not None else "pure"
 
     def tower_multiply(
         self,
@@ -73,18 +61,10 @@ class SoftwareBfv:
         ct_a: tuple[Sequence[int], Sequence[int]],
         ct_b: tuple[Sequence[int], Sequence[int]],
     ) -> list[list[int]]:
-        """The Eq. 4 tensor on one tower: ``[y0, y1, y2]`` mod ``q``.
-
-        On the batched path this computes the whole tower stack and keeps
-        row ``q``; callers wanting every tower use :meth:`tensor_towers`.
-        """
-        if q not in self._tower_index:
+        """The Eq. 4 tensor on one tower: ``[y0, y1, y2]`` mod ``q``."""
+        if q not in self.basis.moduli:
             raise ValueError(f"modulus {q} is not a tower of {self.basis!r}")
         self._count_tensor_ops(towers=1)
-        if self._engine is not None:
-            idx = self._tower_index[q]
-            full = self._full_tensor(ct_a, ct_b)
-            return [y[idx].tolist() for y in full]
         return self._pure_tower(q, ct_a, ct_b)
 
     def _pure_tower(self, q, ct_a, ct_b) -> list[list[int]]:
@@ -104,11 +84,6 @@ class SoftwareBfv:
             [int(c) for c in ctx.inverse(y1)],
             [int(c) for c in ctx.inverse(y2)],
         ]
-
-    def _full_tensor(self, ct_a, ct_b):
-        """The engine's full-stack tensor of two big-modulus ciphertexts."""
-        eng = self._engine
-        return eng.tensor(*(eng.decompose(p) for p in (*ct_a, *ct_b)))
 
     def tensor_towers(
         self,
@@ -139,17 +114,8 @@ class SoftwareBfv:
         ct_a: tuple[Sequence[int], Sequence[int]],
         ct_b: tuple[Sequence[int], Sequence[int]],
     ) -> list[list[int]]:
-        """Return the three tensor polynomials mod q (big-modulus form).
-
-        On the batched path all towers of the tensor run in one engine
-        pass and the CRT recombination is vectorized; the per-tower op
-        counters tally the same logical work either way.
-        """
-        if self._engine is not None:
-            eng = self._engine
-            self._count_tensor_ops(towers=eng.num_towers)
-            y0, y1, y2 = self._full_tensor(ct_a, ct_b)
-            return [eng.reconstruct(y) for y in (y0, y1, y2)]
+        """Return the three tensor polynomials mod q (big-modulus form),
+        CRT-recombined from :meth:`tower_multiply` on every tower."""
         tower_results = [
             self.tower_multiply(q, ct_a, ct_b) for q in self.basis.moduli
         ]

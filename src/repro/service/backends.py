@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,7 +36,6 @@ from repro.baselines.software import CpuCostModel, SoftwareBfv
 from repro.bfv.scheme import Ciphertext
 from repro.core.chip import ChipConfig, CoFHEE
 from repro.core.driver import CofheeDriver
-from repro.core.scheduler import Scheduler, ciphertext_multiply_program
 from repro.polymath.rns import RnsBasis
 from repro.service.circuits import (
     Circuit,
@@ -183,34 +183,34 @@ class ChipWorker:
     driver: CofheeDriver
     busy_cycles: int = 0
 
-    @property
-    def programmed(self) -> tuple[int, int] | None:
-        """The driver's currently programmed ``(q, n)``: the twiddle table
-        a unit on another modulus must download first."""
-        return self.driver.programmed
 
-    def run_tower(
-        self, ct_a: np.ndarray, ct_b: np.ndarray, q: int,
-    ) -> tuple[list[np.ndarray], int]:
-        """Execute one tower's Algorithm 3 on this chip; returns (outs, cycles).
+class JobPrice(NamedTuple):
+    """A circuit's chip cycles from :class:`~repro.core.timing.TimingModel`,
+    by term (see :meth:`ChipPoolBackend._price`)."""
 
-        ``ct_a``/``ct_b`` are the operands' ``(2, n)`` residues mod ``q``.
-        Reprogramming is amortized by the driver (a worker running
-        consecutive units on one modulus pays the twiddle download once);
-        compute cycles land on ``busy_cycles``.
-        """
-        outs, report = self.driver.ciphertext_multiply_tower_words(ct_a, ct_b, q)
-        self.busy_cycles += report.cycles
-        return outs, report.cycles
+    tensor: int  # every Eq. 4 tensor step, all towers
+    tails: list[int]  # key-switch tails: relinearizations, then rotations
+    copies: int  # the rotations' automorphism copies
+    linear: int  # the linear steps' pointwise passes
+
+
+#: Pointwise passes per linear step over the ciphertext components:
+#: ct+ct touches both components (2), ct+pt only ``c0`` (1), ct*pt scales
+#: both (2), and a multiply-accumulate is the scale plus the add (4).
+LINEAR_PASSES = {
+    OP_ADD: 2, OP_SUB: 2, OP_ADD_CONST: 1, OP_MUL_CONST: 2, OP_MAC_CONST: 4,
+}
 
 
 class ChipPoolBackend(Backend):
     """Jobs run across a pool of N simulated CoFHEE chips.
 
     Jobs run one at a time (see :meth:`Backend.execute_batch`); each is
-    settled as soon as its own work is done. Inside a job's circuit:
+    evaluated exactly, priced once from the chip's
+    :class:`~repro.core.timing.TimingModel` (:meth:`_price`) and charged
+    to the pool one of two ways:
 
-    * **Tower level** — on chip-native moduli, every Eq. 4 tensor step
+    * **Chip path** — on chip-native moduli, every Eq. 4 tensor step
       (an EvalMult, or a squaring: the same tensor with ``a == b``)
       runs once per RNS tower, each tower on its modulus's *home chip*
       (:meth:`_home`). CoFHEE downloads one twiddle table per modulus
@@ -220,16 +220,16 @@ class ChipPoolBackend(Backend):
       multiply on a pool of 4 finishes in ~one tower's time. Every tower
       runs the real Algorithm 3 command stream on its home chip's driver
       and is cross-checked mod ``q_i`` against the scheme's own tensor
-      row. Linear steps (adds, plaintext multiply-accumulates) are
-      pointwise-priced on the lead worker, and each key switch becomes a
-      model-priced tail on the then-least-loaded worker.
+      row; its measured cycles stand in for the modeled tensor term.
+      The lead worker then takes the rotations' automorphism copies,
+      each key switch becomes a tail on the then-least-loaded worker,
+      and the linear steps' passes go on the lead last.
     * **Model path** — a circuit with no tensor step (add/sub/rotate,
-      linear circuits) or whose moduli are not chip-native is priced
-      whole on the then-least-loaded *lead* worker.
+      linear circuits) or whose moduli are not chip-native is charged
+      whole to the then-least-loaded *lead* worker.
 
     The pool's makespan (max per-worker busy cycles) is what shrinks as
-    the pool grows. Cycles for non-native work come from compiling the
-    Algorithm 3 DAG with :class:`~repro.core.scheduler.Scheduler`.
+    the pool grows.
     """
 
     def __init__(self, pool_size: int = 1, chip_config: ChipConfig | None = None):
@@ -243,7 +243,6 @@ class ChipPoolBackend(Backend):
             self.workers.append(
                 ChipWorker(index=i, chip=chip, driver=CofheeDriver(chip))
             )
-        self._tensor_estimate: dict[int, int] = {}  # n -> per-tower cycles
         self._homes: dict[tuple[int, int], int] = {}  # (q, n) -> worker
 
     # -- accounting --------------------------------------------------------
@@ -262,6 +261,10 @@ class ChipPoolBackend(Backend):
     def _execute_job(self, job: Job, registry: SessionRegistry) -> None:
         """Run one job end to end on the pool and settle it.
 
+        The exact host math runs first; on the chip path it records each
+        tensor's operands as the circuit evaluates, and the tensors then
+        replay in that order, each tower on its modulus's home chip.
+
         The job's ``cycles`` are every busy cycle it added across the
         pool, even when it fails mid-replay, so the jobs' cycles add up
         to the pool's own; ``makespan_cycles`` is its largest
@@ -269,16 +272,62 @@ class ChipPoolBackend(Backend):
         """
         before = [w.busy_cycles for w in self.workers]
         try:
-            session = registry.get(job.session_id)
+            circuit: Circuit = job.payload
             basis = (
-                self._chip_native_basis(session)
-                if job.payload.tensor_steps else None
+                self._chip_native_basis(registry.get(job.session_id))
+                if circuit.tensor_steps else None
             )
-            lead = self._least_loaded()
+            tensors: list[tuple] = []  # on_tensor's (step, a, b, rows)
+            session, result = self._run_job(
+                registry, job,
+                on_tensor=None if basis is None else (
+                    lambda *tensor: tensors.append(tensor)
+                ),
+            )
+            price = self._price(session, circuit)
+            lead = finish = self._least_loaded()
             if basis is None:
-                self._execute_modeled(job, registry, lead)
+                cycles = (
+                    price.tensor + sum(price.tails) + price.copies
+                    + price.linear
+                )
+                lead.busy_cycles += cycles
+                job.metrics.fidelity = "model"
             else:
-                self._execute_on_chip(job, registry, basis, lead)
+                n = session.params.n
+                homes = [self._home(q, n) for q in basis.moduli]
+                per_tower = [0] * len(homes)
+                run_start = time.perf_counter()
+                for _, a, b, rows in tensors:
+                    operands, expected = self._tower_operands(
+                        basis, n, a, b, rows
+                    )
+                    for tower, worker in enumerate(homes):
+                        per_tower[tower] += self._run_tower_checked(
+                            worker, operands, expected, tower,
+                            basis.moduli[tower],
+                        )
+                relin_start = time.perf_counter()
+                job.trace.mark("worker_execute", run_start, relin_start)
+                lead.busy_cycles += price.copies
+                for tail in price.tails:
+                    finish = self._least_loaded()
+                    finish.busy_cycles += tail
+                lead.busy_cycles += price.linear
+                job.metrics.fidelity = "chip"
+                job.metrics.tower_cycles = tuple(per_tower)
+                job.metrics.tower_workers = tuple(
+                    sorted({w.index for w in homes})
+                )
+                job.metrics.relin_cycles = price.copies + sum(price.tails)
+                job.trace.mark("relin_tail", relin_start, time.perf_counter())
+                cycles = (
+                    sum(per_tower) + job.metrics.relin_cycles + price.linear
+                )
+            job.metrics.worker = finish.index
+            self._finish(
+                job, result, cycles / finish.chip.clock.frequency_hz
+            )
         finally:
             added = [w.busy_cycles - b for w, b in zip(self.workers, before)]
             job.metrics.cycles = sum(added)
@@ -301,77 +350,46 @@ class ChipPoolBackend(Backend):
                 worker=w.index,
             ).set(w.busy_cycles / total if total else 0.0)
 
-    def _execute_modeled(
-        self, job: Job, registry: SessionRegistry, lead: ChipWorker,
-    ) -> None:
-        """Model path: exact host-side math, cycles priced on the lead.
-
-        Circuits without a tensor step, and tensors whose moduli are not
-        chip-native, take this path.
-        """
-        session, result = self._run_job(registry, job)
-        cycles = self._job_cycles(session, job.payload)
-        lead.busy_cycles += cycles
-        job.metrics.fidelity = "model"
-        self._settle_on(job, lead, cycles, result)
-
-    def _execute_on_chip(
-        self, job: Job, registry: SessionRegistry, basis: RnsBasis,
-        lead: ChipWorker,
-    ) -> None:
-        """Chip path: every Eq. 4 tensor of the job replays tower-by-tower.
-
-        The exact host math runs first, recording each tensor's operands
-        as the circuit evaluates; the tensors then replay in that order,
-        each tower on its modulus's home chip. Each key-switch tail is
-        charged to the then-least-loaded worker, so the tails do not
-        serialize on the lead, which runs the rotations' automorphism
-        copies and the linear steps.
-        """
-        circuit: Circuit = job.payload
-        tensors: list[tuple[int, Ciphertext, Ciphertext, tuple | None]] = []
-        session, result = self._run_job(
-            registry, job,
-            on_tensor=lambda *tensor: tensors.append(tensor),
-        )
-        n = session.params.n
-        homes = [self._home(q, n) for q in basis.moduli]
-        per_tower = [0] * len(homes)
-        run_start = time.perf_counter()
-        for _, a, b, rows in tensors:
-            operands, expected = self._tower_operands(basis, n, a, b, rows)
-            for tower, worker in enumerate(homes):
-                per_tower[tower] += self._run_tower_checked(
-                    worker, operands, expected, tower, basis.moduli[tower]
-                )
-        relin_start = time.perf_counter()
-        job.trace.mark("worker_execute", run_start, relin_start)
-        tails, copies = self._key_switch_tails(session, circuit)
-        lead.busy_cycles += copies
-        finish_worker = lead
-        for cycles in tails:
-            finish_worker = self._least_loaded()
-            finish_worker.busy_cycles += cycles
-        linear_cycles = self._circuit_linear_cycles(session, circuit)
-        lead.busy_cycles += linear_cycles
-        job.metrics.fidelity = "chip"
-        job.metrics.tower_cycles = tuple(per_tower)
-        job.metrics.tower_workers = tuple(sorted({w.index for w in homes}))
-        job.metrics.relin_cycles = copies + sum(tails)
-        job.trace.mark("relin_tail", relin_start, time.perf_counter())
-        self._settle_on(
-            job, finish_worker,
-            sum(per_tower) + job.metrics.relin_cycles + linear_cycles, result,
-        )
-
-    def _settle_on(
-        self, job: Job, worker: ChipWorker, cycles: int, result: object,
-    ) -> None:
-        job.metrics.worker = worker.index
-        self._finish(job, result, cycles / worker.chip.clock.frequency_hz)
-
     def _least_loaded(self) -> ChipWorker:
         return min(self.workers, key=lambda w: (w.busy_cycles, w.index))
+
+    def _price(self, session: Session, circuit: Circuit) -> JobPrice:
+        """The circuit's cycles by term, from the chip's Table V formulas.
+
+        Each tensor step is one Algorithm 3 ciphertext multiply per
+        tower; each relinearization step (fewer than the tensors when a
+        circuit defers key switches with the split ops) and each
+        rotation step is one key-switch tail, and a rotation first
+        copies both components through the automorphism (one pass
+        each); linear steps are :data:`LINEAR_PASSES` pointwise passes.
+        """
+        params = session.params
+        n, towers = params.n, params.cofhee_tower_count
+        timing = self.workers[0].chip.timing
+        counts = circuit.op_counts()
+        tails = []
+        if counts["relins"]:
+            digits = session.require_relin().num_digits
+            tail = timing.relinearization_cycles(n, digits, towers)
+            tails = [tail] * counts["relins"]
+        copies = linear = 0
+        for step in circuit.steps:
+            if step.op in ROTATION_OPS:
+                key = session.require_galois(rotation_exponent(
+                    params, step.op,
+                    step.args[1] if step.op == OP_ROTATE_ROWS else 0,
+                ))
+                tails.append(
+                    timing.relinearization_cycles(n, key.num_digits, towers)
+                )
+                copies += 2 * timing.memcpy_cycles(n)
+            else:
+                passes = LINEAR_PASSES.get(step.op, 0)
+                linear += passes * towers * timing.pointwise_cycles(n)
+        tensor = timing.ciphertext_mult_cycles(n, towers)
+        return JobPrice(
+            counts["ct_ct_mults"] * tensor, tails, copies, linear
+        )
 
     # -- tower-sharded chip execution ---------------------------------------
 
@@ -444,10 +462,16 @@ class ChipPoolBackend(Backend):
         """One tower's Algorithm 3 on ``worker``, cross-checked mod ``q``.
 
         Row ``tower`` of :meth:`_tower_operands`' arrays is this tower's
-        input and ground truth. Returns the tower's chip cycles.
+        input and ground truth. Reprogramming is amortized by the driver
+        (a worker running consecutive units on one modulus pays the
+        twiddle download once); the tower's chip cycles land on the
+        worker's ``busy_cycles``, a failed check's too, and are returned.
         """
         rows = operands[:, tower]
-        outs, cycles = worker.run_tower(rows[:2], rows[2:], q)
+        outs, report = worker.driver.ciphertext_multiply_tower_words(
+            rows[:2], rows[2:], q
+        )
+        worker.busy_cycles += report.cycles
         if not all(
             np.array_equal(y, e) for y, e in zip(outs, expected[:, tower])
         ):
@@ -455,91 +479,7 @@ class ChipPoolBackend(Backend):
                 f"chip {worker.index} mod-q tensor diverged from the "
                 f"reference on tower {tower} (q_i = {q}) — datapath fault"
             )
-        return cycles
-
-    # -- cycle accounting ---------------------------------------------------
-
-    def _job_cycles(self, session: Session, circuit: Circuit) -> int:
-        """Model-path cycles of a whole circuit.
-
-        Linear steps are pointwise passes, each tensor step one Eq. 4
-        estimate per tower, and each key switch its model-priced tail
-        (see :meth:`_key_switch_tails`).
-        """
-        n, towers = session.params.n, session.params.cofhee_tower_count
-        tensors = circuit.op_counts()["ct_ct_mults"]
-        tails, copies = self._key_switch_tails(session, circuit)
-        return (
-            self._circuit_linear_cycles(session, circuit)
-            + tensors * towers * self._tensor_estimate_for(n)
-            + sum(tails) + copies
-        )
-
-    def _key_switch_tails(
-        self, session: Session, circuit: Circuit
-    ) -> tuple[list[int], int]:
-        """The circuit's key-switch tails and automorphism copy cycles.
-
-        One tail per relinearization step (fewer than the tensors when
-        a circuit defers key switches with the split ops) and one Galois key switch per rotation step;
-        each rotation also copies both components through the
-        automorphism first (one pass each).
-        """
-        params = session.params
-        n, towers = params.n, params.cofhee_tower_count
-        timing = self.workers[0].chip.timing
-        relins = circuit.op_counts()["relins"]
-        tails = []
-        if relins:
-            digits = session.require_relin().num_digits
-            tails = [timing.relinearization_cycles(n, digits, towers)] * relins
-        copies = 0
-        for step in circuit.steps:
-            if step.op not in ROTATION_OPS:
-                continue
-            key = session.require_galois(rotation_exponent(
-                params, step.op,
-                step.args[1] if step.op == OP_ROTATE_ROWS else 0,
-            ))
-            tails.append(
-                timing.relinearization_cycles(n, key.num_digits, towers)
-            )
-            copies += 2 * timing.memcpy_cycles(n)
-        return tails, copies
-
-    def _circuit_linear_cycles(self, session: Session, circuit: Circuit) -> int:
-        """Pointwise-op cycles for a circuit's non-tensor steps.
-
-        Adds and plaintext scalings are slot-wise passes over the
-        ciphertext components: ct+ct touches both components of both
-        operands' sum (2 passes), ct+pt only ``c0`` (1), ct*pt scales
-        both components (2), and a multiply-accumulate is the scale plus
-        the add (4). Tensor steps are priced separately.
-        """
-        params = session.params
-        timing = self.workers[0].chip.timing
-        pointwise = params.cofhee_tower_count * timing.pointwise_cycles(params.n)
-        passes = {
-            OP_ADD: 2, OP_SUB: 2, OP_ADD_CONST: 1,
-            OP_MUL_CONST: 2, OP_MAC_CONST: 4,
-        }
-        return sum(
-            passes[step.op] * pointwise
-            for step in circuit.steps if step.op in passes
-        )
-
-    def _tensor_estimate_for(self, n: int) -> int:
-        """Per-tower Algorithm 3 cycles from compiling the DAG (cached).
-
-        The schedule depends only on (n, timing) — identical for every
-        chip in the pool — so compile once per degree.
-        """
-        if n not in self._tensor_estimate:
-            schedule = Scheduler(n, timing=self.workers[0].chip.timing).compile(
-                ciphertext_multiply_program()
-            )
-            self._tensor_estimate[n] = schedule.compute_cycles
-        return self._tensor_estimate[n]
+        return report.cycles
 
 
 # ----------------------------------------------------------------------

@@ -242,38 +242,6 @@ class Circuit:
                     counts["relins"] += 1
         return counts
 
-    def tensor_levels(self) -> dict[int, int]:
-        """Dependency depth of every tensor step (step index -> level).
-
-        A tensor step's level is the longest chain of *tensor* steps its
-        inputs transitively pass through: level-0 tensors depend only on
-        inputs and linear steps, level-1 tensors consume at least one
-        level-0 tensor's output, and so on. Rotations and deferred
-        relinearizations pass depth through unchanged — they key-switch
-        but never tensor.
-
-        One memoized computation, read by reports and the examples; the
-        chip pool needs no levels, since it replays a job's tensors in
-        evaluation order, each after the tensors its operands came from.
-        """
-        cached = getattr(self, "_tensor_levels", None)
-        if cached is None:
-            depth = [0] * self.num_registers  # tensor depth of each register
-            levels: dict[int, int] = {}
-            base = len(self.inputs)
-            for i, step in enumerate(self.steps):
-                layout = OP_SPECS[step.op][1]
-                reg_args = [a for a, c in zip(step.args, layout) if c == "r"]
-                d_in = max((depth[a] for a in reg_args), default=0)
-                if step.op in TENSOR_OPS:
-                    levels[i] = d_in
-                    depth[base + i] = d_in + 1
-                else:
-                    depth[base + i] = d_in
-            cached = levels
-            object.__setattr__(self, "_tensor_levels", cached)
-        return dict(cached)
-
 
 def rotation_exponent(params: BfvParameters, op: int, steps: int = 0) -> int:
     """The Galois element a rotation step key-switches under.

@@ -41,7 +41,7 @@ from typing import Callable
 from repro.bfv.params import BfvParameters
 from repro.bfv.scheme import Ciphertext
 from repro.service.circuits import Circuit
-from repro.service.errors import RETRYABLE_CODES
+from repro.service.errors import DEADLINE_EXPIRED, RETRYABLE_CODES
 from repro.service.jobs import JobKind
 from repro.service.serialization import (
     AdminMsg,
@@ -73,7 +73,7 @@ from repro.service.transport import (
 class TransportError(RuntimeError):
     """The server answered a request with an ERROR frame.
 
-    ``code`` is the wire error code (``auth``, ``quota``, ``deadline``,
+    ``code`` is the wire error code (``auth``, ``quota``,
     ``unavailable``, or ``""`` for untyped failures); ``retryable`` says
     whether backing off and resending the same request can succeed.
     """
@@ -97,9 +97,7 @@ class JobFailedError(TransportError):
     def __init__(self, job_id: str, message: str):
         super().__init__(f"job {job_id} failed: {message}")
         self.job_id = job_id
-        self.kind = (
-            "deadline" if message.startswith("deadline expired") else ""
-        )
+        self.kind = "deadline" if message.startswith(DEADLINE_EXPIRED) else ""
 
 
 @dataclass(frozen=True)

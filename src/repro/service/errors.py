@@ -3,9 +3,14 @@
 Every rejection the service can hand a client carries a short machine
 code on the ERROR frame (``ErrorMsg.code``) so clients can decide
 *mechanically* whether to retry: quota pushback and shutdown drains are
-transient, auth failures and expired deadlines are not. The exception
-classes double as the server-side vocabulary — raising one anywhere in
-the submit path produces the right wire code without string matching.
+transient, auth failures are not. The exception classes double as the
+server-side vocabulary — raising one anywhere in the submit path
+produces the right wire code.
+
+An expired deadline is not a rejection but a job failure: its error
+message starts with :data:`DEADLINE_EXPIRED`, and that prefix is what
+the client (``JobFailedError.kind``) and the server's dedupe hand-off
+match on.
 """
 
 from __future__ import annotations
@@ -14,9 +19,9 @@ __all__ = [
     "ServiceError",
     "AuthError",
     "QuotaExceededError",
-    "DeadlineExpiredError",
     "ShuttingDownError",
     "RETRYABLE_CODES",
+    "DEADLINE_EXPIRED",
 ]
 
 
@@ -45,13 +50,6 @@ class QuotaExceededError(ServiceError):
     retryable = True
 
 
-class DeadlineExpiredError(ServiceError):
-    """The job's deadline passed before a result could be delivered."""
-
-    code = "deadline"
-    retryable = False
-
-
 class ShuttingDownError(ServiceError):
     """The server is draining; reconnect and resubmit elsewhere."""
 
@@ -60,8 +58,12 @@ class ShuttingDownError(ServiceError):
 
 
 #: Wire codes a client may retry with backoff. Everything else is
-#: terminal — retrying an auth failure or an expired deadline cannot
-#: succeed.
+#: terminal — retrying an auth failure cannot succeed.
 RETRYABLE_CODES = frozenset(
     cls.code for cls in (QuotaExceededError, ShuttingDownError)
 )
+
+#: How every deadline failure's message begins, wherever the job was
+#: when its deadline passed (queued, following a deduped execution, or
+#: on a fleet worker).
+DEADLINE_EXPIRED = "deadline expired"

@@ -24,6 +24,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.service.backends import Backend
+from repro.service.errors import DEADLINE_EXPIRED
 from repro.service.client import AsyncFheClient, TransportError
 # The fleet's fault-injection API, defined with its grammar:
 from repro.service.faults import FaultPlan, FaultRule, FaultSpecError  # noqa: F401
@@ -432,7 +433,7 @@ class FleetBackend(Backend):
                         "jobs failed past their deadline",
                         stage="in_flight", tenant=assignment.job.tenant)
             where = "in flight" if assignment.sent_at else "before execution"
-            self._fail(assignment, f"deadline expired {where}")
+            self._fail(assignment, f"{DEADLINE_EXPIRED} {where}")
         if late:
             self._kick(handle)
 

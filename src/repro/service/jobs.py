@@ -124,8 +124,8 @@ class JobMetrics:
     linear-step passes on the chip path. ``fidelity`` is ``"chip"`` when
     every tower of every Eq. 4 tensor ran through a worker's driver with
     a mod-q cross-check, ``"model"`` when the job has no tensor or its
-    moduli are not chip-native, so its cycles came from the compiled DAG
-    estimate. ``relin_fidelity`` (jobs that relinearize) is ``"engine"``
+    moduli are not chip-native, so its cycles came from the chip's
+    :class:`~repro.core.timing.TimingModel` alone. ``relin_fidelity`` (jobs that relinearize) is ``"engine"``
     when the key switch ran through the batched engine fold and
     ``"model"`` when the parameters force the scalar path (the chip pool
     then prices the tail only).

@@ -33,6 +33,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro.service.backends import Backend
+from repro.service.errors import DEADLINE_EXPIRED
 from repro.service.jobs import Job, JobStatus
 from repro.service.registry import SessionRegistry
 from repro.service.telemetry import MetricsRegistry
@@ -66,10 +67,10 @@ class ServiceStats:
     add, and with tower sharding it drops below ``total_cycles`` (the
     work does not shrink — it spreads). ``fidelity`` counts jobs per
     execution path: ``"chip"`` (tensors ran tower-by-tower on worker
-    drivers), ``"model"`` (DAG pricing: no tensor step, or moduli not
-    chip-native), ``"relin_engine"`` (relinearization ran through the
-    batched engine fold, its tail priced on the then-least-loaded
-    worker), ``"relin_model"`` (tail model-priced only — params the
+    drivers), ``"model"`` (``TimingModel`` pricing: no tensor step, or
+    moduli not chip-native), ``"relin_engine"`` (relinearization ran
+    through the batched engine fold, its tail priced on the
+    then-least-loaded worker), ``"relin_model"`` (tail model-priced only — params the
     engine cannot carry). ``tower_cycles`` sums the chip-executed jobs'
     per-tower cycles, index-aligned with their CoFHEE basis.
     ``batches`` holds one :class:`BatchReport` per executed job, in
@@ -219,7 +220,7 @@ class JobScheduler:
             if not expired:
                 continue
             for job in expired:
-                self.shed(job, "queued", "deadline expired before dispatch")
+                self.shed(job, "queued", f"{DEADLINE_EXPIRED} before dispatch")
             self._queues[tenant] = deque(job for job in queue if not job.done)
             self._set_queue_depth()
 

@@ -761,7 +761,7 @@ class ErrorMsg:
     0``, a connection-level protocol error before the link closes.
 
     ``code`` is the machine-readable rejection class (``"auth"``,
-    ``"quota"``, ``"deadline"``, ``"unavailable"``; empty = untyped) —
+    ``"quota"``, ``"unavailable"``; empty = untyped) —
     see :mod:`repro.service.errors` for which codes are retryable.
     """
 

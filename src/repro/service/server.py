@@ -32,7 +32,7 @@ from repro.service.backends import (
     SoftwareBackend,
 )
 from repro.service.circuits import Circuit, CircuitError, rotation_exponents
-from repro.service.errors import QuotaExceededError
+from repro.service.errors import DEADLINE_EXPIRED, QuotaExceededError
 from repro.service.optimizer import DEFAULT_LEVEL, LEVELS, optimize_circuit
 from repro.service.jobs import Job, JobKind, JobStatus
 from repro.service.registry import Session, SessionRegistry
@@ -554,13 +554,13 @@ class FheServer:
                 for follower in expired:
                     self.scheduler.shed(
                         follower, "follower",
-                        "deadline expired awaiting deduped execution",
+                        f"{DEADLINE_EXPIRED} awaiting deduped execution",
                     )
                 if expired:
                     self._inflight[key] = [j for j in waiting if not j.done]
                 continue
             if followers and (primary.error or "").startswith(
-                "deadline expired"
+                DEADLINE_EXPIRED
             ):
                 successor = followers[0]
                 successor.metrics.backend = ""

@@ -262,7 +262,6 @@ def test_31_bit_towers_fall_back_to_the_pure_path(n, towers):
     assert all(q.bit_length() == 31 for q in basis.moduli)
     assert not supports(basis, n)
     assert get_engine(basis, n) is None
-    assert SoftwareBfv(basis, n).engine_kind == "pure"
 
 
 @given(data=st.data())

@@ -139,14 +139,6 @@ class TestChipExpansion:
         assert report["fidelity"].get("chip") == 1
         assert len(report["tower_cycles"]) == towers
 
-    def test_dependency_levels(self, logreg):
-        _model, _samples, circuit, _inputs = logreg
-        levels = circuit.tensor_levels()
-        # square(score) is level 0; multiply(squared, score) consumes it.
-        square_step, mul_step = circuit.tensor_steps
-        assert levels[square_step] == 0
-        assert levels[mul_step] == 1
-
     def test_non_native_circuit_takes_model_path(self):
         model_wide = MiniLogisticRegression(num_features=3, seed=5)
         samples = [[1, -1, 2]]
@@ -202,13 +194,13 @@ class TestOptimizerUnits:
 
 
 class TestTensorLevelsDiamond:
-    """Regression: level assignment lives in ONE place.
+    """Regression: a diamond-shaped tensor DAG serves bit-identically.
 
-    ``tensor_levels`` used to be recomputed independently by the
-    evaluator ordering and the chip-pool expansion; a diamond-shaped
-    DAG (two level-0 tensors joined by one consumer) is exactly the
-    shape where divergent walks disagree. It is now memoized on
-    :class:`Circuit` and both paths consume the same dict.
+    Two depth-0 tensors joined by one consumer, a bare tensor behind a
+    deferred relinearization, and a square after the key switch: the
+    shape where a replay that ordered tensors by its own dependency walk
+    could run the join before its operands. The chip pool replays the
+    tensors in evaluation order, so it must agree with the evaluator.
     """
 
     @staticmethod
@@ -225,20 +217,6 @@ class TestTensorLevelsDiamond:
         top = builder.square_relin(relin)  # step 7: level 3
         builder.output("y", top)
         return builder.build()
-
-    def test_diamond_levels_are_pinned(self):
-        """Both level-0 arms, the join, the bare tensor behind the
-        deferred relin, and the post-key-switch square — all exact."""
-        circuit = self._diamond()
-        assert circuit.tensor_levels() == {0: 0, 1: 0, 4: 1, 5: 2, 7: 3}
-
-    def test_memo_is_shared_and_defensive(self):
-        """Repeated calls hit one memo; callers get copies, so a
-        consumer mutating its view cannot skew another path's levels."""
-        circuit = self._diamond()
-        first = circuit.tensor_levels()
-        first[0] = 99  # a hostile consumer
-        assert circuit.tensor_levels() == {0: 0, 1: 0, 4: 1, 5: 2, 7: 3}
 
     def test_diamond_serves_bit_identical_on_chip_and_software(self):
         """The end-to-end symptom of divergent level walks: the chip

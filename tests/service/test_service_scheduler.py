@@ -127,7 +127,7 @@ class TestPoolScaling:
         _submit_jobs(registry, scheduler, client, "acme", 6, kind=JobKind.MULTIPLY)
         scheduler.run_all()
         worker = backend.workers[0]
-        assert worker.programmed == (PARAMS.q, PARAMS.n)
+        assert worker.driver.programmed == (PARAMS.q, PARAMS.n)
         # IO includes one program + per-job polynomial loads; reprogramming
         # every job would add ~6x the program cost. Check the driver was
         # left programmed and jobs completed with real chip cycles.

@@ -126,7 +126,7 @@ def test_corrupted_twiddle_word_trips_the_cross_check(table_builds):
     assert pool.multiply(session, cts[0], cts[1]).status is JobStatus.DONE
     chip = pool.backend.workers[0].chip
     q = params.q_basis.moduli[0]
-    assert pool.backend.workers[0].programmed == (q, N)
+    assert pool.backend.workers[0].driver.programmed == (q, N)
     word = chip.memory_map.base_address("TWD") + 16  # table entry 1
     value, _ = chip.bus.single_read(word)
     chip.bus.single_write(word, (value + 1) % q)

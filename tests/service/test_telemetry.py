@@ -14,9 +14,11 @@ import time
 import pytest
 
 from repro.bfv import BatchEncoder, Bfv, BfvParameters
+from repro.service.circuits import CircuitBuilder
 from repro.service.jobs import JobKind, JobStatus
 from repro.service.serialization import (
     serialize_ciphertext,
+    serialize_circuit,
     serialize_params,
     serialize_relin_key,
 )
@@ -31,7 +33,8 @@ from repro.service.telemetry import (
 PARAMS = BfvParameters.toy_rns(n=16, towers=2, tower_bits=20)
 
 
-def _server_with_jobs(backend="", n_jobs=3, pool_size=2, cache=0):
+def _server_with_jobs(backend="", n_jobs=3, pool_size=2, cache=0,
+                      circuit_jobs=0):
     bfv = Bfv(PARAMS, seed=0xC0F4EE)
     keys = bfv.keygen(relin_digit_bits=14)
     encoder = BatchEncoder(PARAMS)
@@ -53,6 +56,16 @@ def _server_with_jobs(backend="", n_jobs=3, pool_size=2, cache=0):
                       backend=backend)
         for _ in range(n_jobs)
     ]
+    if circuit_jobs:
+        b = CircuitBuilder("mul")
+        x, y = b.input("x"), b.input("y")
+        b.output("z", b.mul_relin(x, y))
+        payload = serialize_circuit(b.build())
+        job_ids += [
+            server.submit(sid, JobKind.CIRCUIT, (fresh(), fresh()),
+                          payload=payload, backend=backend)
+            for _ in range(circuit_jobs)
+        ]
     return server, sid, job_ids
 
 
@@ -121,12 +134,16 @@ class TestSpanLifecycle:
 class TestServingTraces:
     @pytest.mark.parametrize("backend", ("software", "chip_pool"))
     def test_phases_arrive_in_pipeline_order(self, backend):
-        server, _, job_ids = _server_with_jobs(backend=backend)
+        """Raw and circuit jobs alike record only glossary phases,
+        children included (a circuit job's ``optimize`` too)."""
+        server, _, job_ids = _server_with_jobs(backend=backend,
+                                               circuit_jobs=2)
         server.run()
         order = {name: i for i, name in enumerate(PHASES)}
         for job_id in job_ids:
             assert server.poll(job_id) is JobStatus.DONE
             trace = server.job_trace(job_id)
+            assert {s.phase for s in trace.spans} <= set(PHASES)
             assert trace.spans[0].phase == "submit"
             assert trace.done_at is not None
             top = [s.phase for s in trace.spans if s.parent == -1]
