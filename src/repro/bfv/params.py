@@ -121,11 +121,16 @@ class BfvParameters:
 
     @classmethod
     def toy(cls, n: int = 16, log_q: int = 60, t: int | None = None) -> "BfvParameters":
-        """Small insecure parameters for unit tests and examples."""
+        """Small insecure parameters for unit tests and examples: one
+        ``log_q``-bit prime ``q``, with CoFHEE's towers planned as
+        :meth:`from_paper` plans them (``q`` itself up to
+        ``COFHEE_WORD_BITS`` bits)."""
         q = ntt_friendly_prime(n, log_q)
         if t is None:
             t = ntt_friendly_prime(n, 12)
-        return cls(n=n, q=q, t=t, cpu_basis=RnsBasis([q]), cofhee_basis=RnsBasis([q]))
+        return cls(n=n, q=q, t=t, cpu_basis=RnsBasis([q]), cofhee_basis=RnsBasis(
+            plan_towers(log_q, COFHEE_WORD_BITS, n)
+        ))
 
     @classmethod
     def toy_rns(

@@ -47,7 +47,8 @@ from repro.core.memory import MemoryMap, SramBank
 from repro.core.pe import ProcessingElement
 from repro.core.timing import TimingModel
 from repro.polymath.bitrev import bit_reverse_indices
-from repro.polymath.kernels import NttTables, fits, mod, mul_const, transform
+from repro.polymath import kernels
+from repro.polymath.kernels import NttTables, fits, transform
 from repro.polymath.rns import residue_words
 
 FIDELITY_LEVELS = ("pe", "vector", "timing")
@@ -253,10 +254,9 @@ class Mdmc:
             if cmd.constant == 0:
                 raise ConfigError("iNTT requires n^-1 in the command constant field")
             _, inverse = self._tables(forward, q)
-            a = transform(residue_words(words, q)[None, None], inverse)[0, 0]
+            a = transform(residue_words(words, q)[None], inverse)
             self._stage_stats(in_bank, out_bank, n, count_pe=True, stages=stages)
-            n_inv = np.uint64(cmd.constant % q)
-            self._store_vector(cmd.out_addr, mul_const(a, n_inv, np.uint64(q)))
+            self._store_vector(cmd.out_addr, _times(a, (cmd.constant,), q)[0])
             self.pe.stats.multiplies += n
             trace.add("dif_butterfly", butterfly_cycles, n)
             trace.add("const_mult", const_cycles, n)
@@ -329,9 +329,9 @@ class Mdmc:
         y = self._load_vector(cmd.y_addr, n) if op.needs_y_operand else None
         if level == "vector" and op is not Opcode.PMUL and fits(q):
             # PMUL stays scalar: it multiplies raw (unreduced) words.
-            out = _pointwise(op, residue_words(x, q),
-                             None if y is None else residue_words(y, q),
-                             np.uint64(cmd.constant % q), q)
+            out = _pointwise(op, residue_words(x, q)[None],
+                             None if y is None else residue_words(y, q)[None],
+                             (cmd.constant,), q)[0]
             self._bulk_pointwise_stats(op, n)
         elif level == "pe":
             out = self._pointwise_pe(
@@ -482,16 +482,13 @@ class Mdmc:
         op = group.opcode
         n = commands[group.members[0]].n
         x = residue_words(_stack(group.x, n), q)
-        constants = np.array(
-            [[commands[i].constant % q] for i in group.members], np.uint64
-        )
+        constants = tuple(commands[i].constant for i in group.members)
         if op.needs_twiddles:
             bank, word = group.twiddle
             forward, inverse = self._tables(bank.data[word : word + n], q)
             if op is Opcode.NTT:
                 return transform(x[:, None], forward)[:, 0]
-            out = transform(x[:, None], inverse)[:, 0]
-            return mul_const(out, constants, np.uint64(q))
+            return _times(transform(x[:, None], inverse)[:, 0], constants, q)
         y = residue_words(_stack(group.y, n), q) if group.y else None
         return _pointwise(op, x, y, constants, q)
 
@@ -573,7 +570,8 @@ class Mdmc:
 
 
 # ----------------------------------------------------------------------
-# Vector-fidelity helpers (uint64, moduli the kernels fit)
+# Vector-fidelity helpers (moduli the kernels fit; uint64 banks, whose
+# words the kernels read and write as uint32)
 # ----------------------------------------------------------------------
 
 
@@ -607,23 +605,33 @@ def _stack(rows: tuple[Row, ...], n: int) -> np.ndarray:
 
 
 def _pointwise(op: Opcode, x: np.ndarray, y: np.ndarray | None,
-               constant: np.ndarray, q: int) -> np.ndarray:
-    """One modular pointwise stream over residues ``< q`` (``x``, ``y``
-    of one or more rows; ``constant`` a ``uint64`` below ``q``, or one
-    per row as a column)."""
-    q1 = np.uint64(q)
+               constants: tuple[int, ...], q: int) -> np.ndarray:
+    """One modular pointwise stream over ``(k, n)`` residues ``< q``
+    (``constants`` has one per row)."""
     if op is Opcode.PMODMUL:
-        out = x * y  # < 2^60: exact in uint64
-        return mod(out, q1, out=out)
+        return kernels.multiply(x, y, kernels.Moduli.of((q,)))
     if op is Opcode.PMODSQR:
-        out = x * x
-        return mod(out, q1, out=out)
+        return kernels.multiply(x, x, kernels.Moduli.of((q,)))
     if op is Opcode.PMODADD:
         out = x + y
-        return np.minimum(out, out - q1)
+        return np.minimum(out, out - np.uint64(q))
     if op is Opcode.PMODSUB:
         out = x - y  # wraps when x < y; adding q unwraps it
-        return np.minimum(out, out + q1)
+        return np.minimum(out, out + np.uint64(q))
     if op is Opcode.CMODMUL:
-        return mul_const(x, constant, q1)
+        return _times(x, constants, q)
     raise IsaError(f"unhandled pointwise op {op}")  # pragma: no cover
+
+
+def _times(x: np.ndarray, constants: tuple[int, ...], q: int) -> np.ndarray:
+    """Row ``i`` of ``(k, n)`` residues times ``constants[i]`` mod ``q``:
+    the CMODMUL stream and the iNTT's closing ``n^-1`` pass."""
+    mods, c = _row_constants(q, constants)
+    return kernels.mac(None, None, mods, x[None], c)[0]
+
+
+@lru_cache(maxsize=64)
+def _row_constants(q: int, constants: tuple[int, ...]) -> tuple:
+    """The kernel constants of one modulus per row, and of ``constants``."""
+    mods = kernels.Moduli.of((q,) * len(constants))
+    return mods, mods.constants(list(constants))

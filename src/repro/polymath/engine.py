@@ -4,19 +4,15 @@ Section II-D of the paper observes that SEAL keeps its RNS towers
 word-sized precisely to unlock vectorized arithmetic. The pure-Python
 :class:`~repro.polymath.ntt.NttContext` is exact for any modulus width
 (CoFHEE's native 128 bits) but loops per butterfly. This module makes the
-trade: a ciphertext's *full tower stack* lives in one ``(num_towers, n)``
-int64 ndarray, and every operation — forward and inverse negacyclic NTT,
-Hadamard and tensor products, additions, CRT recombination — runs across
-all towers at once, each ``% q`` one scalar divisor per tower
-(:func:`~repro.polymath.kernels.mod`).
-
-The transforms are the C butterfly kernel of :mod:`repro.polymath.kernels`
-— the one the chip model's MDMC runs over one bank row — with ``(L, n)``
-twiddle tables per direction taken from the per-tower contexts' ``psi``
-tables, and the inverse ending with each tower's ``n^-1``. They are
-**bit-identical** to :class:`NttContext`: every butterfly leaves its
-words fully reduced. The property suite proves it across random (n,
-basis, tower-count) grids.
+trade: a ciphertext's *full tower stack* is one ``(num_towers, n)``
+``uint32`` ndarray of residues, kept at that width between calls, and
+every operation — the NTTs, the Hadamard and tensor products, the
+key-switch inner product, base conversion, CRT recombination, the integer
+part of Eq. 4's rounding — is one call into the C kernels of
+:mod:`repro.polymath.kernels` (which the chip model's MDMC runs too)
+across all towers at once. Every kernel leaves its words fully reduced:
+the results are **bit-identical** to :class:`NttContext` and to exact
+integer arithmetic.
 
 Engine selection is capability-based: :func:`get_engine` returns a cached
 engine when every tower modulus is an NTT-friendly prime of at most
@@ -29,7 +25,7 @@ a wide integer, as on the chip: a ciphertext is a tower-backed
 :class:`~repro.polymath.poly.Polynomial` on the engine over q's basis,
 mod-q work runs per tower, :meth:`BatchedRnsEngine.scale_round` does the
 Eq. 4 ``t/q`` rounding, and :meth:`BatchedRnsEngine.to_words` makes wire
-words by int64 mixed radix. Python ints remain on the paths for other
+words by uint64 mixed radix. Python ints remain on the paths for other
 bases (:meth:`~BatchedRnsEngine.round_scale`,
 :meth:`~BatchedRnsEngine.centered_values`).
 """
@@ -37,26 +33,18 @@ bases (:meth:`~BatchedRnsEngine.round_scale`,
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain
 from math import prod
 from typing import Sequence
 
 import numpy as np
 
 from repro.polymath import kernels
-from repro.polymath.kernels import MAX_MODULUS_BITS, mod
+from repro.polymath.kernels import MAX_MODULUS_BITS
 from repro.polymath.modmath import modinv
 from repro.polymath.ntt import NttContext
 from repro.polymath.poly import Polynomial, _packed_words
 from repro.polymath.primes import is_prime
 from repro.polymath.rns import RnsBasis
-
-#: Residue products an int64 sum holds, plus one carried residue, before
-#: its one ``%``: ``8 (2^30 - 1)^2 + 2^30 < 2^63``. Words times ``2^(32 j)
-#: mod q_i`` (each below ``2^62``) fit 3 to a uint64 sum.
-_BOUND = 1 << MAX_MODULUS_BITS
-LAZY_TERMS = ((1 << 63) - _BOUND) // (_BOUND - 1) ** 2
-WORD_TERMS = ((1 << 64) - _BOUND) // (_BOUND << 32)
 
 
 def supports(moduli: "RnsBasis | Sequence[int]", n: int) -> bool:
@@ -105,10 +93,11 @@ def require_engine(basis: RnsBasis, n: int) -> "BatchedRnsEngine":
 class BatchedRnsEngine:
     """All towers of an RNS polynomial stack, transformed at once.
 
-    The working representation is a ``(num_towers, n)`` int64 array whose
-    row ``i`` holds the polynomial's residues mod ``moduli[i]``. All
-    methods treat stacks as immutable inputs and return new arrays, fully
-    reduced into ``[0, q_i)`` per row.
+    The working representation is a ``(num_towers, n)`` ``uint32`` array
+    whose row ``i`` holds the polynomial's residues mod ``moduli[i]``.
+    The public methods take stacks of any integer dtype and value, treat
+    them as immutable and return new ``uint32`` arrays, fully reduced
+    into ``[0, q_i)`` per row.
 
     Args:
         basis: pairwise-coprime NTT-friendly prime towers, each at most
@@ -142,22 +131,20 @@ class BatchedRnsEngine:
         self.n = n
         self.num_towers = len(basis)
         self.modulus = basis.modulus
-        self._q = np.asarray(basis.moduli, dtype=np.int64)[:, None]  # (L, 1)
-        # Garner mixed-radix constants for CRT recombination: for tower
-        # ``k``, ``inv`` is the inverse of ``p_k = q_0 * ... * q_{k-1}`` mod
-        # q_k and ``coef[i] = -(p_i * inv mod q_k)`` (:meth:`_mixed_radix`).
-        self._garner: list[tuple[list[int], int]] = [([], 1)]
-        for k, qk in enumerate(basis.moduli[1:], 1):
-            inv = modinv(prod(basis.moduli[:k]) % qk, qk)
-            self._garner.append(([
-                -(prod(basis.moduli[:i]) * inv % qk) for i in range(k)
-            ], inv))
+        self._mods = kernels.Moduli.of(basis.moduli)
+        # Garner mixed-radix constants for CRT recombination: row ``k``
+        # holds ``inv``, the inverse of ``p_k = q_0 * ... * q_{k-1}`` mod
+        # q_k, at ``k`` and ``-(p_i * inv)`` at each ``i < k``
+        # (:meth:`_mixed_radix`).
+        towers = len(basis)
+        self._places = [prod(basis.moduli[:k]) for k in range(towers)]
+        inv = [modinv(p % q, q) for p, q in zip(self._places, basis.moduli)]
+        self._garner = self._mods.constants([
+            [-self._places[i] * inv[k] for i in range(k)]
+            + [inv[k]] + [0] * (towers - k - 1) for k in range(towers)
+        ])
         # Lazily built base-conversion tables and scaling sub-engines.
         self._tables: dict = {}
-
-    # ------------------------------------------------------------------
-    # Stack construction / deconstruction
-    # ------------------------------------------------------------------
 
     def decompose(self, coeffs: Sequence[int]) -> np.ndarray:
         """Big-modulus coefficients -> ``(num_towers, n)`` residue stack.
@@ -170,7 +157,7 @@ class BatchedRnsEngine:
             raise ValueError(f"expected {self.n} coefficients, got {len(coeffs)}")
         obj = np.asarray(coeffs, dtype=object)
         return np.asarray(
-            [obj % q for q in self.basis.moduli], dtype=np.int64
+            [obj % q for q in self.basis.moduli], dtype=np.uint32
         )
 
     def decompose_centered(self, poly: Polynomial) -> np.ndarray:
@@ -181,7 +168,7 @@ class BatchedRnsEngine:
         big-endian 32-bit :attr:`~repro.polymath.poly.Polynomial.words`
         against ``2^(32 j) mod q_i`` (:meth:`_word_sum`), with ``-q mod
         q_i`` added where the coefficient exceeds ``floor(q/2)``, one word
-        compare: one ``%`` per tower.
+        compare: one kernel call.
         """
         rns = poly._rns
         if rns is not None and rns.basis.moduli == self.basis.moduli:
@@ -189,10 +176,8 @@ class BatchedRnsEngine:
         words = poly.words
         if len(words) != self.n:
             raise ValueError(f"expected {self.n} coefficients, got {len(words)}")
-        lift = np.asarray(
-            [-poly.ring.q % m for m in self.basis.moduli], dtype=np.uint64
-        )[:, None]
-        return self._word_sum(words.T, poly.negative_mask() * lift)
+        lift = self._mods.times(-poly.ring.q)[0][:, None]
+        return self._word_sum(words.T[None], poly.negative_mask() * lift)[0]
 
     def stack(self, towers: Sequence[Sequence[int]]) -> np.ndarray:
         """Per-tower residue vectors -> validated ``(num_towers, n)`` stack."""
@@ -202,17 +187,12 @@ class BatchedRnsEngine:
                 f"expected a ({self.num_towers}, {self.n}) tower stack, "
                 f"got {a.shape}"
             )
-        return mod(a, self._q)
+        return kernels.reduce(a, self._mods)
 
     def lift(self, values: np.ndarray, scale: int = 1) -> np.ndarray:
-        """``values * scale`` as canonical residues: signed int64
+        """``values * scale`` as canonical residues: signed integer
         coefficients ``(n,)`` or rows ``(..., L, n)``, any int ``scale``."""
-        col = np.asarray(
-            [scale % m for m in self.basis.moduli], dtype=np.int64
-        )[:, None]
-        out = mod(np.asarray(values, dtype=np.int64), self._q)
-        out *= col
-        return mod(out, self._q, out=out)
+        return kernels.reduce(values, self._mods, self._mods.times(scale))
 
     def to_words(self, stack: np.ndarray, count: int) -> np.ndarray:
         """Canonical residues ``(L, n)`` -> ``(n, count)`` wire words.
@@ -246,59 +226,36 @@ class BatchedRnsEngine:
 
     def _mixed_radix(self, a: np.ndarray) -> np.ndarray:
         """Garner digits ``v = d_0 + d_1 q_0 + d_2 q_0 q_1 + ...`` of
-        reduced ``(B, L, ...)`` stacks: ``d_k = (a_k inv - sum_i d_i
-        (prefix_i inv mod q_k)) mod q_k``, one lazy sum per digit."""
-        digits = np.empty_like(a)
-        digits[:, 0] = a[:, 0]
-        for k in range(1, self.num_towers):
-            coef, inv = self._garner[k]
-            terms = (digits[:, i] * c for i, c in enumerate(coef))
-            digits[:, k] = _lazy_sum(
-                self.basis.moduli[k], chain([a[:, k] * inv], terms)
-            )
-        return digits
+        reduced ``(B, L, n)`` stacks: ``d_k = (a_k inv - sum_i d_i
+        (prefix_i inv mod q_k)) mod q_k``, one kernel call."""
+        return kernels.garner(a, self._garner, self._mods)
 
     def _convert(
         self, digits: np.ndarray, to: "BatchedRnsEngine", acc=None
     ) -> np.ndarray:
-        """Exact base conversion: ``acc`` (residue-sized, or ``None``)
+        """Exact base conversion: ``acc`` (32-bit words, or ``None``)
         plus the value of ``(B, L, n)`` mixed-radix digits, reduced mod
-        each of ``to``'s towers — one lazy sum per output tower."""
+        each of ``to``'s towers — one kernel call."""
         table = self._tables.get(to.basis.moduli)
-        if table is None:
-            rows, prefix = [], 1
-            for m in self.basis.moduli:
-                rows.append([prefix % p for p in to.basis.moduli])
-                prefix *= m
-            table = np.asarray(rows, dtype=np.int64)[:, :, None]
-            self._tables[to.basis.moduli] = table
-        return _lazy_sum(to._q, (
-            digits[:, k, None] * table[k] for k in range(self.num_towers)
-        ), acc)
+        if table is None:  # the place values q_0 ... q_{k-1} mod each p
+            table = self._tables[to.basis.moduli] = to._mods.constants(
+                [self._places] * to.num_towers
+            )
+        return kernels.mac(digits, table, to._mods, acc)
 
     def _garner_values(self, a: np.ndarray) -> np.ndarray:
         """Garner recombination of reduced ``(B, L, n)`` stacks into a
-        ``(B, n)`` object array in ``[0, P)``: int64 digits, then one
-        C-looped object Horner pass."""
-        moduli = self.basis.moduli
-        digits = self._mixed_radix(a)
-        # Combine adjacent digits in int64 first (``d_k + q_k * d_{k+1}``
-        # stays below 2^62 for sub-31-bit towers), so the object-dtype
-        # Horner pass runs over half as many limbs — same exact value,
-        # half the big-int vector operations.
-        limbs: list[np.ndarray] = []
-        limb_moduli: list[int] = []
-        k = 0
-        while k + 1 < self.num_towers:
-            limbs.append(digits[:, k] + moduli[k] * digits[:, k + 1])
-            limb_moduli.append(moduli[k] * moduli[k + 1])
-            k += 2
-        if k < self.num_towers:
-            limbs.append(digits[:, k])
-            limb_moduli.append(moduli[k])
-        out = limbs[-1].astype(object)
-        for i in range(len(limbs) - 2, -1, -1):
-            out = out * limb_moduli[i] + limbs[i]
+        ``(B, n)`` object array in ``[0, P)``: digits paired in int64
+        (``d_k + q_k d_{k+1} < 2^62``), then one object Horner pass over
+        half as many limbs."""
+        digits = self._mixed_radix(a).astype(np.int64)
+        moduli = np.asarray(self.basis.moduli + (1,) * (self.num_towers % 2))
+        digits = np.pad(digits, ((0, 0), (0, len(moduli) - self.num_towers),
+                                 (0, 0)))
+        limbs = digits[:, ::2] + moduli[::2, None] * digits[:, 1::2]
+        out = limbs[:, -1].astype(object)
+        for k in range(limbs.shape[1] - 2, -1, -1):
+            out = out * (int(moduli[2 * k]) * int(moduli[2 * k + 1])) + limbs[:, k]
         return out
 
     def centered_values(self, stack: np.ndarray) -> np.ndarray:
@@ -317,7 +274,7 @@ class BatchedRnsEngine:
         tensor product). Rounding is half-away-from-zero, bit-identical to
         the scheme's ``_round_div(t * c, q) % q``, via ``(2*t*c + q -
         [c < 0]) // (2*q)`` on object arrays. :meth:`scale_round` is the
-        int64 path for a basis that leads with q's towers.
+        residue path for a basis that leads with q's towers.
 
         Accepts one ``(L, n)`` stack (returns ``list[int]``) or a batch
         ``(k, L, n)`` (returns ``k`` coefficient lists).
@@ -351,10 +308,10 @@ class BatchedRnsEngine:
     def _scale_round(self, a: np.ndarray, t: int, head: int) -> np.ndarray:
         """:meth:`scale_round` of a reduced ``(B, L, n)`` batch (as
         :meth:`inverse` returns it), with no ``% q`` pass."""
-        qe, xe, q_inv, minus_e = self._split(head)
+        qe, xe, to_u, q_inv, minus_e = self._split(head)
         dv = qe._mixed_radix(a[:, :head])
-        u = (a[:, head:] - qe._convert(dv, xe)) * q_inv
-        mod(u, xe._q, out=u)
+        # u = (v' - v) / q on the extension: v' its rows, v the digits'.
+        u = kernels.mac(dv, to_u, xe._mods, a[:, head:], q_inv)
         du = xe._mixed_radix(u)
         negative = du[:, -1:] > xe.basis.moduli[-1] // 2
         u = xe._convert(du, qe, negative * minus_e)
@@ -363,18 +320,18 @@ class BatchedRnsEngine:
             frac = (dv[:, k] + frac) / m
         frac *= t
         near = np.abs(frac - np.floor(frac) - 0.5) < t * 2.0**-40
-        u *= qe.lift(np.ones(1, dtype=np.int64), t)
-        u += np.floor(frac + 0.5).astype(np.int64)[:, None]  # in [0, t]
-        out = mod(u, qe._q, out=u)
+        if t >> 32:  # a rounding past one word takes the exact path
+            near[...], frac[...] = True, 0
+        rounded = np.floor(frac + 0.5).astype(np.uint32)[:, None]  # [0, t]
+        out = kernels.mac(rounded, None, qe._mods, u, qe._mods.times(t))
         if near.any():
             b, j = np.nonzero(near)
             out[b, :, j] = self._round_exact(a[b, :, j], t, qe)
         return out
 
     def _split(self, head: int) -> tuple:
-        """:meth:`scale_round`'s q and extension sub-engines, ``q^-1`` mod
-        each extension tower, and minus the extension modulus mod each
-        q_i."""
+        """:meth:`scale_round`'s q and extension sub-engines, the constants
+        of ``-v / q`` and ``q^-1`` on the extension, and ``-E mod q_i``."""
         key = ("split", head)
         if key not in self._tables:
             qe = self.select(range(head))
@@ -384,10 +341,14 @@ class BatchedRnsEngine:
                 ext[-1] // 2 * (xe.modulus // ext[-1])
             ):
                 raise ValueError("extension towers too narrow to carry c / q")
+            q_inv = [modinv(q % p, p) for p in ext]
             self._tables[key] = (
                 qe, xe,
-                np.asarray([modinv(q % p, p) for p in ext])[:, None],
-                -qe.lift(np.ones(1, dtype=np.int64), xe.modulus),
+                xe._mods.constants(
+                    [[-pk * inv for pk in qe._places] for inv in q_inv]
+                ),
+                xe._mods.constants(q_inv),
+                qe.lift(np.ones(1, dtype=np.int64), -xe.modulus),
             )
         return self._tables[key]
 
@@ -398,7 +359,7 @@ class BatchedRnsEngine:
         c = self._garner_values(cols.T[None])[0]
         c = np.where(c > self.modulus >> 1, c - self.modulus, c)
         r = _round_half_away(c, t, qe.modulus)
-        return np.asarray([r % m for m in qe.basis.moduli], dtype=np.int64).T
+        return np.asarray([r % m for m in qe.basis.moduli], dtype=np.uint32).T
 
     def digit_decompose(
         self, coeffs: Sequence[int], digit_bits: int, num_digits: int
@@ -434,37 +395,33 @@ class BatchedRnsEngine:
         Digit ``i`` is bits ``[i*T, (i+1)*T)`` of each coefficient of the
         ``(n, W)`` big-endian ``words``, read as 32-bit chunks, top chunk
         first, and reduced per tower by :meth:`_word_sum`. Returns the
-        ``(num_digits, num_towers, n)`` int64 batch.
+        ``(num_digits, num_towers, n)`` ``uint32`` batch.
         """
-        limbs = words[:, ::-1].T.astype(np.uint64)  # little-endian
-        out = np.empty((num_digits, self.num_towers, self.n), dtype=np.int64)
+        words = words[:, ::-1].T  # little-endian, then zero limbs past them
+        limbs = np.zeros((max(len(words), num_digits * digit_bits // 32 + 2),
+                          self.n), dtype=np.uint64)
+        limbs[: len(words)] = words
+        width = (digit_bits - 1) // 32 + 1
+        chunks = np.empty((num_digits, width, self.n), dtype=np.uint32)
         for i in range(num_digits):
-            lo, hi = i * digit_bits, (i + 1) * digit_bits
-            chunks = []
-            for start in range(lo + (digit_bits - 1) // 32 * 32, lo - 1, -32):
+            for c in range(width):
+                start = i * digit_bits + 32 * (width - 1 - c)
                 j, shift = divmod(start, 32)
-                chunk = np.zeros(self.n, dtype=np.uint64)
-                if j < len(limbs):
-                    chunk = limbs[j] >> np.uint64(shift)
-                if shift and j + 1 < len(limbs):
-                    chunk |= limbs[j + 1] << np.uint64(32 - shift)
-                chunks.append(chunk & np.uint64((1 << min(32, hi - start)) - 1))
-            out[i] = self._word_sum(chunks)
-        return out
+                window = limbs[j] >> shift | limbs[j + 1] << (32 - shift)
+                bits = min(32, (i + 1) * digit_bits - start)
+                chunks[i, c] = window & ((1 << bits) - 1)
+        return self._word_sum(chunks)
 
-    def _word_sum(self, chunks, acc=None) -> np.ndarray:
-        """``(acc + sum_j chunks[j] 2^(32 (J-1-j))) mod q_i``, ``(L, n)``
-        int64, of ``J`` rows of 32-bit chunks, top first, in uint64."""
-        q = self._q.astype(np.uint64)
-        radix = [np.ones_like(q)]  # 2^(32 j) mod q_i, below 2^30
-        for _ in chunks[1:]:
-            radix.append((radix[-1] << np.uint64(32)) % q)
-        terms = (c * r for c, r in zip(chunks, radix[::-1]))
-        return _lazy_sum(q, terms, acc, WORD_TERMS).view(np.int64)
-
-    # ------------------------------------------------------------------
-    # Transforms
-    # ------------------------------------------------------------------
+    def _word_sum(self, chunks: np.ndarray, acc=None) -> np.ndarray:
+        """``(acc + sum_j chunks[:, j] 2^(32 (J-1-j))) mod q_i``, ``(B, L,
+        n)``, of ``(B, J, n)`` 32-bit chunks, top first: one kernel call."""
+        width = chunks.shape[1]
+        table = self._tables.get(("radix", width))
+        if table is None:
+            table = self._tables["radix", width] = self._mods.constants([
+                [1 << 32 * (width - 1 - j) for j in range(width)]
+            ] * self.num_towers)
+        return kernels.mac(chunks, table, self._mods, acc)
 
     def forward(self, stack: np.ndarray) -> np.ndarray:
         """Negacyclic forward NTT, all towers at once.
@@ -488,22 +445,17 @@ class BatchedRnsEngine:
         return out[0] if squeeze else out
 
     def _forward(self, a: np.ndarray) -> np.ndarray:
-        """:meth:`forward` of a reduced ``(B, L, n)`` int64 batch the
-        caller hands over: the kernel consumes it, no ``% q`` pass."""
+        """:meth:`forward` of a reduced ``(B, L, n)`` ``uint32`` batch the
+        caller hands over: transformed in place, no ``% q`` pass."""
         return kernels.transform(a, self._fwd)
 
     def _inverse(self, a: np.ndarray) -> np.ndarray:
         """:meth:`inverse` of a reduced batch the caller hands over."""
         return kernels.transform(a, self._inv)
 
-    # ------------------------------------------------------------------
-    # Pointwise arithmetic (NTT or coefficient domain alike)
-    # ------------------------------------------------------------------
-
     def pointwise_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Hadamard product per tower (int64-safe: operands below 2^30)."""
-        out = a * b
-        return mod(out, self._q, out=out)
+        """Hadamard product per tower of residue stacks."""
+        return kernels.multiply(a, b, self._mods)
 
     def negacyclic_multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Per-tower polynomial product modulo ``x^n + 1``."""
@@ -533,29 +485,20 @@ class BatchedRnsEngine:
         """:meth:`tensor` of a reduced ``(4, L, n)`` batch ``(a0, a1, b0,
         b1)``, or :meth:`tensor_square` of a ``(2, L, n)`` one, as one ``(3,
         L, n)`` array, with no ``% q`` pass; the batch is consumed."""
-        f = self._forward(operands)
-        fa0, fa1, fb0, fb1 = f if len(f) == 4 else (f[0], f[1], f[0], f[1])
-        y = np.empty((3, *f.shape[1:]), dtype=np.int64)
-        np.multiply(fa0, fb0, out=y[0])
-        np.multiply(fa0, fb1, out=y[1])
-        y[1] += fa1 * fb0
-        np.multiply(fa1, fb1, out=y[2])
-        return self._inverse(mod(y, self._q, out=y))
+        return self._inverse(kernels.tensor(self._forward(operands), self._mods))
 
     def keyswitch_rows(self, rows) -> np.ndarray:
         """A key-switch key's rows in NTT form, ready for :meth:`keyswitch`.
 
         ``rows`` are the key's ``D`` polynomial pairs ``(b_i, a_i)``,
-        lifted centred. Returns the ``(2, D, L, n)`` forward transforms —
-        ``[0]`` the ``b`` rows, ``[1]`` the ``a`` rows — as ``uint32``: a
-        key is held for its session's lifetime, so half-width storage is
-        what every uploaded key costs in memory.
+        lifted centred. Returns the ``(2, D, L, n)`` forward transforms:
+        ``[0]`` the ``b`` rows, ``[1]`` the ``a`` rows.
         """
         stack = np.stack(
             [self.decompose_centered(b) for b, _ in rows]
             + [self.decompose_centered(a) for _, a in rows]
         )
-        return self.forward(stack).astype(np.uint32).reshape(
+        return self._forward(stack).reshape(
             2, len(rows), self.num_towers, self.n
         )
 
@@ -564,36 +507,21 @@ class BatchedRnsEngine:
 
         The ``(J, D, L, n)`` digit polynomials ride one forward
         pass, fold against ``key_rows`` (:meth:`keyswitch_rows`) in the NTT
-        domain, one ``%`` per :data:`LAZY_TERMS` digits, and one inverse
-        pass covers both components of every job: the ``(2, J, L, n)``
-        residues of ``sum_d digit_d * b_d`` and of the ``a`` fold.
+        domain in one kernel call, and one inverse pass covers both
+        components of every job: the ``(2, J, L, n)`` residues of ``sum_d
+        digit_d * b_d`` and of the ``a`` fold.
         """
         J, D, L, n = np.shape(digits)
         a, _ = self._prepare_nd(np.reshape(digits, (J * D, L, n)))
         return self._keyswitch(a.reshape(J, D, L, n), key_rows)
 
     def _keyswitch(self, digits: np.ndarray, key_rows: np.ndarray) -> np.ndarray:
-        """:meth:`keyswitch` of reduced int64 digits (as :meth:`digit_rows`
+        """:meth:`keyswitch` of reduced digits (as :meth:`digit_rows`
         returns them), with no ``% q`` pass; the digits are consumed."""
-        key_rows = np.asarray(key_rows)
-        if key_rows.ndim != 4 or (
-            key_rows.shape[0], *key_rows.shape[2:]
-        ) != (2, self.num_towers, self.n):
-            raise ValueError(
-                f"expected (2, D, {self.num_towers}, {self.n}) key rows, "
-                f"got {key_rows.shape}"
-            )
         J, D, L, n = digits.shape
         fwd = self._forward(digits.reshape(J * D, L, n)).reshape(J, D, L, n)
-        q = self._q
-        acc = _lazy_sum(q, (
-            fwd[None, :, d] * key_rows[:, None, d] for d in range(D)
-        ))
+        acc = kernels.keyswitch(fwd, key_rows, self._mods)
         return self._inverse(acc.reshape(2 * J, L, n)).reshape(2, J, L, n)
-
-    # ------------------------------------------------------------------
-    # Sub-views
-    # ------------------------------------------------------------------
 
     def select(self, indices: Sequence[int]) -> "BatchedRnsEngine":
         """An engine over a subset of towers, sharing all precomputation:
@@ -608,10 +536,6 @@ class BatchedRnsEngine:
                          (self._fwd.rows(rows), self._inv.rows(rows)))
         return sub
 
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-
     def _prepare_nd(self, stack: np.ndarray) -> tuple[np.ndarray, bool]:
         """Normalize to a reduced ``(batch, num_towers, n)`` array."""
         a = np.asarray(stack, dtype=np.int64)
@@ -623,7 +547,7 @@ class BatchedRnsEngine:
                 f"expected a (..., {self.num_towers}, {self.n}) tower "
                 f"stack, got {np.shape(stack)}"
             )
-        return mod(a, self._q), squeeze
+        return kernels.reduce(a, self._mods), squeeze
 
     def __repr__(self) -> str:
         bits = [q.bit_length() for q in self.basis.moduli]
@@ -631,20 +555,6 @@ class BatchedRnsEngine:
             f"BatchedRnsEngine(n={self.n}, towers={self.num_towers}, "
             f"bits={bits})"
         )
-
-
-def _lazy_sum(q, terms, acc=None, budget: int = LAZY_TERMS) -> np.ndarray:
-    """``(acc + sum(terms)) mod q`` with one :func:`~repro.polymath.kernels.mod`
-    per ``budget`` terms, in place in ``acc`` (a fresh residue-sized
-    array) or the first term."""
-    for i, term in enumerate(terms):
-        if acc is None:
-            acc = term
-            continue
-        if i and i % budget == 0:
-            mod(acc, q, out=acc)
-        acc += term
-    return mod(acc, q, out=acc)
 
 
 def _round_half_away(c: np.ndarray, t: int, q: int) -> np.ndarray:

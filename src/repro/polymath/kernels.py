@@ -1,38 +1,37 @@
-"""The vector kernels: one exact C butterfly kernel for the NTT and iNTT,
-and ``a mod q`` by one scalar divisor per tower.
+"""The residue kernels: one C file, ``ntt.c``, of exact ``uint32``
+passes on towers of at most :data:`MAX_MODULUS_BITS` bits, shared by the
+batched tower engine and the chip model's MDMC, as CoFHEE runs its NTT,
+Hadamard product and constant multiply on one datapath (Section VIII-B).
 
-CoFHEE runs NTT and iNTT through one butterfly unit from one bank-resident
-twiddle table (Section VIII-B, Algorithm 3). ``ntt.c`` runs them for the
-batched tower engine (a whole ``(..., L, n)`` stack) and the chip model's
-MDMC (one bank row) as Longa and Naehrig's merged-``psi`` Cooley–Tukey
-forward and Gentleman–Sande inverse (CANS 2016): the loops of
-:class:`~repro.polymath.ntt.NttContext` on ``uint32`` words with 32-bit
-Shoup products, every word back in ``[0, q)`` after each butterfly, so
-the results are its bit for bit.
+:func:`transform` is Longa and Naehrig's merged-``psi`` NTT (CANS 2016),
+the loops of :class:`~repro.polymath.ntt.NttContext`. Around it run
+:func:`reduce` (``a mod q`` of any 64-bit word), :func:`multiply` (the
+Hadamard product), :func:`tensor` (Eq. 4), :func:`keyswitch`, :func:`mac`
+(multiply-accumulate against constants) and :func:`garner` (mixed-radix
+digits), with per-tower constants from a :class:`Moduli`. A product by a
+constant is a 32-bit Shoup product (Harvey, J. Symb. Comp. 2014), one of
+two residues a Barrett reduction with a 32x32->64 quotient estimate; gcc
+vectorizes both. No accumulator reaches :data:`ACC_BOUND` times the
+modulus and every output is fully reduced: the exact integer results.
 
-It compiles at first import with ``gcc`` :data:`CFLAGS` into
+The file compiles at first import with ``gcc`` :data:`CFLAGS` into
 ``$XDG_CACHE_HOME/repro`` (default ``~/.cache/repro``), named by a hash
 of the source, the flags, ``gcc --version`` and the CPU flags, and loads
 through cffi's ABI mode. A build goes to a temporary file renamed into
-place, so processes importing at once never load a half-written library.
-Without a working ``gcc`` the import raises :class:`ImportError`.
-
-:func:`mod` is the ``a mod q`` every vector caller uses (the engine's lazy
-sums, products and lifts, the MDMC's modular multiplies). From
-:data:`MOD_SPLIT_WORDS` words a tower up it is one scalar ``floor_divide``
-per tower, about half the cost of a ``%`` by a broadcast modulus column;
-below that, where each numpy call's fixed cost dominates, it is that one
-``%``. Both are bit-identical.
+place, so processes importing at once never load a half-written library,
+and then deletes the builds of other sources or flags. Without a working
+``gcc`` the import raises :class:`ImportError`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import re
 import subprocess
 import tempfile
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import cffi
@@ -40,16 +39,14 @@ import numpy as np
 
 from repro.polymath.bitrev import bit_reverse_indices
 
-#: Widest tower modulus the kernels take: a butterfly's sum and a Shoup
-#: product's ``[0, 2q)`` remainder stay below ``2^31``.
+#: Widest tower modulus the kernels take: a butterfly's sum, a Shoup
+#: product's ``[0, 2q)`` remainder and a lazy sum stay in 32-bit words.
 MAX_MODULUS_BITS = 30
 
-#: Words per tower from which :func:`mod` divides tower by tower. Below
-#: it one ``np.remainder`` over the whole stack is faster: measured on a
-#: 2-core Xeon host, the per-tower divides take 2-20x as long on
-#: ``n = 16`` stacks, and win up to 1.3x at 2,048 contiguous words a
-#: tower and 1.5-2x at 4,096.
-MOD_SPLIT_WORDS = 2048
+#: Every accumulator the kernels keep is below ``ACC_BOUND * q``: a lazy
+#: sum below ``2q`` plus a Shoup product below ``2q``, or a Barrett
+#: remainder below ``3q``. With ``q < 2^30`` that is one 32-bit word.
+ACC_BOUND = 4
 
 #: How ``ntt.c`` is compiled.
 CFLAGS = ("-O3", "-march=native", "-shared", "-fPIC")
@@ -93,63 +90,21 @@ def _library() -> str:
         finally:
             if os.path.exists(partial):
                 os.unlink(partial)
+        # Builds of older sources or flags are never loaded again. A
+        # process still running one keeps its mapping.
+        for stale in cache.glob("ntt-*.so"):
+            if stale != library:
+                stale.unlink(missing_ok=True)
     return str(library)
 
 
 _ffi = cffi.FFI()
-_ffi.cdef("void ntt(uint32_t *, size_t, size_t, size_t, const uint32_t *,"
-          " const uint32_t *, const uint32_t *, const uint32_t *,"
-          " const uint32_t *, int);")
+# The declarations come from the source: its record type and every function.
+_ffi.cdef(";".join(re.findall(
+    r"^typedef struct \{.*?\} \w+|^void \w+\([^)]*\)",
+    Path(__file__).with_name("ntt.c").read_text(), re.M | re.S,
+)) + ";")
 _lib = _ffi.dlopen(_library())
-
-
-def mod(a: np.ndarray, q, out: np.ndarray | None = None) -> np.ndarray:
-    """``a mod q``, bit for bit ``np.remainder(a, q)`` (floor semantics).
-
-    ``a`` is ``int64`` or ``uint64``; ``q`` is one positive modulus or an
-    ``(L, 1)`` column of them, one per tower on ``a``'s second-to-last
-    axis (``a`` broadcasts against it). A tower of at least
-    :data:`MOD_SPLIT_WORDS` words is reduced by its own scalar divisor,
-    as ``a - floor(a / q) q``: numpy's ``floor_divide`` by a scalar takes
-    its precomputed-divisor fast path, which a ``%`` by a broadcast
-    column never does. Products wrap mod ``2^64`` like the true values,
-    so the result is exact for every input. ``out`` may be ``a``.
-    """
-    # Words per tower: a column of moduli splits the second-to-last axis.
-    # A stack under the threshold as a whole skips that test.
-    column = a.size >= MOD_SPLIT_WORDS and np.ndim(q) > 0
-    words = a.size // a.shape[-2] if column and a.ndim > 1 else a.size
-    if words < MOD_SPLIT_WORDS:
-        return np.remainder(a, q, out=out)
-    if column:
-        a = np.broadcast_to(a, np.broadcast_shapes(a.shape, np.shape(q)))
-        towers = [((Ellipsis, i, slice(None)), m)
-                  for i, m in enumerate(np.ravel(q).tolist())]
-    else:
-        towers = [(Ellipsis, q)]
-    if out is None:
-        out = np.empty(a.shape, a.dtype)
-    # The quotient goes to ``out`` itself unless that overwrites ``a``.
-    scratch = (np.empty(a[towers[0][0]].shape, a.dtype)
-               if np.may_share_memory(a, out) else None)
-    for i, m in towers:
-        quot = out[i] if scratch is None else scratch
-        np.floor_divide(a[i], m, out=quot)
-        quot *= m
-        np.subtract(a[i], quot, out=out[i])
-    return out
-
-
-def mul_const(a: np.ndarray, c, q) -> np.ndarray:
-    """``a * c mod q`` in place, fully reduced, for ``uint64`` residues
-    ``a`` and constants ``c`` below a scalar ``q`` of at most
-    :data:`MAX_MODULUS_BITS` bits, so the product stays below ``2^60``.
-
-    ``c`` broadcasts against ``a`` (one constant per row): the chip's
-    CMODMUL, and its iNTT's ``n^-1`` pass.
-    """
-    a *= c
-    return mod(a, q, out=a)
 
 
 def fits(q: int) -> bool:
@@ -207,26 +162,155 @@ class NttTables:
 
     @cached_property
     def _pointers(self) -> tuple:
-        return tuple(_ffi.from_buffer("uint32_t[]", np.ascontiguousarray(x))
+        return tuple(_ffi.from_buffer("uint32_t[]", _words(x))
                      for x in self._arrays)
+
+
+def _words(a) -> np.ndarray:
+    """``a`` as a C-contiguous ``uint32`` array: itself when it is one."""
+    return np.ascontiguousarray(a, dtype=np.uint32)
+
+
+def _call(kernel: str, out: np.ndarray, *args) -> np.ndarray:
+    """Run ``kernel`` into ``out``: contiguous arrays go by pointer (64-
+    or 32-bit words), ``None`` as ``NULL``, anything else as it is."""
+    getattr(_lib, kernel)(*(
+        _ffi.NULL if a is None else a if not isinstance(a, np.ndarray)
+        else _ffi.from_buffer(f"uint{8 * a.itemsize}_t[]", a)
+        for a in (out, *args)
+    ))
+    return out
 
 
 def transform(a: np.ndarray, tables: NttTables) -> np.ndarray:
     """The NTT (``tables.inverse`` false) or the iNTT, ending with
-    ``tables.scale``, of residues ``a < q``, fully reduced out.
-
-    ``a`` is an ``(..., L, n)`` ``int64`` or ``uint64`` array over
-    ``tables``' ``L`` towers, natural order in and bit-reversed out
-    forward, the reverse for the inverse. The result is written over
-    ``a`` (a copy if ``a`` is not contiguous) and returned.
-    """
-    out = np.ascontiguousarray(a)
+    ``tables.scale``, of an ``(..., L, n)`` stack of residues over
+    ``tables``' towers: natural order in and bit-reversed out forward,
+    the reverse for the inverse. A C-contiguous ``uint32`` stack is
+    transformed in place; any other is copied into one first."""
+    out = _words(a)
     towers, n = out.shape[-2:]
     # The kernel walks a power-of-two row and its tables by shape.
     if tables.w.shape != (towers, n) or n & (n - 1):
         raise ValueError(f"{out.shape} stack, {tables.w.shape} tables")
-    words = out.astype(np.uint32)
-    _lib.ntt(_ffi.from_buffer("uint32_t[]", words), words.size // n, towers,
-             n, *tables._pointers, tables.inverse)
-    np.copyto(out, words)
-    return out
+    return _call("ntt", out, out.size // n, towers, n, *tables._pointers,
+                 tables.inverse)
+
+
+@dataclass(frozen=True, eq=False)
+class Moduli:
+    """The pointwise kernels' constants for a tuple of :func:`fits`
+    moduli, shared per tuple (:meth:`of`): per tower a ``modulus_t``
+    record of ``q``, its bit length ``b``, ``floor(2^2b / q)``, the Shoup
+    quotient of 1, ``2^32 mod q`` and its quotient, and ``2^64 mod q``."""
+
+    moduli: tuple[int, ...]
+
+    @staticmethod
+    @lru_cache(maxsize=256)
+    def of(moduli: tuple[int, ...]) -> "Moduli":
+        return Moduli(tuple(moduli))
+
+    @cached_property
+    def q(self) -> np.ndarray:
+        """The ``(L, 1)`` ``uint32`` column of moduli."""
+        return _words(self.moduli)[:, None]
+
+    @cached_property
+    def _records(self):
+        return _ffi.from_buffer("modulus_t[]", _words([
+            (q, q.bit_length(), (1 << 2 * q.bit_length()) // q,
+             (1 << 32) // q, (1 << 32) % q, ((1 << 32) % q << 32) // q,
+             (1 << 64) % q, 0)
+            for q in self.moduli
+        ]))
+
+    def constants(self, values) -> tuple[np.ndarray, np.ndarray]:
+        """Integers of any size and sign, tower axis first (``(L,)`` or
+        ``(L, K)``), as ``uint32`` residues mod their tower and their
+        Shoup quotients ``floor(w 2^32 / q)``."""
+        w = np.asarray(values, dtype=object)
+        q = np.asarray(self.moduli, dtype=object).reshape(-1, *[1] * (w.ndim - 1))
+        w = w % q
+        return _words(w), _words((w << 32) // q)
+
+    @lru_cache(maxsize=64)
+    def times(self, c: int) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`constants` of the integer ``c`` on every tower."""
+        return self.constants([c] * len(self.moduli))
+
+
+def reduce(a, mods: Moduli, scale=None) -> np.ndarray:
+    """``a mod q`` times ``scale`` (:meth:`Moduli.constants` of one per
+    tower, 1 by default), as a fresh ``uint32`` stack: ``a`` is ``int64``
+    or ``uint64`` words (other integer dtypes are read as ``int64``),
+    broadcast against ``(L, n)``."""
+    a = np.asarray(a)
+    a = np.ascontiguousarray(np.broadcast_to(
+        a if a.dtype == np.uint64 else a.astype(np.int64, copy=False),
+        np.broadcast_shapes(a.shape, (len(mods.moduli), 1)),
+    ))
+    return _call("reduce", np.empty(a.shape, np.uint32), a,
+                 a.size // a.shape[-1], len(mods.moduli), a.shape[-1],
+                 a.dtype == np.int64, *(scale or mods.times(1)), mods._records)
+
+
+def multiply(a, b, mods: Moduli) -> np.ndarray:
+    """The pointwise product ``a b mod q`` of two ``(..., L, n)`` residue
+    stacks, row ``r`` on tower ``r mod L`` (the Hadamard product)."""
+    a, b = _words(a), _words(b)
+    if a.shape != b.shape:
+        raise ValueError(f"{a.shape} and {b.shape} operands")
+    return _call("multiply", np.empty_like(a), a, b, a.size // a.shape[-1],
+                 len(mods.moduli), a.shape[-1], mods._records)
+
+
+def tensor(f: np.ndarray, mods: Moduli) -> np.ndarray:
+    """The Eq. 4 tensor of NTT-domain operands, ``(4, L, n)`` ``a0, a1,
+    b0, b1`` or ``(2, L, n)`` ``a0, a1`` squared: one ``(3, L, n)`` stack
+    ``y0, y1, y2`` with ``y1 = a0 b1 + a1 b0``."""
+    f = _words(f)
+    if f.shape[:2] not in ((4, len(mods.moduli)), (2, len(mods.moduli))):
+        raise ValueError(f"{f.shape} operands for {len(mods.moduli)} towers")
+    return _call("tensor", np.empty((3, *f.shape[1:]), np.uint32), f,
+                 *f.shape[1:], len(f) == 2, mods._records)
+
+
+def keyswitch(x: np.ndarray, key: np.ndarray, mods: Moduli) -> np.ndarray:
+    """The ``(2, J, L, n)`` residues of ``sum_d x[:, d] key[s, d]``, ``s``
+    in ``0, 1``, for ``(J, D, L, n)`` NTT-domain digits and ``(2, D, L,
+    n)`` key rows: the key-switch inner product."""
+    x, key = _words(x), _words(key)
+    jobs, digits, towers, n = x.shape
+    if key.shape != (2, digits, towers, n) or towers != len(mods.moduli):
+        raise ValueError(f"{x.shape} digits, {key.shape} key rows")
+    return _call("keyswitch", np.empty((2, jobs, towers, n), np.uint32), x,
+                 key, *x.shape, mods._records)
+
+
+def mac(x, c, mods: Moduli, acc=None, s=None) -> np.ndarray:
+    """``(acc_i s_i + sum_k x_k c_ik) mod q_i`` as a ``(B, L, n)`` stack
+    of ``(B, K, n)`` 32-bit words ``x`` (or ``None``: no terms) and
+    ``acc`` (broadcast, or ``None``), with ``c`` and ``s`` the
+    :meth:`Moduli.constants` of ``(L, K)`` and ``(L,)`` (1 by default)."""
+    towers = len(mods.moduli)
+    x = None if x is None else _words(x)
+    batch, terms, n = (len(acc), 0, np.shape(acc)[-1]) if x is None else x.shape
+    c = c or mods.times(1)
+    if c[0].size != towers * max(terms, 1):
+        raise ValueError(f"{c[0].shape} constants for {towers} x {terms}")
+    if acc is not None:
+        acc = _words(np.broadcast_to(acc, (batch, towers, n)))
+    return _call("mac", np.empty((batch, towers, n), np.uint32), x, acc,
+                 batch, terms, towers, n, *c, *(s or mods.times(1)),
+                 mods._records)
+
+
+def garner(a, c, mods: Moduli) -> np.ndarray:
+    """Garner's mixed-radix digits ``d_k = (a_k c_kk + sum_{i<k} d_i
+    c_ki) mod q_k`` of a ``(B, L, n)`` residue stack, ``c`` the
+    :meth:`Moduli.constants` of an ``(L, L)`` table."""
+    a = _words(a)
+    if c[0].shape != (a.shape[1],) * 2 or a.shape[1] != len(mods.moduli):
+        raise ValueError(f"{a.shape} stack, {c[0].shape} constants")
+    return _call("garner", np.empty_like(a), a, *a.shape, *c, mods._records)

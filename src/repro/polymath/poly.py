@@ -14,7 +14,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.polymath.kernels import mod
 from repro.polymath.modmath import modinv
 from repro.polymath.ntt import NttContext, reference_negacyclic_multiply
 
@@ -193,10 +192,10 @@ class Polynomial:
       :meth:`from_canonical`).
     * **Word-backed**: :meth:`PolynomialRing.unpack`'s wire bytes and
       their big-endian 32-bit :attr:`words`.
-    * **Tower-backed**: :meth:`from_towers`, ``(L, n)`` int64 residues on
-      q's own towers with the batched engine over them — every ciphertext
-      the scheme computes when those towers are engine-sized. Its
-      ``words`` come from int64 mixed radix
+    * **Tower-backed**: :meth:`from_towers`, ``(L, n)`` ``uint32``
+      residues on q's own towers with the batched engine over them —
+      every ciphertext the scheme computes when those towers are
+      engine-sized. Its ``words`` come from mixed radix
       (:meth:`~repro.polymath.engine.BatchedRnsEngine.to_words`), and
       ``+``/``-``/``neg``/:meth:`scalar_mul` with it run per tower.
     """
@@ -237,9 +236,9 @@ class Polynomial:
 
     @classmethod
     def from_towers(cls, ring: PolynomialRing, rns, towers: np.ndarray):
-        """Wrap ``(L, n)`` int64 residues in ``[0, q_i)`` on ``rns``, the
-        :class:`~repro.polymath.engine.BatchedRnsEngine` over q's own
-        towers. Nothing is copied or re-checked."""
+        """Wrap ``(L, n)`` residues in ``[0, q_i)`` on ``rns``, the engine
+        over q's own towers, as ``uint32`` (not copied when they are)."""
+        towers = np.asarray(towers, dtype=np.uint32)
         return object.__new__(cls)._set(ring, towers=towers, rns=rns)
 
     @classmethod
@@ -291,18 +290,19 @@ class Polynomial:
 
     def _combine(self, other: "Polynomial | None", op) -> "Polynomial":
         """``op`` coefficient-wise mod q: per tower if either operand is
-        tower-backed (a value in ``(-q, 2q)`` takes a conditional ``+q``
-        then ``-q``), else on Python ints (``other=None`` is unary)."""
+        tower-backed (a ``uint32`` value in ``(-q, 2q)``, wrapped below
+        zero, takes a conditional ``+q`` then ``-q``), else on Python ints
+        (``other=None`` is unary)."""
         if other is not None:
             self._check_ring(other)
         rns = self._rns or (other._rns if other is not None else None)
         if rns is not None:
             a = rns.decompose_centered(self)
             b = None if other is None else rns.decompose_centered(other)
-            r, q = op(a, b).view(np.uint64), rns._q.astype(np.uint64)
+            r, q = op(a, b), rns._mods.q
             np.minimum(r, r + q, out=r)
             np.minimum(r, r - q, out=r)
-            return Polynomial.from_towers(self.ring, rns, r.view(np.int64))
+            return Polynomial.from_towers(self.ring, rns, r)
         b = other.coeffs if other is not None else (0,) * self.ring.n
         return Polynomial(self.ring, [op(x, y) for x, y in zip(self.coeffs, b)])
 
@@ -377,7 +377,8 @@ class Polynomial:
         (an automorphism's table), per tower on a tower-backed one."""
         if self._rns is not None:
             rows = self._towers[:, src]
-            rows[:, flip] = mod(-rows[:, flip], self._rns._q)
+            negated = -rows[:, flip]  # 2^32 - x; + q wraps it to q - x
+            rows[:, flip] = np.minimum(negated, negated + self._rns._mods.q)
             return Polynomial.from_towers(self.ring, self._rns, rows)
         out = np.asarray(self.coeffs, dtype=object)[src]
         out[flip] = -out[flip] % self.ring.q

@@ -437,7 +437,7 @@ class ChipPoolBackend(Backend):
         rows: tuple[np.ndarray, np.ndarray] | None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """A tensor unit's ``(4, L, n)`` operand residues and ``(3, L, n)``
-        mod-q reference outputs on every tower, as ``uint64`` words.
+        mod-q reference outputs on every tower, as word arrays.
 
         ``rows`` are the scheme's own head rows of the tensor, shared by
         :meth:`~repro.bfv.scheme.Bfv.multiply`: the auxiliary basis leads
@@ -449,8 +449,7 @@ class ChipPoolBackend(Backend):
         both to the one operand.
         """
         if rows is not None:
-            operands, outputs = rows
-            return operands.astype(np.uint64), outputs.astype(np.uint64)
+            return rows
         ct_a = (a.polys[0].coeffs, a.polys[1].coeffs)
         ct_b = ct_a if b is a else (b.polys[0].coeffs, b.polys[1].coeffs)
         return SoftwareBfv(basis, n).tensor_towers(ct_a, ct_b)

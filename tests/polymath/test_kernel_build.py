@@ -1,9 +1,10 @@
-"""The NTT kernel's build at first import.
+"""The kernels' build at first import.
 
 Two interpreters importing :mod:`repro.polymath.kernels` at once into an
-empty cache both load a working library and leave exactly one in it,
-with no partial file; an interpreter without ``gcc`` on its ``PATH``
-gets an :class:`ImportError` that says so.
+empty cache, or one holding a stale build of another source, both load
+a working library and leave exactly one in it, with no partial file; an
+interpreter without ``gcc`` on its ``PATH`` gets an :class:`ImportError`
+that says so.
 """
 
 import contextlib
@@ -24,7 +25,7 @@ import hashlib, numpy as np
 from repro.polymath.engine import BatchedRnsEngine
 from repro.polymath.rns import RnsBasis, plan_towers
 engine = BatchedRnsEngine(RnsBasis(plan_towers(210, 30, 64)), 64)
-stack = np.random.default_rng(7).integers(0, engine._q, (4, 7, 64))
+stack = np.random.default_rng(7).integers(0, engine._mods.q, (4, 7, 64))
 out = np.stack([engine.forward(stack), engine.inverse(stack)])
 print(hashlib.sha256(out.tobytes()).hexdigest())
 """
@@ -47,15 +48,31 @@ def _expected() -> str:
     return out.getvalue().strip()
 
 
-def test_concurrent_first_imports_share_one_library(tmp_path):
-    procs = [_start(tmp_path) for _ in range(2)]
+def _race(cache: Path) -> list[str]:
+    """Two first imports at once into ``cache``: both print the expected
+    digest; returns the files they leave."""
+    procs = [_start(cache) for _ in range(2)]
     outputs = [proc.communicate(timeout=120) for proc in procs]
     for proc, (out, err) in zip(procs, outputs):
         assert proc.returncode == 0, err
     assert {out.strip() for out, _ in outputs} == {_expected()}
-    files = sorted(p.name for p in (tmp_path / "repro").iterdir())
+    return sorted(p.name for p in (cache / "repro").iterdir())
+
+
+def test_concurrent_first_imports_share_one_library(tmp_path):
+    files = _race(tmp_path)
     assert len(files) == 1 and files[0].startswith("ntt-"), files
     assert files[0].endswith(".so")
+
+
+def test_first_imports_prune_a_stale_library(tmp_path):
+    """A build of another source (``ntt-<otherhash>.so``) is deleted by
+    the build that replaces it."""
+    (tmp_path / "repro").mkdir()
+    (tmp_path / "repro" / "ntt-0123456789abcdef.so").write_bytes(b"old")
+    files = _race(tmp_path)
+    assert len(files) == 1 and files[0].startswith("ntt-"), files
+    assert files[0].endswith(".so") and "0123456789abcdef" not in files[0]
 
 
 def test_no_compiler_is_a_clear_import_error(tmp_path):

@@ -1,0 +1,202 @@
+"""Property suite: each C residue kernel against the numpy it replaces.
+
+Every kernel of :mod:`repro.polymath.kernels` is run on two towers, the
+smallest NTT-friendly prime :func:`~repro.polymath.kernels.fits` accepts
+at the degree and the largest 30-bit one, at ``n`` in ``{2, 16, 4096,
+2^14}``, on random inputs and on all-maximal ones (every residue ``q -
+1``, every free word ``2^32 - 1``), where each accumulator reaches its
+worst case. The reference is the exact numpy ``uint64``/``int64``
+expression each kernel took over: products below ``2^60`` and one ``%``
+per term.
+"""
+
+import numpy as np
+import pytest
+
+from repro.polymath import kernels
+from repro.polymath.primes import is_prime, ntt_friendly_prime
+
+DEGREES = (2, 16, 4096, 1 << 14)
+FILLS = ("random", "max")
+U32 = (1 << 32) - 1
+
+
+def _smallest_prime(n: int) -> int:
+    """The smallest prime ``q = 1 mod 2n``."""
+    q = 2 * n + 1
+    while not is_prime(q):
+        q += 2 * n
+    return q
+
+
+def _moduli(n: int) -> kernels.Moduli:
+    small, large = _smallest_prime(n), ntt_friendly_prime(n, 30)
+    assert kernels.fits(small) and large.bit_length() == 30
+    return kernels.Moduli.of((small, large))
+
+
+def _q(mods: kernels.Moduli) -> np.ndarray:
+    return np.asarray(mods.moduli, dtype=np.uint64)[:, None]
+
+
+def _residues(mods, shape, fill, seed) -> np.ndarray:
+    """``(..., L, n)`` residues below each tower: random or all ``q - 1``."""
+    q = _q(mods)
+    if fill == "max":
+        return np.broadcast_to(q - 1, shape).astype(np.uint32)
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, q, shape, dtype=np.uint64).astype(np.uint32)
+
+
+def _words(shape, fill, seed) -> np.ndarray:
+    """Free 32-bit words: random or all ``2^32 - 1``."""
+    if fill == "max":
+        return np.full(shape, U32, dtype=np.uint32)
+    return np.random.default_rng(seed).integers(
+        0, U32, shape, dtype=np.uint32, endpoint=True
+    )
+
+
+def _constants(mods, shape, fill, seed) -> np.ndarray:
+    """``(L, ...)`` integers below each tower, as ``uint64``."""
+    q = np.asarray(mods.moduli, dtype=np.uint64).reshape(-1, *[1] * (len(shape) - 1))
+    if fill == "max":
+        return np.broadcast_to(q - 1, shape).copy()
+    return np.random.default_rng(seed).integers(0, q, shape, dtype=np.uint64)
+
+
+@pytest.mark.parametrize("fill", FILLS)
+@pytest.mark.parametrize("n", DEGREES)
+def test_reduce_is_remainder_times_scale(n, fill):
+    """``reduce`` is ``np.remainder(a, q) * s % q`` for signed and
+    unsigned 64-bit words."""
+    mods = _moduli(n)
+    q = _q(mods)
+    scale = _constants(mods, (2,), fill, n)
+    for dtype in (np.int64, np.uint64):
+        info = np.iinfo(dtype)
+        if fill == "max":
+            ends = [info.min, info.min + 1, info.max, info.max - 1]
+            a = np.resize(np.asarray(ends, dtype=dtype), (3, 2, n))
+        else:
+            a = np.random.default_rng(n).integers(
+                info.min, info.max, (3, 2, n), dtype=dtype, endpoint=True
+            )
+        want = np.remainder(a, q.astype(dtype)).astype(np.uint64) * scale[:, None] % q
+        got = kernels.reduce(a, mods, mods.constants(scale.tolist()))
+        assert got.dtype == np.uint32
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("fill", FILLS)
+@pytest.mark.parametrize("n", DEGREES)
+def test_multiply_is_the_product_mod_q(n, fill):
+    mods = _moduli(n)
+    a = _residues(mods, (3, 2, n), fill, n)
+    b = _residues(mods, (3, 2, n), fill, n + 1)
+    want = a.astype(np.uint64) * b % _q(mods)
+    assert np.array_equal(kernels.multiply(a, b, mods), want)
+
+
+@pytest.mark.parametrize("fill", FILLS)
+@pytest.mark.parametrize("n", DEGREES)
+def test_tensor_is_the_eq4_products(n, fill):
+    mods = _moduli(n)
+    q = _q(mods)
+    f = _residues(mods, (4, 2, n), fill, n).astype(np.uint64)
+    a0, a1, b0, b1 = f
+    want = [a0 * b0 % q, (a0 * b1 % q + a1 * b0 % q) % q, a1 * b1 % q]
+    assert np.array_equal(kernels.tensor(f, mods), want)
+    squared = [a0 * a0 % q, 2 * (a0 * a1 % q) % q, a1 * a1 % q]
+    assert np.array_equal(kernels.tensor(f[:2], mods), squared)
+
+
+@pytest.mark.parametrize("fill", FILLS)
+@pytest.mark.parametrize("n", DEGREES)
+def test_keyswitch_is_the_digit_key_inner_product(n, fill):
+    """17 digits, two jobs: ``sum_d x[j, d] key[s, d] mod q``."""
+    mods = _moduli(n)
+    q = _q(mods)
+    jobs, digits = 2, 17
+    x = _residues(mods, (jobs, digits, 2, n), fill, n).astype(np.uint64)
+    key = _residues(mods, (2, digits, 2, n), fill, n + 1).astype(np.uint64)
+    want = np.zeros((2, jobs, 2, n), dtype=np.uint64)
+    for d in range(digits):
+        want = (want + x[None, :, d] * key[:, None, d] % q) % q
+    assert np.array_equal(kernels.keyswitch(x, key, mods), want)
+
+
+@pytest.mark.parametrize("fill", FILLS)
+@pytest.mark.parametrize("n", DEGREES)
+def test_mac_is_the_constant_multiply_accumulate(n, fill):
+    """Nine free words per output against per-tower constants, plus a
+    free-word accumulator times a constant: every lazy sum at its
+    bound on the all-maximal fill."""
+    mods = _moduli(n)
+    q = _q(mods)
+    batch, terms = 2, 9
+    x = _words((batch, terms, n), fill, n).astype(np.uint64)
+    acc = _words((batch, 2, n), fill, n + 1).astype(np.uint64)
+    c = _constants(mods, (2, terms), fill, n)
+    s = _constants(mods, (2,), fill, n + 2)
+    want = acc % q * s[:, None] % q
+    for k in range(terms):
+        want = (want + x[:, k, None] % q * c[:, k, None] % q) % q
+    got = kernels.mac(x, mods.constants(c.tolist()), mods, acc,
+                      mods.constants(s.tolist()))
+    assert np.array_equal(got, want)
+    no_acc = np.zeros_like(want)
+    for k in range(terms):
+        no_acc = (no_acc + x[:, k, None] % q * c[:, k, None] % q) % q
+    assert np.array_equal(kernels.mac(x, mods.constants(c.tolist()), mods),
+                          no_acc)
+    scaled = kernels.mac(None, None, mods, acc, mods.constants(s.tolist()))
+    assert np.array_equal(scaled, acc % q * s[:, None] % q)
+
+
+@pytest.mark.parametrize("fill", FILLS)
+@pytest.mark.parametrize("n", DEGREES)
+def test_garner_is_the_mixed_radix_recurrence(n, fill):
+    """``d_k = (a_k c_kk + sum_{i<k} d_i c_ki) mod q_k`` over three towers:
+    the two, then a 29-bit one."""
+    small, large = _moduli(n).moduli
+    mods = kernels.Moduli.of((small, large, ntt_friendly_prime(n, 29)))
+    q = np.asarray(mods.moduli, dtype=np.uint64)
+    a = _residues(mods, (2, 3, n), fill, n).astype(np.uint64)
+    c = _constants(mods, (3, 3), fill, n)
+    want = np.zeros_like(a)
+    for k in range(3):
+        want[:, k] = a[:, k] * c[k, k] % q[k]
+        for i in range(k):
+            want[:, k] = (want[:, k] + want[:, i] % q[k] * c[k, i] % q[k]) % q[k]
+    assert np.array_equal(kernels.garner(a, mods.constants(c.tolist()), mods),
+                          want)
+
+
+def test_moduli_constants_are_shoup_quotients():
+    """``constants`` reduces any integer and pairs it with ``floor(w
+    2^32 / q)``; ``of`` shares one set per tuple."""
+    mods = _moduli(16)
+    values = [[-1, 1 << 70], [0, -(1 << 40) + 3]]
+    w, ws = mods.constants(values)
+    for row, q, wr, sr in zip(values, mods.moduli, w, ws):
+        assert wr.tolist() == [v % q for v in row]
+        assert sr.tolist() == [(v % q << 32) // q for v in row]
+    assert kernels.Moduli.of(mods.moduli) is mods
+
+
+def test_mismatched_shapes_are_refused():
+    """The C loops read by the shapes they are given, so shapes that do
+    not agree with each other or with the towers raise first."""
+    mods = _moduli(16)
+    words = np.zeros((3, 2, 16), np.uint32)
+    calls = [
+        lambda: kernels.multiply(words, words[:2], mods),
+        lambda: kernels.tensor(words, mods),
+        lambda: kernels.keyswitch(words[None], np.zeros((2, 2, 2, 16)), mods),
+        lambda: kernels.mac(words, mods.constants([[1, 2, 3]] * 2), mods),
+        lambda: kernels.garner(words, mods.constants([[1] * 3] * 2), mods),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()

@@ -1,15 +1,18 @@
-"""Property suite: the RNS engine reduces once per bounded sum.
+"""Property suite: the engine's modular sums at their worst case.
 
-Every int64 modular sum on the engine's served path accumulates its terms
-unreduced and takes one ``%`` per :data:`~repro.polymath.engine.LAZY_TERMS`
-residue products (:data:`~repro.polymath.engine.WORD_TERMS` word terms in
-uint64). Each site runs here at its largest term count on 30-bit towers,
-the widest the engine takes, with all-(q-1) operands, so every partial sum
-sits at the budget's edge; results are compared bit for bit with exact
-Python-int arithmetic kept in this file. The wide basis has more than
-``LAZY_TERMS`` towers, so the once-per-budget reduction runs. Every one
-of those ``%`` passes is :func:`~repro.polymath.kernels.mod`, checked
-first against ``np.remainder`` at both budgets' edges.
+Every modular sum on the engine's served path is one call into the C
+kernels (:mod:`repro.polymath.kernels`), which keep each accumulator
+below :data:`~repro.polymath.kernels.ACC_BOUND` times its modulus, one
+32-bit word. Each site runs here at its largest term count on 30-bit
+towers, the widest the engine takes, with all-(q-1) operands, so every
+partial sum sits at that bound; results are compared bit for bit with
+exact Python-int arithmetic kept in this file. The term counts are the
+edges of the int64/uint64 sums the kernels replaced: nine towers of q
+(one past eight residue products), 8, 9 and 17 key-switch digits, and
+four-word (120-bit) coefficients (one past three word terms). The
+kernels' ``a mod q`` of any 64-bit word,
+:func:`~repro.polymath.kernels.reduce`, is checked first against
+``np.remainder`` at those sums' edges.
 """
 
 from math import prod
@@ -19,13 +22,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.polymath.engine import (
-    LAZY_TERMS,
-    MAX_MODULUS_BITS,
-    WORD_TERMS,
-    BatchedRnsEngine,
-)
-from repro.polymath.kernels import MOD_SPLIT_WORDS, mod
+from repro.polymath import kernels
+from repro.polymath.engine import MAX_MODULUS_BITS, BatchedRnsEngine
 from repro.polymath.ntt import NttContext
 from repro.polymath.poly import Polynomial, PolynomialRing
 from repro.polymath.primes import next_smaller_ntt_prime, ntt_friendly_prime
@@ -42,8 +40,8 @@ def _primes(count: int, bits: int = MAX_MODULUS_BITS) -> list[int]:
     return out
 
 
-#: q's towers for the wide scale-and-round: one past the budget.
-HEAD = LAZY_TERMS + 1
+#: q's towers for the wide scale-and-round: one past eight products.
+HEAD = 9
 #: HEAD towers of q, then an extension wide enough to carry c / q.
 PRIMES = _primes(2 * HEAD + 1)
 WIDE = BatchedRnsEngine(RnsBasis(PRIMES), N)
@@ -78,26 +76,29 @@ def _inverse_const(value: int, q: int) -> list[int]:
     return NttContext(N, q).inverse([value % q] * N)
 
 
-def test_budgets_fit_their_words():
-    top = (1 << MAX_MODULUS_BITS) - 1
-    assert LAZY_TERMS * top**2 + top < 1 << 63 <= (LAZY_TERMS + 1) * top**2
-    assert WORD_TERMS * ((1 << 32) - 1) * top + top < 1 << 64
-    assert (LAZY_TERMS, WORD_TERMS) == (8, 3)
-    assert WIDE.num_towers > HEAD > LAZY_TERMS
+def test_accumulators_fit_a_word():
+    """The kernels' stated bound: every accumulator is below ``ACC_BOUND
+    q``, one ``uint32`` word at the widest tower."""
+    assert kernels.ACC_BOUND * ((1 << MAX_MODULUS_BITS) - 1) < 1 << 32
 
 
 def _mod_values(dtype, q_max: int) -> list[int]:
-    """Edge values for :func:`mod` in ``dtype``: zero and units, the
-    moduli's neighbours, the largest lazy sum the dtype's budget allows
-    (``LAZY_TERMS`` products signed, ``WORD_TERMS`` word terms unsigned),
-    and the dtype's extremes."""
+    """Edge values for :func:`~repro.polymath.kernels.reduce` in
+    ``dtype``: zero and units, the moduli's neighbours, the largest sum
+    of 8 residue products (signed) or 3 word terms (unsigned) plus a
+    residue, and the dtype's extremes."""
     if dtype is np.int64:
-        top = LAZY_TERMS * (q_max - 1) ** 2 + q_max - 1
+        top = 8 * (q_max - 1) ** 2 + q_max - 1
         ends = [(1 << 63) - 1, (1 << 63) - q_max, -(1 << 63), -(1 << 63) + 1]
         base = [0, 1, q_max - 1, q_max, top, top - 1]
         return base + [-v for v in base] + ends
-    top = WORD_TERMS * ((1 << 32) - 1) * (q_max - 1) + q_max - 1
+    top = 3 * ((1 << 32) - 1) * (q_max - 1) + q_max - 1
     return [0, 1, q_max - 1, q_max, top, top - 1, (1 << 64) - 1, 1 << 63]
+
+
+def _reduce_moduli(moduli, column: bool) -> kernels.Moduli:
+    """One modulus per tower, or the first on every tower."""
+    return kernels.Moduli.of(tuple(moduli) if column else (moduli[0],) * 3)
 
 
 @given(
@@ -108,11 +109,12 @@ def _mod_values(dtype, q_max: int) -> list[int]:
     seed=st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=80, deadline=None)
-def test_mod_is_numpy_remainder(bits, dtype, column, batch, seed):
-    """``mod`` equals ``np.remainder`` bit for bit, for a scalar modulus
-    or an ``(L, 1)`` column, on 2-D and 3-D stacks, in place or not."""
+def test_reduce_is_numpy_remainder(bits, dtype, column, batch, seed):
+    """``reduce`` equals ``np.remainder`` bit for bit, for one modulus
+    on every tower or one per tower, on 2-D and 3-D stacks."""
     moduli = _primes(3, bits)
-    q = np.asarray(moduli, dtype)[:, None] if column else dtype(moduli[0])
+    mods = _reduce_moduli(moduli, column)
+    q = np.asarray(mods.moduli, dtype)[:, None]
     info = np.iinfo(dtype)
     rng = np.random.default_rng(seed)
     edges = np.asarray(_mod_values(dtype, max(moduli)), dtype=object)
@@ -122,20 +124,19 @@ def test_mod_is_numpy_remainder(bits, dtype, column, batch, seed):
     ])
     a = np.resize(rng.permutation(a), (*batch, 3, 2 * N)).astype(dtype)
     want = np.remainder(a, q)
-    got = mod(a, q)
-    assert got.dtype == a.dtype and got.tolist() == want.tolist()
-    assert mod(a, q, out=a) is a and a.tolist() == want.tolist()
+    got = kernels.reduce(a, mods)
+    assert got.dtype == np.uint32 and got.tolist() == want.tolist()
 
 
 @pytest.mark.parametrize("dtype", [np.int64, np.uint64])
 @pytest.mark.parametrize("column", [False, True])
-@pytest.mark.parametrize("words", [MOD_SPLIT_WORDS - 1, MOD_SPLIT_WORDS])
-def test_mod_is_numpy_remainder_either_side_of_the_split(dtype, column, words):
-    """Towers just under :data:`MOD_SPLIT_WORDS` words take one
-    ``np.remainder``, towers of that many the per-tower divides: both
-    equal ``np.remainder`` on the edge values, in place or not."""
+@pytest.mark.parametrize("words", [2047, 2048])
+def test_reduce_is_numpy_remainder_on_long_towers(dtype, column, words):
+    """Towers of 2,047 and 2,048 words, a row or a stack: ``reduce``
+    equals ``np.remainder`` on the edge values."""
     moduli = _primes(3)
-    q = np.asarray(moduli, dtype)[:, None] if column else dtype(moduli[0])
+    mods = _reduce_moduli(moduli, column)
+    q = np.asarray(mods.moduli, dtype)[:, None]
     info = np.iinfo(dtype)
     rng = np.random.default_rng(words)
     edges = np.asarray(_mod_values(dtype, max(moduli)), dtype=object)
@@ -147,15 +148,15 @@ def test_mod_is_numpy_remainder_either_side_of_the_split(dtype, column, words):
     if not column:
         a = a[0]
     want = np.remainder(a, q)
-    assert mod(a, q).tolist() == want.tolist()
-    assert mod(a, q, out=a) is a and a.tolist() == want.tolist()
+    assert kernels.reduce(a, mods).tolist() == want.tolist()
 
 
-def test_mod_broadcasts_a_row_against_the_column():
+def test_reduce_broadcasts_a_row_against_the_column():
     """One coefficient row against ``(L, 1)`` moduli: ``(L, n)`` out."""
     q = np.asarray(PRIMES[:3], np.int64)[:, None]
     row = np.arange(-N, N, dtype=np.int64) * (1 << 58)
-    assert mod(row, q).tolist() == np.remainder(row, q).tolist()
+    got = kernels.reduce(row, kernels.Moduli.of(tuple(PRIMES[:3])))
+    assert got.tolist() == np.remainder(row, q).tolist()
 
 
 @pytest.mark.parametrize("towers", [2, 3, HEAD, len(PRIMES)])
@@ -212,8 +213,8 @@ def _tensor_edge_values(t: int) -> list[int]:
 
 @pytest.mark.parametrize("t", [2, 65537])
 def test_scale_round_matches_round_scale_past_the_budget(t):
-    """``scale_round`` on ``HEAD`` > ``LAZY_TERMS`` towers of q equals the
-    object path :meth:`round_scale` and the Python-int rounding."""
+    """``scale_round`` on ``HEAD`` = 9 towers of q equals the object
+    path :meth:`round_scale` and the Python-int rounding."""
     values = _tensor_edge_values(t)
     values += [0] * (-len(values) % N)
     rows = [values[i : i + N] for i in range(0, len(values), N)]
@@ -242,10 +243,10 @@ def test_tensor_cross_term_all_max(square):
             assert y[i].tolist() == _inverse_const(scale * (q - 1) ** 2, q)
 
 
-@pytest.mark.parametrize("digits", [LAZY_TERMS, LAZY_TERMS + 1, 2 * LAZY_TERMS + 1])
+@pytest.mark.parametrize("digits", [8, 9, 17])
 def test_keyswitch_fold_all_max(digits):
     """``D`` digit-times-key products per fold: all ``q - 1`` in the NTT
-    domain on both sides, through one and then two carried reductions."""
+    domain on both sides, at 8, 8 + 1 and 2 * 8 + 1 terms."""
     eng = WIDE.select(range(3))
     moduli = eng.basis.moduli
     jobs = 2
@@ -264,7 +265,7 @@ def _edge_coeffs(q: int) -> list[int]:
 
 @pytest.mark.parametrize("q", [
     prod(PRIMES[:3]),  # 90 bits: 3 words, the bench's
-    prod(PRIMES[:4]),  # 120 bits: 4 words, one past WORD_TERMS
+    prod(PRIMES[:4]),  # 120 bits: 4 words, one past 3 word terms
     (1 << 128) - 1,    # every word bit of q - 1 but the lowest set
 ])
 def test_decompose_centered_all_max_words(q):
@@ -272,14 +273,14 @@ def test_decompose_centered_all_max_words(q):
     coeffs = (_edge_coeffs(q) * N)[:N]
     poly = Polynomial(ring, coeffs)
     got = WIDE.decompose_centered(poly)
-    assert got.dtype == np.int64
+    assert got.dtype == np.uint32
     assert got.tolist() == [
         [_centered(c, q) % p for c in coeffs] for p in PRIMES
     ]
 
 
 def test_digit_rows_past_the_word_budget():
-    """100-bit digits read 4 chunks each: one more than ``WORD_TERMS``."""
+    """100-bit digits read 4 chunks each: one more than 3 word terms."""
     eng = WIDE.select(range(4))
     value = (1 << 200) - 1
     coeffs = [value, value - 1, 0, 1 << 199] * (N // 4)
@@ -329,8 +330,8 @@ def _four_word_case(draw):
 @given(_four_word_case())
 @settings(max_examples=60, deadline=None)
 def test_decompose_centered_four_word_moduli(case):
-    """Four 32-bit words per coefficient: the uint64 word sum reduces
-    once past ``WORD_TERMS`` and still equals the centred lift."""
+    """Four 32-bit words per coefficient, one more than 3 word terms:
+    the word sum still equals the centred lift."""
     q, coeffs = case
     poly = Polynomial(PolynomialRing(N, q, allow_non_ntt=True), coeffs)
     assert poly.words.shape == (N, 4)

@@ -226,7 +226,7 @@ class TestDecomposeWords:
         ints = Polynomial.from_canonical(_ring(n, q), _coeffs(seed, n, q))
         words = ints.ring.unpack(ints.pack())
         got = eng.decompose_centered(words)
-        assert got.dtype == np.int64
+        assert got.dtype == np.uint32
         assert np.array_equal(got, eng.decompose(ints.centered()))
         assert np.array_equal(eng.decompose_centered(ints), got)
 

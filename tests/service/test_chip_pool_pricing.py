@@ -13,7 +13,8 @@ pools of 1 and 3 on four parameter sets, one per path:
   from the scheme's engine;
 * ``toy(16, 60)``: a chip-native 60-bit tower, cross-checked against
   :meth:`~repro.baselines.software.SoftwareBfv.tensor_towers`;
-* ``toy(16, 140)``: wider than the chip's Q register, so modeled;
+* ``toy(16, 140)``: wider than the chip's Q register, so modeled, as
+  the two CoFHEE towers ``from_paper`` would plan;
 * a bare ``BfvParameters(n, q, t)`` with no bases: modeled.
 
 Every job's ``cycles``, ``makespan_cycles``, ``worker``, ``fidelity``,
@@ -175,23 +176,23 @@ RECORDED = {
         "mixed": (11062, 4230, 1, "chip", (3429,), 7300, 4.4248e-05),
     }, [6196, 7300, 5992]),
     ("tower140", 1): ({
-        "multiply": (3675, 3675, 0, "model", (), 0, 1.47e-05),
-        "square": (3675, 3675, 0, "model", (), 0, 1.47e-05),
-        "add": (74, 74, 0, "model", (), 0, 2.96e-07),
-        "sub": (74, 74, 0, "model", (), 0, 2.96e-07),
-        "rotate+1": (3218, 3218, 0, "model", (), 0, 1.2872e-05),
-        "rotate-1": (3218, 3218, 0, "model", (), 0, 1.2872e-05),
-        "mixed": (17794, 17794, 0, "model", (), 0, 7.1176e-05),
-    }, [31728]),
+        "multiply": (7350, 7350, 0, "model", (), 0, 2.94e-05),
+        "square": (7350, 7350, 0, "model", (), 0, 2.94e-05),
+        "add": (148, 148, 0, "model", (), 0, 5.92e-07),
+        "sub": (148, 148, 0, "model", (), 0, 5.92e-07),
+        "rotate+1": (6362, 6362, 0, "model", (), 0, 2.5448e-05),
+        "rotate-1": (6362, 6362, 0, "model", (), 0, 2.5448e-05),
+        "mixed": (35440, 35440, 0, "model", (), 0, 0.00014176),
+    }, [63160]),
     ("tower140", 3): ({
-        "multiply": (3675, 3675, 0, "model", (), 0, 1.47e-05),
-        "square": (3675, 3675, 1, "model", (), 0, 1.47e-05),
-        "add": (74, 74, 2, "model", (), 0, 2.96e-07),
-        "sub": (74, 74, 2, "model", (), 0, 2.96e-07),
-        "rotate+1": (3218, 3218, 2, "model", (), 0, 1.2872e-05),
-        "rotate-1": (3218, 3218, 2, "model", (), 0, 1.2872e-05),
-        "mixed": (17794, 17794, 0, "model", (), 0, 7.1176e-05),
-    }, [21469, 3675, 6584]),
+        "multiply": (7350, 7350, 0, "model", (), 0, 2.94e-05),
+        "square": (7350, 7350, 1, "model", (), 0, 2.94e-05),
+        "add": (148, 148, 2, "model", (), 0, 5.92e-07),
+        "sub": (148, 148, 2, "model", (), 0, 5.92e-07),
+        "rotate+1": (6362, 6362, 2, "model", (), 0, 2.5448e-05),
+        "rotate-1": (6362, 6362, 2, "model", (), 0, 2.5448e-05),
+        "mixed": (35440, 35440, 0, "model", (), 0, 0.00014176),
+    }, [42790, 7350, 13020]),
     ("bare60", 1): ({
         "multiply": (2451, 2451, 0, "model", (), 0, 9.804e-06),
         "square": (2451, 2451, 0, "model", (), 0, 9.804e-06),

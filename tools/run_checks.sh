@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Repo health check: tier-1 tests, the layered serving benchmark's own
-# tests and its four workloads at toy degree, the docs gate (doctest
+# Repo health check: the C kernels' warnings, tier-1 tests, the layered
+# serving benchmark's own tests and its four workloads at toy degree, the
+# docs gate (doctest
 # every docs/ code block + intra-repo link resolution), the
 # observability and fleet batteries, and the transport-based examples
 # smoke. Run from anywhere.
@@ -135,6 +136,10 @@ if [ "$FLEET_ONLY" = 1 ] && [ "$DOCS_ONLY$OBS_ONLY$RUN_SLOW$RUN_COV" = "0000" ];
   exit 0
 fi
 
+echo "== C kernels: warnings are errors (syntax only; the shipped flags stay) =="
+gcc -fsyntax-only -Wall -Wextra -Werror src/repro/polymath/*.c
+
+echo
 echo "== tier-1 test suite =="
 # Includes the transport concurrency battery (tests/service/test_transport.py),
 # the frame and control-codec fuzz suite, driven by the codec's layout table
@@ -157,20 +162,22 @@ echo "== tier-1 test suite =="
 # tests/property/test_property_word_codec.py), the shared-tensor suite
 # (the chip pool cross-checks against the scheme's own tensor rows;
 # tests/service/test_shared_tensor_rows.py), the lazy-reduction suite
-# (each once-per-sum `%` of the RNS engine at its budget's edge, all-(q-1)
-# operands vs exact Python ints, past the budget on a 19-tower basis, and
-# `kernels.mod`, the one helper they all reduce with, against
-# np.remainder at both budgets' edges; tests/property/test_property_lazy_reduction.py),
-# the NTT kernel's shape and degree-range tests (multi-row multi-tower
-# stacks, strided int64/uint64 input, n = 2 and n = 2^14 against
-# NttContext; tests/property/test_property_engine.py), its build-cache
-# tests (two concurrent first imports, no gcc on PATH;
-# tests/polymath/test_kernel_build.py), the failed fleet job's cycles
+# (each modular sum of the RNS engine at its largest term count, all-(q-1)
+# operands vs exact Python ints, on a 19-tower basis, and
+# `kernels.reduce` against np.remainder at the old int64/uint64 sums'
+# edges; tests/property/test_property_lazy_reduction.py), the C kernels
+# against the numpy expressions they replaced (smallest and largest
+# moduli, n = 2 to 2^14, all-maximal inputs;
+# tests/property/test_property_kernels.py), the NTT kernel's shape and
+# degree-range tests (multi-row multi-tower stacks, strided int64/uint64
+# input, n = 2 and n = 2^14 against NttContext;
+# tests/property/test_property_engine.py), its build-cache tests (two
+# concurrent first imports, into an empty cache or over a stale build; no
+# gcc on PATH; tests/polymath/test_kernel_build.py), the failed fleet job's cycles
 # (tests/service/test_job_accounting.py),
 # the app-circuit serving suites (tests/service/test_circuit_*.py), the
 # app circuits' pinned wire-byte digests (tests/apps/test_circuit_bytes.py),
-# `kernels.mod`'s one-call small-tower path
-# (tests/property/test_property_engine.py), and the
+# and the
 # golden chip-statistics snapshot of the Algorithm 3 replay
 # (tests/core/test_chip_golden.py, n up to 2^12 in about two seconds;
 # every vector case runs a second, warm time on one driver), the warm
