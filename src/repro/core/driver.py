@@ -32,7 +32,7 @@ from repro.core.chip import CoFHEE
 from repro.core.cm0 import Cm0Program
 from repro.core.errors import CapacityError, ConfigError
 from repro.core.isa import Command, Opcode
-from repro.core.mdmc import GROUPED_OPCODES, ExecutionTrace, IssueGroup
+from repro.core.mdmc import GROUPED_OPCODES, ExecutionTrace, IssueGroup, Mdmc
 from repro.core.power import PowerReport
 from repro.polymath.bitrev import bit_reverse_indices
 from repro.polymath.kernels import fits
@@ -116,12 +116,22 @@ class OperationReport:
 @dataclass(frozen=True)
 class _Stream:
     """What the first run of a command stream leaves for later runs:
-    its report, its change to every :meth:`CofheeDriver._counters` entry
-    (in that order), and its :meth:`~repro.core.mdmc.Mdmc.issue_plan`."""
+    its report, each counter it moved as ``(holder index in
+    :meth:`CofheeDriver._holders`, attribute, change)``, and its
+    :meth:`~repro.core.mdmc.Mdmc.issue_plan`."""
 
     report: OperationReport
-    deltas: tuple[int, ...]
+    deltas: tuple[tuple[int, str, int], ...]
     plan: tuple[tuple[IssueGroup, ...], ...]
+
+
+@lru_cache(maxsize=None)
+def _counter_names(holder: type) -> tuple[str, ...]:
+    """The counters a holder keeps: the MDMC's totals, or a stats
+    record's fields bar the FIFO's high watermark (a maximum)."""
+    if holder is Mdmc:
+        return ("total_cycles", "commands_executed")
+    return tuple(f.name for f in fields(holder) if f.name != "high_watermark")
 
 
 @lru_cache(maxsize=16)
@@ -162,6 +172,10 @@ class CofheeDriver:
         self.reprograms = 0
         #: :meth:`execute`'s memo: stream key -> its first run.
         self._streams: dict[tuple, _Stream] = {}
+        #: Per programming: Algorithm 3's commands by buffer names, and
+        #: the last command tuple :meth:`_stream_key` read, with its key.
+        self._alg3: dict[tuple[str, ...], tuple[Command, ...]] = {}
+        self._last_key: tuple = (None, None)
 
     # ------------------------------------------------------------------
     # Bring-up: parameters, twiddles, buffers
@@ -188,6 +202,8 @@ class CofheeDriver:
         # fits 64 bits.
         self.chip.bus.burst_write(self._twiddle_addr(), _twiddle_table(q, n))
         self._programmed = (q, n)
+        self._alg3.clear()
+        self._last_key = (None, None)
         return self.link.send_polynomial(n)
 
     def ensure_programmed(self, q: int, n: int) -> float:
@@ -271,7 +287,7 @@ class CofheeDriver:
     # Command execution (the three modes)
     # ------------------------------------------------------------------
 
-    def execute(self, commands: list[Command], label: str = "sequence",
+    def execute(self, commands: "Sequence[Command]", label: str = "sequence",
                 mode: str | None = None) -> OperationReport:
         """Run a command sequence in the chosen execution mode.
 
@@ -280,8 +296,8 @@ class CofheeDriver:
         at ``"vector"`` fidelity in ``"fifo"`` mode, on a modulus the NTT
         kernel fits and ``uint64`` banks, the first run of each
         :meth:`_stream_key` is the full per-command path, and it records
-        its report, its change to every counter (:meth:`_counters`) and
-        the MDMC's issue plan for the stream. A later run of the key
+        its report, the counters it moved (:meth:`_counts`) and the
+        MDMC's issue plan for the stream. A later run of the key
         computes its data through that plan (one kernel call per
         hazard-ordered group of commands, on the words the banks hold
         now), adds the recorded changes to the counters and returns a
@@ -298,20 +314,22 @@ class CofheeDriver:
             return self._execute(commands, label, mode)
         stream = self._streams.get(key)
         if stream is None:
-            before = [getattr(h, name) for h, name in self._counters()]
+            before = self._counts()
             report = self._execute(commands, label, mode)
             self._streams[key] = _Stream(
                 report=report.copy(label),
                 deltas=tuple(
-                    getattr(h, name) - b
-                    for (h, name), b in zip(self._counters(), before)
+                    (h, name, after - b)
+                    for (h, name, after), (_, _, b) in zip(self._counts(), before)
+                    if after != b
                 ),
                 plan=self.chip.mdmc.issue_plan(commands),
             )
             return report
         self.chip.mdmc.run_plan(stream.plan, commands)
-        for (holder, name), delta in zip(self._counters(), stream.deltas):
-            setattr(holder, name, getattr(holder, name) + delta)
+        holders = self._holders()
+        for h, name, delta in stream.deltas:
+            setattr(holders[h], name, getattr(holders[h], name) + delta)
         fifo = self.chip.fifo
         fifo.stats.high_watermark = max(
             fifo.stats.high_watermark, min(len(commands), fifo.depth)
@@ -319,7 +337,8 @@ class CofheeDriver:
         fifo.take_interrupt()
         return stream.report.copy(label)
 
-    def _stream_key(self, commands: list[Command], mode: str) -> tuple | None:
+    def _stream_key(self, commands: "Sequence[Command]",
+                    mode: str) -> tuple | None:
         """The memo key of a stream :meth:`execute` may run warm: the link,
         ``n`` and each command's opcode and buffer addresses.
 
@@ -328,35 +347,49 @@ class CofheeDriver:
         every command in :data:`~repro.core.mdmc.GROUPED_OPCODES` at
         ``n`` and every iNTT carrying its ``n^-1``, has a key (``None``
         otherwise), so those parts of its identity are the same in every
-        key.
+        key. The commands' part is kept for the last tuple of commands
+        seen (immutable, like each :class:`Command`), until the next
+        programming.
         """
-        chip, n = self.chip, self._n
+        chip = self.chip
         if (mode != "fifo" or chip.mdmc.fidelity != "vector"
                 or self._programmed is None or not chip.fifo.empty
                 or not fits(chip.pe.q)
-                or any(b.data.dtype == object for b in chip.memory_map.banks)
-                or any(c.opcode not in GROUPED_OPCODES or c.n != n
-                       or (c.opcode is Opcode.INTT and c.constant == 0)
-                       for c in commands)):
+                or any(b.data.dtype == object for b in chip.memory_map.banks)):
             return None
-        return self.link, n, tuple(
+        seen, key = self._last_key
+        if commands is seen:
+            return key
+        n = self._n
+        key = None if any(
+            c.opcode not in GROUPED_OPCODES or c.n != n
+            or (c.opcode is Opcode.INTT and c.constant == 0)
+            for c in commands
+        ) else (self.link, n, tuple(
             (c.opcode, c.x_addr, c.y_addr, c.twiddle_addr, c.out_addr)
             for c in commands
-        )
+        ))
+        if isinstance(commands, tuple):
+            self._last_key = (commands, key)
+        return key
 
-    def _counters(self) -> list[tuple[object, str]]:
-        """Every counter a stream moves, as ``(holder, attribute)``: each
-        bank's SRAM traffic, the PE, the bus, this driver's host link,
-        the FIFO (bar its high watermark, a maximum) and the MDMC's
-        totals."""
+    def _holders(self) -> list:
+        """Every counter holder a stream moves: each bank's SRAM traffic,
+        the PE, the bus, this driver's host link, the FIFO and the MDMC."""
         chip = self.chip
-        holders = [b.stats for b in chip.memory_map.banks] + [
+        return [b.stats for b in chip.memory_map.banks] + [
             chip.pe.stats, chip.bus.stats, self.link.stats, chip.fifo.stats,
+            chip.mdmc,
         ]
+
+    def _counts(self) -> list[tuple[int, str, int]]:
+        """Every counter of :meth:`_holders` as ``(holder index,
+        attribute, value)``."""
         return [
-            (h, f.name) for h in holders for f in fields(h)
-            if f.name != "high_watermark"
-        ] + [(chip.mdmc, "total_cycles"), (chip.mdmc, "commands_executed")]
+            (i, name, getattr(h, name))
+            for i, h in enumerate(self._holders())
+            for name in _counter_names(type(h))
+        ]
 
     def _execute(self, commands: list[Command], label: str,
                  mode: str) -> OperationReport:
@@ -479,21 +512,24 @@ class CofheeDriver:
             ``(report, (y0, y1, y2))`` — the report and the buffer names
             now holding the three output polynomials.
         """
-        cmds = [
-            self.ntt_command(b0, b0),                               # B0'
-            self.ntt_command(a0, a0),                               # A0'
-            self.pointwise_command(Opcode.PMODMUL, a0, t0, y=b0),   # Y0'
-            self.intt_command(t0, t0),                              # Y0
-            self.ntt_command(b1, b1),                               # B1'
-            self.pointwise_command(Opcode.PMODMUL, a0, t1, y=b1),   # Y01'
-            self.ntt_command(a1, a1),                               # A1'
-            self.pointwise_command(Opcode.PMODMUL, a1, b1, y=b1),   # Y2' -> b1
-            self.intt_command(b1, b1),                              # Y2
-            self.pointwise_command(Opcode.PMODMUL, a1, b0, y=b0),   # Y10' -> b0
-            self.pointwise_command(Opcode.PMODADD, t1, t1, y=b0),   # Y1'
-            self.intt_command(t1, t1),                              # Y1
-        ]
-        report = self.execute(cmds, label="CiphertextMul", **kw)
+        names = (a0, a1, b0, b1, t0, t1)
+        if names not in self._alg3:  # once per programming
+            mul = Opcode.PMODMUL
+            self._alg3[names] = (
+                self.ntt_command(b0, b0),                        # B0'
+                self.ntt_command(a0, a0),                        # A0'
+                self.pointwise_command(mul, a0, t0, y=b0),       # Y0'
+                self.intt_command(t0, t0),                       # Y0
+                self.ntt_command(b1, b1),                        # B1'
+                self.pointwise_command(mul, a0, t1, y=b1),       # Y01'
+                self.ntt_command(a1, a1),                        # A1'
+                self.pointwise_command(mul, a1, b1, y=b1),       # Y2' -> b1
+                self.intt_command(b1, b1),                       # Y2
+                self.pointwise_command(mul, a1, b0, y=b0),       # Y10' -> b0
+                self.pointwise_command(Opcode.PMODADD, t1, t1, y=b0),  # Y1'
+                self.intt_command(t1, t1),                       # Y1
+            )
+        report = self.execute(self._alg3[names], label="CiphertextMul", **kw)
         return report, (t0, t1, b1)
 
     def ciphertext_multiply_tower(

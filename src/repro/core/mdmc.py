@@ -29,7 +29,7 @@ Every command above runs on its own and counts what it does. A stream the
 driver has already run once at ``"vector"`` fidelity can instead go
 through :meth:`Mdmc.issue_plan` / :meth:`Mdmc.run_plan`: its commands
 levelled by their buffer hazards and issued one kernel call per
-same-opcode group over the stacked bank rows, counting nothing (the
+same-opcode group over its bank rows, counting nothing (the
 driver charges the counters that stream's first run recorded).
 """
 
@@ -199,7 +199,7 @@ class Mdmc:
         in_bank, _, _ = self.memory_map.decode(cmd.x_addr)
         out_bank, _, _ = self.memory_map.decode(cmd.out_addr)
         if level == "vector" and fits(q):
-            forward, _ = self._tables(twiddles, q)
+            forward = self._tables(twiddles, q)
             out = transform(residue_words(words, q)[None, None], forward)
             self._store_vector(cmd.out_addr, out[0, 0])
             self._stage_stats(in_bank, out_bank, n, count_pe=True, stages=stages)
@@ -253,10 +253,11 @@ class Mdmc:
         if level == "vector" and fits(q):
             if cmd.constant == 0:
                 raise ConfigError("iNTT requires n^-1 in the command constant field")
-            _, inverse = self._tables(forward, q)
+            # The n^-1 pass runs inside the kernel (its tables' scale).
+            inverse = self._tables(forward, q, cmd.constant)
             a = transform(residue_words(words, q)[None], inverse)
             self._stage_stats(in_bank, out_bank, n, count_pe=True, stages=stages)
-            self._store_vector(cmd.out_addr, _times(a, (cmd.constant,), q)[0])
+            self._store_vector(cmd.out_addr, a[0])
             self.pe.stats.multiplies += n
             trace.add("dif_butterfly", butterfly_cycles, n)
             trace.add("const_mult", const_cycles, n)
@@ -458,18 +459,22 @@ class Mdmc:
     ) -> None:
         """Run ``commands``' data through their :meth:`issue_plan`.
 
-        Each group is one kernel call over its stacked bank rows, on the
-        words the banks hold now: an NTT/iNTT group's kernel tables
-        come from the twiddle words it reads (:meth:`_tables`), so a
-        corrupted table fails its own chip's results. Each level's
-        results are stored after all its groups ran. Nothing is counted:
-        cycles, PE operations and bank, bus and link traffic are the
-        caller's to charge. Needs ``uint64`` banks and a modulus the
-        kernel :func:`~repro.polymath.kernels.fits`.
+        Each group is one kernel call over its bank rows, read in one
+        pass into residues of the words the banks hold now (a word
+        ``>= q`` is reduced): an NTT/iNTT group's kernel tables come from
+        the twiddle words it reads (:meth:`_tables`), so a corrupted
+        table fails its own chip's results, and an iNTT's tables end
+        with its command's ``n^-1``. Each level's results are stored
+        after all its groups ran. Nothing is counted: cycles, PE
+        operations and bank, bus and link traffic are the caller's to
+        charge. Needs ``uint64`` banks and a modulus the kernel
+        :func:`~repro.polymath.kernels.fits`.
         """
         q = self._modulus()
+        twiddles: dict[Row, bytes] = {}  # each table row is read once
         for level in plan:
-            results = [self._run_group(group, commands, q) for group in level]
+            results = [self._run_group(group, commands, q, twiddles)
+                       for group in level]
             for group, out in zip(level, results):
                 n = out.shape[-1]
                 for (bank, word), words in zip(group.out, out):
@@ -477,19 +482,32 @@ class Mdmc:
 
     def _run_group(
         self, group: IssueGroup, commands: list[Command], q: int,
+        twiddles: dict[Row, bytes],
     ) -> np.ndarray:
         """One group's ``(k, n)`` results (see :meth:`run_plan`)."""
         op = group.opcode
         n = commands[group.members[0]].n
-        x = residue_words(_stack(group.x, n), q)
+        mods = kernels.Moduli.of((q,))
+        words = kernels.gather(
+            [(bank.data, word) for bank, word in group.x + group.y], n, mods)
+        x, y = words[: len(group.x)], words[len(group.x) :]
         constants = tuple(commands[i].constant for i in group.members)
         if op.needs_twiddles:
-            bank, word = group.twiddle
-            forward, inverse = self._tables(bank.data[word : word + n], q)
+            if group.twiddle not in twiddles:
+                bank, word = group.twiddle
+                twiddles[group.twiddle] = _table_key(
+                    bank.data[word : word + n], q)
+            table = twiddles[group.twiddle]
             if op is Opcode.NTT:
+                forward = _shared_tables(q, table, None)
                 return transform(x[:, None], forward)[:, 0]
-            return _times(transform(x[:, None], inverse)[:, 0], constants, q)
-        y = residue_words(_stack(group.y, n), q) if group.y else None
+            # Each iNTT's n^-1 ends its tables: one call when they share it.
+            if len(set(constants)) == 1:
+                return transform(
+                    x[:, None], _shared_tables(q, table, constants[0]))[:, 0]
+            for row, c in zip(x, constants):
+                transform(row[None, None], _shared_tables(q, table, c))
+            return x
         return _pointwise(op, x, y, constants, q)
 
     def _region(self, address: int, n: int) -> tuple[str, int, int]:
@@ -514,8 +532,10 @@ class Mdmc:
         self.bus.burst_write(address, values)
 
     @staticmethod
-    def _tables(twiddles: np.ndarray, q: int) -> tuple[NttTables, NttTables]:
-        """The kernel's forward and inverse tables for this table.
+    def _tables(twiddles: np.ndarray, q: int,
+                n_inv: int | None = None) -> NttTables:
+        """The kernel's forward tables for this twiddle table, or with
+        ``n_inv`` its inverse tables ending with that multiply.
 
         Shared across every MDMC in the process and keyed on ``q`` and
         the words just read out of the twiddle bank, as ``uint64``
@@ -523,7 +543,7 @@ class Mdmc:
         elements are pointers): the kernel always uses exactly what the
         bank holds, and a corrupted table derives tables of its own.
         """
-        return _shared_tables(q, residue_words(twiddles, q).tobytes())
+        return _shared_tables(q, _table_key(twiddles, q), n_inv)
 
     def _stage_stats(
         self, in_bank: SramBank, out_bank: SramBank, n: int, count_pe: bool,
@@ -582,26 +602,30 @@ def _bit_reverse_array(n: int) -> np.ndarray:
     return table
 
 
-@lru_cache(maxsize=16)
-def _shared_tables(q: int, table: bytes) -> tuple[NttTables, NttTables]:
-    """The kernel's forward and inverse tables of a ``uint64`` residue
-    twiddle table, derived once per content and shared by every chip.
+@lru_cache(maxsize=64)
+def _shared_tables(q: int, table: bytes, n_inv: int | None) -> NttTables:
+    """The kernel's forward tables of a ``uint64`` residue twiddle table
+    (:func:`_table_key`) for ``n_inv`` ``None``, else its inverse tables
+    ending with a multiply by ``n_inv``, derived once per content and
+    shared by every chip.
 
     Both come from the forward table as stored: the inverse's twiddles
     are ``q - F[brv(n - brv(k))]``, the same zero-storage derivation the
     address generator makes for the scalar iNTT (see ``_run_intt``).
     """
     psi = np.frombuffer(table, dtype=np.uint64)[None]
-    return NttTables.derive(psi, [q]), NttTables.derive(psi, [q], inverse=True)
+    if n_inv is None:
+        return NttTables.derive(psi, [q])
+    return NttTables.derive(psi, [q], inverse=True, scale=[n_inv])
+
+
+def _table_key(twiddles: np.ndarray, q: int) -> bytes:
+    """The :func:`_shared_tables` key of the twiddle words read."""
+    return residue_words(twiddles, q).tobytes()
 
 
 def _overlap(a: tuple[str, int, int], b: tuple[str, int, int]) -> bool:
     return a[0] == b[0] and a[1] < b[2] and b[1] < a[2]
-
-
-def _stack(rows: tuple[Row, ...], n: int) -> np.ndarray:
-    """The ``(k, n)`` words of ``rows``, read as they are (uncounted)."""
-    return np.stack([bank.data[word : word + n] for bank, word in rows])
 
 
 def _pointwise(op: Opcode, x: np.ndarray, y: np.ndarray | None,
@@ -614,10 +638,10 @@ def _pointwise(op: Opcode, x: np.ndarray, y: np.ndarray | None,
         return kernels.multiply(x, x, kernels.Moduli.of((q,)))
     if op is Opcode.PMODADD:
         out = x + y
-        return np.minimum(out, out - np.uint64(q))
+        return np.minimum(out, out - np.uint32(q))
     if op is Opcode.PMODSUB:
         out = x - y  # wraps when x < y; adding q unwraps it
-        return np.minimum(out, out + np.uint64(q))
+        return np.minimum(out, out + np.uint32(q))
     if op is Opcode.CMODMUL:
         return _times(x, constants, q)
     raise IsaError(f"unhandled pointwise op {op}")  # pragma: no cover
@@ -625,7 +649,7 @@ def _pointwise(op: Opcode, x: np.ndarray, y: np.ndarray | None,
 
 def _times(x: np.ndarray, constants: tuple[int, ...], q: int) -> np.ndarray:
     """Row ``i`` of ``(k, n)`` residues times ``constants[i]`` mod ``q``:
-    the CMODMUL stream and the iNTT's closing ``n^-1`` pass."""
+    the CMODMUL stream."""
     mods, c = _row_constants(q, constants)
     return kernels.mac(None, None, mods, x[None], c)[0]
 

@@ -4,8 +4,10 @@ batched tower engine and the chip model's MDMC, as CoFHEE runs its NTT,
 Hadamard product and constant multiply on one datapath (Section VIII-B).
 
 :func:`transform` is Longa and Naehrig's merged-``psi`` NTT (CANS 2016),
-the loops of :class:`~repro.polymath.ntt.NttContext`. Around it run
-:func:`reduce` (``a mod q`` of any 64-bit word), :func:`multiply` (the
+the loops of :class:`~repro.polymath.ntt.NttContext`, with Harvey's lazy
+butterflies and, on AVX-512, 16-word vector stages. Around it run
+:func:`reduce` (``a mod q`` of any 64-bit word), :func:`gather` (bank
+rows mod ``q``), :func:`multiply` (the
 Hadamard product), :func:`tensor` (Eq. 4), :func:`keyswitch`, :func:`mac`
 (multiply-accumulate against constants) and :func:`garner` (mixed-radix
 digits), with per-tower constants from a :class:`Moduli`. A product by a
@@ -116,10 +118,10 @@ def fits(q: int) -> bool:
 class NttTables:
     """One direction's tables for an ``(L, n)`` tower stack, read-only
     ``uint32``: the twiddles ``w`` in the order the kernel reads them
-    (``w[m + i]`` for block ``i`` of an ``m``-block stage) and their
-    Shoup quotients ``w_shoup = floor(w 2^32 / q)``, ``(L, n)``; the
-    moduli ``q``, the inverse's closing constants ``scale`` (1 for none)
-    and ``scale_shoup``, ``(L,)``."""
+    (:func:`_kernel_order` of ``w[m + i]`` for block ``i`` of an
+    ``m``-block stage) and their Shoup quotients ``w_shoup = floor(w
+    2^32 / q)``, ``(L, n)``; the moduli ``q``, the inverse's closing
+    constants ``scale`` (1 for none) and ``scale_shoup``, ``(L,)``."""
 
     w: np.ndarray
     w_shoup: np.ndarray
@@ -142,6 +144,7 @@ class NttTables:
             brv = np.asarray(bit_reverse_indices(w.shape[-1]), dtype=np.intp)
             w = qc - w[:, brv[-brv]]  # brv(n - brv(k)) mod n
             w[:, 0] = 1
+        w = w[:, _kernel_order(w.shape[-1])]
         scale = np.ones(len(qc), np.uint64) if scale is None else (
             np.asarray(scale, dtype=np.uint64) % qc[:, 0])
         tables = cls(*(x.astype(np.uint32) for x in (
@@ -166,9 +169,25 @@ class NttTables:
                      for x in self._arrays)
 
 
+@lru_cache(maxsize=16)
+def _kernel_order(n: int) -> np.ndarray:
+    """Where the kernel reads each twiddle: position ``k`` of its table
+    holds ``w[order[k]]`` (``ntt.c``'s ``slot``: from ``n = 256`` the
+    narrow stages' twiddles by tiles of 16 blocks, then the wide
+    stages'). A degree that is not a power of two keeps its order."""
+    order = np.arange(n) if n & (n - 1) else _call(
+        "ntt_order", np.empty(n, np.uint64), n)
+    order.flags.writeable = False
+    return order
+
+
 def _words(a) -> np.ndarray:
     """``a`` as a C-contiguous ``uint32`` array: itself when it is one."""
     return np.ascontiguousarray(a, dtype=np.uint32)
+
+
+#: The pointer types of 32- and 64-bit words, by item size.
+_BUFFERS = {4: _ffi.typeof("uint32_t[]"), 8: _ffi.typeof("uint64_t[]")}
 
 
 def _call(kernel: str, out: np.ndarray, *args) -> np.ndarray:
@@ -176,7 +195,7 @@ def _call(kernel: str, out: np.ndarray, *args) -> np.ndarray:
     or 32-bit words), ``None`` as ``NULL``, anything else as it is."""
     getattr(_lib, kernel)(*(
         _ffi.NULL if a is None else a if not isinstance(a, np.ndarray)
-        else _ffi.from_buffer(f"uint{8 * a.itemsize}_t[]", a)
+        else _ffi.from_buffer(_BUFFERS[a.itemsize], a)
         for a in (out, *args)
     ))
     return out
@@ -186,7 +205,10 @@ def transform(a: np.ndarray, tables: NttTables) -> np.ndarray:
     """The NTT (``tables.inverse`` false) or the iNTT, ending with
     ``tables.scale``, of an ``(..., L, n)`` stack of residues over
     ``tables``' towers: natural order in and bit-reversed out forward,
-    the reverse for the inverse. A C-contiguous ``uint32`` stack is
+    the reverse for the inverse. Words may exceed their tower's ``q``:
+    the forward takes any below ``4q``, the inverse any below ``2q``
+    (Harvey's lazy bounds, which the kernel keeps between stages); the
+    results are fully reduced. A C-contiguous ``uint32`` stack is
     transformed in place; any other is copied into one first."""
     out = _words(a)
     towers, n = out.shape[-2:]
@@ -253,6 +275,21 @@ def reduce(a, mods: Moduli, scale=None) -> np.ndarray:
     return _call("reduce", np.empty(a.shape, np.uint32), a,
                  a.size // a.shape[-1], len(mods.moduli), a.shape[-1],
                  a.dtype == np.int64, *(scale or mods.times(1)), mods._records)
+
+
+def gather(rows, n: int, mods: Moduli) -> np.ndarray:
+    """The ``(k, n)`` residues mod the one modulus of ``mods`` of ``k``
+    rows of ``n`` words, each an ``(array, start)`` pair of a 1-D
+    ``uint64`` array (an MDMC bank, whose words may be ``>= q``): one
+    pass, no stacked copy."""
+    if len(mods.moduli) != 1 or any(
+            a.dtype != np.uint64 or a.ndim != 1 or not a.flags.c_contiguous
+            or not 0 <= at <= a.size - n for a, at in rows):
+        raise ValueError(f"{len(rows)} rows of {n} words, {mods.moduli}")
+    pointers = _ffi.new("uint64_t *[]", [
+        _ffi.from_buffer(_BUFFERS[8], a) + at for a, at in rows])
+    return _call("gather", np.empty((len(rows), n), np.uint32), pointers,
+                 len(rows), n, mods._records)
 
 
 def multiply(a, b, mods: Moduli) -> np.ndarray:

@@ -4,8 +4,9 @@
  * A product by a constant is a 32-bit Shoup product against its
  * precomputed quotient; a product of two residues takes a Barrett
  * reduction whose quotient estimate is a 32x32->64 multiply, so both
- * vectorize. A sum is kept lazily below 2q, so no accumulator reaches
- * 4q <= 2^32, and every result is fully reduced into [0, q). */
+ * vectorize. A sum is kept lazily below 2q, and an NTT word below 4q, so
+ * no word reaches 4q <= 2^32, and every result is fully reduced into
+ * [0, q). */
 #include <stddef.h>
 #include <stdint.h>
 
@@ -45,48 +46,306 @@ static inline uint32_t barrett(uint32_t x, uint32_t y, const modulus_t *m)
     return FOLD(r, m->q);
 }
 
-/* One stage: m blocks of 2t words, block i by twiddle w[m + i]. */
-static inline void stage(uint32_t *a, size_t t, size_t m, const uint32_t *w,
-                         const uint32_t *ws, uint32_t q, int inverse)
+/* The NTT keeps Harvey's lazy bounds (J. Symb. Comp. 2014): forward
+ * words stay in [0, 4q) and inverse words in [0, 2q) between stages, so
+ * a butterfly makes at most one correction, and a row is reduced into
+ * [0, q) once, at the end (the inverse's end is its multiply by scale).
+ * With q < 2^30, 4q < 2^32. */
+
+/* A Cooley-Tukey butterfly on words below 4q; results below 4q. */
+static inline void ct(uint32_t *x, uint32_t *y, uint32_t w, uint32_t s,
+                      uint32_t q)
+{
+    uint32_t u = FOLD(*x, 2 * q), v = shoup(*y, w, s, q); /* both < 2q */
+    *x = u + v;
+    *y = u - v + 2 * q;
+}
+
+/* A Gentleman-Sande butterfly on words below 2q; results below 2q. */
+static inline void gs(uint32_t *x, uint32_t *y, uint32_t w, uint32_t s,
+                      uint32_t q)
+{
+    uint32_t u = *x, v = *y, sum = u + v;
+    *x = FOLD(sum, 2 * q);
+    *y = shoup(u - v + 2 * q, w, s, q);
+}
+
+/* Where a table keeps the twiddle w[m + i] of block i of the m-block
+ * stage t = n / 2m. From n = 256 the stages of t = 8, 4, 2, 1, which act
+ * inside aligned 16-word blocks, read theirs by tiles of 16 blocks: tile
+ * T's 15 vectors of 16 twiddles, one per block (one vector for t = 8,
+ * then 2, 4 and 8 for t = 4, 2, 1), at 240 T; the stages of t >= 16 read
+ * theirs from n - n/16 on. */
+static inline size_t slot(size_t n, size_t t, size_t i)
+{
+    if (n < 256 || t >= 16)
+        return (n < 256 ? 0 : n - n / 16) + n / (2 * t) + i;
+    size_t per = 8 / t, b = i / per; /* its 16-word block */
+    return 240 * (b / 16) + 16 * (per - 1 + i % per) + b % 16;
+}
+
+/* The layout of a power-of-two table: order[slot(n, t, i)] = m + i, and
+ * w[0], which no stage reads, in the one slot left. */
+void ntt_order(uint64_t *order, size_t n)
+{
+    for (size_t m = 1; m < n; m *= 2)
+        for (size_t i = 0; i < m; i++)
+            order[slot(n, n / 2 / m, i)] = m + i;
+    order[n < 256 ? 0 : n - n / 16] = 0;
+}
+
+/* One stage, word by word: m blocks of 2t words, block i by the twiddle
+ * at slot(n, t, i). */
+static inline void stage(uint32_t *a, size_t n, size_t t, size_t m,
+                         const uint32_t *w, const uint32_t *ws, uint32_t q,
+                         int inverse)
 {
     for (size_t i = 0; i < m; i++) {
-        uint32_t *x = a + 2 * i * t, *y = x + t, tw = w[m + i], s = ws[m + i];
-        for (size_t j = 0; j < t; j++) {
-            uint32_t u = x[j], v = inverse ? y[j] : mulmod(y[j], tw, s, q);
-            uint32_t sum = u + v, diff = u - v + q;
-            x[j] = FOLD(sum, q);
-            y[j] = inverse ? mulmod(diff, tw, s, q) : FOLD(diff, q);
+        size_t k = slot(n, t, i);
+        uint32_t *x = a + 2 * i * t, tw = w[k], ts = ws[k];
+        if (inverse)
+            for (size_t j = 0; j < t; j++)
+                gs(x + j, x + j + t, tw, ts, q);
+        else
+            for (size_t j = 0; j < t; j++)
+                ct(x + j, x + j + t, tw, ts, q);
+    }
+}
+
+/* A row word by word, with its closing pass: the reduction into [0, q)
+ * forward, the multiply by c inverse. gcc vectorises the stages of
+ * t >= 16, and the narrower ones at constant widths. */
+static void scalar(uint32_t *a, size_t n, const uint32_t *w,
+                   const uint32_t *ws, uint32_t q, uint32_t c, uint32_t cs,
+                   int inverse)
+{
+    for (size_t s = 1; s < n; s *= 2) { /* m = s blocks forward */
+        size_t m = inverse ? n / 2 / s : s, t = n / 2 / m;
+        switch (t) {
+        case 1: stage(a, n, 1, m, w, ws, q, inverse); break;
+        case 2: stage(a, n, 2, m, w, ws, q, inverse); break;
+        case 4: stage(a, n, 4, m, w, ws, q, inverse); break;
+        case 8: stage(a, n, 8, m, w, ws, q, inverse); break;
+        default: stage(a, n, t, m, w, ws, q, inverse);
+        }
+    }
+    for (size_t j = 0; j < n; j++) {
+        uint32_t v = FOLD(a[j], 2 * q); /* forward words are below 4q */
+        a[j] = inverse ? mulmod(a[j], c, cs, q) : FOLD(v, q);
+    }
+}
+
+#ifdef __AVX512F__
+/* With AVX-512, from n = 256 every stage runs on 16-word vectors (gcc's
+ * generic vectors; it lowers them poorly to narrower registers, so other
+ * targets take scalar()). A stage of t >= 16 pairs whole vectors. The
+ * stages of t = 8, 4, 2, 1 run on the tiles, transposed in registers:
+ * vector l of a tile holds word l of its 16 blocks, and stage t pairs
+ * vector l with vector l + t, by the vector of the blocks' twiddles. */
+#include <immintrin.h>
+typedef uint32_t v16 __attribute__((vector_size(64)));
+typedef uint64_t v8 __attribute__((vector_size(64)));
+
+/* Vector helpers are macros or take pointers, not vector values, whose
+ * passing depends on the target's vector ABI. gcc 12 multiplies
+ * zero-extended 64-bit lanes with the three-uop vpmullq and makes FOLD
+ * a compare, a mask and a subtract, so the one-uop vpmuludq (MUL_EVEN:
+ * the 32x32->64 products of the even lanes) and vpminud are named. */
+#define MUL_EVEN(a, b) ((v8)_mm512_mul_epu32((__m512i)(a), (__m512i)(b)))
+#define VMIN(a, b) ((v16)_mm512_min_epu32((__m512i)(a), (__m512i)(b)))
+#define VFOLD(x, q) VMIN(x, (x) - (q))
+
+/* shoup() lane by lane, for variables x, w, s and q: the high halves of
+ * the even and the odd lanes' 64-bit products. */
+#define VSHOUP(x, w, s, q) ({                                              \
+    v8 even_ = MUL_EVEN(x, s), odd_ = MUL_EVEN((v8)x >> 32, (v8)s >> 32);  \
+    x * w - ((v16)(even_ >> 32) | (v16)(odd_ & ~0xffffffffull)) * q; })
+
+/* ct() and gs() on 16 lanes, with the twiddles w and s lane by lane. */
+static inline void vct(v16 *x, v16 *y, const v16 *w, const v16 *s,
+                       const v16 *q)
+{
+    v16 q2 = *q + *q, u = VFOLD(*x, q2), v = *y, tw = *w, ts = *s, vq = *q;
+    v = VSHOUP(v, tw, ts, vq);
+    *x = u + v;
+    *y = u - v + q2;
+}
+
+static inline void vgs(v16 *x, v16 *y, const v16 *w, const v16 *s,
+                       const v16 *q)
+{
+    v16 q2 = *q + *q, u = *x, v = *y, sum = u + v, d = u - v + q2;
+    v16 tw = *w, ts = *s, vq = *q;
+    *x = VFOLD(sum, q2);
+    *y = VSHOUP(d, tw, ts, vq);
+}
+
+/* A stage of t >= 16: m blocks of 2t words, block i by twiddle w[m + i]. */
+static void wide(uint32_t *a, size_t t, size_t m, const uint32_t *w,
+                 const uint32_t *ws, uint32_t q, int inverse)
+{
+    v16 vq = q - (v16){0};
+    for (size_t i = 0; i < m; i++) {
+        v16 tw = w[m + i] - (v16){0}, ts = ws[m + i] - (v16){0}, x, y;
+        for (uint32_t *p = a + 2 * i * t; p < a + (2 * i + 1) * t; p += 16) {
+            __builtin_memcpy(&x, p, sizeof x);
+            __builtin_memcpy(&y, p + t, sizeof y);
+            if (inverse)
+                vgs(&x, &y, &tw, &ts, &vq);
+            else
+                vct(&x, &y, &tw, &ts, &vq);
+            __builtin_memcpy(p, &x, sizeof x);
+            __builtin_memcpy(p + t, &y, sizeof y);
         }
     }
 }
 
-/* Constant widths below 16 let the compiler vectorise across blocks. */
-#define STAGE(inv) switch (t) {                                           \
-    case 1: stage(x, 1, m, tw, ts, qk, inv); break;                       \
-    case 2: stage(x, 2, m, tw, ts, qk, inv); break;                       \
-    case 4: stage(x, 4, m, tw, ts, qk, inv); break;                       \
-    case 8: stage(x, 8, m, tw, ts, qk, inv); break;                       \
-    default: stage(x, t, m, tw, ts, qk, inv); }
+/* Swapping the off-diagonal h x h blocks of every 2h x 2h block, for
+ * h = 8, 4, 2, 1, transposes 16 x 16 words: row i (i & h clear) takes
+ * row i + h's words j - h where j & h, and row i + h row i's j + h. */
+static const v16 SWAP_LO[4] = {
+    {0, 1, 2, 3, 4, 5, 6, 7, 16, 17, 18, 19, 20, 21, 22, 23},
+    {0, 1, 2, 3, 16, 17, 18, 19, 8, 9, 10, 11, 24, 25, 26, 27},
+    {0, 1, 16, 17, 4, 5, 20, 21, 8, 9, 24, 25, 12, 13, 28, 29},
+    {0, 16, 2, 18, 4, 20, 6, 22, 8, 24, 10, 26, 12, 28, 14, 30}};
+static const v16 SWAP_HI[4] = {
+    {8, 9, 10, 11, 12, 13, 14, 15, 24, 25, 26, 27, 28, 29, 30, 31},
+    {4, 5, 6, 7, 20, 21, 22, 23, 12, 13, 14, 15, 28, 29, 30, 31},
+    {2, 3, 18, 19, 6, 7, 22, 23, 10, 11, 26, 27, 14, 15, 30, 31},
+    {1, 17, 3, 19, 5, 21, 7, 23, 9, 25, 11, 27, 13, 29, 15, 31}};
 
-/* Row r of the (rows, n) stack a uses tower r % towers's tables. */
+static inline void transpose(v16 *r)
+{
+#pragma GCC unroll 4
+    for (int k = 0; k < 4; k++)
+#pragma GCC unroll 16
+        for (int i = 0; i < 16; i++)
+            if (!(i & 8 >> k)) {
+                v16 x = r[i], y = r[i + (8 >> k)];
+                r[i] = __builtin_shuffle(x, y, SWAP_LO[k]);
+                r[i + (8 >> k)] = __builtin_shuffle(x, y, SWAP_HI[k]);
+            }
+}
+
+/* The stages of t = 8, 4, 2, 1 (forward; the reverse order inverse) of
+ * an n >= 256 row, tile by tile; forward words end in [0, q). */
+static void narrow(uint32_t *a, size_t n, const uint32_t *w,
+                   const uint32_t *ws, uint32_t q, int inverse)
+{
+    v16 vq = q - (v16){0}, q2 = vq + vq, r[16], tw, ts;
+    for (size_t tile = 0; tile < n / 256; tile++) {
+        const uint32_t *w0 = w + 240 * tile, *s0 = ws + 240 * tile;
+        __builtin_memcpy(r, a + 256 * tile, sizeof r);
+        transpose(r);
+        /* Unrolled, so that the tile stays in registers. */
+#pragma GCC unroll 4
+        for (int k = 0; k < 4; k++) {
+            int t = inverse ? 1 << k : 8 >> k, first = 8 / t - 1;
+#pragma GCC unroll 16
+            for (int l = 0; l < 16; l++) {
+                if (l & t)
+                    continue;
+                /* slot() of the tile's blocks' pair l / 2t */
+                __builtin_memcpy(&tw, w0 + 16 * (first + l / (2 * t)), sizeof tw);
+                __builtin_memcpy(&ts, s0 + 16 * (first + l / (2 * t)), sizeof ts);
+                if (inverse)
+                    vgs(r + l, r + l + t, &tw, &ts, &vq);
+                else
+                    vct(r + l, r + l + t, &tw, &ts, &vq);
+            }
+        }
+#pragma GCC unroll 16
+        for (int l = 0; !inverse && l < 16; l++) {
+            r[l] = VFOLD(r[l], q2);
+            r[l] = VFOLD(r[l], vq);
+        }
+        transpose(r);
+        __builtin_memcpy(a + 256 * tile, r, sizeof r);
+    }
+}
+
+/* The inverse's last stage (t = n/2, twiddle w) with the multiply by
+ * c folded in: x + y times c and x - y times w c, reduced into [0, q). */
+static void last(uint32_t *a, size_t n, uint32_t w, uint32_t c, uint32_t cs,
+                 uint32_t q)
+{
+    uint32_t wc = (uint32_t)((uint64_t)w * c % q);
+    v16 vq = q - (v16){0}, q2 = vq + vq, vc = c - (v16){0}, vcs = cs - (v16){0};
+    v16 vw = wc - (v16){0}, vws = (uint32_t)(((uint64_t)wc << 32) / q) - (v16){0};
+    for (uint32_t *p = a; p < a + n / 2; p += 16) {
+        v16 x, y, sum, d;
+        __builtin_memcpy(&x, p, sizeof x);
+        __builtin_memcpy(&y, p + n / 2, sizeof y);
+        sum = x + y, d = x - y + q2;
+        x = VSHOUP(sum, vc, vcs, vq);
+        y = VSHOUP(d, vw, vws, vq);
+        x = VFOLD(x, vq);
+        y = VFOLD(y, vq);
+        __builtin_memcpy(p, &x, sizeof x);
+        __builtin_memcpy(p + n / 2, &y, sizeof y);
+    }
+}
+
+#endif
+
+/* Row r of the (rows, n) stack a uses tower r % towers's tables: words
+ * below 4q forward, below 2q inverse, results in [0, q). */
 void ntt(uint32_t *a, size_t rows, size_t towers, size_t n,
          const uint32_t *w, const uint32_t *w_shoup, const uint32_t *q,
          const uint32_t *scale, const uint32_t *scale_shoup, int inverse)
 {
     for (size_t r = 0; r < rows; r++) {
-        size_t k = r % towers, t, m;
+        size_t k = r % towers;
         uint32_t *x = a + r * n, qk = q[k];
         const uint32_t *tw = w + k * n, *ts = w_shoup + k * n;
-        if (!inverse) {
-            for (m = 1, t = n >> 1; m < n; m <<= 1, t >>= 1)
-                STAGE(0)
+#ifdef __AVX512F__
+        size_t t, m, wide_at = n - n / 16;
+        if (n >= 256 && !inverse) {
+            for (m = 1, t = n / 2; t >= 16; m *= 2, t /= 2)
+                wide(x, t, m, tw + wide_at, ts + wide_at, qk, 0);
+            narrow(x, n, tw, ts, qk, 0);
             continue;
         }
-        for (m = n >> 1, t = 1; m >= 1; m >>= 1, t <<= 1)
-            STAGE(1)
-        uint32_t c = scale[k], cs = scale_shoup[k];
-        for (size_t j = 0; c != 1 && j < n; j++)
-            x[j] = mulmod(x[j], c, cs, qk);
+        if (n >= 256) {
+            narrow(x, n, tw, ts, qk, 1);
+            for (m = n / 32, t = 16; m > 1; m /= 2, t *= 2)
+                wide(x, t, m, tw + wide_at, ts + wide_at, qk, 1);
+            last(x, n, tw[wide_at + 1], scale[k], scale_shoup[k], qk);
+            continue;
+        }
+#endif
+        scalar(x, n, tw, ts, qk, scale[k], scale_shoup[k], inverse);
+    }
+}
+
+/* x mod q lazily, in [0, 2q), for any 64-bit x = h 2^32 + l. */
+static inline uint32_t mod64(uint64_t x, const modulus_t *m)
+{
+    uint32_t v = shoup((uint32_t)(x >> 32), m->r32, m->r32_s, m->q)
+                 + shoup((uint32_t)x, 1, m->one_s, m->q); /* < 4q */
+    return FOLD(v, 2 * m->q);
+}
+
+/* out[r] = rows[r] mod q for k rows of n unsigned 64-bit words, each
+ * given by its address (the MDMC's bank rows), and one modulus. */
+void gather(uint32_t *out, const uint64_t *const *rows, size_t k, size_t n,
+            const modulus_t *mods)
+{
+    modulus_t m = *mods;
+    for (size_t r = 0; r < k; r++) {
+        const uint64_t *x = rows[r];
+        uint32_t *o = out + r * n;
+        uint64_t top = 0;
+        for (size_t j = 0; j < n; j++)
+            top = x[j] > top ? x[j] : top;
+        if (top < m.q) /* residues already: a narrowing copy */
+            for (size_t j = 0; j < n; j++)
+                o[j] = (uint32_t)x[j];
+        else
+            for (size_t j = 0; j < n; j++) {
+                uint32_t v = mod64(x[j], &m);
+                o[j] = FOLD(v, m.q);
+            }
     }
 }
 
@@ -103,10 +362,8 @@ void reduce(uint32_t *out, const uint64_t *a, size_t rows, size_t towers,
         const uint64_t *x = a + r * n;
         uint32_t *o = out + r * n;
         for (size_t j = 0; j < n; j++) {
-            uint32_t v = shoup((uint32_t)(x[j] >> 32), m.r32, m.r32_s, q)
-                         + shoup((uint32_t)x[j], 1, m.one_s, q); /* < 4q */
+            uint32_t v = mod64(x[j], &m);
             uint32_t neg = sign && (int64_t)x[j] < 0 ? m.r64 : 0;
-            v = FOLD(v, 2 * q);
             v = FOLD(v, q) + q - neg;
             v = FOLD(v, q);
             o[j] = mulmod(v, w, ws, q);

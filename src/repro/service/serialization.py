@@ -313,7 +313,17 @@ def params_digest(params: BfvParameters) -> bytes:
     Two parameter sets with identical ``(n, q, t, sigma)`` and RNS bases
     digest identically regardless of how the objects were constructed —
     this is the session-compatibility token the registry keys on.
+
+    Memoised per parameter set: equal ``BfvParameters`` (``n``, ``q``,
+    ``t``, ``sigma`` and the bases' moduli) encode alike, bar ``sigma``
+    ``0.0`` and ``-0.0``, so the memo is keyed on ``sigma``'s encoding
+    too.
     """
+    return _params_digest(params, _F64.pack(params.sigma))
+
+
+@functools.lru_cache(maxsize=32)
+def _params_digest(params: BfvParameters, sigma: bytes) -> bytes:
     return hashlib.sha256(_params_body(params)).digest()
 
 

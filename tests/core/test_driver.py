@@ -197,6 +197,23 @@ class TestWarmStreams:
         ] == [[("NTT", 4)], [("PMODMUL", 4)],
               [("iNTT", 2), ("PMODADD", 1)], [("iNTT", 1)]]
 
+    def test_algorithm3_commands_are_built_once_per_programming(self):
+        """Later towers reuse the stream's command tuple and the key read
+        from it; programming the chip again builds them anew."""
+        driver = self._driver(True)
+        names = tuple(driver.buffer_names[:6])
+        driver.ciphertext_multiply(*names)
+        commands = driver._alg3[names]
+        driver.ciphertext_multiply(*names)
+        assert driver._alg3[names] is commands
+        assert driver._last_key[0] is commands
+        driver.program(Q30, N)
+        assert not driver._alg3 and driver._last_key == (None, None)
+        driver.ciphertext_multiply(*names)
+        assert driver._alg3[names] == commands
+        assert driver._alg3[names] is not commands
+        assert len(driver._streams) == 1
+
     @pytest.mark.parametrize("name", [
         "polymul", "write_after_read", "same_level_write_after_read",
         "aliased", "pointwise",

@@ -1,19 +1,21 @@
-"""Property suite: each C residue kernel against the numpy it replaces.
+"""Property suite: each C residue kernel against the reference it replaces.
 
 Every kernel of :mod:`repro.polymath.kernels` is run on two towers, the
 smallest NTT-friendly prime :func:`~repro.polymath.kernels.fits` accepts
 at the degree and the largest 30-bit one, at ``n`` in ``{2, 16, 4096,
 2^14}``, on random inputs and on all-maximal ones (every residue ``q -
 1``, every free word ``2^32 - 1``), where each accumulator reaches its
-worst case. The reference is the exact numpy ``uint64``/``int64``
-expression each kernel took over: products below ``2^60`` and one ``%``
-per term.
+worst case. The reference of the NTT is
+:class:`~repro.polymath.ntt.NttContext`'s pure-Python transform; that of
+every other kernel the exact numpy ``uint64``/``int64`` expression it
+took over: products below ``2^60`` and one ``%`` per term.
 """
 
 import numpy as np
 import pytest
 
 from repro.polymath import kernels
+from repro.polymath.ntt import NttContext
 from repro.polymath.primes import is_prime, ntt_friendly_prime
 
 DEGREES = (2, 16, 4096, 1 << 14)
@@ -63,6 +65,38 @@ def _constants(mods, shape, fill, seed) -> np.ndarray:
     if fill == "max":
         return np.broadcast_to(q - 1, shape).copy()
     return np.random.default_rng(seed).integers(0, q, shape, dtype=np.uint64)
+
+
+@pytest.mark.parametrize("fill", FILLS)
+@pytest.mark.parametrize("n", DEGREES)
+def test_transform_is_the_nttcontext_transform(n, fill):
+    """Two rows per tower, forward and inverse, the inverse ending with
+    ``n^-1`` and with no scale (1): each row is ``NttContext``'s. The
+    kernel keeps words lazily below ``4q`` forward and ``2q`` inverse, and
+    takes input words that high: ``x + 3q`` forward and ``x + q``
+    inverse give ``x``'s results. The all-``(q - 1)`` fill on the 30-bit
+    tower puts every butterfly at those bounds."""
+    mods = _moduli(n)
+    q = _q(mods)
+    contexts = [NttContext(n, m) for m in mods.moduli]
+    psi = np.asarray([c._psi_brv for c in contexts], dtype=np.uint64)
+    x = _residues(mods, (2, 2, n), fill, n)
+    rows = x.tolist()
+    forward = kernels.NttTables.derive(psi, mods.moduli)
+    want = [[c.forward(r) for c, r in zip(contexts, row)] for row in rows]
+    for lift in (0, 3):
+        assert kernels.transform(x + lift * q.astype(np.uint32),
+                                 forward).tolist() == want
+    want = [[c.inverse(r) for c, r in zip(contexts, row)] for row in rows]
+    unscaled = [[[v * n % m for v in r] for m, r in zip(mods.moduli, row)]
+                for row in want]
+    for scale, expect in (([c.n_inv for c in contexts], want),
+                          (None, unscaled)):
+        inverse = kernels.NttTables.derive(psi, mods.moduli, inverse=True,
+                                           scale=scale)
+        for lift in (0, 1):
+            assert kernels.transform(x + lift * q.astype(np.uint32),
+                                     inverse).tolist() == expect
 
 
 @pytest.mark.parametrize("fill", FILLS)
@@ -173,6 +207,26 @@ def test_garner_is_the_mixed_radix_recurrence(n, fill):
                           want)
 
 
+@pytest.mark.parametrize("fill", FILLS)
+@pytest.mark.parametrize("n", DEGREES)
+def test_gather_is_each_row_mod_q(n, fill):
+    """Rows of ``n`` words at any offset of ``uint64`` arrays (an MDMC's
+    banks, whose words may be anything up to ``2^64 - 1``), each mod the
+    one modulus."""
+    if fill == "max":
+        banks = [np.full(3 * n, (1 << 64) - 1, np.uint64) for _ in range(2)]
+    else:
+        rng = np.random.default_rng(n)
+        banks = [rng.integers(0, 1 << 64, 3 * n, np.uint64, endpoint=False)
+                 for _ in range(2)]
+    rows = [(banks[0], 0), (banks[1], n + 1), (banks[0], 2 * n), (banks[1], 0)]
+    for q in _moduli(n).moduli:
+        want = np.stack([a[at : at + n] % np.uint64(q) for a, at in rows])
+        got = kernels.gather(rows, n, kernels.Moduli.of((q,)))
+        assert got.dtype == np.uint32
+        assert np.array_equal(got, want)
+
+
 def test_moduli_constants_are_shoup_quotients():
     """``constants`` reduces any integer and pairs it with ``floor(w
     2^32 / q)``; ``of`` shares one set per tuple."""
@@ -196,6 +250,11 @@ def test_mismatched_shapes_are_refused():
         lambda: kernels.keyswitch(words[None], np.zeros((2, 2, 2, 16)), mods),
         lambda: kernels.mac(words, mods.constants([[1, 2, 3]] * 2), mods),
         lambda: kernels.garner(words, mods.constants([[1] * 3] * 2), mods),
+        lambda: kernels.gather([(np.zeros(32, np.uint64), 17)], 16,
+                               kernels.Moduli.of(mods.moduli[:1])),
+        lambda: kernels.gather([(np.zeros(32, np.uint32), 0)], 16,
+                               kernels.Moduli.of(mods.moduli[:1])),
+        lambda: kernels.gather([(np.zeros(32, np.uint64), 0)], 16, mods),
     ]
     for call in calls:
         with pytest.raises(ValueError):

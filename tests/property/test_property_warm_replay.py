@@ -5,10 +5,11 @@ command once, then computes later runs of the same stream through the
 MDMC's hazard-ordered issue plan and charges the counters the first run
 recorded. Here a pool of drivers serves jobs of random residues on
 30-bit moduli, every tower on its home chip (a one-chip pool alternates
-all the moduli on one memo), beside a twin pool whose drivers run every
-stream per command. After every tower the two pools must agree on the
-outputs, every ``OperationReport`` field, every chip counter and every
-word of every bank. The same holds one level up, for served EvalMults:
+all the moduli on one memo), with one operand word at or above the
+modulus, beside a twin pool whose drivers run every stream per command.
+After every tower the two pools must agree on the outputs, every
+``OperationReport`` field, every chip counter and every word of every
+bank. The same holds one level up, for served EvalMults:
 result bytes, job cycles, each worker's busy cycles and reprograms, and
 every chip counter.
 """
@@ -62,21 +63,43 @@ def _state(driver: CofheeDriver) -> tuple:
     )
 
 
+def _poke_before_each_stream(driver: CofheeDriver, pokes: list) -> None:
+    """Before each stream, write ``pokes[0]``'s word ``(buffer, index,
+    word)`` through the bus: after a tower's loads, before its run."""
+    execute = driver.execute
+
+    def poked(commands, label="sequence", mode=None):
+        buffer, index, word = pokes[0]
+        driver.chip.bus.single_write(
+            driver.buffer_address(buffer) + 16 * index, word)
+        return execute(commands, label, mode)
+
+    driver.execute = poked
+
+
 @given(
     n=st.sampled_from([16, 64, 1024]),
     pool_size=st.sampled_from([1, 4]),
     towers=st.integers(min_value=1, max_value=3),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
+    word=st.integers(min_value=0, max_value=2**64 - 1),
 )
 @settings(max_examples=12, deadline=None)
-def test_warm_streams_equal_cold_ones(n, pool_size, towers, seed):
+def test_warm_streams_equal_cold_ones(n, pool_size, towers, seed, word):
+    """Each tower's operands hold one word in ``[q, 2^64)``, written
+    through the bus after the loads, which both paths must reduce."""
     rng = np.random.default_rng(seed)
     warm, cold = _pool(pool_size, True), _pool(pool_size, False)
+    pokes = [None]
+    for driver in warm + cold:
+        _poke_before_each_stream(driver, pokes)
     for _ in range(3):  # the first job runs cold on both pools
         for tower, q in enumerate(MODULI[:towers]):
             a, b = (rng.integers(0, q, (2, n), dtype=np.uint64)
                     for _ in range(2))
             home = tower % pool_size
+            pokes[0] = (f"P{rng.integers(4)}", int(rng.integers(n)),
+                        q + word % (2**64 - q))
             got, got_report = warm[home].ciphertext_multiply_tower_words(
                 a, b, q)
             want, want_report = cold[home].ciphertext_multiply_tower_words(

@@ -6,7 +6,9 @@ bytes, truncation, wrong type tags, and cross-params digests are all
 rejected before any polynomial math happens.
 """
 
+import hashlib
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 from repro.bfv import Bfv, BfvParameters
 from repro.bfv.rotation import RotationEngine
 from repro.polymath.poly import PolynomialRing
+from repro.service import serialization
 from repro.service.serialization import (
     ParamsMismatchError,
     WireFormatError,
@@ -56,6 +59,26 @@ class TestRoundTrip:
         recovered = deserialize_params(serialize_params(params))
         assert recovered == params
         assert params_digest(recovered) == params_digest(params)
+
+    def test_params_digest_encodes_each_set_once(self, stack, monkeypatch):
+        """An equal set built apart reuses the digest; ``sigma`` ``0.0``
+        and ``-0.0``, equal but encoded apart, each get their own."""
+        params, _, _ = stack
+        recovered = deserialize_params(serialize_params(params))
+        body = serialization._params_body
+        encoded = []
+        monkeypatch.setattr(serialization, "_params_body",
+                            lambda p: encoded.append(p) or body(p))
+        serialization._params_digest.cache_clear()
+        digest = hashlib.sha256(body(params)).digest()
+        for p in (params, recovered, params):
+            assert params_digest(p) == digest
+        assert encoded == [params]
+        zero, negative = (replace(params, sigma=s) for s in (0.0, -0.0))
+        assert zero == negative
+        for p in (zero, negative):
+            assert params_digest(p) == hashlib.sha256(body(p)).digest()
+        assert params_digest(zero) != params_digest(negative)
 
     def test_polynomial_random_sweep(self, stack):
         params, _, _ = stack

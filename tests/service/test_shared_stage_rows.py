@@ -81,10 +81,10 @@ def table_builds(monkeypatch):
 
     class Spy:
         @staticmethod
-        def derive(psi_brv, q, inverse=False):
+        def derive(psi_brv, q, inverse=False, scale=None):
             if not inverse:
                 builds.append((q[0], psi_brv.shape[-1]))
-            return original.derive(psi_brv, q, inverse)
+            return original.derive(psi_brv, q, inverse, scale)
 
     monkeypatch.setattr(mdmc, "NttTables", Spy)
     yield builds
