@@ -32,10 +32,10 @@ from repro.core.chip import CoFHEE
 from repro.core.cm0 import Cm0Program
 from repro.core.errors import CapacityError, ConfigError
 from repro.core.isa import Command, Opcode
-from repro.core.mdmc import GROUPED_OPCODES, ExecutionTrace, IssueGroup, Mdmc
+from repro.core.mdmc import GROUPED_OPCODES, ExecutionTrace, Mdmc
 from repro.core.power import PowerReport
 from repro.polymath.bitrev import bit_reverse_indices
-from repro.polymath.kernels import fits
+from repro.polymath.kernels import Replay, fits
 from repro.polymath.modmath import modinv
 from repro.polymath.ntt import NttContext
 from repro.polymath.rns import residue_words
@@ -113,16 +113,33 @@ class OperationReport:
         )
 
 
+#: How many compiled programs a stream keeps (one per modulus and set of
+#: command constants) before it drops them all.
+_STREAM_PROGRAMS = 16
+
+
 @dataclass(frozen=True)
 class _Stream:
     """What the first run of a command stream leaves for later runs:
     its report, each counter it moved as ``(holder index in
     :meth:`CofheeDriver._holders`, attribute, change)``, and its
-    :meth:`~repro.core.mdmc.Mdmc.issue_plan`."""
+    programs (:meth:`~repro.core.mdmc.Mdmc.compile`) by modulus and
+    command constants."""
 
     report: OperationReport
     deltas: tuple[tuple[int, str, int], ...]
-    plan: tuple[tuple[IssueGroup, ...], ...]
+    programs: dict[tuple, Replay] = field(default_factory=dict)
+
+    def program(self, mdmc: Mdmc, commands: "Sequence[Command]") -> Replay:
+        """The program of this stream on ``mdmc``'s modulus with
+        ``commands``' constants, compiled at its first run."""
+        key = (mdmc.pe.q, tuple(c.constant for c in commands))
+        program = self.programs.get(key)
+        if program is None:
+            if len(self.programs) == _STREAM_PROGRAMS:
+                self.programs.clear()
+            program = self.programs[key] = mdmc.compile(commands)
+        return program
 
 
 @lru_cache(maxsize=None)
@@ -297,11 +314,14 @@ class CofheeDriver:
         kernel fits and ``uint64`` banks, the first run of each
         :meth:`_stream_key` is the full per-command path, and it records
         its report, the counters it moved (:meth:`_counts`) and the
-        MDMC's issue plan for the stream. A later run of the key
-        computes its data through that plan (one kernel call per
-        hazard-ordered group of commands, on the words the banks hold
-        now), adds the recorded changes to the counters and returns a
-        fresh copy of the report. Other streams (``"pe"`` or
+        stream compiled by the MDMC for the modulus and the commands'
+        constants (:meth:`_Stream.program`). A later
+        run of the key computes its data with that program, one kernel
+        call on the words the banks hold now, adds the recorded changes
+        to the counters and returns a fresh copy of the report; if a
+        twiddle row no longer holds the words the program was compiled
+        from, the run is the per-command path instead, which charges
+        what it does. Other streams (``"pe"`` or
         ``"timing"`` fidelity, ``"direct"`` or ``"cm0"`` mode, wider
         moduli, ``object`` banks, a PMUL or MEMCPY) run per command
         every time.
@@ -316,17 +336,18 @@ class CofheeDriver:
         if stream is None:
             before = self._counts()
             report = self._execute(commands, label, mode)
-            self._streams[key] = _Stream(
+            stream = self._streams[key] = _Stream(
                 report=report.copy(label),
                 deltas=tuple(
                     (h, name, after - b)
                     for (h, name, after), (_, _, b) in zip(self._counts(), before)
                     if after != b
                 ),
-                plan=self.chip.mdmc.issue_plan(commands),
             )
+            stream.program(self.chip.mdmc, commands)
             return report
-        self.chip.mdmc.run_plan(stream.plan, commands)
+        if not stream.program(self.chip.mdmc, commands)():
+            return self._execute(commands, label, mode)  # a changed twiddle
         holders = self._holders()
         for h, name, delta in stream.deltas:
             setattr(holders[h], name, getattr(holders[h], name) + delta)

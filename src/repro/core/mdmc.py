@@ -27,10 +27,10 @@ Three fidelity levels let callers trade speed for detail:
 
 Every command above runs on its own and counts what it does. A stream the
 driver has already run once at ``"vector"`` fidelity can instead go
-through :meth:`Mdmc.issue_plan` / :meth:`Mdmc.run_plan`: its commands
-levelled by their buffer hazards and issued one kernel call per
-same-opcode group over its bank rows, counting nothing (the
-driver charges the counters that stream's first run recorded).
+through :meth:`Mdmc.compile`: its commands levelled by their buffer
+hazards into same-opcode groups over its bank rows, compiled into one
+kernel call that counts nothing (the driver charges the counters that
+stream's first run recorded).
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from repro.polymath.rns import residue_words
 FIDELITY_LEVELS = ("pe", "vector", "timing")
 
 
-@dataclass
+@dataclass(frozen=True)
 class PhaseRecord:
     """One constant-activity execution phase, consumed by the power model.
 
@@ -89,40 +89,14 @@ class ExecutionTrace:
         self.interrupts += other.interrupts
 
     def copy(self) -> "ExecutionTrace":
-        return ExecutionTrace(
-            self.cycles,
-            [PhaseRecord(p.kind, p.cycles, p.n) for p in self.phases],
-            self.interrupts,
-        )
+        return ExecutionTrace(self.cycles, list(self.phases), self.interrupts)
 
 
-#: The opcodes an issue plan runs: the vector kernels over residues.
+#: The opcodes a compiled stream runs: the vector kernels over residues.
 GROUPED_OPCODES = frozenset({
     Opcode.NTT, Opcode.INTT, Opcode.PMODADD, Opcode.PMODMUL,
     Opcode.PMODSQR, Opcode.PMODSUB, Opcode.CMODMUL,
 })
-
-#: One polynomial in a bank: ``(bank, first word)``.
-Row = tuple[SramBank, int]
-
-
-@dataclass(frozen=True)
-class IssueGroup:
-    """Commands of one opcode in one hazard level: one kernel call.
-
-    ``members`` are the commands' positions in the stream (their
-    constants are read from the stream each run); ``x``, ``y`` and
-    ``out`` their operand and result rows, and ``twiddle`` the table an
-    NTT/iNTT group reads (``None`` for pointwise groups).
-    """
-
-    opcode: Opcode
-    members: tuple[int, ...]
-    x: tuple[Row, ...]
-    y: tuple[Row, ...]
-    out: tuple[Row, ...]
-    twiddle: Row | None
-
 
 class Mdmc:
     """The MDMC state machine.
@@ -398,8 +372,9 @@ class Mdmc:
     # Grouped issue (a stream's data path after its first run)
     # ------------------------------------------------------------------
 
-    def issue_plan(self, commands: list[Command]) -> tuple[tuple[IssueGroup, ...], ...]:
-        """The stream as hazard-ordered levels of same-opcode groups.
+    def compile(self, commands: list[Command]) -> kernels.Replay:
+        """The stream as hazard-ordered levels of same-opcode groups,
+        compiled into one kernel call.
 
         A command's level is one past the latest earlier command whose
         result it reads (read after write) or overwrites (write after
@@ -408,11 +383,21 @@ class Mdmc:
         it stores any result). Inside a level, the commands of one opcode
         (and, for NTT/iNTT, one twiddle table) form one group. Every
         command must be in :data:`GROUPED_OPCODES`.
+
+        The program runs on the modulus programmed now, the commands'
+        constants and kernel tables derived from the twiddle words the
+        banks hold now (:meth:`_tables`, an iNTT's with its command's
+        ``n^-1``), which each run checks are still there: it stores
+        nothing when a twiddle row has changed. It reads its bank rows
+        mod ``q``, so a word ``>= q`` is reduced, and counts nothing:
+        cycles, PE operations and bank, bus and link traffic are the
+        caller's to charge. Needs ``uint64`` banks and a modulus the
+        kernel :func:`~repro.polymath.kernels.fits`.
         """
-        levels: list[dict[tuple, list[int]]] = []
+        levels: list[dict[tuple, list[Command]]] = []
         writes: list[tuple[tuple, int]] = []
         reads: list[tuple[tuple, int]] = []
-        for i, cmd in enumerate(commands):
+        for cmd in commands:
             op = cmd.opcode
             srcs = [self._region(cmd.x_addr, cmd.n)]
             if op.needs_y_operand:
@@ -431,84 +416,32 @@ class Mdmc:
             if level == len(levels):
                 levels.append({})
             key = (op, srcs[-1] if op.needs_twiddles else None)
-            levels[level].setdefault(key, []).append(i)
+            levels[level].setdefault(key, []).append(cmd)
 
-        def row(address: int) -> Row:
+        q, n = self._modulus(), commands[0].n
+        checks: dict[int, None] = {}  # each twiddle table's address, once
+
+        def row(address: int) -> tuple[np.ndarray, int]:
             bank, _, word = self.memory_map.decode(address)
-            return bank, word
+            return bank.data, word
 
-        return tuple(
-            tuple(
-                IssueGroup(
-                    opcode=op,
-                    members=tuple(members),
-                    x=tuple(row(commands[i].x_addr) for i in members),
-                    y=tuple(row(commands[i].y_addr) for i in members
-                            if op.needs_y_operand),
-                    out=tuple(row(commands[i].out_addr) for i in members),
-                    twiddle=row(commands[members[0]].twiddle_addr)
-                    if op.needs_twiddles else None,
-                )
-                for (op, _), members in level.items()
-            )
-            for level in levels
-        )
+        def group(op: Opcode, cmds: list[Command]) -> tuple:
+            constants = tuple(c.constant for c in cmds)
+            tables = None
+            if op.needs_twiddles:
+                checks[cmds[0].twiddle_addr] = None
+                data, word = row(cmds[0].twiddle_addr)
+                tables = self._tables(data[word : word + n], q, constants[0]
+                                      if op is Opcode.INTT else None)
+            return (op.name, [row(c.x_addr) for c in cmds],
+                    [row(c.y_addr) for c in cmds if op.needs_y_operand],
+                    [row(c.out_addr) for c in cmds], tables,
+                    _row_constants(q, constants)[1]
+                    if op in (Opcode.INTT, Opcode.CMODMUL) else None)
 
-    def run_plan(
-        self, plan: tuple[tuple[IssueGroup, ...], ...], commands: list[Command],
-    ) -> None:
-        """Run ``commands``' data through their :meth:`issue_plan`.
-
-        Each group is one kernel call over its bank rows, read in one
-        pass into residues of the words the banks hold now (a word
-        ``>= q`` is reduced): an NTT/iNTT group's kernel tables come from
-        the twiddle words it reads (:meth:`_tables`), so a corrupted
-        table fails its own chip's results, and an iNTT's tables end
-        with its command's ``n^-1``. Each level's results are stored
-        after all its groups ran. Nothing is counted: cycles, PE
-        operations and bank, bus and link traffic are the caller's to
-        charge. Needs ``uint64`` banks and a modulus the kernel
-        :func:`~repro.polymath.kernels.fits`.
-        """
-        q = self._modulus()
-        twiddles: dict[Row, bytes] = {}  # each table row is read once
-        for level in plan:
-            results = [self._run_group(group, commands, q, twiddles)
-                       for group in level]
-            for group, out in zip(level, results):
-                n = out.shape[-1]
-                for (bank, word), words in zip(group.out, out):
-                    bank.data[word : word + n] = words
-
-    def _run_group(
-        self, group: IssueGroup, commands: list[Command], q: int,
-        twiddles: dict[Row, bytes],
-    ) -> np.ndarray:
-        """One group's ``(k, n)`` results (see :meth:`run_plan`)."""
-        op = group.opcode
-        n = commands[group.members[0]].n
-        mods = kernels.Moduli.of((q,))
-        words = kernels.gather(
-            [(bank.data, word) for bank, word in group.x + group.y], n, mods)
-        x, y = words[: len(group.x)], words[len(group.x) :]
-        constants = tuple(commands[i].constant for i in group.members)
-        if op.needs_twiddles:
-            if group.twiddle not in twiddles:
-                bank, word = group.twiddle
-                twiddles[group.twiddle] = _table_key(
-                    bank.data[word : word + n], q)
-            table = twiddles[group.twiddle]
-            if op is Opcode.NTT:
-                forward = _shared_tables(q, table, None)
-                return transform(x[:, None], forward)[:, 0]
-            # Each iNTT's n^-1 ends its tables: one call when they share it.
-            if len(set(constants)) == 1:
-                return transform(
-                    x[:, None], _shared_tables(q, table, constants[0]))[:, 0]
-            for row, c in zip(x, constants):
-                transform(row[None, None], _shared_tables(q, table, c))
-            return x
-        return _pointwise(op, x, y, constants, q)
+        groups = [[group(op, cmds) for (op, _), cmds in level.items()]
+                  for level in levels]
+        return kernels.Replay(q, n, [row(a) for a in checks], groups)
 
     def _region(self, address: int, n: int) -> tuple[str, int, int]:
         """The words an ``n``-word operand at ``address`` covers."""

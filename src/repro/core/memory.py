@@ -127,13 +127,15 @@ class SramBank:
     def _as_words(self, values: "Sequence[int] | np.ndarray") -> np.ndarray:
         """Range-check ``values`` as 128-bit words; ``uint64`` where they fit.
 
-        An unsigned-integer array needs no check at all; a signed one only
-        a sign check. Anything else is checked exactly as Python integers.
+        An integer array is returned as it is, for the store into the
+        bank to widen: an unsigned one needs no check at all, a signed
+        one only a sign check. Anything else is checked exactly as
+        Python integers.
         """
         if isinstance(values, np.ndarray) and values.dtype.kind in "ui":
             if values.dtype.kind == "i" and values.min() < 0:
                 raise MemoryFault(f"{self.name}: negative word")
-            return values.astype(np.uint64, copy=False)
+            return values
         words = np.array(values, dtype=object)
         lo, hi = words.min(), words.max()
         if lo < 0 or hi > WORD_MASK:

@@ -6,15 +6,17 @@ Hadamard product and constant multiply on one datapath (Section VIII-B).
 :func:`transform` is Longa and Naehrig's merged-``psi`` NTT (CANS 2016),
 the loops of :class:`~repro.polymath.ntt.NttContext`, with Harvey's lazy
 butterflies and, on AVX-512, 16-word vector stages. Around it run
-:func:`reduce` (``a mod q`` of any 64-bit word), :func:`gather` (bank
-rows mod ``q``), :func:`multiply` (the
+:func:`reduce` (``a mod q`` of any 64-bit word), :func:`multiply` (the
 Hadamard product), :func:`tensor` (Eq. 4), :func:`keyswitch`, :func:`mac`
 (multiply-accumulate against constants) and :func:`garner` (mixed-radix
 digits), with per-tower constants from a :class:`Moduli`. A product by a
 constant is a 32-bit Shoup product (Harvey, J. Symb. Comp. 2014), one of
-two residues a Barrett reduction with a 32x32->64 quotient estimate; gcc
-vectorizes both. No accumulator reaches :data:`ACC_BOUND` times the
-modulus and every output is fully reduced: the exact integer results.
+two residues a Barrett reduction with a 32x32->64 quotient estimate; on
+AVX-512 each runs 16 words at a time on ``vpmuludq`` products, other
+targets run them word by word. No accumulator reaches :data:`ACC_BOUND`
+times the modulus and every output is fully reduced: the exact integer
+results. A :class:`Replay` is the MDMC's stream of NTT and pointwise
+commands over its bank rows, compiled once and run in one call.
 
 The file compiles at first import with ``gcc`` :data:`CFLAGS` into
 ``$XDG_CACHE_HOME/repro`` (default ``~/.cache/repro``), named by a hash
@@ -101,9 +103,10 @@ def _library() -> str:
 
 
 _ffi = cffi.FFI()
-# The declarations come from the source: its record type and every function.
+# The declarations come from the source: its record types, its opcodes and
+# every function.
 _ffi.cdef(";".join(re.findall(
-    r"^typedef struct \{.*?\} \w+|^void \w+\([^)]*\)",
+    r"^typedef struct \{.*?\} \w+|^enum \w+ \{.*?\}|^(?:void|int) \w+\([^)]*\)",
     Path(__file__).with_name("ntt.c").read_text(), re.M | re.S,
 )) + ";")
 _lib = _ffi.dlopen(_library())
@@ -277,21 +280,6 @@ def reduce(a, mods: Moduli, scale=None) -> np.ndarray:
                  a.dtype == np.int64, *(scale or mods.times(1)), mods._records)
 
 
-def gather(rows, n: int, mods: Moduli) -> np.ndarray:
-    """The ``(k, n)`` residues mod the one modulus of ``mods`` of ``k``
-    rows of ``n`` words, each an ``(array, start)`` pair of a 1-D
-    ``uint64`` array (an MDMC bank, whose words may be ``>= q``): one
-    pass, no stacked copy."""
-    if len(mods.moduli) != 1 or any(
-            a.dtype != np.uint64 or a.ndim != 1 or not a.flags.c_contiguous
-            or not 0 <= at <= a.size - n for a, at in rows):
-        raise ValueError(f"{len(rows)} rows of {n} words, {mods.moduli}")
-    pointers = _ffi.new("uint64_t *[]", [
-        _ffi.from_buffer(_BUFFERS[8], a) + at for a, at in rows])
-    return _call("gather", np.empty((len(rows), n), np.uint32), pointers,
-                 len(rows), n, mods._records)
-
-
 def multiply(a, b, mods: Moduli) -> np.ndarray:
     """The pointwise product ``a b mod q`` of two ``(..., L, n)`` residue
     stacks, row ``r`` on tower ``r mod L`` (the Hadamard product)."""
@@ -351,3 +339,72 @@ def garner(a, c, mods: Moduli) -> np.ndarray:
     if c[0].shape != (a.shape[1],) * 2 or a.shape[1] != len(mods.moduli):
         raise ValueError(f"{a.shape} stack, {c[0].shape} constants")
     return _call("garner", np.empty_like(a), a, *a.shape, *c, mods._records)
+
+
+#: The replay's opcodes with a second operand row.
+_BINARY = ("CHECK", "PMODMUL", "PMODADD", "PMODSUB")
+
+
+class Replay:
+    """A stream of MDMC commands compiled for ``ntt.c``'s ``replay``,
+    which runs it in one call: its hazard ``levels`` in order, each a
+    list of groups ``(opcode, x, y, out, tables, constants)``, an
+    :class:`~repro.core.isa.Opcode` name (``NTT``, ``INTT``, ``PMODMUL``,
+    ``PMODSQR``, ``PMODADD``, ``PMODSUB``, ``CMODMUL``) over rows of
+    ``n`` words mod one modulus ``q``. Rows are ``(array, start)`` pairs
+    of 1-D ``uint64`` arrays (an MDMC's banks): ``x`` and ``y`` (empty
+    for one operand) are read mod ``q``, whatever their words, and
+    ``out`` takes the results once the whole level has read. An NTT or
+    iNTT group runs on ``tables``; the :meth:`Moduli.constants` pair
+    ``constants`` has one per row, the closing multiply of an iNTT row
+    (its tables' ``scale`` is unused) or a CMODMUL row's. A run first
+    compares each of the ``checks`` rows with the words it held at
+    compilation, and stores nothing on any difference."""
+
+    def __init__(self, q: int, n: int, checks, levels):
+        mods = Moduli.of((q,))
+        self._keep = [mods]  # everything the C program points at
+        groups = [("CHECK", [(a, at)], [(a[at : at + n].copy(), 0)], (), None,
+                   None, False) for a, at in checks]
+        for level in levels:
+            groups += [(*g, i == len(level) - 1) for i, g in enumerate(level)]
+        self._groups = _ffi.new("group_t[]", len(groups))
+        for g, (op, x, y, out, tables, constants, last) in zip(
+                self._groups, groups):
+            if (n & (n - 1) or len(y) != len(x) * (op in _BINARY)
+                    or (tables is None or tables.w.shape != (1, n))
+                    == (op in ("NTT", "INTT"))
+                    or (constants is None or constants[0].shape != (len(x),))
+                    == (op in ("INTT", "CMODMUL"))):
+                raise ValueError(f"{op} of {len(x)} rows of {n} words")
+            g.op, g.rows, g.last = getattr(_lib, "OP_" + op), len(x), last
+            g.x, g.y, g.out = (self._rows(rows, n) for rows in (x, y, out))
+            if tables is not None:
+                g.w, g.w_shoup = tables._pointers[:2]
+                self._keep.append(tables)
+            if constants is not None:
+                g.c, g.c_shoup = (self._pin(_ffi.from_buffer(
+                    _BUFFERS[4], _words(a))) for a in constants)
+        rows = max((sum(len(g[1]) for g in level) for level in levels),
+                   default=0)
+        self._call = (self._groups, len(groups), n, mods._records, self._pin(
+            _ffi.from_buffer(_BUFFERS[4], np.empty((1 + rows) * n, np.uint32))))
+
+    def _pin(self, cdata):
+        self._keep.append(cdata)
+        return cdata
+
+    def _rows(self, rows, n: int):
+        """A pointer array to ``n``-word rows, or ``NULL`` for none."""
+        if not rows:
+            return _ffi.NULL
+        if any(a.dtype != np.uint64 or a.ndim != 1 or not a.flags.c_contiguous
+               or not 0 <= at <= a.size - n for a, at in rows):
+            raise ValueError(f"{len(rows)} rows of {n} uint64 words")
+        return self._pin(_ffi.new("uint64_t *[]", [
+            self._pin(_ffi.from_buffer(_BUFFERS[8], a)) + at for a, at in rows]))
+
+    def __call__(self) -> bool:
+        """Run the program: ``False``, with nothing stored, when a
+        checked row has changed since compilation."""
+        return not _lib.replay(*self._call)

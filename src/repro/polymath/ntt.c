@@ -4,11 +4,13 @@
  * A product by a constant is a 32-bit Shoup product against its
  * precomputed quotient; a product of two residues takes a Barrett
  * reduction whose quotient estimate is a 32x32->64 multiply, so both
- * vectorize. A sum is kept lazily below 2q, and an NTT word below 4q, so
- * no word reaches 4q <= 2^32, and every result is fully reduced into
- * [0, q). */
+ * run 16 lanes at a time on AVX-512. A sum is kept lazily below 2q, and
+ * an NTT word below 4q, so no word reaches 4q <= 2^32, and every result
+ * is fully reduced into [0, q). replay() runs a compiled stream of the
+ * chip model's commands over its bank rows in one call. */
 #include <stddef.h>
 #include <stdint.h>
+#include <string.h>
 
 #define FOLD(x, q) ((x) < (x) - (q) ? (x) : (x) - (q)) /* x mod q, x < 2q */
 
@@ -286,7 +288,90 @@ static void last(uint32_t *a, size_t n, uint32_t w, uint32_t c, uint32_t cs,
     }
 }
 
+/* The pointwise kernels' vectors: a modulus' constants in every lane,
+ * and 16 64-bit words split into their low and high 32-bit halves. */
+typedef int32_t v16s __attribute__((vector_size(64)));
+struct vmod {
+    v16 q, q2, barrett, r32, r32_s, one, one_s, r64;
+    int lo, hi; /* Barrett's shifts, b - 1 and b + 1 */
+};
+
+#define LOAD(v, p) __builtin_memcpy(&(v), p, sizeof(v16))
+#define STORE(p, v) __builtin_memcpy(p, &(v), sizeof(v16))
+#define SPLAT(x) ((x) - (v16){0})
+
+static inline void vmod(struct vmod *v, const modulus_t *m)
+{
+    v->q = SPLAT(m->q);
+    v->q2 = v->q + v->q;
+    v->barrett = SPLAT(m->barrett);
+    v->r32 = SPLAT(m->r32);
+    v->r32_s = SPLAT(m->r32_s);
+    v->one = SPLAT(1);
+    v->one_s = SPLAT(m->one_s);
+    v->r64 = SPLAT(m->r64);
+    v->lo = (int)m->bits - 1;
+    v->hi = (int)m->bits + 1;
+}
+
+/* barrett() lane by lane, for variables x and y and a struct vmod m: the
+ * 64-bit products and their quotient estimates, even lanes and odd. */
+#define VBARRETT(x, y, m) ({                                               \
+    v8 pe_ = MUL_EVEN(x, y), po_ = MUL_EVEN((v8)x >> 32, (v8)y >> 32);     \
+    v8 ee_ = MUL_EVEN(pe_ >> (m).lo, (m).barrett) >> (m).hi;               \
+    v8 eo_ = MUL_EVEN(po_ >> (m).lo, (m).barrett) >> (m).hi;               \
+    v16 r_ = x * y - ((v16)ee_ | (v16)(eo_ << 32)) * (m).q;                \
+    r_ = VFOLD(r_, (m).q);                                                 \
+    VFOLD(r_, (m).q); })
+
+static const v16 EVEN = {0, 2, 4, 6, 8, 10, 12, 14,
+                         16, 18, 20, 22, 24, 26, 28, 30};
+static const v16 ODD = {1, 3, 5, 7, 9, 11, 13, 15,
+                        17, 19, 21, 23, 25, 27, 29, 31};
+
+/* The low and high halves lo and hi of the 16 64-bit words at p. */
+#define HALVES(p, lo, hi) do {                                             \
+    v16 a_, b_;                                                            \
+    LOAD(a_, p);                                                           \
+    LOAD(b_, (p) + 8);                                                     \
+    lo = __builtin_shuffle(a_, b_, EVEN);                                  \
+    hi = __builtin_shuffle(a_, b_, ODD);                                   \
+} while (0)
+
+/* mod64() lane by lane, of the words of halves lo and hi: in [0, 2q). */
+#define VMOD64(lo, hi, m) ({                                               \
+    v16 w_ = (m).r32, s_ = (m).r32_s, one_ = (m).one, os_ = (m).one_s;     \
+    v16 q_ = (m).q, h_ = VSHOUP(hi, w_, s_, q_);                           \
+    h_ += VSHOUP(lo, one_, os_, q_);                                       \
+    VFOLD(h_, (m).q2); })
+
 #endif
+
+/* One row x of n words below 4q forward, below 2q inverse, on tables tw
+ * and ts of modulus q; the inverse ends with the multiply by c (Shoup
+ * quotient cs). The results are in [0, q). */
+static void transform_row(uint32_t *x, size_t n, const uint32_t *tw,
+                          const uint32_t *ts, uint32_t q, uint32_t c,
+                          uint32_t cs, int inverse)
+{
+#ifdef __AVX512F__
+    size_t t, m, wide_at = n - n / 16;
+    if (n >= 256 && !inverse) {
+        for (m = 1, t = n / 2; t >= 16; m *= 2, t /= 2)
+            wide(x, t, m, tw + wide_at, ts + wide_at, q, 0);
+        narrow(x, n, tw, ts, q, 0);
+        return;
+    }
+    if (n >= 256) {
+        narrow(x, n, tw, ts, q, 1);
+        for (m = n / 32, t = 16; m > 1; m /= 2, t *= 2)
+            wide(x, t, m, tw + wide_at, ts + wide_at, q, 1);
+        last(x, n, tw[wide_at + 1], c, cs, q);
+        return;
+    }
+#endif
+    scalar(x, n, tw, ts, q, c, cs, inverse);
+}
 
 /* Row r of the (rows, n) stack a uses tower r % towers's tables: words
  * below 4q forward, below 2q inverse, results in [0, q). */
@@ -296,27 +381,16 @@ void ntt(uint32_t *a, size_t rows, size_t towers, size_t n,
 {
     for (size_t r = 0; r < rows; r++) {
         size_t k = r % towers;
-        uint32_t *x = a + r * n, qk = q[k];
-        const uint32_t *tw = w + k * n, *ts = w_shoup + k * n;
-#ifdef __AVX512F__
-        size_t t, m, wide_at = n - n / 16;
-        if (n >= 256 && !inverse) {
-            for (m = 1, t = n / 2; t >= 16; m *= 2, t /= 2)
-                wide(x, t, m, tw + wide_at, ts + wide_at, qk, 0);
-            narrow(x, n, tw, ts, qk, 0);
-            continue;
-        }
-        if (n >= 256) {
-            narrow(x, n, tw, ts, qk, 1);
-            for (m = n / 32, t = 16; m > 1; m /= 2, t *= 2)
-                wide(x, t, m, tw + wide_at, ts + wide_at, qk, 1);
-            last(x, n, tw[wide_at + 1], scale[k], scale_shoup[k], qk);
-            continue;
-        }
-#endif
-        scalar(x, n, tw, ts, qk, scale[k], scale_shoup[k], inverse);
+        transform_row(a + r * n, n, w + k * n, w_shoup + k * n, q[k],
+                      scale[k], scale_shoup[k], inverse);
     }
 }
+
+
+/* The pointwise kernels run 16-word vectors on AVX-512 rows of a
+ * multiple of 16 words (each keeps an output tile in a register across
+ * its terms), the word-by-word loops otherwise: the same operations lane
+ * by lane, so the same words. */
 
 /* x mod q lazily, in [0, 2q), for any 64-bit x = h 2^32 + l. */
 static inline uint32_t mod64(uint64_t x, const modulus_t *m)
@@ -324,29 +398,6 @@ static inline uint32_t mod64(uint64_t x, const modulus_t *m)
     uint32_t v = shoup((uint32_t)(x >> 32), m->r32, m->r32_s, m->q)
                  + shoup((uint32_t)x, 1, m->one_s, m->q); /* < 4q */
     return FOLD(v, 2 * m->q);
-}
-
-/* out[r] = rows[r] mod q for k rows of n unsigned 64-bit words, each
- * given by its address (the MDMC's bank rows), and one modulus. */
-void gather(uint32_t *out, const uint64_t *const *rows, size_t k, size_t n,
-            const modulus_t *mods)
-{
-    modulus_t m = *mods;
-    for (size_t r = 0; r < k; r++) {
-        const uint64_t *x = rows[r];
-        uint32_t *o = out + r * n;
-        uint64_t top = 0;
-        for (size_t j = 0; j < n; j++)
-            top = x[j] > top ? x[j] : top;
-        if (top < m.q) /* residues already: a narrowing copy */
-            for (size_t j = 0; j < n; j++)
-                o[j] = (uint32_t)x[j];
-        else
-            for (size_t j = 0; j < n; j++) {
-                uint32_t v = mod64(x[j], &m);
-                o[j] = FOLD(v, m.q);
-            }
-    }
 }
 
 /* out = (a mod q) s mod q per row (tower r % towers) of a (rows, n)
@@ -361,6 +412,24 @@ void reduce(uint32_t *out, const uint64_t *a, size_t rows, size_t towers,
         uint32_t q = m.q, w = s[r % towers], ws = s_shoup[r % towers];
         const uint64_t *x = a + r * n;
         uint32_t *o = out + r * n;
+#ifdef __AVX512F__
+        if (n % 16 == 0) {
+            struct vmod vm;
+            vmod(&vm, &m);
+            v16 vq = vm.q, vw = SPLAT(w), vws = SPLAT(ws), lo, hi, v, neg;
+            for (size_t j = 0; j < n; j += 16) {
+                HALVES(x + j, lo, hi);
+                neg = sign ? (v16)((v16s)hi >> 31) & vm.r64 : (v16){0};
+                v = VMOD64(lo, hi, vm);
+                v = VFOLD(v, vq) + vq - neg;
+                v = VFOLD(v, vq);
+                v = VSHOUP(v, vw, vws, vq);
+                v = VFOLD(v, vq);
+                STORE(o + j, v);
+            }
+            continue;
+        }
+#endif
         for (size_t j = 0; j < n; j++) {
             uint32_t v = mod64(x[j], &m);
             uint32_t neg = sign && (int64_t)x[j] < 0 ? m.r64 : 0;
@@ -377,6 +446,20 @@ void multiply(uint32_t *out, const uint32_t *a, const uint32_t *b,
 {
     for (size_t r = 0; r < rows; r++) {
         modulus_t m = mods[r % towers]; /* a local copy: out cannot alias it */
+#ifdef __AVX512F__
+        if (n % 16 == 0) {
+            struct vmod vm;
+            vmod(&vm, &m);
+            for (size_t j = r * n; j < (r + 1) * n; j += 16) {
+                v16 x, y;
+                LOAD(x, a + j);
+                LOAD(y, b + j);
+                x = VBARRETT(x, y, vm);
+                STORE(out + j, x);
+            }
+            continue;
+        }
+#endif
         for (size_t j = r * n; j < (r + 1) * n; j++)
             out[j] = barrett(a[j], b[j], &m);
     }
@@ -393,6 +476,29 @@ void tensor(uint32_t *restrict y, const uint32_t *f, size_t towers, size_t n,
     const uint32_t *b1 = square ? a1 : f + 3 * row;
     for (size_t k = 0; k < towers; k++) {
         modulus_t m = mods[k];
+#ifdef __AVX512F__
+        if (n % 16 == 0) {
+            struct vmod vm;
+            vmod(&vm, &m);
+            for (size_t j = k * n; j < (k + 1) * n; j += 16) {
+                v16 x0, x1, y0, y1, cross, other;
+                LOAD(x0, a0 + j);
+                LOAD(x1, a1 + j);
+                LOAD(y0, b0 + j);
+                LOAD(y1, b1 + j);
+                cross = VBARRETT(x0, y1, vm);
+                other = VBARRETT(x1, y0, vm);
+                cross += other;
+                cross = VFOLD(cross, vm.q);
+                y0 = VBARRETT(x0, y0, vm);
+                y1 = VBARRETT(x1, y1, vm);
+                STORE(y + j, y0);
+                STORE(y + row + j, cross);
+                STORE(y + 2 * row + j, y1);
+            }
+            continue;
+        }
+#endif
         for (size_t j = k * n; j < (k + 1) * n; j++) {
             uint32_t cross = barrett(a0[j], b1[j], &m) + barrett(a1[j], b0[j], &m);
             y[j] = barrett(a0[j], b0[j], &m);
@@ -415,9 +521,27 @@ void keyswitch(uint32_t *out, const uint32_t *x, const uint32_t *key,
             for (size_t k = 0; k < towers; k++) {
                 modulus_t m = mods[k];
                 uint32_t *o = out + (s * jobs + j) * row + k * n;
+                const uint32_t *x0 = x + j * digits * row + k * n;
+                const uint32_t *k0 = key + s * digits * row + k * n;
+#ifdef __AVX512F__
+                if (n % 16 == 0) {
+                    struct vmod vm;
+                    vmod(&vm, &m);
+                    for (size_t i = 0; i < n; i += 16) {
+                        v16 acc = {0}, xd, kd;
+                        for (size_t d = 0; d < digits; d++) {
+                            LOAD(xd, x0 + d * row + i);
+                            LOAD(kd, k0 + d * row + i);
+                            acc += VBARRETT(xd, kd, vm);
+                            acc = VFOLD(acc, vm.q);
+                        }
+                        STORE(o + i, acc);
+                    }
+                    continue;
+                }
+#endif
                 for (size_t d = 0; d < digits; d++) {
-                    const uint32_t *xd = x + (j * digits + d) * row + k * n;
-                    const uint32_t *kd = key + (s * digits + d) * row + k * n;
+                    const uint32_t *xd = x0 + d * row, *kd = k0 + d * row;
                     for (size_t i = 0; i < n; i++) {
                         uint32_t v = (d ? o[i] : 0) + barrett(xd[i], kd[i], &m);
                         o[i] = FOLD(v, m.q);
@@ -439,13 +563,35 @@ void mac(uint32_t *out, const uint32_t *x, const uint32_t *acc, size_t batch,
         for (size_t i = 0; i < towers; i++) {
             uint32_t q = mods[i].q, *o = out + (b * towers + i) * n;
             const uint32_t *a = acc ? acc + (b * towers + i) * n : NULL;
+            const uint32_t *ci = c + i * terms, *cs = c_shoup + i * terms;
+#ifdef __AVX512F__
+            if (n % 16 == 0) {
+                v16 vq = SPLAT(q), q2 = vq + vq, w = SPLAT(s[i]);
+                v16 ws = SPLAT(s_shoup[i]), t, v;
+                for (size_t j = 0; j < n; j += 16) {
+                    t = (v16){0};
+                    if (a) {
+                        LOAD(t, a + j);
+                        t = VSHOUP(t, w, ws, vq);
+                    }
+                    for (size_t k = 0; k < terms; k++) {
+                        v16 tw = SPLAT(ci[k]), ts = SPLAT(cs[k]);
+                        LOAD(v, x + (b * terms + k) * n + j);
+                        t += VSHOUP(v, tw, ts, vq); /* < 4q */
+                        t = VFOLD(t, q2);
+                    }
+                    t = VFOLD(t, vq);
+                    STORE(o + j, t);
+                }
+                continue;
+            }
+#endif
             for (size_t j = 0; j < n; j++)
                 o[j] = a ? shoup(a[j], s[i], s_shoup[i], q) : 0;
             for (size_t k = 0; k < terms; k++) {
                 const uint32_t *xk = x + (b * terms + k) * n;
-                uint32_t w = c[i * terms + k], ws = c_shoup[i * terms + k];
                 for (size_t j = 0; j < n; j++) {
-                    uint32_t v = o[j] + shoup(xk[j], w, ws, q); /* < 4q */
+                    uint32_t v = o[j] + shoup(xk[j], ci[k], cs[k], q); /* < 4q */
                     o[j] = FOLD(v, 2 * q);
                 }
             }
@@ -467,6 +613,25 @@ void garner(uint32_t *d, const uint32_t *a, size_t batch, size_t towers,
         for (size_t k = 0; k < towers; k++) {
             uint32_t q = mods[k].q, *o = db + k * n;
             const uint32_t *ck = c + k * towers, *cs = c_shoup + k * towers;
+#ifdef __AVX512F__
+            if (n % 16 == 0) {
+                v16 vq = SPLAT(q), q2 = vq + vq, w = SPLAT(ck[k]);
+                v16 ws = SPLAT(cs[k]), t, v;
+                for (size_t j = 0; j < n; j += 16) {
+                    LOAD(t, ab + k * n + j);
+                    t = VSHOUP(t, w, ws, vq);
+                    for (size_t i = 0; i < k; i++) {
+                        v16 tw = SPLAT(ck[i]), ts = SPLAT(cs[i]);
+                        LOAD(v, db + i * n + j);
+                        t += VSHOUP(v, tw, ts, vq);
+                        t = VFOLD(t, q2);
+                    }
+                    t = VFOLD(t, vq);
+                    STORE(o + j, t);
+                }
+                continue;
+            }
+#endif
             for (size_t j = 0; j < n; j++)
                 o[j] = shoup(ab[k * n + j], ck[k], cs[k], q);
             for (size_t i = 0; i < k; i++)
@@ -478,4 +643,126 @@ void garner(uint32_t *d, const uint32_t *a, size_t batch, size_t towers,
                 o[j] = FOLD(o[j], q);
         }
     }
+}
+
+/* Bank row x of n 64-bit words mod q into o: a narrowing copy, which is
+ * all when every word is already below q, else the reduction. */
+static void load(uint32_t *o, const uint64_t *x, size_t n, const modulus_t *m)
+{
+    uint64_t top = 0;
+    for (size_t j = 0; j < n; j++) {
+        top = x[j] > top ? x[j] : top;
+        o[j] = (uint32_t)x[j];
+    }
+    if (top < m->q)
+        return;
+#ifdef __AVX512F__
+    if (n % 16 == 0) {
+        struct vmod vm;
+        vmod(&vm, m);
+        for (size_t j = 0; j < n; j += 16) {
+            v16 lo, hi, v;
+            HALVES(x + j, lo, hi);
+            v = VMOD64(lo, hi, vm);
+            v = VFOLD(v, vm.q);
+            STORE(o + j, v);
+        }
+        return;
+    }
+#endif
+    for (size_t j = 0; j < n; j++) {
+        uint32_t v = mod64(x[j], m);
+        o[j] = FOLD(v, m->q);
+    }
+}
+
+/* The replay's opcodes: a twiddle row's check, then the MDMC's
+ * vector-fidelity commands. */
+enum replay_op {
+    OP_CHECK, OP_NTT, OP_INTT, OP_PMODMUL, OP_PMODSQR, OP_PMODADD,
+    OP_PMODSUB, OP_CMODMUL
+};
+
+/* One group of a replay program: rows commands of one opcode on n-word
+ * rows of 64-bit bank words, reading x[r] (and y[r]) and writing out[r].
+ * NTT and iNTT groups run on the tables w, w_shoup, and an iNTT's row r
+ * ends with the multiply by c[r] (Shoup quotient c_shoup[r]), which is
+ * all a CMODMUL row does. A CHECK group's row x[0] must hold the words
+ * y[0]. The last group of a hazard level has last set. */
+typedef struct {
+    uint32_t op, rows, last, pad;
+    const uint64_t *const *x;
+    const uint64_t *const *y;
+    uint64_t *const *out;
+    const uint32_t *w;
+    const uint32_t *w_shoup;
+    const uint32_t *c;
+    const uint32_t *c_shoup;
+} group_t;
+
+/* Runs a program of count groups over n-word rows mod one modulus, level
+ * by level: a level reads its operand rows mod q into scratch, which has
+ * room for one row more than the largest level's, and once its groups
+ * have run, stores their results as 64-bit words. Returns 1, having
+ * stored nothing, when a CHECK row differs, and 0 otherwise. */
+int replay(const group_t *g, size_t count, size_t n, const modulus_t *mods,
+           uint32_t *scratch)
+{
+    modulus_t m = *mods;
+    uint32_t q = m.q, *y = scratch; /* row 0: a second operand */
+    for (size_t i = 0; i < count; i++)
+        if (g[i].op == OP_CHECK
+            && memcmp(g[i].x[0], g[i].y[0], n * sizeof(uint64_t)))
+            return 1;
+    for (size_t i = 0, first = 0, at = 1; i < count; i++) {
+        const group_t *p = g + i;
+        for (size_t r = 0; p->op != OP_CHECK && r < p->rows; r++, at++) {
+            uint32_t *x = scratch + at * n;
+            load(x, p->x[r], n, &m);
+            if (p->y)
+                load(y, p->y[r], n, &m);
+            switch (p->op) {
+            case OP_NTT:
+                transform_row(x, n, p->w, p->w_shoup, q, 1, m.one_s, 0);
+                break;
+            case OP_INTT:
+                transform_row(x, n, p->w, p->w_shoup, q, p->c[r],
+                              p->c_shoup[r], 1);
+                break;
+            case OP_PMODMUL:
+                multiply(x, x, y, 1, 1, n, &m);
+                break;
+            case OP_PMODSQR:
+                multiply(x, x, x, 1, 1, n, &m);
+                break;
+            case OP_PMODADD:
+                for (size_t j = 0; j < n; j++) {
+                    uint32_t v = x[j] + y[j];
+                    x[j] = FOLD(v, q);
+                }
+                break;
+            case OP_PMODSUB:
+                for (size_t j = 0; j < n; j++) {
+                    uint32_t v = x[j] - y[j] + q;
+                    x[j] = FOLD(v, q);
+                }
+                break;
+            case OP_CMODMUL:
+                for (size_t j = 0; j < n; j++)
+                    x[j] = mulmod(x[j], p->c[r], p->c_shoup[r], q);
+                break;
+            }
+        }
+        if (!p->last)
+            continue;
+        for (const uint32_t *x = scratch + n; first <= i; first++)
+            for (size_t r = 0; g[first].op != OP_CHECK && r < g[first].rows;
+                 r++, x += n) {
+                uint64_t *o = g[first].out[r];
+                for (size_t j = 0; j < n; j++)
+                    o[j] = x[j];
+            }
+        at = 1;
+    }
+    return 0;
 }

@@ -391,16 +391,21 @@ class Polynomial:
         the same ring always produce identical bytes (the property the wire
         format's digests and checksums rely on). A word-backed polynomial
         returns the bytes it was unpacked from; a tower-backed one packs
-        its :attr:`words`. Built once, then held.
+        its :attr:`words`, without keeping words it had to compute (a
+        packed result sits in the server's result cache, which would
+        hold them twice). Built once, then held.
         """
         if self._packed is None:
             width = self.ring.coeff_byte_width
-            if self._words is None and self._towers is None:
+            words = self._words
+            if words is None and self._towers is None:
                 self._packed = b"".join(
                     c.to_bytes(width, "big") for c in self._coeffs
                 )
             else:
-                raw = np.ascontiguousarray(self.words, dtype=">u4")
+                if words is None:
+                    words = self._rns.to_words(self._towers, _word_count(width))
+                raw = np.ascontiguousarray(words, dtype=">u4")
                 raw = raw.view(np.uint8).reshape(self.ring.n, -1)
                 self._packed = raw[:, raw.shape[1] - width:].tobytes()
         return self._packed

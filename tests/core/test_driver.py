@@ -7,6 +7,7 @@ from repro.core.driver import CofheeDriver, OperationReport
 from repro.core.errors import CapacityError, ConfigError
 from repro.core.fifo import FifoStats
 from repro.core.isa import Opcode
+from repro.polymath import kernels
 from repro.polymath.ntt import reference_negacyclic_multiply
 from repro.polymath.primes import ntt_friendly_prime
 from repro.polymath.rns import RnsBasis, plan_towers
@@ -175,8 +176,8 @@ def _hazard_streams(d: CofheeDriver) -> dict[str, list]:
 
 
 class TestWarmStreams:
-    """A word-sized stream's later runs go through the MDMC's issue plan
-    and charge its first run's counters; the data and every figure stay
+    """A word-sized stream's later runs go through the MDMC's compiled
+    program and charge its first run's counters; the data and every figure stay
     those of the per-command path."""
 
     @staticmethod
@@ -187,15 +188,19 @@ class TestWarmStreams:
             driver._stream_key = lambda commands, mode: None
         return driver
 
-    def test_algorithm3_plan(self):
+    def test_algorithm3_program(self):
+        """The twiddle table's check, then 4 NTT -> 4 PMODMUL -> 2 iNTT and
+        1 PMODADD -> 1 iNTT, each level ending with its last group."""
         driver = self._driver(True)
         driver.ciphertext_multiply(*driver.buffer_names[:6])
         (stream,) = driver._streams.values()
-        assert [
-            [(group.opcode.value, len(group.members)) for group in level]
-            for level in stream.plan
-        ] == [[("NTT", 4)], [("PMODMUL", 4)],
-              [("iNTT", 2), ("PMODADD", 1)], [("iNTT", 1)]]
+        (program,) = stream.programs.values()
+        lib = kernels._lib
+        assert [(g.op, g.rows, g.last) for g in program._groups] == [
+            (lib.OP_CHECK, 1, False), (lib.OP_NTT, 4, True),
+            (lib.OP_PMODMUL, 4, True), (lib.OP_INTT, 2, False),
+            (lib.OP_PMODADD, 1, True), (lib.OP_INTT, 1, True),
+        ]
 
     def test_algorithm3_commands_are_built_once_per_programming(self):
         """Later towers reuse the stream's command tuple and the key read

@@ -8,8 +8,14 @@ at the degree and the largest 30-bit one, at ``n`` in ``{2, 16, 4096,
 worst case. The reference of the NTT is
 :class:`~repro.polymath.ntt.NttContext`'s pure-Python transform; that of
 every other kernel the exact numpy ``uint64``/``int64`` expression it
-took over: products below ``2^60`` and one ``%`` per term.
+took over: products below ``2^60`` and one ``%`` per term. The replay
+reads bank words of any 64-bit value mod ``q``. An ``x86-64-v3`` build,
+which takes the word-by-word loops, gives the native build's words.
 """
+
+import platform
+import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -207,24 +213,77 @@ def test_garner_is_the_mixed_radix_recurrence(n, fill):
                           want)
 
 
+def _banks(n, fill, q, seed) -> tuple[np.ndarray, np.ndarray]:
+    """Two ``uint64`` banks of ``3n`` words (an MDMC's): one of any 64-bit
+    words, random or all ``2^64 - 1``, which the replay reduces, and one
+    of residues below ``q``, random or all ``q - 1``, which it narrows."""
+    if fill == "max":
+        return (np.full(3 * n, (1 << 64) - 1, np.uint64),
+                np.full(3 * n, q - 1, np.uint64))
+    rng = np.random.default_rng(seed)
+    return (rng.integers(0, 1 << 64, 3 * n, np.uint64, endpoint=False),
+            rng.integers(0, q, 3 * n, np.uint64))
+
+
+def _replay_case(n, fill):
+    """Per tower, a one-level program of every replay opcode over rows of
+    both :func:`_banks` at unaligned offsets, its output bank, and the
+    results each group must store, from the words mod ``q``."""
+    for q in _moduli(n).moduli:
+        wide, narrow = _banks(n, fill, q, n)
+        a_rows, b_rows = [(wide, 0), (wide, n + 1)], [(narrow, 2 * n), (narrow, 3)]
+        a = np.stack([w[at : at + n] for w, at in a_rows]) % np.uint64(q)
+        b = np.stack([w[at : at + n] for w, at in b_rows]) % np.uint64(q)
+        context = NttContext(n, q)
+        psi = np.asarray([context._psi_brv], dtype=np.uint64)
+        forward = kernels.NttTables.derive(psi, [q])
+        inverse = kernels.NttTables.derive(psi, [q], inverse=True,
+                                           scale=[context.n_inv])
+        mods = kernels.Moduli.of((q, q))
+        c = _constants(mods, (2,), fill, n)
+        groups = [
+            ("NTT", a_rows, [], forward, None,
+             kernels.transform(a[:, None], forward)[:, 0]),
+            ("INTT", b_rows, [], inverse, mods.constants([context.n_inv] * 2),
+             kernels.transform(b[:, None], inverse)[:, 0]),
+            ("PMODMUL", a_rows, b_rows, None, None, a * b % q),
+            ("PMODSQR", a_rows, [], None, None, a * a % q),
+            ("PMODADD", a_rows, b_rows, None, None, (a + b) % q),
+            ("PMODSUB", a_rows, b_rows, None, None, (a + q - b) % q),
+            ("CMODMUL", b_rows, [], None, mods.constants(c.tolist()),
+             b * c[:, None] % q),
+        ]
+        out = np.zeros(2 * len(groups) * n, np.uint64)
+        level = [(op, x, y, [(out, (2 * i + r) * n) for r in range(2)],
+                  tables, constants)
+                 for i, (op, x, y, tables, constants, _) in enumerate(groups)]
+        yield (q, [(wide, n)], [level], out,
+               np.concatenate([want.ravel() for *_, want in groups]))
+
+
 @pytest.mark.parametrize("fill", FILLS)
 @pytest.mark.parametrize("n", DEGREES)
-def test_gather_is_each_row_mod_q(n, fill):
-    """Rows of ``n`` words at any offset of ``uint64`` arrays (an MDMC's
-    banks, whose words may be anything up to ``2^64 - 1``), each mod the
-    one modulus."""
-    if fill == "max":
-        banks = [np.full(3 * n, (1 << 64) - 1, np.uint64) for _ in range(2)]
-    else:
-        rng = np.random.default_rng(n)
-        banks = [rng.integers(0, 1 << 64, 3 * n, np.uint64, endpoint=False)
-                 for _ in range(2)]
-    rows = [(banks[0], 0), (banks[1], n + 1), (banks[0], 2 * n), (banks[1], 0)]
-    for q in _moduli(n).moduli:
-        want = np.stack([a[at : at + n] % np.uint64(q) for a, at in rows])
-        got = kernels.gather(rows, n, kernels.Moduli.of((q,)))
-        assert got.dtype == np.uint32
-        assert np.array_equal(got, want)
+def test_replay_reads_bank_words_mod_q(n, fill):
+    """Every replay opcode on two rows from each :func:`_banks` bank: words
+    at or above ``q`` (random 64-bit ones, all ``2^64 - 1``) are reduced,
+    and residues take the narrowing copy; each group stores what its
+    kernel makes of the rows mod ``q``."""
+    for q, checks, levels, out, want in _replay_case(n, fill):
+        assert kernels.Replay(q, n, checks, levels)()
+        assert np.array_equal(out, want)
+
+
+def test_replay_stores_nothing_when_a_checked_row_changed():
+    n = 16
+    (q, checks, levels, out, want), _ = _replay_case(n, "random")
+    program = kernels.Replay(q, n, checks, levels)
+    (bank, at), = checks
+    bank[at + n - 1] ^= 1
+    assert not program()
+    assert not out.any()
+    bank[at + n - 1] ^= 1
+    assert program()
+    assert np.array_equal(out, want)
 
 
 def test_moduli_constants_are_shoup_quotients():
@@ -244,18 +303,94 @@ def test_mismatched_shapes_are_refused():
     not agree with each other or with the towers raise first."""
     mods = _moduli(16)
     words = np.zeros((3, 2, 16), np.uint32)
+    row, ones = (np.zeros(32, np.uint64), 0), mods.constants([1, 1])
     calls = [
         lambda: kernels.multiply(words, words[:2], mods),
         lambda: kernels.tensor(words, mods),
         lambda: kernels.keyswitch(words[None], np.zeros((2, 2, 2, 16)), mods),
         lambda: kernels.mac(words, mods.constants([[1, 2, 3]] * 2), mods),
         lambda: kernels.garner(words, mods.constants([[1] * 3] * 2), mods),
-        lambda: kernels.gather([(np.zeros(32, np.uint64), 17)], 16,
-                               kernels.Moduli.of(mods.moduli[:1])),
-        lambda: kernels.gather([(np.zeros(32, np.uint32), 0)], 16,
-                               kernels.Moduli.of(mods.moduli[:1])),
-        lambda: kernels.gather([(np.zeros(32, np.uint64), 0)], 16, mods),
+    ] + [
+        # A replay row must be n words of a 1-D uint64 array.
+        lambda x=x: kernels.Replay(mods.moduli[0], 16, [], [[(
+            "PMODSQR", [x], [], [(np.zeros(32, np.uint64), 0)], None, None,
+        )]])
+        for x in [(np.zeros(32, np.uint64), 17), (np.zeros(32, np.uint32), 0),
+                  (np.zeros((2, 16), np.uint64), 0)]
+    ] + [
+        # Each opcode's second rows, tables and constants, one per row.
+        lambda group=group: kernels.Replay(mods.moduli[0], 16, [], [[group]])
+        for group in [
+            ("PMODMUL", [row], [], [row], None, None),
+            ("PMODSQR", [row], [row], [row], None, None),
+            ("NTT", [row], [], [row], None, None),
+            ("CMODMUL", [row] * 3, [], [row] * 3, None, ones),
+        ]
     ]
     for call in calls:
         with pytest.raises(ValueError):
             call()
+
+
+@pytest.fixture(scope="module")
+def fallback(tmp_path_factory):
+    """``ntt.c`` built for x86-64-v3, whose lack of AVX-512 takes every
+    kernel's word-by-word loops, loaded with the kernels' declarations."""
+    if platform.machine() not in ("x86_64", "AMD64"):
+        pytest.skip("x86-64-v3 is an x86-64 target")
+    library = tmp_path_factory.mktemp("fallback") / "ntt.so"
+    subprocess.run(
+        ("gcc", "-O3", "-march=x86-64-v3", "-shared", "-fPIC", "-o",
+         str(library), str(Path(kernels.__file__).with_name("ntt.c"))),
+        check=True,
+    )
+    return kernels._ffi.dlopen(str(library))
+
+
+def _every_kernel(n, fill) -> list[np.ndarray]:
+    """Each kernel's results on this suite's inputs at ``n``: both NTT
+    directions at their lazy input bounds, every pointwise kernel, and
+    the replay's output banks."""
+    mods = _moduli(n)
+    q = _q(mods).astype(np.uint32)
+    contexts = [NttContext(n, m) for m in mods.moduli]
+    psi = np.asarray([c._psi_brv for c in contexts], dtype=np.uint64)
+    x = _residues(mods, (2, 2, n), fill, n)
+    s = mods.constants(_constants(mods, (2,), fill, n + 2).tolist())
+    three = kernels.Moduli.of((*mods.moduli, ntt_friendly_prime(n, 29)))
+    info = np.iinfo(np.int64)
+    signed = np.resize(np.asarray([info.min, info.max, -1], np.int64), (3, 2, n))
+    if fill == "random":
+        signed = np.random.default_rng(n).integers(info.min, info.max,
+                                                   (3, 2, n), dtype=np.int64)
+    results = [
+        kernels.transform(x + 3 * q, kernels.NttTables.derive(psi, mods.moduli)),
+        kernels.transform(x + q, kernels.NttTables.derive(
+            psi, mods.moduli, inverse=True, scale=[c.n_inv for c in contexts])),
+        kernels.reduce(signed, mods, s),
+        kernels.multiply(x[0], x[1], mods),
+        kernels.tensor(_residues(mods, (4, 2, n), fill, n + 1), mods),
+        kernels.keyswitch(_residues(mods, (2, 17, 2, n), fill, n),
+                          _residues(mods, (2, 17, 2, n), fill, n + 1), mods),
+        kernels.mac(_words((2, 9, n), fill, n),
+                    mods.constants(_constants(mods, (2, 9), fill, n).tolist()),
+                    mods, _words((2, 2, n), fill, n + 1), s),
+        kernels.garner(_residues(three, (2, 3, n), fill, n), three.constants(
+            _constants(three, (3, 3), fill, n).tolist()), three),
+    ]
+    for q, checks, levels, out, _ in _replay_case(n, fill):
+        assert kernels.Replay(q, n, checks, levels)()
+        results.append(out)
+    return results
+
+
+@pytest.mark.parametrize("fill", FILLS)
+@pytest.mark.parametrize("n", DEGREES)
+def test_fallback_build_is_bit_identical(n, fill, fallback, monkeypatch):
+    """The word-by-word loops other targets run (and this one below 16
+    words a row) give the vector paths' words, kernel by kernel."""
+    native = _every_kernel(n, fill)
+    monkeypatch.setattr(kernels, "_lib", fallback)
+    for got, want in zip(_every_kernel(n, fill), native, strict=True):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)

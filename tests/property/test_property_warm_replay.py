@@ -1,9 +1,9 @@
 """Property: a warm command stream is its cold run, to the last counter.
 
 ``CofheeDriver.execute`` runs each word-sized Algorithm 3 stream per
-command once, then computes later runs of the same stream through the
-MDMC's hazard-ordered issue plan and charges the counters the first run
-recorded. Here a pool of drivers serves jobs of random residues on
+command once, then computes later runs of the same stream with the
+MDMC's compiled program, one kernel call, and charges the counters the
+first run recorded. Here a pool of drivers serves jobs of random residues on
 30-bit moduli, every tower on its home chip (a one-chip pool alternates
 all the moduli on one memo), with one operand word at or above the
 modulus, beside a twin pool whose drivers run every stream per command.
@@ -11,7 +11,8 @@ After every tower the two pools must agree on the outputs, every
 ``OperationReport`` field, every chip counter and every word of every
 bank. The same holds one level up, for served EvalMults:
 result bytes, job cycles, each worker's busy cycles and reprograms, and
-every chip counter.
+every chip counter; and after a twiddle word changes, when the stream
+runs per command.
 """
 
 import random
@@ -25,6 +26,7 @@ from hypothesis import strategies as st
 from repro.bfv import BatchEncoder, Bfv, BfvParameters
 from repro.core.chip import CoFHEE
 from repro.core.driver import CofheeDriver
+from repro.polymath import kernels
 from repro.polymath.primes import next_smaller_ntt_prime, ntt_friendly_prime
 from repro.service.jobs import JobKind
 from repro.service.serialization import (
@@ -147,3 +149,54 @@ def test_served_jobs_charge_what_per_command_pools_charge(pool_size):
              for w in server.chip_pool.workers],
         ))
     assert seen[0] == seen[1]
+
+
+def test_a_changed_twiddle_word_runs_the_stream_per_command():
+    """A warm run checks the twiddle rows its program was compiled from:
+    after one word of the table changes, the stream runs per command,
+    with the outputs, report and every counter of a per-command driver
+    holding the same table. Programmed again, it runs warm again."""
+    n, q = 64, MODULI[0]
+    rng = np.random.default_rng(7)
+    a, b = (rng.integers(0, q, (2, n), dtype=np.uint64) for _ in range(2))
+    (warm,), (cold,) = _pool(1, True), _pool(1, False)
+    per_command = []
+    execute = warm._execute
+    warm._execute = lambda *args: per_command.append(args) or execute(*args)
+    for driver in (warm, cold):
+        driver.ciphertext_multiply_tower_words(a, b, q)  # the cold run
+        entry = driver.chip.memory_map.base_address("TWD") + 16
+        value, _ = driver.chip.bus.single_read(entry)
+        driver.chip.bus.single_write(entry, (value + 1) % q)
+    for runs, reprogram in ((2, False), (2, True)):
+        if reprogram:
+            warm.program(q, n)
+            cold.program(q, n)
+        got, got_report = warm.ciphertext_multiply_tower_words(a, b, q)
+        want, want_report = cold.ciphertext_multiply_tower_words(a, b, q)
+        assert len(per_command) == runs
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert got_report == want_report
+        assert _state(warm) == _state(cold)
+
+
+def test_a_warm_tower_is_one_kernel_call(monkeypatch):
+    """Loads and readback are numpy's, and the whole stream is one
+    ``replay``: no kernel call per issue group."""
+    n, q = 1024, MODULI[0]
+    rng = np.random.default_rng(11)
+    (driver,) = _pool(1, True)
+    calls = []
+    lib = kernels._lib
+
+    class Spy:
+        def __getattr__(self, name):
+            calls.append(name)
+            return getattr(lib, name)
+
+    for run in range(3):
+        if run == 1:  # after the cold run
+            monkeypatch.setattr(kernels, "_lib", Spy())
+        a, b = (rng.integers(0, q, (2, n), dtype=np.uint32) for _ in range(2))
+        driver.ciphertext_multiply_tower_words(a, b, q)
+    assert calls == ["replay"] * 2

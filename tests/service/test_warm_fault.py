@@ -1,8 +1,8 @@
 """A warm chip replay executes the stream it is given.
 
 After its first run, a driver computes a word-sized Algorithm 3 stream
-through the MDMC's issue plan instead of command by command. That plan
-is the stream's, not a copy of Algorithm 3's dataflow: on a warmed pool,
+with the MDMC's compiled program instead of command by command. That
+program is the stream's, not a copy of Algorithm 3's dataflow: on a warmed pool,
 a job whose stream has one PMODMUL reading the wrong buffer fails the
 per-tower cross-check with "datapath fault", its first run cold and its
 second warm, and so does a job whose iNTTs carry a wrong ``n^-1`` (the

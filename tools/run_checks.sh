@@ -136,12 +136,16 @@ if [ "$FLEET_ONLY" = 1 ] && [ "$DOCS_ONLY$OBS_ONLY$RUN_SLOW$RUN_COV" = "0000" ];
   exit 0
 fi
 
-echo "== C kernels: warnings are errors (syntax, then as shipped; the shipped flags stay) =="
+echo "== C kernels: warnings are errors (syntax, then as shipped and for x86-64-v3; the shipped flags stay) =="
 gcc -fsyntax-only -Wall -Wextra -Werror src/repro/polymath/*.c
 # The optimiser's flow analysis (-Wmaybe-uninitialized, -Warray-bounds,
-# -Wstringop-overflow) only runs when the file is really compiled.
+# -Wstringop-overflow) only runs when the file is really compiled; an
+# x86-64-v3 build has no AVX-512, so it compiles the word-by-word loops
+# that other targets run.
 for source in src/repro/polymath/*.c; do
-  gcc -O3 -march=native -fPIC -Wall -Wextra -Werror -c -o /dev/null "$source"
+  for march in native x86-64-v3; do
+    gcc -O3 -march="$march" -fPIC -Wall -Wextra -Werror -c -o /dev/null "$source"
+  done
 done
 
 echo
@@ -172,8 +176,9 @@ echo "== tier-1 test suite =="
 # `kernels.reduce` against np.remainder at the old int64/uint64 sums'
 # edges; tests/property/test_property_lazy_reduction.py), the C kernels
 # against the numpy expressions they replaced (smallest and largest
-# moduli, n = 2 to 2^14, all-maximal inputs;
-# tests/property/test_property_kernels.py), the NTT kernel's shape and
+# moduli, n = 2 to 2^14, all-maximal inputs; the replay's reads of bank
+# words mod q; an x86-64-v3 build, the word-by-word loops, bit-identical
+# to the native one; tests/property/test_property_kernels.py), the NTT kernel's shape and
 # degree-range tests (multi-row multi-tower stacks, strided int64/uint64
 # input, n = 2 and n = 2^14 against NttContext;
 # tests/property/test_property_engine.py), its build-cache tests (two
@@ -186,9 +191,10 @@ echo "== tier-1 test suite =="
 # golden chip-statistics snapshot of the Algorithm 3 replay
 # (tests/core/test_chip_golden.py, n up to 2^12 in about two seconds;
 # every vector case runs a second, warm time on one driver), the warm
-# replay equivalence suite (a stream computed through the MDMC's issue
-# plan equals its per-command run in outputs, report and every counter,
-# pools of 1 and 4; tests/property/test_property_warm_replay.py), the
+# replay equivalence suite (a stream computed by its compiled program
+# equals its per-command run in outputs, report and every counter,
+# pools of 1 and 4; a changed twiddle word runs it per command; a warm
+# tower is one kernel call; tests/property/test_property_warm_replay.py), the
 # warm-fault suite (a broken Algorithm 3 stream on a warmed pool still
 # fails "datapath fault"; tests/service/test_warm_fault.py),
 # the pool-scaling claims, toy pools of 1/2/4 and a pool of 4 at n = 2^12
