@@ -297,7 +297,7 @@ class Bfv:
                 self.params,
             )
         polys = ca.polys if ca is cb else (*ca.polys, *cb.polys)
-        operands = np.stack([eng.decompose_centered(p) for p in polys])
+        operands = eng.centred(polys)
         head = getattr(self._mult_ctx, "q_towers", 0)
         loads = None
         if on_rows is not None and head:  # a copy: the kernel consumes operands
@@ -368,10 +368,8 @@ class Bfv:
             folds = [self._fold_scalar(poly, key) for poly, _, _ in items]
         else:
             out = eng._keyswitch(
-                np.stack([
-                    eng.digit_rows(p.words, key.digit_bits, key.num_digits)
-                    for p, _, _ in items
-                ]),
+                eng.key_digits([p for p, _, _ in items], key.digit_bits,
+                               key.num_digits),
                 self._key_rows(eng, key),
             )
             if eng is self._rns:

@@ -394,35 +394,54 @@ class Mdmc:
         caller's to charge. Needs ``uint64`` banks and a modulus the
         kernel :func:`~repro.polymath.kernels.fits`.
         """
+        q, n = self._modulus(), commands[0].n
+        decoded: dict[int, tuple[SramBank, int]] = {}
+
+        def locate(address: int) -> tuple[SramBank, int]:
+            """The bank and word of an address, decoded once."""
+            if address not in decoded:
+                bank, _, word = self.memory_map.decode(address)
+                decoded[address] = bank, word
+            return decoded[address]
+
+        def region(address: int, size: int) -> tuple[str, int, int]:
+            """The words a ``size``-word operand at ``address`` covers."""
+            bank, word = locate(address)
+            return bank.name, word, word + size
+
         levels: list[dict[tuple, list[Command]]] = []
-        writes: list[tuple[tuple, int]] = []
-        reads: list[tuple[tuple, int]] = []
+        # Per bank, the (first word, end, level) of each region written and
+        # read so far: only regions of one bank can overlap.
+        writes: dict[str, list[tuple[int, int, int]]] = {}
+        reads: dict[str, list[tuple[int, int, int]]] = {}
         for cmd in commands:
             op = cmd.opcode
-            srcs = [self._region(cmd.x_addr, cmd.n)]
+            srcs = [region(cmd.x_addr, cmd.n)]
             if op.needs_y_operand:
-                srcs.append(self._region(cmd.y_addr, cmd.n))
+                srcs.append(region(cmd.y_addr, cmd.n))
             if op.needs_twiddles:
-                srcs.append(self._region(cmd.twiddle_addr, cmd.n))
-            dst = self._region(cmd.out_addr, cmd.n)
+                srcs.append(region(cmd.twiddle_addr, cmd.n))
+            dst = region(cmd.out_addr, cmd.n)
             level = max(
-                [lv + 1 for r, lv in writes
-                 if any(_overlap(r, s) for s in (dst, *srcs))]
-                + [lv for r, lv in reads if _overlap(r, dst)],
+                [lv + 1 for bank, lo, hi in (dst, *srcs)
+                 for start, end, lv in writes.get(bank, ())
+                 if start < hi and lo < end]
+                + [lv for start, end, lv in reads.get(dst[0], ())
+                   if start < dst[2] and dst[1] < end],
                 default=0,
             )
-            writes.append((dst, level))
-            reads.extend((s, level) for s in srcs)
+            writes.setdefault(dst[0], []).append((*dst[1:], level))
+            for bank, lo, hi in srcs:
+                reads.setdefault(bank, []).append((lo, hi, level))
             if level == len(levels):
                 levels.append({})
             key = (op, srcs[-1] if op.needs_twiddles else None)
             levels[level].setdefault(key, []).append(cmd)
 
-        q, n = self._modulus(), commands[0].n
         checks: dict[int, None] = {}  # each twiddle table's address, once
 
         def row(address: int) -> tuple[np.ndarray, int]:
-            bank, _, word = self.memory_map.decode(address)
+            bank, word = locate(address)
             return bank.data, word
 
         def group(op: Opcode, cmds: list[Command]) -> tuple:
@@ -442,11 +461,6 @@ class Mdmc:
         groups = [[group(op, cmds) for (op, _), cmds in level.items()]
                   for level in levels]
         return kernels.Replay(q, n, [row(a) for a in checks], groups)
-
-    def _region(self, address: int, n: int) -> tuple[str, int, int]:
-        """The words an ``n``-word operand at ``address`` covers."""
-        bank, _, word = self.memory_map.decode(address)
-        return bank.name, word, word + n
 
     # ------------------------------------------------------------------
     # Helpers
@@ -557,10 +571,6 @@ def _table_key(twiddles: np.ndarray, q: int) -> bytes:
     return residue_words(twiddles, q).tobytes()
 
 
-def _overlap(a: tuple[str, int, int], b: tuple[str, int, int]) -> bool:
-    return a[0] == b[0] and a[1] < b[2] and b[1] < a[2]
-
-
 def _pointwise(op: Opcode, x: np.ndarray, y: np.ndarray | None,
                constants: tuple[int, ...], q: int) -> np.ndarray:
     """One modular pointwise stream over ``(k, n)`` residues ``< q``
@@ -584,7 +594,7 @@ def _times(x: np.ndarray, constants: tuple[int, ...], q: int) -> np.ndarray:
     """Row ``i`` of ``(k, n)`` residues times ``constants[i]`` mod ``q``:
     the CMODMUL stream."""
     mods, c = _row_constants(q, constants)
-    return kernels.mac(None, None, mods, x[None], c)[0]
+    return kernels.reduce(x, mods, c)
 
 
 @lru_cache(maxsize=64)

@@ -17,6 +17,7 @@ actually checkable, and tracks access counts for the power model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -226,18 +227,21 @@ class MemoryMap:
             offset += windows
         raise MemoryFault(f"no bank named {name!r}")
 
+    @cached_property
+    def _windows(self) -> tuple[tuple[SramBank, int], ...]:
+        """``(bank, port)`` of each address window, in map order: built
+        once, since the bank lists are fixed after construction."""
+        return tuple((b, port) for b in self.banks for port in range(b.ports))
+
     def decode(self, address: int) -> tuple[SramBank, int, int]:
         """Map a bus address to ``(bank, port, word_index)``."""
         if address < self.SRAM_BASE:
             raise MemoryFault(f"address {address:#x} below SRAM region")
-        window = (address - self.SRAM_BASE) // 0x10_0000
-        word = (address - self.SRAM_BASE) % 0x10_0000 // (WORD_BITS // 8)
-        offset = 0
-        for b in self.banks:
-            if window < offset + b.ports:
-                return b, window - offset, word
-            offset += b.ports
-        raise MemoryFault(f"address {address:#x} beyond mapped SRAM")
+        window, offset = divmod(address - self.SRAM_BASE, 0x10_0000)
+        if window >= len(self._windows):
+            raise MemoryFault(f"address {address:#x} beyond mapped SRAM")
+        bank, port = self._windows[window]
+        return bank, port, offset // (WORD_BITS // 8)
 
     def reset_stats(self) -> None:
         for b in self.banks:

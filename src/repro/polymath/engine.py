@@ -23,11 +23,15 @@ wide moduli.
 When q's own towers are engine-sized, nothing between wire and wire needs
 a wide integer, as on the chip: a ciphertext is a tower-backed
 :class:`~repro.polymath.poly.Polynomial` on the engine over q's basis,
-mod-q work runs per tower, :meth:`BatchedRnsEngine.scale_round` does the
-Eq. 4 ``t/q`` rounding, and :meth:`BatchedRnsEngine.to_words` makes wire
-words by uint64 mixed radix. Python ints remain on the paths for other
-bases (:meth:`~BatchedRnsEngine.round_scale`,
-:meth:`~BatchedRnsEngine.centered_values`).
+mod-q work runs per tower, and each change of representation is one
+kernel call: :meth:`BatchedRnsEngine.centred` takes wire words onto a
+basis, :meth:`BatchedRnsEngine.scale_round` does the Eq. 4 ``t/q``
+rounding, :meth:`BatchedRnsEngine.key_digits` splits key-switch digits
+off the towers, and :meth:`BatchedRnsEngine.pack` makes wire bytes.
+Python ints remain on the paths for other bases
+(:meth:`~BatchedRnsEngine.round_scale`,
+:meth:`~BatchedRnsEngine.centered_values`) and for the few coefficients
+``scale_round`` finds next to a half.
 """
 
 from __future__ import annotations
@@ -161,23 +165,39 @@ class BatchedRnsEngine:
         )
 
     def decompose_centered(self, poly: Polynomial) -> np.ndarray:
-        """``decompose(poly.centered())`` without Python ints.
-
-        A polynomial tower-backed on this basis hands over its residues
-        (centring changes nothing mod a tower of q). Any other sums its
-        big-endian 32-bit :attr:`~repro.polymath.poly.Polynomial.words`
-        against ``2^(32 j) mod q_i`` (:meth:`_word_sum`), with ``-q mod
-        q_i`` added where the coefficient exceeds ``floor(q/2)``, one word
-        compare: one kernel call.
-        """
+        """``decompose(poly.centered())`` without Python ints: a polynomial
+        tower-backed on this basis hands over its residues (centring
+        changes nothing mod a tower of q), any other is :meth:`centred`."""
         rns = poly._rns
         if rns is not None and rns.basis.moduli == self.basis.moduli:
             return poly._towers
-        words = poly.words
-        if len(words) != self.n:
-            raise ValueError(f"expected {self.n} coefficients, got {len(words)}")
-        lift = self._mods.times(-poly.ring.q)[0][:, None]
-        return self._word_sum(words.T[None], poly.negative_mask() * lift)[0]
+        return self.centred([poly])[0]
+
+    def centred(self, polys: Sequence[Polynomial]) -> np.ndarray:
+        """The ``(P, L, n)`` stack of :meth:`decompose_centered` of
+        polynomials of one ring, in one kernel call for all that are not
+        tower-backed here (:func:`~repro.polymath.kernels.centre`): their
+        big-endian 32-bit :attr:`~repro.polymath.poly.Polynomial.words`
+        sum against ``2^(32 j) mod q_i``, and ``-q mod q_i`` is added
+        where the coefficient exceeds ``floor(q/2)``."""
+        out = np.empty((len(polys), self.num_towers, self.n), np.uint32)
+        rest = []
+        for poly, row in zip(polys, out):
+            rns = poly._rns
+            if rns is not None and rns.basis.moduli == self.basis.moduli:
+                row[...] = poly._towers
+            else:
+                rest.append((poly, row))
+        if not rest:
+            return out
+        ring = rest[0][0].ring
+        words = [poly.words.T for poly, _ in rest]
+        if any(poly.ring != ring for poly, _ in rest) or len(words[0][0]) != self.n:
+            raise ValueError(f"expected {self.n} coefficients of one ring")
+        kernels.centre([row for _, row in rest], words, ring._half_words,
+                       self._radix(len(words[0])),
+                       self._mods.times(-ring.q)[0], self._mods)
+        return out
 
     def stack(self, towers: Sequence[Sequence[int]]) -> np.ndarray:
         """Per-tower residue vectors -> validated ``(num_towers, n)`` stack."""
@@ -195,24 +215,17 @@ class BatchedRnsEngine:
         return kernels.reduce(values, self._mods, self._mods.times(scale))
 
     def to_words(self, stack: np.ndarray, count: int) -> np.ndarray:
-        """Canonical residues ``(L, n)`` -> ``(n, count)`` wire words.
+        """Canonical residues ``(L, n)`` -> ``(n, count)`` wire words, laid
+        out like :func:`~repro.polymath.poly._packed_words`: the Garner
+        digits folded into 32-bit limbs in one kernel call
+        (:func:`~repro.polymath.kernels.words`)."""
+        return kernels.words(stack, count, self._garner, self._mods).T
 
-        The Garner digits (:meth:`_mixed_radix`) fold into ``count``
-        little-endian 32-bit limbs as ``v = d_0 + q_0 (d_1 + q_1 (...))``,
-        one multiply-with-carry per limb and digit (``limb * q_k + carry
-        < 2^63``). Laid out like :func:`~repro.polymath.poly._packed_words`.
-        """
-        digits = self._mixed_radix(stack[None])[0].astype(np.uint64)
-        limbs = np.zeros((count, self.n), dtype=np.uint64)
-        limbs[0] = digits[-1]
-        low, shift = np.uint64(0xFFFFFFFF), np.uint64(32)
-        for k in range(self.num_towers - 2, -1, -1):
-            carry, qk = digits[k], np.uint64(self.basis.moduli[k])
-            for j in range(count):
-                x = limbs[j] * qk + carry
-                limbs[j] = x & low
-                carry = x >> shift
-        return limbs[::-1].T.astype(np.uint32)
+    def pack(self, stack: np.ndarray, width: int) -> bytes:
+        """Canonical residues ``(L, n)`` -> ``n`` big-endian integers of
+        ``width`` bytes, straight from the towers in one kernel call
+        (:func:`~repro.polymath.kernels.pack`)."""
+        return kernels.pack(stack, width, self._garner, self._mods)
 
     def reconstruct(self, stack: np.ndarray) -> list[int]:
         """CRT-recombine a stack into coefficients in ``[0, q)`` (Garner),
@@ -229,19 +242,6 @@ class BatchedRnsEngine:
         reduced ``(B, L, n)`` stacks: ``d_k = (a_k inv - sum_i d_i
         (prefix_i inv mod q_k)) mod q_k``, one kernel call."""
         return kernels.garner(a, self._garner, self._mods)
-
-    def _convert(
-        self, digits: np.ndarray, to: "BatchedRnsEngine", acc=None
-    ) -> np.ndarray:
-        """Exact base conversion: ``acc`` (32-bit words, or ``None``)
-        plus the value of ``(B, L, n)`` mixed-radix digits, reduced mod
-        each of ``to``'s towers — one kernel call."""
-        table = self._tables.get(to.basis.moduli)
-        if table is None:  # the place values q_0 ... q_{k-1} mod each p
-            table = self._tables[to.basis.moduli] = to._mods.constants(
-                [self._places] * to.num_towers
-            )
-        return kernels.mac(digits, table, to._mods, acc)
 
     def _garner_values(self, a: np.ndarray) -> np.ndarray:
         """Garner recombination of reduced ``(B, L, n)`` stacks into a
@@ -307,31 +307,28 @@ class BatchedRnsEngine:
 
     def _scale_round(self, a: np.ndarray, t: int, head: int) -> np.ndarray:
         """:meth:`scale_round` of a reduced ``(B, L, n)`` batch (as
-        :meth:`inverse` returns it), with no ``% q`` pass."""
-        qe, xe, to_u, q_inv, minus_e = self._split(head)
-        dv = qe._mixed_radix(a[:, :head])
-        # u = (v' - v) / q on the extension: v' its rows, v the digits'.
-        u = kernels.mac(dv, to_u, xe._mods, a[:, head:], q_inv)
-        du = xe._mixed_radix(u)
-        negative = du[:, -1:] > xe.basis.moduli[-1] // 2
-        u = xe._convert(du, qe, negative * minus_e)
-        frac = np.zeros(dv[:, 0].shape)
-        for k, m in enumerate(qe.basis.moduli):
-            frac = (dv[:, k] + frac) / m
-        frac *= t
-        near = np.abs(frac - np.floor(frac) - 0.5) < t * 2.0**-40
+        :meth:`inverse` returns it): one kernel pass per coefficient
+        (:func:`~repro.polymath.kernels.scale_round`), then
+        :meth:`_round_exact` of the columns it finds near a half."""
+        qe, table = self._split(head)
         if t >> 32:  # a rounding past one word takes the exact path
-            near[...], frac[...] = True, 0
-        rounded = np.floor(frac + 0.5).astype(np.uint32)[:, None]  # [0, t]
-        out = kernels.mac(rounded, None, qe._mods, u, qe._mods.times(t))
-        if near.any():
-            b, j = np.nonzero(near)
+            batch, towers, n = a.shape
+            out = self._round_exact(a.transpose(0, 2, 1).reshape(-1, towers),
+                                    t, qe)
+            return np.ascontiguousarray(
+                out.reshape(batch, n, head).transpose(0, 2, 1))
+        out, near = kernels.scale_round(a, head, t, table, qe._mods.times(t),
+                                        self._mods)
+        if len(near):
+            b, j = np.divmod(near, self.n)
             out[b, :, j] = self._round_exact(a[b, :, j], t, qe)
         return out
 
     def _split(self, head: int) -> tuple:
-        """:meth:`scale_round`'s q and extension sub-engines, the constants
-        of ``-v / q`` and ``q^-1`` on the extension, and ``-E mod q_i``."""
+        """:meth:`scale_round`'s engine over q's towers and the constants
+        table of ``ntt.c``'s ``scale_round``: the Garner constants on q's
+        towers; ``-place_k / q`` and ``1 / q`` on the extension; its Garner
+        constants; its place values and ``-E`` on q's towers."""
         key = ("split", head)
         if key not in self._tables:
             qe = self.select(range(head))
@@ -342,14 +339,20 @@ class BatchedRnsEngine:
             ):
                 raise ValueError("extension towers too narrow to carry c / q")
             q_inv = [modinv(q % p, p) for p in ext]
-            self._tables[key] = (
-                qe, xe,
+            parts = (
+                qe._garner,
                 xe._mods.constants(
-                    [[-pk * inv for pk in qe._places] for inv in q_inv]
+                    [[-pk * inv for pk in qe._places] + [inv] for inv in q_inv]
                 ),
-                xe._mods.constants(q_inv),
-                qe.lift(np.ones(1, dtype=np.int64), -xe.modulus),
+                xe._garner,
+                qe._mods.constants([xe._places] * head),
+                qe._mods.times(-xe.modulus),
             )
+            table = tuple(np.concatenate([p[i].ravel() for p in parts])
+                          for i in (0, 1))
+            for words in table:
+                words.flags.writeable = False
+            self._tables[key] = (qe, table)
         return self._tables[key]
 
     def _round_exact(self, cols: np.ndarray, t: int, qe) -> np.ndarray:
@@ -393,35 +396,44 @@ class BatchedRnsEngine:
         """Base-T digits of canonical coefficients, straight from words.
 
         Digit ``i`` is bits ``[i*T, (i+1)*T)`` of each coefficient of the
-        ``(n, W)`` big-endian ``words``, read as 32-bit chunks, top chunk
-        first, and reduced per tower by :meth:`_word_sum`. Returns the
+        ``(n, W)`` big-endian ``words``, reduced per tower in one kernel
+        call (:func:`~repro.polymath.kernels.digits`). Returns the
         ``(num_digits, num_towers, n)`` ``uint32`` batch.
         """
-        words = words[:, ::-1].T  # little-endian, then zero limbs past them
-        limbs = np.zeros((max(len(words), num_digits * digit_bits // 32 + 2),
-                          self.n), dtype=np.uint64)
-        limbs[: len(words)] = words
-        width = (digit_bits - 1) // 32 + 1
-        chunks = np.empty((num_digits, width, self.n), dtype=np.uint32)
-        for i in range(num_digits):
-            for c in range(width):
-                start = i * digit_bits + 32 * (width - 1 - c)
-                j, shift = divmod(start, 32)
-                window = limbs[j] >> shift | limbs[j + 1] << (32 - shift)
-                bits = min(32, (i + 1) * digit_bits - start)
-                chunks[i, c] = window & ((1 << bits) - 1)
-        return self._word_sum(chunks)
+        out = np.empty((num_digits, self.num_towers, self.n), np.uint32)
+        kernels.digits(out, words.T, digit_bits, self._radix(
+            -(-digit_bits // 32)), self._mods)
+        return out
 
-    def _word_sum(self, chunks: np.ndarray, acc=None) -> np.ndarray:
-        """``(acc + sum_j chunks[:, j] 2^(32 (J-1-j))) mod q_i``, ``(B, L,
-        n)``, of ``(B, J, n)`` 32-bit chunks, top first: one kernel call."""
-        width = chunks.shape[1]
+    def key_digits(
+        self, polys: Sequence[Polynomial], digit_bits: int, num_digits: int
+    ) -> np.ndarray:
+        """The ``(J, num_digits, num_towers, n)`` :meth:`digit_rows` of
+        canonical polynomials, one kernel call each: a polynomial
+        tower-backed on this basis goes from its residues (Garner's digits
+        folded into limbs), any other from its words."""
+        out = np.empty((len(polys), num_digits, self.num_towers, self.n),
+                       np.uint32)
+        radix = self._radix(-(-digit_bits // 32))
+        for poly, rows in zip(polys, out):
+            rns = poly._rns
+            if rns is not None and rns.basis.moduli == self.basis.moduli:
+                kernels.digits(rows, poly._towers, digit_bits, radix,
+                               self._mods, self._garner)
+            else:
+                kernels.digits(rows, poly.words.T, digit_bits, radix,
+                               self._mods)
+        return out
+
+    def _radix(self, width: int) -> tuple[np.ndarray, np.ndarray]:
+        """The constants of ``2^(32 (width - 1 - j))`` on every tower, ``(L,
+        width)``: a ``width``-word big-endian value's place values."""
         table = self._tables.get(("radix", width))
         if table is None:
             table = self._tables["radix", width] = self._mods.constants([
                 [1 << 32 * (width - 1 - j) for j in range(width)]
             ] * self.num_towers)
-        return kernels.mac(chunks, table, self._mods, acc)
+        return table
 
     def forward(self, stack: np.ndarray) -> np.ndarray:
         """Negacyclic forward NTT, all towers at once.
@@ -484,8 +496,11 @@ class BatchedRnsEngine:
     def _tensor(self, operands: np.ndarray) -> np.ndarray:
         """:meth:`tensor` of a reduced ``(4, L, n)`` batch ``(a0, a1, b0,
         b1)``, or :meth:`tensor_square` of a ``(2, L, n)`` one, as one ``(3,
-        L, n)`` array, with no ``% q`` pass; the batch is consumed."""
-        return self._inverse(kernels.tensor(self._forward(operands), self._mods))
+        L, n)`` array, with no ``% q`` pass; the batch is consumed (a ``(4,
+        L, n)`` one's first three rows hold the result)."""
+        f = self._forward(operands)
+        out = f[:3] if len(f) == 4 else None
+        return self._inverse(kernels.tensor(f, self._mods, out))
 
     def keyswitch_rows(self, rows) -> np.ndarray:
         """A key-switch key's rows in NTT form, ready for :meth:`keyswitch`.
@@ -494,10 +509,7 @@ class BatchedRnsEngine:
         lifted centred. Returns the ``(2, D, L, n)`` forward transforms:
         ``[0]`` the ``b`` rows, ``[1]`` the ``a`` rows.
         """
-        stack = np.stack(
-            [self.decompose_centered(b) for b, _ in rows]
-            + [self.decompose_centered(a) for _, a in rows]
-        )
+        stack = self.centred([b for b, _ in rows] + [a for _, a in rows])
         return self._forward(stack).reshape(
             2, len(rows), self.num_towers, self.n
         )

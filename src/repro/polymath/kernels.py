@@ -6,10 +6,10 @@ Hadamard product and constant multiply on one datapath (Section VIII-B).
 :func:`transform` is Longa and Naehrig's merged-``psi`` NTT (CANS 2016),
 the loops of :class:`~repro.polymath.ntt.NttContext`, with Harvey's lazy
 butterflies and, on AVX-512, 16-word vector stages. Around it run
-:func:`reduce` (``a mod q`` of any 64-bit word), :func:`multiply` (the
-Hadamard product), :func:`tensor` (Eq. 4), :func:`keyswitch`, :func:`mac`
-(multiply-accumulate against constants) and :func:`garner` (mixed-radix
-digits), with per-tower constants from a :class:`Moduli`. A product by a
+:func:`reduce` (``a mod q`` of any 64-bit word, times a constant),
+:func:`multiply` (the Hadamard product), :func:`tensor` (Eq. 4),
+:func:`keyswitch` and :func:`garner` (mixed-radix digits), with
+per-tower constants from a :class:`Moduli`. A product by a
 constant is a 32-bit Shoup product (Harvey, J. Symb. Comp. 2014), one of
 two residues a Barrett reduction with a 32x32->64 quotient estimate; on
 AVX-512 each runs 16 words at a time on ``vpmuludq`` products, other
@@ -17,6 +17,18 @@ targets run them word by word. No accumulator reaches :data:`ACC_BOUND`
 times the modulus and every output is fully reduced: the exact integer
 results. A :class:`Replay` is the MDMC's stream of NTT and pointwise
 commands over its bank rows, compiled once and run in one call.
+
+Each change of representation on the served RNS path is one kernel that
+writes straight into the buffer its consumer reads, carrying 16
+coefficients at a time through all its steps: :func:`centre` (wire
+words to centred residues, every operand of a tensor at once),
+:func:`scale_round` (Eq. 4's ``round(t c / q)``, Halevi, Polyakov and
+Shoup's RNS rounding made exact), :func:`digits` (canonical
+coefficients to key-switch digits) and :func:`pack` / :func:`words`
+(towers to wire bytes or words). ``scale_round``'s float64 estimate
+rounds as numpy's expression does, one rounding per operation, which
+``-ffp-contract=off`` keeps gcc from fusing into FMAs; the columns it
+finds near a half go back to the caller's exact Python-int rounding.
 
 The file compiles at first import with ``gcc`` :data:`CFLAGS` into
 ``$XDG_CACHE_HOME/repro`` (default ``~/.cache/repro``), named by a hash
@@ -29,6 +41,7 @@ and then deletes the builds of other sources or flags. Without a working
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import os
 import re
@@ -36,6 +49,7 @@ import subprocess
 import tempfile
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from math import prod
 from pathlib import Path
 
 import cffi
@@ -52,8 +66,9 @@ MAX_MODULUS_BITS = 30
 #: remainder below ``3q``. With ``q < 2^30`` that is one 32-bit word.
 ACC_BOUND = 4
 
-#: How ``ntt.c`` is compiled.
-CFLAGS = ("-O3", "-march=native", "-shared", "-fPIC")
+#: How ``ntt.c`` is compiled: ``-ffp-contract=off`` keeps every float64
+#: operation of ``scale_round`` rounded once, as numpy rounds it.
+CFLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-shared", "-fPIC")
 
 
 def _gcc(*args: str) -> bytes:
@@ -106,7 +121,7 @@ _ffi = cffi.FFI()
 # The declarations come from the source: its record types, its opcodes and
 # every function.
 _ffi.cdef(";".join(re.findall(
-    r"^typedef struct \{.*?\} \w+|^enum \w+ \{.*?\}|^(?:void|int) \w+\([^)]*\)",
+    r"^typedef struct \{.*?\} \w+|^enum \w+ \{.*?\}|^(?:void|int|size_t) \w+\([^)]*\)",
     Path(__file__).with_name("ntt.c").read_text(), re.M | re.S,
 )) + ";")
 _lib = _ffi.dlopen(_library())
@@ -189,18 +204,31 @@ def _words(a) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=np.uint32)
 
 
-#: The pointer types of 32- and 64-bit words, by item size.
-_BUFFERS = {4: _ffi.typeof("uint32_t[]"), 8: _ffi.typeof("uint64_t[]")}
+#: The pointer types of 8-, 32- and 64-bit words, by item size.
+_BUFFERS = {1: _ffi.typeof("uint8_t[]"), 4: _ffi.typeof("uint32_t[]"),
+            8: _ffi.typeof("uint64_t[]")}
+
+#: A new ``bytes`` object of a size, whose contents a kernel writes before
+#: anything else sees it (CPython's ``PyBytes_FromStringAndSize(NULL,
+#: size)``): a packed polynomial is built in the object it is kept in.
+_new_bytes = ctypes.pythonapi.PyBytes_FromStringAndSize
+_new_bytes.restype = ctypes.py_object
+_new_bytes.argtypes = (ctypes.c_void_p, ctypes.c_ssize_t)
+
+
+def _run(kernel: str, *args):
+    """``kernel``'s result on ``args``: contiguous arrays go by pointer
+    (64- or 32-bit words), ``None`` as ``NULL``, anything else as it is."""
+    return getattr(_lib, kernel)(*(
+        _ffi.NULL if a is None else a if not isinstance(a, np.ndarray)
+        else _ffi.from_buffer(_BUFFERS[a.itemsize], a)
+        for a in args
+    ))
 
 
 def _call(kernel: str, out: np.ndarray, *args) -> np.ndarray:
-    """Run ``kernel`` into ``out``: contiguous arrays go by pointer (64-
-    or 32-bit words), ``None`` as ``NULL``, anything else as it is."""
-    getattr(_lib, kernel)(*(
-        _ffi.NULL if a is None else a if not isinstance(a, np.ndarray)
-        else _ffi.from_buffer(_BUFFERS[a.itemsize], a)
-        for a in (out, *args)
-    ))
+    """Run ``kernel`` into ``out``, as :func:`_run` passes arguments."""
+    _run(kernel, out, *args)
     return out
 
 
@@ -235,6 +263,11 @@ class Moduli:
     @lru_cache(maxsize=256)
     def of(moduli: tuple[int, ...]) -> "Moduli":
         return Moduli(tuple(moduli))
+
+    @cached_property
+    def width(self) -> int:
+        """32-bit words of a value below the moduli's product."""
+        return -(-prod(self.moduli).bit_length() // 32)
 
     @cached_property
     def q(self) -> np.ndarray:
@@ -290,15 +323,19 @@ def multiply(a, b, mods: Moduli) -> np.ndarray:
                  len(mods.moduli), a.shape[-1], mods._records)
 
 
-def tensor(f: np.ndarray, mods: Moduli) -> np.ndarray:
+def tensor(f: np.ndarray, mods: Moduli, out=None) -> np.ndarray:
     """The Eq. 4 tensor of NTT-domain operands, ``(4, L, n)`` ``a0, a1,
     b0, b1`` or ``(2, L, n)`` ``a0, a1`` squared: one ``(3, L, n)`` stack
-    ``y0, y1, y2`` with ``y1 = a0 b1 + a1 b0``."""
+    ``y0, y1, y2`` with ``y1 = a0 b1 + a1 b0``, into ``out`` (a new
+    array by default), which may be the first three rows of ``f``."""
     f = _words(f)
-    if f.shape[:2] not in ((4, len(mods.moduli)), (2, len(mods.moduli))):
+    shape = (3, *f.shape[1:])
+    if f.shape[:2] not in ((4, len(mods.moduli)), (2, len(mods.moduli))) or (
+            out is not None and (out.shape != shape or out.dtype != np.uint32
+                                 or not out.flags.c_contiguous)):
         raise ValueError(f"{f.shape} operands for {len(mods.moduli)} towers")
-    return _call("tensor", np.empty((3, *f.shape[1:]), np.uint32), f,
-                 *f.shape[1:], len(f) == 2, mods._records)
+    return _call("tensor", np.empty(shape, np.uint32) if out is None else out,
+                 f, *f.shape[1:], len(f) == 2, mods._records)
 
 
 def keyswitch(x: np.ndarray, key: np.ndarray, mods: Moduli) -> np.ndarray:
@@ -313,24 +350,6 @@ def keyswitch(x: np.ndarray, key: np.ndarray, mods: Moduli) -> np.ndarray:
                  key, *x.shape, mods._records)
 
 
-def mac(x, c, mods: Moduli, acc=None, s=None) -> np.ndarray:
-    """``(acc_i s_i + sum_k x_k c_ik) mod q_i`` as a ``(B, L, n)`` stack
-    of ``(B, K, n)`` 32-bit words ``x`` (or ``None``: no terms) and
-    ``acc`` (broadcast, or ``None``), with ``c`` and ``s`` the
-    :meth:`Moduli.constants` of ``(L, K)`` and ``(L,)`` (1 by default)."""
-    towers = len(mods.moduli)
-    x = None if x is None else _words(x)
-    batch, terms, n = (len(acc), 0, np.shape(acc)[-1]) if x is None else x.shape
-    c = c or mods.times(1)
-    if c[0].size != towers * max(terms, 1):
-        raise ValueError(f"{c[0].shape} constants for {towers} x {terms}")
-    if acc is not None:
-        acc = _words(np.broadcast_to(acc, (batch, towers, n)))
-    return _call("mac", np.empty((batch, towers, n), np.uint32), x, acc,
-                 batch, terms, towers, n, *c, *(s or mods.times(1)),
-                 mods._records)
-
-
 def garner(a, c, mods: Moduli) -> np.ndarray:
     """Garner's mixed-radix digits ``d_k = (a_k c_kk + sum_{i<k} d_i
     c_ki) mod q_k`` of a ``(B, L, n)`` residue stack, ``c`` the
@@ -339,6 +358,102 @@ def garner(a, c, mods: Moduli) -> np.ndarray:
     if c[0].shape != (a.shape[1],) * 2 or a.shape[1] != len(mods.moduli):
         raise ValueError(f"{a.shape} stack, {c[0].shape} constants")
     return _call("garner", np.empty_like(a), a, *a.shape, *c, mods._records)
+
+
+def centre(out, words, half, radix, lift, mods: Moduli) -> None:
+    """Wire words to centred residues, every operand in one call: each
+    ``out[p]`` (``(L, n)``, C-contiguous ``uint32``) takes the residues
+    of ``c - Q`` where ``c > floor(Q/2)``, else of ``c``, for the
+    coefficients ``c`` in ``[0, Q)`` whose ``W`` big-endian 32-bit words
+    the ``(W, n)`` ``words[p]`` holds, ``half`` the ``(W,)`` words of
+    ``floor(Q/2)``. ``radix`` is the :meth:`Moduli.constants` of ``2^(32
+    (W - 1 - k))`` per tower and word, ``lift`` the ``(L,)`` residues of
+    ``-Q``."""
+    width, n = np.shape(words[0])
+    words, half, lift = [_words(w) for w in words], _words(half), _words(lift)
+    if (len(out) != len(words) or radix[0].shape != (len(mods.moduli), width)
+            or half.shape != (width,) or lift.shape != (len(mods.moduli),)
+            or any(w.shape != (width, n) for w in words)
+            or any(o.shape != (len(mods.moduli), n) or o.dtype != np.uint32
+                   or not o.flags.c_contiguous for o in out)):
+        raise ValueError(f"{len(words)} operands of {(width, n)} words")
+    buffers = [[_ffi.from_buffer(_BUFFERS[4], a) for a in arrays]
+               for arrays in (out, words)]
+    _run("centre", *(_ffi.new("uint32_t *[]", b) for b in buffers),
+         len(words), width, len(mods.moduli), n, half, *radix, lift,
+         mods._records)
+
+
+def scale_round(a, head: int, t: int, table, tq, mods: Moduli):
+    """Eq. 4's RNS scale-and-round of a ``(B, L, n)`` residue stack of
+    centred values ``c`` on ``mods``' towers, q's ``head`` towers first:
+    the ``(B, head, n)`` residues of ``round(t c / q)``, and the flat
+    indices ``b n + j`` of the columns within ``t 2^-40`` of a half,
+    whose residues are not exact. ``table`` is the pair of ``ntt.c``'s
+    constants table (see ``scale_round`` there), ``tq`` the
+    :meth:`Moduli.constants` of ``t`` on q's towers; ``t < 2^32``."""
+    a = _words(a)
+    batch, towers, n = a.shape
+    ext = towers - head
+    if (towers != len(mods.moduli) or not 0 < head < towers or t >> 32
+            or table[0].shape != (head * (head + 1) + ext * (
+                head + 1 + ext + head),) or tq[0].shape != (head,)):
+        raise ValueError(f"{a.shape} stack, {head} of {len(mods.moduli)} "
+                         f"towers, t = {t}")
+    out = np.empty((batch, head, n), np.uint32)
+    near = np.empty(batch * n, np.uint32)
+    found = _run("scale_round", out, near, a, batch, head, ext, n, t,
+                 *table, *tq, mods._records)
+    return out, near[:found]
+
+
+def digits(out, rows, bits: int, radix, mods: Moduli, garner=None) -> None:
+    """The base-``2^bits`` digits of canonical coefficients, each reduced
+    mod every tower, into the ``(D, L, n)`` ``out``: of the ``(L, n)``
+    residues ``rows`` on ``mods``' towers, given Garner's ``garner``
+    constants, else of the ``(W, n)`` big-endian 32-bit words ``rows``.
+    ``radix`` is the :meth:`Moduli.constants` of ``2^(32 (C - 1 - k))``
+    per tower and 32-bit chunk ``k`` of ``C`` in a digit."""
+    rows, towers = _words(rows), len(mods.moduli)
+    width, n = (mods.width, rows.shape[1]) if garner else rows.shape
+    if (out.shape[1:] != (towers, n) or out.dtype != np.uint32
+            or not out.flags.c_contiguous
+            or radix[0].shape != (towers, -(-bits // 32))
+            or garner and rows.shape[0] != towers):
+        raise ValueError(f"{out.shape} digits of {bits} bits, {rows.shape} "
+                         "rows")
+    _run("digits", out, rows if garner else None, None if garner else rows,
+         width, towers, n, bits, len(out), *(garner or (None, None)), *radix,
+         mods._records)
+
+
+def pack(a, width: int, garner, mods: Moduli) -> bytes:
+    """The canonical coefficients of ``(L, n)`` residues ``a`` on
+    ``mods``' towers (Garner's ``garner`` constants) as ``n`` big-endian
+    integers of ``width`` bytes each, written straight into the bytes."""
+    a = _check_pack(a, -(-width // 4), mods)
+    data = _new_bytes(None, a.shape[1] * width)
+    _run("pack", _ffi.from_buffer(_BUFFERS[1], data), None, a, *a.shape,
+         width, *garner, mods._records)
+    return data
+
+
+def words(a, count: int, garner, mods: Moduli) -> np.ndarray:
+    """:func:`pack`'s integers as ``count`` 32-bit words each, top first:
+    the ``(count, n)`` ``uint32`` array."""
+    a = _check_pack(a, count, mods)
+    out = np.empty((count, a.shape[1]), np.uint32)
+    _run("pack", None, out, a, *a.shape, 4 * count, *garner, mods._records)
+    return out
+
+
+def _check_pack(a, count: int, mods: Moduli) -> np.ndarray:
+    """``a`` as residues on ``mods``' towers whose values ``count`` words
+    hold."""
+    a = _words(a)
+    if a.ndim != 2 or len(a) != len(mods.moduli) or count < mods.width:
+        raise ValueError(f"{a.shape} residues in {count} words")
+    return a
 
 
 #: The replay's opcodes with a second operand row.

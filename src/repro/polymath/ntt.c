@@ -7,7 +7,10 @@
  * run 16 lanes at a time on AVX-512. A sum is kept lazily below 2q, and
  * an NTT word below 4q, so no word reaches 4q <= 2^32, and every result
  * is fully reduced into [0, q). replay() runs a compiled stream of the
- * chip model's commands over its bank rows in one call. */
+ * chip model's commands over its bank rows in one call, and centre(),
+ * scale_round(), digits() and pack() each run one change of
+ * representation of the served RNS path (wire words, towers, key-switch
+ * digits, bytes) in one call. */
 #include <stddef.h>
 #include <stdint.h>
 #include <string.h>
@@ -466,8 +469,9 @@ void multiply(uint32_t *out, const uint32_t *a, const uint32_t *b,
 }
 
 /* The Eq. 4 tensor of NTT-domain (4, towers, n) operands a0, a1, b0, b1
- * (or (2, towers, n) a0, a1 squared) into (3, towers, n) y0, y1, y2. */
-void tensor(uint32_t *restrict y, const uint32_t *f, size_t towers, size_t n,
+ * (or (2, towers, n) a0, a1 squared) into (3, towers, n) y0, y1, y2. Each
+ * word is read before its place in any row is written, so y may be f. */
+void tensor(uint32_t *y, const uint32_t *f, size_t towers, size_t n,
             int square, const modulus_t *mods)
 {
     size_t row = towers * n;
@@ -501,9 +505,10 @@ void tensor(uint32_t *restrict y, const uint32_t *f, size_t towers, size_t n,
 #endif
         for (size_t j = k * n; j < (k + 1) * n; j++) {
             uint32_t cross = barrett(a0[j], b1[j], &m) + barrett(a1[j], b0[j], &m);
-            y[j] = barrett(a0[j], b0[j], &m);
+            uint32_t y0 = barrett(a0[j], b0[j], &m), y2 = barrett(a1[j], b1[j], &m);
+            y[j] = y0;
             y[row + j] = FOLD(cross, m.q);
-            y[2 * row + j] = barrett(a1[j], b1[j], &m);
+            y[2 * row + j] = y2;
         }
     }
 }
@@ -550,56 +555,6 @@ void keyswitch(uint32_t *out, const uint32_t *x, const uint32_t *key,
             }
 }
 
-/* Multiply-accumulate against constants: out[b][i] = (acc[b][i] s[i] +
- * sum_k x[b][k] c[i][k]) mod q_i, for (batch, terms, n) words x, per-tower
- * constants c (towers x terms) and s with their Shoup quotients, and
- * (batch, towers, n) out. acc may be NULL (zero) or out itself. */
-void mac(uint32_t *out, const uint32_t *x, const uint32_t *acc, size_t batch,
-         size_t terms, size_t towers, size_t n, const uint32_t *c,
-         const uint32_t *c_shoup, const uint32_t *s, const uint32_t *s_shoup,
-         const modulus_t *mods)
-{
-    for (size_t b = 0; b < batch; b++)
-        for (size_t i = 0; i < towers; i++) {
-            uint32_t q = mods[i].q, *o = out + (b * towers + i) * n;
-            const uint32_t *a = acc ? acc + (b * towers + i) * n : NULL;
-            const uint32_t *ci = c + i * terms, *cs = c_shoup + i * terms;
-#ifdef __AVX512F__
-            if (n % 16 == 0) {
-                v16 vq = SPLAT(q), q2 = vq + vq, w = SPLAT(s[i]);
-                v16 ws = SPLAT(s_shoup[i]), t, v;
-                for (size_t j = 0; j < n; j += 16) {
-                    t = (v16){0};
-                    if (a) {
-                        LOAD(t, a + j);
-                        t = VSHOUP(t, w, ws, vq);
-                    }
-                    for (size_t k = 0; k < terms; k++) {
-                        v16 tw = SPLAT(ci[k]), ts = SPLAT(cs[k]);
-                        LOAD(v, x + (b * terms + k) * n + j);
-                        t += VSHOUP(v, tw, ts, vq); /* < 4q */
-                        t = VFOLD(t, q2);
-                    }
-                    t = VFOLD(t, vq);
-                    STORE(o + j, t);
-                }
-                continue;
-            }
-#endif
-            for (size_t j = 0; j < n; j++)
-                o[j] = a ? shoup(a[j], s[i], s_shoup[i], q) : 0;
-            for (size_t k = 0; k < terms; k++) {
-                const uint32_t *xk = x + (b * terms + k) * n;
-                for (size_t j = 0; j < n; j++) {
-                    uint32_t v = o[j] + shoup(xk[j], ci[k], cs[k], q); /* < 4q */
-                    o[j] = FOLD(v, 2 * q);
-                }
-            }
-            for (size_t j = 0; j < n; j++)
-                o[j] = FOLD(o[j], q);
-        }
-}
-
 /* Garner's mixed-radix digits of (batch, towers, n) residues a:
  * d_k = (a_k c[k][k] + sum_{i<k} d_i c[k][i]) mod q_k, with c a
  * towers x towers table of constants and their Shoup quotients. */
@@ -641,6 +596,333 @@ void garner(uint32_t *d, const uint32_t *a, size_t batch, size_t towers,
                 }
             for (size_t j = 0; j < n; j++)
                 o[j] = FOLD(o[j], q);
+        }
+    }
+}
+
+/* The RNS boundary kernels (centre, scale_round, digits, pack) carry 16
+ * coefficients at a time through every step of a change of
+ * representation, in tiles: rows of 16 words, one row per tower, limb or
+ * digit, on the stack. A step runs on 16-word vectors on AVX-512, lane by
+ * lane otherwise and for rows of fewer than 16 words (n < 16). */
+#define LANES 16
+typedef uint32_t tile_t[LANES];
+
+/* o = (a + sum_{k < terms} x_k c[k]) mod q, lane by lane, in [0, q): a
+ * (NULL: zero) below 2q, the terms any 32-bit words at x + k stride,
+ * the constants below q with their Shoup quotients cs. A lazy sum below
+ * 2q. o may be one of the terms. */
+static void dot(uint32_t *o, const uint32_t *a, const uint32_t *x,
+                size_t stride, size_t terms, const uint32_t *c,
+                const uint32_t *cs, uint32_t q, size_t lanes)
+{
+#ifdef __AVX512F__
+    if (lanes == LANES) {
+        v16 vq = SPLAT(q), q2 = vq + vq, t = {0}, v;
+        if (a)
+            LOAD(t, a);
+        for (size_t k = 0; k < terms; k++) {
+            v16 w = SPLAT(c[k]), s = SPLAT(cs[k]);
+            LOAD(v, x + k * stride);
+            t += VSHOUP(v, w, s, vq); /* < 4q */
+            t = VFOLD(t, q2);
+        }
+        t = VFOLD(t, vq);
+        STORE(o, t);
+        return;
+    }
+#endif
+    for (size_t l = 0; l < lanes; l++) {
+        uint32_t t = a ? a[l] : 0;
+        for (size_t k = 0; k < terms; k++) {
+            t += shoup(x[k * stride + l], c[k], cs[k], q);
+            t = FOLD(t, 2 * q);
+        }
+        o[l] = FOLD(t, q);
+    }
+}
+
+/* Garner's digits of a tile of towers rows in place, as garner() makes
+ * them: row k of the towers x towers table g holds d_i's constants at
+ * i < k and a_k's at k. */
+static void garner_tile(tile_t *x, size_t towers, const uint32_t *g,
+                        const uint32_t *gs, const modulus_t *mods,
+                        size_t lanes)
+{
+    for (size_t k = 0; k < towers; k++)
+        dot(x[k], NULL, x[0], LANES, k + 1, g + k * towers, gs + k * towers,
+            mods[k].q, lanes);
+}
+
+/* The count little-endian 32-bit limbs of v = d_0 + q_0 (d_1 + q_1 (...
+ * + q_{towers-2} d_{towers-1})) for a tile d of Garner digits: one
+ * multiply-with-carry per limb and digit, limb q_k + carry < 2^63. count
+ * must hold v. */
+static void limbs_tile(tile_t *limb, size_t count, const tile_t *d,
+                       size_t towers, const modulus_t *mods, size_t lanes)
+{
+    memcpy(limb[0], d[towers - 1], sizeof(tile_t));
+    memset(limb[1], 0, (count - 1) * sizeof(tile_t));
+    for (size_t k = towers - 1; k-- > 0;) {
+        uint32_t q = mods[k].q;
+#ifdef __AVX512F__
+        if (lanes == LANES) {
+            v8 low = (v8){0} + 0xffffffffu, vq = (v8){0} + q, even, odd;
+            v16 x;
+            LOAD(x, d[k]);
+            v8 ce = (v8)x & low, co = (v8)x >> 32; /* the carries by lane */
+            for (size_t j = 0; j < count; j++) {
+                LOAD(x, limb[j]);
+                even = MUL_EVEN(x, vq) + ce;
+                odd = MUL_EVEN((v8)x >> 32, vq) + co;
+                x = (v16)(even & low) | (v16)(odd << 32);
+                STORE(limb[j], x);
+                ce = even >> 32;
+                co = odd >> 32;
+            }
+            continue;
+        }
+#endif
+        for (size_t l = 0; l < lanes; l++) {
+            uint64_t carry = d[k][l];
+            for (size_t j = 0; j < count; j++) {
+                uint64_t x = (uint64_t)limb[j][l] * q + carry;
+                limb[j][l] = (uint32_t)x;
+                carry = x >> 32;
+            }
+        }
+    }
+}
+
+/* Tile rows x[k] = the lanes words at row + k stride, k < rows. */
+static void load_tile(tile_t *x, const uint32_t *row, size_t stride,
+                      size_t rows, size_t lanes)
+{
+    for (size_t k = 0; k < rows; k++)
+        memcpy(x[k], row + k * stride, lanes * sizeof(uint32_t));
+}
+
+/* Wire words to centred residues, the entry of a tensor's operands: for
+ * each of count operands, words[p] holds its coefficients in [0, Q) as
+ * width 32-bit words each, top first, word k of coefficient j at k n + j,
+ * and out[p] takes the (towers, n) residues of c - Q where c > floor(Q/2)
+ * (whose words are half; compared word by word), else of c: the sum of
+ * the words times radix[i][k] = 2^(32 (width - 1 - k)) mod q_i, plus
+ * lift[i] = -Q mod q_i for a c above half. */
+void centre(uint32_t *const *out, const uint32_t *const *words, size_t count,
+            size_t width, size_t towers, size_t n, const uint32_t *half,
+            const uint32_t *radix, const uint32_t *radix_shoup,
+            const uint32_t *lift, const modulus_t *mods)
+{
+    for (size_t p = 0; p < count; p++)
+        for (size_t j = 0, lanes; j < n; j += lanes) {
+            const uint32_t *w = words[p] + j;
+            lanes = n - j < LANES ? n - j : LANES;
+            tile_t above, a;
+#ifdef __AVX512F__
+            if (lanes == LANES) {
+                v16 gt = {0}, eq = ~gt, x, h;
+                for (size_t k = 0; k < width; k++) {
+                    LOAD(x, w + k * n);
+                    h = SPLAT(half[k]);
+                    gt |= eq & (v16)(x > h);
+                    eq &= (v16)(x == h);
+                }
+                STORE(above, gt);
+            } else
+#endif
+                for (size_t l = 0; l < lanes; l++) {
+                    size_t k = 0;
+                    while (k < width && w[k * n + l] == half[k])
+                        k++;
+                    above[l] = k < width && w[k * n + l] > half[k] ? ~0u : 0;
+                }
+            for (size_t i = 0; i < towers; i++) {
+                for (size_t l = 0; l < lanes; l++)
+                    a[l] = above[l] & lift[i];
+                dot(out[p] + i * n + j, a, w, n, width, radix + i * width,
+                    radix_shoup + i * width, mods[i].q, lanes);
+            }
+        }
+}
+
+/* round(f) of f = t (d_{head-1} + (... + d_0 / q_0) ...) / q_{head-1},
+ * v / q in float64 for Garner digits d of v on q's towers, lane by lane
+ * into r, as numpy rounds it: each operation of float64 rounded once
+ * (ntt.c builds with -ffp-contract=off), floor(f + 0.5). A lane within
+ * t 2^-40 of a half is near: its index at + l goes to near. Returns how
+ * many lanes are near. */
+static size_t round_tile(uint32_t *r, uint32_t *near, size_t at,
+                         const tile_t *d, size_t head, uint32_t t,
+                         const modulus_t *mods, size_t lanes)
+{
+    size_t found = 0;
+    double tf = t, eps = tf * 0x1p-40;
+#ifdef __AVX512F__
+    if (lanes == LANES) {
+        for (size_t h = 0; h < LANES; h += 8) {
+            __m512d f = _mm512_setzero_pd(), half = _mm512_set1_pd(0.5);
+            for (size_t k = 0; k < head; k++) {
+                __m256i x = _mm256_loadu_si256((const __m256i *)(d[k] + h));
+                f = _mm512_add_pd(_mm512_cvtepu32_pd(x), f);
+                f = _mm512_div_pd(f, _mm512_set1_pd(mods[k].q));
+            }
+            f = _mm512_mul_pd(f, _mm512_set1_pd(tf));
+            __m512d frac = _mm512_sub_pd(f, _mm512_roundscale_pd(
+                f, _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC));
+            frac = _mm512_abs_pd(_mm512_sub_pd(frac, half));
+            unsigned mask = _mm512_cmp_pd_mask(frac, _mm512_set1_pd(eps),
+                                               _CMP_LT_OQ);
+            f = _mm512_roundscale_pd(_mm512_add_pd(f, half),
+                                     _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC);
+            _mm256_storeu_si256((__m256i *)(r + h), _mm512_cvttpd_epu32(f));
+            for (; mask; mask &= mask - 1)
+                near[found++] = (uint32_t)(at + h + __builtin_ctz(mask));
+        }
+        return found;
+    }
+#endif
+    for (size_t l = 0; l < lanes; l++) {
+        double f = 0;
+        for (size_t k = 0; k < head; k++)
+            f = ((double)d[k][l] + f) / (double)mods[k].q;
+        f *= tf;
+        if (__builtin_fabs(f - __builtin_floor(f) - 0.5) < eps)
+            near[found++] = (uint32_t)(at + l);
+        r[l] = (uint32_t)__builtin_floor(f + 0.5);
+    }
+    return found;
+}
+
+/* Eq. 4's scale-and-round, the exact RNS rounding of Halevi, Polyakov and
+ * Shoup: for (batch, head + ext, n) residues a of centred values c on q's
+ * head towers and ext extension towers, out (batch, head, n) takes
+ * round(t c / q) mod q_i, with c = q u + v:
+ *  - v's Garner digits d_k on q's towers (table c[0], head x head);
+ *  - u = (c - v) / q on the extension, a_p q^-1 + sum_k d_k (-place_k
+ *    q^-1) (table c[1], ext rows of head + 1: those constants, q^-1);
+ *  - u's Garner digits there (table c[2], ext x ext), its sign the top
+ *    digit's, and u on q's towers: the digits times the extension's place
+ *    values (table c[3], head rows of ext), plus -E mod q_i for a
+ *    negative u (c[4], head words);
+ *  - round(t v / q) from v's digits in float64 (round_tile), and
+ *    t u + round(t v / q) (t mod q_i: tq).
+ * c holds its five tables in that order, with Shoup quotients cs (c[4]'s
+ * unused). t < 2^32. A column within t 2^-40 of a half is written but not
+ * exact: its index b n + j goes to near, and the count is returned. */
+size_t scale_round(uint32_t *out, uint32_t *near, const uint32_t *a,
+                   size_t batch, size_t head, size_t ext, size_t n,
+                   uint32_t t, const uint32_t *c, const uint32_t *cs,
+                   const uint32_t *tq, const uint32_t *tq_shoup,
+                   const modulus_t *mods)
+{
+    size_t towers = head + ext, found = 0;
+    size_t to_u = head * head, ge = to_u + ext * (head + 1);
+    size_t place = ge + ext * ext, minus_e = place + head * ext;
+    const modulus_t *emods = mods + head;
+    for (size_t b = 0; b < batch; b++)
+        for (size_t j = 0, lanes; j < n; j += lanes) {
+            tile_t x[towers], u[ext], z[2], neg, acc;
+            lanes = n - j < LANES ? n - j : LANES;
+            load_tile(x, a + b * towers * n + j, n, towers, lanes);
+            garner_tile(x, head, c, cs, mods, lanes);
+            for (size_t p = 0; p < ext; p++) {
+                /* the terms d_0 ... d_{head-1}, a_p */
+                memcpy(x[head], x[head + p], sizeof(tile_t));
+                dot(u[p], NULL, x[0], LANES, head + 1,
+                    c + to_u + p * (head + 1), cs + to_u + p * (head + 1),
+                    emods[p].q, lanes);
+            }
+            garner_tile(u, ext, c + ge, cs + ge, emods, lanes);
+            for (size_t l = 0; l < lanes; l++) /* u < 0: its top digit */
+                neg[l] = u[ext - 1][l] > emods[ext - 1].q / 2 ? ~0u : 0;
+            found += round_tile(z[1], near + found, b * n + j, x, head, t,
+                                mods, lanes);
+            for (size_t i = 0; i < head; i++) {
+                uint32_t q = mods[i].q, k[2] = {tq[i], 1};
+                uint32_t ks[2] = {tq_shoup[i], mods[i].one_s};
+                for (size_t l = 0; l < lanes; l++)
+                    acc[l] = neg[l] & c[minus_e + i];
+                dot(z[0], acc, u[0], LANES, ext, c + place + i * ext,
+                    cs + place + i * ext, q, lanes);
+                dot(out + (b * head + i) * n + j, NULL, z[0], LANES, 2, k, ks,
+                    q, lanes);
+            }
+        }
+    return found;
+}
+
+/* count base-2^bits digits of canonical coefficients, each reduced mod
+ * every tower into out (count, towers, n). The coefficients come from
+ * (towers, n) residues a on those towers (Garner table g, towers x
+ * towers), v in width limbs; or, a NULL, from words (width 32-bit words
+ * each, top first, word k of coefficient j at k n + j). A digit's 32-bit
+ * chunks, top first, sum against radix[i][k] = 2^(32 (chunks - 1 - k))
+ * mod q_i. */
+void digits(uint32_t *out, const uint32_t *a, const uint32_t *words,
+            size_t width, size_t towers, size_t n, size_t bits, size_t count,
+            const uint32_t *g, const uint32_t *gs, const uint32_t *radix,
+            const uint32_t *radix_shoup, const modulus_t *mods)
+{
+    size_t chunks = (bits + 31) / 32, limbs = count * bits / 32 + 2;
+    limbs = limbs > width ? limbs : width;
+    for (size_t j = 0, lanes; j < n; j += lanes) {
+        tile_t x[towers], limb[limbs], chunk[chunks];
+        lanes = n - j < LANES ? n - j : LANES;
+        if (a) {
+            load_tile(x, a + j, n, towers, lanes);
+            garner_tile(x, towers, g, gs, mods, lanes);
+            limbs_tile(limb, width, x, towers, mods, lanes);
+        } else
+            for (size_t k = 0; k < width; k++)
+                memcpy(limb[k], words + (width - 1 - k) * n + j,
+                       lanes * sizeof(uint32_t));
+        memset(limb[width], 0, (limbs - width) * sizeof(tile_t));
+        for (size_t i = 0; i < count; i++) {
+            for (size_t k = 0; k < chunks; k++) { /* low first */
+                size_t start = i * bits + 32 * k, at = start / 32;
+                size_t shift = start % 32, left = (i + 1) * bits - start;
+                uint32_t mask = left < 32 ? (1u << left) - 1 : ~0u;
+                for (size_t l = 0; l < lanes; l++) {
+                    uint32_t v = limb[at][l] >> shift;
+                    if (shift)
+                        v |= limb[at + 1][l] << (32 - shift);
+                    chunk[chunks - 1 - k][l] = v & mask;
+                }
+            }
+            for (size_t r = 0; r < towers; r++)
+                dot(out + (i * towers + r) * n + j, NULL, chunk[0], LANES,
+                    chunks, radix + r * chunks, radix_shoup + r * chunks,
+                    mods[r].q, lanes);
+        }
+    }
+}
+
+/* The canonical coefficients of (towers, n) residues a (Garner table g,
+ * towers x towers) in two forms, each written when its pointer is not
+ * NULL: bytes, width big-endian bytes each; words, ceil(width / 4)
+ * 32-bit words each, top first, word k of coefficient j at k n + j. */
+void pack(uint8_t *bytes, uint32_t *words, const uint32_t *a, size_t towers,
+          size_t n, size_t width, const uint32_t *g, const uint32_t *gs,
+          const modulus_t *mods)
+{
+    size_t count = (width + 3) / 4;
+    for (size_t j = 0, lanes; j < n; j += lanes) {
+        tile_t x[towers], limb[count];
+        lanes = n - j < LANES ? n - j : LANES;
+        load_tile(x, a + j, n, towers, lanes);
+        garner_tile(x, towers, g, gs, mods, lanes);
+        limbs_tile(limb, count, x, towers, mods, lanes);
+        for (size_t k = 0; words && k < count; k++)
+            memcpy(words + (count - 1 - k) * n + j, limb[k],
+                   lanes * sizeof(uint32_t));
+        for (size_t l = 0; bytes && l < lanes; l++) {
+            uint8_t be[4 * count];
+            for (size_t k = 0; k < count; k++) {
+                uint32_t v = __builtin_bswap32(limb[k][l]);
+                memcpy(be + 4 * (count - 1 - k), &v, sizeof v);
+            }
+            memcpy(bytes + (j + l) * width, be + 4 * count - width, width);
         }
     }
 }

@@ -184,9 +184,8 @@ class Polynomial:
     """An element of ``Z_q[x]/(x^n + 1)``: an immutable coefficient vector.
 
     It has one of three interchangeable forms: ``coeffs``, ``pack()``,
-    ``==``, ``hash``, ``centered()``, ``negative_mask()`` and
-    ``+``/``-``/``neg`` agree between them, and each form builds the
-    others' data lazily, once.
+    ``==``, ``hash``, ``centered()`` and ``+``/``-``/``neg`` agree
+    between them, and each form builds the others' data lazily, once.
 
     * **Int-backed**: a tuple of canonical Python ints (the constructor,
       :meth:`from_canonical`).
@@ -195,8 +194,10 @@ class Polynomial:
     * **Tower-backed**: :meth:`from_towers`, ``(L, n)`` ``uint32``
       residues on q's own towers with the batched engine over them —
       every ciphertext the scheme computes when those towers are
-      engine-sized. Its ``words`` come from mixed radix
-      (:meth:`~repro.polymath.engine.BatchedRnsEngine.to_words`), and
+      engine-sized. Its bytes and ``words`` come from the towers in one
+      kernel call each
+      (:meth:`~repro.polymath.engine.BatchedRnsEngine.pack`,
+      :meth:`~repro.polymath.engine.BatchedRnsEngine.to_words`), and
       ``+``/``-``/``neg``/:meth:`scalar_mul` with it run per tower.
     """
 
@@ -280,11 +281,6 @@ class Polynomial:
             else:
                 self._words = _packed_words(self.pack(), self.ring.n, width)
         return self._words
-
-    def negative_mask(self) -> np.ndarray:
-        """Which coefficients the centred lift makes negative (``c > q/2``):
-        one lexicographic word compare against ``floor(q/2)``."""
-        return _above(self.words, self.ring._half_words)
 
     # -- ring operations -------------------------------------------------
 
@@ -391,23 +387,18 @@ class Polynomial:
         the same ring always produce identical bytes (the property the wire
         format's digests and checksums rely on). A word-backed polynomial
         returns the bytes it was unpacked from; a tower-backed one packs
-        its :attr:`words`, without keeping words it had to compute (a
-        packed result sits in the server's result cache, which would
-        hold them twice). Built once, then held.
+        its towers straight into the bytes it keeps (one kernel call, no
+        words or other temporary: a packed result sits in the server's
+        result cache). Built once, then held.
         """
         if self._packed is None:
             width = self.ring.coeff_byte_width
-            words = self._words
-            if words is None and self._towers is None:
+            if self._towers is not None:
+                self._packed = self._rns.pack(self._towers, width)
+            else:  # int-backed: a word-backed one holds its bytes
                 self._packed = b"".join(
                     c.to_bytes(width, "big") for c in self._coeffs
                 )
-            else:
-                if words is None:
-                    words = self._rns.to_words(self._towers, _word_count(width))
-                raw = np.ascontiguousarray(words, dtype=">u4")
-                raw = raw.view(np.uint8).reshape(self.ring.n, -1)
-                self._packed = raw[:, raw.shape[1] - width:].tobytes()
         return self._packed
 
     def centered(self) -> list[int]:

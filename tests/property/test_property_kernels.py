@@ -9,20 +9,26 @@ worst case. The reference of the NTT is
 :class:`~repro.polymath.ntt.NttContext`'s pure-Python transform; that of
 every other kernel the exact numpy ``uint64``/``int64`` expression it
 took over: products below ``2^60`` and one ``%`` per term. The replay
-reads bank words of any 64-bit value mod ``q``. An ``x86-64-v3`` build,
-which takes the word-by-word loops, gives the native build's words.
+reads bank words of any 64-bit value mod ``q``. An ``x86-64-v3`` build
+with the shipped flags otherwise, which takes the word-by-word loops,
+gives the native build's words, the RNS boundary kernels' (checked
+against Python ints in ``test_property_rns_kernels.py``) included.
 """
 
 import platform
 import subprocess
+from math import prod
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.polymath import kernels
+from repro.polymath.engine import require_engine
+from repro.polymath.fastntt import RnsExactMultiplier
 from repro.polymath.ntt import NttContext
 from repro.polymath.primes import is_prime, ntt_friendly_prime
+from repro.polymath.rns import RnsBasis
 
 DEGREES = (2, 16, 4096, 1 << 14)
 FILLS = ("random", "max")
@@ -147,6 +153,9 @@ def test_tensor_is_the_eq4_products(n, fill):
     a0, a1, b0, b1 = f
     want = [a0 * b0 % q, (a0 * b1 % q + a1 * b0 % q) % q, a1 * b1 % q]
     assert np.array_equal(kernels.tensor(f, mods), want)
+    g = np.ascontiguousarray(f, np.uint32)  # rows 0-2 take the products
+    assert kernels.tensor(g, mods, g[:3]).base is g
+    assert np.array_equal(g[:3], want) and np.array_equal(g[3], b1)
     squared = [a0 * a0 % q, 2 * (a0 * a1 % q) % q, a1 * a1 % q]
     assert np.array_equal(kernels.tensor(f[:2], mods), squared)
 
@@ -164,34 +173,6 @@ def test_keyswitch_is_the_digit_key_inner_product(n, fill):
     for d in range(digits):
         want = (want + x[None, :, d] * key[:, None, d] % q) % q
     assert np.array_equal(kernels.keyswitch(x, key, mods), want)
-
-
-@pytest.mark.parametrize("fill", FILLS)
-@pytest.mark.parametrize("n", DEGREES)
-def test_mac_is_the_constant_multiply_accumulate(n, fill):
-    """Nine free words per output against per-tower constants, plus a
-    free-word accumulator times a constant: every lazy sum at its
-    bound on the all-maximal fill."""
-    mods = _moduli(n)
-    q = _q(mods)
-    batch, terms = 2, 9
-    x = _words((batch, terms, n), fill, n).astype(np.uint64)
-    acc = _words((batch, 2, n), fill, n + 1).astype(np.uint64)
-    c = _constants(mods, (2, terms), fill, n)
-    s = _constants(mods, (2,), fill, n + 2)
-    want = acc % q * s[:, None] % q
-    for k in range(terms):
-        want = (want + x[:, k, None] % q * c[:, k, None] % q) % q
-    got = kernels.mac(x, mods.constants(c.tolist()), mods, acc,
-                      mods.constants(s.tolist()))
-    assert np.array_equal(got, want)
-    no_acc = np.zeros_like(want)
-    for k in range(terms):
-        no_acc = (no_acc + x[:, k, None] % q * c[:, k, None] % q) % q
-    assert np.array_equal(kernels.mac(x, mods.constants(c.tolist()), mods),
-                          no_acc)
-    scaled = kernels.mac(None, None, mods, acc, mods.constants(s.tolist()))
-    assert np.array_equal(scaled, acc % q * s[:, None] % q)
 
 
 @pytest.mark.parametrize("fill", FILLS)
@@ -308,7 +289,6 @@ def test_mismatched_shapes_are_refused():
         lambda: kernels.multiply(words, words[:2], mods),
         lambda: kernels.tensor(words, mods),
         lambda: kernels.keyswitch(words[None], np.zeros((2, 2, 2, 16)), mods),
-        lambda: kernels.mac(words, mods.constants([[1, 2, 3]] * 2), mods),
         lambda: kernels.garner(words, mods.constants([[1] * 3] * 2), mods),
     ] + [
         # A replay row must be n words of a 1-D uint64 array.
@@ -339,12 +319,41 @@ def fallback(tmp_path_factory):
     if platform.machine() not in ("x86_64", "AMD64"):
         pytest.skip("x86-64-v3 is an x86-64 target")
     library = tmp_path_factory.mktemp("fallback") / "ntt.so"
+    flags = [f.replace("-march=native", "-march=x86-64-v3")
+             for f in kernels.CFLAGS]
+    assert "-march=x86-64-v3" in flags
     subprocess.run(
-        ("gcc", "-O3", "-march=x86-64-v3", "-shared", "-fPIC", "-o",
-         str(library), str(Path(kernels.__file__).with_name("ntt.c"))),
+        ("gcc", *flags, "-o", str(library),
+         str(Path(kernels.__file__).with_name("ntt.c"))),
         check=True,
     )
     return kernels._ffi.dlopen(str(library))
+
+
+def _boundary_kernels(mods, n, fill) -> list[np.ndarray]:
+    """The RNS boundary kernels' results with ``mods``' towers as q's:
+    the entry of two operands of three words onto the tensor basis, the
+    scale-and-round of two stacks there (its near columns too), the
+    digits of residues and of words, the packed bytes and the words."""
+    q = prod(mods.moduli)
+    qe = require_engine(RnsBasis(mods.moduli), n)
+    eng = RnsExactMultiplier(n, qe.basis).tensor_engine
+    entry = np.empty((2, eng.num_towers, n), np.uint32)
+    half = np.frombuffer((q // 2).to_bytes(12, "big"), ">u4")
+    kernels.centre(list(entry), list(_words((2, 3, n), fill, n)), half,
+                   eng._radix(3), eng._mods.times(-q)[0], eng._mods)
+    a = _residues(eng._mods, (2, eng.num_towers, n), fill, n)
+    split, table = eng._split(2)
+    scaled = kernels.scale_round(a, 2, 65537, table, split._mods.times(65537),
+                                 eng._mods)
+    rows = _residues(mods, (2, n), fill, n + 1)
+    digits = [np.empty((2, 2, n), np.uint32) for _ in range(2)]
+    kernels.digits(digits[0], rows, 33, qe._radix(2), mods, qe._garner)
+    kernels.digits(digits[1], _words((3, n), fill, n), 33, qe._radix(2), mods)
+    width = -(-q.bit_length() // 8)
+    packed = kernels.pack(rows, width, qe._garner, mods)
+    return [entry, *scaled, *digits, np.frombuffer(packed, np.uint8),
+            kernels.words(rows, 2, qe._garner, mods)]
 
 
 def _every_kernel(n, fill) -> list[np.ndarray]:
@@ -370,18 +379,17 @@ def _every_kernel(n, fill) -> list[np.ndarray]:
         kernels.reduce(signed, mods, s),
         kernels.multiply(x[0], x[1], mods),
         kernels.tensor(_residues(mods, (4, 2, n), fill, n + 1), mods),
+        kernels.tensor(f := np.ascontiguousarray(_residues(
+            mods, (4, 2, n), fill, n + 2)), mods, f[:3]),
         kernels.keyswitch(_residues(mods, (2, 17, 2, n), fill, n),
                           _residues(mods, (2, 17, 2, n), fill, n + 1), mods),
-        kernels.mac(_words((2, 9, n), fill, n),
-                    mods.constants(_constants(mods, (2, 9), fill, n).tolist()),
-                    mods, _words((2, 2, n), fill, n + 1), s),
         kernels.garner(_residues(three, (2, 3, n), fill, n), three.constants(
             _constants(three, (3, 3), fill, n).tolist()), three),
     ]
     for q, checks, levels, out, _ in _replay_case(n, fill):
         assert kernels.Replay(q, n, checks, levels)()
         results.append(out)
-    return results
+    return results + _boundary_kernels(mods, n, fill)
 
 
 @pytest.mark.parametrize("fill", FILLS)

@@ -181,21 +181,22 @@ def test_mixed_radix_all_max(towers):
             assert got[b, :, j].tolist() == want
 
 
-@pytest.mark.parametrize("towers", [3, HEAD, len(PRIMES) - 1])
-def test_convert_all_max_digits(towers):
-    """``L`` products per output tower, plus a carried residue."""
-    src = WIDE.select(range(towers))
-    dst = WIDE.select(range(towers, len(PRIMES)))
-    digits = _full((2,), PRIMES[:towers])
-    acc = _full((2,), dst.basis.moduli)
-    acc[1] = 0
-    got = src._convert(digits, dst, acc)
-    value = prod(PRIMES[:towers]) - 1
-    for row, carried in zip(got, (1, 0)):
-        assert row[:, 0].tolist() == [
-            (value + carried * (p - 1)) % p for p in dst.basis.moduli
-        ]
-        assert (row == row[:, :1]).all()
+@pytest.mark.parametrize("head", [1, 3, HEAD])
+def test_scale_round_all_max_extension_digits(head):
+    """A centred ``c`` in ``[-q, 0)`` has ``u = (c - v) / q = -1``: every
+    Garner digit of ``u`` on the extension is ``p - 1``, so converting
+    it back to q's towers sums ``L - head`` maximal products, and the
+    sign correction adds ``-E``."""
+    q = prod(PRIMES[:head])
+    rng = np.random.default_rng(head)
+    values = [-1, -q, -q + 1, -(q // 2), -(q // 2) - 1]
+    values += [-1 - (q - 1) * int(x) // (1 << 40) for x in
+               rng.integers(0, 1 << 40, N - len(values))]
+    assert all(-q <= c < 0 for c in values)
+    for t in (2, 65537):
+        got = WIDE.scale_round(WIDE.decompose(values)[None], t, head)[0]
+        want = [_round_half_away(t * c, q) % q for c in values]
+        assert got.tolist() == [[w % p for w in want] for p in PRIMES[:head]]
 
 
 def _tensor_edge_values(t: int) -> list[int]:

@@ -141,10 +141,15 @@ gcc -fsyntax-only -Wall -Wextra -Werror src/repro/polymath/*.c
 # The optimiser's flow analysis (-Wmaybe-uninitialized, -Warray-bounds,
 # -Wstringop-overflow) only runs when the file is really compiled; an
 # x86-64-v3 build has no AVX-512, so it compiles the word-by-word loops
-# that other targets run.
+# that other targets run. The flags are kernels.CFLAGS (importing it
+# builds the kernel), less -shared, with -march=native swapped for the
+# target.
+read -r -a CFLAGS <<< "$(PYTHONPATH=src python -c \
+  'from repro.polymath.kernels import CFLAGS; print(*(f for f in CFLAGS if f != "-shared"))')"
 for source in src/repro/polymath/*.c; do
   for march in native x86-64-v3; do
-    gcc -O3 -march="$march" -fPIC -Wall -Wextra -Werror -c -o /dev/null "$source"
+    gcc "${CFLAGS[@]/#-march=native/-march=$march}" -Wall -Wextra -Werror \
+      -c -o /dev/null "$source"
   done
 done
 
