@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
@@ -122,24 +123,32 @@ _STREAM_PROGRAMS = 16
 class _Stream:
     """What the first run of a command stream leaves for later runs:
     its report, each counter it moved as ``(holder index in
-    :meth:`CofheeDriver._holders`, attribute, change)``, and its
-    programs (:meth:`~repro.core.mdmc.Mdmc.compile`) by modulus and
-    command constants."""
+    :meth:`CofheeDriver._holders`, attribute, change)``, the addresses
+    of the buffers the host loaded before it and checked after it
+    (:meth:`CofheeDriver.run_checked`), and its programs
+    (:meth:`~repro.core.mdmc.Mdmc.compile`) by modulus and command
+    constants."""
 
     report: OperationReport
     deltas: tuple[tuple[int, str, int], ...]
+    loads: tuple[int, ...] = ()
+    expects: tuple[int, ...] = ()
     programs: dict[tuple, Replay] = field(default_factory=dict)
 
     def program(self, mdmc: Mdmc, commands: "Sequence[Command]") -> Replay:
         """The program of this stream on ``mdmc``'s modulus with
         ``commands``' constants, compiled at its first run."""
-        key = (mdmc.pe.q, tuple(c.constant for c in commands))
+        key = (mdmc.pe.q, tuple(map(_constant, commands)))
         program = self.programs.get(key)
         if program is None:
             if len(self.programs) == _STREAM_PROGRAMS:
                 self.programs.clear()
-            program = self.programs[key] = mdmc.compile(commands)
+            program = self.programs[key] = mdmc.compile(
+                commands, self.loads, self.expects)
         return program
+
+
+_constant = attrgetter("constant")
 
 
 @lru_cache(maxsize=None)
@@ -336,18 +345,82 @@ class CofheeDriver:
         if stream is None:
             before = self._counts()
             report = self._execute(commands, label, mode)
-            stream = self._streams[key] = _Stream(
-                report=report.copy(label),
-                deltas=tuple(
-                    (h, name, after - b)
-                    for (h, name, after), (_, _, b) in zip(self._counts(), before)
-                    if after != b
-                ),
-            )
-            stream.program(self.chip.mdmc, commands)
+            self._remember(key, commands, report, before)
             return report
-        if not stream.program(self.chip.mdmc, commands)():
+        if stream.program(self.chip.mdmc, commands)() is None:
             return self._execute(commands, label, mode)  # a changed twiddle
+        return self._charge(stream, commands, label)
+
+    def run_checked(self, commands: "Sequence[Command]",
+                    sources: "Sequence[str]", operands: np.ndarray,
+                    sinks: "Sequence[str]", expected: np.ndarray,
+                    label: str = "sequence") -> tuple[bool, OperationReport]:
+        """Load row ``i`` of ``operands`` into buffer ``sources[i]``, run
+        ``commands`` in the default mode, and check that each buffer
+        ``sinks[j]`` holds row ``j`` of ``expected``: whether all did, and
+        the report, whose ``io_seconds`` counts the loads and readbacks.
+
+        Loads and readbacks cost what they cost whatever the words, like
+        the stream. So when :meth:`execute` would run the stream warm and
+        both arrays are ``uint32`` with contiguous rows, the first run is
+        the per-command path (:meth:`load_polynomial`, the stream,
+        :meth:`read_words` and a compare), recording the counters and
+        report of all of it, and a later run is one ``replay`` call that
+        stores the operands mod ``q``, computes the stream and compares
+        the sinks, then charges the recorded changes. A changed twiddle
+        word runs the per-command path again; anything else runs it
+        every time.
+        """
+        mode, stream = self.mode, None
+        key = self._stream_key(commands, mode)
+        warm = key is not None and operands.dtype == expected.dtype == np.uint32
+        if warm:
+            key = (key, tuple(map(self.buffer_address, sources)),
+                   tuple(map(self.buffer_address, sinks)))
+            stream = self._streams.get(key)
+            if stream is not None:
+                matched = stream.program(self.chip.mdmc, commands)(
+                    operands, expected)
+                if matched is not None:
+                    return matched, self._charge(stream, commands, label)
+        before = self._counts() if warm and stream is None else None
+        io = 0.0
+        for name, row in zip(sources, operands, strict=True):
+            io += self.load_polynomial(name, row)
+        # A warm stream's per-command run is this one's, not execute's.
+        report = (self._execute if warm else self.execute)(
+            commands, label, mode)
+        matched = True
+        for name, want in zip(sinks, expected, strict=True):
+            words, seconds = self.read_words(name)
+            io += seconds
+            matched = np.array_equal(words, want) and matched
+        report.io_seconds += io
+        if before is not None:
+            self._remember(key, commands, report, before, *key[1:])
+        return matched, report
+
+    def _remember(self, key: tuple, commands: "Sequence[Command]",
+                  report: OperationReport, before: list, loads=(),
+                  expects=()) -> None:
+        """Keep a stream's first run under ``key``: its report, what it
+        moved on every counter since ``before`` (:meth:`_counts`), and
+        its program."""
+        stream = self._streams[key] = _Stream(
+            report=report.copy(report.label),
+            deltas=tuple(
+                (h, name, after - b)
+                for (h, name, after), (_, _, b) in zip(self._counts(), before)
+                if after != b
+            ),
+            loads=loads, expects=expects,
+        )
+        stream.program(self.chip.mdmc, commands)
+
+    def _charge(self, stream: _Stream, commands: "Sequence[Command]",
+                label: str) -> OperationReport:
+        """A warm run's figures: ``stream``'s recorded changes added to
+        the counters, and a fresh copy of its report."""
         holders = self._holders()
         for h, name, delta in stream.deltas:
             setattr(holders[h], name, getattr(holders[h], name) + delta)
@@ -387,7 +460,7 @@ class CofheeDriver:
             or (c.opcode is Opcode.INTT and c.constant == 0)
             for c in commands
         ) else (self.link, n, tuple(
-            (c.opcode, c.x_addr, c.y_addr, c.twiddle_addr, c.out_addr)
+            (c.opcode.value, c.x_addr, c.y_addr, c.twiddle_addr, c.out_addr)
             for c in commands
         ))
         if isinstance(commands, tuple):
@@ -533,8 +606,16 @@ class CofheeDriver:
             ``(report, (y0, y1, y2))`` — the report and the buffer names
             now holding the three output polynomials.
         """
+        report = self.execute(self._alg3_commands(a0, a1, b0, b1, t0, t1),
+                              label="CiphertextMul", **kw)
+        return report, (t0, t1, b1)
+
+    def _alg3_commands(self, a0: str, a1: str, b0: str, b1: str, t0: str,
+                       t1: str) -> tuple[Command, ...]:
+        """:meth:`ciphertext_multiply`'s commands, built once per
+        programming."""
         names = (a0, a1, b0, b1, t0, t1)
-        if names not in self._alg3:  # once per programming
+        if names not in self._alg3:
             mul = Opcode.PMODMUL
             self._alg3[names] = (
                 self.ntt_command(b0, b0),                        # B0'
@@ -550,8 +631,7 @@ class CofheeDriver:
                 self.pointwise_command(Opcode.PMODADD, t1, t1, y=b0),  # Y1'
                 self.intt_command(t1, t1),                       # Y1
             )
-        report = self.execute(self._alg3[names], label="CiphertextMul", **kw)
-        return report, (t0, t1, b1)
+        return self._alg3[names]
 
     def ciphertext_multiply_tower(
         self,
@@ -586,12 +666,7 @@ class CofheeDriver:
     ) -> tuple[list[np.ndarray], OperationReport]:
         """:meth:`ciphertext_multiply_tower` with the outputs as word arrays."""
         io = self.ensure_programmed(q, len(ct_a[0]))
-        names = self.buffer_names
-        if len(names) < 6:
-            raise CapacityError(
-                "ciphertext multiplication needs 6 on-chip buffers"
-            )
-        a0, a1, b0, b1, t0, t1 = names[:6]
+        a0, a1, b0, b1, t0, t1 = self._tower_buffers()
         # load_polynomial reduces each coefficient mod the programmed q.
         io += self.load_polynomial(a0, ct_a[0])
         io += self.load_polynomial(a1, ct_a[1])
@@ -607,6 +682,34 @@ class CofheeDriver:
             outs.append(data)
         report.io_seconds += io
         return outs, report
+
+    def ciphertext_multiply_tower_checked(
+        self, operands: np.ndarray, expected: np.ndarray, q: int,
+    ) -> tuple[bool, OperationReport]:
+        """Algorithm 3 on one RNS tower, checked on the chip's side of the
+        link: the ``(4, n)`` operand rows ``a0, a1, b0, b1`` go in, and
+        the result says whether the outputs ``y0, y1, y2`` read back equal
+        the ``(3, n)`` rows ``expected``, with the report
+        (:meth:`run_checked`; its ``io_seconds`` includes any
+        reprogramming). The tower unit the chip pool runs: a warm one is
+        one kernel call."""
+        io = self.ensure_programmed(q, operands.shape[-1])
+        a0, a1, b0, b1, t0, t1 = names = self._tower_buffers()
+        matched, report = self.run_checked(
+            self._alg3_commands(*names), (a0, a1, b0, b1), operands,
+            (t0, t1, b1), expected, label="CiphertextMul",
+        )
+        report.io_seconds += io
+        return matched, report
+
+    def _tower_buffers(self) -> list[str]:
+        """The six buffers Algorithm 3 runs in."""
+        names = self.buffer_names
+        if len(names) < 6:
+            raise CapacityError(
+                "ciphertext multiplication needs 6 on-chip buffers"
+            )
+        return names[:6]
 
     # ------------------------------------------------------------------
     # Large-degree (host-assisted) operation (Section III-C)

@@ -372,9 +372,13 @@ class Mdmc:
     # Grouped issue (a stream's data path after its first run)
     # ------------------------------------------------------------------
 
-    def compile(self, commands: list[Command]) -> kernels.Replay:
+    def compile(self, commands: list[Command], loads=(),
+                expects=()) -> kernels.Replay:
         """The stream as hazard-ordered levels of same-opcode groups,
-        compiled into one kernel call.
+        compiled into one kernel call, with the host's loads into the
+        ``n``-word operands at the addresses ``loads`` before it and its
+        checks of those at ``expects`` after it (see
+        :class:`~repro.polymath.kernels.Replay`).
 
         A command's level is one past the latest earlier command whose
         result it reads (read after write) or overwrites (write after
@@ -460,7 +464,9 @@ class Mdmc:
 
         groups = [[group(op, cmds) for (op, _), cmds in level.items()]
                   for level in levels]
-        return kernels.Replay(q, n, [row(a) for a in checks], groups)
+        return kernels.Replay(q, n, [row(a) for a in checks], groups,
+                              [row(a) for a in loads],
+                              [row(a) for a in expects])
 
     # ------------------------------------------------------------------
     # Helpers

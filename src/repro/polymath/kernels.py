@@ -34,9 +34,10 @@ The file compiles at first import with ``gcc`` :data:`CFLAGS` into
 ``$XDG_CACHE_HOME/repro`` (default ``~/.cache/repro``), named by a hash
 of the source, the flags, ``gcc --version`` and the CPU flags, and loads
 through cffi's ABI mode. A build goes to a temporary file renamed into
-place, so processes importing at once never load a half-written library,
-and then deletes the builds of other sources or flags. Without a working
-``gcc`` the import raises :class:`ImportError`.
+place, so processes importing at once never load a half-written library.
+Each load touches its build, and a new build deletes all but the
+:data:`KEEP_BUILDS` most recently used. Without a working ``gcc`` the
+import raises :class:`ImportError`.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ import os
 import re
 import subprocess
 import tempfile
+import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import prod
@@ -84,9 +86,13 @@ def _gcc(*args: str) -> bytes:
         ) from exc
 
 
-def _library() -> str:
-    """The compiled kernel's path, building it if it is not cached."""
-    source = Path(__file__).with_name("ntt.c")
+#: How many builds the cache keeps, the most recently loaded: checkouts
+#: of different sources sharing one cache each keep theirs.
+KEEP_BUILDS = 4
+
+
+def _library(source: Path = Path(__file__).with_name("ntt.c")) -> str:
+    """The path of ``source`` compiled, building it if it is not cached."""
     try:
         info = Path("/proc/cpuinfo").read_bytes().splitlines()
     except OSError:
@@ -99,21 +105,32 @@ def _library() -> str:
     cache = Path(os.environ.get("XDG_CACHE_HOME")
                  or Path.home() / ".cache") / "repro"
     library = cache / f"ntt-{key}.so"
-    if not library.exists():
-        cache.mkdir(parents=True, exist_ok=True)
-        fd, partial = tempfile.mkstemp(".so", ".ntt-", cache)
-        os.close(fd)
+    try:
+        os.utime(library)  # touched on load: the cache keeps the latest used
+        return str(library)
+    except FileNotFoundError:
+        pass
+    except OSError:  # a build this process may not touch still loads
+        return str(library)
+    cache.mkdir(parents=True, exist_ok=True)
+    fd, partial = tempfile.mkstemp(".so", ".ntt-", cache)
+    os.close(fd)
+    try:
+        _gcc(*CFLAGS, "-o", partial, str(source))
+        os.replace(partial, library)
+    finally:
+        if os.path.exists(partial):
+            os.unlink(partial)
+    # Only the builds loaded longest ago go; a process running one keeps
+    # its mapping.
+    builds = []
+    for build in cache.glob("ntt-*.so"):
         try:
-            _gcc(*CFLAGS, "-o", partial, str(source))
-            os.replace(partial, library)
-        finally:
-            if os.path.exists(partial):
-                os.unlink(partial)
-        # Builds of older sources or flags are never loaded again. A
-        # process still running one keeps its mapping.
-        for stale in cache.glob("ntt-*.so"):
-            if stale != library:
-                stale.unlink(missing_ok=True)
+            builds.append((build.stat().st_mtime, build))
+        except FileNotFoundError:
+            pass  # pruned by another process
+    for _, stale in sorted(builds, reverse=True)[KEEP_BUILDS:]:
+        stale.unlink(missing_ok=True)
     return str(library)
 
 
@@ -207,6 +224,9 @@ def _words(a) -> np.ndarray:
 #: The pointer types of 8-, 32- and 64-bit words, by item size.
 _BUFFERS = {1: _ffi.typeof("uint8_t[]"), 4: _ffi.typeof("uint32_t[]"),
             8: _ffi.typeof("uint64_t[]")}
+
+#: A pointer to 32-bit words, for a strided array's first row.
+_POINTER = _ffi.typeof("uint32_t *")
 
 #: A new ``bytes`` object of a size, whose contents a kernel writes before
 #: anything else sees it (CPython's ``PyBytes_FromStringAndSize(NULL,
@@ -474,52 +494,97 @@ class Replay:
     ``constants`` has one per row, the closing multiply of an iNTT row
     (its tables' ``scale`` is unused) or a CMODMUL row's. A run first
     compares each of the ``checks`` rows with the words it held at
-    compilation, and stores nothing on any difference."""
+    compilation, and stores nothing on any difference. Before the
+    levels it stores each call's input rows mod ``q`` into the ``loads``
+    rows, and after them it compares the ``expects`` rows with the
+    call's expected rows."""
 
-    def __init__(self, q: int, n: int, checks, levels):
+    def __init__(self, q: int, n: int, checks, levels, loads=(), expects=()):
         mods = Moduli.of((q,))
         self._keep = [mods]  # everything the C program points at
         groups = [("CHECK", [(a, at)], [(a[at : at + n].copy(), 0)], (), None,
                    None, False) for a, at in checks]
+        if loads:
+            groups.append(("LOAD", (), (), loads, None, None, False))
         for level in levels:
             groups += [(*g, i == len(level) - 1) for i, g in enumerate(level)]
+        if expects:
+            groups.append(("EXPECT", expects, (), (), None, None, False))
+        self._loads, self._expects = len(loads), len(expects)
+        # One pointer table holds every group's rows, each bank pinned once.
+        rows = [row for g in groups for row in (*g[1], *g[2], *g[3])]
+        if n & (n - 1) or any(
+                a.dtype != np.uint64 or a.ndim != 1 or not a.flags.c_contiguous
+                or not 0 <= at <= a.size - n for a, at in rows):
+            raise ValueError(f"{len(rows)} rows of {n} uint64 words")
+        banks = {}
+        for a, _ in rows:
+            if id(a) not in banks:
+                banks[id(a)] = self._pin(_ffi.from_buffer(_BUFFERS[8], a))
+        table = self._pin(_ffi.new("uint64_t *[]", [
+            banks[id(a)] + at for a, at in rows]))
         self._groups = _ffi.new("group_t[]", len(groups))
+        at = 0
         for g, (op, x, y, out, tables, constants, last) in zip(
                 self._groups, groups):
-            if (n & (n - 1) or len(y) != len(x) * (op in _BINARY)
+            if (len(y) != len(x) * (op in _BINARY)
                     or (tables is None or tables.w.shape != (1, n))
                     == (op in ("NTT", "INTT"))
                     or (constants is None or constants[0].shape != (len(x),))
                     == (op in ("INTT", "CMODMUL"))):
                 raise ValueError(f"{op} of {len(x)} rows of {n} words")
-            g.op, g.rows, g.last = getattr(_lib, "OP_" + op), len(x), last
-            g.x, g.y, g.out = (self._rows(rows, n) for rows in (x, y, out))
+            g.op, g.rows, g.last = getattr(_lib, "OP_" + op), len(x or out), last
+            for field, part in (("x", x), ("y", y), ("out", out)):
+                if part:
+                    setattr(g, field, table + at)
+                    at += len(part)
             if tables is not None:
                 g.w, g.w_shoup = tables._pointers[:2]
                 self._keep.append(tables)
             if constants is not None:
                 g.c, g.c_shoup = (self._pin(_ffi.from_buffer(
                     _BUFFERS[4], _words(a))) for a in constants)
-        rows = max((sum(len(g[1]) for g in level) for level in levels),
-                   default=0)
-        self._call = (self._groups, len(groups), n, mods._records, self._pin(
-            _ffi.from_buffer(_BUFFERS[4], np.empty((1 + rows) * n, np.uint32))))
+        self._scratch = (1 + max(
+            (sum(len(g[1]) for g in level) for level in levels), default=0)) * n
+        self._call = (self._groups, len(groups), n, mods._records)
 
     def _pin(self, cdata):
         self._keep.append(cdata)
         return cdata
 
-    def _rows(self, rows, n: int):
-        """A pointer array to ``n``-word rows, or ``NULL`` for none."""
-        if not rows:
-            return _ffi.NULL
-        if any(a.dtype != np.uint64 or a.ndim != 1 or not a.flags.c_contiguous
-               or not 0 <= at <= a.size - n for a, at in rows):
-            raise ValueError(f"{len(rows)} rows of {n} uint64 words")
-        return self._pin(_ffi.new("uint64_t *[]", [
-            self._pin(_ffi.from_buffer(_BUFFERS[8], a)) + at for a, at in rows]))
+    def __call__(self, inputs=None, expected=None) -> "bool | None":
+        """Run the program on ``inputs`` and ``expected``, ``(rows, n)``
+        ``uint32`` arrays whose rows are contiguous (``None`` for no
+        rows): ``None``, with nothing stored, when a checked row has
+        changed since compilation, else whether every expected row
+        matched."""
+        code = _lib.replay(*self._call, _scratch(self._scratch),
+                           *self._host(inputs, self._loads),
+                           *self._host(expected, self._expects))
+        return None if code == 1 else code == 0
 
-    def __call__(self) -> bool:
-        """Run the program: ``False``, with nothing stored, when a
-        checked row has changed since compilation."""
-        return not _lib.replay(*self._call)
+    def _host(self, a, rows: int) -> tuple:
+        """A pointer to the first of ``rows`` host rows and their stride
+        in words."""
+        if not rows and a is None:
+            return _ffi.NULL, 0
+        n = self._call[2]
+        if (not isinstance(a, np.ndarray) or a.dtype != np.uint32
+                or a.shape != (rows, n) or a.strides[1] != 4
+                or rows > 1 and (a.strides[0] < 0 or a.strides[0] % 4)):
+            raise ValueError(f"host rows must be ({rows}, {n}) uint32 words")
+        return (_ffi.cast(_POINTER, a.ctypes.data),
+                a.strides[0] // 4 if rows > 1 else 0)
+
+
+_local = threading.local()
+
+
+def _scratch(words: int):
+    """This thread's replay scratch of at least ``words`` 32-bit words:
+    one buffer every program of the thread shares, so it stays in cache
+    from one program to the next."""
+    buffer = getattr(_local, "scratch", None)
+    if buffer is None or len(buffer) < words:
+        buffer = _local.scratch = _ffi.new("uint32_t[]", words)
+    return buffer

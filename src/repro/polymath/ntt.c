@@ -7,7 +7,8 @@
  * run 16 lanes at a time on AVX-512. A sum is kept lazily below 2q, and
  * an NTT word below 4q, so no word reaches 4q <= 2^32, and every result
  * is fully reduced into [0, q). replay() runs a compiled stream of the
- * chip model's commands over its bank rows in one call, and centre(),
+ * chip model's commands over its bank rows in one call, with the host's
+ * operand loads and result checks around it, and centre(),
  * scale_round(), digits() and pack() each run one change of
  * representation of the served RNS path (wire words, towers, key-switch
  * digits, bytes) in one call. */
@@ -958,11 +959,39 @@ static void load(uint32_t *o, const uint64_t *x, size_t n, const modulus_t *m)
     }
 }
 
-/* The replay's opcodes: a twiddle row's check, then the MDMC's
+/* Host row x of n 32-bit words mod q into bank row o: a widening copy,
+ * which is all when every word is already below q, else the reduction. */
+static void store(uint64_t *o, const uint32_t *x, size_t n,
+                  const modulus_t *m)
+{
+    uint32_t top = 0;
+    for (size_t j = 0; j < n; j++) {
+        top = x[j] > top ? x[j] : top;
+        o[j] = x[j];
+    }
+    if (top < m->q)
+        return;
+    for (size_t j = 0; j < n; j++) {
+        uint32_t v = shoup(x[j], 1, m->one_s, m->q);
+        o[j] = FOLD(v, m->q);
+    }
+}
+
+/* Whether bank row o differs from the n 32-bit words w. */
+static int differs(const uint64_t *o, const uint32_t *w, size_t n)
+{
+    uint64_t d = 0;
+    for (size_t j = 0; j < n; j++)
+        d |= o[j] ^ w[j];
+    return d != 0;
+}
+
+/* The replay's opcodes: a twiddle row's check and the host's operand
+ * loads and result checks, which use no scratch rows, then the MDMC's
  * vector-fidelity commands. */
 enum replay_op {
-    OP_CHECK, OP_NTT, OP_INTT, OP_PMODMUL, OP_PMODSQR, OP_PMODADD,
-    OP_PMODSUB, OP_CMODMUL
+    OP_CHECK, OP_LOAD, OP_EXPECT, OP_NTT, OP_INTT, OP_PMODMUL, OP_PMODSQR,
+    OP_PMODADD, OP_PMODSUB, OP_CMODMUL
 };
 
 /* One group of a replay program: rows commands of one opcode on n-word
@@ -970,7 +999,9 @@ enum replay_op {
  * NTT and iNTT groups run on the tables w, w_shoup, and an iNTT's row r
  * ends with the multiply by c[r] (Shoup quotient c_shoup[r]), which is
  * all a CMODMUL row does. A CHECK group's row x[0] must hold the words
- * y[0]. The last group of a hazard level has last set. */
+ * y[0]. A LOAD group stores row r of the call's input rows, reduced mod
+ * q, into out[r], and an EXPECT group compares x[r] with row r of the
+ * call's expected rows. The last group of a hazard level has last set. */
 typedef struct {
     uint32_t op, rows, last, pad;
     const uint64_t *const *x;
@@ -985,20 +1016,29 @@ typedef struct {
 /* Runs a program of count groups over n-word rows mod one modulus, level
  * by level: a level reads its operand rows mod q into scratch, which has
  * room for one row more than the largest level's, and once its groups
- * have run, stores their results as 64-bit words. Returns 1, having
- * stored nothing, when a CHECK row differs, and 0 otherwise. */
+ * have run, stores their results as 64-bit words. The input rows in and
+ * the expected rows want are n 32-bit words each, in_stride and
+ * want_stride words apart. Returns 1, having stored nothing, when a
+ * CHECK row differs, 2 when an EXPECT row differs, and 0 otherwise. */
 int replay(const group_t *g, size_t count, size_t n, const modulus_t *mods,
-           uint32_t *scratch)
+           uint32_t *scratch, const uint32_t *in, size_t in_stride,
+           const uint32_t *want, size_t want_stride)
 {
     modulus_t m = *mods;
     uint32_t q = m.q, *y = scratch; /* row 0: a second operand */
+    int code = 0;
     for (size_t i = 0; i < count; i++)
         if (g[i].op == OP_CHECK
             && memcmp(g[i].x[0], g[i].y[0], n * sizeof(uint64_t)))
             return 1;
     for (size_t i = 0, first = 0, at = 1; i < count; i++) {
         const group_t *p = g + i;
-        for (size_t r = 0; p->op != OP_CHECK && r < p->rows; r++, at++) {
+        for (size_t r = 0; p->op == OP_LOAD && r < p->rows; r++)
+            store(p->out[r], in + r * in_stride, n, &m);
+        for (size_t r = 0; p->op == OP_EXPECT && r < p->rows; r++)
+            if (differs(p->x[r], want + r * want_stride, n))
+                code = 2;
+        for (size_t r = 0; p->op >= OP_NTT && r < p->rows; r++, at++) {
             uint32_t *x = scratch + at * n;
             load(x, p->x[r], n, &m);
             if (p->y)
@@ -1038,7 +1078,7 @@ int replay(const group_t *g, size_t count, size_t n, const modulus_t *mods,
         if (!p->last)
             continue;
         for (const uint32_t *x = scratch + n; first <= i; first++)
-            for (size_t r = 0; g[first].op != OP_CHECK && r < g[first].rows;
+            for (size_t r = 0; g[first].op >= OP_NTT && r < g[first].rows;
                  r++, x += n) {
                 uint64_t *o = g[first].out[r];
                 for (size_t j = 0; j < n; j++)
@@ -1046,5 +1086,5 @@ int replay(const group_t *g, size_t count, size_t n, const modulus_t *mods,
             }
         at = 1;
     }
-    return 0;
+    return code;
 }

@@ -466,27 +466,16 @@ class ChipPoolBackend(Backend):
         twiddle download once); the tower's chip cycles land on the
         worker's ``busy_cycles``, a failed check's too, and are returned.
         """
-        rows = operands[:, tower]
-        outs, report = worker.driver.ciphertext_multiply_tower_words(
-            rows[:2], rows[2:], q
+        matched, report = worker.driver.ciphertext_multiply_tower_checked(
+            operands[:, tower], expected[:, tower], q
         )
         worker.busy_cycles += report.cycles
-        if not all(map(_same_words, outs, expected[:, tower])):
+        if not matched:
             raise BackendError(
                 f"chip {worker.index} mod-q tensor diverged from the "
                 f"reference on tower {tower} (q_i = {q}) — datapath fault"
             )
         return report.cycles
-
-
-def _same_words(chip: np.ndarray, want: np.ndarray) -> bool:
-    """Whether a chip readback holds ``want``'s words: for a ``uint64``
-    bank and unsigned reference words, by their bytes as ``uint64``
-    (numpy's compare of mixed dtypes costs twice the copy); otherwise
-    element by element."""
-    if chip.dtype == np.uint64 and want.dtype.kind == "u":
-        return chip.tobytes() == want.astype(np.uint64).tobytes()
-    return np.array_equal(chip, want)
 
 
 # ----------------------------------------------------------------------

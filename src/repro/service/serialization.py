@@ -177,7 +177,7 @@ class _Reader:
                 f"truncated message: wanted {count} bytes at offset "
                 f"{self._pos}, only {len(self._data) - self._pos} left"
             )
-        chunk = self._data[self._pos : self._pos + count]
+        chunk = bytes(self._data[self._pos : self._pos + count])
         self._pos += count
         return chunk
 
@@ -241,10 +241,19 @@ class _Reader:
             )
 
 
-def _frame(tag: int, body: bytes) -> bytes:
-    """Wrap a body in the header + CRC32 trailer."""
-    head = MAGIC + bytes((WIRE_VERSION, tag)) + body
-    return head + _u32(zlib.crc32(head))
+def _frame(tag: int, *body: bytes) -> bytes:
+    """Wrap the body, given in parts, in the header + CRC32 trailer: one
+    join, the checksum running over the parts."""
+    head = MAGIC + bytes((WIRE_VERSION, tag))
+    crc = zlib.crc32(head)
+    for part in body:
+        crc = zlib.crc32(part, crc)
+    return b"".join((head, *body, _u32(crc)))
+
+
+def _body(data: bytes) -> _Reader:
+    """A reader over a verified frame's body, without copying it."""
+    return _Reader(memoryview(data)[len(MAGIC) + 2 : -4])
 
 
 def _unframe(data: bytes, expected_tag: int) -> _Reader:
@@ -255,7 +264,7 @@ def _unframe(data: bytes, expected_tag: int) -> _Reader:
             f"expected a {TAG_NAMES.get(expected_tag, expected_tag)} message, "
             f"got {TAG_NAMES.get(tag, f'tag {tag}')}"
         )
-    return _Reader(data[len(MAGIC) + 2 : -4])
+    return _body(data)
 
 
 def peek_tag(data: bytes) -> int:
@@ -283,7 +292,7 @@ def verify_frame(data: bytes) -> int:
             f"unsupported wire version {version} (this build speaks "
             f"{WIRE_VERSION})"
         )
-    if zlib.crc32(data[:-4]) != int.from_bytes(data[-4:], "big"):
+    if zlib.crc32(memoryview(data)[:-4]) != int.from_bytes(data[-4:], "big"):
         raise WireFormatError("checksum mismatch: message corrupted in transit")
     return data[len(MAGIC) + 1]
 
@@ -394,14 +403,14 @@ def _check_digest(found: bytes, params: BfvParameters, what: str) -> None:
         )
 
 
-def _pack_ring_polys(polys, params: BfvParameters) -> bytes:
+def _pack_ring_polys(polys, params: BfvParameters) -> list[bytes]:
     for p in polys:
         if p.ring.n != params.n or p.ring.q != params.q:
             raise ValueError(
                 f"polynomial ring {p.ring} does not match params "
                 f"(n={params.n}, q={params.q})"
             )
-    return b"".join(p.pack() for p in polys)
+    return [p.pack() for p in polys]
 
 
 def _unpack_ring_polys(reader: _Reader, count: int, params: BfvParameters):
@@ -419,12 +428,8 @@ def _unpack_ring_polys(reader: _Reader, count: int, params: BfvParameters):
 
 
 def serialize_ciphertext(ct: Ciphertext) -> bytes:
-    body = (
-        params_digest(ct.params)
-        + _u16(ct.size)
-        + _pack_ring_polys(ct.polys, ct.params)
-    )
-    return _frame(TAG_CIPHERTEXT, body)
+    return _frame(TAG_CIPHERTEXT, params_digest(ct.params), _u16(ct.size),
+                  *_pack_ring_polys(ct.polys, ct.params))
 
 
 def deserialize_ciphertext(data: bytes, params: BfvParameters) -> Ciphertext:
@@ -444,8 +449,8 @@ def deserialize_ciphertext(data: bytes, params: BfvParameters) -> Ciphertext:
 
 
 def serialize_public_key(key: PublicKey, params: BfvParameters) -> bytes:
-    body = params_digest(params) + _pack_ring_polys((key.kp1, key.kp2), params)
-    return _frame(TAG_PUBLIC_KEY, body)
+    return _frame(TAG_PUBLIC_KEY, params_digest(params),
+                  *_pack_ring_polys((key.kp1, key.kp2), params))
 
 
 def deserialize_public_key(data: bytes, params: BfvParameters) -> PublicKey:
@@ -456,10 +461,9 @@ def deserialize_public_key(data: bytes, params: BfvParameters) -> PublicKey:
     return PublicKey(kp1=kp1, kp2=kp2)
 
 
-def _key_rows_body(rows, params: BfvParameters) -> bytes:
-    return _u16(len(rows)) + b"".join(
-        _pack_ring_polys(row, params) for row in rows
-    )
+def _key_rows_body(rows, params: BfvParameters) -> list[bytes]:
+    return [_u16(len(rows)),
+            *(packed for row in rows for packed in _pack_ring_polys(row, params))]
 
 
 def _read_key_rows(reader: _Reader, params: BfvParameters):
@@ -472,12 +476,8 @@ def _read_key_rows(reader: _Reader, params: BfvParameters):
 
 
 def serialize_relin_key(key: RelinKey, params: BfvParameters) -> bytes:
-    body = (
-        params_digest(params)
-        + _u16(key.digit_bits)
-        + _key_rows_body(key.rows, params)
-    )
-    return _frame(TAG_RELIN_KEY, body)
+    return _frame(TAG_RELIN_KEY, params_digest(params), _u16(key.digit_bits),
+                  *_key_rows_body(key.rows, params))
 
 
 def deserialize_relin_key(data: bytes, params: BfvParameters) -> RelinKey:
@@ -490,13 +490,8 @@ def deserialize_relin_key(data: bytes, params: BfvParameters) -> RelinKey:
 
 
 def serialize_galois_key(key: GaloisKey, params: BfvParameters) -> bytes:
-    body = (
-        params_digest(params)
-        + _u32(key.exponent)
-        + _u16(key.digit_bits)
-        + _key_rows_body(key.rows, params)
-    )
-    return _frame(TAG_GALOIS_KEY, body)
+    return _frame(TAG_GALOIS_KEY, params_digest(params), _u32(key.exponent),
+                  _u16(key.digit_bits), *_key_rows_body(key.rows, params))
 
 
 def deserialize_galois_key(data: bytes, params: BfvParameters) -> GaloisKey:
@@ -563,7 +558,7 @@ def serialize_circuit(circuit: Circuit) -> bytes:
     parts.append(_u16(len(circuit.outputs)))
     for name, reg in circuit.outputs:
         parts.append(_str(name) + _u16(reg))
-    return _frame(TAG_CIRCUIT, b"".join(parts))
+    return _frame(TAG_CIRCUIT, *parts)
 
 
 def deserialize_circuit(data: bytes) -> Circuit:
@@ -622,7 +617,7 @@ def serialize_circuit_outputs(outputs: dict[str, Ciphertext]) -> bytes:
     parts = [_u16(len(outputs))]
     for name, ct in outputs.items():
         parts.append(_str(name) + _blob(serialize_ciphertext(ct)))
-    return _frame(TAG_CIRCUIT_OUTPUTS, b"".join(parts))
+    return _frame(TAG_CIRCUIT_OUTPUTS, *parts)
 
 
 def deserialize_circuit_outputs(
@@ -925,7 +920,7 @@ def encode_message(msg) -> bytes:
             parts.append(_FIELD_KINDS[kind][0](getattr(msg, name)))
         except ValueError as exc:
             raise ValueError(f"{layout.type.__name__}.{name}: {exc}") from None
-    return _frame(layout.tag, b"".join(parts))
+    return _frame(layout.tag, *parts)
 
 
 def decode_message(data: bytes):
@@ -941,7 +936,7 @@ def decode_message(data: bytes):
             f"{TAG_NAMES.get(tag, f'tag 0x{tag:02x}')} is not a control "
             "message"
         )
-    reader = _Reader(data[len(MAGIC) + 2 : -4])
+    reader = _body(data)
     values = {
         name: _FIELD_KINDS[kind][1](reader) for name, kind in layout.fields
     }

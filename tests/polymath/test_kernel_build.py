@@ -1,10 +1,11 @@
 """The kernels' build at first import.
 
 Two interpreters importing :mod:`repro.polymath.kernels` at once into an
-empty cache, or one holding a stale build of another source, both load
-a working library and leave exactly one in it, with no partial file; an
-interpreter without ``gcc`` on its ``PATH`` gets an :class:`ImportError`
-that says so.
+empty cache both load a working library and leave exactly one in it,
+with no partial file; into a full cache, they drop only the build loaded
+longest ago. Builds of two sources both stay, each touched when loaded.
+An interpreter without ``gcc`` on its ``PATH`` gets an
+:class:`ImportError` that says so.
 """
 
 import contextlib
@@ -66,13 +67,35 @@ def test_concurrent_first_imports_share_one_library(tmp_path):
 
 
 def test_first_imports_prune_a_stale_library(tmp_path):
-    """A build of another source (``ntt-<otherhash>.so``) is deleted by
-    the build that replaces it."""
+    """A cache already holding :data:`~repro.polymath.kernels.KEEP_BUILDS`
+    builds of other sources loses the one loaded longest ago to the new
+    build, and keeps the rest."""
     (tmp_path / "repro").mkdir()
-    (tmp_path / "repro" / "ntt-0123456789abcdef.so").write_bytes(b"old")
+    stale = [f"ntt-{i:016x}.so" for i in range(kernels.KEEP_BUILDS)]
+    for age, name in enumerate(stale):  # stale[0] was loaded last
+        path = tmp_path / "repro" / name
+        path.write_bytes(b"old")
+        os.utime(path, (1e9 - age, 1e9 - age))
     files = _race(tmp_path)
-    assert len(files) == 1 and files[0].startswith("ntt-"), files
-    assert files[0].endswith(".so") and "0123456789abcdef" not in files[0]
+    assert len(files) == kernels.KEEP_BUILDS, files
+    assert set(stale[:-1]) < set(files), files
+
+
+def test_builds_of_two_sources_both_stay(tmp_path, monkeypatch):
+    """Two checkouts of different sources sharing a cache (a parent and
+    a change benchmarked in turn) each build once: both builds stay, and
+    loading one again touches it rather than building it."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    sources = [tmp_path / "a.c", tmp_path / "b.c"]
+    for value, source in enumerate(sources):
+        source.write_text(f"int version(void) {{ return {value}; }}\n")
+    libraries = [kernels._library(s) for s in sources]
+    assert libraries[0] != libraries[1]
+    os.utime(libraries[0], (1e9, 1e9))
+    assert kernels._library(sources[0]) == libraries[0]
+    assert os.stat(libraries[0]).st_mtime > 1e9
+    assert sorted(p.name for p in (tmp_path / "repro").iterdir()) == sorted(
+        Path(lib).name for lib in libraries)
 
 
 def test_no_compiler_is_a_clear_import_error(tmp_path):

@@ -50,18 +50,19 @@ def tenant():
 
 
 def _break_the_tensor_stream(monkeypatch):
-    """Serve every Algorithm 3 stream with its first PMODMUL reading
-    ``A0'`` twice, so the chip's tensor fails the mod-q cross-check."""
-    execute = CofheeDriver.execute
+    """Serve every Algorithm 3 tower unit with its stream's first PMODMUL
+    reading ``A0'`` twice, so the chip's tensor fails the mod-q
+    cross-check."""
+    run_checked = CofheeDriver.run_checked
 
-    def broken(self, commands, label="sequence", mode=None):
+    def broken(self, commands, *args, label="sequence"):
         if label == "CiphertextMul":
             commands = list(commands)
             assert commands[2].opcode is Opcode.PMODMUL
             commands[2] = replace(commands[2], y_addr=commands[2].x_addr)
-        return execute(self, commands, label, mode)
+        return run_checked(self, commands, *args, label=label)
 
-    monkeypatch.setattr(CofheeDriver, "execute", broken)
+    monkeypatch.setattr(CofheeDriver, "run_checked", broken)
 
 
 def _server_session(server, keys) -> str:

@@ -44,15 +44,16 @@ def tenant():
 
 
 def _broken(monkeypatch, patch):
-    """Serve every Algorithm 3 stream with ``patch`` applied to it."""
-    execute = CofheeDriver.execute
+    """Serve every Algorithm 3 tower unit with ``patch`` applied to its
+    stream."""
+    run_checked = CofheeDriver.run_checked
 
-    def broken(self, commands, label="sequence", mode=None):
+    def broken(self, commands, *args, label="sequence"):
         if label == "CiphertextMul":
             commands = patch(commands)
-        return execute(self, commands, label, mode)
+        return run_checked(self, commands, *args, label=label)
 
-    monkeypatch.setattr(CofheeDriver, "execute", broken)
+    monkeypatch.setattr(CofheeDriver, "run_checked", broken)
 
 
 def _wrong_y(commands):

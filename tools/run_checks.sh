@@ -7,7 +7,8 @@
 # smoke. Run from anywhere.
 #
 #   tools/run_checks.sh              # tier-1 + benchmark + docs
-#                                    # + observability + fleet + examples
+#                                    # + observability + fleet
+#                                    # + sanitizer + examples
 #                                    # smoke, then the line counts of
 #                                    # src/repro/service, src/repro/core,
 #                                    # src/repro/polymath, src/repro/apps
@@ -28,6 +29,14 @@
 #                                    # battery, the fleet property suite
 #                                    # and the fleet link suites (bit
 #                                    # identity, fault shim, client link)
+#   tools/run_checks.sh --sanitize   # only the sanitizer stage (when
+#                                    # given alone; it is already part of
+#                                    # the default pipeline): ntt.c built
+#                                    # with ASan+UBSan and the kernel,
+#                                    # warm-replay, warm-tower, warm-fault
+#                                    # and served-EvalMult batteries run
+#                                    # on it with libasan preloaded
+#                                    # (tools/sanitize.py, ~20 s)
 #   tools/run_checks.sh --slow       # also the paper_scale tests: n = 2^13
 #                                    # pool serving, the process fleet of 4
 #                                    # vs 1 (>= 2x makespan) and the engine
@@ -53,6 +62,7 @@ RUN_COV=0
 DOCS_ONLY=0
 OBS_ONLY=0
 FLEET_ONLY=0
+SANITIZE_ONLY=0
 for arg in "$@"; do
   case "$arg" in
     --slow) RUN_SLOW=1 ;;
@@ -60,7 +70,8 @@ for arg in "$@"; do
     --docs) DOCS_ONLY=1 ;;
     --obs) OBS_ONLY=1 ;;
     --fleet) FLEET_ONLY=1 ;;
-    *) echo "unknown option: $arg (supported: --slow, --cov, --docs, --obs, --fleet)" >&2; exit 2 ;;
+    --sanitize) SANITIZE_ONLY=1 ;;
+    *) echo "unknown option: $arg (supported: --slow, --cov, --docs, --obs, --fleet, --sanitize)" >&2; exit 2 ;;
   esac
 done
 
@@ -114,22 +125,34 @@ run_fleet() {
     tests/service/test_client_link.py -q
 }
 
-# --docs / --obs / --fleet alone are fast paths; combined with other
-# flags every requested stage still runs (the default pipeline includes
-# all three).
-if [ "$DOCS_ONLY" = 1 ] && [ "$OBS_ONLY$FLEET_ONLY$RUN_SLOW$RUN_COV" = "0000" ]; then
+run_sanitize() {
+  echo
+  echo "== C kernels under ASan+UBSan (kernel, warm-replay, warm-tower, warm-fault, served-EvalMult batteries) =="
+  python tools/sanitize.py
+}
+
+# --docs / --obs / --fleet / --sanitize alone are fast paths; combined
+# with other flags every requested stage still runs (the default
+# pipeline includes all four).
+if [ "$SANITIZE_ONLY" = 1 ] && [ "$DOCS_ONLY$OBS_ONLY$FLEET_ONLY$RUN_SLOW$RUN_COV" = "00000" ]; then
+  run_sanitize
+  echo
+  echo "sanitizer stage passed"
+  exit 0
+fi
+if [ "$DOCS_ONLY" = 1 ] && [ "$OBS_ONLY$FLEET_ONLY$RUN_SLOW$RUN_COV$SANITIZE_ONLY" = "00000" ]; then
   run_docs
   echo
   echo "docs stage passed"
   exit 0
 fi
-if [ "$OBS_ONLY" = 1 ] && [ "$DOCS_ONLY$FLEET_ONLY$RUN_SLOW$RUN_COV" = "0000" ]; then
+if [ "$OBS_ONLY" = 1 ] && [ "$DOCS_ONLY$FLEET_ONLY$RUN_SLOW$RUN_COV$SANITIZE_ONLY" = "00000" ]; then
   run_obs
   echo
   echo "observability stage passed"
   exit 0
 fi
-if [ "$FLEET_ONLY" = 1 ] && [ "$DOCS_ONLY$OBS_ONLY$RUN_SLOW$RUN_COV" = "0000" ]; then
+if [ "$FLEET_ONLY" = 1 ] && [ "$DOCS_ONLY$OBS_ONLY$RUN_SLOW$RUN_COV$SANITIZE_ONLY" = "00000" ]; then
   run_fleet
   echo
   echo "fleet stage passed"
@@ -225,6 +248,8 @@ run_docs
 run_obs
 
 run_fleet
+
+run_sanitize
 
 echo
 echo "== examples smoke (3 tenants over the wire transport) =="
