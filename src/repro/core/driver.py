@@ -373,7 +373,9 @@ class CofheeDriver:
         """
         mode, stream = self.mode, None
         key = self._stream_key(commands, mode)
-        warm = key is not None and operands.dtype == expected.dtype == np.uint32
+        warm = (key is not None
+                and operands.dtype == expected.dtype == np.uint32
+                and operands.strides[-1] == expected.strides[-1] == 4)
         if warm:
             key = (key, tuple(map(self.buffer_address, sources)),
                    tuple(map(self.buffer_address, sinks)))

@@ -92,6 +92,11 @@ class ExecutionTrace:
         return ExecutionTrace(self.cycles, list(self.phases), self.interrupts)
 
 
+#: The opcodes with a second operand, and those reading twiddles (tuples:
+#: a membership test compares identities, with no enum hashing).
+_Y_OPERAND = tuple(op for op in Opcode if op.needs_y_operand)
+_TWIDDLES = tuple(op for op in Opcode if op.needs_twiddles)
+
 #: The opcodes a compiled stream runs: the vector kernels over residues.
 GROUPED_OPCODES = frozenset({
     Opcode.NTT, Opcode.INTT, Opcode.PMODADD, Opcode.PMODMUL,
@@ -420,12 +425,12 @@ class Mdmc:
         reads: dict[str, list[tuple[int, int, int]]] = {}
         for cmd in commands:
             op = cmd.opcode
-            srcs = [region(cmd.x_addr, cmd.n)]
-            if op.needs_y_operand:
-                srcs.append(region(cmd.y_addr, cmd.n))
-            if op.needs_twiddles:
-                srcs.append(region(cmd.twiddle_addr, cmd.n))
-            dst = region(cmd.out_addr, cmd.n)
+            srcs = [region(cmd.x_addr, n)]
+            if op in _Y_OPERAND:
+                srcs.append(region(cmd.y_addr, n))
+            if op in _TWIDDLES:
+                srcs.append(region(cmd.twiddle_addr, n))
+            dst = region(cmd.out_addr, n)
             level = max(
                 [lv + 1 for bank, lo, hi in (dst, *srcs)
                  for start, end, lv in writes.get(bank, ())
@@ -439,10 +444,11 @@ class Mdmc:
                 reads.setdefault(bank, []).append((lo, hi, level))
             if level == len(levels):
                 levels.append({})
-            key = (op, srcs[-1] if op.needs_twiddles else None)
+            key = (op.value, srcs[-1] if op in _TWIDDLES else None)
             levels[level].setdefault(key, []).append(cmd)
 
-        checks: dict[int, None] = {}  # each twiddle table's address, once
+        # Each twiddle table's address, once, and the key of its words.
+        checks: dict[int, bytes] = {}
 
         def row(address: int) -> tuple[np.ndarray, int]:
             bank, word = locate(address)
@@ -451,18 +457,20 @@ class Mdmc:
         def group(op: Opcode, cmds: list[Command]) -> tuple:
             constants = tuple(c.constant for c in cmds)
             tables = None
-            if op.needs_twiddles:
-                checks[cmds[0].twiddle_addr] = None
-                data, word = row(cmds[0].twiddle_addr)
-                tables = self._tables(data[word : word + n], q, constants[0]
-                                      if op is Opcode.INTT else None)
+            if op in _TWIDDLES:
+                address = cmds[0].twiddle_addr
+                if address not in checks:
+                    data, word = row(address)
+                    checks[address] = _table_key(data[word : word + n], q)
+                tables = _shared_tables(q, checks[address], constants[0]
+                                        if op is Opcode.INTT else None)
             return (op.name, [row(c.x_addr) for c in cmds],
-                    [row(c.y_addr) for c in cmds if op.needs_y_operand],
+                    [row(c.y_addr) for c in cmds if op in _Y_OPERAND],
                     [row(c.out_addr) for c in cmds], tables,
                     _row_constants(q, constants)[1]
                     if op in (Opcode.INTT, Opcode.CMODMUL) else None)
 
-        groups = [[group(op, cmds) for (op, _), cmds in level.items()]
+        groups = [[group(cmds[0].opcode, cmds) for cmds in level.values()]
                   for level in levels]
         return kernels.Replay(q, n, [row(a) for a in checks], groups,
                               [row(a) for a in loads],

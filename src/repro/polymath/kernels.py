@@ -477,7 +477,7 @@ def _check_pack(a, count: int, mods: Moduli) -> np.ndarray:
 
 
 #: The replay's opcodes with a second operand row.
-_BINARY = ("CHECK", "PMODMUL", "PMODADD", "PMODSUB")
+_BINARY = ("PMODMUL", "PMODADD", "PMODSUB")
 
 
 class Replay:
@@ -495,38 +495,81 @@ class Replay:
     (its tables' ``scale`` is unused) or a CMODMUL row's. A run first
     compares each of the ``checks`` rows with the words it held at
     compilation, and stores nothing on any difference. Before the
-    levels it stores each call's input rows mod ``q`` into the ``loads``
+    levels it enters each call's input rows mod ``q`` into the ``loads``
     rows, and after them it compares the ``expects`` rows with the
-    call's expected rows."""
+    call's expected rows.
+
+    The program keeps its rows as residues in its thread's scratch: a
+    bank region is read once, before the groups, unless its first use
+    writes all of it, and each row written is stored into its bank once,
+    at the end, so the banks end as a per-command run leaves them."""
 
     def __init__(self, q: int, n: int, checks, levels, loads=(), expects=()):
         mods = Moduli.of((q,))
         self._keep = [mods]  # everything the C program points at
-        groups = [("CHECK", [(a, at)], [(a[at : at + n].copy(), 0)], (), None,
-                   None, False) for a, at in checks]
+        groups = [("CHECK", [row], (), (), None, None, False) for row in checks]
         if loads:
             groups.append(("LOAD", (), (), loads, None, None, False))
         for level in levels:
             groups += [(*g, i == len(level) - 1) for i, g in enumerate(level)]
         if expects:
             groups.append(("EXPECT", expects, (), (), None, None, False))
-        self._loads, self._expects = len(loads), len(expects)
-        # One pointer table holds every group's rows, each bank pinned once.
-        rows = [row for g in groups for row in (*g[1], *g[2], *g[3])]
+        self._n, self._loads, self._expects = n, len(loads), len(expects)
+        rows = [row for g in groups[len(checks):] for row in (*g[1], *g[2], *g[3])]
         if n & (n - 1) or any(
                 a.dtype != np.uint64 or a.ndim != 1 or not a.flags.c_contiguous
-                or not 0 <= at <= a.size - n for a, at in rows):
+                or not 0 <= at <= a.size - n for a, at in (*checks, *rows)):
             raise ValueError(f"{len(rows)} rows of {n} uint64 words")
         banks = {}
-        for a, _ in rows:
+        for a, _ in (*checks, *rows):
             if id(a) not in banks:
                 banks[id(a)] = self._pin(_ffi.from_buffer(_BUFFERS[8], a))
-        table = self._pin(_ffi.new("uint64_t *[]", [
-            banks[id(a)] + at for a, at in rows]))
+        # Each bank's rows merge into regions of the scratch where they
+        # overlap, after the rows a level computes into.
+        words = n * max((sum(len(g[1]) for g in level) for level in levels),
+                        default=0)
+        starts, region, regions = {}, {}, []
+        for a, at in rows:
+            starts.setdefault(id(a), (a, set()))[1].add(at)
+        for a, ats in starts.values():
+            current = None
+            for at in sorted(ats):
+                if current is None or at >= current[2]:
+                    current = [a, at, at + n, 0]
+                    regions.append(current)
+                current[2] = max(current[2], at + n)
+                region[id(a), at] = current
+        for r in regions:
+            r[3], words = words, words + r[2] - r[1]
+        self._words = words
+        offset = {key: r[3] + key[1] - r[1] for key, r in region.items()}
+
+        # A region is read from its bank unless its first use writes it all.
+        fill: dict[int, tuple] = {}
+        uses = [(loads, True)]
+        for level in levels:
+            uses += [(part, False) for g in level for part in g[1:3]]
+            uses += [(g[3], True) for g in level]
+        for part, write in (*uses, (expects, False)):
+            for a, at in part:
+                r = region[id(a), at]
+                if id(r) not in fill:
+                    fill[id(r)] = () if write and r[1:3] == [at, at + n] else r
+        written = dict.fromkeys((id(a), at) for g in groups for a, at in g[3])
+        spans = [(banks[id(a)] + lo, _ffi.NULL, at, hi - lo)
+                 for a, lo, hi, at in filter(None, fill.values())]
+        spans += [(banks[key[0]] + key[1], _ffi.NULL, offset[key], n)
+                  for key in written]
+        spans += [(banks[id(a)] + at, self._pin(_ffi.from_buffer(
+            _BUFFERS[8], a[at : at + n].copy())), 0, n) for a, at in checks]
+        table = self._pin(_ffi.new("span_t[]", spans))
+        fills = len(spans) - len(written) - len(checks)
+        offsets = self._pin(_ffi.new("size_t[]", [
+            offset[id(a), at] for a, at in rows]))
         self._groups = _ffi.new("group_t[]", len(groups))
         at = 0
-        for g, (op, x, y, out, tables, constants, last) in zip(
-                self._groups, groups):
+        for i, (g, (op, x, y, out, tables, constants, last)) in enumerate(zip(
+                self._groups, groups)):
             if (len(y) != len(x) * (op in _BINARY)
                     or (tables is None or tables.w.shape != (1, n))
                     == (op in ("NTT", "INTT"))
@@ -534,9 +577,12 @@ class Replay:
                     == (op in ("INTT", "CMODMUL"))):
                 raise ValueError(f"{op} of {len(x)} rows of {n} words")
             g.op, g.rows, g.last = getattr(_lib, "OP_" + op), len(x or out), last
+            if op == "CHECK":
+                g.span = table + len(spans) - len(checks) + i
+                continue
             for field, part in (("x", x), ("y", y), ("out", out)):
                 if part:
-                    setattr(g, field, table + at)
+                    setattr(g, field, offsets + at)
                     at += len(part)
             if tables is not None:
                 g.w, g.w_shoup = tables._pointers[:2]
@@ -544,9 +590,8 @@ class Replay:
             if constants is not None:
                 g.c, g.c_shoup = (self._pin(_ffi.from_buffer(
                     _BUFFERS[4], _words(a))) for a in constants)
-        self._scratch = (1 + max(
-            (sum(len(g[1]) for g in level) for level in levels), default=0)) * n
-        self._call = (self._groups, len(groups), n, mods._records)
+        self._call = (self._groups, len(groups), table, fills, table + fills,
+                      len(written), n, mods._records)
 
     def _pin(self, cdata):
         self._keep.append(cdata)
@@ -558,7 +603,7 @@ class Replay:
         rows): ``None``, with nothing stored, when a checked row has
         changed since compilation, else whether every expected row
         matched."""
-        code = _lib.replay(*self._call, _scratch(self._scratch),
+        code = _lib.replay(*self._call, _scratch(self._words),
                            *self._host(inputs, self._loads),
                            *self._host(expected, self._expects))
         return None if code == 1 else code == 0
@@ -568,7 +613,7 @@ class Replay:
         in words."""
         if not rows and a is None:
             return _ffi.NULL, 0
-        n = self._call[2]
+        n = self._n
         if (not isinstance(a, np.ndarray) or a.dtype != np.uint32
                 or a.shape != (rows, n) or a.strides[1] != 4
                 or rows > 1 and (a.strides[0] < 0 or a.strides[0] % 4)):

@@ -928,8 +928,8 @@ void pack(uint8_t *bytes, uint32_t *words, const uint32_t *a, size_t towers,
     }
 }
 
-/* Bank row x of n 64-bit words mod q into o: a narrowing copy, which is
- * all when every word is already below q, else the reduction. */
+/* Bank words x mod q into o, n of them: a narrowing copy, which is all
+ * when every word is already below q, else the reduction. */
 static void load(uint32_t *o, const uint64_t *x, size_t n, const modulus_t *m)
 {
     uint64_t top = 0;
@@ -959,9 +959,9 @@ static void load(uint32_t *o, const uint64_t *x, size_t n, const modulus_t *m)
     }
 }
 
-/* Host row x of n 32-bit words mod q into bank row o: a widening copy,
- * which is all when every word is already below q, else the reduction. */
-static void store(uint64_t *o, const uint32_t *x, size_t n,
+/* Host row x of n 32-bit words mod q into o: a copy, which is all when
+ * every word is already below q, else the reduction. */
+static void enter(uint32_t *o, const uint32_t *x, size_t n,
                   const modulus_t *m)
 {
     uint32_t top = 0;
@@ -977,114 +977,124 @@ static void store(uint64_t *o, const uint32_t *x, size_t n,
     }
 }
 
-/* Whether bank row o differs from the n 32-bit words w. */
-static int differs(const uint64_t *o, const uint32_t *w, size_t n)
-{
-    uint64_t d = 0;
-    for (size_t j = 0; j < n; j++)
-        d |= o[j] ^ w[j];
-    return d != 0;
-}
-
 /* The replay's opcodes: a twiddle row's check and the host's operand
- * loads and result checks, which use no scratch rows, then the MDMC's
+ * loads and result checks, which use no temporary rows, then the MDMC's
  * vector-fidelity commands. */
 enum replay_op {
     OP_CHECK, OP_LOAD, OP_EXPECT, OP_NTT, OP_INTT, OP_PMODMUL, OP_PMODSQR,
     OP_PMODADD, OP_PMODSUB, OP_CMODMUL
 };
 
+/* words 64-bit words of a bank and, for a CHECK, the words they must
+ * hold, copy; otherwise the residues' place in the replay's scratch, at
+ * words from its start. */
+typedef struct {
+    uint64_t *bank;
+    const uint64_t *copy;
+    size_t at, words;
+} span_t;
+
 /* One group of a replay program: rows commands of one opcode on n-word
- * rows of 64-bit bank words, reading x[r] (and y[r]) and writing out[r].
- * NTT and iNTT groups run on the tables w, w_shoup, and an iNTT's row r
- * ends with the multiply by c[r] (Shoup quotient c_shoup[r]), which is
- * all a CMODMUL row does. A CHECK group's row x[0] must hold the words
- * y[0]. A LOAD group stores row r of the call's input rows, reduced mod
- * q, into out[r], and an EXPECT group compares x[r] with row r of the
- * call's expected rows. The last group of a hazard level has last set. */
+ * rows, reading x[r] (and y[r]) and writing out[r], each row the offset
+ * in words of its residues in the scratch. NTT and iNTT groups run on
+ * the tables w, w_shoup, and an iNTT's row r ends with the multiply by
+ * c[r] (Shoup quotient c_shoup[r]), which is all a CMODMUL row does. A
+ * CHECK group's bank row span->bank must hold the words span->copy. A
+ * LOAD group enters row r of the call's input rows, reduced mod q, into
+ * out[r], and an EXPECT group compares x[r] with row r of the call's
+ * expected rows. The last group of a hazard level has last set. */
 typedef struct {
     uint32_t op, rows, last, pad;
-    const uint64_t *const *x;
-    const uint64_t *const *y;
-    uint64_t *const *out;
+    const size_t *x;
+    const size_t *y;
+    const size_t *out;
+    const span_t *span;
     const uint32_t *w;
     const uint32_t *w_shoup;
     const uint32_t *c;
     const uint32_t *c_shoup;
 } group_t;
 
-/* Runs a program of count groups over n-word rows mod one modulus, level
- * by level: a level reads its operand rows mod q into scratch, which has
- * room for one row more than the largest level's, and once its groups
- * have run, stores their results as 64-bit words. The input rows in and
- * the expected rows want are n 32-bit words each, in_stride and
- * want_stride words apart. Returns 1, having stored nothing, when a
- * CHECK row differs, 2 when an EXPECT row differs, and 0 otherwise. */
-int replay(const group_t *g, size_t count, size_t n, const modulus_t *mods,
-           uint32_t *scratch, const uint32_t *in, size_t in_stride,
-           const uint32_t *want, size_t want_stride)
+/* Runs a program of count groups over n-word rows mod one modulus. The
+ * rows live in scratch as residues: first the fills, bank words read
+ * mod q; then the groups, level by level, each level computing into the
+ * scratch's first rows (room for the largest level) and, once its
+ * groups have run, copying them to their rows; last the stores, n words
+ * each widened into its bank row. The input rows in and the expected
+ * rows want are n 32-bit words each, in_stride and want_stride words
+ * apart. Returns 1, having stored nothing, when a CHECK row differs, 2
+ * when an EXPECT row differs, and 0 otherwise. */
+int replay(const group_t *g, size_t count, const span_t *fills,
+           size_t nfills, const span_t *stores, size_t nstores, size_t n,
+           const modulus_t *mods, uint32_t *scratch, const uint32_t *in,
+           size_t in_stride, const uint32_t *want, size_t want_stride)
 {
     modulus_t m = *mods;
-    uint32_t q = m.q, *y = scratch; /* row 0: a second operand */
+    uint32_t q = m.q;
     int code = 0;
     for (size_t i = 0; i < count; i++)
-        if (g[i].op == OP_CHECK
-            && memcmp(g[i].x[0], g[i].y[0], n * sizeof(uint64_t)))
+        if (g[i].op == OP_CHECK && memcmp(g[i].span->bank, g[i].span->copy,
+                                          n * sizeof(uint64_t)))
             return 1;
-    for (size_t i = 0, first = 0, at = 1; i < count; i++) {
+    for (size_t i = 0; i < nfills; i++)
+        load(scratch + fills[i].at, fills[i].bank, fills[i].words, &m);
+    for (size_t i = 0, first = 0, at = 0; i < count; i++) {
         const group_t *p = g + i;
         for (size_t r = 0; p->op == OP_LOAD && r < p->rows; r++)
-            store(p->out[r], in + r * in_stride, n, &m);
+            enter(scratch + p->out[r], in + r * in_stride, n, &m);
         for (size_t r = 0; p->op == OP_EXPECT && r < p->rows; r++)
-            if (differs(p->x[r], want + r * want_stride, n))
+            if (memcmp(scratch + p->x[r], want + r * want_stride,
+                       n * sizeof(uint32_t)))
                 code = 2;
         for (size_t r = 0; p->op >= OP_NTT && r < p->rows; r++, at++) {
             uint32_t *x = scratch + at * n;
-            load(x, p->x[r], n, &m);
-            if (p->y)
-                load(y, p->y[r], n, &m);
+            const uint32_t *a = scratch + p->x[r];
+            const uint32_t *b = p->y ? scratch + p->y[r] : a;
             switch (p->op) {
             case OP_NTT:
+                memcpy(x, a, n * sizeof(uint32_t));
                 transform_row(x, n, p->w, p->w_shoup, q, 1, m.one_s, 0);
                 break;
             case OP_INTT:
+                memcpy(x, a, n * sizeof(uint32_t));
                 transform_row(x, n, p->w, p->w_shoup, q, p->c[r],
                               p->c_shoup[r], 1);
                 break;
             case OP_PMODMUL:
-                multiply(x, x, y, 1, 1, n, &m);
-                break;
             case OP_PMODSQR:
-                multiply(x, x, x, 1, 1, n, &m);
+                multiply(x, a, b, 1, 1, n, &m);
                 break;
             case OP_PMODADD:
                 for (size_t j = 0; j < n; j++) {
-                    uint32_t v = x[j] + y[j];
+                    uint32_t v = a[j] + b[j];
                     x[j] = FOLD(v, q);
                 }
                 break;
             case OP_PMODSUB:
                 for (size_t j = 0; j < n; j++) {
-                    uint32_t v = x[j] - y[j] + q;
+                    uint32_t v = a[j] - b[j] + q;
                     x[j] = FOLD(v, q);
                 }
                 break;
             case OP_CMODMUL:
                 for (size_t j = 0; j < n; j++)
-                    x[j] = mulmod(x[j], p->c[r], p->c_shoup[r], q);
+                    x[j] = mulmod(a[j], p->c[r], p->c_shoup[r], q);
                 break;
             }
         }
         if (!p->last)
             continue;
-        for (const uint32_t *x = scratch + n; first <= i; first++)
+        for (const uint32_t *x = scratch; first <= i; first++)
             for (size_t r = 0; g[first].op >= OP_NTT && r < g[first].rows;
-                 r++, x += n) {
-                uint64_t *o = g[first].out[r];
-                for (size_t j = 0; j < n; j++)
-                    o[j] = x[j];
-            }
-        at = 1;
+                 r++, x += n)
+                memcpy(scratch + g[first].out[r], x, n * sizeof(uint32_t));
+        at = 0;
+    }
+    for (size_t i = 0; i < nstores; i++) {
+        uint64_t *o = stores[i].bank;
+        const uint32_t *x = scratch + stores[i].at;
+        for (size_t j = 0; j < n; j++)
+            o[j] = x[j];
     }
     return code;
 }

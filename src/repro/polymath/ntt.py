@@ -41,8 +41,9 @@ class NttContext:
 
     #: shared contexts keyed ``(n, q)`` — twiddle tables are immutable
     #: after construction, so every ring/driver for the same modulus can
-    #: reuse one table instead of re-deriving psi per instance.
-    _shared: dict[tuple[int, int], "NttContext"] = {}
+    #: reuse one table instead of re-deriving psi per instance. A modulus
+    #: with no such table keeps the error its search raised.
+    _shared: dict[tuple[int, int], "NttContext | ValueError"] = {}
 
     @classmethod
     def shared(cls, n: int, q: int) -> "NttContext":
@@ -50,15 +51,23 @@ class NttContext:
 
         The derived-psi constructor is deterministic, so the shared
         instance is bit-identical to a fresh one; only contexts with an
-        explicit ``psi`` need private construction.
+        explicit ``psi`` need private construction. So is its failure:
+        a modulus with no primitive ``2n``-th root (a composite RNS
+        product, whose search takes tens of ms at ``n = 2^12``) raises
+        its :class:`ValueError` again without searching again.
         """
         key = (n, q)
         ctx = cls._shared.get(key)
         if ctx is None:
-            ctx = cls(n, q)
+            try:
+                ctx = cls(n, q)
+            except ValueError as exc:
+                ctx = ValueError(*exc.args)  # without the search's frames
             if len(cls._shared) >= 64:
                 cls._shared.pop(next(iter(cls._shared)))
             cls._shared[key] = ctx
+        if isinstance(ctx, ValueError):
+            raise ValueError(*ctx.args)
         return ctx
 
     def __init__(self, n: int, q: int, psi: int | None = None):

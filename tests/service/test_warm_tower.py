@@ -9,7 +9,9 @@ and none of the per-command host paths; the in-kernel compare catches
 one expected word off by one and one output bank word flipped, in any
 row; an operand word at or above ``q`` lands in the bank as
 ``residue_words`` reduces it; and a warm unit equals its per-command
-twin in its verdict, report, every counter and every bank word.
+twin in its verdict, report, every counter and every bank word. So does
+a warm stream over rows that overlap at any offset, which the program
+keeps as merged regions of its scratch.
 """
 
 from __future__ import annotations
@@ -19,12 +21,16 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.core.driver as driver_module
 import repro.core.mdmc as mdmc_module
 from repro.bfv import BatchEncoder, Bfv, BfvParameters
 from repro.core.chip import CoFHEE
 from repro.core.driver import CofheeDriver
+from repro.core.isa import Command, Opcode
+from repro.core.mdmc import GROUPED_OPCODES
 from repro.core.memory import SramBank
 from repro.polymath import kernels, rns
 from repro.polymath.primes import next_smaller_ntt_prime, ntt_friendly_prime
@@ -242,3 +248,52 @@ def test_warm_units_equal_per_command_units(n):
         assert got[0] is (unit % 3 != 2)
         assert _state(warm) == _state(cold)
     assert len(warm._streams) == 1 and not cold._streams
+
+
+@given(
+    n=st.sampled_from([16, 64]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    length=st.integers(min_value=1, max_value=8),
+)
+@settings(max_examples=25, deadline=None)
+def test_streams_over_overlapping_rows_equal_per_command_runs(n, seed, length):
+    """Random streams of every grouped opcode over rows of two banks at
+    offsets that overlap (0, 1, n/2, n - 1, n, ...), on banks holding
+    words at and above ``q``: each warm run's report, counters and bank
+    words are the per-command twin's."""
+    rng = random.Random(seed)
+    q = MODULI[0]
+    warm, cold = CofheeDriver(CoFHEE()), CofheeDriver(CoFHEE())
+    cold._stream_key = lambda commands, mode: None
+    for driver in (warm, cold):
+        driver.program(q, n)
+    mm = warm.chip.memory_map
+    offsets = (0, 1, 3, n // 2, n - 1, n, n + 1, 2 * n - 3)
+
+    def address(bank: str) -> int:
+        return mm.base_address(bank) + 16 * rng.choice(offsets)
+
+    ops = sorted(GROUPED_OPCODES, key=lambda op: op.value)
+    commands = []
+    for _ in range(length):
+        op = rng.choice(ops)
+        commands.append(Command(
+            op, n=n, x_addr=address(rng.choice(("DP0", "DP1"))),
+            y_addr=address(rng.choice(("DP0", "DP1")))
+            if op.needs_y_operand else 0,
+            twiddle_addr=mm.base_address("TWD") if op.needs_twiddles else 0,
+            out_addr=address(rng.choice(("DP0", "DP1"))),
+            constant=warm.chip.n_inverse if op is Opcode.INTT
+            else rng.randrange(q) if op is Opcode.CMODMUL else 0,
+        ))
+    words = 3 * n
+    for run in range(3):
+        data = [[rng.randrange(1 << 40 if run == 1 else q)
+                 for _ in range(words)] for _ in range(2)]
+        for driver in (warm, cold):
+            for bank, values in zip(("DP0", "DP1"), data):
+                driver.chip.bus.burst_write(mm.base_address(bank), values)
+        reports = [d.execute(commands, label="random") for d in (warm, cold)]
+        assert reports[0] == reports[1]
+        assert _state(warm) == _state(cold)
+    assert len(warm._streams) == 1
