@@ -125,7 +125,7 @@ class _Stream:
     its report, each counter it moved as ``(holder index in
     :meth:`CofheeDriver._holders`, attribute, change)``, the addresses
     of the buffers the host loaded before it and checked after it
-    (:meth:`CofheeDriver.run_checked`), and its programs
+    (:meth:`CofheeDriver.ciphertext_multiply_tower_checked`), and its programs
     (:meth:`~repro.core.mdmc.Mdmc.compile`) by modulus and command
     constants."""
 
@@ -350,57 +350,6 @@ class CofheeDriver:
         if stream.program(self.chip.mdmc, commands)() is None:
             return self._execute(commands, label, mode)  # a changed twiddle
         return self._charge(stream, commands, label)
-
-    def run_checked(self, commands: "Sequence[Command]",
-                    sources: "Sequence[str]", operands: np.ndarray,
-                    sinks: "Sequence[str]", expected: np.ndarray,
-                    label: str = "sequence") -> tuple[bool, OperationReport]:
-        """Load row ``i`` of ``operands`` into buffer ``sources[i]``, run
-        ``commands`` in the default mode, and check that each buffer
-        ``sinks[j]`` holds row ``j`` of ``expected``: whether all did, and
-        the report, whose ``io_seconds`` counts the loads and readbacks.
-
-        Loads and readbacks cost what they cost whatever the words, like
-        the stream. So when :meth:`execute` would run the stream warm and
-        both arrays are ``uint32`` with contiguous rows, the first run is
-        the per-command path (:meth:`load_polynomial`, the stream,
-        :meth:`read_words` and a compare), recording the counters and
-        report of all of it, and a later run is one ``replay`` call that
-        stores the operands mod ``q``, computes the stream and compares
-        the sinks, then charges the recorded changes. A changed twiddle
-        word runs the per-command path again; anything else runs it
-        every time.
-        """
-        mode, stream = self.mode, None
-        key = self._stream_key(commands, mode)
-        warm = (key is not None
-                and operands.dtype == expected.dtype == np.uint32
-                and operands.strides[-1] == expected.strides[-1] == 4)
-        if warm:
-            key = (key, tuple(map(self.buffer_address, sources)),
-                   tuple(map(self.buffer_address, sinks)))
-            stream = self._streams.get(key)
-            if stream is not None:
-                matched = stream.program(self.chip.mdmc, commands)(
-                    operands, expected)
-                if matched is not None:
-                    return matched, self._charge(stream, commands, label)
-        before = self._counts() if warm and stream is None else None
-        io = 0.0
-        for name, row in zip(sources, operands, strict=True):
-            io += self.load_polynomial(name, row)
-        # A warm stream's per-command run is this one's, not execute's.
-        report = (self._execute if warm else self.execute)(
-            commands, label, mode)
-        matched = True
-        for name, want in zip(sinks, expected, strict=True):
-            words, seconds = self.read_words(name)
-            io += seconds
-            matched = np.array_equal(words, want) and matched
-        report.io_seconds += io
-        if before is not None:
-            self._remember(key, commands, report, before, *key[1:])
-        return matched, report
 
     def _remember(self, key: tuple, commands: "Sequence[Command]",
                   report: OperationReport, before: list, loads=(),
@@ -689,18 +638,58 @@ class CofheeDriver:
         self, operands: np.ndarray, expected: np.ndarray, q: int,
     ) -> tuple[bool, OperationReport]:
         """Algorithm 3 on one RNS tower, checked on the chip's side of the
-        link: the ``(4, n)`` operand rows ``a0, a1, b0, b1`` go in, and
-        the result says whether the outputs ``y0, y1, y2`` read back equal
-        the ``(3, n)`` rows ``expected``, with the report
-        (:meth:`run_checked`; its ``io_seconds`` includes any
-        reprogramming). The tower unit the chip pool runs: a warm one is
-        one kernel call."""
+        link: the ``(4, n)`` operand rows ``a0, a1, b0, b1`` are loaded,
+        and the result says whether the outputs ``y0, y1, y2`` read back
+        equal the ``(3, n)`` rows ``expected``, with the report (its
+        ``io_seconds`` counts any reprogramming, the loads and the
+        readbacks). The tower unit the chip pool runs.
+
+        Loads and readbacks cost what they cost whatever the words, like
+        the stream. So when :meth:`execute` would run the stream warm and
+        both arrays are ``uint32`` with contiguous rows, the first run is
+        the per-command path (:meth:`load_polynomial`, the stream,
+        :meth:`read_words` and a compare), recording the counters and
+        report of all of it, and a later run is one ``replay`` call that
+        enters the operands mod ``q``, computes the stream and compares
+        the outputs, then charges the recorded changes. A changed twiddle
+        word runs the per-command path again; anything else runs it
+        every time.
+        """
         io = self.ensure_programmed(q, operands.shape[-1])
         a0, a1, b0, b1, t0, t1 = names = self._tower_buffers()
-        matched, report = self.run_checked(
-            self._alg3_commands(*names), (a0, a1, b0, b1), operands,
-            (t0, t1, b1), expected, label="CiphertextMul",
-        )
+        commands, label = self._alg3_commands(*names), "CiphertextMul"
+        sources, sinks = (a0, a1, b0, b1), (t0, t1, b1)
+        mode, stream = self.mode, None
+        key = self._stream_key(commands, mode)
+        warm = (key is not None
+                and operands.dtype == expected.dtype == np.uint32
+                and operands.strides[-1] == expected.strides[-1] == 4)
+        if warm:
+            key = (key, tuple(map(self.buffer_address, sources)),
+                   tuple(map(self.buffer_address, sinks)))
+            stream = self._streams.get(key)
+            if stream is not None:
+                matched = stream.program(self.chip.mdmc, commands)(
+                    operands, expected)
+                if matched is not None:
+                    report = self._charge(stream, commands, label)
+                    report.io_seconds += io
+                    return matched, report
+        before = self._counts() if warm and stream is None else None
+        unit_io = 0.0
+        for name, row in zip(sources, operands, strict=True):
+            unit_io += self.load_polynomial(name, row)
+        # A warm stream's per-command run is this one's, not execute's.
+        report = (self._execute if warm else self.execute)(
+            commands, label, mode)
+        matched = True
+        for name, want in zip(sinks, expected, strict=True):
+            words, seconds = self.read_words(name)
+            unit_io += seconds
+            matched = np.array_equal(words, want) and matched
+        report.io_seconds += unit_io
+        if before is not None:
+            self._remember(key, commands, report, before, *key[1:])
         report.io_seconds += io
         return matched, report
 

@@ -225,9 +225,6 @@ def _words(a) -> np.ndarray:
 _BUFFERS = {1: _ffi.typeof("uint8_t[]"), 4: _ffi.typeof("uint32_t[]"),
             8: _ffi.typeof("uint64_t[]")}
 
-#: A pointer to 32-bit words, for a strided array's first row.
-_POINTER = _ffi.typeof("uint32_t *")
-
 #: A new ``bytes`` object of a size, whose contents a kernel writes before
 #: anything else sees it (CPython's ``PyBytes_FromStringAndSize(NULL,
 #: size)``): a packed polynomial is built in the object it is kept in.
@@ -609,8 +606,8 @@ class Replay:
         return None if code == 1 else code == 0
 
     def _host(self, a, rows: int) -> tuple:
-        """A pointer to the first of ``rows`` host rows and their stride
-        in words."""
+        """A pointer to the first of ``rows`` host rows (the rows after it
+        are in the same array) and their stride in words."""
         if not rows and a is None:
             return _ffi.NULL, 0
         n = self._n
@@ -618,7 +615,9 @@ class Replay:
                 or a.shape != (rows, n) or a.strides[1] != 4
                 or rows > 1 and (a.strides[0] < 0 or a.strides[0] % 4)):
             raise ValueError(f"host rows must be ({rows}, {n}) uint32 words")
-        return (_ffi.cast(_POINTER, a.ctypes.data),
+        if not rows:
+            return _ffi.NULL, 0
+        return (_ffi.from_buffer(_BUFFERS[4], a[0]),
                 a.strides[0] // 4 if rows > 1 else 0)
 
 

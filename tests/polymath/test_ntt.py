@@ -28,6 +28,28 @@ class TestContextConstruction:
         with pytest.raises(ValueError):
             NttContext(64, 97)  # 96 not divisible by 128
 
+    def test_shared_searches_a_rootless_modulus_once(self, monkeypatch):
+        """A product of NTT primes is 1 mod 2n but has no primitive 2n-th
+        root: the shared context's search fails once, and asking again
+        raises the same error without searching."""
+        import repro.polymath.ntt as ntt_module
+
+        n = 64
+        q = ntt_friendly_prime(n, 30) * ntt_friendly_prime(n, 31)
+        calls = []
+
+        def search(*args):
+            calls.append(args)
+            return root_of_unity(*args)
+
+        monkeypatch.setattr(ntt_module, "root_of_unity", search)
+        errors = []
+        for _ in range(2):
+            with pytest.raises(ValueError) as caught:
+                NttContext.shared(n, q)
+            errors.append(str(caught.value))
+        assert len(calls) == 1 and errors[0] == errors[1]
+
     def test_rejects_bad_psi(self):
         q = ntt_friendly_prime(64, 30)
         with pytest.raises(ValueError, match="primitive"):

@@ -50,19 +50,17 @@ def tenant():
 
 
 def _break_the_tensor_stream(monkeypatch):
-    """Serve every Algorithm 3 tower unit with its stream's first PMODMUL
-    reading ``A0'`` twice, so the chip's tensor fails the mod-q
-    cross-check."""
-    run_checked = CofheeDriver.run_checked
+    """Serve every Algorithm 3 stream with its first PMODMUL reading
+    ``A0'`` twice, so the chip's tensor fails the mod-q cross-check."""
+    alg3_commands = CofheeDriver._alg3_commands
 
-    def broken(self, commands, *args, label="sequence"):
-        if label == "CiphertextMul":
-            commands = list(commands)
-            assert commands[2].opcode is Opcode.PMODMUL
-            commands[2] = replace(commands[2], y_addr=commands[2].x_addr)
-        return run_checked(self, commands, *args, label=label)
+    def broken(self, *names):
+        commands = list(alg3_commands(self, *names))
+        assert commands[2].opcode is Opcode.PMODMUL
+        commands[2] = replace(commands[2], y_addr=commands[2].x_addr)
+        return commands
 
-    monkeypatch.setattr(CofheeDriver, "run_checked", broken)
+    monkeypatch.setattr(CofheeDriver, "_alg3_commands", broken)
 
 
 def _server_session(server, keys) -> str:

@@ -44,16 +44,13 @@ def tenant():
 
 
 def _broken(monkeypatch, patch):
-    """Serve every Algorithm 3 tower unit with ``patch`` applied to its
-    stream."""
-    run_checked = CofheeDriver.run_checked
+    """Serve every Algorithm 3 stream with ``patch`` applied to it."""
+    commands = CofheeDriver._alg3_commands
 
-    def broken(self, commands, *args, label="sequence"):
-        if label == "CiphertextMul":
-            commands = patch(commands)
-        return run_checked(self, commands, *args, label=label)
+    def broken(self, *names):
+        return patch(commands(self, *names))
 
-    monkeypatch.setattr(CofheeDriver, "run_checked", broken)
+    monkeypatch.setattr(CofheeDriver, "_alg3_commands", broken)
 
 
 def _wrong_y(commands):
