@@ -165,19 +165,21 @@ def _blob(data: bytes) -> bytes:
 
 
 class _Reader:
-    """Cursor over a message body with strict bounds checking."""
+    """Cursor over a message body, bytes ``start`` to ``end`` of ``data``
+    (all of it by default), with strict bounds checking."""
 
-    def __init__(self, data: bytes):
+    def __init__(self, data: bytes, start: int = 0, end: int | None = None):
         self._data = data
-        self._pos = 0
+        self._start = self._pos = start
+        self._end = len(data) if end is None else end
 
     def take(self, count: int) -> bytes:
-        if self._pos + count > len(self._data):
+        if self._pos + count > self._end:
             raise WireFormatError(
                 f"truncated message: wanted {count} bytes at offset "
-                f"{self._pos}, only {len(self._data) - self._pos} left"
+                f"{self._pos - self._start}, only {self._end - self._pos} left"
             )
-        chunk = bytes(self._data[self._pos : self._pos + count])
+        chunk = self._data[self._pos : self._pos + count]
         self._pos += count
         return chunk
 
@@ -197,7 +199,7 @@ class _Reader:
         :meth:`bigint`, without two method calls per value (a
         ``CONST_PLAIN`` run is ``n`` of them).
         """
-        data, pos, end = self._data, self._pos, len(self._data)
+        data, pos, end = self._data, self._pos, self._end
         length_at, from_bytes = _U32.unpack_from, int.from_bytes
         values = []
         append = values.append
@@ -235,9 +237,9 @@ class _Reader:
         return self.take(self.u32())
 
     def done(self) -> None:
-        if self._pos != len(self._data):
+        if self._pos != self._end:
             raise WireFormatError(
-                f"{len(self._data) - self._pos} trailing bytes after message body"
+                f"{self._end - self._pos} trailing bytes after message body"
             )
 
 
@@ -253,7 +255,7 @@ def _frame(tag: int, *body: bytes) -> bytes:
 
 def _body(data: bytes) -> _Reader:
     """A reader over a verified frame's body, without copying it."""
-    return _Reader(memoryview(data)[len(MAGIC) + 2 : -4])
+    return _Reader(data, len(MAGIC) + 2, len(data) - 4)
 
 
 def _unframe(data: bytes, expected_tag: int) -> _Reader:
