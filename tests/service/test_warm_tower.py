@@ -141,8 +141,8 @@ def test_a_wrong_expected_word_fails_the_job_warm(tenant, monkeypatch):
 
 
 def _program(q: int, n: int, rows: int):
-    """A program of only a load group (first ``rows`` rows of a bank)
-    and a check group (the rows after them), and that bank."""
+    """A program of only a LOAD group (the first ``rows`` rows of a
+    bank) and an EXPECT group (the rows after them), and that bank."""
     bank = np.zeros(2 * rows * n + 3, np.uint64)
     program = kernels.Replay(
         q, n, [], [], [(bank, 1 + r * n) for r in range(rows)],
