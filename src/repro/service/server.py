@@ -1,8 +1,8 @@
 """The service front door: a synchronous in-process ``submit/poll/result`` API.
 
 :class:`FheServer` is what a transport wraps — in this repo, the asyncio
-TCP listener in :mod:`repro.service.transport` runs one of these on a
-dedicated worker thread. Everything crossing this boundary is wire
+TCP listener in :mod:`repro.service.transport` calls one of these on its
+event loop's thread. Everything crossing this boundary is wire
 bytes: parameter sets, evaluation keys, ciphertext operands, circuit
 descriptions, and results all travel in the
 :mod:`repro.service.serialization` format, so the server genuinely works

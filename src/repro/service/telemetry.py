@@ -389,10 +389,12 @@ class MetricsRegistry:
     ``registry.counter("jobs_total", tenant="acme").inc()`` creates the
     family on first use and returns the same child on every later call
     with the same labels. A name registered as one type cannot be reused
-    as another. All mutation in this repo happens on the server's single
-    engine thread; :meth:`render`/:meth:`snapshot` take the registry
-    lock so a reader on another thread (the transport's STATS path, the
-    periodic stats logger) sees a consistent dump.
+    as another. Every writer in this repo runs on one thread: the
+    server's counters and, when it is served over a socket, the
+    transport's frame counters are both written on the thread that runs
+    the transport's event loop. :meth:`render`/:meth:`snapshot` still
+    take the registry lock, so a reader on another thread (a test, a
+    harness polling a served process) sees a consistent dump.
     """
 
     def __init__(self):

@@ -13,9 +13,12 @@ a listener in front of it:
   oversized frames raise :class:`FrameError`/``WireFormatError`` without
   ever crashing the loop.
 * **Execution** — the wrapped :class:`~repro.service.server.FheServer`
-  is not thread-safe, so every interaction with it (session opens, job
-  submits, scheduler ticks, result serialization) runs on a dedicated
-  single-thread executor; the event loop never blocks on FHE math.
+  is not thread-safe, so the event loop's own thread makes every call on
+  it (session opens, job submits, scheduler ticks, result
+  serialization) and no other thread touches it. The loop runs the
+  math: a frame that arrives during a job is read after that job's
+  tick, and the pump yields to the loop between ticks so such frames
+  are served before the queue drains.
 * **Completion callbacks** — a SUBMIT with ``subscribe`` set (the
   default) registers the connection for an EVENT push: the server's pump
   task drives :meth:`FheServer.tick` and delivers each job's result
@@ -47,7 +50,6 @@ import hmac
 import socket
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -79,6 +81,7 @@ DEFAULT_MAX_FRAME = 16 * 2**20
 
 _LENGTH_BYTES = 4
 _READ_CHUNK = 1 << 16
+_SETTLED = (JobStatus.DONE, JobStatus.FAILED)
 
 
 class FrameError(WireFormatError):
@@ -258,6 +261,10 @@ class FheTransportServer:
             ``None`` (the default) disables auth — open serving, as
             before this field existed.
 
+    The server's calls all run on the thread that runs this object's
+    event loop, one at a time: a job's tick holds the loop, and the
+    frames that arrive meanwhile are read when it ends.
+
     Lifecycle: ``await start()`` → serve → ``await aclose()``. Closing
     drains by default: the listener stops accepting, in-flight jobs run
     to completion, and every subscribed client receives its completion
@@ -278,8 +285,6 @@ class FheTransportServer:
         self._max_inflight = max_inflight
         self._tenants = dict(tenants) if tenants is not None else None
         self._server: asyncio.AbstractServer | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._executor: ThreadPoolExecutor | None = None
         self._pending: dict[str, _PendingJob] = {}
         self._pump_task: asyncio.Task | None = None
         self._connections: set[_Connection] = set()
@@ -293,7 +298,6 @@ class FheTransportServer:
         """Bind the listener; returns the (host, port) actually bound."""
         if self._server is not None:
             raise RuntimeError("transport server already started")
-        self._start_engine()
         self._server = await asyncio.start_server(
             self._handle_connection, self._host, self._port
         )
@@ -309,16 +313,8 @@ class FheTransportServer:
         given, sees every frame this link sends and returns the bytes to
         write, or ``None`` to drop the frame (the fleet's fault shim).
         """
-        self._start_engine()
         reader, writer = await asyncio.open_connection(sock=sock)
         await self._handle_connection(reader, writer, outbound)
-
-    def _start_engine(self) -> None:
-        if self._executor is None:
-            self._loop = asyncio.get_running_loop()
-            self._executor = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="fhe-engine"
-            )
 
     @property
     def address(self) -> tuple[str, int]:
@@ -359,12 +355,7 @@ class FheTransportServer:
         for conn in list(self._connections):
             await conn.close()
         self._connections.clear()
-        if self._executor is not None:
-            # Shut the FheServer's backends (fleet worker processes)
-            # down on the engine thread before retiring it.
-            await self._call(self.fhe.close)
-            self._executor.shutdown(wait=True)
-            self._executor = None
+        self.fhe.close()  # its backends: fleet worker processes
 
     async def __aenter__(self) -> "FheTransportServer":
         await self.start()
@@ -388,15 +379,6 @@ class FheTransportServer:
         if self._pending:
             self._ensure_pump()
 
-    async def _call(self, fn, *args):
-        """Run an FheServer interaction on the dedicated engine thread."""
-        assert self._loop is not None and self._executor is not None
-        if args:
-            return await self._loop.run_in_executor(
-                self._executor, lambda: fn(*args)
-            )
-        return await self._loop.run_in_executor(self._executor, fn)
-
     def _ensure_pump(self) -> None:
         if self._paused:
             return
@@ -404,10 +386,19 @@ class FheTransportServer:
             self._pump_task = asyncio.ensure_future(self._pump())
 
     async def _pump(self) -> None:
-        """Drive the scheduler and push completions until idle."""
+        """Tick, push the settled jobs' completions, yield; until idle.
+
+        The yield lets the loop serve the frames read during a tick (a
+        STATS ping, a submit, an auth reject) before the next tick, not
+        after the queue drains.
+        """
         while not self._paused:
-            progressed = await self._call(self.fhe.tick)
-            await self._deliver_completions()
+            progressed = self.fhe.tick()
+            settled = [job_id for job_id in self._pending
+                       if self.fhe.status(job_id) in _SETTLED]
+            for job_id in settled:
+                await self._deliver(self._pending.pop(job_id),
+                                    self._completion_for(job_id))
             if not self._pending and not progressed:
                 return
             if not progressed:
@@ -416,26 +407,7 @@ class FheTransportServer:
                 # server bug — fail it rather than spin.
                 await self._abandon_pending("job never completed")
                 return
-
-    def _collect_completions(self, job_ids: list[str]) -> list[EventMsg]:
-        """(Engine thread) completion info for every settled tracked job."""
-        return [
-            self._completion_for(job_id)
-            for job_id in job_ids
-            if self.fhe.status(job_id) in (JobStatus.DONE, JobStatus.FAILED)
-        ]
-
-    async def _deliver_completions(self) -> None:
-        # Snapshot on the loop thread: the engine thread must not walk a
-        # dict the dispatch path is inserting into.
-        tracked = list(self._pending)
-        if not tracked:
-            return
-        for event in await self._call(self._collect_completions, tracked):
-            entry = self._pending.pop(event.job_id, None)
-            if entry is None:  # raced with another delivery path
-                continue
-            await self._deliver(entry, event)
+            await asyncio.sleep(0)
 
     # -- backpressure ---------------------------------------------------
 
@@ -506,16 +478,10 @@ class FheTransportServer:
             )))
             delivered = True
         if delivered:
-            end = time.perf_counter()
-            await self._call(self._mark_reply, event.job_id, start, end)
-
-    def _mark_reply(self, job_id: str, start: float, end: float) -> None:
-        """(Engine thread) attribute the completion write to the trace."""
-        try:
-            trace = self.fhe.job_trace(job_id)
-        except KeyError:
-            return
-        trace.mark("reply", start, end)
+            with contextlib.suppress(KeyError):
+                self.fhe.job_trace(event.job_id).mark(
+                    "reply", start, time.perf_counter()
+                )
 
     async def _abandon_pending(self, reason: str) -> None:
         for job_id in list(self._pending):
@@ -631,13 +597,9 @@ class FheTransportServer:
             await self._fail(conn, msg.request_id, exc)
             return
         try:
-            session_id = await self._call(
-                lambda: self.fhe.open_session(
-                    msg.tenant, msg.params,
-                    public_key=msg.public_key,
-                    relin_key=msg.relin_key,
-                    galois_keys=msg.galois_keys,
-                )
+            session_id = self.fhe.open_session(
+                msg.tenant, msg.params, public_key=msg.public_key,
+                relin_key=msg.relin_key, galois_keys=msg.galois_keys,
             )
         except Exception as exc:
             await self._fail(conn, msg.request_id, exc)
@@ -661,64 +623,43 @@ class FheTransportServer:
                         "circuit jobs travel as SUBMIT_CIRCUIT frames, "
                         "not SUBMIT"
                     )
-
-            def submit() -> tuple[str, JobStatus]:
-                job_id = self.fhe.submit(
-                    msg.session_id, kind, msg.operands, steps=steps,
-                    payload=payload, backend=msg.backend,
-                    deadline=msg.deadline,
-                )
-                return job_id, self.fhe.status(job_id)
-
-            job_id, status = await self._call(submit)
+            job_id = self.fhe.submit(
+                msg.session_id, kind, msg.operands, steps=steps,
+                payload=payload, backend=msg.backend, deadline=msg.deadline,
+            )
         except Exception as exc:
             await self._fail(conn, msg.request_id, exc)
             return
-        await self._register_submission(
-            conn, msg.request_id, job_id, status, msg.subscribe
-        )
-
-    async def _register_submission(self, conn: _Connection, request_id: int,
-                                   job_id: str, status: JobStatus,
-                                   subscribe: bool) -> None:
-        """Answer a submit with STATUS and wire up completion delivery.
-
-        ``status`` is the job's status read on the engine thread right
-        after the submit, so the loop thread never touches the server.
-        """
+        status = self.fhe.status(job_id)
         await conn.send_safe(encode_message(StatusMsg(
-            request_id=request_id, job_id=job_id, status=status.value
+            request_id=msg.request_id, job_id=job_id, status=status.value
         )))
-        if status in (JobStatus.DONE, JobStatus.FAILED):
+        if status in _SETTLED:
             # Cache hit (or submit-time failure): the completion event
             # follows the STATUS reply immediately — still exactly once.
-            if subscribe:
-                entry = _PendingJob(job_id, subscriber=conn)
-                event = await self._call(
-                    lambda: self._completion_for(job_id)
-                )
-                await self._deliver(entry, event)
+            if msg.subscribe:
+                await self._deliver(_PendingJob(job_id, subscriber=conn),
+                                    self._completion_for(job_id))
             return
         entry = self._pending.get(job_id)
         if entry is None:
             entry = self._pending[job_id] = _PendingJob(job_id)
-        if subscribe:
+        if msg.subscribe:
             entry.subscriber = conn
         self._occupy(entry, conn)
         self._ensure_pump()
 
     def _completion_for(self, job_id: str) -> EventMsg:
-        """(Engine thread) completion event for one already-done job.
+        """Completion event for one already-settled job.
 
         A failed job's event still carries the cycles it executed, so a
         fleet router counts them as the worker's chip pool did."""
         status = self.fhe.status(job_id)
         metrics = self.fhe.job_metrics(job_id)
         if status is JobStatus.DONE:
-            wire = self.fhe.result(job_id)
-            payload = wire if isinstance(wire, (bytes, bytearray)) else b""
             return EventMsg(
-                job_id=job_id, status=status.value, payload=bytes(payload),
+                job_id=job_id, status=status.value,
+                payload=self.fhe.result(job_id),
                 cycles=metrics.cycles, model_seconds=metrics.model_seconds,
                 fidelity=metrics.fidelity,
             )
@@ -730,13 +671,13 @@ class FheTransportServer:
 
     async def _on_status(self, conn: _Connection, msg: StatusMsg) -> None:
         try:
-            status = await self._call(self.fhe.status, msg.job_id)
+            status = self.fhe.status(msg.job_id)
         except KeyError as exc:
             await self._fail(conn, msg.request_id, exc)
             return
         error = None
         if status is JobStatus.FAILED:
-            error = await self._call(self.fhe.job_error, msg.job_id)
+            error = self.fhe.job_error(msg.job_id)
         await conn.send_safe(encode_message(StatusMsg(
             request_id=msg.request_id, job_id=msg.job_id,
             status=status.value, error=_short(error or ""),
@@ -744,12 +685,12 @@ class FheTransportServer:
 
     async def _on_result(self, conn: _Connection, msg: ResultMsg) -> None:
         try:
-            status = await self._call(self.fhe.status, msg.job_id)
+            status = self.fhe.status(msg.job_id)
         except KeyError as exc:
             await self._fail(conn, msg.request_id, exc)
             return
-        if status in (JobStatus.DONE, JobStatus.FAILED):
-            event = await self._call(lambda: self._completion_for(msg.job_id))
+        if status in _SETTLED:
+            event = self._completion_for(msg.job_id)
             await conn.send_safe(encode_message(ResultMsg(
                 request_id=msg.request_id, job_id=msg.job_id,
                 status=event.status, payload=event.payload, error=event.error,
@@ -762,14 +703,13 @@ class FheTransportServer:
         self._ensure_pump()
 
     async def _on_stats(self, conn: _Connection, msg: StatsMsg) -> None:
-        text = await self._call(self.fhe.stats_text)
         await conn.send_safe(encode_message(StatsMsg(
-            request_id=msg.request_id, text=text
+            request_id=msg.request_id, text=self.fhe.stats_text()
         )))
 
     async def _on_trace(self, conn: _Connection, msg: TraceMsg) -> None:
         try:
-            trace = await self._call(self.fhe.job_trace, msg.job_id)
+            trace = self.fhe.job_trace(msg.job_id)
         except KeyError as exc:
             await self._fail(conn, msg.request_id, exc)
             return
@@ -795,11 +735,11 @@ class FheTransportServer:
             return
         try:
             if msg.command == "grow":
-                size = await self._call(fleet.grow, max(1, msg.value))
+                size = fleet.grow(max(1, msg.value))
             elif msg.command == "shrink":
-                size = await self._call(fleet.shrink, max(1, msg.value))
+                size = fleet.shrink(max(1, msg.value))
             elif msg.command == "resize":
-                size = await self._call(fleet.resize, msg.value)
+                size = fleet.resize(msg.value)
             else:
                 raise ValueError(
                     f"unknown admin command {msg.command!r} "
@@ -826,9 +766,9 @@ class FheTransportServer:
     }
 
     async def stats_snapshot(self) -> dict:
-        """Structured metrics snapshot off the engine thread (the
-        ``repro-serve --stats-interval`` logger's data source)."""
-        return await self._call(self.fhe.stats_snapshot)
+        """Structured metrics snapshot (the ``repro-serve
+        --stats-interval`` logger's data source); call it on the loop."""
+        return self.fhe.stats_snapshot()
 
 
 # ----------------------------------------------------------------------

@@ -12,6 +12,8 @@ from __future__ import annotations
 import asyncio
 import inspect
 import random
+import select
+import socket
 import threading
 
 import pytest
@@ -26,7 +28,9 @@ from repro.service.client import (
 from repro.service.jobs import JobKind
 from repro.service.serialization import (
     TAG_ERROR,
+    StatsMsg,
     decode_message,
+    encode_message,
     peek_tag,
     serialize_ciphertext,
     serialize_galois_key,
@@ -43,6 +47,18 @@ from repro.service.transport import (
 
 PARAMS = BfvParameters.toy_rns(n=16, towers=2, tower_bits=20)
 N_CLIENTS = 5  # acceptance floor is 4
+
+
+def _read_reply(sock):
+    """Read one frame from a blocking socket and decode it."""
+    def exactly(count: int) -> bytes:
+        data = b""
+        while len(data) < count:
+            chunk = sock.recv(count - len(data))
+            assert chunk, "server closed the link"
+            data += chunk
+        return data
+    return decode_message(exactly(int.from_bytes(exactly(4), "big")))
 
 
 @pytest.fixture(scope="module")
@@ -521,11 +537,12 @@ class TestSyncFacade:
         assert fired == ["done"]
         assert report["fidelity"].get("chip") == 1
 
-    def test_every_server_call_runs_on_the_engine_thread(self, stack):
+    def test_every_server_call_runs_on_the_loop_thread(self, stack):
         """FheServer is not thread-safe: every call the transport makes
         on it — submits, their status, a cache hit's completion, the
-        scheduler ticks — runs on the single ``fhe-engine`` executor,
-        never on the event-loop thread."""
+        scheduler ticks — runs on the thread that runs the transport's
+        loop (``fhe-transport`` here), and serving starts no other
+        thread for it."""
         bfv, keys, encoder, _ = stack
         a = bfv.encrypt(encoder.encode(list(range(PARAMS.n))), keys.public)
         operands = (serialize_ciphertext(a), serialize_ciphertext(a))
@@ -553,15 +570,76 @@ class TestSyncFacade:
                 wire = client.result(first)
                 hit = client.submit(sid, "multiply", operands)
                 assert client.result(hit) == wire
+                serving = [t.name for t in threading.enumerate()]
             assert fhe.scheduler.stats.cache_hits == 1
         names = {name for name, _thread in calls}
         assert {"open_session", "submit", "status", "tick"} <= names
-        off_engine = [
+        off_loop = [
             (name, thread) for name, thread in calls
-            if not thread.startswith("fhe-engine")
+            if thread != "fhe-transport"
         ]
-        assert not off_engine, off_engine
+        assert not off_loop, off_loop
+        assert not [t for t in serving if t.startswith("fhe-engine")], serving
 
+    def test_the_pump_yields_between_ticks(self, stack):
+        """A frame read during a tick is served before the queue drains:
+        a STATS ping written while the first of 6 queued jobs runs is
+        answered, and its reply is on the socket, before the last tick."""
+        bfv, keys, encoder, _ = stack
+        rng = random.Random(29)
+        log: list[str] = []
+
+        def stats_frame(request_id: int) -> bytes:
+            return encode_frame(encode_message(StatsMsg(request_id=request_id)))
+
+        def reply_waiting(sock) -> bool:
+            return bool(select.select([sock], [], [], 0)[0])
+
+        with ThreadedTransportServer(FheServer(pool_size=1)) as ts, \
+                FheClient(ts.host, ts.port) as client, \
+                socket.create_connection((ts.host, ts.port), 10) as probe:
+            # One round trip first, so the probe's link is being served.
+            probe.sendall(stats_frame(1))
+            assert _read_reply(probe).request_id == 1
+            sid = client.open_session(
+                "yield", serialize_params(PARAMS),
+                relin_key=serialize_relin_key(keys.relin, PARAMS),
+            )
+            fhe = ts.fhe
+            tick, stats_text = fhe.tick, fhe.stats_text
+
+            def traced_tick():
+                if reply_waiting(probe) and "reply" not in log:
+                    log.append("reply")
+                log.append("tick")
+                if log.count("tick") == 1:
+                    probe.sendall(stats_frame(2))  # returns mid-tick
+                return tick()
+
+            def traced_stats_text():
+                log.append("stats")
+                return stats_text()
+
+            fhe.tick, fhe.stats_text = traced_tick, traced_stats_text
+            ts.server.pause_execution()
+            jobs = [
+                client.submit(sid, JobKind.ADD, tuple(
+                    serialize_ciphertext(bfv.encrypt(encoder.encode(
+                        [rng.randrange(16) for _ in range(PARAMS.n)]
+                    ), keys.public))
+                    for _ in range(2)
+                ))
+                for _ in range(6)
+            ]
+            ts._loop.call_soon_threadsafe(ts.server.resume_execution)
+            for job_id in jobs:
+                client.result(job_id)
+            reply = _read_reply(probe)
+        assert reply.request_id == 2 and reply.text
+        assert log.count("tick") >= 6, log
+        assert "stats" in log and "reply" in log, log
+        last_tick = len(log) - 1 - log[::-1].index("tick")
+        assert log.index("stats") < log.index("reply") < last_tick, log
 
     def test_mixed_traffic_matches_ground_truth_at_chip_fidelity(self, stack):
         """6 EvalMult + 6 Add jobs over TCP on a pool of 4: every result

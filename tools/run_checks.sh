@@ -3,12 +3,12 @@
 # serving benchmark's own tests and its four workloads at toy degree, the
 # docs gate (doctest
 # every docs/ code block + intra-repo link resolution), the
-# observability and fleet batteries, and the transport-based examples
-# smoke. Run from anywhere.
+# observability and fleet-and-transport batteries, and the
+# transport-based examples smoke. Run from anywhere.
 #
 #   tools/run_checks.sh              # tier-1 + benchmark + docs
-#                                    # + observability + fleet
-#                                    # + sanitizer + examples
+#                                    # + observability + fleet and
+#                                    # transport + sanitizer + examples
 #                                    # smoke, then the line counts of
 #                                    # src/repro/service, src/repro/core,
 #                                    # src/repro/polymath, src/repro/apps
@@ -23,12 +23,16 @@
 #                                    # test battery, whose phase-report
 #                                    # test gates span coverage at >= 90%,
 #                                    # and the metrics-table docs check
-#   tools/run_checks.sh --fleet      # only the fleet stage (when given
-#                                    # alone; it is already part of the
-#                                    # default pipeline): the chaos test
-#                                    # battery, the fleet property suite
-#                                    # and the fleet link suites (bit
-#                                    # identity, fault shim, client link)
+#   tools/run_checks.sh --fleet      # only the fleet and transport
+#                                    # stage (when given alone; it is
+#                                    # already part of the default
+#                                    # pipeline): the chaos test battery,
+#                                    # the fleet property suite, the
+#                                    # fleet link suites (bit identity,
+#                                    # fault shim, client link), and the
+#                                    # transport batteries (concurrency,
+#                                    # circuits over TCP, STATS over the
+#                                    # wire, frame and control-codec fuzz)
 #   tools/run_checks.sh --sanitize   # only the sanitizer stage (when
 #                                    # given alone; it is already part of
 #                                    # the default pipeline): ntt.c built
@@ -118,11 +122,14 @@ run_obs() {
 
 run_fleet() {
   echo
-  echo "== fleet (chaos battery + property suite + link suites) =="
+  echo "== fleet and transport (chaos battery + property suite + link suites + transport batteries) =="
   python -m pytest tests/service/test_fleet_faults.py \
     tests/property/test_property_fleet.py \
     tests/service/test_fleet_parity.py tests/service/test_fault_shim.py \
-    tests/service/test_client_link.py -q
+    tests/service/test_client_link.py \
+    tests/service/test_transport.py tests/service/test_circuit_transport.py \
+    tests/service/test_stats_wire.py \
+    tests/property/test_property_transport.py -q
 }
 
 run_sanitize() {
@@ -155,7 +162,7 @@ fi
 if [ "$FLEET_ONLY" = 1 ] && [ "$DOCS_ONLY$OBS_ONLY$RUN_SLOW$RUN_COV$SANITIZE_ONLY" = "00000" ]; then
   run_fleet
   echo
-  echo "fleet stage passed"
+  echo "fleet and transport stage passed"
   exit 0
 fi
 
