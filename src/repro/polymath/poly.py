@@ -47,6 +47,15 @@ def _packed_words(data: bytes, n: int, width: int) -> np.ndarray:
     return np.asarray(raw.view(">u4"), dtype=np.uint32, order="F")
 
 
+def _word_values(words: np.ndarray) -> tuple[int, ...]:
+    """The Python ints of ``(n, W)`` big-endian 32-bit words, one per row
+    (combined one word column at a time)."""
+    values = words[:, 0].astype(object)
+    for j in range(1, words.shape[1]):
+        values = (values << 32) | words[:, j].astype(object)
+    return tuple(values.tolist())
+
+
 def _above(words: np.ndarray, bound: np.ndarray) -> np.ndarray:
     """Row-wise ``words > bound``, compared lexicographically word by word.
 
@@ -261,11 +270,7 @@ class Polynomial:
     def coeffs(self) -> tuple[int, ...]:
         """The canonical coefficients in ``[0, q)``, as Python ints."""
         if self._coeffs is None:
-            words = self.words
-            values = words[:, 0].astype(object)
-            for j in range(1, words.shape[1]):
-                values = (values << 32) | words[:, j].astype(object)
-            self._coeffs = tuple(values.tolist())
+            self._coeffs = _word_values(self.words)
         return self._coeffs
 
     @property

@@ -56,10 +56,11 @@ The wire encoding lives in :mod:`repro.service.serialization`
 (``serialize_circuit`` / ``deserialize_circuit``, tag ``0x07``) and is
 specified byte-for-byte in ``docs/wire-protocol.md``. Circuits that use
 only the original seven ops still encode (and content-address) as
-version 1; any of the five new ops switches the body to version 2 —
-see :func:`wire_version`. Secret keys still never appear: a circuit
-references the session's *evaluation* keys only (relinearization keys
-for the tensor ops, Galois keys for the rotation steps).
+version 1; any of the five new ops switches the body to version 2, and
+a packed plaintext constant to version 3 — see :func:`wire_version`.
+Secret keys still never appear: a circuit references the session's
+*evaluation* keys only (relinearization keys for the tensor ops, Galois
+keys for the rotation steps).
 """
 
 from __future__ import annotations
@@ -79,10 +80,14 @@ from repro.service.telemetry import JobTrace
 #: Version byte of the circuit *body* encoding (independent of the outer
 #: wire envelope version): decoders reject unknown values, so the format
 #: can evolve without repurposing byte layouts. Version 2 added the
-#: rotation and split tensor ops; encoders emit the lowest version that
-#: can carry a circuit (see :func:`wire_version`), so pre-rotation
-#: circuits keep their version-1 bytes and content addresses.
-CIRCUIT_VERSION = 2
+#: rotation and split tensor ops; version 3 carries every op and sends a
+#: plain constant as declared-width packed words (wire constant kind 2)
+#: instead of one length-prefixed integer per coefficient (kind 1, which
+#: only versions 1 and 2 carry). Encoders emit the lowest version whose
+#: op set and constant kinds cover a circuit (see :func:`wire_version`),
+#: so circuits without a plain constant keep their version-1 or
+#: version-2 bytes and content addresses.
+CIRCUIT_VERSION = 3
 
 OP_ADD = 0x01
 OP_SUB = 0x02
@@ -276,15 +281,21 @@ def rotation_exponents(circuit: Circuit, params: BfvParameters) -> tuple[int, ..
 
 
 def wire_version(circuit: Circuit) -> int:
-    """The lowest circuit-body version that can encode this circuit.
+    """The lowest circuit-body version whose op set and constant kinds
+    cover this circuit.
 
-    Emitting the lowest sufficient version keeps pre-rotation circuits'
-    wire bytes — and therefore their content addresses, cache keys, and
-    dedupe identities — stable across the version-2 format bump.
+    A plain constant needs version 3 (its packed kind-2 form), whatever
+    the ops. Otherwise version 1 carries the original seven ops and
+    version 2 the rest. Emitting the lowest sufficient version keeps the
+    wire bytes of circuits without a plain constant — and therefore
+    their content addresses, cache keys, and dedupe identities — stable
+    across the version-2 and version-3 format bumps.
     """
+    if any(const.kind == CONST_PLAIN for const in circuit.consts):
+        return 3
     if all(step.op in V1_OPS for step in circuit.steps):
         return 1
-    return CIRCUIT_VERSION
+    return 2
 
 
 def validate_circuit(circuit: Circuit) -> None:

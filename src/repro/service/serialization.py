@@ -48,10 +48,17 @@ import zlib
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from repro.bfv.keys import GaloisKey, PublicKey, RelinKey
 from repro.bfv.params import BfvParameters
 from repro.bfv.scheme import Ciphertext
-from repro.polymath.poly import Polynomial, PolynomialRing
+from repro.polymath.poly import (
+    Polynomial,
+    PolynomialRing,
+    _packed_words,
+    _word_values,
+)
 from repro.polymath.rns import RnsBasis
 from repro.service.circuits import (
     CIRCUIT_VERSION,
@@ -196,8 +203,10 @@ class _Reader:
         """``count`` consecutive bigints in one tight pass.
 
         The same bytes, values and truncation error as ``count`` calls to
-        :meth:`bigint`, without two method calls per value (a
-        ``CONST_PLAIN`` run is ``n`` of them).
+        :meth:`bigint`, without two method calls per value. It serves
+        only the kind-1 plain constant of a version-1 or version-2
+        circuit body (a run of ``n`` of them); version 3 packs the
+        constant into declared-width words instead.
         """
         data, pos, end = self._data, self._pos, self._end
         length_at, from_bytes = _U32.unpack_from, int.from_bytes
@@ -513,25 +522,77 @@ def deserialize_galois_key(data: bytes, params: BfvParameters) -> GaloisKey:
 # Layout (body of a TAG_CIRCUIT message; full spec in
 # docs/wire-protocol.md):
 #
-#   u8  circuit_version        (1 or 2; anything else -> rejected)
+#   u8  circuit_version        (1, 2 or 3; anything else -> rejected)
 #   str name
 #   u16 num_inputs  | str * inputs
 #   u16 num_consts  | per const: u8 kind
 #                     kind 0 (scalar): i64 value
-#                     kind 1 (plain):  u32 num_coeffs | bigint * coeffs
+#                     kind 1 (plain, versions 1-2 only):
+#                                      u32 num_coeffs | bigint * coeffs
+#                     kind 2 (packed plain, version 3 only):
+#                                      u8 width | u32 num_coeffs |
+#                                      num_coeffs * width big-endian bytes
 #   u16 num_steps   | per step:  u8 op | u16 * args (arity fixed per op;
 #                     signed "s" immediates travel as two's-complement u16)
 #   u16 num_outputs | per output: str name | u16 register
 #
-# Encoders emit the lowest version whose op set covers the circuit
-# (version 1 for the original seven ops, version 2 once rotations or
-# split tensor steps appear), so old circuits keep their exact bytes —
-# and content addresses — across the format bump. Decoders accept both
-# versions but reject version-2 opcodes inside a version-1 body.
+# Encoders emit the lowest version whose op set and constant kinds cover
+# the circuit (version 3 once a plain constant appears; else version 1
+# for the original seven ops, version 2 once rotations or split tensor
+# steps appear), so circuits without a plain constant keep their exact
+# bytes — and content addresses — across both format bumps. Decoders
+# accept every version but reject version-2 opcodes inside a version-1
+# body, kind 2 inside a version-1/2 body and kind 1 inside a version-3
+# body: each version has one encoding of a circuit. A packed constant's
+# width is declared (the minimal byte width of its largest coefficient,
+# at least 1; a wider one is rejected), never guessed from the data, and
+# it decodes in one numpy pass at that width.
 #
 # Structural validation (register bounds, op codes, argument layouts)
 # is the same validate_circuit() the in-memory constructor runs, so a
 # malformed description is rejected identically however it arrives.
+
+
+#: Wire kind of a plain constant in a version-3 body; in memory it is a
+#: ``CONST_PLAIN`` :class:`CircuitConst` like a kind-1 one.
+WIRE_CONST_PACKED = 2
+
+
+def _packed_plain(coeffs: tuple[int, ...]) -> bytes:
+    """A plain constant as wire kind 2: ``u8 width | u32 count | words``."""
+    try:
+        values = np.fromiter(coeffs, dtype=np.uint64, count=len(coeffs))
+    except OverflowError:  # a coefficient of more than 8 bytes
+        width = (max(coeffs).bit_length() + 7) // 8
+        if width > 0xFF:
+            raise ValueError(
+                f"plain constant coefficient of {width} bytes does not fit "
+                "the packed encoding's u8 width"
+            ) from None
+        raw = b"".join([c.to_bytes(width, "big") for c in coeffs])
+    else:
+        width = max(1, (int(values.max()).bit_length() + 7) // 8)
+        raw = values.astype(">u8").view(np.uint8).reshape(-1, 8)[:, 8 - width:]
+        raw = raw.tobytes()
+    return bytes((WIRE_CONST_PACKED, width)) + _u32(len(coeffs)) + raw
+
+
+def _read_packed_plain(reader: _Reader) -> tuple[int, ...]:
+    """Inverse of :func:`_packed_plain` after the kind byte."""
+    width = reader.u8()
+    count = reader.u32()
+    if width == 0 or count == 0:
+        raise WireFormatError(
+            f"packed plain constant needs a nonzero width and count, got "
+            f"width {width}, count {count}"
+        )
+    raw = reader.take(count * width)
+    if width > 1 and raw[::width].count(0) == count:
+        raise WireFormatError(
+            f"packed plain constant declares width {width}, but every "
+            f"coefficient fits {width - 1} bytes"
+        )
+    return _word_values(_packed_words(raw, count, width))
 
 
 def serialize_circuit(circuit: Circuit) -> bytes:
@@ -543,12 +604,10 @@ def serialize_circuit(circuit: Circuit) -> bytes:
     parts.extend(_str(name) for name in circuit.inputs)
     parts.append(_u16(len(circuit.consts)))
     for const in circuit.consts:
-        parts.append(bytes((const.kind,)))
         if const.kind == CONST_SCALAR:
-            parts.append(_i64(const.scalar))
+            parts.append(bytes((CONST_SCALAR,)) + _i64(const.scalar))
         else:
-            parts.append(_u32(len(const.coeffs)))
-            parts.extend(_bigint(c) for c in const.coeffs)
+            parts.append(_packed_plain(const.coeffs))
     parts.append(_u16(len(circuit.steps)))
     for step in circuit.steps:
         parts.append(bytes((step.op,)))
@@ -578,11 +637,20 @@ def deserialize_circuit(data: bytes) -> Circuit:
         kind = reader.u8()
         if kind == CONST_SCALAR:
             consts.append(CircuitConst(kind=kind, scalar=reader.i64()))
-        elif kind == CONST_PLAIN:
+            continue
+        if kind == CONST_PLAIN and version < 3:
             coeffs = reader.bigints(reader.u32())
-            consts.append(CircuitConst(kind=kind, coeffs=coeffs))
+        elif kind == WIRE_CONST_PACKED and version == 3:
+            coeffs = _read_packed_plain(reader)
+        elif kind in (CONST_PLAIN, WIRE_CONST_PACKED):
+            raise WireFormatError(
+                f"circuit constant kind {kind} is not part of encoding "
+                f"version {version} (kind 1 is versions 1-2 only, kind 2 "
+                "version 3 only)"
+            )
         else:
             raise WireFormatError(f"unknown circuit constant kind {kind}")
+        consts.append(CircuitConst(kind=CONST_PLAIN, coeffs=coeffs))
     steps = []
     for _ in range(reader.u16()):
         op = reader.u8()

@@ -3,7 +3,8 @@
 A served app job is addressed by the SHA-256 of its circuit's wire
 bytes (result cache, dedupe), so a refactor of how the apps lower
 themselves must not move a single byte. Each digest below is the full
-SHA-256 of ``serialize_circuit`` for one variant.
+SHA-256 of ``serialize_circuit`` for one variant. Every variant holds a
+plain constant, so each is a version-3 body (packed kind-2 constants).
 """
 
 import hashlib
@@ -19,27 +20,27 @@ LOGREG = MiniLogisticRegression(num_features=8, seed=11)
 DIGESTS = {
     "cryptonets": (
         lambda: CNN.to_circuit(),
-        "c4f34aa758612963d4faa1919e265875f84ad52a46b14e6166b33e123f28df9a",
+        "75d563544c2d06451398386cd7be82c75bb04936f8356b8bf536d2509f5ce9b7",
     ),
     "cryptonets-packed": (
         lambda: CNN.to_circuit(packed_dense=True),
-        "a94be6ecdc0ec5e7e2e0f097306518b0104506c50f2eba03b390f0743ce3b21d",
+        "d180a666238d0760392e3971629861eb4c652c4b8fbdc292061bbaf35ff53da0",
     ),
     "logreg": (
         lambda: LOGREG.to_circuit(4),
-        "badef3ac37ed032fc2bc096c9c5ab10b093e51a276bed869c20326ea404221a1",
+        "a50ae818e4beeaedc76a75b1c680c8cd09b2839b83b7c9a6a1fb71b630790984",
     ),
     "logreg-linear": (
         lambda: LOGREG.to_circuit(4, use_sigmoid=False),
-        "fd3cbca353affa18d795af6ed9defcee1ddf2ace598dd588a9684a1da5fd2181",
+        "baf23226482cca3a5a7c5aca362e07ca5d3e7cd63fa563473ef267f8f2d0e95d",
     ),
     "logreg-packed": (
         lambda: LOGREG.to_circuit(3, packed=True),
-        "adf4ba7e1dd2856338a3b3b67dd02477e3871b15aff798e52d0ca5a44dc5d527",
+        "96cad44f9a9078dfd2ef5514a229e338a98e778735ca3ab648cc8c081ce1e330",
     ),
     "logreg-packed-linear": (
         lambda: LOGREG.to_circuit(3, packed=True, use_sigmoid=False),
-        "c5da944b53401339e11e48f2679322784a0db66bb785292fc88e7630e1c60614",
+        "529808121cbf193540cf5fad224d455541b8a1f05d823071ca0e7d5354b27472",
     ),
 }
 

@@ -6,8 +6,13 @@ encoding), and every class of malformed input — bit flips, truncation,
 unknown op codes or constant kinds, out-of-range register/constant
 references, wrong circuit versions, trailing bytes — must be rejected
 with :class:`WireFormatError` before any polynomial math happens.
+
+Plain constants travel as version-3 packed words (wire kind 2) at every
+coefficient width; bodies written by the version-2 encoder, kind-1
+constants included, still decode to the same circuits.
 """
 
+import random
 import zlib
 
 import pytest
@@ -40,6 +45,7 @@ from repro.service.circuits import (
 from repro.service.serialization import (
     MAGIC,
     TAG_CIRCUIT,
+    WIRE_CONST_PACKED,
     WIRE_VERSION,
     WireFormatError,
     deserialize_circuit,
@@ -157,11 +163,15 @@ def _body(version=CIRCUIT_VERSION, name=b"\x00\x01c",
     return b"".join(parts)
 
 
-@pytest.fixture(scope="module")
-def valid_wire():
+@pytest.fixture(scope="module", params=["tensor", "packed-plain"])
+def valid_wire(request):
+    """A version-1 tensor circuit, and a version-3 one whose packed
+    constant spans most of its bytes (so the fuzz reaches kind 2)."""
     builder = CircuitBuilder("fuzz")
     x = builder.input("x")
     y = builder.mul_relin(builder.square_relin(x), x)
+    if request.param == "packed-plain":
+        y = builder.add_const(y, builder.plain(range(1000, 1064)))
     builder.output("y", y)
     return serialize_circuit(builder.build())
 
@@ -268,3 +278,148 @@ class TestConstructorValidation:
             OP_ROTATE_ROWS, OP_ROTATE_COLUMNS, OP_MUL, OP_SQUARE,
             OP_RELINEARIZE,
         }
+
+
+# ----------------------------------------------------------------------
+# Packed plain constants (circuit version 3, wire constant kind 2)
+# ----------------------------------------------------------------------
+
+
+def _plain_circuit(coeffs) -> Circuit:
+    """``o = a + plain(coeffs)``: the circuit :func:`_plain_body` encodes."""
+    builder = CircuitBuilder("c")
+    a = builder.input("a")
+    builder.output("o", builder.add_const(a, builder.plain(coeffs)))
+    return builder.build()
+
+
+def _packed(coeffs, width) -> bytes:
+    """One hand-packed kind-2 constant, its kind byte included."""
+    return (bytes((WIRE_CONST_PACKED, width)) + len(coeffs).to_bytes(4, "big")
+            + b"".join(c.to_bytes(width, "big") for c in coeffs))
+
+
+def _plain_body(const: bytes, version=3) -> bytes:
+    """A body holding one constant that ``add_const`` reads."""
+    return _body(version=version, consts=_u16(1) + const,
+                 steps=((OP_ADD_CONST, (0, 0)),), outputs=(("o", 1),))
+
+
+#: A version-2 body with a kind-1 plain constant (0, 1, 255, 256, 70000;
+#: the zero is a zero-length bigint) and a scalar -3, as the version-2
+#: encoder wrote it: ``y = -3 * (rotate_rows(x, 1) + plain)``.
+V2_KIND1_WIRE = bytes.fromhex(
+    "4346484501070200046269617300010001780002010000000500000000000000"
+    "010100000001ff0000000201000000000301117000fffffffffffffffd000308"
+    "000000010300010000040002000100010001790003b9139b4c"
+)
+
+#: Circuits without a plain constant keep their version-1 and version-2
+#: bytes: ``5 * x^3`` (version 1) and ``relinearize(rotate_rows(x, -2)^2)``
+#: (version 2), as the version-2 encoder wrote them.
+V1_WIRE = bytes.fromhex(
+    "4346484501070100056375626963000100017800010000000000000000050003"
+    "07000006000100000400020000000100017900039aad762b"
+)
+V2_WIRE = bytes.fromhex(
+    "4346484501070200047370696e000100017800000003080000fffe0b00010c00"
+    "0200010001790003ece8f0ac"
+)
+
+
+class TestPackedPlain:
+    @pytest.mark.parametrize("width", [1, 2, 4, 5, 8, 9, 17])
+    @pytest.mark.parametrize("fill", ["mixed", "maximal"])
+    def test_round_trip_at_each_width(self, width, fill):
+        top = (1 << 8 * width) - 1
+        if fill == "maximal":
+            coeffs = (top,) * 16
+        else:
+            rng = random.Random(width)
+            coeffs = (0, top, 1 << 8 * (width - 1)) + tuple(
+                rng.randrange(top + 1) for _ in range(29)
+            )
+        circuit = _plain_circuit(coeffs)
+        wire = serialize_circuit(circuit)
+        assert wire == _frame_circuit_body(_plain_body(_packed(coeffs, width)))
+        assert deserialize_circuit(wire) == circuit
+
+    def test_all_zero_constant_is_one_byte_wide(self):
+        circuit = _plain_circuit((0,) * 8)
+        wire = serialize_circuit(circuit)
+        assert wire == _frame_circuit_body(_plain_body(_packed((0,) * 8, 1)))
+        assert deserialize_circuit(wire) == circuit
+
+    def test_kind2_in_version1_body_rejected(self):
+        wire = _frame_circuit_body(_plain_body(_packed((1, 2), 1), version=1))
+        with pytest.raises(WireFormatError, match="not part of encoding version 1"):
+            deserialize_circuit(wire)
+
+    def test_kind2_in_version2_body_rejected(self):
+        wire = _frame_circuit_body(_plain_body(_packed((1, 2), 1), version=2))
+        with pytest.raises(WireFormatError, match="not part of encoding version 2"):
+            deserialize_circuit(wire)
+
+    def test_kind1_in_version3_body_rejected(self):
+        kind1 = bytes((CONST_PLAIN,)) + (1).to_bytes(4, "big") + b"\x00" * 4
+        wire = _frame_circuit_body(_plain_body(kind1))
+        with pytest.raises(WireFormatError, match="not part of encoding version 3"):
+            deserialize_circuit(wire)
+
+    def test_zero_width_rejected(self):
+        const = bytes((WIRE_CONST_PACKED, 0)) + (3).to_bytes(4, "big")
+        wire = _frame_circuit_body(_plain_body(const))
+        with pytest.raises(WireFormatError, match="nonzero width"):
+            deserialize_circuit(wire)
+
+    def test_zero_count_rejected(self):
+        wire = _frame_circuit_body(_plain_body(_packed((), 2)))
+        with pytest.raises(WireFormatError, match="count 0"):
+            deserialize_circuit(wire)
+
+    def test_packed_body_one_byte_short_rejected(self):
+        const = _packed((300, 400, 500), 2)
+        body = _plain_body(const)
+        end = body.index(const) + len(const)
+        with pytest.raises(WireFormatError, match="truncated"):
+            deserialize_circuit(_frame_circuit_body(body[: end - 1]))
+        # With the steps and outputs still behind it, the short constant
+        # misaligns them, which is rejected too.
+        with pytest.raises(WireFormatError):
+            deserialize_circuit(_frame_circuit_body(_plain_body(const[:-1])))
+
+    def test_packed_body_one_trailing_byte_rejected(self):
+        const = _packed((300, 400, 500), 2)
+        wire = _frame_circuit_body(_plain_body(const + b"\x00"))
+        with pytest.raises(WireFormatError):
+            deserialize_circuit(wire)
+
+    def test_non_minimal_width_rejected(self):
+        """Each version encodes a circuit one way: the declared width is
+        the largest coefficient's minimal width."""
+        wire = _frame_circuit_body(_plain_body(_packed((1, 255), 2)))
+        with pytest.raises(WireFormatError, match="fits 1 bytes"):
+            deserialize_circuit(wire)
+
+    def test_coefficient_over_255_bytes_is_not_encodable(self):
+        with pytest.raises(ValueError, match="u8 width"):
+            serialize_circuit(_plain_circuit((1 << 8 * 255,)))
+
+
+class TestEarlierVersions:
+    def test_version2_kind1_body_still_decodes(self):
+        circuit = deserialize_circuit(V2_KIND1_WIRE)
+        builder = CircuitBuilder("bias")
+        x = builder.input("x")
+        y = builder.add_const(
+            builder.rotate_rows(x, 1), builder.plain([0, 1, 255, 256, 70000])
+        )
+        builder.output("y", builder.mul_const(y, builder.scalar(-3)))
+        assert circuit == builder.build()
+        v3 = serialize_circuit(circuit)
+        assert v3[6] == 3 and v3 != V2_KIND1_WIRE
+        assert deserialize_circuit(v3) == circuit
+
+    @pytest.mark.parametrize("wire", [V1_WIRE, V2_WIRE], ids=["v1", "v2"])
+    def test_circuits_without_plain_constants_keep_their_bytes(self, wire):
+        assert serialize_circuit(deserialize_circuit(wire)) == wire

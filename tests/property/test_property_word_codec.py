@@ -230,7 +230,7 @@ class TestDecomposeWords:
 
 
 class TestBigintRuns:
-    """A ``CONST_PLAIN`` coefficient run decodes in one pass, with the
+    """A version-1/2 kind-1 plain constant run decodes in one pass, with the
     values, cursor and truncation errors of one ``bigint`` call each."""
 
     @given(
