@@ -147,6 +147,11 @@ _SCALAR_LIMIT = 2**63
 #: the wire) — any slot amount for every supported ring dimension.
 _STEP_LIMIT = 2**15
 
+#: A plain constant holds one coefficient per slot of the ring, and the
+#: largest supported ring dimension is ``2 * _STEP_LIMIT``. Decoders
+#: refuse a longer constant before they read its coefficients.
+MAX_PLAIN_COEFFS = 2 * _STEP_LIMIT
+
 
 class CircuitError(ValueError):
     """A structurally invalid circuit (bad ops, indices, or names)."""
@@ -347,6 +352,11 @@ def validate_circuit(circuit: Circuit) -> None:
         elif const.kind == CONST_PLAIN:
             if not const.coeffs:
                 raise CircuitError("packed plaintext constant is empty")
+            if len(const.coeffs) > MAX_PLAIN_COEFFS:
+                raise CircuitError(
+                    f"packed plaintext constant has {len(const.coeffs)} "
+                    f"coefficients; at most {MAX_PLAIN_COEFFS} are supported"
+                )
             if min(const.coeffs) < 0:
                 raise CircuitError("packed plaintext coefficients are mod t")
         else:

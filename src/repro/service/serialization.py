@@ -48,8 +48,6 @@ import zlib
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from repro.bfv.keys import GaloisKey, PublicKey, RelinKey
 from repro.bfv.params import BfvParameters
 from repro.bfv.scheme import Ciphertext
@@ -68,6 +66,7 @@ from repro.service.circuits import (
     CircuitStep,
     CONST_PLAIN,
     CONST_SCALAR,
+    MAX_PLAIN_COEFFS,
     OP_SPECS,
     V1_OPS,
     wire_version,
@@ -546,7 +545,8 @@ def deserialize_galois_key(data: bytes, params: BfvParameters) -> GaloisKey:
 # body: each version has one encoding of a circuit. A packed constant's
 # width is declared (the minimal byte width of its largest coefficient,
 # at least 1; a wider one is rejected), never guessed from the data, and
-# it decodes in one numpy pass at that width.
+# it decodes in one numpy pass at that width. Either kind's count is
+# refused above MAX_PLAIN_COEFFS before any coefficient is read.
 #
 # Structural validation (register bounds, op codes, argument layouts)
 # is the same validate_circuit() the in-memory constructor runs, so a
@@ -560,27 +560,33 @@ WIRE_CONST_PACKED = 2
 
 def _packed_plain(coeffs: tuple[int, ...]) -> bytes:
     """A plain constant as wire kind 2: ``u8 width | u32 count | words``."""
-    try:
-        values = np.fromiter(coeffs, dtype=np.uint64, count=len(coeffs))
-    except OverflowError:  # a coefficient of more than 8 bytes
-        width = (max(coeffs).bit_length() + 7) // 8
-        if width > 0xFF:
-            raise ValueError(
-                f"plain constant coefficient of {width} bytes does not fit "
-                "the packed encoding's u8 width"
-            ) from None
-        raw = b"".join([c.to_bytes(width, "big") for c in coeffs])
-    else:
-        width = max(1, (int(values.max()).bit_length() + 7) // 8)
-        raw = values.astype(">u8").view(np.uint8).reshape(-1, 8)[:, 8 - width:]
-        raw = raw.tobytes()
+    width = max(1, (max(coeffs).bit_length() + 7) // 8)
+    if width > 0xFF:
+        raise ValueError(
+            f"plain constant coefficient of {width} bytes does not fit "
+            "the packed encoding's u8 width"
+        )
+    raw = b"".join([c.to_bytes(width, "big") for c in coeffs])
     return bytes((WIRE_CONST_PACKED, width)) + _u32(len(coeffs)) + raw
+
+
+def _plain_count(reader: _Reader) -> int:
+    """A plain constant's ``u32`` coefficient count, refused above
+    :data:`~repro.service.circuits.MAX_PLAIN_COEFFS` before any
+    coefficient is read."""
+    count = reader.u32()
+    if count > MAX_PLAIN_COEFFS:
+        raise WireFormatError(
+            f"plain constant declares {count} coefficients; at most "
+            f"{MAX_PLAIN_COEFFS} are supported"
+        )
+    return count
 
 
 def _read_packed_plain(reader: _Reader) -> tuple[int, ...]:
     """Inverse of :func:`_packed_plain` after the kind byte."""
     width = reader.u8()
-    count = reader.u32()
+    count = _plain_count(reader)
     if width == 0 or count == 0:
         raise WireFormatError(
             f"packed plain constant needs a nonzero width and count, got "
@@ -639,7 +645,7 @@ def deserialize_circuit(data: bytes) -> Circuit:
             consts.append(CircuitConst(kind=kind, scalar=reader.i64()))
             continue
         if kind == CONST_PLAIN and version < 3:
-            coeffs = reader.bigints(reader.u32())
+            coeffs = reader.bigints(_plain_count(reader))
         elif kind == WIRE_CONST_PACKED and version == 3:
             coeffs = _read_packed_plain(reader)
         elif kind in (CONST_PLAIN, WIRE_CONST_PACKED):

@@ -23,6 +23,7 @@ from repro.service.circuits import (
     CIRCUIT_VERSION,
     CONST_PLAIN,
     CONST_SCALAR,
+    MAX_PLAIN_COEFFS,
     Circuit,
     CircuitBuilder,
     CircuitConst,
@@ -271,6 +272,10 @@ class TestConstructorValidation:
                     steps=(CircuitStep(op=OP_ADD, args=(0, 1)),),
                     outputs=(("y", 1),))
 
+    def test_plain_constant_above_the_largest_ring(self):
+        with pytest.raises(CircuitError, match="at most 65536"):
+            _plain_circuit((1,) * (MAX_PLAIN_COEFFS + 1))
+
     def test_every_op_has_a_spec_entry(self):
         assert set(OP_SPECS) == {
             OP_ADD, OP_SUB, OP_ADD_CONST, OP_MUL_CONST, OP_MAC_CONST,
@@ -376,6 +381,26 @@ class TestPackedPlain:
         wire = _frame_circuit_body(_plain_body(_packed((), 2)))
         with pytest.raises(WireFormatError, match="count 0"):
             deserialize_circuit(wire)
+
+    def test_count_above_the_largest_ring_rejected(self):
+        """A hostile count is refused before its words are decoded: the
+        body carries none of them."""
+        const = (bytes((WIRE_CONST_PACKED, 1))
+                 + (MAX_PLAIN_COEFFS + 1).to_bytes(4, "big"))
+        wire = _frame_circuit_body(_plain_body(const))
+        with pytest.raises(WireFormatError, match="at most 65536"):
+            deserialize_circuit(wire)
+
+    def test_kind1_count_above_the_largest_ring_rejected(self):
+        kind1 = (bytes((CONST_PLAIN,))
+                 + (MAX_PLAIN_COEFFS + 1).to_bytes(4, "big"))
+        wire = _frame_circuit_body(_plain_body(kind1, version=2))
+        with pytest.raises(WireFormatError, match="at most 65536"):
+            deserialize_circuit(wire)
+
+    def test_count_at_the_largest_ring_round_trips(self):
+        circuit = _plain_circuit((7,) * MAX_PLAIN_COEFFS)
+        assert deserialize_circuit(serialize_circuit(circuit)) == circuit
 
     def test_packed_body_one_byte_short_rejected(self):
         const = _packed((300, 400, 500), 2)
