@@ -34,7 +34,6 @@ from repro.service.serialization import (
     EventMsg,
     WireFormatError,
     serialize_ciphertext,
-    serialize_circuit,
     serialize_galois_key,
     serialize_params,
     serialize_relin_key,
@@ -64,16 +63,13 @@ def route_index(digest: bytes, size: int) -> int:
 def serve_worker(sock: socket.socket, index: int, mode: str,
                  fault_spec: str) -> None:
     """Run one fleet worker over ``sock`` until its router closes it: a
-    one-chip ``FheServer`` with no result cache and no optimizer (the
-    front door optimized the circuit). Top-level, so ``spawn`` can
-    pickle it."""
+    one-chip ``FheServer`` with no result cache (the front door caches).
+    Top-level, so ``spawn`` can pickle it."""
     asyncio.run(_serve_worker(sock, index, mode, fault_spec))
 
 
 async def _serve_worker(sock, index, mode, fault_spec):
-    server = FheTransportServer(FheServer(
-        pool_size=1, result_cache_size=0, optimizer_level="none",
-    ))
+    server = FheTransportServer(FheServer(pool_size=1, result_cache_size=0))
     faults = FaultPlan.parse(fault_spec).for_worker(index)
     try:
         await server.serve_socket(sock, faults.shim(sock, mode))
@@ -236,8 +232,7 @@ class FleetBackend(Backend):
         operands = job.wire_operands
         if len(operands) != len(job.operands):
             operands = tuple(serialize_ciphertext(ct) for ct in job.operands)
-        circuit = (serialize_circuit(job.payload)
-                   if job.kind is JobKind.CIRCUIT else None)
+        circuit = job.wire_circuit if job.kind is JobKind.CIRCUIT else None
         self._place(_Assignment(job, operands, circuit))
         self._set_gauges()
 

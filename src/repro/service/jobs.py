@@ -150,10 +150,6 @@ class JobMetrics:
     fidelity: str = ""
     relin_fidelity: str = ""
     dedupe_of: str = ""
-    #: Circuit jobs only: the optimizer's per-pass rewrite report
-    #: (pass name -> steps eliminated, plus steps_before/steps_after and
-    #: the optimized unit counts). ``None`` for non-circuit jobs.
-    rewrite: dict | None = None
 
 
 _job_ids = itertools.count(1)
@@ -173,10 +169,12 @@ class Job:
     payload: Circuit | None = None
     backend: str = ""  # requested backend name ("" = service default)
     #: The operands' original framed wire bytes when the job arrived over
-    #: the transport (index-aligned with ``operands``, empty otherwise).
-    #: The fleet forwards these verbatim instead of re-serializing. Both
-    #: are dropped when the job settles.
+    #: the transport (index-aligned with ``operands``, empty otherwise),
+    #: and a circuit job's framed circuit as submitted (the bytes its
+    #: content address hashes). The fleet forwards these verbatim
+    #: instead of re-serializing. All are dropped when the job settles.
     wire_operands: tuple[bytes, ...] = ()
+    wire_circuit: bytes = b""
     #: Absolute monotonic-clock instant past which the job must not be
     #: dispatched (and is reaped if already in flight). ``None`` = no
     #: deadline. Stamped by the server from the wire's relative budget.
@@ -236,4 +234,5 @@ class Job:
         # was taken at submit, and the fleet requeues from its own record.
         self.operands = []
         self.wire_operands = ()
+        self.wire_circuit = b""
         self.trace.stamp_done()

@@ -1,11 +1,9 @@
-"""Server-side circuit optimizer: semantics-preserving SSA rewrites.
+"""Offline circuit optimizer: semantics-preserving SSA rewrites.
 
-Circuits used to execute exactly as written — every submitted step
-became work units, including duplicated subtrees and multiplies by
-one. This module is
-the pass pipeline the server runs at submit time (the tf-encrypted
+The server runs every circuit as submitted; nothing under ``src/``
+calls this module. It remains as an offline pass (the tf-encrypted
 compiler RFC's "HE programs are a compiled dialect" shape, scaled to
-our op set):
+our op set) that a client or a benchmark may run before submitting:
 
 ``constant_fold``
     Plaintext algebra the ciphertext ring makes *byte-exact*: multiply
@@ -28,14 +26,10 @@ our op set):
     outputs drops every step whose result is never consumed (including
     steps orphaned by the passes above).
 
-**Levels.** ``none`` passes the circuit through untouched. ``exact``
-(the server default) runs the passes above, every one byte-exact: the
-optimized circuit's outputs are *bit-identical* to the submitted
-circuit's on every backend, so content-addressed caching, dedupe, and
-the served == in-process invariant all hold at either level. Two levels
-remain because two servers use them: the front door optimizes
-(``exact``), and a fleet worker serves what the front door already
-optimized (``none``).
+Every pass is byte-exact: the optimized circuit's outputs are
+*bit-identical* to the submitted circuit's on every backend. No pass
+touches a tensor, relinearization or rotation, so the passes only ever
+remove cheap linear steps.
 """
 
 from __future__ import annotations
@@ -61,15 +55,8 @@ from repro.service.circuits import (
     _SCALAR_LIMIT,
 )
 
-#: Optimization levels: pass the circuit through, or run every pass.
-LEVEL_NONE = "none"
+#: The one optimization level: run every pass.
 LEVEL_EXACT = "exact"
-LEVELS = (LEVEL_NONE, LEVEL_EXACT)
-
-#: What the server applies unless configured otherwise: every rewrite
-#: here is byte-exact, so default-path serving stays bit-identical to
-#: the submitted program.
-DEFAULT_LEVEL = LEVEL_EXACT
 
 #: Ops whose two register operands commute byte-exactly: ``Bfv.add``
 #: pads componentwise (a+b == b+a per coefficient) and the Eq. 4 tensor
@@ -305,41 +292,32 @@ def _dce(circuit: Circuit) -> tuple[Circuit, int]:
 
 
 def optimize_circuit(
-    circuit: Circuit, level: str = DEFAULT_LEVEL
+    circuit: Circuit, level: str = LEVEL_EXACT
 ) -> tuple[Circuit, dict]:
     """Run the pass pipeline to a fixed point; returns the rewrite report.
 
     The report maps each pass name to the number of steps it
-    eliminated, plus summary totals the
-    benchmarks and :class:`~repro.service.jobs.JobMetrics` surface:
-    ``steps_before``/``steps_after`` and the optimized circuit's
-    ``tensor_units``/``relin_units``/``rotation_units``. Optimizing an
-    already-optimized circuit is a no-op (the differential suite pins
-    this), so re-submission of an optimized program is stable.
+    eliminated, plus ``steps_before``/``steps_after``. Optimizing an
+    already-optimized circuit is a no-op (the property suite pins
+    this). ``level`` must be ``"exact"``, the one level.
     """
-    if level not in LEVELS:
+    if level != LEVEL_EXACT:
         raise ValueError(
-            f"unknown optimization level {level!r} (one of {LEVELS})"
+            f"unknown optimization level {level!r} (only {LEVEL_EXACT!r})"
         )
     report = {
-        "level": level,
         "constant_fold": 0, "cse": 0, "dce": 0,
         "steps_before": len(circuit.steps),
     }
     current = circuit
-    if level != LEVEL_NONE:
-        for _ in range(_MAX_ITERATIONS):
-            previous = current
-            current, folded, deduped = _fold_cse(current)
-            report["constant_fold"] += folded
-            report["cse"] += deduped
-            current, removed = _dce(current)
-            report["dce"] += removed
-            if current == previous:
-                break
-    counts = current.op_counts()
+    for _ in range(_MAX_ITERATIONS):
+        previous = current
+        current, folded, deduped = _fold_cse(current)
+        report["constant_fold"] += folded
+        report["cse"] += deduped
+        current, removed = _dce(current)
+        report["dce"] += removed
+        if current == previous:
+            break
     report["steps_after"] = len(current.steps)
-    report["tensor_units"] = counts["ct_ct_mults"]
-    report["relin_units"] = counts["relins"]
-    report["rotation_units"] = counts["rotations"]
     return current, report

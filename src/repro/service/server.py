@@ -33,7 +33,6 @@ from repro.service.backends import (
 )
 from repro.service.circuits import Circuit, CircuitError, rotation_exponents
 from repro.service.errors import DEADLINE_EXPIRED, QuotaExceededError
-from repro.service.optimizer import DEFAULT_LEVEL, LEVELS, optimize_circuit
 from repro.service.jobs import Job, JobKind, JobStatus
 from repro.service.registry import Session, SessionRegistry
 from repro.service.scheduler import JobScheduler, ServiceStats
@@ -120,24 +119,13 @@ class FheServer:
             over-quota submit raises the retryable
             :class:`~repro.service.errors.QuotaExceededError` before
             any decode or math.
-        optimizer_level: the circuit optimization level applied at
-            submit — ``"exact"`` (the default: byte-exact passes) or
-            ``"none"`` (serve the circuit as received, as a fleet
-            worker does). Both serve the submitted program's bytes.
     """
 
     def __init__(self, pool_size: int = 4,
                  result_cache_size: int = 256, fleet_size: int = 0,
                  fleet_mode: str = "process", fault_spec: str = "",
                  fleet_options: dict | None = None,
-                 quotas: dict[str, TenantQuota] | None = None,
-                 optimizer_level: str = DEFAULT_LEVEL):
-        if optimizer_level not in LEVELS:
-            raise ValueError(
-                f"optimizer_level must be one of {sorted(LEVELS)}, "
-                f"got {optimizer_level!r}"
-            )
-        self.optimizer_level = optimizer_level
+                 quotas: dict[str, TenantQuota] | None = None):
         self.registry = SessionRegistry()
         self.chip_pool = ChipPoolBackend(pool_size=pool_size)
         self.backends: dict[str, Backend] = {
@@ -277,9 +265,7 @@ class FheServer:
         expired in flight the fleet reaps it — either way it fails with
         the typed ``deadline expired`` message.
 
-        Circuits are rewritten at the server's ``optimizer_level`` (see
-        :mod:`repro.service.optimizer`) before queueing, and the per-pass
-        rewrite report lands in the job's metrics.
+        A circuit runs as submitted: every step it holds is executed.
 
         Raises :class:`~repro.service.errors.QuotaExceededError`
         (retryable) when the tenant is over its admission quota — before
@@ -348,43 +334,21 @@ class FheServer:
         self, trace, session_id, kind, operands, *, steps, payload, backend,
         deadline=0.0,
     ) -> str:
-        rewrite = None
         with trace.span("decode"):
             if isinstance(kind, str):
                 kind = JobKind(kind)
-            circuit_digest = b""
+            wire_circuit = b""
             if kind is JobKind.CIRCUIT:
                 if isinstance(payload, (bytes, bytearray)):
-                    # The received frame is the content address — no
-                    # re-encode on the serving hot path. (A non-canonical
-                    # encoding of the same program would address
-                    # separately; that only forgoes sharing, never
-                    # aliases it.)
-                    raw = bytes(payload)
-                    circuit_digest = hashlib.sha256(raw).digest()
-                    payload = deserialize_circuit(raw)
+                    # The received frame is the content address and what
+                    # a fleet worker is sent — no re-encode on the
+                    # serving hot path. (A non-canonical encoding of the
+                    # same program would address separately; that only
+                    # forgoes sharing, never aliases it.)
+                    wire_circuit = bytes(payload)
+                    payload = deserialize_circuit(wire_circuit)
                 elif isinstance(payload, Circuit):
-                    circuit_digest = hashlib.sha256(
-                        serialize_circuit(payload)
-                    ).digest()
-                if isinstance(payload, Circuit):
-                    # Server-side optimization: the content address stays
-                    # the *submitted* program (so identical submits share
-                    # cache entries regardless of what the passes did),
-                    # while the queued job carries the rewritten circuit.
-                    with trace.span("optimize"):
-                        payload, rewrite = optimize_circuit(
-                            payload, level=self.optimizer_level
-                        )
-                    for pass_name in ("constant_fold", "cse", "dce"):
-                        eliminated = rewrite.get(pass_name, 0)
-                        if eliminated:
-                            self.metrics.counter(
-                                "repro_circuit_steps_eliminated_total",
-                                "circuit steps eliminated by optimizer "
-                                "passes, by pass",
-                                **{"pass": pass_name},
-                            ).inc(eliminated)
+                    wire_circuit = serialize_circuit(payload)
             session = self.registry.get(session_id)
             decoded = [
                 self.registry.ingest_ciphertext(session, op)
@@ -412,19 +376,18 @@ class FheServer:
             payload=payload,
             backend=backend,
             wire_operands=wire_ops,
+            wire_circuit=wire_circuit,
             trace=trace,
         )
         if deadline > 0:
             job.deadline = time.monotonic() + deadline
-        if rewrite is not None:
-            job.metrics.rewrite = rewrite
         self.metrics.counter(
             "repro_jobs_submitted_total", "jobs submitted",
             tenant=session.tenant,
         ).inc()
         stats = self.scheduler.stats
         with trace.span("cache_check"):
-            key = self._cache_key(session, job, operands, circuit_digest)
+            key = self._cache_key(session, job, operands)
             cached = self._results.get(key)
             waiting = self._inflight.get(key)
         if cached is not None:
@@ -468,8 +431,8 @@ class FheServer:
     # Result cache (content-addressed, ROADMAP "result caching")
     # ------------------------------------------------------------------
 
-    def _cache_key(self, session: Session, job: Job, raw_operands: tuple,
-                   circuit_digest: bytes = b"") -> tuple:
+    def _cache_key(self, session: Session, job: Job,
+                   raw_operands: tuple) -> tuple:
         """Content address of a job.
 
         The request kind stays in the address, so a raw op and a
@@ -479,13 +442,13 @@ class FheServer:
         but different relin/Galois keys from ever sharing an entry, and
         the backend name keeps a request for a specific execution path
         honest (all backends return the same bytes, but a tenant asking
-        for chip fidelity gets it). Circuit jobs additionally fold in
-        ``circuit_digest`` — the SHA-256 of the circuit's wire encoding,
-        computed by :meth:`submit` straight from the received frame — so
-        two tenants submitting the same program on the same inputs share
-        one execution, and two different programs never can. The
-        optimization level stays out: both levels serve the submitted
-        program's bytes.
+        for chip fidelity gets it). Circuit jobs additionally fold in the
+        SHA-256 of ``job.wire_circuit``, the circuit's wire encoding as
+        :meth:`submit` received it (or encoded it, once, from a
+        ``Circuit``), so two tenants submitting the same program on the
+        same inputs share one execution, and two different programs
+        never can. The server runs the circuit as submitted, so those
+        bytes are also the program that executes.
 
         The same address drives both the result cache and in-queue
         dedupe, so dedupe stays on when caching is disabled.
@@ -501,7 +464,7 @@ class FheServer:
             session.digest,
             job.kind.value,
             job.steps,
-            circuit_digest,
+            hashlib.sha256(job.wire_circuit).digest(),
             job.backend or self.scheduler.default,
             self._eval_key_digest(session, job.payload),
             operands.digest(),

@@ -43,7 +43,6 @@ from dataclasses import dataclass, field
 PHASES = (
     "submit",          # FheServer.submit, end to end (decode/cache children)
     "decode",          # operand + circuit wire-bytes ingest (child of submit)
-    "optimize",        # circuit rewrite at optimizer_level (child of decode)
     "cache_check",     # content address + cache/dedupe lookup (child)
     "queue_wait",      # submit settled -> the job's own dispatch
     "execute",         # host-side functional execution (the exact math)

@@ -388,9 +388,12 @@ class FheTransportServer:
     async def _pump(self) -> None:
         """Tick, push the settled jobs' completions, yield; until idle.
 
-        The yield lets the loop serve the frames read during a tick (a
-        STATS ping, a submit, an auth reject) before the next tick, not
-        after the queue drains.
+        The yield lets the loop serve a frame that arrived during a tick
+        (a STATS ping, a submit, an auth reject) before the queue drains,
+        but not before the next tick: ``asyncio.sleep(0)`` queues the
+        pump's wake-up ahead of the selector's read callback, and the
+        connection's reader task runs one loop iteration after that, so
+        a frame that arrives during tick k is served after tick k + 2.
         """
         while not self._paused:
             progressed = self.fhe.tick()

@@ -1,4 +1,4 @@
-"""Differential battery for the server-side circuit optimizer.
+"""Differential battery for served circuits and the offline optimizer.
 
 Random circuits over the full op set (adds, constants, eager and bare
 tensors, explicit relinearization, both rotations) are generated with
@@ -7,15 +7,16 @@ and rotation operands degree 2, outputs degree 2, rotation immediates
 nonzero — plus a multiplicative-depth cap so every circuit stays inside
 the noise budget.
 
-Two guarantees are pinned differentially:
+Three guarantees are pinned:
 
-* ``exact`` (the server default) is **byte-exact**: a server at either
-  level serves, on every backend, the bytes in-process evaluation of
-  the *submitted* circuit returns. That is why the level stays out of
-  the result cache's content address.
-* The pass pipeline is a **fixed point**: optimizing an optimized
-  circuit changes nothing and reports zero eliminations, and the
-  rewrite report's eliminated counts reconcile with the step deltas.
+* Serving is **byte-exact**: the server serves, on every backend, the
+  bytes in-process evaluation of the *submitted* circuit returns, and
+  it runs every submitted step (a wasteful circuit is priced whole).
+* The offline pass pipeline (:func:`optimize_circuit`) only removes
+  steps, never a tensor, key switch or rotation.
+* It is a **fixed point**: optimizing an optimized circuit changes
+  nothing and reports zero eliminations, and the rewrite report's
+  eliminated counts reconcile with the step deltas.
 """
 
 import pytest
@@ -27,12 +28,7 @@ from repro.bfv.rotation import RotationEngine
 from repro.polymath.primes import ntt_friendly_prime
 from repro.service.circuits import CircuitBuilder, evaluate_circuit
 from repro.service.jobs import JobKind
-from repro.service.optimizer import (
-    LEVEL_EXACT,
-    LEVEL_NONE,
-    LEVELS,
-    optimize_circuit,
-)
+from repro.service.optimizer import LEVEL_EXACT, optimize_circuit
 from repro.service.serialization import (
     deserialize_circuit_outputs,
     serialize_ciphertext,
@@ -172,8 +168,8 @@ def circuits(draw):
 
 @pytest.fixture(scope="module")
 def ctx():
-    """One server per optimization level, each with a session holding
-    every Galois key the strategy can use."""
+    """One default server with a session holding every Galois key the
+    strategy can use."""
     bfv = Bfv(PARAMS, seed=97)
     keys = bfv.keygen(relin_digit_bits=16)
     rotor = RotationEngine(bfv, keys.secret)
@@ -182,20 +178,15 @@ def ctx():
         | {2 * PARAMS.n - 1}
     )
     galois = {e: rotor.galois_key(e) for e in exponents}
-    servers = {}
-    for level in LEVELS:
-        server = FheServer(
-            pool_size=2, result_cache_size=0, optimizer_level=level
-        )
-        sid = server.open_session(
-            "prop",
-            serialize_params(PARAMS),
-            relin_key=serialize_relin_key(keys.relin, PARAMS),
-            galois_keys=tuple(
-                serialize_galois_key(key, PARAMS) for key in galois.values()
-            ),
-        )
-        servers[level] = (server, sid)
+    server = FheServer(pool_size=2, result_cache_size=0)
+    sid = server.open_session(
+        "prop",
+        serialize_params(PARAMS),
+        relin_key=serialize_relin_key(keys.relin, PARAMS),
+        galois_keys=tuple(
+            serialize_galois_key(key, PARAMS) for key in galois.values()
+        ),
+    )
     inputs = tuple(
         bfv.encrypt(_ENCODER.encode([v + s for s in range(PARAMS.n)]),
                     keys.public)
@@ -203,20 +194,19 @@ def ctx():
     )
     wires = tuple(serialize_ciphertext(ct) for ct in inputs)
     yield {
-        "servers": servers, "bfv": bfv, "keys": keys, "galois": galois,
-        "inputs": inputs, "wires": wires,
+        "server": server, "sid": sid, "bfv": bfv, "keys": keys,
+        "galois": galois, "inputs": inputs, "wires": wires,
     }
-    for server, _sid in servers.values():
-        server.close()
+    server.close()
 
 
-def _serve(ctx, circuit, backend, level):
-    server, sid = ctx["servers"][level]
+def _serve(ctx, circuit, backend):
+    server = ctx["server"]
     jid = server.submit(
-        sid, JobKind.CIRCUIT, ctx["wires"][: len(circuit.inputs)],
+        ctx["sid"], JobKind.CIRCUIT, ctx["wires"][: len(circuit.inputs)],
         payload=circuit, backend=backend,
     )
-    return server.result(jid), server.job_metrics(jid)
+    return server.result(jid)
 
 
 class TestDifferentialServing:
@@ -225,21 +215,13 @@ class TestDifferentialServing:
         suppress_health_check=[HealthCheck.too_slow],
     )
     @given(circuit=circuits())
-    def test_exact_level_is_byte_identical_on_every_backend(
+    def test_served_bytes_are_the_submitted_circuit_on_every_backend(
         self, ctx, circuit
     ):
-        """Unoptimized and exact-optimized servers serve the same bytes
-        on both backends, and those bytes are in-process evaluation of
-        the submitted circuit — one equivalence class of five wires."""
-        wires = set()
-        for level in LEVELS:
-            for backend in BACKENDS:
-                wire, metrics = _serve(ctx, circuit, backend, level)
-                wires.add(wire)
-                rewrite = metrics.rewrite
-                assert rewrite is not None and rewrite["level"] == level
-                if level == LEVEL_NONE:
-                    assert rewrite["steps_after"] == rewrite["steps_before"]
+        """Both backends serve the bytes in-process evaluation of the
+        submitted circuit returns — one equivalence class of three
+        wires."""
+        wires = {_serve(ctx, circuit, backend) for backend in BACKENDS}
         reference = evaluate_circuit(
             ctx["bfv"], ctx["keys"].relin, circuit,
             ctx["inputs"][: len(circuit.inputs)],
@@ -261,10 +243,6 @@ class TestRewriteReport:
             report["constant_fold"] + report["cse"] + report["dce"]
         )
         assert report["steps_before"] - report["steps_after"] == eliminated
-        counts = optimized.op_counts()
-        assert report["tensor_units"] == counts["ct_ct_mults"]
-        assert report["relin_units"] == counts["relins"]
-        assert report["rotation_units"] == counts["rotations"]
 
     @settings(max_examples=120, deadline=None)
     @given(circuit=circuits())
@@ -280,34 +258,46 @@ class TestRewriteReport:
         assert len(optimized.steps) <= len(circuit.steps)
 
     @settings(max_examples=120, deadline=None)
-    @given(
-        circuit=circuits(),
-        level=st.sampled_from(LEVELS),
-    )
-    def test_optimize_twice_is_a_fixed_point(self, circuit, level):
-        once, _ = optimize_circuit(circuit, level=level)
-        twice, report = optimize_circuit(once, level=level)
+    @given(circuit=circuits())
+    def test_optimize_twice_is_a_fixed_point(self, circuit):
+        once, _ = optimize_circuit(circuit)
+        twice, report = optimize_circuit(once)
         assert twice == once
         for pass_name in ("constant_fold", "cse", "dce"):
             assert report[pass_name] == 0
 
 
-class TestServerPlumbing:
-    def test_known_redundancies_hit_each_pass_and_the_counter(self):
-        """A hand-built wasteful circuit exercises fold + CSE + DCE, the
-        rewrite report lands in JobMetrics, and the per-pass elimination
-        counter shows up on the metrics wire."""
+def _wasteful():
+    """``y = x + x * 1`` written wastefully: a ×1 fold, a commutative
+    duplicate for CSE, and a dead ``square_relin`` for DCE."""
+    builder = CircuitBuilder("wasteful")
+    x = builder.input("x")
+    one = builder.mul_const(x, builder.scalar(1))  # folds to x
+    twice_a = builder.add(x, one)
+    twice_b = builder.add(one, x)  # CSE (commutative canonicalization)
+    builder.square_relin(twice_b)  # dead: never reaches an output
+    builder.output("y", twice_a)
+    return builder.build()
+
+
+class TestWastefulCircuit:
+    def test_known_redundancies_hit_each_pass(self):
+        """The offline passes each find their redundancy."""
+        circuit = _wasteful()
+        optimized, report = optimize_circuit(circuit)
+        assert report["constant_fold"] >= 1
+        assert report["cse"] >= 1
+        assert report["dce"] >= 1
+        assert report["steps_after"] == len(optimized.steps) < len(
+            circuit.steps)
+
+    def test_server_runs_every_submitted_step(self):
+        """Served on the chip pool, the wasteful circuit is priced whole
+        (the dead square and the ×1 included), no ``optimize`` phase
+        is traced, and it still decrypts to ``x + x``."""
         bfv = Bfv(PARAMS, seed=5)
         keys = bfv.keygen(relin_digit_bits=16)
-        builder = CircuitBuilder("wasteful")
-        x = builder.input("x")
-        one = builder.mul_const(x, builder.scalar(1))  # folds to x
-        twice_a = builder.add(x, one)
-        twice_b = builder.add(one, x)  # CSE (commutative canonicalization)
-        builder.square_relin(twice_b)  # dead: never reaches an output
-        builder.output("y", twice_a)
-        circuit = builder.build()
-
+        circuit = _wasteful()
         with FheServer(pool_size=2, result_cache_size=0) as server:
             sid = server.open_session(
                 "t", serialize_params(PARAMS),
@@ -316,36 +306,33 @@ class TestServerPlumbing:
             ct = bfv.encrypt(_ENCODER.encode([3] * PARAMS.n), keys.public)
             jid = server.submit(
                 sid, JobKind.CIRCUIT, (serialize_ciphertext(ct),),
-                payload=circuit,
+                payload=circuit, backend="chip_pool",
             )
             wire = server.result(jid)
-            rewrite = server.job_metrics(jid).rewrite
-            assert rewrite["constant_fold"] >= 1
-            assert rewrite["cse"] >= 1
-            assert rewrite["dce"] >= 1
-            assert rewrite["steps_after"] < rewrite["steps_before"]
-            rendered = server.metrics.render()
-            assert "repro_circuit_steps_eliminated_total" in rendered
-            outs = deserialize_circuit_outputs(wire, PARAMS)
-            decoded = _ENCODER.decode(bfv.decrypt(outs["y"], keys.secret))
-            assert decoded == [6] * PARAMS.n
+            price = server.chip_pool._price(server.registry.get(sid),
+                                            circuit)
+            assert server.job_metrics(jid).cycles == (
+                price.tensor + sum(price.tails) + price.copies + price.linear
+            )
+            assert price.tensor and price.tails  # the dead square is paid
+            phases = {s.phase for s in server.job_trace(jid).spans}
+            assert "optimize" not in phases
+        outs = deserialize_circuit_outputs(wire, PARAMS)
+        decoded = _ENCODER.decode(bfv.decrypt(outs["y"], keys.secret))
+        assert decoded == [6] * PARAMS.n
 
 
 class TestLevels:
-    def test_unsupported_level_is_rejected_naming_the_supported_ones(self):
-        """Only ``none`` and ``exact`` exist; anything else — the removed
-        ``lazy`` included — is a typed error at construction, never a
+    def test_unsupported_level_is_rejected_naming_the_supported_one(self):
+        """``exact`` is the one level; anything else — the removed
+        ``lazy`` and ``none`` included — is a typed error, never a
         silent fallback."""
         builder = CircuitBuilder("one-add")
         x = builder.input("x")
         builder.output("y", builder.add(x, x))
         circuit = builder.build()
-        with pytest.raises(ValueError) as at_server:
-            FheServer(optimizer_level="lazy")
-        with pytest.raises(ValueError) as at_optimizer:
-            optimize_circuit(circuit, level="lazy")
-        assert LEVELS == (LEVEL_NONE, LEVEL_EXACT)
-        for error in (at_server.value, at_optimizer.value):
-            message = str(error)
-            assert "'lazy'" in message
-            assert all(repr(level) in message for level in LEVELS), message
+        for level in ("lazy", "none"):
+            with pytest.raises(ValueError) as error:
+                optimize_circuit(circuit, level=level)
+            message = str(error.value)
+            assert repr(level) in message and repr(LEVEL_EXACT) in message

@@ -159,40 +159,6 @@ class TestChipExpansion:
         )
 
 
-class TestOptimizerUnits:
-    """The same CryptoNets program served with the optimizer off and at
-    level ``exact`` on identical pools of 4."""
-
-    @staticmethod
-    def _serve(level, model, circuit, inputs):
-        server = FheServer(pool_size=4, optimizer_level=level)
-        sid = _open(server, model)
-        jid = _submit(server, sid, circuit, inputs)
-        wire = server.result(jid)
-        rewrite = server.job_metrics(jid).rewrite
-        units = rewrite["tensor_units"] + rewrite["relin_units"]
-        return wire, rewrite, units, server.scheduler.stats.makespan_cycles
-
-    def test_exact_serves_the_same_bytes_without_adding_units(
-        self, cryptonets
-    ):
-        model, images, circuit, inputs = cryptonets
-        off_wire, off, off_units, off_span = self._serve(
-            "none", model, circuit, inputs)
-        exact_wire, exact, exact_units, exact_span = self._serve(
-            "exact", model, circuit, inputs)
-        # Optimizer off serves the submitted program verbatim.
-        assert off["steps_after"] == len(circuit.steps)
-        assert exact["steps_after"] <= off["steps_after"]
-        # Byte-exact: the level never changes what a client receives.
-        assert exact_wire == off_wire
-        outs = deserialize_circuit_outputs(exact_wire, model.params)
-        assert model.scores_from_outputs(outs, len(images)) == \
-            model.infer_plain(images)
-        assert exact_units <= off_units, (exact_units, off_units)
-        assert exact_span <= off_span, (exact_span, off_span)
-
-
 class TestTensorLevelsDiamond:
     """Regression: a diamond-shaped tensor DAG serves bit-identically.
 

@@ -12,18 +12,22 @@ what that hop must preserve and what it must not keep:
   the router's client keeps no record of a settled job;
 * the router sends a session's keys to a worker again exactly when their
   upload digests change, so a replaced key serves the bytes in-process
-  ``Bfv`` computes under it and an identical reopen sends nothing.
+  ``Bfv`` computes under it and an identical reopen sends nothing;
+* a circuit reaches its worker as the bytes its client sent: the front
+  door forwards them and encodes no circuit itself.
 """
 
 from __future__ import annotations
 
 import asyncio
 import random
+import sys
 
 import pytest
 
 from repro.bfv import BatchEncoder, Bfv, BfvParameters, RotationEngine
 from repro.bfv.rotation import apply_galois_with_key
+from repro.service import serialization
 from repro.service.circuits import OP_ROTATE_ROWS, rotation_exponent
 from repro.service.client import AsyncFheClient
 from repro.service.jobs import JobKind
@@ -221,3 +225,56 @@ def test_keys_replicate_exactly_when_their_content_changes(tenant,
                 server.submit(sid, JobKind.MULTIPLY, (a, b))
             ) == want
         assert replications.value == 3
+
+
+#: The version-2 body with a kind-1 plain constant that
+#: ``tests/property/test_property_circuit_wire.py`` pins:
+#: ``y = -3 * (rotate_rows(x, 1) + plain(0, 1, 255, 256, 70000))``.
+#: This build's encoder writes it as version 3, so only a forwarded
+#: frame reaches the worker in these bytes.
+V2_KIND1_WIRE = bytes.fromhex(
+    "4346484501070200046269617300010001780002010000000500000000000000"
+    "010100000001ff0000000201000000000301117000fffffffffffffffd000308"
+    "000000010300010000040002000100010001790003b9139b4c"
+)
+
+
+def test_fleet_forwards_a_wire_circuit_verbatim(tenant, galois_pair,
+                                                 monkeypatch):
+    """The router's ``submit_circuit`` receives the client's exact
+    circuit bytes and no ``serialize_circuit`` runs on the way. The
+    worker decodes and runs them: its 5-coefficient constant fails
+    there, as it fails in-process at n = 16."""
+    _, operands = tenant
+    encode = serialization.serialize_circuit
+    encoded, forwarded = [], []
+
+    def counting_encode(circuit):
+        encoded.append(circuit)
+        return encode(circuit)
+
+    for module in list(sys.modules.values()):
+        if (module.__name__.startswith("repro.")
+                and getattr(module, "serialize_circuit", None) is encode):
+            monkeypatch.setattr(module, "serialize_circuit", counting_encode)
+    submit_circuit = AsyncFheClient.submit_circuit
+
+    async def recording_submit(self, session_id, circuit, *args, **kwargs):
+        forwarded.append(circuit)
+        return await submit_circuit(self, session_id, circuit,
+                                    *args, **kwargs)
+
+    monkeypatch.setattr(AsyncFheClient, "submit_circuit", recording_submit)
+    with FheServer(fleet_size=1, fleet_mode="thread",
+                   result_cache_size=0) as server:
+        sid = server.open_session(
+            "t", serialize_params(PARAMS),
+            galois_keys=(serialize_galois_key(galois_pair[0], PARAMS),),
+        )
+        jid = server.submit(sid, JobKind.CIRCUIT, operands[0][:1],
+                            payload=V2_KIND1_WIRE)
+        with pytest.raises(RuntimeError, match="5 coefficients for n = 16"):
+            server.result(jid)
+        assert server.job_metrics(jid).backend == server.fleet.name
+    assert forwarded == [V2_KIND1_WIRE]
+    assert encoded == []

@@ -135,7 +135,7 @@ class TestServingTraces:
     @pytest.mark.parametrize("backend", ("software", "chip_pool"))
     def test_phases_arrive_in_pipeline_order(self, backend):
         """Raw and circuit jobs alike record only glossary phases,
-        children included (a circuit job's ``optimize`` too)."""
+        children included."""
         server, _, job_ids = _server_with_jobs(backend=backend,
                                                circuit_jobs=2)
         server.run()
