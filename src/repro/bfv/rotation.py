@@ -26,23 +26,26 @@ from repro.polymath.poly import Polynomial
 
 @lru_cache(maxsize=64)
 def _automorphism_table(n: int, exponent: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(src, flip)`` with ``p(x^g)[j] = (-1)**flip[j] * p[src[j]]``.
+    """``(src, mask)`` with ``p(x^g)[j] = p[src[j]]``, negated where
+    ``mask[j]`` is set.
 
     Monomial ``x^i`` maps to ``x^(i*g mod 2n)``, negated when the reduced
     exponent crosses ``n`` (since ``x^n = -1``); ``g`` odd makes
-    ``i -> i*g mod n`` a bijection, so the map inverts into one gather
-    index and one sign mask per ``(n, g)``. The arrays are shared by
-    every caller and therefore read-only.
+    ``i -> i*g mod n`` a bijection, so the map inverts into one ``int64``
+    gather index and one ``uint32`` sign mask (all ones where the sign
+    flips, else zero: the select :meth:`Polynomial.permuted` runs on
+    tower rows) per ``(n, g)``. The arrays are shared by every caller
+    and therefore read-only.
     """
     if exponent % 2 == 0 or not 0 < exponent < 2 * n:
         raise ValueError(f"automorphism exponent must be odd in (0, 2n), got {exponent}")
     dest = np.arange(n, dtype=np.int64) * exponent % (2 * n)
     src = np.empty(n, dtype=np.int64)
     src[dest % n] = np.arange(n, dtype=np.int64)
-    flip = np.empty(n, dtype=bool)
-    flip[dest % n] = dest >= n
-    src.flags.writeable = flip.flags.writeable = False
-    return src, flip
+    mask = np.empty(n, dtype=np.uint32)
+    mask[dest % n] = np.where(dest >= n, np.uint32(0xFFFFFFFF), np.uint32(0))
+    src.flags.writeable = mask.flags.writeable = False
+    return src, mask
 
 
 def apply_automorphism(poly: Polynomial, exponent: int) -> Polynomial:
@@ -50,8 +53,8 @@ def apply_automorphism(poly: Polynomial, exponent: int) -> Polynomial:
 
     Monomial ``x^i`` maps to ``x^(i*g mod 2n)`` with a sign flip when the
     reduced exponent crosses ``n`` (since ``x^n = -1``): one signed index
-    permutation (:meth:`~repro.polymath.poly.Polynomial.permuted`), of
-    each tower row when ``poly`` is tower-backed.
+    permutation (:meth:`~repro.polymath.poly.Polynomial.permuted`), one
+    gather of the whole tower stack when ``poly`` is tower-backed.
     """
     return poly.permuted(*_automorphism_table(poly.ring.n, exponent))
 

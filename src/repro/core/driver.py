@@ -115,7 +115,8 @@ class OperationReport:
 
 
 #: How many compiled programs a stream keeps (one per modulus and set of
-#: command constants) before it drops them all.
+#: command constants) before it drops them all; also how many Algorithm 3
+#: command tuples, and stream keys of command tuples, a driver keeps.
 _STREAM_PROGRAMS = 16
 
 
@@ -198,10 +199,11 @@ class CofheeDriver:
         self.reprograms = 0
         #: :meth:`execute`'s memo: stream key -> its first run.
         self._streams: dict[tuple, _Stream] = {}
-        #: Per programming: Algorithm 3's commands by buffer names, and
-        #: the last command tuple :meth:`_stream_key` read, with its key.
-        self._alg3: dict[tuple[str, ...], tuple[Command, ...]] = {}
-        self._last_key: tuple = (None, None)
+        #: Algorithm 3's commands by programmed ``(q, n)`` and buffer
+        #: names, and by ``(id, n)`` each command tuple :meth:`_stream_key`
+        #: read, held with its key (each bounded at ``_STREAM_PROGRAMS``).
+        self._alg3: dict[tuple, tuple[Command, ...]] = {}
+        self._keys: dict[tuple[int, int], tuple] = {}
 
     # ------------------------------------------------------------------
     # Bring-up: parameters, twiddles, buffers
@@ -228,8 +230,6 @@ class CofheeDriver:
         # fits 64 bits.
         self.chip.bus.burst_write(self._twiddle_addr(), _twiddle_table(q, n))
         self._programmed = (q, n)
-        self._alg3.clear()
-        self._last_key = (None, None)
         return self.link.send_polynomial(n)
 
     def ensure_programmed(self, q: int, n: int) -> float:
@@ -392,9 +392,9 @@ class CofheeDriver:
         every command in :data:`~repro.core.mdmc.GROUPED_OPCODES` at
         ``n`` and every iNTT carrying its ``n^-1``, has a key (``None``
         otherwise), so those parts of its identity are the same in every
-        key. The commands' part is kept for the last tuple of commands
-        seen (immutable, like each :class:`Command`), until the next
-        programming.
+        key. The commands' part is kept per tuple of commands seen
+        (immutable, like each :class:`Command`) and ``n``, so a chip that
+        takes turns on several moduli keeps each one's.
         """
         chip = self.chip
         if (mode != "fifo" or chip.mdmc.fidelity != "vector"
@@ -402,10 +402,10 @@ class CofheeDriver:
                 or not fits(chip.pe.q)
                 or any(b.data.dtype == object for b in chip.memory_map.banks)):
             return None
-        seen, key = self._last_key
-        if commands is seen:
-            return key
         n = self._n
+        seen = self._keys.get((id(commands), n))
+        if seen is not None and seen[0] is commands:
+            return seen[1]
         key = None if any(
             c.opcode not in GROUPED_OPCODES or c.n != n
             or (c.opcode is Opcode.INTT and c.constant == 0)
@@ -415,7 +415,9 @@ class CofheeDriver:
             for c in commands
         ))
         if isinstance(commands, tuple):
-            self._last_key = (commands, key)
+            if len(self._keys) == _STREAM_PROGRAMS:
+                self._keys.clear()
+            self._keys[id(commands), n] = (commands, key)
         return key
 
     def _holders(self) -> list:
@@ -564,11 +566,14 @@ class CofheeDriver:
     def _alg3_commands(self, a0: str, a1: str, b0: str, b1: str, t0: str,
                        t1: str) -> tuple[Command, ...]:
         """:meth:`ciphertext_multiply`'s commands, built once per
-        programming."""
-        names = (a0, a1, b0, b1, t0, t1)
-        if names not in self._alg3:
+        programmed ``(q, n)`` and buffer names."""
+        names = (self._programmed, a0, a1, b0, b1, t0, t1)
+        commands = self._alg3.get(names)
+        if commands is None:
+            if len(self._alg3) == _STREAM_PROGRAMS:
+                self._alg3.clear()
             mul = Opcode.PMODMUL
-            self._alg3[names] = (
+            commands = self._alg3[names] = (
                 self.ntt_command(b0, b0),                        # B0'
                 self.ntt_command(a0, a0),                        # A0'
                 self.pointwise_command(mul, a0, t0, y=b0),       # Y0'
@@ -582,7 +587,7 @@ class CofheeDriver:
                 self.pointwise_command(Opcode.PMODADD, t1, t1, y=b0),  # Y1'
                 self.intt_command(t1, t1),                       # Y1
             )
-        return self._alg3[names]
+        return commands
 
     def ciphertext_multiply_tower(
         self,

@@ -373,15 +373,26 @@ class Polynomial:
 
     # -- utilities ---------------------------------------------------------
 
-    def permuted(self, src: np.ndarray, flip: np.ndarray) -> "Polynomial":
-        """The signed index permutation ``p'[j] = (-1)**flip[j] * p[src[j]]``
-        (an automorphism's table), per tower on a tower-backed one."""
+    def permuted(self, src: np.ndarray, mask: np.ndarray) -> "Polynomial":
+        """The signed index permutation ``p'[j] = ±p[src[j]]``, negated
+        where the ``uint32`` ``mask[j]`` is all ones (an automorphism's
+        table).
+
+        Tower-backed, it is one gather of the ``(L, n)`` stack along
+        ``n`` and one branch-free select between each row and its
+        negation, ``rows ^ ((rows ^ neg) & mask)``; ``neg = min(-rows,
+        -rows + q)`` is ``q - x`` for ``x > 0`` and ``0`` for ``x = 0``.
+        """
         if self._rns is not None:
-            rows = self._towers[:, src]
-            negated = -rows[:, flip]  # 2^32 - x; + q wraps it to q - x
-            rows[:, flip] = np.minimum(negated, negated + self._rns._mods.q)
+            rows = np.take(self._towers, src, axis=1)
+            neg = -rows  # 2^32 - x; + q wraps it to q - x, and 0 stays 0
+            np.minimum(neg, neg + self._rns._mods.q, out=neg)
+            neg ^= rows
+            neg &= mask
+            rows ^= neg
             return Polynomial.from_towers(self.ring, self._rns, rows)
         out = np.asarray(self.coeffs, dtype=object)[src]
+        flip = mask != 0
         out[flip] = -out[flip] % self.ring.q
         return Polynomial.from_canonical(self.ring, out.tolist())
 

@@ -56,6 +56,13 @@ from repro.service.telemetry import (
 )
 
 
+#: The decoded-circuit memo (:meth:`FheServer._decode_circuit`) holds at
+#: most this many circuits, whose wire bodies total at most this many
+#: bytes; a body larger than the byte bound is decoded and not kept.
+CIRCUIT_MEMO_ENTRIES = 32
+CIRCUIT_MEMO_BYTES = 1 << 20
+
+
 @dataclass(frozen=True)
 class TenantQuota:
     """Per-tenant admission limits (``0`` disables each mechanism).
@@ -173,6 +180,10 @@ class FheServer:
         # *followers]`` — kept even with the result cache disabled.
         self._results: OrderedDict[tuple, object] = OrderedDict()
         self._inflight: dict[tuple, list[Job]] = {}
+        # Circuits decoded from wire bodies, LRU by the body's SHA-256,
+        # and the bytes of the bodies held (see CIRCUIT_MEMO_ENTRIES).
+        self._circuits: OrderedDict[bytes, tuple[Circuit, int]] = OrderedDict()
+        self._circuit_bytes = 0
         # Per-tenant admission control: outstanding job ids (pruned of
         # settled jobs at admission time, so each set stays bounded by
         # its quota) and token-bucket state (tokens, last refill).
@@ -337,18 +348,21 @@ class FheServer:
         with trace.span("decode"):
             if isinstance(kind, str):
                 kind = JobKind(kind)
+            received = kind is JobKind.CIRCUIT and isinstance(
+                payload, (bytes, bytearray))
             wire_circuit = b""
-            if kind is JobKind.CIRCUIT:
-                if isinstance(payload, (bytes, bytearray)):
-                    # The received frame is the content address and what
-                    # a fleet worker is sent — no re-encode on the
-                    # serving hot path. (A non-canonical encoding of the
-                    # same program would address separately; that only
-                    # forgoes sharing, never aliases it.)
-                    wire_circuit = bytes(payload)
-                    payload = deserialize_circuit(wire_circuit)
-                elif isinstance(payload, Circuit):
-                    wire_circuit = serialize_circuit(payload)
+            if received:
+                # The received frame is the content address and what a
+                # fleet worker is sent — no re-encode on the serving hot
+                # path. (A non-canonical encoding of the same program
+                # would address separately; that only forgoes sharing,
+                # never aliases it.)
+                wire_circuit = bytes(payload)
+            elif kind is JobKind.CIRCUIT and isinstance(payload, Circuit):
+                wire_circuit = serialize_circuit(payload)
+            circuit_digest = hashlib.sha256(wire_circuit).digest()
+            if received:
+                payload = self._decode_circuit(wire_circuit, circuit_digest)
             session = self.registry.get(session_id)
             decoded = [
                 self.registry.ingest_ciphertext(session, op)
@@ -387,7 +401,7 @@ class FheServer:
         ).inc()
         stats = self.scheduler.stats
         with trace.span("cache_check"):
-            key = self._cache_key(session, job, operands)
+            key = self._cache_key(session, job, operands, circuit_digest)
             cached = self._results.get(key)
             waiting = self._inflight.get(key)
         if cached is not None:
@@ -431,8 +445,26 @@ class FheServer:
     # Result cache (content-addressed, ROADMAP "result caching")
     # ------------------------------------------------------------------
 
+    def _decode_circuit(self, wire: bytes, digest: bytes) -> Circuit:
+        """The circuit a wire body encodes, decoded and validated once per
+        distinct body (``digest`` is its SHA-256): a :class:`Circuit` is
+        frozen, so jobs share it. A body that fails raises every time and
+        is never kept."""
+        entry = self._circuits.get(digest)
+        if entry is not None:
+            self._circuits.move_to_end(digest)
+            return entry[0]
+        circuit = deserialize_circuit(wire)
+        if len(wire) <= CIRCUIT_MEMO_BYTES:
+            self._circuits[digest] = (circuit, len(wire))
+            self._circuit_bytes += len(wire)
+            while (len(self._circuits) > CIRCUIT_MEMO_ENTRIES
+                   or self._circuit_bytes > CIRCUIT_MEMO_BYTES):
+                self._circuit_bytes -= self._circuits.popitem(last=False)[1][1]
+        return circuit
+
     def _cache_key(self, session: Session, job: Job,
-                   raw_operands: tuple) -> tuple:
+                   raw_operands: tuple, circuit_digest: bytes) -> tuple:
         """Content address of a job.
 
         The request kind stays in the address, so a raw op and a
@@ -442,13 +474,14 @@ class FheServer:
         but different relin/Galois keys from ever sharing an entry, and
         the backend name keeps a request for a specific execution path
         honest (all backends return the same bytes, but a tenant asking
-        for chip fidelity gets it). Circuit jobs additionally fold in the
-        SHA-256 of ``job.wire_circuit``, the circuit's wire encoding as
-        :meth:`submit` received it (or encoded it, once, from a
-        ``Circuit``), so two tenants submitting the same program on the
-        same inputs share one execution, and two different programs
-        never can. The server runs the circuit as submitted, so those
-        bytes are also the program that executes.
+        for chip fidelity gets it). Circuit jobs additionally fold in
+        ``circuit_digest``, the SHA-256 of ``job.wire_circuit`` (the
+        circuit's wire encoding as :meth:`submit` received it, or encoded
+        it, once, from a ``Circuit``) that the submit took once, so two
+        tenants submitting the same program on the same inputs share one
+        execution, and two different programs never can. The server runs
+        the circuit as submitted, so those bytes are also the program
+        that executes.
 
         The same address drives both the result cache and in-queue
         dedupe, so dedupe stays on when caching is disabled.
@@ -464,7 +497,7 @@ class FheServer:
             session.digest,
             job.kind.value,
             job.steps,
-            hashlib.sha256(job.wire_circuit).digest(),
+            circuit_digest,
             job.backend or self.scheduler.default,
             self._eval_key_digest(session, job.payload),
             operands.digest(),

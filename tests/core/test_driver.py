@@ -202,22 +202,27 @@ class TestWarmStreams:
             (lib.OP_PMODADD, 1, True), (lib.OP_INTT, 1, True),
         ]
 
-    def test_algorithm3_commands_are_built_once_per_programming(self):
+    def test_algorithm3_commands_are_built_once_per_modulus(self):
         """Later towers reuse the stream's command tuple and the key read
-        from it; programming the chip again builds them anew."""
+        from it; another modulus builds its own, and programming the
+        first again (the twiddles downloaded anew) finds the first's."""
         driver = self._driver(True)
         names = tuple(driver.buffer_names[:6])
         driver.ciphertext_multiply(*names)
-        commands = driver._alg3[names]
+        (commands,) = driver._alg3.values()
         driver.ciphertext_multiply(*names)
-        assert driver._alg3[names] is commands
-        assert driver._last_key[0] is commands
+        assert list(driver._alg3.values()) == [commands]
+        assert driver._keys[id(commands), N][0] is commands
+        q29 = ntt_friendly_prime(N, 29)
+        driver.program(q29, N)
+        driver.ciphertext_multiply(*names)
+        assert len(driver._alg3) == 2
+        other = driver._alg3[((q29, N), *names)]
+        assert other != commands  # the iNTTs carry q29's n^-1
         driver.program(Q30, N)
-        assert not driver._alg3 and driver._last_key == (None, None)
         driver.ciphertext_multiply(*names)
-        assert driver._alg3[names] == commands
-        assert driver._alg3[names] is not commands
-        assert len(driver._streams) == 1
+        assert driver._alg3[((Q30, N), *names)] is commands
+        assert len(driver._alg3) == 2 and len(driver._streams) == 1
 
     @pytest.mark.parametrize("name", [
         "polymul", "write_after_read", "same_level_write_after_read",

@@ -21,14 +21,20 @@ as ``_automorphism_reference``.
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bfv import BatchEncoder, Bfv, BfvParameters, RotationEngine
 from repro.bfv.keys import GaloisKey
-from repro.bfv.rotation import apply_automorphism, apply_galois_with_key
+from repro.bfv.rotation import (
+    _automorphism_table,
+    apply_automorphism,
+    apply_galois_with_key,
+)
 from repro.bfv.scheme import Ciphertext, _ExactMultiplier
+from repro.polymath.engine import require_engine
 from repro.polymath.poly import Polynomial, PolynomialRing
 from repro.polymath.primes import ntt_friendly_prime
 from repro.service.serialization import serialize_ciphertext
@@ -255,6 +261,59 @@ class TestAutomorphism:
         for bfv in (stack.engine, stack.scalar):
             with pytest.raises(ValueError, match="odd"):
                 apply_galois_with_key(bfv, ct, forged)
+
+
+def _tower_case(n: int, fill: str, seed: int = 0):
+    """A tower-backed polynomial on three 30-bit towers at ``n`` whose
+    rows are all zeros, all ``q_i - 1`` or random residues."""
+    params = BfvParameters.toy_rns(n=n, towers=3, tower_bits=30)
+    rns = require_engine(params.q_basis, n)
+    q = np.array(params.q_basis.moduli, dtype=np.uint32)[:, None]
+    if fill == "zeros":
+        rows = np.zeros((3, n), np.uint32)
+    elif fill == "max":
+        rows = np.repeat(q - 1, n, axis=1)
+    else:
+        rows = (np.random.default_rng(seed).integers(0, 1 << 30, (3, n))
+                % q).astype(np.uint32)
+    ring = PolynomialRing(n, params.q, allow_non_ntt=True)
+    return Polynomial.from_towers(ring, rns, rows), q
+
+
+def _tower_exponents(n: int) -> list[int]:
+    """dense16's ``3^(2^k)``, the column swap ``2n - 1`` and random odd
+    exponents in ``(0, 2n)``."""
+    rng = random.Random(n)
+    return sorted({pow(3, 2**k, 2 * n) for k in range(4)} | {2 * n - 1}
+                  | {2 * rng.randrange(n) + 1 for _ in range(4)})
+
+
+class TestTowerAutomorphism:
+    """The tower path's gather and sign select against the
+    per-coefficient definition, at the rows where a select between ``x``
+    and ``q - x`` can slip: zero (whose negation is zero, not ``q``) and
+    ``q_i - 1``; at the serving benchmark's n = 4096 on three 30-bit
+    towers and at the smallest degrees."""
+
+    @pytest.mark.parametrize("n", (2, 16, 4096))
+    @pytest.mark.parametrize("fill", ("zeros", "max", "random"))
+    def test_tower_gather_equals_the_reference(self, n, fill):
+        poly, q = _tower_case(n, fill, seed=n)
+        for exponent in _tower_exponents(n):
+            got = apply_automorphism(poly, exponent)
+            assert got._rns is not None and got._towers.dtype == np.uint32
+            assert (got._towers < q).all()
+            assert got == _automorphism_reference(poly, exponent)
+
+    @pytest.mark.parametrize("n", (2, 16, 4096))
+    def test_the_table_is_read_only(self, n):
+        for exponent in _tower_exponents(n):
+            src, mask = _automorphism_table(n, exponent)
+            assert src.dtype == np.int64 and mask.dtype == np.uint32
+            assert not src.flags.writeable and not mask.flags.writeable
+            assert set(np.unique(mask)) <= {0, 0xFFFFFFFF}
+            with pytest.raises(ValueError, match="read-only"):
+                mask[0] = 0
 
 
 class TestSlotSemantics:

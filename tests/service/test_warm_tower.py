@@ -108,6 +108,35 @@ def test_a_warm_served_evalmult_is_three_replays(tenant, monkeypatch):
                 "residue_words"} & set(calls)
 
 
+def test_one_chip_builds_each_modulus_commands_once(tenant, monkeypatch):
+    """A one-chip pool (a fleet worker's) takes turns on the three
+    moduli, downloading the twiddles at every switch, yet builds each
+    modulus's Algorithm 3 commands and stream key once."""
+    keys, cts = tenant
+    server, session = _server(keys, 1)
+    (worker,) = server.chip_pool.workers
+    driver = worker.driver
+    built, ntt_command = [], CofheeDriver.ntt_command
+
+    def counted(self, src, dst):
+        built.append(self.programmed)
+        return ntt_command(self, src, dst)
+
+    monkeypatch.setattr(CofheeDriver, "ntt_command", counted)
+    server.result(server.submit(session, JobKind.MULTIPLY, cts[:2]))
+    commands, keys_seen = dict(driver._alg3), dict(driver._keys)
+    for pair in (cts[1:3], cts[2:]):
+        server.result(server.submit(session, JobKind.MULTIPLY, pair))
+    moduli = {(q, PARAMS.n) for q in PARAMS.q_basis.moduli}
+    assert len(built) == 4 * 3 and set(built) == moduli
+    assert {names[0] for names in commands} == moduli
+    assert driver._alg3 == commands and all(
+        driver._alg3[names] is stream for names, stream in commands.items())
+    assert len(keys_seen) == 3 and all(
+        driver._keys[k][1] is key for k, (_, key) in keys_seen.items())
+    assert server.pool_report()["reprograms"] == [9]
+
+
 def test_a_wrong_expected_word_fails_the_job_warm(tenant, monkeypatch):
     """One word of the engine's rows off by one, on a warmed pool: the
     job fails with "datapath fault" and charges the busy cycles a
