@@ -83,18 +83,18 @@ def quartile_spread(values: list[float]) -> float:
 def report(metrics, runs_a, runs_b) -> None:
     pairs = len(runs_a)
     print(f"{'metric':<22} " + " ".join(
-        f"{'pair ' + str(i):>21}" for i in range(pairs)))
+        f"{'pair ' + str(i):>25}" for i in range(pairs)))
     for name, better in metrics:
         a = [r["metrics"][name]["value"] for r in runs_a]
         b = [r["metrics"][name]["value"] for r in runs_b]
         print(f"{name:<22} " + " ".join(
-            f"{x:>10.4g}/{y:<10.4g}" for x, y in zip(a, b)))
+            f"{x:>12.7g}/{y:<12.7g}" for x, y in zip(a, b)))
         med_a, med_b = statistics.median(a), statistics.median(b)
         change = (med_b - med_a) / med_a * 100 if med_a else 0.0
         lower = sum(y < x for x, y in zip(a, b))
         higher = sum(y > x for x, y in zip(a, b))
         spread = quartile_spread(a) if pairs > 1 else 0.0
-        print(f"{'':<22} median A {med_a:.4g}  B {med_b:.4g}  "
+        print(f"{'':<22} median A {med_a:.7g}  B {med_b:.7g}  "
               f"({change:+.1f}%)  A IQR {spread:.3g}  "
               f"B lower {lower}/{pairs}, higher {higher}/{pairs}  "
               f"({better} is better)")
