@@ -17,8 +17,9 @@ backends differ only in how they price and replay it (the TF-Encrypted
 * :class:`SoftwareBackend` — the SEAL-style CPU baseline: same exact
   results, priced by :class:`~repro.baselines.software.CpuCostModel`.
 
-Both produce bit-identical ciphertexts. Each prices a job with its own
-paper model (``JobMetrics.model_seconds``); the measured host time
+Both produce bit-identical ciphertexts, framed as wire bytes when the
+job settles. Each prices a job with its own paper model
+(``JobMetrics.model_seconds``); the measured host time
 (``JobMetrics.host_seconds``) is the scheduler's, the same clock for
 every backend.
 """
@@ -49,8 +50,12 @@ from repro.service.circuits import (
     evaluate_circuit,
     rotation_exponent,
 )
-from repro.service.jobs import Job
+from repro.service.jobs import RAW_OUTPUT, Job, JobKind
 from repro.service.registry import Session, SessionRegistry
+from repro.service.serialization import (
+    serialize_ciphertext,
+    serialize_circuit_outputs,
+)
 
 
 class BackendError(RuntimeError):
@@ -78,7 +83,8 @@ class Backend:
     exact per-job arithmetic every backend shares — :meth:`_run_job`,
     one :func:`~repro.service.circuits.evaluate_circuit` call on the
     job's circuit — which is why all backends return bit-identical
-    ciphertexts. A backend builds no report: the scheduler folds each
+    ciphertexts, and :meth:`_finish`, which frames them: a job settles
+    as wire bytes. A backend builds no report: the scheduler folds each
     settled job's metrics into
     :class:`~repro.service.scheduler.ServiceStats`.
     """
@@ -137,8 +143,9 @@ class Backend:
 
     def _run_job(
         self, registry: SessionRegistry, job: Job, on_tensor=None,
-    ) -> tuple[Session, object]:
-        """Evaluate the job's circuit exactly; returns (session, result).
+    ) -> tuple[Session, dict[str, Ciphertext]]:
+        """Evaluate the job's circuit exactly; returns the session and the
+        circuit's named outputs (a raw op's one is :data:`RAW_OUTPUT`).
 
         The trace gets the circuit's ``execute`` and ``keyswitch`` spans.
         ``on_tensor`` (chip pool only) observes each Eq. 4 tensor's
@@ -159,11 +166,19 @@ class Backend:
             job.metrics.relin_fidelity = (
                 "engine" if engine.can_batch_relinearize(relin) else "model"
             )
-        return session, job.output(outputs)
+        return session, outputs
 
-    def _finish(self, job: Job, result: object, model_seconds: float) -> None:
-        """Settle one job as done, priced at ``model_seconds``."""
-        job.finish(result)
+    def _finish(self, job: Job, outputs: dict[str, Ciphertext],
+                model_seconds: float) -> None:
+        """Frame the circuit's outputs and settle the job as done, priced
+        at ``model_seconds``: a raw op's one ciphertext, a circuit's
+        named-output map."""
+        with job.trace.span("serialize"):
+            if job.kind is JobKind.CIRCUIT:
+                wire = serialize_circuit_outputs(outputs)
+            else:
+                wire = serialize_ciphertext(outputs[RAW_OUTPUT])
+        job.finish(wire)
         job.metrics.backend = self.name
         job.metrics.model_seconds = model_seconds
         self.jobs_done += 1
@@ -278,7 +293,7 @@ class ChipPoolBackend(Backend):
                 if circuit.tensor_steps else None
             )
             tensors: list[tuple] = []  # on_tensor's (step, a, b, rows)
-            session, result = self._run_job(
+            session, outputs = self._run_job(
                 registry, job,
                 on_tensor=None if basis is None else (
                     lambda *tensor: tensors.append(tensor)
@@ -326,7 +341,7 @@ class ChipPoolBackend(Backend):
                 )
             job.metrics.worker = finish.index
             self._finish(
-                job, result, cycles / finish.chip.clock.frequency_hz
+                job, outputs, cycles / finish.chip.clock.frequency_hz
             )
         finally:
             added = [w.busy_cycles - b for w, b in zip(self.workers, before)]
@@ -503,8 +518,8 @@ class SoftwareBackend(Backend):
         self.cost = CpuCostModel()
 
     def _execute_job(self, job: Job, registry: SessionRegistry) -> None:
-        session, result = self._run_job(registry, job)
-        self._finish(job, result, self._job_seconds(session, job.payload))
+        session, outputs = self._run_job(registry, job)
+        self._finish(job, outputs, self._job_seconds(session, job.payload))
 
     def _job_seconds(self, session: Session, circuit: Circuit) -> float:
         """The SEAL-anchored latency of one job, on one CPU thread.

@@ -33,7 +33,6 @@ from repro.service.registry import Session, SessionRegistry
 from repro.service.serialization import (
     EventMsg,
     WireFormatError,
-    serialize_ciphertext,
     serialize_galois_key,
     serialize_params,
     serialize_relin_key,
@@ -227,13 +226,11 @@ class FleetBackend(Backend):
         self._set_gauges()
 
     def dispatch(self, job: Job, registry: SessionRegistry) -> None:
-        """Route one job to the fleet without blocking."""
+        """Route one job to the fleet without blocking: its worker is sent
+        the job's own frames, ``wire_operands`` and ``wire_circuit``."""
         self._registry = registry
-        operands = job.wire_operands
-        if len(operands) != len(job.operands):
-            operands = tuple(serialize_ciphertext(ct) for ct in job.operands)
         circuit = job.wire_circuit if job.kind is JobKind.CIRCUIT else None
-        self._place(_Assignment(job, operands, circuit))
+        self._place(_Assignment(job, job.wire_operands, circuit))
         self._set_gauges()
 
     def poll(self, timeout: float = 0.0) -> list[Job]:

@@ -168,11 +168,12 @@ class Job:
     #: the raw op's one-step circuit, filled in at construction.
     payload: Circuit | None = None
     backend: str = ""  # requested backend name ("" = service default)
-    #: The operands' original framed wire bytes when the job arrived over
-    #: the transport (index-aligned with ``operands``, empty otherwise),
-    #: and a circuit job's framed circuit as submitted (the bytes its
-    #: content address hashes). The fleet forwards these verbatim
-    #: instead of re-serializing. All are dropped when the job settles.
+    #: Each operand's framed wire bytes, index-aligned with ``operands``
+    #: on every job :class:`~repro.service.server.FheServer` builds (it
+    #: frames a ``Ciphertext`` operand once, at submit), and a circuit
+    #: job's framed circuit as submitted. The content address hashes
+    #: these, and the fleet forwards them verbatim. All are dropped when
+    #: the job settles.
     wire_operands: tuple[bytes, ...] = ()
     wire_circuit: bytes = b""
     #: Absolute monotonic-clock instant past which the job must not be
@@ -181,9 +182,11 @@ class Job:
     deadline: float | None = None
     job_id: str = field(default_factory=lambda: f"j{next(_job_ids):05d}")
     status: JobStatus = JobStatus.QUEUED
-    #: Ciphertext (raw op) or ``{name: Ciphertext}`` (circuit); framed
-    #: wire bytes once serialized, or when a fleet worker produced it.
-    result: object = None
+    #: Wire bytes, set when the job settles as done: a framed ciphertext
+    #: (raw op) or a framed named-output map (circuit), whichever
+    #: backend ran it; a cache hit or dedupe follower shares the
+    #: primary's bytes object.
+    result: bytes | None = None
     error: str | None = None
     metrics: JobMetrics = field(default_factory=JobMetrics)
     #: Monotonic-clock phase spans, recorded for every job; see
@@ -208,13 +211,6 @@ class Job:
                 f"got {len(self.operands)}"
             )
 
-    def output(self, outputs: dict[str, Ciphertext]) -> object:
-        """The job's result from its circuit's named outputs: the map
-        itself for a circuit job, the one ciphertext for a raw op."""
-        if self.kind is JobKind.CIRCUIT:
-            return outputs
-        return outputs[RAW_OUTPUT]
-
     @property
     def done(self) -> bool:
         return self.status in (JobStatus.DONE, JobStatus.FAILED)
@@ -224,7 +220,7 @@ class Job:
         self.error = message
         self._settle()
 
-    def finish(self, result: object) -> None:
+    def finish(self, result: bytes) -> None:
         self.result = result
         self.status = JobStatus.DONE
         self._settle()

@@ -37,21 +37,18 @@ from repro.service.jobs import Job, JobKind, JobStatus
 from repro.service.registry import Session, SessionRegistry
 from repro.service.scheduler import JobScheduler, ServiceStats
 from repro.service.serialization import (
-    deserialize_ciphertext,
     deserialize_circuit,
-    deserialize_circuit_outputs,
     deserialize_galois_key,
     deserialize_params,
     deserialize_public_key,
     deserialize_relin_key,
     serialize_ciphertext,
     serialize_circuit,
-    serialize_circuit_outputs,
 )
 from repro.service.telemetry import (
     JobTrace,
     MetricsRegistry,
-    adopt_batch_spans,
+    adopt_follower_spans,
     aggregate_phases,
 )
 
@@ -175,10 +172,10 @@ class FheServer:
             raise ValueError("result_cache_size must be >= 0")
         self._cache_capacity = result_cache_size
         # Both keyed by content address (:meth:`_cache_key`): settled
-        # results (an LRU of the result objects alone), and the jobs
+        # results (an LRU of their wire bytes alone), and the jobs
         # waiting on each address's one execution, ``[primary,
         # *followers]`` — kept even with the result cache disabled.
-        self._results: OrderedDict[tuple, object] = OrderedDict()
+        self._results: OrderedDict[tuple, bytes] = OrderedDict()
         self._inflight: dict[tuple, list[Job]] = {}
         # Circuits decoded from wire bodies, LRU by the body's SHA-256,
         # and the bytes of the bodies held (see CIRCUIT_MEMO_ENTRIES).
@@ -257,6 +254,9 @@ class FheServer:
         deadline: float = 0.0,
     ) -> str:
         """Queue one job; operands may be wire bytes or Ciphertext objects.
+
+        A ``Ciphertext`` operand is framed here, once, so every job
+        carries each operand's wire bytes (:attr:`Job.wire_operands`).
 
         A circuit job's ``payload`` may be a built
         :class:`~repro.service.circuits.Circuit` or its wire bytes (the
@@ -369,14 +369,11 @@ class FheServer:
                 if isinstance(op, (bytes, bytearray)) else op
                 for op in operands
             ]
-            # When every operand arrived as wire bytes, keep the frames:
-            # the fleet forwards them to workers without re-serializing.
             wire_ops = tuple(
-                bytes(op) for op in operands
-                if isinstance(op, (bytes, bytearray))
+                bytes(op) if isinstance(op, (bytes, bytearray))
+                else serialize_ciphertext(op)
+                for op in operands
             )
-            if len(wire_ops) != len(operands):
-                wire_ops = ()
         if backend and backend not in self.backends:
             raise ValueError(
                 f"unknown backend {backend!r} (have {sorted(self.backends)})"
@@ -401,7 +398,7 @@ class FheServer:
         ).inc()
         stats = self.scheduler.stats
         with trace.span("cache_check"):
-            key = self._cache_key(session, job, operands, circuit_digest)
+            key = self._cache_key(session, job, circuit_digest)
             cached = self._results.get(key)
             waiting = self._inflight.get(key)
         if cached is not None:
@@ -464,7 +461,7 @@ class FheServer:
         return circuit
 
     def _cache_key(self, session: Session, job: Job,
-                   raw_operands: tuple, circuit_digest: bytes) -> tuple:
+                   circuit_digest: bytes) -> tuple:
         """Content address of a job.
 
         The request kind stays in the address, so a raw op and a
@@ -481,18 +478,15 @@ class FheServer:
         tenants submitting the same program on the same inputs share one
         execution, and two different programs never can. The server runs
         the circuit as submitted, so those bytes are also the program
-        that executes.
+        that executes. The operands part hashes ``job.wire_operands``,
+        each operand's frame.
 
         The same address drives both the result cache and in-queue
         dedupe, so dedupe stays on when caching is disabled.
         """
         operands = hashlib.sha256()
-        for raw, ct in zip(raw_operands, job.operands):
-            data = (
-                bytes(raw) if isinstance(raw, (bytes, bytearray))
-                else serialize_ciphertext(ct)
-            )
-            operands.update(hashlib.sha256(data).digest())
+        for wire in job.wire_operands:
+            operands.update(hashlib.sha256(wire).digest())
         return (
             session.digest,
             job.kind.value,
@@ -539,7 +533,8 @@ class FheServer:
         primary fans its result (or failure) out to its followers,
         retires the address and, when it succeeded, caches the result —
         the next identical submit then hits the cache, or re-executes
-        if the primary failed or caching is off.
+        if the primary failed or caching is off. Followers and the cache
+        share the primary's result, one ``bytes`` object.
         """
         now = time.monotonic()
         for key, waiting in list(self._inflight.items()):
@@ -574,14 +569,13 @@ class FheServer:
                 # latency too: adopt those spans (clipped at the
                 # follower's own queue time) so the profiler stops
                 # attributing follower wall time to queue_wait.
-                adopt_batch_spans(follower.trace, primary.trace)
+                adopt_follower_spans(follower.trace, primary.trace)
                 if primary.status is JobStatus.DONE:
                     follower.finish(primary.result)
                 else:
                     follower.fail(primary.error or "primary job failed")
                 self.scheduler.settle(follower)
-            # Raw ops cache a Ciphertext; circuits their output map.
-            if (self._cache_capacity > 0 and primary.result is not None
+            if (self._cache_capacity > 0
                     and primary.status is JobStatus.DONE):
                 self._results[key] = primary.result
                 while len(self._results) > self._cache_capacity:
@@ -631,21 +625,16 @@ class FheServer:
         self._harvest()
         return settled is not None or self.scheduler.pending > 0
 
-    def result(self, job_id: str, wire: bool = True) -> object:
+    def result(self, job_id: str) -> bytes:
         """Block (drive the scheduler) until the job finishes.
 
         Returns as soon as this job is settled; jobs queued behind it
         may not have run yet.
 
-        Results return as wire bytes by default — the server hands back
-        exactly what would cross a transport: a framed ciphertext for raw
-        ops, a framed named-output map for circuits. ``wire=False``
-        returns the in-memory object.
-
-        A settled job keeps its result in wire form from the first time
-        it is serialized (a fleet job's result arrives that way): about a
-        third of the object's memory, and later calls return the bytes
-        without encoding again. ``wire=False`` then decodes them.
+        The result is the job's wire bytes, exactly what crosses a
+        transport: a framed ciphertext for raw ops, a framed
+        named-output map for circuits. The job was framed when it
+        settled, so this encodes nothing.
 
         Raises:
             RuntimeError: if the job failed (message carries the cause).
@@ -657,17 +646,7 @@ class FheServer:
             raise RuntimeError(f"job {job_id} failed: {job.error}")
         if not job.done:
             raise RuntimeError(f"job {job_id} is still {job.status.value}")
-        circuit = job.kind is JobKind.CIRCUIT
-        if wire and not isinstance(job.result, bytes):
-            with job.trace.span("serialize"):
-                job.result = (serialize_circuit_outputs if circuit
-                              else serialize_ciphertext)(job.result)
-        if wire or not isinstance(job.result, bytes):
-            return job.result
-        params = self.registry.get(job.session_id).params
-        if circuit:
-            return deserialize_circuit_outputs(job.result, params)
-        return deserialize_ciphertext(job.result, params)
+        return job.result
 
     def job_metrics(self, job_id: str):
         return self._job(job_id).metrics
@@ -756,7 +735,7 @@ class FheServer:
                 backend (``""`` aggregates everything, including cache
                 and dedupe settlements).
             until_done: stop each job's attribution at completion,
-                excluding post-completion serialize/reply time from both
+                excluding post-completion reply time from both
                 numerator and denominator.
 
         Returns the :func:`~repro.service.telemetry.aggregate_phases`

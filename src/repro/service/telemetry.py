@@ -49,7 +49,7 @@ PHASES = (
     "keyswitch",       # a relinearization or Galois key switch (the kernel)
     "worker_execute",  # home chips replaying the job's tensor towers
     "relin_tail",      # pricing/charging the chip pool's key-switch tails
-    "serialize",       # result -> wire bytes
+    "serialize",       # result -> wire bytes, as the job settles
     "reply",           # transport writing the completion frame
 )
 
@@ -111,7 +111,7 @@ class JobTrace:
     * ``trace.stamp_queued()`` / ``trace.stamp_done()`` — lifecycle
       timestamps: queued marks the submit settling (queue-wait origin),
       done marks job completion (the end-to-end latency denominator the
-      profiler uses; serialize/reply happen after it).
+      profiler uses; a transport's reply happens after it).
     """
 
     __slots__ = ("spans", "_stack", "queued_at", "done_at")
@@ -155,7 +155,7 @@ class JobTrace:
 
         ``until_done`` restricts to spans that started before
         :attr:`done_at` — the serving-latency view the profiler divides
-        by :attr:`wall_seconds` (serialize/reply happen after
+        by :attr:`wall_seconds` (a transport's reply happens after
         completion and would overshoot the denominator).
         """
         totals: dict[str, float] = {}
@@ -171,20 +171,20 @@ class JobTrace:
 
 #: Top-level phases that constitute a job's execution window — what a
 #: dedupe follower inherits from the primary whose single execution
-#: produced its result (see :func:`adopt_batch_spans`).
-BATCH_WINDOW_PHASES = frozenset((
+#: produced its result (see :func:`adopt_follower_spans`). The primary's
+#: ``serialize`` is not among them: a follower frames nothing.
+FOLLOWER_PHASES = frozenset((
     "queue_wait", "execute", "worker_execute", "keyswitch", "relin_tail",
 ))
 
 
-def adopt_batch_spans(follower, primary) -> int:
+def adopt_follower_spans(follower, primary) -> int:
     """Copy a primary's execution-window spans onto a dedupe follower.
 
-    A follower attached to a deduped execution used to get only
-    ``stamp_done``: its wall clock covered the primary's execution but
-    its trace explained none of it, so the profiler under-attributed the
-    follower's latency to ``queue_wait``. This clips the primary's
-    top-level :data:`BATCH_WINDOW_PHASES` spans at the follower's own
+    A follower waits through the primary's one execution, so its wall
+    clock covers that execution; these spans explain it, instead of the
+    profiler reading it all as ``queue_wait``. This clips the primary's
+    top-level :data:`FOLLOWER_PHASES` spans at the follower's own
     ``queued_at`` (spans that ended before the follower existed are not
     its latency) and records them as the follower's top-level spans;
     any remaining gap between queueing and the first adopted span is
@@ -194,7 +194,7 @@ def adopt_batch_spans(follower, primary) -> int:
     copied = 0
     earliest = None
     for span in primary.spans:
-        if span.parent != -1 or span.phase not in BATCH_WINDOW_PHASES:
+        if span.parent != -1 or span.phase not in FOLLOWER_PHASES:
             continue
         start = span.start
         if origin is not None:

@@ -62,7 +62,7 @@ def _chip_multiply(keys, cts):
     ))
     scheduler.run_all()
     assert job.status is JobStatus.DONE
-    return serialize_ciphertext(job.result), job.metrics
+    return job.result, job.metrics
 
 
 @pytest.mark.parametrize("value", ["off", "0", "disabled"])

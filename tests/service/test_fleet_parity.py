@@ -14,7 +14,9 @@ what that hop must preserve and what it must not keep:
   upload digests change, so a replaced key serves the bytes in-process
   ``Bfv`` computes under it and an identical reopen sends nothing;
 * a circuit reaches its worker as the bytes its client sent: the front
-  door forwards them and encodes no circuit itself.
+  door forwards them and encodes no circuit itself;
+* an operand submitted as a ``Ciphertext`` reaches its worker as the
+  frame the front door made of it at submit.
 """
 
 from __future__ import annotations
@@ -278,3 +280,34 @@ def test_fleet_forwards_a_wire_circuit_verbatim(tenant, galois_pair,
         assert server.job_metrics(jid).backend == server.fleet.name
     assert forwarded == [V2_KIND1_WIRE]
     assert encoded == []
+
+
+def test_fleet_sends_a_ciphertext_operand_as_its_submit_frame(tenant,
+                                                             monkeypatch):
+    """``FheServer.submit`` frames a ``Ciphertext`` operand once; the
+    router sends that frame, and the job serves the bytes a wire submit
+    of the same operands does."""
+    keys, operands = tenant
+    objects = [tuple(deserialize_ciphertext(w, PARAMS) for w in pair)
+               for pair in operands]
+    submit = AsyncFheClient.submit
+    forwarded = []
+
+    async def recording_submit(self, session_id, kind, wire, *args,
+                               **kwargs):
+        forwarded.append(tuple(wire))
+        return await submit(self, session_id, kind, wire, *args, **kwargs)
+
+    monkeypatch.setattr(AsyncFheClient, "submit", recording_submit)
+    with FheServer(fleet_size=1, fleet_mode="thread",
+                   result_cache_size=0) as fleet:
+        served = _serve(fleet, keys, objects)
+        assert [fleet.job_metrics(jid).backend for jid, _ in served] == [
+            fleet.fleet.name
+        ] * len(objects)
+        assert [wire for _, wire in served] == [
+            wire for _, wire in _serve(fleet, keys, operands)
+        ]
+    assert forwarded[:len(objects)] == [
+        tuple(serialize_ciphertext(ct) for ct in pair) for pair in objects
+    ]

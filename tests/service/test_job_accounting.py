@@ -95,7 +95,7 @@ def test_execute_batch_settles_each_job_alone(tenant, make):
     served = [job for job in jobs if job is not orphan]
     assert all(job.status is JobStatus.DONE for job in served)
     for job, (a, b) in zip(served, pairs):
-        assert serialize_ciphertext(job.result) == serialize_ciphertext(
+        assert job.result == serialize_ciphertext(
             bfv.multiply_relin(a, b, keys.relin)
         )
     if isinstance(backend, ChipPoolBackend):

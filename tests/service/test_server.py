@@ -79,7 +79,7 @@ class TestSubmitPollResult:
         ct = _encrypt(client, list(range(PARAMS.n)))
         jid = server.submit(sid, JobKind.ROTATE,
                             (serialize_ciphertext(ct),), steps=1)
-        result = server.result(jid, wire=False)
+        result = deserialize_ciphertext(server.result(jid), PARAMS)
         local = rotor.rotate_rows(ct, 1)
         assert bfv.decrypt(result, keys.secret) == bfv.decrypt(local, keys.secret)
 
@@ -87,7 +87,7 @@ class TestSubmitPollResult:
         sid = _open(server, client)
         ct = _encrypt(client, [1, 2])
         jid = server.submit(sid, "add", (ct, ct))
-        assert server.result(jid, wire=False).size == 2
+        assert deserialize_ciphertext(server.result(jid), PARAMS).size == 2
 
     def test_failed_job_raises_with_cause(self, server, client):
         sid = server.open_session("nokeys", serialize_params(PARAMS))

@@ -10,6 +10,7 @@ from repro.service.circuits import CircuitBuilder
 from repro.service.jobs import Job, JobKind, JobStatus
 from repro.service.registry import SessionRegistry
 from repro.service.scheduler import JobScheduler
+from repro.service.serialization import deserialize_circuit_outputs
 
 PARAMS = BfvParameters.toy(n=16, log_q=80)
 
@@ -230,7 +231,8 @@ class TestFaultIsolation:
         scheduler.run_all()
         assert bad.status is JobStatus.FAILED
         assert "coefficients" in bad.error
-        assert good.status is JobStatus.DONE and "y" in good.result
+        assert good.status is JobStatus.DONE
+        assert "y" in deserialize_circuit_outputs(good.result, PARAMS)
 
     @pytest.mark.parametrize("kind", [JobKind.MULTIPLY, JobKind.SQUARE])
     def test_datapath_fault_fails_the_job(self, client, monkeypatch, kind):

@@ -26,7 +26,7 @@ from repro.service.server import FheServer
 from repro.service.telemetry import (
     PHASES,
     JobTrace,
-    adopt_batch_spans,
+    adopt_follower_spans,
     aggregate_phases,
 )
 
@@ -153,13 +153,46 @@ class TestServingTraces:
             children = {s.phase for s in trace.spans if s.parent == 0}
             assert "decode" in children
 
-    def test_serialize_span_lands_after_done(self):
-        server, _, job_ids = _server_with_jobs(n_jobs=1)
+    @pytest.mark.parametrize("backend", ("software", "chip_pool"))
+    def test_serialize_span_ends_by_done(self, backend):
+        """An executed job is framed as it settles, inside its wall."""
+        server, _, job_ids = _server_with_jobs(backend=backend, n_jobs=1,
+                                               circuit_jobs=1)
         server.run()
-        server.result(job_ids[0])
-        trace = server.job_trace(job_ids[0])
-        serialize = [s for s in trace.spans if s.phase == "serialize"]
-        assert serialize and serialize[0].start >= trace.done_at
+        for job_id in job_ids:
+            trace = server.job_trace(job_id)
+            (serialize,) = [s for s in trace.spans if s.phase == "serialize"]
+            assert serialize.parent == -1
+            assert serialize.end <= trace.done_at
+            server.result(job_id)  # encodes nothing more
+            assert sum(s.phase == "serialize" for s in trace.spans) == 1
+
+    @staticmethod
+    def _primary_hit_follower():
+        server, sid, (primary,) = _server_with_jobs(n_jobs=1, cache=4)
+        operands = server._jobs[primary].wire_operands
+        follower = server.submit(sid, JobKind.MULTIPLY, operands)
+        server.run()
+        hit = server.submit(sid, JobKind.MULTIPLY, operands)
+        metrics = server.job_metrics
+        assert metrics(follower).backend == "dedupe"
+        assert metrics(hit).backend == "cache"
+        return server, primary, hit, follower
+
+    def test_cache_hit_and_follower_record_no_serialize(self):
+        server, _, hit, follower = self._primary_hit_follower()
+        for job_id in (hit, follower):
+            phases = {s.phase for s in server.job_trace(job_id).spans}
+            assert "serialize" not in phases
+
+    def test_cache_hit_and_follower_share_the_primary_bytes(self):
+        server, primary, hit, follower = self._primary_hit_follower()
+        wire = server.result(primary)
+        assert isinstance(wire, bytes)
+        assert server.result(hit) is wire
+        assert server.result(follower) is wire
+        (cached,) = server._results.values()
+        assert cached is wire
 
     def test_phase_report_coverage(self):
         """The spans must explain >= 90% of end-to-end job latency."""
@@ -196,7 +229,7 @@ class TestDedupeFanoutTraces:
         primary.mark("execute", 2.0, 10.0)
         follower = JobTrace()
         follower.queued_at = 4.0  # joined mid-execute
-        copied = adopt_batch_spans(follower, primary)
+        copied = adopt_follower_spans(follower, primary)
         # queue_wait ended before the follower existed.
         assert copied == 1
         (execute,) = follower.spans
@@ -208,7 +241,7 @@ class TestDedupeFanoutTraces:
         primary.mark("execute", 5.0, 9.0)
         follower = JobTrace()
         follower.queued_at = 3.0  # queued before the primary executed
-        assert adopt_batch_spans(follower, primary) == 1
+        assert adopt_follower_spans(follower, primary) == 1
         phases = [(s.phase, s.start, s.end) for s in follower.spans]
         assert ("execute", 5.0, 9.0) in phases
         assert ("queue_wait", 3.0, 5.0) in phases

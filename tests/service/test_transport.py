@@ -491,6 +491,8 @@ class TestEventOrdering:
                     ))
                     writer.write(encode_frame(status) + encode_frame(event))
                     await writer.drain()
+                    writer.close()
+                    await writer.wait_closed()
                     return
 
         async def scenario():

@@ -106,6 +106,6 @@ def test_a_broken_stream_fails_warm(tenant, monkeypatch, patch, new_streams):
 
     job = serve(cts[2], cts[1])
     assert job.status is JobStatus.DONE
-    assert serialize_ciphertext(job.result) == serialize_ciphertext(
+    assert job.result == serialize_ciphertext(
         bfv.multiply_relin(cts[2], cts[1], keys.relin)
     )

@@ -32,7 +32,10 @@
 #                                    # fault shim, client link), and the
 #                                    # transport batteries (concurrency,
 #                                    # circuits over TCP, STATS over the
-#                                    # wire, frame and control-codec fuzz)
+#                                    # wire, frame and control-codec fuzz),
+#                                    # then the transport battery again
+#                                    # under -X dev with ResourceWarning
+#                                    # as an error
 #   tools/run_checks.sh --sanitize   # only the sanitizer stage (when
 #                                    # given alone; it is already part of
 #                                    # the default pipeline): ntt.c built
@@ -130,6 +133,12 @@ run_fleet() {
     tests/service/test_transport.py tests/service/test_circuit_transport.py \
     tests/service/test_stats_wire.py \
     tests/property/test_property_transport.py -q
+  # Every socket and transport a transport test opens must be closed
+  # before its loop is: -X dev reports one that is not as a
+  # ResourceWarning, which this run turns into a failure.
+  PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} \
+    python -X dev -W error::ResourceWarning -m pytest -q \
+    tests/service/test_transport.py
 }
 
 run_sanitize() {
