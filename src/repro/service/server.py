@@ -575,8 +575,7 @@ class FheServer:
                 else:
                     follower.fail(primary.error or "primary job failed")
                 self.scheduler.settle(follower)
-            if (self._cache_capacity > 0
-                    and primary.status is JobStatus.DONE):
+            if self._cache_capacity > 0 and primary.status is JobStatus.DONE:
                 self._results[key] = primary.result
                 while len(self._results) > self._cache_capacity:
                     self._results.popitem(last=False)
