@@ -609,13 +609,19 @@ class TestSyncFacade:
             )
             fhe = ts.fhe
             tick, stats_text = fhe.tick, fhe.stats_text
+            # The pump may tick again while the test closes the probe:
+            # the probe is closed under this lock, and a tick after that
+            # is not logged.
+            probe_lock = threading.Lock()
 
             def traced_tick():
-                if reply_waiting(probe) and "reply" not in log:
-                    log.append("reply")
-                log.append("tick")
-                if log.count("tick") == 1:
-                    probe.sendall(stats_frame(2))  # returns mid-tick
+                with probe_lock:
+                    if probe.fileno() != -1:
+                        if reply_waiting(probe) and "reply" not in log:
+                            log.append("reply")
+                        log.append("tick")
+                        if log.count("tick") == 1:
+                            probe.sendall(stats_frame(2))  # returns mid-tick
                 return tick()
 
             def traced_stats_text():
@@ -637,6 +643,8 @@ class TestSyncFacade:
             for job_id in jobs:
                 client.result(job_id)
             reply = _read_reply(probe)
+            with probe_lock:
+                probe.close()
         assert reply.request_id == 2 and reply.text
         assert log.count("tick") >= 6, log
         assert "stats" in log and "reply" in log, log
